@@ -3,8 +3,8 @@
 Trains the same down-scaled DLRM with both backward strategies through the
 stage-graph engine and reports per-phase wall-clock — the functional
 analogue of the paper's real-system prototype measurements.  One target
-drives the engine directly (explicit :class:`TrainingEngine` +
-:class:`SerialSchedule`) to benchmark the engine surface itself, and a
+drives the engine directly (explicit :class:`TrainingEngine`, default
+policy) to benchmark the engine surface itself, and a
 non-benchmark smoke asserts the checkpoint-resume roundtrip stays
 bit-identical at these shapes.
 
@@ -25,7 +25,7 @@ from _emit import emit as emit_bench
 from repro.data.generator import SyntheticCTRStream
 from repro.model import DLRM, SGD, get_model
 from repro.runtime.checkpoint import CheckpointCallback, restore_trainer
-from repro.runtime.engine import SerialSchedule, TrainingEngine
+from repro.runtime.engine import TrainingEngine
 from repro.runtime.trainer import FunctionalTrainer
 
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -62,14 +62,12 @@ def test_training_step_wallclock(benchmark, mode):
 
 
 def test_engine_run_wallclock(benchmark):
-    """The engine surface itself: TrainingEngine.run under SerialSchedule."""
+    """The engine surface itself: TrainingEngine.run, default policy."""
     trainer = make_trainer()
     rng = np.random.default_rng(1)
 
     def run():
-        return TrainingEngine(trainer).run(
-            BATCH, 1, rng, "casted", schedule=SerialSchedule()
-        )
+        return TrainingEngine(trainer).run(BATCH, 1, rng, "casted")
 
     report = benchmark(run)
     assert report.steps == 1

@@ -2,8 +2,8 @@
 
 Sweeps shard/worker counts through
 :func:`repro.experiments.scaling.measured_scaling_sweep`, training the same
-down-scaled DLRM under the serial schedule and under the
-:class:`~repro.runtime.engine.ParallelShardSchedule` (thread workers and,
+down-scaled DLRM with its shards inline on the step loop and under a
+pooled shard executor of :mod:`repro.runtime.parallel` (thread workers and,
 where fork is available, forked workers over shared-memory tables).  Every
 cell's bitwise flag must hold — a speedup that comes from numerical drift
 is a bug, not a result — and on multi-core hosts the parallel schedule must

@@ -2,7 +2,7 @@
 """Parallel shard execution: same numbers as serial, measured faster.
 
 PR 1 partitioned the embedding tables into shards and PR 9's
-``ParallelShardSchedule`` finally runs those shards *concurrently*: a
+``schedule="parallel"`` finally runs those shards *concurrently*: a
 persistent worker pool executes each shard's gather/forward/backward as a
 pure function, a real all-to-all barrier exchanges the per-shard partial
 sums, and the reduction applies them in shard-index order — so the result

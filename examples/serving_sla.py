@@ -11,7 +11,7 @@ walks the full request lifecycle of the serving plane::
 1. train a down-scaled DLRM for a few steps and checkpoint it — the
    serving fleet never trains, it *restores*;
 2. build an :class:`~repro.serving.EngineExecutor` (the engine's
-   forward-only ``InferSchedule``: no backward, no optimize, parameters
+   forward-only ``infer()`` policy: no backward, no optimize, parameters
    provably frozen) and restore the checkpoint into it;
 3. generate a seeded Poisson request stream and serve it under three
    batching policies — no batching, the two-knob dynamic batcher, and a

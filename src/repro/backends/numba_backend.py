@@ -394,8 +394,8 @@ class NumbaParallelBackend(NumbaBackend):
     """``nogil`` + ``prange`` kernel variants for multi-threaded shard work.
 
     Same dispatch methods, same accumulation order, different kernel table:
-    every kernel is compiled with ``nogil=True`` so a thread-pool schedule
-    (:class:`~repro.runtime.engine.ParallelShardSchedule` in thread mode)
+    every kernel is compiled with ``nogil=True`` so the thread shard executor
+    (:class:`~repro.runtime.parallel.ThreadShardExecutor`)
     runs N shards' gathers concurrently on N cores, and the dense-math
     kernels additionally ``prange`` over the embedding-dim axis for
     intra-kernel parallelism.  The prange axis choice is the determinism

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from .backends import (
     available_backends,
@@ -73,6 +73,7 @@ from .experiments import (
 from .model.configs import ALL_MODELS, get_model
 from .model.optim import optimizer_names
 from .obs.session import Observability
+from .runtime.policy import Features, check_capabilities
 from .runtime.systems import SystemHardware
 
 __all__ = ["main", "EXPERIMENTS", "BUILTIN_COMMANDS"]
@@ -169,8 +170,8 @@ def _run_link(args: argparse.Namespace, hardware: SystemHardware) -> str:
 
 def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
     if args.schedule == "parallel":
-        # Measured mode: real trainers, serial vs. ParallelShardSchedule at
-        # the same shard count, next to the analytic bound.
+        # Measured mode: real trainers, inline vs. pooled shard executor
+        # at the same shard count, next to the analytic bound.
         return format_measured_scaling(
             measured_scaling_sweep(
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
@@ -319,25 +320,74 @@ EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
                                   "x gradient accumulation"),
 }
 
-#: Experiments that train a real model through the runtime engine and
-#: therefore accept the training-job flags: a recorded batch trace as their
-#: source (``--trace``), an optimizer selection (``--optimizer``/``--lr``),
-#: and checkpointing (``--checkpoint-dir``/``--resume``).
+#: Experiments that train a real model through the runtime engine.
 TRAINER_EXPERIMENTS = ("cache", "overlap", "serve")
 
-#: Backward-compatible alias (the trace flag predates the other job flags).
-TRACE_EXPERIMENTS = TRAINER_EXPERIMENTS
-
-#: Experiments that run measured trainers through the engine and accept the
-#: optimizer and observability flags: the trainer-backed experiments plus
-#: the whole-step autotune sweep (which trains real models but neither
-#: replays traces nor checkpoints).
+#: ... plus the whole-step autotune sweep, which trains real models but
+#: neither replays traces nor checkpoints.  These runners take ``obs=``.
 ENGINE_EXPERIMENTS = TRAINER_EXPERIMENTS + ("stepshape",)
 
-#: Engine experiments that accept the gradient-accumulation knob — their
-#: measured trainers run unsharded, so the
-#: :class:`~repro.runtime.engine.GradAccumSchedule` composes cleanly.
-ACCUM_EXPERIMENTS = ("cache", "stepshape")
+_SHARD_SWEEPS = ("scaling", "overlap")
+_SERVE = ("serve",)
+
+#: Flag dest -> the experiments that accept it.  Setting a scoped flag for
+#: any other experiment exits 2; unscoped flags apply everywhere.  Read by
+#: :func:`main`, the ``--help`` strings and repro-lint's
+#: ``registry-consistency`` rule.
+FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
+    "trace": TRAINER_EXPERIMENTS,
+    "checkpoint_dir": TRAINER_EXPERIMENTS,
+    "resume": TRAINER_EXPERIMENTS,
+    "optimizer": ENGINE_EXPERIMENTS,
+    "lr": ENGINE_EXPERIMENTS,
+    "trace_out": ENGINE_EXPERIMENTS,
+    "metrics_out": ENGINE_EXPERIMENTS,
+    "accum_steps": ("cache", "stepshape"),
+    "autotune_cache": ("stepshape",),
+    "schedule": _SHARD_SWEEPS,
+    "workers": _SHARD_SWEEPS,
+    "parallel_mode": _SHARD_SWEEPS,
+    "rates": _SERVE,
+    "policies": _SERVE,
+    "requests": _SERVE,
+    "sla_ms": _SERVE,
+    "max_batch": _SERVE,
+    "max_wait_ms": _SERVE,
+    "arrival": _SERVE,
+    "hot_cache_rows": _SERVE,
+    "cache_policy": _SERVE,
+}
+
+
+def _scope(dest: str) -> str:
+    """``dest``'s experiments, comma-joined (for help and error text)."""
+    return ", ".join(FLAG_SCOPE[dest])
+
+
+#: Per-flag value checks: dest -> (is the value acceptable?, message
+#: template over ``v``).  Run after the scope check, in this order.
+_VALUE_CHECKS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "trace": (
+        lambda v: Path(v).is_file(),
+        "trace file {v!r} does not exist (record one with "
+        "repro.data.record_trace)",
+    ),
+    "accum_steps": (
+        lambda v: v > 0, "--accum-steps must be positive, got {v}",
+    ),
+    "workers": (lambda v: v > 0, "--workers must be positive, got {v}"),
+    "optimizer": (
+        lambda v: v.lower() in optimizer_names(),
+        "unknown optimizer {v!r}; registered optimizers: "
+        + ", ".join(optimizer_names()),
+    ),
+    "lr": (lambda v: v > 0, "learning rate must be positive, got {v}"),
+    "resume": (
+        lambda v: Path(v).is_file(),
+        "checkpoint file {v!r} does not exist (write one with "
+        "--checkpoint-dir or repro.runtime.checkpoint.save_checkpoint)",
+    ),
+}
 
 
 def _run_list(args: argparse.Namespace) -> int:
@@ -403,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="replay a recorded batch trace (repro.data.record_trace) as the "
              "training stream instead of synthetic generation; accepted by "
-             f"the trainer-backed experiments: {', '.join(TRACE_EXPERIMENTS)}",
+             f"the trainer-backed experiments: {_scope('trace')}",
     )
     parser.add_argument(
         "--shards", nargs="*", type=int, default=None, metavar="N",
@@ -442,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--optimizer", default=None, metavar="NAME",
         help="update rule for the trainer-backed experiments "
-             f"({', '.join(TRAINER_EXPERIMENTS)}); registered: "
+             f"({_scope('optimizer')}); registered: "
              f"{', '.join(optimizer_names())} (default: sgd)",
     )
     parser.add_argument(
@@ -453,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="save each trained cell's parameters + optimizer state + step "
-             "into DIR (trainer-backed experiments: "
-             f"{', '.join(TRAINER_EXPERIMENTS)})",
+             f"into DIR (trainer-backed experiments: {_scope('checkpoint_dir')})",
     )
     parser.add_argument(
         "--rates", nargs="*", type=float, default=None, metavar="R",
@@ -507,21 +556,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, metavar="PATH",
         help="write a Perfetto-loadable Chrome trace of the run to PATH, "
              "plus the step stream (<stem>.steps.jsonl) and run manifest "
-             "(<stem>.manifest.json) next to it (trainer-backed "
-             f"experiments: {', '.join(TRAINER_EXPERIMENTS)})",
+             "(<stem>.manifest.json) next to it (training-engine "
+             f"experiments: {_scope('trace_out')})",
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write the run's metric series (counters/gauges/histograms) "
-             "as JSON to PATH (trainer-backed experiments: "
-             f"{', '.join(TRAINER_EXPERIMENTS)})",
+             "as JSON to PATH (training-engine experiments: "
+             f"{_scope('metrics_out')})",
     )
     parser.add_argument(
         "--accum-steps", type=int, default=None, metavar="N",
         help="gradient-accumulation factor: merge N micro-batches per "
-             "optimizer step under the GradAccumSchedule (bit-identical to "
-             "the equivalent large batch for SGD); accepted by: "
-             f"{', '.join(ACCUM_EXPERIMENTS)} (default: 1; for 'stepshape' "
+             "optimizer step (bit-identical to the equivalent large batch "
+             f"for SGD); accepted by: {_scope('accum_steps')} "
+             "(default: 1; for 'stepshape' "
              "the default sweeps several factors)",
     )
     parser.add_argument(
@@ -539,147 +588,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str) -> int:
+    """Report a usage error argparse-style; the exit code for all of them."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    Every usage error — unknown names, a flag outside its
+    :data:`FLAG_SCOPE`, a bad value, a combination in the runtime's
+    capability table — exits 2 with one ``error:`` line before any
+    experiment runs.
+    """
     args = build_parser().parse_args(argv)
-    # Source selection mirrors the --backend convention: unknown names exit
-    # nonzero with the candidates listed, before any experiment runs.
     if args.dataset is not None and args.dataset.lower() not in DATASETS:
-        print(
-            f"error: unknown dataset {args.dataset!r}; registered profiles: "
+        return _fail(
+            f"unknown dataset {args.dataset!r}; registered profiles: "
             f"{', '.join(dataset_names())} (or replay a recorded stream "
-            "with --trace PATH)",
-            file=sys.stderr,
+            "with --trace PATH)"
         )
-        return 2
-    if args.trace is not None:
-        if args.experiment not in TRACE_EXPERIMENTS:
-            print(
-                f"error: --trace does not apply to {args.experiment!r}; "
-                "the trainer-backed experiments that replay traces are: "
-                f"{', '.join(TRACE_EXPERIMENTS)}",
-                file=sys.stderr,
+    for dest, scope in FLAG_SCOPE.items():
+        if getattr(args, dest) is not None and args.experiment not in scope:
+            return _fail(
+                f"--{dest.replace('_', '-')} does not apply to "
+                f"{args.experiment!r}; it applies to: {', '.join(scope)}"
             )
-            return 2
-        if not Path(args.trace).is_file():
-            print(
-                f"error: trace file {args.trace!r} does not exist "
-                "(record one with repro.data.record_trace)",
-                file=sys.stderr,
-            )
-            return 2
-    # The training-job flags follow the --trace convention: they apply to
-    # the experiments that actually run measured trainers, and bad values
-    # exit 2 with the candidates listed before any experiment runs.
-    for flag, value in (("--optimizer", args.optimizer), ("--lr", args.lr),
-                        ("--trace-out", args.trace_out),
-                        ("--metrics-out", args.metrics_out)):
-        if value is not None and args.experiment not in ENGINE_EXPERIMENTS:
-            print(
-                f"error: {flag} does not apply to {args.experiment!r}; "
-                "the training-engine experiments are: "
-                f"{', '.join(ENGINE_EXPERIMENTS)}",
-                file=sys.stderr,
-            )
-            return 2
-    for flag, value in (("--checkpoint-dir", args.checkpoint_dir),
-                        ("--resume", args.resume)):
-        if value is not None and args.experiment not in TRAINER_EXPERIMENTS:
-            print(
-                f"error: {flag} does not apply to {args.experiment!r}; "
-                "the trainer-backed experiments are: "
-                f"{', '.join(TRAINER_EXPERIMENTS)}",
-                file=sys.stderr,
-            )
-            return 2
-    # Gradient accumulation and the whole-step autotune cache mirror the
-    # --backend idiom: bad values and wrong experiments exit 2 up front.
-    if args.accum_steps is not None:
-        if args.experiment not in ACCUM_EXPERIMENTS:
-            print(
-                f"error: --accum-steps does not apply to {args.experiment!r}; "
-                "the training-engine experiments that accumulate gradients "
-                f"are: {', '.join(ACCUM_EXPERIMENTS)}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.accum_steps <= 0:
-            print(
-                f"error: --accum-steps must be positive, got "
-                f"{args.accum_steps}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.autotune_cache is not None and args.experiment != "stepshape":
-        print(
-            f"error: --autotune-cache does not apply to {args.experiment!r}; "
-            "it is a 'stepshape' knob (the whole-step autotuner's decision "
-            "cache)",
-            file=sys.stderr,
-        )
-        return 2
-    # The parallel-schedule knobs apply to the two sharded-runtime sweeps
-    # only, and --workers/--parallel-mode mean nothing without the parallel
-    # schedule selected — same exit-2 convention.
-    if args.schedule is not None and args.experiment not in ("scaling", "overlap"):
-        print(
-            f"error: --schedule does not apply to {args.experiment!r}; the "
-            "sharded-runtime sweeps are: scaling, overlap",
-            file=sys.stderr,
-        )
-        return 2
-    for flag, value in (("--workers", args.workers),
-                        ("--parallel-mode", args.parallel_mode)):
-        if value is not None and args.schedule != "parallel":
-            print(
-                f"error: {flag} requires --schedule parallel",
-                file=sys.stderr,
-            )
-            return 2
-    if args.workers is not None and args.workers <= 0:
-        print(
-            f"error: --workers must be positive, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-    # The serving knobs apply to 'serve' only, same convention again.
-    for flag, value in (("--rates", args.rates),
-                        ("--policies", args.policies),
-                        ("--requests", args.requests),
-                        ("--sla-ms", args.sla_ms),
-                        ("--max-batch", args.max_batch),
-                        ("--max-wait-ms", args.max_wait_ms),
-                        ("--arrival", args.arrival),
-                        ("--hot-cache-rows", args.hot_cache_rows),
-                        ("--cache-policy", args.cache_policy)):
-        if value is not None and args.experiment != "serve":
-            print(
-                f"error: {flag} does not apply to {args.experiment!r}; "
-                "it is a 'serve' knob",
-                file=sys.stderr,
-            )
-            return 2
-    if args.optimizer is not None and args.optimizer.lower() not in optimizer_names():
-        print(
-            f"error: unknown optimizer {args.optimizer!r}; registered "
-            f"optimizers: {', '.join(optimizer_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lr is not None and args.lr <= 0:
-        print(
-            f"error: learning rate must be positive, got {args.lr}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume is not None and not Path(args.resume).is_file():
-        print(
-            f"error: checkpoint file {args.resume!r} does not exist "
-            "(write one with --checkpoint-dir or "
-            "repro.runtime.checkpoint.save_checkpoint)",
-            file=sys.stderr,
-        )
-        return 2
+    for dest, (accepts, message) in _VALUE_CHECKS.items():
+        value = getattr(args, dest)
+        if value is not None and not accepts(value):
+            return _fail(message.format(v=value))
+    pooled = args.schedule == "parallel"
+    if args.parallel_mode is not None and not pooled:
+        # One feature spelled with two flags, like the trainer's
+        # schedule= / parallel_mode= pair.
+        return _fail("--parallel-mode requires --schedule parallel")
+    try:
+        # Whatever the flags alone decide is rejected up front, with the
+        # trainer's own reason; rows that also depend on what an
+        # experiment builds surface below as its ValueError, same text.
+        check_capabilities(Features(
+            sharded=pooled,
+            backend=args.backend,
+            executor=(args.parallel_mode or "thread") if pooled else "inline",
+            workers=args.workers,
+        ))
+    except ValueError as error:
+        return _fail(str(error))
     if args.backend is not None:
         try:
             # Validates the name (unknown/unavailable exits nonzero with
@@ -687,8 +643,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # every kernel of the run routes through it.
             set_default_backend(args.backend)
         except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            return _fail(str(error))
     if args.experiment in BUILTIN_COMMANDS:
         runner, _ = BUILTIN_COMMANDS[args.experiment]
         return runner(args)
@@ -708,10 +663,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             output = runner(args, SystemHardware())
     except ValueError as error:
         # Bad numeric arguments (--batches 0, --steps 0, --shards -2, ...)
-        # surface as the experiment's own ValueError; report it argparse-style
-        # instead of a traceback so scripts get a clean nonzero exit.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        # and capability-table rows surface as the experiment's own
+        # ValueError; report it argparse-style instead of a traceback.
+        return _fail(str(error))
     print(f"# {description}")
     print(output)
     if obs is not None:

@@ -189,8 +189,7 @@ def hotcache_sweep(
     each policy's trainer from a checkpoint (parameters + optimizer state
     restored, the stream fast-forwarded past the checkpointed steps);
     ``checkpoint_dir`` saves each policy's final trained state as
-    ``cache-{policy}.npz``.  ``accum_steps`` > 1 trains under the
-    :class:`~repro.runtime.engine.GradAccumSchedule` — each engine step
+    ``cache-{policy}.npz``.  ``accum_steps`` > 1 accumulates gradients — each engine step
     merges that many micro-batches before the single optimizer step, so
     the cache sees ``accum_steps`` times the gather stream per recorded
     step.  ``obs`` attaches a

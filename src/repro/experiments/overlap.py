@@ -127,8 +127,8 @@ class OverlapRow:
     #: Seconds the pipelined step loop blocked on the cast-ahead future (the
     #: exposed remainder; ≈0 when the schedule fully hides the cast).
     cast_wait_seconds: float = 0.0
-    #: Throughput of the optional third run through the
-    #: :class:`~repro.runtime.engine.ParallelShardSchedule` (0 when the
+    #: Throughput of the optional third run through a pooled shard
+    #: executor (:mod:`repro.runtime.parallel`; 0 when the
     #: sweep's ``schedule`` knob stays serial or the cell is unsharded).
     parallel_steps_per_s: float = 0.0
 
@@ -210,7 +210,7 @@ def _make_trainer(
     ``optimizer``/``lr`` select the update rule from the registry
     (:func:`repro.model.optim.make_optimizer`).  ``schedule`` / ``workers``
     / ``parallel_mode`` pass straight to the trainer — ``"parallel"``
-    selects the :class:`~repro.runtime.engine.ParallelShardSchedule`.
+    selects a pooled shard executor (:mod:`repro.runtime.parallel`).
     """
     model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
     if source_factory is not None:
@@ -475,8 +475,8 @@ def overlap_sweep(
     the trace shows the cast-ahead overlap the table's ratios summarize.
 
     ``schedule="parallel"`` opts every *sharded* cell into a third measured
-    run through the
-    :class:`~repro.runtime.engine.ParallelShardSchedule` with
+    run through a pooled shard executor
+    (:mod:`repro.runtime.parallel`) with
     ``parallel_workers`` workers (default: one per shard;
     ``parallel_mode`` picks thread vs. process workers); its throughput
     lands in ``parallel_steps_per_s`` and its bitwise agreement with the
@@ -652,8 +652,8 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
         "FwdEx/BwdEx split the sharded all-to-all payload by pipeline stage "
         "(0 when unsharded).\n"
         + (
-            "Parallel = the same sharded cell fanned across the "
-            "ParallelShardSchedule worker pool\n(folded into the Bitwise "
+            "Parallel = the same sharded cell fanned across a shard "
+            "worker pool\n(folded into the Bitwise "
             "flag; '-' marks unsharded cells it cannot apply to).\n"
             if with_parallel
             else ""

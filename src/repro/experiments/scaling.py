@@ -293,8 +293,8 @@ def measured_scaling_sweep(
     """Measured serial-vs-parallel shard execution across shard counts.
 
     For each shard count, trains the same identically-seeded down-scaled
-    DLRM twice — serial :class:`~repro.runtime.engine.SerialSchedule` vs.
-    :class:`~repro.runtime.engine.ParallelShardSchedule` with ``workers``
+    DLRM twice — shards inline on the step loop vs. fanned out to a pooled
+    shard executor (:mod:`repro.runtime.parallel`) with ``workers``
     workers (default: one per shard) in ``mode`` (``"thread"`` drives the
     GIL-releasing kernels, ``"process"`` forks workers over shared-memory
     tables) — keeping the best wall clock of ``repeats`` runs each, and

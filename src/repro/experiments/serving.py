@@ -4,7 +4,7 @@ The paper measures *training* throughput; its serving-side relatives
 (DeepRecSys, Section II-A's at-scale inference traffic) measure the other
 axis: tail latency under production-style arrivals, where the figure of
 merit is **QPS under a tail SLA**.  This experiment drives the repo's
-forward-only :class:`~repro.runtime.engine.InferSchedule` through the
+forward-only :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` through the
 :mod:`repro.serving` plane: a seeded arrival process generates a request
 stream, a dynamic batcher coalesces queued requests into engine batches,
 and the simulator reports the latency/throughput frontier per

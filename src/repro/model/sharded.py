@@ -35,7 +35,7 @@ pair terms differ by exactly 2x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -49,9 +49,75 @@ from .embedding import EmbeddingBag, inverse_lookup_counts
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
 
-__all__ = ["ShardedStepPlan", "ShardedEmbeddingSet"]
+__all__ = [
+    "ShardedStepPlan",
+    "ShardedEmbeddingSet",
+    "cast_slices",
+    "gather_slices",
+    "reduce_payload",
+    "store_shard",
+]
 
 _INDEX_ITEMSIZE = 8  # int64 ids, both halves of a (src, dst) pair
+
+#: The backward all-to-all payload for one shard: ``(table_id, cast,
+#: grad_slice)`` per table the shard owns lookups of.
+BackwardPayload = Sequence[Tuple[int, CastedIndex, np.ndarray]]
+
+#: One shard's coalesced gradients: ``(table_id, local_rows, values)``.
+Coalesced = List[Tuple[int, np.ndarray, np.ndarray]]
+
+
+# ----------------------------------------------------------------------
+# Per-shard kernels, as pure functions of what crosses the all-to-all.
+# The ``*_shard`` methods below and every shard executor of
+# :mod:`repro.runtime.parallel` (inline, thread, process) run exactly
+# these, so per-shard numerics cannot differ by where a shard executes.
+# ----------------------------------------------------------------------
+def cast_slices(
+    slices: Sequence[Optional[ShardSlice]], backend: "BackendSpec"
+) -> List[Optional[CastedIndex]]:
+    """Algorithm 2 over one shard's per-table index sub-arrays."""
+    return [
+        tensor_casting(slice_.index, backend=backend)
+        if slice_ is not None
+        else None
+        for slice_ in slices
+    ]
+
+
+def gather_slices(
+    views: Sequence[Optional[np.ndarray]],
+    slices: Sequence[Optional[ShardSlice]],
+    backend: "BackendSpec",
+) -> List[Optional[np.ndarray]]:
+    """Gather-reduce one shard's local lookups into partial pooled sums."""
+    return [
+        gather_reduce(view, slice_.index, backend=backend)
+        if slice_ is not None
+        else None
+        for view, slice_ in zip(views, slices)
+    ]
+
+
+def reduce_payload(
+    payload: BackwardPayload, backend: "BackendSpec"
+) -> Coalesced:
+    """Casted gradient gather-reduce over one shard's shipped payload."""
+    coalesced: Coalesced = []
+    for table_id, cast, grad_slice in payload:
+        rows, values = casted_gather_reduce(grad_slice, cast, backend=backend)
+        coalesced.append((table_id, rows, values))
+    return coalesced
+
+
+def store_shard(
+    slots: List[List[Optional[Any]]], shard: int,
+    per_table: Sequence[Optional[Any]],
+) -> None:
+    """Write one shard's per-table products into ``[table][shard]`` slots."""
+    for row, value in zip(slots, per_table):
+        row[shard] = value
 
 
 @dataclass
@@ -80,6 +146,14 @@ class ShardedStepPlan:
     def exchange_bytes(self) -> int:
         """Total simulated all-to-all payload of the step (both directions)."""
         return self.forward_exchange_bytes + self.backward_exchange_bytes
+
+    def shard_slices(self, shard: int) -> List[Optional[ShardSlice]]:
+        """``shard``'s index sub-array of every table (its cast/gather input)."""
+        return [row[shard] for row in self.slices]
+
+    def slices_by_shard(self) -> List[List[Optional[ShardSlice]]]:
+        """:meth:`shard_slices` of every shard, in shard order."""
+        return [list(column) for column in zip(*self.slices)]
 
 
 class ShardedEmbeddingSet:
@@ -166,6 +240,11 @@ class ShardedEmbeddingSet:
         )
         return plan
 
+
+    def shard_views(self, shard: int) -> List[Optional[np.ndarray]]:
+        """``shard``'s local view of every table."""
+        return [row[shard] for row in self.views]
+
     # ------------------------------------------------------------------
     # Phase 2: per-shard Tensor Casting
     # ------------------------------------------------------------------
@@ -176,26 +255,23 @@ class ShardedEmbeddingSet:
         shard count and — as in the single-device runtime — depends only on
         index data available before forward propagation.
         """
-        for table_id in range(self.num_tables):
-            slice_ = plan.slices[table_id][shard]
-            if slice_ is not None:
-                plan.casts[table_id][shard] = tensor_casting(
-                    slice_.index, backend=self.backend
-                )
+        store_shard(
+            plan.casts, shard,
+            cast_slices(plan.shard_slices(shard), self.backend),
+        )
 
     # ------------------------------------------------------------------
     # Phase 3: forward
     # ------------------------------------------------------------------
     def forward_shard(self, plan: ShardedStepPlan, shard: int) -> None:
         """Gather-reduce ``shard``'s local lookups into partial pooled sums."""
-        for table_id in range(self.num_tables):
-            slice_ = plan.slices[table_id][shard]
-            if slice_ is None:
-                continue
-            view = self.views[table_id][shard]
-            plan.partials[table_id][shard] = gather_reduce(
-                view, slice_.index, backend=self.backend
-            )
+        store_shard(
+            plan.partials, shard,
+            gather_slices(
+                self.shard_views(shard), plan.shard_slices(shard),
+                self.backend,
+            ),
+        )
 
     def assemble_pooled(self, plan: ShardedStepPlan) -> List[np.ndarray]:
         """Forward all-to-all: ship partials to sample owners and sum them.
@@ -269,7 +345,7 @@ class ShardedEmbeddingSet:
         plan: ShardedStepPlan,
         shard: int,
         grad_tables: Sequence[np.ndarray],
-    ) -> List[tuple[int, CastedIndex, np.ndarray]]:
+    ) -> List[Tuple[int, CastedIndex, np.ndarray]]:
         """Assemble the backward all-to-all payload for ``shard``.
 
         Everything of :meth:`backward_shard` *except* the casted
@@ -279,8 +355,8 @@ class ShardedEmbeddingSet:
         casted pairs) into ``plan.backward_exchange_bytes``.  The returned
         ``(table_id, cast, grad_slice)`` triples are exactly what crosses
         the all-to-all to the shard's device — the fan-out unit of the
-        parallel schedule, whose workers reduce the payload without touching
-        the plan (so byte accounting is identical under every schedule).
+        shard executors, whose workers reduce the payload without touching
+        the plan (so byte accounting is identical wherever a shard runs).
         """
         if plan.scaled_grads is None:
             self.prepare_backward(plan, grad_tables)
@@ -294,7 +370,7 @@ class ShardedEmbeddingSet:
                 "gradient tables differ from the ones staged by "
                 "prepare_backward; re-stage before running backward_shard"
             )
-        payload: List[tuple[int, CastedIndex, np.ndarray]] = []
+        payload: List[Tuple[int, CastedIndex, np.ndarray]] = []
         for table_id, bag in enumerate(self.bags):
             slice_ = plan.slices[table_id][shard]
             cast = plan.casts[table_id][shard]
@@ -317,7 +393,7 @@ class ShardedEmbeddingSet:
         plan: ShardedStepPlan,
         shard: int,
         grad_tables: Sequence[np.ndarray],
-    ) -> List[tuple[int, np.ndarray, np.ndarray]]:
+    ) -> Coalesced:
         """Casted gradient gather-reduce over ``shard``'s gradient slices.
 
         The backward all-to-all delivers ``grad_tables[t][touched]`` — only
@@ -327,15 +403,9 @@ class ShardedEmbeddingSet:
         Returns ``(table_id, local_rows, values)`` triples ready for
         :meth:`update_shard`.
         """
-        coalesced: List[tuple[int, np.ndarray, np.ndarray]] = []
-        for table_id, cast, grad_slice in self.backward_payload(
-            plan, shard, grad_tables
-        ):
-            rows, values = casted_gather_reduce(
-                grad_slice, cast, backend=self.backend
-            )
-            coalesced.append((table_id, rows, values))
-        return coalesced
+        return reduce_payload(
+            self.backward_payload(plan, shard, grad_tables), self.backend
+        )
 
     # ------------------------------------------------------------------
     # Phase 5: update

@@ -4,12 +4,14 @@ The co-designed runtime of Section IV-B lives here — the Figure 9 overlap
 of casting with forward propagation (:mod:`~repro.runtime.systems`), the
 timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **stage-graph training engine** (:mod:`~repro.runtime.engine` +
-:mod:`~repro.runtime.stages`): one step loop over named stages, executed
-serially or with the cast-ahead overlap by interchangeable schedules, with
-checkpoint/resume (:mod:`~repro.runtime.checkpoint`) and a callback
-protocol layered on its hook points.  The wall-clock-instrumented
-:class:`FunctionalTrainer` and the pipelined :class:`PipelinedTrainer` are
-thin facades over that engine.
+:mod:`~repro.runtime.stages`): one step loop over named stages, driven by
+one :class:`SchedulePolicy` record (look-ahead, accumulation, forward-only,
+shard executor — :mod:`~repro.runtime.policy`, which also holds the one
+table of combinations the runtime rejects), with checkpoint/resume
+(:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
+hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` (and
+its ``lookahead=1`` alias :class:`PipelinedTrainer`) is a thin facade over
+that engine.
 """
 
 from .checkpoint import (
@@ -20,20 +22,21 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .engine import (
-    CastAheadSchedule,
     CastAheadWorker,
-    InferSchedule,
     MetricsLogger,
-    ParallelShardSchedule,
     RunEvent,
-    Schedule,
-    SerialSchedule,
     StepEvent,
     TrainingCallback,
     TrainingEngine,
 )
-from .parallel import ProcessShardPool, SharedTableArena, ThreadShardPool
+from .parallel import (
+    InlineShardExecutor,
+    ProcessShardExecutor,
+    SharedTableArena,
+    ThreadShardExecutor,
+)
 from .pipeline import PipelinedTrainer
+from .policy import CAPABILITIES, SchedulePolicy
 from .stages import Stage, StageTimingCollector, StepContext, build_step_stages
 from .systems import (
     CPUGPUSystem,
@@ -76,13 +79,13 @@ from .trainer import (
 
 __all__ = [
     "CPUGPUSystem",
+    "CAPABILITIES",
     "CPUOnlySystem",
-    "CastAheadSchedule",
     "CastAheadWorker",
     "CheckpointCallback",
     "FunctionalTrainer",
-    "InferSchedule",
     "InferenceReport",
+    "InlineShardExecutor",
     "IterationResult",
     "MetricsLogger",
     "NMPSystem",
@@ -97,13 +100,11 @@ __all__ = [
     "OP_EXCHANGE",
     "OP_FWD_DNN",
     "OP_FWD_GATHER",
-    "ParallelShardSchedule",
     "PhaseTimings",
     "PipelinedTrainer",
-    "ProcessShardPool",
+    "ProcessShardExecutor",
     "RunEvent",
-    "Schedule",
-    "SerialSchedule",
+    "SchedulePolicy",
     "Stage",
     "StageTimingCollector",
     "StepContext",
@@ -117,7 +118,7 @@ __all__ = [
     "SharedTableArena",
     "Span",
     "SystemHardware",
-    "ThreadShardPool",
+    "ThreadShardExecutor",
     "Timeline",
     "TrainingCallback",
     "TrainingEngine",

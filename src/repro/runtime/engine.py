@@ -1,46 +1,46 @@
-"""The stage-graph training engine: one step loop, many schedules.
-
-Before PR 5 the runtime hard-coded four divergent copies of the training
-loop (serial/sharded × serial/pipelined); every feature — kernel backends,
-hot caches, batch sources — had to be threaded through each by hand.  This
-module replaces all four with one engine:
+"""The stage-graph training engine: one step loop, one policy record.
 
 * :mod:`repro.runtime.stages` decomposes a step into named stages bound to
   a shared :class:`~repro.runtime.stages.StepContext`;
-* a **schedule** decides *when* each stage of which batch runs —
-  :class:`SerialSchedule` executes every stage of step ``i`` before drawing
-  step ``i+1``; :class:`CastAheadSchedule` executes the paper's Section
-  IV-B overlap, drawing batch ``i+1`` on the main thread (same RNG order as
-  serial — the bit-identity invariant) and running its ``cast`` stage on a
-  background :class:`CastAheadWorker` while batch ``i`` computes;
+* :meth:`TrainingEngine.execute` is the **only** step loop: draw a group of
+  micro-batches, cast it (inline, or ahead on a :class:`CastAheadWorker`
+  while the previous batch computes — the paper's Section IV-B overlap),
+  run the compute stages, complete the step.  What varies between
+  "serial", "pipelined", "gradient accumulation", "inference" and
+  "parallel shards" is a field of the frozen
+  :class:`~repro.runtime.policy.SchedulePolicy` the loop reads — look-ahead
+  depth, micro-batches per step, stage subset, shard executor — never a
+  second loop, so the axes compose by construction;
 * :class:`TrainingEngine` owns the run: source fast-forward for resumed
-  jobs (``start_step``), the schedule dispatch, the generic timing
-  collector that assembles the
-  :class:`~repro.runtime.stages.TrainingReport`, and the **callback
-  protocol** (:class:`TrainingCallback`: ``on_step_end`` / ``on_run_end``)
-  that funds checkpointing (:mod:`repro.runtime.checkpoint`) and metrics
-  logging (:class:`MetricsLogger`) without touching the loop.
+  jobs (``start_step``), the shard executor and cast-ahead worker
+  lifetimes, the timing collector, report assembly
+  (:class:`~repro.runtime.stages.TrainingReport`, or
+  :class:`~repro.runtime.stages.InferenceReport` for forward-only runs),
+  and the **callback protocol** (:class:`TrainingCallback`: ``on_step_end``
+  / ``on_run_end``) that funds checkpointing
+  (:mod:`repro.runtime.checkpoint`) and metrics logging
+  (:class:`MetricsLogger`) without touching the loop.
 
-:class:`~repro.runtime.trainer.FunctionalTrainer` and
-:class:`~repro.runtime.pipeline.PipelinedTrainer` are thin facades over
-this engine — their public APIs and numerics are unchanged (pinned by the
-differential suite against the frozen pre-refactor loops in
-``tests/runtime/_legacy_trainer.py``).  A new schedule, stage, or
-long-running-job feature now costs one class here, not four loop rewrites.
+Batches are always drawn on the step loop's thread, in step order, so every
+policy consumes the source and the RNG exactly as the plain serial run does
+— the root of the bit-identity the differential suites pin
+(``tests/runtime/test_policy.py`` over the policy product, against the
+frozen pre-refactor loops in ``tests/runtime/_legacy_trainer.py``).
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    ContextManager,
-    Dict,
+    Deque,
     Iterator,
+    List,
     Optional,
     Sequence,
     TextIO,
@@ -52,22 +52,16 @@ import numpy as np
 
 from ..backends.dispatch import observe_kernels
 from ..core.indexing import IndexArray
-from ..data.source import CTRBatch
+from ..data.source import CTRBatch, SourceExhausted
 from ..obs.metrics import Gauge, MetricRegistry
-from .parallel import (
-    BackwardShardResult,
-    ForwardShardResult,
-    ShardPool,
-    make_shard_pool,
-)
+from .parallel import InlineShardExecutor, make_shard_executor
+from .policy import SchedulePolicy
 from .stages import (
     InferenceReport,
     StageTimingCollector,
     StepContext,
     StepStages,
     TrainingReport,
-    _cast_timed,
-    _record_cast,
     build_step_stages,
 )
 
@@ -77,18 +71,18 @@ if TYPE_CHECKING:  # runtime import would cycle through the trainer facade
 
 __all__ = [
     "CastAheadWorker",
-    "CastAheadSchedule",
-    "GradAccumSchedule",
-    "InferSchedule",
+    "INFERENCE_STAGES",
     "MetricsLogger",
-    "ParallelShardSchedule",
     "RunEvent",
-    "Schedule",
-    "SerialSchedule",
     "StepEvent",
     "TrainingCallback",
     "TrainingEngine",
 ]
+
+#: Compute-stage names a forward-only run executes (the forward prefix).
+#: ``backward`` and ``optimize`` are never invoked, so the frozen-parameter
+#: guarantee of ``infer()`` is structural.
+INFERENCE_STAGES = ("gather", "exchange", "forward")
 
 
 class CastAheadWorker:
@@ -218,162 +212,15 @@ class MetricsLogger(TrainingCallback):
             )
 
 
-# ----------------------------------------------------------------------
-# Schedules
-# ----------------------------------------------------------------------
-
-class Schedule:
-    """Decides *when* each stage of which batch runs (never *what* runs)."""
-
-    name = "schedule"
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        raise NotImplementedError
-
-
-class SerialSchedule(Schedule):
-    """Every stage of step ``i`` completes before step ``i+1`` is drawn."""
-
-    name = "serial"
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        for _ in range(steps):
-            ctx = stages.new_context()
-            stages.draw.run(ctx)
-            if ctx.data is None:
-                break
-            with engine.step_scope():
-                stages.cast.run(ctx)
-                engine.collector.absorb_cast(ctx)
-                for stage in stages.compute:
-                    stage.run(ctx)
-                engine.complete_step(ctx)
-
-
-class InferSchedule(Schedule):
-    """Forward-only execution: score batches without touching parameters.
-
-    Runs the training plan's ``draw → cast → gather → exchange → forward``
-    prefix and *skips* ``backward`` and ``optimize`` entirely — the stage
-    objects are the very same ones the training schedules execute, so the
-    forward outputs are bit-identical to the training path's forward for
-    the same batch and backend (pinned by ``tests/runtime/test_infer.py``),
-    and the frozen-parameter guarantee is structural: no stage that writes
-    a parameter or optimizer slot is ever invoked.
-
-    Each step's raw forward outputs accumulate on :attr:`logits` in step
-    order; :meth:`TrainingEngine.infer` rolls them into an
-    :class:`~repro.runtime.stages.InferenceReport`.
-    """
-
-    name = "infer"
-
-    #: Compute-stage names that run during inference (the forward prefix).
-    INFERENCE_STAGES = ("gather", "exchange", "forward")
-
-    def __init__(self) -> None:
-        self.logits: list[np.ndarray] = []
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        compute = tuple(
-            stage for stage in stages.compute
-            if stage.name in self.INFERENCE_STAGES
-        )
-        for _ in range(steps):
-            ctx = stages.new_context()
-            stages.draw.run(ctx)
-            if ctx.data is None:
-                break
-            with engine.step_scope():
-                stages.cast.run(ctx)
-                engine.collector.absorb_cast(ctx)
-                for stage in compute:
-                    stage.run(ctx)
-                self.logits.append(ctx.logits)
-                engine.complete_step(ctx)
-
-
-class CastAheadSchedule(Schedule):
-    """Double-buffered overlap: batch ``i+1`` casts while batch ``i`` computes.
-
-    The Section IV-B schedule, executed.  Two invariants keep the
-    measurement honest:
-
-    * **Bit-identity** — batches are drawn on the main thread in the same
-      RNG order as :class:`SerialSchedule`, and the worker runs the very
-      same ``cast`` stage object, so parameters and losses match the serial
-      schedule exactly for the same seed.
-    * **Thread safety by data disjointness** — the worker touches only the
-      *next* context's index data (pure functions of the lookup ids, timed
-      into context-local accountings), while the main thread mutates
-      parameters of the *current* batch; the two never share mutable state.
-
-    Two schedule-specific phases land in the timings: ``prefetch`` (the
-    main-thread draw of the next batch) and ``cast_wait`` (how long the
-    step loop actually blocked on the cast-ahead future — the exposed
-    remainder of the casting stage; ≈0 under full overlap).
-    """
-
-    name = "cast_ahead"
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        with CastAheadWorker() as worker:
-            prefetched = self._prefetch(engine, stages, worker)
-            if prefetched is None:
-                # Nothing to train; the engine raises the canonical
-                # exhausted-before-the-first-step error.
-                return
-            ctx, future = prefetched
-            for step in range(steps):
-                upcoming = None
-                if step + 1 < steps:
-                    # Enqueue the next batch's cast before consuming this
-                    # one, so the worker overlaps with the compute below.
-                    upcoming = self._prefetch(engine, stages, worker)
-                with engine.step_scope():
-                    with engine.collector.timed("cast_wait"):
-                        future.result()
-                    engine.collector.absorb_cast(ctx)
-                    for stage in stages.compute:
-                        stage.run(ctx)
-                    engine.complete_step(ctx)
-                if upcoming is None:
-                    # Either the requested step count is reached or the
-                    # source exhausted — stop after the batch just trained.
-                    break
-                ctx, future = upcoming
-
-    def _prefetch(
-        self,
-        engine: "TrainingEngine",
-        stages: StepStages,
-        worker: CastAheadWorker,
-    ) -> Optional[Tuple[StepContext, "Future[Tuple[Any, float]]"]]:
-        """Draw the next batch (main thread) and queue its ``cast`` stage.
-
-        Returns ``None`` once the source exhausts — the step loop then
-        finishes the batches already in flight and stops.
-        """
-        ctx = stages.new_context()
-        with engine.collector.timed("prefetch"):
-            stages.draw.run(ctx)
-        if ctx.data is None:
-            return None
-        return ctx, worker.submit(stages.cast.run, ctx)
-
-
 def _merge_micro_batches(micros: Sequence[CTRBatch]) -> CTRBatch:
     """Concatenate micro-batches into one effective batch.
 
-    Dense features and labels stack along the sample axis; each table's
+    This is all gradient accumulation is here: the cross-micro-batch
+    accumulation then happens inside the paper's own primitive — the cast +
+    gather-reduce over the merged stream coalesces every micro-batch's
+    gradients into one scatter — followed by a single ``optimize``, whose
+    per-parameter cost amortizes poorly at small batch (Gupta et al.,
+    PAPERS.md).  Dense features and labels stack along the sample axis; each table's
     index arrays concatenate with ``dst`` offset by the running sample
     count (``src`` is untouched — all micros address the same tables).
     Lookup order is preserved exactly, so every kernel over the merged
@@ -405,386 +252,18 @@ def _merge_micro_batches(micros: Sequence[CTRBatch]) -> CTRBatch:
     )
 
 
-class GradAccumSchedule(Schedule):
-    """Gradient accumulation: ``accum_steps`` micro-batches, one optimizer step.
-
-    The Facebook DNN-recommendation characterization (Gupta et al.,
-    PAPERS.md) shows the optimizer/update phase amortizes poorly at small
-    batch — its dense cost is per-parameter, independent of batch size.
-    This schedule draws ``accum_steps`` micro-batches per training step and
-    trains them as *one* effective batch: the per-table lookup streams are
-    concatenated (:func:`_merge_micro_batches`) and the cross-micro-batch
-    gradient accumulation happens inside the paper's own primitive — the
-    cast + gather-reduce over the merged stream coalesces every micro
-    batch's gradients into one scatter — followed by a single ``optimize``.
-
-    Two invariants:
-
-    * **Bit-identity with the equivalent large-batch step** — merging
-      preserves sample order and lookup order exactly, and the compute
-      stages are the very same objects :class:`SerialSchedule` runs, so an
-      ``accum_steps=N`` step over micro-batches ``b_1..b_N`` produces
-      bit-identical parameters to one serial step over their concatenation
-      (pinned for SGD — and every optimizer, since the merged step *is* a
-      single step — by ``tests/runtime/test_grad_accum.py``).
-    * **Micro-batch draw semantics** — batches are drawn one micro at a
-      time through the ordinary ``draw`` stage, consuming the source and
-      RNG exactly as ``accum_steps`` serial steps of the micro batch size
-      would, so finite sources, trace replay, and arrival shaping behave
-      identically.  A source that exhausts mid-group trains the partial
-      group (smaller effective batch) and stops.
-
-    ``cast_ahead=True`` composes with the Section IV-B overlap: group
-    ``i+1`` is drawn on the main thread (RNG order preserved) and its
-    merged cast runs on a background :class:`CastAheadWorker` while group
-    ``i`` computes — casting depends only on index data, so accumulation
-    widens the window the cast can hide in.  Unsharded trainers only: the
-    sharded exchange accounting assumes one plan per drawn batch.
-
-    The report counts *optimizer* steps in ``steps`` and every trained
-    sample in ``samples``; ``accum_steps`` lands on the report so the
-    ``optimize`` amortization properties can normalize either way.
-    """
-
-    name = "grad_accum"
-
-    def __init__(self, accum_steps: int, cast_ahead: bool = False) -> None:
-        if (
-            isinstance(accum_steps, bool)
-            or not isinstance(accum_steps, (int, np.integer))
-            or accum_steps <= 0
-        ):
-            raise ValueError(
-                f"accum_steps must be a positive integer, got {accum_steps!r}"
-            )
-        self.accum_steps = int(accum_steps)
-        self.cast_ahead = bool(cast_ahead)
-        self._exhausted = False
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        if stages.num_shards is not None:
-            raise ValueError(
-                "GradAccumSchedule supports unsharded training only; the "
-                "sharded exchange accounting assumes one plan per batch"
-            )
-        self._exhausted = False
-        if self.cast_ahead:
-            self._execute_cast_ahead(engine, stages, steps)
-            return
-        for _ in range(steps):
-            ctx = self._draw_group(engine, stages, timed=False)
-            if ctx is None:
-                break
-            with engine.step_scope():
-                stages.cast.run(ctx)
-                engine.collector.absorb_cast(ctx)
-                for stage in stages.compute:
-                    stage.run(ctx)
-                engine.complete_step(ctx)
-            if self._exhausted:
-                break
-
-    def _execute_cast_ahead(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        with CastAheadWorker() as worker:
-            prefetched = self._prefetch_group(engine, stages, worker)
-            if prefetched is None:
-                return
-            ctx, future = prefetched
-            for step in range(steps):
-                upcoming = None
-                if step + 1 < steps and not self._exhausted:
-                    upcoming = self._prefetch_group(engine, stages, worker)
-                with engine.step_scope():
-                    with engine.collector.timed("cast_wait"):
-                        future.result()
-                    engine.collector.absorb_cast(ctx)
-                    for stage in stages.compute:
-                        stage.run(ctx)
-                    engine.complete_step(ctx)
-                if upcoming is None:
-                    break
-                ctx, future = upcoming
-
-    def _draw_group(
-        self, engine: "TrainingEngine", stages: StepStages, timed: bool
-    ) -> Optional[StepContext]:
-        """Draw up to ``accum_steps`` micro-batches and merge them.
-
-        Returns ``None`` when the source exhausts before the first micro of
-        the group; a partially-filled group trains at its smaller effective
-        batch and flags the loop to stop afterwards.
-        """
-        scope: ContextManager[Any] = (
-            engine.collector.timed("prefetch") if timed else nullcontext()
-        )
-        micros: list[CTRBatch] = []
-        with scope:
-            for _ in range(self.accum_steps):
-                ctx = stages.new_context()
-                stages.draw.run(ctx)
-                if ctx.data is None:
-                    self._exhausted = True
-                    break
-                micros.append(ctx.data)
-        if not micros:
-            return None
-        merged = stages.new_context()
-        merged.data = _merge_micro_batches(micros)
-        return merged
-
-    def _prefetch_group(
-        self,
-        engine: "TrainingEngine",
-        stages: StepStages,
-        worker: CastAheadWorker,
-    ) -> Optional[Tuple[StepContext, "Future[Tuple[Any, float]]"]]:
-        """Draw the next group (main thread) and queue its merged cast."""
-        ctx = self._draw_group(engine, stages, timed=True)
-        if ctx is None:
-            return None
-        return ctx, worker.submit(stages.cast.run, ctx)
-
-
-class ParallelShardSchedule(Schedule):
-    """Fan per-shard work out to a persistent pool; barrier at the exchange.
-
-    The schedule the sharded runtime was built toward: an ``N``-shard step
-    actually uses up to ``N`` cores.  Each step, the batch partition runs on
-    the step loop (it *is* the fan-out map), then every shard's cast +
-    gather is submitted to a worker pool (:mod:`repro.runtime.parallel`) —
-    threads driving GIL-releasing kernels (``mode="thread"`` with the
-    ``numba-parallel`` backend) or worker processes with shared-memory table
-    views (``mode="process"``, for backends that hold the GIL).  The loop
-    barriers at the exchange, the backward payloads fan out the same way,
-    and the optimizer applies every shard's updates on the step loop.
-
-    Three invariants keep parallel runs honest:
-
-    * **Bit-identity with** :class:`SerialSchedule` — workers run the exact
-      kernel launches of the serial per-shard loops as pure functions and
-      *return* their products; the step loop applies them in shard-index
-      order at each barrier, so reduction order — and therefore every
-      parameter bit — matches serial regardless of worker completion order
-      (pinned by ``tests/runtime/test_parallel_schedule.py``, checkpoint /
-      resume included).
-    * **Honest timing** — workers measure their own phases with their own
-      clock reads, shipped back with the results and folded in via
-      :meth:`StageTimingCollector.record`; in traced runs each worker gets
-      its own track.  Two schedule-specific phases appear: ``sync`` (time
-      the step loop blocked at the two barriers) next to the usual
-      per-shard ``casting``/``gather``/``backward``.
-    * **Crash propagation** — a worker exception re-raises at the barrier,
-      aborts the step, and the pool joins cleanly on the way out of the
-      ``with`` block.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self, workers: Optional[int] = None, mode: str = "thread"
-    ) -> None:
-        if mode not in ("thread", "process"):
-            raise ValueError(
-                f"parallel mode must be 'thread' or 'process', got {mode!r}"
-            )
-        if workers is not None and (
-            isinstance(workers, bool) or workers <= 0
-        ):
-            raise ValueError(
-                f"workers must be a positive integer, got {workers!r}"
-            )
-        self.workers = workers
-        self.mode = mode
-        self._tracks: Dict[str, str] = {}
-
-    def execute(
-        self, engine: "TrainingEngine", stages: StepStages, steps: int
-    ) -> None:
-        trainer = engine.trainer
-        sharded = trainer.sharded
-        if sharded is None:
-            raise ValueError(
-                "ParallelShardSchedule requires a sharded trainer "
-                "(construct it with num_shards=...)"
-            )
-        workers = (
-            self.workers if self.workers is not None else sharded.num_shards
-        )
-        descriptors = None
-        if self.mode == "process":
-            arena = getattr(trainer, "_arena", None)
-            if arena is None:
-                raise ValueError(
-                    "process mode requires shared-memory tables; construct "
-                    "the trainer with schedule='parallel', "
-                    "parallel_mode='process' so a SharedTableArena backs "
-                    "the embedding tables"
-                )
-            descriptors = arena.descriptors
-        self._tracks = {}
-        with make_shard_pool(
-            self.mode, sharded, workers, descriptors=descriptors
-        ) as pool:
-            for _ in range(steps):
-                ctx = stages.new_context()
-                stages.draw.run(ctx)
-                if ctx.data is None:
-                    break
-                with engine.step_scope():
-                    self._run_step(engine, stages, ctx, pool)
-
-    def _run_step(
-        self,
-        engine: "TrainingEngine",
-        stages: StepStages,
-        ctx: StepContext,
-        pool: ShardPool,
-    ) -> None:
-        trainer = engine.trainer
-        sharded = trainer.sharded
-        assert sharded is not None
-        collector = engine.collector
-        num_shards = sharded.num_shards
-        by_name = {stage.name: stage for stage in stages.compute}
-
-        # cast: the partition stays on the step loop (it computes the
-        # fan-out map itself); each shard's Algorithm 2 + local gather run
-        # in the pool as one fused task.
-        with _cast_timed(ctx, "partition"):
-            ctx.plan = sharded.plan_batch(ctx.data.indices)
-        trainer.model.zero_grad()
-        forward_futures = [
-            pool.submit_forward(ctx.plan, shard)
-            for shard in range(num_shards)
-        ]
-        with collector.timed("sync", span="forward_barrier"):
-            forward_results = [f.result() for f in forward_futures]
-        # Apply in shard-index order — the deterministic reduction order —
-        # no matter which worker finished first.
-        for result in forward_results:
-            for table_id in range(sharded.num_tables):
-                ctx.plan.casts[table_id][result.shard] = (
-                    result.casts[table_id]
-                )
-                ctx.plan.partials[table_id][result.shard] = (
-                    result.partials[table_id]
-                )
-            self._absorb_forward(ctx, collector, result)
-        collector.absorb_cast(ctx)
-
-        # The real exchange barrier and the dense stages run on the step
-        # loop via the very same stage objects serial executes.
-        by_name["exchange"].run(ctx)
-        by_name["forward"].run(ctx)
-
-        with collector.timed("backward"):
-            ctx.grad_tables = trainer.model.backward_through_dense(
-                ctx.dlogits
-            )
-            sharded.prepare_backward(ctx.plan, ctx.grad_tables)
-        # Payload assembly (and its byte accounting) stays on the step
-        # loop, in shard order — identical to the serial accounting.
-        payloads = [
-            sharded.backward_payload(ctx.plan, shard, ctx.grad_tables)
-            for shard in range(num_shards)
-        ]
-        backward_futures = [
-            pool.submit_backward(shard, payloads[shard])
-            for shard in range(num_shards)
-        ]
-        with collector.timed("sync", span="backward_barrier"):
-            backward_results = [f.result() for f in backward_futures]
-        ctx.per_shard_coalesced = [
-            result.coalesced for result in backward_results
-        ]
-        for result in backward_results:
-            self._absorb_backward(collector, result)
-
-        by_name["optimize"].run(ctx)
-        engine.complete_step(ctx)
-
-    def _absorb_forward(
-        self,
-        ctx: StepContext,
-        collector: StageTimingCollector,
-        result: ForwardShardResult,
-    ) -> None:
-        """Fold a forward result's worker-side clock reads into the books.
-
-        ``casting`` seconds land on the context (the cast stage's ledger,
-        merged by ``absorb_cast`` like every schedule's) with spans buffered
-        on ``ctx.cast_spans``; ``gather`` seconds land on the collector
-        under the run-level ``forward`` phase exactly as the serial
-        ``GatherStage`` records them.
-        """
-        track = self._track(result.worker)
-        for phase, start, end in result.phases:
-            if phase == "casting":
-                if ctx.tracer is not None:
-                    ctx.tracer.record_span(
-                        phase,
-                        track=track,
-                        start_s=start,
-                        end_s=end,
-                        args={"shard": result.shard},
-                        sink=ctx.cast_spans,
-                    )
-                _record_cast(ctx, phase, result.shard, end - start)
-            else:
-                collector.record(
-                    "forward",
-                    end - start,
-                    shard=result.shard,
-                    shard_phase="gather",
-                    span="gather",
-                    track=track,
-                    start_s=start,
-                    end_s=end,
-                    args={"shard": result.shard},
-                )
-
-    def _absorb_backward(
-        self,
-        collector: StageTimingCollector,
-        result: BackwardShardResult,
-    ) -> None:
-        """Fold a backward result's worker-side clock reads into the books."""
-        track = self._track(result.worker)
-        for phase, start, end in result.phases:
-            collector.record(
-                phase,
-                end - start,
-                shard=result.shard,
-                span=phase,
-                track=track,
-                start_s=start,
-                end_s=end,
-                args={"shard": result.shard},
-            )
-
-    def _track(self, worker: str) -> str:
-        """Stable obs track per worker (``worker0``, ``worker1``, ...)."""
-        if worker not in self._tracks:
-            self._tracks[worker] = f"worker{len(self._tracks)}"
-        return self._tracks[worker]
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
 class TrainingEngine:
-    """Drive one training run of a trainer through a schedule.
+    """Drive one run of a trainer through the step loop.
 
-    Owns the per-run machinery every legacy loop used to duplicate: the
-    stage plan, the timing collector, source fast-forward for resumed jobs,
-    callback dispatch, and report assembly (wall clock + executed-cache
-    fields included).  Constructed per ``train()`` call by the trainer
-    facades; usable directly for custom schedules.
+    Owns the per-run machinery: the stage plan, the timing collector, the
+    shard executor and cast-ahead worker lifetimes, source fast-forward for
+    resumed jobs, callback dispatch, and report assembly (wall clock +
+    executed-cache fields included).  Constructed per ``train()`` /
+    ``infer()`` call by the trainer; usable directly.
 
     ``obs`` (an :class:`~repro.obs.session.Observability`, default
     ``None``) turns on the observability plane for the run: the collector
@@ -803,6 +282,8 @@ class TrainingEngine:
         self.collector: StageTimingCollector = StageTimingCollector()
         self.callbacks: Tuple[TrainingCallback, ...] = ()
         self.start_step = 0
+        self.policy = SchedulePolicy()
+        self.logits: List[np.ndarray] = []
 
     def run(
         self,
@@ -810,59 +291,84 @@ class TrainingEngine:
         steps: int,
         rng: np.random.Generator,
         mode: str,
-        schedule: Schedule,
+        policy: SchedulePolicy = SchedulePolicy(),
         callbacks: Sequence[TrainingCallback] = (),
         start_step: int = 0,
     ) -> TrainingReport:
-        """Execute ``steps`` iterations of the trainer under ``schedule``.
+        """Execute ``steps`` iterations of the trainer under ``policy``.
 
         ``start_step`` fast-forwards the batch source by drawing and
-        discarding that many batches before training — consuming the source
+        discarding that many steps' batches before training — consuming the source
         and ``rng`` exactly as the skipped steps would have — so a resumed
         run (parameters and optimizer state restored from a checkpoint)
         continues the stream where the interrupted run left off and stays
         bit-identical to an uninterrupted one.  Callbacks see global step
         numbers offset by ``start_step``.
+
+        A ``forward_only`` policy returns an
+        :class:`~repro.runtime.stages.InferenceReport` carrying each step's
+        raw forward outputs; everything else about the run is the same.
         """
         trainer = self.trainer
         self.callbacks = tuple(callbacks)
         self.start_step = int(start_step)
-        num_shards = (
-            trainer.sharded.num_shards if trainer.sharded is not None else None
-        )
+        self.policy = policy
+        self.logits = []
+        sharded = trainer.sharded
+        tracer = self.obs.tracer if self.obs is not None else None
         self.collector = StageTimingCollector(
-            num_shards,
-            tracer=self.obs.tracer if self.obs is not None else None,
+            sharded.num_shards if sharded is not None else None,
+            tracer=tracer,
         )
-        stages = build_step_stages(trainer, self.collector, batch, rng, mode)
-        for _ in range(self.start_step):
-            ctx = stages.new_context()
-            stages.draw.run(ctx)
-            if ctx.data is None:
+        for _ in range(self.start_step * policy.accum_steps):
+            try:
+                trainer.stream.next_batch(batch, rng)
+            except SourceExhausted:
                 break
         # The clock starts after the fast-forward: wall_seconds (and so
         # steps_per_second) measure the steps that actually trained, not
-        # the replay of already-trained ones.
+        # the replay of already-trained ones.  Pool start-up and join are
+        # inside it — they are part of what a pooled run costs.
         wall_start = time.perf_counter()
-        kernel_scope: ContextManager[Any] = (
-            observe_kernels(self.obs.metrics)
-            if self.obs is not None
-            else nullcontext()
-        )
-        with kernel_scope:
-            schedule.execute(self, stages, steps)
+        with ExitStack() as stack:
+            if self.obs is not None:
+                stack.enter_context(observe_kernels(self.obs.metrics))
+            executor: Optional[InlineShardExecutor] = None
+            if sharded is not None:
+                arena = trainer._arena
+                executor = stack.enter_context(make_shard_executor(
+                    policy.executor,
+                    sharded,
+                    policy.workers,
+                    arena.descriptors if arena is not None else None,
+                    clock=tracer.now if tracer is not None
+                    else time.perf_counter,
+                ))
+            worker = (
+                stack.enter_context(CastAheadWorker())
+                if policy.lookahead
+                else None
+            )
+            stages = build_step_stages(
+                trainer, self.collector, batch, rng, mode, executor
+            )
+            self.execute(stages, steps, worker)
         if not self.collector.losses:
             raise ValueError(
                 "the batch source was exhausted before the first step"
             )
-        report = self.collector.build_report(
-            mode=mode, backend=trainer.backend.name
-        )
-        report = replace(
-            report,
+        fields = dict(
+            self.collector.report_fields(),
+            mode=mode,
+            backend=trainer.backend.name,
             wall_seconds=time.perf_counter() - wall_start,
-            accum_steps=int(getattr(schedule, "accum_steps", 1)),
+            accum_steps=policy.accum_steps,
             **trainer._cache_fields(),
+        )
+        report = (
+            InferenceReport(logits=self.logits, **fields)
+            if policy.forward_only
+            else TrainingReport(**fields)
         )
         if self.obs is not None:
             self._publish_run(report, mode)
@@ -876,58 +382,97 @@ class TrainingEngine:
                 callback.on_run_end(event)
         return report
 
-    def infer(
+    def execute(
         self,
-        batch: int,
+        stages: StepStages,
         steps: int,
-        rng: np.random.Generator,
-        mode: str = "casted",
-        callbacks: Sequence[TrainingCallback] = (),
-        start_step: int = 0,
-    ) -> InferenceReport:
-        """Forward-only run under :class:`InferSchedule`; parameters frozen.
+        worker: Optional[CastAheadWorker] = None,
+    ) -> None:
+        """The step loop — the only one.
 
-        Same contract as :meth:`run` (fast-forward via ``start_step``, the
-        canonical exhausted-before-the-first-step error, callbacks with
-        global step numbers) but no ``backward``/``optimize`` stage ever
-        executes, and the result is an
-        :class:`~repro.runtime.stages.InferenceReport` carrying each step's
-        raw forward outputs.
+        Keeps ``lookahead + 1`` drawn batches in flight.  Each is drawn on
+        this thread (RNG order is step order under every policy); with a
+        ``worker`` its ``cast`` stage is queued there the moment it is
+        drawn, so batch ``i+1`` casts while batch ``i`` computes, and the
+        step only *waits* for the cast (``cast_wait`` — the exposed
+        remainder of the casting stage; ≈0 under full overlap).  The worker
+        touches only the next context's index data while this thread
+        mutates parameters of the current batch; the two never share
+        mutable state.  A source that exhausts — mid-group included — stops
+        the loop after the batches already drawn.
         """
-        schedule = InferSchedule()
-        report = self.run(
-            batch, steps, rng, mode,
-            schedule=schedule, callbacks=callbacks, start_step=start_step,
+        policy = self.policy
+        compute = tuple(
+            stage for stage in stages.compute
+            if not policy.forward_only or stage.name in INFERENCE_STAGES
         )
-        return InferenceReport(
-            logits=schedule.logits,
-            losses=report.losses,
-            timings=report.timings,
-            mode=report.mode,
-            steps=report.steps,
-            shard_timings=report.shard_timings,
-            forward_exchange_bytes=report.forward_exchange_bytes,
-            wall_seconds=report.wall_seconds,
-            backend=report.backend,
-            cache_hit_rate=report.cache_hit_rate,
-            cache_hits=report.cache_hits,
-            cache_accesses=report.cache_accesses,
-            cache_policy=report.cache_policy,
-        )
+        inflight: Deque[
+            Tuple[StepContext, "Optional[Future[Tuple[Any, float]]]"]
+        ] = deque()
+        drawn, source_open = 0, True
+        for _ in range(steps):
+            while (source_open and drawn < steps
+                   and len(inflight) <= policy.lookahead):
+                ctx, source_open = self._draw(stages, policy.accum_steps)
+                if ctx.data is None:
+                    break
+                drawn += 1
+                inflight.append((
+                    ctx,
+                    worker.submit(stages.cast.run, ctx)
+                    if worker is not None else None,
+                ))
+            if not inflight:
+                break
+            ctx, future = inflight.popleft()
+            with self.step_scope():
+                if future is None:
+                    stages.cast.run(ctx)
+                else:
+                    with self.collector.timed("cast_wait"):
+                        future.result()
+                self.collector.absorb_cast(ctx)
+                for stage in compute:
+                    stage.run(ctx)
+                self.complete_step(ctx)
+            # Release the finished step before the next draw, so its
+            # activations and gradients never coexist with a new batch.
+            del ctx, future
+
+    def _draw(
+        self, stages: StepStages, accum_steps: int
+    ) -> Tuple[StepContext, bool]:
+        """Draw one step's micro-batches; ``(context, source still open)``.
+
+        The single draw site, timed as ``draw`` under every policy.  Micro
+        batches come one at a time through the ordinary ``draw`` stage —
+        consuming the source and RNG exactly as ``accum_steps`` plain steps
+        would — and merge into one effective batch.  A group cut short by
+        exhaustion trains at its smaller size; ``ctx.data`` is ``None`` when
+        not even one micro-batch was left.
+        """
+        ctx = stages.new_context()
+        micros: List[CTRBatch] = []
+        with self.collector.timed("draw"):
+            for _ in range(accum_steps):
+                stages.draw.run(ctx)
+                if ctx.data is None:
+                    break
+                micros.append(ctx.data)
+        ctx.data = _merge_micro_batches(micros) if micros else None
+        return ctx, len(micros) == accum_steps
 
     def complete_step(self, ctx: StepContext) -> None:
         """Harvest a finished step and fire ``on_step_end`` callbacks."""
         self.collector.finish_step(ctx)
+        if self.policy.forward_only:
+            assert ctx.logits is not None
+            self.logits.append(ctx.logits)
+        step = self.start_step + len(self.collector.losses)
         if self.obs is not None:
-            self._observe_step(
-                self.start_step + len(self.collector.losses), ctx
-            )
+            self._observe_step(step, ctx)
         if self.callbacks:
-            event = StepEvent(
-                step=self.start_step + len(self.collector.losses),
-                loss=ctx.loss,
-                trainer=self.trainer,
-            )
+            event = StepEvent(step=step, loss=ctx.loss, trainer=self.trainer)
             for callback in self.callbacks:
                 callback.on_step_end(event)
 
@@ -935,9 +480,9 @@ class TrainingEngine:
     def step_scope(self) -> Iterator[None]:
         """A ``step`` trace span around one step's critical-path work.
 
-        Schedules wrap everything from cast (or cast-wait) through
-        :meth:`complete_step` in this scope; the step number is the global
-        one the step will get when it completes.  A no-op without ``obs``.
+        Everything from cast (or cast-wait) through :meth:`complete_step`
+        runs in this scope; the step number is the global one the step will
+        get when it completes.  A no-op without ``obs``.
         """
         if self.obs is None:
             yield

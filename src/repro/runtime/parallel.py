@@ -1,42 +1,38 @@
-"""True parallel shard execution: worker pools and shared-memory tables.
+"""Shard executors: where a sharded step's per-shard work runs.
 
-Everything the :class:`~repro.runtime.engine.ParallelShardSchedule` needs to
-run an ``N``-shard step on ``N`` cores lives here, in two layers:
+A sharded step has three per-shard phases — Tensor Casting, the local
+gather-reduce, and the casted gradient gather-reduce — and the stages of
+:mod:`repro.runtime.stages` *map* each of them over the shards through one
+of the executors here:
 
-**Work functions** — :func:`_forward_work` (per-shard Tensor Casting + local
-gather-reduce) and :func:`_backward_work` (per-shard casted gradient
-gather-reduce) are the exact kernel launches
-:meth:`~repro.model.sharded.ShardedEmbeddingSet.cast_shard` /
-:meth:`~repro.model.sharded.ShardedEmbeddingSet.forward_shard` /
-:meth:`~repro.model.sharded.ShardedEmbeddingSet.backward_shard` make, lifted
-into pure functions of their inputs so any thread or process can run them.
-They never mutate the step plan: results travel back to the step loop, which
-applies them **in shard-index order** — the deterministic reduction order
-that keeps every parallel run bit-identical to
-:class:`~repro.runtime.engine.SerialSchedule`.  Each result carries the
-worker's own ``perf_counter`` reads per phase, so per-shard wall timings
-(and, in traced runs, one span per phase on the worker's track) survive the
-trip across the pool boundary.
+:class:`InlineShardExecutor`
+    Every shard on the calling thread, in shard order: the default, and the
+    path the frozen ``tests/runtime/_legacy_trainer.py`` oracle pins.
+:class:`ThreadShardExecutor`
+    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Correct
+    under any backend, *fast* under one whose kernels release the GIL (the
+    ``numba-parallel`` engine's ``nogil`` kernels).
+:class:`ProcessShardExecutor`
+    Worker processes that re-map the embedding tables from POSIX shared
+    memory (:class:`SharedTableArena` moves the bags' tables there at
+    trainer construction, *before* the shard views are built, so the
+    optimizer's scatter-updates land in memory every worker sees).  Task
+    payloads — index slices out, casts / partial pooled sums / coalesced
+    gradients back — are pickled through the pool's call queue: the
+    functional counterpart of the all-to-all the byte accounting in
+    :mod:`repro.model.sharded` already charges.
 
-**Pools** — :class:`ThreadShardPool` drives the work functions on a
-persistent :class:`~concurrent.futures.ThreadPoolExecutor`; real scaling
-requires a backend whose kernels release the GIL (the ``numba-parallel``
-engine's ``nogil`` kernels), but any backend is *correct* under it.
-:class:`ProcessShardPool` sidesteps the GIL entirely for plain-Python
-backends: worker processes re-map the embedding tables from POSIX shared
-memory (:class:`SharedTableArena` moves the bags' tables there at trainer
-construction, *before* the shard views are built, so the optimizer's
-scatter-updates land in memory every worker sees) and rebuild their own
-shard views over the mapping.  Task payloads — per-shard
-:class:`~repro.core.sharding.ShardSlice` index slices out, casts / partial
-pooled sums / coalesced gradients back — are pickled through the pool's call
-queue: the functional counterpart of the all-to-all the byte accounting in
-:mod:`repro.model.sharded` already charges.
-
-Both pools expose the same surface (``submit_forward`` / ``submit_backward``
-/ ``shutdown`` / context manager); a worker exception re-raises in the
-caller at the barrier (``Future.result()``) and the ``with`` block joins the
-pool cleanly — the crash-propagation contract pinned by
+All three run the *same* pure functions (:func:`~repro.model.sharded
+.cast_slices`, :func:`~repro.model.sharded.gather_slices`,
+:func:`~repro.model.sharded.reduce_payload`) and return one
+:class:`ShardResult` per shard **in shard-index order**; the stage applies
+them in that order, so the reduction order — and every parameter bit — is
+the same wherever a shard ran and whichever worker finished first.  Each
+result carries the clock reads taken around the work, so per-shard wall
+timings (and, in traced runs, one span per phase on the worker's track)
+survive the trip across the pool boundary.  A worker exception re-raises in
+the caller at the barrier and the ``with`` block joins the pool cleanly —
+the crash-propagation contract pinned by
 ``tests/runtime/test_parallel_schedule.py``.
 
 This module is on the sanctioned wall-clock list of the repro-lint
@@ -51,199 +47,204 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_all_start_methods, get_context, shared_memory
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
 from ..backends.base import KernelBackend
 from ..backends.dispatch import BackendSpec, resolve_backend
 from ..backends.registry import registered_backends
-from ..core.casting import CastedIndex, tensor_casting
-from ..core.gather_reduce import casted_gather_reduce, gather_reduce
-from ..core.sharding import ShardSlice, make_partition
+from ..core.sharding import make_partition
+from ..model.sharded import cast_slices, gather_slices, reduce_payload
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..model.embedding import EmbeddingBag
-    from ..model.sharded import ShardedEmbeddingSet, ShardedStepPlan
+    from ..model.sharded import ShardedEmbeddingSet
 
 __all__ = [
-    "BackwardShardResult",
-    "ForwardShardResult",
-    "ProcessShardPool",
-    "ShardPool",
+    "InlineShardExecutor",
+    "ProcessShardExecutor",
+    "ShardResult",
     "SharedTableArena",
     "TableDescriptor",
-    "ThreadShardPool",
-    "make_shard_pool",
+    "ThreadShardExecutor",
+    "make_shard_executor",
 ]
 
 #: ``(shm_name, shape, dtype_str)`` — everything a worker process needs to
 #: re-map one embedding table from shared memory.
 TableDescriptor = Tuple[str, Tuple[int, ...], str]
 
-#: One worker-side measurement: ``(phase, start_s, end_s)`` in the worker's
-#: ``perf_counter`` timebase (CLOCK_MONOTONIC — shared across processes on
-#: Linux, which is what lets cross-process spans land on one trace).
-PhaseInterval = Tuple[str, float, float]
-
-#: The backward all-to-all payload for one shard: ``(table_id, cast,
-#: grad_slice)`` per table the shard owns lookups of.
-BackwardPayload = Sequence[Tuple[int, CastedIndex, np.ndarray]]
+#: A context-manager factory a stage hands to :meth:`map`; pools wait for
+#: their futures inside it so the stage times the barrier as ``sync``.
+Barrier = Callable[[], ContextManager[Any]]
 
 
 @dataclass(frozen=True)
-class ForwardShardResult:
-    """One shard's cast + gather products, with the worker's clock reads.
+class ShardResult:
+    """One shard's product of one phase, with the clock reads around it.
 
-    ``casts`` and ``partials`` are per-table lists (``None`` where the shard
-    received no lookups), destined for the step plan's ``[table][shard]``
-    slots.  ``phases`` carries one ``casting`` and one ``gather`` interval;
-    ``worker`` names the thread/process that ran the work (the obs track
-    key).
+    ``track`` is ``None`` for inline work (the stage picks its own track);
+    pools set it to the obs track of the worker that ran the shard.
     """
 
-    shard: int
-    casts: List[Optional[CastedIndex]]
-    partials: List[Optional[np.ndarray]]
-    phases: Tuple[PhaseInterval, ...]
-    worker: str
+    value: Any
+    start_s: float
+    end_s: float
+    track: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BackwardShardResult:
-    """One shard's coalesced gradients, with the worker's clock reads."""
-
-    shard: int
-    coalesced: List[Tuple[int, np.ndarray, np.ndarray]]
-    phases: Tuple[PhaseInterval, ...]
-    worker: str
-
-
-def _forward_work(
-    shard: int,
-    slices: Sequence[Optional[ShardSlice]],
+def _shard_op(
+    op: str,
+    payload: Any,
     views: Sequence[Optional[np.ndarray]],
     backend: BackendSpec,
+    clock: Callable[[], float] = time.perf_counter,
     worker: Optional[str] = None,
-) -> ForwardShardResult:
-    """Cast + gather one shard's slices: the body a worker runs per step.
+) -> ShardResult:
+    """Run one shard's ``cast`` / ``gather`` / ``backward`` and time it.
 
-    Kernel-for-kernel the launches of ``cast_shard`` + ``forward_shard``
-    (Algorithm 2 over the shard's index sub-arrays, then the local
-    gather-reduce into partial pooled sums) — pure in its inputs, so results
-    are identical no matter which worker runs it.
+    ``payload`` is the shard's index slices (``cast``, ``gather``) or its
+    backward all-to-all payload (``backward``) — pure in its inputs, so the
+    result is identical no matter which thread or process runs it.
     """
-    label = worker if worker is not None else threading.current_thread().name
-    cast_start = time.perf_counter()
-    casts = [
-        tensor_casting(slice_.index, backend=backend)
-        if slice_ is not None
-        else None
-        for slice_ in slices
-    ]
-    gather_start = time.perf_counter()
-    partials = [
-        gather_reduce(view, slice_.index, backend=backend)
-        if slice_ is not None
-        else None
-        for view, slice_ in zip(views, slices)
-    ]
-    end = time.perf_counter()
-    return ForwardShardResult(
-        shard=shard,
-        casts=casts,
-        partials=partials,
-        phases=(
-            ("casting", cast_start, gather_start),
-            ("gather", gather_start, end),
-        ),
-        worker=label,
-    )
+    start = clock()
+    if op == "cast":
+        value: Any = cast_slices(payload, backend)
+    elif op == "gather":
+        value = gather_slices(views, payload, backend)
+    else:
+        value = reduce_payload(payload, backend)
+    return ShardResult(value, start, clock(), worker)
 
 
-def _backward_work(
-    shard: int,
-    payload: BackwardPayload,
-    backend: BackendSpec,
-    worker: Optional[str] = None,
-) -> BackwardShardResult:
-    """Casted gradient gather-reduce over one shard's shipped payload.
+class InlineShardExecutor:
+    """Run every shard's work on the calling thread, in shard order."""
 
-    The payload (built and byte-accounted on the step loop by
-    :meth:`~repro.model.sharded.ShardedEmbeddingSet.backward_payload`)
-    already holds everything the kernel needs — gradient row slices and
-    casted index arrays — so backward work requires no table access at all.
-    """
-    label = worker if worker is not None else threading.current_thread().name
-    start = time.perf_counter()
-    coalesced: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    for table_id, cast, grad_slice in payload:
-        rows, values = casted_gather_reduce(grad_slice, cast, backend=backend)
-        coalesced.append((table_id, rows, values))
-    end = time.perf_counter()
-    return BackwardShardResult(
-        shard=shard,
-        coalesced=coalesced,
-        phases=(("backward", start, end),),
-        worker=label,
-    )
+    kind = "inline"
 
-
-# ----------------------------------------------------------------------
-# Thread mode
-# ----------------------------------------------------------------------
-
-class ThreadShardPool:
-    """Persistent thread pool running per-shard step work.
-
-    Correct under any backend (workers return results; the step loop applies
-    them in shard order), *fast* under one whose kernels drop the GIL — the
-    ``numba-parallel`` engine compiles every kernel ``nogil=True`` exactly so
-    N of these workers can execute on N cores.  Usable as a context manager;
-    exiting shuts the pool down and joins the worker threads, including
-    after a worker exception has been re-raised at a barrier.
-    """
-
-    mode = "thread"
-
-    def __init__(self, sharded: "ShardedEmbeddingSet", workers: int) -> None:
+    def __init__(
+        self,
+        sharded: "ShardedEmbeddingSet",
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
         self._sharded = sharded
-        self.workers = int(workers)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="shard-worker"
-        )
+        self._clock = clock
 
-    def submit_forward(
-        self, plan: "ShardedStepPlan", shard: int
-    ) -> "Future[ForwardShardResult]":
-        """Queue ``shard``'s cast + gather for the current step."""
+    def map(
+        self, op: str, payloads: Sequence[Any], barrier: Barrier
+    ) -> List[ShardResult]:
+        """``op`` over one payload per shard; results in shard order."""
         sharded = self._sharded
-        slices = [plan.slices[t][shard] for t in range(sharded.num_tables)]
-        views = [sharded.views[t][shard] for t in range(sharded.num_tables)]
-        return self._executor.submit(
-            _forward_work, shard, slices, views, sharded.backend
-        )
-
-    def submit_backward(
-        self, shard: int, payload: BackwardPayload
-    ) -> "Future[BackwardShardResult]":
-        """Queue ``shard``'s casted gradient gather-reduce."""
-        return self._executor.submit(
-            _backward_work, shard, payload, self._sharded.backend
-        )
+        return [
+            _shard_op(
+                op, payload, sharded.shard_views(shard), sharded.backend,
+                self._clock,
+            )
+            for shard, payload in enumerate(payloads)
+        ]
 
     def shutdown(self) -> None:
-        """Stop accepting work and join the worker threads."""
-        self._executor.shutdown(wait=True)
+        """Join the workers (nothing to join inline)."""
 
-    def __enter__(self) -> "ThreadShardPool":
+    def __enter__(self) -> "InlineShardExecutor":
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
         self.shutdown()
         return False
+
+
+class _PooledShardExecutor(InlineShardExecutor):
+    """Fan the shards out to a persistent pool; barrier; shard-order results.
+
+    Subclasses supply :meth:`_submit`.  Exiting the ``with`` block joins the
+    workers, including after a worker exception re-raised at the barrier.
+    """
+
+    _executor: "ThreadPoolExecutor | ProcessPoolExecutor"
+
+    def __init__(self, sharded: "ShardedEmbeddingSet") -> None:
+        super().__init__(sharded)
+        self._tracks: Dict[str, str] = {}
+        # Two threads map through one pool under look-ahead (the cast-ahead
+        # worker and the step loop), so track assignment is guarded.
+        self._tracks_lock = threading.Lock()
+
+    def _submit(
+        self, op: str, shard: int, payload: Any
+    ) -> "Future[ShardResult]":
+        raise NotImplementedError
+
+    def map(
+        self, op: str, payloads: Sequence[Any], barrier: Barrier
+    ) -> List[ShardResult]:
+        futures = [
+            self._submit(op, shard, payload)
+            for shard, payload in enumerate(payloads)
+        ]
+        with barrier():
+            results = [future.result() for future in futures]
+        return [
+            replace(result, track=self._track(result.track))
+            for result in results
+        ]
+
+    def _track(self, worker: Optional[str]) -> str:
+        """Stable obs track per worker (``worker0``, ``worker1``, ...)."""
+        with self._tracks_lock:
+            return self._tracks.setdefault(
+                str(worker), f"worker{len(self._tracks)}"
+            )
+
+    def shutdown(self) -> None:
+        """Stop accepting work and join the workers."""
+        self._executor.shutdown(wait=True)
+
+
+class ThreadShardExecutor(_PooledShardExecutor):
+    """Per-shard work on a persistent thread pool."""
+
+    kind = "thread"
+
+    def __init__(self, sharded: "ShardedEmbeddingSet", workers: int) -> None:
+        super().__init__(sharded)
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="shard-worker"
+        )
+
+    def _submit(
+        self, op: str, shard: int, payload: Any
+    ) -> "Future[ShardResult]":
+        sharded = self._sharded
+        return self._executor.submit(
+            _thread_shard_op, op, payload, sharded.shard_views(shard),
+            sharded.backend,
+        )
+
+
+def _thread_shard_op(
+    op: str,
+    payload: Any,
+    views: Sequence[Optional[np.ndarray]],
+    backend: BackendSpec,
+) -> ShardResult:
+    return _shard_op(
+        op, payload, views, backend,
+        worker=threading.current_thread().name,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -316,29 +317,15 @@ def _init_worker(
     )
 
 
-def _require_worker() -> _WorkerState:
-    if _WORKER is None:  # pragma: no cover - initializer always runs first
+def _process_shard_op(op: str, shard: int, payload: Any) -> ShardResult:
+    """Worker-side task: this process's views + backend, shipped payload."""
+    state = _WORKER
+    if state is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("shard worker process was never initialized")
-    return _WORKER
-
-
-def _process_forward(
-    shard: int, slices: Sequence[Optional[ShardSlice]]
-) -> ForwardShardResult:
-    """Worker-side forward task: local views + backend, shipped slices."""
-    state = _require_worker()
-    views = [row[shard] for row in state.views]
-    return _forward_work(
-        shard, slices, views, state.backend, worker=state.label
+    return _shard_op(
+        op, payload, [row[shard] for row in state.views], state.backend,
+        worker=state.label,
     )
-
-
-def _process_backward(
-    shard: int, payload: BackwardPayload
-) -> BackwardShardResult:
-    """Worker-side backward task: pure function of the shipped payload."""
-    state = _require_worker()
-    return _backward_work(shard, payload, state.backend, worker=state.label)
 
 
 def _portable_backend(spec: BackendSpec) -> BackendSpec:
@@ -354,100 +341,77 @@ def _portable_backend(spec: BackendSpec) -> BackendSpec:
     return spec
 
 
-class ProcessShardPool:
-    """Persistent process pool with shared-memory embedding-table views.
+class ProcessShardExecutor(_PooledShardExecutor):
+    """Per-shard work on worker processes over shared-memory table views.
 
     The GIL-free mode for plain-Python backends: each worker process maps
     the tables from the trainer's :class:`SharedTableArena` once at startup
-    and serves per-shard tasks from its own interpreter.  Forward tasks ship
-    index slices out and casts/partials back; backward tasks ship the
-    gradient payload out and coalesced rows back — pickled through the call
-    queue, the real counterpart of the simulated all-to-all.  Prefers the
+    and serves per-shard tasks from its own interpreter.  Prefers the
     ``fork`` start method (cheap startup, initializer args inherited rather
     than pickled) and falls back to ``spawn`` where ``fork`` is unavailable.
-    Usable as a context manager; exiting joins the worker processes.
     """
 
-    mode = "process"
+    kind = "process"
 
     def __init__(
         self,
         sharded: "ShardedEmbeddingSet",
         workers: int,
         descriptors: Sequence[TableDescriptor],
-        backend: Optional[BackendSpec] = None,
     ) -> None:
-        self._sharded = sharded
-        self.workers = int(workers)
-        if backend is None:
-            backend = _portable_backend(sharded.backend)
+        super().__init__(sharded)
         start_method = (
             "fork" if "fork" in get_all_start_methods() else "spawn"
         )
         self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
+            max_workers=workers,
             mp_context=get_context(start_method),
             initializer=_init_worker,
             initargs=(
                 tuple(descriptors),
                 sharded.num_shards,
                 sharded.policy,
-                backend,
+                _portable_backend(sharded.backend),
             ),
         )
+        # The pool forks its workers on the first submit.  Do that here, on
+        # the constructing thread, so it never happens from (or alongside)
+        # the cast-ahead thread of a look-ahead run.
+        self._executor.submit(os.getpid).result()
 
-    def submit_forward(
-        self, plan: "ShardedStepPlan", shard: int
-    ) -> "Future[ForwardShardResult]":
-        """Ship ``shard``'s index slices to a worker; casts/partials return."""
-        slices = [
-            plan.slices[t][shard] for t in range(self._sharded.num_tables)
-        ]
-        return self._executor.submit(_process_forward, shard, slices)
-
-    def submit_backward(
-        self, shard: int, payload: BackwardPayload
-    ) -> "Future[BackwardShardResult]":
-        """Ship ``shard``'s gradient payload; coalesced rows return."""
-        return self._executor.submit(_process_backward, shard, payload)
-
-    def shutdown(self) -> None:
-        """Stop accepting work and join the worker processes."""
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ProcessShardPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.shutdown()
-        return False
+    def _submit(
+        self, op: str, shard: int, payload: Any
+    ) -> "Future[ShardResult]":
+        return self._executor.submit(_process_shard_op, op, shard, payload)
 
 
-#: Either pool, behind the one surface the schedule drives.
-ShardPool = Union[ThreadShardPool, ProcessShardPool]
-
-
-def make_shard_pool(
-    mode: str,
+def make_shard_executor(
+    kind: str,
     sharded: "ShardedEmbeddingSet",
-    workers: int,
+    workers: Optional[int] = None,
     descriptors: Optional[Sequence[TableDescriptor]] = None,
-    backend: Optional[BackendSpec] = None,
-) -> ShardPool:
-    """Build the pool for ``mode`` (``"thread"`` or ``"process"``)."""
-    if mode == "thread":
-        return ThreadShardPool(sharded, workers)
-    if mode == "process":
-        if descriptors is None:
-            raise ValueError(
-                "process mode needs shared-memory table descriptors; "
-                "construct the trainer with parallel_mode='process' so a "
-                "SharedTableArena backs the embedding tables"
-            )
-        return ProcessShardPool(sharded, workers, descriptors, backend=backend)
-    raise ValueError(
-        f"unknown parallel mode {mode!r}; choose 'thread' or 'process'"
-    )
+    clock: Callable[[], float] = time.perf_counter,
+) -> InlineShardExecutor:
+    """The executor of ``kind`` (``"inline"``, ``"thread"``, ``"process"``).
+
+    ``workers`` defaults to one per shard; ``clock`` times inline work (a
+    traced run passes its tracer's clock), pools always use
+    ``time.perf_counter`` — it shares its CLOCK_MONOTONIC origin across
+    processes on Linux, which is what lets worker spans land on one trace.
+    """
+    if kind == "inline":
+        return InlineShardExecutor(sharded, clock)
+    count = workers if workers is not None else sharded.num_shards
+    if kind == "thread":
+        return ThreadShardExecutor(sharded, count)
+    if descriptors is None:
+        raise ValueError(
+            "the process executor needs shared-memory table descriptors; "
+            "construct the trainer with schedule='parallel', "
+            "parallel_mode='process' so a SharedTableArena backs the "
+            "embedding tables"
+        )
+    return ProcessShardExecutor(sharded, count, descriptors)
 
 
 # ----------------------------------------------------------------------

@@ -4,26 +4,9 @@ The paper's runtime co-design hides Tensor Casting off the critical path by
 computing the cast for a batch *while the previous batch is still training*
 — the cast needs nothing but the index arrays, which exist the moment the
 batch is drawn.  :mod:`repro.runtime.systems` models that overlap
-analytically; this module **executes** it: :class:`PipelinedTrainer` is a
-:class:`~repro.runtime.trainer.FunctionalTrainer` whose stage plan runs
-under the :class:`~repro.runtime.engine.CastAheadSchedule` — batch
-``i+1``'s ``cast`` stage (and, in sharded mode, its per-shard index
-splitting) executes on a background :class:`CastAheadWorker` concurrently
-with batch ``i``'s compute stages.
-
-Since PR 5 the overlap machinery itself lives in
-:mod:`repro.runtime.engine`: the schedule preserves the two guarantees the
-hand-written pipelined loops used to carry —
-
-* **Bit-identity** — the schedule reorders only *when* stages run, never
-  *what* they compute: batches are drawn on the main thread in the same RNG
-  order as the serial trainer, and every stage is the very same object the
-  serial schedule executes, so parameters and losses match the serial
-  trainer exactly for the same seed.
-* **Thread safety by data disjointness** — the worker touches only index
-  data of the *next* batch (pure functions of the lookup ids), while the
-  main thread mutates parameters of the *current* batch; the two never
-  share mutable state.
+analytically; the engine's step loop **executes** it when its policy says
+``lookahead=1`` (:meth:`repro.runtime.engine.TrainingEngine.execute`), and
+:class:`PipelinedTrainer` is the name for exactly that setting.
 
 Per-phase wall-clock timings record what the overlap bought: ``casting`` is
 the worker-side cast time (hidden work), ``cast_wait`` is the part of it
@@ -35,80 +18,24 @@ serial-vs-pipelined throughput ratio is compared against the analytic
 
 from __future__ import annotations
 
-from typing import Any, Sequence, TYPE_CHECKING
+from typing import Any
 
-import numpy as np
-
-from .engine import (
-    CastAheadSchedule,
-    CastAheadWorker,
-    GradAccumSchedule,
-    Schedule,
-    TrainingCallback,
-)
-from .trainer import FunctionalTrainer, TrainingReport
-
-if TYPE_CHECKING:
-    from ..obs.session import Observability
+from .engine import CastAheadWorker
+from .trainer import FunctionalTrainer
 
 __all__ = ["CastAheadWorker", "PipelinedTrainer"]
 
 
 class PipelinedTrainer(FunctionalTrainer):
-    """Double-buffered trainer: batch ``i+1`` casts while batch ``i`` trains.
+    """:class:`FunctionalTrainer` with ``lookahead=1``, and nothing else.
 
-    Accepts exactly the constructor of
-    :class:`~repro.runtime.trainer.FunctionalTrainer` (including the
-    ``num_shards`` / ``policy`` / ``backend`` knobs) and produces
-    bit-identical parameters and losses for the same seed — only the
-    wall-clock schedule differs.  The background worker runs its casts
-    through the trainer's *resolved* backend instance, never mutable
-    process state, so the pipeline stays backend-consistent across threads.
-    Supports ``mode="casted"`` only: the baseline expand-coalesce has no
-    decoupled casting stage to pull off the critical path.
-
-    The report's phase timings gain two pipeline-specific entries:
-
-    ``prefetch``
-        Main-thread batch generation for the *next* step (kept on the main
-        thread so the RNG draw order matches the serial trainer).
-    ``cast_wait``
-        Time the step loop blocked on the cast-ahead future — the exposed
-        remainder of the casting stage.  Full overlap drives this toward
-        zero while ``casting`` (worker-side) stays unchanged.
+    Same constructor, same ``train`` / ``infer``, bit-identical parameters
+    and losses for the same seed — only the wall-clock schedule differs:
+    batch ``i+1`` casts on a background worker while batch ``i`` trains.
+    It composes with every other axis (sharding, accumulation, a shard
+    pool, ``mode="baseline"`` — where the cast stage is a no-op and the
+    overlap simply has nothing to hide).
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        if kwargs.get("schedule", "serial") != "serial":
-            raise ValueError(
-                "PipelinedTrainer always runs the cast-ahead schedule; for "
-                "parallel shard execution use "
-                "FunctionalTrainer(schedule='parallel')"
-            )
-        super().__init__(*args, **kwargs)
-
-    def train(
-        self,
-        batch: int,
-        steps: int,
-        rng: np.random.Generator,
-        mode: str = "casted",
-        callbacks: Sequence[TrainingCallback] = (),
-        start_step: int = 0,
-        obs: "Observability | None" = None,
-    ) -> TrainingReport:
-        """Run ``steps`` pipelined iterations (see class docstring)."""
-        if mode != "casted":
-            raise ValueError(
-                "pipelined training supports mode='casted' only (the baseline "
-                f"backward has no casting stage to overlap), got {mode!r}"
-            )
-        return super().train(
-            batch, steps, rng, mode, callbacks=callbacks,
-            start_step=start_step, obs=obs,
-        )
-
-    def _schedule(self) -> Schedule:
-        if self.accum_steps > 1:
-            return GradAccumSchedule(self.accum_steps, cast_ahead=True)
-        return CastAheadSchedule()
+        super().__init__(*args, lookahead=1, **kwargs)

@@ -27,17 +27,19 @@ ways.  This module encodes that claim structurally: one training step is a
     dense optimizer step plus the sparse row-coalesced scatter-updates.
 
 — all operating on a shared mutable :class:`StepContext`.  The stages
-carry the *numerics*; :mod:`repro.runtime.engine` carries the *schedules*
-(serial vs. cast-ahead) that decide when each stage of which batch runs.
-Every schedule executes the same stage objects, which is what makes the
-serial and pipelined trainers bit-identical by construction.
+carry the *numerics*; :mod:`repro.runtime.engine` carries the one step loop
+whose :class:`~repro.runtime.policy.SchedulePolicy` decides when each stage
+of which batch runs, and :mod:`repro.runtime.parallel` the shard executor
+the sharded stages map their per-shard work through.  Every policy executes
+the same stage objects, which is what makes them bit-identical by
+construction.
 
 :class:`StageTimingCollector` is the generic wall-clock accountant: stages
 record phase seconds through its :meth:`~StageTimingCollector.timed` scope
 (or, for the ``cast`` stage, through the context-local :func:`_cast_timed`
-so a background worker never races the step loop), and it assembles the
-:class:`PhaseTimings` / :class:`TrainingReport` that every training path
-used to hand-build separately.  When the collector carries a
+so a background worker never races the step loop), and it owns the
+:class:`PhaseTimings` and per-step products the engine assembles into the
+:class:`TrainingReport`.  When the collector carries a
 :class:`~repro.obs.tracer.Tracer`, the *same* clock reads that feed the
 phase totals also become trace spans — one span per stage per step, shards
 on their own tracks, background cast spans buffered on the context and
@@ -66,7 +68,8 @@ import numpy as np
 from ..core.casting import CastedIndex, precompute_casts
 from ..data.source import BatchSource, CTRBatch, SourceExhausted
 from ..model.loss import bce_with_logits
-from ..model.sharded import ShardedStepPlan
+from ..model.sharded import ShardedStepPlan, store_shard
+from .parallel import InlineShardExecutor
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..backends.dispatch import BackendSpec
@@ -74,6 +77,7 @@ if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..model.optim import Optimizer
     from ..model.sharded import ShardedEmbeddingSet
     from ..obs.tracer import SpanRecord, Tracer
+    from .parallel import ShardResult
     from .trainer import FunctionalTrainer
 
 __all__ = [
@@ -236,52 +240,33 @@ class TrainingReport:
 
 
 @dataclass(frozen=True)
-class InferenceReport:
-    """Outcome of a measured inference run (the ``infer`` schedule).
+class InferenceReport(TrainingReport):
+    """Outcome of a measured forward-only run (``infer()``).
 
-    ``logits`` holds every step's raw forward outputs in step order — the
-    engine's actual predictions, bit-identical to what the training path's
-    forward computes for the same batch and backend (pinned by
-    ``tests/runtime/test_infer.py``).  :attr:`predictions` is the sigmoid
-    view (click probabilities).  ``losses`` records the per-batch BCE
-    against the batch's labels — inference batches still carry labels, so
-    the run doubles as an evaluation pass; the loss is *observed*, never
-    backpropagated (no ``backward``/``optimize`` stage runs, parameters and
-    optimizer state are untouched — the frozen-parameter guarantee).
+    A :class:`TrainingReport` plus ``logits``: every step's raw forward
+    outputs in step order — the engine's actual predictions, bit-identical
+    to what the training path's forward computes for the same batch and
+    backend (pinned by ``tests/runtime/test_infer.py``).
+    :attr:`predictions` is the sigmoid view (click probabilities).
+    ``losses`` records the per-batch BCE against the batch's labels —
+    inference batches still carry labels, so the run doubles as an
+    evaluation pass; the loss is *observed*, never backpropagated (no
+    ``backward``/``optimize`` stage runs, parameters and optimizer state are
+    untouched — the frozen-parameter guarantee).
 
-    ``timings`` breaks the run into the serving-relevant phases (``draw``
-    is untimed as in training; ``casting``/``partition``, ``forward``,
-    ``loss``, and for sharded runs ``exchange``); ``samples`` counts every
-    scored sample, and ``forward_exchange_bytes`` accounts the sharded
-    forward all-to-all (there is no backward exchange to account).  The
-    ``cache_*`` fields mirror :class:`TrainingReport`'s executed hot-row
-    cache accounting — the RecNMP-style cache serves the inference gather
-    path unchanged.
+    ``timings`` breaks the run into the serving-relevant phases (``draw``,
+    ``casting``/``partition``, ``forward``, ``loss``, and for sharded runs
+    ``exchange``); ``samples`` counts every scored sample, and
+    ``forward_exchange_bytes`` accounts the sharded forward all-to-all
+    (there is no backward exchange, so ``backward_exchange_bytes`` stays 0).
     """
 
-    logits: List[np.ndarray]
-    losses: List[float]
-    timings: PhaseTimings
-    mode: str
-    steps: int
-    shard_timings: Optional[List[PhaseTimings]] = None
-    forward_exchange_bytes: int = 0
-    wall_seconds: float = 0.0
-    backend: str = "vectorized"
-    cache_hit_rate: Optional[float] = None
-    cache_hits: int = 0
-    cache_accesses: int = 0
-    cache_policy: Optional[str] = None
+    logits: List[np.ndarray] = field(default_factory=list)
 
     @property
     def predictions(self) -> List[np.ndarray]:
         """Per-step click probabilities (sigmoid of :attr:`logits`)."""
         return [1.0 / (1.0 + np.exp(-logits)) for logits in self.logits]
-
-    @property
-    def samples(self) -> int:
-        """Total samples scored across every step."""
-        return int(sum(logits.shape[0] for logits in self.logits))
 
     @property
     def mean_loss(self) -> float:
@@ -326,17 +311,9 @@ class StepContext:
     cast_spans: List["SpanRecord"] = field(default_factory=list)
 
 
-def _record_cast(ctx: StepContext, phase: str, shard: Optional[int],
-                 seconds: float) -> None:
-    if shard is not None:
-        assert ctx.cast_shard_timings is not None
-        ctx.cast_shard_timings[shard].add(phase, seconds)
-    ctx.cast_timings.add(phase, seconds)
-
-
 @contextmanager
 def _cast_timed(ctx: StepContext, phase: str,
-                shard: Optional[int] = None) -> Iterator[None]:
+                span: Optional[str] = None) -> Iterator[None]:
     """Time a cast-stage region into the *context's* accounting.
 
     The cast stage may run on the cast-ahead worker, so everything it
@@ -351,7 +328,7 @@ def _cast_timed(ctx: StepContext, phase: str,
         try:
             yield
         finally:
-            _record_cast(ctx, phase, shard, time.perf_counter() - start)
+            ctx.cast_timings.add(phase, time.perf_counter() - start)
     else:
         start = ctx.tracer.now()
         try:
@@ -359,14 +336,13 @@ def _cast_timed(ctx: StepContext, phase: str,
         finally:
             end = ctx.tracer.now()
             ctx.tracer.record_span(
-                phase,
+                span or phase,
                 track="cast",
                 start_s=start,
                 end_s=end,
-                args={"shard": shard} if shard is not None else None,
                 sink=ctx.cast_spans,
             )
-            _record_cast(ctx, phase, shard, end - start)
+            ctx.cast_timings.add(phase, end - start)
 
 
 class Stage:
@@ -426,23 +402,41 @@ class ShardedCastStage(Stage):
     """``cast`` (sharded): split the batch by shard, then cast every slice.
 
     Like the unsharded cast, this consumes index data only — no parameters,
-    no gradients — so the cast-ahead schedule runs it for batch ``i+1``
-    concurrently with batch ``i``'s compute.
+    no gradients — so under look-ahead it runs for batch ``i+1``
+    concurrently with batch ``i``'s compute.  The per-shard Algorithm 2 is
+    mapped through the trainer's shard executor.
     """
 
     name = "cast"
 
-    def __init__(self, sharded: "ShardedEmbeddingSet") -> None:
+    def __init__(self, sharded: "ShardedEmbeddingSet",
+                 executor: "InlineShardExecutor") -> None:
         self.sharded = sharded
+        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         with _cast_timed(ctx, "partition"):
             ctx.plan = self.sharded.plan_batch(ctx.data.indices)
+        results = self.executor.map(
+            "cast",
+            ctx.plan.slices_by_shard(),
+            barrier=lambda: _cast_timed(ctx, "sync", span="cast_barrier"),
+        )
         assert ctx.cast_shard_timings is not None
-        for shard in range(self.sharded.num_shards):
-            # per-shard Algorithm 2, off the critical path
-            with _cast_timed(ctx, "casting", shard=shard):
-                self.sharded.cast_shard(ctx.plan, shard)
+        for shard, result in enumerate(results):
+            store_shard(ctx.plan.casts, shard, result.value)
+            seconds = result.end_s - result.start_s
+            ctx.cast_shard_timings[shard].add("casting", seconds)
+            ctx.cast_timings.add("casting", seconds)
+            if ctx.tracer is not None:
+                ctx.tracer.record_span(
+                    "casting",
+                    track=result.track or "cast",
+                    start_s=result.start_s,
+                    end_s=result.end_s,
+                    args={"shard": shard},
+                    sink=ctx.cast_spans,
+                )
 
 
 class ForwardStage(Stage):
@@ -466,24 +460,35 @@ class ForwardStage(Stage):
 
 
 class GatherStage(Stage):
-    """``gather`` (sharded): each shard gather-reduces its local lookups."""
+    """``gather`` (sharded): each shard gather-reduces its local lookups.
+
+    Mapped through the shard executor; partial sums land on the plan in
+    shard-index order.  Always on the step loop, after the previous step's
+    ``optimize`` — a gather must read post-update parameters.
+    """
 
     name = "gather"
 
-    def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
-                 collector: "StageTimingCollector") -> None:
+    def __init__(self, model: "DLRM", collector: "StageTimingCollector",
+                 executor: "InlineShardExecutor") -> None:
         self.model = model
-        self.sharded = sharded
         self.collector = collector
+        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
-        for shard in range(self.sharded.num_shards):
-            with self.collector.timed(
-                "forward", shard=shard, shard_phase="gather",
-                span="gather", track=f"shard{shard}",
-            ):
-                self.sharded.forward_shard(ctx.plan, shard)
+        results = self.executor.map(
+            "gather",
+            ctx.plan.slices_by_shard(),
+            barrier=lambda: self.collector.timed(
+                "sync", span="forward_barrier"
+            ),
+        )
+        for shard, result in enumerate(results):
+            store_shard(ctx.plan.partials, shard, result.value)
+            self.collector.record_shard(
+                "forward", shard, result, shard_phase="gather"
+            )
 
 
 class ExchangeStage(Stage):
@@ -547,32 +552,41 @@ class BackwardStage(Stage):
 class ShardedBackwardStage(Stage):
     """``backward`` (sharded): dense backprop, then per-shard casted backward.
 
-    The per-shard gather-reduce also accounts the backward all-to-all
-    (gradient rows + casted pairs) into the plan's byte counter.
+    The step loop assembles every shard's backward all-to-all payload
+    (gradient rows + casted pairs, accounted into the plan's byte counter
+    in shard order); the casted gather-reduce over each payload is mapped
+    through the shard executor.
     """
 
     name = "backward"
 
     def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
-                 collector: "StageTimingCollector") -> None:
+                 collector: "StageTimingCollector",
+                 executor: "InlineShardExecutor") -> None:
         self.model = model
         self.sharded = sharded
         self.collector = collector
+        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
+        sharded = self.sharded
         with self.collector.timed("backward"):
             ctx.grad_tables = self.model.backward_through_dense(ctx.dlogits)
-            self.sharded.prepare_backward(ctx.plan, ctx.grad_tables)
-
-        ctx.per_shard_coalesced = []
-        for shard in range(self.sharded.num_shards):
-            with self.collector.timed(
-                "backward", shard=shard, track=f"shard{shard}",
-            ):
-                coalesced = self.sharded.backward_shard(
-                    ctx.plan, shard, ctx.grad_tables
-                )
-            ctx.per_shard_coalesced.append(coalesced)
+            sharded.prepare_backward(ctx.plan, ctx.grad_tables)
+            payloads = [
+                sharded.backward_payload(ctx.plan, shard, ctx.grad_tables)
+                for shard in range(sharded.num_shards)
+            ]
+        results = self.executor.map(
+            "backward",
+            payloads,
+            barrier=lambda: self.collector.timed(
+                "sync", span="backward_barrier"
+            ),
+        )
+        ctx.per_shard_coalesced = [result.value for result in results]
+        for shard, result in enumerate(results):
+            self.collector.record_shard("backward", shard, result)
 
 
 class OptimizeStage(Stage):
@@ -625,11 +639,11 @@ class StageTimingCollector:
     One instance per training run.  Compute stages record wall-clock
     through the :meth:`timed` scope into :attr:`timings` /
     :attr:`shard_timings`; the ``cast`` stage records into its context
-    (possibly on a background thread) and the schedule calls
+    (possibly on a background thread) and the step loop calls
     :meth:`absorb_cast` once the cast is known complete.
     :meth:`finish_step` harvests the per-step products (loss, the sharded
-    plan's all-to-all byte counters); :meth:`build_report` assembles the
-    :class:`TrainingReport` every training path used to hand-build.
+    plan's all-to-all byte counters); :meth:`report_fields` hands the
+    engine everything the report needs from here.
 
     With a ``tracer``, every :meth:`timed` scope additionally records one
     trace span from the *same* pair of clock reads that feeds the phase
@@ -699,38 +713,33 @@ class StageTimingCollector:
                 )
                 self._record(phase, shard, shard_phase, end - start)
 
-    def record(
+    def record_shard(
         self,
         phase: str,
-        seconds: float,
-        shard: Optional[int] = None,
+        shard: int,
+        result: "ShardResult",
         shard_phase: Optional[str] = None,
-        span: Optional[str] = None,
-        track: str = "main",
-        start_s: Optional[float] = None,
-        end_s: Optional[float] = None,
-        args: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        """Fold an externally-timed region into the accounting.
+        """Fold one shard's executor-timed region into the accounting.
 
-        The parallel schedule's workers time their phases with their own
-        clock reads — possibly in another process — and ship the
-        measurements back with their results; this is the ingestion point:
-        the same bookkeeping as :meth:`timed`, with the clock reads supplied
-        instead of taken.  In traced runs the region also lands as a span on
-        ``track`` when both reads are present (``perf_counter`` shares its
-        CLOCK_MONOTONIC origin across processes on Linux, so worker spans
-        line up with the step loop's).
+        Shard executors time the per-shard work with their own clock reads
+        — possibly in another process — and ship them back with the
+        product; this is the ingestion point: the same bookkeeping as
+        :meth:`timed`, with the clock reads supplied instead of taken.  In
+        traced runs the region also lands as a span on the worker's track
+        (``shard<N>`` for inline work).
         """
-        if self.tracer is not None and start_s is not None and end_s is not None:
+        if self.tracer is not None:
             self.tracer.record_span(
-                span or phase,
-                track=track,
-                start_s=start_s,
-                end_s=end_s,
-                args=args,
+                shard_phase or phase,
+                track=result.track or f"shard{shard}",
+                start_s=result.start_s,
+                end_s=result.end_s,
+                args={"shard": shard},
             )
-        self._record(phase, shard, shard_phase, seconds)
+        self._record(
+            phase, shard, shard_phase, result.end_s - result.start_s
+        )
 
     def absorb_cast(self, ctx: StepContext) -> None:
         """Merge a context's cast-stage accounting into the run totals."""
@@ -751,31 +760,20 @@ class StageTimingCollector:
             self.forward_exchange_bytes += ctx.plan.forward_exchange_bytes
             self.backward_exchange_bytes += ctx.plan.backward_exchange_bytes
 
-    def build_report(self, mode: str, backend: str) -> TrainingReport:
-        """Assemble the report (wall clock and cache fields added by the engine)."""
-        if self.shard_timings is not None:
-            return TrainingReport(
-                losses=self.losses,
-                timings=self.timings,
-                mode=mode,
-                steps=len(self.losses),
-                shard_timings=self.shard_timings,
-                exchange_bytes=(
-                    self.forward_exchange_bytes + self.backward_exchange_bytes
-                ),
-                forward_exchange_bytes=self.forward_exchange_bytes,
-                backward_exchange_bytes=self.backward_exchange_bytes,
-                backend=backend,
-                samples=self.samples,
-            )
-        return TrainingReport(
-            losses=self.losses,
-            timings=self.timings,
-            mode=mode,
-            steps=len(self.losses),
-            backend=backend,
-            samples=self.samples,
-        )
+    def report_fields(self) -> Dict[str, Any]:
+        """The report fields this collector owns (the engine adds the rest)."""
+        return {
+            "losses": self.losses,
+            "timings": self.timings,
+            "steps": len(self.losses),
+            "shard_timings": self.shard_timings,
+            "exchange_bytes": (
+                self.forward_exchange_bytes + self.backward_exchange_bytes
+            ),
+            "forward_exchange_bytes": self.forward_exchange_bytes,
+            "backward_exchange_bytes": self.backward_exchange_bytes,
+            "samples": self.samples,
+        }
 
 
 @dataclass(frozen=True)
@@ -817,6 +815,7 @@ def build_step_stages(
     batch: int,
     rng: np.random.Generator,
     mode: str,
+    executor: "InlineShardExecutor | None" = None,
 ) -> StepStages:
     """Bind the stage plan for one run of ``trainer``.
 
@@ -824,7 +823,8 @@ def build_step_stages(
     Sharded: ``draw → cast → gather → exchange → forward → backward →
     optimize``.  Both plans execute the exact kernels the pre-refactor
     loops ran, in the exact order — pinned by the differential suite in
-    ``tests/runtime/test_engine.py``.
+    ``tests/runtime/test_engine.py``.  ``executor`` is where the sharded
+    stages run their per-shard work (default: inline).
     """
     draw = DrawStage(trainer.stream, batch, rng)
     if trainer.sharded is None:
@@ -840,14 +840,18 @@ def build_step_stages(
             tracer=collector.tracer,
         )
     sharded = trainer.sharded
+    if executor is None:
+        executor = InlineShardExecutor(sharded)
     return StepStages(
         draw=draw,
-        cast=ShardedCastStage(sharded),
+        cast=ShardedCastStage(sharded, executor),
         compute=(
-            GatherStage(trainer.model, sharded, collector),
+            GatherStage(trainer.model, collector, executor),
             ExchangeStage(sharded, collector),
             ShardedForwardStage(trainer.model, collector),
-            ShardedBackwardStage(trainer.model, sharded, collector),
+            ShardedBackwardStage(
+                trainer.model, sharded, collector, executor
+            ),
             ShardedOptimizeStage(
                 trainer.model, sharded, trainer.optimizer, collector
             ),

@@ -6,11 +6,14 @@ an actual :class:`~repro.model.dlrm.DLRM` on any
 :class:`~repro.data.source.BatchSource` — the synthetic CTR stream, a
 replayed trace, a Criteo-style file, or any composition of the data-plane
 wrappers — and timing each phase of every iteration.  It is the
-reproduction's analogue of the paper's real-system prototype: the casted
-backward demonstrably beats the baseline expand-coalesce in wall-clock
-terms because it moves half the vector bytes and skips the expanded-tensor
-materialization.  A finite source that exhausts mid-run stops the trainer
-cleanly (the report's ``steps`` records what actually trained).
+reproduction's analogue of the paper's real-system prototype.  Measured end
+to end on this host (one thread, ``benchmarks/e2e/README.md``), the casted
+backward beats the baseline expand-coalesce by 1.08–1.10× per step on
+uniform lookups (``emb_uniform``) and 1.17–1.26× on Zipf-skewed ones
+(``emb_skew``) — well short of the paper's accelerator numbers; the
+benchmark's layer ledger says where the rest of the step goes.  A finite
+source that exhausts mid-run stops the trainer cleanly (the report's
+``steps`` records what actually trained).
 
 With ``num_shards`` set, the trainer instead drives a
 :class:`~repro.model.sharded.ShardedEmbeddingSet`: the embedding phases run
@@ -20,14 +23,15 @@ whose byte counts land in the report (attributed per pipeline stage —
 forward exchange vs. backward exchange), and the model parameters end up
 bit-identical to the unsharded trainer when ``num_shards=1``.
 
-Since PR 5 the trainer is a thin facade over the **stage-graph engine**
+The trainer is a thin facade over the **stage-graph engine**
 (:mod:`repro.runtime.engine`): each step is a plan of named stages
-(:mod:`repro.runtime.stages`) executed by a schedule —
-:class:`~repro.runtime.engine.SerialSchedule` here,
-:class:`~repro.runtime.engine.CastAheadSchedule` in
-:class:`~repro.runtime.pipeline.PipelinedTrainer` — so both trainers run
-the *same* stage objects and differ only in *when* stages execute.  The
-engine also funds checkpoint/resume (``start_step=`` plus
+(:mod:`repro.runtime.stages`) run by the engine's one step loop under the
+:class:`~repro.runtime.policy.SchedulePolicy` this constructor builds from
+its arguments — look-ahead, accumulation, shard executor — with
+:meth:`~FunctionalTrainer.infer` the same policy restricted to the forward
+prefix.  Combinations that cannot work are rows of
+:data:`~repro.runtime.policy.CAPABILITIES`, checked here and nowhere else.
+The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
 
@@ -36,6 +40,7 @@ Used by the examples, the end-to-end tests, and the kernel benchmarks.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -47,15 +52,9 @@ from ..model.hot_cache import HotRowCache
 from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from ..sim.cache import HotRowCacheSpec
-from .engine import (
-    GradAccumSchedule,
-    ParallelShardSchedule,
-    Schedule,
-    SerialSchedule,
-    TrainingCallback,
-    TrainingEngine,
-)
+from .engine import TrainingCallback, TrainingEngine
 from .parallel import SharedTableArena
+from .policy import Features, SchedulePolicy, check_capabilities, positive_int
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
 if TYPE_CHECKING:
@@ -118,35 +117,45 @@ class FunctionalTrainer:
     cache_policy:
         Replacement policy for the executed caches: ``"lru"`` or ``"lfu"``.
     schedule:
-        ``"serial"`` (default) runs every stage of step ``i`` before step
-        ``i+1`` is drawn.  ``"parallel"`` — sharded trainers only — fans
-        each step's per-shard cast/gather/backward out to a persistent
-        worker pool under the
-        :class:`~repro.runtime.engine.ParallelShardSchedule`, bit-identical
-        to serial with measured (not modeled) scaling.
+        Where a sharded trainer's per-shard cast / gather / backward run:
+        ``"serial"`` (default) on the step loop, shard after shard;
+        ``"parallel"`` fanned out to a persistent worker pool
+        (:mod:`repro.runtime.parallel`), results applied in shard-index
+        order — bit-identical to serial, with measured (not modeled)
+        scaling.
     workers:
-        Worker count for the parallel schedule (default: one per shard).
+        Worker count of the ``"parallel"`` pool (default: one per shard).
     parallel_mode:
-        How the parallel schedule executes shard work: ``"thread"``
-        (default; real scaling needs a GIL-releasing backend such as
-        ``numba-parallel``) or ``"process"`` (worker processes over
-        shared-memory table views — the GIL-free mode for plain-Python
-        backends; the embedding tables are moved into a
-        :class:`~repro.runtime.parallel.SharedTableArena` at construction,
-        and :meth:`close` — or the trainer's context manager — releases the
-        segments).  ``backend="auto"`` is rejected in process mode: each
-        worker would autotune independently and could pick different
-        engines, voiding the float32 bit-identity contract.
+        The pool's flavor: ``"thread"`` (default; real scaling needs a
+        GIL-releasing backend such as ``numba-parallel``) or ``"process"``
+        (worker processes over shared-memory table views — the GIL-free
+        mode for plain-Python backends; the embedding tables are moved into
+        a :class:`~repro.runtime.parallel.SharedTableArena` at
+        construction, and :meth:`close` — or the trainer's context manager
+        — releases the segments).
     accum_steps:
         Gradient accumulation factor.  ``1`` (default) optimizes after
-        every drawn batch.  ``N > 1`` runs under the
-        :class:`~repro.runtime.engine.GradAccumSchedule`: each engine step
-        draws ``N`` micro-batches, merges them (sample and lookup order
-        preserved), and performs one cast / forward / backward / optimizer
-        step over the merged batch — for SGD this is bit-identical to a
-        single step over the equivalent large batch, and the per-sample
-        optimizer cost is amortized ``N``-fold (the report's
-        ``optimize_seconds_per_sample``).  Unsharded trainers only.
+        every drawn batch.  With ``N > 1`` each step draws ``N``
+        micro-batches, merges them (sample and lookup order preserved), and
+        performs one cast / forward / backward / optimizer step over the
+        merged batch — for SGD this is bit-identical to a single step over
+        the equivalent large batch, and the per-sample optimizer cost is
+        amortized ``N``-fold (the report's ``optimize_seconds_per_sample``;
+        Gupta et al., PAPERS.md, is why that phase is worth amortizing).
+    lookahead:
+        ``0`` (default) casts each batch inline, right before its compute.
+        ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
+        on the step loop (same RNG order) and cast on a background
+        :class:`~repro.runtime.engine.CastAheadWorker` while batch ``i``
+        computes — bit-identical, with the exposed remainder reported as
+        the ``cast_wait`` phase.
+        :class:`~repro.runtime.pipeline.PipelinedTrainer` is this value
+        preset to ``1``.
+
+    Every combination of these composes except the rows of
+    :data:`~repro.runtime.policy.CAPABILITIES` (README, "Schedule
+    policies"), which raise ``ValueError`` here — or, for the one row that
+    involves ``mode``, from :meth:`train` / :meth:`infer`.
     """
 
     def __init__(
@@ -163,6 +172,7 @@ class FunctionalTrainer:
         workers: int | None = None,
         parallel_mode: str = "thread",
         accum_steps: int = 1,
+        lookahead: int = 0,
     ) -> None:
         stream = as_batch_source(stream)
         if stream.num_tables != len(model.embeddings):
@@ -170,20 +180,12 @@ class FunctionalTrainer:
                 f"stream produces {stream.num_tables} tables, model has "
                 f"{len(model.embeddings)}"
             )
-        if num_shards is not None and (
-            isinstance(num_shards, bool)
-            or not isinstance(num_shards, (int, np.integer))
-            or num_shards <= 0
-        ):
-            raise ValueError(
-                "num_shards must be a positive integer (or None for the "
-                f"unsharded path), got {num_shards!r}"
-            )
         if num_shards is not None:
+            num_shards = positive_int("num_shards", num_shards)
             min_rows = min(bag.num_rows for bag in model.embeddings)
-            if int(num_shards) > min_rows:
+            if num_shards > min_rows:
                 raise ValueError(
-                    f"num_shards={int(num_shards)} exceeds the smallest "
+                    f"num_shards={num_shards} exceeds the smallest "
                     f"embedding table's {min_rows} rows; every shard must "
                     "own at least one row of every table (lower num_shards "
                     "or grow the tables)"
@@ -197,44 +199,14 @@ class FunctionalTrainer:
                 "parallel_mode must be 'thread' or 'process', "
                 f"got {parallel_mode!r}"
             )
-        if schedule == "parallel" and num_shards is None:
-            raise ValueError(
-                "schedule='parallel' requires a sharded trainer; pass "
-                "num_shards=... (the schedule fans per-shard work out to "
-                "workers)"
-            )
-        if workers is not None:
-            if schedule != "parallel":
-                raise ValueError(
-                    "workers applies to schedule='parallel' only"
-                )
-            if (
-                isinstance(workers, bool)
-                or not isinstance(workers, (int, np.integer))
-                or workers <= 0
-            ):
-                raise ValueError(
-                    f"workers must be a positive integer, got {workers!r}"
-                )
-        if (
-            isinstance(accum_steps, bool)
-            or not isinstance(accum_steps, (int, np.integer))
-            or accum_steps <= 0
-        ):
-            raise ValueError(
-                f"accum_steps must be a positive integer, got {accum_steps!r}"
-            )
-        if accum_steps > 1 and num_shards is not None:
-            raise ValueError(
-                "accum_steps > 1 requires an unsharded trainer (the "
-                "GradAccumSchedule merges micro-batches into one effective "
-                "batch; the sharded exchange accounting assumes one plan "
-                "per drawn batch)"
-            )
-        self.accum_steps = int(accum_steps)
-        self.schedule = schedule
-        self.workers = int(workers) if workers is not None else None
-        self.parallel_mode = parallel_mode
+        #: The one record the engine's step loop reads; ``infer()`` runs
+        #: the same record with ``forward_only`` set.
+        self.policy = SchedulePolicy(
+            lookahead=lookahead,
+            accum_steps=accum_steps,
+            executor="inline" if schedule == "serial" else parallel_mode,
+            workers=workers,
+        )
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
@@ -245,13 +217,16 @@ class FunctionalTrainer:
         self.backend = resolve_backend(backend)
         for bag in model.embeddings:
             bag.backend = self.backend
+        self._features = Features(
+            sharded=num_shards is not None,
+            hot_cache=hot_cache is not None,
+            backend=self.backend.name,
+            executor=self.policy.executor,
+            workers=self.policy.workers,
+        )
+        check_capabilities(self._features)
         self.hot_caches: List[HotRowCache] | None = None
         if hot_cache is not None:
-            if num_shards is not None:
-                raise ValueError(
-                    "hot_cache is an unsharded-gather-path feature; the "
-                    "sharded executor bypasses the bag-level hook"
-                )
             self.hot_caches = [
                 HotRowCache(hot_cache.capacity_rows, cache_policy)
                 for _ in model.embeddings
@@ -261,20 +236,13 @@ class FunctionalTrainer:
         # built: shard views (and the id()-keyed optimizer state hung off
         # them) must alias the shm-backed tables worker processes map.
         self._arena: SharedTableArena | None = None
-        if schedule == "parallel" and parallel_mode == "process":
-            if self.backend.name == "auto":
-                raise ValueError(
-                    "parallel_mode='process' rejects backend='auto': each "
-                    "worker process would autotune independently and could "
-                    "pick different engines, voiding bit-identity; pass an "
-                    "explicit backend (e.g. 'vectorized')"
-                )
+        if self.policy.executor == "process":
             self._arena = SharedTableArena(model.embeddings)
         self.sharded: ShardedEmbeddingSet | None = None
         if num_shards is not None:
             self.sharded = ShardedEmbeddingSet(
                 model.embeddings,
-                num_shards=int(num_shards),
+                num_shards=num_shards,
                 policy=policy,
                 backend=self.backend,
             )
@@ -311,23 +279,8 @@ class FunctionalTrainer:
         run — per-stage trace spans, kernel counts, the JSONL step stream —
         without changing its numerics; ``None`` (default) records nothing.
         """
-        self._validate_train_args(batch, steps, mode, start_step)
-        # Re-assert kernel routing: another trainer constructed over the
-        # same model would have re-pointed the bags' backend; whichever
-        # trainer trains, *its* engine runs — keeping the report's
-        # ``backend`` field truthful.  Same for the executed hot caches.
-        for bag in self.model.embeddings:
-            bag.backend = self.backend
-        self._attach_caches()
-        self._reset_cache_stats()
-        return TrainingEngine(self, obs=obs).run(
-            batch,
-            steps,
-            rng,
-            mode,
-            schedule=self._schedule(),
-            callbacks=callbacks,
-            start_step=start_step,
+        return self._run(
+            self.policy, batch, steps, rng, mode, callbacks, start_step, obs
         )
 
     def infer(
@@ -342,8 +295,8 @@ class FunctionalTrainer:
     ) -> InferenceReport:
         """Score ``steps`` batches forward-only; parameters stay frozen.
 
-        Runs the same stage objects as :meth:`train` under the engine's
-        :class:`~repro.runtime.engine.InferSchedule` — the ``backward`` and
+        Runs :meth:`train`'s policy with ``forward_only`` set: the same
+        stage objects, the same step loop, but the ``backward`` and
         ``optimize`` stages are never invoked, so model parameters and
         optimizer state are untouched (the serving plane's frozen-parameter
         guarantee) while the forward outputs are bit-identical to the
@@ -354,27 +307,54 @@ class FunctionalTrainer:
         :meth:`train`, which is how a restored checkpoint resumes serving
         the stream where training left off.
         """
-        self._validate_train_args(batch, steps, mode, start_step)
-        # Same re-assertion as train(): whichever trainer runs, *its*
-        # backend and caches serve, keeping the report fields truthful.
+        report = self._run(
+            replace(self.policy, forward_only=True),
+            batch, steps, rng, mode, callbacks, start_step, obs,
+        )
+        assert isinstance(report, InferenceReport)
+        return report
+
+    def _run(
+        self,
+        policy: SchedulePolicy,
+        batch: int,
+        steps: int,
+        rng: np.random.Generator,
+        mode: str,
+        callbacks: Sequence[TrainingCallback],
+        start_step: int,
+        obs: "Observability | None",
+    ) -> TrainingReport:
+        """The one body behind :meth:`train` and :meth:`infer`."""
+        self._begin_run(batch, steps, mode, start_step)
+        return TrainingEngine(self, obs=obs).run(
+            batch, steps, rng, mode,
+            policy=policy, callbacks=callbacks, start_step=start_step,
+        )
+
+    def _begin_run(
+        self, batch: int, steps: int, mode: str, start_step: int = 0
+    ) -> None:
+        """Validate a run's arguments and point the model at this trainer."""
+        positive_int("batch", batch)
+        positive_int("steps", steps)
+        if (
+            isinstance(start_step, bool)
+            or not isinstance(start_step, (int, np.integer))
+            or start_step < 0
+        ):
+            raise ValueError(
+                f"start_step must be a non-negative integer, got {start_step!r}"
+            )
+        check_capabilities(replace(self._features, mode=mode))
+        # Re-assert kernel routing: another trainer constructed over the
+        # same model would have re-pointed the bags' backend; whichever
+        # trainer runs, *its* engine runs — keeping the report's
+        # ``backend`` field truthful.  Same for the executed hot caches.
         for bag in self.model.embeddings:
             bag.backend = self.backend
         self._attach_caches()
         self._reset_cache_stats()
-        return TrainingEngine(self, obs=obs).infer(
-            batch, steps, rng, mode,
-            callbacks=callbacks, start_step=start_step,
-        )
-
-    def _schedule(self) -> Schedule:
-        """The schedule this trainer executes the stage plan under."""
-        if self.schedule == "parallel":
-            return ParallelShardSchedule(
-                workers=self.workers, mode=self.parallel_mode
-            )
-        if self.accum_steps > 1:
-            return GradAccumSchedule(self.accum_steps)
-        return SerialSchedule()
 
     # ------------------------------------------------------------------
     # Resource lifecycle (shared-memory arena of process-mode trainers)
@@ -398,32 +378,6 @@ class FunctionalTrainer:
     def __exit__(self, *exc_info: object) -> bool:
         self.close()
         return False
-
-    def _validate_train_args(
-        self, batch: int, steps: int, mode: str, start_step: int = 0
-    ) -> None:
-        if (
-            isinstance(batch, bool)
-            or not isinstance(batch, (int, np.integer))
-            or batch <= 0
-        ):
-            raise ValueError(
-                f"batch must be a positive integer, got {batch!r}"
-            )
-        if steps <= 0:
-            raise ValueError(f"steps must be positive, got {steps}")
-        if (
-            isinstance(start_step, bool)
-            or not isinstance(start_step, (int, np.integer))
-            or start_step < 0
-        ):
-            raise ValueError(
-                f"start_step must be a non-negative integer, got {start_step!r}"
-            )
-        if self.sharded is not None and mode != "casted":
-            raise ValueError(
-                f"sharded training supports mode='casted' only, got {mode!r}"
-            )
 
     # ------------------------------------------------------------------
     # Parameter naming — the checkpoint subsystem's stable key space

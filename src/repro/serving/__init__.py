@@ -7,7 +7,7 @@ streams, a :class:`RequestQueue` + :class:`DynamicBatcher` coalesce them
 into engine batches under max-batch-size/max-wait knobs (plus a
 hill-climbing tuner against the SLA), an executor scores each batch
 through the engine's forward-only
-:class:`~repro.runtime.engine.InferSchedule`, and the
+:meth:`~repro.runtime.trainer.FunctionalTrainer.infer`, and the
 :class:`ServingSimulator` rolls per-request latency (queue wait + batch
 execution) into p50/p95/p99 and QPS-under-SLA on an injectable clock —
 virtual by default, so simulated traffic runs faster than real time.

@@ -7,7 +7,7 @@ drives (``execute(data) -> ExecutionResult``):
   :class:`~repro.runtime.trainer.FunctionalTrainer` over an internal
   single-batch playback source and scores every coalesced batch through
   the engine's forward-only
-  :class:`~repro.runtime.engine.InferSchedule` — the same stage objects,
+  :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same stage objects,
   kernel backend, and executed hot-row cache the training path uses, with
   the frozen-parameter guarantee.  Execution cost is the *measured*
   ``wall_seconds`` of the inference run, which the harness charges to the

@@ -27,8 +27,12 @@ CONFIG = RM1.with_overrides(
 # Span names vs the report's phase ledger: the optimizer span is named for
 # what runs ("optimize") while the phase is named for the ledger bucket
 # ("update"); sharded gathers trace per-shard ("gather") but bill to the
-# "forward" phase.  The "step" envelope is an aggregate, not a phase.
-SPAN_TO_PHASE = {"optimize": "update", "gather": "forward"}
+# "forward" phase; a pooled shard executor's three barriers are named apart
+# but all bill to "sync".  The "step" envelope is an aggregate, not a phase.
+SPAN_TO_PHASE = {
+    "optimize": "update", "gather": "forward", "cast_barrier": "sync",
+    "forward_barrier": "sync", "backward_barrier": "sync",
+}
 
 
 def make_stream(seed=0):
@@ -79,6 +83,26 @@ class TestTraceContent:
         assert set(traced) == set(report.timings.totals)
         for phase, seconds in report.timings.totals.items():
             assert traced[phase] == pytest.approx(seconds, rel=1e-9)
+
+    @pytest.mark.parametrize("knobs", [
+        dict(num_shards=2),
+        dict(num_shards=2, schedule="parallel"),
+        dict(num_shards=2, schedule="parallel", lookahead=1),
+        dict(lookahead=1, accum_steps=2),
+    ], ids=["sharded", "pool", "pool-lookahead", "lookahead-accum"])
+    def test_ledger_reconciles_under_every_policy(self, knobs):
+        """One draw site, one loop: the same span == phase bookkeeping
+        whatever the policy, ``draw`` included."""
+        obs = Observability()
+        report = FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.2), **knobs
+        ).train(8, 4, np.random.default_rng(1), obs=obs)
+        traced = traced_phase_totals(obs)
+        assert "draw" in traced
+        assert set(traced) == set(report.timings.totals)
+        for phase, seconds in report.timings.totals.items():
+            assert traced[phase] == pytest.approx(seconds, rel=1e-9)
+        assert validate_span_nesting(obs.tracer.records) == []
 
     def test_trace_is_well_nested(self):
         obs = Observability()

@@ -7,7 +7,7 @@ verbatim numeric transcriptions of the pre-refactor step loops (frozen at
 the refactor boundary, public model/core APIs only) — so the comparison is
 exact on any platform/BLAS instead of depending on committed binaries.
 
-Also covered here: the engine's schedule/stage introspection surface and
+Also covered here: the engine's policy/stage introspection surface and
 the callback protocol (ordering, global step numbering, run-end events).
 """
 
@@ -19,13 +19,12 @@ from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad, Adam
 from repro.runtime.engine import (
-    CastAheadSchedule,
     MetricsLogger,
-    SerialSchedule,
     TrainingCallback,
     TrainingEngine,
 )
 from repro.runtime.pipeline import PipelinedTrainer
+from repro.runtime.policy import SchedulePolicy
 from repro.runtime.stages import StageTimingCollector, build_step_stages
 from repro.runtime.trainer import FunctionalTrainer
 from repro.sim.cache import HotRowCacheSpec
@@ -185,18 +184,23 @@ class TestStagePlan:
         ctx = stages.new_context()
         assert len(ctx.cast_shard_timings) == 3
 
-    def test_schedules_are_named(self):
-        assert SerialSchedule.name == "serial"
-        assert CastAheadSchedule.name == "cast_ahead"
+    def test_trainer_classes_differ_only_in_the_policy_record(self):
+        args = (make_model(), make_stream(), SGD(lr=0.1))
+        assert FunctionalTrainer(*args).policy == SchedulePolicy()
+        assert PipelinedTrainer(*args).policy == SchedulePolicy(lookahead=1)
+        assert (FunctionalTrainer(*args, lookahead=1).policy
+                == PipelinedTrainer(*args).policy)
 
-    def test_engine_usable_directly_with_custom_schedule(self):
+    def test_engine_usable_directly_with_custom_policy(self):
         """The facade is a convenience: TrainingEngine.run is the real API."""
         trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
         report = TrainingEngine(trainer).run(
             8, 2, np.random.default_rng(1), "casted",
-            schedule=SerialSchedule(),
+            policy=SchedulePolicy(lookahead=1, accum_steps=2),
         )
         assert report.steps == 2
+        assert report.samples == 32
+        assert "cast_wait" in report.timings.totals
 
 
 class RecordingCallback(TrainingCallback):

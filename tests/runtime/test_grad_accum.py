@@ -1,6 +1,6 @@
 """Gradient accumulation: bit-identity with the equivalent large batch.
 
-The :class:`~repro.runtime.engine.GradAccumSchedule` contract (ISSUE 10):
+The ``accum_steps`` axis of the schedule policy (ISSUE 10):
 an ``accum_steps=N`` step over micro-batches ``b_1..b_N`` produces
 bit-identical parameters to one serial step over their concatenation —
 the merge preserves sample order and lookup order exactly, and the merged
@@ -19,8 +19,9 @@ from repro.data.source import BatchSource, CTRBatch, SourceExhausted
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD
-from repro.runtime.engine import GradAccumSchedule, _merge_micro_batches
+from repro.runtime.engine import _merge_micro_batches
 from repro.runtime.pipeline import PipelinedTrainer
+from repro.runtime.policy import SchedulePolicy
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -234,6 +235,23 @@ class TestExhaustionAndReport:
         assert report.steps == 1
         assert report.samples == 4 * MICRO
 
+    def test_start_step_skips_whole_groups(self, micros_and_big):
+        """A resumed accumulating run skips ``accum_steps`` micros per
+        already-trained step (it used to skip one)."""
+        stream, micros, _ = micros_and_big
+        resumed_model = make_model()
+        resumed = FunctionalTrainer(
+            resumed_model, FixedSource(stream, micros), SGD(lr=0.3),
+            backend="vectorized", accum_steps=2,
+        ).train(MICRO, 1, np.random.default_rng(0), start_step=1)
+        direct_model = make_model()
+        direct = FunctionalTrainer(
+            direct_model, FixedSource(stream, micros[2:]), SGD(lr=0.3),
+            backend="vectorized", accum_steps=2,
+        ).train(MICRO, 1, np.random.default_rng(0))
+        assert resumed.losses == direct.losses
+        assert_params_equal(resumed_model, direct_model)
+
     def test_report_carries_amortization_accounting(self, micros_and_big):
         stream, micros, _ = micros_and_big
         trainer = FunctionalTrainer(
@@ -260,18 +278,38 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
-    def test_schedule_rejects_bad_accum_steps(self, bad):
+    def test_policy_rejects_bad_accum_steps(self, bad):
         with pytest.raises(ValueError, match="positive integer"):
-            GradAccumSchedule(bad)
+            SchedulePolicy(accum_steps=bad)
 
-    def test_sharded_trainer_rejects_accumulation(self):
-        with pytest.raises(ValueError, match="unsharded"):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_sharded_trainer_accumulates(self, micros_and_big, num_shards):
+        """Used to be rejected.  A sharded accum-4 step over the micros is
+        one sharded step over their concatenation, exchange bytes
+        included; at one shard that is the unsharded large batch too."""
+        stream, micros, big = micros_and_big
+        accum_model = make_model()
+        accum_report = FunctionalTrainer(
+            accum_model, FixedSource(stream, micros), SGD(lr=0.3),
+            backend="vectorized", num_shards=num_shards, accum_steps=4,
+        ).train(MICRO, 1, np.random.default_rng(0))
+        big_model = make_model()
+        large_report = FunctionalTrainer(
+            big_model, FixedSource(stream, [big]), SGD(lr=0.3),
+            backend="vectorized", num_shards=num_shards,
+        ).train(4 * MICRO, 1, np.random.default_rng(0))
+        assert_params_equal(accum_model, big_model)
+        assert accum_report.losses == large_report.losses
+        assert accum_report.exchange_bytes == large_report.exchange_bytes > 0
+        if num_shards == 1:
+            unsharded_model = make_model()
             FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3),
-                num_shards=2, accum_steps=4,
-            )
+                unsharded_model, FixedSource(stream, [big]), SGD(lr=0.3),
+                backend="vectorized",
+            ).train(4 * MICRO, 1, np.random.default_rng(0))
+            assert_params_equal(accum_model, unsharded_model)
 
-    def test_accum_steps_one_is_the_serial_schedule(self, micros_and_big):
+    def test_accum_steps_one_is_the_default_policy(self, micros_and_big):
         """``accum_steps=1`` must be indistinguishable from the default
         serial trainer, report fields included."""
         stream, micros, _ = micros_and_big

@@ -1,10 +1,10 @@
-"""Differential suite for the forward-only inference path (InferSchedule).
+"""Differential suite for the forward-only inference path (``infer()``).
 
 The serving plane's acceptance bar, pinned bit-exactly: ``infer()`` must
 produce the *same forward outputs the training path computes* for the same
 batch and backend, while leaving parameters and optimizer state untouched.
 The training-side oracle is the engine itself — a recording engine captures
-``ctx.logits`` as the serial schedule's forward stage computes them — so
+``ctx.logits`` as the training run's forward stage computes them — so
 the comparison holds on any platform/BLAS without committed binaries.
 """
 
@@ -17,7 +17,7 @@ from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adam
 from repro.runtime.checkpoint import restore_trainer, save_checkpoint
-from repro.runtime.engine import InferSchedule, TrainingEngine
+from repro.runtime.engine import INFERENCE_STAGES, TrainingEngine
 from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.stages import InferenceReport
 from repro.runtime.trainer import FunctionalTrainer
@@ -60,15 +60,9 @@ class _ForwardRecordingEngine(TrainingEngine):
 
 def train_with_recorded_logits(trainer, batch, steps, rng, mode="casted"):
     """Run the real training path (same plumbing as ``train()``), keeping logits."""
-    trainer._validate_train_args(batch, steps, mode)
-    for bag in trainer.model.embeddings:
-        bag.backend = trainer.backend
-    trainer._attach_caches()
-    trainer._reset_cache_stats()
+    trainer._begin_run(batch, steps, mode)
     engine = _ForwardRecordingEngine(trainer)
-    report = engine.run(
-        batch, steps, rng, mode, schedule=trainer._schedule()
-    )
+    report = engine.run(batch, steps, rng, mode, policy=trainer.policy)
     return report, engine.recorded_logits
 
 
@@ -254,10 +248,8 @@ class TestInferenceReport:
         ):
             trainer.infer(8, 1, np.random.default_rng(1), start_step=1)
 
-    def test_infer_schedule_filters_compute_stages(self):
-        assert InferSchedule.INFERENCE_STAGES == (
-            "gather", "exchange", "forward"
-        )
+    def test_forward_only_filters_compute_stages(self):
+        assert INFERENCE_STAGES == ("gather", "exchange", "forward")
 
 
 class TestCheckpointThenServe:

@@ -1,9 +1,8 @@
 """Differential suite for the parallel shard runtime.
 
-The :class:`~repro.runtime.engine.ParallelShardSchedule` promises exactly
-one thing beyond :class:`~repro.runtime.engine.SerialSchedule`: the same
-numbers, faster when cores exist.  These tests pin the "same numbers" half
-across shard counts × backends × partition policies × worker flavors
+A pooled shard executor (``schedule="parallel"``) promises exactly one thing
+beyond the inline one: the same numbers, faster when cores exist.  These
+tests pin the "same numbers" half across shard counts × backends × partition policies × worker flavors
 (thread pool vs. forked processes over shared-memory tables), through
 checkpoint/resume, and across worker crashes (which must propagate to the
 caller and still join the pool cleanly).
@@ -28,8 +27,8 @@ from repro.runtime.checkpoint import (
     restore_trainer,
     save_checkpoint,
 )
-from repro.runtime.engine import ParallelShardSchedule
 from repro.runtime.pipeline import PipelinedTrainer
+from repro.runtime.policy import SchedulePolicy
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -216,21 +215,32 @@ class TestConstruction:
         with pytest.raises(ValueError, match="auto"):
             make_trainer(backend="auto", schedule="parallel", mode="process")
 
-    def test_pipelined_trainer_rejects_parallel_schedule(self):
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_pipelined_trainer_composes_with_a_pool(self, mode):
+        # Used to be rejected; look-ahead and the shard executor are
+        # orthogonal axes of one policy now.
+        serial_model, serial = make_trainer()
+        serial_report = serial.train(16, 4, np.random.default_rng(1))
         model = DLRM(CONFIG, rng=np.random.default_rng(0))
         stream = SyntheticCTRStream(
             num_tables=3, num_rows=60, lookups_per_sample=4,
             dense_features=8, seed=0,
         )
-        with pytest.raises(ValueError, match="parallel"):
-            PipelinedTrainer(model, stream, SGD(lr=0.3), num_shards=2,
-                             schedule="parallel")
+        with PipelinedTrainer(
+            model, stream, SGD(lr=0.3), num_shards=2, backend="vectorized",
+            schedule="parallel", parallel_mode=mode,
+        ) as pipelined:
+            assert pipelined.policy == SchedulePolicy(
+                lookahead=1, executor=mode)
+            report = pipelined.train(16, 4, np.random.default_rng(1))
+        assert_bit_identical(serial_model, serial_report, model, report)
+        assert {"cast_wait", "sync"} <= set(report.timings.totals)
 
-    def test_schedule_object_validates_its_knobs(self):
-        with pytest.raises(ValueError, match="mode"):
-            ParallelShardSchedule(mode="fiber")
+    def test_policy_record_validates_its_knobs(self):
+        with pytest.raises(ValueError, match="executor"):
+            SchedulePolicy(executor="fiber")
         with pytest.raises(ValueError, match="workers"):
-            ParallelShardSchedule(workers=-1)
+            SchedulePolicy(workers=-1)
 
 
 class TestObservability:

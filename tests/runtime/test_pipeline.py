@@ -82,7 +82,7 @@ class TestReport:
     def test_pipeline_phase_timings_present(self):
         _, trainer = make_trainer(PipelinedTrainer)
         report = trainer.train(16, 3, np.random.default_rng(1))
-        for phase in ("prefetch", "cast_wait", "casting", "forward",
+        for phase in ("draw", "cast_wait", "casting", "forward",
                       "loss", "backward", "update"):
             assert phase in report.timings.totals
 
@@ -123,10 +123,21 @@ class TestReport:
 
 
 class TestValidation:
-    def test_rejects_baseline_mode(self):
-        _, trainer = make_trainer(PipelinedTrainer)
-        with pytest.raises(ValueError, match="casted"):
-            trainer.train(16, 2, np.random.default_rng(1), mode="baseline")
+    def test_baseline_mode_is_bit_identical_to_serial(self):
+        """Used to be rejected.  The baseline backward has no cast to hide,
+        so look-ahead changes nothing — including the absence of a
+        ``casting`` phase."""
+        serial_model, serial = make_trainer(FunctionalTrainer)
+        serial_report = serial.train(
+            16, 3, np.random.default_rng(1), mode="baseline")
+        pipelined_model, pipelined = make_trainer(PipelinedTrainer)
+        pipelined_report = pipelined.train(
+            16, 3, np.random.default_rng(1), mode="baseline")
+        assert serial_report.losses == pipelined_report.losses
+        for got, want in zip(all_params(pipelined_model),
+                             all_params(serial_model)):
+            assert np.array_equal(got, want)
+        assert "casting" not in pipelined_report.timings.totals
 
     def test_rejects_nonpositive_steps(self):
         _, trainer = make_trainer(PipelinedTrainer)

@@ -390,7 +390,7 @@ class TestServeCommand:
     )
     def test_serve_flags_rejected_elsewhere(self, flags, capsys):
         assert main(["fig6", *flags]) == 2
-        assert "'serve' knob" in capsys.readouterr().err
+        assert "it applies to: serve" in capsys.readouterr().err
 
     def test_serve_reports_the_frontier(self, capsys):
         assert main(["serve", "--rates", "100", "400", "--requests", "12",

@@ -90,6 +90,25 @@ class TestReadme:
             )
 
 
+    def test_capability_table_matches_the_code(self):
+        """"Schedule policies" prints repro.runtime.policy.CAPABILITIES."""
+        from repro.runtime.policy import CAPABILITIES
+
+        lines = README.read_text().splitlines()
+        start = lines.index("| combination | why it is rejected |")
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+        assert rows == [(row.name, row.reason) for row in CAPABILITIES]
+
+    def test_benchmark_is_pointed_to(self):
+        text = README.read_text()
+        assert "python3 benchmarks/e2e/run.py" in text
+        assert "BENCHMARK.json" in text
+
+
 class TestExamples:
     def test_all_examples_exist(self):
         expected = {

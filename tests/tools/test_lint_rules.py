@@ -296,6 +296,7 @@ CLEAN_CLI = """\
     EXPERIMENTS = {"fig13": (_run_fig13, "speedup")}
     BUILTIN_COMMANDS = {"list": (_run_list, "list experiments")}
     TRAINER_EXPERIMENTS = ("fig13",)
+    FLAG_SCOPE = {"batch": TRAINER_EXPERIMENTS + ("fig13",)}
 
     def build_parser():
         parser = argparse.ArgumentParser()
@@ -344,17 +345,56 @@ class TestRegistryConsistency:
         assert any("both EXPERIMENTS and BUILTIN_COMMANDS" in f.message
                    for f in findings)
 
-    def test_alias_tuple_must_name_experiments(self, tree):
+    def test_flag_scope_must_name_experiments_and_declared_flags(self, tree):
         tree.write("src/repro/cli.py", """\
+            import argparse
+
             def _run_fig13(args, hardware):
-                return ""
+                return str(args.batch)
 
             EXPERIMENTS = {"fig13": (_run_fig13, "speedup")}
             TRAINER_EXPERIMENTS = ("fig13", "fig99")
+            FLAG_SCOPE = {
+                "batch": TRAINER_EXPERIMENTS,
+                "ghost_flag": ("fig13",) + ("fig98",),
+            }
+
+            def build_parser():
+                parser = argparse.ArgumentParser()
+                parser.add_argument("--batch", type=int)
+                return parser
         """)
         findings = tree.lint(rules=["registry-consistency"])
-        assert any("'fig99'" in f.message and "TRAINER_EXPERIMENTS"
-                   in f.message for f in findings)
+        messages = [f.message for f in findings]
+        assert len(findings) == 3
+        # A name reached through a module-level group tuple is resolved.
+        assert any("FLAG_SCOPE['batch'] names 'fig99'" in m for m in messages)
+        assert any("FLAG_SCOPE['ghost_flag'] names 'fig98'" in m
+                   for m in messages)
+        assert any("scopes 'ghost_flag', which no add_argument declares"
+                   in m for m in messages)
+
+    def test_flag_scope_of_the_real_cli_is_checked(self):
+        """The committed table is non-trivially covered: every dest and
+        every experiment the rule resolves matches the live registries."""
+        import ast
+        from pathlib import Path
+
+        from repro.cli import EXPERIMENTS, FLAG_SCOPE
+        from tools.repro_lint.rules.registry import (
+            _module_assigns, _resolve_string_elts)
+
+        cli = Path(__file__).resolve().parents[2] / "src/repro/cli.py"
+        assigns = _module_assigns(ast.parse(cli.read_text()))
+        scope = assigns["FLAG_SCOPE"]
+        resolved = {
+            key.value: tuple(
+                name for name, _ in _resolve_string_elts(value, assigns))
+            for key, value in zip(scope.keys, scope.values)
+        }
+        assert resolved == FLAG_SCOPE
+        assert {name for names in resolved.values() for name in names} \
+            <= set(EXPERIMENTS)
 
     def test_argparse_lockstep_both_directions(self, tree):
         tree.write("src/repro/cli.py", """\

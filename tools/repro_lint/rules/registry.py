@@ -6,16 +6,19 @@
 (``model/optim.py``), kernel engines from the backend registry.  The one
 thing the registries cannot police themselves is *drift between the
 literals*: a flag added to ``build_parser`` but never consumed, a runner
-reading ``args.foo`` nobody declares, a ``TRAINER_EXPERIMENTS`` entry that
-no longer names an experiment, or a hard-coded default (``args.optimizer
+reading ``args.foo`` nobody declares, a ``FLAG_SCOPE`` entry that no longer
+names an experiment or a flag, or a hard-coded default (``args.optimizer
 or "sgd"``, ``backend="auto"``) whose name quietly leaves the registry.
 This rule cross-checks them all via AST constant extraction:
 
 * registry dict literals in ``cli.py`` — no duplicate keys, no overlap
   between ``EXPERIMENTS`` and ``BUILTIN_COMMANDS``, each runner named
   ``_run_<key>`` for its key;
-* every tuple entry of ``TRAINER_EXPERIMENTS``/``TRACE_EXPERIMENTS`` is a
-  registered experiment;
+* the flag-scope table ``FLAG_SCOPE`` (flag dest -> experiments that
+  accept it, the one table the CLI's exit-2 validation loops over): every
+  key is a declared ``add_argument`` dest and every experiment it names —
+  directly or through a module-level tuple such as ``TRAINER_EXPERIMENTS``
+  — is a key of ``EXPERIMENTS``;
 * argparse lockstep — every ``args.<dest>`` read in ``cli.py`` has a
   matching ``add_argument`` and every declared dest is read somewhere;
 * string-literal fallbacks and keywords: ``args.optimizer or "<name>"``
@@ -78,6 +81,26 @@ def _string_elts(node: ast.expr) -> List[Tuple[str, ast.expr]]:
         for elt in node.elts
         if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
     ]
+
+
+def _resolve_string_elts(
+    node: ast.expr, assigns: Dict[str, ast.expr], _depth: int = 0,
+) -> List[Tuple[str, ast.expr]]:
+    """Constant strings of a tuple expression, following module names.
+
+    Handles what the scope table is written with: tuple/list literals,
+    names of module-level tuples, and ``+`` concatenations of either.
+    Anything else contributes nothing (and is therefore not checked).
+    """
+    if isinstance(node, ast.Name) and _depth < 8:
+        target = assigns.get(node.id)
+        if target is None:
+            return []
+        return _resolve_string_elts(target, assigns, _depth + 1)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return (_resolve_string_elts(node.left, assigns, _depth)
+                + _resolve_string_elts(node.right, assigns, _depth))
+    return _string_elts(node)
 
 
 def _find_source(project: Project, suffix: str) -> Optional[SourceFile]:
@@ -179,20 +202,30 @@ class RegistryConsistencyChecker(Checker):
                 "BUILTIN_COMMANDS; dispatch order silently decides which "
                 "one runs",
             )
+        declared = self._declared_dests(source)
+        scope = assigns.get("FLAG_SCOPE")
         experiments = registries.get("EXPERIMENTS")
-        if experiments is not None:
-            for alias in ("TRAINER_EXPERIMENTS", "TRACE_EXPERIMENTS"):
-                node = assigns.get(alias)
-                if node is None:
+        if isinstance(scope, ast.Dict):
+            for key, value in zip(scope.keys, scope.values):
+                if not (isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)):
                     continue
-                for name, elt in _string_elts(node):
+                if key.value not in declared:
+                    yield self.finding(
+                        source, key,
+                        f"FLAG_SCOPE scopes {key.value!r}, which no "
+                        "add_argument declares as a dest",
+                    )
+                if experiments is None:
+                    continue
+                for name, elt in _resolve_string_elts(value, assigns):
                     if name not in experiments:
                         yield self.finding(
                             source, elt,
-                            f"{alias} names {name!r}, which is not a key "
-                            "of EXPERIMENTS",
+                            f"FLAG_SCOPE[{key.value!r}] names {name!r}, "
+                            "which is not a key of EXPERIMENTS",
                         )
-        yield from self._check_argparse_lockstep(source)
+        yield from self._check_argparse_lockstep(source, declared)
 
     def _check_runner_names(
         self, source: SourceFile, registry_name: str, node: ast.expr,
@@ -218,9 +251,9 @@ class RegistryConsistencyChecker(Checker):
                         "if the mismatch is deliberate)",
                     )
 
-    def _check_argparse_lockstep(
-        self, source: SourceFile,
-    ) -> Iterable[Finding]:
+    @staticmethod
+    def _declared_dests(source: SourceFile) -> Dict[str, ast.Call]:
+        """Every ``add_argument`` dest in the file, with its call node."""
         declared: Dict[str, ast.Call] = {}
         for node in ast.walk(source.tree):
             if (isinstance(node, ast.Call)
@@ -238,6 +271,11 @@ class RegistryConsistencyChecker(Checker):
                         dest = first.value.lstrip("-").replace("-", "_")
                 if dest is not None:
                     declared.setdefault(dest, node)
+        return declared
+
+    def _check_argparse_lockstep(
+        self, source: SourceFile, declared: Dict[str, ast.Call],
+    ) -> Iterable[Finding]:
         reads: Dict[str, ast.Attribute] = {}
         for node in ast.walk(source.tree):
             if (isinstance(node, ast.Attribute)
