@@ -3,28 +3,25 @@
 
 PR 1 partitioned the embedding tables into shards and PR 9's
 ``schedule="parallel"`` finally runs those shards *concurrently*: a
-persistent worker pool executes each shard's gather/forward/backward as a
+persistent thread pool executes each shard's cast/gather/backward as a
 pure function, a real all-to-all barrier exchanges the per-shard partial
 sums, and the reduction applies them in shard-index order — so the result
 is bit-identical to the serial schedule, every time, on every host.  This
 example walks the library API end to end:
 
 1. train a down-scaled DLRM under the **serial** schedule (the reference);
-2. train the same job under ``schedule="parallel"`` with a thread pool,
-   and verify losses and every parameter match bit for bit;
-3. repeat with **forked worker processes** over shared-memory embedding
-   tables (where the host supports fork), closing the pool with ``with``;
-4. run :func:`repro.experiments.scaling.measured_scaling_sweep` to print
+2. train the same job under ``schedule="parallel"`` (the thread pool), and
+   verify losses and every parameter match bit for bit;
+3. run :func:`repro.experiments.scaling.measured_scaling_sweep` to print
    the measured serial-vs-parallel scaling curve next to the analytic
    bound from the sharded-NMP cost model.
 
-Speedup depends on the host's core count (a 1-core box legitimately shows
-~1x); bit-identity does not, and this example exits nonzero if it breaks.
+Speedup depends on the host's core count and on a backend whose kernels
+release the GIL (plain NumPy on two cores measures about 1x); bit-identity
+depends on neither, and this example exits nonzero if it breaks.
 
 Run:  python examples/parallel_scaling.py
 """
-
-from multiprocessing import get_all_start_methods
 
 import numpy as np
 
@@ -52,7 +49,7 @@ CONFIG = RM1.with_overrides(
 BATCH, STEPS, SHARDS = 128, 4, 2
 
 
-def make_trainer(schedule: str, mode: str = "thread") -> FunctionalTrainer:
+def make_trainer(schedule: str) -> FunctionalTrainer:
     model = DLRM(CONFIG, rng=np.random.default_rng(0))
     stream = SyntheticCTRStream(
         num_tables=CONFIG.num_tables,
@@ -66,14 +63,11 @@ def make_trainer(schedule: str, mode: str = "thread") -> FunctionalTrainer:
         num_shards=SHARDS, policy="row", backend="vectorized",
         schedule=schedule,
         workers=SHARDS if schedule == "parallel" else None,
-        parallel_mode=mode,
     )
 
 
 def train(trainer: FunctionalTrainer):
-    with trainer:
-        report = trainer.train(BATCH, STEPS, np.random.default_rng(1))
-    return report
+    return trainer.train(BATCH, STEPS, np.random.default_rng(1))
 
 
 def verify(label: str, reference, candidate) -> None:
@@ -100,27 +94,18 @@ def main() -> None:
     )
 
     # -- the same job on a thread pool ----------------------------------
-    threaded = make_trainer("parallel", mode="thread")
+    threaded = make_trainer("parallel")
     threaded_report = train(threaded)
     verify("thread workers", (serial, serial_report),
            (threaded, threaded_report))
     sync = threaded_report.timings.totals.get("sync", 0.0)
     print(f"  barrier (sync) time: {sync * 1e3:.2f} ms over {STEPS} steps")
 
-    # -- forked workers over shared-memory tables -----------------------
-    if "fork" in get_all_start_methods():
-        forked = make_trainer("parallel", mode="process")
-        forked_report = train(forked)
-        verify("forked shared-memory workers", (serial, serial_report),
-               (forked, forked_report))
-    else:
-        print("fork start method unavailable; skipping process mode")
-
     # -- the measured scaling curve -------------------------------------
     print("\nmeasured scaling sweep (serial vs parallel wall-clock):")
     rows = measured_scaling_sweep(
         shard_counts=(1, 2), batch=BATCH, steps=STEPS,
-        config=CONFIG, mode="thread", backend="vectorized", repeats=2,
+        config=CONFIG, backend="vectorized", repeats=2,
     )
     print(format_measured_scaling(rows))
     if not all(row.bit_identical for row in rows):
@@ -128,7 +113,7 @@ def main() -> None:
 
     print(
         "\nVERIFIED: the parallel shard schedule reproduces the serial "
-        "run bit for bit in both worker modes."
+        "run bit for bit."
     )
 
 

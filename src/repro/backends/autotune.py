@@ -31,6 +31,8 @@ Guarantees:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -718,8 +720,14 @@ class StepAutotuner:
         return loaded
 
     def save_cache(self) -> None:
-        """Write every decision to :attr:`cache_path` (caller holds lock
-        or tolerates a racing writer — the file is rewritten whole)."""
+        """Write every decision to :attr:`cache_path`, atomically.
+
+        The payload goes to a temporary file in the same directory and is
+        renamed over the cache, so a reader — or a second process writing
+        the same path — sees the previous file or the new one, never a
+        truncated one; a write that fails leaves the previous file in
+        place.  Racing writers still resolve last-writer-wins.
+        """
         if self.cache_path is None:
             return
         payload = {
@@ -734,8 +742,18 @@ class StepAutotuner:
                 )
             },
         }
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        self.cache_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        directory = self.cache_path.parent
+        directory.mkdir(parents=True, exist_ok=True)
+        handle, scratch = tempfile.mkstemp(
+            dir=directory, prefix=self.cache_path.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(handle, "w") as stream:
+                stream.write(text)
+            os.replace(scratch, self.cache_path)
+        finally:
+            Path(scratch).unlink(missing_ok=True)
 
 
 def _parse_step_key(key: str) -> Optional[StepShapeClass]:

@@ -177,7 +177,6 @@ def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
                 batch=(args.batches or (512,))[0],
                 steps=args.steps if args.steps is not None else 8,
-                mode=args.parallel_mode or "thread",
                 workers=args.workers,
                 backend=args.backend or "vectorized",
                 dataset=args.dataset,
@@ -213,8 +212,7 @@ def _run_overlap(
                       checkpoint_dir=args.checkpoint_dir, resume=args.resume,
                       obs=obs,
                       schedule=args.schedule or "serial",
-                      parallel_workers=args.workers,
-                      parallel_mode=args.parallel_mode or "thread")
+                      parallel_workers=args.workers)
     )
 
 
@@ -346,7 +344,6 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "autotune_cache": ("stepshape",),
     "schedule": _SHARD_SWEEPS,
     "workers": _SHARD_SWEEPS,
-    "parallel_mode": _SHARD_SWEEPS,
     "rates": _SERVE,
     "policies": _SERVE,
     "requests": _SERVE,
@@ -469,19 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--schedule", default=None, choices=("serial", "parallel"),
         help="shard execution schedule for 'scaling'/'overlap': 'parallel' "
-             "fans per-shard work across a worker pool (for 'scaling' this "
+             "fans per-shard work across a thread pool (for 'scaling' this "
              "switches to the measured serial-vs-parallel sweep; default: "
              "serial)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker count for --schedule parallel (default: one per shard)",
-    )
-    parser.add_argument(
-        "--parallel-mode", default=None, choices=("thread", "process"),
-        help="worker flavor for --schedule parallel: 'thread' drives "
-             "GIL-releasing kernels on a thread pool, 'process' forks "
-             "workers over shared-memory embedding tables (default: thread)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
@@ -620,18 +611,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if value is not None and not accepts(value):
             return _fail(message.format(v=value))
     pooled = args.schedule == "parallel"
-    if args.parallel_mode is not None and not pooled:
-        # One feature spelled with two flags, like the trainer's
-        # schedule= / parallel_mode= pair.
-        return _fail("--parallel-mode requires --schedule parallel")
     try:
         # Whatever the flags alone decide is rejected up front, with the
         # trainer's own reason; rows that also depend on what an
         # experiment builds surface below as its ValueError, same text.
         check_capabilities(Features(
             sharded=pooled,
-            backend=args.backend,
-            executor=(args.parallel_mode or "thread") if pooled else "inline",
+            executor="thread" if pooled else "inline",
             workers=args.workers,
         ))
     except ValueError as error:

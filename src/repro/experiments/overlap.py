@@ -200,7 +200,6 @@ def _make_trainer(
     lr: float = 0.1,
     schedule: str = "serial",
     workers: Optional[int] = None,
-    parallel_mode: str = "thread",
 ) -> Tuple[DLRM, FunctionalTrainer]:
     """Fresh (model, trainer) pair; identical seeds ⇒ identical start state.
 
@@ -209,8 +208,8 @@ def _make_trainer(
     trainer, so exhaustible sources replay from the top for every run).
     ``optimizer``/``lr`` select the update rule from the registry
     (:func:`repro.model.optim.make_optimizer`).  ``schedule`` / ``workers``
-    / ``parallel_mode`` pass straight to the trainer — ``"parallel"``
-    selects a pooled shard executor (:mod:`repro.runtime.parallel`).
+    pass straight to the trainer — ``"parallel"`` selects the thread shard
+    executor (:mod:`repro.runtime.parallel`).
     """
     model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
     if source_factory is not None:
@@ -236,7 +235,6 @@ def _make_trainer(
         backend=backend if backend is not None else "auto",
         schedule=schedule,
         workers=workers,
-        parallel_mode=parallel_mode,
     )
     return model, trainer
 
@@ -275,7 +273,6 @@ def _best_of(
     obs: "Observability | None" = None,
     schedule: str = "serial",
     workers: Optional[int] = None,
-    parallel_mode: str = "thread",
 ) -> Tuple[DLRM, FunctionalTrainer, TrainingReport]:
     """Train ``repeats`` fresh identically-seeded runs; keep the fastest.
 
@@ -298,7 +295,7 @@ def _best_of(
     for _ in range(repeats):
         model, trainer = _make_trainer(
             trainer_cls, config, num_shards, seed, distribution, backend,
-            source_factory, optimizer, lr, schedule, workers, parallel_mode,
+            source_factory, optimizer, lr, schedule, workers,
         )
         start_step = restore_trainer(trainer, resume) if resume is not None else 0
         report = trainer.train(
@@ -306,10 +303,6 @@ def _best_of(
             start_step=start_step, obs=obs,
         )
         trainer.stream.close()
-        # Unlink shared-memory segments eagerly (no-op for serial/pipelined
-        # trainers); the trained parameters stay readable for the bitwise
-        # check and any checkpoint save.
-        trainer.close()
         if best_report is None or report.wall_seconds < best_report.wall_seconds:
             best_model, best_trainer, best_report = model, trainer, report
     assert best_model is not None and best_report is not None
@@ -431,7 +424,6 @@ def overlap_sweep(
     obs: "Observability | None" = None,
     schedule: str = "serial",
     parallel_workers: Optional[int] = None,
-    parallel_mode: str = "thread",
 ) -> List[OverlapRow]:
     """Sweep batch × shard count, measuring serial vs. pipelined training.
 
@@ -475,10 +467,9 @@ def overlap_sweep(
     the trace shows the cast-ahead overlap the table's ratios summarize.
 
     ``schedule="parallel"`` opts every *sharded* cell into a third measured
-    run through a pooled shard executor
-    (:mod:`repro.runtime.parallel`) with
-    ``parallel_workers`` workers (default: one per shard;
-    ``parallel_mode`` picks thread vs. process workers); its throughput
+    run through the thread shard executor
+    (:mod:`repro.runtime.parallel`) with ``parallel_workers`` workers
+    (default: one per shard); its throughput
     lands in ``parallel_steps_per_s`` and its bitwise agreement with the
     serial run is folded into the cell's ``bit_identical`` flag.
     Unsharded cells have no shards to fan out and skip the extra run.
@@ -527,10 +518,9 @@ def overlap_sweep(
             _, warmup_trainer = _make_trainer(
                 FunctionalTrainer, config, warmup_shards, seed, distribution,
                 backend, optimizer=optimizer, lr=lr, schedule="parallel",
-                workers=parallel_workers, parallel_mode=parallel_mode,
+                workers=parallel_workers,
             )
             warmup_trainer.train(8, 1, np.random.default_rng(seed))
-            warmup_trainer.close()
     checkpoint = load_checkpoint(resume) if resume is not None else None
     resume_step = checkpoint.step if checkpoint is not None else 0
     if obs is not None:
@@ -574,7 +564,6 @@ def overlap_sweep(
                     FunctionalTrainer, config, num_shards, seed, batch, steps,
                     repeats, distribution, backend, None, optimizer, lr,
                     checkpoint, obs, "parallel", parallel_workers,
-                    parallel_mode,
                 )
                 parallel_steps_per_s = parallel.steps_per_second
                 bit_identical = bit_identical and _runs_bit_identical(

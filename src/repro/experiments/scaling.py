@@ -177,7 +177,6 @@ class MeasuredScalingRow:
     policy: str
     num_shards: int
     workers: int
-    mode: str
     backend: str
     steps: int
     serial_steps_per_s: float
@@ -201,13 +200,12 @@ def _measured_trainer(
     distribution: LookupDistribution | None,
     schedule: str = "serial",
     workers: Optional[int] = None,
-    mode: str = "thread",
 ) -> Tuple[DLRM, FunctionalTrainer]:
     """Fresh (model, trainer) pair; identical seeds ⇒ identical start state.
 
     The scaling counterpart of ``overlap._make_trainer``, extended with the
-    parallel-schedule knobs (``schedule`` / ``workers`` / ``mode``) that the
-    measured sweep compares.
+    parallel-schedule knobs (``schedule`` / ``workers``) that the measured
+    sweep compares.
     """
     model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
     distributions = (
@@ -230,7 +228,6 @@ def _measured_trainer(
         backend=backend,
         schedule=schedule,
         workers=workers if schedule == "parallel" else None,
-        parallel_mode=mode,
     )
     return model, trainer
 
@@ -247,7 +244,6 @@ def _best_measured(
     repeats: int,
     schedule: str = "serial",
     workers: Optional[int] = None,
-    mode: str = "thread",
     obs: "Observability | None" = None,
 ) -> Tuple[DLRM, TrainingReport]:
     """Best wall-clock of ``repeats`` identically-seeded runs.
@@ -262,13 +258,12 @@ def _best_measured(
     for _ in range(repeats):
         model, trainer = _measured_trainer(
             config, num_shards, seed, policy, backend, distribution,
-            schedule, workers, mode,
+            schedule, workers,
         )
-        with trainer:
-            report = trainer.train(
-                batch, steps, np.random.default_rng(seed + 1), obs=obs
-            )
-            trainer.stream.close()
+        report = trainer.train(
+            batch, steps, np.random.default_rng(seed + 1), obs=obs
+        )
+        trainer.stream.close()
         if best_report is None or report.wall_seconds < best_report.wall_seconds:
             best_model, best_report = model, report
     assert best_model is not None and best_report is not None
@@ -281,7 +276,6 @@ def measured_scaling_sweep(
     steps: int = 8,
     config: ModelConfig | None = None,
     policy: str = "row",
-    mode: str = "thread",
     workers: Optional[int] = None,
     backend: str = "vectorized",
     dataset: str = "random",
@@ -293,19 +287,16 @@ def measured_scaling_sweep(
     """Measured serial-vs-parallel shard execution across shard counts.
 
     For each shard count, trains the same identically-seeded down-scaled
-    DLRM twice — shards inline on the step loop vs. fanned out to a pooled
-    shard executor (:mod:`repro.runtime.parallel`) with ``workers``
-    workers (default: one per shard) in ``mode`` (``"thread"`` drives the
-    GIL-releasing kernels, ``"process"`` forks workers over shared-memory
-    tables) — keeping the best wall clock of ``repeats`` runs each, and
-    pairs the measured ratio with the analytic
+    DLRM twice — shards inline on the step loop vs. fanned out to the
+    thread shard executor (:mod:`repro.runtime.parallel`) with ``workers``
+    workers (default: one per shard) — keeping the best wall clock of
+    ``repeats`` runs each, and pairs the measured ratio with the analytic
     :class:`ShardedNMPSystem` N-vs-1-shard bound.  Losses and every
     parameter tensor of the two runs are compared exactly; the
     ``bit_identical`` flag must hold for the speedup to mean anything.
 
-    ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` because
-    process workers re-resolve the backend per-process, and an autotuned
-    pick could differ across workers.
+    ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` so both
+    runs of a pair time the same kernels, not an autotuner's probes.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -330,19 +321,18 @@ def measured_scaling_sweep(
         obs.annotate(
             experiment="scaling", schedule="parallel", dataset=dataset,
             seed=seed, batch=batch, shard_counts=list(shard_counts),
-            mode=mode, repeats=repeats,
+            repeats=repeats,
         )
     # One throwaway step per (shard count, schedule) so no measured cell
-    # absorbs thread-pool / fork / shared-memory warm-up costs.
+    # absorbs thread-pool and cold-cache warm-up costs.
     for warmup_shards in sorted(set(shard_counts)):
         for warmup_schedule in ("serial", "parallel"):
             _, warmup_trainer = _measured_trainer(
                 config, warmup_shards, seed, policy, backend, distribution,
-                warmup_schedule, workers, mode,
+                warmup_schedule, workers,
             )
-            with warmup_trainer:
-                warmup_trainer.train(8, 1, np.random.default_rng(seed))
-                warmup_trainer.stream.close()
+            warmup_trainer.train(8, 1, np.random.default_rng(seed))
+            warmup_trainer.stream.close()
     rows: List[MeasuredScalingRow] = []
     for num_shards in shard_counts:
         serial_model, serial = _best_measured(
@@ -351,7 +341,7 @@ def measured_scaling_sweep(
         )
         parallel_model, parallel = _best_measured(
             config, num_shards, seed, policy, backend, distribution,
-            batch, steps, repeats, "parallel", workers, mode, obs=obs,
+            batch, steps, repeats, "parallel", workers, obs=obs,
         )
         measured = (
             serial.wall_seconds / parallel.wall_seconds
@@ -371,7 +361,6 @@ def measured_scaling_sweep(
                 policy=policy,
                 num_shards=num_shards,
                 workers=workers or num_shards,
-                mode=mode,
                 backend=backend,
                 steps=serial.steps,
                 serial_steps_per_s=serial.steps_per_second,
@@ -394,7 +383,7 @@ def format_measured_scaling(rows: Sequence[MeasuredScalingRow]) -> str:
     if not rows:
         return "(no rows)"
     headers = [
-        "Model", "Batch", "Policy", "Shards", "Workers", "Mode",
+        "Model", "Batch", "Policy", "Shards", "Workers",
         "Serial (it/s)", "Parallel (it/s)", "Speedup", "Analytic",
         "Sync (ms)", "Bitwise", "FwdEx (KB)", "BwdEx (KB)",
     ]
@@ -407,7 +396,6 @@ def format_measured_scaling(rows: Sequence[MeasuredScalingRow]) -> str:
                 row.policy,
                 row.num_shards,
                 row.workers,
-                row.mode,
                 f"{row.serial_steps_per_s:.2f}",
                 f"{row.parallel_steps_per_s:.2f}",
                 f"{row.measured_speedup:.2f}x",

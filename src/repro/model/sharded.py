@@ -70,8 +70,8 @@ Coalesced = List[Tuple[int, np.ndarray, np.ndarray]]
 
 # ----------------------------------------------------------------------
 # Per-shard kernels, as pure functions of what crosses the all-to-all.
-# The ``*_shard`` methods below and every shard executor of
-# :mod:`repro.runtime.parallel` (inline, thread, process) run exactly
+# The ``*_shard`` methods below and both shard executors of
+# :mod:`repro.runtime.parallel` (inline, thread) run exactly
 # these, so per-shard numerics cannot differ by where a shard executes.
 # ----------------------------------------------------------------------
 def cast_slices(

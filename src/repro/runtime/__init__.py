@@ -31,8 +31,6 @@ from .engine import (
 )
 from .parallel import (
     InlineShardExecutor,
-    ProcessShardExecutor,
-    SharedTableArena,
     ThreadShardExecutor,
 )
 from .pipeline import PipelinedTrainer
@@ -102,7 +100,6 @@ __all__ = [
     "OP_FWD_GATHER",
     "PhaseTimings",
     "PipelinedTrainer",
-    "ProcessShardExecutor",
     "RunEvent",
     "SchedulePolicy",
     "Stage",
@@ -115,7 +112,6 @@ __all__ = [
     "RESOURCE_NMP",
     "RESOURCE_PCIE",
     "ShardedNMPSystem",
-    "SharedTableArena",
     "Span",
     "SystemHardware",
     "ThreadShardExecutor",

@@ -335,12 +335,9 @@ class TrainingEngine:
                 stack.enter_context(observe_kernels(self.obs.metrics))
             executor: Optional[InlineShardExecutor] = None
             if sharded is not None:
-                arena = trainer._arena
                 executor = stack.enter_context(make_shard_executor(
                     policy.executor,
-                    sharded,
-                    policy.workers,
-                    arena.descriptors if arena is not None else None,
+                    policy.workers or sharded.num_shards,
                     clock=tracer.now if tracer is not None
                     else time.perf_counter,
                 ))

@@ -16,9 +16,8 @@ that used to be a sibling ``Schedule`` subclass is a field of
     Run the ``gather → exchange → forward`` prefix only (``infer()``).
 ``executor`` / ``workers``
     Where a sharded trainer's per-shard cast / gather / backward run:
-    ``"inline"`` on the calling thread, or a ``"thread"`` / ``"process"``
-    pool of ``workers`` (default: one per shard) from
-    :mod:`repro.runtime.parallel`.
+    ``"inline"`` on the calling thread, or a ``"thread"`` pool of
+    ``workers`` (default: one per shard) from :mod:`repro.runtime.parallel`.
 
 Combinations that genuinely cannot work are rows of :data:`CAPABILITIES` —
 predicate plus reason — and nowhere else: the trainer constructor, the
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: Shard executor kinds, in the order the README lists them.
-EXECUTORS = ("inline", "thread", "process")
+EXECUTORS = ("inline", "thread")
 
 
 def positive_int(name: str, value: Any) -> int:
@@ -96,16 +95,14 @@ class SchedulePolicy:
 class Features:
     """What a capability predicate may look at.
 
-    ``mode`` and ``backend`` are ``None`` while still unknown (the
-    constructor has no ``mode`` yet; the CLI has no backend until a flag
-    names one) — predicates compare against concrete values, so an unknown
-    never rejects.
+    ``mode`` is ``None`` while still unknown (the constructor has no
+    ``mode`` yet, the CLI never has one) — predicates compare against
+    concrete values, so an unknown never rejects.
     """
 
     sharded: bool = False
     hot_cache: bool = False
     mode: Optional[str] = None
-    backend: Optional[str] = None
     executor: str = "inline"
     workers: Optional[int] = None
 
@@ -146,14 +143,6 @@ CAPABILITIES: Tuple[Capability, ...] = (
         lambda f: f.executor == "inline" and f.workers is not None,
         "workers sizes the shard worker pool and requires "
         "schedule='parallel'",
-    ),
-    Capability(
-        "process pool × auto backend",
-        lambda f: f.executor == "process" and f.backend == "auto",
-        "parallel_mode='process' rejects backend='auto': each worker "
-        "process would autotune independently and could pick different "
-        "engines, voiding bit-identity; pass an explicit backend (e.g. "
-        "'vectorized')",
     ),
 )
 

@@ -68,7 +68,13 @@ import numpy as np
 from ..core.casting import CastedIndex, precompute_casts
 from ..data.source import BatchSource, CTRBatch, SourceExhausted
 from ..model.loss import bce_with_logits
-from ..model.sharded import ShardedStepPlan, store_shard
+from ..model.sharded import (
+    ShardedStepPlan,
+    cast_slices,
+    gather_slices,
+    reduce_payload,
+    store_shard,
+)
 from .parallel import InlineShardExecutor
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
@@ -417,9 +423,10 @@ class ShardedCastStage(Stage):
     def run(self, ctx: StepContext) -> None:
         with _cast_timed(ctx, "partition"):
             ctx.plan = self.sharded.plan_batch(ctx.data.indices)
+        backend = self.sharded.backend
         results = self.executor.map(
-            "cast",
-            ctx.plan.slices_by_shard(),
+            cast_slices,
+            [(slices, backend) for slices in ctx.plan.slices_by_shard()],
             barrier=lambda: _cast_timed(ctx, "sync", span="cast_barrier"),
         )
         assert ctx.cast_shard_timings is not None
@@ -469,17 +476,23 @@ class GatherStage(Stage):
 
     name = "gather"
 
-    def __init__(self, model: "DLRM", collector: "StageTimingCollector",
+    def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
+                 collector: "StageTimingCollector",
                  executor: "InlineShardExecutor") -> None:
         self.model = model
+        self.sharded = sharded
         self.collector = collector
         self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
+        sharded = self.sharded
         results = self.executor.map(
-            "gather",
-            ctx.plan.slices_by_shard(),
+            gather_slices,
+            [
+                (sharded.shard_views(shard), slices, sharded.backend)
+                for shard, slices in enumerate(ctx.plan.slices_by_shard())
+            ],
             barrier=lambda: self.collector.timed(
                 "sync", span="forward_barrier"
             ),
@@ -574,11 +587,14 @@ class ShardedBackwardStage(Stage):
             ctx.grad_tables = self.model.backward_through_dense(ctx.dlogits)
             sharded.prepare_backward(ctx.plan, ctx.grad_tables)
             payloads = [
-                sharded.backward_payload(ctx.plan, shard, ctx.grad_tables)
+                (
+                    sharded.backward_payload(ctx.plan, shard, ctx.grad_tables),
+                    sharded.backend,
+                )
                 for shard in range(sharded.num_shards)
             ]
         results = self.executor.map(
-            "backward",
+            reduce_payload,
             payloads,
             barrier=lambda: self.collector.timed(
                 "sync", span="backward_barrier"
@@ -723,7 +739,7 @@ class StageTimingCollector:
         """Fold one shard's executor-timed region into the accounting.
 
         Shard executors time the per-shard work with their own clock reads
-        — possibly in another process — and ship them back with the
+        — possibly on a pool thread — and hand them back with the
         product; this is the ingestion point: the same bookkeeping as
         :meth:`timed`, with the clock reads supplied instead of taken.  In
         traced runs the region also lands as a span on the worker's track
@@ -841,12 +857,12 @@ def build_step_stages(
         )
     sharded = trainer.sharded
     if executor is None:
-        executor = InlineShardExecutor(sharded)
+        executor = InlineShardExecutor()
     return StepStages(
         draw=draw,
         cast=ShardedCastStage(sharded, executor),
         compute=(
-            GatherStage(trainer.model, collector, executor),
+            GatherStage(trainer.model, sharded, collector, executor),
             ExchangeStage(sharded, collector),
             ShardedForwardStage(trainer.model, collector),
             ShardedBackwardStage(

@@ -53,7 +53,6 @@ from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from ..sim.cache import HotRowCacheSpec
 from .engine import TrainingCallback, TrainingEngine
-from .parallel import SharedTableArena
 from .policy import Features, SchedulePolicy, check_capabilities, positive_int
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
@@ -119,20 +118,14 @@ class FunctionalTrainer:
     schedule:
         Where a sharded trainer's per-shard cast / gather / backward run:
         ``"serial"`` (default) on the step loop, shard after shard;
-        ``"parallel"`` fanned out to a persistent worker pool
-        (:mod:`repro.runtime.parallel`), results applied in shard-index
-        order — bit-identical to serial, with measured (not modeled)
-        scaling.
+        ``"parallel"`` fanned out to a persistent thread pool
+        (:mod:`repro.runtime.parallel`; it lives for one :meth:`train` /
+        :meth:`infer` call, so the trainer itself owns no resource),
+        results applied in shard-index order — bit-identical to serial,
+        with measured (not modeled) scaling, which needs a GIL-releasing
+        backend such as ``numba-parallel`` to exceed 1×.
     workers:
         Worker count of the ``"parallel"`` pool (default: one per shard).
-    parallel_mode:
-        The pool's flavor: ``"thread"`` (default; real scaling needs a
-        GIL-releasing backend such as ``numba-parallel``) or ``"process"``
-        (worker processes over shared-memory table views — the GIL-free
-        mode for plain-Python backends; the embedding tables are moved into
-        a :class:`~repro.runtime.parallel.SharedTableArena` at
-        construction, and :meth:`close` — or the trainer's context manager
-        — releases the segments).
     accum_steps:
         Gradient accumulation factor.  ``1`` (default) optimizes after
         every drawn batch.  With ``N > 1`` each step draws ``N``
@@ -170,7 +163,6 @@ class FunctionalTrainer:
         cache_policy: str = "lru",
         schedule: str = "serial",
         workers: int | None = None,
-        parallel_mode: str = "thread",
         accum_steps: int = 1,
         lookahead: int = 0,
     ) -> None:
@@ -194,17 +186,12 @@ class FunctionalTrainer:
             raise ValueError(
                 f"schedule must be 'serial' or 'parallel', got {schedule!r}"
             )
-        if parallel_mode not in ("thread", "process"):
-            raise ValueError(
-                "parallel_mode must be 'thread' or 'process', "
-                f"got {parallel_mode!r}"
-            )
         #: The one record the engine's step loop reads; ``infer()`` runs
         #: the same record with ``forward_only`` set.
         self.policy = SchedulePolicy(
             lookahead=lookahead,
             accum_steps=accum_steps,
-            executor="inline" if schedule == "serial" else parallel_mode,
+            executor="inline" if schedule == "serial" else "thread",
             workers=workers,
         )
         self.model = model
@@ -220,7 +207,6 @@ class FunctionalTrainer:
         self._features = Features(
             sharded=num_shards is not None,
             hot_cache=hot_cache is not None,
-            backend=self.backend.name,
             executor=self.policy.executor,
             workers=self.policy.workers,
         )
@@ -232,12 +218,6 @@ class FunctionalTrainer:
                 for _ in model.embeddings
             ]
         self._attach_caches()
-        # The shared-memory arena must exist before the sharded views are
-        # built: shard views (and the id()-keyed optimizer state hung off
-        # them) must alias the shm-backed tables worker processes map.
-        self._arena: SharedTableArena | None = None
-        if self.policy.executor == "process":
-            self._arena = SharedTableArena(model.embeddings)
         self.sharded: ShardedEmbeddingSet | None = None
         if num_shards is not None:
             self.sharded = ShardedEmbeddingSet(
@@ -355,29 +335,6 @@ class FunctionalTrainer:
             bag.backend = self.backend
         self._attach_caches()
         self._reset_cache_stats()
-
-    # ------------------------------------------------------------------
-    # Resource lifecycle (shared-memory arena of process-mode trainers)
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the shared-memory table segments (process mode only).
-
-        Unlinks the :class:`~repro.runtime.parallel.SharedTableArena`
-        segments backing the embedding tables.  Idempotent, and a no-op for
-        every other configuration.  Parameters stay readable afterwards
-        (live views keep their mapping); a garbage-collection finalizer
-        backs this up, but tests and long-lived applications should close
-        (or use the trainer as a context manager) rather than rely on GC.
-        """
-        if self._arena is not None:
-            self._arena.close()
-
-    def __enter__(self) -> "FunctionalTrainer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     # Parameter naming — the checkpoint subsystem's stable key space

@@ -1,5 +1,11 @@
 """Shape classification, decision caching, and the ``auto`` policy."""
 
+import contextlib
+import json
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,29 @@ from repro.backends import (
 )
 from repro.backends.autotune import _bucket, _representative
 from repro.core.indexing import IndexArray
+
+
+@contextlib.contextmanager
+def _racing_reader(read):
+    """Call ``read`` in a loop on another thread; yields its ValueErrors."""
+    done, errors = threading.Event(), []
+
+    def loop():
+        while not done.is_set():
+            try:
+                read()
+            except ValueError as error:
+                errors.append(error)
+                return
+
+    thread = threading.Thread(target=loop)
+    thread.start()
+    try:
+        yield errors
+    finally:
+        done.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestShapeClass:
@@ -353,6 +382,81 @@ class TestStepAutotuner:
         assert reloaded.timings()[shape] == {
             "vectorized": 0.004, "blocked": 0.002,
         }
+
+    def _second_shape(self):
+        from repro.backends.autotune import StepShapeClass
+
+        return StepShapeClass.classify(
+            **dict(self.SHAPE_ARGS, batch=4 * self.SHAPE_ARGS["batch"]))
+
+    def test_failed_write_leaves_the_previous_cache_loadable(
+            self, monkeypatch, tmp_path):
+        """Satellite regression: the cache used to be rewritten in place,
+        so a write that died midway left a truncated file behind."""
+        from repro.backends.autotune import StepAutotuner
+
+        path = tmp_path / "cache.json"
+        tuner, _ = self._counting_tuner(
+            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
+            cache_path=path)
+        tuner.backend_for(self._shape())
+        before = path.read_bytes()
+
+        def disk_full(source, destination):
+            raise OSError("injected: no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", disk_full)
+            with pytest.raises(OSError, match="injected"):
+                tuner.backend_for(self._second_shape())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cache.json"]  # no scratch litter
+        assert list(StepAutotuner(cache_path=path).decisions()) == [
+            self._shape()
+        ]
+
+    def test_cache_on_disk_is_complete_json_whenever_it_is_visible(
+            self, monkeypatch, tmp_path):
+        """The only instant the cache path changes is ``os.replace``: what
+        it swaps out and what it swaps in are both whole, loadable files."""
+        from repro.backends.autotune import StepAutotuner
+
+        path = tmp_path / "cache.json"
+        tuner, _ = self._counting_tuner(
+            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
+            cache_path=path)
+        tuner.backend_for(self._shape())
+        real_replace, swaps = os.replace, []
+
+        def checked_replace(source, destination):
+            assert os.path.dirname(source) == str(tmp_path)  # same directory
+            swaps.append((
+                len(json.loads(path.read_text())["decisions"]),
+                len(json.loads(Path(source).read_text())["decisions"]),
+            ))
+            real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", checked_replace)
+        tuner.backend_for(self._second_shape())
+        assert swaps == [(1, 2)]
+        assert len(StepAutotuner(cache_path=path).decisions()) == 2
+
+    def test_reader_racing_a_writer_never_sees_a_torn_file(
+            self, monkeypatch, tmp_path):
+        from repro.backends.autotune import StepAutotuner
+
+        path = tmp_path / "cache.json"
+        tuner, _ = self._counting_tuner(
+            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
+            cache_path=path)
+        tuner.backend_for(self._shape())
+        # Pad the payload so a torn write would have a wide window.
+        tuner._timings[self._shape()].update(
+            {f"padding-{i}": float(i) for i in range(2000)})
+        with _racing_reader(lambda: StepAutotuner(cache_path=path)) as errors:
+            for _ in range(200):
+                tuner.save_cache()
+        assert errors == []
 
     def test_missing_cache_file_is_empty(self, tmp_path):
         from repro.backends.autotune import StepAutotuner

@@ -1,16 +1,15 @@
 """Differential suite for the parallel shard runtime.
 
-A pooled shard executor (``schedule="parallel"``) promises exactly one thing
-beyond the inline one: the same numbers, faster when cores exist.  These
-tests pin the "same numbers" half across shard counts × backends × partition policies × worker flavors
-(thread pool vs. forked processes over shared-memory tables), through
-checkpoint/resume, and across worker crashes (which must propagate to the
-caller and still join the pool cleanly).
+The thread shard executor (``schedule="parallel"``) promises exactly one
+thing beyond the inline one: the same numbers, faster when cores exist.
+These tests pin the "same numbers" half across shard counts × backends ×
+partition policies × worker counts, through checkpoint/resume, and across
+worker crashes in each of the three per-shard phases (which must propagate
+to the caller, join every thread, and leave the parameters and optimizer
+state of the last completed step untouched).
 """
 
-import gc
 import threading
-from multiprocessing import get_all_start_methods, shared_memory
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from repro.runtime.checkpoint import (
     restore_trainer,
     save_checkpoint,
 )
+from repro.runtime.engine import TrainingCallback
 from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.policy import SchedulePolicy
 from repro.runtime.trainer import FunctionalTrainer
@@ -36,8 +36,6 @@ CONFIG = RM1.with_overrides(
     bottom_mlp=(8, 4), top_mlp=(4, 1), embedding_dim=4,
 )
 
-HAVE_FORK = "fork" in get_all_start_methods()
-
 #: Backends every bit-identity case runs under: the production vectorized
 #: engine and the numba-parallel engine's uncompiled Python bodies (an
 #: instance passes straight through resolve_backend, so the nogil/prange
@@ -45,18 +43,35 @@ HAVE_FORK = "fork" in get_all_start_methods()
 BACKENDS = ["vectorized", NumbaParallelBackend()]
 
 
+#: Per-shard phase -> the backend kernel that phase runs on a worker.
+PHASE_KERNELS = {
+    "cast": "cast_indices",
+    "gather": "gather_reduce",
+    "backward": "casted_gather_reduce",
+}
+
+
 class ExplodingBackend(VectorizedBackend):
-    """Unregistered backend whose forward gather blows up on demand."""
+    """Unregistered backend whose ``phase`` kernel blows up while armed."""
 
     name = "exploding"
 
-    def gather_reduce(self, *args, **kwargs):
-        raise RuntimeError("boom: injected shard-worker failure")
+    def __init__(self, phase="gather", armed=True):
+        super().__init__()
+        self.armed = armed
+        healthy = getattr(self, PHASE_KERNELS[phase])
+
+        def kernel(*args, **kwargs):
+            if self.armed:
+                raise RuntimeError("boom: injected shard-worker failure")
+            return healthy(*args, **kwargs)
+
+        setattr(self, PHASE_KERNELS[phase], kernel)
 
 
 def make_trainer(num_shards=2, policy="row", backend="vectorized",
-                 schedule="serial", workers=None, mode="thread",
-                 optimizer_cls=SGD, seed=0):
+                 schedule="serial", workers=None,
+                 optimizer_cls=SGD, seed=0, lookahead=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
@@ -65,23 +80,21 @@ def make_trainer(num_shards=2, policy="row", backend="vectorized",
     trainer = FunctionalTrainer(
         model, stream, optimizer_cls(lr=0.3),
         num_shards=num_shards, policy=policy, backend=backend,
-        schedule=schedule, workers=workers, parallel_mode=mode,
+        schedule=schedule, workers=workers, lookahead=lookahead,
     )
     return model, trainer
 
 
 def train_pair(num_shards=2, policy="row", backend="vectorized",
-               mode="thread", workers=None, optimizer_cls=SGD,
+               workers=None, optimizer_cls=SGD,
                batch=16, steps=4, obs=None):
     serial_model, serial = make_trainer(
         num_shards, policy, backend, "serial", optimizer_cls=optimizer_cls)
     serial_report = serial.train(batch, steps, np.random.default_rng(1))
     parallel_model, parallel = make_trainer(
-        num_shards, policy, backend, "parallel", workers, mode,
-        optimizer_cls)
-    with parallel:
-        parallel_report = parallel.train(
-            batch, steps, np.random.default_rng(1), obs=obs)
+        num_shards, policy, backend, "parallel", workers, optimizer_cls)
+    parallel_report = parallel.train(
+        batch, steps, np.random.default_rng(1), obs=obs)
     return (serial_model, serial_report), (parallel_model, parallel_report)
 
 
@@ -103,24 +116,15 @@ class TestBitIdentity:
         (sm, sr), (pm, pr) = train_pair(num_shards, policy, backend)
         assert_bit_identical(sm, sr, pm, pr)
 
-    @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_process_mode(self, num_shards, policy):
-        (sm, sr), (pm, pr) = train_pair(num_shards, policy, mode="process")
-        assert_bit_identical(sm, sr, pm, pr)
-
     def test_fewer_workers_than_shards(self):
         (sm, sr), (pm, pr) = train_pair(num_shards=3, workers=1)
         assert_bit_identical(sm, sr, pm, pr)
 
     def test_stateful_optimizer_updates_through_shared_views(self):
-        # Adagrad hangs accumulator state off id(param); for process mode
-        # those params must alias the shared-memory pages or the updates
-        # would silently diverge from the serial run.
-        for mode in ("thread", "process"):
-            (sm, sr), (pm, pr) = train_pair(
-                optimizer_cls=Adagrad, mode=mode)
-            assert_bit_identical(sm, sr, pm, pr)
+        # Adagrad hangs accumulator state off id(param) of the shard views;
+        # the pool must scatter-update through the very same views.
+        (sm, sr), (pm, pr) = train_pair(optimizer_cls=Adagrad)
+        assert_bit_identical(sm, sr, pm, pr)
 
     def test_exchange_byte_accounting_matches_serial(self):
         (_, sr), (_, pr) = train_pair()
@@ -135,14 +139,12 @@ class TestCheckpointResume:
         save_checkpoint(tmp_path / "ck.npz", warm, 2)
         checkpoint = load_checkpoint(tmp_path / "ck.npz")
         outcomes = []
-        for schedule, mode in (("serial", "thread"), ("parallel", "thread"),
-                               ("parallel", "process")):
-            model, trainer = make_trainer(schedule=schedule, mode=mode)
-            with trainer:
-                start = restore_trainer(trainer, checkpoint)
-                assert start == 2
-                report = trainer.train(
-                    16, 2, np.random.default_rng(1), start_step=start)
+        for schedule in ("serial", "parallel"):
+            model, trainer = make_trainer(schedule=schedule)
+            start = restore_trainer(trainer, checkpoint)
+            assert start == 2
+            report = trainer.train(
+                16, 2, np.random.default_rng(1), start_step=start)
             outcomes.append((model, report))
         (serial_model, serial_report) = outcomes[0]
         for model, report in outcomes[1:]:
@@ -150,17 +152,53 @@ class TestCheckpointResume:
 
     def test_checkpoint_saved_from_parallel_run_restores_serially(
             self, tmp_path):
-        parallel_model, parallel = make_trainer(
-            schedule="parallel", mode="process")
-        with parallel:
-            parallel.train(16, 2, np.random.default_rng(1))
-            save_checkpoint(tmp_path / "ck.npz", parallel, 2)
+        parallel_model, parallel = make_trainer(schedule="parallel")
+        parallel.train(16, 2, np.random.default_rng(1))
+        save_checkpoint(tmp_path / "ck.npz", parallel, 2)
         checkpoint = load_checkpoint(tmp_path / "ck.npz")
         model, trainer = make_trainer(schedule="serial")
         assert restore_trainer(trainer, checkpoint) == 2
         for got, want in zip(model.all_parameters(),
                              parallel_model.all_parameters()):
             assert np.array_equal(got, want)
+
+
+def lingering_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(("shard-worker", "cast-ahead"))]
+
+
+def trainer_state(trainer):
+    """Copies of every parameter and every optimizer-state array, by name."""
+    named = trainer.named_parameters()
+    state = {name: param.copy() for name, param in named}
+    state.update(
+        (key, tensor.copy())
+        for key, tensor in trainer.optimizer.export_state(named).items()
+    )
+    return state
+
+
+def assert_same_state(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class ArmAfterFirstStep(TrainingCallback):
+    """Snapshot the state after every completed step; arm after the first.
+
+    The last snapshot is therefore the failing step's pre-step state,
+    whichever step the armed kernel is first reached in (under look-ahead
+    the cast of the next batch is already in flight when a step ends).
+    """
+
+    def __init__(self, trainer):
+        self.snapshots = [trainer_state(trainer)]
+
+    def on_step_end(self, event):
+        self.snapshots.append(trainer_state(event.trainer))
+        event.trainer.backend.armed = True
 
 
 class TestCrashPropagation:
@@ -170,18 +208,47 @@ class TestCrashPropagation:
         with pytest.raises(RuntimeError, match="boom"):
             trainer.train(16, 1, np.random.default_rng(1))
         # The with-block around the pool must have joined every worker.
-        lingering = [t.name for t in threading.enumerate()
-                     if t.name.startswith("shard-worker")]
-        assert lingering == []
+        assert lingering_threads() == []
 
-    @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method to "
-                        "ship an unregistered backend instance to workers")
-    def test_process_worker_crash_reraises(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
+    def test_a_failed_step_is_atomic(self, phase, lookahead, workers):
+        """A worker failure in any phase leaves the last good step intact.
+
+        Two shards, so the worker counts are below, equal to and above the
+        shard count.  Adagrad, so there is optimizer state to tear.
+        """
+        batch, steps = 16, 4
+        _, reference = make_trainer(
+            schedule="parallel", workers=workers, optimizer_cls=Adagrad,
+            lookahead=lookahead)
+        reference_report = reference.train(
+            batch, steps, np.random.default_rng(1))
+
         _, trainer = make_trainer(
-            backend=ExplodingBackend(), schedule="parallel", mode="process")
-        with trainer:
-            with pytest.raises(RuntimeError, match="boom"):
-                trainer.train(16, 1, np.random.default_rng(1))
+            backend=ExplodingBackend(phase, armed=False),
+            schedule="parallel", workers=workers, optimizer_cls=Adagrad,
+            lookahead=lookahead)
+        recorder = ArmAfterFirstStep(trainer)
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            trainer.train(batch, steps, np.random.default_rng(1),
+                          callbacks=[recorder])
+        # The original exception, not a wrapper or a pool-shutdown error.
+        assert failure.type is RuntimeError
+        assert lingering_threads() == []
+        completed = len(recorder.snapshots) - 1
+        assert 1 <= completed < steps
+        assert_same_state(trainer_state(trainer), recorder.snapshots[-1])
+
+        # Same trainer, healthy backend: redo the failed step and finish.
+        trainer.backend.armed = False
+        resumed = trainer.train(
+            batch, steps - completed, np.random.default_rng(1),
+            start_step=completed)
+        assert resumed.losses == reference_report.losses[completed:]
+        assert_same_state(trainer_state(trainer), trainer_state(reference))
+        assert lingering_threads() == []
 
 
 class TestConstruction:
@@ -211,12 +278,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="num_shards"):
             make_trainer(num_shards=None, schedule="parallel")
 
-    def test_process_mode_rejects_auto_backend(self):
-        with pytest.raises(ValueError, match="auto"):
-            make_trainer(backend="auto", schedule="parallel", mode="process")
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_pipelined_trainer_composes_with_a_pool(self, mode):
+    def test_pipelined_trainer_composes_with_a_pool(self):
         # Used to be rejected; look-ahead and the shard executor are
         # orthogonal axes of one policy now.
         serial_model, serial = make_trainer()
@@ -226,19 +288,20 @@ class TestConstruction:
             num_tables=3, num_rows=60, lookups_per_sample=4,
             dense_features=8, seed=0,
         )
-        with PipelinedTrainer(
+        pipelined = PipelinedTrainer(
             model, stream, SGD(lr=0.3), num_shards=2, backend="vectorized",
-            schedule="parallel", parallel_mode=mode,
-        ) as pipelined:
-            assert pipelined.policy == SchedulePolicy(
-                lookahead=1, executor=mode)
-            report = pipelined.train(16, 4, np.random.default_rng(1))
+            schedule="parallel",
+        )
+        assert pipelined.policy == SchedulePolicy(
+            lookahead=1, executor="thread")
+        report = pipelined.train(16, 4, np.random.default_rng(1))
         assert_bit_identical(serial_model, serial_report, model, report)
         assert {"cast_wait", "sync"} <= set(report.timings.totals)
 
     def test_policy_record_validates_its_knobs(self):
-        with pytest.raises(ValueError, match="executor"):
-            SchedulePolicy(executor="fiber")
+        for removed_or_unknown in ("process", "fiber"):
+            with pytest.raises(ValueError, match="executor"):
+                SchedulePolicy(executor=removed_or_unknown)
         with pytest.raises(ValueError, match="workers"):
             SchedulePolicy(workers=-1)
 
@@ -255,33 +318,24 @@ class TestObservability:
     def test_worker_spans_land_on_worker_tracks(self):
         obs = Observability()
         train_pair(obs=obs)
-        tracks = {record.track for record in obs.tracer.records}
-        assert any(track.startswith("worker") for track in tracks)
-        names = {record.name for record in obs.tracer.records}
-        assert {"forward_barrier", "backward_barrier"} <= names
+        records = obs.tracer.records
+        tracks = {record.track for record in records}
+        assert {"worker0", "worker1"} <= tracks
+        names = {record.name for record in records}
+        assert {"cast_barrier", "forward_barrier", "backward_barrier"} <= names
+        # Workers read the tracer's clock, so their spans sit inside the
+        # run's own time axis (not offset by the clock's epoch).
+        steps = [r for r in records if r.name == "step"]
+        lo = min(r.start_s for r in steps)
+        hi = max(r.end_s for r in steps)
+        for record in records:
+            if record.track.startswith("worker"):
+                assert lo <= record.start_s <= record.end_s <= hi
 
-
-class TestSharedMemoryLifetime:
-    def test_close_unlinks_segments_but_parameters_stay_readable(self):
-        model, trainer = make_trainer(schedule="parallel", mode="process")
-        with trainer:
-            trainer.train(16, 2, np.random.default_rng(1))
-            names = [name for name, _, _ in trainer._arena.descriptors]
-        assert trainer._arena.closed
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        # The model outlives the trainer: its tables are views into the
-        # (unlinked) mapping, which must stay valid until the last view
-        # drops — copying them out must not crash or read garbage.
-        snapshot = [np.array(p, copy=True) for p in model.all_parameters()]
-        del trainer
-        gc.collect()
-        for got, want in zip(model.all_parameters(), snapshot):
-            assert np.array_equal(got, want)
-
-    def test_close_is_idempotent(self):
-        _, trainer = make_trainer(schedule="parallel", mode="process")
-        trainer.close()
-        trainer.close()
-        assert trainer._arena.closed
+    def test_trainer_owns_no_resource(self):
+        # The pool lives inside one train()/infer() call; nothing to close.
+        _, trainer = make_trainer(schedule="parallel")
+        trainer.train(16, 1, np.random.default_rng(1))
+        for gone in ("close", "__enter__", "__exit__", "_arena"):
+            assert not hasattr(trainer, gone)
+        assert lingering_threads() == []

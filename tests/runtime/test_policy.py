@@ -84,16 +84,13 @@ def assert_params_equal(model_a, model_b):
 
 
 def schedule_kwargs(executor):
-    return {} if executor == "inline" else {
-        "schedule": "parallel", "parallel_mode": executor,
-    }
+    return {} if executor == "inline" else {"schedule": "parallel"}
 
 
 def supported(shards, executor, mode):
     try:
         check_capabilities(Features(
             sharded=shards is not None, mode=mode, executor=executor,
-            backend="vectorized",
         ))
     except ValueError:
         return False
@@ -190,19 +187,14 @@ ROW_EXAMPLES = {
     "sharded × baseline": (dict(num_shards=2), "baseline"),
     "shard pool × unsharded": (dict(schedule="parallel"), "casted"),
     "workers × inline executor": (dict(num_shards=2, workers=2), "casted"),
-    "process pool × auto backend": (
-        dict(num_shards=2, schedule="parallel", parallel_mode="process",
-             backend="auto"),
-        "casted",
-    ),
 }
 
 
 def build_and_run(kwargs, mode):
     kwargs = dict({"backend": "vectorized"}, **kwargs)
-    with FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3), **kwargs) as trainer:
-        trainer.train(8, 1, np.random.default_rng(1), mode=mode)
+    FunctionalTrainer(
+        make_model(), make_stream(), SGD(lr=0.3), **kwargs
+    ).train(8, 1, np.random.default_rng(1), mode=mode)
 
 
 class TestCapabilityTable:
@@ -247,8 +239,6 @@ class TestCapabilityTable:
     @pytest.mark.parametrize("argv,row_name", [
         (["overlap", "--workers", "2"], "workers × inline executor"),
         (["scaling", "--workers", "2"], "workers × inline executor"),
-        (["overlap", "--schedule", "parallel", "--parallel-mode", "process",
-          "--backend", "auto"], "process pool × auto backend"),
     ])
     def test_flags_that_decide_a_row_fail_before_anything_runs(
             self, argv, row_name, monkeypatch, capsys):
@@ -261,16 +251,29 @@ class TestCapabilityTable:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {row.reason}\n"
 
-    def test_parallel_mode_alone_is_a_usage_error(self, capsys):
-        assert cli.main(["overlap", "--parallel-mode", "process"]) == 2
-        assert "requires --schedule parallel" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["thread", "process"])
+    def test_the_removed_parallel_mode_option_fails_loudly(
+            self, value, capsys):
+        """The process pool went with its option: neither spelling may be
+        accepted and silently mean "threads"."""
+        with pytest.raises(TypeError, match="parallel_mode"):
+            FunctionalTrainer(
+                make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
+                backend="vectorized", schedule="parallel",
+                parallel_mode=value,
+            )
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["overlap", "--schedule", "parallel",
+                      "--parallel-mode", value])
+        assert exit_info.value.code == 2
+        assert "--parallel-mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(
             self, dest, scope, capsys):
         flag = "--" + dest.replace("_", "-")
         value = {
-            "schedule": "parallel", "parallel_mode": "thread",
+            "schedule": "parallel",
             "policies": "single", "arrival": "poisson",
             "cache_policy": "lru", "optimizer": "sgd",
         }.get(dest, "1")
