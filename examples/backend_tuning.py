@@ -5,8 +5,8 @@ Every hot kernel of the reproduction — forward gather-reduce, Tensor
 Casting, the casted backward gather-reduce, the scatter update — routes
 through a registered `KernelBackend` (see `repro.backends`).  Which
 implementation wins is *shape-dependent*: pooling factor and embedding
-width decide whether a per-column bincount loop, an indexed scatter-add,
-or a compiled loop nest moves the most bytes per second.  That is exactly
+width decide whether rank-round segment sums, a tiled per-column bincount
+loop or a compiled loop nest moves the most bytes per second.  That is exactly
 what the `auto` policy exploits: it buckets each workload into a shape
 class, micro-benchmarks the candidate engines once on a representative
 probe, caches the winner, and delegates.
@@ -14,10 +14,11 @@ probe, caches the winner, and delegates.
 This example measures the casted backward gather-reduce — the kernel the
 whole paper is about — on two deliberately different workload shapes:
 
-* **narrow** — a 8-wide embedding with heavy pooling, the regime where the
-  vectorized engine's per-column `np.bincount` accumulation shines;
+* **narrow** — a 8-wide embedding with heavy pooling, where per-call
+  overhead matters and the blocked engine's per-column `np.bincount`
+  tiles are at their best;
 * **wide** — the paper's default 64-wide embedding at batch 4096, where
-  the indexed `np.add.at` scatter-add path carries the day;
+  the vectorized engine's `segment_sum` rounds move whole rows per call;
 
 then lets the autotuner pick per shape and prints its decision table.
 Every engine returns bit-identical float64 results (the differential tests

@@ -10,8 +10,10 @@ registry:
 
 * ``reference`` — the pure-Python oracle loops (semantics ground truth,
   never autotuned);
-* ``vectorized`` — fused NumPy kernels (segment reductions, bincount
-  scatter-adds, an argsort-free casted gather-reduce); the process default;
+* ``vectorized`` — fused NumPy kernels: every reduction, forward and
+  casted backward alike, is :func:`repro.core.segment.segment_sum` (one
+  vectorised round per lookup rank over sorted segments, long segments
+  folded row by row — lookup order, bit for bit); the process default;
 * ``numba`` — optional JIT-compiled loop nests, gracefully absent without
   the package;
 * ``numba-parallel`` — the same loop nests compiled ``nogil`` (threads can
@@ -24,10 +26,11 @@ registry:
   sized to L2 reduced with per-tile bincount loops; the tile size is the
   tunable knob.
 
-All backends are result-interchangeable: bit-identical for float64 (same
-accumulation order as the oracle) and within documented tolerance for
-float32 — pinned by the randomized differential tests in
-``tests/backends/``.  Select an engine per call (``gather_reduce(...,
+All backends are result-interchangeable: bit-identical for float64 (each
+output row summed one addend at a time in lookup order — the oracle's
+association, which ``segment_sum`` defines once for the NumPy engines)
+and within documented tolerance for float32 — pinned by the randomized
+differential tests in ``tests/backends/``.  Select an engine per call (``gather_reduce(...,
 backend="numba")``), per trainer (``FunctionalTrainer(...,
 backend="auto")``), per process (:func:`set_default_backend`,
 ``python -m repro --backend``), or temporarily (:func:`use_backend`).

@@ -5,25 +5,32 @@ bandwidth-bound with heavy hot-entry reuse; the fix on a cache hierarchy is
 classic loop blocking.  This backend processes the lookup stream in
 *segment-aligned tiles* sized so one tile's working set — the gathered
 slice, its transpose, and the output rows it lands in — fits in L2, then
-reduces each tile with the per-column ``np.bincount`` C loop that the
-``vectorized`` backend only dares use for narrow vectors (its global
-bincount must allocate and stream the *entire* ``(num_outputs, dim)``
-accumulation per column; the tiled one touches a cache-resident window).
+reduces each tile with a per-column ``np.bincount`` C loop over a
+cache-resident window of the output.
 
-Bit-identity with the rest of the registry is preserved by construction:
+Bit-identity with the rest of the registry is preserved by construction
+("bit-identical to ``vectorized``" means to
+:func:`repro.core.segment.segment_sum`, the NumPy engines' one definition
+of accumulation order — each output row summed one addend at a time in
+lookup order):
 
 * **float64, sorted destinations** (the casted backward's monotone
   ``casted_dst`` ramp, and the standard sample-major forward ``dst``):
   tiles are cut at segment boundaries so no output row spans two tiles —
   every output row is accumulated from zero in strict lookup order by one
-  ``np.bincount`` call, exactly the order the oracle and ``vectorized``
+  ``np.bincount`` call, exactly the order the oracle and ``segment_sum``
   use.  Bit-identical to both.
 * **float32, or unsorted destinations**: tiles fall back to ``np.add.at``
   into the (running) output.  Chunked ``np.add.at`` into an accumulator is
   associativity-invariant to the chunking — each ``out[dst] += v`` is an
-  independent sequential update — so this is bit-identical to one global
-  ``np.add.at``, i.e. to the ``vectorized`` float32 path (and within the
-  documented float32 tolerance of the float64-accumulating oracle).
+  independent sequential update — so this is the per-lookup scatter-add
+  ``segment_sum`` reproduces, bit for bit (and within the documented
+  float32 tolerance of the float64-accumulating oracle).
+
+``segment_sum`` is several times faster than either tile loop at the
+benchmark shapes, so ``auto`` no longer picks this engine; it stays
+registered until the ROADMAP's engine-deletion step (its probes are what
+leave the allocator's mmap threshold raised for the rest of the process).
 
 The tile size is the backend's tunable knob (``BackendSpec`` accepts an
 instance, so ``gather_reduce(..., backend=BlockedBackend(tile_lookups=4096))``
@@ -133,6 +140,9 @@ class BlockedBackend(KernelBackend):
                         local, weights=columns[j], minlength=width
                     )
             else:
+                # Per-lookup adds into the running output are what make the
+                # tiling exact; segment_sum would fold each tile in bulk.
+                # repro-lint: ignore[numeric-hazard]
                 np.add.at(out, tile_dst, gathered)
             start = end
         return out

@@ -5,23 +5,21 @@ This is the performance workhorse, built on one deliberate design rule:
 the same order as the pure-Python oracle and the numba loop nests — so
 float64 results are bit-identical across every backend and float32 results
 are bit-identical between this backend and numba (the oracle accumulates
-float32 inputs in float64; documented tolerance).  NumPy offers two
-sequential-order scatter-add engines and the right one is shape-dependent
-(exactly the autotuner's premise):
+float32 inputs in float64; documented tolerance).
 
-* ``np.add.at`` — indexed row-wise adds; since NumPy 2.x this has a fast
-  inner loop and, unlike ``np.add.reduceat``, needs no sorted
-  destinations, no sortedness scan and no boundary derivation (it also
-  avoids ``reduceat``'s pairwise partial sums, which would break
-  bit-identity with the loop backends);
-* per-column ``np.bincount`` — a tight C accumulation loop (float64 only)
-  that wins for narrow vectors, paid for by one transpose copy.
+That order has one definition, :func:`repro.core.segment.segment_sum`: cut
+the (sorted) destinations into segments, add the ``r``-th lookup of every
+segment in one vectorised round per rank, stop the rounds at the h-index of
+the segment lengths and fold the few longer segments whole, row by row.
+Each output row sees ``((v0 + v1) + v2) + ...`` — what a per-lookup
+scatter-add produces, bit for bit — in a number of NumPy calls bounded by
+the data, with no dtype- or width-dependent engine choice.
 
-Tensor Casting uses the stable argsort formulation; the casted backward is
-**fused and argsort-free**: Algorithm 2 emits ``casted_dst`` as a dense
-monotone ``0..u-1`` ramp, so the casted gather-reduce is a single gather
-plus a scatter-add straight into the ``(u, dim)`` output — no sortedness
-check, no segment boundaries, no expanded intermediate.
+The paper's identity is therefore literal here: the forward gather-reduce
+is ``segment_sum`` over ``(table, src, dst)`` and the casted backward is the
+same call over ``(gradients, casted_src, casted_dst)`` (Algorithm 3), fed
+the segment layout that Algorithm 2's boundary scan already produced.
+Tensor Casting itself uses the stable argsort formulation.
 """
 
 from __future__ import annotations
@@ -33,38 +31,11 @@ import numpy as np
 from ..core.casting import CastedIndex
 from ..core.coalesce import gradient_coalesce, gradient_expand
 from ..core.indexing import IndexArray
+from ..core.segment import segment_sum
 from .base import KernelBackend
 from .registry import register_backend
 
-__all__ = ["VectorizedBackend", "cast_indices_vectorized", "segment_sum"]
-
-
-def segment_sum(
-    values: np.ndarray, segment_ids: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``out[segment_ids[i]] += values[i]`` in strict input order.
-
-    The one scatter-add primitive every vectorized kernel routes through,
-    so the backend has a single accumulation-order definition.  Chooses
-    per-column ``np.bincount`` for narrow float64 vectors and ``np.add.at``
-    otherwise; both accumulate sequentially in input order, so the choice
-    never changes a single output bit.
-    """
-    dim = out.shape[1]
-    if (
-        out.dtype == np.float64
-        and values.dtype == np.float64
-        and 0 < dim <= VectorizedBackend.BINCOUNT_MAX_DIM
-        and out.shape[0] > 0
-    ):
-        columns = np.ascontiguousarray(values.T)
-        for j in range(dim):
-            out[:, j] += np.bincount(
-                segment_ids, weights=columns[j], minlength=out.shape[0]
-            )
-    else:
-        np.add.at(out, segment_ids, values)
-    return out
+__all__ = ["VectorizedBackend", "cast_indices_vectorized"]
 
 
 def cast_indices_vectorized(index: IndexArray) -> CastedIndex:
@@ -85,12 +56,16 @@ def cast_indices_vectorized(index: IndexArray) -> CastedIndex:
     scan[0] = 1
     scan[1:] = sorted_src[1:] != sorted_src[:-1]
     casted_dst = np.cumsum(scan) - 1  # line 9
+    # The scan's ones are where each coalesced slot's run begins: the
+    # distinct rows, and the segment layout the backward reduction wants —
+    # index-only work, done here where the runtime can hide it.
+    starts = np.flatnonzero(scan)
     return CastedIndex(
         casted_src=casted_src.astype(np.int64),
         casted_dst=casted_dst,
-        rows=sorted_src[scan.astype(bool)].astype(np.int64),
+        rows=sorted_src[starts].astype(np.int64),
         num_gradients=index.num_outputs,
-    )
+    ).with_segment_starts(starts)
 
 
 @register_backend
@@ -99,11 +74,6 @@ class VectorizedBackend(KernelBackend):
 
     name = "vectorized"
 
-    #: Widest vector the per-column bincount scatter-add is used for
-    #: (measured crossover vs. ``np.add.at`` sits between 16 and 64 on
-    #: current NumPy; narrow embeddings gain 2-3x from the bincount loop).
-    BINCOUNT_MAX_DIM = 16
-
     def gather_reduce(
         self,
         table: np.ndarray,
@@ -111,13 +81,9 @@ class VectorizedBackend(KernelBackend):
         out: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        out = self._alloc_out(table, index, out)
-        if index.num_lookups == 0:
-            return out
-        gathered = table[index.src]
-        if weights is not None:
-            gathered = gathered * weights[:, None]
-        return segment_sum(gathered, index.dst, out)
+        return segment_sum(
+            table, index.src, index.dst, index.num_outputs, out=out, weights=weights
+        )
 
     def cast_indices(self, index: IndexArray) -> CastedIndex:
         if index.num_lookups == 0:
@@ -127,17 +93,11 @@ class VectorizedBackend(KernelBackend):
     def casted_gather_reduce(
         self, gradients: np.ndarray, casted: CastedIndex
     ) -> Tuple[np.ndarray, np.ndarray]:
-        # Argsort-free fused path: casted_dst is a dense monotone 0..u-1
-        # ramp, so the scatter-add lands directly in the (u, dim) output —
-        # no sortedness scan, no boundary derivation, no expanded
-        # intermediate.
-        out = np.zeros(
-            (casted.num_coalesced, gradients.shape[1]), dtype=gradients.dtype
-        )
-        if casted.num_lookups == 0:
-            return casted.rows, out
+        # The forward primitive over the gradient table (Algorithm 3), with
+        # the segment layout the cast stage already derived.
         return casted.rows, segment_sum(
-            gradients[casted.casted_src], casted.casted_dst, out
+            gradients, casted.casted_src, casted.casted_dst,
+            casted.num_coalesced, starts=casted.segment_starts(),
         )
 
     def expand_coalesce(

@@ -7,6 +7,8 @@ Algorithms 2-3):
 * :mod:`~repro.core.indexing` — the ``(src, dst)`` index-array abstraction,
 * :mod:`~repro.core.gather_reduce` — fused forward gather-reduce and the
   casted gradient gather-reduce,
+* :mod:`~repro.core.segment` — ``segment_sum``, the order-preserving
+  accumulation primitive the NumPy engines and the coalesce share,
 * :mod:`~repro.core.coalesce` — the baseline gradient expand-coalesce
   pipeline (Algorithm 1),
 * :mod:`~repro.core.casting` — Tensor Casting (Algorithm 2) and a

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .indexing import IndexArray
+from .segment import run_starts
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -58,9 +59,9 @@ class CastedIndex:
     casted_dst:
         ``(n,)`` coalesced slot each gathered gradient reduces into (values in
         ``[0, u)``).  Produced by :func:`tensor_casting` as a dense
-        non-decreasing ``0..u-1`` ramp, which lets the gather-reduce kernel
-        scatter-add straight into the coalesced output with no sortedness
-        scan (see :meth:`segment_starts`).
+        non-decreasing ``0..u-1`` ramp, so the gather-reduce kernel reduces
+        contiguous segments straight into the coalesced output with no
+        sortedness scan (see :meth:`segment_starts`).
     rows:
         ``(u,)`` embedding-table rows receiving each coalesced slot, ascending.
         These are the scatter targets of the subsequent model update.
@@ -102,20 +103,26 @@ class CastedIndex:
 
         ``casted_dst`` is a dense monotone ``0..u-1`` ramp by construction,
         so the ``u`` segments map one-to-one onto the coalesced output slots
-        — the invariant that lets the vectorized backend's casted
-        gather-reduce scatter-add straight into the coalesced output with
-        no sortedness scan.  Derived lazily and cached; a convenience view
-        for engines (or analyses) that want explicit segment boundaries.
+        — the segment layout :func:`repro.core.segment.segment_sum` reduces
+        over.  Cached: seeded by the cast kernel when its boundary scan
+        already holds it (:meth:`with_segment_starts`), derived from
+        ``casted_dst`` on first use otherwise.
         """
         cached = getattr(self, "_segment_starts", None)
         if cached is None:
-            boundaries = np.empty(self.casted_dst.size, dtype=bool)
-            if boundaries.size:
-                boundaries[0] = True
-                boundaries[1:] = self.casted_dst[1:] != self.casted_dst[:-1]
-            cached = np.flatnonzero(boundaries)
+            cached = run_starts(self.casted_dst)
             object.__setattr__(self, "_segment_starts", cached)
         return cached
+
+    def with_segment_starts(self, starts: np.ndarray) -> "CastedIndex":
+        """Seed the :meth:`segment_starts` cache; returns ``self``.
+
+        For cast kernels whose boundary scan (Algorithm 2, lines 5-8) has
+        the run starts in hand, so the segment layout is index-only work
+        done in the hideable cast stage rather than on the backward path.
+        """
+        object.__setattr__(self, "_segment_starts", starts)
+        return self
 
 
 def tensor_casting(index: IndexArray, backend: BackendSpec = None) -> CastedIndex:

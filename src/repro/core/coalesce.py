@@ -25,6 +25,7 @@ from typing import Tuple, TYPE_CHECKING
 import numpy as np
 
 from .indexing import IndexArray
+from .segment import segment_sum
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -97,17 +98,20 @@ def gradient_coalesce(
     # Step A: sort src to make coalescable indices consecutive.
     order = np.argsort(src, kind="stable")
     sorted_src = src[order]
-    # Step B: accumulate runs of equal ids, sequentially in sorted order —
-    # the oracle's accumulation order, which np.add.at preserves
-    # (np.add.reduceat's pairwise partial sums would drift by ulps from
-    # the loop-based backends and break the trainers' bit-identity).
+    # Step B: accumulate runs of equal ids, each run one addend at a time in
+    # sorted order — the oracle's association, which segment_sum keeps
+    # (np.add.reduceat's pairwise partial sums would drift by ulps from the
+    # loop-based backends and break the trainers' bit-identity).  The
+    # sorted copy is Algorithm 1's second (n, dim) intermediate and stays
+    # materialised: it is what core.traffic bills this pipeline for.
     boundaries = np.empty(src.size, dtype=bool)
     boundaries[0] = True
     boundaries[1:] = sorted_src[1:] != sorted_src[:-1]
     starts = np.flatnonzero(boundaries)
     segment_ids = np.cumsum(boundaries) - 1
-    coalesced = np.zeros((starts.size, expanded.shape[1]), dtype=expanded.dtype)
-    np.add.at(coalesced, segment_ids, expanded[order])
+    coalesced = segment_sum(
+        expanded[order], None, segment_ids, starts.size, starts=starts
+    )
     return sorted_src[starts].astype(np.int64), coalesced
 
 

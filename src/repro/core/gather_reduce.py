@@ -55,8 +55,8 @@ def gather_reduce(
     index:
         The ``(src, dst)`` lookup description.
     out:
-        Optional pre-allocated ``(num_outputs, dim)`` output; zero-filled if
-        omitted.
+        Optional pre-allocated ``(num_outputs, dim)`` output the result is
+        added onto; when omitted the backend allocates the result itself.
     weights:
         Optional ``(n,)`` per-lookup scale factors — the weighted-pooling
         variant of the operator (per-lookup multiply at line rate in the NMP
@@ -83,14 +83,11 @@ def gather_reduce(
             raise ValueError(
                 f"weights must have shape ({index.num_lookups},), got {weights.shape}"
             )
-    if out is None:
-        out = np.zeros((index.num_outputs, table.shape[1]), dtype=table.dtype)
-    elif out.shape != (index.num_outputs, table.shape[1]):
-        raise ValueError(
-            f"out must have shape {(index.num_outputs, table.shape[1])}, got {out.shape}"
-        )
+    shape = (index.num_outputs, table.shape[1])
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
     if index.num_lookups == 0:
-        return out
+        return np.zeros(shape, dtype=table.dtype) if out is None else out
     from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
 
     return resolve_backend(backend).gather_reduce(
@@ -165,6 +162,10 @@ def casted_gather_reduce(
             f"casted_dst ids must lie in [0, {casted.num_coalesced}), got "
             f"range [{dst_lo}, {dst_hi}]"
         )
+    if np.any(casted.casted_dst[1:] < casted.casted_dst[:-1]):
+        # Engines reduce over CastedIndex.segment_starts(), which reads
+        # runs of casted_dst as whole segments.
+        raise ValueError("casted_dst must be non-decreasing (a casted ramp)")
     from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
 
     return resolve_backend(backend).casted_gather_reduce(gradients, casted)

@@ -56,7 +56,9 @@ def _validate_scatter_args(
     if rows.size:
         if rows.min() < 0 or rows.max() >= table.shape[0]:
             raise ValueError("rows reference entries outside the table")
-        if np.unique(rows).size != rows.size:
+        # Casting and gradient_coalesce emit strictly ascending rows, which
+        # proves uniqueness in O(u); only other orders pay for the sort.
+        if not np.all(rows[1:] > rows[:-1]) and np.unique(rows).size != rows.size:
             raise ValueError(
                 "rows must be unique - scatter expects coalesced gradients; "
                 "run gradient_coalesce or casted_gather_reduce first"

@@ -1,0 +1,150 @@
+"""The one order-preserving accumulation primitive of the NumPy engines.
+
+Every reduction the paper describes — the forward gather-reduce
+(Figure 2(a)), the casted backward (Algorithm 3) and Step B of the baseline
+coalesce (Algorithm 1) — is ``out[dst[i]] += w[i] * source[src[i]]``, and
+every hot caller hands it *sorted* destinations: the bag-major forward
+``dst``, the casted ``0..u-1`` ramp, Algorithm 1's sorted copy.
+:func:`segment_sum` exploits that without giving up the repository's
+numeric contract (each output row is accumulated one addend at a time, in
+lookup order — the association of ``np.add.at``, of the numba loop nests and
+of the pure-Python oracle):
+
+1. cut ``dst`` into segments (runs of equal destination);
+2. round ``r`` adds the ``r``-th lookup of every segment that has one, in
+   a single fancy-indexed NumPy call across segments, so row ``k`` sees
+   ``((v0 + v1) + v2) + ...``;
+3. the rounds stop at the *h-index* of the segment lengths (round ``r``
+   runs only while more than ``r`` segments are still active), and the at
+   most ``h`` longer segments are each folded whole by one row-sequential
+   reduction.
+
+The number of NumPy calls is therefore bounded by the data — 32 rounds for
+32-lookup bags, about 4 for a near-duplicate-free casted backward, about
+40 + 40 for a Zipf-skewed one — with nothing to tune.  This module imports
+NumPy only, so :mod:`repro.core.coalesce` and the backends share it without
+an import cycle.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["run_starts", "segment_sum"]
+
+
+def run_starts(ids: np.ndarray) -> np.ndarray:
+    """Start offset of every run of equal values in ``ids`` (empty for none)."""
+    return np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+
+
+def _fold(block: np.ndarray) -> np.ndarray:
+    """Left fold ``((b[0] + b[1]) + b[2]) + ...`` of the rows of ``block``.
+
+    NumPy sums pairwise only along the fast axis in memory, so reducing a
+    block whose rows are the slow axis adds one row at a time, vectorised
+    across the row.  A width-1 (or column-major) block is one long fast
+    axis to NumPy and would be summed pairwise; ``accumulate`` is
+    sequential by definition and costs nothing extra on a single column.
+    ``tests/core/test_segment.py`` pins both forms against a Python fold
+    (the NumPy-order canary): should a NumPy release ever reorder the
+    first, return the second for every block.
+    """
+    if block.flags.c_contiguous and not block.flags.f_contiguous:
+        return np.add.reduce(block, axis=0)
+    return np.add.accumulate(block, axis=0)[-1]
+
+
+def segment_sum(
+    source: np.ndarray,
+    src: np.ndarray | None,
+    dst: np.ndarray,
+    num_outputs: int,
+    out: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out[dst[i]] += weights[i] * source[src[i]]`` in strict lookup order.
+
+    Parameters
+    ----------
+    source:
+        ``(rows, dim)`` table the addends are gathered from (an embedding
+        table, a row-sliced view of one, or the ``(B, dim)`` gradients).
+    src:
+        ``(n,)`` row of ``source`` each lookup reads; ``None`` is the
+        identity gather (lookup ``i`` reads row ``i``).
+    dst:
+        ``(n,)`` output row each lookup is reduced into, values in
+        ``[0, num_outputs)``.  Unsorted destinations are stable-argsorted
+        first, which keeps lookup order within every row.
+    num_outputs:
+        Rows of the result; rows no lookup names stay zero.
+    out:
+        Optional ``(num_outputs, dim)`` array the result is added onto as
+        one bulk add (see :meth:`KernelBackend.gather_reduce
+        <repro.backends.base.KernelBackend.gather_reduce>` for what that
+        means for a non-zero ``out``).  Without it the first addend of each
+        segment is written straight into a fresh result — no zero-fill, no
+        accumulator beside the output.
+    weights:
+        Optional ``(n,)`` per-lookup scale, applied to each gathered round
+        before the add (same products, same order as scaling up front).
+    starts:
+        Optional precomputed start offset of every run of a
+        *non-decreasing* ``dst`` (``CastedIndex.segment_starts()``); skips
+        the sortedness and boundary scans.
+
+    Returns
+    -------
+    ``out`` when given, else a new ``(num_outputs, dim)`` array of
+    ``source.dtype``.
+    """
+    n, shape, dtype = dst.size, (num_outputs, source.shape[1]), source.dtype
+    if n == 0:
+        return np.zeros(shape, dtype=dtype) if out is None else out
+    if starts is None:
+        if np.any(dst[1:] < dst[:-1]):
+            order = np.argsort(dst, kind="stable")
+            dst = dst[order]
+            src = order if src is None else src[order]
+            if weights is not None:
+                weights = weights[order]
+        starts = run_starts(dst)
+
+    def addends(positions: np.ndarray | slice) -> np.ndarray:
+        lookups = positions if src is None else src[positions]
+        if isinstance(lookups, slice):
+            block = source[lookups]
+        else:  # take gathers rows measurably faster than fancy indexing
+            block = source.take(lookups, axis=0)
+        if weights is not None:
+            block = (block * weights[positions, None]).astype(dtype, copy=False)
+        return block
+
+    # Per still-active segment: output row, position of its first lookup,
+    # length.  ``target`` is how the active rows index the result — all of
+    # it while every output row has an active segment.
+    rows, first, length = dst[starts], starts, np.diff(starts, append=n)
+    target: np.ndarray | slice
+    if starts.size == num_outputs:
+        result, target = addends(starts), slice(None)
+    else:
+        result, target = np.zeros(shape, dtype=dtype), rows
+        result[rows] = addends(starts)
+    rank = 1
+    while True:
+        active = length > rank
+        if not active.all():
+            rows, first, length = rows[active], first[active], length[active]
+            target = rows
+        if rows.size <= rank:  # the h-index cut: fewer segments than rounds
+            break
+        result[target] += addends(first + rank)
+        rank += 1
+    for row, begin, count in zip(rows, first, length):
+        result[row] = _fold(addends(slice(begin, begin + count)))
+    if out is None:
+        return result
+    out += result
+    return out

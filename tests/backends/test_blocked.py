@@ -12,7 +12,8 @@ then pin the contract that makes tiling safe:
   in lookup order);
 * float32 and unsorted-destination results are **bit-identical to the
   vectorized engine** (chunked ``np.add.at`` is invariant to the
-  chunking) and within documented tolerance of the float64 oracle;
+  chunking, and ``segment_sum`` reproduces a per-lookup scatter-add bit
+  for bit) and within documented tolerance of the float64 oracle;
 * the results do not depend on the tile size at all — any two tilings of
   the same input agree bit for bit;
 * the trainers stay bit-identical when the blocked engine runs under the

@@ -21,9 +21,12 @@ Integer outputs — casted index arrays, coalesced row ids, scatter targets —
 are exactly equal for every backend on every input.  ``float64``
 bit-identity holds because all engines accumulate each output slot's
 partial sums in the same (lookup) order, one addition at a time — the
-vectorized backend deliberately uses sequential-order scatter-adds
-(``np.add.at`` / per-column ``np.bincount``) rather than
-``np.add.reduceat``, whose pairwise partial sums would drift by ulps.
+vectorized backend reduces through ``repro.core.segment.segment_sum``
+(one vectorised round per lookup rank, long segments folded row by row)
+rather than ``np.add.reduceat``, whose pairwise partial sums would drift
+by ulps.  The ``profile-*`` cases sweep the segment shapes that decide how
+``segment_sum`` splits its work (uniform bags, Zipf row reuse, one giant
+bag, empty bags, unsorted destinations).
 
 The numba backend is swept even when the compiler is absent: its kernels
 are plain Python loop nests that numba merely compiles, so instantiating
@@ -37,9 +40,10 @@ import numpy as np
 import pytest
 
 from repro.backends import NumbaBackend, available_backends, get_backend
+from repro.backends.vectorized import cast_indices_vectorized
 from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
 from repro.core.gather_reduce import gather_reduce_reference
-from repro.core.casting import tensor_casting_reference
+from repro.core.casting import CastedIndex, tensor_casting_reference
 from repro.core.indexing import IndexArray
 from repro.core.scatter import gradient_scatter_reference
 
@@ -101,7 +105,51 @@ def _index_cases():
                 num_outputs=outputs,
             ),
         ))
-    del rng
+    cases.extend(_segment_profile_cases(rng))
+    return cases
+
+
+def _segment_profile_cases(rng):
+    """The segment-profile axis: long and ragged segments on both sides.
+
+    ``dst`` shapes the forward segments (bags); ``src`` shapes the casted
+    backward's and the coalesce's (row reuse).  Zipf-distributed rows give
+    a few very long backward segments over a tail of singletons, so every
+    case below straddles ``segment_sum``'s h-index cut one way or the
+    other; sizes stay small because the oracle engines are Python loops.
+    """
+    rows = 300
+
+    popularity = 1.0 / np.arange(1, rows + 1) ** 1.05
+    popularity /= popularity.sum()
+
+    def zipf_src(n):
+        return rng.choice(rows, size=n, p=popularity)
+
+    def bags(lengths):
+        lengths = np.asarray(lengths)
+        return np.repeat(np.arange(lengths.size), lengths), int(lengths.size)
+
+    cases = []
+    dst, outputs = bags([12] * 24)
+    cases.append(("profile-uniform-bags", IndexArray(
+        rng.integers(0, rows, dst.size), dst, num_rows=rows,
+        num_outputs=outputs)))
+    cases.append(("profile-zipf-rows", IndexArray(
+        zipf_src(dst.size), dst, num_rows=rows, num_outputs=outputs)))
+    dst, outputs = bags(np.minimum(rng.zipf(1.3, 40), 120))
+    cases.append(("profile-zipf-bags", IndexArray(
+        zipf_src(dst.size), dst, num_rows=rows, num_outputs=outputs)))
+    dst, outputs = bags([400])
+    cases.append(("profile-one-giant-bag", IndexArray(
+        zipf_src(dst.size), dst, num_rows=rows, num_outputs=outputs)))
+    dst, outputs = bags([0, 0, 5, 1, 0, 40, 3, 0, 0])
+    cases.append(("profile-empty-bags", IndexArray(
+        zipf_src(dst.size), dst, num_rows=rows, num_outputs=outputs)))
+    dst, outputs = bags([1, 2, 3, 4, 5, 6, 60, 61, 0, 7])
+    cases.append(("profile-unsorted-dst", IndexArray(
+        zipf_src(dst.size), rng.permutation(dst), num_rows=rows,
+        num_outputs=outputs)))
     return cases
 
 
@@ -177,6 +225,28 @@ class TestCastIndices:
             f"{backend.name}/{name}"
         )
         assert cast.num_gradients == index.num_outputs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for case in CASES if case[1].num_lookups],
+    ids=[name for name, index in CASES if index.num_lookups],
+)
+def test_vectorized_cast_seeds_the_lazy_segment_starts(case):
+    """Algorithm 2's boundary scan hands the backward its segment layout
+    for free; it must be exactly what the lazy path derives."""
+    name, index = case
+    cast = cast_indices_vectorized(index)
+    seeded = cast.__dict__["_segment_starts"]  # set before any call
+    assert cast.segment_starts() is seeded
+    lazy = CastedIndex(
+        cast.casted_src, cast.casted_dst, cast.rows, cast.num_gradients
+    ).segment_starts()
+    assert seeded.dtype == lazy.dtype, name
+    assert np.array_equal(seeded, lazy), name
+    assert np.array_equal(
+        cast.casted_dst[seeded], np.arange(cast.num_coalesced)
+    ), name
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
@@ -257,6 +327,17 @@ class TestDispatcherValidation:
         gradients = np.zeros((4, 2))
         bad = self._cast([0, 1], [0, 2], [3, 7])  # dst 2 >= num_coalesced 2
         with pytest.raises(ValueError, match="casted_dst"):
+            casted_gather_reduce(gradients, bad)
+
+    def test_non_monotone_casted_dst_rejected(self):
+        """Engines reduce over ``segment_starts()``: a hand-built cast whose
+        slots are in range but out of order must fail loudly, not reduce
+        each run as if it were a whole segment."""
+        from repro.core.gather_reduce import casted_gather_reduce
+
+        gradients = np.zeros((4, 2))
+        bad = self._cast([0, 1, 2], [0, 1, 0], [3, 7])
+        with pytest.raises(ValueError, match="casted_dst must be non-decreasing"):
             casted_gather_reduce(gradients, bad)
 
     def test_negative_ids_rejected(self):

@@ -32,7 +32,7 @@ class TestForwardGatherReduce:
         )
 
     def test_unsorted_dst_matches_reference(self, rng):
-        """Exercises the scattered-add fallback path (dst not monotone)."""
+        """Exercises the stable-argsort path (dst not monotone)."""
         src = rng.integers(0, 20, 30)
         dst = rng.integers(0, 6, 30)
         index = IndexArray(src, dst, num_rows=20, num_outputs=6)
@@ -42,7 +42,7 @@ class TestForwardGatherReduce:
         )
 
     def test_sorted_dst_uses_same_result_as_unsorted_permutation(self, rng):
-        """Segment-reduction fast path and np.add.at must agree."""
+        """Sorted segments and their stable-argsorted shuffle must agree."""
         src = rng.integers(0, 20, 24)
         dst_sorted = np.sort(rng.integers(0, 5, 24))
         index_sorted = IndexArray(src, dst_sorted, num_rows=20, num_outputs=5)
@@ -117,7 +117,7 @@ class TestWeightedGatherReduce:
         )
 
     def test_float32_weighted_unsorted_dst_keeps_float32_output(self, rng):
-        """The scattered-add fallback path preserves dtype too."""
+        """The unsorted-destination path preserves dtype too."""
         src = rng.integers(0, 20, 30)
         dst = rng.integers(0, 6, 30)
         index = IndexArray(src, dst, num_rows=20, num_outputs=6)

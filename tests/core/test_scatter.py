@@ -56,6 +56,30 @@ class TestGradientScatter:
         with pytest.raises(ValueError, match="coalesced"):
             gradient_scatter(table, np.array([1, 1]), np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[0, 2, 2, 5], [5, 2, 2, 0], [2, 5, 0, 2]],
+        ids=["ascending-with-repeat", "descending", "shuffled"],
+    )
+    def test_rejects_duplicates_in_any_order(self, rows):
+        """The ascending fast path proves uniqueness only for strictly
+        ascending rows; every other order still reaches the sort."""
+        table = np.ones((6, 2))
+        with pytest.raises(ValueError, match="rows must be unique - scatter "
+                                             "expects coalesced gradients"):
+            gradient_scatter(table, np.array(rows), np.ones((4, 2)))
+        assert np.all(table == 1.0)
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 2, 5], [5, 2, 0], [2, 5, 0]],
+        ids=["ascending", "descending", "shuffled"],
+    )
+    def test_accepts_unique_rows_in_any_order(self, rows):
+        table = np.ones((6, 2))
+        gradient_scatter(table, np.array(rows), np.ones((3, 2)), lr=1.0)
+        assert np.all(table[[0, 2, 5]] == 0.0)
+        assert np.all(table[[1, 3, 4]] == 1.0)
+
     def test_rejects_out_of_range_rows(self):
         with pytest.raises(ValueError, match="outside"):
             gradient_scatter(np.ones((3, 2)), np.array([5]), np.ones((1, 2)))

@@ -1,0 +1,274 @@
+"""``segment_sum``: the NumPy engines' one definition of accumulation order.
+
+The contract is *bit* equality with a per-lookup scatter-add
+(``np.add.at`` into zeros) and with a Python left fold — in both dtypes,
+on every segment profile the kernels meet — because every trainer
+bit-identity pin in the repo rests on it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.segment import _fold, run_starts, segment_sum
+
+DTYPES = (np.float64, np.float32)
+DTYPE_IDS = ["f64", "f32"]
+DIMS = (1, 3, 64)
+
+
+def _dst_from_lengths(lengths):
+    """Sorted ``dst`` whose row ``k`` has ``lengths[k]`` lookups (0 = empty bag)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.repeat(np.arange(lengths.size), lengths), int(lengths.size)
+
+
+def _zipf_lengths(rng):
+    """Row frequencies of 4 000 Zipf(1.05) lookups — the casted backward of
+    a skewed table: a few very long segments over a tail of singletons."""
+    rows = np.minimum(rng.zipf(1.05, 4000), 800)
+    return np.unique(rows, return_counts=True)[1]
+
+
+#: name -> segment lengths, output row by output row.
+PROFILES = {
+    "all-length-1": [1] * 50,
+    "equal-2": [2] * 40,
+    "equal-32": [32] * 40,
+    "zipf-1.05": _zipf_lengths(np.random.default_rng(5)),
+    "one-giant": [10_000],
+    # h-index cuts: exactly h segments of length h (no fold), h of h+1
+    # (all folded), h+1 of h, and a ragged mix around the cut.
+    "h-exact": [5] * 5,
+    "h-all-long": [6] * 5,
+    "h-one-spare": [5] * 6,
+    "h-ragged": [1, 1, 2, 3, 4, 5, 6, 40, 41],
+    "h-two-long": [2, 2, 3],
+    "empty-bags": [0, 0, 3, 1, 0, 4, 0, 0],
+}
+
+
+def _scatter_add_oracle(source, src, dst, num_outputs, weights):
+    gathered = source if src is None else source[src]
+    if weights is not None:
+        gathered = gathered * weights[:, None]
+    out = np.zeros((num_outputs, source.shape[1]), dtype=source.dtype)
+    np.add.at(out, dst, gathered)
+    return out
+
+
+def _left_fold_oracle(source, src, dst, num_outputs, weights):
+    """One Python-level add per lookup, in lookup order, at working precision."""
+    out = np.zeros((num_outputs, source.shape[1]), dtype=source.dtype)
+    for i, row in enumerate(dst):
+        addend = source[i if src is None else src[i]]
+        if weights is not None:
+            addend = addend * weights[i]
+        out[row] = out[row] + addend
+    return out
+
+
+def _assert_exact(result, source, src, dst, num_outputs, weights, context):
+    assert result.dtype == source.dtype, context
+    assert result.shape == (num_outputs, source.shape[1]), context
+    assert np.array_equal(
+        result, _scatter_add_oracle(source, src, dst, num_outputs, weights)
+    ), f"{context}: differs from np.add.at"
+    assert np.array_equal(
+        result, _left_fold_oracle(source, src, dst, num_outputs, weights)
+    ), f"{context}: differs from the left fold"
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("profile", PROFILES)
+class TestSegmentProfiles:
+    def _inputs(self, profile, dim, dtype, weighted):
+        rng = np.random.default_rng(len(profile) * 1000 + dim)
+        dst, num_outputs = _dst_from_lengths(PROFILES[profile])
+        source = rng.standard_normal((97, dim)).astype(dtype)
+        src = rng.integers(0, 97, dst.size)
+        weights = rng.standard_normal(dst.size).astype(dtype) if weighted else None
+        return rng, source, src, dst, num_outputs, weights
+
+    def test_sorted_dst_is_exact(self, profile, dim, dtype, weighted):
+        _, source, src, dst, num_outputs, weights = self._inputs(
+            profile, dim, dtype, weighted)
+        result = segment_sum(source, src, dst, num_outputs, weights=weights)
+        _assert_exact(result, source, src, dst, num_outputs, weights, profile)
+
+    def test_unsorted_dst_is_exact(self, profile, dim, dtype, weighted):
+        """A stable argsort keeps lookup order within every output row."""
+        rng, source, src, dst, num_outputs, weights = self._inputs(
+            profile, dim, dtype, weighted)
+        perm = rng.permutation(dst.size)
+        src, dst = src[perm], dst[perm]
+        if weights is not None:
+            weights = weights[perm]
+        result = segment_sum(source, src, dst, num_outputs, weights=weights)
+        _assert_exact(result, source, src, dst, num_outputs, weights, profile)
+
+    def test_identity_src_is_exact(self, profile, dim, dtype, weighted):
+        """``src=None`` — the coalesce call over its sorted copy."""
+        rng, _, _, dst, num_outputs, weights = self._inputs(
+            profile, dim, dtype, weighted)
+        source = rng.standard_normal((dst.size, dim)).astype(dtype)
+        result = segment_sum(source, None, dst, num_outputs, weights=weights)
+        _assert_exact(result, source, None, dst, num_outputs, weights, profile)
+
+    def test_precomputed_starts_change_nothing(self, profile, dim, dtype, weighted):
+        _, source, src, dst, num_outputs, weights = self._inputs(
+            profile, dim, dtype, weighted)
+        starts = run_starts(dst)
+        assert np.array_equal(
+            segment_sum(source, src, dst, num_outputs, weights=weights,
+                        starts=starts),
+            segment_sum(source, src, dst, num_outputs, weights=weights),
+        )
+
+
+def test_run_starts():
+    assert run_starts(np.array([4, 4, 7, 7, 7, 9])).tolist() == [0, 2, 5]
+    assert run_starts(np.array([3])).tolist() == [0]
+    assert run_starts(np.array([-1, -1, 0])).tolist() == [0, 2]
+    empty = run_starts(np.empty(0, dtype=np.int64))
+    assert empty.size == 0 and empty.dtype == np.intp
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+class TestEdges:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_no_lookups(self, dim, dtype):
+        source = np.ones((4, dim), dtype=dtype)
+        empty = np.empty(0, dtype=np.int64)
+        result = segment_sum(source, empty, empty, 3)
+        assert result.dtype == dtype and result.shape == (3, dim)
+        assert not result.any()
+        out = np.full((3, dim), 2.0, dtype=dtype)
+        assert segment_sum(source, empty, empty, 3, out=out) is out
+        assert np.all(out == 2.0)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_single_lookup(self, dim, dtype):
+        source = np.arange(4 * dim, dtype=dtype).reshape(4, dim)
+        result = segment_sum(source, np.array([2]), np.array([1]), 3)
+        assert np.array_equal(result[1], source[2])
+        assert not result[[0, 2]].any()
+
+    def test_row_sliced_table_view(self, dtype):
+        """The sharded path gathers from ``table[lo:hi]`` views."""
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((120, 8)).astype(dtype)
+        view = table[30:90]
+        assert view.base is table
+        dst, num_outputs = _dst_from_lengths([3, 0, 70, 1, 5])
+        src = rng.integers(0, 60, dst.size)
+        result = segment_sum(view, src, dst, num_outputs)
+        _assert_exact(result, view.copy(), src, dst, num_outputs, None, "view")
+
+    def test_source_is_never_written(self, dtype):
+        rng = np.random.default_rng(4)
+        source = rng.standard_normal((300, 5)).astype(dtype)
+        snapshot = source.copy()
+        dst, num_outputs = _dst_from_lengths([250, 1, 49])
+        segment_sum(source, None, dst, num_outputs)
+        segment_sum(source, None, dst, num_outputs,
+                    weights=np.ones(300, dtype=dtype))
+        assert np.array_equal(source, snapshot)
+
+    def test_non_zero_out_takes_one_bulk_add(self, dtype):
+        """The documented ``out=`` contract: the fresh result is added on in
+        one go, so agreement with per-lookup adds is within tolerance."""
+        rng = np.random.default_rng(6)
+        source = rng.standard_normal((40, 6)).astype(dtype)
+        dst, num_outputs = _dst_from_lengths([4, 0, 9, 30])
+        src = rng.integers(0, 40, dst.size)
+        base = rng.standard_normal((num_outputs, 6)).astype(dtype)
+        out = base.copy()
+        result = segment_sum(source, src, dst, num_outputs, out=out)
+        assert result is out
+        fresh = segment_sum(source, src, dst, num_outputs)
+        assert np.array_equal(out, base + fresh)
+        per_lookup = base.copy()
+        np.add.at(per_lookup, dst, source[src])
+        np.testing.assert_allclose(out, per_lookup, rtol=1e-5, atol=1e-5)
+
+    def test_mixed_precision_weights_keep_the_source_dtype(self, dtype):
+        rng = np.random.default_rng(8)
+        source = rng.standard_normal((20, 3)).astype(dtype)
+        dst, num_outputs = _dst_from_lengths([1, 5, 12])
+        src = rng.integers(0, 20, dst.size)
+        weights = rng.standard_normal(dst.size)  # float64 whatever the source
+        result = segment_sum(source, src, dst, num_outputs, weights=weights)
+        assert result.dtype == dtype
+        np.testing.assert_allclose(
+            result,
+            _scatter_add_oracle(source.astype(np.float64), src, dst,
+                                num_outputs, weights),
+            rtol=1e-5, atol=1e-5,
+        )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 24), min_size=0, max_size=30),
+    dim=st.sampled_from((1, 3, 8)),
+    dtype=st.sampled_from(DTYPES),
+    weighted=st.booleans(),
+    identity=st.booleans(),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_property_bit_identical_to_sequential_accumulation(
+    lengths, dim, dtype, weighted, identity, shuffled, seed
+):
+    rng = np.random.default_rng(seed)
+    dst, num_outputs = _dst_from_lengths(lengths)
+    if shuffled:
+        dst = rng.permutation(dst)
+    rows = dst.size if identity else 13
+    source = rng.standard_normal((rows, dim)).astype(dtype)
+    src = None if identity else rng.integers(0, rows, dst.size)
+    weights = rng.standard_normal(dst.size).astype(dtype) if weighted else None
+    result = segment_sum(source, src, dst, num_outputs, weights=weights)
+    _assert_exact(result, source, src, dst, num_outputs, weights, "property")
+
+
+class TestNumpyOrderCanary:
+    """The long-segment fold must be a *left* fold.
+
+    ``np.add.reduce(block, axis=0)`` adds row by row today because NumPy
+    sums pairwise only along the fast axis in memory; that is documented
+    behaviour, not API.  8 and 128 are its pairwise-sum block sizes, so the
+    lengths around them are where a reordering would show first.
+    """
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 10_000])
+    def test_fold_is_sequential(self, length, dim, dtype):
+        rng = np.random.default_rng(length + dim)
+        block = rng.standard_normal((length, dim)).astype(dtype)
+        expected = block[0].copy()
+        for row in block[1:]:
+            expected = expected + row
+        assert np.array_equal(_fold(block), expected), (
+            f"NumPy {np.__version__} no longer reduces a ({length}, {dim}) "
+            f"{np.dtype(dtype).name} block along axis 0 one row at a time; "
+            "make repro.core.segment._fold return "
+            "np.add.accumulate(block, axis=0)[-1] for every block (it is "
+            "sequential by definition) and re-run the benchmark"
+        )
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    def test_column_major_block_is_still_a_left_fold(self, dtype):
+        """Rows of a column-major block are its fast axis: the layout guard
+        must route it away from the pairwise reduction."""
+        rng = np.random.default_rng(9)
+        block = np.asfortranarray(rng.standard_normal((1000, 4)).astype(dtype))
+        expected = block[0].copy()
+        for row in block[1:]:
+            expected = expected + row
+        assert np.array_equal(_fold(block), expected)

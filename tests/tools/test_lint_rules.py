@@ -128,11 +128,67 @@ class TestNumericHazard:
 
     def test_sequential_accumulation_clean(self, tree):
         tree.write("src/repro/core/kernel.py", """\
+            from .segment import segment_sum
+
+
+            def pooled(table, src, dst, num_outputs):
+                return segment_sum(table, src, dst, num_outputs)
+        """)
+        assert tree.lint(rules=["numeric-hazard"]) == []
+
+    @pytest.mark.parametrize("layer", ["core", "backends"])
+    def test_add_at_outside_segment_module_flagged(self, tree, layer):
+        # The right order, but a second definition of it.
+        tree.write(f"src/repro/{layer}/kernel.py", """\
             import numpy as np
 
 
             def pooled(out, rows, values):
                 np.add.at(out, rows, values)
+                return out
+        """)
+        findings = tree.lint(rules=["numeric-hazard"])
+        assert rules_of(findings) == ["numeric-hazard"]
+        assert findings[0].line == 5
+        assert "segment_sum" in findings[0].message
+
+    def test_add_at_import_alias_flagged(self, tree):
+        tree.write("src/repro/backends/kernel.py", """\
+            import numpy
+
+
+            def pooled(out, rows, values):
+                numpy.add.at(out, rows, values)
+                return out
+        """)
+        assert rules_of(tree.lint(rules=["numeric-hazard"])) == [
+            "numeric-hazard"
+        ]
+
+    def test_add_at_allowed_where_the_order_is_defined(self, tree):
+        # core/segment.py owns the order; an inline ignore marks a
+        # reasoned exception; other layers are outside the rule.
+        body = """\
+            import numpy as np
+
+
+            def pooled(out, rows, values):
+                np.add.at(out, rows, values){marker}
+                return out
+        """
+        tree.write("src/repro/core/segment.py", body.format(marker=""))
+        tree.write("src/repro/backends/tiled.py", body.format(
+            marker="  # repro-lint: ignore[numeric-hazard]"))
+        tree.write("src/repro/data/labels.py", body.format(marker=""))
+        assert tree.lint(rules=["numeric-hazard"]) == []
+
+    def test_other_ufunc_at_calls_ignored(self, tree):
+        tree.write("src/repro/core/kernel.py", """\
+            import numpy as np
+
+
+            def clip(out, rows, values):
+                np.maximum.at(out, rows, values)
                 return out
         """)
         assert tree.lint(rules=["numeric-hazard"]) == []

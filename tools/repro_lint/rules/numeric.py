@@ -1,15 +1,22 @@
-"""Rule ``numeric-hazard``: no pairwise-sum accumulation in kernel code.
+"""Rule ``numeric-hazard``: one definition of accumulation order in kernels.
 
 PR 3 established the accumulation contract for every gradient-coalescing
-kernel: scatter-adds run in *sequential* order (``np.add.at`` /
-``np.bincount`` / explicit loops), because ``np.ufunc.reduceat`` uses
-pairwise partial sums whose float results drift from the sequential
-oracle by ulps — enough to break the repo's bit-identity pins between
-backends, schedules, shard counts, and checkpoint resumes.
+kernel: each output row is summed *sequentially*, one addend at a time in
+lookup order, because ``np.ufunc.reduceat`` uses pairwise partial sums
+whose float results drift from the sequential oracle by ulps — enough to
+break the repo's bit-identity pins between backends, schedules, shard
+counts, and checkpoint resumes.  ``repro.core.segment.segment_sum`` is
+the NumPy engines' one implementation of that order.
 
-This rule flags any ``.reduceat(...)`` call inside the kernel layers
-(``core/`` and ``backends/``).  If a future kernel genuinely wants
-pairwise sums (e.g. for a *documented* non-bit-identical fast path), it
+This rule flags, inside the kernel layers (``core/`` and ``backends/``):
+
+* any ``.reduceat(...)`` call — the wrong order;
+* any ``np.add.at(...)`` call outside ``core/segment.py`` — the right
+  order, but a second definition of it (and an order of magnitude slower
+  than ``segment_sum`` over sorted destinations).
+
+If a kernel genuinely wants either (a *documented* non-bit-identical fast
+path, or a tile loop that must add per lookup into a running output), it
 must carry an inline ``# repro-lint: ignore[numeric-hazard]`` so the
 exception is visible at the call site.
 """
@@ -19,15 +26,16 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from ..checker import Checker, Project, register
+from ..checker import Checker, Project, dotted_name, register
 from ..findings import Finding
 
 
 @register
 class NumericHazardChecker(Checker):
     rule = "numeric-hazard"
-    description = ("reduceat/pairwise-sum accumulation in core/ or "
-                   "backends/ kernels where sequential add.at is the "
+    description = ("reduceat/pairwise-sum accumulation, or a scatter-add "
+                   "that bypasses core.segment.segment_sum, in core/ or "
+                   "backends/ kernels where sequential lookup order is the "
                    "bit-identity contract")
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -36,14 +44,24 @@ class NumericHazardChecker(Checker):
                 continue
             if not source.in_package_dir("core", "backends"):
                 continue
+            owns_order = source.rel.endswith("core/segment.py")
             for node in ast.walk(source.tree):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "reduceat"):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    continue
+                if node.func.attr == "reduceat":
                     yield self.finding(
                         source, node,
                         "reduceat accumulates with pairwise partial sums, "
-                        "which drift by ulps from the sequential add.at "
+                        "which drift by ulps from the sequential lookup "
                         "order the kernel bit-identity contract pins; use "
-                        "np.add.at / np.bincount / a sequential loop",
+                        "repro.core.segment.segment_sum",
+                    )
+                elif (not owns_order
+                      and (dotted_name(node.func) or "").endswith("add.at")):
+                    yield self.finding(
+                        source, node,
+                        "np.add.at is a second definition of the kernels' "
+                        "accumulation order; route the reduction through "
+                        "repro.core.segment.segment_sum",
                     )
