@@ -47,21 +47,17 @@ import numpy as np
 from ..core.casting import CastedIndex
 from ..core.coalesce import gradient_coalesce, gradient_expand
 from ..core.indexing import IndexArray
+from ..core.scatter import sgd_update_rows
 from .base import KernelBackend
 from .registry import register_backend
 from .vectorized import cast_indices_vectorized
 
-__all__ = ["BlockedBackend", "DEFAULT_TILE_LOOKUPS", "DEFAULT_TILE_ROWS"]
+__all__ = ["BlockedBackend", "DEFAULT_TILE_LOOKUPS"]
 
 #: Lookups per tile.  2048 lookups x 64 dims x 8 bytes = 1 MiB gathered
 #: slice — measured best on this host between 1024 and 4096 (see
 #: ``benchmarks/bench_kernels.py``); the knob to turn for other L2 sizes.
 DEFAULT_TILE_LOOKUPS = 2048
-
-#: Rows per tile for the scatter update (row-disjoint, so any tiling is
-#: exact; sized to keep the gradient slice plus the updated table rows
-#: L2-resident).
-DEFAULT_TILE_ROWS = 4096
 
 
 def _is_sorted(values: np.ndarray) -> bool:
@@ -74,19 +70,12 @@ class BlockedBackend(KernelBackend):
 
     name = "blocked"
 
-    def __init__(
-        self,
-        tile_lookups: int = DEFAULT_TILE_LOOKUPS,
-        tile_rows: int = DEFAULT_TILE_ROWS,
-    ) -> None:
+    def __init__(self, tile_lookups: int = DEFAULT_TILE_LOOKUPS) -> None:
         if tile_lookups <= 0:
             raise ValueError(
                 f"tile_lookups must be positive, got {tile_lookups}"
             )
-        if tile_rows <= 0:
-            raise ValueError(f"tile_rows must be positive, got {tile_rows}")
         self.tile_lookups = int(tile_lookups)
-        self.tile_rows = int(tile_rows)
 
     # ------------------------------------------------------------------
     # The blocked scatter-add core
@@ -201,9 +190,5 @@ class BlockedBackend(KernelBackend):
         gradients: np.ndarray,
         lr: float = 1.0,
     ) -> np.ndarray:
-        # Rows are unique (coalesced), so any tiling is exact; tiles keep
-        # the scaled-gradient temporary and the touched table rows resident.
-        for start in range(0, int(rows.size), self.tile_rows):
-            stop = start + self.tile_rows
-            table[rows[start:stop]] -= lr * gradients[start:stop]
-        return table
+        # Already cache-blocked: the one row-update body of every engine.
+        return sgd_update_rows(table, rows, gradients, lr)

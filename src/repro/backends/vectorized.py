@@ -19,7 +19,8 @@ The paper's identity is therefore literal here: the forward gather-reduce
 is ``segment_sum`` over ``(table, src, dst)`` and the casted backward is the
 same call over ``(gradients, casted_src, casted_dst)`` (Algorithm 3), fed
 the segment layout that Algorithm 2's boundary scan already produced.
-Tensor Casting itself uses the stable argsort formulation.
+Tensor Casting itself uses the stable sort-by-key formulation
+(:func:`repro.core.segment.sort_by_key`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from ..core.casting import CastedIndex
 from ..core.coalesce import gradient_coalesce, gradient_expand
 from ..core.indexing import IndexArray
-from ..core.segment import segment_sum
+from ..core.scatter import sgd_update_rows
+from ..core.segment import segment_sum, sort_by_key
 from .base import KernelBackend
 from .registry import register_backend
 
@@ -45,12 +47,15 @@ def cast_indices_vectorized(index: IndexArray) -> CastedIndex:
 
     Complexity is ``O(n log n)`` dominated by the sort; the paper's runtime
     hides this latency under forward propagation because the cast depends
-    only on the index array, not on any gradient values.
+    only on the index array, not on any gradient values.  The sort is
+    :func:`repro.core.segment.sort_by_key`, the same call as Step A of the
+    baseline coalesce, so neither backward mode sorts faster than the
+    other.  Index-only work: every array of the cast is int64, and the
+    gradient dtype never enters.
     """
     src, dst = index.src, index.dst
     n = src.size
-    order = np.argsort(src, kind="stable")  # line 3: SortByKey
-    sorted_src = src[order]
+    sorted_src, order = sort_by_key(src)  # line 3: SortByKey
     casted_src = dst[order]  # line 4: casted_src <- sorted_dst
     scan = np.empty(n, dtype=np.int64)  # lines 5-8: boundary scan
     scan[0] = 1
@@ -113,6 +118,4 @@ class VectorizedBackend(KernelBackend):
         gradients: np.ndarray,
         lr: float = 1.0,
     ) -> np.ndarray:
-        if rows.size:
-            table[rows] -= lr * gradients
-        return table
+        return sgd_update_rows(table, rows, gradients, lr)

@@ -25,7 +25,7 @@ from typing import Tuple, TYPE_CHECKING
 import numpy as np
 
 from .indexing import IndexArray
-from .segment import segment_sum
+from .segment import segment_sum, sort_by_key
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -73,8 +73,12 @@ def gradient_coalesce(
     """Coalesce expanded gradients sharing a ``src`` row (Algorithm 1).
 
     Vectorized equivalent of the paper's two-step procedure: a stable
-    sort-by-src (Step A) followed by segment accumulation of gradients with
-    equal ids (Step B).
+    sort-by-src (Step A — :func:`repro.core.segment.sort_by_key`, the same
+    call as Algorithm 2's SortByKey, so the comparator and the casted path
+    pay the same sort) followed by segment accumulation of gradients with
+    equal ids (Step B).  ``coalesced`` comes back in ``expanded``'s dtype —
+    the table's, inside a training step (see
+    :meth:`repro.model.embedding.EmbeddingBag.backward`).
 
     Returns
     -------
@@ -96,8 +100,7 @@ def gradient_coalesce(
     if src.size == 0:
         return src.astype(np.int64), expanded.copy()
     # Step A: sort src to make coalescable indices consecutive.
-    order = np.argsort(src, kind="stable")
-    sorted_src = src[order]
+    sorted_src, order = sort_by_key(src)
     # Step B: accumulate runs of equal ids, each run one addend at a time in
     # sorted order — the oracle's association, which segment_sum keeps
     # (np.add.reduceat's pairwise partial sums would drift by ulps from the

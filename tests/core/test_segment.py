@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.segment import _fold, run_starts, segment_sum
+from repro.core.segment import _fold, run_starts, segment_sum, sort_by_key
 
 DTYPES = (np.float64, np.float32)
 DTYPE_IDS = ["f64", "f32"]
@@ -272,3 +272,78 @@ class TestNumpyOrderCanary:
         for row in block[1:]:
             expected = expected + row
         assert np.array_equal(_fold(block), expected)
+
+
+# ----------------------------------------------------------------------
+# sort_by_key: the one SortByKey of both backward modes
+# ----------------------------------------------------------------------
+def _stable_pair(keys):
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _key_cases():
+    rng = np.random.default_rng(19)
+    n = 1 << 14
+    return {
+        "random": rng.integers(0, 100_000, n),
+        "zipf-duplicates": np.minimum(rng.zipf(1.05, n), 99_999),
+        "already-sorted": np.sort(rng.integers(0, 1000, 3000)),
+        "reversed": np.sort(rng.integers(0, 1000, 3000))[::-1],
+        "all-equal": np.full(777, 42),
+        "n0": np.empty(0, dtype=np.int64),
+        "n1": np.array([7]),
+        "n2-tie": np.array([5, 5]),
+        "n2-swap": np.array([9, 2]),
+        "zero-keys": np.zeros(9, dtype=np.int64),
+        "int32-keys": rng.integers(0, 1 << 30, 500).astype(np.int32),
+        # 40 key bits + 14 position bits = 54 <= 62: still packed.
+        "near-2^40": (1 << 40) - rng.integers(1, 1000, n),
+        # 51 + 14 > 62 bits, and a negative key: the argsort fallback.
+        "wide-keys": (1 << 50) + rng.integers(0, 1000, n),
+        "negative-key": np.concatenate([rng.integers(0, 50, 99), [-3]]),
+    }
+
+
+KEY_CASES = _key_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CASES))
+def test_sort_by_key_equals_the_stable_argsort_pair(name):
+    keys = KEY_CASES[name]
+    pristine = keys.copy()
+    sorted_keys, order = sort_by_key(keys)
+    want_keys, want_order = _stable_pair(keys)
+    assert np.array_equal(sorted_keys, want_keys)
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(keys, pristine)       # the input is not sorted in place
+    assert sorted_keys.dtype.kind == order.dtype.kind == "i"
+
+
+def test_sort_by_key_takes_the_packed_path_where_it_fits(monkeypatch):
+    """The guard is read from the data: which path ran is observable only
+    through ``np.argsort``, which the packed path never calls."""
+    calls = []
+    real = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    for name in ("random", "near-2^40", "int32-keys", "n1"):
+        sort_by_key(KEY_CASES[name])
+    assert calls == []
+    for name in ("wide-keys", "negative-key", "n0"):
+        sort_by_key(KEY_CASES[name])
+    assert calls == ["stable"] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 1 << 52), max_size=40))
+def test_sort_by_key_property(values):
+    keys = np.asarray(values, dtype=np.int64)
+    sorted_keys, order = sort_by_key(keys)
+    want_keys, want_order = _stable_pair(keys)
+    assert np.array_equal(sorted_keys, want_keys)
+    assert np.array_equal(order, want_order)

@@ -137,3 +137,28 @@ def test_property_uniform_unique_below_zipf_lookups(num_rows, draws):
     uniform = UniformDistribution(num_rows).expected_unique(draws)
     skewed = ZipfDistribution(num_rows, exponent=1.5).expected_unique(draws)
     assert uniform >= skewed - 1e-9
+
+
+class TestSortedNeedleSampling:
+    """``sample`` searches the CDF with sorted uniforms and un-permutes:
+    the ids, their order and the RNG consumption of the plain search."""
+
+    @pytest.mark.parametrize("count", [0, 1, 16_384])
+    @pytest.mark.parametrize(
+        "dist",
+        [UniformDistribution(100_000), ZipfDistribution(100_000, 1.05)],
+        ids=["uniform", "zipf-1.05"],
+    )
+    def test_equals_the_unsorted_search_on_a_twin_generator(self, dist, count):
+        ours, twin = np.random.default_rng(3), np.random.default_rng(3)
+        ids = dist.sample(count, ours)
+        want = np.searchsorted(dist._cumulative(), twin.random(count), "right")
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, want)
+        assert ours.random() == twin.random()      # same RNG consumption
+
+    def test_ids_are_not_handed_out_sorted(self):
+        """The un-permute is the point: a sorted sample would give bag 0
+        the smallest ids of the batch."""
+        ids = ZipfDistribution(1000, 1.05).sample(512, np.random.default_rng(0))
+        assert np.any(ids[1:] < ids[:-1])

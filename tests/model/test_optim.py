@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import scatter
+from repro.core.scatter import scatter_with_optimizer
 from repro.model.optim import (
     OPTIMIZERS,
     SGD,
@@ -292,3 +294,167 @@ class TestHyperparameters:
         assert Adam(lr=0.1).hyperparameters() == {
             "lr": 0.1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
         }
+
+
+# ----------------------------------------------------------------------
+# The cache-blocked sparse update against the unblocked rules it replaced
+# ----------------------------------------------------------------------
+def _zeros(state, key, param):
+    return state.setdefault(key, np.zeros_like(param, dtype=np.float64))
+
+
+def _unblocked_sgd(opt, state, param, rows, grads):
+    param[rows] -= opt.lr * grads
+
+
+def _unblocked_momentum(opt, state, param, rows, grads):
+    velocity = _zeros(state, "velocity", param)
+    velocity[rows] = opt.momentum * velocity[rows] + grads
+    param[rows] -= opt.lr * velocity[rows]
+
+
+def _unblocked_adagrad(opt, state, param, rows, grads):
+    acc = _zeros(state, "accumulator", param)
+    acc[rows] += grads * grads
+    param[rows] -= opt.lr * grads / np.sqrt(opt.eps + acc[rows])
+
+
+def _unblocked_rmsprop(opt, state, param, rows, grads):
+    acc = _zeros(state, "accumulator", param)
+    acc[rows] = opt.gamma * acc[rows] + (1.0 - opt.gamma) * grads * grads
+    param[rows] -= opt.lr * grads / np.sqrt(opt.eps + acc[rows])
+
+
+def _unblocked_adam(opt, state, param, rows, grads):
+    m, v = _zeros(state, "first_moment", param), _zeros(
+        state, "second_moment", param)
+    counts = state.setdefault("steps", np.zeros(param.shape[0], np.int64))
+    counts[rows] += 1
+    steps = counts[rows].astype(np.float64)
+    m[rows] = opt.beta1 * m[rows] + (1.0 - opt.beta1) * grads
+    v[rows] = opt.beta2 * v[rows] + (1.0 - opt.beta2) * grads * grads
+    m_hat = m[rows] / (1.0 - opt.beta1**steps)[:, None]
+    v_hat = v[rows] / (1.0 - opt.beta2**steps)[:, None]
+    param[rows] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+#: name -> the parent commit's whole-array ``_apply_rows`` body, verbatim.
+UNBLOCKED = {
+    "sgd": _unblocked_sgd,
+    "momentum": _unblocked_momentum,
+    "adagrad": _unblocked_adagrad,
+    "rmsprop": _unblocked_rmsprop,
+    "adam": _unblocked_adam,
+}
+BLOCK, DIM, TABLE_ROWS = 8, 4, 48
+
+
+def _block_height(param):
+    return scatter.row_blocks(param, np.zeros(1 << 16, dtype=np.int64))[0].stop
+
+
+def _shrink_block(monkeypatch, param):
+    """``BLOCK`` rows of ``param`` per block, through the one constant
+    (nothing in the library sets it)."""
+    monkeypatch.setattr(
+        scatter, "UPDATE_BLOCK_BYTES", BLOCK * DIM * param.itemsize)
+    assert _block_height(param) == BLOCK
+
+
+def _two_updates(param_dtype, grad_dtype, u, shuffled):
+    rng = np.random.default_rng(u)
+    param = rng.standard_normal((TABLE_ROWS, DIM)).astype(param_dtype)
+    updates = []
+    for _ in range(2):      # the second one meets non-zero state
+        rows = np.sort(rng.choice(TABLE_ROWS, u, replace=False))
+        if shuffled:
+            rng.shuffle(rows)
+        updates.append(
+            (rows, rng.standard_normal((u, DIM)).astype(grad_dtype)))
+    return param, updates
+
+
+class TestBlockedSparseUpdate:
+    def test_the_oracle_table_covers_every_registered_optimizer(self):
+        assert set(UNBLOCKED) == set(OPTIMIZERS)
+
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["ascending", "shuffled"])
+    @pytest.mark.parametrize(
+        "u", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64],
+                             ids=["g32", "g64"])
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64],
+                             ids=["p32", "p64"])
+    @pytest.mark.parametrize("name", sorted(UNBLOCKED))
+    def test_two_updates_equal_the_unblocked_rule(
+        self, monkeypatch, name, param_dtype, grad_dtype, u, shuffled
+    ):
+        param, updates = _two_updates(param_dtype, grad_dtype, u, shuffled)
+        _shrink_block(monkeypatch, param)
+        twin, twin_state = param.copy(), {}
+        opt = make_optimizer(name, lr=0.05)
+        for rows, grads in updates:
+            pristine = grads.copy()
+            opt.apply_sparse(param, rows, grads)
+            UNBLOCKED[name](opt, twin_state, twin, rows, grads)
+            assert np.array_equal(grads, pristine)
+        assert param.dtype == param_dtype
+        assert np.array_equal(param, twin)
+        state = opt.state_tensors(param)
+        assert set(state) == set(twin_state)
+        for key, tensor in state.items():
+            assert tensor.dtype == twin_state[key].dtype
+            assert np.array_equal(tensor, twin_state[key]), key
+
+    @pytest.mark.parametrize("name", ["sgd", "adam"])
+    def test_the_real_block_boundary(self, name):
+        """No shrinking: one row more than a quarter-MiB block."""
+        rng = np.random.default_rng(0)
+        param = rng.standard_normal((40_000, 2)).astype(np.float32)
+        u = _block_height(param) + 1
+        assert u == 32_769
+        rows = rng.permutation(param.shape[0])[:u]
+        grads = rng.standard_normal((u, 2)).astype(np.float32)
+        twin, twin_state = param.copy(), {}
+        opt = make_optimizer(name, lr=0.05)
+        opt.apply_sparse(param, rows, grads)
+        UNBLOCKED[name](opt, twin_state, twin, rows, grads)
+        assert np.array_equal(param, twin)
+
+    def test_sgd_reuses_its_buffers_across_tables(self):
+        opt = SGD(lr=0.1)
+        workspace = None
+        for rows_in_table, u in ((300, 5), (5000, 2100), (64, 64)):
+            param = np.ones((rows_in_table, 64), np.float32)
+            opt.apply_sparse(
+                param, np.arange(u), np.ones((u, 64), np.float32))
+            shape = (_block_height(param), 64)
+            held, step = opt._buffers.get(shape, param.dtype, param.dtype)
+            workspace = workspace or (held, step)
+            assert held is workspace[0] and step is workspace[1]
+            assert np.all(param[:u] == np.float32(0.9))
+
+    @pytest.mark.parametrize("bad", [-1, TABLE_ROWS])
+    @pytest.mark.parametrize("name", sorted(UNBLOCKED))
+    def test_a_row_outside_the_table_raises_and_updates_nothing(
+        self, monkeypatch, name, bad
+    ):
+        param, updates = _two_updates(np.float32, np.float32, 2 * BLOCK, False)
+        _shrink_block(monkeypatch, param)
+        opt = make_optimizer(name, lr=0.05)
+        opt.apply_sparse(param, *updates[0])
+        rows, grads = updates[1]
+        rows[-1] = bad          # in the second block: the first must not land
+        before = param.copy()
+        state_before = {
+            key: tensor.copy()
+            for key, tensor in opt.state_tensors(param).items()
+        }
+        with pytest.raises(IndexError, match="rows must lie in"):
+            opt.apply_sparse(param, rows, grads)
+        with pytest.raises(ValueError, match="outside"):
+            scatter_with_optimizer(param, rows, grads, opt)
+        assert np.array_equal(param, before)
+        for key, tensor in opt.state_tensors(param).items():
+            assert np.array_equal(tensor, state_before[key]), key

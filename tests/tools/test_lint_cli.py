@@ -11,6 +11,7 @@ DIRTY = "import numpy as np\n\nrng = np.random.default_rng()\n"
 EXPECTED_RULES = {
     "api-contract",
     "determinism",
+    "dtype-discipline",
     "export-hygiene",
     "numeric-hazard",
     "obs-hygiene",

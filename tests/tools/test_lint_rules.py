@@ -195,6 +195,98 @@ class TestNumericHazard:
 
 
 # ---------------------------------------------------------------------------
+# dtype-discipline
+# ---------------------------------------------------------------------------
+class TestDtypeDiscipline:
+    def test_astype_float64_call_flagged(self, tree):
+        tree.write("src/repro/model/embedding.py", """\
+            import numpy as np
+
+
+            def scale(grad):
+                return grad.astype(np.float64) * 0.5
+        """)
+        findings = tree.lint(rules=["dtype-discipline"])
+        assert rules_of(findings) == ["dtype-discipline"]
+        assert findings[0].line == 5
+        assert ".astype(float64)" in findings[0].message
+
+    @pytest.mark.parametrize("spelling", ["np.float64", "numpy.float64",
+                                          '"float64"'])
+    def test_dtype_float64_keyword_flagged(self, tree, spelling):
+        tree.write("src/repro/core/scatter.py", f"""\
+            import numpy
+            import numpy as np
+
+
+            def workspace(shape):
+                return np.empty(shape, dtype={spelling})
+        """)
+        findings = tree.lint(rules=["dtype-discipline"])
+        assert rules_of(findings) == ["dtype-discipline"]
+        assert findings[0].line == 6
+        assert "dtype=float64" in findings[0].message
+
+    def test_constructor_default_not_flagged(self, tree):
+        # A layer may default to float64; it may not insist on it.
+        tree.write("src/repro/model/layers.py", """\
+            import numpy as np
+
+
+            class Linear:
+                def __init__(self, width: int,
+                             dtype: np.dtype = np.float64) -> None:
+                    self.W = np.zeros((width, width), dtype=dtype)
+                    self.b = np.zeros(width).astype(self.W.dtype)
+        """)
+        assert tree.lint(rules=["dtype-discipline"]) == []
+
+    def test_reference_oracle_not_flagged(self, tree):
+        tree.write("src/repro/core/gather_reduce.py", """\
+            import numpy as np
+
+
+            def gather_reduce_reference(table, index):
+                out = np.zeros((index.num_outputs, 4), dtype=np.float64)
+                return out.astype(np.float64)
+
+
+            def gather_reduce(table, index):
+                return np.zeros((index.num_outputs, 4), dtype=np.float64)
+        """)
+        findings = tree.lint(rules=["dtype-discipline"])
+        assert [f.line for f in findings] == [10]
+
+    def test_inline_ignore_marks_a_reasoned_exception(self, tree):
+        tree.write("src/repro/model/loss.py", """\
+            import numpy as np
+
+
+            def loss(logits):
+                # repro-lint: ignore[dtype-discipline] - evaluated in float64
+                z = np.asarray(logits, dtype=np.float64)
+                return float(z.mean()), z.astype(np.float64)
+        """)
+        findings = tree.lint(rules=["dtype-discipline"])
+        assert [f.line for f in findings] == [7]
+
+    def test_modules_off_the_step_path_are_outside_the_rule(self, tree):
+        body = """\
+            import numpy as np
+
+
+            def labels(count):
+                return np.zeros(count, dtype=np.float64)
+        """
+        tree.write("src/repro/data/generator.py", body)
+        tree.write("src/repro/model/optim.py", body)      # f64 state: by design
+        tree.write("src/repro/backends/reference.py", body)
+        tree.write("tests/model/test_loss.py", body)
+        assert tree.lint(rules=["dtype-discipline"],
+                         paths=("src", "tests")) == []
+
+
+# ---------------------------------------------------------------------------
 # thread-lifecycle
 # ---------------------------------------------------------------------------
 class TestThreadLifecycle:

@@ -8,6 +8,7 @@ location before reporting.
 
 from . import determinism
 from . import numeric
+from . import dtype
 from . import threads
 from . import registry
 from . import exports
@@ -17,6 +18,7 @@ from . import obs
 __all__ = [
     "api",
     "determinism",
+    "dtype",
     "exports",
     "numeric",
     "obs",
