@@ -3,7 +3,7 @@
 Every ``bench_figNN_*.py``/``bench_tableN_*.py`` regenerates one table or
 figure of the paper: the ``benchmark`` fixture times the regeneration and
 the bench prints the same rows/series the paper reports (run with ``-s`` to
-see them inline; they are also summarized in EXPERIMENTS.md).
+see them inline).
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ full loop:
    seed — restore the latest checkpoint into it with ``restore_trainer``,
    and train the remaining steps with ``start_step=5``;
 5. verify the resumed parameters are **bit-identical** to the
-   uninterrupted run's, tensor for tensor.
+   uninterrupted run's, tensor for tensor;
+6. do it again **across shard layouts**: crash a ``policy="table",
+   num_shards=2`` job, resume its checkpoint in an *unsharded* trainer,
+   and land on the same bits — shards name rows of the model's own tables,
+   so a checkpoint (Adagrad's per-row accumulators included) carries no
+   trace of the layout that wrote it.
 
 Run:  python examples/resumable_training.py
 """
@@ -62,9 +67,24 @@ def make_stream():
     )
 
 
-def make_trainer(trace: Path, model_seed: int) -> FunctionalTrainer:
+def make_trainer(
+    trace: Path, model_seed: int, **layout: object
+) -> FunctionalTrainer:
     model = DLRM(CONFIG, rng=np.random.default_rng(model_seed))
-    return FunctionalTrainer(model, TraceReplaySource(trace), Adagrad(lr=0.1))
+    return FunctionalTrainer(
+        model, TraceReplaySource(trace), Adagrad(lr=0.1), **layout
+    )
+
+
+def matches_reference(reference, reference_report, resumed, report, step):
+    """(losses equal the reference's tail, parameters bit-identical)."""
+    identical = all(
+        np.array_equal(a, b)
+        for a, b in zip(
+            reference.model.all_parameters(), resumed.model.all_parameters()
+        )
+    )
+    return report.losses == reference_report.losses[step:], identical
 
 
 def main() -> None:
@@ -113,22 +133,45 @@ def main() -> None:
     )
 
     # -- the verdict ----------------------------------------------------
-    identical = all(
-        np.array_equal(a, b)
-        for a, b in zip(
-            reference.model.all_parameters(), resumed.model.all_parameters()
-        )
+    tail_matches, identical = matches_reference(
+        reference, reference_report, resumed, resumed_report, step
     )
-    tail_matches = resumed_report.losses == reference_report.losses[step:]
     print(
         f"\nresumed losses match the reference tail: {tail_matches}\n"
         f"parameters bit-identical to the uninterrupted run: {identical}"
     )
     if not (identical and tail_matches):
         raise SystemExit("resume diverged from the uninterrupted run")
+
+    # -- the same crash under another shard layout ----------------------
+    # Two table shards train the checkpoint; an unsharded trainer resumes
+    # it.  The reference is still the uninterrupted *unsharded* job.
+    sharded_dir = workdir / "checkpoints-table-shards"
+    make_trainer(trace, model_seed=0, num_shards=2, policy="table").train(
+        BATCH, CRASH_AT, np.random.default_rng(2),
+        callbacks=[CheckpointCallback(sharded_dir, every=2)],
+    )
+    crossed = make_trainer(trace, model_seed=999)
+    step = restore_trainer(crossed, latest_checkpoint(sharded_dir))
+    crossed_report = crossed.train(
+        BATCH, TOTAL_STEPS - step, np.random.default_rng(777), start_step=step
+    )
+    tail_matches, identical = matches_reference(
+        reference, reference_report, crossed, crossed_report, step
+    )
+    print(
+        f"\nsaved at 2 table shards, resumed unsharded from step {step}:\n"
+        f"resumed losses match the reference tail: {tail_matches}\n"
+        f"parameters bit-identical to the uninterrupted run: {identical}"
+    )
+    if not (identical and tail_matches):
+        raise SystemExit(
+            "cross-layout resume diverged from the uninterrupted run"
+        )
     print(
         "\nVERIFIED: interrupt + checkpoint + resume reproduces the "
-        "uninterrupted training run bit for bit."
+        "uninterrupted training run bit for bit, within one shard layout "
+        "and across two."
     )
 
 

@@ -78,7 +78,13 @@ def _weighted_gather_reduce_kernel(
 def _counting_sort_cast_kernel(
     src: np.ndarray, dst: np.ndarray, num_rows: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable counting-sort Tensor Casting: O(n + num_rows), argsort-free."""
+    """Stable counting-sort Tensor Casting: O(n + num_rows), argsort-free.
+
+    ``num_rows`` is the parent table's height also for a shard's slice of a
+    batch (shards name parent rows, :mod:`repro.core.sharding`), so ``N``
+    shards histogram ``N * num_rows`` bins a step where shard-local row ids
+    would have needed ``num_rows``.  Not timed: no session has had numba.
+    """
     n = src.shape[0]
     counts = np.zeros(num_rows, dtype=np.int64)
     for i in range(n):

@@ -46,7 +46,6 @@ from .sharding import (
     TableWisePartition,
     make_partition,
     reassemble_pooled,
-    split_index,
 )
 from .traffic import (
     OPTIMIZER_STATE_SLOTS,
@@ -100,7 +99,6 @@ __all__ = [
     "scatter_traffic",
     "scatter_with_optimizer",
     "sharded_exchange_bytes",
-    "split_index",
     "tcasted_grad_gather_reduce",
     "tensor_casting",
     "tensor_casting_reference",

@@ -129,10 +129,7 @@ def sgd_update_rows(
     for block in blocks:
         ids = rows[block]
         kept, scaled = held[: ids.size], step[: ids.size]
-        if table.flags.c_contiguous:
-            np.take(table, ids, axis=0, out=kept, mode="clip")
-        else:  # take would first copy a strided shard view whole
-            kept[...] = table[ids]
+        np.take(table, ids, axis=0, out=kept, mode="clip")
         np.multiply(gradients[block], lr, out=scaled)
         np.subtract(kept, scaled, out=kept)
         table[ids] = kept

@@ -11,10 +11,18 @@ owners.  This module supplies the index-level machinery for that regime:
 * :class:`TableWisePartition` — whole tables are assigned round-robin to
   shards, the placement DLRM-style systems use when tables are many and
   small;
-* :func:`split_index` / :meth:`ShardPartition.split` — carve one mini-batch
+* :meth:`ShardPartition.split` — carve one mini-batch
   :class:`~repro.core.indexing.IndexArray` into per-shard sub-arrays whose
-  ``src`` ids are shard-local rows and whose ``dst`` ids are compacted to the
-  output slots that shard actually touches.
+  ``src`` ids are the lookups the shard owns and whose ``dst`` ids are
+  compacted to the output slots that shard actually touches.
+
+There is one row space.  A shard *names* rows of the parent table — ``src``
+stays the parent's row id, the way RecNMP's rank-level units are addressed
+in the host's single address space with interleaving deciding ownership
+(PAPERS.md) — so :meth:`ShardPartition.owner_of_rows` is everything a
+partition knows: every kernel gathers from and scatters into the parent
+table itself, and per-row optimizer state belongs to the table, whatever
+shard count or policy updated it.
 
 The compaction is the point of contact with Tensor Casting: each sub-array is
 a self-contained ``(src, dst)`` index array, so each shard runs Algorithm 2
@@ -42,7 +50,6 @@ __all__ = [
     "TableWisePartition",
     "PARTITION_POLICIES",
     "make_partition",
-    "split_index",
     "reassemble_pooled",
 ]
 
@@ -56,8 +63,9 @@ class ShardSlice:
     shard:
         Owning shard id.
     index:
-        Shard-local :class:`IndexArray`: ``src`` values are rows *within the
-        shard's table slice*, ``dst`` values are positions into ``touched``.
+        The shard's :class:`IndexArray`: ``src`` values are rows of the
+        parent table (the ones this shard owns), ``dst`` values are
+        positions into ``touched``.
     touched:
         Ascending global output slots (gradient-table rows) this shard's
         lookups feed.  These are the rows the backward all-to-all must
@@ -99,26 +107,6 @@ class ShardPartition:
         """Owning shard of each global row id of ``table_id``."""
         raise NotImplementedError
 
-    def local_rows(self, table_id: int, rows: np.ndarray) -> np.ndarray:
-        """Shard-local row id of each global row id of ``table_id``."""
-        raise NotImplementedError
-
-    def shard_num_rows(self, table_id: int, num_rows: int, shard: int) -> int:
-        """Height of ``table_id``'s slice held by ``shard``."""
-        raise NotImplementedError
-
-    def shard_view(
-        self, table: np.ndarray, table_id: int, shard: int
-    ) -> Optional[np.ndarray]:
-        """NumPy *view* of the rows of ``table`` that ``shard`` owns.
-
-        Views (not copies) are deliberate: the sharded runtime scatters
-        updates through them straight into the underlying model table, so a
-        sharded trainer and an unsharded trainer mutate the same storage.
-        Returns ``None`` when the shard holds no rows of this table.
-        """
-        raise NotImplementedError
-
     # -- index splitting -------------------------------------------------
     def split(self, index: IndexArray, table_id: int) -> List[Optional[ShardSlice]]:
         """Split one table's mini-batch index array by owning shard.
@@ -135,14 +123,12 @@ class ShardPartition:
             if positions.size == 0:
                 slices.append(None)
                 continue
-            src_local = self.local_rows(table_id, index.src[positions])
             dst_global = index.dst[positions]
             touched = np.unique(dst_global)
-            dst_local = np.searchsorted(touched, dst_global)
             local = IndexArray(
-                src_local,
-                dst_local,
-                num_rows=self.shard_num_rows(table_id, index.num_rows, shard),
+                index.src[positions],
+                np.searchsorted(touched, dst_global),
+                num_rows=index.num_rows,
                 num_outputs=int(touched.size),
             )
             slices.append(
@@ -170,21 +156,6 @@ class RowWisePartition(ShardPartition):
     def owner_of_rows(self, table_id: int, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows) % self.num_shards
 
-    def local_rows(self, table_id: int, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows) // self.num_shards
-
-    def shard_num_rows(self, table_id: int, num_rows: int, shard: int) -> int:
-        if shard >= num_rows:
-            return 0
-        return (num_rows - shard - 1) // self.num_shards + 1
-
-    def shard_view(
-        self, table: np.ndarray, table_id: int, shard: int
-    ) -> Optional[np.ndarray]:
-        if shard >= table.shape[0]:
-            return None
-        return table[shard :: self.num_shards]
-
 
 class TableWisePartition(ShardPartition):
     """Assign whole tables round-robin: table ``t`` on shard ``t % N``.
@@ -206,19 +177,6 @@ class TableWisePartition(ShardPartition):
         owner = self.owner_of_table(table_id)
         return np.full(np.asarray(rows).shape, owner, dtype=np.int64)
 
-    def local_rows(self, table_id: int, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows)
-
-    def shard_num_rows(self, table_id: int, num_rows: int, shard: int) -> int:
-        return num_rows if shard == self.owner_of_table(table_id) else 0
-
-    def shard_view(
-        self, table: np.ndarray, table_id: int, shard: int
-    ) -> Optional[np.ndarray]:
-        if shard != self.owner_of_table(table_id):
-            return None
-        return table[:]
-
 
 #: Registered partition policies, keyed by CLI/trainer spelling.
 PARTITION_POLICIES = {
@@ -237,13 +195,6 @@ def make_partition(policy: str, num_shards: int) -> ShardPartition:
             f"{sorted(PARTITION_POLICIES)}"
         ) from None
     return cls(num_shards)
-
-
-def split_index(
-    index: IndexArray, table_id: int, partition: ShardPartition
-) -> List[Optional[ShardSlice]]:
-    """Functional spelling of :meth:`ShardPartition.split`."""
-    return partition.split(index, table_id)
 
 
 def reassemble_pooled(

@@ -11,17 +11,20 @@ parallel:
 2. **Cast** — each shard runs Tensor Casting *independently* on its
    sub-arrays (`cast_shard`), producing casted index arrays that name only
    the gradient rows that shard needs;
-3. **Forward** — each shard gather-reduces its local table slice
+3. **Forward** — each shard gather-reduces the rows it owns
    (`forward_shard`), and the partial pooled sums cross the simulated
    all-to-all back to the sample owners (`assemble_pooled`);
 4. **Backward** — the backward all-to-all delivers each shard its slice of
    the gradient tables, over which the shard runs the casted gradient
    gather-reduce (`backward_shard`);
-5. **Update** — each shard scatters its coalesced gradients into its table
-   slice through the optimizer (`update_shard`).
+5. **Update** — each shard scatters its coalesced gradients into the rows
+   it owns through the optimizer (`update_shard`).
 
-Shard tables are NumPy *views* of the wrapped bags' tables, so a sharded
-trainer updates the very same parameters an unsharded one would — and with
+Shards hold no storage and no row numbering of their own: a shard's index
+sub-arrays name rows of the wrapped bags' tables (:mod:`repro.core.sharding`),
+and every kernel gathers from and scatters into ``bag.table`` itself.  A
+sharded trainer therefore updates the very same parameters — and the very
+same per-row optimizer state — an unsharded one would, and with
 ``num_shards=1`` every phase degenerates to the unsharded kernels,
 bit-for-bit (the equivalence the test suite pins down).  Exchange payloads
 are counted in bytes as they are "moved" — the functional analogue of the
@@ -64,7 +67,8 @@ _INDEX_ITEMSIZE = 8  # int64 ids, both halves of a (src, dst) pair
 #: grad_slice)`` per table the shard owns lookups of.
 BackwardPayload = Sequence[Tuple[int, CastedIndex, np.ndarray]]
 
-#: One shard's coalesced gradients: ``(table_id, local_rows, values)``.
+#: One shard's coalesced gradients: ``(table_id, rows, values)``, ``rows``
+#: being the parent-table rows the shard owns.
 Coalesced = List[Tuple[int, np.ndarray, np.ndarray]]
 
 
@@ -87,16 +91,20 @@ def cast_slices(
 
 
 def gather_slices(
-    views: Sequence[Optional[np.ndarray]],
+    tables: Sequence[np.ndarray],
     slices: Sequence[Optional[ShardSlice]],
     backend: "BackendSpec",
 ) -> List[Optional[np.ndarray]]:
-    """Gather-reduce one shard's local lookups into partial pooled sums."""
+    """Gather-reduce one shard's lookups into partial pooled sums.
+
+    ``tables`` are the parent tables, whole: a slice's ``src`` names their
+    rows, so the gather costs what the lookups cost, not what the table does.
+    """
     return [
-        gather_reduce(view, slice_.index, backend=backend)
+        gather_reduce(table, slice_.index, backend=backend)
         if slice_ is not None
         else None
-        for view, slice_ in zip(views, slices)
+        for table, slice_ in zip(tables, slices)
     ]
 
 
@@ -162,9 +170,10 @@ class ShardedEmbeddingSet:
     Parameters
     ----------
     bags:
-        The embedding layers to shard.  Their tables are *not* copied —
-        shards hold views — so the wrapping :class:`~repro.model.dlrm.DLRM`
-        remains the single source of truth for parameters.
+        The embedding layers to shard.  Their tables are neither copied
+        nor re-numbered — shards address them by row id — so the wrapping
+        :class:`~repro.model.dlrm.DLRM` remains the single source of truth
+        for parameters.
     num_shards:
         Logical device count ``N``.
     policy:
@@ -191,13 +200,6 @@ class ShardedEmbeddingSet:
         self.bags = list(bags)
         self.backend = backend
         self.partition: ShardPartition = make_partition(policy, num_shards)
-        self.views: List[List[Optional[np.ndarray]]] = [
-            [
-                self.partition.shard_view(bag.table, table_id, shard)
-                for shard in range(num_shards)
-            ]
-            for table_id, bag in enumerate(self.bags)
-        ]
 
     @property
     def num_shards(self) -> int:
@@ -211,12 +213,10 @@ class ShardedEmbeddingSet:
     def policy(self) -> str:
         return self.partition.policy
 
-    def shard_row_counts(self, shard: int) -> List[int]:
-        """Rows of each table resident on ``shard`` (0 for unowned tables)."""
-        return [
-            self.partition.shard_num_rows(t, bag.num_rows, shard)
-            for t, bag in enumerate(self.bags)
-        ]
+    @property
+    def tables(self) -> List[np.ndarray]:
+        """The parent table of every bag — what every shard gathers from."""
+        return [bag.table for bag in self.bags]
 
     # ------------------------------------------------------------------
     # Phase 1: split
@@ -240,11 +240,6 @@ class ShardedEmbeddingSet:
         )
         return plan
 
-
-    def shard_views(self, shard: int) -> List[Optional[np.ndarray]]:
-        """``shard``'s local view of every table."""
-        return [row[shard] for row in self.views]
-
     # ------------------------------------------------------------------
     # Phase 2: per-shard Tensor Casting
     # ------------------------------------------------------------------
@@ -264,13 +259,10 @@ class ShardedEmbeddingSet:
     # Phase 3: forward
     # ------------------------------------------------------------------
     def forward_shard(self, plan: ShardedStepPlan, shard: int) -> None:
-        """Gather-reduce ``shard``'s local lookups into partial pooled sums."""
+        """Gather-reduce ``shard``'s lookups into partial pooled sums."""
         store_shard(
             plan.partials, shard,
-            gather_slices(
-                self.shard_views(shard), plan.shard_slices(shard),
-                self.backend,
-            ),
+            gather_slices(self.tables, plan.shard_slices(shard), self.backend),
         )
 
     def assemble_pooled(self, plan: ShardedStepPlan) -> List[np.ndarray]:
@@ -400,7 +392,7 @@ class ShardedEmbeddingSet:
         the gradient rows the shard's casted index arrays name — plus the
         casted pairs themselves; both payloads are accounted into
         ``plan.backward_exchange_bytes`` (via :meth:`backward_payload`).
-        Returns ``(table_id, local_rows, values)`` triples ready for
+        Returns ``(table_id, rows, values)`` triples ready for
         :meth:`update_shard`.
         """
         return reduce_payload(
@@ -416,16 +408,14 @@ class ShardedEmbeddingSet:
         coalesced: Sequence[tuple[int, np.ndarray, np.ndarray]],
         optimizer: SparseOptimizer,
     ) -> None:
-        """Scatter coalesced gradients into ``shard``'s table views.
+        """Scatter ``shard``'s coalesced gradients into the parent tables.
 
-        The rows are shard-local, so the scatter needs no communication —
-        each device updates (and keeps optimizer state for) exactly the rows
-        it owns.
+        ``coalesced`` is :meth:`backward_shard`'s product for ``shard``: its
+        rows are parent-table rows that shard owns, so the scatter needs no
+        communication and no translation — each device updates (and touches
+        optimizer state for) exactly its own rows of ``bag.table``.
         """
         for table_id, rows, values in coalesced:
-            view = self.views[table_id][shard]
-            if view is None:
-                raise ValueError(
-                    f"shard {shard} holds no rows of table {table_id}"
-                )
-            scatter_with_optimizer(view, rows, values, optimizer)
+            scatter_with_optimizer(
+                self.bags[table_id].table, rows, values, optimizer
+            )

@@ -8,17 +8,24 @@ serializes everything a resumed run needs to continue **bit-identically**:
   named_parameters` names);
 * every populated per-tensor optimizer state slot
   (:meth:`~repro.model.optim.Optimizer.export_state` — velocity,
-  accumulators, Adam moments and per-row step counts), including the
-  shard-view-keyed state of sharded runs;
+  accumulators, Adam moments and per-row step counts), keyed by the same
+  names — ``table_{t}`` for an embedding table's per-row state, whatever
+  shard count or partition policy trained it;
 * the optimizer's class name and hyperparameters (verified on restore — a
   resumed run with a different update rule is a different run);
 * the global step counter.
 
 The format is a plain ``.npz`` zip of ``.npy`` members — no pickling,
 portable across platforms, same family as the batch-trace format of
-:mod:`repro.data.trace`.  Writes go through a sibling ``*.tmp`` renamed
-into place on success, so an interrupted save never corrupts an existing
-checkpoint.
+:mod:`repro.data.trace`.  Writes go through a uniquely named temporary in
+the same directory, renamed into place on success, so an interrupted save
+never corrupts an existing checkpoint and two writers never share a
+temporary.
+
+Shards name rows of the model's own tables (:mod:`repro.core.sharding`), so
+a checkpoint carries no trace of the layout that wrote it: one saved at 2
+row shards restores into an unsharded, a 4-shard or a table-policy trainer
+and continues the same run.
 
 Resume contract (pinned by ``tests/runtime/test_checkpoint.py``): restore
 a fresh trainer with :func:`restore_trainer`, then train the remaining
@@ -35,7 +42,9 @@ protocol: a checkpoint every ``every`` steps plus one at run end.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -90,8 +99,11 @@ def save_checkpoint(
     """Serialize ``trainer``'s training state at global ``step`` to ``path``.
 
     Returns the written path (with the ``.npz`` suffix added if missing).
-    The write is atomic: a sibling temp file is renamed into place only on
-    success.
+    The write is atomic: the archive goes to a uniquely named temporary
+    file in the same directory and is renamed over ``path`` only on
+    success, so a reader — or a second writer of the same path — sees the
+    previous file or the new one, and a failed write leaves the previous
+    file in place and nothing behind.
     """
     if isinstance(step, bool) or not isinstance(step, (int, np.integer)) or step < 0:
         raise ValueError(f"step must be a non-negative integer, got {step!r}")
@@ -104,22 +116,20 @@ def save_checkpoint(
     }
     for key, value in trainer.optimizer.hyperparameters().items():
         payload[f"hyper/{key}"] = np.asarray(float(value))
-    # Values for the base tensors only: sharded views alias the tables, so
-    # copying the tables back restores every view's contents for free.
-    for name, param in trainer.named_parameters(include_shard_views=False):
+    named = trainer.named_parameters()
+    for name, param in named:
         payload[f"param/{name}"] = param
-    # Optimizer state is keyed by every name, shard views included — each
-    # logical device's per-row state travels under its own name.
-    state = trainer.optimizer.export_state(trainer.named_parameters())
-    for flat_key, tensor in state.items():
+    for flat_key, tensor in trainer.optimizer.export_state(named).items():
         payload[f"state/{flat_key}"] = tensor
-    tmp_path = path.with_name(path.name + ".tmp")
+    handle, scratch = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
     try:
-        with open(tmp_path, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        tmp_path.replace(path)
+        with os.fdopen(handle, "wb") as stream:
+            np.savez_compressed(stream, **payload)
+        os.replace(scratch, path)
     finally:
-        tmp_path.unlink(missing_ok=True)
+        Path(scratch).unlink(missing_ok=True)
     return path
 
 
@@ -165,12 +175,14 @@ def restore_trainer(
     once when restoring the same checkpoint into several trainers).
     Validates before mutating anything: the optimizer class and
     hyperparameters must match exactly, the checkpoint's parameter set must
-    coincide with the trainer's (same names, shapes, dtypes), and the
-    optimizer-state key space must match the trainer's shard layout — a
-    checkpoint from a different model geometry, shard layout, or update
-    rule fails loudly rather than half-applying (the optimizer-state import
-    itself is all-or-nothing, and parameters are only overwritten after it
-    succeeds).  On success the trainer's parameters and optimizer state
+    coincide with the trainer's (same names, shapes, dtypes), and every
+    optimizer-state entry must name one of those parameters — a checkpoint
+    from a different model geometry or update rule (or one written when
+    state was still keyed per shard) fails loudly rather than half-applying
+    (the optimizer-state import itself is all-or-nothing, and parameters
+    are only overwritten after it succeeds).  The trainer's shard count and
+    partition policy are not part of the contract: any layout restores any
+    checkpoint.  On success the trainer's parameters and optimizer state
     equal the saved run's; continue with ``trainer.train(batch,
     remaining_steps, rng, start_step=<returned step>)`` for a bit-identical
     resumption.
@@ -191,7 +203,7 @@ def restore_trainer(
             f"from the trainer's {hyper}; resuming with different knobs "
             "would not continue the same run"
         )
-    named = dict(trainer.named_parameters(include_shard_views=False))
+    named = dict(trainer.named_parameters())
     missing = sorted(set(named) - set(checkpoint.params))
     extra = sorted(set(checkpoint.params) - set(named))
     if missing or extra:
@@ -206,30 +218,10 @@ def restore_trainer(
                 f"parameter {name!r} has shape {param.shape} dtype "
                 f"{param.dtype}, checkpoint holds {saved.shape} {saved.dtype}"
             )
-    if trainer.sharded is not None:
-        # A sharded trainer keys its embedding optimizer state by shard
-        # *views* (``table_{t}_shard_{s}``); state recorded against the base
-        # table names would import cleanly yet never be read by the sharded
-        # update path — a silent cold start masquerading as a warm one.
-        stateful_tables = sorted(
-            {
-                name
-                for name in (key.split(".", 1)[0] for key in checkpoint.state)
-                if name.startswith("table_") and "_shard_" not in name
-            }
-        )
-        if stateful_tables:
-            raise ValueError(
-                "checkpoint holds unsharded optimizer state for "
-                f"{stateful_tables} but the trainer is sharded "
-                f"({trainer.sharded.num_shards} shards, keyed per shard "
-                "view); re-shard from the layout the checkpoint was taken "
-                "with"
-            )
-    # Optimizer state first (all-or-nothing, validated against the
-    # trainer's layout), parameters after — a rejected checkpoint leaves
-    # the trainer exactly as it was.
-    trainer.optimizer.import_state(trainer.named_parameters(), checkpoint.state)
+    # Optimizer state first (all-or-nothing, every entry validated against
+    # the parameter it names), parameters after — a rejected checkpoint
+    # leaves the trainer exactly as it was.
+    trainer.optimizer.import_state(list(named.items()), checkpoint.state)
     for name, saved in checkpoint.params.items():
         np.copyto(named[name], saved)
     return checkpoint.step

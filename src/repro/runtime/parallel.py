@@ -10,8 +10,8 @@ of the two executors here:
     path the frozen ``tests/runtime/_legacy_trainer.py`` oracle pins.
 :class:`ThreadShardExecutor`
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Correct
-    under any backend, *fast* under one whose kernels release the GIL (the
-    ``numba-parallel`` engine's ``nogil`` kernels).
+    under any backend; what it buys is whatever ``python -m repro scaling
+    --schedule parallel`` measures on the host at hand.
 
 Both call the *same* pure functions (:func:`~repro.model.sharded
 .cast_slices`, :func:`~repro.model.sharded.gather_slices`,

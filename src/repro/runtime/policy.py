@@ -101,7 +101,6 @@ class Features:
     """
 
     sharded: bool = False
-    hot_cache: bool = False
     mode: Optional[str] = None
     executor: str = "inline"
     workers: Optional[int] = None
@@ -119,13 +118,6 @@ class Capability:
 #: Every cross-feature rejection of the training runtime.  Anything not
 #: listed here composes (and is covered by ``tests/runtime/test_policy.py``).
 CAPABILITIES: Tuple[Capability, ...] = (
-    Capability(
-        "hot cache × sharded",
-        lambda f: f.hot_cache and f.sharded,
-        "hot_cache is an unsharded-gather-path feature; the sharded "
-        "executor gathers through shard-local table views the bag-level "
-        "hook never sees",
-    ),
     Capability(
         "sharded × baseline",
         lambda f: f.sharded and f.mode not in (None, "casted"),

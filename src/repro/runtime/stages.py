@@ -467,11 +467,14 @@ class ForwardStage(Stage):
 
 
 class GatherStage(Stage):
-    """``gather`` (sharded): each shard gather-reduces its local lookups.
+    """``gather`` (sharded): each shard gather-reduces the lookups it owns.
 
     Mapped through the shard executor; partial sums land on the plan in
     shard-index order.  Always on the step loop, after the previous step's
-    ``optimize`` — a gather must read post-update parameters.
+    ``optimize`` — a gather must read post-update parameters.  An executed
+    hot-row cache sees each table's whole ``src`` stream here, before the
+    fan-out: exactly what :meth:`~repro.model.embedding.EmbeddingBag.forward`
+    shows it unsharded, so its counters are the same at any shard count.
     """
 
     name = "gather"
@@ -487,11 +490,21 @@ class GatherStage(Stage):
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
         sharded = self.sharded
+        cached = [
+            (bag.hot_cache, index)
+            for bag, index in zip(sharded.bags, ctx.plan.indices)
+            if bag.hot_cache is not None
+        ]
+        if cached:
+            with self.collector.timed("forward"):
+                for cache, index in cached:
+                    cache.access(index.src)
+        tables = sharded.tables
         results = self.executor.map(
             gather_slices,
             [
-                (sharded.shard_views(shard), slices, sharded.backend)
-                for shard, slices in enumerate(ctx.plan.slices_by_shard())
+                (tables, slices, sharded.backend)
+                for slices in ctx.plan.slices_by_shard()
             ],
             barrier=lambda: self.collector.timed(
                 "sync", span="forward_barrier"

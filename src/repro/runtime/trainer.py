@@ -21,7 +21,10 @@ shard by shard (each timed separately, standing in for ``N`` concurrent
 devices), pooled vectors and gradient slices cross a simulated all-to-all
 whose byte counts land in the report (attributed per pipeline stage —
 forward exchange vs. backward exchange), and the model parameters end up
-bit-identical to the unsharded trainer when ``num_shards=1``.
+bit-identical to the unsharded trainer when ``num_shards=1``.  Shards name
+rows of the model's own tables — there is no shard-local storage, row
+numbering or optimizer state — so parameters, checkpoints and the executed
+hot-row caches mean the same thing at every shard count and policy.
 
 The trainer is a thin facade over the **stage-graph engine**
 (:mod:`repro.runtime.engine`): each step is a plan of named stages
@@ -110,9 +113,10 @@ class FunctionalTrainer:
         :class:`~repro.model.hot_cache.HotRowCache` of
         ``spec.capacity_rows`` rows per embedding table to the forward
         gather path; the measured hit rate lands on the report's
-        ``cache_*`` fields.  Unsharded paths only — the sharded executor
-        gathers through shard-local table views the bag-level hook never
-        sees.
+        ``cache_*`` fields.  A sharded trainer hands each cache the same
+        stream — the table's full batch of row ids, on the step loop,
+        before the per-shard gathers — so the counters do not depend on the
+        shard count, policy or executor.
     cache_policy:
         Replacement policy for the executed caches: ``"lru"`` or ``"lfu"``.
     schedule:
@@ -122,8 +126,7 @@ class FunctionalTrainer:
         (:mod:`repro.runtime.parallel`; it lives for one :meth:`train` /
         :meth:`infer` call, so the trainer itself owns no resource),
         results applied in shard-index order — bit-identical to serial,
-        with measured (not modeled) scaling, which needs a GIL-releasing
-        backend such as ``numba-parallel`` to exceed 1×.
+        with measured (not modeled) scaling.
     workers:
         Worker count of the ``"parallel"`` pool (default: one per shard).
     accum_steps:
@@ -174,14 +177,6 @@ class FunctionalTrainer:
             )
         if num_shards is not None:
             num_shards = positive_int("num_shards", num_shards)
-            min_rows = min(bag.num_rows for bag in model.embeddings)
-            if num_shards > min_rows:
-                raise ValueError(
-                    f"num_shards={num_shards} exceeds the smallest "
-                    f"embedding table's {min_rows} rows; every shard must "
-                    "own at least one row of every table (lower num_shards "
-                    "or grow the tables)"
-                )
         if schedule not in ("serial", "parallel"):
             raise ValueError(
                 f"schedule must be 'serial' or 'parallel', got {schedule!r}"
@@ -206,7 +201,6 @@ class FunctionalTrainer:
             bag.backend = self.backend
         self._features = Features(
             sharded=num_shards is not None,
-            hot_cache=hot_cache is not None,
             executor=self.policy.executor,
             workers=self.policy.workers,
         )
@@ -339,20 +333,14 @@ class FunctionalTrainer:
     # ------------------------------------------------------------------
     # Parameter naming — the checkpoint subsystem's stable key space
     # ------------------------------------------------------------------
-    def named_parameters(
-        self, include_shard_views: bool = True
-    ) -> List[Tuple[str, np.ndarray]]:
+    def named_parameters(self) -> List[Tuple[str, np.ndarray]]:
         """Stable ``(name, tensor)`` pairs for every trainable parameter.
 
         Dense MLP parameters (``dense_{i}``, in
         :meth:`~repro.model.dlrm.DLRM.dense_parameters` order) and the
-        embedding tables (``table_{t}``).  With ``include_shard_views``
-        (default), sharded trainers additionally expose each shard's table
-        view (``table_{t}_shard_{s}``) — the tensors the sharded optimizer
-        keys its per-row state by.  The views alias the base tables, so
-        checkpoints persist *values* for the dense/table entries only
-        (``include_shard_views=False``) while optimizer *state* is keyed by
-        every name here.
+        embedding tables (``table_{t}``) — the same names, tensors and
+        optimizer-state keys whether or not the trainer is sharded, which
+        is what lets one checkpoint restore into any shard count or policy.
         """
         named: List[Tuple[str, np.ndarray]] = [
             (f"dense_{i}", param)
@@ -362,12 +350,6 @@ class FunctionalTrainer:
             (f"table_{t}", bag.table)
             for t, bag in enumerate(self.model.embeddings)
         ]
-        if self.sharded is not None and include_shard_views:
-            for t in range(self.sharded.num_tables):
-                for s in range(self.sharded.num_shards):
-                    view = self.sharded.views[t][s]
-                    if view is not None:
-                        named.append((f"table_{t}_shard_{s}", view))
         return named
 
     # ------------------------------------------------------------------

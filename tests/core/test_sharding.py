@@ -9,7 +9,6 @@ from repro.core.sharding import (
     TableWisePartition,
     make_partition,
     reassemble_pooled,
-    split_index,
 )
 from repro.core.traffic import expected_shard_outputs, sharded_exchange_bytes
 
@@ -38,34 +37,27 @@ class TestRowWisePartition:
         part = RowWisePartition(3)
         rows = np.arange(7)
         assert part.owner_of_rows(0, rows).tolist() == [0, 1, 2, 0, 1, 2, 0]
-        assert part.local_rows(0, rows).tolist() == [0, 0, 0, 1, 1, 1, 2]
 
-    def test_shard_num_rows_partitions_table(self):
+    def test_ownership_partitions_the_table(self):
         part = RowWisePartition(3)
-        counts = [part.shard_num_rows(0, 7, s) for s in range(3)]
-        assert counts == [3, 2, 2]
-        assert sum(counts) == 7
-
-    def test_shard_view_is_a_view(self):
-        part = RowWisePartition(2)
-        table = np.arange(12.0).reshape(6, 2)
-        view = part.shard_view(table, 0, 1)
-        view[0, 0] = -1.0
-        assert table[1, 0] == -1.0  # global row 1 is shard 1's local row 0
+        counts = np.bincount(part.owner_of_rows(0, np.arange(7)), minlength=3)
+        assert counts.tolist() == [3, 2, 2]  # every row on exactly one shard
 
     def test_split_round_trip(self):
         index = sample_index()
         part = RowWisePartition(2)
-        slices = split_index(index, 0, part)
+        slices = part.split(index, 0)
         # Every lookup lands on exactly one shard.
         total = sum(s.num_lookups for s in slices if s is not None)
         assert total == index.num_lookups
         for shard, slice_ in enumerate(slices):
             if slice_ is None:
                 continue
-            # Reconstruct global ids from the local encoding.
-            global_src = slice_.index.src * part.num_shards + shard
-            assert np.array_equal(global_src, index.src[slice_.positions])
+            # One row space: src is the parent's row id, untranslated, and
+            # every one of them is a row this shard owns.
+            assert np.array_equal(slice_.index.src, index.src[slice_.positions])
+            assert slice_.index.num_rows == index.num_rows
+            assert np.all(part.owner_of_rows(0, slice_.index.src) == shard)
             global_dst = slice_.touched[slice_.index.dst]
             assert np.array_equal(global_dst, index.dst[slice_.positions])
 
@@ -112,13 +104,10 @@ class TestTableWisePartition:
         assert slices[1].num_lookups == index.num_lookups
         assert np.array_equal(slices[1].index.src, index.src)
 
-    def test_shard_view_only_on_owner(self):
+    def test_every_row_of_a_table_has_the_tables_owner(self):
         part = TableWisePartition(2)
-        table = np.zeros((4, 2))
-        assert part.shard_view(table, 0, 1) is None
-        view = part.shard_view(table, 0, 0)
-        view[2, 1] = 7.0
-        assert table[2, 1] == 7.0
+        assert part.owner_of_rows(0, np.arange(4)).tolist() == [0, 0, 0, 0]
+        assert part.owner_of_rows(1, np.arange(4)).tolist() == [1, 1, 1, 1]
 
 
 class TestReassemblePooled:

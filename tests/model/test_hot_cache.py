@@ -230,13 +230,38 @@ class TestTrainerIntegration:
         ):
             assert np.array_equal(a, b)
 
-    def test_sharded_with_cache_rejected(self):
-        model, stream = make_parts()
-        with pytest.raises(ValueError, match="unsharded"):
-            FunctionalTrainer(
-                model, stream, SGD(lr=0.05), num_shards=2,
-                hot_cache=HotRowCacheSpec(capacity_rows=50),
+    @pytest.mark.parametrize("schedule", ["serial", "parallel"])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("policy", ["row", "table"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    @pytest.mark.parametrize("cache_policy", ["lru", "lfu"])
+    def test_sharded_counters_equal_the_unsharded_runs(
+        self, cache_policy, num_shards, policy, lookahead, schedule
+    ):
+        """Each cache sees its table's whole row stream, in stream order,
+        wherever the shards then gather: hits and accesses of ``train()``
+        and ``infer()`` do not depend on the layout or the executor."""
+        spec = HotRowCacheSpec(capacity_rows=50)
+
+        def counters(**layout):
+            model, stream = make_parts()
+            trainer = FunctionalTrainer(
+                model, stream, SGD(lr=0.05), backend="vectorized",
+                hot_cache=spec, cache_policy=cache_policy,
+                lookahead=lookahead, **layout,
             )
+            trained = trainer.train(16, 3, np.random.default_rng(1))
+            scored = trainer.infer(16, 2, np.random.default_rng(2))
+            return [
+                (report.cache_hits, report.cache_accesses, report.cache_policy)
+                for report in (trained, scored)
+            ]
+
+        want = counters()
+        assert want[0][0] > 0 and want[0][1] == 16 * 4 * 2 * 3
+        assert counters(
+            num_shards=num_shards, policy=policy, schedule=schedule
+        ) == want
 
     def test_stats_reset_between_train_calls(self):
         model, stream = make_parts()

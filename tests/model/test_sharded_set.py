@@ -46,13 +46,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="policy"):
             ShardedEmbeddingSet(make_bags(), num_shards=2, policy="diagonal")
 
-    def test_views_cover_all_rows(self):
+    def test_shards_address_the_bags_own_tables(self):
         bags = make_bags()
         sharded = ShardedEmbeddingSet(bags, num_shards=3)
+        assert all(t is bag.table for t, bag in zip(sharded.tables, bags))
         for table_id, bag in enumerate(bags):
-            total = sum(sharded.shard_row_counts(shard)[table_id]
-                        for shard in range(3))
-            assert total == bag.num_rows
+            owners = sharded.partition.owner_of_rows(
+                table_id, np.arange(bag.num_rows))
+            assert np.bincount(owners, minlength=3).sum() == bag.num_rows
+            assert set(owners.tolist()) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("policy", ["row", "table"])

@@ -89,7 +89,10 @@ class TestTraceContent:
         dict(num_shards=2, schedule="parallel"),
         dict(num_shards=2, schedule="parallel", lookahead=1),
         dict(lookahead=1, accum_steps=2),
-    ], ids=["sharded", "pool", "pool-lookahead", "lookahead-accum"])
+        dict(num_shards=2, schedule="parallel",
+             hot_cache=HotRowCacheSpec(capacity_rows=16)),
+    ], ids=["sharded", "pool", "pool-lookahead", "lookahead-accum",
+            "pool-hot-cache"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""

@@ -1,0 +1,135 @@
+"""A step costs what its lookups cost, not what the table does.
+
+The gate ROADMAP items 4 and 6 asked for after the row-sharded step ran an
+order of magnitude behind the unsharded one for three PRs: shards used to be
+strided views ``table[shard::N]``, ``ndarray.take`` copies a non-contiguous
+source whole, and nothing measured it.  Each case here runs the *same*
+lookups against a parent table and against one 100x taller and requires the
+same ``tracemalloc`` peak (within 64 KiB): a kernel or a sharded path whose
+allocation scales with the table rather than with the lookups fails —
+re-introducing a shard-local view of the parent does, by megabytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.gather_reduce import gather_reduce
+from repro.core.indexing import IndexArray
+from repro.core.scatter import RowUpdateBuffers, sgd_update_rows
+from repro.core.segment import segment_sum
+from repro.model.embedding import EmbeddingBag
+from repro.model.optim import SGD
+from repro.model.sharded import ShardedEmbeddingSet
+
+SHORT, TALL = 2_000, 200_000     # parent heights; TALL is 12.8 MB of f32
+DIM, BATCH, POOLING = 16, 64, 8
+SLACK = 64 * 1024
+
+
+def lookups():
+    """One batch whose rows all exist in the short parent."""
+    rng = np.random.default_rng(0)
+    src = rng.integers(0, SHORT, BATCH * POOLING)
+    dst = np.repeat(np.arange(BATCH), POOLING)
+    return src, dst
+
+
+def peak_bytes(work):
+    """``tracemalloc`` peak of ``work()``, after one untraced warm-up call
+    (reused buffers and lazily built state are not the step's cost)."""
+    work()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def table_of(height):
+    return np.random.default_rng(1).random((height, DIM), dtype=np.float32)
+
+
+def segment_sum_case(height):
+    table, (src, dst) = table_of(height), lookups()
+    return lambda: segment_sum(table, src, dst, BATCH)
+
+
+def gather_reduce_case(height):
+    table, (src, dst) = table_of(height), lookups()
+    index = IndexArray(src, dst, num_rows=height, num_outputs=BATCH)
+    return lambda: gather_reduce(table, index, backend="vectorized")
+
+
+def sgd_update_rows_case(height):
+    table, rows = table_of(height), np.unique(lookups()[0])
+    gradients = np.ones((rows.size, DIM), dtype=np.float32)
+    buffers = RowUpdateBuffers()
+    return lambda: sgd_update_rows(table, rows, gradients, 0.1, buffers)
+
+
+def sharded(height):
+    bag = EmbeddingBag(height, DIM, np.random.default_rng(1), dtype=np.float32)
+    src, dst = lookups()
+    index = IndexArray(src, dst, num_rows=height, num_outputs=BATCH)
+    shards = ShardedEmbeddingSet(
+        [bag], num_shards=2, policy="row", backend="vectorized"
+    )
+    return shards, shards.plan_batch([index])
+
+
+def row_sharded_gather_case(height):
+    """``gather_slices`` of both shards, as ``forward_shard`` launches it."""
+    shards, plan = sharded(height)
+    return lambda: [shards.forward_shard(plan, shard) for shard in range(2)]
+
+
+def row_sharded_step_case(height):
+    """Forward, casted backward and update of both shards, public API only."""
+    shards, plan = sharded(height)
+    grads = [np.ones((BATCH, DIM), dtype=np.float32)]
+    optimizer = SGD(lr=0.1)
+
+    def step():
+        for shard in range(2):
+            shards.cast_shard(plan, shard)
+            shards.forward_shard(plan, shard)
+        shards.assemble_pooled(plan)
+        shards.prepare_backward(plan, grads)
+        for shard in range(2):
+            shards.update_shard(
+                shard, shards.backward_shard(plan, shard, grads), optimizer
+            )
+
+    return step
+
+
+@pytest.mark.parametrize("case", [
+    segment_sum_case,
+    gather_reduce_case,
+    sgd_update_rows_case,
+    row_sharded_gather_case,
+    row_sharded_step_case,
+], ids=lambda case: case.__name__[: -len("_case")])
+def test_a_parent_100x_taller_allocates_the_same_peak(case):
+    short, tall = peak_bytes(case(SHORT)), peak_bytes(case(TALL))
+    assert short > 0
+    assert abs(tall - short) <= SLACK, (
+        f"peak allocation grew from {short} to {tall} bytes with the table "
+        f"height ({SHORT} -> {TALL} rows) for the same {BATCH * POOLING} "
+        "lookups: something copies the table (a strided source under "
+        "ndarray.take does)"
+    )
+
+
+def test_the_measurement_sees_a_table_sized_copy():
+    """The instrument itself: a copy of half the parent — what ``take`` made
+    of ``table[shard::2]`` once per rank round — shows up in the peak."""
+    def half_copy(height):
+        table = table_of(height)
+        return lambda: np.ascontiguousarray(table[1::2])
+
+    grown = peak_bytes(half_copy(TALL)) - peak_bytes(half_copy(SHORT))
+    assert grown > 16 * SLACK

@@ -48,6 +48,17 @@ def assert_params_equal(model_a, model_b):
         assert np.array_equal(a, b)
 
 
+def exported_state(trainer):
+    return trainer.optimizer.export_state(trainer.named_parameters())
+
+
+def assert_state_equal(trainer_a, trainer_b):
+    state_a, state_b = exported_state(trainer_a), exported_state(trainer_b)
+    assert state_a.keys() == state_b.keys() and state_a
+    for key, tensor in state_a.items():
+        assert np.array_equal(tensor, state_b[key]), key
+
+
 @pytest.fixture
 def trace(tmp_path):
     return record_trace(
@@ -124,7 +135,7 @@ class TestResumeEqualsUninterrupted:
         trainer.train(8, 6 - step, np.random.default_rng(1), start_step=step)
         assert_params_equal(full_model, resumed_model)
 
-    def test_sharded_resume_with_per_shard_optimizer_state(self, tmp_path):
+    def test_sharded_resume_with_per_row_optimizer_state(self, tmp_path):
         full_model = make_model()
         FunctionalTrainer(
             full_model, make_stream(), Adam(lr=0.05), num_shards=2
@@ -141,6 +152,38 @@ class TestResumeEqualsUninterrupted:
         trainer.train(8, 5 - step, np.random.default_rng(5), start_step=step)
         assert_params_equal(full_model, resumed_model)
 
+    @pytest.mark.parametrize("layout", [
+        dict(num_shards=1),
+        dict(num_shards=2, policy="table"),
+    ], ids=["one shard", "two table shards"])
+    @pytest.mark.parametrize("optimizer_cls", [Adagrad, Adam])
+    def test_unsharded_checkpoint_resumes_under_another_layout(
+        self, trace, tmp_path, optimizer_cls, layout
+    ):
+        """Layouts whose steps equal the unsharded step bit for bit carry
+        an unsharded run on — losses, parameters and per-row state."""
+        full_model = make_model()
+        full_trainer = FunctionalTrainer(
+            full_model, TraceReplaySource(trace), optimizer_cls(lr=0.05)
+        )
+        full = full_trainer.train(8, 6, np.random.default_rng(9))
+        callback = CheckpointCallback(tmp_path / "ck", every=3)
+        FunctionalTrainer(
+            make_model(), TraceReplaySource(trace), optimizer_cls(lr=0.05)
+        ).train(8, 3, np.random.default_rng(9), callbacks=[callback])
+        resumed_model = DLRM(CONFIG, rng=np.random.default_rng(321))
+        trainer = FunctionalTrainer(
+            resumed_model, TraceReplaySource(trace), optimizer_cls(lr=0.05),
+            **layout,
+        )
+        step = restore_trainer(trainer, callback.last_path)
+        resumed = trainer.train(
+            8, 6 - step, np.random.default_rng(4), start_step=step
+        )
+        assert resumed.losses == full.losses[step:]
+        assert_params_equal(full_model, resumed_model)
+        assert_state_equal(trainer, full_trainer)
+
 
 class TestFormat:
     def test_roundtrip_preserves_step_params_and_state(self, tmp_path):
@@ -153,7 +196,7 @@ class TestFormat:
         assert checkpoint.step == 2
         assert checkpoint.optimizer_class == "Momentum"
         assert checkpoint.hyperparameters == {"lr": 0.1, "momentum": 0.9}
-        named = dict(trainer.named_parameters(include_shard_views=False))
+        named = dict(trainer.named_parameters())
         assert set(checkpoint.params) == set(named)
         for name, saved in checkpoint.params.items():
             assert np.array_equal(saved, named[name])
@@ -170,6 +213,47 @@ class TestFormat:
         trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
         with pytest.raises(ValueError, match="step"):
             save_checkpoint(tmp_path / "ck.npz", trainer, step=-1)
+
+    def test_state_is_keyed_by_table_whatever_the_layout(self, tmp_path):
+        trainer = FunctionalTrainer(
+            make_model(), make_stream(), Adagrad(lr=0.1), num_shards=3
+        )
+        trainer.train(8, 2, np.random.default_rng(1))
+        state = load_checkpoint(
+            save_checkpoint(tmp_path / "ck", trainer, step=2)
+        ).state
+        tables = {key for key in state if key.startswith("table_")}
+        assert tables == {f"table_{t}.accumulator" for t in range(3)}
+
+    def test_a_failed_write_keeps_the_old_file_and_leaves_no_litter(
+        self, tmp_path, monkeypatch
+    ):
+        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
+        path = save_checkpoint(tmp_path / "ck.npz", trainer, step=1)
+        before = path.read_bytes()
+        trainer.train(8, 1, np.random.default_rng(1))
+
+        def dies_mid_write(stream, **payload):
+            stream.write(b"half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(
+            "repro.runtime.checkpoint.np.savez_compressed", dies_mid_write
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, trainer, step=2)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["ck.npz"]
+
+    def test_a_save_leaves_another_writers_temporary_alone(self, tmp_path):
+        """Two writers of one path never share a temporary: a file at the
+        guessable ``<name>.tmp`` belongs to whoever made it."""
+        other = tmp_path / "ck.npz.tmp"
+        other.write_bytes(b"another writer, mid-save")
+        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
+        path = save_checkpoint(tmp_path / "ck.npz", trainer, step=1)
+        assert other.read_bytes() == b"another writer, mid-save"
+        assert load_checkpoint(path).step == 1
 
 
 class TestRestoreValidation:
@@ -202,32 +286,28 @@ class TestRestoreValidation:
         with pytest.raises(ValueError, match="parameter set"):
             restore_trainer(trainer, checkpoint_path)
 
-    def test_shard_layout_mismatch_rejected(self, tmp_path):
-        """2-shard per-view state cannot silently land in a 3-shard trainer."""
-        trainer = FunctionalTrainer(
-            make_model(), make_stream(), Adam(lr=0.05), num_shards=2
-        )
-        trainer.train(8, 2, np.random.default_rng(1))
-        path = save_checkpoint(tmp_path / "ck.npz", trainer, step=2)
-        other = FunctionalTrainer(
-            make_model(), make_stream(), Adam(lr=0.05), num_shards=3
-        )
-        with pytest.raises(ValueError, match="shard"):
-            restore_trainer(other, path)
-
-    def test_unsharded_stateful_checkpoint_into_sharded_trainer_rejected(
-        self, tmp_path
+    @pytest.mark.parametrize("layout", [
+        dict(),
+        dict(num_shards=4),
+        dict(num_shards=2, policy="table"),
+    ], ids=["unsharded", "four row shards", "two table shards"])
+    @pytest.mark.parametrize("optimizer_cls", [Adagrad, Adam])
+    def test_state_saved_at_two_row_shards_restores_into_any_layout(
+        self, tmp_path, optimizer_cls, layout
     ):
-        """Unsharded table state keys would never be read by the sharded
-        update path — restoring them must fail loudly, not cold-start."""
-        trainer = FunctionalTrainer(make_model(), make_stream(), Adagrad(lr=0.1))
-        trainer.train(8, 2, np.random.default_rng(1))
-        path = save_checkpoint(tmp_path / "ck.npz", trainer, step=2)
-        sharded = FunctionalTrainer(
-            make_model(), make_stream(), Adagrad(lr=0.1), num_shards=2
+        """Per-row state belongs to the table, not to the shards that
+        trained it: parameters and every state tensor land array-equal."""
+        source = FunctionalTrainer(
+            make_model(), make_stream(), optimizer_cls(lr=0.05), num_shards=2
         )
-        with pytest.raises(ValueError, match="unsharded optimizer state"):
-            restore_trainer(sharded, path)
+        source.train(8, 3, np.random.default_rng(1))
+        path = save_checkpoint(tmp_path / "ck.npz", source, step=3)
+        target = FunctionalTrainer(
+            make_model(5), make_stream(), optimizer_cls(lr=0.05), **layout
+        )
+        assert restore_trainer(target, path) == 3
+        assert_params_equal(source.model, target.model)
+        assert_state_equal(source, target)
 
     def test_stateless_checkpoint_may_cross_shard_layouts(self, tmp_path):
         """SGD checkpoints carry values only, so any layout can warm-start."""
@@ -240,20 +320,32 @@ class TestRestoreValidation:
         assert restore_trainer(sharded, path) == 2
         assert_params_equal(trainer.model, sharded.model)
 
-    def test_failed_restore_leaves_trainer_untouched(self, tmp_path):
-        """Rejection is atomic: no half-applied parameters or state."""
+    def test_per_shard_state_key_rejected_and_trainer_untouched(
+        self, tmp_path
+    ):
+        """An archive from when state was keyed per shard view names a
+        parameter no trainer has: refused by name, nothing half-applied."""
         source = FunctionalTrainer(
-            make_model(), make_stream(), Adam(lr=0.05), num_shards=2
+            make_model(), make_stream(), Adagrad(lr=0.1), num_shards=2
         )
         source.train(8, 2, np.random.default_rng(1))
-        path = save_checkpoint(tmp_path / "ck.npz", source, step=2)
-        target = FunctionalTrainer(make_model(5), make_stream(), Adam(lr=0.05))
+        good = save_checkpoint(tmp_path / "good.npz", source, step=2)
+        with np.load(good) as archive:
+            members = {key: archive[key] for key in archive.files}
+        members["state/table_0_shard_1.accumulator"] = members.pop(
+            "state/table_0.accumulator"
+        )[1::2]
+        old = tmp_path / "old.npz"
+        np.savez(old, **members)
+        target = FunctionalTrainer(
+            make_model(5), make_stream(), Adagrad(lr=0.1), num_shards=2
+        )
         before = [param.copy() for param in target.model.all_parameters()]
-        with pytest.raises(ValueError):
-            restore_trainer(target, path)
+        with pytest.raises(ValueError, match=r"table_0_shard_1\.accumulator"):
+            restore_trainer(target, old)
         for param, snapshot in zip(target.model.all_parameters(), before):
             assert np.array_equal(param, snapshot)
-        assert target.optimizer.export_state(target.named_parameters()) == {}
+        assert exported_state(target) == {}
 
     def test_restore_accepts_preloaded_checkpoint(self, tmp_path):
         trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))

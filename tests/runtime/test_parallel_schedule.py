@@ -252,15 +252,22 @@ class TestCrashPropagation:
 
 
 class TestConstruction:
-    def test_num_shards_capped_by_smallest_table(self):
-        # Satellite regression: 61 shards over 60-row tables used to fail
-        # deep inside partitioning; now it is a construction-time error.
-        with pytest.raises(ValueError, match="smallest embedding table"):
-            make_trainer(num_shards=61)
-
-    def test_num_shards_equal_to_smallest_table_allowed(self):
-        _, trainer = make_trainer(num_shards=60)
-        assert trainer.sharded is not None
+    @pytest.mark.parametrize("schedule", ["serial", "parallel"])
+    def test_more_shards_than_rows_leaves_the_extra_shards_empty(
+            self, schedule):
+        # Shards name parent rows, so a shard that owns none is only ever
+        # an empty shard: over 60-row tables row r lives on shard r under
+        # both counts, the 61st shard never receives a lookup, and the two
+        # runs are the same run.
+        exact_model, exact = make_trainer(num_shards=60, schedule=schedule)
+        spare_model, spare = make_trainer(num_shards=61, schedule=schedule)
+        exact_report = exact.train(16, 3, np.random.default_rng(1))
+        spare_report = spare.train(16, 3, np.random.default_rng(1))
+        assert spare_report.losses == exact_report.losses
+        for a, b in zip(exact_model.all_parameters(),
+                        spare_model.all_parameters()):
+            assert np.array_equal(a, b)
+        assert len(spare_report.shard_timings) == 61
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):

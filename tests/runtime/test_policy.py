@@ -41,7 +41,6 @@ from repro.runtime.policy import (
     check_capabilities,
 )
 from repro.runtime.trainer import FunctionalTrainer
-from repro.sim.cache import HotRowCacheSpec
 
 # Same-directory imports (pytest puts this directory on sys.path).
 from _legacy_trainer import legacy_train_serial, legacy_train_sharded
@@ -180,10 +179,6 @@ def test_cell_matches_its_oracle(
 
 #: Row name -> (trainer kwargs, mode) that the row must reject.
 ROW_EXAMPLES = {
-    "hot cache × sharded": (
-        dict(num_shards=2, hot_cache=HotRowCacheSpec(capacity_rows=8)),
-        "casted",
-    ),
     "sharded × baseline": (dict(num_shards=2), "baseline"),
     "shard pool × unsharded": (dict(schedule="parallel"), "casted"),
     "workers × inline executor": (dict(num_shards=2, workers=2), "casted"),

@@ -1,7 +1,7 @@
 """Calibration harness: prints every paper anchor metric for the current specs.
 
-Run after touching repro.sim.specs constants; targets in comments are the
-paper's reported numbers (see EXPERIMENTS.md).
+Run after touching repro.sim.specs constants; the targets printed beside
+each section are the paper's reported numbers (Figures 4, 13, 15, 16).
 """
 import statistics
 from repro.runtime.systems import *
