@@ -83,7 +83,7 @@ def check(rows):
 def test_thread_mode_scaling(benchmark):
     rows = run_once(benchmark, lambda: [
         as_row(row) for row in measured_scaling_sweep(
-            shard_counts=SHARD_COUNTS, batch=BATCH, steps=STEPS,
+            shard_counts=SHARD_COUNTS, batches=(BATCH,), steps=STEPS,
             config=CONFIG, backend="vectorized",
             seed=SEED, repeats=REPEATS,
         )

@@ -22,8 +22,11 @@ from repro import get_dataset
 from repro.core.traffic import casting_reduction_factor
 from repro.data import SyntheticCTRStream, dataset_names
 from repro.data import empirical_probability_function, gini_coefficient
-from repro.experiments import fig5b_gradient_sizes, format_fig5b
-from repro.experiments.overlap import scaled_distribution
+from repro.experiments import (
+    fig5b_gradient_sizes,
+    format_fig5b,
+    scaled_distribution,
+)
 from repro.model.hot_cache import HotRowCache
 from repro.sim.cache import CachedCPUModel, HotRowCacheSpec
 

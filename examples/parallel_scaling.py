@@ -104,7 +104,7 @@ def main() -> None:
     # -- the measured scaling curve -------------------------------------
     print("\nmeasured scaling sweep (serial vs parallel wall-clock):")
     rows = measured_scaling_sweep(
-        shard_counts=(1, 2), batch=BATCH, steps=STEPS,
+        shard_counts=(1, 2), batches=(BATCH,), steps=STEPS,
         config=CONFIG, backend="vectorized", repeats=2,
     )
     print(format_measured_scaling(rows))

@@ -172,16 +172,26 @@ def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
     if args.schedule == "parallel":
         # Measured mode: real trainers, inline vs. pooled shard executor
         # at the same shard count, next to the analytic bound.
+        if args.models is not None:
+            raise ValueError(
+                "--models does not apply to 'scaling --schedule parallel': "
+                "the measured sweep trains the down-scaled OVERLAP_CONFIG"
+            )
         return format_measured_scaling(
             measured_scaling_sweep(
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
-                batch=(args.batches or (512,))[0],
+                batches=tuple(args.batches or (512,)),
                 steps=args.steps if args.steps is not None else 8,
                 workers=args.workers,
                 backend=args.backend or "vectorized",
                 dataset=args.dataset,
                 hardware=hardware,
             )
+        )
+    if args.steps is not None:
+        raise ValueError(
+            "--steps applies to 'scaling --schedule parallel' only: the "
+            "analytic sweep trains nothing"
         )
     batches = args.batches or (4096,)
     shard_counts = args.shards or SCALING_SHARDS
@@ -210,9 +220,7 @@ def _run_overlap(
                       optimizer=args.optimizer or "sgd",
                       lr=args.lr if args.lr is not None else 0.1,
                       checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-                      obs=obs,
-                      schedule=args.schedule or "serial",
-                      parallel_workers=args.workers)
+                      obs=obs)
     )
 
 
@@ -221,10 +229,12 @@ def _run_cache(
     hardware: SystemHardware,
     obs: "Observability | None" = None,
 ) -> str:
-    batch = (args.batches or (1024,))[0]
+    batches = args.batches or (1024,)
+    if len(batches) > 1:
+        raise ValueError(f"'cache' trains one batch size, got {batches}")
     steps = args.steps if args.steps is not None else 24
     return format_hotcache(
-        hotcache_sweep(dataset=args.dataset, batch=batch, steps=steps,
+        hotcache_sweep(dataset=args.dataset, batch=batches[0], steps=steps,
                        trace=args.trace, backend=args.backend,
                        optimizer=args.optimizer or "sgd",
                        lr=args.lr if args.lr is not None else 0.1,
@@ -325,7 +335,6 @@ TRAINER_EXPERIMENTS = ("cache", "overlap", "serve")
 #: neither replays traces nor checkpoints.  These runners take ``obs=``.
 ENGINE_EXPERIMENTS = TRAINER_EXPERIMENTS + ("stepshape",)
 
-_SHARD_SWEEPS = ("scaling", "overlap")
 _SERVE = ("serve",)
 
 #: Flag dest -> the experiments that accept it.  Setting a scoped flag for
@@ -342,8 +351,14 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "metrics_out": ENGINE_EXPERIMENTS,
     "accum_steps": ("cache", "stepshape"),
     "autotune_cache": ("stepshape",),
-    "schedule": _SHARD_SWEEPS,
-    "workers": _SHARD_SWEEPS,
+    "models": ("fig4", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+               "link", "scaling"),
+    "batches": ("fig4", "fig5b", "fig12", "fig13", "fig14", "fig15", "fig16",
+                "scaling", "overlap", "cache", "stepshape"),
+    "shards": ("scaling", "overlap"),
+    "steps": ("scaling", "overlap", "cache", "stepshape"),
+    "schedule": ("scaling",),
+    "workers": ("scaling",),
     "rates": _SERVE,
     "policies": _SERVE,
     "requests": _SERVE,
@@ -460,19 +475,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--steps", type=int, default=None, metavar="S",
-        help="training steps per measured cell of the 'overlap' experiment "
-             "and of 'scaling --schedule parallel' (default: 8)",
+        help="training steps per measured cell (default: 8 for 'overlap' "
+             "and 'scaling --schedule parallel', 24 for 'cache', 3 for "
+             "'stepshape')",
     )
     parser.add_argument(
         "--schedule", default=None, choices=("serial", "parallel"),
-        help="shard execution schedule for 'scaling'/'overlap': 'parallel' "
-             "fans per-shard work across a thread pool (for 'scaling' this "
-             "switches to the measured serial-vs-parallel sweep; default: "
-             "serial)",
+        help="'scaling --schedule parallel' switches from the analytic "
+             "sweep to the measured one: each (batch, shard count) cell "
+             "trains with shards inline on the step loop, then fanned "
+             "across a thread pool, and reports the ratio next to the "
+             "analytic bound (default: serial, the analytic sweep)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker count for --schedule parallel (default: one per shard)",
+        help="thread-pool size for 'scaling --schedule parallel' "
+             "(default: one per shard)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",

@@ -3,6 +3,9 @@
 Each module exposes a ``figN_*``/``tableN_*`` function returning structured
 rows plus a ``format_*`` renderer; the ``benchmarks/`` directory wires them
 into pytest-benchmark targets that regenerate the corresponding artifact.
+The sweeps that train a real model (``overlap``, measured ``scaling``,
+``cache``, ``serve``, ``stepshape``) build and time every run through
+:mod:`repro.experiments.measured`.
 """
 
 from .breakdown import (
@@ -37,8 +40,8 @@ from .overlap import (
     analytic_overlap_speedup,
     format_overlap,
     overlap_sweep,
-    scaled_distribution,
 )
+from .measured import scaled_distribution
 from .plotting import bar_chart, series_chart, stacked_bar_chart
 from .report import format_table, normalize
 from .scaling import (

@@ -21,32 +21,34 @@ ideal placement (measured gaps span 0.08-0.11 across our profiles).  Both must s
 number is an upper bound, and an executed cache beating it by more than
 head-mass estimation noise would mean the measurement is broken.
 
-Sources are selected the same way the trainers see them: a named dataset
-profile (rescaled to the functional table height, as in the overlap
-experiment) or a recorded batch trace replayed from disk (``--trace``),
-in which case the analytic prediction is computed from the trace's own
-measured per-table popularity histograms.
+Each policy trains once through the measured-run harness
+(:mod:`repro.experiments.measured`), which also selects the source: a named
+dataset profile rescaled to the functional table height, or a recorded
+batch trace replayed from disk (``--trace``), in which case the analytic
+prediction is computed from the trace's own measured per-table popularity
+histograms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..data.distributions import LookupDistribution
-from ..data.generator import SyntheticCTRStream
-from ..data.source import SourceExhausted
+from ..data.source import BatchSource, SourceExhausted
 from ..data.trace import EmpiricalDistribution, TraceReplaySource
 from ..model.configs import ModelConfig, RM1
-from ..model.dlrm import DLRM
-from ..model.optim import make_optimizer
-from ..runtime.checkpoint import load_checkpoint, restore_trainer, save_checkpoint
-from ..runtime.trainer import FunctionalTrainer
+from ..runtime.checkpoint import load_checkpoint
 from ..sim.cache import CachedCPUModel, HotRowCacheSpec
-from .overlap import scaled_distribution
+from .measured import (
+    best_of,
+    read_trace,
+    scaled_distribution,
+    synthetic_source,
+)
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -137,28 +139,6 @@ def trace_analytic_hit_rate(
     return weighted / total, total
 
 
-def _synthetic_source(
-    config: ModelConfig, distribution: LookupDistribution, seed: int
-) -> SyntheticCTRStream:
-    return SyntheticCTRStream(
-        num_tables=config.num_tables,
-        num_rows=config.rows_per_table,
-        lookups_per_sample=config.gathers_per_table,
-        dense_features=config.dense_features,
-        distributions=[distribution] * config.num_tables,
-        seed=seed,
-    )
-
-
-def _trace_config(source: TraceReplaySource, base: ModelConfig) -> ModelConfig:
-    """Shape the functional model to a replayed trace's geometry."""
-    return base.with_overrides(
-        num_tables=source.num_tables,
-        rows_per_table=max(source.rows_per_table),
-        bottom_mlp=(source.dense_features, *base.bottom_mlp[1:]),
-    )
-
-
 def hotcache_sweep(
     dataset: str = "criteo",
     batch: int = 1024,
@@ -180,9 +160,10 @@ def hotcache_sweep(
 
     Synthetic mode trains over the named profile's popularity shape
     rescaled to the functional table height; trace mode replays a recorded
-    batch trace (one fresh :class:`~repro.data.trace.TraceReplaySource` per
-    policy — every policy sees the identical stream) and takes the analytic
-    prediction from the trace's own histograms.
+    batch trace (a fresh replay per run — every policy sees the identical
+    stream; ``config`` is reshaped to the trace's geometry and ``batch`` is
+    the trace's) and takes the analytic prediction from the trace's own
+    histograms.
 
     ``optimizer``/``lr`` pick the update rule from the registry (default
     plain SGD at 0.1, the historical behavior).  ``resume`` warm-starts
@@ -197,42 +178,23 @@ def hotcache_sweep(
     run (spans, kernel counts, per-table cache series — policies run
     sequentially, so their spans land back-to-back on the shared tracks).
     """
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
-    if capacity_rows <= 0:
-        raise ValueError(f"capacity_rows must be positive, got {capacity_rows}")
     checkpoint = load_checkpoint(resume) if resume is not None else None
-    resume_step = checkpoint.step if checkpoint is not None else 0
+    make_source: Callable[[], BatchSource]
     if trace is not None:
-        with TraceReplaySource(trace) as probe:
-            config = _trace_config(probe, config)
-            first = probe.next_batch(None)
-            batch = first.size
-            if resume_step >= probe.num_steps:
-                raise ValueError(
-                    f"checkpoint resumes at step {resume_step} but {trace} "
-                    f"holds only {probe.num_steps} steps — nothing left to "
-                    "replay"
-                )
-            steps = min(steps, probe.num_steps - resume_step)
+        cell = read_trace(
+            trace, config, steps, checkpoint.step if checkpoint else 0
+        )
+        config, steps, batch = cell.config, cell.steps, cell.first.size
         analytic, _ = trace_analytic_hit_rate(trace, capacity_rows)
-        source_label = f"trace:{Path(trace).name}"
-
-        def make_source() -> TraceReplaySource:
-            return TraceReplaySource(trace)
-
+        source_label = cell.label
+        make_source = cell.source
     else:
         distribution = scaled_distribution(dataset, config.rows_per_table)
         analytic = CachedCPUModel(
             HotRowCacheSpec(capacity_rows=capacity_rows), distribution
         ).hit_rate
         source_label = dataset
-
-        def make_source() -> SyntheticCTRStream:
-            return _synthetic_source(config, distribution, seed)
-
+        make_source = partial(synthetic_source, config, distribution, seed)
     if obs is not None:
         obs.annotate(
             experiment="cache", source=source_label, seed=seed,
@@ -240,29 +202,16 @@ def hotcache_sweep(
         )
     rows: List[HotCacheRow] = []
     for policy in policies:
-        model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
-        trainer = FunctionalTrainer(
-            model,
-            make_source(),
-            make_optimizer(optimizer, lr=lr),
-            backend=backend if backend is not None else "auto",
+        run = best_of(
+            config, make_source, batch, steps, seed=seed,
+            optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
+            backend=backend or "auto",
             hot_cache=HotRowCacheSpec(capacity_rows=capacity_rows),
-            cache_policy=policy,
-            accum_steps=accum_steps,
-        )
-        start_step = (
-            restore_trainer(trainer, checkpoint) if checkpoint is not None else 0
-        )
-        report = trainer.train(
-            batch, steps, np.random.default_rng(seed + 1),
-            start_step=start_step, obs=obs,
+            cache_policy=policy, accum_steps=accum_steps,
         )
         if checkpoint_dir is not None:
-            save_checkpoint(
-                Path(checkpoint_dir) / f"cache-{policy}.npz", trainer,
-                start_step + report.steps,
-            )
-        trainer.stream.close()
+            run.save(Path(checkpoint_dir) / f"cache-{policy}.npz")
+        report = run.report
         assert report.cache_hit_rate is not None
         rows.append(
             HotCacheRow(

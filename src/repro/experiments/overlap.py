@@ -1,13 +1,13 @@
 """Measured vs. analytic cast-ahead overlap: the "overlap" experiment.
 
 The paper's Section IV-B runtime hides Tensor Casting under forward
-propagation; :class:`~repro.runtime.pipeline.PipelinedTrainer` executes that
-schedule on the host.  This experiment sweeps batch size × shard count and,
-for each cell, trains the same down-scaled DLRM twice — once through the
-serial :class:`~repro.runtime.trainer.FunctionalTrainer`, once through the
-pipelined trainer — and reports:
+propagation; the trainer's ``lookahead=1`` schedule executes that overlap
+on the host.  This experiment sweeps batch size × shard count and, for
+each cell, trains the same down-scaled DLRM twice through
+:func:`repro.experiments.measured.best_of` — once casting inline
+(``lookahead=0``), once casting ahead (``lookahead=1``) — and reports:
 
-* **measured throughput** of both trainers (steps/s) and their ratio, the
+* **measured throughput** of both runs (steps/s) and their ratio, the
   measured overlap speedup;
 * **the analytic prediction** from the ``Ours(NMP)`` /
   :class:`~repro.runtime.systems.ShardedNMPSystem` timeline: the ratio of
@@ -21,6 +21,9 @@ pipelined trainer — and reports:
   numerical drift;
 * per-stage all-to-all accounting for sharded cells (forward vs. backward
   exchange bytes).
+
+Sharded cells run their shards inline on the step loop; the thread-pool
+shard executor is measured by ``scaling --schedule parallel``.
 
 Measured overlap is bounded by the host's parallelism: the pipeline takes
 the cast off the critical *path*, but a core must still execute it, so on a
@@ -37,30 +40,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
+from typing import Callable, List, Sequence, TYPE_CHECKING
 
-import numpy as np
-
-from ..data.datasets import get_dataset
-from ..data.distributions import (
-    LookupDistribution,
-    UniformDistribution,
-    ZipfDistribution,
-)
-from ..data.generator import SyntheticCTRStream
-from ..data.trace import TraceReplaySource, distribution_from_trace
-from ..model.configs import ModelConfig, RM1
-from ..model.dlrm import DLRM
-from ..model.optim import make_optimizer
+from ..data.distributions import LookupDistribution
 from ..data.source import BatchSource
-from ..runtime.checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    restore_trainer,
-    save_checkpoint,
-)
-from ..runtime.pipeline import PipelinedTrainer
+from ..data.trace import distribution_from_trace
+from ..model.configs import ModelConfig, RM1
+from ..runtime.checkpoint import load_checkpoint
 from ..runtime.systems import (
     NMPSystem,
     OP_CASTING,
@@ -68,7 +56,13 @@ from ..runtime.systems import (
     SystemHardware,
     compute_workload,
 )
-from ..runtime.trainer import FunctionalTrainer, TrainingReport
+from .measured import (
+    best_of,
+    read_trace,
+    runs_bit_identical,
+    scaled_distribution,
+    synthetic_source,
+)
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -82,7 +76,6 @@ __all__ = [
     "analytic_overlap_speedup",
     "overlap_sweep",
     "format_overlap",
-    "scaled_distribution",
 ]
 
 #: Down-scaled RM1 the functional overlap measurement trains (small tables,
@@ -127,35 +120,6 @@ class OverlapRow:
     #: Seconds the pipelined step loop blocked on the cast-ahead future (the
     #: exposed remainder; ≈0 when the schedule fully hides the cast).
     cast_wait_seconds: float = 0.0
-    #: Throughput of the optional third run through a pooled shard
-    #: executor (:mod:`repro.runtime.parallel`; 0 when the
-    #: sweep's ``schedule`` knob stays serial or the cell is unsharded).
-    parallel_steps_per_s: float = 0.0
-
-
-def scaled_distribution(dataset: str, num_rows: int) -> LookupDistribution:
-    """A named profile's popularity *shape* rescaled to ``num_rows``.
-
-    The functional overlap measurement trains a down-scaled model, so the
-    calibrated catalog sizes of :mod:`repro.data.datasets` cannot be used
-    directly — but the locality shape (uniform vs. Zipf exponent/shift) can.
-    The same rescaled distribution feeds both the measured stream and the
-    analytic workload, keeping the measured/analytic comparison
-    apples-to-apples for every dataset.
-    """
-    if dataset == "random":
-        return UniformDistribution(num_rows)
-    profile_dist = get_dataset(dataset).distribution()
-    if isinstance(profile_dist, ZipfDistribution):
-        return ZipfDistribution(
-            num_rows, exponent=profile_dist.exponent, shift=profile_dist.shift
-        )
-    if isinstance(profile_dist, UniformDistribution):
-        return UniformDistribution(num_rows)
-    raise ValueError(
-        f"dataset {dataset!r} uses a {type(profile_dist).__name__}, which the "
-        "overlap sweep cannot rescale to the functional table height"
-    )
 
 
 def analytic_overlap_speedup(
@@ -188,224 +152,6 @@ def analytic_overlap_speedup(
     return (result.total + cast_seconds) / result.total
 
 
-def _make_trainer(
-    trainer_cls: Type[FunctionalTrainer],
-    config: ModelConfig,
-    num_shards: int,
-    seed: int,
-    distribution: LookupDistribution | None = None,
-    backend: str | None = None,
-    source_factory: Optional[Callable[[], "BatchSource"]] = None,
-    optimizer: str = "sgd",
-    lr: float = 0.1,
-    schedule: str = "serial",
-    workers: Optional[int] = None,
-) -> Tuple[DLRM, FunctionalTrainer]:
-    """Fresh (model, trainer) pair; identical seeds ⇒ identical start state.
-
-    ``source_factory`` overrides the synthetic stream with any
-    :class:`~repro.data.source.BatchSource` builder (a fresh source per
-    trainer, so exhaustible sources replay from the top for every run).
-    ``optimizer``/``lr`` select the update rule from the registry
-    (:func:`repro.model.optim.make_optimizer`).  ``schedule`` / ``workers``
-    pass straight to the trainer — ``"parallel"`` selects the thread shard
-    executor (:mod:`repro.runtime.parallel`).
-    """
-    model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
-    if source_factory is not None:
-        stream = source_factory()
-    else:
-        distributions = None
-        if distribution is not None:
-            distributions = [distribution] * config.num_tables
-        stream = SyntheticCTRStream(
-            num_tables=config.num_tables,
-            num_rows=config.rows_per_table,
-            lookups_per_sample=config.gathers_per_table,
-            dense_features=config.dense_features,
-            distributions=distributions,
-            seed=seed,
-        )
-    trainer = trainer_cls(
-        model,
-        stream,
-        make_optimizer(optimizer, lr=lr),
-        num_shards=num_shards if num_shards > 0 else None,
-        policy="row",
-        backend=backend if backend is not None else "auto",
-        schedule=schedule,
-        workers=workers,
-    )
-    return model, trainer
-
-
-def _runs_bit_identical(
-    serial_model: DLRM,
-    serial_report: TrainingReport,
-    pipelined_model: DLRM,
-    pipelined_report: TrainingReport,
-) -> bool:
-    """Exact (not approximate) agreement of losses and every parameter."""
-    if serial_report.losses != pipelined_report.losses:
-        return False
-    return all(
-        np.array_equal(a, b)
-        for a, b in zip(
-            serial_model.all_parameters(), pipelined_model.all_parameters()
-        )
-    )
-
-
-def _best_of(
-    trainer_cls: Type[FunctionalTrainer],
-    config: ModelConfig,
-    num_shards: int,
-    seed: int,
-    batch: int,
-    steps: int,
-    repeats: int,
-    distribution: LookupDistribution | None = None,
-    backend: str | None = None,
-    source_factory: Optional[Callable[[], "BatchSource"]] = None,
-    optimizer: str = "sgd",
-    lr: float = 0.1,
-    resume: "Optional[Checkpoint]" = None,
-    obs: "Observability | None" = None,
-    schedule: str = "serial",
-    workers: Optional[int] = None,
-) -> Tuple[DLRM, FunctionalTrainer, TrainingReport]:
-    """Train ``repeats`` fresh identically-seeded runs; keep the fastest.
-
-    Best-of-k is the standard way to strip scheduler noise from a wall-clock
-    comparison; every repeat is numerically identical (fresh model, same
-    seeds), so the minimum is a legitimate sample of the same computation.
-    With ``resume`` set (a pre-loaded
-    :class:`~repro.runtime.checkpoint.Checkpoint`, decompressed once per
-    sweep rather than once per repeat), every repeat warm-starts from the
-    checkpoint (parameters + optimizer state restored, source
-    fast-forwarded past the checkpointed steps) — still identical across
-    repeats.  Returns the *whole* report of the fastest run — wall clock
-    and phase timings stay mutually consistent — paired with one run's
-    model for the bit-identity check and its trainer (for checkpointing the
-    trained state out).
-    """
-    best_model = None
-    best_trainer = None
-    best_report = None
-    for _ in range(repeats):
-        model, trainer = _make_trainer(
-            trainer_cls, config, num_shards, seed, distribution, backend,
-            source_factory, optimizer, lr, schedule, workers,
-        )
-        start_step = restore_trainer(trainer, resume) if resume is not None else 0
-        report = trainer.train(
-            batch, steps, np.random.default_rng(seed + 1),
-            start_step=start_step, obs=obs,
-        )
-        trainer.stream.close()
-        if best_report is None or report.wall_seconds < best_report.wall_seconds:
-            best_model, best_trainer, best_report = model, trainer, report
-    assert best_model is not None and best_report is not None
-    return best_model, best_trainer, best_report
-
-
-def _overlap_trace_cell(
-    trace: str | Path,
-    steps: int,
-    hardware: SystemHardware,
-    seed: int,
-    repeats: int,
-    backend: str | None,
-    optimizer: str = "sgd",
-    lr: float = 0.1,
-    checkpoint_dir: "str | Path | None" = None,
-    resume: "str | Path | None" = None,
-    obs: "Observability | None" = None,
-) -> List[OverlapRow]:
-    """The trace-replay variant of the sweep: one unsharded measured cell.
-
-    Geometry is read from the trace header plus its first step; the model
-    is the overlap config reshaped to fit (tables sized to the tallest
-    recorded table — shorter tables simply leave rows untrained).
-    """
-    with TraceReplaySource(trace) as probe:
-        first = probe.next_batch(None)
-        batch = first.size
-        available_steps = probe.num_steps
-        lookups = sum(index.num_lookups for index in first.indices)
-        gathers = max(1, round(lookups / max(1, batch * probe.num_tables)))
-        config = OVERLAP_CONFIG.with_overrides(
-            num_tables=probe.num_tables,
-            rows_per_table=max(probe.rows_per_table),
-            gathers_per_table=gathers,
-            bottom_mlp=(probe.dense_features, *OVERLAP_CONFIG.bottom_mlp[1:]),
-        )
-        distribution = distribution_from_trace(first.indices, table=0)
-    checkpoint = load_checkpoint(resume) if resume is not None else None
-    resume_step = checkpoint.step if checkpoint is not None else 0
-    if resume_step >= available_steps:
-        raise ValueError(
-            f"checkpoint resumes at step {resume_step} but {trace} holds "
-            f"only {available_steps} steps — nothing left to replay"
-        )
-    steps = min(steps, available_steps - resume_step)
-    if obs is not None:
-        obs.annotate(
-            experiment="overlap", trace=str(trace), seed=seed,
-            batches=[batch], shard_counts=[0], repeats=repeats,
-        )
-
-    def source_factory() -> TraceReplaySource:
-        return TraceReplaySource(trace)
-
-    for warmup_cls in (FunctionalTrainer, PipelinedTrainer):
-        _, warmup_trainer = _make_trainer(
-            warmup_cls, config, 0, seed, None, backend, source_factory,
-            optimizer, lr,
-        )
-        warmup_trainer.train(batch, 1, np.random.default_rng(seed))
-        warmup_trainer.stream.close()
-    serial_model, _, serial = _best_of(
-        FunctionalTrainer, config, 0, seed, batch, steps, repeats,
-        None, backend, source_factory, optimizer, lr, checkpoint, obs,
-    )
-    pipelined_model, pipelined_trainer, pipelined = _best_of(
-        PipelinedTrainer, config, 0, seed, batch, steps, repeats,
-        None, backend, source_factory, optimizer, lr, checkpoint, obs,
-    )
-    if checkpoint_dir is not None:
-        save_checkpoint(
-            Path(checkpoint_dir) / "overlap-trace.npz", pipelined_trainer,
-            resume_step + pipelined.steps,
-        )
-    measured = (
-        serial.wall_seconds / pipelined.wall_seconds
-        if pipelined.wall_seconds > 0
-        else 0.0
-    )
-    analytic = analytic_overlap_speedup(config, batch, 0, hardware, distribution)
-    return [
-        OverlapRow(
-            model=f"trace:{Path(trace).name}",
-            batch=batch,
-            num_shards=0,
-            steps=serial.steps,
-            serial_steps_per_s=serial.steps_per_second,
-            pipelined_steps_per_s=pipelined.steps_per_second,
-            measured_speedup=measured,
-            analytic_speedup=analytic,
-            overlap_ratio=measured / analytic if analytic > 0 else 0.0,
-            bit_identical=_runs_bit_identical(
-                serial_model, serial, pipelined_model, pipelined
-            ),
-            forward_exchange_bytes=pipelined.forward_exchange_bytes,
-            backward_exchange_bytes=pipelined.backward_exchange_bytes,
-            cast_seconds=pipelined.timings.totals.get("casting", 0.0),
-            cast_wait_seconds=pipelined.timings.totals.get("cast_wait", 0.0),
-        )
-    ]
-
-
 def overlap_sweep(
     batches: Sequence[int] = OVERLAP_BATCHES,
     shard_counts: Sequence[int] = OVERLAP_SHARDS,
@@ -422,172 +168,118 @@ def overlap_sweep(
     checkpoint_dir: "str | Path | None" = None,
     resume: "str | Path | None" = None,
     obs: "Observability | None" = None,
-    schedule: str = "serial",
-    parallel_workers: Optional[int] = None,
 ) -> List[OverlapRow]:
-    """Sweep batch × shard count, measuring serial vs. pipelined training.
+    """Sweep batch × shard count, measuring inline vs. cast-ahead training.
 
-    Each cell builds two identically-seeded trainers, trains ``steps``
-    iterations through each (best wall-clock of ``repeats`` runs), verifies
+    Each cell trains ``steps`` iterations at ``lookahead=0`` and at
+    ``lookahead=1`` (best wall-clock of ``repeats`` runs each), verifies
     bitwise agreement, and pairs the measured speedup with the analytic
     cast-overlap prediction for the same geometry.  ``shard_counts``
     entries of 0 select the unsharded path.  ``backend`` names the kernel
-    engine both trainers route their hot kernels through (``None`` → the
+    engine both runs route their hot kernels through (``None`` → the
     trainers' default ``auto`` policy); every engine is bit-identical for
     the float32 model *to itself across schedules*, which is all the
     bitwise flag compares.
 
-    ``trace`` switches the measurement from synthetic generation to
-    replaying a recorded batch trace: one unsharded cell whose geometry
-    (batch size, table count/heights, dense width, available steps) comes
-    from the trace itself, with a fresh
-    :class:`~repro.data.trace.TraceReplaySource` per run so serial and
-    pipelined trainers consume the identical stream — the bitwise flag
-    then certifies the pipeline on real replayed data.  The analytic bound
-    uses the trace's own measured table-0 popularity.  ``batches`` and
-    ``shard_counts`` are ignored in trace mode.
+    ``trace`` switches the source from synthetic generation to replaying a
+    recorded batch trace: one unsharded cell whose geometry (batch size,
+    table count/heights, dense width, available steps) comes from the
+    trace itself (:func:`~repro.experiments.measured.read_trace` reshapes
+    ``config``), with a fresh replay per run so both schedules consume the
+    identical stream.  The analytic bound uses the trace's own measured
+    table-0 popularity.  ``batches`` and ``shard_counts`` are ignored in
+    trace mode.
 
     ``optimizer``/``lr`` pick the update rule from the registry (default
-    plain SGD at 0.1, the historical behavior).  ``resume`` warm-starts
-    every measured trainer from a checkpoint
-    (:mod:`repro.runtime.checkpoint`): parameters and optimizer state are
-    restored and each fresh source is fast-forwarded past the
-    checkpointed steps, so serial and pipelined runs stay bit-comparable.
-    The checkpoint is applied to *every* cell, so its shard layout must
-    agree with the whole sweep: a stateful checkpoint taken at one shard
-    count fails loudly (clean exit 2 from the CLI) when a cell's layout
-    differs — restrict ``shard_counts`` to the layout the checkpoint was
-    taken with.  ``checkpoint_dir`` saves each cell's final trained state
-    as ``overlap-b{batch}-s{shards}.npz`` (``overlap-trace.npz`` in trace
-    mode).
+    plain SGD at 0.1).  ``resume`` warm-starts every measured run from a
+    checkpoint (:mod:`repro.runtime.checkpoint`): parameters and optimizer
+    state are restored and each fresh source is fast-forwarded past the
+    checkpointed steps, so both schedules stay bit-comparable.  Optimizer
+    state is keyed by table, not by shard, so one checkpoint resumes into
+    every cell whatever its shard count — e.g. an Adagrad checkpoint saved
+    at 2 shards into ``shard_counts=(0, 2)``.  ``checkpoint_dir`` saves
+    each cell's final trained state as ``overlap-b{batch}-s{shards}.npz``
+    (``overlap-trace.npz`` in trace mode).
 
     ``obs`` traces every *measured* run (warm-up steps stay untraced):
-    each cell's serial repeats, then its pipelined repeats, land
+    each cell's inline repeats, then its cast-ahead repeats, land
     back-to-back on the shared ``main``/``cast``/``shard*`` tracks —
     the trace shows the cast-ahead overlap the table's ratios summarize.
-
-    ``schedule="parallel"`` opts every *sharded* cell into a third measured
-    run through the thread shard executor
-    (:mod:`repro.runtime.parallel`) with ``parallel_workers`` workers
-    (default: one per shard); its throughput
-    lands in ``parallel_steps_per_s`` and its bitwise agreement with the
-    serial run is folded into the cell's ``bit_identical`` flag.
-    Unsharded cells have no shards to fan out and skip the extra run.
     """
-    if schedule not in ("serial", "parallel"):
-        raise ValueError(
-            f"schedule must be 'serial' or 'parallel', got {schedule!r}"
-        )
-    if schedule == "parallel" and trace is not None:
-        raise ValueError(
-            "schedule='parallel' does not apply to trace replay: the trace "
-            "cell is unsharded, and parallel execution fans out shards"
-        )
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if trace is not None:
-        return _overlap_trace_cell(
-            trace, steps, hardware or SystemHardware(), seed, repeats, backend,
-            optimizer, lr, checkpoint_dir, resume, obs,
-        )
-    bad_batches = [batch for batch in batches if batch <= 0]
-    if bad_batches:
-        raise ValueError(f"batch sizes must be positive, got {bad_batches}")
-    negative = [shards for shards in shard_counts if shards < 0]
-    if negative:
-        raise ValueError(
-            f"shard counts must be >= 0 (0 = unsharded), got {negative}"
-        )
     hardware = hardware or SystemHardware()
-    # The same rescaled locality profile drives the measured streams and the
-    # analytic workload — apples-to-apples for every --dataset.
-    distribution = scaled_distribution(dataset, config.rows_per_table)
-    # One throwaway step through every (trainer class, shard count) pair the
-    # sweep will measure, so no measured cell absorbs NumPy/thread-pool/
-    # sharded-machinery warm-up costs.
-    for warmup_shards in sorted(set(shard_counts)):
-        for warmup_cls in (FunctionalTrainer, PipelinedTrainer):
-            _, warmup_trainer = _make_trainer(
-                warmup_cls, config, warmup_shards, seed, distribution, backend,
-                optimizer=optimizer, lr=lr,
-            )
-            warmup_trainer.train(8, 1, np.random.default_rng(seed))
-        if schedule == "parallel" and warmup_shards > 0:
-            _, warmup_trainer = _make_trainer(
-                FunctionalTrainer, config, warmup_shards, seed, distribution,
-                backend, optimizer=optimizer, lr=lr, schedule="parallel",
-                workers=parallel_workers,
-            )
-            warmup_trainer.train(8, 1, np.random.default_rng(seed))
     checkpoint = load_checkpoint(resume) if resume is not None else None
-    resume_step = checkpoint.step if checkpoint is not None else 0
+    distribution: LookupDistribution
+    make_source: Callable[[], BatchSource]
+    if trace is not None:
+        cell = read_trace(
+            trace, config, steps, checkpoint.step if checkpoint else 0
+        )
+        config, steps, label = cell.config, cell.steps, cell.label
+        batches, shard_counts = (cell.first.size,), (0,)
+        distribution = distribution_from_trace(cell.first.indices, table=0)
+        make_source = cell.source
+    else:
+        negative = [shards for shards in shard_counts if shards < 0]
+        if negative:
+            raise ValueError(
+                f"shard counts must be >= 0 (0 = unsharded), got {negative}"
+            )
+        label = config.name
+        # The same rescaled locality profile drives the measured streams
+        # and the analytic workload — apples-to-apples for every --dataset.
+        distribution = scaled_distribution(dataset, config.rows_per_table)
+        make_source = partial(synthetic_source, config, distribution, seed)
     if obs is not None:
         obs.annotate(
-            experiment="overlap", dataset=dataset, seed=seed,
+            experiment="overlap",
+            source=dataset if trace is None else label, seed=seed,
             batches=list(batches), shard_counts=list(shard_counts),
             repeats=repeats,
         )
     rows: List[OverlapRow] = []
     for batch in batches:
         for num_shards in shard_counts:
-            serial_model, _, serial = _best_of(
-                FunctionalTrainer, config, num_shards, seed, batch, steps,
-                repeats, distribution, backend, None, optimizer, lr,
-                checkpoint, obs,
-            )
-            pipelined_model, pipelined_trainer, pipelined = _best_of(
-                PipelinedTrainer, config, num_shards, seed, batch, steps,
-                repeats, distribution, backend, None, optimizer, lr,
-                checkpoint, obs,
+            serial, pipelined = (
+                best_of(
+                    config, make_source, batch, steps, repeats, seed=seed,
+                    optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
+                    num_shards=num_shards or None, policy="row",
+                    backend=backend or "auto", lookahead=lookahead,
+                )
+                for lookahead in (0, 1)
             )
             if checkpoint_dir is not None:
-                save_checkpoint(
-                    Path(checkpoint_dir) / f"overlap-b{batch}-s{num_shards}.npz",
-                    pipelined_trainer, resume_step + pipelined.steps,
+                name = (
+                    "overlap-trace.npz" if trace is not None
+                    else f"overlap-b{batch}-s{num_shards}.npz"
                 )
-            measured = (
-                serial.wall_seconds / pipelined.wall_seconds
-                if pipelined.wall_seconds > 0
-                else 0.0
-            )
+                pipelined.save(Path(checkpoint_dir) / name)
+            wall = pipelined.report.wall_seconds
+            measured = serial.report.wall_seconds / wall if wall > 0 else 0.0
             analytic = analytic_overlap_speedup(
                 config, batch, num_shards, hardware, distribution
             )
-            bit_identical = _runs_bit_identical(
-                serial_model, serial, pipelined_model, pipelined
-            )
-            parallel_steps_per_s = 0.0
-            if schedule == "parallel" and num_shards > 0:
-                parallel_model, _, parallel = _best_of(
-                    FunctionalTrainer, config, num_shards, seed, batch, steps,
-                    repeats, distribution, backend, None, optimizer, lr,
-                    checkpoint, obs, "parallel", parallel_workers,
-                )
-                parallel_steps_per_s = parallel.steps_per_second
-                bit_identical = bit_identical and _runs_bit_identical(
-                    serial_model, serial, parallel_model, parallel
-                )
+            totals = pipelined.report.timings.totals
             rows.append(
                 OverlapRow(
-                    model=config.name,
+                    model=label,
                     batch=batch,
                     num_shards=num_shards,
-                    steps=steps,
-                    serial_steps_per_s=serial.steps_per_second,
-                    pipelined_steps_per_s=pipelined.steps_per_second,
+                    steps=serial.report.steps,
+                    serial_steps_per_s=serial.report.steps_per_second,
+                    pipelined_steps_per_s=pipelined.report.steps_per_second,
                     measured_speedup=measured,
                     analytic_speedup=analytic,
                     overlap_ratio=measured / analytic if analytic > 0 else 0.0,
-                    bit_identical=bit_identical,
-                    forward_exchange_bytes=pipelined.forward_exchange_bytes,
-                    backward_exchange_bytes=pipelined.backward_exchange_bytes,
-                    cast_seconds=pipelined.timings.totals.get("casting", 0.0),
-                    cast_wait_seconds=pipelined.timings.totals.get(
-                        "cast_wait", 0.0
+                    bit_identical=runs_bit_identical(serial, pipelined),
+                    forward_exchange_bytes=(
+                        pipelined.report.forward_exchange_bytes
                     ),
-                    parallel_steps_per_s=parallel_steps_per_s,
+                    backward_exchange_bytes=(
+                        pipelined.report.backward_exchange_bytes
+                    ),
+                    cast_seconds=totals.get("casting", 0.0),
+                    cast_wait_seconds=totals.get("cast_wait", 0.0),
                 )
             )
     return rows
@@ -597,20 +289,13 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
     """Render the sweep: throughputs, measured vs. analytic, exchange split."""
     if not rows:
         return "(no rows)"
-    with_parallel = any(row.parallel_steps_per_s > 0 for row in rows)
     headers = [
         "Model", "Batch", "Shards", "Serial (it/s)", "Pipelined (it/s)",
-        *(["Parallel (it/s)"] if with_parallel else []),
         "Speedup", "Analytic", "Overlap", "Cast (ms)", "Wait (ms)",
         "Bitwise", "FwdEx (KB)", "BwdEx (KB)",
     ]
     table_rows = []
     for row in rows:
-        parallel_cell = (
-            [f"{row.parallel_steps_per_s:.2f}" if row.parallel_steps_per_s > 0 else "-"]
-            if with_parallel
-            else []
-        )
         table_rows.append(
             [
                 row.model,
@@ -618,7 +303,6 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
                 row.num_shards if row.num_shards > 0 else "-",
                 f"{row.serial_steps_per_s:.2f}",
                 f"{row.pipelined_steps_per_s:.2f}",
-                *parallel_cell,
                 f"{row.measured_speedup:.2f}x",
                 f"{row.analytic_speedup:.2f}x",
                 f"{row.overlap_ratio:.2f}",
@@ -640,14 +324,7 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
         "on it (≈0 means the schedule fully hides the cast).\n"
         "FwdEx/BwdEx split the sharded all-to-all payload by pipeline stage "
         "(0 when unsharded).\n"
-        + (
-            "Parallel = the same sharded cell fanned across a shard "
-            "worker pool\n(folded into the Bitwise "
-            "flag; '-' marks unsharded cells it cannot apply to).\n"
-            if with_parallel
-            else ""
-        )
-        + f"Host cores: {cores} — measured overlap needs a spare core to run "
+        f"Host cores: {cores} — measured overlap needs a spare core to run "
         "the hidden cast on;\non a single-core host expect parity here and "
         "see the trainer's casting-vs-cast_wait split\nfor the scheduling "
         "proof."

@@ -14,32 +14,34 @@ and sweeping shard count and partition policy.  Two curves matter:
   must shrink monotonically with shard count on a uniform trace because the
   casted index arrays name only the gradient rows each shard owns.
 
-Since the parallel runtime landed, the analytic curves have a measured
-counterpart: :func:`measured_scaling_sweep` trains the same down-scaled
-DLRM twice per shard count — once through the serial
-:class:`~repro.runtime.trainer.FunctionalTrainer`, once with
-``schedule="parallel"`` fanning the per-shard work to a real worker pool —
-and reports the measured serial/parallel wall-clock ratio next to the
-analytic :class:`~repro.runtime.systems.ShardedNMPSystem` bound, plus a
-bit-identical flag certifying the speedup never comes from numerical
-drift.  ``python -m repro scaling --schedule parallel`` runs it.
+The analytic curves have a measured counterpart:
+:func:`measured_scaling_sweep` trains the same down-scaled DLRM twice per
+(batch, shard count) cell through the measured-run harness
+(:mod:`repro.experiments.measured`) — shards inline on the step loop, then
+with ``schedule="parallel"`` fanning the per-shard work to the thread
+pool — and reports the measured serial/parallel wall-clock ratio next to
+the analytic :class:`~repro.runtime.systems.ShardedNMPSystem` bound, plus
+a bit-identical flag certifying the speedup never comes from numerical
+drift.  ``python -m repro scaling --schedule parallel`` runs it; it is the
+one place the repo measures the thread pool against inline execution.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
-from ..data.distributions import LookupDistribution
-from ..data.generator import SyntheticCTRStream
 from ..model.configs import ALL_MODELS, ModelConfig
-from ..model.dlrm import DLRM
-from ..model.optim import make_optimizer
 from ..runtime.systems import ShardedNMPSystem, SystemHardware, compute_workload
-from ..runtime.trainer import FunctionalTrainer, TrainingReport
+from .measured import (
+    best_of,
+    runs_bit_identical,
+    scaled_distribution,
+    synthetic_source,
+)
+from .overlap import OVERLAP_CONFIG
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -162,7 +164,7 @@ def format_scaling(rows: Sequence[ScalingRow]) -> str:
 
 @dataclass(frozen=True)
 class MeasuredScalingRow:
-    """One shard-count cell of the measured parallel-vs-serial sweep.
+    """One (batch, shard-count) cell of the measured serial-vs-parallel sweep.
 
     ``measured_speedup`` is the serial/parallel wall-clock ratio at the
     *same* shard count (identical numerical work, different execution);
@@ -191,90 +193,11 @@ class MeasuredScalingRow:
     backward_exchange_bytes: int
 
 
-def _measured_trainer(
-    config: ModelConfig,
-    num_shards: int,
-    seed: int,
-    policy: str,
-    backend: str,
-    distribution: LookupDistribution | None,
-    schedule: str = "serial",
-    workers: Optional[int] = None,
-) -> Tuple[DLRM, FunctionalTrainer]:
-    """Fresh (model, trainer) pair; identical seeds ⇒ identical start state.
-
-    The scaling counterpart of ``overlap._make_trainer``, extended with the
-    parallel-schedule knobs (``schedule`` / ``workers``) that the measured
-    sweep compares.
-    """
-    model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
-    distributions = (
-        [distribution] * config.num_tables if distribution is not None else None
-    )
-    stream = SyntheticCTRStream(
-        num_tables=config.num_tables,
-        num_rows=config.rows_per_table,
-        lookups_per_sample=config.gathers_per_table,
-        dense_features=config.dense_features,
-        distributions=distributions,
-        seed=seed,
-    )
-    trainer = FunctionalTrainer(
-        model,
-        stream,
-        make_optimizer("sgd", lr=0.1),
-        num_shards=num_shards,
-        policy=policy,
-        backend=backend,
-        schedule=schedule,
-        workers=workers if schedule == "parallel" else None,
-    )
-    return model, trainer
-
-
-def _best_measured(
-    config: ModelConfig,
-    num_shards: int,
-    seed: int,
-    policy: str,
-    backend: str,
-    distribution: LookupDistribution | None,
-    batch: int,
-    steps: int,
-    repeats: int,
-    schedule: str = "serial",
-    workers: Optional[int] = None,
-    obs: "Observability | None" = None,
-) -> Tuple[DLRM, TrainingReport]:
-    """Best wall-clock of ``repeats`` identically-seeded runs.
-
-    Every repeat is numerically identical (fresh model and stream, same
-    seeds), so the minimum legitimately samples the same computation; the
-    whole report of the fastest run is returned so wall clock and phase
-    timings stay mutually consistent.
-    """
-    best_model: DLRM | None = None
-    best_report: TrainingReport | None = None
-    for _ in range(repeats):
-        model, trainer = _measured_trainer(
-            config, num_shards, seed, policy, backend, distribution,
-            schedule, workers,
-        )
-        report = trainer.train(
-            batch, steps, np.random.default_rng(seed + 1), obs=obs
-        )
-        trainer.stream.close()
-        if best_report is None or report.wall_seconds < best_report.wall_seconds:
-            best_model, best_report = model, report
-    assert best_model is not None and best_report is not None
-    return best_model, best_report
-
-
 def measured_scaling_sweep(
     shard_counts: Sequence[int] = MEASURED_SCALING_SHARDS,
-    batch: int = 512,
+    batches: Sequence[int] = (512,),
     steps: int = 8,
-    config: ModelConfig | None = None,
+    config: ModelConfig = OVERLAP_CONFIG,
     policy: str = "row",
     workers: Optional[int] = None,
     backend: str = "vectorized",
@@ -284,97 +207,77 @@ def measured_scaling_sweep(
     repeats: int = 3,
     obs: "Observability | None" = None,
 ) -> List[MeasuredScalingRow]:
-    """Measured serial-vs-parallel shard execution across shard counts.
+    """Measured serial-vs-parallel shard execution across batch × shards.
 
-    For each shard count, trains the same identically-seeded down-scaled
-    DLRM twice — shards inline on the step loop vs. fanned out to the
-    thread shard executor (:mod:`repro.runtime.parallel`) with ``workers``
-    workers (default: one per shard) — keeping the best wall clock of
-    ``repeats`` runs each, and pairs the measured ratio with the analytic
-    :class:`ShardedNMPSystem` N-vs-1-shard bound.  Losses and every
-    parameter tensor of the two runs are compared exactly; the
-    ``bit_identical`` flag must hold for the speedup to mean anything.
+    For each (batch, shard count) cell, trains the same identically-seeded
+    down-scaled DLRM twice through
+    :func:`repro.experiments.measured.best_of` — shards inline on the step
+    loop vs. fanned out to the thread shard executor
+    (:mod:`repro.runtime.parallel`) with ``workers`` workers (default: one
+    per shard) — keeping the best wall clock of ``repeats`` runs each, and
+    pairs the measured ratio with the analytic :class:`ShardedNMPSystem`
+    N-vs-1-shard bound.  Losses and every parameter tensor of the two runs
+    are compared exactly; the ``bit_identical`` flag must hold for the
+    speedup to mean anything.
 
     ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` so both
     runs of a pair time the same kernels, not an autotuner's probes.
     """
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if batch <= 0:
-        raise ValueError(f"batch size must be positive, got {batch}")
-    bad_shards = [shards for shards in shard_counts if shards < 1]
-    if bad_shards:
-        raise ValueError(
-            f"measured scaling needs shard counts >= 1, got {bad_shards}"
-        )
-    from .overlap import OVERLAP_CONFIG, _runs_bit_identical, scaled_distribution
-
-    config = config or OVERLAP_CONFIG
     hardware = hardware or SystemHardware()
     distribution = scaled_distribution(dataset, config.rows_per_table)
-    stats = compute_workload(config, batch, dataset=distribution)
-    reference = ShardedNMPSystem(hardware, num_shards=1, policy=policy)
-    base_total = reference.run_iteration(stats).total
+    make_source = partial(synthetic_source, config, distribution, seed)
     if obs is not None:
         obs.annotate(
             experiment="scaling", schedule="parallel", dataset=dataset,
-            seed=seed, batch=batch, shard_counts=list(shard_counts),
+            seed=seed, batches=list(batches), shard_counts=list(shard_counts),
             repeats=repeats,
         )
-    # One throwaway step per (shard count, schedule) so no measured cell
-    # absorbs thread-pool and cold-cache warm-up costs.
-    for warmup_shards in sorted(set(shard_counts)):
-        for warmup_schedule in ("serial", "parallel"):
-            _, warmup_trainer = _measured_trainer(
-                config, warmup_shards, seed, policy, backend, distribution,
-                warmup_schedule, workers,
-            )
-            warmup_trainer.train(8, 1, np.random.default_rng(seed))
-            warmup_trainer.stream.close()
     rows: List[MeasuredScalingRow] = []
-    for num_shards in shard_counts:
-        serial_model, serial = _best_measured(
-            config, num_shards, seed, policy, backend, distribution,
-            batch, steps, repeats, "serial", obs=obs,
-        )
-        parallel_model, parallel = _best_measured(
-            config, num_shards, seed, policy, backend, distribution,
-            batch, steps, repeats, "parallel", workers, obs=obs,
-        )
-        measured = (
-            serial.wall_seconds / parallel.wall_seconds
-            if parallel.wall_seconds > 0
-            else 0.0
-        )
-        if num_shards == 1:
-            shard_total = base_total
-        else:
-            shard_total = ShardedNMPSystem(
-                hardware, num_shards=num_shards, policy=policy
-            ).run_iteration(stats).total
-        rows.append(
-            MeasuredScalingRow(
-                model=config.name,
-                batch=batch,
-                policy=policy,
-                num_shards=num_shards,
-                workers=workers or num_shards,
-                backend=backend,
-                steps=serial.steps,
-                serial_steps_per_s=serial.steps_per_second,
-                parallel_steps_per_s=parallel.steps_per_second,
-                measured_speedup=measured,
-                analytic_speedup=base_total / shard_total,
-                bit_identical=_runs_bit_identical(
-                    serial_model, serial, parallel_model, parallel
-                ),
-                sync_seconds=parallel.timings.totals.get("sync", 0.0),
-                forward_exchange_bytes=parallel.forward_exchange_bytes,
-                backward_exchange_bytes=parallel.backward_exchange_bytes,
+    for batch in batches:
+        for num_shards in shard_counts:
+            serial, parallel = (
+                best_of(
+                    config, make_source, batch, steps, repeats, seed=seed,
+                    obs=obs, num_shards=num_shards, policy=policy,
+                    backend=backend, schedule=schedule,
+                    workers=workers if schedule == "parallel" else None,
+                )
+                for schedule in ("serial", "parallel")
             )
-        )
+            wall = parallel.report.wall_seconds
+            stats = compute_workload(config, batch, dataset=distribution)
+            base_total, shard_total = (
+                ShardedNMPSystem(hardware, num_shards=n, policy=policy)
+                .run_iteration(stats).total
+                for n in (1, num_shards)
+            )
+            rows.append(
+                MeasuredScalingRow(
+                    model=config.name,
+                    batch=batch,
+                    policy=policy,
+                    num_shards=num_shards,
+                    workers=workers or num_shards,
+                    backend=backend,
+                    steps=serial.report.steps,
+                    serial_steps_per_s=serial.report.steps_per_second,
+                    parallel_steps_per_s=parallel.report.steps_per_second,
+                    measured_speedup=(
+                        serial.report.wall_seconds / wall if wall > 0 else 0.0
+                    ),
+                    analytic_speedup=base_total / shard_total,
+                    bit_identical=runs_bit_identical(serial, parallel),
+                    sync_seconds=parallel.report.timings.totals.get(
+                        "sync", 0.0
+                    ),
+                    forward_exchange_bytes=(
+                        parallel.report.forward_exchange_bytes
+                    ),
+                    backward_exchange_bytes=(
+                        parallel.report.backward_exchange_bytes
+                    ),
+                )
+            )
     return rows
 
 

@@ -22,7 +22,8 @@ Policies swept (``--policies``):
     DeepRecSys-style hill climb of the batch-size knob against the SLA
     (the reported cell is the climb's winner).
 
-Sources are selected the same way the trainer experiments see them: a
+Sources and the seeded float32 model come from the same measured-run
+harness as the trainer experiments (:mod:`repro.experiments.measured`): a
 named dataset profile rescaled to the serving table height, or a recorded
 batch trace (``--trace``), in which case every recorded batch is served
 as one request.  ``--resume`` restores a training checkpoint into the
@@ -33,16 +34,15 @@ cache knobs attach the executed cache to the inference gathers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from ..data.arrivals import ArrivalProcess
-from ..data.generator import SyntheticCTRStream
-from ..data.trace import TraceReplaySource
+from ..data.source import BatchSource
 from ..model.configs import ModelConfig
-from ..model.dlrm import DLRM
 from ..model.optim import make_optimizer
 from ..runtime.checkpoint import load_checkpoint, restore_trainer, save_checkpoint
 from ..serving import (
@@ -54,8 +54,13 @@ from ..serving import (
     tune_batch_size,
 )
 from ..sim.cache import HotRowCacheSpec
-from .hotcache import HOTCACHE_CONFIG, _trace_config
-from .overlap import scaled_distribution
+from .hotcache import HOTCACHE_CONFIG
+from .measured import (
+    read_trace,
+    scaled_distribution,
+    seeded_model,
+    synthetic_source,
+)
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -174,8 +179,6 @@ def serving_sweep(
     trace file holds the whole frontier.  All timestamps are virtual-clock
     simulation time, so repeated sweeps produce byte-identical traces.
     """
-    if num_requests <= 0:
-        raise ValueError(f"num_requests must be positive, got {num_requests}")
     if sla_ms <= 0:
         raise ValueError(f"sla_ms must be positive, got {sla_ms}")
     if max_wait_ms < 0:
@@ -193,42 +196,24 @@ def serving_sweep(
     sla_s = sla_ms / 1e3
     max_wait_s = max_wait_ms / 1e3
     checkpoint = load_checkpoint(resume) if resume is not None else None
-
+    make_source: Callable[[], BatchSource]
     if trace is not None:
-        with TraceReplaySource(trace) as probe:
-            config = _trace_config(probe, config)
-            num_requests = min(num_requests, probe.num_steps)
+        cell = read_trace(trace, config, num_requests)
+        config, num_requests = cell.config, cell.steps
         # Each recorded batch is served as one request, whatever its size.
         samples_per_request = None
-        source_label = f"trace:{Path(trace).name}"
-
-        def make_source() -> TraceReplaySource:
-            return TraceReplaySource(trace)
-
+        source_label = cell.label
+        make_source = cell.source
     else:
-        if samples_per_request <= 0:
-            raise ValueError(
-                "samples_per_request must be positive, got "
-                f"{samples_per_request}"
-            )
         distribution = scaled_distribution(dataset, config.rows_per_table)
         source_label = dataset
-
-        def make_source() -> SyntheticCTRStream:
-            return SyntheticCTRStream(
-                num_tables=config.num_tables,
-                num_rows=config.rows_per_table,
-                lookups_per_sample=config.gathers_per_table,
-                dense_features=config.dense_features,
-                distributions=[distribution] * config.num_tables,
-                seed=seed,
-            )
+        make_source = partial(synthetic_source, config, distribution, seed)
 
     def make_executor() -> EngineExecutor:
         executor = EngineExecutor(
-            DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32),
+            seeded_model(config, seed),
             optimizer=make_optimizer(optimizer, lr=lr),
-            backend=backend if backend is not None else "auto",
+            backend=backend or "auto",
             hot_cache=(
                 HotRowCacheSpec(capacity_rows=hot_cache_rows)
                 if hot_cache_rows is not None

@@ -10,7 +10,8 @@ sweep measures what that buys: every available fixed candidate engine
 gradient-accumulation factors, next to the whole-step policy's pick — so
 one table shows both the engine ranking at each shape and the optimizer
 amortization gradient accumulation buys (the per-sample ``update`` cost
-should fall roughly ``accum_steps``-fold).
+should fall roughly ``accum_steps``-fold).  Every cell is timed by the
+measured-run harness (:func:`repro.experiments.measured.best_of`).
 
 ``python -m repro stepshape`` regenerates the table;
 ``benchmarks/bench_step_autotune.py`` pins the two acceptance claims (the
@@ -21,18 +22,14 @@ the optimizer) into ``BENCH_step.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TYPE_CHECKING
-
-import numpy as np
+from functools import partial
+from typing import List, Sequence, TYPE_CHECKING
 
 from ..backends import available_backends, get_backend
 from ..backends.autotune import StepAutotuner, StepShapeClass
-from ..data.generator import SyntheticCTRStream
 from ..model.configs import ModelConfig, RM1
-from ..model.dlrm import DLRM
-from ..model.optim import make_optimizer
-from ..runtime.trainer import FunctionalTrainer, TrainingReport
-from .overlap import scaled_distribution
+from ..runtime.trainer import TrainingReport
+from .measured import best_of, scaled_distribution, synthetic_source
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -100,65 +97,6 @@ def stepshape_backends() -> List[str]:
     ]
 
 
-def _make_trainer(
-    config: ModelConfig,
-    distribution,
-    backend: str,
-    accum_steps: int,
-    optimizer: str,
-    lr: float,
-    seed: int,
-) -> FunctionalTrainer:
-    model = DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
-    distributions = None
-    if distribution is not None:
-        distributions = [distribution] * config.num_tables
-    stream = SyntheticCTRStream(
-        num_tables=config.num_tables,
-        num_rows=config.rows_per_table,
-        lookups_per_sample=config.gathers_per_table,
-        dense_features=config.dense_features,
-        distributions=distributions,
-        seed=seed,
-    )
-    return FunctionalTrainer(
-        model,
-        stream,
-        make_optimizer(optimizer, lr=lr),
-        backend=backend,
-        accum_steps=accum_steps,
-    )
-
-
-def _measure(
-    config: ModelConfig,
-    distribution,
-    backend: str,
-    accum_steps: int,
-    batch: int,
-    steps: int,
-    repeats: int,
-    optimizer: str,
-    lr: float,
-    seed: int,
-    obs: "Observability | None",
-) -> TrainingReport:
-    """Best-of-``repeats`` fresh identically-seeded runs (fastest report)."""
-    best: Optional[TrainingReport] = None
-    for _ in range(repeats):
-        trainer = _make_trainer(
-            config, distribution, backend, accum_steps, optimizer, lr, seed
-        )
-        report = trainer.train(
-            batch, steps, np.random.default_rng(seed + 1), obs=obs
-        )
-        trainer.stream.close()
-        if best is None or report.wall_seconds < best.wall_seconds:
-            best = report
-    assert best is not None
-    return best
-
-
 def _row_from(
     engine: str,
     chosen: str,
@@ -209,14 +147,8 @@ def stepshape_sweep(
     rows' ``probe_seconds`` drop to zero).  With ``obs`` attached, each
     decision also lands on the ``autotune.decision`` metric series.
     """
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     if not batches:
         raise ValueError("batches must be non-empty")
-    if any(b <= 0 for b in batches):
-        raise ValueError(f"batch sizes must be positive, got {list(batches)}")
     if not accum:
         raise ValueError("accum must be non-empty")
     if any(a <= 0 for a in accum):
@@ -229,6 +161,15 @@ def stepshape_sweep(
     for name in candidates:
         get_backend(name)  # unknown/unavailable names raise with candidates
     distribution = scaled_distribution(dataset, config.rows_per_table)
+    make_source = partial(synthetic_source, config, distribution, seed)
+
+    def measure(backend: str, batch: int, accum_steps: int) -> TrainingReport:
+        return best_of(
+            config, make_source, batch, steps, repeats, seed=seed,
+            optimizer=optimizer, lr=lr, obs=obs, backend=backend,
+            accum_steps=accum_steps,
+        ).report
+
     tuner = StepAutotuner(
         candidates=candidates, seed=seed, cache_path=autotune_cache
     )
@@ -241,10 +182,7 @@ def stepshape_sweep(
     for batch in batches:
         for accum_steps in accum:
             for name in candidates:
-                report = _measure(
-                    config, distribution, name, accum_steps, batch, steps,
-                    repeats, optimizer, lr, seed, obs,
-                )
+                report = measure(name, batch, accum_steps)
                 rows.append(_row_from(name, name, batch, accum_steps, report))
             shape = StepShapeClass.classify(
                 batch,
@@ -262,10 +200,7 @@ def stepshape_sweep(
                 if already_decided
                 else sum(tuner.timings().get(shape, {}).values())
             )
-            report = _measure(
-                config, distribution, chosen, accum_steps, batch, steps,
-                repeats, optimizer, lr, seed, obs,
-            )
+            report = measure(chosen, batch, accum_steps)
             rows.append(
                 _row_from(
                     STEP_AUTO_LABEL, chosen, batch, accum_steps, report,

@@ -1,15 +1,17 @@
 """Tests for the measured-vs-analytic overlap experiment."""
 
+import numpy as np
 import pytest
 
+from repro.data import SyntheticCTRStream, record_trace
 from repro.data.distributions import UniformDistribution, ZipfDistribution
+from repro.experiments.measured import scaled_distribution
 from repro.experiments.overlap import (
     OVERLAP_CONFIG,
     OverlapRow,
     analytic_overlap_speedup,
     format_overlap,
     overlap_sweep,
-    scaled_distribution,
 )
 from repro.model.configs import RM1
 
@@ -66,9 +68,34 @@ class TestOverlapSweep:
                           config=TINY_CONFIG)
 
     def test_rejects_nonpositive_batches(self):
-        with pytest.raises(ValueError, match="batch sizes"):
+        with pytest.raises(ValueError, match="batch must be a positive"):
             overlap_sweep(batches=(0,), shard_counts=(0,), steps=1,
                           config=TINY_CONFIG)
+
+    def test_a_sharded_stateful_checkpoint_resumes_into_every_layout(
+            self, tmp_path):
+        """Optimizer state is keyed by table, so an Adagrad checkpoint
+        saved at 2 row shards resumes into the unsharded cell too."""
+        job = dict(batches=(16,), steps=2, config=TINY_CONFIG, repeats=1,
+                   optimizer="adagrad", lr=0.05, backend="vectorized")
+        overlap_sweep(shard_counts=(2,), checkpoint_dir=tmp_path, **job)
+        rows = overlap_sweep(shard_counts=(0, 2),
+                             resume=tmp_path / "overlap-b16-s2.npz", **job)
+        assert [row.num_shards for row in rows] == [0, 2]
+        assert all(row.bit_identical for row in rows)
+        assert all(row.steps == 2 for row in rows)
+
+    def test_resuming_past_the_end_of_a_trace_is_refused(self, tmp_path):
+        stream = SyntheticCTRStream(num_tables=2, num_rows=64,
+                                    lookups_per_sample=3, dense_features=4,
+                                    seed=0)
+        trace = record_trace(stream, tmp_path / "t.npz", 8, 2,
+                             np.random.default_rng(1))
+        job = dict(trace=trace, steps=5, repeats=1, backend="vectorized")
+        (row,) = overlap_sweep(checkpoint_dir=tmp_path, **job)
+        assert row.steps == 2  # clamped to what the trace holds
+        with pytest.raises(ValueError, match="nothing left to replay"):
+            overlap_sweep(resume=tmp_path / "overlap-trace.npz", **job)
 
     def test_named_dataset_drives_measured_runs(self):
         """A --dataset profile reaches both the streams and the analytics."""

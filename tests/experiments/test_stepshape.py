@@ -93,7 +93,7 @@ class TestValidation:
         (dict(steps=0), "steps"),
         (dict(repeats=0), "repeats"),
         (dict(batches=()), "batches"),
-        (dict(batches=(0,)), "batch sizes"),
+        (dict(batches=(0,)), "batch must be a positive integer"),
         (dict(accum=()), "accum"),
         (dict(accum=(16, -1)), "accumulation factors"),
         (dict(backends=()), "no candidate backends"),

@@ -232,16 +232,14 @@ class TestCapabilityTable:
         assert capsys.readouterr().err == f"error: {row.reason}\n"
 
     @pytest.mark.parametrize("argv,row_name", [
-        (["overlap", "--workers", "2"], "workers × inline executor"),
         (["scaling", "--workers", "2"], "workers × inline executor"),
     ])
     def test_flags_that_decide_a_row_fail_before_anything_runs(
             self, argv, row_name, monkeypatch, capsys):
-        for name in ("overlap", "scaling"):
-            monkeypatch.setitem(
-                cli.EXPERIMENTS, name,
-                (lambda *a, **k: pytest.fail("experiment ran"), "stub"),
-            )
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "scaling",
+            (lambda *a, **k: pytest.fail("experiment ran"), "stub"),
+        )
         (row,) = [row for row in CAPABILITIES if row.name == row_name]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {row.reason}\n"

@@ -108,11 +108,35 @@ class TestMain:
 
     def test_overlap_explicit_zero_steps_not_coerced_to_default(self, capsys):
         assert main(["overlap", "--batches", "16", "--steps", "0"]) == 2
-        assert "steps must be positive" in capsys.readouterr().err
+        assert "steps must be a positive integer" in capsys.readouterr().err
 
     def test_overlap_zero_batch_exits_cleanly(self, capsys):
         assert main(["overlap", "--batches", "0"]) == 2
-        assert "batch sizes must be positive" in capsys.readouterr().err
+        assert "batch must be a positive integer" in capsys.readouterr().err
+
+    def test_measured_scaling_runs_every_batch(self, capsys):
+        assert main(["scaling", "--schedule", "parallel", "--batches", "16",
+                     "32", "--shards", "2", "--steps", "1",
+                     "--workers", "2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("RM1")]
+        assert [(row[1], row[10]) for row in rows] == [("16", "OK"),
+                                                       ("32", "OK")]
+
+    def test_cache_rejects_more_than_one_batch(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.cli.hotcache_sweep",
+                            lambda **_: pytest.fail("experiment ran"))
+        assert main(["cache", "--batches", "32", "64", "--steps", "1"]) == 2
+        assert "'cache' trains one batch size" in capsys.readouterr().err
+
+    def test_models_rejected_by_the_measured_scaling_sweep(self, capsys):
+        assert main(["scaling", "--schedule", "parallel",
+                     "--models", "RM1"]) == 2
+        assert "--models does not apply" in capsys.readouterr().err
+
+    def test_steps_rejected_by_the_analytic_scaling_sweep(self, capsys):
+        assert main(["scaling", "--steps", "3"]) == 2
+        assert "--steps applies to" in capsys.readouterr().err
 
     def test_registry_descriptions_reference_paper_artifacts(self):
         for name, (_, description) in EXPERIMENTS.items():
