@@ -128,8 +128,12 @@ class ModelConfig:
         return flops
 
     def mlp_backward_flops(self, batch: int) -> int:
-        """Backward FLOPs (weight-gradient + input-gradient GEMMs = 2x forward)."""
-        return 2 * self.mlp_forward_flops(batch)
+        """Backward FLOPs of the GEMMs that run: weight-gradient and
+        input-gradient GEMMs (2x forward), less the bottom MLP's first
+        input gradient, which :class:`~repro.model.dlrm.DLRM` never forms
+        because that layer's input is data."""
+        data_input_grad = 2 * batch * self.bottom_mlp[0] * self.bottom_mlp[1]
+        return 2 * self.mlp_forward_flops(batch) - data_input_grad
 
     def with_overrides(self, **kwargs: object) -> "ModelConfig":
         """Config with fields replaced — used by the sensitivity sweeps.

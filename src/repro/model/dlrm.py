@@ -196,11 +196,12 @@ class DLRM:
         Returns the per-table ``(B, dim)`` gradients w.r.t. the pooled
         embedding outputs — the gradient tables that either the in-process
         embedding bags or a sharded executor coalesce and scatter.  Dense
-        parameter gradients accumulate inside the MLP layers as usual.
+        parameter gradients accumulate inside the MLP layers as usual; the
+        bottom MLP's input is data, so its input gradient is never formed.
         """
         dtop = self.top_mlp.backward(dlogits[:, None])
         ddense_out, demb_outs = self.interaction.backward(dtop)
-        self.bottom_mlp.backward(ddense_out)
+        self.bottom_mlp.backward(ddense_out, input_grad=False)
         return demb_outs
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ the DNN portion of training on the roofline.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Literal, Sequence, overload
 
 import numpy as np
 
@@ -65,11 +65,16 @@ class Linear:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Accumulate ``dW``/``db`` and return the input gradient."""
+        self.accumulate_grads(dout)
+        return dout @ self.W.T
+
+    def accumulate_grads(self, dout: np.ndarray) -> None:
+        """Accumulate ``dW``/``db`` only: the whole backward of a layer
+        whose input is data, which needs no ``dout @ W.T``."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
         self.dW += self._x.T @ dout
         self.db += dout.sum(axis=0)
-        return dout @ self.W.T
 
     def zero_grad(self) -> None:
         """Reset accumulated parameter gradients to zero."""
@@ -196,10 +201,31 @@ class MLP:
             x = layer.forward(x)
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    @overload
+    def backward(
+        self, dout: np.ndarray, input_grad: Literal[True] = ...
+    ) -> np.ndarray: ...
+
+    @overload
+    def backward(self, dout: np.ndarray, input_grad: Literal[False]) -> None: ...
+
+    def backward(
+        self, dout: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate every layer's ``dW``/``db``; return the input gradient.
+
+        ``input_grad=False`` — the MLP reads data, as DLRM's bottom MLP
+        does — leaves out the first layer's input-gradient GEMM and returns
+        ``None``; the parameter gradients are the same either way.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dout = layer.backward(dout)
-        return dout
+        assert isinstance(first, Linear)
+        if input_grad:
+            return first.backward(dout)
+        first.accumulate_grads(dout)
+        return None
 
     def zero_grad(self) -> None:
         for layer in self.layers:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.distributions import UniformDistribution, ZipfDistribution
+from repro.data.trace import EmpiricalDistribution
 
 
 class TestUniform:
@@ -139,17 +140,42 @@ def test_property_uniform_unique_below_zipf_lookups(num_rows, draws):
     assert uniform >= skewed - 1e-9
 
 
-class TestSortedNeedleSampling:
-    """``sample`` searches the CDF with sorted uniforms and un-permutes:
-    the ids, their order and the RNG consumption of the plain search."""
+class _PresetUniforms:
+    """A generator stand-in whose ``random(count)`` hands out fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, count):
+        assert count == self.values.size
+        return self.values.copy()
+
+
+def _edge_uniforms(cdf):
+    """Every CDF entry and every bucket edge ``k / K``, each with its
+    neighbours one ulp either side, plus both ends of ``[0, 1)``."""
+    num_rows = cdf.size
+    points = np.concatenate((cdf, np.arange(num_rows) / num_rows))
+    values = np.concatenate((
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ))
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
+class TestGuideTableSampling:
+    """``sample`` finds each uniform's row through a guide table: the ids,
+    their order and the RNG consumption of ``searchsorted(cdf, u, "right")``
+    over the uniforms as drawn."""
 
     @pytest.mark.parametrize("count", [0, 1, 16_384])
     @pytest.mark.parametrize(
         "dist",
-        [UniformDistribution(100_000), ZipfDistribution(100_000, 1.05)],
-        ids=["uniform", "zipf-1.05"],
+        [UniformDistribution(100_000), ZipfDistribution(100_000, 1.05),
+         ZipfDistribution(200_000, 2.0)],   # tail buckets past the walk cap
+        ids=["uniform", "zipf-1.05", "zipf-2.0"],
     )
-    def test_equals_the_unsorted_search_on_a_twin_generator(self, dist, count):
+    def test_equals_the_search_on_a_twin_generator(self, dist, count):
         ours, twin = np.random.default_rng(3), np.random.default_rng(3)
         ids = dist.sample(count, ours)
         want = np.searchsorted(dist._cumulative(), twin.random(count), "right")
@@ -158,7 +184,48 @@ class TestSortedNeedleSampling:
         assert ours.random() == twin.random()      # same RNG consumption
 
     def test_ids_are_not_handed_out_sorted(self):
-        """The un-permute is the point: a sorted sample would give bag 0
-        the smallest ids of the batch."""
+        """Each id sits where its uniform was drawn: a sorted sample would
+        give bag 0 the smallest ids of the batch."""
         ids = ZipfDistribution(1000, 1.05).sample(512, np.random.default_rng(0))
         assert np.any(ids[1:] < ids[:-1])
+
+    @pytest.mark.parametrize(
+        "num_rows", [1, 2, 3, 2**5 - 1, 2**5 + 1, 2**12 - 1, 2**12 + 1]
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            UniformDistribution,
+            lambda rows: ZipfDistribution(rows, 0.6),
+            lambda rows: ZipfDistribution(rows, 1.05),
+            lambda rows: ZipfDistribution(rows, 2.0),
+        ],
+        ids=["uniform", "zipf-0.6", "zipf-1.05", "zipf-2.0"],
+    )
+    def test_edge_uniforms_land_where_the_search_does(self, make, num_rows):
+        """Uniforms on, and one ulp either side of, every CDF entry and
+        every bucket edge: float slack at a bucket edge, the walk cap and
+        the last row are all decided exactly as the search decides them."""
+        dist = make(num_rows)
+        cdf = dist._cumulative()
+        uniforms = _edge_uniforms(cdf)
+        ids = dist.sample(uniforms.size, _PresetUniforms(uniforms))
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, np.searchsorted(cdf, uniforms, "right"))
+
+    def test_rows_without_mass_are_never_drawn(self):
+        """Zero-probability rows tie in the CDF; the draw steps over them."""
+        dist = EmpiricalDistribution(np.array([5.0, 3.0] + [0.0] * 40 + [2.0]))
+        cdf = dist._cumulative()
+        uniforms = _edge_uniforms(cdf)
+        ids = dist.sample(uniforms.size, _PresetUniforms(uniforms))
+        assert np.array_equal(ids, np.searchsorted(cdf, uniforms, "right"))
+        assert set(ids.tolist()) <= {0, 1, 2}
+
+    def test_a_product_rounded_into_the_next_bucket_still_draws_its_row(self):
+        """``u`` one ulp below ``0.05`` rounds ``100u`` up to bucket 5,
+        whose guide entry is row 5; ``u`` draws row 4."""
+        dist = UniformDistribution(100)
+        u = np.nextafter(0.05, 0.0)
+        assert u * 100 == 5.0 and dist._guide_table()[5] == 5
+        assert dist.sample(1, _PresetUniforms([u])).tolist() == [4]

@@ -85,8 +85,10 @@ class TestFlops:
         top = 2 * batch * sum(a * b for a, b in zip(top_sizes[:-1], top_sizes[1:]))
         assert RM1.mlp_forward_flops(batch) == bottom + top
 
-    def test_backward_is_twice_forward(self):
-        assert RM2.mlp_backward_flops(4) == 2 * RM2.mlp_forward_flops(4)
+    def test_backward_is_twice_forward_less_the_data_input_gradient(self):
+        """The bottom MLP reads data: its first input gradient never runs."""
+        skipped = 2 * 4 * 256 * 128
+        assert RM2.mlp_backward_flops(4) == 2 * RM2.mlp_forward_flops(4) - skipped
 
     def test_rm4_heaviest(self):
         flops = [config.mlp_forward_flops(1) for config in ALL_MODELS]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.indexing import IndexArray
+from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad
+from repro.runtime.trainer import FunctionalTrainer
 
 TINY = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=200,
@@ -154,6 +156,63 @@ class TestTraining:
             for bag, snap in zip(model.embeddings, snapshot)
         )
         assert changed
+
+
+class _FullDenseBackward(DLRM):
+    """The reference: the bottom MLP forms its input gradient and drops it."""
+
+    def backward_through_dense(self, dlogits):
+        dtop = self.top_mlp.backward(dlogits[:, None])
+        ddense_out, demb_outs = self.interaction.backward(dtop)
+        self.bottom_mlp.backward(ddense_out)
+        return demb_outs
+
+
+def _train(model, num_shards, steps=4):
+    """``steps`` Adagrad steps: through ``DLRM.train_step``, or through a
+    row-sharded trainer, which reaches the same dense backward."""
+    if num_shards is None:
+        data_rng = np.random.default_rng(17)
+        optimizer = Adagrad(lr=0.05)
+        for _ in range(steps):
+            dense, indices, labels = make_batch(data_rng)
+            model.train_step(dense, indices, labels, optimizer,
+                             precompute_casts=True)
+        return
+    stream = SyntheticCTRStream(
+        num_tables=TINY.num_tables, num_rows=TINY.rows_per_table,
+        lookups_per_sample=TINY.gathers_per_table,
+        dense_features=TINY.dense_features,
+    )
+    FunctionalTrainer(model, stream, Adagrad(lr=0.05), num_shards=num_shards,
+                      backend="vectorized").train(6, steps, np.random.default_rng(17))
+
+
+class TestDenseBackward:
+    """The bottom MLP's input is data: its input gradient is never formed,
+    and no parameter moves by a bit for it."""
+
+    @pytest.mark.parametrize("num_shards", [None, 2], ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_byte_equal_to_the_full_backward(self, dtype, num_shards):
+        ours = DLRM(TINY, rng=np.random.default_rng(3), dtype=dtype)
+        reference = _FullDenseBackward(TINY, rng=np.random.default_rng(3), dtype=dtype)
+        _train(ours, num_shards)
+        _train(reference, num_shards)
+        for got, want in zip(ours.all_parameters(), reference.all_parameters()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_shards", [None, 2], ids=["unsharded", "2-shards"])
+    def test_bottom_mlp_first_layer_forms_no_input_gradient(
+        self, monkeypatch, num_shards
+    ):
+        model = DLRM(TINY, rng=np.random.default_rng(3))
+        first = model.bottom_mlp.layers[0]
+        calls = []
+        monkeypatch.setattr(first, "backward", lambda dout: calls.append(dout))
+        _train(model, num_shards, steps=2)
+        assert calls == []
+        assert np.any(first.dW != 0.0)   # its weight gradient still ran
 
 
 class TestAccounting:

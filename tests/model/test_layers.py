@@ -193,6 +193,18 @@ class TestMLP:
         dx = mlp.backward(np.ones((2, 2)))
         assert np.allclose(dx, expected, atol=1e-5)
 
+    def test_no_input_gradient_leaves_parameter_gradients_byte_equal(self, rng):
+        x = rng.standard_normal((6, 5)).astype(np.float32)
+        dout = rng.standard_normal((6, 3)).astype(np.float32)
+        full, data_fed = (MLP((5, 4, 3), rng=np.random.default_rng(2),
+                              dtype=np.float32) for _ in range(2))
+        full.forward(x)
+        data_fed.forward(x)
+        assert full.backward(dout).shape == x.shape
+        assert data_fed.backward(dout, input_grad=False) is None
+        for (_, g_full), (_, g_data) in zip(full.parameters(), data_fed.parameters()):
+            assert g_full.tobytes() == g_data.tobytes()
+
     def test_flops_sum_over_linears(self):
         mlp = MLP((8, 4, 2))
         assert mlp.forward_flops(10) == 2 * 10 * (8 * 4 + 4 * 2)
