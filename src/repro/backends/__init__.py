@@ -16,9 +16,6 @@ registry:
   folded row by row — lookup order, bit for bit); the process default;
 * ``numba`` — optional JIT-compiled loop nests, gracefully absent without
   the package;
-* ``numba-parallel`` — the same loop nests compiled ``nogil`` (threads can
-  run shards concurrently) with ``prange`` over the dim axis, preserving
-  the serial accumulation order;
 * ``auto`` — the autotuned policy: per shape class (batch, pooling factor,
   dim), micro-benchmark the candidates once, cache the winner, delegate.
   The trainers default to it.
@@ -57,7 +54,7 @@ from .dispatch import (
 # all` benchmarks sweep and error messages list the names in.
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
-from .numba_backend import HAVE_NUMBA, NumbaBackend, NumbaParallelBackend
+from .numba_backend import HAVE_NUMBA, NumbaBackend
 from .autotune import (
     AutoBackend,
     Autotuner,
@@ -79,7 +76,6 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelBackend",
     "NumbaBackend",
-    "NumbaParallelBackend",
     "ReferenceBackend",
     "STEP_CACHE_VERSION",
     "ShapeClass",

@@ -21,7 +21,7 @@ kernel so no float64 intermediate sneaks into a float32 update.
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,12 +32,10 @@ from .registry import register_backend
 
 try:  # pragma: no cover - exercised in the CI numba leg
     import numba
-    from numba import prange
 except ImportError:  # pragma: no cover - the default in minimal installs
     numba = None
-    prange = range  # uncompiled fallback: the parallel bodies stay plain loops
 
-__all__ = ["NumbaBackend", "NumbaParallelBackend", "HAVE_NUMBA"]
+__all__ = ["NumbaBackend", "HAVE_NUMBA"]
 
 #: Whether the optional compiler is importable in this environment.
 HAVE_NUMBA = numba is not None
@@ -173,97 +171,6 @@ def _scatter_update_kernel(
     return table
 
 
-# ----------------------------------------------------------------------
-# Parallel kernel bodies: ``prange`` over the *dim* axis, never the lookup
-# axis.  Each ``(slot, j)`` output element still accumulates its partial
-# sums in ascending lookup order ``i`` — the same per-element order as the
-# serial kernels and the reference oracle — so the parallel variants stay
-# bit-identical at every dtype.  A prange over lookups would race on
-# ``out[slot]`` and scramble the float32 accumulation order.
-# ----------------------------------------------------------------------
-def _parallel_gather_reduce_kernel(
-    table: np.ndarray, src: np.ndarray, dst: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    dim = table.shape[1]
-    n = src.shape[0]
-    for j in prange(dim):
-        for i in range(n):
-            out[dst[i], j] += table[src[i], j]
-    return out
-
-
-def _parallel_weighted_gather_reduce_kernel(
-    table: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    dim = table.shape[1]
-    n = src.shape[0]
-    for j in prange(dim):
-        for i in range(n):
-            out[dst[i], j] += weights[i] * table[src[i], j]
-    return out
-
-
-def _parallel_expand_coalesce_kernel(
-    src: np.ndarray, dst: np.ndarray, gradients: np.ndarray, num_rows: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1 with the coalesce accumulation parallelized over dim.
-
-    The order bookkeeping (counting sort of ``src``) is inherently serial
-    and cheap; only the ``(num_distinct, dim)`` accumulation fans out, and
-    each column accumulates in the same stable order as the serial kernel.
-    """
-    n = src.shape[0]
-    dim = gradients.shape[1]
-    counts = np.zeros(num_rows, dtype=np.int64)
-    for i in range(n):
-        counts[src[i]] += 1
-    num_distinct = 0
-    cursor = np.empty(num_rows, dtype=np.int64)
-    total = np.int64(0)
-    for row in range(num_rows):
-        cursor[row] = total
-        total += counts[row]
-        if counts[row] > 0:
-            num_distinct += 1
-    order = np.empty(n, dtype=np.int64)
-    for i in range(n):  # stable placement: original order within each row
-        row = src[i]
-        order[cursor[row]] = i
-        cursor[row] += 1
-    slots = np.empty(n, dtype=np.int64)
-    rows = np.empty(num_distinct, dtype=np.int64)
-    slot = -1
-    previous = np.int64(-1)
-    for position in range(n):
-        current = src[order[position]]
-        if slot < 0 or current != previous:
-            slot += 1
-            rows[slot] = current
-        slots[position] = slot
-        previous = current
-    coalesced = np.zeros((num_distinct, dim), dtype=gradients.dtype)
-    for j in prange(dim):
-        for position in range(n):
-            i = order[position]
-            coalesced[slots[position], j] += gradients[dst[i], j]
-    return rows, coalesced
-
-
-def _parallel_scatter_update_kernel(
-    table: np.ndarray, rows: np.ndarray, gradients: np.ndarray, lr: float
-) -> np.ndarray:
-    dim = table.shape[1]
-    k_rows = rows.shape[0]
-    for j in prange(dim):
-        for k in range(k_rows):
-            table[rows[k], j] -= lr * gradients[k, j]
-    return table
-
-
 _PYTHON_KERNELS: Dict[str, Callable] = {
     "gather_reduce": _gather_reduce_kernel,
     "weighted_gather_reduce": _weighted_gather_reduce_kernel,
@@ -272,31 +179,14 @@ _PYTHON_KERNELS: Dict[str, Callable] = {
     "scatter_update": _scatter_update_kernel,
 }
 
-#: Parallel counterparts; casting keeps its serial body (the counting sort
-#: is a sequential dependence chain) but still benefits from ``nogil``.
-_PYTHON_PARALLEL_KERNELS: Dict[str, Callable] = {
-    "gather_reduce": _parallel_gather_reduce_kernel,
-    "weighted_gather_reduce": _parallel_weighted_gather_reduce_kernel,
-    "counting_sort_cast": _counting_sort_cast_kernel,
-    "expand_coalesce": _parallel_expand_coalesce_kernel,
-    "scatter_update": _parallel_scatter_update_kernel,
-}
-
 if HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba leg
+    # ``nogil`` lets a cast on the cast-ahead worker run beside the step loop.
     _KERNELS: Dict[str, Callable] = {
         name: numba.njit(cache=True, nogil=True)(fn)
         for name, fn in _PYTHON_KERNELS.items()
     }
-    _PARALLEL_KERNELS: Dict[str, Callable] = {
-        name: numba.njit(
-            cache=True, nogil=True,
-            parallel=fn not in (_counting_sort_cast_kernel,),
-        )(fn)
-        for name, fn in _PYTHON_PARALLEL_KERNELS.items()
-    }
 else:
     _KERNELS = dict(_PYTHON_KERNELS)
-    _PARALLEL_KERNELS = dict(_PYTHON_PARALLEL_KERNELS)
 
 
 @register_backend
@@ -310,11 +200,6 @@ class NumbaBackend(KernelBackend):
     """
 
     name = "numba"
-
-    #: Kernel table this engine dispatches through; the parallel subclass
-    #: swaps in the ``nogil`` + ``prange`` variants without touching the
-    #: dispatch methods (which is what keeps the two bit-identical).
-    _kernels: ClassVar[Dict[str, Callable]] = _KERNELS
 
     @classmethod
     def available(cls) -> bool:
@@ -337,15 +222,15 @@ class NumbaBackend(KernelBackend):
         if index.num_lookups == 0:
             return out
         if weights is None:
-            return self._kernels["gather_reduce"](table, index.src, index.dst, out)
-        return self._kernels["weighted_gather_reduce"](
+            return _KERNELS["gather_reduce"](table, index.src, index.dst, out)
+        return _KERNELS["weighted_gather_reduce"](
             table, index.src, index.dst, weights, out
         )
 
     def cast_indices(self, index: IndexArray) -> CastedIndex:
         if index.num_lookups == 0:
             return self._empty_cast(index)
-        casted_src, casted_dst, rows = self._kernels["counting_sort_cast"](
+        casted_src, casted_dst, rows = _KERNELS["counting_sort_cast"](
             index.src, index.dst, index.num_rows
         )
         return CastedIndex(
@@ -366,7 +251,7 @@ class NumbaBackend(KernelBackend):
         out = np.zeros(
             (casted.num_coalesced, gradients.shape[1]), dtype=gradients.dtype
         )
-        return casted.rows, self._kernels["gather_reduce"](
+        return casted.rows, _KERNELS["gather_reduce"](
             gradients, casted.casted_src, casted.casted_dst, out
         )
 
@@ -375,7 +260,7 @@ class NumbaBackend(KernelBackend):
     ) -> Tuple[np.ndarray, np.ndarray]:
         if index.num_lookups == 0:
             return index.src.astype(np.int64), gradients[index.dst].copy()
-        return self._kernels["expand_coalesce"](
+        return _KERNELS["expand_coalesce"](
             index.src, index.dst, gradients, index.num_rows
         )
 
@@ -390,29 +275,7 @@ class NumbaBackend(KernelBackend):
             return table
         # Pre-cast so a float32 table sees a float32 multiply, matching the
         # NumPy backends' weak-scalar promotion (no float64 intermediate).
-        return self._kernels["scatter_update"](
+        return _KERNELS["scatter_update"](
             table, rows, gradients, table.dtype.type(lr)
         )
 
-
-@register_backend
-class NumbaParallelBackend(NumbaBackend):
-    """``nogil`` + ``prange`` kernel variants for multi-threaded shard work.
-
-    Same dispatch methods, same accumulation order, different kernel table:
-    every kernel is compiled with ``nogil=True`` so the thread shard executor
-    (:class:`~repro.runtime.parallel.ThreadShardExecutor`)
-    runs N shards' gathers concurrently on N cores, and the dense-math
-    kernels additionally ``prange`` over the embedding-dim axis for
-    intra-kernel parallelism.  The prange axis choice is the determinism
-    guarantee: each output element accumulates its partial sums in the same
-    ascending-lookup order as the serial kernels, so results are
-    bit-identical to :class:`NumbaBackend` (and the oracle at float64) —
-    pinned by the backend differential suite.  The counting-sort cast keeps
-    its serial body (a sequential dependence chain) but still releases the
-    GIL, which is where the per-shard cast parallelism comes from.
-    """
-
-    name = "numba-parallel"
-
-    _kernels: ClassVar[Dict[str, Callable]] = _PARALLEL_KERNELS

@@ -73,7 +73,6 @@ from .experiments import (
 from .model.configs import ALL_MODELS, get_model
 from .model.optim import optimizer_names
 from .obs.session import Observability
-from .runtime.policy import Features, check_capabilities
 from .runtime.systems import SystemHardware
 
 __all__ = ["main", "EXPERIMENTS", "BUILTIN_COMMANDS"]
@@ -169,29 +168,23 @@ def _run_link(args: argparse.Namespace, hardware: SystemHardware) -> str:
 
 
 def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
-    if args.schedule == "parallel":
-        # Measured mode: real trainers, inline vs. pooled shard executor
-        # at the same shard count, next to the analytic bound.
+    if args.steps is not None:
+        # Measured mode: real trainers, shards inline on the step loop,
+        # next to the analytic bound.
         if args.models is not None:
             raise ValueError(
-                "--models does not apply to 'scaling --schedule parallel': "
-                "the measured sweep trains the down-scaled OVERLAP_CONFIG"
+                "--models does not apply to 'scaling --steps': the measured "
+                "sweep trains the down-scaled OVERLAP_CONFIG"
             )
         return format_measured_scaling(
             measured_scaling_sweep(
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
                 batches=tuple(args.batches or (512,)),
-                steps=args.steps if args.steps is not None else 8,
-                workers=args.workers,
+                steps=args.steps,
                 backend=args.backend or "vectorized",
                 dataset=args.dataset,
                 hardware=hardware,
             )
-        )
-    if args.steps is not None:
-        raise ValueError(
-            "--steps applies to 'scaling --schedule parallel' only: the "
-            "analytic sweep trains nothing"
         )
     batches = args.batches or (4096,)
     shard_counts = args.shards or SCALING_SHARDS
@@ -357,8 +350,6 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
                 "scaling", "overlap", "cache", "stepshape"),
     "shards": ("scaling", "overlap"),
     "steps": ("scaling", "overlap", "cache", "stepshape"),
-    "schedule": ("scaling",),
-    "workers": ("scaling",),
     "rates": _SERVE,
     "policies": _SERVE,
     "requests": _SERVE,
@@ -387,7 +378,6 @@ _VALUE_CHECKS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "accum_steps": (
         lambda v: v > 0, "--accum-steps must be positive, got {v}",
     ),
-    "workers": (lambda v: v > 0, "--workers must be positive, got {v}"),
     "optimizer": (
         lambda v: v.lower() in optimizer_names(),
         "unknown optimizer {v!r}; registered optimizers: "
@@ -475,22 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--steps", type=int, default=None, metavar="S",
-        help="training steps per measured cell (default: 8 for 'overlap' "
-             "and 'scaling --schedule parallel', 24 for 'cache', 3 for "
-             "'stepshape')",
-    )
-    parser.add_argument(
-        "--schedule", default=None, choices=("serial", "parallel"),
-        help="'scaling --schedule parallel' switches from the analytic "
-             "sweep to the measured one: each (batch, shard count) cell "
-             "trains with shards inline on the step loop, then fanned "
-             "across a thread pool, and reports the ratio next to the "
-             "analytic bound (default: serial, the analytic sweep)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="thread-pool size for 'scaling --schedule parallel' "
-             "(default: one per shard)",
+        help="training steps per measured cell (default: 8 for 'overlap', "
+             "24 for 'cache', 3 for 'stepshape'); given to 'scaling', it "
+             "switches from the analytic sweep to the measured one, which "
+             "trains each (batch, shard count) cell and reports its "
+             "1-shard/N-shard wall-clock ratio next to the analytic bound",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
@@ -628,18 +607,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         value = getattr(args, dest)
         if value is not None and not accepts(value):
             return _fail(message.format(v=value))
-    pooled = args.schedule == "parallel"
-    try:
-        # Whatever the flags alone decide is rejected up front, with the
-        # trainer's own reason; rows that also depend on what an
-        # experiment builds surface below as its ValueError, same text.
-        check_capabilities(Features(
-            sharded=pooled,
-            executor="thread" if pooled else "inline",
-            workers=args.workers,
-        ))
-    except ValueError as error:
-        return _fail(str(error))
     if args.backend is not None:
         try:
             # Validates the name (unknown/unavailable exits nonzero with

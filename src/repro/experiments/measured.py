@@ -1,8 +1,8 @@
 """One measured run: how the executed sweeps build and time a training job.
 
 The experiments that train a real model — ``overlap`` (Section IV-B's
-cast-ahead overlap), ``scaling --schedule parallel`` (the sharded runtime
-on a thread pool), ``cache``, ``serve`` and ``stepshape`` — all measure the
+cast-ahead overlap), ``scaling --steps`` (the sharded runtime against its
+analytic bound), ``cache``, ``serve`` and ``stepshape`` — all measure the
 same thing: a seeded float32 DLRM trained by a
 :class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
 timed best-of-k.  This module is the one place that decides how:
@@ -23,7 +23,7 @@ timed best-of-k.  This module is the one place that decides how:
   implies, its first batch, and the steps left to replay after a resume.
 
 A sweep differs from another only in the trainer keywords it passes
-(``lookahead``, ``num_shards``, ``schedule``, ``hot_cache``, ...) and in
+(``lookahead``, ``num_shards``, ``hot_cache``, ...) and in
 what it reads off the reports.
 """
 
@@ -142,7 +142,7 @@ def best_of(
     """Train ``repeats`` fresh identically-seeded runs; keep the fastest.
 
     One untraced single-step run goes first, so no measured repeat absorbs
-    first-touch, thread-pool or autotuner warm-up.  Best-of-k then strips
+    first-touch, worker-thread or autotuner warm-up.  Best-of-k then strips
     scheduler noise: every repeat is numerically identical (fresh model and
     source, same seeds), so the minimum is a legitimate sample of the same
     computation.  With ``resume`` set (a :class:`Checkpoint` loaded once

@@ -22,8 +22,7 @@ each cell, trains the same down-scaled DLRM twice through
 * per-stage all-to-all accounting for sharded cells (forward vs. backward
   exchange bytes).
 
-Sharded cells run their shards inline on the step loop; the thread-pool
-shard executor is measured by ``scaling --schedule parallel``.
+Sharded cells run their shards one after another on the step loop.
 
 Measured overlap is bounded by the host's parallelism: the pipeline takes
 the cast off the critical *path*, but a core must still execute it, so on a

@@ -15,32 +15,26 @@ and sweeping shard count and partition policy.  Two curves matter:
   casted index arrays name only the gradient rows each shard owns.
 
 The analytic curves have a measured counterpart:
-:func:`measured_scaling_sweep` trains the same down-scaled DLRM twice per
-(batch, shard count) cell through the measured-run harness
-(:mod:`repro.experiments.measured`) — shards inline on the step loop, then
-with ``schedule="parallel"`` fanning the per-shard work to the thread
-pool — and reports the measured serial/parallel wall-clock ratio next to
-the analytic :class:`~repro.runtime.systems.ShardedNMPSystem` bound, plus
-a bit-identical flag certifying the speedup never comes from numerical
-drift.  ``python -m repro scaling --schedule parallel`` runs it; it is the
-one place the repo measures the thread pool against inline execution.
+:func:`measured_scaling_sweep` trains the same down-scaled DLRM at 1 and at
+``N`` shards per batch through the measured-run harness
+(:mod:`repro.experiments.measured`), shards inline on the step loop, and
+reports the measured 1-shard/N-shard wall-clock ratio next to the analytic
+:class:`~repro.runtime.systems.ShardedNMPSystem` N-vs-1 bound.  The host
+runs the shards one after another, so the measured ratio prices the
+sharding bookkeeping (split, exchange, per-shard launches); the analytic
+one is what N concurrent devices would buy.  ``python -m repro scaling
+--steps S`` runs it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 from ..model.configs import ALL_MODELS, ModelConfig
 from ..runtime.systems import ShardedNMPSystem, SystemHardware, compute_workload
-from .measured import (
-    best_of,
-    runs_bit_identical,
-    scaled_distribution,
-    synthetic_source,
-)
+from .measured import best_of, scaled_distribution, synthetic_source
 from .overlap import OVERLAP_CONFIG
 from .report import format_table
 
@@ -164,31 +158,24 @@ def format_scaling(rows: Sequence[ScalingRow]) -> str:
 
 @dataclass(frozen=True)
 class MeasuredScalingRow:
-    """One (batch, shard-count) cell of the measured serial-vs-parallel sweep.
+    """One (batch, shard-count) cell of the measured scaling sweep.
 
-    ``measured_speedup`` is the serial/parallel wall-clock ratio at the
-    *same* shard count (identical numerical work, different execution);
-    ``analytic_speedup`` is the :class:`ShardedNMPSystem` bound for the
-    same geometry — the N-shard makespan relative to 1 shard, i.e. how far
-    perfect N-way shard parallelism could go before the fixed DNN and
-    fabric terms dominate.
+    ``measured_speedup`` is the 1-shard/N-shard wall-clock ratio of the
+    same job, both runs inline on the step loop; ``analytic_speedup`` is
+    the :class:`ShardedNMPSystem` bound for the same geometry — the N-shard
+    makespan relative to 1 shard, i.e. how far N concurrent devices could
+    go before the fixed DNN and fabric terms dominate.
     """
 
     model: str
     batch: int
     policy: str
     num_shards: int
-    workers: int
     backend: str
     steps: int
-    serial_steps_per_s: float
-    parallel_steps_per_s: float
+    steps_per_s: float
     measured_speedup: float
     analytic_speedup: float
-    bit_identical: bool
-    #: Barrier time of the parallel run: seconds the main thread spent
-    #: blocked on the forward/backward shard barriers.
-    sync_seconds: float
     forward_exchange_bytes: int
     backward_exchange_bytes: int
 
@@ -199,7 +186,6 @@ def measured_scaling_sweep(
     steps: int = 8,
     config: ModelConfig = OVERLAP_CONFIG,
     policy: str = "row",
-    workers: Optional[int] = None,
     backend: str = "vectorized",
     dataset: str = "random",
     hardware: SystemHardware | None = None,
@@ -207,75 +193,61 @@ def measured_scaling_sweep(
     repeats: int = 3,
     obs: "Observability | None" = None,
 ) -> List[MeasuredScalingRow]:
-    """Measured serial-vs-parallel shard execution across batch × shards.
+    """Measured N-shard vs. 1-shard training across batch × shards.
 
-    For each (batch, shard count) cell, trains the same identically-seeded
-    down-scaled DLRM twice through
-    :func:`repro.experiments.measured.best_of` — shards inline on the step
-    loop vs. fanned out to the thread shard executor
-    (:mod:`repro.runtime.parallel`) with ``workers`` workers (default: one
-    per shard) — keeping the best wall clock of ``repeats`` runs each, and
-    pairs the measured ratio with the analytic :class:`ShardedNMPSystem`
-    N-vs-1-shard bound.  Losses and every parameter tensor of the two runs
-    are compared exactly; the ``bit_identical`` flag must hold for the
-    speedup to mean anything.
+    For each batch, trains the same identically-seeded down-scaled DLRM at
+    1 shard (the reference, trained even when ``shard_counts`` omits it)
+    and at every count in ``shard_counts`` through
+    :func:`repro.experiments.measured.best_of`, keeping the best wall clock
+    of ``repeats`` runs each, and pairs the measured ratio with the
+    analytic :class:`ShardedNMPSystem` N-vs-1-shard bound.
 
-    ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` so both
-    runs of a pair time the same kernels, not an autotuner's probes.
+    ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` so
+    every run times the same kernels, not an autotuner's probes.
     """
     hardware = hardware or SystemHardware()
     distribution = scaled_distribution(dataset, config.rows_per_table)
     make_source = partial(synthetic_source, config, distribution, seed)
     if obs is not None:
         obs.annotate(
-            experiment="scaling", schedule="parallel", dataset=dataset,
-            seed=seed, batches=list(batches), shard_counts=list(shard_counts),
+            experiment="scaling", dataset=dataset, seed=seed,
+            batches=list(batches), shard_counts=list(shard_counts),
             repeats=repeats,
         )
+
     rows: List[MeasuredScalingRow] = []
     for batch in batches:
+        reports = {
+            n: best_of(
+                config, make_source, batch, steps, repeats, seed=seed,
+                obs=obs, num_shards=n, policy=policy, backend=backend,
+            ).report
+            for n in dict.fromkeys((1, *shard_counts))
+        }
+        stats = compute_workload(config, batch, dataset=distribution)
+        totals = {
+            n: ShardedNMPSystem(hardware, num_shards=n, policy=policy)
+            .run_iteration(stats).total
+            for n in reports
+        }
         for num_shards in shard_counts:
-            serial, parallel = (
-                best_of(
-                    config, make_source, batch, steps, repeats, seed=seed,
-                    obs=obs, num_shards=num_shards, policy=policy,
-                    backend=backend, schedule=schedule,
-                    workers=workers if schedule == "parallel" else None,
-                )
-                for schedule in ("serial", "parallel")
-            )
-            wall = parallel.report.wall_seconds
-            stats = compute_workload(config, batch, dataset=distribution)
-            base_total, shard_total = (
-                ShardedNMPSystem(hardware, num_shards=n, policy=policy)
-                .run_iteration(stats).total
-                for n in (1, num_shards)
-            )
+            report = reports[num_shards]
+            wall = report.wall_seconds
             rows.append(
                 MeasuredScalingRow(
                     model=config.name,
                     batch=batch,
                     policy=policy,
                     num_shards=num_shards,
-                    workers=workers or num_shards,
                     backend=backend,
-                    steps=serial.report.steps,
-                    serial_steps_per_s=serial.report.steps_per_second,
-                    parallel_steps_per_s=parallel.report.steps_per_second,
+                    steps=report.steps,
+                    steps_per_s=report.steps_per_second,
                     measured_speedup=(
-                        serial.report.wall_seconds / wall if wall > 0 else 0.0
+                        reports[1].wall_seconds / wall if wall > 0 else 0.0
                     ),
-                    analytic_speedup=base_total / shard_total,
-                    bit_identical=runs_bit_identical(serial, parallel),
-                    sync_seconds=parallel.report.timings.totals.get(
-                        "sync", 0.0
-                    ),
-                    forward_exchange_bytes=(
-                        parallel.report.forward_exchange_bytes
-                    ),
-                    backward_exchange_bytes=(
-                        parallel.report.backward_exchange_bytes
-                    ),
+                    analytic_speedup=totals[1] / totals[num_shards],
+                    forward_exchange_bytes=report.forward_exchange_bytes,
+                    backward_exchange_bytes=report.backward_exchange_bytes,
                 )
             )
     return rows
@@ -286,9 +258,8 @@ def format_measured_scaling(rows: Sequence[MeasuredScalingRow]) -> str:
     if not rows:
         return "(no rows)"
     headers = [
-        "Model", "Batch", "Policy", "Shards", "Workers",
-        "Serial (it/s)", "Parallel (it/s)", "Speedup", "Analytic",
-        "Sync (ms)", "Bitwise", "FwdEx (KB)", "BwdEx (KB)",
+        "Model", "Batch", "Policy", "Shards", "Inline (it/s)", "Measured",
+        "Analytic", "FwdEx (KB)", "BwdEx (KB)",
     ]
     table_rows = []
     for row in rows:
@@ -298,26 +269,15 @@ def format_measured_scaling(rows: Sequence[MeasuredScalingRow]) -> str:
                 row.batch,
                 row.policy,
                 row.num_shards,
-                row.workers,
-                f"{row.serial_steps_per_s:.2f}",
-                f"{row.parallel_steps_per_s:.2f}",
+                f"{row.steps_per_s:.2f}",
                 f"{row.measured_speedup:.2f}x",
                 f"{row.analytic_speedup:.2f}x",
-                f"{row.sync_seconds * 1e3:.1f}",
-                "OK" if row.bit_identical else "DIVERGED",
                 f"{row.forward_exchange_bytes / 1e3:.1f}",
                 f"{row.backward_exchange_bytes / 1e3:.1f}",
             ]
         )
-    cores = os.cpu_count() or 1
     return format_table(headers, table_rows) + (
-        "\nSpeedup = measured serial/parallel wall-clock ratio at the same "
-        "shard count; Analytic = the\nShardedNMPSystem N-vs-1-shard bound "
-        "for the same geometry.  Bitwise OK means the parallel\nrun's "
-        "losses and parameters match the serial run exactly.  Sync = time "
-        "the main thread spent\nblocked on the forward/backward shard "
-        "barriers.\n"
-        f"Host cores: {cores} — measured scaling needs one core per worker; "
-        "on a single-core host expect\nparity (the bitwise flag and the "
-        "barrier accounting still certify the schedule)."
+        "\nMeasured = 1-shard/N-shard wall-clock ratio on this host, shards "
+        "run one after another;\nAnalytic = the ShardedNMPSystem "
+        "N-vs-1-shard bound for N concurrent devices."
     )

@@ -73,10 +73,9 @@ Coalesced = List[Tuple[int, np.ndarray, np.ndarray]]
 
 
 # ----------------------------------------------------------------------
-# Per-shard kernels, as pure functions of what crosses the all-to-all.
-# The ``*_shard`` methods below and both shard executors of
-# :mod:`repro.runtime.parallel` (inline, thread) run exactly
-# these, so per-shard numerics cannot differ by where a shard executes.
+# Per-shard kernels, as pure functions of what crosses the all-to-all:
+# one shard's work reads nothing of another's, the way N devices would
+# run it.  The ``*_shard`` methods below run exactly these.
 # ----------------------------------------------------------------------
 def cast_slices(
     slices: Sequence[Optional[ShardSlice]], backend: "BackendSpec"
@@ -158,10 +157,6 @@ class ShardedStepPlan:
     def shard_slices(self, shard: int) -> List[Optional[ShardSlice]]:
         """``shard``'s index sub-array of every table (its cast/gather input)."""
         return [row[shard] for row in self.slices]
-
-    def slices_by_shard(self) -> List[List[Optional[ShardSlice]]]:
-        """:meth:`shard_slices` of every shard, in shard order."""
-        return [list(column) for column in zip(*self.slices)]
 
 
 class ShardedEmbeddingSet:
@@ -346,9 +341,8 @@ class ShardedEmbeddingSet:
         gradient rows, and account the shipped bytes (gradient rows plus
         casted pairs) into ``plan.backward_exchange_bytes``.  The returned
         ``(table_id, cast, grad_slice)`` triples are exactly what crosses
-        the all-to-all to the shard's device — the fan-out unit of the
-        shard executors, whose workers reduce the payload without touching
-        the plan (so byte accounting is identical wherever a shard runs).
+        the all-to-all to the shard's device, which reduces it
+        (:func:`reduce_payload`) without touching the plan.
         """
         if plan.scaled_grads is None:
             self.prepare_backward(plan, grad_tables)

@@ -5,9 +5,9 @@ of casting with forward propagation (:mod:`~repro.runtime.systems`), the
 timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **stage-graph training engine** (:mod:`~repro.runtime.engine` +
 :mod:`~repro.runtime.stages`): one step loop over named stages, driven by
-one :class:`SchedulePolicy` record (look-ahead, accumulation, forward-only,
-shard executor — :mod:`~repro.runtime.policy`, which also holds the one
-table of combinations the runtime rejects), with checkpoint/resume
+one :class:`SchedulePolicy` record (look-ahead, accumulation, forward-only
+— :mod:`~repro.runtime.policy`, which also holds the one table of
+combinations the runtime rejects), with checkpoint/resume
 (:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
 hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` (and
 its ``lookahead=1`` alias :class:`PipelinedTrainer`) is a thin facade over
@@ -28,10 +28,6 @@ from .engine import (
     StepEvent,
     TrainingCallback,
     TrainingEngine,
-)
-from .parallel import (
-    InlineShardExecutor,
-    ThreadShardExecutor,
 )
 from .pipeline import PipelinedTrainer
 from .policy import CAPABILITIES, SchedulePolicy
@@ -83,7 +79,6 @@ __all__ = [
     "CheckpointCallback",
     "FunctionalTrainer",
     "InferenceReport",
-    "InlineShardExecutor",
     "IterationResult",
     "MetricsLogger",
     "NMPSystem",
@@ -114,7 +109,6 @@ __all__ = [
     "ShardedNMPSystem",
     "Span",
     "SystemHardware",
-    "ThreadShardExecutor",
     "Timeline",
     "TrainingCallback",
     "TrainingEngine",

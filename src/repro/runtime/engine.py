@@ -6,14 +6,13 @@
   micro-batches, cast it (inline, or ahead on a :class:`CastAheadWorker`
   while the previous batch computes — the paper's Section IV-B overlap),
   run the compute stages, complete the step.  What varies between
-  "serial", "pipelined", "gradient accumulation", "inference" and
-  "parallel shards" is a field of the frozen
-  :class:`~repro.runtime.policy.SchedulePolicy` the loop reads — look-ahead
-  depth, micro-batches per step, stage subset, shard executor — never a
-  second loop, so the axes compose by construction;
+  "serial", "pipelined", "gradient accumulation" and "inference" is a
+  field of the frozen :class:`~repro.runtime.policy.SchedulePolicy` the
+  loop reads — look-ahead depth, micro-batches per step, stage subset —
+  never a second loop, so the axes compose by construction;
 * :class:`TrainingEngine` owns the run: source fast-forward for resumed
-  jobs (``start_step``), the shard executor and cast-ahead worker
-  lifetimes, the timing collector, report assembly
+  jobs (``start_step``), the cast-ahead worker's lifetime, the timing
+  collector, report assembly
   (:class:`~repro.runtime.stages.TrainingReport`, or
   :class:`~repro.runtime.stages.InferenceReport` for forward-only runs),
   and the **callback protocol** (:class:`TrainingCallback`: ``on_step_end``
@@ -54,7 +53,6 @@ from ..backends.dispatch import observe_kernels
 from ..core.indexing import IndexArray
 from ..data.source import CTRBatch, SourceExhausted
 from ..obs.metrics import Gauge, MetricRegistry
-from .parallel import InlineShardExecutor, make_shard_executor
 from .policy import SchedulePolicy
 from .stages import (
     InferenceReport,
@@ -260,7 +258,7 @@ class TrainingEngine:
     """Drive one run of a trainer through the step loop.
 
     Owns the per-run machinery: the stage plan, the timing collector, the
-    shard executor and cast-ahead worker lifetimes, source fast-forward for
+    cast-ahead worker's lifetime, source fast-forward for
     resumed jobs, callback dispatch, and report assembly (wall clock +
     executed-cache fields included).  Constructed per ``train()`` /
     ``infer()`` call by the trainer; usable directly.
@@ -315,10 +313,9 @@ class TrainingEngine:
         self.policy = policy
         self.logits = []
         sharded = trainer.sharded
-        tracer = self.obs.tracer if self.obs is not None else None
         self.collector = StageTimingCollector(
             sharded.num_shards if sharded is not None else None,
-            tracer=tracer,
+            tracer=self.obs.tracer if self.obs is not None else None,
         )
         for _ in range(self.start_step * policy.accum_steps):
             try:
@@ -327,27 +324,19 @@ class TrainingEngine:
                 break
         # The clock starts after the fast-forward: wall_seconds (and so
         # steps_per_second) measure the steps that actually trained, not
-        # the replay of already-trained ones.  Pool start-up and join are
-        # inside it — they are part of what a pooled run costs.
+        # the replay of already-trained ones.  The cast-ahead worker's
+        # start-up and join are inside it.
         wall_start = time.perf_counter()
         with ExitStack() as stack:
             if self.obs is not None:
                 stack.enter_context(observe_kernels(self.obs.metrics))
-            executor: Optional[InlineShardExecutor] = None
-            if sharded is not None:
-                executor = stack.enter_context(make_shard_executor(
-                    policy.executor,
-                    policy.workers or sharded.num_shards,
-                    clock=tracer.now if tracer is not None
-                    else time.perf_counter,
-                ))
             worker = (
                 stack.enter_context(CastAheadWorker())
                 if policy.lookahead
                 else None
             )
             stages = build_step_stages(
-                trainer, self.collector, batch, rng, mode, executor
+                trainer, self.collector, batch, rng, mode
             )
             self.execute(stages, steps, worker)
         if not self.collector.losses:

@@ -32,9 +32,9 @@ class PipelinedTrainer(FunctionalTrainer):
     Same constructor, same ``train`` / ``infer``, bit-identical parameters
     and losses for the same seed — only the wall-clock schedule differs:
     batch ``i+1`` casts on a background worker while batch ``i`` trains.
-    It composes with every other axis (sharding, accumulation, a shard
-    pool, ``mode="baseline"`` — where the cast stage is a no-op and the
-    overlap simply has nothing to hide).
+    It composes with every other axis (sharding, accumulation,
+    ``mode="baseline"`` — where the cast stage is a no-op and the overlap
+    simply has nothing to hide).
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

@@ -14,35 +14,31 @@ that used to be a sibling ``Schedule`` subclass is a field of
     Micro-batches drawn and merged per optimizer step (identity at 1).
 ``forward_only``
     Run the ``gather → exchange → forward`` prefix only (``infer()``).
-``executor`` / ``workers``
-    Where a sharded trainer's per-shard cast / gather / backward run:
-    ``"inline"`` on the calling thread, or a ``"thread"`` pool of
-    ``workers`` (default: one per shard) from :mod:`repro.runtime.parallel`.
+
+A sharded trainer runs its shards one after another on the step loop; how
+far N devices could take them is the analytic
+:class:`~repro.runtime.systems.ShardedNMPSystem`'s question, not a policy.
 
 Combinations that genuinely cannot work are rows of :data:`CAPABILITIES` —
-predicate plus reason — and nowhere else: the trainer constructor, the
-CLI's exit-2 validation and the README's table all read it.
+predicate plus reason — and nowhere else: the trainer and the README's
+table both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 import numpy as np
 
 __all__ = [
     "CAPABILITIES",
     "Capability",
-    "EXECUTORS",
     "Features",
     "SchedulePolicy",
     "check_capabilities",
     "positive_int",
 ]
-
-#: Shard executor kinds, in the order the README lists them.
-EXECUTORS = ("inline", "thread")
 
 
 def positive_int(name: str, value: Any) -> int:
@@ -69,41 +65,23 @@ class SchedulePolicy:
     lookahead: int = 0
     accum_steps: int = 1
     forward_only: bool = False
-    executor: str = "inline"
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.lookahead, bool) or self.lookahead not in (0, 1):
             raise ValueError(
                 f"lookahead must be 0 or 1, got {self.lookahead!r}"
             )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {', '.join(EXECUTORS)}, "
-                f"got {self.executor!r}"
-            )
         object.__setattr__(
             self, "accum_steps", positive_int("accum_steps", self.accum_steps)
         )
-        if self.workers is not None:
-            object.__setattr__(
-                self, "workers", positive_int("workers", self.workers)
-            )
 
 
 @dataclass(frozen=True)
 class Features:
-    """What a capability predicate may look at.
+    """What a capability predicate may look at: one run's settings."""
 
-    ``mode`` is ``None`` while still unknown (the constructor has no
-    ``mode`` yet, the CLI never has one) — predicates compare against
-    concrete values, so an unknown never rejects.
-    """
-
-    sharded: bool = False
-    mode: Optional[str] = None
-    executor: str = "inline"
-    workers: Optional[int] = None
+    sharded: bool
+    mode: str
 
 
 @dataclass(frozen=True)
@@ -120,21 +98,9 @@ class Capability:
 CAPABILITIES: Tuple[Capability, ...] = (
     Capability(
         "sharded × baseline",
-        lambda f: f.sharded and f.mode not in (None, "casted"),
+        lambda f: f.sharded and f.mode != "casted",
         "sharded training supports mode='casted' only: the per-shard "
         "exchange payload is the casted index representation",
-    ),
-    Capability(
-        "shard pool × unsharded",
-        lambda f: f.executor != "inline" and not f.sharded,
-        "schedule='parallel' fans per-shard work out to a worker pool and "
-        "requires a sharded trainer; pass num_shards",
-    ),
-    Capability(
-        "workers × inline executor",
-        lambda f: f.executor == "inline" and f.workers is not None,
-        "workers sizes the shard worker pool and requires "
-        "schedule='parallel'",
     ),
 )
 

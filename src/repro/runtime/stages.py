@@ -29,10 +29,10 @@ ways.  This module encodes that claim structurally: one training step is a
 — all operating on a shared mutable :class:`StepContext`.  The stages
 carry the *numerics*; :mod:`repro.runtime.engine` carries the one step loop
 whose :class:`~repro.runtime.policy.SchedulePolicy` decides when each stage
-of which batch runs, and :mod:`repro.runtime.parallel` the shard executor
-the sharded stages map their per-shard work through.  Every policy executes
-the same stage objects, which is what makes them bit-identical by
-construction.
+of which batch runs.  The sharded stages loop over the shards in shard
+order, running each shard's phase of :mod:`repro.model.sharded` and timing
+it into that shard's accounting.  Every policy executes the same stage
+objects, which is what makes them bit-identical by construction.
 
 :class:`StageTimingCollector` is the generic wall-clock accountant: stages
 record phase seconds through its :meth:`~StageTimingCollector.timed` scope
@@ -52,30 +52,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..core.casting import CastedIndex, precompute_casts
 from ..data.source import BatchSource, CTRBatch, SourceExhausted
 from ..model.loss import bce_with_logits
-from ..model.sharded import (
-    ShardedStepPlan,
-    cast_slices,
-    gather_slices,
-    reduce_payload,
-    store_shard,
-)
-from .parallel import InlineShardExecutor
+from ..model.sharded import ShardedStepPlan
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..backends.dispatch import BackendSpec
@@ -83,7 +67,6 @@ if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..model.optim import Optimizer
     from ..model.sharded import ShardedEmbeddingSet
     from ..obs.tracer import SpanRecord, Tracer
-    from .parallel import ShardResult
     from .trainer import FunctionalTrainer
 
 __all__ = [
@@ -319,43 +302,44 @@ class StepContext:
 
 @contextmanager
 def _cast_timed(ctx: StepContext, phase: str,
-                span: Optional[str] = None) -> Iterator[None]:
+                shard: Optional[int] = None) -> Iterator[None]:
     """Time a cast-stage region into the *context's* accounting.
 
     The cast stage may run on the cast-ahead worker, so everything it
-    records — the phase seconds and, in traced runs, the span — stays on
-    the context until :meth:`StageTimingCollector.absorb_cast` folds it
-    into the run totals on the step loop's thread.  Spans land on the
-    ``cast`` track (the cast-ahead worker's Perfetto lane) with the same
-    clock reads that feed the timings.
+    records — the phase seconds (also into ``shard``'s accounting when
+    given) and, in traced runs, the span — stays on the context until
+    :meth:`StageTimingCollector.absorb_cast` folds it into the run totals
+    on the step loop's thread.  Spans land on the ``cast`` track (the
+    cast-ahead worker's Perfetto lane) with the same clock reads that feed
+    the timings.
     """
-    if ctx.tracer is None:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            ctx.cast_timings.add(phase, time.perf_counter() - start)
-    else:
-        start = ctx.tracer.now()
-        try:
-            yield
-        finally:
-            end = ctx.tracer.now()
-            ctx.tracer.record_span(
-                span or phase,
+    tracer = ctx.tracer
+    clock = tracer.now if tracer is not None else time.perf_counter
+    start = clock()
+    try:
+        yield
+    finally:
+        end = clock()
+        if tracer is not None:
+            tracer.record_span(
+                phase,
                 track="cast",
                 start_s=start,
                 end_s=end,
+                args=None if shard is None else {"shard": shard},
                 sink=ctx.cast_spans,
             )
-            ctx.cast_timings.add(phase, end - start)
+        ctx.cast_timings.add(phase, end - start)
+        if shard is not None:
+            assert ctx.cast_shard_timings is not None
+            ctx.cast_shard_timings[shard].add(phase, end - start)
 
 
 class Stage:
     """One named unit of a training step, operating on a :class:`StepContext`.
 
     Stages are bound to their collaborators (model, optimizer, sharded
-    executor, collector) at plan-build time; :meth:`run` takes only the
+    embedding set, collector) at plan-build time; :meth:`run` takes only the
     context, so any scheduler can execute any stage without knowing what it
     does.
     """
@@ -409,41 +393,21 @@ class ShardedCastStage(Stage):
 
     Like the unsharded cast, this consumes index data only — no parameters,
     no gradients — so under look-ahead it runs for batch ``i+1``
-    concurrently with batch ``i``'s compute.  The per-shard Algorithm 2 is
-    mapped through the trainer's shard executor.
+    concurrently with batch ``i``'s compute.  Each shard's Algorithm 2 is
+    timed into that shard's accounting.
     """
 
     name = "cast"
 
-    def __init__(self, sharded: "ShardedEmbeddingSet",
-                 executor: "InlineShardExecutor") -> None:
+    def __init__(self, sharded: "ShardedEmbeddingSet") -> None:
         self.sharded = sharded
-        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         with _cast_timed(ctx, "partition"):
             ctx.plan = self.sharded.plan_batch(ctx.data.indices)
-        backend = self.sharded.backend
-        results = self.executor.map(
-            cast_slices,
-            [(slices, backend) for slices in ctx.plan.slices_by_shard()],
-            barrier=lambda: _cast_timed(ctx, "sync", span="cast_barrier"),
-        )
-        assert ctx.cast_shard_timings is not None
-        for shard, result in enumerate(results):
-            store_shard(ctx.plan.casts, shard, result.value)
-            seconds = result.end_s - result.start_s
-            ctx.cast_shard_timings[shard].add("casting", seconds)
-            ctx.cast_timings.add("casting", seconds)
-            if ctx.tracer is not None:
-                ctx.tracer.record_span(
-                    "casting",
-                    track=result.track or "cast",
-                    start_s=result.start_s,
-                    end_s=result.end_s,
-                    args={"shard": shard},
-                    sink=ctx.cast_spans,
-                )
+        for shard in range(self.sharded.num_shards):
+            with _cast_timed(ctx, "casting", shard=shard):
+                self.sharded.cast_shard(ctx.plan, shard)
 
 
 class ForwardStage(Stage):
@@ -469,23 +433,21 @@ class ForwardStage(Stage):
 class GatherStage(Stage):
     """``gather`` (sharded): each shard gather-reduces the lookups it owns.
 
-    Mapped through the shard executor; partial sums land on the plan in
-    shard-index order.  Always on the step loop, after the previous step's
-    ``optimize`` — a gather must read post-update parameters.  An executed
-    hot-row cache sees each table's whole ``src`` stream here, before the
-    fan-out: exactly what :meth:`~repro.model.embedding.EmbeddingBag.forward`
-    shows it unsharded, so its counters are the same at any shard count.
+    Shard by shard, in shard order; partial sums land on the plan.  Always
+    on the step loop, after the previous step's ``optimize`` — a gather
+    must read post-update parameters.  An executed hot-row cache sees each
+    table's whole ``src`` stream here, before the shards: exactly what
+    :meth:`~repro.model.embedding.EmbeddingBag.forward` shows it unsharded,
+    so its counters are the same at any shard count.
     """
 
     name = "gather"
 
     def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
-                 collector: "StageTimingCollector",
-                 executor: "InlineShardExecutor") -> None:
+                 collector: "StageTimingCollector") -> None:
         self.model = model
         self.sharded = sharded
         self.collector = collector
-        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
@@ -499,22 +461,11 @@ class GatherStage(Stage):
             with self.collector.timed("forward"):
                 for cache, index in cached:
                     cache.access(index.src)
-        tables = sharded.tables
-        results = self.executor.map(
-            gather_slices,
-            [
-                (tables, slices, sharded.backend)
-                for slices in ctx.plan.slices_by_shard()
-            ],
-            barrier=lambda: self.collector.timed(
-                "sync", span="forward_barrier"
-            ),
-        )
-        for shard, result in enumerate(results):
-            store_shard(ctx.plan.partials, shard, result.value)
-            self.collector.record_shard(
-                "forward", shard, result, shard_phase="gather"
-            )
+        for shard in range(sharded.num_shards):
+            with self.collector.timed(
+                "forward", shard=shard, shard_phase="gather"
+            ):
+                sharded.forward_shard(ctx.plan, shard)
 
 
 class ExchangeStage(Stage):
@@ -578,44 +529,30 @@ class BackwardStage(Stage):
 class ShardedBackwardStage(Stage):
     """``backward`` (sharded): dense backprop, then per-shard casted backward.
 
-    The step loop assembles every shard's backward all-to-all payload
-    (gradient rows + casted pairs, accounted into the plan's byte counter
-    in shard order); the casted gather-reduce over each payload is mapped
-    through the shard executor.
+    Shard by shard, in shard order: each shard's backward all-to-all
+    payload (gradient rows + casted pairs, accounted into the plan's byte
+    counter) and the casted gather-reduce over it.
     """
 
     name = "backward"
 
     def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
-                 collector: "StageTimingCollector",
-                 executor: "InlineShardExecutor") -> None:
+                 collector: "StageTimingCollector") -> None:
         self.model = model
         self.sharded = sharded
         self.collector = collector
-        self.executor = executor
 
     def run(self, ctx: StepContext) -> None:
         sharded = self.sharded
         with self.collector.timed("backward"):
             ctx.grad_tables = self.model.backward_through_dense(ctx.dlogits)
             sharded.prepare_backward(ctx.plan, ctx.grad_tables)
-            payloads = [
-                (
-                    sharded.backward_payload(ctx.plan, shard, ctx.grad_tables),
-                    sharded.backend,
+        ctx.per_shard_coalesced = []
+        for shard in range(sharded.num_shards):
+            with self.collector.timed("backward", shard=shard):
+                ctx.per_shard_coalesced.append(
+                    sharded.backward_shard(ctx.plan, shard, ctx.grad_tables)
                 )
-                for shard in range(sharded.num_shards)
-            ]
-        results = self.executor.map(
-            reduce_payload,
-            payloads,
-            barrier=lambda: self.collector.timed(
-                "sync", span="backward_barrier"
-            ),
-        )
-        ctx.per_shard_coalesced = [result.value for result in results]
-        for shard, result in enumerate(results):
-            self.collector.record_shard("backward", shard, result)
 
 
 class OptimizeStage(Stage):
@@ -653,10 +590,7 @@ class ShardedOptimizeStage(Stage):
         with self.collector.timed("update", span="optimize"):
             self.optimizer.step(self.model.dense_parameters())
         for shard in range(self.sharded.num_shards):
-            with self.collector.timed(
-                "update", shard=shard, span="optimize",
-                track=f"shard{shard}",
-            ):
+            with self.collector.timed("update", shard=shard, span="optimize"):
                 self.sharded.update_shard(
                     shard, ctx.per_shard_coalesced[shard], self.optimizer
                 )
@@ -708,8 +642,6 @@ class StageTimingCollector:
         shard: Optional[int] = None,
         shard_phase: Optional[str] = None,
         span: Optional[str] = None,
-        track: str = "main",
-        args: Optional[Mapping[str, Any]] = None,
     ) -> Iterator[None]:
         """Time a region into ``phase`` (and ``shard``'s accounting).
 
@@ -717,58 +649,25 @@ class StageTimingCollector:
         the run-level phase (a shard's ``gather`` seconds land in the
         run-level ``forward`` total, matching the unsharded breakdown).
         In traced runs the region also becomes a span named ``span``
-        (default: the phase) on ``track``.
+        (default: the shard phase, else the phase) on the ``main`` track,
+        or on ``shard<N>`` with a ``shard`` argument for per-shard work.
         """
-        if self.tracer is None:
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                self._record(
-                    phase, shard, shard_phase, time.perf_counter() - start
-                )
-        else:
-            start = self.tracer.now()
-            try:
-                yield
-            finally:
-                end = self.tracer.now()
-                self.tracer.record_span(
-                    span or phase,
-                    track=track,
+        tracer = self.tracer
+        clock = tracer.now if tracer is not None else time.perf_counter
+        start = clock()
+        try:
+            yield
+        finally:
+            end = clock()
+            if tracer is not None:
+                tracer.record_span(
+                    span or shard_phase or phase,
+                    track="main" if shard is None else f"shard{shard}",
                     start_s=start,
                     end_s=end,
-                    args=args,
+                    args=None if shard is None else {"shard": shard},
                 )
-                self._record(phase, shard, shard_phase, end - start)
-
-    def record_shard(
-        self,
-        phase: str,
-        shard: int,
-        result: "ShardResult",
-        shard_phase: Optional[str] = None,
-    ) -> None:
-        """Fold one shard's executor-timed region into the accounting.
-
-        Shard executors time the per-shard work with their own clock reads
-        — possibly on a pool thread — and hand them back with the
-        product; this is the ingestion point: the same bookkeeping as
-        :meth:`timed`, with the clock reads supplied instead of taken.  In
-        traced runs the region also lands as a span on the worker's track
-        (``shard<N>`` for inline work).
-        """
-        if self.tracer is not None:
-            self.tracer.record_span(
-                shard_phase or phase,
-                track=result.track or f"shard{shard}",
-                start_s=result.start_s,
-                end_s=result.end_s,
-                args={"shard": shard},
-            )
-        self._record(
-            phase, shard, shard_phase, result.end_s - result.start_s
-        )
+            self._record(phase, shard, shard_phase, end - start)
 
     def absorb_cast(self, ctx: StepContext) -> None:
         """Merge a context's cast-stage accounting into the run totals."""
@@ -844,7 +743,6 @@ def build_step_stages(
     batch: int,
     rng: np.random.Generator,
     mode: str,
-    executor: "InlineShardExecutor | None" = None,
 ) -> StepStages:
     """Bind the stage plan for one run of ``trainer``.
 
@@ -852,8 +750,7 @@ def build_step_stages(
     Sharded: ``draw → cast → gather → exchange → forward → backward →
     optimize``.  Both plans execute the exact kernels the pre-refactor
     loops ran, in the exact order — pinned by the differential suite in
-    ``tests/runtime/test_engine.py``.  ``executor`` is where the sharded
-    stages run their per-shard work (default: inline).
+    ``tests/runtime/test_engine.py``.
     """
     draw = DrawStage(trainer.stream, batch, rng)
     if trainer.sharded is None:
@@ -869,18 +766,14 @@ def build_step_stages(
             tracer=collector.tracer,
         )
     sharded = trainer.sharded
-    if executor is None:
-        executor = InlineShardExecutor()
     return StepStages(
         draw=draw,
-        cast=ShardedCastStage(sharded, executor),
+        cast=ShardedCastStage(sharded),
         compute=(
-            GatherStage(trainer.model, sharded, collector, executor),
+            GatherStage(trainer.model, sharded, collector),
             ExchangeStage(sharded, collector),
             ShardedForwardStage(trainer.model, collector),
-            ShardedBackwardStage(
-                trainer.model, sharded, collector, executor
-            ),
+            ShardedBackwardStage(trainer.model, sharded, collector),
             ShardedOptimizeStage(
                 trainer.model, sharded, trainer.optimizer, collector
             ),

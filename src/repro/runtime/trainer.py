@@ -6,19 +6,16 @@ an actual :class:`~repro.model.dlrm.DLRM` on any
 :class:`~repro.data.source.BatchSource` — the synthetic CTR stream, a
 replayed trace, a Criteo-style file, or any composition of the data-plane
 wrappers — and timing each phase of every iteration.  It is the
-reproduction's analogue of the paper's real-system prototype.  Measured end
-to end on this host (one thread, ``benchmarks/e2e/README.md``), the casted
-backward beats the baseline expand-coalesce by 1.08–1.10× per step on
-uniform lookups (``emb_uniform``) and 1.17–1.26× on Zipf-skewed ones
-(``emb_skew``) — well short of the paper's accelerator numbers; the
-benchmark's layer ledger says where the rest of the step goes.  A finite
+reproduction's analogue of the paper's real-system prototype.  A finite
 source that exhausts mid-run stops the trainer cleanly (the report's
 ``steps`` records what actually trained).
 
 With ``num_shards`` set, the trainer instead drives a
 :class:`~repro.model.sharded.ShardedEmbeddingSet`: the embedding phases run
-shard by shard (each timed separately, standing in for ``N`` concurrent
-devices), pooled vectors and gradient slices cross a simulated all-to-all
+shard by shard on the step loop (each timed separately, standing in for
+``N`` devices whose concurrency the analytic
+:class:`~repro.runtime.systems.ShardedNMPSystem` models), pooled vectors
+and gradient slices cross a simulated all-to-all
 whose byte counts land in the report (attributed per pipeline stage —
 forward exchange vs. backward exchange), and the model parameters end up
 bit-identical to the unsharded trainer when ``num_shards=1``.  Shards name
@@ -30,7 +27,7 @@ The trainer is a thin facade over the **stage-graph engine**
 (:mod:`repro.runtime.engine`): each step is a plan of named stages
 (:mod:`repro.runtime.stages`) run by the engine's one step loop under the
 :class:`~repro.runtime.policy.SchedulePolicy` this constructor builds from
-its arguments — look-ahead, accumulation, shard executor — with
+its arguments — look-ahead and accumulation — with
 :meth:`~FunctionalTrainer.infer` the same policy restricted to the forward
 prefix.  Combinations that cannot work are rows of
 :data:`~repro.runtime.policy.CAPABILITIES`, checked here and nowhere else.
@@ -102,7 +99,7 @@ class FunctionalTrainer:
         shape class and delegates to the winner (a no-op passthrough to
         ``vectorized`` when it is the only candidate).  Resolved once here
         and threaded into the model's embedding bags and the sharded
-        executor, so the whole run uses one engine regardless of which
+        embedding set, so the whole run uses one engine regardless of which
         thread launches a kernel.  Note the bags' routing follows whichever
         trainer most recently constructed over — or trains — the model:
         :meth:`train` re-asserts it, so sharing one model between trainers
@@ -116,19 +113,9 @@ class FunctionalTrainer:
         ``cache_*`` fields.  A sharded trainer hands each cache the same
         stream — the table's full batch of row ids, on the step loop,
         before the per-shard gathers — so the counters do not depend on the
-        shard count, policy or executor.
+        shard count or policy.
     cache_policy:
         Replacement policy for the executed caches: ``"lru"`` or ``"lfu"``.
-    schedule:
-        Where a sharded trainer's per-shard cast / gather / backward run:
-        ``"serial"`` (default) on the step loop, shard after shard;
-        ``"parallel"`` fanned out to a persistent thread pool
-        (:mod:`repro.runtime.parallel`; it lives for one :meth:`train` /
-        :meth:`infer` call, so the trainer itself owns no resource),
-        results applied in shard-index order — bit-identical to serial,
-        with measured (not modeled) scaling.
-    workers:
-        Worker count of the ``"parallel"`` pool (default: one per shard).
     accum_steps:
         Gradient accumulation factor.  ``1`` (default) optimizes after
         every drawn batch.  With ``N > 1`` each step draws ``N``
@@ -150,8 +137,8 @@ class FunctionalTrainer:
 
     Every combination of these composes except the rows of
     :data:`~repro.runtime.policy.CAPABILITIES` (README, "Schedule
-    policies"), which raise ``ValueError`` here — or, for the one row that
-    involves ``mode``, from :meth:`train` / :meth:`infer`.
+    policies"), which involve ``mode`` and so raise ``ValueError`` from
+    :meth:`train` / :meth:`infer`.
     """
 
     def __init__(
@@ -164,8 +151,6 @@ class FunctionalTrainer:
         backend: BackendSpec = "auto",
         hot_cache: HotRowCacheSpec | None = None,
         cache_policy: str = "lru",
-        schedule: str = "serial",
-        workers: int | None = None,
         accum_steps: int = 1,
         lookahead: int = 0,
     ) -> None:
@@ -177,17 +162,10 @@ class FunctionalTrainer:
             )
         if num_shards is not None:
             num_shards = positive_int("num_shards", num_shards)
-        if schedule not in ("serial", "parallel"):
-            raise ValueError(
-                f"schedule must be 'serial' or 'parallel', got {schedule!r}"
-            )
         #: The one record the engine's step loop reads; ``infer()`` runs
         #: the same record with ``forward_only`` set.
         self.policy = SchedulePolicy(
-            lookahead=lookahead,
-            accum_steps=accum_steps,
-            executor="inline" if schedule == "serial" else "thread",
-            workers=workers,
+            lookahead=lookahead, accum_steps=accum_steps
         )
         self.model = model
         self.stream = stream
@@ -199,12 +177,6 @@ class FunctionalTrainer:
         self.backend = resolve_backend(backend)
         for bag in model.embeddings:
             bag.backend = self.backend
-        self._features = Features(
-            sharded=num_shards is not None,
-            executor=self.policy.executor,
-            workers=self.policy.workers,
-        )
-        check_capabilities(self._features)
         self.hot_caches: List[HotRowCache] | None = None
         if hot_cache is not None:
             self.hot_caches = [
@@ -320,7 +292,9 @@ class FunctionalTrainer:
             raise ValueError(
                 f"start_step must be a non-negative integer, got {start_step!r}"
             )
-        check_capabilities(replace(self._features, mode=mode))
+        check_capabilities(
+            Features(sharded=self.sharded is not None, mode=mode)
+        )
         # Re-assert kernel routing: another trainer constructed over the
         # same model would have re-pointed the bags' backend; whichever
         # trainer runs, *its* engine runs — keeping the report's

@@ -16,9 +16,9 @@ then pin the contract that makes tiling safe:
   for bit) and within documented tolerance of the float64 oracle;
 * the results do not depend on the tile size at all — any two tilings of
   the same input agree bit for bit;
-* the trainers stay bit-identical when the blocked engine runs under the
-  sharded *parallel* schedule (ISSUE 10's satellite: the new engine must
-  compose with every schedule, not just the serial one).
+* the trainers stay bit-identical when the blocked engine runs a sharded
+  step (the engine must compose with every schedule, not just the
+  unsharded one).
 """
 
 import zlib
@@ -209,7 +209,7 @@ class TestConstruction:
 
 
 class TestBlockedUnderEverySchedule:
-    """The new engine composes with the sharded and parallel schedules."""
+    """The new engine composes with the sharded and accumulated schedules."""
 
     TINY = RM1.with_overrides(
         num_tables=3,
@@ -234,17 +234,15 @@ class TestBlockedUnderEverySchedule:
         report = trainer.train(32, 2, np.random.default_rng(1))
         return model, report
 
-    def test_parallel_schedule_matches_serial_vectorized(self):
-        """Blocked engine on the parallel schedule == vectorized engine on
-        the serial schedule, at the same sharding (the pinned invariant:
-        schedules and engines never change the numbers; the shard
+    def test_sharded_schedule_matches_vectorized(self):
+        """Blocked engine == vectorized engine at the same sharding (the
+        pinned invariant: engines never change the numbers; the shard
         partition is part of the workload, so it is held fixed)."""
-        serial_model, serial = self._run("vectorized", num_shards=2)
-        parallel_model, parallel = self._run(
-            "blocked", num_shards=2, schedule="parallel", workers=2)
-        assert parallel.losses == serial.losses
+        vectorized_model, vectorized = self._run("vectorized", num_shards=2)
+        blocked_model, blocked = self._run("blocked", num_shards=2)
+        assert blocked.losses == vectorized.losses
         for got, want in zip(
-            parallel_model.all_parameters(), serial_model.all_parameters()
+            blocked_model.all_parameters(), vectorized_model.all_parameters()
         ):
             assert np.array_equal(got, want)
 

@@ -30,7 +30,6 @@ class TestRegistry:
             "reference",
             "vectorized",
             "numba",
-            "numba-parallel",
             "auto",
             "blocked",
         )

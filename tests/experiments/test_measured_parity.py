@@ -4,7 +4,7 @@ The five trainer-backed sweeps (``overlap``, measured ``scaling``,
 ``cache``, ``serve``, ``stepshape``) share one measured-run harness
 (:mod:`repro.experiments.measured`).  Everything in their rows that is not
 derived from a wall clock — bitwise flags, exchange bytes, analytic bounds,
-cache accesses and hit rates, final losses, worker and step counts — is a
+cache accesses and hit rates, final losses, step counts — is a
 pure function of the seeds and shapes, so it is pinned here to literals
 recorded before the harness existed.  Floats are compared exactly, as
 ``float.hex()`` strings.
@@ -82,12 +82,12 @@ def test_overlap_trace(tmp_path):
 def test_measured_scaling():
     rows = measured_scaling_sweep(
         shard_counts=(1, 2), batches=(16, 32), steps=2, config=TINY_CONFIG,
-        repeats=1, workers=2,
+        repeats=1,
     )
     assert _fields(rows, (
-        "model", "batch", "policy", "num_shards", "workers", "backend",
-        "steps", "analytic_speedup", "bit_identical",
-        "forward_exchange_bytes", "backward_exchange_bytes",
+        "model", "batch", "policy", "num_shards", "backend", "steps",
+        "analytic_speedup", "forward_exchange_bytes",
+        "backward_exchange_bytes",
     )) == MEASURED_SCALING
 
 
@@ -165,20 +165,20 @@ OVERLAP_TRACE = [
 ]
 MEASURED_SCALING = [
     {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 1,
-     "workers": 2, "backend": "vectorized", "steps": 2,
-     "analytic_speedup": "0x1.0000000000000p+0", "bit_identical": True,
+     "backend": "vectorized", "steps": 2,
+     "analytic_speedup": "0x1.0000000000000p+0",
      "forward_exchange_bytes": 6144, "backward_exchange_bytes": 12288},
     {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 2,
-     "workers": 2, "backend": "vectorized", "steps": 2,
-     "analytic_speedup": "0x1.d2841c652b3f1p-1", "bit_identical": True,
+     "backend": "vectorized", "steps": 2,
+     "analytic_speedup": "0x1.d2841c652b3f1p-1",
      "forward_exchange_bytes": 11584, "backward_exchange_bytes": 17728},
     {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 1,
-     "workers": 2, "backend": "vectorized", "steps": 2,
-     "analytic_speedup": "0x1.0000000000000p+0", "bit_identical": True,
+     "backend": "vectorized", "steps": 2,
+     "analytic_speedup": "0x1.0000000000000p+0",
      "forward_exchange_bytes": 12288, "backward_exchange_bytes": 24576},
     {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 2,
-     "workers": 2, "backend": "vectorized", "steps": 2,
-     "analytic_speedup": "0x1.d2d7fad497fd6p-1", "bit_identical": True,
+     "backend": "vectorized", "steps": 2,
+     "analytic_speedup": "0x1.d2d7fad497fd6p-1",
      "forward_exchange_bytes": 22656, "backward_exchange_bytes": 34944},
 ]
 CACHE_SYNTHETIC = [

@@ -171,8 +171,7 @@ TRAINER_PATHS = {
     "serial": {},
     "lookahead": {"lookahead": 1},
     "accum": {"accum_steps": 2},
-    "sharded-inline": {"num_shards": 2},
-    "sharded-thread": {"num_shards": 2, "schedule": "parallel"},
+    "sharded": {"num_shards": 2},
 }
 
 
@@ -192,15 +191,14 @@ def test_trainer_paths_hand_the_optimizer_the_model_dtype(
     assert all(type(loss) is float for loss in report.losses)
 
 
-@pytest.mark.parametrize("schedule", ("serial", "parallel"))
-def test_sharded_backward_exchange_halves_for_an_f32_model(schedule):
+def test_sharded_backward_exchange_halves_for_an_f32_model():
     """The backward all-to-all ships gradient rows plus casted index
     pairs; the pairs are int64 whatever the model, the rows are the
     model's dtype — so the f32 model's row bytes are exactly half."""
     steps = 3
     shipped = {
-        dtype: train(dtype, steps=steps, num_shards=2,
-                     schedule=schedule)[2].backward_exchange_bytes
+        dtype: train(dtype, steps=steps,
+                     num_shards=2)[2].backward_exchange_bytes
         for dtype in (np.float32, np.float64)
     }
     pairs = steps * BATCH * TINY.gathers_per_table * TINY.num_tables * 2 * 8

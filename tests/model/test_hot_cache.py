@@ -230,17 +230,16 @@ class TestTrainerIntegration:
         ):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("schedule", ["serial", "parallel"])
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("policy", ["row", "table"])
     @pytest.mark.parametrize("num_shards", [1, 2, 3])
     @pytest.mark.parametrize("cache_policy", ["lru", "lfu"])
     def test_sharded_counters_equal_the_unsharded_runs(
-        self, cache_policy, num_shards, policy, lookahead, schedule
+        self, cache_policy, num_shards, policy, lookahead
     ):
         """Each cache sees its table's whole row stream, in stream order,
         wherever the shards then gather: hits and accesses of ``train()``
-        and ``infer()`` do not depend on the layout or the executor."""
+        and ``infer()`` do not depend on the layout."""
         spec = HotRowCacheSpec(capacity_rows=50)
 
         def counters(**layout):
@@ -259,9 +258,7 @@ class TestTrainerIntegration:
 
         want = counters()
         assert want[0][0] > 0 and want[0][1] == 16 * 4 * 2 * 3
-        assert counters(
-            num_shards=num_shards, policy=policy, schedule=schedule
-        ) == want
+        assert counters(num_shards=num_shards, policy=policy) == want
 
     def test_stats_reset_between_train_calls(self):
         model, stream = make_parts()

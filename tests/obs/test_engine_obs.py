@@ -27,12 +27,8 @@ CONFIG = RM1.with_overrides(
 # Span names vs the report's phase ledger: the optimizer span is named for
 # what runs ("optimize") while the phase is named for the ledger bucket
 # ("update"); sharded gathers trace per-shard ("gather") but bill to the
-# "forward" phase; a pooled shard executor's three barriers are named apart
-# but all bill to "sync".  The "step" envelope is an aggregate, not a phase.
-SPAN_TO_PHASE = {
-    "optimize": "update", "gather": "forward", "cast_barrier": "sync",
-    "forward_barrier": "sync", "backward_barrier": "sync",
-}
+# "forward" phase.  The "step" envelope is an aggregate, not a phase.
+SPAN_TO_PHASE = {"optimize": "update", "gather": "forward"}
 
 
 def make_stream(seed=0):
@@ -86,13 +82,11 @@ class TestTraceContent:
 
     @pytest.mark.parametrize("knobs", [
         dict(num_shards=2),
-        dict(num_shards=2, schedule="parallel"),
-        dict(num_shards=2, schedule="parallel", lookahead=1),
+        dict(num_shards=2, lookahead=1),
         dict(lookahead=1, accum_steps=2),
-        dict(num_shards=2, schedule="parallel",
-             hot_cache=HotRowCacheSpec(capacity_rows=16)),
-    ], ids=["sharded", "pool", "pool-lookahead", "lookahead-accum",
-            "pool-hot-cache"])
+        dict(num_shards=2, hot_cache=HotRowCacheSpec(capacity_rows=16)),
+    ], ids=["sharded", "sharded-lookahead", "lookahead-accum",
+            "sharded-hot-cache"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""

@@ -4,8 +4,8 @@ The engine has one step loop and one policy record
 (:class:`~repro.runtime.policy.SchedulePolicy`); the axes are meant to
 compose *by construction*.  This suite holds that to account:
 
-* every cell of look-ahead × accumulation × shard count × shard executor ×
-  backward mode × {train, infer} that the capability table does not reject
+* every cell of look-ahead × accumulation × shard count × backward mode ×
+  {train, infer} that the capability table does not reject
   is run and compared, bit for bit, against an oracle that shares no code
   with the engine — the frozen pre-refactor loops of ``_legacy_trainer.py``
   for training (fed the *concatenation* of each step's micro-batches, so
@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.backends import registered_backends, resolve_backend
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
@@ -82,15 +83,9 @@ def assert_params_equal(model_a, model_b):
         assert np.array_equal(a, b)
 
 
-def schedule_kwargs(executor):
-    return {} if executor == "inline" else {"schedule": "parallel"}
-
-
-def supported(shards, executor, mode):
+def supported(shards, mode):
     try:
-        check_capabilities(Features(
-            sharded=shards is not None, mode=mode, executor=executor,
-        ))
+        check_capabilities(Features(sharded=shards is not None, mode=mode))
     except ValueError:
         return False
     return True
@@ -98,40 +93,37 @@ def supported(shards, executor, mode):
 
 CELLS = [
     pytest.param(
-        lookahead, accum, shards, executor, mode, entry,
-        id=f"ahead{lookahead}-accum{accum}-shards{shards}-{executor}-"
-           f"{mode}-{entry}",
+        lookahead, accum, shards, mode, entry,
+        id=f"ahead{lookahead}-accum{accum}-shards{shards}-{mode}-{entry}",
     )
-    for lookahead, accum, shards, executor, mode, entry in itertools.product(
-        (0, 1), (1, 3), (None, 1, 2), ("inline", "thread"),
-        ("casted", "baseline"), ("train", "infer"),
+    for lookahead, accum, shards, mode, entry in itertools.product(
+        (0, 1), (1, 3), (None, 1, 2), ("casted", "baseline"),
+        ("train", "infer"),
     )
-    if supported(shards, executor, mode)
+    if supported(shards, mode)
 ]
 
 
 def test_the_product_is_not_silently_shrinking():
-    # 2 look-aheads x 2 accums x 2 entry points x (5 shard/executor pairs
-    # in casted mode + the 1 unsharded pair in baseline mode).
-    assert len(CELLS) == 2 * 2 * 2 * (5 + 1)
+    # 2 look-aheads x 2 accums x 2 entry points x (3 shard counts in
+    # casted mode + the unsharded trainer in baseline mode).
+    assert len(CELLS) == 2 * 2 * 2 * (3 + 1)
 
 
-@pytest.mark.parametrize(
-    "lookahead,accum,shards,executor,mode,entry", CELLS)
-def test_cell_matches_its_oracle(
-        lookahead, accum, shards, executor, mode, entry):
+@pytest.mark.parametrize("lookahead,accum,shards,mode,entry", CELLS)
+def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
     stream, bigs, micros = drawn_batches(accum)
     model = make_model()
     trainer = FunctionalTrainer(
         model, FixedSource(stream, micros), SGD(lr=0.3),
         num_shards=shards, backend="vectorized", accum_steps=accum,
-        lookahead=lookahead, **schedule_kwargs(executor),
+        lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     report = run(MICRO, STEPS, np.random.default_rng(1), mode=mode)
     assert report.steps == STEPS
     assert report.samples == STEPS * accum * MICRO
-    assert ("sync" in report.timings.totals) == (executor == "thread")
+    assert "sync" not in report.timings.totals
     assert ("cast_wait" in report.timings.totals) == (lookahead == 1)
 
     oracle_model = make_model()
@@ -180,8 +172,6 @@ def test_cell_matches_its_oracle(
 #: Row name -> (trainer kwargs, mode) that the row must reject.
 ROW_EXAMPLES = {
     "sharded × baseline": (dict(num_shards=2), "baseline"),
-    "shard pool × unsharded": (dict(schedule="parallel"), "casted"),
-    "workers × inline executor": (dict(num_shards=2, workers=2), "casted"),
 }
 
 
@@ -204,18 +194,11 @@ class TestCapabilityTable:
 
     @pytest.mark.parametrize("row", CAPABILITIES, ids=lambda row: row.name)
     def test_only_the_mode_row_waits_for_train(self, row):
-        kwargs, mode = ROW_EXAMPLES[row.name]
-        kwargs = dict({"backend": "vectorized"}, **kwargs)
-
-        def construct():
-            FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3), **kwargs)
-
-        if mode == "casted":
-            with pytest.raises(ValueError, match=re.escape(row.reason)):
-                construct()
-        else:
-            construct()
+        """Every row involves ``mode``, so construction never rejects."""
+        kwargs, _ = ROW_EXAMPLES[row.name]
+        FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.3),
+            **dict({"backend": "vectorized"}, **kwargs))
 
     @pytest.mark.parametrize("row", CAPABILITIES, ids=lambda row: row.name)
     def test_row_exits_2_from_the_cli_with_the_same_text(
@@ -231,19 +214,6 @@ class TestCapabilityTable:
         assert cli.main(["cache"]) == 2
         assert capsys.readouterr().err == f"error: {row.reason}\n"
 
-    @pytest.mark.parametrize("argv,row_name", [
-        (["scaling", "--workers", "2"], "workers × inline executor"),
-    ])
-    def test_flags_that_decide_a_row_fail_before_anything_runs(
-            self, argv, row_name, monkeypatch, capsys):
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "scaling",
-            (lambda *a, **k: pytest.fail("experiment ran"), "stub"),
-        )
-        (row,) = [row for row in CAPABILITIES if row.name == row_name]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == f"error: {row.reason}\n"
-
     @pytest.mark.parametrize("value", ["thread", "process"])
     def test_the_removed_parallel_mode_option_fails_loudly(
             self, value, capsys):
@@ -252,21 +222,38 @@ class TestCapabilityTable:
         with pytest.raises(TypeError, match="parallel_mode"):
             FunctionalTrainer(
                 make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-                backend="vectorized", schedule="parallel",
-                parallel_mode=value,
+                backend="vectorized", parallel_mode=value,
             )
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["overlap", "--schedule", "parallel",
-                      "--parallel-mode", value])
+            cli.main(["overlap", "--parallel-mode", value])
         assert exit_info.value.code == 2
         assert "--parallel-mode" in capsys.readouterr().err
+
+    def test_the_removed_thread_pool_options_fail_loudly(self, capsys):
+        """The thread shard pool went with its options and its engine:
+        none may be accepted and silently mean "inline"."""
+        for name, value in (("schedule", "parallel"), ("workers", 2)):
+            with pytest.raises(TypeError, match=name):
+                FunctionalTrainer(
+                    make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
+                    backend="vectorized", **{name: value},
+                )
+        for argv in (["--schedule", "parallel"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["scaling", *argv])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv)}" in (
+                capsys.readouterr().err)
+        with pytest.raises(ValueError, match="unknown kernel backend") as error:
+            resolve_backend("numba-parallel")
+        listed = str(error.value).split("registered backends: ")[1]
+        assert listed.split(", ") == list(registered_backends())
 
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(
             self, dest, scope, capsys):
         flag = "--" + dest.replace("_", "-")
         value = {
-            "schedule": "parallel",
             "policies": "single", "arrival": "poisson",
             "cache_policy": "lru", "optimizer": "sgd",
         }.get(dest, "1")
@@ -289,8 +276,6 @@ def _construct(**kwargs):
 
 INT_SITES = {
     "num_shards": lambda v: _construct(num_shards=v),
-    "workers": lambda v: _construct(
-        num_shards=2, schedule="parallel", workers=v),
     "accum_steps": lambda v: _construct(accum_steps=v),
     "batch": lambda v: _construct().train(v, 1, np.random.default_rng(1)),
     "steps": lambda v: _construct().train(8, v, np.random.default_rng(1)),
@@ -323,33 +308,18 @@ class TestPositiveIntegers:
 
 class TestNoSilentlyDroppedSettings:
     def test_positional_and_keyword_construction_agree(self):
-        """``schedule`` used to slip past the pipelined trainer's keyword
-        guard when passed positionally, and then ran inline."""
+        """A setting passed positionally used to slip past the pipelined
+        trainer's keyword guard and be dropped."""
         positional = PipelinedTrainer(
             make_model(), make_stream(), SGD(lr=0.3),
-            2, "row", "vectorized", None, "lru", "parallel",
+            2, "row", "vectorized", None, "lru", 2,
         )
         keyword = PipelinedTrainer(
             make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-            backend="vectorized", schedule="parallel",
+            backend="vectorized", accum_steps=2,
         )
         assert positional.policy == keyword.policy == SchedulePolicy(
-            lookahead=1, executor="thread")
+            lookahead=1, accum_steps=2)
         report = positional.train(8, 2, np.random.default_rng(1))
-        assert {"sync", "cast_wait"} <= set(report.timings.totals)
-
-    def test_infer_keeps_the_shard_pool(self):
-        """``infer()`` on a parallel trainer used to run with no pool."""
-        def infer(**kwargs):
-            return FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-                backend="vectorized", **kwargs,
-            ).infer(8, 3, np.random.default_rng(1))
-
-        inline, pooled = infer(), infer(schedule="parallel")
-        assert "sync" not in inline.timings.totals
-        assert pooled.timings.totals["sync"] > 0
-        assert pooled.losses == inline.losses
-        for got, want in zip(pooled.logits, inline.logits):
-            assert np.array_equal(got, want)
-        assert pooled.forward_exchange_bytes == inline.forward_exchange_bytes
+        assert "cast_wait" in report.timings.totals
+        assert report.samples == 2 * 2 * 8

@@ -1,0 +1,211 @@
+"""A failed step is atomic; the sharded step loop's run contracts.
+
+A kernel failure in any phase of a step — cast, gather, backward — must
+propagate to the caller unchanged, join every thread the run started (the
+cast-ahead worker under look-ahead), and leave the parameters and
+optimizer state of the last completed step untouched, so the same trainer
+resumes cleanly.  Pinned unsharded and over two shards, inline and cast
+ahead.  Alongside: a sharded run resumes from a checkpoint bit for bit, a
+shard that owns no rows is only ever empty, and every shard reports its
+own phase timings.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.backends.vectorized import VectorizedBackend
+from repro.data.generator import SyntheticCTRStream
+from repro.model.configs import RM1
+from repro.model.dlrm import DLRM
+from repro.model.optim import SGD, Adagrad
+from repro.runtime.checkpoint import (
+    load_checkpoint,
+    restore_trainer,
+    save_checkpoint,
+)
+from repro.runtime.engine import TrainingCallback
+from repro.runtime.trainer import FunctionalTrainer
+
+CONFIG = RM1.with_overrides(
+    num_tables=3, gathers_per_table=4, rows_per_table=60,
+    bottom_mlp=(8, 4), top_mlp=(4, 1), embedding_dim=4,
+)
+
+
+#: Step phase -> the backend kernel that phase launches.
+PHASE_KERNELS = {
+    "cast": "cast_indices",
+    "gather": "gather_reduce",
+    "backward": "casted_gather_reduce",
+}
+
+
+class ExplodingBackend(VectorizedBackend):
+    """Unregistered backend whose ``phase`` kernel blows up while armed."""
+
+    name = "exploding"
+
+    def __init__(self, phase="gather", armed=True):
+        super().__init__()
+        self.armed = armed
+        healthy = getattr(self, PHASE_KERNELS[phase])
+
+        def kernel(*args, **kwargs):
+            if self.armed:
+                raise RuntimeError("boom: injected kernel failure")
+            return healthy(*args, **kwargs)
+
+        setattr(self, PHASE_KERNELS[phase], kernel)
+
+
+def make_trainer(num_shards=2, backend="vectorized", optimizer_cls=SGD,
+                 seed=0, lookahead=0):
+    model = DLRM(CONFIG, rng=np.random.default_rng(seed))
+    stream = SyntheticCTRStream(
+        num_tables=3, num_rows=60, lookups_per_sample=4,
+        dense_features=8, seed=seed,
+    )
+    trainer = FunctionalTrainer(
+        model, stream, optimizer_cls(lr=0.3),
+        num_shards=num_shards, backend=backend, lookahead=lookahead,
+    )
+    return model, trainer
+
+
+def assert_bit_identical(want_model, want_report, got_model, got_report):
+    assert got_report.losses == want_report.losses
+    for got, want in zip(got_model.all_parameters(),
+                         want_model.all_parameters()):
+        assert np.array_equal(got, want)
+
+
+def lingering_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("cast-ahead")]
+
+
+def trainer_state(trainer):
+    """Copies of every parameter and every optimizer-state array, by name."""
+    named = trainer.named_parameters()
+    state = {name: param.copy() for name, param in named}
+    state.update(
+        (key, tensor.copy())
+        for key, tensor in trainer.optimizer.export_state(named).items()
+    )
+    return state
+
+
+def assert_same_state(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class ArmAfterFirstStep(TrainingCallback):
+    """Snapshot the state after every completed step; arm after the first.
+
+    The last snapshot is therefore the failing step's pre-step state,
+    whichever step the armed kernel is first reached in (under look-ahead
+    the cast of the next batch is already in flight when a step ends).
+    """
+
+    def __init__(self, trainer):
+        self.snapshots = [trainer_state(trainer)]
+
+    def on_step_end(self, event):
+        self.snapshots.append(trainer_state(event.trainer))
+        event.trainer.backend.armed = True
+
+
+class TestFailedStep:
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
+    def test_a_failed_step_is_atomic(self, phase, lookahead, num_shards):
+        """A kernel failure in any phase leaves the last good step intact.
+
+        Adagrad, so there is optimizer state to tear.  Unsharded with
+        look-ahead, the failing cast runs on the cast-ahead worker.
+        """
+        batch, steps = 16, 4
+        _, reference = make_trainer(
+            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+        reference_report = reference.train(
+            batch, steps, np.random.default_rng(1))
+
+        _, trainer = make_trainer(
+            num_shards=num_shards, backend=ExplodingBackend(phase, armed=False),
+            optimizer_cls=Adagrad, lookahead=lookahead)
+        recorder = ArmAfterFirstStep(trainer)
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            trainer.train(batch, steps, np.random.default_rng(1),
+                          callbacks=[recorder])
+        # The original exception, not a wrapper or a shutdown error.
+        assert failure.type is RuntimeError
+        assert lingering_threads() == []
+        completed = len(recorder.snapshots) - 1
+        assert 1 <= completed < steps
+        assert_same_state(trainer_state(trainer), recorder.snapshots[-1])
+
+        # Same trainer, healthy backend: redo the failed step and finish.
+        trainer.backend.armed = False
+        resumed = trainer.train(
+            batch, steps - completed, np.random.default_rng(1),
+            start_step=completed)
+        assert resumed.losses == reference_report.losses[completed:]
+        assert_same_state(trainer_state(trainer), trainer_state(reference))
+        assert lingering_threads() == []
+
+
+class TestShardedRun:
+    def test_resume_matches_the_uninterrupted_run(self, tmp_path):
+        whole_model, whole = make_trainer()
+        whole_report = whole.train(16, 4, np.random.default_rng(1))
+        _, warm = make_trainer()
+        warm.train(16, 2, np.random.default_rng(1))
+        save_checkpoint(tmp_path / "ck.npz", warm, 2)
+        model, trainer = make_trainer()
+        start = restore_trainer(trainer, load_checkpoint(tmp_path / "ck.npz"))
+        assert start == 2
+        report = trainer.train(
+            16, 2, np.random.default_rng(1), start_step=start)
+        assert report.losses == whole_report.losses[start:]
+        for got, want in zip(model.all_parameters(),
+                             whole_model.all_parameters()):
+            assert np.array_equal(got, want)
+
+    def test_checkpoint_restores_the_saved_parameters(self, tmp_path):
+        saved_model, saved = make_trainer()
+        saved.train(16, 2, np.random.default_rng(1))
+        save_checkpoint(tmp_path / "ck.npz", saved, 2)
+        checkpoint = load_checkpoint(tmp_path / "ck.npz")
+        model, trainer = make_trainer()
+        assert restore_trainer(trainer, checkpoint) == 2
+        for got, want in zip(model.all_parameters(),
+                             saved_model.all_parameters()):
+            assert np.array_equal(got, want)
+
+    def test_more_shards_than_rows_leaves_the_extra_shards_empty(self):
+        # Shards name parent rows, so a shard that owns none is only ever
+        # an empty shard: over 60-row tables row r lives on shard r under
+        # both counts, the 61st shard never receives a lookup, and the two
+        # runs are the same run.
+        exact_model, exact = make_trainer(num_shards=60)
+        spare_model, spare = make_trainer(num_shards=61)
+        exact_report = exact.train(16, 3, np.random.default_rng(1))
+        spare_report = spare.train(16, 3, np.random.default_rng(1))
+        assert_bit_identical(exact_model, exact_report,
+                             spare_model, spare_report)
+        assert len(spare_report.shard_timings) == 61
+
+    def test_report_carries_shard_timings(self):
+        _, trainer = make_trainer()
+        report = trainer.train(16, 4, np.random.default_rng(1))
+        assert "sync" not in report.timings.totals
+        assert report.shard_timings is not None
+        assert len(report.shard_timings) == 2
+        for shard in report.shard_timings:
+            for phase in ("casting", "gather", "backward"):
+                assert shard.totals.get(phase, 0.0) > 0.0

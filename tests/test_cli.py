@@ -115,13 +115,15 @@ class TestMain:
         assert "batch must be a positive integer" in capsys.readouterr().err
 
     def test_measured_scaling_runs_every_batch(self, capsys):
-        assert main(["scaling", "--schedule", "parallel", "--batches", "16",
-                     "32", "--shards", "2", "--steps", "1",
-                     "--workers", "2"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+        assert main(["scaling", "--batches", "16", "32", "--shards", "1", "2",
+                     "--steps", "1"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()
                 if line.startswith("RM1")]
-        assert [(row[1], row[10]) for row in rows] == [("16", "OK"),
-                                                       ("32", "OK")]
+        assert [(row[1], row[3]) for row in rows] == [
+            ("16", "1"), ("16", "2"), ("32", "1"), ("32", "2")]
+        assert [row[5] for row in rows[::2]] == ["1.00x", "1.00x"]
+        assert "Analytic" in out
 
     def test_cache_rejects_more_than_one_batch(self, monkeypatch, capsys):
         monkeypatch.setattr("repro.cli.hotcache_sweep",
@@ -130,13 +132,8 @@ class TestMain:
         assert "'cache' trains one batch size" in capsys.readouterr().err
 
     def test_models_rejected_by_the_measured_scaling_sweep(self, capsys):
-        assert main(["scaling", "--schedule", "parallel",
-                     "--models", "RM1"]) == 2
+        assert main(["scaling", "--steps", "1", "--models", "RM1"]) == 2
         assert "--models does not apply" in capsys.readouterr().err
-
-    def test_steps_rejected_by_the_analytic_scaling_sweep(self, capsys):
-        assert main(["scaling", "--steps", "3"]) == 2
-        assert "--steps applies to" in capsys.readouterr().err
 
     def test_registry_descriptions_reference_paper_artifacts(self):
         for name, (_, description) in EXPERIMENTS.items():

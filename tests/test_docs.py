@@ -122,7 +122,6 @@ class TestExamples:
             "resumable_training.py",
             "serving_sla.py",
             "traced_run.py",
-            "parallel_scaling.py",
         }
         present = {path.name for path in EXAMPLES_DIR.glob("*.py")}
         assert expected <= present

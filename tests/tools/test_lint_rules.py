@@ -80,7 +80,6 @@ class TestDeterminism:
         tree.write("src/repro/obs/clock.py", clock)
         tree.write("src/repro/runtime/stages.py", clock)
         tree.write("src/repro/runtime/engine.py", clock)
-        tree.write("src/repro/runtime/parallel.py", clock)
         tree.write("src/repro/backends/autotune.py", clock)
         tree.write("tests/test_timing.py", clock)
         assert tree.lint(rules=["determinism"], paths=("src", "tests")) == []

@@ -16,9 +16,7 @@ path draws from an unseeded generator or branches on wall-clock time.
   sanctioned wall-clock wrapper), ``obs/clock.py`` (the observability
   plane's manifest timestamps and default tracer clock),
   ``runtime/stages.py`` and ``runtime/engine.py`` (the stage timing
-  instrumentation that fills ``PhaseTimings``),
-  ``runtime/parallel.py`` (worker-side per-shard phase intervals — the
-  workers *measure* but never branch on the clock) and
+  instrumentation that fills ``PhaseTimings``) and
   ``backends/autotune.py`` (probe timing).
   Everything else must take a :class:`~repro.serving.clock.Clock` or
   report-side timings instead of reading the clock directly; genuinely
@@ -66,7 +64,6 @@ _WALLCLOCK_ALLOWED_SUFFIXES = (
     "repro/obs/clock.py",         # manifest timestamps / default trace clock
     "repro/runtime/stages.py",    # the stage timing collector
     "repro/runtime/engine.py",    # per-stage wall-clock instrumentation
-    "repro/runtime/parallel.py",  # worker-side per-shard phase intervals
     "repro/backends/autotune.py", # autotuner probe timing
 )
 
@@ -119,6 +116,6 @@ class DeterminismChecker(Checker):
                     source, node,
                     f"{target}() read outside the sanctioned timing modules "
                     "(serving/clock.py, obs/clock.py, runtime/stages.py, "
-                    "runtime/parallel.py, backends/autotune.py); inject a "
+                    "runtime/engine.py, backends/autotune.py); inject a "
                     "repro.serving.Clock instead",
                 )

@@ -1,9 +1,9 @@
 """Rule ``thread-lifecycle``: classes that start workers must be closable.
 
-The repo's background workers (``CastAheadWorker``, ``PrefetchingSource``,
-and the parallel runtime's shard pools) earned their pinned lifecycles the
-hard way: a thread with no shutdown path leaks across tests, deadlocks
-interpreter exit, and an orphaned worker process outlives all of that.
+The repo's background workers (``CastAheadWorker`` and
+``PrefetchingSource``) earned their pinned lifecycles the hard way: a
+thread with no shutdown path leaks across tests, deadlocks interpreter
+exit, and an orphaned worker process outlives all of that.
 The contract:
 
 * any class that starts a ``threading.Thread`` (or ``Timer``), spins up a
