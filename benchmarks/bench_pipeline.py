@@ -1,9 +1,9 @@
 """Pipelined vs serial trainer wall-clock (the Section IV-B overlap, measured).
 
 Times whole training runs of the serial :class:`FunctionalTrainer` and the
-double-buffered :class:`PipelinedTrainer` on the same down-scaled DLRM, in
-both unsharded and 2-shard configurations.  The pipelined rows should match
-or beat the serial rows: the casting stage (and sharded index splitting) of
+double-buffered :class:`PipelinedTrainer` on the same down-scaled DLRM, at
+the default single shard and at 2 shards.  The pipelined rows should match
+or beat the serial rows: the casting stage (index splitting included) of
 batch ``i+1`` runs on a background worker while batch ``i`` trains.
 
 Set ``BENCH_SMOKE=1`` to shrink every shape to a seconds-long smoke run
@@ -33,7 +33,7 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(trainer_cls, num_shards=None):
+def make_trainer(trainer_cls, num_shards=1):
     model = DLRM(CONFIG, rng=np.random.default_rng(0), dtype=np.float32)
     stream = SyntheticCTRStream(
         num_tables=CONFIG.num_tables,

@@ -19,7 +19,7 @@ full loop:
 5. verify the resumed parameters are **bit-identical** to the
    uninterrupted run's, tensor for tensor;
 6. do it again **across shard layouts**: crash a ``policy="table",
-   num_shards=2`` job, resume its checkpoint in an *unsharded* trainer,
+   num_shards=2`` job, resume its checkpoint in a default one-shard trainer,
    and land on the same bits — shards name rows of the model's own tables,
    so a checkpoint (Adagrad's per-row accumulators included) carries no
    trace of the layout that wrote it.
@@ -144,8 +144,8 @@ def main() -> None:
         raise SystemExit("resume diverged from the uninterrupted run")
 
     # -- the same crash under another shard layout ----------------------
-    # Two table shards train the checkpoint; an unsharded trainer resumes
-    # it.  The reference is still the uninterrupted *unsharded* job.
+    # Two table shards train the checkpoint; a one-shard trainer resumes
+    # it.  The reference is still the uninterrupted one-shard job.
     sharded_dir = workdir / "checkpoints-table-shards"
     make_trainer(trace, model_seed=0, num_shards=2, policy="table").train(
         BATCH, CRASH_AT, np.random.default_rng(2),
@@ -160,7 +160,7 @@ def main() -> None:
         reference, reference_report, crossed, crossed_report, step
     )
     print(
-        f"\nsaved at 2 table shards, resumed unsharded from step {step}:\n"
+        f"\nsaved at 2 table shards, resumed at 1 shard from step {step}:\n"
         f"resumed losses match the reference tail: {tail_matches}\n"
         f"parameters bit-identical to the uninterrupted run: {identical}"
     )

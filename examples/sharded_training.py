@@ -9,12 +9,13 @@ owners in the backward pass.  Tensor Casting is what keeps that exchange
 small: each shard casts its own slice of the batch's index arrays, and the
 casted arrays name exactly the gradient-table rows the shard needs.
 
-This example trains the same down-scaled DLRM three ways — unsharded,
-sharded with 1 shard, and sharded with 4 shards — and narrates what the
-per-shard numbers show:
+This example trains the same down-scaled DLRM three ways — with the
+model's own single-device ``train_step``, with the trainer's default of 1
+shard, and with 4 shards — and narrates what the per-shard numbers show:
 
-* the **1-shard run is bit-identical** to the unsharded run (same losses,
-  same parameters): the sharded machinery adds routing, not mathematics;
+* the **1-shard run is bit-identical** to the single-device step (same
+  losses, same parameters): the sharded machinery adds routing, not
+  mathematics;
 * the **per-shard timings** at 4 shards are each roughly a quarter of the
   1-shard embedding work — on real hardware those four slices run
   *concurrently*, so the slowest shard sets the critical path (the
@@ -63,19 +64,33 @@ def train(num_shards, policy="row"):
     return model, report
 
 
+def single_device():
+    """The same draws through ``DLRM.train_step``: no trainer, no shards."""
+    model, stream = build_model_and_stream(seed=11)
+    rng, optimizer = np.random.default_rng(42), SGD(lr=0.2)
+    losses = []
+    for _ in range(STEPS):
+        data = stream.next_batch(BATCH, rng)
+        losses.append(model.train_step(
+            data.dense, data.indices, data.labels, optimizer,
+            precompute_casts=True,
+        ).loss)
+    return model, losses
+
+
 def main() -> None:
     print(f"== Sharded DLRM training: {STEPS} steps at batch {BATCH} ==\n")
 
-    unsharded_model, unsharded = train(num_shards=None)
+    plain_model, plain_losses = single_device()
     one_model, one = train(num_shards=1)
-    drift = max(abs(a - b) for a, b in zip(unsharded.losses, one.losses))
+    drift = max(abs(a - b) for a, b in zip(plain_losses, one.losses))
     tables_equal = all(
         np.array_equal(a.table, b.table)
-        for a, b in zip(unsharded_model.embeddings, one_model.embeddings)
+        for a, b in zip(plain_model.embeddings, one_model.embeddings)
     )
-    print(f"1-shard vs unsharded: max loss drift {drift:.2e}, "
-          f"tables bit-identical: {tables_equal}")
-    print("(the sharded runtime with one shard IS the unsharded runtime)\n")
+    print(f"1-shard trainer vs single-device step: max loss drift "
+          f"{drift:.2e}, tables bit-identical: {tables_equal}")
+    print("(the sharded runtime with one shard IS the single-device step)\n")
 
     for policy in ("row", "table"):
         _, sharded = train(num_shards=NUM_SHARDS, policy=policy)

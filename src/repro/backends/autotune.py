@@ -660,10 +660,9 @@ class StepAutotuner:
             dense_features=config.dense_features,
             seed=self.seed,
         )
-        num_shards = shape.num_shards if shape.num_shards > 1 else None
         return FunctionalTrainer(
             model, stream, SGD(lr=1e-3),
-            num_shards=num_shards, backend=backend_name,
+            num_shards=shape.num_shards, backend=backend_name,
         )
 
     # ------------------------------------------------------------------

@@ -459,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", nargs="*", type=int, default=None, metavar="N",
-        help="shard counts for the scaling/overlap sweeps; for 'overlap', "
-             "0 selects the unsharded trainer "
+        help="shard counts for the scaling/overlap sweeps "
              f"(scaling default: {' '.join(str(s) for s in SCALING_SHARDS)})",
     )
     parser.add_argument(

@@ -20,7 +20,6 @@ Algorithms 2-3):
 from .casting import (
     CastedIndex,
     hash_casting,
-    precompute_casts,
     tensor_casting,
     tensor_casting_reference,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "gradient_scatter_reference",
     "hash_casting",
     "make_partition",
-    "precompute_casts",
     "reassemble_pooled",
     "scatter_traffic",
     "scatter_with_optimizer",

@@ -29,7 +29,7 @@ Every backend produces the identical cast (integer arrays, stable order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, TYPE_CHECKING
+from typing import Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "tensor_casting",
     "tensor_casting_reference",
     "hash_casting",
-    "precompute_casts",
 ]
 
 
@@ -146,22 +145,6 @@ def tensor_casting(index: IndexArray, backend: BackendSpec = None) -> CastedInde
     from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
 
     return resolve_backend(backend).cast_indices(index)
-
-
-def precompute_casts(
-    indices: Sequence[IndexArray], backend: BackendSpec = None
-) -> List[CastedIndex]:
-    """Cast every table of a mini-batch ahead of gradient materialization.
-
-    This is the cast-ahead API of the runtime co-design: it consumes only
-    the batch's index arrays — available the moment the batch is drawn,
-    before any forward activation or gradient exists — so a caller may
-    invoke it for batch ``i+1`` while batch ``i`` is still training.  The
-    pipelined trainer (:mod:`repro.runtime.pipeline`) does exactly that on a
-    background worker, turning the paper's "hide casting under forward
-    propagation" schedule into executed wall-clock overlap.
-    """
-    return [tensor_casting(index, backend=backend) for index in indices]
 
 
 def tensor_casting_reference(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,9 @@ owners.  This module supplies the index-level machinery for that regime:
 * :meth:`ShardPartition.split` — carve one mini-batch
   :class:`~repro.core.indexing.IndexArray` into per-shard sub-arrays whose
   ``src`` ids are the lookups the shard owns and whose ``dst`` ids are
-  compacted to the output slots that shard actually touches.
+  compacted to the output slots that shard actually touches.  When one
+  shard owns the whole table (one shard, or the table policy) the split is
+  free: that shard's slice *is* the table's index array.
 
 There is one row space.  A shard *names* rows of the parent table — ``src``
 stays the parent's row id, the way RecNMP's rank-level units are addressed
@@ -36,6 +38,7 @@ count and :class:`repro.sim.interconnect.AllToAll` for its latency).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -70,25 +73,34 @@ class ShardSlice:
         Ascending global output slots (gradient-table rows) this shard's
         lookups feed.  These are the rows the backward all-to-all must
         deliver to the shard, and the rows whose forward partial sums the
-        shard ships back to the sample owners.
+        shard ships back to the sample owners.  ``None`` for a *whole*
+        slice — the shard owns every lookup of the table, ``index`` is the
+        table's own index array and its ``dst`` are global slots already.
     positions:
         Positions of this slice's lookups in the original flat index array
-        (ascending), kept so exchanges and tests can reassemble losslessly.
+        (ascending), kept so tests can reassemble losslessly; ``None`` for
+        a whole slice, whose positions are all of them.
     """
 
     shard: int
     index: IndexArray
-    touched: np.ndarray
-    positions: np.ndarray
+    touched: Optional[np.ndarray] = None
+    positions: Optional[np.ndarray] = None
 
     @property
     def num_lookups(self) -> int:
         """Lookups routed to this shard."""
         return self.index.num_lookups
 
-    @property
+    @cached_property
     def num_touched(self) -> int:
-        """Distinct global output slots the shard participates in."""
+        """Distinct global output slots the shard participates in.
+
+        For a whole slice these are the outputs with at least one lookup —
+        an empty bag receives nothing, whichever way the table is split.
+        """
+        if self.touched is None:
+            return int(np.count_nonzero(self.index.lookups_per_output()))
         return int(self.touched.size)
 
 
@@ -107,6 +119,10 @@ class ShardPartition:
         """Owning shard of each global row id of ``table_id``."""
         raise NotImplementedError
 
+    def sole_owner(self, table_id: int) -> Optional[int]:
+        """The shard owning every row of ``table_id``, if one does."""
+        return 0 if self.num_shards == 1 else None
+
     # -- index splitting -------------------------------------------------
     def split(self, index: IndexArray, table_id: int) -> List[Optional[ShardSlice]]:
         """Split one table's mini-batch index array by owning shard.
@@ -114,8 +130,15 @@ class ShardPartition:
         Returns a length-``num_shards`` list; entries are ``None`` for shards
         that receive no lookups of this table in this batch (an *empty
         shard*, which the runtime must tolerate — skew or table-wise
-        placement make it routine).
+        placement make it routine).  A table with a :meth:`sole_owner`
+        costs nothing to split: the owner's slice is ``index`` itself.
         """
+        owner = self.sole_owner(table_id)
+        if owner is not None:
+            whole: List[Optional[ShardSlice]] = [None] * self.num_shards
+            if index.num_lookups:
+                whole[owner] = ShardSlice(shard=owner, index=index)
+            return whole
         owners = self.owner_of_rows(table_id, index.src)
         slices: List[Optional[ShardSlice]] = []
         for shard in range(self.num_shards):
@@ -177,6 +200,9 @@ class TableWisePartition(ShardPartition):
         owner = self.owner_of_table(table_id)
         return np.full(np.asarray(rows).shape, owner, dtype=np.int64)
 
+    def sole_owner(self, table_id: int) -> Optional[int]:
+        return self.owner_of_table(table_id)
+
 
 #: Registered partition policies, keyed by CLI/trainer spelling.
 PARTITION_POLICIES = {
@@ -209,18 +235,19 @@ def reassemble_pooled(
     This is the *functional* forward all-to-all: shard ``s`` computed partial
     sums for its ``touched`` output slots; the sample owner adds the partials
     of every shard that participated.  When exactly one shard covers every
-    output slot in order (the 1-shard configuration, or a table owned whole),
-    its partial is returned as-is so the sharded path stays bit-identical to
-    the unsharded kernel.
+    output slot in order (a whole slice, or one shard that happened to
+    receive every lookup), its partial is returned as-is: the pooled output
+    is then the plain gather-reduce's, bit for bit.
     """
     live = [
         (s, p) for s, p in zip(slices, partials) if s is not None and p is not None
     ]
     if len(live) == 1:
         slice_, partial = live[0]
-        if slice_.num_touched == num_outputs:
-            # touched is ascending-unique over [0, num_outputs) and covers it,
-            # so it is exactly arange(num_outputs): the partial IS the answer.
+        if slice_.touched is None or slice_.num_touched == num_outputs:
+            # A whole slice gathered over global slots; otherwise touched is
+            # ascending-unique over [0, num_outputs) and covers it, so it is
+            # exactly arange(num_outputs): either way the partial IS the answer.
             return partial
     if dtype is None:
         dtype = live[0][1].dtype if live else np.float64

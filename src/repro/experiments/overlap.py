@@ -19,10 +19,9 @@ each cell, trains the same down-scaled DLRM twice through
 * a **bit-identical** flag: losses and every parameter tensor of the two
   runs are compared exactly, so a throughput win can never come from
   numerical drift;
-* per-stage all-to-all accounting for sharded cells (forward vs. backward
-  exchange bytes).
+* per-stage all-to-all accounting (forward vs. backward exchange bytes).
 
-Sharded cells run their shards one after another on the step loop.
+Every cell runs its shards one after another on the step loop.
 
 Measured overlap is bounded by the host's parallelism: the pipeline takes
 the cast off the critical *path*, but a core must still execute it, so on a
@@ -88,19 +87,14 @@ OVERLAP_CONFIG: ModelConfig = RM1.with_overrides(
     embedding_dim=16,
 )
 
-#: Default sweep axes: shard count 0 means the unsharded trainer path.
+#: Default sweep axes.
 OVERLAP_BATCHES = (512, 2048)
-OVERLAP_SHARDS = (0, 2)
+OVERLAP_SHARDS = (1, 2)
 
 
 @dataclass(frozen=True)
 class OverlapRow:
-    """One (batch, shard-count) cell of the overlap sweep.
-
-    ``num_shards == 0`` marks the unsharded trainer path; any positive value
-    is a sharded run over that many logical devices.  Exchange bytes are
-    zero for unsharded cells.
-    """
+    """One (batch, shard-count) cell of the overlap sweep."""
 
     model: str
     batch: int
@@ -124,14 +118,14 @@ class OverlapRow:
 def analytic_overlap_speedup(
     config: ModelConfig,
     batch: int,
-    num_shards: int = 0,
+    num_shards: int = 1,
     hardware: SystemHardware | None = None,
     dataset: "str | LookupDistribution" = "random",
 ) -> float:
     """Predicted serial/pipelined ratio when only the cast is overlapped.
 
-    Runs the casting-enabled analytic timeline (``Ours(NMP)`` for the
-    unsharded cell, :class:`ShardedNMPSystem` otherwise), in which the
+    Runs the casting-enabled analytic timeline (``Ours(NMP)`` for one
+    shard, :class:`ShardedNMPSystem` otherwise), in which the
     casting stage is already hidden, and compares its makespan against the
     same schedule with the casting stage serialized onto the critical path
     — i.e. ``(makespan + t_cast) / makespan``.  This is exactly the benefit
@@ -173,15 +167,14 @@ def overlap_sweep(
     Each cell trains ``steps`` iterations at ``lookahead=0`` and at
     ``lookahead=1`` (best wall-clock of ``repeats`` runs each), verifies
     bitwise agreement, and pairs the measured speedup with the analytic
-    cast-overlap prediction for the same geometry.  ``shard_counts``
-    entries of 0 select the unsharded path.  ``backend`` names the kernel
-    engine both runs route their hot kernels through (``None`` → the
+    cast-overlap prediction for the same geometry.  ``backend`` names the
+    kernel engine both runs route their hot kernels through (``None`` → the
     trainers' default ``auto`` policy); every engine is bit-identical for
     the float32 model *to itself across schedules*, which is all the
     bitwise flag compares.
 
     ``trace`` switches the source from synthetic generation to replaying a
-    recorded batch trace: one unsharded cell whose geometry (batch size,
+    recorded batch trace: a single one-shard cell whose geometry (batch size,
     table count/heights, dense width, available steps) comes from the
     trace itself (:func:`~repro.experiments.measured.read_trace` reshapes
     ``config``), with a fresh replay per run so both schedules consume the
@@ -196,7 +189,7 @@ def overlap_sweep(
     checkpointed steps, so both schedules stay bit-comparable.  Optimizer
     state is keyed by table, not by shard, so one checkpoint resumes into
     every cell whatever its shard count — e.g. an Adagrad checkpoint saved
-    at 2 shards into ``shard_counts=(0, 2)``.  ``checkpoint_dir`` saves
+    at 2 shards into ``shard_counts=(1, 2)``.  ``checkpoint_dir`` saves
     each cell's final trained state as ``overlap-b{batch}-s{shards}.npz``
     (``overlap-trace.npz`` in trace mode).
 
@@ -214,15 +207,13 @@ def overlap_sweep(
             trace, config, steps, checkpoint.step if checkpoint else 0
         )
         config, steps, label = cell.config, cell.steps, cell.label
-        batches, shard_counts = (cell.first.size,), (0,)
+        batches, shard_counts = (cell.first.size,), (1,)
         distribution = distribution_from_trace(cell.first.indices, table=0)
         make_source = cell.source
     else:
-        negative = [shards for shards in shard_counts if shards < 0]
-        if negative:
-            raise ValueError(
-                f"shard counts must be >= 0 (0 = unsharded), got {negative}"
-            )
+        bad = [shards for shards in shard_counts if shards < 1]
+        if bad:
+            raise ValueError(f"shard counts must be >= 1, got {bad}")
         label = config.name
         # The same rescaled locality profile drives the measured streams
         # and the analytic workload — apples-to-apples for every --dataset.
@@ -242,7 +233,7 @@ def overlap_sweep(
                 best_of(
                     config, make_source, batch, steps, repeats, seed=seed,
                     optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
-                    num_shards=num_shards or None, policy="row",
+                    num_shards=num_shards, policy="row",
                     backend=backend or "auto", lookahead=lookahead,
                 )
                 for lookahead in (0, 1)
@@ -299,7 +290,7 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
             [
                 row.model,
                 row.batch,
-                row.num_shards if row.num_shards > 0 else "-",
+                row.num_shards,
                 f"{row.serial_steps_per_s:.2f}",
                 f"{row.pipelined_steps_per_s:.2f}",
                 f"{row.measured_speedup:.2f}x",
@@ -321,8 +312,7 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
         "exactly.\nCast = worker-side casting time of the pipelined run "
         "(the hidden work); Wait = how long the\nstep loop actually blocked "
         "on it (≈0 means the schedule fully hides the cast).\n"
-        "FwdEx/BwdEx split the sharded all-to-all payload by pipeline stage "
-        "(0 when unsharded).\n"
+        "FwdEx/BwdEx split the all-to-all payload by pipeline stage.\n"
         f"Host cores: {cores} — measured overlap needs a spare core to run "
         "the hidden cast on;\non a single-core host expect parity here and "
         "see the trainer's casting-vs-cast_wait split\nfor the scheduling "

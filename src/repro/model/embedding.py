@@ -42,7 +42,7 @@ def inverse_lookup_counts(index: IndexArray, dtype: DTypeLike) -> np.ndarray:
 
     The mean-pooling scale factor, applied identically in the forward pass
     (to the pooled sums) and the backward pass (to the gradient table) by
-    both the unsharded :class:`EmbeddingBag` and the sharded executor — one
+    both :class:`EmbeddingBag` itself and the sharded executor — one
     definition so the two paths cannot drift.
     """
     counts = index.lookups_per_output().astype(dtype)
@@ -101,13 +101,6 @@ class EmbeddingBag:
         ``None`` for the process default.  Plain attribute — the trainers
         assign their resolved backend here so a ``backend=`` knob set on a
         trainer reaches the model's kernels.
-
-    The ``hot_cache`` attribute (default ``None``) optionally holds an
-    executed :class:`~repro.model.hot_cache.HotRowCache`: every forward
-    gather runs its row ids through the cache's replacement policy in
-    stream order, so the measured hit rate reflects exactly the lookups
-    this table served.  The trainers attach/detach it via their
-    ``hot_cache=`` knob and surface the measured rate on the report.
     """
 
     #: Supported pooling reductions.  ``"sum"`` is the paper's default;
@@ -136,7 +129,6 @@ class EmbeddingBag:
         self.table = rng.uniform(-bound, bound, size=(num_rows, dim)).astype(dtype)
         self.pooling = pooling
         self.backend = backend
-        self.hot_cache = None
         self._last_index: IndexArray | None = None
         self._last_inverse_counts: np.ndarray | None = None
 
@@ -162,10 +154,6 @@ class EmbeddingBag:
                 f"index addresses {index.num_rows} rows, table has {self.num_rows}"
             )
         self._last_index = index
-        if self.hot_cache is not None:
-            # Executed hot-row cache: run the replacement policy over this
-            # gather's row stream (ids only — the numerics are untouched).
-            self.hot_cache.access(index.src)
         pooled = gather_reduce(self.table, index, backend=self.backend)
         if self.pooling == "mean":
             inverse = inverse_lookup_counts(index, self.table.dtype)

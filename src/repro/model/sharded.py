@@ -8,26 +8,29 @@ parallel:
 
 1. **Split** — each table's mini-batch index array is carved into per-shard
    sub-arrays (`plan_batch`);
-2. **Cast** — each shard runs Tensor Casting *independently* on its
-   sub-arrays (`cast_shard`), producing casted index arrays that name only
-   the gradient rows that shard needs;
+2. **Cast** — in casted mode, each shard runs Tensor Casting
+   *independently* on its sub-arrays (`cast_shard`), producing casted index
+   arrays that name only the gradient rows that shard needs;
 3. **Forward** — each shard gather-reduces the rows it owns
    (`forward_shard`), and the partial pooled sums cross the simulated
    all-to-all back to the sample owners (`assemble_pooled`);
 4. **Backward** — the backward all-to-all delivers each shard its slice of
-   the gradient tables, over which the shard runs the casted gradient
-   gather-reduce (`backward_shard`);
+   the gradient tables plus its pairs, over which the shard coalesces its
+   gradients (`backward_shard`): the casted gather-reduce (Algorithm 3)
+   over its cast, or the baseline expand-coalesce (Algorithm 1) over its
+   raw pairs when it was never cast;
 5. **Update** — each shard scatters its coalesced gradients into the rows
    it owns through the optimizer (`update_shard`).
 
 Shards hold no storage and no row numbering of their own: a shard's index
 sub-arrays name rows of the wrapped bags' tables (:mod:`repro.core.sharding`),
-and every kernel gathers from and scatters into ``bag.table`` itself.  A
-sharded trainer therefore updates the very same parameters — and the very
-same per-row optimizer state — an unsharded one would, and with
-``num_shards=1`` every phase degenerates to the unsharded kernels,
-bit-for-bit (the equivalence the test suite pins down).  Exchange payloads
-are counted in bytes as they are "moved" — the functional analogue of the
+and every kernel gathers from and scatters into ``bag.table`` itself.  Every
+shard count therefore updates the very same parameters — and the very same
+per-row optimizer state — and with ``num_shards=1`` (the trainer's default)
+every phase runs the single-table kernels over the table's own index
+arrays, bit-for-bit (the equivalence the test suite pins down).  Exchange
+payloads are counted in bytes as they are "moved" — the functional
+analogue of the
 analytic :func:`repro.core.traffic.sharded_exchange_bytes` model, with one
 deliberate difference: index pairs are charged at this runtime's in-memory
 ``int64`` width (8 bytes per id), whereas the analytic model charges the
@@ -38,11 +41,12 @@ pair terms differ by exactly 2x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
 from ..core.casting import CastedIndex, tensor_casting
+from ..core.coalesce import expand_coalesce
 from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
 from ..core.scatter import SparseOptimizer, scatter_with_optimizer
@@ -63,9 +67,10 @@ __all__ = [
 
 _INDEX_ITEMSIZE = 8  # int64 ids, both halves of a (src, dst) pair
 
-#: The backward all-to-all payload for one shard: ``(table_id, cast,
-#: grad_slice)`` per table the shard owns lookups of.
-BackwardPayload = Sequence[Tuple[int, CastedIndex, np.ndarray]]
+#: The backward all-to-all payload for one shard: ``(table_id, pairs,
+#: grad_slice)`` per table the shard owns lookups of, ``pairs`` being the
+#: shard's cast (casted mode) or its raw index sub-array (baseline mode).
+BackwardPayload = List[Tuple[int, Union[CastedIndex, IndexArray], np.ndarray]]
 
 #: One shard's coalesced gradients: ``(table_id, rows, values)``, ``rows``
 #: being the parent-table rows the shard owns.
@@ -110,10 +115,17 @@ def gather_slices(
 def reduce_payload(
     payload: BackwardPayload, backend: "BackendSpec"
 ) -> Coalesced:
-    """Casted gradient gather-reduce over one shard's shipped payload."""
+    """Coalesce one shard's shipped gradients: Algorithm 3 or Algorithm 1.
+
+    A cast is reduced by the casted gather-reduce; raw pairs by the baseline
+    expand-coalesce.  Both return the same ``(rows, values)``.
+    """
     coalesced: Coalesced = []
-    for table_id, cast, grad_slice in payload:
-        rows, values = casted_gather_reduce(grad_slice, cast, backend=backend)
+    for table_id, pairs, grad_slice in payload:
+        if isinstance(pairs, CastedIndex):
+            rows, values = casted_gather_reduce(grad_slice, pairs, backend=backend)
+        else:
+            rows, values = expand_coalesce(pairs, grad_slice, backend=backend)
         coalesced.append((table_id, rows, values))
     return coalesced
 
@@ -132,7 +144,8 @@ class ShardedStepPlan:
     """Per-batch working state of one sharded embedding pass.
 
     Everything is indexed ``[table][shard]``; ``None`` marks a shard that
-    received no lookups of that table (an empty shard).  Byte counters
+    received no lookups of that table (an empty shard), and in ``casts``
+    also a shard that was never cast (baseline mode).  Byte counters
     accumulate the simulated all-to-all payloads of this batch.
     """
 
@@ -242,8 +255,9 @@ class ShardedEmbeddingSet:
         """Run Algorithm 2 on every sub-array routed to ``shard``.
 
         Each shard casts only its own slice, so cast work parallelizes with
-        shard count and — as in the single-device runtime — depends only on
-        index data available before forward propagation.
+        shard count and depends only on index data available before forward
+        propagation.  A shard left uncast backpropagates through the
+        baseline expand-coalesce instead (:meth:`backward_payload`).
         """
         store_shard(
             plan.casts, shard,
@@ -266,7 +280,7 @@ class ShardedEmbeddingSet:
         Returns one ``(B, dim)`` pooled tensor per table — the tensors
         :meth:`repro.model.dlrm.DLRM.forward_from_pooled` consumes.  Mean
         pooling applies the full-batch lookup counts *after* the exchange, so
-        both partition policies and the unsharded path see identical scaling.
+        both partition policies and a bag's own forward see identical scaling.
         """
         pooled_outputs: List[np.ndarray] = []
         plan.inverse_counts = [None] * self.num_tables
@@ -286,7 +300,7 @@ class ShardedEmbeddingSet:
             )
             if bag.pooling == "mean":
                 # Cached on the plan for the backward rescale, mirroring the
-                # unsharded bag's _last_inverse_counts.
+                # bag's own _last_inverse_counts.
                 inverse = inverse_lookup_counts(index, bag.table.dtype)
                 plan.inverse_counts[table_id] = inverse
                 pooled = pooled * inverse[:, None]
@@ -332,17 +346,19 @@ class ShardedEmbeddingSet:
         plan: ShardedStepPlan,
         shard: int,
         grad_tables: Sequence[np.ndarray],
-    ) -> List[Tuple[int, CastedIndex, np.ndarray]]:
+    ) -> BackwardPayload:
         """Assemble the backward all-to-all payload for ``shard``.
 
-        Everything of :meth:`backward_shard` *except* the casted
-        gather-reduce itself: validate the staged gradients, lazily cast any
-        shard whose cast stage was skipped, slice each table's scaled
-        gradient rows, and account the shipped bytes (gradient rows plus
-        casted pairs) into ``plan.backward_exchange_bytes``.  The returned
-        ``(table_id, cast, grad_slice)`` triples are exactly what crosses
-        the all-to-all to the shard's device, which reduces it
-        (:func:`reduce_payload`) without touching the plan.
+        Everything of :meth:`backward_shard` *except* the reduction itself:
+        validate the staged gradients, slice each table's scaled gradient
+        rows (C-contiguous, whatever layout the dense backward handed over),
+        and account the shipped bytes (gradient rows plus pairs) into
+        ``plan.backward_exchange_bytes``.  The pairs are the shard's cast
+        if :meth:`cast_shard` ran, its raw index sub-array otherwise — the
+        same count of ``(src, dst)`` ids either way, so both modes ship the
+        same bytes.  The returned ``(table_id, pairs, grad_slice)`` triples
+        are exactly what crosses the all-to-all to the shard's device, which
+        reduces it (:func:`reduce_payload`) without touching the plan.
         """
         if plan.scaled_grads is None:
             self.prepare_backward(plan, grad_tables)
@@ -356,22 +372,24 @@ class ShardedEmbeddingSet:
                 "gradient tables differ from the ones staged by "
                 "prepare_backward; re-stage before running backward_shard"
             )
-        payload: List[Tuple[int, CastedIndex, np.ndarray]] = []
+        payload: BackwardPayload = []
         for table_id, bag in enumerate(self.bags):
             slice_ = plan.slices[table_id][shard]
-            cast = plan.casts[table_id][shard]
             if slice_ is None:
                 continue
-            if cast is None:
-                cast = tensor_casting(slice_.index, backend=self.backend)
-                plan.casts[table_id][shard] = cast
-            grad_slice = plan.scaled_grads[table_id][slice_.touched]
+            cast = plan.casts[table_id][shard]
+            scaled = plan.scaled_grads[table_id]
+            grad_slice = np.ascontiguousarray(
+                scaled if slice_.touched is None else scaled[slice_.touched]
+            )
             vec_bytes = bag.dim * grad_slice.dtype.itemsize
             plan.backward_exchange_bytes += (
                 slice_.num_touched * vec_bytes
                 + 2 * slice_.num_lookups * _INDEX_ITEMSIZE
             )
-            payload.append((table_id, cast, grad_slice))
+            payload.append(
+                (table_id, slice_.index if cast is None else cast, grad_slice)
+            )
         return payload
 
     def backward_shard(
@@ -380,14 +398,13 @@ class ShardedEmbeddingSet:
         shard: int,
         grad_tables: Sequence[np.ndarray],
     ) -> Coalesced:
-        """Casted gradient gather-reduce over ``shard``'s gradient slices.
+        """Coalesce ``shard``'s gradient slices (Algorithm 3 or 1).
 
         The backward all-to-all delivers ``grad_tables[t][touched]`` — only
-        the gradient rows the shard's casted index arrays name — plus the
-        casted pairs themselves; both payloads are accounted into
-        ``plan.backward_exchange_bytes`` (via :meth:`backward_payload`).
-        Returns ``(table_id, rows, values)`` triples ready for
-        :meth:`update_shard`.
+        the gradient rows the shard's lookups feed — plus the shard's pairs;
+        both payloads are accounted into ``plan.backward_exchange_bytes``
+        (via :meth:`backward_payload`).  Returns ``(table_id, rows,
+        values)`` triples ready for :meth:`update_shard`.
         """
         return reduce_payload(
             self.backward_payload(plan, shard, grad_tables), self.backend

@@ -6,8 +6,7 @@ timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **stage-graph training engine** (:mod:`~repro.runtime.engine` +
 :mod:`~repro.runtime.stages`): one step loop over named stages, driven by
 one :class:`SchedulePolicy` record (look-ahead, accumulation, forward-only
-— :mod:`~repro.runtime.policy`, which also holds the one table of
-combinations the runtime rejects), with checkpoint/resume
+— :mod:`~repro.runtime.policy`), with checkpoint/resume
 (:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
 hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` (and
 its ``lookahead=1`` alias :class:`PipelinedTrainer`) is a thin facade over
@@ -30,7 +29,7 @@ from .engine import (
     TrainingEngine,
 )
 from .pipeline import PipelinedTrainer
-from .policy import CAPABILITIES, SchedulePolicy
+from .policy import SchedulePolicy
 from .stages import Stage, StageTimingCollector, StepContext, build_step_stages
 from .systems import (
     CPUGPUSystem,
@@ -73,7 +72,6 @@ from .trainer import (
 
 __all__ = [
     "CPUGPUSystem",
-    "CAPABILITIES",
     "CPUOnlySystem",
     "CastAheadWorker",
     "CheckpointCallback",

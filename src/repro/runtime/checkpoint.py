@@ -24,7 +24,7 @@ temporary.
 
 Shards name rows of the model's own tables (:mod:`repro.core.sharding`), so
 a checkpoint carries no trace of the layout that wrote it: one saved at 2
-row shards restores into an unsharded, a 4-shard or a table-policy trainer
+row shards restores into a 1-shard, a 4-shard or a table-policy trainer
 and continues the same run.
 
 Resume contract (pinned by ``tests/runtime/test_checkpoint.py``): restore

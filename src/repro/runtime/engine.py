@@ -1,7 +1,8 @@
-"""The stage-graph training engine: one step loop, one policy record.
+"""The stage-graph training engine: one step loop, one policy record, one plan.
 
-* :mod:`repro.runtime.stages` decomposes a step into named stages bound to
-  a shared :class:`~repro.runtime.stages.StepContext`;
+* :mod:`repro.runtime.stages` decomposes every step — one shard or many,
+  either backward mode — into the same plan of named stages bound to a
+  shared :class:`~repro.runtime.stages.StepContext`;
 * :meth:`TrainingEngine.execute` is the **only** step loop: draw a group of
   micro-batches, cast it (inline, or ahead on a :class:`CastAheadWorker`
   while the previous batch computes — the paper's Section IV-B overlap),
@@ -312,9 +313,8 @@ class TrainingEngine:
         self.start_step = int(start_step)
         self.policy = policy
         self.logits = []
-        sharded = trainer.sharded
         self.collector = StageTimingCollector(
-            sharded.num_shards if sharded is not None else None,
+            trainer.sharded.num_shards,
             tracer=self.obs.tracer if self.obs is not None else None,
         )
         for _ in range(self.start_step * policy.accum_steps):

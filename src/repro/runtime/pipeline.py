@@ -33,8 +33,8 @@ class PipelinedTrainer(FunctionalTrainer):
     and losses for the same seed — only the wall-clock schedule differs:
     batch ``i+1`` casts on a background worker while batch ``i`` trains.
     It composes with every other axis (sharding, accumulation,
-    ``mode="baseline"`` — where the cast stage is a no-op and the overlap
-    simply has nothing to hide).
+    ``mode="baseline"`` — where the cast stage only partitions the batch
+    and the overlap hides just that).
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

@@ -1,4 +1,4 @@
-"""The schedule policy record and the one table of cross-feature rejections.
+"""The schedule policy record the engine's one step loop reads.
 
 The paper's runtime argument (Section IV-B) is that casting is index-only
 work a scheduler may place anywhere.  The engine therefore has *one* step
@@ -15,30 +15,21 @@ that used to be a sibling ``Schedule`` subclass is a field of
 ``forward_only``
     Run the ``gather → exchange → forward`` prefix only (``infer()``).
 
-A sharded trainer runs its shards one after another on the step loop; how
-far N devices could take them is the analytic
+Every trainer runs its shards — one by default — one after another on the
+step loop, in one stage plan for both backward modes; how far N devices
+could take them is the analytic
 :class:`~repro.runtime.systems.ShardedNMPSystem`'s question, not a policy.
-
-Combinations that genuinely cannot work are rows of :data:`CAPABILITIES` —
-predicate plus reason — and nowhere else: the trainer and the README's
-table both read it.
+No combination of these axes, shard counts and modes is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "CAPABILITIES",
-    "Capability",
-    "Features",
-    "SchedulePolicy",
-    "check_capabilities",
-    "positive_int",
-]
+__all__ = ["SchedulePolicy", "positive_int"]
 
 
 def positive_int(name: str, value: Any) -> int:
@@ -74,39 +65,3 @@ class SchedulePolicy:
         object.__setattr__(
             self, "accum_steps", positive_int("accum_steps", self.accum_steps)
         )
-
-
-@dataclass(frozen=True)
-class Features:
-    """What a capability predicate may look at: one run's settings."""
-
-    sharded: bool
-    mode: str
-
-
-@dataclass(frozen=True)
-class Capability:
-    """One combination the runtime rejects, and why."""
-
-    name: str
-    rejects: Callable[[Features], bool]
-    reason: str
-
-
-#: Every cross-feature rejection of the training runtime.  Anything not
-#: listed here composes (and is covered by ``tests/runtime/test_policy.py``).
-CAPABILITIES: Tuple[Capability, ...] = (
-    Capability(
-        "sharded × baseline",
-        lambda f: f.sharded and f.mode != "casted",
-        "sharded training supports mode='casted' only: the per-shard "
-        "exchange payload is the casted index representation",
-    ),
-)
-
-
-def check_capabilities(features: Features) -> None:
-    """Raise ``ValueError(reason)`` for the first row that rejects."""
-    for row in CAPABILITIES:
-        if row.rejects(features):
-            raise ValueError(row.reason)

@@ -2,37 +2,37 @@
 
 The paper's core claim is that recommendation training decomposes into a
 small set of reusable tensor primitives that one runtime can schedule many
-ways.  This module encodes that claim structurally: one training step is a
-*plan* of named :class:`Stage` objects —
+ways.  This module encodes that claim structurally: one training step is
+*one plan* of named :class:`Stage` objects, at every shard count —
 
 ``draw``
     pull the next mini-batch from the :class:`~repro.data.source.BatchSource`;
 ``cast``
-    Tensor Casting (Algorithm 2) over the batch's index arrays — and, in
-    sharded runs, the per-shard index partition first.  Depends only on
-    index data, which is why a scheduler may run it arbitrarily far ahead
-    of the batch's compute (the Section IV-B overlap);
-``gather`` *(sharded only)*
+    the per-shard index partition, then (casted mode) Tensor Casting
+    (Algorithm 2) over every shard's slice.  Depends only on index data,
+    which is why a scheduler may run it arbitrarily far ahead of the
+    batch's compute (the Section IV-B overlap);
+``gather``
     per-shard embedding gather-reduce into partial pooled sums;
-``exchange`` *(sharded only)*
+``exchange``
     the forward all-to-all shipping partials to their sample owners;
 ``forward``
-    the dense model forward (plus the unsharded embedding gathers) and the
-    loss;
+    the dense model forward over the pooled vectors, and the loss;
 ``backward``
-    dense backpropagation and the per-table coalesced sparse gradients
-    (baseline expand-coalesce or the casted gather-reduce; sharded runs
-    also account the backward all-to-all here);
+    dense backpropagation, then each shard's backward all-to-all and its
+    coalesced sparse gradients (the casted gather-reduce over its cast, or
+    the baseline expand-coalesce over its raw pairs);
 ``optimize``
-    dense optimizer step plus the sparse row-coalesced scatter-updates.
+    dense optimizer step plus each shard's row-coalesced scatter-updates.
 
 — all operating on a shared mutable :class:`StepContext`.  The stages
 carry the *numerics*; :mod:`repro.runtime.engine` carries the one step loop
 whose :class:`~repro.runtime.policy.SchedulePolicy` decides when each stage
-of which batch runs.  The sharded stages loop over the shards in shard
+of which batch runs.  The embedding stages loop over the shards in shard
 order, running each shard's phase of :mod:`repro.model.sharded` and timing
-it into that shard's accounting.  Every policy executes the same stage
-objects, which is what makes them bit-identical by construction.
+it into that shard's accounting; the default trainer is the one-shard case
+of the same plan.  Every policy executes the same stage objects, which is
+what makes them bit-identical by construction.
 
 :class:`StageTimingCollector` is the generic wall-clock accountant: stages
 record phase seconds through its :meth:`~StageTimingCollector.timed` scope
@@ -56,14 +56,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..core.casting import CastedIndex, precompute_casts
 from ..data.source import BatchSource, CTRBatch, SourceExhausted
 from ..model.loss import bce_with_logits
 from ..model.sharded import ShardedStepPlan
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
-    from ..backends.dispatch import BackendSpec
     from ..model.dlrm import DLRM
+    from ..model.hot_cache import HotRowCache
     from ..model.optim import Optimizer
     from ..model.sharded import ShardedEmbeddingSet
     from ..obs.tracer import SpanRecord, Tracer
@@ -77,15 +76,11 @@ __all__ = [
     "Stage",
     "DrawStage",
     "CastStage",
-    "ShardedCastStage",
-    "ForwardStage",
     "GatherStage",
     "ExchangeStage",
-    "ShardedForwardStage",
+    "ForwardStage",
     "BackwardStage",
-    "ShardedBackwardStage",
     "OptimizeStage",
-    "ShardedOptimizeStage",
     "StepStages",
     "StageTimingCollector",
     "build_step_stages",
@@ -126,13 +121,15 @@ class PhaseTimings:
 class TrainingReport:
     """Outcome of a measured training run.
 
-    ``shard_timings`` and the exchange-byte counters are populated only by
-    sharded runs: one :class:`PhaseTimings` per shard (phases ``casting`` /
-    ``gather`` / ``backward`` / ``update``) and the simulated all-to-all
-    payload across all steps, attributed per pipeline stage —
-    ``forward_exchange_bytes`` (partial pooled sums to the sample owners)
-    plus ``backward_exchange_bytes`` (gradient rows and casted pairs to the
-    table owners), with ``exchange_bytes`` their sum.
+    ``shard_timings`` holds one :class:`PhaseTimings` per shard (phases
+    ``casting`` / ``gather`` / ``backward`` / ``update``; one entry for the
+    default one-shard trainer).  The exchange-byte counters are the
+    simulated all-to-all payload across all steps, attributed per pipeline
+    stage — ``forward_exchange_bytes`` (partial pooled sums to the sample
+    owners) plus ``backward_exchange_bytes`` (gradient rows and ``(src,
+    dst)`` pairs to the table owners, the same in both modes), with
+    ``exchange_bytes`` their sum.  At one shard they count what a single
+    device would ship: every touched output row and every pair.
 
     ``wall_seconds`` is the end-to-end wall-clock of the whole
     :meth:`~repro.runtime.trainer.FunctionalTrainer.train` call — the
@@ -158,7 +155,7 @@ class TrainingReport:
     timings: PhaseTimings
     mode: str
     steps: int
-    shard_timings: Optional[List[PhaseTimings]] = None
+    shard_timings: List[PhaseTimings] = field(default_factory=list)
     exchange_bytes: int = 0
     forward_exchange_bytes: int = 0
     backward_exchange_bytes: int = 0
@@ -180,10 +177,8 @@ class TrainingReport:
         return self.losses[0]
 
     @property
-    def num_shards(self) -> Optional[int]:
-        """Shard count of a sharded run, ``None`` for unsharded runs."""
-        if self.shard_timings is None:
-            return None
+    def num_shards(self) -> int:
+        """Shard count of the run."""
         return len(self.shard_timings)
 
     @property
@@ -244,10 +239,10 @@ class InferenceReport(TrainingReport):
     untouched — the frozen-parameter guarantee).
 
     ``timings`` breaks the run into the serving-relevant phases (``draw``,
-    ``casting``/``partition``, ``forward``, ``loss``, and for sharded runs
-    ``exchange``); ``samples`` counts every scored sample, and
-    ``forward_exchange_bytes`` accounts the sharded forward all-to-all
-    (there is no backward exchange, so ``backward_exchange_bytes`` stays 0).
+    ``partition``/``casting``, ``forward``, ``exchange``, ``loss``);
+    ``samples`` counts every scored sample, and ``forward_exchange_bytes``
+    accounts the forward all-to-all (there is no backward exchange, so
+    ``backward_exchange_bytes`` stays 0).
     """
 
     logits: List[np.ndarray] = field(default_factory=list)
@@ -285,17 +280,15 @@ class StepContext:
 
     mode: str
     data: Optional[CTRBatch] = None
-    casts: Optional[List[CastedIndex]] = None
     plan: Optional[ShardedStepPlan] = None
     loss: Optional[float] = None
     logits: Optional[np.ndarray] = None
     dlogits: Optional[np.ndarray] = None
     emb_outs: Optional[List[np.ndarray]] = None
     grad_tables: Optional[List[np.ndarray]] = None
-    sparse_grads: Optional[list] = None
     per_shard_coalesced: Optional[List[list]] = None
     cast_timings: PhaseTimings = field(default_factory=PhaseTimings)
-    cast_shard_timings: Optional[List[PhaseTimings]] = None
+    cast_shard_timings: List[PhaseTimings] = field(default_factory=list)
     tracer: Optional["Tracer"] = None
     cast_spans: List["SpanRecord"] = field(default_factory=list)
 
@@ -331,7 +324,6 @@ def _cast_timed(ctx: StepContext, phase: str,
             )
         ctx.cast_timings.add(phase, end - start)
         if shard is not None:
-            assert ctx.cast_shard_timings is not None
             ctx.cast_shard_timings[shard].add(phase, end - start)
 
 
@@ -370,31 +362,14 @@ class DrawStage(Stage):
 
 
 class CastStage(Stage):
-    """``cast`` (unsharded): Algorithm 2 over every table of the batch.
+    """``cast``: split the batch by shard, then (casted mode) cast every slice.
 
-    A no-op in baseline mode — the expand-coalesce backward has no casting
-    stage, and the ``casting`` phase must not appear in its report.
-    """
-
-    name = "cast"
-
-    def __init__(self, backend: "BackendSpec") -> None:
-        self.backend = backend
-
-    def run(self, ctx: StepContext) -> None:
-        if ctx.mode != "casted":
-            return
-        with _cast_timed(ctx, "casting"):
-            ctx.casts = precompute_casts(ctx.data.indices, backend=self.backend)
-
-
-class ShardedCastStage(Stage):
-    """``cast`` (sharded): split the batch by shard, then cast every slice.
-
-    Like the unsharded cast, this consumes index data only — no parameters,
-    no gradients — so under look-ahead it runs for batch ``i+1``
-    concurrently with batch ``i``'s compute.  Each shard's Algorithm 2 is
-    timed into that shard's accounting.
+    Consumes index data only — no parameters, no gradients — so under
+    look-ahead it runs for batch ``i+1`` concurrently with batch ``i``'s
+    compute.  Each shard's Algorithm 2 is timed into that shard's
+    accounting.  In baseline mode the stage only partitions: the
+    expand-coalesce backward has no casting stage, and the ``casting``
+    phase must not appear in its report.
     """
 
     name = "cast"
@@ -405,61 +380,40 @@ class ShardedCastStage(Stage):
     def run(self, ctx: StepContext) -> None:
         with _cast_timed(ctx, "partition"):
             ctx.plan = self.sharded.plan_batch(ctx.data.indices)
+        if ctx.mode != "casted":
+            return
         for shard in range(self.sharded.num_shards):
             with _cast_timed(ctx, "casting", shard=shard):
                 self.sharded.cast_shard(ctx.plan, shard)
 
 
-class ForwardStage(Stage):
-    """``forward`` (unsharded): embedding gathers, dense forward, loss."""
-
-    name = "forward"
-
-    def __init__(self, model: "DLRM",
-                 collector: "StageTimingCollector") -> None:
-        self.model = model
-        self.collector = collector
-
-    def run(self, ctx: StepContext) -> None:
-        self.model.zero_grad()
-        with self.collector.timed("forward"):
-            ctx.logits = self.model.forward(ctx.data.dense, ctx.data.indices)
-        with self.collector.timed("loss"):
-            ctx.loss, ctx.dlogits = bce_with_logits(
-                ctx.logits, ctx.data.labels
-            )
-
-
 class GatherStage(Stage):
-    """``gather`` (sharded): each shard gather-reduces the lookups it owns.
+    """``gather``: each shard gather-reduces the lookups it owns.
 
     Shard by shard, in shard order; partial sums land on the plan.  Always
     on the step loop, after the previous step's ``optimize`` — a gather
-    must read post-update parameters.  An executed hot-row cache sees each
-    table's whole ``src`` stream here, before the shards: exactly what
-    :meth:`~repro.model.embedding.EmbeddingBag.forward` shows it unsharded,
-    so its counters are the same at any shard count.
+    must read post-update parameters.  The trainer's executed hot-row
+    caches, if any, see each table's whole ``src`` stream here, before the
+    shards — the one place they are fed — so their counters are the same
+    at any shard count or policy.
     """
 
     name = "gather"
 
     def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
+                 hot_caches: "Optional[List[HotRowCache]]",
                  collector: "StageTimingCollector") -> None:
         self.model = model
         self.sharded = sharded
+        self.hot_caches = hot_caches
         self.collector = collector
 
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
         sharded = self.sharded
-        cached = [
-            (bag.hot_cache, index)
-            for bag, index in zip(sharded.bags, ctx.plan.indices)
-            if bag.hot_cache is not None
-        ]
-        if cached:
+        if self.hot_caches:
             with self.collector.timed("forward"):
-                for cache, index in cached:
+                for cache, index in zip(self.hot_caches, ctx.plan.indices):
                     cache.access(index.src)
         for shard in range(sharded.num_shards):
             with self.collector.timed(
@@ -469,7 +423,7 @@ class GatherStage(Stage):
 
 
 class ExchangeStage(Stage):
-    """``exchange`` (sharded): the forward all-to-all back to sample owners.
+    """``exchange``: the forward all-to-all back to sample owners.
 
     Byte accounting lands on the plan's ``forward_exchange_bytes`` counter
     (harvested at step completion); the backward all-to-all is accounted
@@ -488,8 +442,8 @@ class ExchangeStage(Stage):
             ctx.emb_outs = self.sharded.assemble_pooled(ctx.plan)
 
 
-class ShardedForwardStage(Stage):
-    """``forward`` (sharded): dense forward over exchanged pooled vectors."""
+class ForwardStage(Stage):
+    """``forward``: dense forward over exchanged pooled vectors, and the loss."""
 
     name = "forward"
 
@@ -510,28 +464,13 @@ class ShardedForwardStage(Stage):
 
 
 class BackwardStage(Stage):
-    """``backward`` (unsharded): dense backprop + coalesced sparse gradients."""
-
-    name = "backward"
-
-    def __init__(self, model: "DLRM",
-                 collector: "StageTimingCollector") -> None:
-        self.model = model
-        self.collector = collector
-
-    def run(self, ctx: StepContext) -> None:
-        with self.collector.timed("backward"):
-            ctx.sparse_grads = self.model.backward(
-                ctx.dlogits, mode=ctx.mode, casts=ctx.casts
-            )
-
-
-class ShardedBackwardStage(Stage):
-    """``backward`` (sharded): dense backprop, then per-shard casted backward.
+    """``backward``: dense backprop, then each shard's sparse backward.
 
     Shard by shard, in shard order: each shard's backward all-to-all
-    payload (gradient rows + casted pairs, accounted into the plan's byte
-    counter) and the casted gather-reduce over it.
+    payload (gradient rows + pairs, accounted into the plan's byte counter)
+    and the reduction over it — the casted gather-reduce over the shard's
+    cast, or the baseline expand-coalesce when the cast stage only
+    partitioned.
     """
 
     name = "backward"
@@ -556,25 +495,7 @@ class ShardedBackwardStage(Stage):
 
 
 class OptimizeStage(Stage):
-    """``optimize`` (unsharded): dense step + sparse scatter-updates."""
-
-    name = "optimize"
-
-    def __init__(self, model: "DLRM", optimizer: "Optimizer",
-                 collector: "StageTimingCollector") -> None:
-        self.model = model
-        self.optimizer = optimizer
-        self.collector = collector
-
-    def run(self, ctx: StepContext) -> None:
-        with self.collector.timed("update", span="optimize"):
-            self.optimizer.step(self.model.dense_parameters())
-            for bag, grad in zip(self.model.embeddings, ctx.sparse_grads):
-                bag.apply_gradient(grad, self.optimizer)
-
-
-class ShardedOptimizeStage(Stage):
-    """``optimize`` (sharded): dense step + per-shard local scatter-updates."""
+    """``optimize``: dense step + per-shard local scatter-updates."""
 
     name = "optimize"
 
@@ -614,14 +535,10 @@ class StageTimingCollector:
     default), timing uses :func:`time.perf_counter` exactly as before.
     """
 
-    def __init__(self, num_shards: Optional[int] = None,
+    def __init__(self, num_shards: int = 1,
                  tracer: Optional["Tracer"] = None) -> None:
         self.timings = PhaseTimings()
-        self.shard_timings: Optional[List[PhaseTimings]] = (
-            [PhaseTimings() for _ in range(num_shards)]
-            if num_shards is not None
-            else None
-        )
+        self.shard_timings = [PhaseTimings() for _ in range(num_shards)]
         self.tracer = tracer
         self.losses: List[float] = []
         self.samples = 0
@@ -631,7 +548,6 @@ class StageTimingCollector:
     def _record(self, phase: str, shard: Optional[int],
                 shard_phase: Optional[str], seconds: float) -> None:
         if shard is not None:
-            assert self.shard_timings is not None
             self.shard_timings[shard].add(shard_phase or phase, seconds)
         self.timings.add(phase, seconds)
 
@@ -647,7 +563,7 @@ class StageTimingCollector:
 
         ``shard_phase`` renames the per-shard entry when it differs from
         the run-level phase (a shard's ``gather`` seconds land in the
-        run-level ``forward`` total, matching the unsharded breakdown).
+        run-level ``forward`` total).
         In traced runs the region also becomes a span named ``span``
         (default: the shard phase, else the phase) on the ``main`` track,
         or on ``shard<N>`` with a ``shard`` argument for per-shard work.
@@ -672,9 +588,8 @@ class StageTimingCollector:
     def absorb_cast(self, ctx: StepContext) -> None:
         """Merge a context's cast-stage accounting into the run totals."""
         self.timings.merge(ctx.cast_timings)
-        if ctx.cast_shard_timings is not None and self.shard_timings is not None:
-            for mine, theirs in zip(self.shard_timings, ctx.cast_shard_timings):
-                mine.merge(theirs)
+        for mine, theirs in zip(self.shard_timings, ctx.cast_shard_timings):
+            mine.merge(theirs)
         if self.tracer is not None and ctx.cast_spans:
             self.tracer.absorb(ctx.cast_spans)
             ctx.cast_spans = []
@@ -682,11 +597,9 @@ class StageTimingCollector:
     def finish_step(self, ctx: StepContext) -> None:
         """Record a completed step's loss, samples, and exchange bytes."""
         self.losses.append(ctx.loss)
-        if ctx.data is not None:
-            self.samples += ctx.data.size
-        if ctx.plan is not None:
-            self.forward_exchange_bytes += ctx.plan.forward_exchange_bytes
-            self.backward_exchange_bytes += ctx.plan.backward_exchange_bytes
+        self.samples += ctx.data.size
+        self.forward_exchange_bytes += ctx.plan.forward_exchange_bytes
+        self.backward_exchange_bytes += ctx.plan.backward_exchange_bytes
 
     def report_fields(self) -> Dict[str, Any]:
         """The report fields this collector owns (the engine adds the rest)."""
@@ -719,16 +632,17 @@ class StepStages:
     cast: Stage
     compute: Tuple[Stage, ...]
     mode: str
-    num_shards: Optional[int] = None
+    num_shards: int
     tracer: Optional["Tracer"] = None
 
     def new_context(self) -> StepContext:
-        ctx = StepContext(mode=self.mode, tracer=self.tracer)
-        if self.num_shards is not None:
-            ctx.cast_shard_timings = [
+        return StepContext(
+            mode=self.mode,
+            tracer=self.tracer,
+            cast_shard_timings=[
                 PhaseTimings() for _ in range(self.num_shards)
-            ]
-        return ctx
+            ],
+        )
 
     def stage_names(self) -> Tuple[str, ...]:
         """The plan in execution order (draw, cast, then compute)."""
@@ -746,35 +660,21 @@ def build_step_stages(
 ) -> StepStages:
     """Bind the stage plan for one run of ``trainer``.
 
-    Unsharded: ``draw → cast → forward → backward → optimize``.
-    Sharded: ``draw → cast → gather → exchange → forward → backward →
-    optimize``.  Both plans execute the exact kernels the pre-refactor
-    loops ran, in the exact order — pinned by the differential suite in
-    ``tests/runtime/test_engine.py``.
+    ``draw → cast → gather → exchange → forward → backward → optimize``, at
+    every shard count and in both modes.  It executes the exact kernels the
+    pre-refactor loops ran, in the exact order — pinned by the
+    differential suite in ``tests/runtime/test_engine.py``.
     """
-    draw = DrawStage(trainer.stream, batch, rng)
-    if trainer.sharded is None:
-        return StepStages(
-            draw=draw,
-            cast=CastStage(trainer.backend),
-            compute=(
-                ForwardStage(trainer.model, collector),
-                BackwardStage(trainer.model, collector),
-                OptimizeStage(trainer.model, trainer.optimizer, collector),
-            ),
-            mode=mode,
-            tracer=collector.tracer,
-        )
     sharded = trainer.sharded
     return StepStages(
-        draw=draw,
-        cast=ShardedCastStage(sharded),
+        draw=DrawStage(trainer.stream, batch, rng),
+        cast=CastStage(sharded),
         compute=(
-            GatherStage(trainer.model, sharded, collector),
+            GatherStage(trainer.model, sharded, trainer.hot_caches, collector),
             ExchangeStage(sharded, collector),
-            ShardedForwardStage(trainer.model, collector),
-            ShardedBackwardStage(trainer.model, sharded, collector),
-            ShardedOptimizeStage(
+            ForwardStage(trainer.model, collector),
+            BackwardStage(trainer.model, sharded, collector),
+            OptimizeStage(
                 trainer.model, sharded, trainer.optimizer, collector
             ),
         ),

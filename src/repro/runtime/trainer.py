@@ -10,27 +10,27 @@ reproduction's analogue of the paper's real-system prototype.  A finite
 source that exhausts mid-run stops the trainer cleanly (the report's
 ``steps`` records what actually trained).
 
-With ``num_shards`` set, the trainer instead drives a
-:class:`~repro.model.sharded.ShardedEmbeddingSet`: the embedding phases run
-shard by shard on the step loop (each timed separately, standing in for
-``N`` devices whose concurrency the analytic
-:class:`~repro.runtime.systems.ShardedNMPSystem` models), pooled vectors
-and gradient slices cross a simulated all-to-all
-whose byte counts land in the report (attributed per pipeline stage —
-forward exchange vs. backward exchange), and the model parameters end up
-bit-identical to the unsharded trainer when ``num_shards=1``.  Shards name
-rows of the model's own tables — there is no shard-local storage, row
-numbering or optimizer state — so parameters, checkpoints and the executed
-hot-row caches mean the same thing at every shard count and policy.
+The embedding tables always run through a
+:class:`~repro.model.sharded.ShardedEmbeddingSet` of ``num_shards`` shards
+(default 1): the embedding phases run shard by shard on the step loop
+(each timed separately, standing in for ``N`` devices whose concurrency
+the analytic :class:`~repro.runtime.systems.ShardedNMPSystem` models),
+pooled vectors and gradient slices cross a simulated all-to-all whose byte
+counts land in the report (attributed per pipeline stage — forward
+exchange vs. backward exchange), and at one shard every kernel runs over
+the tables' own index arrays, bit-identical to a plain single-device step.
+Shards name rows of the model's own tables — there is no shard-local
+storage, row numbering or optimizer state — so parameters, checkpoints and
+the executed hot-row caches mean the same thing at every shard count and
+policy.
 
 The trainer is a thin facade over the **stage-graph engine**
-(:mod:`repro.runtime.engine`): each step is a plan of named stages
+(:mod:`repro.runtime.engine`): each step is one plan of named stages
 (:mod:`repro.runtime.stages`) run by the engine's one step loop under the
 :class:`~repro.runtime.policy.SchedulePolicy` this constructor builds from
 its arguments — look-ahead and accumulation — with
 :meth:`~FunctionalTrainer.infer` the same policy restricted to the forward
-prefix.  Combinations that cannot work are rows of
-:data:`~repro.runtime.policy.CAPABILITIES`, checked here and nowhere else.
+prefix.  Every combination of the arguments composes.
 The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
@@ -53,7 +53,7 @@ from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from ..sim.cache import HotRowCacheSpec
 from .engine import TrainingCallback, TrainingEngine
-from .policy import Features, SchedulePolicy, check_capabilities, positive_int
+from .policy import SchedulePolicy, positive_int
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
 if TYPE_CHECKING:
@@ -83,14 +83,13 @@ class FunctionalTrainer:
     optimizer:
         Applied to dense and sparse parameters alike.
     num_shards:
-        ``None`` (default) trains on the single-device path.  Any positive
-        integer partitions the embedding tables across that many logical
-        shards and routes every embedding phase through a
-        :class:`~repro.model.sharded.ShardedEmbeddingSet`; ``num_shards=1``
-        exercises the full sharded machinery yet produces bit-identical
-        parameters to the unsharded path.
+        Logical devices the embedding tables are partitioned across
+        (a positive integer, default ``1``).  Every embedding phase routes
+        through a :class:`~repro.model.sharded.ShardedEmbeddingSet`; at one
+        shard each table's slice is its own index array, so the split
+        costs nothing and the kernels are the single-device ones.
     policy:
-        Partition policy for sharded runs: ``"row"`` or ``"table"``.
+        Partition policy: ``"row"`` or ``"table"``.
     backend:
         Kernel engine for every hot kernel of the run: a registered backend
         name, a :class:`~repro.backends.base.KernelBackend` instance, or
@@ -110,10 +109,10 @@ class FunctionalTrainer:
         :class:`~repro.model.hot_cache.HotRowCache` of
         ``spec.capacity_rows`` rows per embedding table to the forward
         gather path; the measured hit rate lands on the report's
-        ``cache_*`` fields.  A sharded trainer hands each cache the same
-        stream — the table's full batch of row ids, on the step loop,
-        before the per-shard gathers — so the counters do not depend on the
-        shard count or policy.
+        ``cache_*`` fields.  The ``gather`` stage hands each cache the
+        table's full batch of row ids, on the step loop, before the
+        per-shard gathers — so the counters do not depend on the shard
+        count or policy.
     cache_policy:
         Replacement policy for the executed caches: ``"lru"`` or ``"lfu"``.
     accum_steps:
@@ -135,9 +134,7 @@ class FunctionalTrainer:
         :class:`~repro.runtime.pipeline.PipelinedTrainer` is this value
         preset to ``1``.
 
-    Every combination of these composes except the rows of
-    :data:`~repro.runtime.policy.CAPABILITIES` (README, "Schedule
-    policies"), which involve ``mode`` and so raise ``ValueError`` from
+    Every combination of these composes, with either ``mode`` of
     :meth:`train` / :meth:`infer`.
     """
 
@@ -146,7 +143,7 @@ class FunctionalTrainer:
         model: DLRM,
         stream: "BatchSource | LegacyStream",
         optimizer: Optimizer,
-        num_shards: int | None = None,
+        num_shards: int = 1,
         policy: str = "row",
         backend: BackendSpec = "auto",
         hot_cache: HotRowCacheSpec | None = None,
@@ -160,8 +157,7 @@ class FunctionalTrainer:
                 f"stream produces {stream.num_tables} tables, model has "
                 f"{len(model.embeddings)}"
             )
-        if num_shards is not None:
-            num_shards = positive_int("num_shards", num_shards)
+        num_shards = positive_int("num_shards", num_shards)
         #: The one record the engine's step loop reads; ``infer()`` runs
         #: the same record with ``forward_only`` set.
         self.policy = SchedulePolicy(
@@ -183,15 +179,12 @@ class FunctionalTrainer:
                 HotRowCache(hot_cache.capacity_rows, cache_policy)
                 for _ in model.embeddings
             ]
-        self._attach_caches()
-        self.sharded: ShardedEmbeddingSet | None = None
-        if num_shards is not None:
-            self.sharded = ShardedEmbeddingSet(
-                model.embeddings,
-                num_shards=num_shards,
-                policy=policy,
-                backend=self.backend,
-            )
+        self.sharded = ShardedEmbeddingSet(
+            model.embeddings,
+            num_shards=num_shards,
+            policy=policy,
+            backend=self.backend,
+        )
 
     def train(
         self,
@@ -208,9 +201,9 @@ class FunctionalTrainer:
         ``mode`` selects the embedding backward strategy (``"baseline"`` or
         ``"casted"``); in casted mode the cast is computed eagerly right
         after batch generation — before the forward pass — mirroring the
-        runtime's decoupled casting stage.  Sharded trainers support
-        ``"casted"`` only: the per-shard exchange payload *is* the casted
-        index representation, so there is no baseline variant to shard.
+        runtime's decoupled casting stage.  Both modes run at every shard
+        count: each shard reduces the same shipped payload (gradient rows
+        plus its pairs) with Algorithm 1 or Algorithm 3.
 
         ``callbacks`` are :class:`~repro.runtime.engine.TrainingCallback`
         hooks fired after each step and at run end (metrics loggers,
@@ -248,8 +241,8 @@ class FunctionalTrainer:
         guarantee) while the forward outputs are bit-identical to the
         training path's forward for the same batch and backend.  ``mode``
         keeps its training meaning (``"casted"`` exercises the casting
-        stage exactly as the serving pipeline would; sharded trainers are
-        casted-only); ``start_step`` fast-forwards the source as in
+        stage exactly as the serving pipeline would); ``start_step``
+        fast-forwards the source as in
         :meth:`train`, which is how a restored checkpoint resumes serving
         the stream where training left off.
         """
@@ -292,16 +285,12 @@ class FunctionalTrainer:
             raise ValueError(
                 f"start_step must be a non-negative integer, got {start_step!r}"
             )
-        check_capabilities(
-            Features(sharded=self.sharded is not None, mode=mode)
-        )
         # Re-assert kernel routing: another trainer constructed over the
         # same model would have re-pointed the bags' backend; whichever
         # trainer runs, *its* engine runs — keeping the report's
-        # ``backend`` field truthful.  Same for the executed hot caches.
+        # ``backend`` field truthful.
         for bag in self.model.embeddings:
             bag.backend = self.backend
-        self._attach_caches()
         self._reset_cache_stats()
 
     # ------------------------------------------------------------------
@@ -313,8 +302,8 @@ class FunctionalTrainer:
         Dense MLP parameters (``dense_{i}``, in
         :meth:`~repro.model.dlrm.DLRM.dense_parameters` order) and the
         embedding tables (``table_{t}``) — the same names, tensors and
-        optimizer-state keys whether or not the trainer is sharded, which
-        is what lets one checkpoint restore into any shard count or policy.
+        optimizer-state keys at every shard count, which is what lets one
+        checkpoint restore into any shard count or policy.
         """
         named: List[Tuple[str, np.ndarray]] = [
             (f"dense_{i}", param)
@@ -329,12 +318,6 @@ class FunctionalTrainer:
     # ------------------------------------------------------------------
     # Executed hot-row cache plumbing
     # ------------------------------------------------------------------
-    def _attach_caches(self) -> None:
-        """Point every bag's gather hook at this trainer's caches (or clear it)."""
-        caches = self.hot_caches or [None] * len(self.model.embeddings)
-        for bag, cache in zip(self.model.embeddings, caches):
-            bag.hot_cache = cache
-
     def _reset_cache_stats(self) -> None:
         """Zero hit/access counters so the report measures this run only.
 

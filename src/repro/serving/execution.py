@@ -124,7 +124,7 @@ class EngineExecutor:
         optimizer: Optional[Optimizer] = None,
         mode: str = "casted",
         backend: BackendSpec = "auto",
-        num_shards: Optional[int] = None,
+        num_shards: int = 1,
         policy: str = "row",
         hot_cache: Optional[HotRowCacheSpec] = None,
         cache_policy: str = "lru",

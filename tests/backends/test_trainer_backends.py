@@ -31,7 +31,7 @@ TINY = RM1.with_overrides(
 TRAINER_BACKENDS = list(available_backends())
 
 
-def make_trainer(trainer_cls, backend, num_shards=None, seed=0):
+def make_trainer(trainer_cls, backend, num_shards=1, seed=0):
     model = DLRM(TINY, rng=np.random.default_rng(seed))  # float64 default
     stream = SyntheticCTRStream(
         num_tables=TINY.num_tables,
@@ -46,7 +46,7 @@ def make_trainer(trainer_cls, backend, num_shards=None, seed=0):
     return model, trainer
 
 
-def run_one_step(trainer_cls, backend, num_shards=None, seed=0, steps=1):
+def run_one_step(trainer_cls, backend, num_shards=1, seed=0, steps=1):
     model, trainer = make_trainer(trainer_cls, backend, num_shards, seed)
     report = trainer.train(32, steps, np.random.default_rng(seed + 1))
     return model, report
@@ -112,7 +112,7 @@ class TestBackendKnob:
 class TestBitIdentityAcrossBackends:
     """One seed, every engine, identical numbers."""
 
-    def _runs(self, trainer_cls, num_shards=None, steps=1):
+    def _runs(self, trainer_cls, num_shards=1, steps=1):
         return {
             backend: run_one_step(trainer_cls, backend, num_shards, steps=steps)
             for backend in TRAINER_BACKENDS
@@ -158,11 +158,14 @@ class TestBitIdentityAcrossBackends:
             assert np.array_equal(got, want)
 
     def test_sharded_matches_unsharded_across_engines(self):
-        """num_shards=1 bit-identity (an existing guarantee) holds across
-        engine boundaries too."""
-        unsharded_model, _ = run_one_step(FunctionalTrainer, "vectorized")
-        sharded_model, _ = run_one_step(
-            FunctionalTrainer, "reference", num_shards=1
+        """The one-shard trainer is bit-identical to the model's own
+        single-device step, across engine boundaries too."""
+        sharded_model, _ = run_one_step(FunctionalTrainer, "reference")
+        unsharded_model, trainer = make_trainer(FunctionalTrainer, "vectorized")
+        data = trainer.stream.next_batch(32, np.random.default_rng(1))
+        unsharded_model.train_step(
+            data.dense, data.indices, data.labels, SGD(lr=0.1),
+            precompute_casts=True,
         )
         for got, want in zip(
             sharded_model.all_parameters(), unsharded_model.all_parameters()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.casting import (
     CastedIndex,
     hash_casting,
-    precompute_casts,
     tensor_casting,
     tensor_casting_reference,
 )
@@ -180,26 +179,6 @@ class TestDegenerateShapes:
         rows_c, coal_c = casted_gather_reduce(grads, tensor_casting(index))
         assert np.array_equal(rows_b, rows_c)
         assert np.allclose(coal_b, coal_c)
-
-
-class TestPrecomputeCasts:
-    """The batch-level cast-ahead API used by the pipelined runtime."""
-
-    def test_one_cast_per_table(self, rng):
-        indices = [
-            make_random_index(rng, num_rows=30, batch=6, lookups=4)
-            for _ in range(3)
-        ]
-        casts = precompute_casts(indices)
-        assert len(casts) == 3
-        for cast, index in zip(casts, indices):
-            expected = tensor_casting(index)
-            assert np.array_equal(cast.casted_src, expected.casted_src)
-            assert np.array_equal(cast.casted_dst, expected.casted_dst)
-            assert np.array_equal(cast.rows, expected.rows)
-
-    def test_empty_batch(self):
-        assert precompute_casts([]) == []
 
 
 class TestAsIndexArray:

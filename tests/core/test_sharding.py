@@ -64,9 +64,9 @@ class TestRowWisePartition:
     def test_single_shard_split_is_identity(self):
         index = sample_index()
         (slice_,) = RowWisePartition(1).split(index, 0)
-        assert np.array_equal(slice_.index.src, index.src)
-        assert np.array_equal(slice_.index.dst, index.dst)
-        assert slice_.index.num_outputs == index.num_outputs
+        assert slice_.index is index  # no copy, no compaction
+        assert slice_.touched is None and slice_.positions is None
+        assert slice_.num_touched == index.num_outputs
 
     def test_empty_shard_in_batch(self):
         # All src ids even -> shard 1 of a 2-way row partition sees nothing.
@@ -84,11 +84,30 @@ class TestRowWisePartition:
         assert live[0].num_lookups == 3
 
     def test_touched_slots_are_compact(self):
+        index = IndexArray(
+            src=[1, 3, 5, 2], dst=[0, 2, 2, 3], num_rows=6, num_outputs=5)
+        _, odd = RowWisePartition(2).split(index, 0)
+        # Slots 1, 3 and 4 receive no odd-row lookups; touched lists only
+        # the live slots and the slice's dst are positions into it.
+        assert odd.touched.tolist() == [0, 2]
+        assert odd.index.num_outputs == 2
+        assert odd.index.dst.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("partition", [
+        RowWisePartition(1), TableWisePartition(3)], ids=["row-1", "table-3"])
+    def test_a_whole_slice_counts_only_live_slots(self, partition):
+        """Empty bags receive nothing: a whole slice touches the slots with
+        at least one lookup, the count a compacting split would give."""
         index = IndexArray(src=[1, 3, 5], dst=[0, 2, 2], num_rows=6, num_outputs=4)
-        (slice_,) = RowWisePartition(1).split(index, 0)
-        # Slot 1 and 3 receive no lookups; touched lists only live slots.
-        assert slice_.touched.tolist() == [0, 2]
-        assert slice_.index.num_outputs == 2
+        (slice_,) = [s for s in partition.split(index, 0) if s is not None]
+        assert slice_.index is index
+        assert slice_.num_touched == 2
+        assert slice_.num_lookups == 3
+
+    def test_an_empty_table_has_no_slices(self):
+        index = IndexArray(src=[], dst=[], num_rows=6, num_outputs=4)
+        assert RowWisePartition(1).split(index, 0) == [None]
+        assert TableWisePartition(2).split(index, 1) == [None, None]
 
 
 class TestTableWisePartition:

@@ -62,7 +62,7 @@ OVERLAP_FIELDS = (
 
 def test_overlap_synthetic():
     rows = overlap_sweep(
-        batches=(16,), shard_counts=(0, 2), steps=2, config=TINY_CONFIG,
+        batches=(16,), shard_counts=(1, 2), steps=2, config=TINY_CONFIG,
         repeats=1, backend="vectorized",
     )
     assert _fields(rows, OVERLAP_FIELDS) == OVERLAP_SYNTHETIC
@@ -149,19 +149,22 @@ def test_serve_trace(tmp_path):
     assert _fields(rows, SERVE_FIELDS) == SERVE_TRACE
 
 
-# Recorded by running this file against the commit before the harness.
+# Recorded by running this file against the commit before the harness.  The
+# one-shard overlap cells' exchange bytes were recorded from the one-shard
+# trainer before it became the default (the batch-16 row equals the measured
+# scaling sweep's one-shard row below).
 OVERLAP_SYNTHETIC = [
-    {"model": "RM1", "batch": 16, "num_shards": 0, "steps": 2,
+    {"model": "RM1", "batch": 16, "num_shards": 1, "steps": 2,
      "analytic_speedup": "0x1.2653875a41480p+0", "bit_identical": True,
-     "forward_exchange_bytes": 0, "backward_exchange_bytes": 0},
+     "forward_exchange_bytes": 6144, "backward_exchange_bytes": 12288},
     {"model": "RM1", "batch": 16, "num_shards": 2, "steps": 2,
      "analytic_speedup": "0x1.22ebe9da2ecd3p+0", "bit_identical": True,
      "forward_exchange_bytes": 11584, "backward_exchange_bytes": 17728},
 ]
 OVERLAP_TRACE = [
-    {"model": "trace:tiny.npz", "batch": 8, "num_shards": 0, "steps": 3,
+    {"model": "trace:tiny.npz", "batch": 8, "num_shards": 1, "steps": 3,
      "analytic_speedup": "0x1.26129b3e895fep+0", "bit_identical": True,
-     "forward_exchange_bytes": 0, "backward_exchange_bytes": 0},
+     "forward_exchange_bytes": 3072, "backward_exchange_bytes": 5376},
 ]
 MEASURED_SCALING = [
     {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 1,

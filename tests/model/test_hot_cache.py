@@ -284,7 +284,7 @@ class TestTrainerIntegration:
         plain = FunctionalTrainer(model, stream2, SGD(lr=0.05))
         report = plain.train(16, 1, np.random.default_rng(1))
         assert report.cache_hit_rate is None
-        assert all(bag.hot_cache is None for bag in model.embeddings)
+        assert report.cache_accesses == 0
 
 
 class TestLFUHeapBound:

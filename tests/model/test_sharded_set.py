@@ -139,6 +139,22 @@ class TestEdgeCases:
             pooled[0], bags[0].forward(index), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("policy", ["row", "table"])
+    def test_one_shard_counts_only_live_outputs(self, policy):
+        """Outputs 1 and 3 have no lookups: the whole slice ships the two
+        live gradient rows, the count a compacting split gives."""
+        bags = make_bags(num_tables=1)
+        index = IndexArray(src=[1, 2, 5], dst=[0, 2, 2], num_rows=ROWS,
+                           num_outputs=4)
+        sharded = ShardedEmbeddingSet(bags, num_shards=1, policy=policy)
+        plan, pooled = run_forward(sharded, [index])
+        assert plan.slices[0][0].index is index
+        assert np.array_equal(pooled[0], bags[0].forward(index))
+        vec_bytes = DIM * 8
+        assert plan.forward_exchange_bytes == 2 * vec_bytes
+        sharded.backward_shard(plan, 0, [np.ones((4, DIM))])
+        assert plan.backward_exchange_bytes == 2 * vec_bytes + 2 * 3 * 8
+
     def test_exchange_bytes_accumulate(self):
         bags = make_bags()
         sharded = ShardedEmbeddingSet(bags, num_shards=2)

@@ -124,6 +124,36 @@ def test_a_parent_100x_taller_allocates_the_same_peak(case):
     )
 
 
+def plan_batch_peak(pooling, num_shards, policy):
+    """``plan_batch`` peak over ``pooling`` lookups per output, one table
+    per shard, every table owned whole by one shard."""
+    rng = np.random.default_rng(0)
+    bags = [EmbeddingBag(SHORT, DIM, rng, dtype=np.float32)
+            for _ in range(num_shards)]
+    indices = [
+        IndexArray(rng.integers(0, SHORT, BATCH * pooling),
+                   np.repeat(np.arange(BATCH), pooling),
+                   num_rows=SHORT, num_outputs=BATCH)
+        for _ in bags
+    ]
+    shards = ShardedEmbeddingSet(
+        bags, num_shards=num_shards, policy=policy, backend="vectorized")
+    return peak_bytes(lambda: shards.plan_batch(indices))
+
+
+@pytest.mark.parametrize("num_shards,policy", [(1, "row"), (2, "table")])
+def test_a_whole_table_split_allocates_nothing_per_lookup(num_shards, policy):
+    """One shard, or the table policy: the owner's slice is the table's own
+    index array — no owner mask, no ``dst`` copy, no ``unique`` — so 64x
+    the lookups split for the same few bytes."""
+    few = plan_batch_peak(POOLING, num_shards, policy)
+    many = plan_batch_peak(64 * POOLING, num_shards, policy)
+    assert abs(many - few) <= SLACK, (
+        f"plan_batch's peak grew from {few} to {many} bytes with the lookup "
+        f"count ({BATCH * POOLING} -> {64 * BATCH * POOLING})"
+    )
+
+
 def test_the_measurement_sees_a_table_sized_copy():
     """The instrument itself: a copy of half the parent — what ``take`` made
     of ``table[shard::2]`` once per rank round — shows up in the peak."""

@@ -14,6 +14,7 @@ the callback protocol (ordering, global step numbering, run-end events).
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
@@ -147,23 +148,29 @@ class TestShardLoopMatchesLegacyGoldens:
     Shards run one after another in shard order, so every cell of policy ×
     shard count × optimizer × look-ahead × dtype must reproduce the legacy
     loop bit for bit: losses, parameters, each parameter's per-row
-    optimizer state and both all-to-all byte counters.
+    optimizer state and both all-to-all byte counters.  The legacy loop is
+    casted; the baseline backward (Algorithm 1 over each shard's raw pairs)
+    must land on the same golden, bytes included — both modes ship the same
+    payload.
     """
 
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
     @pytest.mark.parametrize(
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", ["row", "table"])
-    def test_every_cell(self, policy, num_shards, optimizer, lookahead, dtype):
+    def test_every_cell(self, policy, num_shards, optimizer, lookahead, dtype,
+                        mode):
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
             engine_model, make_stream(), make_optimizer(optimizer, lr=0.05),
             num_shards=num_shards, policy=policy, backend="vectorized",
             lookahead=lookahead,
         )
-        report = trainer.train(8, 3, np.random.default_rng(1))
+        report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
+        assert ("casting" in report.timings.totals) == (mode == "casted")
         legacy_model = make_model(dtype=dtype)
         legacy_optimizer = make_optimizer(optimizer, lr=0.05)
         legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
@@ -189,14 +196,14 @@ class TestShardLoopMatchesLegacyGoldens:
 class TestPipelinedEngineEquivalence:
     """The cast-ahead schedule == the serial schedule (so == the goldens)."""
 
-    @pytest.mark.parametrize("num_shards", [None, 2])
+    @pytest.mark.parametrize("num_shards", [1, 2])
     def test_pipelined_matches_legacy_via_serial(self, num_shards):
         pipelined_model = make_model()
         pipelined = PipelinedTrainer(
             pipelined_model, make_stream(), SGD(lr=0.2), num_shards=num_shards
         ).train(8, 3, np.random.default_rng(1))
         legacy_model = make_model()
-        if num_shards is None:
+        if num_shards == 1:
             legacy_losses = legacy_train_serial(
                 legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
                 np.random.default_rng(1),
@@ -213,15 +220,45 @@ class TestPipelinedEngineEquivalence:
 class TestStagePlan:
     """The stage graph is introspectable and uses the documented vocabulary."""
 
-    def test_unsharded_plan(self):
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
+    def test_the_default_plan_is_the_one_shard_plan(self, mode):
         trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
+        assert trainer.sharded.num_shards == 1
         stages = build_step_stages(
-            trainer, StageTimingCollector(), 8, np.random.default_rng(0),
-            "casted",
+            trainer, StageTimingCollector(), 8, np.random.default_rng(0), mode
         )
         assert stages.stage_names() == (
-            "draw", "cast", "forward", "backward", "optimize",
+            "draw", "cast", "gather", "exchange", "forward", "backward",
+            "optimize",
         )
+        assert len(stages.new_context().cast_shard_timings) == 1
+
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
+    def test_the_reduce_kernels_see_a_contiguous_gradient(
+            self, mode, monkeypatch):
+        """The dense backward hands over column views of its output; the
+        payload the shard reduces is C-contiguous whichever way the split
+        went, so the kernel never strides through the gradient table."""
+        engine = get_backend("vectorized")
+        seen = []
+
+        def spy(name, grad_at):
+            real = getattr(engine, name)
+
+            def wrapper(*args):
+                seen.append((name, args[grad_at].flags.c_contiguous))
+                return real(*args)
+            monkeypatch.setattr(engine, name, wrapper)
+
+        spy("casted_gather_reduce", 0)
+        spy("expand_coalesce", 1)
+        FunctionalTrainer(
+            make_model(dtype=np.float32), make_stream(), SGD(lr=0.1),
+            backend="vectorized",
+        ).train(8, 2, np.random.default_rng(1), mode=mode)
+        kernel = "casted_gather_reduce" if mode == "casted" else (
+            "expand_coalesce")
+        assert seen == [(kernel, True)] * (2 * CONFIG.num_tables)
 
     def test_sharded_plan(self):
         trainer = FunctionalTrainer(

@@ -68,17 +68,17 @@ def train_with_recorded_logits(trainer, batch, steps, rng, mode="casted"):
 
 # Backend × sharding × cache combinations the identity must hold across.
 IDENTITY_CASES = [
-    pytest.param("vectorized", None, "row", None, "lru", np.float64,
-                 id="vectorized-unsharded"),
-    pytest.param("reference", None, "row", None, "lru", np.float64,
-                 id="reference-unsharded"),
+    pytest.param("vectorized", 1, "row", None, "lru", np.float64,
+                 id="vectorized-one-shard"),
+    pytest.param("reference", 1, "row", None, "lru", np.float64,
+                 id="reference-one-shard"),
     pytest.param("vectorized", 2, "row", None, "lru", np.float64,
                  id="sharded-row"),
     pytest.param("vectorized", 2, "table", None, "lru", np.float64,
                  id="sharded-table"),
-    pytest.param("vectorized", None, "row", 16, "lru", np.float32,
+    pytest.param("vectorized", 1, "row", 16, "lru", np.float32,
                  id="hot-cache-lru"),
-    pytest.param("vectorized", None, "row", 16, "lfu", np.float32,
+    pytest.param("vectorized", 1, "row", 16, "lfu", np.float32,
                  id="hot-cache-lfu"),
 ]
 
@@ -140,10 +140,10 @@ class TestInferMatchesTrainingForward:
 
     def test_baseline_mode_forward_matches_casted(self):
         casted = _make_trainer(
-            "vectorized", None, "row", None, "lru", np.float64
+            "vectorized", 1, "row", None, "lru", np.float64
         ).infer(8, 2, np.random.default_rng(1), mode="casted")
         baseline = _make_trainer(
-            "vectorized", None, "row", None, "lru", np.float64
+            "vectorized", 1, "row", None, "lru", np.float64
         ).infer(8, 2, np.random.default_rng(1), mode="baseline")
         for a, b in zip(casted.logits, baseline.logits):
             assert np.array_equal(a, b)
@@ -226,7 +226,6 @@ class TestInferenceReport:
             make_model(), make_stream(), SGD(lr=0.2), num_shards=2
         ).infer(8, 2, np.random.default_rng(1))
         assert inference.forward_exchange_bytes > 0
-        assert inference.shard_timings is not None
         assert len(inference.shard_timings) == 2
 
     def test_cache_fields_populate(self):

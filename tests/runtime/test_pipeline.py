@@ -16,7 +16,7 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(trainer_cls, num_shards=None, policy="row",
+def make_trainer(trainer_cls, num_shards=1, policy="row",
                  optimizer_cls=SGD, seed=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
@@ -34,7 +34,7 @@ def all_params(model):
     return model.all_parameters()
 
 
-def train_pair(num_shards=None, policy="row", optimizer_cls=SGD,
+def train_pair(num_shards=1, policy="row", optimizer_cls=SGD,
                batch=16, steps=4):
     serial_model, serial = make_trainer(
         FunctionalTrainer, num_shards, policy, optimizer_cls)
@@ -124,9 +124,9 @@ class TestReport:
 
 class TestValidation:
     def test_baseline_mode_is_bit_identical_to_serial(self):
-        """Used to be rejected.  The baseline backward has no cast to hide,
-        so look-ahead changes nothing — including the absence of a
-        ``casting`` phase."""
+        """Used to be rejected.  The baseline backward has no cast to hide
+        (its cast stage only partitions), so look-ahead changes nothing —
+        including the absence of a ``casting`` phase."""
         serial_model, serial = make_trainer(FunctionalTrainer)
         serial_report = serial.train(
             16, 3, np.random.default_rng(1), mode="baseline")

@@ -5,24 +5,24 @@ The engine has one step loop and one policy record
 compose *by construction*.  This suite holds that to account:
 
 * every cell of look-ahead × accumulation × shard count × backward mode ×
-  {train, infer} that the capability table does not reject
-  is run and compared, bit for bit, against an oracle that shares no code
-  with the engine — the frozen pre-refactor loops of ``_legacy_trainer.py``
-  for training (fed the *concatenation* of each step's micro-batches, so
-  accumulation is checked against the equivalent large batch everywhere,
-  sharded trainers included), the model's own ``forward`` for inference —
-  or, where no such oracle exists (forward-only over 2 shards, whose
-  partial-sum order differs from the unsharded forward by an ulp), against
-  the plain inline run;
-* every row of the capability table raises ``ValueError`` with its reason
-  from the trainer and exits 2 with the same text from the CLI;
-* the integer arguments are validated by one helper at every site, and the
+  {train, infer} — nothing is rejected — is run and compared, bit for bit,
+  against an oracle that shares no code with the engine — the frozen
+  pre-refactor loops of ``_legacy_trainer.py`` for training (fed the
+  *concatenation* of each step's micro-batches, so accumulation is checked
+  against the equivalent large batch everywhere): the sharded loop in
+  every cell (its casted golden, which the baseline backward must equal),
+  and at one shard also the single-device loop in the cell's own mode;
+  the model's own ``forward`` for inference — or, where no such oracle
+  exists (forward-only over 2 shards, whose partial-sum order differs from
+  the single-table forward by an ulp), the plain inline run;
+* options that were removed fail loudly rather than meaning something else;
+* the integer arguments are validated by one helper at every site
+  (``num_shards=None`` included: one shard is ``num_shards=1``), and the
   two silently-dropped-setting bugs the single record made unrepresentable
   stay fixed.
 """
 
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -35,12 +35,7 @@ from repro.model.dlrm import DLRM
 from repro.model.loss import bce_with_logits
 from repro.model.optim import SGD
 from repro.runtime.pipeline import PipelinedTrainer
-from repro.runtime.policy import (
-    CAPABILITIES,
-    Features,
-    SchedulePolicy,
-    check_capabilities,
-)
+from repro.runtime.policy import SchedulePolicy
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory imports (pytest puts this directory on sys.path).
@@ -83,31 +78,20 @@ def assert_params_equal(model_a, model_b):
         assert np.array_equal(a, b)
 
 
-def supported(shards, mode):
-    try:
-        check_capabilities(Features(sharded=shards is not None, mode=mode))
-    except ValueError:
-        return False
-    return True
-
-
 CELLS = [
     pytest.param(
         lookahead, accum, shards, mode, entry,
         id=f"ahead{lookahead}-accum{accum}-shards{shards}-{mode}-{entry}",
     )
     for lookahead, accum, shards, mode, entry in itertools.product(
-        (0, 1), (1, 3), (None, 1, 2), ("casted", "baseline"),
-        ("train", "infer"),
+        (0, 1), (1, 3), (1, 2), ("casted", "baseline"), ("train", "infer"),
     )
-    if supported(shards, mode)
 ]
 
 
 def test_the_product_is_not_silently_shrinking():
-    # 2 look-aheads x 2 accums x 2 entry points x (3 shard counts in
-    # casted mode + the unsharded trainer in baseline mode).
-    assert len(CELLS) == 2 * 2 * 2 * (3 + 1)
+    # 2 look-aheads x 2 accums x 2 shard counts x 2 modes x 2 entry points.
+    assert len(CELLS) == 2 * 2 * 2 * 2 * 2
 
 
 @pytest.mark.parametrize("lookahead,accum,shards,mode,entry", CELLS)
@@ -128,22 +112,23 @@ def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
 
     oracle_model = make_model()
     if entry == "train":
-        if shards is None:
-            losses = legacy_train_serial(
-                oracle_model, FixedSource(stream, bigs), SGD(lr=0.3),
+        losses, forward_bytes, backward_bytes = legacy_train_sharded(
+            oracle_model, FixedSource(stream, bigs), SGD(lr=0.3),
+            accum * MICRO, STEPS, np.random.default_rng(1),
+            num_shards=shards, backend="vectorized",
+        )
+        assert report.forward_exchange_bytes == forward_bytes
+        assert report.backward_exchange_bytes == backward_bytes
+        assert report.losses == losses
+        assert_params_equal(model, oracle_model)
+        if shards == 1:
+            serial_model = make_model()
+            assert report.losses == legacy_train_serial(
+                serial_model, FixedSource(stream, bigs), SGD(lr=0.3),
                 accum * MICRO, STEPS, np.random.default_rng(1),
                 mode=mode, backend="vectorized",
             )
-        else:
-            losses, forward_bytes, backward_bytes = legacy_train_sharded(
-                oracle_model, FixedSource(stream, bigs), SGD(lr=0.3),
-                accum * MICRO, STEPS, np.random.default_rng(1),
-                num_shards=shards, backend="vectorized",
-            )
-            assert report.forward_exchange_bytes == forward_bytes
-            assert report.backward_exchange_bytes == backward_bytes
-        assert report.losses == losses
-        assert_params_equal(model, oracle_model)
+            assert_params_equal(model, serial_model)
         return
 
     assert_params_equal(model, oracle_model)  # infer froze the parameters
@@ -166,53 +151,15 @@ def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
 
 
 # ----------------------------------------------------------------------
-# The capability table: one source, two consumers, same words
+# Options that are gone fail loudly
 # ----------------------------------------------------------------------
 
-#: Row name -> (trainer kwargs, mode) that the row must reject.
-ROW_EXAMPLES = {
-    "sharded × baseline": (dict(num_shards=2), "baseline"),
-}
-
-
-def build_and_run(kwargs, mode):
-    kwargs = dict({"backend": "vectorized"}, **kwargs)
-    FunctionalTrainer(
-        make_model(), make_stream(), SGD(lr=0.3), **kwargs
-    ).train(8, 1, np.random.default_rng(1), mode=mode)
-
-
-class TestCapabilityTable:
-    def test_every_row_has_an_example(self):
-        assert set(ROW_EXAMPLES) == {row.name for row in CAPABILITIES}
-
-    @pytest.mark.parametrize("row", CAPABILITIES, ids=lambda row: row.name)
-    def test_row_raises_its_reason_from_the_trainer(self, row):
-        kwargs, mode = ROW_EXAMPLES[row.name]
-        with pytest.raises(ValueError, match=re.escape(row.reason)):
-            build_and_run(kwargs, mode)
-
-    @pytest.mark.parametrize("row", CAPABILITIES, ids=lambda row: row.name)
-    def test_only_the_mode_row_waits_for_train(self, row):
-        """Every row involves ``mode``, so construction never rejects."""
-        kwargs, _ = ROW_EXAMPLES[row.name]
-        FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3),
-            **dict({"backend": "vectorized"}, **kwargs))
-
-    @pytest.mark.parametrize("row", CAPABILITIES, ids=lambda row: row.name)
-    def test_row_exits_2_from_the_cli_with_the_same_text(
-            self, row, monkeypatch, capsys):
-        """Whatever an experiment builds, a table row beneath it is a
-        usage error: exit 2, one ``error:`` line, the table's words."""
-        kwargs, mode = ROW_EXAMPLES[row.name]
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "cache",
-            (lambda args, hardware, obs=None: build_and_run(kwargs, mode),
-             "stub"),
-        )
-        assert cli.main(["cache"]) == 2
-        assert capsys.readouterr().err == f"error: {row.reason}\n"
+class TestRemovedOptions:
+    def test_overlap_shard_count_zero_exits_2(self, capsys):
+        """Shard counts start at one: there is no unsharded plan to pick."""
+        assert cli.main(["overlap", "--shards", "0", "--steps", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: shard counts must be >= 1, got [0]\n")
 
     @pytest.mark.parametrize("value", ["thread", "process"])
     def test_the_removed_parallel_mode_option_fails_loudly(
@@ -285,7 +232,7 @@ INT_SITES = {
 
 
 class TestPositiveIntegers:
-    @pytest.mark.parametrize("bad", [True, 2.5, 0, -1])
+    @pytest.mark.parametrize("bad", [None, True, 2.5, 0, -1])
     @pytest.mark.parametrize("site", sorted(INT_SITES))
     def test_rejected_everywhere(self, site, bad):
         name = site.split()[-1]

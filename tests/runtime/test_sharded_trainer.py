@@ -16,7 +16,7 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(num_shards=None, policy="row", optimizer_cls=SGD, seed=0):
+def make_trainer(num_shards=1, policy="row", optimizer_cls=SGD, seed=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
@@ -33,28 +33,41 @@ def all_params(model):
     return model.all_parameters()
 
 
-class TestSingleShardEquivalence:
-    """num_shards=1 must be bit-identical to the unsharded trainer."""
+def single_device_run(steps, optimizer_cls=SGD, mode="casted"):
+    """The model's own ``train_step`` over the trainer's draws: no shard
+    plan, no stages — each bag gathers, casts and coalesces by itself."""
+    model, trainer = make_trainer(optimizer_cls=optimizer_cls)
+    rng = np.random.default_rng(1)
+    losses = []
+    for _ in range(steps):
+        data = trainer.stream.next_batch(16, rng)
+        losses.append(model.train_step(
+            data.dense, data.indices, data.labels, trainer.optimizer,
+            mode=mode, precompute_casts=True,
+        ).loss)
+    return model, losses
 
+
+class TestSingleShardEquivalence:
+    """num_shards=1 must be bit-identical to the single-device step."""
+
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
     @pytest.mark.parametrize("policy", ["row", "table"])
-    def test_parameters_bit_identical(self, policy):
-        ref_model, ref_trainer = make_trainer()
-        ref_trainer.train(16, 4, np.random.default_rng(1))
+    def test_parameters_bit_identical(self, policy, mode):
+        ref_model, _ = single_device_run(4, mode=mode)
         model, trainer = make_trainer(num_shards=1, policy=policy)
-        trainer.train(16, 4, np.random.default_rng(1))
+        trainer.train(16, 4, np.random.default_rng(1), mode=mode)
         for got, want in zip(all_params(model), all_params(ref_model)):
             assert np.array_equal(got, want)
 
     def test_losses_bit_identical(self):
-        _, ref_trainer = make_trainer()
-        ref = ref_trainer.train(16, 4, np.random.default_rng(1))
+        _, ref = single_device_run(4)
         _, trainer = make_trainer(num_shards=1)
         got = trainer.train(16, 4, np.random.default_rng(1))
-        assert got.losses == ref.losses
+        assert got.losses == ref
 
     def test_stateful_optimizer_bit_identical(self):
-        ref_model, ref_trainer = make_trainer(optimizer_cls=Adagrad)
-        ref_trainer.train(16, 3, np.random.default_rng(1))
+        ref_model, _ = single_device_run(3, optimizer_cls=Adagrad)
         model, trainer = make_trainer(num_shards=1, optimizer_cls=Adagrad)
         trainer.train(16, 3, np.random.default_rng(1))
         for got, want in zip(all_params(model), all_params(ref_model)):
@@ -97,17 +110,38 @@ class TestShardedReport:
         report = trainer.train(16, 2, np.random.default_rng(1))
         assert report.exchange_bytes > 0
 
-    def test_unsharded_report_has_no_shard_fields(self):
+    def test_the_default_report_has_one_shard(self):
+        """One device's all-to-all: every pooled row out; every gradient
+        row and every ``(src, dst)`` pair back (float64 rows, int64 ids)."""
         _, trainer = make_trainer()
         report = trainer.train(16, 2, np.random.default_rng(1))
-        assert report.shard_timings is None
-        assert report.num_shards is None
-        assert report.exchange_bytes == 0
+        assert report.num_shards == 1
+        (shard,) = report.shard_timings
+        for phase in ("casting", "gather", "backward", "update"):
+            assert phase in shard.totals
+        rows = 2 * CONFIG.num_tables * 16 * CONFIG.embedding_dim * 8
+        pairs = 2 * CONFIG.num_tables * 16 * CONFIG.gathers_per_table * 2 * 8
+        assert report.forward_exchange_bytes == rows
+        assert report.backward_exchange_bytes == rows + pairs
 
-    def test_sharded_rejects_baseline_mode(self):
-        _, trainer = make_trainer(num_shards=2)
-        with pytest.raises(ValueError, match="casted"):
-            trainer.train(16, 2, np.random.default_rng(1), mode="baseline")
+    @pytest.mark.parametrize("policy", ["row", "table"])
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_sharded_baseline_trains(self, num_shards, policy):
+        """Each shard expand-coalesces its own raw pairs: the same step as
+        the casted shards, the same payload, and no ``casting`` phase."""
+        casted_model, casted = make_trainer(num_shards=num_shards, policy=policy)
+        want = casted.train(16, 3, np.random.default_rng(1))
+        model, trainer = make_trainer(num_shards=num_shards, policy=policy)
+        report = trainer.train(16, 3, np.random.default_rng(1), mode="baseline")
+        assert report.losses == want.losses
+        for got, expected in zip(all_params(model), all_params(casted_model)):
+            assert np.array_equal(got, expected)
+        assert report.forward_exchange_bytes == want.forward_exchange_bytes
+        assert report.backward_exchange_bytes == want.backward_exchange_bytes
+        assert "partition" in report.timings.totals
+        assert "casting" not in report.timings.totals
+        assert all("casting" not in shard.totals
+                   for shard in report.shard_timings)
 
     def test_exchange_bytes_attributed_per_stage(self):
         _, trainer = make_trainer(num_shards=2)
@@ -195,7 +229,8 @@ class TestZeroLookupBatches:
         partial = self._trainer({1}).train(16, 2, np.random.default_rng(1))
         assert partial.exchange_bytes < full.exchange_bytes
 
-    def test_unsharded_casted_mode_tolerates_empty_table(self):
-        trainer = self._trainer({0}, num_shards=None)
-        report = trainer.train(16, 2, np.random.default_rng(1))
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
+    def test_one_shard_tolerates_empty_table(self, mode):
+        trainer = self._trainer({0}, num_shards=1)
+        report = trainer.train(16, 2, np.random.default_rng(1), mode=mode)
         assert all(np.isfinite(loss) for loss in report.losses)

@@ -4,7 +4,7 @@ A kernel failure in any phase of a step — cast, gather, backward — must
 propagate to the caller unchanged, join every thread the run started (the
 cast-ahead worker under look-ahead), and leave the parameters and
 optimizer state of the last completed step untouched, so the same trainer
-resumes cleanly.  Pinned unsharded and over two shards, inline and cast
+resumes cleanly.  Pinned at one shard and over two, inline and cast
 ahead.  Alongside: a sharded run resumes from a checkpoint bit for bit, a
 shard that owns no rows is only ever empty, and every shard reports its
 own phase timings.
@@ -120,14 +120,14 @@ class ArmAfterFirstStep(TrainingCallback):
 
 
 class TestFailedStep:
-    @pytest.mark.parametrize("num_shards", [None, 2])
+    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
     def test_a_failed_step_is_atomic(self, phase, lookahead, num_shards):
         """A kernel failure in any phase leaves the last good step intact.
 
-        Adagrad, so there is optimizer state to tear.  Unsharded with
-        look-ahead, the failing cast runs on the cast-ahead worker.
+        Adagrad, so there is optimizer state to tear.  With look-ahead,
+        the failing cast runs on the cast-ahead worker.
         """
         batch, steps = 16, 4
         _, reference = make_trainer(
@@ -204,7 +204,6 @@ class TestShardedRun:
         _, trainer = make_trainer()
         report = trainer.train(16, 4, np.random.default_rng(1))
         assert "sync" not in report.timings.totals
-        assert report.shard_timings is not None
         assert len(report.shard_timings) == 2
         for shard in report.shard_timings:
             for phase in ("casting", "gather", "backward"):

@@ -96,7 +96,7 @@ class TestMain:
         assert args.shards == [1, 4]
 
     def test_overlap_tiny_sweep(self, capsys):
-        code = main(["overlap", "--batches", "16", "--shards", "0",
+        code = main(["overlap", "--batches", "16", "--shards", "1",
                      "--steps", "2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -213,7 +213,7 @@ class TestBackendFlag:
 
         previous = get_default_backend()
         try:
-            code = main(["overlap", "--batches", "16", "--shards", "0",
+            code = main(["overlap", "--batches", "16", "--shards", "1",
                          "--steps", "1", "--backend", "vectorized"])
             assert code == 0
             assert "Pipelined" in capsys.readouterr().out
