@@ -13,7 +13,8 @@ serving logs).  This example walks the full data-plane loop:
    produced, one step loaded at a time;
 3. measure the trace's locality with the paper's histogram methodology and
    drive the performance model with the *measured* distribution;
-4. attach an executed ``HotRowCache`` to the replayed run and compare its
+4. replay the trace's row ids through an executed ``HotRowCache`` per
+   table (no model needed: a cache only counts ids) and compare its
    measured hit rate against the analytic RecNMP-style prediction for the
    very same trace.
 

@@ -217,24 +217,14 @@ def _run_overlap(
     )
 
 
-def _run_cache(
-    args: argparse.Namespace,
-    hardware: SystemHardware,
-    obs: "Observability | None" = None,
-) -> str:
+def _run_cache(args: argparse.Namespace, hardware: SystemHardware) -> str:
     batches = args.batches or (1024,)
     if len(batches) > 1:
-        raise ValueError(f"'cache' trains one batch size, got {batches}")
+        raise ValueError(f"'cache' replays one batch size, got {batches}")
     steps = args.steps if args.steps is not None else 24
     return format_hotcache(
         hotcache_sweep(dataset=args.dataset, batch=batches[0], steps=steps,
-                       trace=args.trace, backend=args.backend,
-                       optimizer=args.optimizer or "sgd",
-                       lr=args.lr if args.lr is not None else 0.1,
-                       checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-                       obs=obs,
-                       accum_steps=(args.accum_steps
-                                    if args.accum_steps is not None else 1))
+                       trace=args.trace)
     )
 
 
@@ -322,7 +312,7 @@ EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
 }
 
 #: Experiments that train a real model through the runtime engine.
-TRAINER_EXPERIMENTS = ("cache", "overlap", "serve")
+TRAINER_EXPERIMENTS = ("overlap", "serve")
 
 #: ... plus the whole-step autotune sweep, which trains real models but
 #: neither replays traces nor checkpoints.  These runners take ``obs=``.
@@ -335,14 +325,14 @@ _SERVE = ("serve",)
 #: :func:`main`, the ``--help`` strings and repro-lint's
 #: ``registry-consistency`` rule.
 FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
-    "trace": TRAINER_EXPERIMENTS,
+    "trace": ("cache",) + TRAINER_EXPERIMENTS,
     "checkpoint_dir": TRAINER_EXPERIMENTS,
     "resume": TRAINER_EXPERIMENTS,
     "optimizer": ENGINE_EXPERIMENTS,
     "lr": ENGINE_EXPERIMENTS,
     "trace_out": ENGINE_EXPERIMENTS,
     "metrics_out": ENGINE_EXPERIMENTS,
-    "accum_steps": ("cache", "stepshape"),
+    "accum_steps": ("stepshape",),
     "autotune_cache": ("stepshape",),
     "models": ("fig4", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
                "link", "scaling"),
@@ -454,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="replay a recorded batch trace (repro.data.record_trace) as the "
-             "training stream instead of synthetic generation; accepted by "
-             f"the trainer-backed experiments: {_scope('trace')}",
+             "index stream instead of synthetic generation; accepted by: "
+             f"{_scope('trace')}",
     )
     parser.add_argument(
         "--shards", nargs="*", type=int, default=None, metavar="N",
@@ -465,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steps", type=int, default=None, metavar="S",
         help="training steps per measured cell (default: 8 for 'overlap', "
-             "24 for 'cache', 3 for 'stepshape'); given to 'scaling', it "
+             "3 for 'stepshape'), or batches drawn and replayed by 'cache' "
+             "(default: 24); given to 'scaling', it "
              "switches from the analytic sweep to the measured one, which "
              "trains each (batch, shard count) cell and reports its "
              "1-shard/N-shard wall-clock ratio next to the analytic bound",
@@ -530,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--hot-cache-rows", type=int, default=None, metavar="ROWS",
-        help="attach an executed hot-row cache of this capacity to the "
-             "'serve' inference gathers (default: no cache)",
+        help="replay each 'serve' rate's requests through an executed "
+             "hot-row cache of this many rows per table and report its hit "
+             "rate (default: no cache)",
     )
     parser.add_argument(
         "--cache-policy", default=None, metavar="NAME",
@@ -585,9 +577,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code.
 
     Every usage error — unknown names, a flag outside its
-    :data:`FLAG_SCOPE`, a bad value, a combination in the runtime's
-    capability table — exits 2 with one ``error:`` line before any
-    experiment runs.
+    :data:`FLAG_SCOPE`, a bad value — exits 2 with one ``error:`` line
+    before any experiment runs.
     """
     args = build_parser().parse_args(argv)
     if args.dataset is not None and args.dataset.lower() not in DATASETS:
@@ -633,8 +624,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             output = runner(args, SystemHardware())
     except ValueError as error:
         # Bad numeric arguments (--batches 0, --steps 0, --shards -2, ...)
-        # and capability-table rows surface as the experiment's own
-        # ValueError; report it argparse-style instead of a traceback.
+        # surface as the experiment's own ValueError; report it
+        # argparse-style instead of a traceback.
         return _fail(str(error))
     print(f"# {description}")
     print(output)

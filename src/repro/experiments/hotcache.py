@@ -5,10 +5,12 @@ banks on the skew of Figure 5(a): a small cache of the hottest embedding
 rows absorbs most gather traffic.  :class:`~repro.sim.cache.CachedCPUModel`
 models that idea analytically — ideal placement, hit rate = the
 distribution's head mass within capacity.  This experiment *executes* it:
-a :class:`~repro.runtime.trainer.FunctionalTrainer` runs with an attached
-:class:`~repro.model.hot_cache.HotRowCache` per table (LRU and LFU), and
-the measured hit rate over the real gather stream is printed next to the
-analytic prediction for the same workload.
+the index stream a training run would gather is drawn and replayed through
+one :class:`~repro.model.hot_cache.HotRowCache` per table (LRU and LFU,
+:func:`~repro.model.hot_cache.replay_hit_counts`), and the measured hit
+rate is printed next to the analytic prediction for the same workload.  A
+cache only counts row ids, so no model is built: the hit rate is what a
+cache on the forward gathers of that stream would measure.
 
 Agreement tolerance (:data:`HIT_RATE_TOLERANCE`, enforced with pinned
 seeds by ``benchmarks/bench_ablation_hot_cache.py``): on an i.i.d. skewed
@@ -21,38 +23,29 @@ ideal placement (measured gaps span 0.08-0.11 across our profiles).  Both must s
 number is an upper bound, and an executed cache beating it by more than
 head-mass estimation noise would mean the measurement is broken.
 
-Each policy trains once through the measured-run harness
-(:mod:`repro.experiments.measured`), which also selects the source: a named
-dataset profile rescaled to the functional table height, or a recorded
-batch trace replayed from disk (``--trace``), in which case the analytic
-prediction is computed from the trace's own measured per-table popularity
-histograms.
+The draws come from the measured-run harness's sources
+(:mod:`repro.experiments.measured`): a named dataset profile rescaled to
+the functional table height, or a recorded batch trace replayed from disk
+(``--trace``), in which case the analytic prediction is computed from the
+trace's own measured per-table popularity histograms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Sequence
 
 import numpy as np
 
 from ..data.source import BatchSource, SourceExhausted
 from ..data.trace import EmpiricalDistribution, TraceReplaySource
 from ..model.configs import ModelConfig, RM1
-from ..runtime.checkpoint import load_checkpoint
+from ..model.hot_cache import replay_hit_counts
+from ..runtime.policy import positive_int
 from ..sim.cache import CachedCPUModel, HotRowCacheSpec
-from .measured import (
-    best_of,
-    read_trace,
-    scaled_distribution,
-    synthetic_source,
-)
+from .measured import read_trace, scaled_distribution, synthetic_source
 from .report import format_table
-
-if TYPE_CHECKING:
-    from ..obs.session import Observability
 
 __all__ = [
     "HIT_RATE_TOLERANCE",
@@ -68,9 +61,9 @@ __all__ = [
 #: neither may exceed analytic + 0.02 (it is an ideal-placement bound).
 HIT_RATE_TOLERANCE = {"lfu": 0.05, "lru": 0.12}
 
-#: Down-scaled RM1 the executed-cache measurement trains: small tables so
-#: a few steps exercise real replacement churn, tiny MLPs because the
-#: point is the gather stream, not the dense math.
+#: Down-scaled RM1 whose synthetic stream the executed cache replays: small
+#: tables so a few steps exercise real replacement churn.  Only the table
+#: geometry and dense width shape the draws; no model is built.
 HOTCACHE_CONFIG: ModelConfig = RM1.with_overrides(
     num_tables=2,
     gathers_per_table=8,
@@ -96,8 +89,6 @@ class HotCacheRow:
     #: measured − analytic (negative: the executed cache runs cooler than
     #: the ideal-placement bound, as expected).
     delta: float
-    steps_per_second: float
-    final_loss: float
 
 
 def trace_analytic_hit_rate(
@@ -148,84 +139,57 @@ def hotcache_sweep(
     config: ModelConfig = HOTCACHE_CONFIG,
     trace: str | Path | None = None,
     seed: int = 0,
-    backend: Optional[str] = None,
-    optimizer: str = "sgd",
-    lr: float = 0.1,
-    checkpoint_dir: "str | Path | None" = None,
-    resume: "str | Path | None" = None,
-    obs: "Observability | None" = None,
-    accum_steps: int = 1,
 ) -> List[HotCacheRow]:
     """Measure executed LRU/LFU hit rates against the analytic prediction.
 
-    Synthetic mode trains over the named profile's popularity shape
-    rescaled to the functional table height; trace mode replays a recorded
-    batch trace (a fresh replay per run — every policy sees the identical
-    stream; ``config`` is reshaped to the trace's geometry and ``batch`` is
-    the trace's) and takes the analytic prediction from the trace's own
-    histograms.
-
-    ``optimizer``/``lr`` pick the update rule from the registry (default
-    plain SGD at 0.1, the historical behavior).  ``resume`` warm-starts
-    each policy's trainer from a checkpoint (parameters + optimizer state
-    restored, the stream fast-forwarded past the checkpointed steps);
-    ``checkpoint_dir`` saves each policy's final trained state as
-    ``cache-{policy}.npz``.  ``accum_steps`` > 1 accumulates gradients — each engine step
-    merges that many micro-batches before the single optimizer step, so
-    the cache sees ``accum_steps`` times the gather stream per recorded
-    step.  ``obs`` attaches a
-    :class:`~repro.obs.session.Observability` to every measured training
-    run (spans, kernel counts, per-table cache series — policies run
-    sequentially, so their spans land back-to-back on the shared tracks).
+    Synthetic mode draws ``steps`` batches of ``batch`` samples from the
+    named profile's popularity shape rescaled to ``config``'s table height
+    — the stream a measured training run of ``config`` consumes (seed
+    ``seed``, draws from ``default_rng(seed + 1)``).  Trace mode replays a
+    recorded batch trace (at most ``steps`` batches; ``batch`` is the
+    trace's) and takes the analytic prediction from the trace's own
+    histograms.  The draws are taken once; every policy replays the
+    identical stream through cold caches.
     """
-    checkpoint = load_checkpoint(resume) if resume is not None else None
-    make_source: Callable[[], BatchSource]
+    positive_int("batch", batch)
+    positive_int("steps", steps)
+    source: BatchSource
     if trace is not None:
-        cell = read_trace(
-            trace, config, steps, checkpoint.step if checkpoint else 0
-        )
-        config, steps, batch = cell.config, cell.steps, cell.first.size
+        cell = read_trace(trace, config, steps)
+        steps, batch = cell.steps, cell.first.size
         analytic, _ = trace_analytic_hit_rate(trace, capacity_rows)
         source_label = cell.label
-        make_source = cell.source
+        source = cell.source()
     else:
         distribution = scaled_distribution(dataset, config.rows_per_table)
         analytic = CachedCPUModel(
             HotRowCacheSpec(capacity_rows=capacity_rows), distribution
         ).hit_rate
         source_label = dataset
-        make_source = partial(synthetic_source, config, distribution, seed)
-    if obs is not None:
-        obs.annotate(
-            experiment="cache", source=source_label, seed=seed,
-            capacity_rows=capacity_rows, policies=list(policies),
-        )
+        source = synthetic_source(config, distribution, seed)
+    rng = np.random.default_rng(seed + 1)
+    draws = []
+    with source:
+        for _ in range(steps):
+            try:
+                draws.append(source.next_batch(batch, rng).indices)
+            except SourceExhausted:
+                break
     rows: List[HotCacheRow] = []
     for policy in policies:
-        run = best_of(
-            config, make_source, batch, steps, seed=seed,
-            optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
-            backend=backend or "auto",
-            hot_cache=HotRowCacheSpec(capacity_rows=capacity_rows),
-            cache_policy=policy, accum_steps=accum_steps,
-        )
-        if checkpoint_dir is not None:
-            run.save(Path(checkpoint_dir) / f"cache-{policy}.npz")
-        report = run.report
-        assert report.cache_hit_rate is not None
+        hits, accesses = replay_hit_counts(draws, capacity_rows, policy)
+        measured = hits / accesses if accesses else 0.0
         rows.append(
             HotCacheRow(
                 source=source_label,
                 policy=policy,
                 capacity_rows=capacity_rows,
                 batch=batch,
-                steps=report.steps,
-                accesses=report.cache_accesses,
-                measured_hit_rate=report.cache_hit_rate,
+                steps=len(draws),
+                accesses=accesses,
+                measured_hit_rate=measured,
                 analytic_hit_rate=analytic,
-                delta=report.cache_hit_rate - analytic,
-                steps_per_second=report.steps_per_second,
-                final_loss=report.final_loss,
+                delta=measured - analytic,
             )
         )
     return rows
@@ -237,7 +201,7 @@ def format_hotcache(rows: Sequence[HotCacheRow]) -> str:
         return "(no rows)"
     headers = [
         "Source", "Policy", "Capacity", "Batch", "Steps", "Accesses",
-        "Measured", "Analytic", "Delta", "it/s",
+        "Measured", "Analytic", "Delta",
     ]
     table_rows = []
     for row in rows:
@@ -252,12 +216,11 @@ def format_hotcache(rows: Sequence[HotCacheRow]) -> str:
                 f"{row.measured_hit_rate:.1%}",
                 f"{row.analytic_hit_rate:.1%}",
                 f"{row.delta:+.1%}",
-                f"{row.steps_per_second:.2f}",
             ]
         )
     return format_table(headers, table_rows) + (
-        "\nMeasured = executed HotRowCache hit rate over the run's real "
-        "gather stream; Analytic = the\nideal-placement RecNMP-style bound "
+        "\nMeasured = executed HotRowCache hit rate over the replayed "
+        "index stream; Analytic = the\nideal-placement RecNMP-style bound "
         "(head mass within capacity) from CachedCPUModel on the\nsame "
         "workload.  Expected agreement: LFU within 0.05 absolute, LRU "
         "within 0.12, neither above\nanalytic + 0.02 — see "

@@ -1,11 +1,12 @@
 """One measured run: how the executed sweeps build and time a training job.
 
-The experiments that train a real model — ``overlap`` (Section IV-B's
+The experiments that run a real model — ``overlap`` (Section IV-B's
 cast-ahead overlap), ``scaling --steps`` (the sharded runtime against its
-analytic bound), ``cache``, ``serve`` and ``stepshape`` — all measure the
-same thing: a seeded float32 DLRM trained by a
+analytic bound), ``serve`` and ``stepshape`` — all measure the same thing:
+a seeded float32 DLRM driven by a
 :class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
-timed best-of-k.  This module is the one place that decides how:
+timed best-of-k.  ``cache`` draws from the same sources and builds no
+model.  This module is the one place that decides how:
 
 * :func:`scaled_distribution` — a dataset profile's locality shape at the
   functional table height;
@@ -23,8 +24,8 @@ timed best-of-k.  This module is the one place that decides how:
   implies, its first batch, and the steps left to replay after a resume.
 
 A sweep differs from another only in the trainer keywords it passes
-(``lookahead``, ``num_shards``, ``hot_cache``, ...) and in
-what it reads off the reports.
+(``lookahead``, ``num_shards``, ``accum_steps``, ...) and in what it reads
+off the reports.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ named dataset profile rescaled to the serving table height, or a recorded
 batch trace (``--trace``), in which case every recorded batch is served
 as one request.  ``--resume`` restores a training checkpoint into the
 executor's trainer before serving (checkpoint → serve), and the hot-row
-cache knobs attach the executed cache to the inference gathers.
+cache knobs replay each rate's request stream through an executed cache
+(:func:`~repro.model.hot_cache.replay_hit_counts`) — the hit rate is a
+property of the ids, so it is the same for every batching policy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 from ..data.arrivals import ArrivalProcess
 from ..data.source import BatchSource
 from ..model.configs import ModelConfig
+from ..model.hot_cache import replay_hit_counts
 from ..model.optim import make_optimizer
 from ..runtime.checkpoint import load_checkpoint, restore_trainer, save_checkpoint
 from ..serving import (
@@ -53,14 +56,13 @@ from ..serving import (
     generate_requests,
     tune_batch_size,
 )
-from ..sim.cache import HotRowCacheSpec
-from .hotcache import HOTCACHE_CONFIG
 from .measured import (
     read_trace,
     scaled_distribution,
     seeded_model,
     synthetic_source,
 )
+from .overlap import OVERLAP_CONFIG
 from .report import format_table
 
 if TYPE_CHECKING:
@@ -74,10 +76,11 @@ __all__ = [
     "format_serving",
 ]
 
-#: The serving model shares the executed-cache experiment's geometry, so a
-#: checkpoint written by ``cache --checkpoint-dir`` restores directly into
-#: ``serve --resume`` (same tables, same MLPs, same float32 dtype).
-SERVING_CONFIG: ModelConfig = HOTCACHE_CONFIG
+#: The serving model shares the overlap experiment's geometry, so a
+#: checkpoint written by ``overlap --checkpoint-dir``, at any shard count,
+#: restores directly into ``serve --resume`` (same tables, same MLPs, same
+#: float32 dtype).
+SERVING_CONFIG: ModelConfig = OVERLAP_CONFIG
 
 #: The batching policies the sweep understands (``--policies`` choices).
 SERVING_POLICIES = ("single", "dynamic", "hill")
@@ -164,14 +167,17 @@ def serving_sweep(
     (same payloads, same arrival schedule — regenerated from the same
     seeds), so the cells differ only in scheduling.  Each cell gets a
     fresh executor around an identically-seeded model: numerics are
-    bit-identical across cells, and per-cell cache state is isolated.
+    bit-identical across cells.
 
-    ``resume`` restores a checkpoint (e.g. one written by the ``cache``
+    ``resume`` restores a checkpoint (e.g. one written by the ``overlap``
     experiment, whose model geometry this sweep shares) into every cell's
     trainer before serving; ``checkpoint_dir`` saves each cell's — frozen,
     never stepped — state as ``serve-{rate}-{policy}.npz`` for round-trip
-    testing.  ``hot_cache_rows`` attaches an executed hot-row cache
-    (``cache_policy``: lru/lfu) that stays warm across the cell's batches.
+    testing.  ``hot_cache_rows`` replays each rate's requests, in arrival
+    order, once through a cold hot-row cache of that many rows per table
+    (``cache_policy``: lru/lfu); every row at that rate carries the
+    replay's hit rate.  Batching coalesces requests in arrival order, so
+    this is the hit rate a cache on the inference gathers would see.
 
     ``obs`` traces every cell's simulation: each (rate, policy) cell's
     spans land under the track prefix ``r<rate>-<policy>/`` (the hill
@@ -214,12 +220,6 @@ def serving_sweep(
             seeded_model(config, seed),
             optimizer=make_optimizer(optimizer, lr=lr),
             backend=backend or "auto",
-            hot_cache=(
-                HotRowCacheSpec(capacity_rows=hot_cache_rows)
-                if hot_cache_rows is not None
-                else None
-            ),
-            cache_policy=cache_policy,
         )
         if checkpoint is not None:
             restore_trainer(executor.trainer, checkpoint)
@@ -246,6 +246,13 @@ def serving_sweep(
             )
         finally:
             source.close()
+        cache_hit_rate: Optional[float] = None
+        if hot_cache_rows is not None:
+            hits, accesses = replay_hit_counts(
+                (request.data.indices for request in requests),
+                hot_cache_rows, cache_policy,
+            )
+            cache_hit_rate = hits / accesses if accesses else 0.0
         for policy_name in policies:
             executor = make_executor()
             cell_prefix = f"r{rate:g}-{policy_name}/"
@@ -278,8 +285,7 @@ def serving_sweep(
                 )
             rows.append(
                 _row_from_report(
-                    source_label, rate, policy_name, report,
-                    executor.cache_hit_rate,
+                    source_label, rate, policy_name, report, cache_hit_rate,
                 )
             )
     return rows
@@ -314,7 +320,11 @@ def format_serving(rows: Sequence[ServingRow]) -> str:
             ]
         )
     sla_ms = rows[0].sla_ms
-    caches = [r.cache_hit_rate for r in rows if r.cache_hit_rate is not None]
+    # Every row at a rate carries that rate's one replay; print it once.
+    caches = {
+        r.rate_per_s: r.cache_hit_rate
+        for r in rows if r.cache_hit_rate is not None
+    }
     footer = (
         f"\nTail SLA: {sla_ms:g} ms.  QPS<=SLA = requests completing within "
         "the SLA per simulated second\n(the DeepRecSys figure of merit); "
@@ -323,8 +333,10 @@ def format_serving(rows: Sequence[ServingRow]) -> str:
     )
     if caches:
         footer += (
-            f"\nExecuted hot-row cache hit rate: "
-            + ", ".join(f"{rate:.1%}" for rate in caches)
-            + " (warm across batches within a cell)."
+            "\nExecuted hot-row cache hit rate (one replay of each rate's "
+            "requests): "
+            + ", ".join(
+                f"{rate:g}/s {hit:.1%}" for rate, hit in caches.items()
+            )
         )
     return format_table(headers, table_rows) + footer

@@ -1,13 +1,15 @@
-"""Executed hot-row embedding cache: RecNMP's RankCache idea, run for real.
+"""Executed hot-row embedding cache: RecNMP's RankCache idea, replayed.
 
 :mod:`repro.sim.cache` *models* a hot-row cache analytically — ideal
 placement, hit rate = the popularity distribution's head mass within
-capacity.  This module *executes* the idea on the real gather stream: a
-:class:`HotRowCache` attached to an :class:`~repro.model.embedding.
-EmbeddingBag` observes every row id the forward gather touches and runs a
-genuine replacement policy (LRU or LFU) over them, measuring the hit rate
-an actual software-managed cache would achieve — cold start, replacement
-churn and all.
+capacity.  This module *executes* the idea on the index stream: a
+:class:`HotRowCache` runs a genuine replacement policy (LRU or LFU) over
+the row ids a table's gathers would touch, measuring the hit rate an
+actual software-managed cache would achieve — cold start, replacement
+churn and all.  :func:`replay_hit_counts` feeds it a stream of batches,
+one cache per table, the way RecNMP profiles hot rows offline from traces:
+the hit rate is a function of the ids alone, so no model has to train for
+it.
 
 The two views cross-check each other: on a long i.i.d. skewed stream an
 executed LFU cache converges toward the analytic
@@ -21,24 +23,24 @@ lives with the ``cache`` experiment
 
 The cache tracks *row ids*, not vectors: serving a hit from a separate
 buffer would move the same bytes through the same NumPy kernels on a
-single-memory host, so the gather's numerics are untouched — what the
-cache adds is a measured, policy-faithful hit rate the analytic models can
-be validated against (and, on real tiered memory, the residency decision
-itself).
+single-memory host, so a cache would leave the gather's numerics untouched
+— what it adds is a measured, policy-faithful hit rate the analytic models
+can be validated against (and, on real tiered memory, the residency
+decision itself).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from collections import OrderedDict, defaultdict
+from typing import Dict, Iterable, List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from ..obs.metrics import MetricRegistry
+    from ..core.indexing import IndexArray
 
-__all__ = ["HotRowCache"]
+__all__ = ["HotRowCache", "replay_hit_counts"]
 
 
 class HotRowCache:
@@ -47,8 +49,8 @@ class HotRowCache:
     Parameters
     ----------
     capacity_rows:
-        Maximum resident rows (per table — attach one cache per
-        :class:`~repro.model.embedding.EmbeddingBag`).
+        Maximum resident rows (per table — :func:`replay_hit_counts` keeps
+        one cache per table).
     policy:
         ``"lru"`` — evict the least recently used row; ``"lfu"`` — evict
         the least frequently used row (ties broken oldest-first).
@@ -164,20 +166,6 @@ class HotRowCache:
         """Rows currently held (≤ ``capacity_rows``)."""
         return len(self._lru) if self.policy == "lru" else len(self._counts)
 
-    def publish_metrics(self, metrics: "MetricRegistry",
-                        **labels: object) -> None:
-        """Publish the accumulated counters as ``cache.hits`` / ``cache.misses``.
-
-        Series are labeled with the replacement ``policy`` plus any caller
-        labels (the engine adds ``table=<index>`` so per-table series stay
-        distinct).  Counters are cumulative: publishing after each run adds
-        the counters accumulated since the last :meth:`reset_stats`.
-        """
-        metrics.counter("cache.hits", policy=self.policy,
-                        **labels).inc(self.hits)
-        metrics.counter("cache.misses", policy=self.policy,
-                        **labels).inc(self.accesses - self.hits)
-
     def reset_stats(self) -> None:
         """Zero the hit/access counters, keeping the resident set warm."""
         self.hits = 0
@@ -197,3 +185,27 @@ class HotRowCache:
             f"policy={self.policy!r}, resident={self.resident_rows}, "
             f"hit_rate={self.hit_rate:.3f})"
         )
+
+
+def replay_hit_counts(
+    batches: "Iterable[Sequence[IndexArray]]",
+    capacity_rows: int,
+    policy: str = "lru",
+) -> Tuple[int, int]:
+    """Replay an index stream through one cold cache per table.
+
+    ``batches`` yields each step's per-table index arrays (a
+    :class:`~repro.data.source.CTRBatch`'s ``indices``); every table's
+    ``src`` row ids go to that table's :class:`HotRowCache` in stream
+    order.  Returns ``(hits, accesses)`` summed over the tables.
+    """
+    caches: Dict[int, HotRowCache] = defaultdict(
+        lambda: HotRowCache(capacity_rows, policy)
+    )
+    for indices in batches:
+        for table, index in enumerate(indices):
+            caches[table].access(index.src)
+    return (
+        sum(cache.hits for cache in caches.values()),
+        sum(cache.accesses for cache in caches.values()),
+    )

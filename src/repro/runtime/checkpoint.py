@@ -32,9 +32,8 @@ a fresh trainer with :func:`restore_trainer`, then train the remaining
 steps with ``start_step=<restored step>`` — the engine fast-forwards the
 batch source by that many draws, so on a replayed trace (or any
 deterministic source) the resumed run produces parameters identical to an
-uninterrupted one.  What is *not* checkpointed: hot-row cache contents
-(a measurement aid, not model state) and the batch source itself (the
-``start_step`` fast-forward replays it instead).
+uninterrupted one.  What is *not* checkpointed: the batch source itself
+(the ``start_step`` fast-forward replays it instead).
 
 :class:`CheckpointCallback` plugs the saver into the engine's callback
 protocol: a checkpoint every ``every`` steps plus one at run end.

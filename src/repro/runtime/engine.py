@@ -260,8 +260,8 @@ class TrainingEngine:
 
     Owns the per-run machinery: the stage plan, the timing collector, the
     cast-ahead worker's lifetime, source fast-forward for
-    resumed jobs, callback dispatch, and report assembly (wall clock +
-    executed-cache fields included).  Constructed per ``train()`` /
+    resumed jobs, callback dispatch, and report assembly (wall clock
+    included).  Constructed per ``train()`` /
     ``infer()`` call by the trainer; usable directly.
 
     ``obs`` (an :class:`~repro.obs.session.Observability`, default
@@ -269,7 +269,7 @@ class TrainingEngine:
     emits one trace span per stage per step (plus a ``step`` envelope
     span), every dispatched kernel is counted, each completed step lands in
     the JSONL step stream, and run-level facts (backend, mode, tuning
-    decisions, cache counters) are published when the report is built.
+    decisions) are published when the report is built.
     With ``obs=None`` none of those paths execute and the run is
     bit-identical to the uninstrumented engine.
     """
@@ -349,7 +349,6 @@ class TrainingEngine:
             backend=trainer.backend.name,
             wall_seconds=time.perf_counter() - wall_start,
             accum_steps=policy.accum_steps,
-            **trainer._cache_fields(),
         )
         report = (
             InferenceReport(logits=self.logits, **fields)
@@ -481,16 +480,7 @@ class TrainingEngine:
         """Record one completed step into the stream and the metric series."""
         obs = self.obs
         assert obs is not None
-        record: dict[str, Any] = {
-            "type": "step", "step": step, "loss": ctx.loss,
-        }
-        caches = getattr(self.trainer, "hot_caches", None)
-        if caches:
-            record["cache_hits"] = sum(cache.hits for cache in caches)
-            record["cache_accesses"] = sum(
-                cache.accesses for cache in caches
-            )
-        obs.record_step(**record)
+        obs.record_step(type="step", step=step, loss=ctx.loss)
         obs.metrics.counter("train.steps").inc()
         obs.metrics.gauge("train.loss").set(float(ctx.loss), at=step)
 
@@ -507,7 +497,3 @@ class TrainingEngine:
         tuner = getattr(self.trainer.backend, "tuner", None)
         if tuner is not None and hasattr(tuner, "publish_metrics"):
             tuner.publish_metrics(obs.metrics)
-        caches = getattr(self.trainer, "hot_caches", None)
-        if caches:
-            for table, cache in enumerate(caches):
-                cache.publish_metrics(obs.metrics, table=table)

@@ -62,7 +62,6 @@ from ..model.sharded import ShardedStepPlan
 
 if TYPE_CHECKING:  # runtime imports would cycle through the trainer facade
     from ..model.dlrm import DLRM
-    from ..model.hot_cache import HotRowCache
     from ..model.optim import Optimizer
     from ..model.sharded import ShardedEmbeddingSet
     from ..obs.tracer import SpanRecord, Tracer
@@ -142,13 +141,6 @@ class TrainingReport:
 
     ``steps`` is the number of iterations that *actually* trained — less
     than requested when a finite batch source exhausted mid-run.
-
-    The ``cache_*`` fields are populated only when the trainer ran with an
-    executed hot-row cache (``hot_cache=`` knob): aggregate hits/accesses
-    across every table's :class:`~repro.model.hot_cache.HotRowCache`, the
-    measured ``cache_hit_rate`` (hits/accesses), and the replacement
-    ``cache_policy`` that produced it — the executed counterpart of
-    :class:`~repro.sim.cache.CachedCPUModel`'s analytic prediction.
     """
 
     losses: List[float]
@@ -161,10 +153,6 @@ class TrainingReport:
     backward_exchange_bytes: int = 0
     wall_seconds: float = 0.0
     backend: str = "vectorized"
-    cache_hit_rate: Optional[float] = None
-    cache_hits: int = 0
-    cache_accesses: int = 0
-    cache_policy: Optional[str] = None
     accum_steps: int = 1
     samples: int = 0
 
@@ -392,29 +380,20 @@ class GatherStage(Stage):
 
     Shard by shard, in shard order; partial sums land on the plan.  Always
     on the step loop, after the previous step's ``optimize`` — a gather
-    must read post-update parameters.  The trainer's executed hot-row
-    caches, if any, see each table's whole ``src`` stream here, before the
-    shards — the one place they are fed — so their counters are the same
-    at any shard count or policy.
+    must read post-update parameters.
     """
 
     name = "gather"
 
     def __init__(self, model: "DLRM", sharded: "ShardedEmbeddingSet",
-                 hot_caches: "Optional[List[HotRowCache]]",
                  collector: "StageTimingCollector") -> None:
         self.model = model
         self.sharded = sharded
-        self.hot_caches = hot_caches
         self.collector = collector
 
     def run(self, ctx: StepContext) -> None:
         self.model.zero_grad()
         sharded = self.sharded
-        if self.hot_caches:
-            with self.collector.timed("forward"):
-                for cache, index in zip(self.hot_caches, ctx.plan.indices):
-                    cache.access(index.src)
         for shard in range(sharded.num_shards):
             with self.collector.timed(
                 "forward", shard=shard, shard_phase="gather"
@@ -670,7 +649,7 @@ def build_step_stages(
         draw=DrawStage(trainer.stream, batch, rng),
         cast=CastStage(sharded),
         compute=(
-            GatherStage(trainer.model, sharded, trainer.hot_caches, collector),
+            GatherStage(trainer.model, sharded, collector),
             ExchangeStage(sharded, collector),
             ForwardStage(trainer.model, collector),
             BackwardStage(trainer.model, sharded, collector),

@@ -20,9 +20,8 @@ counts land in the report (attributed per pipeline stage — forward
 exchange vs. backward exchange), and at one shard every kernel runs over
 the tables' own index arrays, bit-identical to a plain single-device step.
 Shards name rows of the model's own tables — there is no shard-local
-storage, row numbering or optimizer state — so parameters, checkpoints and
-the executed hot-row caches mean the same thing at every shard count and
-policy.
+storage, row numbering or optimizer state — so parameters and checkpoints
+mean the same thing at every shard count and policy.
 
 The trainer is a thin facade over the **stage-graph engine**
 (:mod:`repro.runtime.engine`): each step is one plan of named stages
@@ -41,17 +40,15 @@ Used by the examples, the end-to-end tests, and the kernel benchmarks.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..backends.dispatch import BackendSpec, resolve_backend
 from ..data.source import BatchSource, LegacyStream, as_batch_source
 from ..model.dlrm import DLRM
-from ..model.hot_cache import HotRowCache
 from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
-from ..sim.cache import HotRowCacheSpec
 from .engine import TrainingCallback, TrainingEngine
 from .policy import SchedulePolicy, positive_int
 from .stages import InferenceReport, PhaseTimings, TrainingReport
@@ -103,18 +100,6 @@ class FunctionalTrainer:
         trainer most recently constructed over — or trains — the model:
         :meth:`train` re-asserts it, so sharing one model between trainers
         with different backends is safe per run.
-    hot_cache:
-        ``None`` (default) trains without caching.  A
-        :class:`~repro.sim.cache.HotRowCacheSpec` attaches one *executed*
-        :class:`~repro.model.hot_cache.HotRowCache` of
-        ``spec.capacity_rows`` rows per embedding table to the forward
-        gather path; the measured hit rate lands on the report's
-        ``cache_*`` fields.  The ``gather`` stage hands each cache the
-        table's full batch of row ids, on the step loop, before the
-        per-shard gathers — so the counters do not depend on the shard
-        count or policy.
-    cache_policy:
-        Replacement policy for the executed caches: ``"lru"`` or ``"lfu"``.
     accum_steps:
         Gradient accumulation factor.  ``1`` (default) optimizes after
         every drawn batch.  With ``N > 1`` each step draws ``N``
@@ -146,8 +131,6 @@ class FunctionalTrainer:
         num_shards: int = 1,
         policy: str = "row",
         backend: BackendSpec = "auto",
-        hot_cache: HotRowCacheSpec | None = None,
-        cache_policy: str = "lru",
         accum_steps: int = 1,
         lookahead: int = 0,
     ) -> None:
@@ -173,12 +156,6 @@ class FunctionalTrainer:
         self.backend = resolve_backend(backend)
         for bag in model.embeddings:
             bag.backend = self.backend
-        self.hot_caches: List[HotRowCache] | None = None
-        if hot_cache is not None:
-            self.hot_caches = [
-                HotRowCache(hot_cache.capacity_rows, cache_policy)
-                for _ in model.embeddings
-            ]
         self.sharded = ShardedEmbeddingSet(
             model.embeddings,
             num_shards=num_shards,
@@ -291,7 +268,6 @@ class FunctionalTrainer:
         # ``backend`` field truthful.
         for bag in self.model.embeddings:
             bag.backend = self.backend
-        self._reset_cache_stats()
 
     # ------------------------------------------------------------------
     # Parameter naming — the checkpoint subsystem's stable key space
@@ -314,30 +290,3 @@ class FunctionalTrainer:
             for t, bag in enumerate(self.model.embeddings)
         ]
         return named
-
-    # ------------------------------------------------------------------
-    # Executed hot-row cache plumbing
-    # ------------------------------------------------------------------
-    def _reset_cache_stats(self) -> None:
-        """Zero hit/access counters so the report measures this run only.
-
-        Resident rows are deliberately kept — training twice with the same
-        trainer measures the second run against a warm cache, which is how
-        steady-state hit rates are taken.
-        """
-        if self.hot_caches:
-            for cache in self.hot_caches:
-                cache.reset_stats()
-
-    def _cache_fields(self) -> Dict[str, object]:
-        """Report fields summarizing the executed caches (empty when off)."""
-        if not self.hot_caches:
-            return {}
-        hits = sum(cache.hits for cache in self.hot_caches)
-        accesses = sum(cache.accesses for cache in self.hot_caches)
-        return {
-            "cache_hits": hits,
-            "cache_accesses": accesses,
-            "cache_hit_rate": hits / accesses if accesses else 0.0,
-            "cache_policy": self.hot_caches[0].policy,
-        }

@@ -7,9 +7,9 @@ drives (``execute(data) -> ExecutionResult``):
   :class:`~repro.runtime.trainer.FunctionalTrainer` over an internal
   single-batch playback source and scores every coalesced batch through
   the engine's forward-only
-  :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same stage objects,
-  kernel backend, and executed hot-row cache the training path uses, with
-  the frozen-parameter guarantee.  Execution cost is the *measured*
+  :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same stage objects
+  and kernel backend the training path uses, with the frozen-parameter
+  guarantee.  Execution cost is the *measured*
   ``wall_seconds`` of the inference run, which the harness charges to the
   simulation clock.
 * :class:`FixedLatencyExecutor` — a deterministic service-time model
@@ -31,7 +31,6 @@ from ..model.dlrm import DLRM
 from ..model.optim import Optimizer, SGD
 from ..runtime.stages import InferenceReport, PhaseTimings
 from ..runtime.trainer import FunctionalTrainer
-from ..sim.cache import HotRowCacheSpec
 
 __all__ = [
     "ExecutionResult",
@@ -108,14 +107,11 @@ class EngineExecutor:
     ``optimize`` stage — but checkpoint restoration validates against it,
     so pass the training run's optimizer to serve a restored checkpoint via
     :func:`repro.runtime.checkpoint.restore_trainer` on :attr:`trainer`).
-    The backend/sharding/hot-cache knobs mirror the trainer's; the hot-row
-    cache stays warm across batches (steady-state serving hit rates) while
-    its counters accumulate on the executor.
+    The backend/sharding knobs mirror the trainer's.
 
     Cross-batch aggregates: :attr:`timings` (per-stage seconds summed over
-    every executed batch), :attr:`batches`/:attr:`samples`, and the
-    ``cache_*`` counters.  :meth:`reset_metrics` zeroes them (e.g. after a
-    warm-up batch).
+    every executed batch) and :attr:`batches`/:attr:`samples`.
+    :meth:`reset_metrics` zeroes them (e.g. after a warm-up batch).
     """
 
     def __init__(
@@ -126,8 +122,6 @@ class EngineExecutor:
         backend: BackendSpec = "auto",
         num_shards: int = 1,
         policy: str = "row",
-        hot_cache: Optional[HotRowCacheSpec] = None,
-        cache_policy: str = "lru",
     ) -> None:
         self._playback = _PlaybackSource(
             num_tables=len(model.embeddings),
@@ -143,16 +137,12 @@ class EngineExecutor:
             num_shards=num_shards,
             policy=policy,
             backend=backend,
-            hot_cache=hot_cache,
-            cache_policy=cache_policy,
         )
         self.mode = mode
         self._rng = np.random.default_rng(0)
         self.timings = PhaseTimings()
         self.batches = 0
         self.samples = 0
-        self.cache_hits = 0
-        self.cache_accesses = 0
 
     def execute(self, data: CTRBatch) -> ExecutionResult:
         self._playback.load(data)
@@ -160,27 +150,14 @@ class EngineExecutor:
         self.timings.merge(report.timings)
         self.batches += 1
         self.samples += report.samples
-        self.cache_hits += report.cache_hits
-        self.cache_accesses += report.cache_accesses
         return ExecutionResult(
             seconds=report.wall_seconds,
             logits=report.logits[0],
             report=report,
         )
 
-    @property
-    def cache_hit_rate(self) -> Optional[float]:
-        """Aggregate executed-cache hit rate (``None`` without a cache)."""
-        if self.trainer.hot_caches is None:
-            return None
-        if self.cache_accesses == 0:
-            return 0.0
-        return self.cache_hits / self.cache_accesses
-
     def reset_metrics(self) -> None:
-        """Zero the cross-batch aggregates (keep the cache's resident rows)."""
+        """Zero the cross-batch aggregates."""
         self.timings = PhaseTimings()
         self.batches = 0
         self.samples = 0
-        self.cache_hits = 0
-        self.cache_accesses = 0

@@ -17,7 +17,7 @@ stacked.
 
 The analytic hit rate here assumes ideal placement; its *executed*
 counterpart — :class:`~repro.model.hot_cache.HotRowCache`, a real LRU/LFU
-run over the trainer's gather stream — is cross-checked against this model
+run over a replayed index stream — is cross-checked against this model
 on the same workload by the ``cache`` experiment
 (:mod:`repro.experiments.hotcache`) and the ablation bench, within a
 documented tolerance.

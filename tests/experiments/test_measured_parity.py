@@ -1,13 +1,14 @@
 """Every executed sweep's clock-free row fields, pinned to literals.
 
-The five trainer-backed sweeps (``overlap``, measured ``scaling``,
-``cache``, ``serve``, ``stepshape``) share one measured-run harness
+The five executed sweeps (``overlap``, measured ``scaling``, ``cache``,
+``serve``, ``stepshape``) draw from one measured-run harness
 (:mod:`repro.experiments.measured`).  Everything in their rows that is not
 derived from a wall clock — bitwise flags, exchange bytes, analytic bounds,
-cache accesses and hit rates, final losses, step counts — is a
-pure function of the seeds and shapes, so it is pinned here to literals
-recorded before the harness existed.  Floats are compared exactly, as
-``float.hex()`` strings.
+cache accesses and hit rates, step counts — is a pure function of the
+seeds and shapes, so it is pinned here to literals recorded before the
+harness existed.  The cache literals were recorded while the cache still
+ran inside training and serving; replaying the index stream reproduces
+them.  Floats are compared exactly, as ``float.hex()`` strings.
 
 Kernels are pinned to ``vectorized`` wherever a sweep would otherwise let
 the ``auto`` autotuner choose by timing.
@@ -93,25 +94,31 @@ def test_measured_scaling():
 
 CACHE_FIELDS = (
     "source", "policy", "capacity_rows", "batch", "steps", "accesses",
-    "measured_hit_rate", "analytic_hit_rate", "delta", "final_loss",
+    "measured_hit_rate", "analytic_hit_rate", "delta",
 )
 
 
 def test_cache_synthetic():
     rows = hotcache_sweep(
         dataset="movielens", batch=32, steps=3, capacity_rows=64,
-        backend="vectorized",
     )
     assert _fields(rows, CACHE_FIELDS) == CACHE_SYNTHETIC
+
+
+def test_cache_accumulation_is_a_longer_replay():
+    # Accumulation merged micro-batches in draw order, so 3 steps of 2
+    # micro-batches were 6 draws of the stream.
+    rows = hotcache_sweep(
+        dataset="movielens", batch=32, steps=6, capacity_rows=64,
+    )
+    assert [(row.accesses, row.measured_hit_rate.hex()) for row in rows] == (
+        CACHE_ACCUM)
 
 
 def test_cache_trace(tmp_path):
     trace = _trace(tmp_path, HOTCACHE_CONFIG.with_overrides(
         rows_per_table=500), batch=16, steps=3)
-    rows = hotcache_sweep(
-        trace=trace, steps=10, capacity_rows=32, backend="vectorized",
-        optimizer="adam", lr=0.01, accum_steps=1,
-    )
+    rows = hotcache_sweep(trace=trace, steps=10, capacity_rows=32)
     assert _fields(rows, CACHE_FIELDS) == CACHE_TRACE
 
 
@@ -137,6 +144,18 @@ def test_serve_synthetic():
         config=TINY_CONFIG, backend="vectorized", hot_cache_rows=16,
     )
     assert _fields(rows, SERVE_FIELDS) == SERVE_SYNTHETIC
+
+
+def test_serve_policies_share_the_replayed_hit_rate():
+    # The hit rate is one replay of the rate's requests, whatever the
+    # batching policy — the hill climb's candidate passes included.
+    rows = serving_sweep(
+        rates=(200.0,), policies=("single", "dynamic", "hill"),
+        num_requests=24, config=TINY_CONFIG, backend="vectorized",
+        hot_cache_rows=16,
+    )
+    assert [row.cache_hit_rate.hex() for row in rows] == [
+        "0x1.3638e38e38e39p-2"] * 3
 
 
 def test_serve_trace(tmp_path):
@@ -189,24 +208,27 @@ CACHE_SYNTHETIC = [
      "steps": 3, "accesses": 1536,
      "measured_hit_rate": "0x1.ad55555555555p-3",
      "analytic_hit_rate": "0x1.90c8d54b27dc4p-2",
-     "delta": "-0x1.743c5540fa633p-3", "final_loss": "0x1.592aed45b80b9p-1"},
+     "delta": "-0x1.743c5540fa633p-3"},
     {"source": "movielens", "policy": "lfu", "capacity_rows": 64, "batch": 32,
      "steps": 3, "accesses": 1536,
      "measured_hit_rate": "0x1.0caaaaaaaaaabp-2",
      "analytic_hit_rate": "0x1.90c8d54b27dc4p-2",
-     "delta": "-0x1.083c5540fa632p-3", "final_loss": "0x1.592aed45b80b9p-1"},
+     "delta": "-0x1.083c5540fa632p-3"},
 ]
+#: The synthetic cell at ``accum_steps=2``, ``steps=3``, recorded while the
+#: cache experiment still trained.
+CACHE_ACCUM = [(3072, "0x1.a155555555555p-3"), (3072, "0x1.2400000000000p-2")]
 CACHE_TRACE = [
     {"source": "trace:tiny.npz", "policy": "lru", "capacity_rows": 32,
      "batch": 16, "steps": 3, "accesses": 768,
      "measured_hit_rate": "0x1.5555555555555p-5",
      "analytic_hit_rate": "0x1.c800000000000p-3",
-     "delta": "-0x1.72aaaaaaaaaabp-3", "final_loss": "0x1.b3e0360e2bdd0p-1"},
+     "delta": "-0x1.72aaaaaaaaaabp-3"},
     {"source": "trace:tiny.npz", "policy": "lfu", "capacity_rows": 32,
      "batch": 16, "steps": 3, "accesses": 768,
      "measured_hit_rate": "0x1.2000000000000p-5",
      "analytic_hit_rate": "0x1.c800000000000p-3",
-     "delta": "-0x1.8000000000000p-3", "final_loss": "0x1.b3e0360e2bdd0p-1"},
+     "delta": "-0x1.8000000000000p-3"},
 ]
 STEPSHAPE = [
     {"batch": 16, "accum_steps": 1, "engine": "vectorized",

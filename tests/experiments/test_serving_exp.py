@@ -11,7 +11,7 @@ from repro.experiments.serving import (
     format_serving,
     serving_sweep,
 )
-from repro.experiments.hotcache import HOTCACHE_CONFIG, hotcache_sweep
+from repro.experiments.overlap import OVERLAP_CONFIG, overlap_sweep
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 
@@ -126,17 +126,18 @@ class TestServingTraceMode:
 
 
 class TestCheckpointHandoff:
-    def test_cache_checkpoint_restores_into_serve(self, tmp_path):
-        # The serving model deliberately shares the cache experiment's
-        # geometry, so its checkpoints restore without reshaping.
-        assert SERVING_CONFIG is HOTCACHE_CONFIG
-        hotcache_sweep(
-            batch=32, steps=2, capacity_rows=64, policies=("lru",),
-            checkpoint_dir=tmp_path,
+    def test_overlap_checkpoint_restores_into_serve(self, tmp_path):
+        # The serving model deliberately shares the overlap experiment's
+        # geometry, so its checkpoints — at any shard count — restore
+        # without reshaping.
+        assert SERVING_CONFIG is OVERLAP_CONFIG
+        overlap_sweep(
+            batches=(32,), shard_counts=(2,), steps=2, repeats=1,
+            backend="vectorized", checkpoint_dir=tmp_path,
         )
         rows = serving_sweep(
             rates=(200.0,), policies=("single",), num_requests=8,
-            sla_ms=200.0, resume=tmp_path / "cache-lru.npz",
+            sla_ms=200.0, resume=tmp_path / "overlap-b32-s2.npz",
         )
         assert rows[0].requests == 8
         assert rows[0].sla_met

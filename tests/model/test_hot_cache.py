@@ -1,16 +1,17 @@
-"""Executed HotRowCache: policy semantics, trainer wiring, analytic crosscheck."""
+"""Executed HotRowCache: policy semantics, replay, analytic crosscheck."""
 
 import numpy as np
 import pytest
 
-from repro.data.distributions import ZipfDistribution
+from repro.core.indexing import IndexArray
+from repro.data.distributions import UniformDistribution, ZipfDistribution
 from repro.data.generator import SyntheticCTRStream
+from repro.data.trace import TraceReplaySource, record_trace
+from repro.experiments.hotcache import hotcache_sweep
 from repro.model.configs import RM1
-from repro.model.dlrm import DLRM
-from repro.model.hot_cache import HotRowCache
-from repro.model.optim import SGD
-from repro.runtime.pipeline import PipelinedTrainer
-from repro.runtime.trainer import FunctionalTrainer
+from repro.model.hot_cache import HotRowCache, replay_hit_counts
+from repro.runtime.engine import _merge_micro_batches
+from repro.serving import Request, coalesce_requests
 from repro.sim.cache import CachedCPUModel, HotRowCacheSpec
 
 
@@ -154,137 +155,165 @@ class TestAnalyticCrosscheck:
         assert warm_gap < cold_gap
 
 
-CONFIG = RM1.with_overrides(
-    num_tables=2,
-    gathers_per_table=4,
-    rows_per_table=400,
-    bottom_mlp=(6, 8),
-    top_mlp=(8, 1),
-    embedding_dim=8,
-)
+class TestReplay:
+    """The hit rate is a function of the index stream: replaying it through
+    one cold cache per table is the whole measurement."""
 
-
-def make_parts(seed=0):
-    model = DLRM(CONFIG, rng=np.random.default_rng(seed))
-    stream = SyntheticCTRStream(
-        num_tables=CONFIG.num_tables,
-        num_rows=CONFIG.rows_per_table,
-        lookups_per_sample=CONFIG.gathers_per_table,
-        dense_features=CONFIG.dense_features,
-        distributions=[
-            ZipfDistribution(CONFIG.rows_per_table, exponent=1.0, shift=2.0)
-        ] * CONFIG.num_tables,
-        seed=seed,
+    CONFIG = RM1.with_overrides(
+        num_tables=2, gathers_per_table=4, rows_per_table=400,
+        bottom_mlp=(6, 8), top_mlp=(8, 1), embedding_dim=8,
     )
-    return model, stream
 
-
-class TestTrainerIntegration:
-    def test_report_carries_measured_hit_rate(self):
-        model, stream = make_parts()
-        trainer = FunctionalTrainer(
-            model, stream, SGD(lr=0.05),
-            hot_cache=HotRowCacheSpec(capacity_rows=50), cache_policy="lfu",
+    def stream(self):
+        return SyntheticCTRStream(
+            num_tables=self.CONFIG.num_tables,
+            num_rows=self.CONFIG.rows_per_table,
+            lookups_per_sample=self.CONFIG.gathers_per_table,
+            dense_features=self.CONFIG.dense_features,
+            distributions=[
+                ZipfDistribution(self.CONFIG.rows_per_table, exponent=1.0,
+                                 shift=2.0)
+            ] * self.CONFIG.num_tables,
+            seed=0,
         )
-        report = trainer.train(16, 3, np.random.default_rng(1))
-        assert report.cache_policy == "lfu"
-        expected_accesses = 16 * CONFIG.gathers_per_table * CONFIG.num_tables * 3
-        assert report.cache_accesses == expected_accesses
-        assert report.cache_hits == sum(c.hits for c in trainer.hot_caches)
-        assert report.cache_hit_rate == pytest.approx(
-            report.cache_hits / report.cache_accesses
-        )
-        assert 0.0 < report.cache_hit_rate < 1.0
 
-    def test_report_without_cache_leaves_fields_none(self):
-        model, stream = make_parts()
-        trainer = FunctionalTrainer(model, stream, SGD(lr=0.05))
-        report = trainer.train(16, 2, np.random.default_rng(1))
-        assert report.cache_hit_rate is None
-        assert report.cache_policy is None
-        assert report.cache_accesses == 0
+    @staticmethod
+    def hand_fed(batches, capacity_rows, policy):
+        caches = [HotRowCache(capacity_rows, policy) for _ in batches[0]]
+        for indices in batches:
+            for cache, index in zip(caches, indices):
+                cache.access(index.src)
+        return (sum(c.hits for c in caches), sum(c.accesses for c in caches))
 
-    def test_pipelined_trainer_reports_cache_stats(self):
-        model, stream = make_parts()
-        trainer = PipelinedTrainer(
-            model, stream, SGD(lr=0.05),
-            hot_cache=HotRowCacheSpec(capacity_rows=50), cache_policy="lru",
-        )
-        report = trainer.train(16, 3, np.random.default_rng(1))
-        assert report.cache_policy == "lru"
-        assert report.cache_accesses == 16 * 4 * 2 * 3
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_counters_equal_hand_fed_caches(self, policy):
+        stream, rng = self.stream(), np.random.default_rng(1)
+        batches = [stream.next_batch(16, rng).indices for _ in range(3)]
+        hits, accesses = replay_hit_counts(batches, 50, policy)
+        assert (hits, accesses) == self.hand_fed(batches, 50, policy)
+        assert accesses == 16 * 4 * 2 * 3
+        assert 0 < hits < accesses
 
-    def test_cache_does_not_change_numerics(self):
-        plain_model, plain_stream = make_parts()
-        plain = FunctionalTrainer(plain_model, plain_stream, SGD(lr=0.05))
-        plain_report = plain.train(16, 3, np.random.default_rng(1))
-        cached_model, cached_stream = make_parts()
-        cached = FunctionalTrainer(
-            cached_model, cached_stream, SGD(lr=0.05),
-            hot_cache=HotRowCacheSpec(capacity_rows=50),
-        )
-        cached_report = cached.train(16, 3, np.random.default_rng(1))
-        assert plain_report.losses == cached_report.losses
-        for a, b in zip(
-            plain_model.all_parameters(), cached_model.all_parameters()
-        ):
-            assert np.array_equal(a, b)
+    def test_tables_keep_separate_caches(self):
+        # The same row id in two tables is two rows: no cross-table hits.
+        index = IndexArray(np.array([5]), np.array([0]), num_rows=8,
+                           num_outputs=1)
+        assert replay_hit_counts([[index, index]], 4, "lru") == (0, 2)
 
-    @pytest.mark.parametrize("lookahead", [0, 1])
-    @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
-    @pytest.mark.parametrize("cache_policy", ["lru", "lfu"])
-    def test_sharded_counters_equal_the_unsharded_runs(
-        self, cache_policy, num_shards, policy, lookahead
+    def test_empty_stream_counts_nothing(self):
+        assert replay_hit_counts([], 4, "lfu") == (0, 0)
+
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_trace_sweep_exhausts_cleanly_and_equals_hand_fed(
+        self, tmp_path, policy
     ):
-        """Each cache sees its table's whole row stream, in stream order,
-        wherever the shards then gather: hits and accesses of ``train()``
-        and ``infer()`` do not depend on the layout."""
-        spec = HotRowCacheSpec(capacity_rows=50)
-
-        def counters(**layout):
-            model, stream = make_parts()
-            trainer = FunctionalTrainer(
-                model, stream, SGD(lr=0.05), backend="vectorized",
-                hot_cache=spec, cache_policy=cache_policy,
-                lookahead=lookahead, **layout,
-            )
-            trained = trainer.train(16, 3, np.random.default_rng(1))
-            scored = trainer.infer(16, 2, np.random.default_rng(2))
-            return [
-                (report.cache_hits, report.cache_accesses, report.cache_policy)
-                for report in (trained, scored)
-            ]
-
-        want = counters()
-        assert want[0][0] > 0 and want[0][1] == 16 * 4 * 2 * 3
-        assert counters(num_shards=num_shards, policy=policy) == want
-
-    def test_stats_reset_between_train_calls(self):
-        model, stream = make_parts()
-        trainer = FunctionalTrainer(
-            model, stream, SGD(lr=0.05),
-            hot_cache=HotRowCacheSpec(capacity_rows=50),
+        trace = record_trace(
+            self.stream(), tmp_path / "t.npz", 16, 3, np.random.default_rng(1)
         )
-        trainer.train(16, 2, np.random.default_rng(1))
-        second = trainer.train(16, 2, np.random.default_rng(2))
-        # Second run's counters cover the second run only...
-        assert second.cache_accesses == 16 * 4 * 2 * 2
-        # ...but measure against a cache the first run warmed.
-        assert second.cache_hit_rate > 0.0
-
-    def test_cacheless_trainer_detaches_another_trainers_caches(self):
-        model, stream = make_parts()
-        cached = FunctionalTrainer(
-            model, stream, SGD(lr=0.05),
-            hot_cache=HotRowCacheSpec(capacity_rows=50),
+        (row,) = hotcache_sweep(
+            trace=trace, steps=10, capacity_rows=50, policies=(policy,)
         )
-        cached.train(16, 1, np.random.default_rng(1))
-        _, stream2 = make_parts()
-        plain = FunctionalTrainer(model, stream2, SGD(lr=0.05))
-        report = plain.train(16, 1, np.random.default_rng(1))
-        assert report.cache_hit_rate is None
-        assert report.cache_accesses == 0
+        with TraceReplaySource(trace) as source:
+            batches = [source.next_batch(None).indices for _ in range(3)]
+        hits, accesses = self.hand_fed(batches, 50, policy)
+        assert (row.steps, row.batch, row.accesses) == (3, 16, accesses)
+        assert row.measured_hit_rate == hits / accesses
+
+
+def small_stream(distribution, num_rows=64, seed=0):
+    return SyntheticCTRStream(
+        num_tables=2, num_rows=num_rows, lookups_per_sample=4,
+        dense_features=4, distributions=[distribution] * 2, seed=seed,
+    )
+
+
+def table_ids(batches):
+    """Each table's row ids over the whole stream, in stream order."""
+    return [
+        np.concatenate([indices[table].src for indices in batches])
+        for table in range(len(batches[0]))
+    ]
+
+
+class TestReplayOracles:
+    """Replay counts against closed forms and against the regroupings the
+    trainer and the serving plane apply to the stream before it executes."""
+
+    DISTRIBUTIONS = {
+        "uniform": lambda rows: UniformDistribution(rows),
+        "zipf-1.05": lambda rows: ZipfDistribution(rows, exponent=1.05),
+        "zipf-2.0": lambda rows: ZipfDistribution(rows, exponent=2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_a_cache_holding_every_row_misses_only_first_touches(
+        self, policy, name
+    ):
+        stream = small_stream(self.DISTRIBUTIONS[name](64))
+        rng = np.random.default_rng(1)
+        batches = [stream.next_batch(16, rng).indices for _ in range(3)]
+        hits, accesses = replay_hit_counts(batches, 64, policy)
+        distinct = sum(np.unique(ids).size for ids in table_ids(batches))
+        assert accesses == 16 * 4 * 2 * 3
+        assert hits == accesses - distinct
+        assert 0 < hits < accesses
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_a_one_row_cache_hits_only_immediate_repeats(self, policy, name):
+        # Repeats across a batch boundary count: the cache outlives a step.
+        stream = small_stream(self.DISTRIBUTIONS[name](64))
+        rng = np.random.default_rng(1)
+        batches = [stream.next_batch(16, rng).indices for _ in range(3)]
+        hits, accesses = replay_hit_counts(batches, 1, policy)
+        repeats = sum(
+            int(np.count_nonzero(ids[1:] == ids[:-1]))
+            for ids in table_ids(batches)
+        )
+        assert hits == repeats
+        assert 0 < hits < accesses
+
+    @pytest.mark.parametrize("accum_steps", [2, 3, 4])
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_merged_micro_batches_replay_as_their_sequence(
+        self, policy, accum_steps
+    ):
+        """Gradient accumulation merges micro-batches in ``src`` order, so
+        ``--accum-steps k`` reads what ``k`` times the draws reads."""
+        stream = small_stream(ZipfDistribution(64, exponent=1.05))
+        rng = np.random.default_rng(1)
+        micros = [stream.next_batch(8, rng) for _ in range(3 * accum_steps)]
+        merged = [
+            _merge_micro_batches(micros[start:start + accum_steps])
+            for start in range(0, len(micros), accum_steps)
+        ]
+        assert replay_hit_counts(
+            [batch.indices for batch in merged], 16, policy
+        ) == replay_hit_counts([micro.indices for micro in micros], 16, policy)
+
+    @pytest.mark.parametrize("dispatch", [1, 2, 3, 7])
+    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
+    def test_coalesced_requests_replay_as_their_sequence(
+        self, policy, dispatch
+    ):
+        """Every batching policy dispatches contiguous FIFO slices, so one
+        replay of the requests is every policy's hit rate."""
+        stream = small_stream(ZipfDistribution(64, exponent=1.05))
+        rng = np.random.default_rng(1)
+        requests = [
+            Request(i, 0.0, stream.next_batch(1 + i % 4, rng))
+            for i in range(15)
+        ]
+        dispatched = [
+            coalesce_requests(requests[start:start + dispatch])
+            for start in range(0, len(requests), dispatch)
+        ]
+        assert replay_hit_counts(
+            [batch.indices for batch in dispatched], 16, policy
+        ) == replay_hit_counts(
+            [request.data.indices for request in requests], 16, policy
+        )
 
 
 class TestLFUHeapBound:

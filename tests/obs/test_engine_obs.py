@@ -17,7 +17,6 @@ from repro.model.dlrm import DLRM
 from repro.model.optim import SGD
 from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.trainer import FunctionalTrainer
-from repro.sim.cache import HotRowCacheSpec
 
 CONFIG = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=64,
@@ -84,9 +83,7 @@ class TestTraceContent:
         dict(num_shards=2),
         dict(num_shards=2, lookahead=1),
         dict(lookahead=1, accum_steps=2),
-        dict(num_shards=2, hot_cache=HotRowCacheSpec(capacity_rows=16)),
-    ], ids=["sharded", "sharded-lookahead", "lookahead-accum",
-            "sharded-hot-cache"])
+    ], ids=["sharded", "sharded-lookahead", "lookahead-accum"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""
@@ -143,12 +140,3 @@ class TestRunMetricsAndSteps:
         assert obs.manifest["steps"] == 4
         assert obs.manifest["mode"] == "casted"
 
-    def test_hot_cache_counters_flow_into_step_records(self):
-        obs = Observability()
-        FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2),
-            hot_cache=HotRowCacheSpec(capacity_rows=16),
-        ).train(8, 3, np.random.default_rng(1), obs=obs)
-        assert all("cache_hits" in rec and "cache_accesses" in rec
-                   for rec in obs.steps)
-        assert obs.steps[-1]["cache_accesses"] > 0

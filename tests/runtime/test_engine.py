@@ -34,7 +34,6 @@ from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.policy import SchedulePolicy
 from repro.runtime.stages import StageTimingCollector, build_step_stages
 from repro.runtime.trainer import FunctionalTrainer
-from repro.sim.cache import HotRowCacheSpec
 
 # Same-directory import: pytest's default import mode puts each test
 # module's directory on sys.path, so the frozen oracle imports flat.
@@ -113,11 +112,10 @@ class TestSerialEngineMatchesLegacyGoldens:
         assert report.backward_exchange_bytes == bwd_bytes
         assert_params_equal(engine_model, legacy_model)
 
-    def test_hot_cache_does_not_perturb_numerics(self):
-        cached_model = make_model(dtype=np.float32)
+    def test_float32(self):
+        engine_model = make_model(dtype=np.float32)
         report = FunctionalTrainer(
-            cached_model, make_stream(), SGD(lr=0.2),
-            hot_cache=HotRowCacheSpec(capacity_rows=16), cache_policy="lfu",
+            engine_model, make_stream(), SGD(lr=0.2),
         ).train(8, 3, np.random.default_rng(1))
         legacy_model = make_model(dtype=np.float32)
         legacy_losses = legacy_train_serial(
@@ -125,9 +123,7 @@ class TestSerialEngineMatchesLegacyGoldens:
             np.random.default_rng(1),
         )
         assert report.losses == legacy_losses
-        assert_params_equal(cached_model, legacy_model)
-        assert report.cache_hit_rate is not None
-        assert report.cache_policy == "lfu"
+        assert_params_equal(engine_model, legacy_model)
 
 
 def legacy_named_parameters(model):

@@ -21,7 +21,6 @@ from repro.runtime.engine import INFERENCE_STAGES, TrainingEngine
 from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.stages import InferenceReport
 from repro.runtime.trainer import FunctionalTrainer
-from repro.sim.cache import HotRowCacheSpec
 
 CONFIG = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=64,
@@ -66,71 +65,51 @@ def train_with_recorded_logits(trainer, batch, steps, rng, mode="casted"):
     return report, engine.recorded_logits
 
 
-# Backend × sharding × cache combinations the identity must hold across.
+# Backend × sharding × dtype combinations the identity must hold across.
 IDENTITY_CASES = [
-    pytest.param("vectorized", 1, "row", None, "lru", np.float64,
+    pytest.param("vectorized", 1, "row", np.float64,
                  id="vectorized-one-shard"),
-    pytest.param("reference", 1, "row", None, "lru", np.float64,
+    pytest.param("reference", 1, "row", np.float64,
                  id="reference-one-shard"),
-    pytest.param("vectorized", 2, "row", None, "lru", np.float64,
-                 id="sharded-row"),
-    pytest.param("vectorized", 2, "table", None, "lru", np.float64,
-                 id="sharded-table"),
-    pytest.param("vectorized", 1, "row", 16, "lru", np.float32,
-                 id="hot-cache-lru"),
-    pytest.param("vectorized", 1, "row", 16, "lfu", np.float32,
-                 id="hot-cache-lfu"),
+    pytest.param("vectorized", 2, "row", np.float64, id="sharded-row"),
+    pytest.param("vectorized", 2, "table", np.float64, id="sharded-table"),
+    pytest.param("vectorized", 1, "row", np.float32,
+                 id="float32-one-shard"),
+    pytest.param("vectorized", 2, "row", np.float32,
+                 id="float32-sharded-row"),
 ]
 
 
-def _make_trainer(backend, num_shards, policy, cache_rows, cache_policy,
-                  dtype, seed=0):
+def _make_trainer(backend, num_shards, policy, dtype, seed=0):
     return FunctionalTrainer(
         make_model(seed=seed, dtype=dtype), make_stream(), SGD(lr=0.2),
         num_shards=num_shards, policy=policy, backend=backend,
-        hot_cache=(
-            HotRowCacheSpec(capacity_rows=cache_rows)
-            if cache_rows is not None else None
-        ),
-        cache_policy=cache_policy,
     )
 
 
 class TestInferMatchesTrainingForward:
     """infer() forward outputs == the training path's forward, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "backend,num_shards,policy,cache_rows,cache_policy,dtype",
-        IDENTITY_CASES,
-    )
+    @pytest.mark.parametrize("backend,num_shards,policy,dtype", IDENTITY_CASES)
     def test_first_step_logits_bit_identical(
-        self, backend, num_shards, policy, cache_rows, cache_policy, dtype
+        self, backend, num_shards, policy, dtype
     ):
-        training = _make_trainer(
-            backend, num_shards, policy, cache_rows, cache_policy, dtype
-        )
+        training = _make_trainer(backend, num_shards, policy, dtype)
         report, logits = train_with_recorded_logits(
             training, 8, 1, np.random.default_rng(1)
         )
-        serving = _make_trainer(
-            backend, num_shards, policy, cache_rows, cache_policy, dtype
-        )
+        serving = _make_trainer(backend, num_shards, policy, dtype)
         inference = serving.infer(8, 1, np.random.default_rng(1))
         assert np.array_equal(inference.logits[0], logits[0])
         assert inference.losses == report.losses[:1]
 
-    @pytest.mark.parametrize(
-        "backend,num_shards,policy,cache_rows,cache_policy,dtype",
-        IDENTITY_CASES,
-    )
+    @pytest.mark.parametrize("backend,num_shards,policy,dtype", IDENTITY_CASES)
     def test_multi_step_infer_is_deterministic(
-        self, backend, num_shards, policy, cache_rows, cache_policy, dtype
+        self, backend, num_shards, policy, dtype
     ):
         runs = []
         for _ in range(2):
-            trainer = _make_trainer(
-                backend, num_shards, policy, cache_rows, cache_policy, dtype
-            )
+            trainer = _make_trainer(backend, num_shards, policy, dtype)
             runs.append(trainer.infer(8, 3, np.random.default_rng(1)))
         first, second = runs
         assert first.steps == second.steps == 3
@@ -139,12 +118,10 @@ class TestInferMatchesTrainingForward:
             assert np.array_equal(a, b)
 
     def test_baseline_mode_forward_matches_casted(self):
-        casted = _make_trainer(
-            "vectorized", 1, "row", None, "lru", np.float64
-        ).infer(8, 2, np.random.default_rng(1), mode="casted")
-        baseline = _make_trainer(
-            "vectorized", 1, "row", None, "lru", np.float64
-        ).infer(8, 2, np.random.default_rng(1), mode="baseline")
+        casted = _make_trainer("vectorized", 1, "row", np.float64).infer(
+            8, 2, np.random.default_rng(1), mode="casted")
+        baseline = _make_trainer("vectorized", 1, "row", np.float64).infer(
+            8, 2, np.random.default_rng(1), mode="baseline")
         for a, b in zip(casted.logits, baseline.logits):
             assert np.array_equal(a, b)
 
@@ -227,16 +204,6 @@ class TestInferenceReport:
         ).infer(8, 2, np.random.default_rng(1))
         assert inference.forward_exchange_bytes > 0
         assert len(inference.shard_timings) == 2
-
-    def test_cache_fields_populate(self):
-        trainer = FunctionalTrainer(
-            make_model(dtype=np.float32), make_stream(), SGD(lr=0.2),
-            hot_cache=HotRowCacheSpec(capacity_rows=16), cache_policy="lfu",
-        )
-        inference = trainer.infer(8, 3, np.random.default_rng(1))
-        assert inference.cache_accesses > 0
-        assert inference.cache_policy == "lfu"
-        assert 0.0 <= inference.cache_hit_rate <= 1.0
 
     def test_exhausted_source_raises_canonical_error(self):
         trainer = FunctionalTrainer(

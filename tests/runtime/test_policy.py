@@ -259,7 +259,7 @@ class TestNoSilentlyDroppedSettings:
         trainer's keyword guard and be dropped."""
         positional = PipelinedTrainer(
             make_model(), make_stream(), SGD(lr=0.3),
-            2, "row", "vectorized", None, "lru", 2,
+            2, "row", "vectorized", 2,
         )
         keyword = PipelinedTrainer(
             make_model(), make_stream(), SGD(lr=0.3), num_shards=2,

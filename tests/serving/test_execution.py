@@ -16,7 +16,6 @@ from repro.serving import (
     coalesce_requests,
     generate_requests,
 )
-from repro.sim.cache import HotRowCacheSpec
 
 CONFIG = RM1.with_overrides(
     num_tables=2, gathers_per_table=3, rows_per_table=48,
@@ -93,24 +92,6 @@ class TestEngineExecutor:
         assert executor.batches == 0
         assert executor.samples == 0
         assert executor.timings.totals == {}
-
-    def test_hot_cache_stays_warm_across_batches(self):
-        executor = EngineExecutor(
-            make_model(dtype=np.float32),
-            hot_cache=HotRowCacheSpec(capacity_rows=48),
-            cache_policy="lru",
-        )
-        assert executor.cache_hit_rate == 0.0
-        executor.execute(make_batch(seed=0))
-        cold = executor.cache_hit_rate
-        # Re-serving the identical batch against a warm cache must hit on
-        # every row the first pass inserted.
-        executor.execute(make_batch(seed=0))
-        assert executor.cache_accesses > 0
-        assert executor.cache_hit_rate > cold
-
-    def test_cache_hit_rate_is_none_without_a_cache(self):
-        assert EngineExecutor(make_model()).cache_hit_rate is None
 
     def test_restored_checkpoint_serves_the_trained_parameters(self, tmp_path):
         trained = FunctionalTrainer(

@@ -129,7 +129,7 @@ class TestMain:
         monkeypatch.setattr("repro.cli.hotcache_sweep",
                             lambda **_: pytest.fail("experiment ran"))
         assert main(["cache", "--batches", "32", "64", "--steps", "1"]) == 2
-        assert "'cache' trains one batch size" in capsys.readouterr().err
+        assert "'cache' replays one batch size" in capsys.readouterr().err
 
     def test_models_rejected_by_the_measured_scaling_sweep(self, capsys):
         assert main(["scaling", "--steps", "1", "--models", "RM1"]) == 2
@@ -301,7 +301,7 @@ class TestTrainingJobFlags:
 
     def test_optimizer_and_lr_parse(self):
         args = build_parser().parse_args(
-            ["cache", "--optimizer", "adam", "--lr", "0.05"]
+            ["overlap", "--optimizer", "adam", "--lr", "0.05"]
         )
         assert args.optimizer == "adam"
         assert args.lr == 0.05
@@ -316,7 +316,7 @@ class TestTrainingJobFlags:
     def test_unknown_optimizer_exits_nonzero_listing_names(self, capsys):
         from repro.model.optim import optimizer_names
 
-        assert main(["cache", "--optimizer", "warp-drive"]) == 2
+        assert main(["overlap", "--optimizer", "warp-drive"]) == 2
         err = capsys.readouterr().err
         assert "warp-drive" in err
         for name in optimizer_names():
@@ -334,38 +334,57 @@ class TestTrainingJobFlags:
     def test_job_flags_rejected_for_non_trainer_experiments(self, flags, capsys):
         assert main(["fig6", *flags]) == 2
         err = capsys.readouterr().err
-        assert "cache" in err and "overlap" in err
+        assert "overlap" in err and "serve" in err
 
     def test_nonpositive_lr_exits_nonzero(self, capsys):
-        assert main(["cache", "--lr", "-0.5"]) == 2
+        assert main(["overlap", "--lr", "-0.5"]) == 2
         assert "learning rate must be positive" in capsys.readouterr().err
 
     def test_missing_resume_checkpoint_exits_nonzero(self, capsys):
-        assert main(["cache", "--resume", "/nonexistent/ck.npz"]) == 2
+        assert main(["overlap", "--resume", "/nonexistent/ck.npz"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_cache_runs_with_registry_optimizer(self, capsys):
-        assert main(["cache", "--batches", "64", "--steps", "2",
-                     "--dataset", "movielens", "--optimizer", "adagrad",
-                     "--lr", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "lru" in out and "lfu" in out
+    def test_overlap_runs_with_registry_optimizer(self, capsys):
+        assert main(["overlap", "--batches", "16", "--shards", "1",
+                     "--steps", "1", "--dataset", "movielens",
+                     "--optimizer", "adagrad", "--lr", "0.05"]) == 0
+        assert "Pipelined" in capsys.readouterr().out
 
     def test_checkpoint_dir_saves_then_resume_restores(self, capsys, tmp_path):
         ckpt_dir = tmp_path / "ckpts"
-        assert main(["cache", "--batches", "64", "--steps", "2",
-                     "--dataset", "movielens",
+        assert main(["overlap", "--batches", "16", "--shards", "1",
+                     "--steps", "2", "--dataset", "movielens",
                      "--checkpoint-dir", str(ckpt_dir)]) == 0
         capsys.readouterr()
         saved = sorted(path.name for path in ckpt_dir.glob("*.npz"))
-        assert saved == ["cache-lfu.npz", "cache-lru.npz"]
+        assert saved == ["overlap-b16-s1.npz"]
         from repro.runtime.checkpoint import load_checkpoint
 
-        assert load_checkpoint(ckpt_dir / "cache-lru.npz").step == 2
-        assert main(["cache", "--batches", "64", "--steps", "2",
-                     "--dataset", "movielens",
-                     "--resume", str(ckpt_dir / "cache-lru.npz")]) == 0
-        assert "Measured" in capsys.readouterr().out
+        assert load_checkpoint(ckpt_dir / "overlap-b16-s1.npz").step == 2
+        assert main(["overlap", "--batches", "16", "--shards", "1",
+                     "--steps", "2", "--dataset", "movielens",
+                     "--resume", str(ckpt_dir / "overlap-b16-s1.npz")]) == 0
+        assert "Pipelined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--optimizer", "sgd"],
+            ["--lr", "0.1"],
+            ["--checkpoint-dir", "somewhere"],
+            ["--resume", "c.npz"],
+            ["--trace-out", "t.json"],
+            ["--metrics-out", "m.json"],
+            ["--accum-steps", "2"],
+        ],
+    )
+    def test_cache_rejects_the_trainer_flags(self, flags, monkeypatch, capsys):
+        # The cache experiment replays indices and trains nothing.
+        monkeypatch.setattr("repro.cli.hotcache_sweep",
+                            lambda **_: pytest.fail("experiment ran"))
+        assert main(["cache", *flags]) == 2
+        assert f"{flags[0]} does not apply to 'cache'" in (
+            capsys.readouterr().err)
 
 
 class TestServeCommand:
@@ -440,14 +459,14 @@ class TestServeCommand:
         assert main(["serve", "--sla-ms", "0"]) == 2
         assert "sla_ms must be positive" in capsys.readouterr().err
 
-    def test_serve_resumes_a_cache_checkpoint(self, capsys, tmp_path):
-        assert main(["cache", "--batches", "32", "--steps", "2",
-                     "--dataset", "movielens",
+    def test_serve_resumes_an_overlap_checkpoint(self, capsys, tmp_path):
+        assert main(["overlap", "--batches", "32", "--shards", "1",
+                     "--steps", "2", "--dataset", "movielens",
                      "--checkpoint-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["serve", "--rates", "200", "--requests", "8",
                      "--policies", "single",
-                     "--resume", str(tmp_path / "cache-lru.npz")]) == 0
+                     "--resume", str(tmp_path / "overlap-b32-s1.npz")]) == 0
         assert "Tail SLA" in capsys.readouterr().out
 
 
@@ -525,11 +544,11 @@ class TestStepShapeAndAccumFlags:
         assert main([experiment, "--accum-steps", "4"]) == 2
         err = capsys.readouterr().err
         assert "--accum-steps does not apply" in err
-        assert "cache" in err and "stepshape" in err
+        assert "it applies to: stepshape" in err
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_nonpositive_accum_steps_exits_nonzero(self, bad, capsys):
-        assert main(["cache", "--accum-steps", bad]) == 2
+        assert main(["stepshape", "--accum-steps", bad]) == 2
         assert "--accum-steps must be positive" in capsys.readouterr().err
 
     def test_autotune_cache_rejected_outside_stepshape(self, capsys):
@@ -543,11 +562,6 @@ class TestStepShapeAndAccumFlags:
                      "--accum-steps", "1", "--autotune-cache",
                      str(path)]) == 2
         assert "autotune cache" in capsys.readouterr().err
-
-    def test_cache_experiment_accumulates(self, capsys):
-        assert main(["cache", "--batches", "32", "--steps", "2",
-                     "--accum-steps", "2", "--dataset", "movielens"]) == 0
-        assert "hit rate" in capsys.readouterr().out
 
     def test_stepshape_runs_and_caches_decisions(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
