@@ -10,17 +10,12 @@ bit-identical at these shapes.
 
 Set ``BENCH_SMOKE=1`` to shrink every shape to a seconds-long smoke run
 (used by the CI benchmarks job to catch bit-rot without paying full size).
-
-Headline throughput and per-phase totals per mode are emitted to
-``BENCH_training.json`` (path overridable via ``BENCH_TRAINING_JSON``)
-for the ``tools/bench_compare.py`` regression gate.
 """
 
 import os
 
 import numpy as np
 import pytest
-from _emit import emit as emit_bench
 
 from repro.data.generator import SyntheticCTRStream
 from repro.model import DLRM, SGD, get_model
@@ -74,8 +69,8 @@ def test_engine_run_wallclock(benchmark):
     assert report.backend == trainer.backend.name
 
 
-def test_emit_training_timings():
-    """Both backward modes' throughput + phase split into BENCH_training.json."""
+def test_training_timings():
+    """Both backward modes' throughput + phase split, printed."""
     rows = []
     for mode in ("baseline", "casted"):
         trainer = make_trainer()
@@ -90,11 +85,10 @@ def test_emit_training_timings():
         for phase, seconds in sorted(report.timings.totals.items()):
             row[f"phase_{phase}_s"] = seconds
         rows.append(row)
-    emit_bench(
-        "training", "modes", rows,
-        meta=dict(smoke=_SMOKE, batch=BATCH, steps=STEPS,
-                  config=CONFIG.name),
-    )
+        print(f"\n[training] {mode}: {row['steps_per_second']:.2f} steps/s, "
+              + ", ".join(f"{phase} {seconds * 1e3:.1f} ms"
+                          for phase, seconds
+                          in sorted(report.timings.totals.items())))
     assert all(row["steps_per_second"] > 0 for row in rows)
 
 

@@ -12,10 +12,6 @@ sweeps every available backend side by side (the registry's order), which is
 how the reference-oracle, vectorized-NumPy, numba-JIT, and autotuned engines
 are compared on identical workloads.
 
-Headline per-primitive timings are also emitted to ``BENCH_kernels.json``
-(path overridable via ``BENCH_KERNELS_JSON``) for the
-``tools/bench_compare.py`` regression gate.
-
 Set ``BENCH_SMOKE=1`` to shrink the workload to a CI-friendly smoke size.
 """
 
@@ -24,7 +20,6 @@ import time
 
 import numpy as np
 import pytest
-from _emit import emit as emit_bench
 
 from repro.backends import available_backends, get_backend
 from repro.core.casting import hash_casting, tensor_casting
@@ -128,8 +123,8 @@ def _best_of(func, repeats=5):
     return best
 
 
-def test_emit_kernel_timings(workload):
-    """Best-of-k per-primitive wall-clock into BENCH_kernels.json."""
+def test_kernel_timings(workload):
+    """Best-of-k per-primitive wall-clock, printed."""
     index, table, gradients = workload
     cast = tensor_casting(index)
     repeats = 3 if _SMOKE else 5
@@ -150,16 +145,9 @@ def test_emit_kernel_timings(workload):
             lambda: tensor_casting(index, backend="vectorized"), repeats
         ),
     }
-    rows = [
-        {"kernel": kernel, "best_ms": seconds * 1e3}
-        for kernel, seconds in sorted(timings.items())
-    ]
-    emit_bench(
-        "kernels", "primitives", rows,
-        meta=dict(smoke=_SMOKE, batch=BATCH, lookups=LOOKUPS, rows=ROWS,
-                  dim=DIM, backend="vectorized", repeats=repeats),
-    )
-    assert all(row["best_ms"] > 0 for row in rows)
+    for kernel, seconds in sorted(timings.items()):
+        print(f"\n[kernels] {kernel}: {seconds * 1e3:.3f} ms best of {repeats}")
+    assert all(seconds > 0 for seconds in timings.values())
 
 
 @pytest.fixture(scope="module")
@@ -172,10 +160,9 @@ def workload64(workload):
     return index, table.astype(np.float64), gradients.astype(np.float64)
 
 
-def test_emit_blocked_vs_vectorized(workload64):
+def test_blocked_vs_vectorized(workload64):
     """Cache-blocked vs fused-vectorized at the paper shape, float64 —
-    the tiling comparison ``BENCH_kernels.json`` records (a table, no
-    speed assertion)."""
+    the tiling comparison (printed, no speed assertion)."""
     index, table, gradients = workload64
     cast = tensor_casting(index)
     repeats = 3 if _SMOKE else 5
@@ -194,10 +181,6 @@ def test_emit_blocked_vs_vectorized(workload64):
             "blocked_ms": blocked * 1e3,
             "blocked_speedup": vectorized / blocked,
         })
-    emit_bench(
-        "kernels", "blocked_vs_vectorized", rows,
-        meta=dict(smoke=_SMOKE, dtype="float64", repeats=repeats),
-    )
     assert all(row["blocked_ms"] > 0 for row in rows)
     if not _SMOKE:
         casted = next(

@@ -8,10 +8,6 @@ percentile is exactly reproducible and the batching-wins assertion cannot
 flake); the second half serves through the real engine-backed
 :class:`EngineExecutor` to time actual DLRM inference forwards.
 
-Every cell is also emitted to ``BENCH_serving.json`` (path overridable
-via ``BENCH_SERVING_JSON``) so CI and downstream tooling can diff the
-frontier without scraping stdout.
-
 Set ``BENCH_SMOKE=1`` to shrink every shape to a seconds-long smoke run
 with the same structure and assertions.
 """
@@ -19,7 +15,6 @@ with the same structure and assertions.
 import os
 
 import numpy as np
-from _emit import emit as emit_bench
 from conftest import run_once
 
 from repro.data.arrivals import ArrivalProcess
@@ -88,15 +83,6 @@ def as_row(rate, policy, report):
     }
 
 
-def emit(section, rows):
-    """Merge one section into BENCH_serving.json (tests stay independent)."""
-    emit_bench(
-        "serving", section, rows,
-        meta=dict(smoke=SMOKE, sla_ms=SLA_S * 1e3, seed=SEED,
-                  samples_per_request=SAMPLES_PER_REQUEST),
-    )
-
-
 def print_frontier(title, rows):
     print(f"\n[Serving] {title} (SLA {SLA_S * 1e3:g} ms, "
           f"{NUM_REQUESTS} requests x {SAMPLES_PER_REQUEST} samples)")
@@ -127,7 +113,6 @@ def test_frontier_fixed_latency(benchmark):
         return rows
 
     rows = run_once(benchmark, run)
-    emit("fixed_latency", rows)
     print_frontier("FixedLatencyExecutor (4 ms/batch + 50 us/sample)", rows)
     by_cell = {(r["rate_per_s"], r["policy"].split("[")[0]): r for r in rows}
     for rate in RATES:
@@ -162,7 +147,6 @@ def test_frontier_engine_executor(benchmark):
         return rows
 
     rows = run_once(benchmark, run)
-    emit("engine", rows)
     print_frontier(
         f"EngineExecutor (DLRM {ENGINE_CONFIG.num_tables} tables x "
         f"{ENGINE_CONFIG.rows_per_table:,} rows)", rows,

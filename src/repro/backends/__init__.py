@@ -55,15 +55,7 @@ from .dispatch import (
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
 from .numba_backend import HAVE_NUMBA, NumbaBackend
-from .autotune import (
-    AutoBackend,
-    Autotuner,
-    KERNEL_NAMES,
-    STEP_CACHE_VERSION,
-    ShapeClass,
-    StepAutotuner,
-    StepShapeClass,
-)
+from .autotune import AutoBackend, Autotuner, KERNEL_NAMES, ShapeClass
 from .blocked import BlockedBackend
 
 __all__ = [
@@ -77,10 +69,7 @@ __all__ = [
     "KernelBackend",
     "NumbaBackend",
     "ReferenceBackend",
-    "STEP_CACHE_VERSION",
     "ShapeClass",
-    "StepAutotuner",
-    "StepShapeClass",
     "UnknownBackendError",
     "VectorizedBackend",
     "available_backends",

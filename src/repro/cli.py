@@ -52,13 +52,9 @@ from .experiments import (
     format_scaling,
     format_sensitivity,
     format_serving,
-    format_stepshape,
     format_table1,
     format_table2,
     link_bandwidth_sweep,
-    STEPSHAPE_ACCUM,
-    STEPSHAPE_BATCHES,
-    stepshape_sweep,
     MEASURED_SCALING_SHARDS,
     format_measured_scaling,
     measured_scaling_sweep,
@@ -228,27 +224,6 @@ def _run_cache(args: argparse.Namespace, hardware: SystemHardware) -> str:
     )
 
 
-def _run_stepshape(
-    args: argparse.Namespace,
-    hardware: SystemHardware,
-    obs: "Observability | None" = None,
-) -> str:
-    batches = tuple(args.batches) if args.batches else STEPSHAPE_BATCHES
-    steps = args.steps if args.steps is not None else 3
-    accum = (
-        (args.accum_steps,) if args.accum_steps is not None
-        else STEPSHAPE_ACCUM
-    )
-    return format_stepshape(
-        stepshape_sweep(batches=batches, steps=steps, accum=accum,
-                        dataset=args.dataset,
-                        autotune_cache=args.autotune_cache,
-                        optimizer=args.optimizer or "sgd",
-                        lr=args.lr if args.lr is not None else 0.1,
-                        obs=obs)
-    )
-
-
 def _run_serve(
     args: argparse.Namespace,
     hardware: SystemHardware,
@@ -305,18 +280,11 @@ EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
     "serve": (_run_serve, "Beyond the paper - Section II-A traffic served: "
                           "latency-bounded inference, arrival rate x "
                           "batching policy under a tail SLA"),
-    "stepshape": (_run_stepshape, "Beyond the paper - whole-step autotuning "
-                                  "over the Section V training step: fixed "
-                                  "kernel engines vs the step-level policy, "
-                                  "x gradient accumulation"),
 }
 
-#: Experiments that train a real model through the runtime engine.
+#: Experiments that train a real model through the runtime engine.  These
+#: runners take ``obs=``.
 TRAINER_EXPERIMENTS = ("overlap", "serve")
-
-#: ... plus the whole-step autotune sweep, which trains real models but
-#: neither replays traces nor checkpoints.  These runners take ``obs=``.
-ENGINE_EXPERIMENTS = TRAINER_EXPERIMENTS + ("stepshape",)
 
 _SERVE = ("serve",)
 
@@ -328,18 +296,16 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "trace": ("cache",) + TRAINER_EXPERIMENTS,
     "checkpoint_dir": TRAINER_EXPERIMENTS,
     "resume": TRAINER_EXPERIMENTS,
-    "optimizer": ENGINE_EXPERIMENTS,
-    "lr": ENGINE_EXPERIMENTS,
-    "trace_out": ENGINE_EXPERIMENTS,
-    "metrics_out": ENGINE_EXPERIMENTS,
-    "accum_steps": ("stepshape",),
-    "autotune_cache": ("stepshape",),
+    "optimizer": TRAINER_EXPERIMENTS,
+    "lr": TRAINER_EXPERIMENTS,
+    "trace_out": TRAINER_EXPERIMENTS,
+    "metrics_out": TRAINER_EXPERIMENTS,
     "models": ("fig4", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
                "link", "scaling"),
     "batches": ("fig4", "fig5b", "fig12", "fig13", "fig14", "fig15", "fig16",
-                "scaling", "overlap", "cache", "stepshape"),
+                "scaling", "overlap", "cache"),
     "shards": ("scaling", "overlap"),
-    "steps": ("scaling", "overlap", "cache", "stepshape"),
+    "steps": ("scaling", "overlap", "cache"),
     "rates": _SERVE,
     "policies": _SERVE,
     "requests": _SERVE,
@@ -364,9 +330,6 @@ _VALUE_CHECKS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
         lambda v: Path(v).is_file(),
         "trace file {v!r} does not exist (record one with "
         "repro.data.record_trace)",
-    ),
-    "accum_steps": (
-        lambda v: v > 0, "--accum-steps must be positive, got {v}",
     ),
     "optimizer": (
         lambda v: v.lower() in optimizer_names(),
@@ -454,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--steps", type=int, default=None, metavar="S",
-        help="training steps per measured cell (default: 8 for 'overlap', "
-             "3 for 'stepshape'), or batches drawn and replayed by 'cache' "
+        help="training steps per measured cell (default: 8 for 'overlap'), "
+             "or batches drawn and replayed by 'cache' "
              "(default: 24); given to 'scaling', it "
              "switches from the analytic sweep to the measured one, which "
              "trains each (batch, shard count) cell and reports its "
@@ -545,20 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"{_scope('metrics_out')})",
     )
     parser.add_argument(
-        "--accum-steps", type=int, default=None, metavar="N",
-        help="gradient-accumulation factor: merge N micro-batches per "
-             "optimizer step (bit-identical to the equivalent large batch "
-             f"for SGD); accepted by: {_scope('accum_steps')} "
-             "(default: 1; for 'stepshape' "
-             "the default sweeps several factors)",
-    )
-    parser.add_argument(
-        "--autotune-cache", default=None, metavar="PATH",
-        help="persist the whole-step autotuner's per-shape decisions as "
-             "JSON at PATH ('stepshape'); an existing cache skips the "
-             "probes, a malformed one exits nonzero",
-    )
-    parser.add_argument(
         "--resume", default=None, metavar="CKPT",
         help="warm-start every measured trainer from a checkpoint written "
              "by --checkpoint-dir (or repro.runtime.checkpoint); the "
@@ -618,7 +567,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     runner, description = EXPERIMENTS[args.experiment]
     try:
-        if args.experiment in ENGINE_EXPERIMENTS:
+        if args.experiment in TRAINER_EXPERIMENTS:
             output = runner(args, SystemHardware(), obs=obs)
         else:
             output = runner(args, SystemHardware())

@@ -4,7 +4,7 @@ Each module exposes a ``figN_*``/``tableN_*`` function returning structured
 rows plus a ``format_*`` renderer; the ``benchmarks/`` directory wires them
 into pytest-benchmark targets that regenerate the corresponding artifact.
 The sweeps that train a real model (``overlap``, measured ``scaling``,
-``cache``, ``serve``, ``stepshape``) build and time every run through
+``cache``, ``serve``) build and time every run through
 :mod:`repro.experiments.measured`.
 """
 
@@ -71,15 +71,6 @@ from .sensitivity import (
     link_bandwidth_sweep,
 )
 from .speedup import SpeedupRow, fig13_speedup, format_fig13, speedup_summary
-from .stepshape import (
-    STEPSHAPE_ACCUM,
-    STEPSHAPE_BATCHES,
-    STEPSHAPE_CONFIG,
-    StepShapeRow,
-    format_stepshape,
-    stepshape_backends,
-    stepshape_sweep,
-)
 from .tables import format_table1, format_table2, table1_rows, table2_rows
 from .traffic import TrafficRow, fig6_traffic, format_fig6
 from .utilization import UtilizationRow, fig15_utilization, format_fig15
@@ -102,14 +93,10 @@ __all__ = [
     "SCALING_SHARDS",
     "SERVING_CONFIG",
     "SERVING_POLICIES",
-    "STEPSHAPE_ACCUM",
-    "STEPSHAPE_BATCHES",
-    "STEPSHAPE_CONFIG",
     "ScalingRow",
     "SensitivityRow",
     "ServingRow",
     "SpeedupRow",
-    "StepShapeRow",
     "TrafficRow",
     "UtilizationRow",
     "analytic_overlap_speedup",
@@ -140,7 +127,6 @@ __all__ = [
     "format_scaling",
     "format_sensitivity",
     "format_serving",
-    "format_stepshape",
     "format_table",
     "format_table1",
     "format_table2",
@@ -155,8 +141,6 @@ __all__ = [
     "serving_sweep",
     "stacked_bar_chart",
     "speedup_summary",
-    "stepshape_backends",
-    "stepshape_sweep",
     "table1_rows",
     "table2_rows",
     "trace_analytic_hit_rate",

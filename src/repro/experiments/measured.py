@@ -2,7 +2,7 @@
 
 The experiments that run a real model — ``overlap`` (Section IV-B's
 cast-ahead overlap), ``scaling --steps`` (the sharded runtime against its
-analytic bound), ``serve`` and ``stepshape`` — all measure the same thing:
+analytic bound) and ``serve`` — all measure the same thing:
 a seeded float32 DLRM driven by a
 :class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
 timed best-of-k.  ``cache`` draws from the same sources and builds no
@@ -24,7 +24,7 @@ model.  This module is the one place that decides how:
   implies, its first batch, and the steps left to replay after a resume.
 
 A sweep differs from another only in the trainer keywords it passes
-(``lookahead``, ``num_shards``, ``accum_steps``, ...) and in what it reads
+(``lookahead``, ``num_shards``, ``backend``, ...) and in what it reads
 off the reports.
 """
 

@@ -1,11 +1,5 @@
 """Shape classification, decision caching, and the ``auto`` policy."""
 
-import contextlib
-import json
-import os
-import threading
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -18,29 +12,6 @@ from repro.backends import (
 )
 from repro.backends.autotune import _bucket, _representative
 from repro.core.indexing import IndexArray
-
-
-@contextlib.contextmanager
-def _racing_reader(read):
-    """Call ``read`` in a loop on another thread; yields its ValueErrors."""
-    done, errors = threading.Event(), []
-
-    def loop():
-        while not done.is_set():
-            try:
-                read()
-            except ValueError as error:
-                errors.append(error)
-                return
-
-    thread = threading.Thread(target=loop)
-    thread.start()
-    try:
-        yield errors
-    finally:
-        done.set()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
 
 
 class TestShapeClass:
@@ -188,6 +159,31 @@ class TestAutoBackend:
         kernels = {shape.kernel for shape in auto.tuner.decisions()}
         assert kernels == set(KERNEL_NAMES)
 
+    def test_the_default_registry_makes_auto_probe(self, paper_index):
+        """``blocked`` is the second candidate that makes ``auto`` time
+        its probes — the probes ``tests/runtime/test_fault_gate.py``
+        shows keep the default step fault-free."""
+        auto = AutoBackend()
+        names = [backend.name for backend in auto.tuner.candidates()]
+        assert {"vectorized", "blocked"} <= set(names)
+        auto.gather_reduce(np.ones((paper_index.num_rows, 4)), paper_index)
+        (timed,) = auto.tuner.timings().values()
+        assert set(timed) == set(names)
+
+    def test_one_available_candidate_means_no_probes(
+            self, paper_index, monkeypatch):
+        """Without ``blocked`` (and numba), ``auto`` short-circuits to
+        ``vectorized`` and times nothing."""
+        from repro.backends import BlockedBackend, NumbaBackend
+
+        for engine in (BlockedBackend, NumbaBackend):
+            monkeypatch.setattr(engine, "available", classmethod(
+                lambda cls: False))
+        auto = AutoBackend()
+        auto.gather_reduce(np.ones((paper_index.num_rows, 4)), paper_index)
+        assert set(auto.tuner.decisions().values()) == {"vectorized"}
+        assert auto.tuner.timings() == {}
+
     def test_results_match_candidates_bitwise(self, paper_index):
         """Autotuning may move wall-clock only, never a bit of output."""
         auto = get_backend("auto")
@@ -198,304 +194,3 @@ class TestAutoBackend:
             auto.gather_reduce(table, paper_index),
             vectorized.gather_reduce(table, paper_index),
         )
-
-
-# ---------------------------------------------------------------------------
-# Whole-step autotuning (ISSUE 10)
-# ---------------------------------------------------------------------------
-class TestStepShapeClass:
-    def test_classify_buckets_and_exact_counts(self):
-        from repro.backends.autotune import StepShapeClass
-
-        shape = StepShapeClass.classify(1024, 64, 64, num_tables=4,
-                                        num_shards=2)
-        assert shape.batch_bucket == _bucket(1024)
-        assert shape.pooling_bucket == _bucket(16)  # 64 lookups / 4 tables
-        assert shape.dim_bucket == _bucket(64)
-        assert shape.num_tables == 4
-        assert shape.num_shards == 2
-
-    def test_nearby_shapes_share_a_class(self):
-        from repro.backends.autotune import StepShapeClass
-
-        a = StepShapeClass.classify(1000, 60, 60, num_tables=4)
-        b = StepShapeClass.classify(700, 44, 40, num_tables=4)
-        assert a == b
-
-    def test_table_and_shard_counts_split_classes(self):
-        from repro.backends.autotune import StepShapeClass
-
-        base = StepShapeClass.classify(256, 32, 32, num_tables=4)
-        assert base != StepShapeClass.classify(256, 32, 32, num_tables=8)
-        assert base != StepShapeClass.classify(256, 32, 32, num_tables=4,
-                                               num_shards=2)
-
-    def test_key_round_trips_through_parse(self):
-        from repro.backends.autotune import StepShapeClass, _parse_step_key
-
-        shape = StepShapeClass.classify(512, 48, 96, num_tables=3,
-                                        num_shards=2)
-        assert _parse_step_key(shape.key()) == shape
-
-    @pytest.mark.parametrize("bad", [
-        "", "batch1-pool2", "batch1-pool2-dim3-tables4-shardsX",
-        "step-batch1-pool2-dim3-tables4-shards5",
-        "batch1-pool2-dim3-tables4-shards5-extra",
-    ])
-    def test_malformed_keys_parse_to_none(self, bad):
-        from repro.backends.autotune import _parse_step_key
-
-        assert _parse_step_key(bad) is None
-
-    def test_representative_respects_caps(self):
-        from repro.backends.autotune import StepShapeClass
-
-        shape = StepShapeClass.classify(1 << 20, 1 << 16, 1 << 12,
-                                        num_tables=2)
-        batch, pooling, dim = shape.representative(64, 32, 64)
-        assert (batch, pooling, dim) == (64, 32, 64)
-
-    def test_validation(self):
-        from repro.backends.autotune import StepShapeClass
-
-        with pytest.raises(ValueError, match="batch"):
-            StepShapeClass.classify(0, 8, 8, num_tables=1)
-        with pytest.raises(ValueError, match="num_tables"):
-            StepShapeClass.classify(8, 8, 8, num_tables=0)
-
-
-class _FakeProbeTrainer:
-    """Counts ``train`` calls; the step tuner must never see a difference."""
-
-    def __init__(self, log, backend_name):
-        self._log = log
-        self._backend = backend_name
-
-    def train(self, batch, steps, rng):
-        self._log.append((self._backend, batch, steps))
-
-
-class TestStepAutotuner:
-    SHAPE_ARGS = dict(batch=256, lookups_per_sample=32, dim=32, num_tables=2)
-
-    def _shape(self):
-        from repro.backends.autotune import StepShapeClass
-
-        return StepShapeClass.classify(**self.SHAPE_ARGS)
-
-    def _counting_tuner(self, monkeypatch, measured, **kwargs):
-        """A tuner whose probes are deterministic table lookups; every
-        probe is logged so caching behaviour is observable."""
-        from repro.backends.autotune import StepAutotuner
-
-        log = []
-
-        def fake_measure(tuner_self, backend_name, shape):
-            log.append(backend_name)
-            return measured[backend_name]
-
-        monkeypatch.setattr(StepAutotuner, "_measure", fake_measure)
-        tuner = StepAutotuner(candidates=list(measured), **kwargs)
-        return tuner, log
-
-    def test_validation(self):
-        from repro.backends.autotune import StepAutotuner
-
-        with pytest.raises(ValueError, match="repeats"):
-            StepAutotuner(repeats=0)
-        with pytest.raises(ValueError, match="probe_steps"):
-            StepAutotuner(probe_steps=0)
-
-    def test_default_candidates_exclude_oracles(self):
-        from repro.backends.autotune import StepAutotuner
-
-        names = StepAutotuner().candidate_names()
-        assert "reference" not in names
-        assert "auto" not in names
-        assert "vectorized" in names
-        assert "blocked" in names
-
-    def test_single_candidate_short_circuits_without_probing(self,
-                                                             monkeypatch):
-        tuner, log = self._counting_tuner(
-            monkeypatch, {"vectorized": 1.0})
-        assert tuner.backend_for(self._shape()) == "vectorized"
-        assert log == []  # never measured
-        assert tuner.timings() == {}
-
-    def test_winner_is_fastest_probe_measured_once(self, monkeypatch):
-        tuner, log = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002})
-        shape = self._shape()
-        assert tuner.backend_for(shape) == "blocked"
-        assert sorted(log) == ["blocked", "vectorized"]
-        # Cache hit: repeated queries never re-probe, winner is stable.
-        for _ in range(3):
-            assert tuner.backend_for(shape) == "blocked"
-        assert sorted(log) == ["blocked", "vectorized"]
-        assert tuner.timings()[shape] == {
-            "vectorized": 0.004, "blocked": 0.002,
-        }
-
-    def test_probe_runs_warmup_plus_best_of_k_steps(self, monkeypatch):
-        """Satellite regression: every candidate's probe is one warmup
-        run plus ``repeats`` timed runs of ``probe_steps`` real steps —
-        the de-noising discipline the winner's stability rests on."""
-        from repro.backends.autotune import StepAutotuner
-
-        log = []
-        monkeypatch.setattr(
-            StepAutotuner, "_build_probe_trainer",
-            lambda self, backend_name, shape, pooling, dim:
-                _FakeProbeTrainer(log, backend_name),
-        )
-        tuner = StepAutotuner(candidates=["vectorized", "blocked"],
-                              repeats=3, probe_steps=2)
-        tuner.backend_for(self._shape())
-        per_candidate = {
-            name: [entry for entry in log if entry[0] == name]
-            for name in ("vectorized", "blocked")
-        }
-        for name, runs in per_candidate.items():
-            assert len(runs) == 1 + 3, name  # warmup + best-of-3
-            assert all(steps == 2 for _, _, steps in runs), name
-
-    def test_winner_stable_across_cache_roundtrip(self, monkeypatch,
-                                                  tmp_path):
-        """Satellite regression: the decision survives a process restart
-        byte-for-byte — a second tuner over the same cache file reproduces
-        the winner and its probe timings without measuring anything."""
-        path = tmp_path / "cache.json"
-        tuner, log = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
-            cache_path=path)
-        shape = self._shape()
-        assert tuner.backend_for(shape) == "blocked"
-        assert path.is_file()
-        reloaded, reload_log = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.001, "blocked": 0.999},
-            cache_path=path)
-        # Cached decision wins even though a fresh probe would now rank
-        # the other engine first — stability beats re-measurement.
-        assert reloaded.backend_for(shape) == "blocked"
-        assert reload_log == []
-        assert reloaded.timings()[shape] == {
-            "vectorized": 0.004, "blocked": 0.002,
-        }
-
-    def _second_shape(self):
-        from repro.backends.autotune import StepShapeClass
-
-        return StepShapeClass.classify(
-            **dict(self.SHAPE_ARGS, batch=4 * self.SHAPE_ARGS["batch"]))
-
-    def test_failed_write_leaves_the_previous_cache_loadable(
-            self, monkeypatch, tmp_path):
-        """Satellite regression: the cache used to be rewritten in place,
-        so a write that died midway left a truncated file behind."""
-        from repro.backends.autotune import StepAutotuner
-
-        path = tmp_path / "cache.json"
-        tuner, _ = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
-            cache_path=path)
-        tuner.backend_for(self._shape())
-        before = path.read_bytes()
-
-        def disk_full(source, destination):
-            raise OSError("injected: no space left on device")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "replace", disk_full)
-            with pytest.raises(OSError, match="injected"):
-                tuner.backend_for(self._second_shape())
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["cache.json"]  # no scratch litter
-        assert list(StepAutotuner(cache_path=path).decisions()) == [
-            self._shape()
-        ]
-
-    def test_cache_on_disk_is_complete_json_whenever_it_is_visible(
-            self, monkeypatch, tmp_path):
-        """The only instant the cache path changes is ``os.replace``: what
-        it swaps out and what it swaps in are both whole, loadable files."""
-        from repro.backends.autotune import StepAutotuner
-
-        path = tmp_path / "cache.json"
-        tuner, _ = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
-            cache_path=path)
-        tuner.backend_for(self._shape())
-        real_replace, swaps = os.replace, []
-
-        def checked_replace(source, destination):
-            assert os.path.dirname(source) == str(tmp_path)  # same directory
-            swaps.append((
-                len(json.loads(path.read_text())["decisions"]),
-                len(json.loads(Path(source).read_text())["decisions"]),
-            ))
-            real_replace(source, destination)
-
-        monkeypatch.setattr(os, "replace", checked_replace)
-        tuner.backend_for(self._second_shape())
-        assert swaps == [(1, 2)]
-        assert len(StepAutotuner(cache_path=path).decisions()) == 2
-
-    def test_reader_racing_a_writer_never_sees_a_torn_file(
-            self, monkeypatch, tmp_path):
-        from repro.backends.autotune import StepAutotuner
-
-        path = tmp_path / "cache.json"
-        tuner, _ = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002},
-            cache_path=path)
-        tuner.backend_for(self._shape())
-        # Pad the payload so a torn write would have a wide window.
-        tuner._timings[self._shape()].update(
-            {f"padding-{i}": float(i) for i in range(2000)})
-        with _racing_reader(lambda: StepAutotuner(cache_path=path)) as errors:
-            for _ in range(200):
-                tuner.save_cache()
-        assert errors == []
-
-    def test_missing_cache_file_is_empty(self, tmp_path):
-        from repro.backends.autotune import StepAutotuner
-
-        tuner = StepAutotuner(cache_path=tmp_path / "absent.json")
-        assert tuner.load_cache() == 0
-        assert tuner.decisions() == {}
-
-    @pytest.mark.parametrize("payload", [
-        "{not json",
-        '{"version": 99, "decisions": {}}',
-        '[]',
-        '{"version": 1}',
-        '{"version": 1, "decisions": {"bogus-key": {"winner": "x"}}}',
-        '{"version": 1, "decisions": '
-        '{"batch1-pool1-dim1-tables1-shards1": {}}}',
-    ], ids=["not-json", "wrong-version", "not-a-dict", "no-decisions",
-            "bad-key", "no-winner"])
-    def test_malformed_cache_raises_value_error(self, tmp_path, payload):
-        from repro.backends.autotune import StepAutotuner
-
-        path = tmp_path / "cache.json"
-        path.write_text(payload)
-        with pytest.raises(ValueError, match="autotune cache"):
-            StepAutotuner(cache_path=path)
-
-    def test_publish_metrics_emits_step_series(self, monkeypatch):
-        from repro.obs import MetricRegistry
-
-        tuner, _ = self._counting_tuner(
-            monkeypatch, {"vectorized": 0.004, "blocked": 0.002})
-        tuner.backend_for(self._shape())
-        metrics = MetricRegistry()
-        tuner.publish_metrics(metrics)
-        series = {metric.name for metric in metrics.series()}
-        assert "autotune.decision" in series
-        assert "autotune.probe_seconds" in series
-        decision = next(m for m in metrics.series()
-                        if m.name == "autotune.decision")
-        labels = dict(decision.labels)
-        assert labels["kernel"] == "step"
-        assert labels["winner"] == "blocked"

@@ -1,7 +1,7 @@
 """Every executed sweep's clock-free row fields, pinned to literals.
 
-The five executed sweeps (``overlap``, measured ``scaling``, ``cache``,
-``serve``, ``stepshape``) draw from one measured-run harness
+The four executed sweeps (``overlap``, measured ``scaling``, ``cache``,
+``serve``) draw from one measured-run harness
 (:mod:`repro.experiments.measured`).  Everything in their rows that is not
 derived from a wall clock — bitwise flags, exchange bytes, analytic bounds,
 cache accesses and hit rates, step counts — is a pure function of the
@@ -22,7 +22,6 @@ from repro.experiments.hotcache import HOTCACHE_CONFIG, hotcache_sweep
 from repro.experiments.overlap import OVERLAP_CONFIG, overlap_sweep
 from repro.experiments.scaling import measured_scaling_sweep
 from repro.experiments.serving import serving_sweep
-from repro.experiments.stepshape import stepshape_sweep
 from repro.model.configs import RM1
 
 #: The analytic NMP model needs 64-byte vectors, hence dim 16.
@@ -122,16 +121,6 @@ def test_cache_trace(tmp_path):
     assert _fields(rows, CACHE_FIELDS) == CACHE_TRACE
 
 
-def test_stepshape():
-    rows = stepshape_sweep(
-        batches=(16,), steps=2, accum=(1, 2), config=TINY_CONFIG,
-        backends=("vectorized",), repeats=1,
-    )
-    assert _fields(rows, (
-        "batch", "accum_steps", "engine", "chosen", "steps", "samples",
-    )) == STEPSHAPE
-
-
 SERVE_FIELDS = (
     "source", "policy", "max_batch_requests", "requests", "batches",
     "mean_batch_requests", "sla_ms", "cache_hit_rate",
@@ -229,16 +218,6 @@ CACHE_TRACE = [
      "measured_hit_rate": "0x1.2000000000000p-5",
      "analytic_hit_rate": "0x1.c800000000000p-3",
      "delta": "-0x1.8000000000000p-3"},
-]
-STEPSHAPE = [
-    {"batch": 16, "accum_steps": 1, "engine": "vectorized",
-     "chosen": "vectorized", "steps": 2, "samples": 32},
-    {"batch": 16, "accum_steps": 1, "engine": "step-auto",
-     "chosen": "vectorized", "steps": 2, "samples": 32},
-    {"batch": 16, "accum_steps": 2, "engine": "vectorized",
-     "chosen": "vectorized", "steps": 2, "samples": 64},
-    {"batch": 16, "accum_steps": 2, "engine": "step-auto",
-     "chosen": "vectorized", "steps": 2, "samples": 64},
 ]
 SERVE_SYNTHETIC = [
     {"source": "criteo", "policy": "single", "max_batch_requests": 1,

@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.backends.autotune import AutoBackend, StepAutotuner, StepShapeClass
+from repro.backends.autotune import AutoBackend
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import CTRBatch
 from repro.model.configs import RM1
@@ -241,14 +241,6 @@ def test_auto_files_an_f32_run_under_f32_shape_classes():
                for shape in backend.tuner.decisions()}
     assert any(key.endswith("/float32") for key in decided)
     assert not [key for key in decided if "float64" in key]
-    # Whole-step decisions are keyed on shape alone: nothing to mis-file.
-    tuner = StepAutotuner(
-        candidates=["vectorized", "blocked"], repeats=1, probe_steps=1
-    )
-    tuner.backend_for(StepShapeClass.classify(
-        BATCH, TINY.lookups_per_sample(), TINY.embedding_dim, TINY.num_tables
-    ))
-    assert not [s.key() for s in tuner.decisions() if "float64" in s.key()]
 
 
 # ----------------------------------------------------------------------

@@ -280,7 +280,7 @@ class TestReplayOracles:
         self, policy, accum_steps
     ):
         """Gradient accumulation merges micro-batches in ``src`` order, so
-        ``--accum-steps k`` reads what ``k`` times the draws reads."""
+        ``accum_steps=k`` reads what ``k`` times the draws reads."""
         stream = small_stream(ZipfDistribution(64, exponent=1.05))
         rng = np.random.default_rng(1)
         micros = [stream.next_batch(8, rng) for _ in range(3 * accum_steps)]

@@ -18,7 +18,7 @@ from repro.data.generator import SyntheticCTRStream
 from repro.data.source import BatchSource, CTRBatch, SourceExhausted
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
-from repro.model.optim import SGD
+from repro.model.optim import SGD, make_optimizer, optimizer_names
 from repro.runtime.engine import _merge_micro_batches
 from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.policy import SchedulePolicy
@@ -210,6 +210,37 @@ class TestBitIdentity:
         assert_params_equal(accum_model, big_model)
         assert report.steps == 2
         assert report.samples == 64
+
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("accum_steps", [2, 4])
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
+    @pytest.mark.parametrize("optimizer", optimizer_names())
+    def test_every_optimizer_accumulates_like_the_large_batch(
+            self, micros_and_big, optimizer, mode, accum_steps, lookahead):
+        """``FunctionalTrainer(accum_steps=)`` is accumulation's one entry
+        point: under every update rule, both backward modes and with or
+        without the cast-ahead worker, two accumulated steps equal two
+        steps over the concatenated micro-batches (the second step reads
+        the optimizer state the first one left)."""
+        stream, _, first = micros_and_big
+        second = make_stream().make_batch(
+            4 * MICRO, np.random.default_rng(43))
+        larges = [slice_batch(big, 0, accum_steps * MICRO)
+                  for big in (first, second)]
+        micros = [slice_batch(large, i * MICRO, (i + 1) * MICRO)
+                  for large in larges for i in range(accum_steps)]
+        accum_model = make_model()
+        FunctionalTrainer(
+            accum_model, FixedSource(stream, micros),
+            make_optimizer(optimizer, lr=0.05), backend="vectorized",
+            accum_steps=accum_steps, lookahead=lookahead,
+        ).train(MICRO, 2, np.random.default_rng(0), mode=mode)
+        big_model = make_model()
+        FunctionalTrainer(
+            big_model, FixedSource(stream, larges),
+            make_optimizer(optimizer, lr=0.05), backend="vectorized",
+        ).train(accum_steps * MICRO, 2, np.random.default_rng(0), mode=mode)
+        assert_params_equal(accum_model, big_model)
 
 
 class TestExhaustionAndReport:

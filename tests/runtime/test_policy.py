@@ -196,19 +196,43 @@ class TestRemovedOptions:
         listed = str(error.value).split("registered backends: ")[1]
         assert listed.split(", ") == list(registered_backends())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["stepshape"], "invalid choice: 'stepshape'"),
+        (["overlap", "--autotune-cache", "x.json"],
+         "unrecognized arguments: --autotune-cache x.json"),
+        (["overlap", "--accum-steps", "2"],
+         "unrecognized arguments: --accum-steps 2"),
+    ], ids=["stepshape", "autotune-cache", "accum-steps"])
+    def test_the_removed_step_tuner_surface_fails_loudly(
+            self, argv, message, capsys):
+        """The whole-step sweep went with its decision cache and its
+        accumulation flag: argparse rejects all three, so none can be
+        accepted and silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(
-            self, dest, scope, capsys):
+            self, dest, scope, capsys, monkeypatch):
+        """Every experiment outside the scope exits 2 before its runner
+        runs."""
         flag = "--" + dest.replace("_", "-")
         value = {
             "policies": "single", "arrival": "poisson",
             "cache_policy": "lru", "optimizer": "sgd",
         }.get(dest, "1")
-        assert "table1" not in scope
-        assert cli.main(["table1", flag, value]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag} does not apply to 'table1'" in err
-        assert f"it applies to: {', '.join(scope)}" in err
+        outside = sorted(set(cli.EXPERIMENTS) - set(scope))
+        assert "table1" in outside
+        for name in outside:
+            monkeypatch.setitem(cli.EXPERIMENTS, name, (
+                lambda *args, **kwargs: pytest.fail("runner ran"), name))
+        for name in outside:
+            assert cli.main([name, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert f"{flag} does not apply to {name!r}" in err
+            assert f"it applies to: {', '.join(scope)}" in err
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import inspect
+
 import pytest
 
+import repro.cli
+import repro.experiments
 from repro.backends import available_backends, registered_backends
-from repro.cli import BUILTIN_COMMANDS, EXPERIMENTS, build_parser, main
+from repro.cli import (
+    BUILTIN_COMMANDS, EXPERIMENTS, FLAG_SCOPE, build_parser, main,
+)
+from repro.runtime.systems import SystemHardware
 
 
 class TestParser:
@@ -375,7 +382,6 @@ class TestTrainingJobFlags:
             ["--resume", "c.npz"],
             ["--trace-out", "t.json"],
             ["--metrics-out", "m.json"],
-            ["--accum-steps", "2"],
         ],
     )
     def test_cache_rejects_the_trainer_flags(self, flags, monkeypatch, capsys):
@@ -524,51 +530,51 @@ class TestObservabilityFlags:
         assert not (tmp_path / "serve.trace.json").exists()
 
 
-class TestStepShapeAndAccumFlags:
-    """--accum-steps/--autotune-cache and the stepshape experiment."""
+class _ReadRecorder:
+    """An ``args`` namespace that answers ``None`` to every flag and
+    records which flags a runner read."""
 
-    def test_flags_parse(self):
-        args = build_parser().parse_args(
-            ["stepshape", "--accum-steps", "4", "--autotune-cache", "c.json"]
-        )
-        assert args.accum_steps == 4
-        assert args.autotune_cache == "c.json"
+    def __init__(self):
+        self.reads = set()
 
-    def test_flags_default_to_none(self):
-        args = build_parser().parse_args(["cache"])
-        assert args.accum_steps is None
-        assert args.autotune_cache is None
+    def __getattr__(self, dest):
+        self.reads.add(dest)
+        return None
 
-    @pytest.mark.parametrize("experiment", ["fig6", "overlap", "serve"])
-    def test_accum_steps_rejected_elsewhere(self, experiment, capsys):
-        assert main([experiment, "--accum-steps", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "--accum-steps does not apply" in err
-        assert "it applies to: stepshape" in err
 
-    @pytest.mark.parametrize("bad", ["0", "-3"])
-    def test_nonpositive_accum_steps_exits_nonzero(self, bad, capsys):
-        assert main(["stepshape", "--accum-steps", bad]) == 2
-        assert "--accum-steps must be positive" in capsys.readouterr().err
+def _scoped_reads(experiment, monkeypatch):
+    """The scoped flags ``experiment``'s runner reads, run against stub
+    sweeps.  ``--trace-out``/``--metrics-out`` are read by ``main``, which
+    hands a runner the session only if it takes ``obs=``."""
+    for name in repro.experiments.__all__:
+        if inspect.isfunction(getattr(repro.cli, name, None)):
+            monkeypatch.setattr(repro.cli, name, lambda *args, **kwargs: [])
+    runner, _ = EXPERIMENTS[experiment]
+    args = _ReadRecorder()
+    takes_obs = "obs" in inspect.signature(runner).parameters
+    if takes_obs:
+        runner(args, SystemHardware(), obs=None)
+    else:
+        runner(args, SystemHardware())
+    reads = args.reads | ({"trace_out", "metrics_out"} if takes_obs else set())
+    return reads & set(FLAG_SCOPE)
 
-    def test_autotune_cache_rejected_outside_stepshape(self, capsys):
-        assert main(["cache", "--autotune-cache", "c.json"]) == 2
-        assert "--autotune-cache does not apply" in capsys.readouterr().err
 
-    def test_malformed_autotune_cache_exits_nonzero(self, capsys, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        assert main(["stepshape", "--batches", "16", "--steps", "1",
-                     "--accum-steps", "1", "--autotune-cache",
-                     str(path)]) == 2
-        assert "autotune cache" in capsys.readouterr().err
+class TestFlagScope:
+    """``FLAG_SCOPE`` is exactly what the runners read: a flag reaches
+    every experiment that reads it, and no experiment reads a flag scoped
+    away from it (where ``main`` would exit 2 before it could)."""
 
-    def test_stepshape_runs_and_caches_decisions(self, capsys, tmp_path):
-        path = tmp_path / "cache.json"
-        assert main(["stepshape", "--batches", "16", "--steps", "1",
-                     "--accum-steps", "2", "--autotune-cache",
-                     str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "step-auto" in out
-        assert "Update us/sample" in out
-        assert path.is_file()
+    @pytest.mark.parametrize("dest,experiment", [
+        (dest, experiment) for dest, scope in sorted(FLAG_SCOPE.items())
+        for experiment in scope])
+    def test_each_experiment_in_a_scope_reads_the_flag(
+            self, dest, experiment, monkeypatch):
+        assert dest in _scoped_reads(experiment, monkeypatch)
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_no_experiment_reads_a_flag_scoped_away_from_it(
+            self, experiment, monkeypatch):
+        allowed = {dest for dest, scope in FLAG_SCOPE.items()
+                   if experiment in scope}
+        assert _scoped_reads(experiment, monkeypatch) <= allowed

@@ -671,55 +671,6 @@ class TestRegistryConsistency:
         """)
         assert tree.lint(rules=["registry-consistency"]) == []
 
-    STEP_CACHE_FUNCS = (
-        "def load_cache(path):\n"
-        "    import json\n"
-        "    payload = json.loads(path.read_text())\n"
-        "    return {{\n"
-        '        key: entry.get("winner")\n'
-        '        for key, entry in payload.get("decisions").items()\n'
-        "    }}\n"
-        "\n"
-        "\n"
-        "def save_cache(path, decisions):\n"
-        "    import json\n"
-        "    path.write_text(json.dumps({{\n"
-        '        "version": 1,\n'
-        '        "decisions": {payload},\n'
-        "    }}))\n"
-    )
-
-    def test_step_cache_keys_within_schema_pass(self, tree):
-        tree.write("src/repro/backends/autotune.py", (
-            'STEP_CACHE_SCHEMA = ("version", "decisions", "winner")\n\n\n'
-            + self.STEP_CACHE_FUNCS.format(
-                payload='{key: {"winner": name} '
-                        'for key, name in decisions.items()}')
-        ))
-        assert tree.lint(rules=["registry-consistency"]) == []
-
-    def test_step_cache_key_drift_flagged(self, tree):
-        # save_cache writes a key the declared schema does not list: the
-        # persisted JSON layout drifted from STEP_CACHE_SCHEMA.
-        tree.write("src/repro/backends/autotune.py", (
-            'STEP_CACHE_SCHEMA = ("version", "decisions", "winner")\n\n\n'
-            + self.STEP_CACHE_FUNCS.format(
-                payload='{key: {"winner": name, "probe_ms": 0.0} '
-                        'for key, name in decisions.items()}')
-        ))
-        findings = tree.lint(rules=["registry-consistency"])
-        assert len(findings) == 1
-        assert "save_cache uses cache key 'probe_ms'" in findings[0].message
-        assert "STEP_CACHE_SCHEMA does not declare" in findings[0].message
-
-    def test_step_cache_without_schema_declaration_flagged(self, tree):
-        tree.write("src/repro/backends/autotune.py", self.STEP_CACHE_FUNCS
-                   .format(payload="decisions"))
-        findings = tree.lint(rules=["registry-consistency"])
-        assert len(findings) == 2  # one per cache function
-        assert all("STEP_CACHE_SCHEMA is not declared" in f.message
-                   for f in findings)
-
 
 # ---------------------------------------------------------------------------
 # export-hygiene

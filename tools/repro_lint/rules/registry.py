@@ -28,11 +28,7 @@ This rule cross-checks them all via AST constant extraction:
 * every ``@register_backend`` class defined under ``backends/`` must be
   imported by ``backends/__init__.py`` — registration happens at import
   time and the ``__init__`` import order *is* the registry order, so a
-  backend module nobody imports silently never registers;
-* the whole-step autotune cache file: every string key ``load_cache``/
-  ``save_cache`` read or write must be declared in ``STEP_CACHE_SCHEMA``
-  (``backends/autotune.py``), so the persisted JSON layout cannot drift
-  from its declared schema.
+  backend module nobody imports silently never registers.
 
 Cross-file checks are skipped gracefully when the defining module is not
 part of the lint run (e.g. linting a single file).
@@ -164,7 +160,6 @@ class RegistryConsistencyChecker(Checker):
         if cli is not None:
             yield from self._check_cli(cli, optimizers)
         yield from self._check_backend_imports(project)
-        yield from self._check_step_cache_schema(project)
         for source in project.files:
             if source.in_library():
                 yield from self._check_name_literals(
@@ -355,69 +350,6 @@ class RegistryConsistencyChecker(Checker):
                         "order is registration order); import something "
                         f"from the {module!r} module there",
                     )
-
-    # ------------------------------------------------ autotune cache schema
-    def _check_step_cache_schema(
-        self, project: Project,
-    ) -> Iterable[Finding]:
-        """``load_cache``/``save_cache`` keys must stay in STEP_CACHE_SCHEMA.
-
-        The whole-step autotuner persists its decisions as JSON; the
-        on-disk layout is declared once as ``STEP_CACHE_SCHEMA`` so old
-        cache files fail loudly.  A key read via ``.get("...")``, written
-        as a dict-literal key, or assigned via ``payload["..."]`` inside
-        either function that the schema tuple does not declare is silent
-        format drift.
-        """
-        source = _find_source(project, "repro/backends/autotune.py")
-        if source is None:
-            return
-        schema_node = _module_assigns(source.tree).get("STEP_CACHE_SCHEMA")
-        schema = ({name for name, _ in _string_elts(schema_node)}
-                  if schema_node is not None else None)
-        for node in ast.walk(source.tree):
-            if (not isinstance(node, ast.FunctionDef)
-                    or node.name not in ("load_cache", "save_cache")):
-                continue
-            if schema is None:
-                yield self.finding(
-                    source, node,
-                    f"{node.name} persists the step-autotune cache but "
-                    "STEP_CACHE_SCHEMA is not declared at module level; "
-                    "the cache-file layout must be declared in one place",
-                )
-                continue
-            for key, key_node in self._cache_keys(node):
-                if key not in schema:
-                    yield self.finding(
-                        source, key_node,
-                        f"{node.name} uses cache key {key!r}, which "
-                        "STEP_CACHE_SCHEMA does not declare "
-                        f"({', '.join(sorted(schema))}); the persisted "
-                        "JSON layout drifted from its declared schema",
-                    )
-
-    @staticmethod
-    def _cache_keys(
-        func: ast.FunctionDef,
-    ) -> Iterable[Tuple[str, ast.expr]]:
-        """Constant-string keys the function reads or writes."""
-        for node in ast.walk(func):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and node.args):
-                first = node.args[0]
-                if (isinstance(first, ast.Constant)
-                        and isinstance(first.value, str)):
-                    yield first.value, first
-            elif isinstance(node, ast.Dict):
-                yield from _string_keys(node)
-            elif isinstance(node, ast.Subscript):
-                sub = node.slice
-                if (isinstance(sub, ast.Constant)
-                        and isinstance(sub.value, str)):
-                    yield sub.value, sub
 
     # -------------------------------------------------- registered literals
     def _check_name_literals(
