@@ -150,48 +150,6 @@ def test_kernel_timings(workload):
     assert all(seconds > 0 for seconds in timings.values())
 
 
-@pytest.fixture(scope="module")
-def workload64(workload):
-    """The module workload in float64 — the dtype where the blocked
-    engine's segment-aligned bincount tiling engages (in float32 it falls
-    back to chunked ``np.add.at``, so its tiling story is a float64 one;
-    ``vectorized`` runs ``segment_sum`` in both dtypes)."""
-    index, table, gradients = workload
-    return index, table.astype(np.float64), gradients.astype(np.float64)
-
-
-def test_blocked_vs_vectorized(workload64):
-    """Cache-blocked vs fused-vectorized at the paper shape, float64 —
-    the tiling comparison (printed, no speed assertion)."""
-    index, table, gradients = workload64
-    cast = tensor_casting(index)
-    repeats = 3 if _SMOKE else 5
-    rows = []
-    for kernel, runner in (
-        ("gather_reduce",
-         lambda b: gather_reduce(table, index, backend=b)),
-        ("casted_gather_reduce",
-         lambda b: casted_gather_reduce(gradients, cast, backend=b)),
-    ):
-        vectorized = _best_of(lambda: runner("vectorized"), repeats)
-        blocked = _best_of(lambda: runner("blocked"), repeats)
-        rows.append({
-            "kernel": kernel,
-            "vectorized_ms": vectorized * 1e3,
-            "blocked_ms": blocked * 1e3,
-            "blocked_speedup": vectorized / blocked,
-        })
-    assert all(row["blocked_ms"] > 0 for row in rows)
-    if not _SMOKE:
-        casted = next(
-            row for row in rows if row["kernel"] == "casted_gather_reduce"
-        )
-        print(f"\n[kernels] blocked casted backward: "
-              f"{casted['vectorized_ms']:.2f} ms vectorized vs "
-              f"{casted['blocked_ms']:.2f} ms blocked -> "
-              f"{casted['blocked_speedup']:.2f}x")
-
-
 @pytest.mark.skipif(
     _SMOKE, reason="A/B wall-clock assertion needs the full-size workload"
 )

@@ -3,20 +3,18 @@
 
 Every hot kernel of the reproduction — forward gather-reduce, Tensor
 Casting, the casted backward gather-reduce, the scatter update — routes
-through a registered `KernelBackend` (see `repro.backends`).  Which
-implementation wins is *shape-dependent*: pooling factor and embedding
-width decide whether rank-round segment sums, a tiled per-column bincount
-loop or a compiled loop nest moves the most bytes per second.  That is exactly
-what the `auto` policy exploits: it buckets each workload into a shape
-class, micro-benchmarks the candidate engines once on a representative
-probe, caches the winner, and delegates.
+through a registered `KernelBackend` (see `repro.backends`).  The `auto`
+policy buckets each workload into a shape class, micro-benchmarks the
+candidate engines once on a representative probe, caches the winner, and
+delegates.  It has a real choice to make only beside the optional `numba`
+engine: on a NumPy-only install `vectorized` is its one candidate, so it
+delegates every kernel there with zero probes.
 
 This example measures the casted backward gather-reduce — the kernel the
-whole paper is about — on two deliberately different workload shapes:
+whole paper is about — on two workload shapes:
 
-* **narrow** — a 8-wide embedding with heavy pooling, where per-call
-  overhead matters and the blocked engine's per-column `np.bincount`
-  tiles are at their best;
+* **narrow** — an 8-wide embedding with heavy pooling, where per-call
+  overhead matters most;
 * **wide** — the paper's default 64-wide embedding at batch 4096, where
   the vectorized engine's `segment_sum` rounds move whole rows per call;
 
@@ -126,8 +124,9 @@ def main():
             print(f"  dim~2^{shape.dim_bucket - 1}: {ranked}")
     else:
         print()
-        print("(single candidate engine available - the tuner short-circuits "
-              "with zero probes; install numba to see a real contest)")
+        print("auto short-circuits on a NumPy-only install: vectorized is "
+              "its one candidate, so every decision above took zero probes "
+              "(install numba to see a real contest)")
 
     # Whatever was picked, the numbers are the numbers: engines are
     # interchangeable bit for bit in float64.

@@ -18,10 +18,13 @@ registry:
   the package;
 * ``auto`` — the autotuned policy: per shape class (batch, pooling factor,
   dim), micro-benchmark the candidates once, cache the winner, delegate.
-  The trainers default to it.
-* ``blocked`` — cache-blocked loop tiling: segment-aligned lookup tiles
-  sized to L2 reduced with per-tile bincount loops; the tile size is the
-  tunable knob.
+  The trainers default to it.  On a NumPy-only install ``vectorized`` is
+  its one candidate, so it delegates there with zero probes; it makes a
+  real choice only beside ``numba``.
+
+No engine choice decides whether a step faults: the trainer's allocator
+setting (:func:`repro.runtime.memory.retain_freed_memory`) does, for every
+engine alike.
 
 All backends are result-interchangeable: bit-identical for float64 (each
 output row summed one addend at a time in lookup order — the oracle's
@@ -56,14 +59,12 @@ from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
 from .numba_backend import HAVE_NUMBA, NumbaBackend
 from .autotune import AutoBackend, Autotuner, KERNEL_NAMES, ShapeClass
-from .blocked import BlockedBackend
 
 __all__ = [
     "AutoBackend",
     "Autotuner",
     "BackendSpec",
     "BackendUnavailableError",
-    "BlockedBackend",
     "HAVE_NUMBA",
     "KERNEL_NAMES",
     "KernelBackend",

@@ -20,9 +20,12 @@ Guarantees:
   class per process;
 * **no oracle regressions** — backends marked ``autotune_candidate =
   False`` (the pure-Python reference) are never timed nor selected;
-* **degenerate registries short-circuit** — with a single candidate (the
-  common numba-less install) ``auto`` delegates to it with zero probes, so
-  defaulting the trainers to ``auto`` costs nothing there;
+* **degenerate registries short-circuit** — a NumPy-only install has one
+  candidate, ``vectorized``, and ``auto`` delegates every kernel to it
+  with zero probes, so defaulting the trainers to ``auto`` costs nothing
+  there and decides the same engine on every run (whether a step faults
+  is the allocator's business — :mod:`repro.runtime.memory` — not the
+  tuner's);
 * **numerics are unchanged** — every candidate is interchangeable by the
   differential-test contract, so autotuning can only move wall-clock,
   never results.

@@ -50,6 +50,7 @@ from ..model.dlrm import DLRM
 from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from .engine import TrainingCallback, TrainingEngine
+from .memory import retain_freed_memory
 from .policy import SchedulePolicy, positive_int
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
@@ -92,8 +93,9 @@ class FunctionalTrainer:
         name, a :class:`~repro.backends.base.KernelBackend` instance, or
         ``None`` for the process default.  Defaults to ``"auto"`` — the
         autotuned policy that micro-benchmarks the available engines per
-        shape class and delegates to the winner (a no-op passthrough to
-        ``vectorized`` when it is the only candidate).  Resolved once here
+        shape class and delegates to the winner (on a NumPy-only install
+        ``vectorized`` is the only candidate, so ``auto`` is a passthrough
+        to it with zero probes).  Resolved once here
         and threaded into the model's embedding bags and the sharded
         embedding set, so the whole run uses one engine regardless of which
         thread launches a kernel.  Note the bags' routing follows whichever
@@ -121,6 +123,10 @@ class FunctionalTrainer:
 
     Every combination of these composes, with either ``mode`` of
     :meth:`train` / :meth:`infer`.
+
+    Constructing a trainer first calls
+    :func:`~repro.runtime.memory.retain_freed_memory`, a process-wide
+    allocator setting that keeps every engine's step free of page faults.
     """
 
     def __init__(
@@ -134,6 +140,7 @@ class FunctionalTrainer:
         accum_steps: int = 1,
         lookahead: int = 0,
     ) -> None:
+        retain_freed_memory()
         stream = as_batch_source(stream)
         if stream.num_tables != len(model.embeddings):
             raise ValueError(

@@ -159,26 +159,14 @@ class TestAutoBackend:
         kernels = {shape.kernel for shape in auto.tuner.decisions()}
         assert kernels == set(KERNEL_NAMES)
 
-    def test_the_default_registry_makes_auto_probe(self, paper_index):
-        """``blocked`` is the second candidate that makes ``auto`` time
-        its probes — the probes ``tests/runtime/test_fault_gate.py``
-        shows keep the default step fault-free."""
-        auto = AutoBackend()
-        names = [backend.name for backend in auto.tuner.candidates()]
-        assert {"vectorized", "blocked"} <= set(names)
-        auto.gather_reduce(np.ones((paper_index.num_rows, 4)), paper_index)
-        (timed,) = auto.tuner.timings().values()
-        assert set(timed) == set(names)
-
     def test_one_available_candidate_means_no_probes(
             self, paper_index, monkeypatch):
-        """Without ``blocked`` (and numba), ``auto`` short-circuits to
-        ``vectorized`` and times nothing."""
-        from repro.backends import BlockedBackend, NumbaBackend
+        """Without numba, ``auto`` short-circuits to ``vectorized`` and
+        times nothing."""
+        from repro.backends import NumbaBackend
 
-        for engine in (BlockedBackend, NumbaBackend):
-            monkeypatch.setattr(engine, "available", classmethod(
-                lambda cls: False))
+        monkeypatch.setattr(NumbaBackend, "available", classmethod(
+            lambda cls: False))
         auto = AutoBackend()
         auto.gather_reduce(np.ones((paper_index.num_rows, 4)), paper_index)
         assert set(auto.tuner.decisions().values()) == {"vectorized"}

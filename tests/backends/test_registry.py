@@ -31,7 +31,6 @@ class TestRegistry:
             "vectorized",
             "numba",
             "auto",
-            "blocked",
         )
 
     def test_available_is_an_ordered_subset(self):

@@ -109,9 +109,7 @@ def parameters_equal(a, b):
 @DTYPES
 @BATCH_DTYPES
 @pytest.mark.parametrize("mode", ("baseline", "casted"))
-@pytest.mark.parametrize(
-    "engine", ("reference", "vectorized", "blocked", "auto")
-)
+@pytest.mark.parametrize("engine", ("reference", "vectorized", "auto"))
 def test_every_array_of_a_step_carries_the_model_dtype(
     model_dtype, batch_dtype, mode, engine
 ):

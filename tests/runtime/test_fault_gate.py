@@ -1,22 +1,30 @@
-"""The default step takes no page faults: why ``auto`` and ``blocked`` stay.
+"""Every engine's step takes no page faults: the allocator is decided once.
 
-Neither ``auto`` nor ``blocked`` wins a kernel on a NumPy-only install, but
-``auto``'s first-sight probes (one timed micro-benchmark per candidate, per
-shape class) leave the allocator holding the step's working set.  Every
-later step reuses that memory instead of mapping and faulting in fresh
-pages: at the shape below the default trainer reads about one minor fault
-per step, where an explicit ``backend="vectorized"`` reads two to three
-thousand.  Take the probes away — a fixed engine, or a registry where
-``auto`` has one candidate and short-circuits — and this gate fails.  It
-pins the reason until per-trainer workspaces make every engine fault-free,
-on every policy axis the default trainer takes.
+A step allocates the same temporaries every time and frees them before the
+next.  Under glibc's default policy each block above the mmap threshold is
+a fresh mapping, unmapped again on ``free``, so every step faults its
+temporaries in afresh — thousands of minor faults per step at the shapes
+below.  ``FunctionalTrainer`` calls
+:func:`repro.runtime.memory.retain_freed_memory`, which fixes the mmap
+threshold at 256 MiB and the trim threshold at 512 MiB, so a step reuses
+the pages an earlier step touched, whichever engine runs it.
 
-Faults are counted in a fresh interpreter per trainer, so nothing an
-earlier test allocated or tuned can warm the heap for the run under test.
+The gate holds every axis the default trainer takes, an explicit fixed
+engine, and one table whose ``(n, dim)`` float32 array (42 MB at batch
+2048 x 80 gathers) is past the 32 MiB cap of glibc's *dynamic* threshold,
+under 100 faults per step in both modes.  The instrument test runs the
+same step with ``MALLOC_MMAP_THRESHOLD_`` set — glibc's default threshold,
+fixed, which ``retain_freed_memory`` leaves alone — and must see it fault.
+
+Faults are counted in a fresh interpreter per cell, with the caller's
+``MALLOC_*`` and ``GLIBC_TUNABLES`` cleared, so neither an earlier test's
+allocations nor the user's malloc tuning can warm the heap for the run
+under test.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -26,16 +34,16 @@ import pytest
 import repro
 
 pytestmark = pytest.mark.skipif(
-    not sys.platform.startswith("linux"),
-    reason="ru_minflt per step is a Linux measurement",
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="ru_minflt per step under glibc malloc is a Linux/glibc measurement",
 )
 
 WARMUP_STEPS, MEASURED_STEPS = 5, 10
 MAX_FAULTS_PER_STEP = 100
 MODES = ("casted", "baseline")
 
-#: RM1 at the benchmark's table shape, f32, batch 256; ``argv[1]`` holds
-#: the optimizer name and the trainer keywords.
+#: RM1 with ``argv[1]``'s table overrides, f32; ``argv[1]`` also holds the
+#: optimizer name, the trainer keywords and the batch size.
 SCRIPT = f"""
 import json, resource, sys
 import numpy as np
@@ -45,9 +53,8 @@ from repro.model.dlrm import DLRM
 from repro.model.optim import make_optimizer
 from repro.runtime.trainer import FunctionalTrainer
 
-optimizer, trainer_kwargs = json.loads(sys.argv[1])
-config = RM1.with_overrides(
-    num_tables=4, gathers_per_table=32, rows_per_table=100_000)
+optimizer, trainer_kwargs, tables, batch = json.loads(sys.argv[1])
+config = RM1.with_overrides(**tables)
 model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
 stream = SyntheticCTRStream(
     num_tables=config.num_tables, num_rows=config.rows_per_table,
@@ -58,40 +65,55 @@ trainer = FunctionalTrainer(
 faults = {{}}
 for mode in {MODES!r}:
     rng = np.random.default_rng(1)
-    trainer.train(256, {WARMUP_STEPS}, rng, mode=mode)
+    trainer.train(batch, {WARMUP_STEPS}, rng, mode=mode)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    trainer.train(256, {MEASURED_STEPS}, rng, mode=mode)
+    trainer.train(batch, {MEASURED_STEPS}, rng, mode=mode)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     faults[mode] = (after - before) / {MEASURED_STEPS}
 print(json.dumps(faults))
 """
 
-#: The default trainer (``backend`` left at ``auto``) on each axis a
-#: workspace change must keep fault-free: id -> (optimizer, keywords).
-DEFAULT_TRAINERS = {
-    "sgd": ("sgd", {}),
-    "adam": ("adam", {}),
-    "lookahead": ("sgd", {"lookahead": 1}),
-    "row-shards": ("sgd", {"num_shards": 2}),
-    "accum": ("sgd", {"accum_steps": 2}),
+#: The benchmark's table shape, at batch 256.
+BENCHMARK_TABLES = (
+    {"num_tables": 4, "gathers_per_table": 32, "rows_per_table": 100_000}, 256)
+#: One table at the paper's pooling and batch: a 42 MB ``(n, dim)`` array.
+PAPER_BATCH_TABLE = (
+    {"num_tables": 1, "gathers_per_table": 80, "rows_per_table": 100_000},
+    2048)
+
+#: id -> (optimizer, trainer keywords, (table overrides, batch)).
+CELLS = {
+    "sgd": ("sgd", {}, BENCHMARK_TABLES),
+    "adam": ("adam", {}, BENCHMARK_TABLES),
+    "lookahead": ("sgd", {"lookahead": 1}, BENCHMARK_TABLES),
+    "row-shards": ("sgd", {"num_shards": 2}, BENCHMARK_TABLES),
+    "accum": ("sgd", {"accum_steps": 2}, BENCHMARK_TABLES),
+    "vectorized": ("sgd", {"backend": "vectorized"}, BENCHMARK_TABLES),
+    "42mb-table": ("sgd", {}, PAPER_BATCH_TABLE),
 }
 
 
 @pytest.fixture(scope="module")
 def faults_per_step():
-    """``faults_per_step(optimizer, kwargs) -> {mode: faults}``, one fresh
-    interpreter per distinct trainer, measured once per module."""
+    """``faults_per_step(cell, **env) -> {mode: faults}``, one fresh
+    interpreter per distinct (cell, env), measured once per module."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    base_env = {
+        name: value for name, value in os.environ.items()
+        if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"
+    }
+    base_env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
     measured = {}
 
-    def measure(optimizer, trainer_kwargs):
-        key = json.dumps([optimizer, trainer_kwargs], sort_keys=True)
+    def measure(cell, **env):
+        optimizer, trainer_kwargs, (tables, batch) = CELLS[cell]
+        arg = json.dumps([optimizer, trainer_kwargs, tables, batch])
+        key = (arg, tuple(sorted(env.items())))
         if key not in measured:
             result = subprocess.run(
-                [sys.executable, "-c", SCRIPT, key], env=env, check=True,
-                capture_output=True, text=True, timeout=600,
+                [sys.executable, "-c", SCRIPT, arg], env={**base_env, **env},
+                check=True, capture_output=True, text=True, timeout=600,
             )
             measured[key] = json.loads(result.stdout.strip().splitlines()[-1])
         return measured[key]
@@ -100,24 +122,21 @@ def faults_per_step():
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("trainer", sorted(DEFAULT_TRAINERS))
-def test_the_default_step_is_fault_free(faults_per_step, trainer, mode):
-    faults = faults_per_step(*DEFAULT_TRAINERS[trainer])[mode]
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_the_step_is_fault_free(faults_per_step, cell, mode):
+    faults = faults_per_step(cell)[mode]
     assert faults < MAX_FAULTS_PER_STEP, (
-        f"the default {trainer} trainer's {mode} step took {faults:.1f} "
-        f"minor faults per step (gate: < {MAX_FAULTS_PER_STEP}); without "
-        "auto's probes every step maps and faults in its temporaries afresh"
+        f"the {cell} trainer's {mode} step took {faults:.1f} minor faults "
+        f"per step (gate: < {MAX_FAULTS_PER_STEP}); every step maps and "
+        "faults in its temporaries afresh unless retain_freed_memory() "
+        "kept them in the heap"
     )
 
 
-@pytest.mark.skipif(
-    any(name.startswith("MALLOC_") for name in os.environ),
-    reason="glibc malloc tuning can make a fixed engine fault-free too",
-)
 @pytest.mark.parametrize("mode", MODES)
 def test_the_measurement_sees_a_faulting_step(faults_per_step, mode):
-    """The instrument itself: a fixed engine, which runs no probes, faults
-    on every step today.  When workspaces make this test fail, ``auto`` has
-    lost its reason to be the default (ROADMAP item 2)."""
-    faults = faults_per_step("sgd", {"backend": "vectorized"})[mode]
+    """The instrument itself: with glibc's default threshold fixed by the
+    environment, ``retain_freed_memory`` stands aside and the same default
+    step faults on every step."""
+    faults = faults_per_step("sgd", MALLOC_MMAP_THRESHOLD_="131072")[mode]
     assert faults >= MAX_FAULTS_PER_STEP

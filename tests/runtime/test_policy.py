@@ -28,7 +28,15 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.backends import registered_backends, resolve_backend
+from repro.backends import (
+    HAVE_NUMBA,
+    KERNEL_NAMES,
+    AutoBackend,
+    UnknownBackendError,
+    get_backend,
+    registered_backends,
+    resolve_backend,
+)
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
@@ -212,6 +220,36 @@ class TestRemovedOptions:
             cli.main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_the_removed_blocked_engine_fails_loudly(self, capsys):
+        """``blocked`` went with its tile knob: the name is unknown to the
+        registry and to the CLI, so it cannot silently mean another
+        engine."""
+        with pytest.raises(UnknownBackendError, match="'blocked'"):
+            get_backend("blocked")
+        assert cli.main(["overlap", "--backend", "blocked"]) == 2
+        assert "unknown kernel backend 'blocked'" in capsys.readouterr().err
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: auto has a "
+                                           "second candidate to time")
+    def test_auto_on_a_numpy_only_install_is_vectorized_without_probes(
+            self, paper_index):
+        """With ``vectorized`` the one candidate, the default ``auto``
+        decides every kernel the same way on every run and times
+        nothing."""
+        auto = AutoBackend()
+        rng = np.random.default_rng(1)
+        table = rng.standard_normal((paper_index.num_rows, 4))
+        gradients = rng.standard_normal((paper_index.num_outputs, 4))
+        auto.gather_reduce(table, paper_index)
+        cast = auto.cast_indices(paper_index)
+        auto.casted_gather_reduce(gradients, cast)
+        auto.expand_coalesce(paper_index, gradients)
+        auto.scatter_update(table, cast.rows, np.zeros((cast.num_coalesced, 4)))
+        decisions = auto.tuner.decisions()
+        assert {shape.kernel for shape in decisions} == set(KERNEL_NAMES)
+        assert set(decisions.values()) == {"vectorized"}
+        assert auto.tuner.timings() == {}
 
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(

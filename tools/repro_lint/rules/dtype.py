@@ -11,7 +11,7 @@ the paper's model bills (``core/traffic.py`` charges 4-byte elements).
 This rule flags, in the modules a step executes —
 ``model/{dlrm,embedding,layers,interaction,loss}.py``,
 ``core/{gather_reduce,coalesce,segment,scatter}.py`` and
-``backends/{vectorized,blocked}.py`` —
+``backends/vectorized.py`` —
 
 * a call passing the keyword ``dtype=np.float64`` (or ``"float64"``);
 * a call ``<x>.astype(np.float64)``;
@@ -38,7 +38,7 @@ HOT_MODULES = tuple(
     for package, modules in (
         ("model", ("dlrm", "embedding", "layers", "interaction", "loss")),
         ("core", ("gather_reduce", "coalesce", "segment", "scatter")),
-        ("backends", ("vectorized", "blocked")),
+        ("backends", ("vectorized",)),
     )
     for module in modules
 )

@@ -312,9 +312,10 @@ class RegistryConsistencyChecker(Checker):
         imported: Set[str] = set()
         for node in ast.walk(init.tree):
             if isinstance(node, ast.ImportFrom):
-                # ``from .blocked import anything`` and ``from . import
-                # blocked`` both execute blocked.py, which registers every
-                # backend it defines — track the module, not the names.
+                # ``from .numba_backend import anything`` and ``from .
+                # import numba_backend`` both execute numba_backend.py,
+                # which registers every backend it defines — track the
+                # module, not the names.
                 if node.module is not None:
                     imported.add(node.module.split(".")[-1])
                 else:
