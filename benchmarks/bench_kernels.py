@@ -27,6 +27,7 @@ from repro.core.coalesce import expand_coalesce
 from repro.core.gather_reduce import casted_gather_reduce, gather_reduce
 from repro.core.indexing import IndexArray
 from repro.core.scatter import gradient_scatter
+from repro.data.distributions import ZipfDistribution
 
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 # A mid-sized workload: 64K lookups pooled into 4K outputs, 64-dim vectors
@@ -124,9 +125,22 @@ def _best_of(func, repeats=5):
 
 
 def test_kernel_timings(workload):
-    """Best-of-k per-primitive wall-clock, printed."""
+    """Best-of-k per-primitive wall-clock, printed.
+
+    Both backward modes are also timed on a Zipf(1.05) index of the same
+    shape (the ``emb_skew`` regime: long casted segments over a tail of
+    singletons, many ``segment_sum`` rounds).  Nothing here asserts speed.
+    """
     index, table, gradients = workload
     cast = tensor_casting(index)
+    skewed = IndexArray(
+        ZipfDistribution(ROWS, 1.05).sample(
+            index.num_lookups, np.random.default_rng(1)),
+        index.dst,
+        num_rows=ROWS,
+        num_outputs=BATCH,
+    )
+    skewed_cast = tensor_casting(skewed)
     repeats = 3 if _SMOKE else 5
     timings = {
         "gather_reduce": _best_of(
@@ -143,6 +157,15 @@ def test_kernel_timings(workload):
         ),
         "tensor_casting": _best_of(
             lambda: tensor_casting(index, backend="vectorized"), repeats
+        ),
+        "zipf1.05/expand_coalesce": _best_of(
+            lambda: expand_coalesce(skewed, gradients, backend="vectorized"),
+            repeats,
+        ),
+        "zipf1.05/casted_gather_reduce": _best_of(
+            lambda: casted_gather_reduce(gradients, skewed_cast,
+                                         backend="vectorized"),
+            repeats,
         ),
     }
     for kernel, seconds in sorted(timings.items()):

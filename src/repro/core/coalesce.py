@@ -64,7 +64,7 @@ def gradient_expand(gradients: np.ndarray, dst: np.ndarray) -> np.ndarray:
     dst = np.asarray(dst)
     if dst.size and (dst.min() < 0 or dst.max() >= gradients.shape[0]):
         raise ValueError("dst references a gradient row that does not exist")
-    return gradients[dst]
+    return gradients.take(dst, axis=0)
 
 
 def gradient_coalesce(
@@ -106,14 +106,16 @@ def gradient_coalesce(
     # (np.add.reduceat's pairwise partial sums would drift by ulps from the
     # loop-based backends and break the trainers' bit-identity).  The
     # sorted copy is Algorithm 1's second (n, dim) intermediate and stays
-    # materialised: it is what core.traffic bills this pipeline for.
+    # materialised (a ``take``, like every casted-side gather): it is what
+    # core.traffic bills this pipeline for.
     boundaries = np.empty(src.size, dtype=bool)
     boundaries[0] = True
     boundaries[1:] = sorted_src[1:] != sorted_src[:-1]
     starts = np.flatnonzero(boundaries)
     segment_ids = np.cumsum(boundaries) - 1
     coalesced = segment_sum(
-        expanded[order], None, segment_ids, starts.size, starts=starts
+        expanded.take(order, axis=0), None, segment_ids, starts.size,
+        starts=starts,
     )
     return sorted_src[starts].astype(np.int64), coalesced
 

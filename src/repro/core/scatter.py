@@ -13,7 +13,10 @@ The update is a row-local read-modify-write, so it is walked in
 whose cache lines are still resident when they are written back — by every
 optimizer (:meth:`repro.model.optim.Optimizer.apply_sparse`) and by the
 plain-SGD body :func:`sgd_update_rows`, the one spelling of
-``table[rows] -= lr * gradients`` outside the ``reference`` oracle.
+``table[rows] -= lr * gradients`` outside the ``reference`` oracle.  Its
+rows move off NumPy's general fancy-index path both ways: ``take`` gathers
+them and the whole-row store of :mod:`repro.core.segment` (one ``np.void``
+element per row) writes them back, in place on a row-strided shard view.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 from typing import Protocol, TYPE_CHECKING
 
 import numpy as np
+
+from .segment import _store_rows
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -108,10 +113,12 @@ def sgd_update_rows(
     """``table[rows] -= lr * gradients`` in place, one cache block at a time.
 
     Per block: gather the table rows into one reused buffer, scale the
-    gradient slice into the other, subtract in place, store the rows back —
-    the arithmetic, dtypes and rounding of the one-statement form
-    (``np.array_equal`` to it for every table / gradient dtype pair) with
-    no ``(u, dim)`` temporary, and ``gradients`` is never written.
+    gradient slice into the other, subtract in place, store the rows back
+    with one whole-row store (``_store_rows``: a 1-D index over row-wide
+    ``np.void`` elements, no fancy 2-D assignment) — the arithmetic, dtypes
+    and rounding of the one-statement form (``np.array_equal`` to it for
+    every table / gradient dtype pair) with no ``(u, dim)`` temporary, and
+    ``gradients`` is never written.
     ``rows`` must be unique; a row outside the table raises
     :class:`IndexError` before anything is written (:func:`row_blocks`
     checks the range once, so the gather itself runs unchecked —
@@ -132,7 +139,7 @@ def sgd_update_rows(
         np.take(table, ids, axis=0, out=kept, mode="clip")
         np.multiply(gradients[block], lr, out=scaled)
         np.subtract(kept, scaled, out=kept)
-        table[ids] = kept
+        _store_rows(table, ids, kept)
     return table
 
 

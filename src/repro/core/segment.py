@@ -10,20 +10,25 @@ numeric contract (each output row is accumulated one addend at a time, in
 lookup order — the association of ``np.add.at``, of the numba loop nests and
 of the pure-Python oracle):
 
-1. cut ``dst`` into segments (runs of equal destination);
-2. round ``r`` adds the ``r``-th lookup of every segment that has one, in
-   a single fancy-indexed NumPy call across segments, so row ``k`` sees
+1. cut ``dst`` into segments (runs of equal destination) and write the
+   first lookup of every segment into the result;
+2. order the segments longer than one longest-first and take their partial
+   sums into one compact buffer, so the segments with more than ``r``
+   lookups are always a prefix of it: round ``r`` adds the ``r``-th lookup
+   of each into that prefix with one contiguous add, and row ``k`` sees
    ``((v0 + v1) + v2) + ...``;
 3. the rounds stop at the *h-index* of the segment lengths (round ``r``
-   runs only while more than ``r`` segments are still active), and the at
-   most ``h`` longer segments are each folded whole by one row-sequential
-   reduction.
+   runs only while more than ``r`` segments are still active), the at most
+   ``h`` longer segments are each folded whole by one row-sequential
+   reduction, and one whole-row store writes the buffer back.
 
 The number of NumPy calls is therefore bounded by the data — 32 rounds for
 32-lookup bags, about 4 for a near-duplicate-free casted backward, about
-40 + 40 for a Zipf-skewed one — with nothing to tune.  This module imports
-NumPy only, so :mod:`repro.core.coalesce` and the backends share it without
-an import cycle.
+40 + 40 for a Zipf-skewed one — with nothing to tune, and no round runs
+NumPy's general fancy-index path: rows move by ``take`` and by
+:func:`_store_rows`, which :func:`repro.core.scatter.sgd_update_rows`
+shares.  This module imports NumPy only, so :mod:`repro.core.coalesce` and
+the backends share it without an import cycle.
 """
 
 from __future__ import annotations
@@ -82,6 +87,31 @@ def _fold(block: np.ndarray) -> np.ndarray:
     return np.add.accumulate(block, axis=0)[-1]
 
 
+def _store_rows(target: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
+    """``target[ids] = values`` for whole rows, in place.
+
+    Both sides are viewed as one ``np.void`` element per row and stored with
+    a 1-D integer index: a row moves as one memcpy instead of through NumPy's
+    general fancy-index path.  The view shares ``target``'s memory, so a
+    row-strided target (``table[lo:hi]``, ``table[1::2]``) is written in
+    place — unlike ``np.put``, which copies a non-contiguous target whole.
+    Bytes are copied, not converted, so the dtypes must match; duplicate ids
+    keep the last value, as the fancy store does.  A layout with no
+    contiguous row (column-strided or zero-width) takes the fancy store.
+    """
+    if target.dtype != values.dtype:
+        raise TypeError(
+            f"row store needs equal dtypes, got {values.dtype} into {target.dtype}"
+        )
+    itemsize = target.itemsize
+    contiguous_rows = target.strides[-1] == itemsize == values.strides[-1]
+    if not (target.shape[1] and contiguous_rows):
+        target[ids] = values
+        return
+    row = np.dtype((np.void, target.shape[1] * itemsize))
+    target.view(row)[:, 0][ids] = values.view(row)[:, 0]
+
+
 def segment_sum(
     source: np.ndarray,
     src: np.ndarray | None,
@@ -112,8 +142,9 @@ def segment_sum(
         one bulk add (see :meth:`KernelBackend.gather_reduce
         <repro.backends.base.KernelBackend.gather_reduce>` for what that
         means for a non-zero ``out``).  Without it the first addend of each
-        segment is written straight into a fresh result — no zero-fill, no
-        accumulator beside the output.
+        segment is written straight into a fresh result — no zero-fill, and
+        beside it only the compact buffer of the segments longer than one
+        (none when equal-length segments cover every output row).
     weights:
         Optional ``(n,)`` per-lookup scale, applied to each gathered round
         before the add (same products, same order as scaling up front).
@@ -149,28 +180,34 @@ def segment_sum(
             block = (block * weights[positions, None]).astype(dtype, copy=False)
         return block
 
-    # Per still-active segment: output row, position of its first lookup,
-    # length.  ``target`` is how the active rows index the result — all of
-    # it while every output row has an active segment.
     rows, first, length = dst[starts], starts, np.diff(starts, append=n)
-    target: np.ndarray | slice
     if starts.size == num_outputs:
-        result, target = addends(starts), slice(None)
+        result = addends(starts)
     else:
-        result, target = np.zeros(shape, dtype=dtype), rows
-        result[rows] = addends(starts)
+        result = np.zeros(shape, dtype=dtype)
+        _store_rows(result, rows, addends(starts))
+    # The segments longer than one, longest first, with their partial sums in
+    # a compact buffer: the ``active[r]`` segments longer than ``r`` are then
+    # its prefix, so round ``r`` adds into ``acc[:active[r]]`` — no fancy
+    # write and no compaction per round.
+    long = np.flatnonzero(length > 1)
+    ordered = not np.any(np.diff(length[long]) > 0)
+    if not ordered:
+        long = long[np.argsort(-length[long], kind="stable")]
+    rows, first, length = rows[long], first[long], length[long]
+    active = np.searchsorted(-length, -np.arange(length.size + 2), "left")
+    # When every output row has such a segment and they already run
+    # longest-first (a fixed pooling factor), that buffer is the result.
+    in_place = ordered and long.size == num_outputs
+    acc = result if in_place else result.take(rows, axis=0)
     rank = 1
-    while True:
-        active = length > rank
-        if not active.all():
-            rows, first, length = rows[active], first[active], length[active]
-            target = rows
-        if rows.size <= rank:  # the h-index cut: fewer segments than rounds
-            break
-        result[target] += addends(first + rank)
+    while active[rank] > rank:  # the h-index cut: fewer segments than rounds
+        acc[: active[rank]] += addends(first[: active[rank]] + rank)
         rank += 1
-    for row, begin, count in zip(rows, first, length):
-        result[row] = _fold(addends(slice(begin, begin + count)))
+    for k in range(active[rank]):
+        acc[k] = _fold(addends(slice(first[k], first[k] + length[k])))
+    if not in_place:
+        _store_rows(result, rows, acc)
     if out is None:
         return result
     out += result

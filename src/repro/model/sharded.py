@@ -380,7 +380,8 @@ class ShardedEmbeddingSet:
             cast = plan.casts[table_id][shard]
             scaled = plan.scaled_grads[table_id]
             grad_slice = np.ascontiguousarray(
-                scaled if slice_.touched is None else scaled[slice_.touched]
+                scaled if slice_.touched is None
+                else scaled.take(slice_.touched, axis=0)
             )
             vec_bytes = bag.dim * grad_slice.dtype.itemsize
             plan.backward_exchange_bytes += (

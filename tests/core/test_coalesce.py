@@ -43,6 +43,19 @@ class TestGradientExpand:
         with pytest.raises(ValueError, match="does not exist"):
             gradient_expand(np.ones((2, 3)), np.array([2]))
 
+    @pytest.mark.parametrize("layout", ["row-strided", "F-ordered"])
+    def test_take_equals_fancy_indexing_on_any_layout(self, rng, layout):
+        """Gradient tables arrive as views (column slices of the
+        interaction gradient); the ``take`` gather must equal
+        ``gradients[dst]`` on every layout."""
+        base = rng.standard_normal((16, 5)).astype(np.float32)
+        grads = base[::2] if layout == "row-strided" else np.asfortranarray(base)
+        assert not grads.flags.c_contiguous
+        dst = rng.integers(0, grads.shape[0], 40)
+        expanded = gradient_expand(grads, dst)
+        assert expanded.dtype == grads.dtype
+        assert np.array_equal(expanded, grads[dst])
+
 
 class TestGradientCoalesce:
     def test_paper_example(self, paper_index):
@@ -79,6 +92,25 @@ class TestGradientCoalesce:
     def test_rejects_2d_src(self):
         with pytest.raises(ValueError, match="1-D"):
             gradient_coalesce(np.ones((2, 2), dtype=int), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("layout", ["row-strided", "F-ordered"])
+    def test_strided_expanded_is_exact(self, rng, layout):
+        """The sorted copy is a ``take``; on a non-contiguous ``expanded``
+        the result must still be the oracle's, bit for bit."""
+        index = make_random_index(rng, num_rows=9, batch=8, lookups=6)
+        grads = rng.standard_normal((8, 3))
+        if layout == "row-strided":
+            wide = np.repeat(grads[index.dst], 2, axis=0)
+            expanded = wide[::2]
+        else:
+            expanded = np.asfortranarray(grads[index.dst])
+        assert not expanded.flags.c_contiguous
+        rows_v, coal_v = gradient_coalesce(index.src, expanded)
+        rows_r, coal_r = gradient_coalesce_reference(index.src, expanded)
+        assert np.array_equal(rows_v, rows_r)
+        assert np.array_equal(coal_v, coal_r)
+        rows_c, coal_c = gradient_coalesce(index.src, expanded.copy(order="C"))
+        assert np.array_equal(rows_v, rows_c) and np.array_equal(coal_v, coal_c)
 
     def test_output_row_count_is_unique_count(self, rng):
         index = make_random_index(rng, num_rows=15, batch=10, lookups=6)

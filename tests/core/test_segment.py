@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.segment import _fold, run_starts, segment_sum, sort_by_key
+from repro.core.segment import (
+    _fold, _store_rows, run_starts, segment_sum, sort_by_key,
+)
 
 DTYPES = (np.float64, np.float32)
 DTYPE_IDS = ["f64", "f32"]
@@ -46,6 +48,13 @@ PROFILES = {
     "h-ragged": [1, 1, 2, 3, 4, 5, 6, 40, 41],
     "h-two-long": [2, 2, 3],
     "empty-bags": [0, 0, 3, 1, 0, 4, 0, 0],
+    # The rounds add into a longest-first prefix of the long segments: the
+    # longest segment last in row order, equal lengths straddling the
+    # h-index cut (a stable order must keep them in row order), and one
+    # giant behind a tail of short segments.
+    "ascending": list(range(1, 41)),
+    "ties-at-cut": [4, 1, 4, 2, 4, 3, 4, 4],
+    "tail-then-giant": [1] * 30 + [2] * 10 + [300],
 }
 
 
@@ -272,6 +281,57 @@ class TestNumpyOrderCanary:
         for row in block[1:]:
             expected = expected + row
         assert np.array_equal(_fold(block), expected)
+
+
+# ----------------------------------------------------------------------
+# _store_rows: the whole-row store of the rounds and the SGD row update
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+class TestRowStore:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_equals_the_fancy_store_with_duplicates_last_wins(self, dim, dtype):
+        rng = np.random.default_rng(dim)
+        target = rng.standard_normal((50, dim)).astype(dtype)
+        ids = np.array([7, 3, 7, 49, 0, 3, 7])
+        values = rng.standard_normal((ids.size, dim)).astype(dtype)
+        want = target.copy()
+        want[ids] = values
+        _store_rows(target, ids, values)
+        assert np.array_equal(target, want)
+        assert np.array_equal(target[7], values[-1])   # the last of three
+
+    def test_writes_a_row_strided_view_in_place(self, dtype):
+        rng = np.random.default_rng(11)
+        table = rng.standard_normal((21, 6)).astype(dtype)
+        before = table.copy()
+        view = table[1::2]
+        ids = np.array([4, 0, 9])
+        values = rng.standard_normal((3, 6)).astype(dtype)
+        _store_rows(view, ids, values)
+        assert np.shares_memory(view, table) and not view.flags.c_contiguous
+        assert np.array_equal(table[1::2][ids], values)
+        written = 1 + 2 * ids
+        untouched = np.setdiff1d(np.arange(table.shape[0]), written)
+        assert np.array_equal(table[untouched], before[untouched])
+
+    @pytest.mark.parametrize("dim", [4, 0], ids=["F-ordered", "zero-width"])
+    def test_a_target_without_contiguous_rows_takes_the_fancy_store(
+        self, dim, dtype
+    ):
+        rng = np.random.default_rng(12)
+        target = np.asfortranarray(rng.standard_normal((9, dim)).astype(dtype))
+        values = rng.standard_normal((2, dim)).astype(dtype)
+        want = target.copy()
+        want[[5, 1]] = values
+        _store_rows(target, np.array([5, 1]), values)
+        assert np.array_equal(target, want)
+
+    def test_a_dtype_mismatch_raises_instead_of_reinterpreting(self, dtype):
+        other = np.float32 if dtype == np.float64 else np.float64
+        target = np.zeros((4, 2), dtype=dtype)
+        with pytest.raises(TypeError, match="equal dtypes"):
+            _store_rows(target, np.array([1]), np.ones((1, 2), dtype=other))
+        assert not target.any()
 
 
 # ----------------------------------------------------------------------
