@@ -1,8 +1,8 @@
 """Pipelined vs serial trainer wall-clock (the Section IV-B overlap, measured).
 
-Times whole training runs of the serial :class:`FunctionalTrainer` and the
-double-buffered :class:`PipelinedTrainer` on the same down-scaled DLRM, at
-the default single shard and at 2 shards.  The pipelined rows should match
+Times whole training runs of :class:`FunctionalTrainer` serial
+(``lookahead=0``) and double-buffered (``lookahead=1``) on the same
+down-scaled DLRM, at the default single shard and at 2 shards.  The pipelined rows should match
 or beat the serial rows: the casting stage (index splitting included) of
 batch ``i+1`` runs on a background worker while batch ``i`` trains.
 
@@ -18,7 +18,6 @@ import pytest
 from repro.data.generator import SyntheticCTRStream
 from repro.model import DLRM, SGD
 from repro.model.configs import RM1
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.trainer import FunctionalTrainer
 
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -33,7 +32,7 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(trainer_cls, num_shards=1):
+def make_trainer(lookahead, num_shards=1):
     model = DLRM(CONFIG, rng=np.random.default_rng(0), dtype=np.float32)
     stream = SyntheticCTRStream(
         num_tables=CONFIG.num_tables,
@@ -42,27 +41,22 @@ def make_trainer(trainer_cls, num_shards=1):
         dense_features=CONFIG.dense_features,
         seed=0,
     )
-    return trainer_cls(model, stream, SGD(lr=0.1), num_shards=num_shards)
+    return FunctionalTrainer(model, stream, SGD(lr=0.1), num_shards=num_shards,
+                             lookahead=lookahead)
 
 
-@pytest.mark.parametrize(
-    "trainer_cls", [FunctionalTrainer, PipelinedTrainer],
-    ids=["serial", "pipelined"],
-)
-def test_unsharded_training_wallclock(benchmark, trainer_cls):
-    trainer = make_trainer(trainer_cls)
+@pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "pipelined"])
+def test_unsharded_training_wallclock(benchmark, lookahead):
+    trainer = make_trainer(lookahead)
     rng = np.random.default_rng(1)
     report = benchmark(lambda: trainer.train(BATCH, STEPS, rng))
     assert report.steps == STEPS
     assert report.wall_seconds > 0
 
 
-@pytest.mark.parametrize(
-    "trainer_cls", [FunctionalTrainer, PipelinedTrainer],
-    ids=["serial", "pipelined"],
-)
-def test_sharded_training_wallclock(benchmark, trainer_cls):
-    trainer = make_trainer(trainer_cls, num_shards=2)
+@pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "pipelined"])
+def test_sharded_training_wallclock(benchmark, lookahead):
+    trainer = make_trainer(lookahead, num_shards=2)
     rng = np.random.default_rng(1)
     report = benchmark(lambda: trainer.train(BATCH, STEPS, rng))
     assert report.steps == STEPS
@@ -78,7 +72,7 @@ def test_pipeline_hides_the_cast():
     runs in full (worker-side ``casting`` time), but the step loop barely
     waits for it (``cast_wait``).
     """
-    trainer = make_trainer(PipelinedTrainer)
+    trainer = make_trainer(1)
     report = trainer.train(BATCH, STEPS, np.random.default_rng(1))
     casting = report.timings.totals["casting"]
     cast_wait = report.timings.totals["cast_wait"]

@@ -33,7 +33,7 @@ from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD
 from repro.obs import Observability, validate_chrome_trace, span_totals
-from repro.runtime.pipeline import PipelinedTrainer
+from repro.runtime.trainer import FunctionalTrainer
 from repro.serving import (
     BatchingPolicy,
     FixedLatencyExecutor,
@@ -60,8 +60,8 @@ def trace_training() -> None:
     """A pipelined sharded run: casts and shard gathers on their own tracks."""
     obs = Observability()
     model = DLRM(CONFIG, rng=np.random.default_rng(0))
-    trainer = PipelinedTrainer(model, make_stream(), SGD(lr=0.2),
-                               num_shards=2)
+    trainer = FunctionalTrainer(model, make_stream(), SGD(lr=0.2),
+                                num_shards=2, lookahead=1)
     report = trainer.train(32, 6, np.random.default_rng(1), obs=obs)
     obs.annotate(example="traced_run", plane="training")
     written = obs.export(OUT_DIR / "training.trace.json",

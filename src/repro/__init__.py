@@ -20,14 +20,13 @@ Package tour
   Table II configurations;
 * :mod:`repro.data` — the streaming batch data plane: the ``BatchSource``
   protocol with synthetic generation, constant-memory trace replay, a
-  Criteo-style file reader, and composable wrappers (prefetch, arrival
-  shaping, remapping), plus calibrated dataset profiles and histogram
-  tooling;
+  Criteo-style file reader, and composable wrappers (prefetch, stream
+  bounding), plus calibrated dataset profiles and histogram tooling;
 * :mod:`repro.sim` — cycle-level DDR4 simulation, CPU/GPU/NMP device models,
   interconnects and energy accounting;
 * :mod:`repro.runtime` — execution timelines, the four system design points,
-  a wall-clock-instrumented functional trainer, and the pipelined
-  cast-ahead trainer that executes the Section IV-B overlap;
+  and a wall-clock-instrumented functional trainer whose ``lookahead=1``
+  executes the Section IV-B cast-ahead overlap;
 * :mod:`repro.experiments` — one harness per table/figure of the evaluation.
 
 Quickstart
@@ -109,7 +108,6 @@ from .runtime import (
     FunctionalTrainer,
     MetricsLogger,
     NMPSystem,
-    PipelinedTrainer,
     ShardedNMPSystem,
     SystemHardware,
     Timeline,
@@ -169,7 +167,6 @@ __all__ = [
     "Momentum",
     "NMPPoolModel",
     "NMPSystem",
-    "PipelinedTrainer",
     "PrefetchingSource",
     "RMSprop",
     "SGD",

@@ -172,7 +172,7 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
 def use_backend(name: str) -> Iterator[KernelBackend]:
     """Temporarily swap the process default backend (not thread-scoped).
 
-    The pipelined trainer's background worker reads the backend *instance*
+    The cast-ahead worker (``lookahead=1``) reads the backend *instance*
     its trainer resolved at construction, never this default — so scoping
     the default per-thread buys nothing; keep overlapping trainers on
     explicit ``backend=`` arguments instead.

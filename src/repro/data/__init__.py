@@ -7,7 +7,7 @@ interchangeable implementations — the learnable
 replay (:class:`~repro.data.trace.TraceReplaySource` /
 :class:`~repro.data.trace.IndexReplaySource`), a Criteo-style file reader
 (:class:`~repro.data.source.CriteoFileSource`), and composable wrappers
-(prefetching, arrival shaping, table remapping, stream bounding).  The
+(prefetching, stream bounding).  The
 calibrated synthetic stand-ins for the paper's public datasets and the
 histogram tooling that measures locality live alongside.
 """
@@ -21,13 +21,11 @@ from .generator import (
     generate_table_indices,
 )
 from .source import (
-    ArrivalShapedSource,
     BatchSource,
     CTRBatch,
     CriteoFileSource,
     PrefetchingSource,
     SourceExhausted,
-    TableRemapSource,
     TakeSource,
     as_batch_source,
 )
@@ -51,7 +49,6 @@ from .histogram import (
 
 __all__ = [
     "ArrivalProcess",
-    "ArrivalShapedSource",
     "BatchSource",
     "BatchTraceWriter",
     "CTRBatch",
@@ -65,7 +62,6 @@ __all__ = [
     "PrefetchingSource",
     "SourceExhausted",
     "SyntheticCTRStream",
-    "TableRemapSource",
     "TakeSource",
     "TraceReplaySource",
     "UniformDistribution",

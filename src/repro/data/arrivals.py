@@ -1,14 +1,11 @@
-"""Seedable query-arrival processes shared by the data and serving planes.
+"""Seedable query-arrival processes for the serving plane.
 
 DeepRecSys (Gupta et al.) makes the case that at-scale serving behaviour
-only emerges under realistic query arrival patterns.  Two places in this
-repository need to *generate* such patterns — the training data plane's
-:class:`~repro.data.source.ArrivalShapedSource` (which paces batch
-production) and the serving plane's request generator
-(:func:`repro.serving.request.generate_requests`, which stamps scheduled
-arrival times onto :class:`~repro.serving.request.Request` objects).  Both
-delegate to :class:`ArrivalProcess` here, so a source and a request stream
-built from the same ``(rate, pattern, seed)`` produce the *identical*
+only emerges under realistic query arrival patterns.  The serving plane's
+request generator (:func:`repro.serving.request.generate_requests`) stamps
+the scheduled arrival times of an :class:`ArrivalProcess` onto
+:class:`~repro.serving.request.Request` objects, so two request streams
+built from the same ``(rate, pattern, seed)`` follow the *identical*
 schedule — the reproducibility contract pinned by
 ``tests/data/test_arrivals.py``.
 
@@ -73,9 +70,7 @@ class ArrivalProcess:
     def next_offset(self) -> float:
         """The next scheduled arrival offset; advances the process by one.
 
-        The first call returns 0.0 (the stream starts at its own origin),
-        matching :class:`~repro.data.source.ArrivalShapedSource`'s
-        ``arrival_offsets`` convention.
+        The first call returns 0.0 (the stream starts at its own origin).
         """
         scheduled = self._next_offset
         self._next_offset += self.next_gap()

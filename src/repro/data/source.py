@@ -3,9 +3,8 @@
 Training in this repository is bound by how index and gradient data move —
 the paper's whole premise — so batch *production* is a first-class
 subsystem, not a hard-wired generator.  A :class:`BatchSource` produces
-:class:`CTRBatch` mini-batches one at a time; trainers
-(:class:`~repro.runtime.trainer.FunctionalTrainer`,
-:class:`~repro.runtime.pipeline.PipelinedTrainer`) consume any source
+:class:`CTRBatch` mini-batches one at a time; the trainer
+(:class:`~repro.runtime.trainer.FunctionalTrainer`) consumes any source
 through the same two-method surface:
 
 * :meth:`BatchSource.next_batch` — produce the next mini-batch (raising
@@ -23,10 +22,8 @@ Implementations in the package:
 * :class:`CriteoFileSource` — a Criteo-style TSV/NPZ dataset file reader;
 
 plus the composable wrappers defined here: :class:`TakeSource` (bound an
-endless stream), :class:`TableRemapSource` (rank→physical row remapping),
-:class:`ArrivalShapedSource` (query-arrival shaping à la DeepRecSys), and
-:class:`PrefetchingSource` (a bounded background prefetch queue feeding the
-trainers' cast-ahead machinery).
+endless stream) and :class:`PrefetchingSource` (a bounded background
+prefetch queue feeding the trainer's cast-ahead machinery).
 """
 
 from __future__ import annotations
@@ -34,15 +31,13 @@ from __future__ import annotations
 import abc
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Protocol, Sequence, TYPE_CHECKING
+from typing import IO, Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from ..core.indexing import IndexArray
-from .arrivals import ArrivalProcess
 
 if TYPE_CHECKING:
     from ..obs.metrics import Counter, Gauge, MetricRegistry
@@ -53,12 +48,27 @@ __all__ = [
     "BatchSource",
     "as_batch_source",
     "TakeSource",
-    "TableRemapSource",
-    "ArrivalShapedSource",
     "PrefetchingSource",
     "CriteoFileSource",
-    "LegacyStream",
+    "positive_int",
 ]
+
+
+def positive_int(name: str, value: Any) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming the argument.
+
+    Accepts Python and NumPy integers; rejects ``bool`` (``True`` would
+    otherwise train one step), floats, strings and anything below 1.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value <= 0
+    ):
+        raise ValueError(
+            f"{name} must be a positive integer, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -133,61 +143,17 @@ class BatchSource(abc.ABC):
         return False
 
 
-class LegacyStream(Protocol):
-    """The pre-data-plane stream surface :func:`as_batch_source` adapts.
-
-    Anything carrying the batch geometry plus a ``make_batch`` method —
-    the shape of :class:`~repro.data.generator.SyntheticCTRStream` before
-    the BatchSource protocol existed — can still feed the trainers.
-    """
-
-    num_tables: int
-    rows_per_table: Sequence[int]
-    dense_features: int
-
-    def make_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch: ...
-
-
-class _AdaptedSource(BatchSource):
-    """Wrap a legacy ``make_batch`` object into the :class:`BatchSource` API."""
-
-    def __init__(self, stream: "LegacyStream") -> None:
-        for attribute in ("num_tables", "rows_per_table", "dense_features"):
-            if not hasattr(stream, attribute):
-                raise TypeError(
-                    f"{type(stream).__name__} cannot be adapted to a "
-                    f"BatchSource: missing {attribute!r}"
-                )
-        self.stream = stream
-        self.num_tables = int(stream.num_tables)
-        self.rows_per_table = [int(r) for r in stream.rows_per_table]
-        self.dense_features = int(stream.dense_features)
-
-    def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        return self.stream.make_batch(batch, rng)
-
-
-def as_batch_source(stream: "BatchSource | LegacyStream") -> BatchSource:
-    """Coerce ``stream`` into a :class:`BatchSource`.
-
-    A real source passes through unchanged; any object exposing the legacy
-    ``make_batch(batch, rng)`` surface plus the geometry attributes is
-    wrapped, so pre-data-plane streams keep working with the trainers.
-    """
+def as_batch_source(stream: BatchSource) -> BatchSource:
+    """``stream`` itself, or a ``TypeError`` when it is not a :class:`BatchSource`."""
     if isinstance(stream, BatchSource):
         return stream
-    if hasattr(stream, "make_batch"):
-        return _AdaptedSource(stream)
-    raise TypeError(
-        f"{type(stream).__name__} is not a BatchSource and has no "
-        "make_batch method to adapt"
-    )
+    raise TypeError(f"{type(stream).__name__} is not a BatchSource")
 
 
 class _WrappedSource(BatchSource):
     """Shared plumbing for wrappers: delegate geometry and close-through."""
 
-    def __init__(self, source: "BatchSource | LegacyStream") -> None:
+    def __init__(self, source: BatchSource) -> None:
         self.source = as_batch_source(source)
         self.num_tables = self.source.num_tables
         self.rows_per_table = list(self.source.rows_per_table)
@@ -204,12 +170,9 @@ class TakeSource(_WrappedSource):
     exhaustion-path testing and for recording fixed-length traces.
     """
 
-    def __init__(self, source: "BatchSource | LegacyStream",
-                 max_batches: int) -> None:
+    def __init__(self, source: BatchSource, max_batches: int) -> None:
         super().__init__(source)
-        if max_batches <= 0:
-            raise ValueError(f"max_batches must be positive, got {max_batches}")
-        self.max_batches = int(max_batches)
+        self.max_batches = positive_int("max_batches", max_batches)
         self._taken = 0
 
     def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
@@ -219,134 +182,6 @@ class TakeSource(_WrappedSource):
             )
         data = self.source.next_batch(batch, rng)
         self._taken += 1
-        return data
-
-
-class TableRemapSource(_WrappedSource):
-    """Remap every table's row ids through a fixed permutation.
-
-    Sources emit *popularity ranks* (id 0 is the hottest row); physical
-    tables scatter hot rows across the address space.  This wrapper applies
-    a per-table rank→physical permutation to ``src`` ids — the streaming
-    counterpart of :meth:`~repro.data.distributions.LookupDistribution.
-    rank_permutation` — so locality studies (hot-row caching, DRAM layout)
-    can separate *statistical* skew from *address-space* adjacency.
-
-    Parameters
-    ----------
-    source:
-        The wrapped producer.
-    permutations:
-        One permutation array per table (``permutations[t][rank] ->
-        physical row``).  ``None`` draws a pseudo-random permutation per
-        table from ``seed``.
-    seed:
-        Seed for the default permutations.
-    """
-
-    def __init__(
-        self,
-        source: "BatchSource | LegacyStream",
-        permutations: Sequence[np.ndarray] | None = None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(source)
-        if permutations is None:
-            perm_rng = np.random.default_rng(seed)
-            permutations = [
-                perm_rng.permutation(rows).astype(np.int64)
-                for rows in self.rows_per_table
-            ]
-        if len(permutations) != self.num_tables:
-            raise ValueError(
-                f"got {len(permutations)} permutations for "
-                f"{self.num_tables} tables"
-            )
-        self.permutations = []
-        for table_id, (perm, rows) in enumerate(
-            zip(permutations, self.rows_per_table)
-        ):
-            perm = np.asarray(perm, dtype=np.int64)
-            if perm.shape != (rows,) or not np.array_equal(
-                np.sort(perm), np.arange(rows)
-            ):
-                raise ValueError(
-                    f"permutations[{table_id}] is not a permutation of "
-                    f"range({rows})"
-                )
-            self.permutations.append(perm)
-
-    def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        data = self.source.next_batch(batch, rng)
-        remapped = [
-            IndexArray(
-                perm[index.src],
-                index.dst,
-                num_rows=index.num_rows,
-                num_outputs=index.num_outputs,
-            )
-            for perm, index in zip(self.permutations, data.indices)
-        ]
-        return CTRBatch(dense=data.dense, indices=remapped, labels=data.labels)
-
-
-class ArrivalShapedSource(_WrappedSource):
-    """Shape *when* batches become available: fixed-rate or Poisson arrivals.
-
-    DeepRecSys (Gupta et al.) shows at-scale behaviour only emerges under
-    realistic query arrival patterns; this wrapper gives the training data
-    plane the same knob.  Each batch is assigned a scheduled arrival offset
-    (``uniform``: every ``1/rate`` seconds; ``poisson``: i.i.d. exponential
-    gaps with mean ``1/rate``) and :meth:`next_batch` blocks until that
-    offset has elapsed since the first draw.
-
-    ``sleep=False`` records the schedule without blocking — useful for
-    tests and for modeling arrival processes faster than real time.
-    Scheduled offsets accumulate in :attr:`arrival_offsets` and the total
-    time actually slept in :attr:`waited_seconds`.
-
-    Gap generation is delegated to a shared
-    :class:`~repro.data.arrivals.ArrivalProcess`, the same helper the
-    serving plane's request generator uses — so a shaped source and a
-    request stream built from equal ``(rate, pattern, seed)`` follow the
-    identical schedule (pinned by ``tests/data/test_arrivals.py``).
-    """
-
-    PATTERNS = ArrivalProcess.PATTERNS
-
-    def __init__(
-        self,
-        source: "BatchSource | LegacyStream",
-        rate_per_s: float,
-        pattern: str = "poisson",
-        seed: int = 0,
-        sleep: bool = True,
-    ) -> None:
-        super().__init__(source)
-        self.process = ArrivalProcess(rate_per_s, pattern=pattern, seed=seed)
-        self.rate_per_s = self.process.rate_per_s
-        self.pattern = self.process.pattern
-        self.sleep = bool(sleep)
-        self._start: Optional[float] = None
-        self.arrival_offsets: List[float] = []
-        self.waited_seconds = 0.0
-
-    def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        # Draw first so exhaustion propagates without a pointless wait.
-        data = self.source.next_batch(batch, rng)
-        # Real-time pacing is this wrapper's documented, opt-in job: the
-        # schedule itself stays deterministic (seeded ArrivalProcess); only
-        # the blocking is wall-clock.
-        now = time.perf_counter()  # repro-lint: ignore[determinism]
-        if self._start is None:
-            self._start = now
-        scheduled = self.process.next_offset()
-        self.arrival_offsets.append(scheduled)
-        if self.sleep:
-            remaining = (self._start + scheduled) - now
-            if remaining > 0:
-                time.sleep(remaining)  # repro-lint: ignore[determinism]
-                self.waited_seconds += remaining
         return data
 
 
@@ -379,12 +214,9 @@ class PrefetchingSource(_WrappedSource):
     batches of the pinned size).
     """
 
-    def __init__(self, source: "BatchSource | LegacyStream",
-                 depth: int = 2) -> None:
+    def __init__(self, source: BatchSource, depth: int = 2) -> None:
         super().__init__(source)
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        self.depth = int(depth)
+        self.depth = positive_int("depth", depth)
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.depth)
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()

@@ -38,7 +38,6 @@ from .histogram import empirical_probability_function
 from .source import (
     BatchSource,
     CTRBatch,
-    LegacyStream,
     SourceExhausted,
     as_batch_source,
 )
@@ -300,7 +299,7 @@ class BatchTraceWriter:
 
 
 def record_trace(
-    source: BatchSource | LegacyStream,
+    source: BatchSource,
     path: str | Path,
     batch: int,
     steps: int,

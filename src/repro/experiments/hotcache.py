@@ -38,11 +38,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..data.source import BatchSource, SourceExhausted
+from ..data.source import BatchSource, SourceExhausted, positive_int
 from ..data.trace import EmpiricalDistribution, TraceReplaySource
 from ..model.configs import ModelConfig, RM1
 from ..model.hot_cache import replay_hit_counts
-from ..runtime.policy import positive_int
 from ..sim.cache import CachedCPUModel, HotRowCacheSpec
 from .measured import read_trace, scaled_distribution, synthetic_source
 from .report import format_table

@@ -43,13 +43,12 @@ from ..data.distributions import (
     ZipfDistribution,
 )
 from ..data.generator import SyntheticCTRStream
-from ..data.source import BatchSource, CTRBatch
+from ..data.source import BatchSource, CTRBatch, positive_int
 from ..data.trace import TraceReplaySource
 from ..model.configs import ModelConfig
 from ..model.dlrm import DLRM
 from ..model.optim import make_optimizer
 from ..runtime.checkpoint import Checkpoint, restore_trainer, save_checkpoint
-from ..runtime.policy import positive_int
 from ..runtime.trainer import FunctionalTrainer, TrainingReport
 
 if TYPE_CHECKING:

@@ -41,7 +41,7 @@ pair terms differ by exactly 2x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -56,87 +56,9 @@ from .embedding import EmbeddingBag, inverse_lookup_counts
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
 
-__all__ = [
-    "ShardedStepPlan",
-    "ShardedEmbeddingSet",
-    "cast_slices",
-    "gather_slices",
-    "reduce_payload",
-    "store_shard",
-]
+__all__ = ["ShardedStepPlan", "ShardedEmbeddingSet"]
 
 _INDEX_ITEMSIZE = 8  # int64 ids, both halves of a (src, dst) pair
-
-#: The backward all-to-all payload for one shard: ``(table_id, pairs,
-#: grad_slice)`` per table the shard owns lookups of, ``pairs`` being the
-#: shard's cast (casted mode) or its raw index sub-array (baseline mode).
-BackwardPayload = List[Tuple[int, Union[CastedIndex, IndexArray], np.ndarray]]
-
-#: One shard's coalesced gradients: ``(table_id, rows, values)``, ``rows``
-#: being the parent-table rows the shard owns.
-Coalesced = List[Tuple[int, np.ndarray, np.ndarray]]
-
-
-# ----------------------------------------------------------------------
-# Per-shard kernels, as pure functions of what crosses the all-to-all:
-# one shard's work reads nothing of another's, the way N devices would
-# run it.  The ``*_shard`` methods below run exactly these.
-# ----------------------------------------------------------------------
-def cast_slices(
-    slices: Sequence[Optional[ShardSlice]], backend: "BackendSpec"
-) -> List[Optional[CastedIndex]]:
-    """Algorithm 2 over one shard's per-table index sub-arrays."""
-    return [
-        tensor_casting(slice_.index, backend=backend)
-        if slice_ is not None
-        else None
-        for slice_ in slices
-    ]
-
-
-def gather_slices(
-    tables: Sequence[np.ndarray],
-    slices: Sequence[Optional[ShardSlice]],
-    backend: "BackendSpec",
-) -> List[Optional[np.ndarray]]:
-    """Gather-reduce one shard's lookups into partial pooled sums.
-
-    ``tables`` are the parent tables, whole: a slice's ``src`` names their
-    rows, so the gather costs what the lookups cost, not what the table does.
-    """
-    return [
-        gather_reduce(table, slice_.index, backend=backend)
-        if slice_ is not None
-        else None
-        for table, slice_ in zip(tables, slices)
-    ]
-
-
-def reduce_payload(
-    payload: BackwardPayload, backend: "BackendSpec"
-) -> Coalesced:
-    """Coalesce one shard's shipped gradients: Algorithm 3 or Algorithm 1.
-
-    A cast is reduced by the casted gather-reduce; raw pairs by the baseline
-    expand-coalesce.  Both return the same ``(rows, values)``.
-    """
-    coalesced: Coalesced = []
-    for table_id, pairs, grad_slice in payload:
-        if isinstance(pairs, CastedIndex):
-            rows, values = casted_gather_reduce(grad_slice, pairs, backend=backend)
-        else:
-            rows, values = expand_coalesce(pairs, grad_slice, backend=backend)
-        coalesced.append((table_id, rows, values))
-    return coalesced
-
-
-def store_shard(
-    slots: List[List[Optional[Any]]], shard: int,
-    per_table: Sequence[Optional[Any]],
-) -> None:
-    """Write one shard's per-table products into ``[table][shard]`` slots."""
-    for row, value in zip(slots, per_table):
-        row[shard] = value
 
 
 @dataclass
@@ -166,10 +88,6 @@ class ShardedStepPlan:
     def exchange_bytes(self) -> int:
         """Total simulated all-to-all payload of the step (both directions)."""
         return self.forward_exchange_bytes + self.backward_exchange_bytes
-
-    def shard_slices(self, shard: int) -> List[Optional[ShardSlice]]:
-        """``shard``'s index sub-array of every table (its cast/gather input)."""
-        return [row[shard] for row in self.slices]
 
 
 class ShardedEmbeddingSet:
@@ -257,22 +175,30 @@ class ShardedEmbeddingSet:
         Each shard casts only its own slice, so cast work parallelizes with
         shard count and depends only on index data available before forward
         propagation.  A shard left uncast backpropagates through the
-        baseline expand-coalesce instead (:meth:`backward_payload`).
+        baseline expand-coalesce instead (:meth:`backward_shard`).
         """
-        store_shard(
-            plan.casts, shard,
-            cast_slices(plan.shard_slices(shard), self.backend),
-        )
+        for table_id, row in enumerate(plan.slices):
+            slice_ = row[shard]
+            if slice_ is not None:
+                plan.casts[table_id][shard] = tensor_casting(
+                    slice_.index, backend=self.backend
+                )
 
     # ------------------------------------------------------------------
     # Phase 3: forward
     # ------------------------------------------------------------------
     def forward_shard(self, plan: ShardedStepPlan, shard: int) -> None:
-        """Gather-reduce ``shard``'s lookups into partial pooled sums."""
-        store_shard(
-            plan.partials, shard,
-            gather_slices(self.tables, plan.shard_slices(shard), self.backend),
-        )
+        """Gather-reduce ``shard``'s lookups into partial pooled sums.
+
+        A slice's ``src`` names rows of the parent table, whole, so the
+        gather costs what the lookups cost, not what the table does.
+        """
+        for table_id, (table, row) in enumerate(zip(self.tables, plan.slices)):
+            slice_ = row[shard]
+            if slice_ is not None:
+                plan.partials[table_id][shard] = gather_reduce(
+                    table, slice_.index, backend=self.backend
+                )
 
     def assemble_pooled(self, plan: ShardedStepPlan) -> List[np.ndarray]:
         """Forward all-to-all: ship partials to sample owners and sum them.
@@ -341,24 +267,22 @@ class ShardedEmbeddingSet:
         plan.scaled_grads = scaled
         plan.staged_grads = list(grad_tables)
 
-    def backward_payload(
+    def backward_shard(
         self,
         plan: ShardedStepPlan,
         shard: int,
         grad_tables: Sequence[np.ndarray],
-    ) -> BackwardPayload:
-        """Assemble the backward all-to-all payload for ``shard``.
+    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Coalesce ``shard``'s gradient slices (Algorithm 3 or 1).
 
-        Everything of :meth:`backward_shard` *except* the reduction itself:
-        validate the staged gradients, slice each table's scaled gradient
-        rows (C-contiguous, whatever layout the dense backward handed over),
-        and account the shipped bytes (gradient rows plus pairs) into
-        ``plan.backward_exchange_bytes``.  The pairs are the shard's cast
-        if :meth:`cast_shard` ran, its raw index sub-array otherwise — the
-        same count of ``(src, dst)`` ids either way, so both modes ship the
-        same bytes.  The returned ``(table_id, pairs, grad_slice)`` triples
-        are exactly what crosses the all-to-all to the shard's device, which
-        reduces it (:func:`reduce_payload`) without touching the plan.
+        The backward all-to-all delivers ``grad_tables[t][touched]`` — only
+        the gradient rows the shard's lookups feed, C-contiguous whatever
+        layout the dense backward handed over — plus the shard's pairs: its
+        cast if :meth:`cast_shard` ran, reduced by the casted gather-reduce,
+        or its raw index sub-array, reduced by the baseline expand-coalesce.
+        Both ship the same count of ``(src, dst)`` ids, and both payloads
+        are accounted into ``plan.backward_exchange_bytes``.  Returns
+        ``(table_id, rows, values)`` triples ready for :meth:`update_shard`.
         """
         if plan.scaled_grads is None:
             self.prepare_backward(plan, grad_tables)
@@ -372,12 +296,11 @@ class ShardedEmbeddingSet:
                 "gradient tables differ from the ones staged by "
                 "prepare_backward; re-stage before running backward_shard"
             )
-        payload: BackwardPayload = []
+        coalesced: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for table_id, bag in enumerate(self.bags):
             slice_ = plan.slices[table_id][shard]
             if slice_ is None:
                 continue
-            cast = plan.casts[table_id][shard]
             scaled = plan.scaled_grads[table_id]
             grad_slice = np.ascontiguousarray(
                 scaled if slice_.touched is None
@@ -388,28 +311,17 @@ class ShardedEmbeddingSet:
                 slice_.num_touched * vec_bytes
                 + 2 * slice_.num_lookups * _INDEX_ITEMSIZE
             )
-            payload.append(
-                (table_id, slice_.index if cast is None else cast, grad_slice)
-            )
-        return payload
-
-    def backward_shard(
-        self,
-        plan: ShardedStepPlan,
-        shard: int,
-        grad_tables: Sequence[np.ndarray],
-    ) -> Coalesced:
-        """Coalesce ``shard``'s gradient slices (Algorithm 3 or 1).
-
-        The backward all-to-all delivers ``grad_tables[t][touched]`` — only
-        the gradient rows the shard's lookups feed — plus the shard's pairs;
-        both payloads are accounted into ``plan.backward_exchange_bytes``
-        (via :meth:`backward_payload`).  Returns ``(table_id, rows,
-        values)`` triples ready for :meth:`update_shard`.
-        """
-        return reduce_payload(
-            self.backward_payload(plan, shard, grad_tables), self.backend
-        )
+            cast = plan.casts[table_id][shard]
+            if cast is None:
+                rows, values = expand_coalesce(
+                    slice_.index, grad_slice, backend=self.backend
+                )
+            else:
+                rows, values = casted_gather_reduce(
+                    grad_slice, cast, backend=self.backend
+                )
+            coalesced.append((table_id, rows, values))
+        return coalesced
 
     # ------------------------------------------------------------------
     # Phase 5: update

@@ -5,12 +5,11 @@ of casting with forward propagation (:mod:`~repro.runtime.systems`), the
 timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **stage-graph training engine** (:mod:`~repro.runtime.engine` +
 :mod:`~repro.runtime.stages`): one step loop over named stages, driven by
-one :class:`SchedulePolicy` record (look-ahead, accumulation, forward-only
-— :mod:`~repro.runtime.policy`), with checkpoint/resume
+one :class:`SchedulePolicy` record (look-ahead, forward-only —
+:mod:`~repro.runtime.policy`), with checkpoint/resume
 (:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
-hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` (and
-its ``lookahead=1`` alias :class:`PipelinedTrainer`) is a thin facade over
-that engine.
+hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` is a
+thin facade over that engine.
 """
 
 from .checkpoint import (
@@ -28,7 +27,6 @@ from .engine import (
     TrainingCallback,
     TrainingEngine,
 )
-from .pipeline import PipelinedTrainer
 from .policy import SchedulePolicy
 from .stages import Stage, StageTimingCollector, StepContext, build_step_stages
 from .systems import (
@@ -92,7 +90,6 @@ __all__ = [
     "OP_FWD_DNN",
     "OP_FWD_GATHER",
     "PhaseTimings",
-    "PipelinedTrainer",
     "RunEvent",
     "SchedulePolicy",
     "Stage",

@@ -3,14 +3,14 @@
 * :mod:`repro.runtime.stages` decomposes every step — one shard or many,
   either backward mode — into the same plan of named stages bound to a
   shared :class:`~repro.runtime.stages.StepContext`;
-* :meth:`TrainingEngine.execute` is the **only** step loop: draw a group of
-  micro-batches, cast it (inline, or ahead on a :class:`CastAheadWorker`
-  while the previous batch computes — the paper's Section IV-B overlap),
-  run the compute stages, complete the step.  What varies between
-  "serial", "pipelined", "gradient accumulation" and "inference" is a
-  field of the frozen :class:`~repro.runtime.policy.SchedulePolicy` the
-  loop reads — look-ahead depth, micro-batches per step, stage subset —
-  never a second loop, so the axes compose by construction;
+* :meth:`TrainingEngine.execute` is the **only** step loop: draw a batch,
+  cast it (inline, or ahead on a :class:`CastAheadWorker` while the
+  previous batch computes — the paper's Section IV-B overlap), run the
+  compute stages, complete the step.  What varies between "serial",
+  "pipelined" and "inference" is a field of the frozen
+  :class:`~repro.runtime.policy.SchedulePolicy` the loop reads —
+  look-ahead depth, stage subset — never a second loop, so the axes
+  compose by construction;
 * :class:`TrainingEngine` owns the run: source fast-forward for resumed
   jobs (``start_step``), the cast-ahead worker's lifetime, the timing
   collector, report assembly
@@ -51,8 +51,7 @@ from typing import (
 import numpy as np
 
 from ..backends.dispatch import observe_kernels
-from ..core.indexing import IndexArray
-from ..data.source import CTRBatch, SourceExhausted
+from ..data.source import SourceExhausted
 from ..obs.metrics import Gauge, MetricRegistry
 from .policy import SchedulePolicy
 from .stages import (
@@ -211,46 +210,6 @@ class MetricsLogger(TrainingCallback):
             )
 
 
-def _merge_micro_batches(micros: Sequence[CTRBatch]) -> CTRBatch:
-    """Concatenate micro-batches into one effective batch.
-
-    This is all gradient accumulation is here: the cross-micro-batch
-    accumulation then happens inside the paper's own primitive — the cast +
-    gather-reduce over the merged stream coalesces every micro-batch's
-    gradients into one scatter — followed by a single ``optimize``, whose
-    per-parameter cost amortizes poorly at small batch (Gupta et al.,
-    PAPERS.md).  Dense features and labels stack along the sample axis; each table's
-    index arrays concatenate with ``dst`` offset by the running sample
-    count (``src`` is untouched — all micros address the same tables).
-    Lookup order is preserved exactly, so every kernel over the merged
-    stream accumulates in the same order a genuine large-batch draw would.
-    """
-    if len(micros) == 1:
-        return micros[0]
-    offsets = np.cumsum([0] + [micro.size for micro in micros])
-    total = int(offsets[-1])
-    num_tables = len(micros[0].indices)
-    indices = []
-    for table in range(num_tables):
-        parts = [micro.indices[table] for micro in micros]
-        indices.append(
-            IndexArray(
-                np.concatenate([part.src for part in parts]),
-                np.concatenate([
-                    part.dst + offset
-                    for part, offset in zip(parts, offsets[:-1])
-                ]),
-                num_rows=max(part.num_rows for part in parts),
-                num_outputs=total,
-            )
-        )
-    return CTRBatch(
-        dense=np.concatenate([micro.dense for micro in micros]),
-        indices=indices,
-        labels=np.concatenate([micro.labels for micro in micros]),
-    )
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -317,7 +276,7 @@ class TrainingEngine:
             trainer.sharded.num_shards,
             tracer=self.obs.tracer if self.obs is not None else None,
         )
-        for _ in range(self.start_step * policy.accum_steps):
+        for _ in range(self.start_step):
             try:
                 trainer.stream.next_batch(batch, rng)
             except SourceExhausted:
@@ -348,7 +307,6 @@ class TrainingEngine:
             mode=mode,
             backend=trainer.backend.name,
             wall_seconds=time.perf_counter() - wall_start,
-            accum_steps=policy.accum_steps,
         )
         report = (
             InferenceReport(logits=self.logits, **fields)
@@ -383,8 +341,8 @@ class TrainingEngine:
         remainder of the casting stage; ≈0 under full overlap).  The worker
         touches only the next context's index data while this thread
         mutates parameters of the current batch; the two never share
-        mutable state.  A source that exhausts — mid-group included — stops
-        the loop after the batches already drawn.
+        mutable state.  A source that exhausts stops the loop after the
+        batches already drawn.
         """
         policy = self.policy
         compute = tuple(
@@ -398,7 +356,7 @@ class TrainingEngine:
         for _ in range(steps):
             while (source_open and drawn < steps
                    and len(inflight) <= policy.lookahead):
-                ctx, source_open = self._draw(stages, policy.accum_steps)
+                ctx, source_open = self._draw(stages)
                 if ctx.data is None:
                     break
                 drawn += 1
@@ -424,28 +382,16 @@ class TrainingEngine:
             # activations and gradients never coexist with a new batch.
             del ctx, future
 
-    def _draw(
-        self, stages: StepStages, accum_steps: int
-    ) -> Tuple[StepContext, bool]:
-        """Draw one step's micro-batches; ``(context, source still open)``.
+    def _draw(self, stages: StepStages) -> Tuple[StepContext, bool]:
+        """Draw one step's batch; ``(context, source still open)``.
 
-        The single draw site, timed as ``draw`` under every policy.  Micro
-        batches come one at a time through the ordinary ``draw`` stage —
-        consuming the source and RNG exactly as ``accum_steps`` plain steps
-        would — and merge into one effective batch.  A group cut short by
-        exhaustion trains at its smaller size; ``ctx.data`` is ``None`` when
-        not even one micro-batch was left.
+        The single draw site, timed as ``draw`` under every policy;
+        ``ctx.data`` is ``None`` once the source is exhausted.
         """
         ctx = stages.new_context()
-        micros: List[CTRBatch] = []
         with self.collector.timed("draw"):
-            for _ in range(accum_steps):
-                stages.draw.run(ctx)
-                if ctx.data is None:
-                    break
-                micros.append(ctx.data)
-        ctx.data = _merge_micro_batches(micros) if micros else None
-        return ctx, len(micros) == accum_steps
+            stages.draw.run(ctx)
+        return ctx, ctx.data is not None
 
     def complete_step(self, ctx: StepContext) -> None:
         """Harvest a finished step and fire ``on_step_end`` callbacks."""

@@ -153,7 +153,6 @@ class TrainingReport:
     backward_exchange_bytes: int = 0
     wall_seconds: float = 0.0
     backend: str = "vectorized"
-    accum_steps: int = 1
     samples: int = 0
 
     @property
@@ -175,40 +174,6 @@ class TrainingReport:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.steps / self.wall_seconds
-
-    # ------------------------------------------------------------------
-    # Optimize amortization (the gradient-accumulation story)
-    # ------------------------------------------------------------------
-    @property
-    def optimize_seconds(self) -> float:
-        """Total wall-clock spent in the ``optimize`` stage (``update``)."""
-        return self.timings.totals.get("update", 0.0)
-
-    @property
-    def optimize_seconds_per_step(self) -> float:
-        """``optimize`` seconds per *optimizer* step."""
-        if self.steps <= 0:
-            return 0.0
-        return self.optimize_seconds / self.steps
-
-    @property
-    def optimize_seconds_per_sample(self) -> float:
-        """``optimize`` seconds amortized over every trained sample.
-
-        The number gradient accumulation exists to shrink: with
-        ``accum_steps=N`` one optimizer step covers ``N`` micro-batches of
-        samples, so the dense update's per-parameter cost is paid once per
-        ``N`` micro-batches and the sparse scatter coalesces across all of
-        them.
-        """
-        if self.samples <= 0:
-            return 0.0
-        return self.optimize_seconds / self.samples
-
-    @property
-    def optimize_fraction(self) -> float:
-        """Share of instrumented time the ``optimize`` stage took."""
-        return self.timings.fraction("update")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Everything in :mod:`repro.runtime.systems` predicts performance; this module
 *measures* it, on the one real device available — the host CPU — by training
 an actual :class:`~repro.model.dlrm.DLRM` on any
 :class:`~repro.data.source.BatchSource` — the synthetic CTR stream, a
-replayed trace, a Criteo-style file, or any composition of the data-plane
-wrappers — and timing each phase of every iteration.  It is the
+replayed trace, a Criteo-style file, or a data-plane wrapper around one —
+and timing each phase of every iteration.  It is the
 reproduction's analogue of the paper's real-system prototype.  A finite
 source that exhausts mid-run stops the trainer cleanly (the report's
 ``steps`` records what actually trained).
@@ -27,9 +27,9 @@ The trainer is a thin facade over the **stage-graph engine**
 (:mod:`repro.runtime.engine`): each step is one plan of named stages
 (:mod:`repro.runtime.stages`) run by the engine's one step loop under the
 :class:`~repro.runtime.policy.SchedulePolicy` this constructor builds from
-its arguments — look-ahead and accumulation — with
-:meth:`~FunctionalTrainer.infer` the same policy restricted to the forward
-prefix.  Every combination of the arguments composes.
+its ``lookahead`` argument, with :meth:`~FunctionalTrainer.infer` the
+same policy restricted to the forward prefix.  Every combination of the
+arguments composes.
 The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
@@ -45,13 +45,14 @@ from typing import List, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from ..backends.dispatch import BackendSpec, resolve_backend
-from ..data.source import BatchSource, LegacyStream, as_batch_source
+from ..data.source import BatchSource, as_batch_source, positive_int
 from ..model.dlrm import DLRM
+from ..model.embedding import _BACKWARD_MODES
 from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from .engine import TrainingCallback, TrainingEngine
 from .memory import retain_freed_memory
-from .policy import SchedulePolicy, positive_int
+from .policy import SchedulePolicy
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
 if TYPE_CHECKING:
@@ -74,10 +75,10 @@ class FunctionalTrainer:
         The DLRM instance to train (mutated in place).
     stream:
         Any :class:`~repro.data.source.BatchSource` (synthetic stream,
-        trace replay, file reader, or wrapped composition); geometry must
-        match the model.  Legacy objects exposing ``make_batch`` are
-        adapted automatically.  A finite source that exhausts mid-run ends
-        training cleanly after the last full batch.
+        trace replay, file reader, or a wrapper around one); geometry must
+        match the model, and anything else is a ``TypeError``.  A finite
+        source that exhausts mid-run ends training cleanly after the last
+        full batch.
     optimizer:
         Applied to dense and sparse parameters alike.
     num_shards:
@@ -102,15 +103,6 @@ class FunctionalTrainer:
         trainer most recently constructed over — or trains — the model:
         :meth:`train` re-asserts it, so sharing one model between trainers
         with different backends is safe per run.
-    accum_steps:
-        Gradient accumulation factor.  ``1`` (default) optimizes after
-        every drawn batch.  With ``N > 1`` each step draws ``N``
-        micro-batches, merges them (sample and lookup order preserved), and
-        performs one cast / forward / backward / optimizer step over the
-        merged batch — for SGD this is bit-identical to a single step over
-        the equivalent large batch, and the per-sample optimizer cost is
-        amortized ``N``-fold (the report's ``optimize_seconds_per_sample``;
-        Gupta et al., PAPERS.md, is why that phase is worth amortizing).
     lookahead:
         ``0`` (default) casts each batch inline, right before its compute.
         ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
@@ -118,8 +110,6 @@ class FunctionalTrainer:
         :class:`~repro.runtime.engine.CastAheadWorker` while batch ``i``
         computes — bit-identical, with the exposed remainder reported as
         the ``cast_wait`` phase.
-        :class:`~repro.runtime.pipeline.PipelinedTrainer` is this value
-        preset to ``1``.
 
     Every combination of these composes, with either ``mode`` of
     :meth:`train` / :meth:`infer`.
@@ -132,12 +122,11 @@ class FunctionalTrainer:
     def __init__(
         self,
         model: DLRM,
-        stream: "BatchSource | LegacyStream",
+        stream: BatchSource,
         optimizer: Optimizer,
         num_shards: int = 1,
         policy: str = "row",
         backend: BackendSpec = "auto",
-        accum_steps: int = 1,
         lookahead: int = 0,
     ) -> None:
         retain_freed_memory()
@@ -150,16 +139,14 @@ class FunctionalTrainer:
         num_shards = positive_int("num_shards", num_shards)
         #: The one record the engine's step loop reads; ``infer()`` runs
         #: the same record with ``forward_only`` set.
-        self.policy = SchedulePolicy(
-            lookahead=lookahead, accum_steps=accum_steps
-        )
+        self.policy = SchedulePolicy(lookahead=lookahead)
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
         # Resolve the knob eagerly: unknown/unavailable names fail at
         # construction (with the registered names listed), and the resolved
-        # instance is shared by every dispatch site including the pipelined
-        # trainer's background worker.
+        # instance is shared by every dispatch site including the cast-ahead
+        # worker.
         self.backend = resolve_backend(backend)
         for bag in model.embeddings:
             bag.backend = self.backend
@@ -183,7 +170,7 @@ class FunctionalTrainer:
         """Run ``steps`` iterations, timing forward/backward/update phases.
 
         ``mode`` selects the embedding backward strategy (``"baseline"`` or
-        ``"casted"``); in casted mode the cast is computed eagerly right
+        ``"casted"``; anything else is a ``ValueError``); in casted mode the cast is computed eagerly right
         after batch generation — before the forward pass — mirroring the
         runtime's decoupled casting stage.  Both modes run at every shard
         count: each shard reduces the same shipped payload (gradient rows
@@ -258,7 +245,15 @@ class FunctionalTrainer:
     def _begin_run(
         self, batch: int, steps: int, mode: str, start_step: int = 0
     ) -> None:
-        """Validate a run's arguments and point the model at this trainer."""
+        """Validate a run's arguments and point the model at this trainer.
+
+        Runs before anything is drawn, so a rejected run consumes neither
+        the source nor the RNG.
+        """
+        if mode not in _BACKWARD_MODES:
+            raise ValueError(
+                f"mode must be one of {_BACKWARD_MODES}, got {mode!r}"
+            )
         positive_int("batch", batch)
         positive_int("steps", steps)
         if (

@@ -4,9 +4,8 @@ The serving plane's unit of work is the :class:`Request`: a few samples
 (one user's candidate items, DeepRecSys's "query") that arrived at a
 scheduled offset of an :class:`~repro.data.arrivals.ArrivalProcess`.
 :func:`generate_requests` builds a seeded request stream from any
-:class:`~repro.data.source.BatchSource` — the serving twin of wrapping a
-source in :class:`~repro.data.source.ArrivalShapedSource` (both delegate
-to the same arrival helper, so equal seeds give the identical schedule).
+:class:`~repro.data.source.BatchSource` (equal seeds give the identical
+schedule).
 
 :class:`RequestQueue` is the FIFO of arrived-but-undispatched requests the
 dynamic batcher drains, and :func:`coalesce_requests` concatenates the

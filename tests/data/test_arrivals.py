@@ -1,8 +1,7 @@
-"""The shared arrival-process helper and its source/serving contract.
+"""The arrival-process helper behind the serving plane's request stream.
 
-``ArrivalProcess`` is the single gap generator behind
-``ArrivalShapedSource`` (data plane) and ``generate_requests`` (serving
-plane); these tests pin the reproducibility contract both sides rely on:
+``ArrivalProcess`` is the gap generator ``generate_requests`` stamps onto
+requests; these tests pin the reproducibility contract it relies on:
 equal ``(rate, pattern, seed)`` → the identical schedule.
 """
 
@@ -10,15 +9,6 @@ import numpy as np
 import pytest
 
 from repro.data.arrivals import ArrivalProcess
-from repro.data.generator import SyntheticCTRStream
-from repro.data.source import ArrivalShapedSource
-
-
-def make_stream(seed=7):
-    return SyntheticCTRStream(
-        num_tables=2, num_rows=[60, 90], lookups_per_sample=4,
-        dense_features=5, seed=seed,
-    )
 
 
 class TestArrivalProcess:
@@ -58,40 +48,3 @@ class TestArrivalProcess:
             ArrivalProcess(1.0, pattern="bursty")
         with pytest.raises(ValueError, match="count"):
             ArrivalProcess(1.0).offsets(-1)
-
-
-class TestSharedWithArrivalShapedSource:
-    """The source delegates to the same helper — schedules coincide."""
-
-    @pytest.mark.parametrize("pattern", ["uniform", "poisson"])
-    def test_source_schedule_equals_process_offsets(self, pattern):
-        rng = np.random.default_rng(0)
-        shaped = ArrivalShapedSource(
-            make_stream(), rate_per_s=120.0, pattern=pattern, seed=5,
-            sleep=False,
-        )
-        for _ in range(10):
-            shaped.next_batch(4, rng)
-        expected = ArrivalProcess(120.0, pattern=pattern, seed=5).offsets(10)
-        assert shaped.arrival_offsets == expected
-
-    def test_sleepless_schedules_reproducible_for_equal_seeds(self):
-        """Regression: sleep=False schedules depend only on the seed."""
-        schedules = []
-        for _ in range(2):
-            rng = np.random.default_rng(0)
-            shaped = ArrivalShapedSource(
-                make_stream(), rate_per_s=300.0, pattern="poisson", seed=11,
-                sleep=False,
-            )
-            for _ in range(12):
-                shaped.next_batch(2, rng)
-            schedules.append(list(shaped.arrival_offsets))
-        assert schedules[0] == schedules[1]
-
-    def test_source_exposes_the_process(self):
-        shaped = ArrivalShapedSource(
-            make_stream(), rate_per_s=10.0, pattern="uniform", sleep=False
-        )
-        assert isinstance(shaped.process, ArrivalProcess)
-        assert shaped.PATTERNS == ArrivalProcess.PATTERNS

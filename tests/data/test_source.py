@@ -5,11 +5,9 @@ import pytest
 
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import (
-    ArrivalShapedSource,
     BatchSource,
     CriteoFileSource,
     SourceExhausted,
-    TableRemapSource,
     TakeSource,
     as_batch_source,
 )
@@ -65,33 +63,9 @@ class TestAsBatchSource:
         stream = make_stream()
         assert as_batch_source(stream) is stream
 
-    def test_adapts_legacy_make_batch_objects(self, rng):
-        class Legacy:
-            num_tables = 1
-            rows_per_table = [10]
-            dense_features = 2
-
-            def make_batch(self, batch, rng):
-                return make_stream(
-                    num_tables=1, num_rows=[10], dense_features=2
-                ).make_batch(batch, rng)
-
-        adapted = as_batch_source(Legacy())
-        assert isinstance(adapted, BatchSource)
-        assert adapted.num_tables == 1
-        assert adapted.next_batch(3, rng).size == 3
-
     def test_rejects_unadaptable_objects(self):
-        with pytest.raises(TypeError, match="make_batch"):
+        with pytest.raises(TypeError, match="not a BatchSource"):
             as_batch_source(object())
-
-    def test_rejects_make_batch_without_geometry(self):
-        class NoGeometry:
-            def make_batch(self, batch, rng):
-                raise NotImplementedError
-
-        with pytest.raises(TypeError, match="num_tables"):
-            as_batch_source(NoGeometry())
 
 
 class TestTakeSource:
@@ -116,90 +90,6 @@ class TestTakeSource:
     def test_delegates_geometry(self):
         limited = TakeSource(make_stream(), 1)
         assert limited.rows_per_table == [60, 90]
-
-
-class TestTableRemapSource:
-    def test_remaps_src_through_permutations(self, rng):
-        stream = make_stream()
-        remapped = TableRemapSource(make_stream(), seed=3)
-        plain = stream.next_batch(8, np.random.default_rng(5))
-        shuffled = remapped.next_batch(8, np.random.default_rng(5))
-        for table_id, (a, b) in enumerate(zip(plain.indices, shuffled.indices)):
-            perm = remapped.permutations[table_id]
-            assert np.array_equal(perm[a.src], b.src)
-            assert np.array_equal(a.dst, b.dst)
-            assert a.num_rows == b.num_rows
-
-    def test_preserves_dense_and_labels(self):
-        remapped = TableRemapSource(make_stream(), seed=3)
-        plain = make_stream().next_batch(8, np.random.default_rng(5))
-        shuffled = remapped.next_batch(8, np.random.default_rng(5))
-        assert np.array_equal(plain.dense, shuffled.dense)
-        assert np.array_equal(plain.labels, shuffled.labels)
-
-    def test_identity_permutation_is_a_noop(self):
-        identity = [np.arange(60), np.arange(90)]
-        remapped = TableRemapSource(make_stream(), permutations=identity)
-        plain = make_stream().next_batch(8, np.random.default_rng(5))
-        same = remapped.next_batch(8, np.random.default_rng(5))
-        assert np.array_equal(plain.indices[0].src, same.indices[0].src)
-
-    def test_rejects_non_permutations(self):
-        bad = [np.zeros(60, dtype=np.int64), np.arange(90)]
-        with pytest.raises(ValueError, match="permutation"):
-            TableRemapSource(make_stream(), permutations=bad)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="tables"):
-            TableRemapSource(make_stream(), permutations=[np.arange(60)])
-
-
-class TestArrivalShapedSource:
-    def test_uniform_schedule_offsets(self, rng):
-        shaped = ArrivalShapedSource(
-            make_stream(), rate_per_s=100.0, pattern="uniform", sleep=False
-        )
-        for _ in range(4):
-            shaped.next_batch(4, rng)
-        assert shaped.arrival_offsets == pytest.approx([0.0, 0.01, 0.02, 0.03])
-        assert shaped.waited_seconds == 0.0
-
-    def test_poisson_gaps_have_the_right_mean(self, rng):
-        shaped = ArrivalShapedSource(
-            make_stream(), rate_per_s=50.0, pattern="poisson", seed=1,
-            sleep=False,
-        )
-        for _ in range(200):
-            shaped.next_batch(2, rng)
-        gaps = np.diff(shaped.arrival_offsets)
-        assert np.all(gaps >= 0)
-        assert np.mean(gaps) == pytest.approx(1.0 / 50.0, rel=0.25)
-
-    def test_sleeping_enforces_the_schedule(self, rng):
-        import time
-
-        shaped = ArrivalShapedSource(
-            make_stream(), rate_per_s=200.0, pattern="uniform", sleep=True
-        )
-        start = time.perf_counter()
-        for _ in range(3):
-            shaped.next_batch(2, rng)
-        # Batches 1 and 2 are due at +5ms and +10ms after the first.
-        assert time.perf_counter() - start >= 0.009
-
-    def test_exhaustion_passes_through(self, rng):
-        shaped = ArrivalShapedSource(
-            TakeSource(make_stream(), 1), rate_per_s=1000.0, sleep=False
-        )
-        shaped.next_batch(2, rng)
-        with pytest.raises(SourceExhausted):
-            shaped.next_batch(2, rng)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="rate_per_s"):
-            ArrivalShapedSource(make_stream(), rate_per_s=0.0)
-        with pytest.raises(ValueError, match="pattern"):
-            ArrivalShapedSource(make_stream(), rate_per_s=1.0, pattern="bursty")
 
 
 def write_tsv(path, rows, dense=3, tables=4):

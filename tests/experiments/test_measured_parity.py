@@ -105,8 +105,9 @@ def test_cache_synthetic():
 
 
 def test_cache_accumulation_is_a_longer_replay():
-    # Accumulation merged micro-batches in draw order, so 3 steps of 2
-    # micro-batches were 6 draws of the stream.
+    # Recorded as 3 steps of 2-batch gradient accumulation (a feature since
+    # removed), which merged the batches in draw order: the same 6 draws of
+    # the stream this replays.
     rows = hotcache_sweep(
         dataset="movielens", batch=32, steps=6, capacity_rows=64,
     )
@@ -204,8 +205,8 @@ CACHE_SYNTHETIC = [
      "analytic_hit_rate": "0x1.90c8d54b27dc4p-2",
      "delta": "-0x1.083c5540fa632p-3"},
 ]
-#: The synthetic cell at ``accum_steps=2``, ``steps=3``, recorded while the
-#: cache experiment still trained.
+#: The synthetic cell at 3 steps of 2 accumulated batches, recorded while
+#: the cache experiment still trained; a 6-step replay reads the same.
 CACHE_ACCUM = [(3072, "0x1.a155555555555p-3"), (3072, "0x1.2400000000000p-2")]
 CACHE_TRACE = [
     {"source": "trace:tiny.npz", "policy": "lru", "capacity_rows": 32,

@@ -163,12 +163,11 @@ def test_foreign_gradient_tables_are_coerced_by_the_bag(model_dtype):
 
 
 # ----------------------------------------------------------------------
-# Through the trainer: serial, pipelined, accumulated, sharded
+# Through the trainer: serial, pipelined, sharded
 # ----------------------------------------------------------------------
 TRAINER_PATHS = {
     "serial": {},
     "lookahead": {"lookahead": 1},
-    "accum": {"accum_steps": 2},
     "sharded": {"num_shards": 2},
 }
 

@@ -10,7 +10,6 @@ from repro.data.trace import TraceReplaySource, record_trace
 from repro.experiments.hotcache import hotcache_sweep
 from repro.model.configs import RM1
 from repro.model.hot_cache import HotRowCache, replay_hit_counts
-from repro.runtime.engine import _merge_micro_batches
 from repro.serving import Request, coalesce_requests
 from repro.sim.cache import CachedCPUModel, HotRowCacheSpec
 
@@ -273,24 +272,6 @@ class TestReplayOracles:
         )
         assert hits == repeats
         assert 0 < hits < accesses
-
-    @pytest.mark.parametrize("accum_steps", [2, 3, 4])
-    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
-    def test_merged_micro_batches_replay_as_their_sequence(
-        self, policy, accum_steps
-    ):
-        """Gradient accumulation merges micro-batches in ``src`` order, so
-        ``accum_steps=k`` reads what ``k`` times the draws reads."""
-        stream = small_stream(ZipfDistribution(64, exponent=1.05))
-        rng = np.random.default_rng(1)
-        micros = [stream.next_batch(8, rng) for _ in range(3 * accum_steps)]
-        merged = [
-            _merge_micro_batches(micros[start:start + accum_steps])
-            for start in range(0, len(micros), accum_steps)
-        ]
-        assert replay_hit_counts(
-            [batch.indices for batch in merged], 16, policy
-        ) == replay_hit_counts([micro.indices for micro in micros], 16, policy)
 
     @pytest.mark.parametrize("dispatch", [1, 2, 3, 7])
     @pytest.mark.parametrize("policy", HotRowCache.POLICIES)

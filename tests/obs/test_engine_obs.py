@@ -15,7 +15,6 @@ from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -53,15 +52,16 @@ def traced_phase_totals(obs):
 
 
 class TestTracedRunsAreBitIdentical:
-    @pytest.mark.parametrize("trainer_cls", [FunctionalTrainer,
-                                             PipelinedTrainer])
-    def test_obs_does_not_perturb_training(self, trainer_cls):
+    @pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "lookahead"])
+    def test_obs_does_not_perturb_training(self, lookahead):
         plain_model = make_model()
-        plain = trainer_cls(plain_model, make_stream(), SGD(lr=0.2)).train(
-            8, 4, np.random.default_rng(1))
+        plain = FunctionalTrainer(
+            plain_model, make_stream(), SGD(lr=0.2), lookahead=lookahead,
+        ).train(8, 4, np.random.default_rng(1))
         traced_model = make_model()
-        traced = trainer_cls(traced_model, make_stream(), SGD(lr=0.2)).train(
-            8, 4, np.random.default_rng(1), obs=Observability())
+        traced = FunctionalTrainer(
+            traced_model, make_stream(), SGD(lr=0.2), lookahead=lookahead,
+        ).train(8, 4, np.random.default_rng(1), obs=Observability())
         assert traced.losses == plain.losses
         for a, b in zip(plain_model.all_parameters(),
                         traced_model.all_parameters()):
@@ -82,8 +82,7 @@ class TestTraceContent:
     @pytest.mark.parametrize("knobs", [
         dict(num_shards=2),
         dict(num_shards=2, lookahead=1),
-        dict(lookahead=1, accum_steps=2),
-    ], ids=["sharded", "sharded-lookahead", "lookahead-accum"])
+    ], ids=["sharded", "sharded-lookahead"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""
@@ -106,8 +105,9 @@ class TestTraceContent:
 
     def test_pipelined_sharded_run_uses_shard_and_cast_tracks(self):
         obs = Observability()
-        PipelinedTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), num_shards=2
+        FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.2), num_shards=2,
+            lookahead=1,
         ).train(8, 3, np.random.default_rng(1), obs=obs)
         tracks = {record.track for record in obs.tracer.records}
         assert {"main", "cast", "shard0", "shard1"} <= tracks

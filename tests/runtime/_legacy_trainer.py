@@ -1,7 +1,7 @@
 """Frozen pre-refactor training loops: the engine refactor's golden oracle.
 
 These functions are verbatim numeric transcriptions of the step loops that
-lived in ``repro.runtime.trainer`` / ``repro.runtime.pipeline`` *before*
+lived in ``repro.runtime``'s trainer and pipeline modules *before*
 the stage-graph engine refactor (PR 5) — the serial unsharded loop
 (``_train_serial``), and the serial sharded loop (``_plan_and_cast`` +
 ``_run_sharded_step``) — with the wall-clock instrumentation stripped

@@ -81,7 +81,7 @@ def sharded(height):
 
 
 def row_sharded_gather_case(height):
-    """``gather_slices`` of both shards, as ``forward_shard`` launches it."""
+    """The gather-reduce of both shards, through ``forward_shard``."""
     shards, plan = sharded(height)
     return lambda: [shards.forward_shard(plan, shard) for shard in range(2)]
 

@@ -22,7 +22,6 @@ from repro.runtime.checkpoint import (
     restore_trainer,
     save_checkpoint,
 )
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -128,8 +127,8 @@ class TestResumeEqualsUninterrupted:
             make_model(), TraceReplaySource(trace), SGD(lr=0.05)
         ).train(8, 4, np.random.default_rng(9), callbacks=[callback])
         resumed_model = make_model()
-        trainer = PipelinedTrainer(
-            resumed_model, TraceReplaySource(trace), SGD(lr=0.05)
+        trainer = FunctionalTrainer(
+            resumed_model, TraceReplaySource(trace), SGD(lr=0.05), lookahead=1
         )
         step = restore_trainer(trainer, callback.last_path)
         trainer.train(8, 6 - step, np.random.default_rng(1), start_step=step)

@@ -34,7 +34,6 @@ from repro.runtime.engine import (
     TrainingCallback,
     TrainingEngine,
 )
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.policy import SchedulePolicy
 from repro.runtime.stages import StageTimingCollector, build_step_stages
 from repro.runtime.trainer import FunctionalTrainer
@@ -280,8 +279,9 @@ class TestPipelinedEngineEquivalence:
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_pipelined_matches_legacy_via_serial(self, num_shards):
         pipelined_model = make_model()
-        pipelined = PipelinedTrainer(
-            pipelined_model, make_stream(), SGD(lr=0.2), num_shards=num_shards
+        pipelined = FunctionalTrainer(
+            pipelined_model, make_stream(), SGD(lr=0.2),
+            num_shards=num_shards, lookahead=1,
         ).train(8, 3, np.random.default_rng(1))
         legacy_model = make_model()
         if num_shards == 1:
@@ -365,22 +365,21 @@ class TestStagePlan:
         ctx = stages.new_context()
         assert len(ctx.cast_shard_timings) == 3
 
-    def test_trainer_classes_differ_only_in_the_policy_record(self):
+    def test_lookahead_is_a_field_of_the_policy_record(self):
         args = (make_model(), make_stream(), SGD(lr=0.1))
         assert FunctionalTrainer(*args).policy == SchedulePolicy()
-        assert PipelinedTrainer(*args).policy == SchedulePolicy(lookahead=1)
         assert (FunctionalTrainer(*args, lookahead=1).policy
-                == PipelinedTrainer(*args).policy)
+                == SchedulePolicy(lookahead=1))
 
     def test_engine_usable_directly_with_custom_policy(self):
         """The facade is a convenience: TrainingEngine.run is the real API."""
         trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
         report = TrainingEngine(trainer).run(
             8, 2, np.random.default_rng(1), "casted",
-            policy=SchedulePolicy(lookahead=1, accum_steps=2),
+            policy=SchedulePolicy(lookahead=1),
         )
         assert report.steps == 2
-        assert report.samples == 32
+        assert report.samples == 16
         assert "cast_wait" in report.timings.totals
 
 
@@ -426,8 +425,8 @@ class TestCallbacks:
 
     def test_pipelined_trainer_fires_callbacks_in_step_order(self):
         callback = RecordingCallback()
-        PipelinedTrainer(
-            make_model(), make_stream(), SGD(lr=0.1)
+        FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.1), lookahead=1
         ).train(8, 4, np.random.default_rng(1), callbacks=[callback])
         assert [step for step, _ in callback.steps] == [1, 2, 3, 4]
 

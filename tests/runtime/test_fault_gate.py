@@ -87,7 +87,6 @@ CELLS = {
     "adam": ("adam", {}, BENCHMARK_TABLES),
     "lookahead": ("sgd", {"lookahead": 1}, BENCHMARK_TABLES),
     "row-shards": ("sgd", {"num_shards": 2}, BENCHMARK_TABLES),
-    "accum": ("sgd", {"accum_steps": 2}, BENCHMARK_TABLES),
     "vectorized": ("sgd", {"backend": "vectorized"}, BENCHMARK_TABLES),
     "42mb-table": ("sgd", {}, PAPER_BATCH_TABLE),
 }

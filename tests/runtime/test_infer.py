@@ -18,7 +18,6 @@ from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adam
 from repro.runtime.checkpoint import restore_trainer, save_checkpoint
 from repro.runtime.engine import INFERENCE_STAGES, TrainingEngine
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.stages import InferenceReport
 from repro.runtime.trainer import FunctionalTrainer
 
@@ -125,12 +124,12 @@ class TestInferMatchesTrainingForward:
         for a, b in zip(casted.logits, baseline.logits):
             assert np.array_equal(a, b)
 
-    def test_pipelined_trainer_inherits_infer(self):
+    def test_lookahead_infer_matches_inline(self):
         functional = FunctionalTrainer(
             make_model(), make_stream(), SGD(lr=0.2)
         ).infer(8, 2, np.random.default_rng(1))
-        pipelined = PipelinedTrainer(
-            make_model(), make_stream(), SGD(lr=0.2)
+        pipelined = FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.2), lookahead=1
         ).infer(8, 2, np.random.default_rng(1))
         for a, b in zip(functional.logits, pipelined.logits):
             assert np.array_equal(a, b)

@@ -1,4 +1,4 @@
-"""Tests for the pipelined cast-ahead trainer (repro.runtime.pipeline)."""
+"""Tests for cast-ahead training: ``FunctionalTrainer(lookahead=1)``."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad
-from repro.runtime.pipeline import CastAheadWorker, PipelinedTrainer
+from repro.runtime.engine import CastAheadWorker
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -16,16 +16,16 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(trainer_cls, num_shards=1, policy="row",
+def make_trainer(lookahead, num_shards=1, policy="row",
                  optimizer_cls=SGD, seed=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
         dense_features=8, seed=seed,
     )
-    trainer = trainer_cls(
+    trainer = FunctionalTrainer(
         model, stream, optimizer_cls(lr=0.3),
-        num_shards=num_shards, policy=policy,
+        num_shards=num_shards, policy=policy, lookahead=lookahead,
     )
     return model, trainer
 
@@ -37,10 +37,10 @@ def all_params(model):
 def train_pair(num_shards=1, policy="row", optimizer_cls=SGD,
                batch=16, steps=4):
     serial_model, serial = make_trainer(
-        FunctionalTrainer, num_shards, policy, optimizer_cls)
+        0, num_shards, policy, optimizer_cls)
     serial_report = serial.train(batch, steps, np.random.default_rng(1))
     pipelined_model, pipelined = make_trainer(
-        PipelinedTrainer, num_shards, policy, optimizer_cls)
+        1, num_shards, policy, optimizer_cls)
     pipelined_report = pipelined.train(batch, steps, np.random.default_rng(1))
     return (serial_model, serial_report), (pipelined_model, pipelined_report)
 
@@ -80,14 +80,14 @@ class TestBitIdentity:
 
 class TestReport:
     def test_pipeline_phase_timings_present(self):
-        _, trainer = make_trainer(PipelinedTrainer)
+        _, trainer = make_trainer(1)
         report = trainer.train(16, 3, np.random.default_rng(1))
         for phase in ("draw", "cast_wait", "casting", "forward",
                       "loss", "backward", "update"):
             assert phase in report.timings.totals
 
     def test_wall_seconds_and_throughput(self):
-        _, trainer = make_trainer(PipelinedTrainer)
+        _, trainer = make_trainer(1)
         report = trainer.train(16, 3, np.random.default_rng(1))
         assert report.wall_seconds > 0
         assert report.steps_per_second == pytest.approx(
@@ -95,7 +95,7 @@ class TestReport:
         )
 
     def test_sharded_exchange_attributed_per_stage(self):
-        _, trainer = make_trainer(PipelinedTrainer, num_shards=2)
+        _, trainer = make_trainer(1, num_shards=2)
         report = trainer.train(16, 2, np.random.default_rng(1))
         assert report.forward_exchange_bytes > 0
         assert report.backward_exchange_bytes > 0
@@ -104,9 +104,9 @@ class TestReport:
         )
 
     def test_sharded_exchange_matches_serial_trainer(self):
-        _, serial = make_trainer(FunctionalTrainer, num_shards=2)
+        _, serial = make_trainer(0, num_shards=2)
         serial_report = serial.train(16, 2, np.random.default_rng(1))
-        _, pipelined = make_trainer(PipelinedTrainer, num_shards=2)
+        _, pipelined = make_trainer(1, num_shards=2)
         pipelined_report = pipelined.train(16, 2, np.random.default_rng(1))
         assert (pipelined_report.forward_exchange_bytes
                 == serial_report.forward_exchange_bytes)
@@ -114,7 +114,7 @@ class TestReport:
                 == serial_report.backward_exchange_bytes)
 
     def test_sharded_report_has_per_shard_timings(self):
-        _, trainer = make_trainer(PipelinedTrainer, num_shards=2)
+        _, trainer = make_trainer(1, num_shards=2)
         report = trainer.train(16, 2, np.random.default_rng(1))
         assert report.num_shards == 2
         for shard in report.shard_timings:
@@ -127,10 +127,10 @@ class TestValidation:
         """Used to be rejected.  The baseline backward has no cast to hide
         (its cast stage only partitions), so look-ahead changes nothing —
         including the absence of a ``casting`` phase."""
-        serial_model, serial = make_trainer(FunctionalTrainer)
+        serial_model, serial = make_trainer(0)
         serial_report = serial.train(
             16, 3, np.random.default_rng(1), mode="baseline")
-        pipelined_model, pipelined = make_trainer(PipelinedTrainer)
+        pipelined_model, pipelined = make_trainer(1)
         pipelined_report = pipelined.train(
             16, 3, np.random.default_rng(1), mode="baseline")
         assert serial_report.losses == pipelined_report.losses
@@ -140,21 +140,21 @@ class TestValidation:
         assert "casting" not in pipelined_report.timings.totals
 
     def test_rejects_nonpositive_steps(self):
-        _, trainer = make_trainer(PipelinedTrainer)
+        _, trainer = make_trainer(1)
         with pytest.raises(ValueError, match="steps"):
             trainer.train(16, 0, np.random.default_rng(1))
 
     @pytest.mark.parametrize("batch", [0, -1, 3.5, True])
     def test_rejects_invalid_batch(self, batch):
         """Regression: batch used to reach the prefetch loop unvalidated."""
-        _, trainer = make_trainer(PipelinedTrainer)
+        _, trainer = make_trainer(1)
         with pytest.raises(ValueError, match="batch must be a positive"):
             trainer.train(batch, 2, np.random.default_rng(1))
 
     @pytest.mark.parametrize("num_shards", [0, -1, 2.5])
     def test_rejects_invalid_num_shards(self, num_shards):
         with pytest.raises(ValueError, match="num_shards"):
-            make_trainer(PipelinedTrainer, num_shards=num_shards)
+            make_trainer(1, num_shards=num_shards)
 
 
 class TestCastAheadWorker:

@@ -4,29 +4,30 @@ The engine has one step loop and one policy record
 (:class:`~repro.runtime.policy.SchedulePolicy`); the axes are meant to
 compose *by construction*.  This suite holds that to account:
 
-* every cell of look-ahead × accumulation × shard count × backward mode ×
-  {train, infer} — nothing is rejected — is run and compared, bit for bit,
-  against an oracle that shares no code with the engine — the frozen
-  pre-refactor loops of ``_legacy_trainer.py`` for training (fed the
-  *concatenation* of each step's micro-batches, so accumulation is checked
-  against the equivalent large batch everywhere): the sharded loop in
-  every cell (its casted golden, which the baseline backward must equal),
-  and at one shard also the single-device loop in the cell's own mode;
+* every cell of look-ahead × shard count × backward mode × {train, infer}
+  — nothing is rejected — is run and compared, bit for bit, against an
+  oracle that shares no code with the engine — the frozen pre-refactor
+  loops of ``_legacy_trainer.py`` for training: the sharded loop in every
+  cell (its casted golden, which the baseline backward must equal), and at
+  one shard also the single-device loop in the cell's own mode;
   the model's own ``forward`` for inference — or, where no such oracle
   exists (forward-only over 2 shards, whose partial-sum order differs from
   the single-table forward by an ulp), the plain inline run;
 * options that were removed fail loudly rather than meaning something else;
 * the integer arguments are validated by one helper at every site
-  (``num_shards=None`` included: one shard is ``num_shards=1``), and the
-  two silently-dropped-setting bugs the single record made unrepresentable
-  stay fixed.
+  (``num_shards=None`` included: one shard is ``num_shards=1``), an
+  unknown backward mode is rejected before anything is drawn, and the
+  silently-dropped-setting bug the single record made unrepresentable
+  stays fixed.
 """
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+import repro.data
 from repro import cli
 from repro.backends import (
     HAVE_NUMBA,
@@ -38,23 +39,28 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.data.generator import SyntheticCTRStream
+from repro.data.source import (
+    BatchSource,
+    PrefetchingSource,
+    SourceExhausted,
+    TakeSource,
+    as_batch_source,
+)
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.loss import bce_with_logits
 from repro.model.optim import SGD
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.policy import SchedulePolicy
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory imports (pytest puts this directory on sys.path).
 from _legacy_trainer import legacy_train_serial, legacy_train_sharded
-from test_grad_accum import FixedSource, slice_batch
 
 CONFIG = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=64,
     bottom_mlp=(8, 4), top_mlp=(4, 1), embedding_dim=4,
 )
-MICRO = 6
+BATCH = 6
 STEPS = 3
 
 
@@ -70,15 +76,32 @@ def make_model():
     return DLRM(CONFIG, rng=np.random.default_rng(0))
 
 
-def drawn_batches(accum):
-    """``STEPS`` large batches and the micro-batches they slice into."""
+class FixedSource(BatchSource):
+    """Serves a pre-built list of batches, then exhausts.
+
+    Feeding the engine and its oracle the *same* batches is what makes the
+    comparison exact rather than distribution-level.  ``draws`` counts the
+    calls, exhausted ones included.
+    """
+
+    def __init__(self, stream, batches):
+        self.num_tables = stream.num_tables
+        self.rows_per_table = list(stream.rows_per_table)
+        self.dense_features = stream.dense_features
+        self._batches = list(batches)
+        self.draws = 0
+
+    def next_batch(self, batch, rng):
+        self.draws += 1
+        if self.draws > len(self._batches):
+            raise SourceExhausted()
+        return self._batches[self.draws - 1]
+
+
+def drawn_batches():
+    """``STEPS`` batches of ``BATCH`` samples, drawn once."""
     stream, rng = make_stream(), np.random.default_rng(7)
-    bigs = [stream.make_batch(accum * MICRO, rng) for _ in range(STEPS)]
-    micros = [
-        slice_batch(big, i * MICRO, (i + 1) * MICRO)
-        for big in bigs for i in range(accum)
-    ]
-    return stream, bigs, micros
+    return stream, [stream.make_batch(BATCH, rng) for _ in range(STEPS)]
 
 
 def assert_params_equal(model_a, model_b):
@@ -88,41 +111,40 @@ def assert_params_equal(model_a, model_b):
 
 CELLS = [
     pytest.param(
-        lookahead, accum, shards, mode, entry,
-        id=f"ahead{lookahead}-accum{accum}-shards{shards}-{mode}-{entry}",
+        lookahead, shards, mode, entry,
+        id=f"ahead{lookahead}-shards{shards}-{mode}-{entry}",
     )
-    for lookahead, accum, shards, mode, entry in itertools.product(
-        (0, 1), (1, 3), (1, 2), ("casted", "baseline"), ("train", "infer"),
+    for lookahead, shards, mode, entry in itertools.product(
+        (0, 1), (1, 2), ("casted", "baseline"), ("train", "infer"),
     )
 ]
 
 
 def test_the_product_is_not_silently_shrinking():
-    # 2 look-aheads x 2 accums x 2 shard counts x 2 modes x 2 entry points.
-    assert len(CELLS) == 2 * 2 * 2 * 2 * 2
+    # 2 look-aheads x 2 shard counts x 2 modes x 2 entry points.
+    assert len(CELLS) == 2 * 2 * 2 * 2
 
 
-@pytest.mark.parametrize("lookahead,accum,shards,mode,entry", CELLS)
-def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
-    stream, bigs, micros = drawn_batches(accum)
+@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
+def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
+    stream, batches = drawn_batches()
     model = make_model()
     trainer = FunctionalTrainer(
-        model, FixedSource(stream, micros), SGD(lr=0.3),
-        num_shards=shards, backend="vectorized", accum_steps=accum,
-        lookahead=lookahead,
+        model, FixedSource(stream, batches), SGD(lr=0.3),
+        num_shards=shards, backend="vectorized", lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
-    report = run(MICRO, STEPS, np.random.default_rng(1), mode=mode)
+    report = run(BATCH, STEPS, np.random.default_rng(1), mode=mode)
     assert report.steps == STEPS
-    assert report.samples == STEPS * accum * MICRO
+    assert report.samples == STEPS * BATCH
     assert "sync" not in report.timings.totals
     assert ("cast_wait" in report.timings.totals) == (lookahead == 1)
 
     oracle_model = make_model()
     if entry == "train":
         losses, forward_bytes, backward_bytes = legacy_train_sharded(
-            oracle_model, FixedSource(stream, bigs), SGD(lr=0.3),
-            accum * MICRO, STEPS, np.random.default_rng(1),
+            oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
+            BATCH, STEPS, np.random.default_rng(1),
             num_shards=shards, backend="vectorized",
         )
         assert report.forward_exchange_bytes == forward_bytes
@@ -132,8 +154,8 @@ def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
         if shards == 1:
             serial_model = make_model()
             assert report.losses == legacy_train_serial(
-                serial_model, FixedSource(stream, bigs), SGD(lr=0.3),
-                accum * MICRO, STEPS, np.random.default_rng(1),
+                serial_model, FixedSource(stream, batches), SGD(lr=0.3),
+                BATCH, STEPS, np.random.default_rng(1),
                 mode=mode, backend="vectorized",
             )
             assert_params_equal(model, serial_model)
@@ -142,15 +164,15 @@ def test_cell_matches_its_oracle(lookahead, accum, shards, mode, entry):
     assert_params_equal(model, oracle_model)  # infer froze the parameters
     if shards == 2:
         plain = FunctionalTrainer(
-            oracle_model, FixedSource(stream, bigs), SGD(lr=0.3),
+            oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
             num_shards=2, backend="vectorized",
-        ).infer(accum * MICRO, STEPS, np.random.default_rng(1))
+        ).infer(BATCH, STEPS, np.random.default_rng(1))
         expected = list(zip(plain.logits, plain.losses))
     else:
         expected = []
-        for big in bigs:
-            logits = oracle_model.forward(big.dense, big.indices)
-            expected.append((logits, bce_with_logits(logits, big.labels)[0]))
+        for data in batches:
+            logits = oracle_model.forward(data.dense, data.indices)
+            expected.append((logits, bce_with_logits(logits, data.labels)[0]))
     assert len(report.logits) == STEPS
     for got, loss, (want, want_loss) in zip(
             report.logits, report.losses, expected):
@@ -221,6 +243,40 @@ class TestRemovedOptions:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_the_removed_training_surface_fails_loudly(self):
+        """Gradient accumulation, the ``lookahead=1`` alias, the two source
+        wrappers nothing ran and the legacy-stream adapter are gone: none
+        may be accepted and silently mean something else."""
+        with pytest.raises(TypeError, match="accum_steps"):
+            FunctionalTrainer(
+                make_model(), make_stream(), SGD(lr=0.3),
+                backend="vectorized", accum_steps=2,
+            )
+        with pytest.raises(TypeError, match="accum_steps"):
+            SchedulePolicy(accum_steps=2)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.pipeline")
+        for name in ("TableRemapSource", "ArrivalShapedSource",
+                     "LegacyStream"):
+            assert not hasattr(repro.data, name)
+            assert not hasattr(repro.data.source, name)
+
+        stream = make_stream()
+
+        class MakeBatchOnly:
+            num_tables = stream.num_tables
+            rows_per_table = stream.rows_per_table
+            dense_features = stream.dense_features
+
+            def make_batch(self, batch, rng):
+                return stream.make_batch(batch, rng)
+
+        with pytest.raises(TypeError, match="not a BatchSource"):
+            as_batch_source(MakeBatchOnly())
+        with pytest.raises(TypeError, match="not a BatchSource"):
+            FunctionalTrainer(make_model(), MakeBatchOnly(), SGD(lr=0.3),
+                              backend="vectorized")
+
     def test_the_removed_blocked_engine_fails_loudly(self, capsys):
         """``blocked`` went with its tile knob: the name is unknown to the
         registry and to the CLI, so it cannot silently mean another
@@ -285,7 +341,8 @@ def _construct(**kwargs):
 
 INT_SITES = {
     "num_shards": lambda v: _construct(num_shards=v),
-    "accum_steps": lambda v: _construct(accum_steps=v),
+    "max_batches": lambda v: TakeSource(make_stream(), v),
+    "depth": lambda v: PrefetchingSource(make_stream(), v),
     "batch": lambda v: _construct().train(v, 1, np.random.default_rng(1)),
     "steps": lambda v: _construct().train(8, v, np.random.default_rng(1)),
     "infer steps": lambda v: _construct().infer(
@@ -312,23 +369,50 @@ class TestPositiveIntegers:
 
 
 # ----------------------------------------------------------------------
+# The backward mode: one tuple, checked before the draw
+# ----------------------------------------------------------------------
+
+class TestBackwardMode:
+    @pytest.mark.parametrize("entry", ["train", "infer"])
+    @pytest.mark.parametrize("mode", ["Casted", "cast", "", None])
+    def test_unknown_mode_is_rejected_before_anything_is_drawn(
+            self, entry, mode):
+        """An unknown mode used to run Algorithm 1 under the unknown name
+        (the cast stage only casts for ``"casted"``)."""
+        stream, batches = drawn_batches()
+        source = FixedSource(stream, batches)
+        model = make_model()
+        before = [param.copy() for param in model.all_parameters()]
+        trainer = FunctionalTrainer(model, source, SGD(lr=0.3),
+                                    backend="vectorized")
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mode must be one of"):
+            getattr(trainer, entry)(BATCH, STEPS, rng, mode=mode)
+        assert source.draws == 0
+        assert rng.bit_generator.state == state
+        for param, saved in zip(model.all_parameters(), before):
+            assert np.array_equal(param, saved)
+
+
+# ----------------------------------------------------------------------
 # Settings that used to be dropped on the floor
 # ----------------------------------------------------------------------
 
 class TestNoSilentlyDroppedSettings:
     def test_positional_and_keyword_construction_agree(self):
-        """A setting passed positionally used to slip past the pipelined
-        trainer's keyword guard and be dropped."""
-        positional = PipelinedTrainer(
+        """A setting passed positionally used to slip past a keyword guard
+        and be dropped."""
+        positional = FunctionalTrainer(
             make_model(), make_stream(), SGD(lr=0.3),
-            2, "row", "vectorized", 2,
+            2, "row", "vectorized", 1,
         )
-        keyword = PipelinedTrainer(
+        keyword = FunctionalTrainer(
             make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-            backend="vectorized", accum_steps=2,
+            backend="vectorized", lookahead=1,
         )
         assert positional.policy == keyword.policy == SchedulePolicy(
-            lookahead=1, accum_steps=2)
+            lookahead=1)
         report = positional.train(8, 2, np.random.default_rng(1))
         assert "cast_wait" in report.timings.totals
-        assert report.samples == 2 * 2 * 8
+        assert report.samples == 2 * 8

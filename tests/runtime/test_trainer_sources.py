@@ -15,7 +15,6 @@ from repro.data.trace import TraceReplaySource, record_trace
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD
-from repro.runtime.pipeline import PipelinedTrainer
 from repro.runtime.trainer import FunctionalTrainer
 
 CONFIG = RM1.with_overrides(
@@ -42,9 +41,8 @@ def make_model(seed=0):
     return DLRM(CONFIG, rng=np.random.default_rng(seed))
 
 
-def train(model, source, batch=8, steps=4, seed=1, trainer_cls=FunctionalTrainer,
-          **kwargs):
-    trainer = trainer_cls(model, source, SGD(lr=0.05), **kwargs)
+def train(model, source, batch=8, steps=4, seed=1, **kwargs):
+    trainer = FunctionalTrainer(model, source, SGD(lr=0.05), **kwargs)
     return trainer.train(batch, steps, np.random.default_rng(seed))
 
 
@@ -80,7 +78,7 @@ class TestTraceReplayBitIdentity:
         pipelined_model = make_model()
         pipelined = train(
             pipelined_model, TraceReplaySource(path), seed=0,
-            trainer_cls=PipelinedTrainer,
+            lookahead=1,
         )
         assert_identical(serial_model, serial, pipelined_model, pipelined)
 
@@ -111,7 +109,7 @@ class TestFiniteSources:
     def test_pipelined_trainer_stops_cleanly_at_exhaustion(self):
         report = train(
             make_model(), TakeSource(make_stream(), 3), steps=10,
-            trainer_cls=PipelinedTrainer,
+            lookahead=1,
         )
         assert report.steps == 3
 
@@ -122,7 +120,7 @@ class TestFiniteSources:
         pipelined_model = make_model()
         pipelined = train(
             pipelined_model, TakeSource(make_stream(), 3), steps=10, seed=1,
-            trainer_cls=PipelinedTrainer,
+            lookahead=1,
         )
         assert_identical(serial_model, serial, pipelined_model, pipelined)
 
@@ -133,12 +131,12 @@ class TestFiniteSources:
         assert report.steps == 2
         assert report.num_shards == 2
 
-    @pytest.mark.parametrize("trainer_cls", [FunctionalTrainer, PipelinedTrainer])
-    def test_empty_source_raises(self, trainer_cls, tmp_path):
+    @pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "lookahead"])
+    def test_empty_source_raises(self, lookahead, tmp_path):
         source = TakeSource(make_stream(), 1)
         source.next_batch(8, np.random.default_rng(0))  # drain it
         with pytest.raises(ValueError, match="exhausted before the first"):
-            train(make_model(), source, steps=2, trainer_cls=trainer_cls)
+            train(make_model(), source, steps=2, lookahead=lookahead)
 
     def test_steps_per_second_uses_actual_steps(self):
         report = train(make_model(), TakeSource(make_stream(), 2), steps=50)
@@ -154,18 +152,3 @@ class TestGeometryValidation:
         )
         with pytest.raises(ValueError, match="tables"):
             FunctionalTrainer(make_model(), bad, SGD(lr=0.05))
-
-    def test_legacy_make_batch_stream_still_works(self):
-        class Legacy:
-            num_tables = CONFIG.num_tables
-            rows_per_table = [CONFIG.rows_per_table] * CONFIG.num_tables
-            dense_features = CONFIG.dense_features
-
-            def __init__(self):
-                self._inner = make_stream()
-
-            def make_batch(self, batch, rng):
-                return self._inner.make_batch(batch, rng)
-
-        report = train(make_model(), Legacy(), steps=2)
-        assert report.steps == 2

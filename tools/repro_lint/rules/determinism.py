@@ -20,8 +20,8 @@ path draws from an unseeded generator or branches on wall-clock time.
   ``backends/autotune.py`` (probe timing).
   Everything else must take a :class:`~repro.serving.clock.Clock` or
   report-side timings instead of reading the clock directly; genuinely
-  real-time code (e.g. ``ArrivalShapedSource``'s opt-in ``sleep=True``
-  pacing) carries an inline suppression so the exception stays visible
+  real-time code (e.g. opt-in ``time.sleep`` pacing) carries an inline
+  ``# repro-lint: ignore[determinism]`` so the exception stays visible
   at the call site.
 """
 
