@@ -163,12 +163,13 @@ def test_foreign_gradient_tables_are_coerced_by_the_bag(model_dtype):
 
 
 # ----------------------------------------------------------------------
-# Through the trainer: serial, pipelined, sharded
+# Through the trainer: serial, pipelined, sharded, sharded and pipelined
 # ----------------------------------------------------------------------
 TRAINER_PATHS = {
     "serial": {},
     "lookahead": {"lookahead": 1},
     "sharded": {"num_shards": 2},
+    "sharded-lookahead": {"num_shards": 2, "lookahead": 1},
 }
 
 

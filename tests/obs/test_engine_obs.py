@@ -80,9 +80,10 @@ class TestTraceContent:
             assert traced[phase] == pytest.approx(seconds, rel=1e-9)
 
     @pytest.mark.parametrize("knobs", [
+        dict(lookahead=1),
         dict(num_shards=2),
         dict(num_shards=2, lookahead=1),
-    ], ids=["sharded", "sharded-lookahead"])
+    ], ids=["lookahead", "sharded", "sharded-lookahead"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""
