@@ -8,9 +8,9 @@ actual NumPy wall-clock — the same mechanism behind the paper's software-only
 
 Every hot-kernel benchmark is parametrized over the pluggable kernel engine
 (:mod:`repro.backends`).  Select with ``--backend NAME``; ``--backend all``
-sweeps every available backend side by side (the registry's order), which is
-how the reference-oracle, vectorized-NumPy, numba-JIT, and autotuned engines
-are compared on identical workloads.
+sweeps every registered backend side by side (the registry's order), which is
+how the reference oracle and the vectorized NumPy engine (``auto`` is the
+same kernels under another name) are compared on identical workloads.
 
 Set ``BENCH_SMOKE=1`` to shrink the workload to a CI-friendly smoke size.
 """
@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend, registered_backends
 from repro.core.casting import hash_casting, tensor_casting
 from repro.core.coalesce import expand_coalesce
 from repro.core.gather_reduce import casted_gather_reduce, gather_reduce
@@ -44,7 +44,7 @@ def pytest_generate_tests(metafunc):
         return
     spec = metafunc.config.getoption("--backend")
     if spec == "all":
-        names = list(available_backends())
+        names = list(registered_backends())
     elif spec is None:
         names = ["vectorized"]
     else:

@@ -16,7 +16,7 @@ from repro.runtime.systems import SystemHardware
 def pytest_addoption(parser):
     """``--backend``: which kernel engine(s) bench_kernels measures.
 
-    A registered backend name, ``all`` to sweep every available backend
+    A registered backend name, ``all`` to sweep every registered backend
     side by side, or omitted for the process default (``vectorized``).
     """
     parser.addoption(

@@ -13,8 +13,8 @@ Package tour
   baseline expand-coalesce pipeline, Tensor Casting itself, and analytic
   memory-traffic models;
 * :mod:`repro.backends` — the pluggable kernel engine every hot kernel
-  dispatches through: ``reference`` oracles, fused ``vectorized`` NumPy,
-  optional JIT ``numba``, and the autotuned ``auto`` policy;
+  dispatches through: ``reference`` oracles and fused ``vectorized`` NumPy
+  (``auto``, the trainers' default, is the same kernels);
 * :mod:`repro.model` — a from-scratch NumPy DLRM (MLPs, embedding bags with
   both backward strategies, interactions, losses, optimizers) plus the
   Table II configurations;
@@ -43,7 +43,6 @@ Quickstart
 
 from .backends import (
     KernelBackend,
-    available_backends,
     get_backend,
     registered_backends,
     set_default_backend,
@@ -210,7 +209,6 @@ __all__ = [
     "sharded_exchange_bytes",
     "tcasted_grad_gather_reduce",
     "tensor_casting",
-    "available_backends",
     "get_backend",
     "registered_backends",
     "set_default_backend",

@@ -1,4 +1,4 @@
-"""Pluggable kernel engines with autotuned dispatch.
+"""Pluggable kernel engines behind one dispatch seam.
 
 The paper reduces every embedding-training primitive to one gather-reduce
 datapath; this package makes that observation operational as a
@@ -8,19 +8,12 @@ hardware-abstraction seam.  Every hot kernel of :mod:`repro.core`
 :class:`~repro.backends.base.KernelBackend`, selected by name from a
 registry:
 
-* ``reference`` — the pure-Python oracle loops (semantics ground truth,
-  never autotuned);
+* ``reference`` — the pure-Python oracle loops (semantics ground truth);
 * ``vectorized`` — fused NumPy kernels: every reduction, forward and
   casted backward alike, is :func:`repro.core.segment.segment_sum` (one
   vectorised round per lookup rank over sorted segments, long segments
   folded row by row — lookup order, bit for bit); the process default;
-* ``numba`` — optional JIT-compiled loop nests, gracefully absent without
-  the package;
-* ``auto`` — the autotuned policy: per shape class (batch, pooling factor,
-  dim), micro-benchmark the candidates once, cache the winner, delegate.
-  The trainers default to it.  On a NumPy-only install ``vectorized`` is
-  its one candidate, so it delegates there with zero probes; it makes a
-  real choice only beside ``numba``.
+* ``auto`` — the trainers' default name for the same vectorized kernels.
 
 No engine choice decides whether a step faults: the trainer's allocator
 setting (:func:`repro.runtime.memory.retain_freed_memory`) does, for every
@@ -31,16 +24,14 @@ output row summed one addend at a time in lookup order — the oracle's
 association, which ``segment_sum`` defines once for the NumPy engines)
 and within documented tolerance for float32 — pinned by the randomized
 differential tests in ``tests/backends/``.  Select an engine per call (``gather_reduce(...,
-backend="numba")``), per trainer (``FunctionalTrainer(...,
+backend="reference")``), per trainer (``FunctionalTrainer(...,
 backend="auto")``), per process (:func:`set_default_backend`,
 ``python -m repro --backend``), or temporarily (:func:`use_backend`).
 """
 
 from .base import KernelBackend
 from .registry import (
-    BackendUnavailableError,
     UnknownBackendError,
-    available_backends,
     get_backend,
     register_backend,
     registered_backends,
@@ -56,24 +47,15 @@ from .dispatch import (
 # Import order below fixes the registration order — the order `--backend
 # all` benchmarks sweep and error messages list the names in.
 from .reference import ReferenceBackend
-from .vectorized import VectorizedBackend
-from .numba_backend import HAVE_NUMBA, NumbaBackend
-from .autotune import AutoBackend, Autotuner, KERNEL_NAMES, ShapeClass
+from .vectorized import AutoBackend, VectorizedBackend
 
 __all__ = [
     "AutoBackend",
-    "Autotuner",
     "BackendSpec",
-    "BackendUnavailableError",
-    "HAVE_NUMBA",
-    "KERNEL_NAMES",
     "KernelBackend",
-    "NumbaBackend",
     "ReferenceBackend",
-    "ShapeClass",
     "UnknownBackendError",
     "VectorizedBackend",
-    "available_backends",
     "get_backend",
     "get_default_backend",
     "register_backend",

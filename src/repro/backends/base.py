@@ -30,7 +30,7 @@ stay safe for direct calls on degenerate (empty) workloads.
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -43,30 +43,13 @@ __all__ = ["KernelBackend"]
 class KernelBackend(abc.ABC):
     """Abstract base class of one kernel-engine implementation.
 
-    Subclasses set :attr:`name` (the registry key), implement the four hot
-    kernels, and may override :meth:`available` when they depend on an
-    optional package, and :attr:`autotune_candidate` when they exist for
-    correctness rather than speed (the reference oracle).
+    Subclasses set :attr:`name` (the registry key) and implement the four
+    hot kernels.
     """
 
     #: Registry key; also what ``--backend`` and the trainers' ``backend=``
     #: knob accept.
     name: ClassVar[str]
-
-    #: Whether the autotuner may select this backend as a performance
-    #: winner.  ``False`` for oracle-grade backends that exist to pin down
-    #: semantics, not to be fast.
-    autotune_candidate: ClassVar[bool] = True
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        """Human-readable reason when :meth:`available` is ``False``."""
-        return None
 
     # ------------------------------------------------------------------
     # The hot kernels

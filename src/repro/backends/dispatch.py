@@ -64,14 +64,13 @@ _OBSERVER: Optional[KernelObserver] = None
 class _CountingBackend(KernelBackend):
     """Transparent proxy: count each kernel call, then delegate.
 
-    Never registered and never an autotune candidate — instances exist only
-    inside an :func:`observe_kernels` scope, created per resolution.  The
-    reported engine name is the *wrapped* backend's, so counts attribute to
-    the engine that actually ran.
+    Never registered — instances exist only inside an
+    :func:`observe_kernels` scope, created per resolution.  The reported
+    engine name is the *wrapped* backend's, so counts attribute to the
+    engine that actually ran.
     """
 
     name = "counting"
-    autotune_candidate = False
 
     def __init__(self, inner: KernelBackend,
                  observer: KernelObserver) -> None:
@@ -144,7 +143,7 @@ def get_default_backend() -> str:
 def set_default_backend(name: str) -> None:
     """Set the process-wide default backend (validates the name eagerly)."""
     global _DEFAULT_NAME
-    get_backend(name)  # raises Unknown/Unavailable with the names listed
+    get_backend(name)  # raises UnknownBackendError with the names listed
     _DEFAULT_NAME = name
 
 

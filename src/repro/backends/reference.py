@@ -4,9 +4,7 @@ This backend routes every kernel through the literal element-by-element
 transcriptions that the test suite uses as ground truth
 (:func:`repro.core.gather_reduce.gather_reduce_reference` and friends).  It
 exists to pin down semantics, serve as the differential-test baseline, and
-let a whole training step run on oracle code (``--backend reference``); it
-is deliberately excluded from autotuning (``autotune_candidate = False``)
-because an O(n) Python loop must never win a shape class.
+let a whole training step run on oracle code (``--backend reference``).
 
 Numerical contract: the float oracles accumulate in float64 and round once
 at the end, so for float64 tensors the reference backend is bit-identical
@@ -33,10 +31,9 @@ __all__ = ["ReferenceBackend"]
 
 @register_backend
 class ReferenceBackend(KernelBackend):
-    """Oracle-grade loop kernels (slow, trustworthy, never autotuned)."""
+    """Oracle-grade loop kernels (slow, trustworthy)."""
 
     name = "reference"
-    autotune_candidate = False
 
     def gather_reduce(
         self,

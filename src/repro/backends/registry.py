@@ -2,11 +2,10 @@
 
 Backends self-register at import time via the :func:`register_backend`
 decorator (importing :mod:`repro.backends` pulls every built-in backend in,
-so the registry is always populated once the package is imported).  Lookup
-failures are deliberately loud and helpful: an unknown name lists every
-registered backend, an unavailable one (e.g. ``numba`` without the package)
-lists the backends that *can* run here — both surface verbatim as the
-``python -m repro --backend`` error message.
+so the registry is always populated once the package is imported).  Every
+registered engine runs everywhere NumPy does.  Lookup failures are
+deliberately loud and helpful: an unknown name lists every registered
+backend, verbatim as the ``python -m repro --backend`` error message.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from typing import Dict, Tuple, Type
 from .base import KernelBackend
 
 __all__ = [
-    "BackendUnavailableError",
     "UnknownBackendError",
-    "available_backends",
     "get_backend",
     "register_backend",
     "registered_backends",
@@ -29,12 +26,8 @@ class UnknownBackendError(ValueError):
     """Raised for a backend name that was never registered."""
 
 
-class BackendUnavailableError(ValueError):
-    """Raised for a registered backend that cannot run in this environment."""
-
-
 #: Registration order is preserved — it is the order ``--backend all``
-#: benchmarks and the autotuner enumerate candidates in.
+#: benchmarks sweep and error messages list the names in.
 _REGISTRY: Dict[str, Type[KernelBackend]] = {}
 _INSTANCES: Dict[str, KernelBackend] = {}
 
@@ -55,30 +48,17 @@ def registered_backends() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Registered backends that can run here, in registration order."""
-    return tuple(name for name, cls in _REGISTRY.items() if cls.available())
-
-
 def get_backend(name: str) -> KernelBackend:
     """Resolve a backend name to its (singleton) instance.
 
-    Instances are cached per name, so stateful backends — notably ``auto``,
-    whose autotuner caches per-shape winners — keep their state across
-    every dispatch site in the process.
+    Instances are cached per name, so every dispatch site in the process
+    shares one instance of each engine.
     """
     if name not in _REGISTRY:
         raise UnknownBackendError(
             f"unknown kernel backend {name!r}; registered backends: "
             f"{', '.join(registered_backends())}"
         )
-    cls = _REGISTRY[name]
-    if not cls.available():
-        reason = cls.unavailable_reason() or "unavailable in this environment"
-        raise BackendUnavailableError(
-            f"kernel backend {name!r} is not available ({reason}); "
-            f"available backends: {', '.join(available_backends())}"
-        )
     if name not in _INSTANCES:
-        _INSTANCES[name] = cls()
+        _INSTANCES[name] = _REGISTRY[name]()
     return _INSTANCES[name]

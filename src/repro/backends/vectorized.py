@@ -2,10 +2,10 @@
 
 This is the performance workhorse, built on one deliberate design rule:
 **every accumulation runs in lookup order, one partial sum at a time** —
-the same order as the pure-Python oracle and the numba loop nests — so
-float64 results are bit-identical across every backend and float32 results
-are bit-identical between this backend and numba (the oracle accumulates
-float32 inputs in float64; documented tolerance).
+the same order as the pure-Python oracle — so float64 results are
+bit-identical to the oracle, and float32 results agree within documented
+tolerance (the oracle accumulates float32 inputs in float64).  ``auto``,
+the trainers' default name, is this engine registered a second time.
 
 That order has one definition, :func:`repro.core.segment.segment_sum`: cut
 the (sorted) destinations into segments, add the ``r``-th lookup of every
@@ -37,7 +37,7 @@ from ..core.segment import segment_sum, sort_by_key
 from .base import KernelBackend
 from .registry import register_backend
 
-__all__ = ["VectorizedBackend", "cast_indices_vectorized"]
+__all__ = ["AutoBackend", "VectorizedBackend", "cast_indices_vectorized"]
 
 
 def cast_indices_vectorized(index: IndexArray) -> CastedIndex:
@@ -119,3 +119,10 @@ class VectorizedBackend(KernelBackend):
         lr: float = 1.0,
     ) -> np.ndarray:
         return sgd_update_rows(table, rows, gradients, lr)
+
+
+@register_backend
+class AutoBackend(VectorizedBackend):
+    """``auto``: the trainers' default name for the vectorized kernels."""
+
+    name = "auto"

@@ -20,11 +20,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Sequence, Tuple
 
-from .backends import (
-    available_backends,
-    registered_backends,
-    set_default_backend,
-)
+from .backends import registered_backends, set_default_backend
 from .data.datasets import DATASETS, dataset_names
 from .experiments import (
     format_hotcache,
@@ -177,10 +173,15 @@ def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
                 batches=tuple(args.batches or (512,)),
                 steps=args.steps,
-                backend=args.backend or "vectorized",
+                backend=args.backend,
                 dataset=args.dataset,
                 hardware=hardware,
             )
+        )
+    if args.backend is not None:
+        raise ValueError(
+            "--backend does not apply to 'scaling' without --steps: the "
+            "analytic sweep runs no kernels"
         )
     batches = args.batches or (4096,)
     shard_counts = args.shards or SCALING_SHARDS
@@ -288,10 +289,10 @@ TRAINER_EXPERIMENTS = ("overlap", "serve")
 
 _SERVE = ("serve",)
 
-#: Flag dest -> the experiments that accept it.  Setting a scoped flag for
-#: any other experiment exits 2; unscoped flags apply everywhere.  Read by
-#: :func:`main`, the ``--help`` strings and repro-lint's
-#: ``registry-consistency`` rule.
+#: Flag dest -> the experiments (and built-in commands) that accept it.
+#: Setting a scoped flag for any other command exits 2; unscoped flags
+#: apply everywhere.  Read by :func:`main`, the ``--help`` strings and
+#: repro-lint's ``registry-consistency`` rule.
 FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "trace": ("cache",) + TRAINER_EXPERIMENTS,
     "checkpoint_dir": TRAINER_EXPERIMENTS,
@@ -305,6 +306,7 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "batches": ("fig4", "fig5b", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "scaling", "overlap", "cache"),
     "shards": ("scaling", "overlap"),
+    "backend": ("scaling", "overlap", "serve", "validate"),
     "steps": ("scaling", "overlap", "cache"),
     "rates": _SERVE,
     "policies": _SERVE,
@@ -352,12 +354,8 @@ def _run_list(args: argparse.Namespace) -> int:
     ):
         print(f"{name:8s} {description}")
     print()
-    available = set(available_backends())
-    tags = [
-        name if name in available else f"{name} (unavailable)"
-        for name in registered_backends()
-    ]
-    print(f"backends: {', '.join(tags)}  (select with --backend NAME)")
+    print(f"backends: {', '.join(registered_backends())}  "
+          "(select with --backend NAME)")
     return 0
 
 
@@ -426,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend routed to every measured kernel (registered: "
-             f"{', '.join(registered_backends())}; default: the trainers' "
-             "'auto' policy)",
+        help="kernel backend routed to every kernel the command runs "
+             f"({_scope('backend')}; 'scaling' only with --steps); "
+             f"registered: {', '.join(registered_backends())} (default: "
+             "the vectorized kernels)",
     )
     parser.add_argument(
         "--optimizer", default=None, metavar="NAME",
@@ -548,7 +547,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _fail(message.format(v=value))
     if args.backend is not None:
         try:
-            # Validates the name (unknown/unavailable exits nonzero with
+            # Validates the name (an unknown one exits nonzero with
             # the candidates listed) and makes it the process default so
             # every kernel of the run routes through it.
             set_default_backend(args.backend)

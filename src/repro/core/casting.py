@@ -20,9 +20,9 @@ forward embedding gather (see :mod:`repro.runtime.systems`).
 
 :func:`tensor_casting` is a thin dispatcher into the pluggable kernel
 engine (:mod:`repro.backends`): the stable-argsort implementation lives in
-the ``vectorized`` backend, a counting-sort variant in the optional
-``numba`` backend, and the literal pseudo-code transcription below
-(:func:`tensor_casting_reference`) doubles as the ``reference`` backend.
+the ``vectorized`` backend, and the literal pseudo-code transcription
+below (:func:`tensor_casting_reference`) doubles as the ``reference``
+backend.
 Every backend produces the identical cast (integer arrays, stable order).
 """
 
@@ -134,8 +134,7 @@ def tensor_casting(index: IndexArray, backend: BackendSpec = None) -> CastedInde
     ``casted_src`` (line 4), boundary scan (lines 5-8), cumulative sum
     (line 9)).
 
-    Complexity is ``O(n log n)`` for sort-based engines (``O(n +
-    num_rows)`` for the counting-sort numba engine); the paper's runtime
+    Complexity is ``O(n log n)``, dominated by the sort; the paper's runtime
     hides this latency under forward propagation because the cast depends
     only on the index array, not on any gradient values.
     """

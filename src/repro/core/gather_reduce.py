@@ -6,9 +6,9 @@ slots on the fly (Figure 2(a)), and — after Tensor Casting — backpropagation
 performs the *same* operation over the gradient table (Figure 7,
 Algorithm 3).  The public functions here validate arguments and dispatch
 into the pluggable kernel engine (:mod:`repro.backends`): the fused NumPy
-implementation lives in the ``vectorized`` backend, JIT loop nests in the
-optional ``numba`` backend, and the literal pure-Python oracle below
-(:func:`gather_reduce_reference`) doubles as the ``reference`` backend.
+implementation lives in the ``vectorized`` backend, and the literal
+pure-Python oracle below (:func:`gather_reduce_reference`) doubles as the
+``reference`` backend.
 
 The fused formulation matters: reducing "on the fly inside on-chip registers"
 means the ``n`` gathered vectors are never materialized to memory, which is

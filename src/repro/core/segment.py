@@ -7,8 +7,8 @@ every hot caller hands it *sorted* destinations: the bag-major forward
 ``dst``, the casted ``0..u-1`` ramp, Algorithm 1's sorted copy.
 :func:`segment_sum` exploits that without giving up the repository's
 numeric contract (each output row is accumulated one addend at a time, in
-lookup order — the association of ``np.add.at``, of the numba loop nests and
-of the pure-Python oracle):
+lookup order — the association of ``np.add.at`` and of the pure-Python
+oracle):
 
 1. cut ``dst`` into segments (runs of equal destination) and write the
    first lookup of every segment into the result;

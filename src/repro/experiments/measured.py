@@ -142,9 +142,9 @@ def best_of(
     """Train ``repeats`` fresh identically-seeded runs; keep the fastest.
 
     One untraced single-step run goes first, so no measured repeat absorbs
-    first-touch, worker-thread or autotuner warm-up.  Best-of-k then strips
-    scheduler noise: every repeat is numerically identical (fresh model and
-    source, same seeds), so the minimum is a legitimate sample of the same
+    first-touch or worker-thread warm-up.  Best-of-k then strips scheduler
+    noise: every repeat is numerically identical (fresh model and source,
+    same seeds), so the minimum is a legitimate sample of the same
     computation.  With ``resume`` set (a :class:`Checkpoint` loaded once
     per sweep), every repeat restores parameters and optimizer state and
     fast-forwards its source past the checkpointed steps.  The *whole*

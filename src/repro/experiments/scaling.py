@@ -186,7 +186,7 @@ def measured_scaling_sweep(
     steps: int = 8,
     config: ModelConfig = OVERLAP_CONFIG,
     policy: str = "row",
-    backend: str = "vectorized",
+    backend: str | None = None,
     dataset: str = "random",
     hardware: SystemHardware | None = None,
     seed: int = 0,
@@ -200,10 +200,9 @@ def measured_scaling_sweep(
     and at every count in ``shard_counts`` through
     :func:`repro.experiments.measured.best_of`, keeping the best wall clock
     of ``repeats`` runs each, and pairs the measured ratio with the
-    analytic :class:`ShardedNMPSystem` N-vs-1-shard bound.
-
-    ``backend`` defaults to ``"vectorized"`` rather than ``"auto"`` so
-    every run times the same kernels, not an autotuner's probes.
+    analytic :class:`ShardedNMPSystem` N-vs-1-shard bound.  ``backend``
+    names the kernel engine (``None``: the process default); each row
+    records the engine that ran.
     """
     hardware = hardware or SystemHardware()
     distribution = scaled_distribution(dataset, config.rows_per_table)
@@ -239,7 +238,7 @@ def measured_scaling_sweep(
                     batch=batch,
                     policy=policy,
                     num_shards=num_shards,
-                    backend=backend,
+                    backend=report.backend,
                     steps=report.steps,
                     steps_per_s=report.steps_per_second,
                     measured_speedup=(

@@ -10,7 +10,7 @@ This package adds the record you can actually look at:
   worker, shards, served requests) with timestamps from an injectable
   :class:`~repro.serving.clock.Clock`;
 * :class:`MetricRegistry` — labeled counters / gauges / histograms
-  (``cache.hits{policy=lfu}``, ``kernel.calls{backend=numba,...}``);
+  (``cache.hits{policy=lfu}``, ``kernel.calls{backend=vectorized,...}``);
 * exporters — Chrome trace-event JSON (load it in Perfetto or
   ``chrome://tracing``), a JSONL step-record stream, and a run manifest
   (config, backend, git SHA, seed);

@@ -2,8 +2,8 @@
 
 A :class:`MetricRegistry` holds every series of one observed run, keyed by
 ``(name, labels)`` — ``cache.hits{policy=lfu}`` and
-``kernel.calls{backend=numba,op=gather_reduce}`` are distinct series of the
-``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
+``kernel.calls{backend=vectorized,op=gather_reduce}`` are distinct series of
+the ``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
 
 * :class:`Counter` — monotone event count (kernel calls, served requests);
 * :class:`Gauge` — a sampled time series of ``(at, value)`` points (loss
@@ -178,10 +178,10 @@ Metric = Union[Counter, Gauge, Histogram]
 class MetricRegistry:
     """Every metric series of one observed run, created on first touch.
 
-    ``registry.counter("kernel.calls", backend="numba", op="gather_reduce")``
-    returns the same :class:`Counter` on every call with the same name and
-    labels; asking for an existing series under a different instrument kind
-    is an error (one series, one meaning).
+    ``registry.counter("kernel.calls", backend="vectorized",
+    op="gather_reduce")`` returns the same :class:`Counter` on every call
+    with the same name and labels; asking for an existing series under a
+    different instrument kind is an error (one series, one meaning).
     """
 
     def __init__(self) -> None:

@@ -431,7 +431,7 @@ class TrainingEngine:
         obs.metrics.gauge("train.loss").set(float(ctx.loss), at=step)
 
     def _publish_run(self, report: TrainingReport, mode: str) -> None:
-        """Manifest + run-level metrics once the report exists."""
+        """Annotate the run manifest once the report exists."""
         obs = self.obs
         assert obs is not None
         obs.annotate(
@@ -440,6 +440,3 @@ class TrainingEngine:
             steps=report.steps,
             num_shards=report.num_shards,
         )
-        tuner = getattr(self.trainer.backend, "tuner", None)
-        if tuner is not None and hasattr(tuner, "publish_metrics"):
-            tuner.publish_metrics(obs.metrics)

@@ -92,17 +92,14 @@ class FunctionalTrainer:
     backend:
         Kernel engine for every hot kernel of the run: a registered backend
         name, a :class:`~repro.backends.base.KernelBackend` instance, or
-        ``None`` for the process default.  Defaults to ``"auto"`` — the
-        autotuned policy that micro-benchmarks the available engines per
-        shape class and delegates to the winner (on a NumPy-only install
-        ``vectorized`` is the only candidate, so ``auto`` is a passthrough
-        to it with zero probes).  Resolved once here
-        and threaded into the model's embedding bags and the sharded
-        embedding set, so the whole run uses one engine regardless of which
-        thread launches a kernel.  Note the bags' routing follows whichever
-        trainer most recently constructed over — or trains — the model:
-        :meth:`train` re-asserts it, so sharing one model between trainers
-        with different backends is safe per run.
+        ``None`` for the process default.  Defaults to ``"auto"``, the
+        name the trainers use for the ``vectorized`` kernels.  Resolved
+        once here and threaded into the model's embedding bags and the
+        sharded embedding set, so the whole run uses one engine regardless
+        of which thread launches a kernel.  Note the bags' routing follows
+        whichever trainer most recently constructed over — or trains — the
+        model: :meth:`train` re-asserts it, so sharing one model between
+        trainers with different backends is safe per run.
     lookahead:
         ``0`` (default) casts each batch inline, right before its compute.
         ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
@@ -143,10 +140,9 @@ class FunctionalTrainer:
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
-        # Resolve the knob eagerly: unknown/unavailable names fail at
-        # construction (with the registered names listed), and the resolved
-        # instance is shared by every dispatch site including the cast-ahead
-        # worker.
+        # Resolve the knob eagerly: unknown names fail at construction
+        # (with the registered names listed), and the resolved instance is
+        # shared by every dispatch site including the cast-ahead worker.
         self.backend = resolve_backend(backend)
         for bag in model.embeddings:
             bag.backend = self.backend

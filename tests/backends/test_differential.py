@@ -10,11 +10,8 @@ reference  exact (it IS the oracle) exact (accumulates in float64)
 vectorized bit-identical            allclose vs. the oracle (accumulates
                                     in float32, rounding per partial sum
                                     instead of once at the end)
-numba      bit-identical            allclose vs. the oracle; bit-identical
-                                    to ``vectorized`` (both accumulate
-                                    float32 sequentially in lookup order)
-auto       bit-identical            same as its delegate (a working-
-                                    precision candidate)
+auto       bit-identical            bit-identical to ``vectorized`` (the
+                                    same kernels under another name)
 ========== ======================== ====================================
 
 Integer outputs — casted index arrays, coalesced row ids, scatter targets —
@@ -27,11 +24,6 @@ rather than ``np.add.reduceat``, whose pairwise partial sums would drift
 by ulps.  The ``profile-*`` cases sweep the segment shapes that decide how
 ``segment_sum`` splits its work (uniform bags, Zipf row reuse, one giant
 bag, empty bags, unsorted destinations).
-
-The numba backend is swept even when the compiler is absent: its kernels
-are plain Python loop nests that numba merely compiles, so instantiating
-:class:`~repro.backends.numba_backend.NumbaBackend` directly runs the same
-logic interpreted (the CI numba leg then re-runs this file compiled).
 """
 
 import zlib
@@ -39,7 +31,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.backends import NumbaBackend, available_backends, get_backend
+from repro.backends import get_backend, registered_backends
 from repro.backends.vectorized import cast_indices_vectorized
 from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
 from repro.core.gather_reduce import gather_reduce_reference
@@ -54,15 +46,8 @@ FLOAT32_RTOL = 1e-5
 FLOAT32_ATOL = 1e-6
 
 
-def _backends():
-    """Every registered engine, including numba's interpreted fallback."""
-    instances = [get_backend(name) for name in available_backends()]
-    if "numba" not in available_backends():
-        instances.append(NumbaBackend())
-    return instances
-
-
-BACKENDS = _backends()
+#: Every registered engine.
+BACKENDS = [get_backend(name) for name in registered_backends()]
 BACKEND_IDS = [backend.name for backend in BACKENDS]
 DTYPES = (np.float64, np.float32)
 
@@ -390,7 +375,7 @@ class TestCrossBackendBitIdentity:
 
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     def test_float32_working_precision_engines_identical(self, case):
-        """vectorized and numba accumulate float32 sequentially in the same
+        """vectorized and auto accumulate float32 sequentially in the same
         order — bit-identical to each other (only the float64-accumulating
         oracle is allowed to differ, within the documented tolerance)."""
         name, index = case

@@ -1,18 +1,14 @@
-"""Registry, availability gating, and dispatch-default behavior."""
+"""Registry and dispatch-default behavior."""
 
 import numpy as np
 import pytest
 
 from repro.backends import (
     AutoBackend,
-    BackendUnavailableError,
-    HAVE_NUMBA,
     KernelBackend,
-    NumbaBackend,
     ReferenceBackend,
     UnknownBackendError,
     VectorizedBackend,
-    available_backends,
     get_backend,
     get_default_backend,
     register_backend,
@@ -29,15 +25,8 @@ class TestRegistry:
         assert registered_backends() == (
             "reference",
             "vectorized",
-            "numba",
             "auto",
         )
-
-    def test_available_is_an_ordered_subset(self):
-        names = available_backends()
-        assert set(names) <= set(registered_backends())
-        assert "reference" in names and "vectorized" in names and "auto" in names
-        assert ("numba" in names) == HAVE_NUMBA
 
     def test_get_backend_returns_singletons(self):
         assert get_backend("vectorized") is get_backend("vectorized")
@@ -51,19 +40,9 @@ class TestRegistry:
         for name in registered_backends():
             assert name in message
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: backend is available")
-    def test_unavailable_backend_lists_available_names(self):
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            get_backend("numba")
-        message = str(excinfo.value)
-        assert "numba" in message
-        for name in available_backends():
-            assert name in message
-
     def test_errors_are_value_errors(self):
-        """The CLI and trainers catch ValueError; both registry errors are."""
+        """The CLI and trainers catch ValueError; the registry's error is."""
         assert issubclass(UnknownBackendError, ValueError)
-        assert issubclass(BackendUnavailableError, ValueError)
 
     def test_register_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -75,11 +54,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="non-empty name"):
             register_backend(type("Anonymous", (KernelBackend,), {}))
 
-    def test_oracle_flags(self):
-        assert ReferenceBackend.autotune_candidate is False
-        assert AutoBackend.autotune_candidate is False
-        assert VectorizedBackend.autotune_candidate is True
-        assert NumbaBackend.autotune_candidate is True
+    def test_auto_is_the_vectorized_engine(self):
+        """``auto`` is a second name for the vectorized kernels: it
+        overrides none of them."""
+        for kernel in ("gather_reduce", "casted_gather_reduce",
+                       "cast_indices", "expand_coalesce", "scatter_update"):
+            assert kernel not in vars(AutoBackend)
+            assert (getattr(AutoBackend, kernel)
+                    is getattr(VectorizedBackend, kernel))
 
 
 class TestDispatch:
@@ -95,12 +77,6 @@ class TestDispatch:
     def test_set_default_validates_eagerly(self):
         with pytest.raises(UnknownBackendError):
             set_default_backend("fpga")
-        assert get_default_backend() == "vectorized"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: backend is available")
-    def test_set_default_rejects_unavailable(self):
-        with pytest.raises(BackendUnavailableError):
-            set_default_backend("numba")
         assert get_default_backend() == "vectorized"
 
     def test_use_backend_scopes_and_restores(self):
@@ -150,6 +126,6 @@ class TestKernelRouting:
         )
 
     def test_instance_cache_covers_registered_names(self):
-        for name in available_backends():
+        for name in registered_backends():
             get_backend(name)
-        assert set(_INSTANCES) >= set(available_backends())
+        assert set(_INSTANCES) >= set(registered_backends())

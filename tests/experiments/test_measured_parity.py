@@ -10,8 +10,8 @@ harness existed.  The cache literals were recorded while the cache still
 ran inside training and serving; replaying the index stream reproduces
 them.  Floats are compared exactly, as ``float.hex()`` strings.
 
-Kernels are pinned to ``vectorized`` wherever a sweep would otherwise let
-the ``auto`` autotuner choose by timing.
+Kernels are pinned to ``vectorized`` wherever a sweep takes a ``backend``;
+measured ``scaling`` runs the process default, which is ``vectorized``.
 """
 
 import numpy as np

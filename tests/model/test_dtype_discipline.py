@@ -16,7 +16,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.backends.autotune import AutoBackend
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import CTRBatch
 from repro.model.configs import RM1
@@ -229,16 +228,6 @@ def test_f32_losses_track_the_f64_model():
     _, _, double = train(np.float64)
     assert single.losses != double.losses
     np.testing.assert_allclose(single.losses, double.losses, rtol=1e-3)
-
-
-def test_auto_files_an_f32_run_under_f32_shape_classes():
-    backend = AutoBackend()   # a private tuner: the registered one is shared
-    for mode in ("casted", "baseline"):
-        train(np.float32, mode=mode, backend=backend, steps=2)
-    decided = {f"{shape.kernel}/{shape.dtype}"
-               for shape in backend.tuner.decisions()}
-    assert any(key.endswith("/float32") for key in decided)
-    assert not [key for key in decided if "float64" in key]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backends import NumbaBackend, get_backend
+from repro.backends import get_backend
 from repro.core.indexing import IndexArray
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import BatchSource, as_batch_source
@@ -216,40 +216,31 @@ class EmptyBagSource(BatchSource):
         return replace(data, indices=indices)
 
 
-#: Every engine the trainer can take on any install; ``numba`` is the
-#: interpreted loop nests when the compiler is absent.
-ENGINES = {
-    "reference": "reference",
-    "vectorized": "vectorized",
-    "auto": "auto",
-    "numba": NumbaBackend(),
-}
-
-
 class TestEmptyBagsMatchLegacyGoldens:
-    """Empty bags through every engine, policy and shard count.
+    """Empty bags through every engine, policy, shard count and look-ahead.
 
     A bag with no lookups pools to zero, sends no gradient rows and leaves
     a shard with nothing to cast, reduce or update for that table; each
     cell must still reproduce the legacy sharded loop bit for bit, exactly
-    as ``TestShardLoopMatchesLegacyGoldens`` checks it.
+    as ``TestShardLoopMatchesLegacyGoldens`` checks it — also when the
+    empty cast is made ahead, on the cast-ahead worker.
     """
 
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
     @pytest.mark.parametrize(
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_every_cell(self, engine, policy, num_shards, optimizer, dtype,
-                        mode):
-        backend = ENGINES[engine]
+    @pytest.mark.parametrize("backend", ["auto", "reference", "vectorized"])
+    def test_every_cell(self, backend, policy, num_shards, optimizer,
+                        lookahead, dtype, mode):
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
             engine_model, EmptyBagSource(),
             make_optimizer(optimizer, lr=0.05), num_shards=num_shards,
-            policy=policy, backend=backend,
+            policy=policy, backend=backend, lookahead=lookahead,
         )
         report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
         legacy_model = make_model(dtype=dtype)

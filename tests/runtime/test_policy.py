@@ -27,13 +27,14 @@ import itertools
 import numpy as np
 import pytest
 
+import repro.backends
 import repro.data
 from repro import cli
 from repro.backends import (
-    HAVE_NUMBA,
-    KERNEL_NAMES,
     AutoBackend,
+    KernelBackend,
     UnknownBackendError,
+    VectorizedBackend,
     get_backend,
     registered_backends,
     resolve_backend,
@@ -286,26 +287,45 @@ class TestRemovedOptions:
         assert cli.main(["overlap", "--backend", "blocked"]) == 2
         assert "unknown kernel backend 'blocked'" in capsys.readouterr().err
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: auto has a "
-                                           "second candidate to time")
-    def test_auto_on_a_numpy_only_install_is_vectorized_without_probes(
-            self, paper_index):
-        """With ``vectorized`` the one candidate, the default ``auto``
-        decides every kernel the same way on every run and times
-        nothing."""
-        auto = AutoBackend()
-        rng = np.random.default_rng(1)
-        table = rng.standard_normal((paper_index.num_rows, 4))
-        gradients = rng.standard_normal((paper_index.num_outputs, 4))
-        auto.gather_reduce(table, paper_index)
-        cast = auto.cast_indices(paper_index)
-        auto.casted_gather_reduce(gradients, cast)
-        auto.expand_coalesce(paper_index, gradients)
-        auto.scatter_update(table, cast.rows, np.zeros((cast.num_coalesced, 4)))
-        decisions = auto.tuner.decisions()
-        assert {shape.kernel for shape in decisions} == set(KERNEL_NAMES)
-        assert set(decisions.values()) == {"vectorized"}
-        assert auto.tuner.timings() == {}
+    @pytest.mark.parametrize("module", ["repro.backends.autotune",
+                                        "repro.backends.numba_backend"])
+    def test_the_removed_engine_modules_are_gone(self, module):
+        """The numba engine and the per-kernel autotuner are deleted, not
+        hidden behind an availability check."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("name", [
+        "Autotuner", "ShapeClass", "KERNEL_NAMES", "NumbaBackend",
+        "HAVE_NUMBA", "BackendUnavailableError", "available_backends",
+    ])
+    def test_the_removed_engine_names_are_not_exported(self, name):
+        for package in (repro, repro.backends):
+            assert not hasattr(package, name)
+            assert name not in package.__all__
+
+    def test_every_engine_always_runs(self):
+        """No availability machinery is left: the ABC has no availability
+        or candidacy hooks, and ``auto`` is the vectorized engine with no
+        tuner behind it."""
+        for attr in ("available", "unavailable_reason", "autotune_candidate"):
+            assert not hasattr(KernelBackend, attr)
+        assert registered_backends() == ("reference", "vectorized", "auto")
+        auto = get_backend("auto")
+        assert type(auto) is AutoBackend
+        assert AutoBackend.__bases__ == (VectorizedBackend,)
+        assert not hasattr(auto, "tuner")
+
+    def test_numba_is_an_unknown_engine_everywhere(self, capsys):
+        listed = "registered backends: reference, vectorized, auto"
+        with pytest.raises(UnknownBackendError, match=listed):
+            get_backend("numba")
+        with pytest.raises(UnknownBackendError, match=listed):
+            FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3),
+                              backend="numba")
+        assert cli.main(["overlap", "--backend", "numba"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown kernel backend 'numba'; {listed}\n")
 
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(

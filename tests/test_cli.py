@@ -1,12 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import inspect
+from collections import Counter
 
 import pytest
 
 import repro.cli
 import repro.experiments
-from repro.backends import available_backends, registered_backends
+from repro.backends import (
+    get_default_backend, registered_backends, set_default_backend,
+)
+from repro.backends.dispatch import observe_kernels
 from repro.cli import (
     BUILTIN_COMMANDS, EXPERIMENTS, FLAG_SCOPE, build_parser, main,
 )
@@ -188,36 +192,65 @@ class TestBackendFlag:
         assert build_parser().parse_args(["fig6"]).backend is None
 
     def test_unknown_backend_exits_nonzero_listing_names(self, capsys):
-        assert main(["fig6", "--backend", "warp-drive"]) == 2
+        assert main(["overlap", "--backend", "warp-drive"]) == 2
         err = capsys.readouterr().err
         assert "warp-drive" in err
         for name in registered_backends():
             assert name in err
 
-    @pytest.mark.skipif(
-        "numba" in available_backends(),
-        reason="numba installed: backend is selectable",
-    )
-    def test_unavailable_backend_exits_nonzero_listing_available(self, capsys):
-        assert main(["fig6", "--backend", "numba"]) == 2
-        err = capsys.readouterr().err
-        assert "not available" in err
-        for name in available_backends():
-            assert name in err
+    def test_removed_numba_backend_exits_nonzero_listing_names(self, capsys):
+        assert main(["overlap", "--backend", "numba"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown kernel backend 'numba'; registered backends: "
+            "reference, vectorized, auto\n")
 
     def test_valid_backend_runs_and_restores_default(self, capsys):
-        from repro.backends import get_default_backend, set_default_backend
+        """``validate`` reads ``--backend`` through the process default
+        ``main`` installs: every kernel it dispatches runs on that engine."""
+        engines = Counter()
+
+        class Observer:
+            def count_kernel(self, op, backend):
+                engines[backend] += 1
 
         previous = get_default_backend()
         try:
-            assert main(["fig6", "--backend", "reference"]) == 0
-            assert "Figure 6" in capsys.readouterr().out
+            with observe_kernels(Observer()):
+                assert main(["validate", "--backend", "reference"]) == 0
+            assert "ALL CHECKS PASSED" in capsys.readouterr().out
+        finally:
+            set_default_backend(previous)
+        assert set(engines) == {"reference"}
+
+    @pytest.mark.parametrize("argv", [
+        ["fig6"], ["list"],
+        ["scaling", "--models", "RM1", "--batches", "1024"],
+    ], ids=["fig6", "list", "scaling-analytic"])
+    def test_commands_that_run_no_kernels_reject_backend(self, argv, capsys):
+        """An unread flag exits 2: these commands dispatch no kernel, so
+        ``--backend`` would be silently ignored there.  (Every other
+        experiment outside the scope is swept by ``test_policy.py``'s
+        scoped-flag test.)"""
+        previous = get_default_backend()
+        try:
+            assert main([*argv, "--backend", "reference"]) == 2
+            assert "--backend does not apply" in capsys.readouterr().err
+        finally:
+            set_default_backend(previous)
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--steps", "1", "--batches", "16", "--shards", "1"],
+        ["serve", "--rates", "200", "--requests", "8"],
+    ], ids=["scaling-measured", "serve"])
+    def test_commands_that_run_kernels_accept_backend(self, argv, capsys):
+        previous = get_default_backend()
+        try:
+            assert main([*argv, "--backend", "reference"]) == 0
+            assert capsys.readouterr().err == ""
         finally:
             set_default_backend(previous)
 
     def test_overlap_accepts_backend(self, capsys):
-        from repro.backends import get_default_backend, set_default_backend
-
         previous = get_default_backend()
         try:
             code = main(["overlap", "--batches", "16", "--shards", "1",
@@ -563,11 +596,13 @@ def _scoped_reads(experiment, monkeypatch):
 class TestFlagScope:
     """``FLAG_SCOPE`` is exactly what the runners read: a flag reaches
     every experiment that reads it, and no experiment reads a flag scoped
-    away from it (where ``main`` would exit 2 before it could)."""
+    away from it (where ``main`` would exit 2 before it could).  The one
+    built-in command in a scope, ``validate``, reads ``--backend`` through
+    the process default (``TestBackendFlag`` runs it)."""
 
     @pytest.mark.parametrize("dest,experiment", [
         (dest, experiment) for dest, scope in sorted(FLAG_SCOPE.items())
-        for experiment in scope])
+        for experiment in scope if experiment in EXPERIMENTS])
     def test_each_experiment_in_a_scope_reads_the_flag(
             self, dest, experiment, monkeypatch):
         assert dest in _scoped_reads(experiment, monkeypatch)

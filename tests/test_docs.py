@@ -105,7 +105,6 @@ class TestExamples:
             "dataset_locality_study.py",
             "trace_replay.py",
             "sharded_training.py",
-            "backend_tuning.py",
             "resumable_training.py",
             "serving_sla.py",
             "traced_run.py",

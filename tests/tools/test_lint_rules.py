@@ -80,9 +80,22 @@ class TestDeterminism:
         tree.write("src/repro/obs/clock.py", clock)
         tree.write("src/repro/runtime/stages.py", clock)
         tree.write("src/repro/runtime/engine.py", clock)
-        tree.write("src/repro/backends/autotune.py", clock)
         tree.write("tests/test_timing.py", clock)
         assert tree.lint(rules=["determinism"], paths=("src", "tests")) == []
+
+    def test_wallclock_in_a_kernel_engine_flagged(self, tree):
+        """No kernel engine times itself: a clock read under ``backends/``
+        is outside every sanctioned module."""
+        tree.write("src/repro/backends/autotune.py", """\
+            import time
+
+
+            def now() -> float:
+                return time.perf_counter()
+        """)
+        findings = tree.lint(rules=["determinism"])
+        assert rules_of(findings) == ["determinism"]
+        assert "time.perf_counter" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +534,40 @@ class TestRegistryConsistency:
         assert any("scopes 'ghost_flag', which no add_argument declares"
                    in m for m in messages)
 
+    def test_flag_scope_may_name_a_builtin_command(self, tree):
+        """``main`` checks the scope for built-in commands too, so a
+        built-in is a valid scope member; a name in neither registry is
+        still flagged."""
+        tree.write("src/repro/cli.py", """\
+            import argparse
+
+            def _run_fig13(args, hardware):
+                return str(args.batch)
+
+            def _run_validate(args):
+                return 0
+
+            EXPERIMENTS = {"fig13": (_run_fig13, "speedup")}
+            BUILTIN_COMMANDS = {"validate": (_run_validate, "checks")}
+            FLAG_SCOPE = {"batch": ("fig13", "validate", "fig99")}
+
+            def build_parser():
+                parser = argparse.ArgumentParser()
+                parser.add_argument("--batch", type=int)
+                return parser
+        """)
+        messages = [f.message for f in
+                    tree.lint(rules=["registry-consistency"])]
+        assert len(messages) == 1
+        assert "FLAG_SCOPE['batch'] names 'fig99'" in messages[0]
+
     def test_flag_scope_of_the_real_cli_is_checked(self):
         """The committed table is non-trivially covered: every dest and
         every experiment the rule resolves matches the live registries."""
         import ast
         from pathlib import Path
 
-        from repro.cli import EXPERIMENTS, FLAG_SCOPE
+        from repro.cli import BUILTIN_COMMANDS, EXPERIMENTS, FLAG_SCOPE
         from tools.repro_lint.rules.registry import (
             _module_assigns, _resolve_string_elts)
 
@@ -541,7 +581,7 @@ class TestRegistryConsistency:
         }
         assert resolved == FLAG_SCOPE
         assert {name for names in resolved.values() for name in names} \
-            <= set(EXPERIMENTS)
+            <= set(EXPERIMENTS) | set(BUILTIN_COMMANDS)
 
     def test_argparse_lockstep_both_directions(self, tree):
         tree.write("src/repro/cli.py", """\

@@ -16,8 +16,7 @@ path draws from an unseeded generator or branches on wall-clock time.
   sanctioned wall-clock wrapper), ``obs/clock.py`` (the observability
   plane's manifest timestamps and default tracer clock),
   ``runtime/stages.py`` and ``runtime/engine.py`` (the stage timing
-  instrumentation that fills ``PhaseTimings``) and
-  ``backends/autotune.py`` (probe timing).
+  instrumentation that fills ``PhaseTimings``).
   Everything else must take a :class:`~repro.serving.clock.Clock` or
   report-side timings instead of reading the clock directly; genuinely
   real-time code (e.g. opt-in ``time.sleep`` pacing) carries an inline
@@ -64,7 +63,6 @@ _WALLCLOCK_ALLOWED_SUFFIXES = (
     "repro/obs/clock.py",         # manifest timestamps / default trace clock
     "repro/runtime/stages.py",    # the stage timing collector
     "repro/runtime/engine.py",    # per-stage wall-clock instrumentation
-    "repro/backends/autotune.py", # autotuner probe timing
 )
 
 
@@ -116,6 +114,6 @@ class DeterminismChecker(Checker):
                     source, node,
                     f"{target}() read outside the sanctioned timing modules "
                     "(serving/clock.py, obs/clock.py, runtime/stages.py, "
-                    "runtime/engine.py, backends/autotune.py); inject a "
+                    "runtime/engine.py); inject a "
                     "repro.serving.Clock instead",
                 )

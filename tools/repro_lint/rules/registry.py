@@ -14,11 +14,11 @@ This rule cross-checks them all via AST constant extraction:
 * registry dict literals in ``cli.py`` — no duplicate keys, no overlap
   between ``EXPERIMENTS`` and ``BUILTIN_COMMANDS``, each runner named
   ``_run_<key>`` for its key;
-* the flag-scope table ``FLAG_SCOPE`` (flag dest -> experiments that
-  accept it, the one table the CLI's exit-2 validation loops over): every
-  key is a declared ``add_argument`` dest and every experiment it names —
-  directly or through a module-level tuple such as ``TRAINER_EXPERIMENTS``
-  — is a key of ``EXPERIMENTS``;
+* the flag-scope table ``FLAG_SCOPE`` (flag dest -> commands that accept
+  it, the one table the CLI's exit-2 validation loops over): every key is
+  a declared ``add_argument`` dest and every command it names — directly
+  or through a module-level tuple such as ``TRAINER_EXPERIMENTS`` — is a
+  key of ``EXPERIMENTS`` or ``BUILTIN_COMMANDS``;
 * argparse lockstep — every ``args.<dest>`` read in ``cli.py`` has a
   matching ``add_argument`` and every declared dest is read somewhere;
 * string-literal fallbacks and keywords: ``args.optimizer or "<name>"``
@@ -200,6 +200,9 @@ class RegistryConsistencyChecker(Checker):
         declared = self._declared_dests(source)
         scope = assigns.get("FLAG_SCOPE")
         experiments = registries.get("EXPERIMENTS")
+        if experiments is not None:
+            experiments = experiments | registries.get(
+                "BUILTIN_COMMANDS", set())
         if isinstance(scope, ast.Dict):
             for key, value in zip(scope.keys, scope.values):
                 if not (isinstance(key, ast.Constant)
@@ -218,7 +221,8 @@ class RegistryConsistencyChecker(Checker):
                         yield self.finding(
                             source, elt,
                             f"FLAG_SCOPE[{key.value!r}] names {name!r}, "
-                            "which is not a key of EXPERIMENTS",
+                            "which is not a key of EXPERIMENTS or "
+                            "BUILTIN_COMMANDS",
                         )
         yield from self._check_argparse_lockstep(source, declared)
 
@@ -304,7 +308,7 @@ class RegistryConsistencyChecker(Checker):
         ``__init__`` import order *is* the registry order, so a backend
         class (or its module) that ``backends/__init__.py`` never imports
         silently never registers — no test fails, the engine just
-        vanishes from ``available_backends()``.
+        vanishes from ``registered_backends()``.
         """
         init = _find_source(project, "repro/backends/__init__.py")
         if init is None:
@@ -312,10 +316,10 @@ class RegistryConsistencyChecker(Checker):
         imported: Set[str] = set()
         for node in ast.walk(init.tree):
             if isinstance(node, ast.ImportFrom):
-                # ``from .numba_backend import anything`` and ``from .
-                # import numba_backend`` both execute numba_backend.py,
-                # which registers every backend it defines — track the
-                # module, not the names.
+                # ``from .vectorized import anything`` and ``from .
+                # import vectorized`` both execute vectorized.py, which
+                # registers every backend it defines — track the module,
+                # not the names.
                 if node.module is not None:
                     imported.add(node.module.split(".")[-1])
                 else:
