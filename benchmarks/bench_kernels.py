@@ -103,14 +103,13 @@ def test_hash_casting_stage(benchmark, workload):
     assert cast.num_lookups == index.num_lookups
 
 
-def test_gradient_scatter_update(benchmark, workload, kernel_backend):
+def test_gradient_scatter_update(benchmark, workload):
     index, table, gradients = workload
     cast = tensor_casting(index)
     rows, coalesced = casted_gather_reduce(gradients, cast)
 
     def scatter():
-        gradient_scatter(table, rows, coalesced, lr=1e-6,
-                         backend=kernel_backend)
+        gradient_scatter(table, rows, coalesced, lr=1e-6)
 
     benchmark(scatter)
 

@@ -2,11 +2,13 @@
 
 The paper reduces every embedding-training primitive to one gather-reduce
 datapath; this package makes that observation operational as a
-hardware-abstraction seam.  Every hot kernel of :mod:`repro.core`
-(``gather_reduce``, ``cast_indices``/Tensor Casting, ``expand_coalesce``,
-``scatter_update``, plus the fused casted backward) dispatches through a
+hardware-abstraction seam.  The four hot kernels of :mod:`repro.core`
+(``gather_reduce``, ``cast_indices``/Tensor Casting, ``expand_coalesce``
+and the fused casted backward) dispatch through a
 :class:`~repro.backends.base.KernelBackend`, selected by name from a
-registry:
+registry.  The gradient scatter is not among them: it is a row-local
+read-modify-write with one walk, :func:`repro.core.scatter.update_rows`,
+that every optimizer runs.  The engines:
 
 * ``reference`` — the pure-Python oracle loops (semantics ground truth);
 * ``vectorized`` — fused NumPy kernels: every reduction, forward and

@@ -4,14 +4,15 @@ The paper's central observation is that a *single* gather-reduce primitive
 serves forward propagation, the casted backward pass, and (mirrored) the
 gradient scatter — which makes the kernel layer the natural hardware
 abstraction boundary.  A :class:`KernelBackend` is one implementation of
-that primitive inventory:
+that primitive inventory.  The scatter is not part of it: a row-local
+read-modify-write with nothing engine-specific in it, it is the one walk of
+:func:`repro.core.scatter.update_rows`.  The four kernels:
 
 * :meth:`~KernelBackend.gather_reduce` — the fused forward gather-reduce
   (Figure 2(a)), also the engine of the casted backward pass;
 * :meth:`~KernelBackend.cast_indices` — Tensor Casting itself (Algorithm 2);
 * :meth:`~KernelBackend.expand_coalesce` — the baseline two-step gradient
   pipeline (Algorithm 1);
-* :meth:`~KernelBackend.scatter_update` — the plain-SGD model update;
 * :meth:`~KernelBackend.casted_gather_reduce` — Algorithm 3 Step B, with a
   default implementation that *is* ``gather_reduce`` over the cast viewed as
   an index array (the paper's key identity), overridable when a backend has
@@ -43,8 +44,9 @@ __all__ = ["KernelBackend"]
 class KernelBackend(abc.ABC):
     """Abstract base class of one kernel-engine implementation.
 
-    Subclasses set :attr:`name` (the registry key) and implement the four
-    hot kernels.
+    Subclasses set :attr:`name` (the registry key) and implement the three
+    abstract hot kernels; the fourth, :meth:`casted_gather_reduce`, has a
+    default.
     """
 
     #: Registry key; also what ``--backend`` and the trainers' ``backend=``
@@ -81,16 +83,6 @@ class KernelBackend(abc.ABC):
         self, index: IndexArray, gradients: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Baseline two-step gradient pipeline; returns ``(rows, coalesced)``."""
-
-    @abc.abstractmethod
-    def scatter_update(
-        self,
-        table: np.ndarray,
-        rows: np.ndarray,
-        gradients: np.ndarray,
-        lr: float = 1.0,
-    ) -> np.ndarray:
-        """In-place plain-SGD scatter: ``table[rows] -= lr * gradients``."""
 
     def casted_gather_reduce(
         self, gradients: np.ndarray, casted: CastedIndex

@@ -100,16 +100,6 @@ class _CountingBackend(KernelBackend):
         self._count("expand_coalesce")
         return self._inner.expand_coalesce(index, gradients)
 
-    def scatter_update(
-        self,
-        table: "np.ndarray",
-        rows: "np.ndarray",
-        gradients: "np.ndarray",
-        lr: float = 1.0,
-    ) -> "np.ndarray":
-        self._count("scatter_update")
-        return self._inner.scatter_update(table, rows, gradients, lr=lr)
-
     def casted_gather_reduce(
         self, gradients: "np.ndarray", casted: "CastedIndex"
     ) -> "Tuple[np.ndarray, np.ndarray]":

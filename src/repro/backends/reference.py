@@ -68,17 +68,3 @@ class ReferenceBackend(KernelBackend):
     ) -> Tuple[np.ndarray, np.ndarray]:
         expanded = gradient_expand(gradients, index.dst)
         return gradient_coalesce_reference(index.src, expanded)
-
-    def scatter_update(
-        self,
-        table: np.ndarray,
-        rows: np.ndarray,
-        gradients: np.ndarray,
-        lr: float = 1.0,
-    ) -> np.ndarray:
-        # The oracle loop of gradient_scatter_reference, applied in place to
-        # honor the kernel contract (the oracle itself updates a copy).
-        for k in range(rows.size):
-            row = int(rows[k])
-            table[row] = table[row] - lr * gradients[k]
-        return table

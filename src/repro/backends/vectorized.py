@@ -32,7 +32,6 @@ import numpy as np
 from ..core.casting import CastedIndex
 from ..core.coalesce import gradient_coalesce, gradient_expand
 from ..core.indexing import IndexArray
-from ..core.scatter import sgd_update_rows
 from ..core.segment import segment_sum, sort_by_key
 from .base import KernelBackend
 from .registry import register_backend
@@ -110,15 +109,6 @@ class VectorizedBackend(KernelBackend):
     ) -> Tuple[np.ndarray, np.ndarray]:
         expanded = gradient_expand(gradients, index.dst)
         return gradient_coalesce(index.src, expanded)
-
-    def scatter_update(
-        self,
-        table: np.ndarray,
-        rows: np.ndarray,
-        gradients: np.ndarray,
-        lr: float = 1.0,
-    ) -> np.ndarray:
-        return sgd_update_rows(table, rows, gradients, lr)
 
 
 @register_backend

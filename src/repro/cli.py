@@ -338,7 +338,10 @@ _VALUE_CHECKS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
         "unknown optimizer {v!r}; registered optimizers: "
         + ", ".join(optimizer_names()),
     ),
-    "lr": (lambda v: v > 0, "learning rate must be positive, got {v}"),
+    "lr": (
+        lambda v: 0 < v < float("inf"),
+        "learning rate must be positive and finite, got {v}",
+    ),
     "resume": (
         lambda v: Path(v).is_file(),
         "checkpoint file {v!r} does not exist (write one with "

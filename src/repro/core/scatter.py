@@ -8,45 +8,45 @@ scatter datapath is the mirror image of the gather datapath — the same
 streaming engine run in the opposite direction — which is why the paper's
 NMP core covers both with one microarchitecture (Section IV-C, Figure 11).
 
-The update is a row-local read-modify-write, so it is walked in
-:func:`row_blocks` — blocks of :data:`UPDATE_BLOCK_BYTES` of table rows,
-whose cache lines are still resident when they are written back — by every
-optimizer (:meth:`repro.model.optim.Optimizer.apply_sparse`) and by the
-plain-SGD body :func:`sgd_update_rows`, the one spelling of
-``table[rows] -= lr * gradients`` outside the ``reference`` oracle.  Its
-rows move off NumPy's general fancy-index path both ways: ``take`` gathers
-them and the whole-row store of :mod:`repro.core.segment` (one ``np.void``
-element per row) writes them back, in place on a row-strided shard view.
+The update is a row-local read-modify-write, so it has one walk,
+:func:`update_rows`: blocks of :data:`UPDATE_BLOCK_BYTES` of table and
+optimizer-state rows (:func:`row_blocks`), whose cache lines are still
+resident when they are written back, each handed to a row-local rule.  Every optimizer's sparse
+update (:meth:`repro.model.optim.Optimizer.apply_sparse`) and the plain-SGD
+:func:`gradient_scatter` are that walk with their own rule.  Its rows — of
+the table and of any optimizer state — move off NumPy's general
+fancy-index path both ways: ``take`` gathers them and the whole-row store
+of :mod:`repro.core.segment` (one ``np.void`` element per row) writes them
+back, in place on a row-strided shard view.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, TYPE_CHECKING
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .segment import _store_rows
 
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
-
 __all__ = [
-    "RowUpdateBuffers",
     "SparseOptimizer",
     "UPDATE_BLOCK_BYTES",
     "gradient_scatter",
     "gradient_scatter_reference",
     "row_blocks",
     "scatter_with_optimizer",
-    "sgd_update_rows",
+    "update_rows",
 ]
 
-#: Bytes of table rows one block of a sparse update reads, modifies and
-#: writes back: 1024 float32 x 64 rows.  Measured best of 256 ... 16 384
-#: rows on a 4 MiB L2 (the whole ``(u, dim)`` update falls out of it between
-#: the gather, scale, subtract and scatter passes; a quarter-MiB block does
-#: not).  A constant, not an option: nothing in the library sets it, and the
-#: tests shrink it by patching this one name.
+#: Bytes of rows — table and optimizer state — one block of a sparse update
+#: reads, modifies and writes back: 1024 float32 x 64 table rows for SGD.
+#: Measured best of 256 ... 16 384 rows on a 4 MiB L2 (the whole ``(u,
+#: dim)`` update falls out of it between the gather, scale, subtract and
+#: scatter passes; a quarter-MiB block does not).  State rows count toward
+#: it: sized by the table rows alone, a stateful block touches two to four
+#: times the pages between its gathers and its stores, and measured slower.
+#: A constant, not an option: nothing in the library sets it, and the tests
+#: shrink it by patching this one name.
 UPDATE_BLOCK_BYTES = 256 * 1024
 
 
@@ -63,9 +63,11 @@ class SparseOptimizer(Protocol):
     ) -> np.ndarray: ...
 
 
-def row_blocks(table: np.ndarray, rows: np.ndarray) -> list[slice]:
+def row_blocks(
+    table: np.ndarray, rows: np.ndarray, *states: np.ndarray
+) -> list[slice]:
     """Consecutive slices of ``rows``, :data:`UPDATE_BLOCK_BYTES` of
-    ``table`` rows each (at least one row).
+    ``table`` and ``states`` rows together each (at least one row).
 
     Raises :class:`IndexError` when a row lies outside the table — before
     any block is handed out, so a blocked update stays all-or-nothing the
@@ -76,70 +78,49 @@ def row_blocks(table: np.ndarray, rows: np.ndarray) -> list[slice]:
             f"rows must lie in [0, {table.shape[0]}), got range "
             f"[{rows.min()}, {rows.max()}]"
         )
-    height = max(1, UPDATE_BLOCK_BYTES // max(1, table[:1].nbytes))
+    row_bytes = sum(tensor[:1].nbytes for tensor in (table, *states))
+    height = max(1, UPDATE_BLOCK_BYTES // max(1, row_bytes))
     return [slice(at, at + height) for at in range(0, rows.size, height)]
 
 
-class RowUpdateBuffers:
-    """The reused ``(block, dim)`` workspaces of :func:`sgd_update_rows`.
-
-    Owned by whoever updates repeatedly (an :class:`~repro.model.optim.SGD`
-    instance), so a step allocates nothing per table: the buffers are
-    shared across tables and row counts and re-made only when the block
-    height, the width or a dtype changes.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: tuple[np.ndarray, ...] = ()
-
-    def get(
-        self, shape: tuple[int, int], *dtypes: np.dtype
-    ) -> tuple[np.ndarray, ...]:
-        """One buffer of ``shape`` per dtype, the previous ones if they fit."""
-        if [(a.shape, a.dtype) for a in self._arrays] != [
-            (shape, dtype) for dtype in dtypes
-        ]:
-            self._arrays = tuple(np.empty(shape, dtype=d) for d in dtypes)
-        return self._arrays
-
-
-def sgd_update_rows(
+def update_rows(
     table: np.ndarray,
     rows: np.ndarray,
-    gradients: np.ndarray,
-    lr: float,
-    buffers: RowUpdateBuffers | None = None,
+    rule: Callable[..., object],
+    inputs: Sequence[np.ndarray],
+    states: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
-    """``table[rows] -= lr * gradients`` in place, one cache block at a time.
+    """Apply a row-local update ``rule`` to ``table[rows]`` in place, one
+    :func:`row_blocks` block at a time.
 
-    Per block: gather the table rows into one reused buffer, scale the
-    gradient slice into the other, subtract in place, store the rows back
-    with one whole-row store (``_store_rows``: a 1-D index over row-wide
-    ``np.void`` elements, no fancy 2-D assignment) — the arithmetic, dtypes
-    and rounding of the one-statement form (``np.array_equal`` to it for
-    every table / gradient dtype pair) with no ``(u, dim)`` temporary, and
-    ``gradients`` is never written.
-    ``rows`` must be unique; a row outside the table raises
-    :class:`IndexError` before anything is written (:func:`row_blocks`
-    checks the range once, so the gather itself runs unchecked —
-    ``mode="clip"`` measured faster than ``mode="raise"``, which buffers).
+    Per block: ``take`` the parameter rows and each state tensor's rows,
+    call ``rule(param_rows, *input_rows, *state_rows)`` — which updates the
+    taken rows in place — and store every one of them back with one
+    whole-row store (``_store_rows``: a 1-D index over row-wide ``np.void``
+    elements, no fancy 2-D assignment).  ``inputs`` (the gradient, and
+    anything else with one entry per row of ``rows``) are sliced like
+    ``rows`` and never written; ``states`` (optimizer state) hold one row
+    per table row — a 2-D one shaped like ``table``, a 1-D one, one element
+    per row — and are updated alongside it.  A block spans
+    :data:`UPDATE_BLOCK_BYTES` of all of their rows together, so no ``(u,
+    dim)`` temporary is made and each block's lines are still cached when
+    they are written back.
 
-    ``buffers`` defaults to fresh ones.  Returns the table.
+    The rule sees exactly what one whole-array application would, row for
+    row, so the result is bit-identical to it.  ``rows`` must be unique; a
+    row outside the table raises :class:`IndexError` before anything is
+    written (:func:`row_blocks` checks the range once, so the gathers run
+    unchecked — ``mode="clip"`` measured faster than ``mode="raise"``,
+    which buffers).  Returns the table.
     """
-    blocks = row_blocks(table, rows)
-    if not blocks:
-        return table
-    held, step = (buffers or RowUpdateBuffers()).get(
-        (blocks[0].stop, table.shape[1]),
-        table.dtype, np.result_type(lr, gradients.dtype),
-    )
-    for block in blocks:
+    tensors = (table, *states)
+    for block in row_blocks(table, rows, *states):
         ids = rows[block]
-        kept, scaled = held[: ids.size], step[: ids.size]
-        np.take(table, ids, axis=0, out=kept, mode="clip")
-        np.multiply(gradients[block], lr, out=scaled)
-        np.subtract(kept, scaled, out=kept)
-        _store_rows(table, ids, kept)
+        held = [np.take(t, ids, axis=0, mode="clip") for t in tensors]
+        rule(held[0], *(x[block] for x in inputs), *held[1:])
+        for tensor, kept in zip(tensors, held):
+            _store_rows(tensor, ids, kept)
+        del held, kept      # one block's rows live at a time
     return table
 
 
@@ -175,24 +156,25 @@ def gradient_scatter(
     rows: np.ndarray,
     gradients: np.ndarray,
     lr: float = 1.0,
-    backend: BackendSpec = None,
 ) -> np.ndarray:
     """Plain-SGD scatter update: ``table[rows] -= lr * gradients`` in place.
 
     ``rows`` must be unique (i.e. already coalesced) — duplicate targets
     would make the update order-dependent, which is precisely the hazard
-    coalescing exists to remove.  Dispatches into the selected kernel
-    backend's ``scatter_update`` (name, instance, or ``None`` for the
-    process default).
+    coalescing exists to remove.  The update is the :func:`update_rows`
+    walk every optimizer runs, with ``lr * gradients`` subtracted per
+    block: the arithmetic, dtypes and rounding of the one-statement form
+    (``np.array_equal`` to it for every table / gradient dtype pair), and
+    ``gradients`` is never written.
 
     Returns the table for call chaining.
     """
     rows, gradients = _validate_scatter_args(table, rows, gradients)
-    if rows.size == 0:
-        return table
-    from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
 
-    return resolve_backend(backend).scatter_update(table, rows, gradients, lr=lr)
+    def descend(param: np.ndarray, grad: np.ndarray) -> None:
+        param -= lr * grad
+
+    return update_rows(table, rows, descend, (gradients,))
 
 
 def gradient_scatter_reference(
@@ -219,7 +201,7 @@ def scatter_with_optimizer(
 
     ``optimizer`` is any object exposing
     ``apply_sparse(param, rows, gradients)`` — see
-    :mod:`repro.model.optim` for SGD/Momentum/Adagrad/RMSprop.  This is the
+    :mod:`repro.model.optim` for SGD/Momentum/Adagrad/RMSprop/Adam.  This is the
     entry point the paper's optimization-function discussion (Equations 1-2)
     motivates: the optimizer requires one *accumulated* gradient per row,
     which the unique-``rows`` contract guarantees.

@@ -26,9 +26,10 @@ The number of NumPy calls is therefore bounded by the data — 32 rounds for
 32-lookup bags, about 4 for a near-duplicate-free casted backward, about
 40 + 40 for a Zipf-skewed one — with nothing to tune, and no round runs
 NumPy's general fancy-index path: rows move by ``take`` and by
-:func:`_store_rows`, which :func:`repro.core.scatter.sgd_update_rows`
-shares.  This module imports NumPy only, so :mod:`repro.core.coalesce` and
-the backends share it without an import cycle.
+:func:`_store_rows`, which the sparse update's walk
+(:func:`repro.core.scatter.update_rows`) shares.  This module imports NumPy
+only, so :mod:`repro.core.coalesce` and the backends share it without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ def _store_rows(target: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None
     place — unlike ``np.put``, which copies a non-contiguous target whole.
     Bytes are copied, not converted, so the dtypes must match; duplicate ids
     keep the last value, as the fancy store does.  A layout with no
-    contiguous row (column-strided or zero-width) takes the fancy store.
+    contiguous row (column-strided or zero-width) takes the fancy store, and
+    so does a 1-D target, whose rows are single elements (a per-row
+    counter of optimizer state).
     """
     if target.dtype != values.dtype:
         raise TypeError(
@@ -105,7 +108,7 @@ def _store_rows(target: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None
         )
     itemsize = target.itemsize
     contiguous_rows = target.strides[-1] == itemsize == values.strides[-1]
-    if not (target.shape[1] and contiguous_rows):
+    if target.ndim == 1 or not (target.shape[1] and contiguous_rows):
         target[ids] = values
         return
     row = np.dtype((np.void, target.shape[1] * itemsize))

@@ -12,7 +12,13 @@ accumulated into a single value".  These optimizers encode that contract:
   table that received a coalesced gradient, touching per-row optimizer state
   lazily — exactly the access pattern the gradient-scatter traffic model
   (:func:`repro.core.traffic.scatter_traffic`) accounts for — one cache
-  block of rows at a time (:func:`repro.core.scatter.row_blocks`).
+  block of rows at a time (:func:`repro.core.scatter.update_rows`).
+
+Both run one row-local ``_rule`` per optimizer, its update equation spelled
+once: ``apply_dense`` on the whole tensors, ``apply_sparse`` on the taken
+rows of each block.  The rule updates the parameter and state it is handed
+in place and is elementwise, so a block of rows sees exactly what the whole
+tensor would.
 
 Dtypes: a parameter keeps its dtype through every update, and the sparse
 update runs in the dtype the gradient arrives in (the model's, see
@@ -22,7 +28,9 @@ a deliberate precision choice for long-running sums, and what the
 checkpoint schema validates on import.
 
 RMSprop implements Equation 1 of the paper and Adagrad Equation 2,
-symbol-for-symbol.
+symbol-for-symbol.  Every hyperparameter must be a finite real number (not
+a bool) in its range; anything else is a :class:`ValueError` naming it at
+construction.
 
 Two pieces of plumbing make the optimizers first-class runtime citizens:
 
@@ -39,12 +47,13 @@ Two pieces of plumbing make the optimizers first-class runtime citizens:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Dict, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..core.scatter import RowUpdateBuffers, row_blocks, sgd_update_rows
+from ..core.scatter import update_rows
 
 __all__ = [
     "Optimizer",
@@ -59,20 +68,33 @@ __all__ = [
 ]
 
 
+def _checked(key: str, value: float, unit: bool = False) -> float:
+    """``value`` as a float, if it is a finite real number (not a bool) in
+    ``[0, 1)`` when ``unit`` or above 0 otherwise; a :class:`ValueError`
+    naming ``key`` if it is not."""
+    bounds = "in [0, 1)" if unit else "positive"
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not math.isfinite(value)
+        or not (0.0 <= value < 1.0 if unit else value > 0)
+    ):
+        raise ValueError(f"{key} must be finite and {bounds}, got {value!r}")
+    return float(value)
+
+
 class Optimizer(ABC):
     """Base class holding per-parameter state keyed by tensor identity.
 
     State tensors are allocated lazily on first update, matching how
-    embedding-table state is only ever touched for rows that train.
+    embedding-table state is only ever touched for rows that train.  A
+    subclass spells its update once, as :meth:`_rule`, which both
+    applications call with the state tensors :meth:`_init_state` allocates
+    after the gradient, in order (Adam supplies its own arguments: its step
+    counters feed the bias corrections).
     """
 
-    #: Name used by the traffic model to size state read-modify-writes.
-    traffic_name = "sgd"
-
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
+        self.lr = _checked("lr", lr)
         self._state: dict[int, dict[str, np.ndarray]] = {}
 
     def _state_for(self, param: np.ndarray) -> dict[str, np.ndarray]:
@@ -90,8 +112,14 @@ class Optimizer(ABC):
         return self._state_for(param)
 
     @abstractmethod
+    def _rule(self, *args: Any, **kwargs: Any) -> None:
+        """``_rule(param, grad, *state)``: the update equation, elementwise,
+        applied in place to ``param`` and the ``state`` tensors shaped like
+        it — whole tensors, or the taken rows of one block."""
+
     def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
         """Update a dense parameter tensor in place."""
+        self._rule(param, grad, *self._state_for(param).values())
 
     def apply_sparse(
         self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
@@ -101,23 +129,17 @@ class Optimizer(ABC):
         ``rows`` must be unique — enforced upstream by
         :func:`repro.core.scatter.scatter_with_optimizer` — because the
         update rules below are not additive in the gradient.  They are all
-        row-local, so the update walks ``rows`` / ``grads`` in
-        :func:`~repro.core.scatter.row_blocks` and applies the optimizer's
-        rule per block — bit-identical to one whole-array application,
-        per-row state included, with each block's parameter (and state)
-        lines still cached when they are written back.  A row outside
-        ``param`` raises :class:`IndexError` before anything is updated.
-        ``param`` keeps its dtype; ``grads`` is read in its own and never
-        written.
+        row-local, so :func:`~repro.core.scatter.update_rows` walks the
+        rows in cache blocks and applies :meth:`_rule` to each block's
+        parameter and state rows — bit-identical to one whole-array
+        application, per-row state included.  A row outside ``param``
+        raises :class:`IndexError` before anything is updated.  ``param``
+        keeps its dtype; ``grads`` is read in its own and never written.
         """
-        for block in row_blocks(param, rows):
-            self._apply_rows(param, rows[block], grads[block])
-
-    @abstractmethod
-    def _apply_rows(
-        self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        ...
+        update_rows(
+            param, rows, self._rule, (grads,),
+            tuple(self._state_for(param).values()),
+        )
 
     def step(self, parameters: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Apply dense updates over ``(param, grad)`` pairs (MLP layers)."""
@@ -196,9 +218,8 @@ class Optimizer(ABC):
                     f"{type(self).__name__} expects {sorted(template)}"
                 )
             rebuilt: Dict[str, np.ndarray] = {}
-            for key, tensor in entries.items():
-                expected = template[key]
-                tensor = np.asarray(tensor)
+            for key, expected in template.items():   # the rule's order
+                tensor = np.asarray(entries[key])
                 if tensor.shape != expected.shape or tensor.dtype != expected.dtype:
                     raise ValueError(
                         f"state {name}.{key} has shape {tensor.shape} dtype "
@@ -211,42 +232,18 @@ class Optimizer(ABC):
 
 
 class SGD(Optimizer):
-    """Plain stochastic gradient descent: ``W <- W - lr * G``.
+    """Plain stochastic gradient descent: ``W <- W - lr * G``."""
 
-    The row rule is :func:`repro.core.scatter.sgd_update_rows` — the body
-    the kernel backends' ``scatter_update`` runs — through two block-sized
-    buffers this instance owns and reuses across tables and steps.  That
-    body walks the cache blocks itself, so it is ``apply_sparse`` whole
-    rather than a rule the generic walk calls block by block.
-    """
-
-    traffic_name = "sgd"
-
-    def __init__(self, lr: float) -> None:
-        super().__init__(lr)
-        self._buffers = RowUpdateBuffers()
-
-    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
+    def _rule(self, param: np.ndarray, grad: np.ndarray) -> None:
         param -= self.lr * grad
-
-    def _apply_rows(
-        self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        sgd_update_rows(param, rows, grads, self.lr, self._buffers)
-
-    apply_sparse = _apply_rows
 
 
 class Momentum(Optimizer):
     """SGD with heavy-ball momentum: ``V <- m*V + G;  W <- W - lr*V``."""
 
-    traffic_name = "momentum"
-
     def __init__(self, lr: float, momentum: float = 0.9) -> None:
         super().__init__(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
+        self.momentum = _checked("momentum", momentum, unit=True)
 
     def hyperparameters(self) -> Dict[str, float]:
         return {"lr": self.lr, "momentum": self.momentum}
@@ -254,18 +251,12 @@ class Momentum(Optimizer):
     def _init_state(self, param: np.ndarray) -> dict[str, np.ndarray]:
         return {"velocity": np.zeros_like(param, dtype=np.float64)}
 
-    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
-        velocity = self._state_for(param)["velocity"]
+    def _rule(
+        self, param: np.ndarray, grad: np.ndarray, velocity: np.ndarray
+    ) -> None:
         velocity *= self.momentum
         velocity += grad
         param -= self.lr * velocity
-
-    def _apply_rows(
-        self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        velocity = self._state_for(param)["velocity"]
-        velocity[rows] = self.momentum * velocity[rows] + grads
-        param[rows] -= self.lr * velocity[rows]
 
 
 class Adagrad(Optimizer):
@@ -274,13 +265,9 @@ class Adagrad(Optimizer):
     ``A_i = A_{i-1} + G_i^2;  W_i = W_{i-1} - lr * G_i / sqrt(eps + A_i)``
     """
 
-    traffic_name = "adagrad"
-
     def __init__(self, lr: float, eps: float = 1e-10) -> None:
         super().__init__(lr)
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.eps = float(eps)
+        self.eps = _checked("eps", eps)
 
     def hyperparameters(self) -> Dict[str, float]:
         return {"lr": self.lr, "eps": self.eps}
@@ -288,17 +275,9 @@ class Adagrad(Optimizer):
     def _init_state(self, param: np.ndarray) -> dict[str, np.ndarray]:
         return {"accumulator": np.zeros_like(param, dtype=np.float64)}
 
-    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
-        acc = self._state_for(param)["accumulator"]
+    def _rule(self, param: np.ndarray, grad: np.ndarray, acc: np.ndarray) -> None:
         acc += grad * grad
         param -= self.lr * grad / np.sqrt(self.eps + acc)
-
-    def _apply_rows(
-        self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        acc = self._state_for(param)["accumulator"]
-        acc[rows] += grads * grads
-        param[rows] -= self.lr * grads / np.sqrt(self.eps + acc[rows])
 
 
 class RMSprop(Optimizer):
@@ -307,16 +286,10 @@ class RMSprop(Optimizer):
     ``A_i = g*A_{i-1} + (1-g)*G_i^2;  W_i = W_{i-1} - lr * G_i / sqrt(eps + A_i)``
     """
 
-    traffic_name = "rmsprop"
-
     def __init__(self, lr: float, gamma: float = 0.9, eps: float = 1e-8) -> None:
         super().__init__(lr)
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.gamma = float(gamma)
-        self.eps = float(eps)
+        self.gamma = _checked("gamma", gamma, unit=True)
+        self.eps = _checked("eps", eps)
 
     def hyperparameters(self) -> Dict[str, float]:
         return {"lr": self.lr, "gamma": self.gamma, "eps": self.eps}
@@ -324,18 +297,10 @@ class RMSprop(Optimizer):
     def _init_state(self, param: np.ndarray) -> dict[str, np.ndarray]:
         return {"accumulator": np.zeros_like(param, dtype=np.float64)}
 
-    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
-        acc = self._state_for(param)["accumulator"]
+    def _rule(self, param: np.ndarray, grad: np.ndarray, acc: np.ndarray) -> None:
         acc *= self.gamma
         acc += (1.0 - self.gamma) * grad * grad
         param -= self.lr * grad / np.sqrt(self.eps + acc)
-
-    def _apply_rows(
-        self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
-    ) -> None:
-        acc = self._state_for(param)["accumulator"]
-        acc[rows] = self.gamma * acc[rows] + (1.0 - self.gamma) * grads * grads
-        param[rows] -= self.lr * grads / np.sqrt(self.eps + acc[rows])
 
 
 class Adam(Optimizer):
@@ -346,9 +311,13 @@ class Adam(Optimizer):
     bias-corrected as *its* first step — the "lazy Adam" semantics sparse
     frameworks implement, and a second optimizer state tensor that the
     scatter traffic model charges for (``OPTIMIZER_STATE_SLOTS["adam"]``).
-    """
 
-    traffic_name = "adam"
+    The two bias corrections ``1 - beta**step`` are inputs of the rule, in
+    two spellings kept apart on purpose: Python scalars for a dense tensor,
+    one float64 array entry per row for a table.  NumPy's vectorised
+    ``power`` and Python's ``pow`` disagree in the last bit for some step
+    counts, so sharing either spelling would move one of the two paths.
+    """
 
     def __init__(
         self,
@@ -358,13 +327,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
     ) -> None:
         super().__init__(lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+        self.beta1 = _checked("beta1", beta1, unit=True)
+        self.beta2 = _checked("beta2", beta2, unit=True)
+        self.eps = _checked("eps", eps)
 
     def hyperparameters(self) -> Dict[str, float]:
         return {
@@ -382,31 +347,51 @@ class Adam(Optimizer):
                               dtype=np.int64),
         }
 
-    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
-        state = self._state_for(param)
-        state["steps"] += 1
-        step = int(state["steps"].flat[0])
-        m, v = state["first_moment"], state["second_moment"]
+    def _rule(
+        self,
+        param: np.ndarray,
+        grad: np.ndarray,
+        correction1: float | np.ndarray,
+        correction2: float | np.ndarray,
+        m: np.ndarray,
+        v: np.ndarray,
+    ) -> None:
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**step)
-        v_hat = v / (1.0 - self.beta2**step)
+        m_hat = m / correction1
+        v_hat = v / correction2
         param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _apply_rows(
+    def apply_dense(self, param: np.ndarray, grad: np.ndarray) -> None:
+        state = self._state_for(param)
+        state["steps"] += 1
+        step = int(state["steps"].flat[0])
+        self._rule(
+            param, grad, 1.0 - self.beta1**step, 1.0 - self.beta2**step,
+            state["first_moment"], state["second_moment"],
+        )
+
+    def apply_sparse(
         self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        state = self._state_for(param)
-        state["steps"][rows] += 1
-        steps = state["steps"][rows].astype(np.float64)
-        m, v = state["first_moment"], state["second_moment"]
-        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
-        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grads * grads
-        m_hat = m[rows] / (1.0 - self.beta1**steps)[:, None]
-        v_hat = v[rows] / (1.0 - self.beta2**steps)[:, None]
-        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        """The walk of :meth:`Optimizer.apply_sparse`, with the per-row step
+        counters taken and stored like the moments: a block counts its rows'
+        steps and derives their corrections itself, so a row outside
+        ``param`` (caught before the first block) moves no counter."""
+
+        def rule(
+            p: np.ndarray, g: np.ndarray,
+            m: np.ndarray, v: np.ndarray, steps: np.ndarray,
+        ) -> None:
+            steps += 1
+            counts = steps.astype(np.float64)
+            self._rule(p, g, (1.0 - self.beta1**counts)[:, None],
+                       (1.0 - self.beta2**counts)[:, None], m, v)
+
+        update_rows(param, rows, rule, (grads,),
+                    tuple(self._state_for(param).values()))
 
 
 # ----------------------------------------------------------------------

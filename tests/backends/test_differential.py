@@ -37,7 +37,6 @@ from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
 from repro.core.gather_reduce import gather_reduce_reference
 from repro.core.casting import CastedIndex, tensor_casting_reference
 from repro.core.indexing import IndexArray
-from repro.core.scatter import gradient_scatter_reference
 from repro.core.segment import sort_by_key
 
 #: Documented comparison tolerance for float32 results of backends that
@@ -273,27 +272,6 @@ class TestBackwardPaths:
         oracle_rows, oracle_values = self._oracle(index, gradients)
         assert np.array_equal(rows, oracle_rows), f"{backend.name}/{name}"
         _assert_matches(values, oracle_values, dtype, f"{backend.name}/{name}")
-
-
-@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
-class TestScatterUpdate:
-    def test_matches_oracle_exactly(self, backend, dtype):
-        """One update per row and a dtype-homogeneous multiply: exact for
-        every backend in both dtypes (no accumulation happens)."""
-        rng = np.random.default_rng(7)
-        table = rng.standard_normal((40, 6)).astype(dtype)
-        rows = np.array([0, 3, 17, 39])
-        gradients = rng.standard_normal((rows.size, 6)).astype(dtype)
-        expected = gradient_scatter_reference(table, rows, gradients, lr=0.05)
-        updated = backend.scatter_update(table.copy(), rows, gradients, lr=0.05)
-        assert np.array_equal(updated, expected), backend.name
-
-    def test_empty_rows_is_a_noop(self, backend, dtype):
-        table = np.ones((4, 2), dtype=dtype)
-        result = backend.scatter_update(
-            table, np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=dtype)
-        )
-        assert np.array_equal(result, np.ones((4, 2), dtype=dtype))
 
 
 class TestDispatcherValidation:

@@ -58,7 +58,7 @@ class TestRegistry:
         """``auto`` is a second name for the vectorized kernels: it
         overrides none of them."""
         for kernel in ("gather_reduce", "casted_gather_reduce",
-                       "cast_indices", "expand_coalesce", "scatter_update"):
+                       "cast_indices", "expand_coalesce"):
             assert kernel not in vars(AutoBackend)
             assert (getattr(AutoBackend, kernel)
                     is getattr(VectorizedBackend, kernel))

@@ -6,12 +6,10 @@ import pytest
 from repro.core import scatter
 from repro.core.scatter import (
     UPDATE_BLOCK_BYTES,
-    RowUpdateBuffers,
     gradient_scatter,
     gradient_scatter_reference,
     row_blocks,
     scatter_with_optimizer,
-    sgd_update_rows,
 )
 from repro.model.optim import SGD, Adagrad
 
@@ -161,6 +159,14 @@ class TestRowBlocks:
         assert block_height(np.empty((10, 1 << 20), F64)) == 1   # never 0
         assert block_height(np.empty((10, 0), F32)) == UPDATE_BLOCK_BYTES
 
+    def test_state_rows_share_the_block_bytes(self):
+        """A stateful block spans a quarter MiB of table *and* state rows:
+        f32 x 64 table rows, two f64 moments and one int64 counter each."""
+        table = np.empty((2000, 64), F32)
+        moment, counts = np.empty((2000, 64), F64), np.empty(2000, np.int64)
+        blocks = row_blocks(table, np.arange(2000), moment, moment, counts)
+        assert blocks[0] == slice(0, 2 ** 18 // (256 + 2 * 512 + 8))
+
     @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3079])
     def test_slices_tile_the_rows_in_order(self, count):
         table = np.empty((4000, 64), F32)
@@ -193,8 +199,8 @@ def shrunk(monkeypatch):
 
 
 class TestSgdUpdateRows:
-    """The one plain-SGD row-update body against the one-statement form it
-    replaced, kept here verbatim as the oracle."""
+    """The plain-SGD scatter, walked in cache blocks, against the
+    one-statement form it replaced, kept here verbatim as the oracle."""
 
     @staticmethod
     def oracle(table, rows, gradients, lr):
@@ -223,10 +229,10 @@ class TestSgdUpdateRows:
         table, rows, gradients = self.case(param_dtype, grad_dtype, u, shuffled)
         want = self.oracle(table.copy(), rows, gradients, 0.3)
         pristine = gradients.copy()
-        whole = sgd_update_rows(table.copy(), rows, gradients, 0.3)
+        whole = gradient_scatter(table.copy(), rows, gradients, 0.3)
         shrunk(table)
         got = table.copy()
-        out = sgd_update_rows(got, rows, gradients, 0.3)
+        out = gradient_scatter(got, rows, gradients, 0.3)
         assert out is got and got.dtype == param_dtype
         assert np.array_equal(got, want) and np.array_equal(whole, want)
         assert np.array_equal(gradients, pristine)   # never written
@@ -236,7 +242,7 @@ class TestSgdUpdateRows:
         shrunk(table)
         lr = np.float64(0.3)
         want = self.oracle(table.copy(), rows, gradients, lr)
-        assert np.array_equal(sgd_update_rows(table, rows, gradients, lr), want)
+        assert np.array_equal(gradient_scatter(table, rows, gradients, lr), want)
 
     def test_updates_through_a_strided_shard_view(self, shrunk):
         table, rows, gradients = self.case(F32, F32, BLOCK + 3, True)
@@ -245,39 +251,9 @@ class TestSgdUpdateRows:
         rows = rows[rows < view.shape[0]]
         gradients = gradients[: rows.size]
         self.oracle(twin[1::2], rows, gradients, 0.3)
-        sgd_update_rows(view, rows, gradients, 0.3)
+        gradient_scatter(view, rows, gradients, 0.3)
         assert not view.flags.c_contiguous
         assert np.array_equal(table, twin)
-
-    def test_buffers_are_reused_across_tables_and_row_counts(self, shrunk):
-        buffers = RowUpdateBuffers()
-        first = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
-        for u in (3, 2 * BLOCK + 1, BLOCK):
-            table, rows, gradients = self.case(F32, F32, u, False, seed=u)
-            shrunk(table)
-            sgd_update_rows(table, rows, gradients, 0.1, buffers)
-            again = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
-            assert again[0] is first[0] and again[1] is first[1]
-        assert first[0].shape == first[1].shape == (BLOCK, 5)   # not (u, dim)
-
-    @pytest.mark.parametrize("change", ["width", "param dtype", "grad dtype"])
-    def test_buffers_are_remade_on_a_width_or_dtype_change(self, shrunk, change):
-        buffers = RowUpdateBuffers()
-        before = buffers.get((BLOCK, 5), np.dtype(F32), np.dtype(F32))
-        dim = 7 if change == "width" else 5
-        param_dtype = F64 if change == "param dtype" else F32
-        grad_dtype = F64 if change == "grad dtype" else F32
-        table, rows, gradients = self.case(
-            param_dtype, grad_dtype, BLOCK + 1, False, dim=dim)
-        shrunk(table)
-        want = self.oracle(table.copy(), rows, gradients, 0.1)
-        sgd_update_rows(table, rows, gradients, 0.1, buffers)
-        assert np.array_equal(table, want)
-        held, step = buffers.get(
-            (BLOCK, dim), np.dtype(param_dtype), np.dtype(grad_dtype))
-        assert held is not before[0] and step is not before[1]
-        assert (held.shape, held.dtype) == ((BLOCK, dim), param_dtype)
-        assert (step.shape, step.dtype) == ((BLOCK, dim), grad_dtype)
 
     @pytest.mark.parametrize("bad", [-1, 200])
     def test_a_row_outside_the_table_raises_and_writes_nothing(self, shrunk, bad):
@@ -288,7 +264,7 @@ class TestSgdUpdateRows:
         rows[-1] = bad          # in the second block: the first must not land
         before = table.copy()
         with pytest.raises(IndexError, match="rows must lie in"):
-            sgd_update_rows(table, rows, gradients, 0.1)
+            SGD(lr=0.1).apply_sparse(table, rows, gradients)
         with pytest.raises(ValueError, match="outside"):
             scatter_with_optimizer(table, rows, gradients, SGD(lr=0.1))
         with pytest.raises(ValueError, match="outside"):

@@ -326,6 +326,12 @@ class TestRowStore:
         _store_rows(target, np.array([5, 1]), values)
         assert np.array_equal(target, want)
 
+    def test_a_1d_target_stores_one_element_per_row(self, dtype):
+        """Per-row counters of optimizer state ride the same store."""
+        target = np.arange(6, dtype=dtype)
+        _store_rows(target, np.array([4, 1]), np.array([40, 10], dtype=dtype))
+        assert target.tolist() == [0, 10, 2, 3, 40, 5]
+
     def test_a_dtype_mismatch_raises_instead_of_reinterpreting(self, dtype):
         other = np.float32 if dtype == np.float64 else np.float64
         target = np.zeros((4, 2), dtype=dtype)

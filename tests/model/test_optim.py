@@ -241,6 +241,22 @@ class TestStateExportImport:
             resumed.apply_sparse(resumed_param, rows, grads)
         assert np.array_equal(direct_param, resumed_param)
 
+    def test_state_imported_in_any_key_order_continues_identically(self):
+        """The rule takes the state tensors positionally, so an import must
+        rebuild them in the order ``_init_state`` allocates them."""
+        rows, grads = np.array([0, 2]), np.full((2, 2), 0.5)
+        direct_param, direct = np.zeros((3, 2)), Adam(lr=0.1)
+        for _ in range(2):
+            direct.apply_sparse(direct_param, rows, grads)
+        half_param, half = np.zeros((3, 2)), Adam(lr=0.1)
+        half.apply_sparse(half_param, rows, grads)
+        exported = half.export_state([("p", half_param)])
+        resumed_param, resumed = half_param.copy(), Adam(lr=0.1)
+        resumed.import_state([("p", resumed_param)],
+                             dict(reversed(list(exported.items()))))
+        resumed.apply_sparse(resumed_param, rows, grads)
+        assert np.array_equal(direct_param, resumed_param)
+
     def test_untrained_parameters_export_nothing(self):
         opt = Adagrad(lr=0.1)
         assert opt.export_state([("p", np.zeros(3))]) == {}
@@ -279,7 +295,26 @@ class TestStateExportImport:
             opt.export_state([("bad.name", param)])
 
 
+#: Every (optimizer, hyperparameter key) pair the registry defines.
+HYPERPARAMETER_KEYS = [
+    (name, key)
+    for name in OPTIMIZERS
+    for key in make_optimizer(name).hyperparameters()
+]
+
+
 class TestHyperparameters:
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), True],
+        ids=["nan", "inf", "-inf", "True"])
+    @pytest.mark.parametrize("name,key", HYPERPARAMETER_KEYS,
+                             ids=[f"{n}-{k}" for n, k in HYPERPARAMETER_KEYS])
+    def test_a_non_finite_or_bool_value_is_rejected_by_key(
+        self, name, key, bad
+    ):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_optimizer(name, **{key: bad})
+
     def test_every_optimizer_reports_its_knobs(self):
         assert SGD(lr=0.3).hyperparameters() == {"lr": 0.3}
         assert Momentum(lr=0.1, momentum=0.8).hyperparameters() == {
@@ -347,6 +382,86 @@ UNBLOCKED = {
     "adam": _unblocked_adam,
 }
 BLOCK, DIM, TABLE_ROWS = 8, 4, 48
+
+
+def _dense_sgd(opt, state, param, grad):
+    param -= opt.lr * grad
+
+
+def _dense_momentum(opt, state, param, grad):
+    velocity = _zeros(state, "velocity", param)
+    velocity *= opt.momentum
+    velocity += grad
+    param -= opt.lr * velocity
+
+
+def _dense_adagrad(opt, state, param, grad):
+    acc = _zeros(state, "accumulator", param)
+    acc += grad * grad
+    param -= opt.lr * grad / np.sqrt(opt.eps + acc)
+
+
+def _dense_rmsprop(opt, state, param, grad):
+    acc = _zeros(state, "accumulator", param)
+    acc *= opt.gamma
+    acc += (1.0 - opt.gamma) * grad * grad
+    param -= opt.lr * grad / np.sqrt(opt.eps + acc)
+
+
+def _dense_adam(opt, state, param, grad):
+    counts = state.setdefault(
+        "steps", np.zeros(param.shape[0] if param.ndim > 1 else 1, np.int64))
+    counts += 1
+    step = int(counts.flat[0])
+    m, v = _zeros(state, "first_moment", param), _zeros(
+        state, "second_moment", param)
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * grad
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * grad * grad
+    m_hat = m / (1.0 - opt.beta1**step)
+    v_hat = v / (1.0 - opt.beta2**step)
+    param -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+#: name -> the separate ``apply_dense`` body each optimizer had before one
+#: rule served both updates, verbatim (Adam's scalar bias correction
+#: included).
+DENSE = {
+    "sgd": _dense_sgd,
+    "momentum": _dense_momentum,
+    "adagrad": _dense_adagrad,
+    "rmsprop": _dense_rmsprop,
+    "adam": _dense_adam,
+}
+
+
+class TestDenseUpdate:
+    def test_the_oracle_table_covers_every_registered_optimizer(self):
+        assert set(DENSE) == set(OPTIMIZERS)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("name", sorted(DENSE))
+    def test_three_steps_equal_the_dense_oracle(self, name, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        param = rng.standard_normal(shape).astype(dtype)
+        twin, twin_state = param.copy(), {}
+        opt = make_optimizer(name, lr=0.05)
+        for _ in range(3):
+            grad = rng.standard_normal(shape).astype(dtype)
+            pristine = grad.copy()
+            opt.apply_dense(param, grad)
+            DENSE[name](opt, twin_state, twin, grad)
+            assert np.array_equal(grad, pristine)
+        assert param.dtype == dtype
+        assert np.array_equal(param, twin)
+        state = opt.state_tensors(param)
+        assert set(state) == set(twin_state)
+        for key, tensor in state.items():
+            assert tensor.dtype == twin_state[key].dtype
+            assert np.array_equal(tensor, twin_state[key]), key
 
 
 def _block_height(param):
@@ -421,19 +536,6 @@ class TestBlockedSparseUpdate:
         opt.apply_sparse(param, rows, grads)
         UNBLOCKED[name](opt, twin_state, twin, rows, grads)
         assert np.array_equal(param, twin)
-
-    def test_sgd_reuses_its_buffers_across_tables(self):
-        opt = SGD(lr=0.1)
-        workspace = None
-        for rows_in_table, u in ((300, 5), (5000, 2100), (64, 64)):
-            param = np.ones((rows_in_table, 64), np.float32)
-            opt.apply_sparse(
-                param, np.arange(u), np.ones((u, 64), np.float32))
-            shape = (_block_height(param), 64)
-            held, step = opt._buffers.get(shape, param.dtype, param.dtype)
-            workspace = workspace or (held, step)
-            assert held is workspace[0] and step is workspace[1]
-            assert np.all(param[:u] == np.float32(0.9))
 
     @pytest.mark.parametrize("bad", [-1, TABLE_ROWS])
     @pytest.mark.parametrize("name", sorted(UNBLOCKED))

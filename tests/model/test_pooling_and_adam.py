@@ -6,7 +6,7 @@ import pytest
 from repro.core.gather_reduce import gather_reduce, gather_reduce_reference
 from repro.core.indexing import IndexArray
 from repro.model.embedding import EmbeddingBag
-from repro.model.optim import Adam
+from repro.model.optim import Adam, make_optimizer, optimizer_names
 
 
 class TestWeightedGatherReduce:
@@ -150,10 +150,16 @@ class TestAdam:
         assert state["steps"][1] == 1
         assert np.all(state["steps"][[0, 2, 3]] == 0)
 
-    def test_traffic_name_has_two_state_slots(self):
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_traffic_slots_count_the_row_state_tensors(self, name):
+        """The traffic model charges one read-modify-write per ``(rows,
+        dim)`` state tensor; Adam's per-row counters are not one."""
         from repro.core.traffic import OPTIMIZER_STATE_SLOTS
 
-        assert OPTIMIZER_STATE_SLOTS[Adam(0.1).traffic_name] == 2
+        param = np.zeros((5, 3))
+        state = make_optimizer(name)._init_state(param)
+        tensors = [t for t in state.values() if t.shape == param.shape]
+        assert OPTIMIZER_STATE_SLOTS[name] == len(tensors)
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ source whole, and nothing measured it.  Each case here runs the *same*
 lookups against a parent table and against one 100x taller and requires the
 same ``tracemalloc`` peak (within 64 KiB): a kernel or a sharded path whose
 allocation scales with the table rather than with the lookups fails —
-re-introducing a shard-local view of the parent does, by megabytes.
+re-introducing a shard-local view of the parent does, by megabytes.  The
+sparse update is held one step further: its peak may not grow with the
+number of rows it updates beyond one cache block.
 """
 
 import tracemalloc
@@ -17,10 +19,10 @@ import pytest
 
 from repro.core.gather_reduce import gather_reduce
 from repro.core.indexing import IndexArray
-from repro.core.scatter import RowUpdateBuffers, sgd_update_rows
+from repro.core.scatter import UPDATE_BLOCK_BYTES, gradient_scatter, row_blocks
 from repro.core.segment import segment_sum
 from repro.model.embedding import EmbeddingBag
-from repro.model.optim import SGD
+from repro.model.optim import SGD, Adam
 from repro.model.sharded import ShardedEmbeddingSet
 
 SHORT, TALL = 2_000, 200_000     # parent heights; TALL is 12.8 MB of f32
@@ -63,11 +65,10 @@ def gather_reduce_case(height):
     return lambda: gather_reduce(table, index, backend="vectorized")
 
 
-def sgd_update_rows_case(height):
+def gradient_scatter_case(height):
     table, rows = table_of(height), np.unique(lookups()[0])
     gradients = np.ones((rows.size, DIM), dtype=np.float32)
-    buffers = RowUpdateBuffers()
-    return lambda: sgd_update_rows(table, rows, gradients, 0.1, buffers)
+    return lambda: gradient_scatter(table, rows, gradients, 0.1)
 
 
 def sharded(height):
@@ -109,7 +110,7 @@ def row_sharded_step_case(height):
 @pytest.mark.parametrize("case", [
     segment_sum_case,
     gather_reduce_case,
-    sgd_update_rows_case,
+    gradient_scatter_case,
     row_sharded_gather_case,
     row_sharded_step_case,
 ], ids=lambda case: case.__name__[: -len("_case")])
@@ -151,6 +152,33 @@ def test_a_whole_table_split_allocates_nothing_per_lookup(num_shards, policy):
     assert abs(many - few) <= SLACK, (
         f"plan_batch's peak grew from {few} to {many} bytes with the lookup "
         f"count ({BATCH * POOLING} -> {64 * BATCH * POOLING})"
+    )
+
+
+def test_a_stateful_update_peaks_at_one_block_whatever_the_row_count():
+    """Adam's sparse update — parameter, two f64 moments and the per-row
+    counters — walks the rows in cache blocks: eight table blocks of rows
+    peak where one does, at a few blocks' bytes (one block of rows and the
+    rule's block-sized temporaries; a fancy-indexed rule builds several
+    ``(u, dim)`` f64 temporaries instead)."""
+    table = table_of(40_000)
+    block = row_blocks(table, np.arange(table.shape[0]))[0].stop
+    optimizer = Adam(lr=0.1)
+
+    def update_peak(u):
+        rows = np.random.default_rng(u).permutation(table.shape[0])[:u]
+        gradients = np.ones((u, DIM), dtype=np.float32)
+        return peak_bytes(
+            lambda: optimizer.apply_sparse(table, rows, gradients))
+
+    one, eight = update_peak(block), update_peak(8 * block)
+    assert 0 < one and abs(eight - one) <= SLACK, (
+        f"Adam's sparse-update peak grew from {one} to {eight} bytes with "
+        f"the row count ({block} -> {8 * block} rows)"
+    )
+    assert eight <= 4 * UPDATE_BLOCK_BYTES, (
+        f"Adam's sparse update peaked at {eight} bytes, more than four "
+        f"{UPDATE_BLOCK_BYTES}-byte blocks"
     )
 
 

@@ -380,6 +380,12 @@ class TestTrainingJobFlags:
         assert main(["overlap", "--lr", "-0.5"]) == 2
         assert "learning rate must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["inf", "nan"])
+    def test_non_finite_lr_exits_nonzero(self, lr, capsys):
+        assert main(["overlap", "--lr", lr]) == 2
+        assert f"must be positive and finite, got {lr}" in (
+            capsys.readouterr().err)
+
     def test_missing_resume_checkpoint_exits_nonzero(self, capsys):
         assert main(["overlap", "--resume", "/nonexistent/ck.npz"]) == 2
         assert "does not exist" in capsys.readouterr().err
