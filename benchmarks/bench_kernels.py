@@ -26,8 +26,8 @@ from repro.core.casting import hash_casting, tensor_casting
 from repro.core.coalesce import expand_coalesce
 from repro.core.gather_reduce import casted_gather_reduce, gather_reduce
 from repro.core.indexing import IndexArray
-from repro.core.scatter import gradient_scatter
 from repro.data.distributions import ZipfDistribution
+from repro.model.optim import SGD
 
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 # A mid-sized workload: 64K lookups pooled into 4K outputs, 64-dim vectors
@@ -108,10 +108,7 @@ def test_gradient_scatter_update(benchmark, workload):
     cast = tensor_casting(index)
     rows, coalesced = casted_gather_reduce(gradients, cast)
 
-    def scatter():
-        gradient_scatter(table, rows, coalesced, lr=1e-6)
-
-    benchmark(scatter)
+    benchmark(SGD(lr=1e-6).apply_sparse, table, rows, coalesced)
 
 
 def _best_of(func, repeats=5):

@@ -13,12 +13,12 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
+    SGD,
     IndexArray,
     casted_gather_reduce,
     casting_reduction_factor,
     expand_coalesce,
     gather_reduce,
-    gradient_scatter,
     tensor_casting,
 )
 from repro.core.traffic import (
@@ -58,7 +58,9 @@ def main() -> None:
     print("casted gather-reduce == baseline expand-coalesce  [VERIFIED]\n")
 
     print("== Model update: gradient scatter (Figure 2b step 3) ==")
-    gradient_scatter(table, rows_cast, coal_cast, lr=0.1)
+    # One coalesced gradient per row, through the optimizer's sparse rule:
+    # duplicate rows or mis-shaped gradients are refused before any write.
+    SGD(lr=0.1).apply_sparse(table, rows_cast, coal_cast)
     print(f"updated table rows {rows_cast.tolist()}:\n{table[rows_cast]}\n")
 
     print("== Why cast? The 2x memory-intensity guarantee ==")

@@ -58,7 +58,6 @@ from .core import (
     gather_reduce,
     gradient_coalesce,
     gradient_expand,
-    gradient_scatter,
     hash_casting,
     make_partition,
     sharded_exchange_bytes,
@@ -197,7 +196,6 @@ __all__ = [
     "get_model",
     "gradient_coalesce",
     "gradient_expand",
-    "gradient_scatter",
     "hash_casting",
     "load_trace",
     "make_optimizer",

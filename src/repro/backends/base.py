@@ -57,22 +57,9 @@ class KernelBackend(abc.ABC):
     # The hot kernels
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def gather_reduce(
-        self,
-        table: np.ndarray,
-        index: IndexArray,
-        out: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``out[dst[i]] += weights[i] * table[src[i]]`` for every lookup.
-
-        The cross-backend bit-identity contract covers fresh (absent or
-        zero-filled) ``out`` buffers — the only kind the trainers and
-        sharded executor ever pass.  With a caller-provided *non-zero*
-        ``out``, engines may fold their result in with a different
-        association (one bulk add vs. per-lookup adds), so agreement there
-        is within float tolerance only.
-        """
+    def gather_reduce(self, table: np.ndarray, index: IndexArray) -> np.ndarray:
+        """``out[dst[i]] += table[src[i]]`` for every lookup, into a fresh
+        zero-initialised ``(num_outputs, dim)`` result of ``table.dtype``."""
 
     @abc.abstractmethod
     def cast_indices(self, index: IndexArray) -> CastedIndex:
@@ -100,15 +87,6 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _alloc_out(
-        table: np.ndarray, index: IndexArray, out: np.ndarray | None
-    ) -> np.ndarray:
-        """The ``(num_outputs, dim)`` output, zero-allocated when absent."""
-        if out is None:
-            out = np.zeros((index.num_outputs, table.shape[1]), dtype=table.dtype)
-        return out
-
     @staticmethod
     def _empty_cast(index: IndexArray) -> CastedIndex:
         """The cast of a lookup-free index array."""

@@ -80,15 +80,9 @@ class _CountingBackend(KernelBackend):
     def _count(self, op: str) -> None:
         self._observer.count_kernel(op, self._inner.name)
 
-    def gather_reduce(
-        self,
-        table: "np.ndarray",
-        index: "IndexArray",
-        out: "np.ndarray | None" = None,
-        weights: "np.ndarray | None" = None,
-    ) -> "np.ndarray":
+    def gather_reduce(self, table: "np.ndarray", index: "IndexArray") -> "np.ndarray":
         self._count("gather_reduce")
-        return self._inner.gather_reduce(table, index, out=out, weights=weights)
+        return self._inner.gather_reduce(table, index)
 
     def cast_indices(self, index: "IndexArray") -> "CastedIndex":
         self._count("cast_indices")

@@ -35,18 +35,8 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
-    def gather_reduce(
-        self,
-        table: np.ndarray,
-        index: IndexArray,
-        out: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        out = self._alloc_out(table, index, out)
-        if index.num_lookups == 0:
-            return out
-        out += gather_reduce_reference(table, index, weights)
-        return out
+    def gather_reduce(self, table: np.ndarray, index: IndexArray) -> np.ndarray:
+        return gather_reduce_reference(table, index)
 
     def cast_indices(self, index: IndexArray) -> CastedIndex:
         if index.num_lookups == 0:

@@ -78,16 +78,8 @@ class VectorizedBackend(KernelBackend):
 
     name = "vectorized"
 
-    def gather_reduce(
-        self,
-        table: np.ndarray,
-        index: IndexArray,
-        out: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return segment_sum(
-            table, index.src, index.dst, index.num_outputs, out=out, weights=weights
-        )
+    def gather_reduce(self, table: np.ndarray, index: IndexArray) -> np.ndarray:
+        return segment_sum(table, index.src, index.dst, index.num_outputs)
 
     def cast_indices(self, index: IndexArray) -> CastedIndex:
         if index.num_lookups == 0:

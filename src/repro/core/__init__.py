@@ -13,7 +13,8 @@ Algorithms 2-3):
   pipeline (Algorithm 1),
 * :mod:`~repro.core.casting` — Tensor Casting (Algorithm 2) and a
   hash-bucketing ablation variant,
-* :mod:`~repro.core.scatter` — the gradient-scatter model update,
+* :mod:`~repro.core.scatter` — the gradient-scatter model update, the one
+  checked row-block walk every optimizer's sparse update runs,
 * :mod:`~repro.core.traffic` — analytic memory-traffic models (Figure 6).
 """
 
@@ -36,7 +37,7 @@ from .gather_reduce import (
     tcasted_grad_gather_reduce,
 )
 from .indexing import IndexArray, concatenate
-from .scatter import gradient_scatter, gradient_scatter_reference, scatter_with_optimizer
+from .scatter import gradient_scatter_reference
 from .sharding import (
     PARTITION_POLICIES,
     RowWisePartition,
@@ -47,6 +48,7 @@ from .sharding import (
     reassemble_pooled,
 )
 from .traffic import (
+    OPTIMIZER_STATE_ITEMSIZE,
     OPTIMIZER_STATE_SLOTS,
     Traffic,
     casted_gather_reduce_traffic,
@@ -65,6 +67,7 @@ from .traffic import (
 __all__ = [
     "CastedIndex",
     "IndexArray",
+    "OPTIMIZER_STATE_ITEMSIZE",
     "OPTIMIZER_STATE_SLOTS",
     "PARTITION_POLICIES",
     "RowWisePartition",
@@ -89,13 +92,11 @@ __all__ = [
     "gradient_coalesce",
     "gradient_coalesce_reference",
     "gradient_expand",
-    "gradient_scatter",
     "gradient_scatter_reference",
     "hash_casting",
     "make_partition",
     "reassemble_pooled",
     "scatter_traffic",
-    "scatter_with_optimizer",
     "sharded_exchange_bytes",
     "tcasted_grad_gather_reduce",
     "tensor_casting",

@@ -37,16 +37,13 @@ __all__ = [
 
 
 def gather_reduce(
-    table: np.ndarray,
-    index: IndexArray,
-    out: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-    backend: BackendSpec = None,
+    table: np.ndarray, index: IndexArray, backend: BackendSpec = None
 ) -> np.ndarray:
     """Fused embedding gather-reduce (forward pass, Figure 2(a)).
 
-    Computes ``out[dst[i]] += weights[i] * table[src[i]]`` for every lookup
-    ``i`` (unit weights when omitted).
+    Computes ``out[dst[i]] += table[src[i]]`` for every lookup ``i`` into a
+    fresh zero-initialised ``out`` (sum pooling; mean pooling post-scales
+    the result, :func:`repro.model.embedding.inverse_lookup_counts`).
 
     Parameters
     ----------
@@ -54,13 +51,6 @@ def gather_reduce(
         ``(num_rows, dim)`` embedding table (or gradient table).
     index:
         The ``(src, dst)`` lookup description.
-    out:
-        Optional pre-allocated ``(num_outputs, dim)`` output the result is
-        added onto; when omitted the backend allocates the result itself.
-    weights:
-        Optional ``(n,)`` per-lookup scale factors — the weighted-pooling
-        variant of the operator (per-lookup multiply at line rate in the NMP
-        vector ALU; mean pooling and attention-weighted bags use this).
     backend:
         Kernel engine: a registered backend name, a
         :class:`~repro.backends.base.KernelBackend` instance, or ``None``
@@ -77,29 +67,14 @@ def gather_reduce(
         raise ValueError(
             f"table has {table.shape[0]} rows but index addresses {index.num_rows}"
         )
-    if weights is not None:
-        weights = np.asarray(weights)
-        if weights.shape != (index.num_lookups,):
-            raise ValueError(
-                f"weights must have shape ({index.num_lookups},), got {weights.shape}"
-            )
-    shape = (index.num_outputs, table.shape[1])
-    if out is not None and out.shape != shape:
-        raise ValueError(f"out must have shape {shape}, got {out.shape}")
     if index.num_lookups == 0:
-        return np.zeros(shape, dtype=table.dtype) if out is None else out
+        return np.zeros((index.num_outputs, table.shape[1]), dtype=table.dtype)
     from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
 
-    return resolve_backend(backend).gather_reduce(
-        table, index, out=out, weights=weights
-    )
+    return resolve_backend(backend).gather_reduce(table, index)
 
 
-def gather_reduce_reference(
-    table: np.ndarray,
-    index: IndexArray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+def gather_reduce_reference(table: np.ndarray, index: IndexArray) -> np.ndarray:
     """Element-by-element gather-reduce (test oracle).
 
     Walks the ``(src, dst)`` pairs one at a time, accumulating in float64 for
@@ -107,9 +82,8 @@ def gather_reduce_reference(
     """
     table = np.asarray(table)
     out = np.zeros((index.num_outputs, table.shape[1]), dtype=np.float64)
-    for position, (src, dst) in enumerate(zip(index.src, index.dst)):
-        scale = 1.0 if weights is None else float(weights[position])
-        out[int(dst)] += scale * table[int(src)]
+    for src, dst in zip(index.src, index.dst):
+        out[int(dst)] += table[int(src)]
     return out.astype(table.dtype)
 
 

@@ -11,30 +11,29 @@ NMP core covers both with one microarchitecture (Section IV-C, Figure 11).
 The update is a row-local read-modify-write, so it has one walk,
 :func:`update_rows`: blocks of :data:`UPDATE_BLOCK_BYTES` of table and
 optimizer-state rows (:func:`row_blocks`), whose cache lines are still
-resident when they are written back, each handed to a row-local rule.  Every optimizer's sparse
-update (:meth:`repro.model.optim.Optimizer.apply_sparse`) and the plain-SGD
-:func:`gradient_scatter` are that walk with their own rule.  Its rows — of
-the table and of any optimizer state — move off NumPy's general
-fancy-index path both ways: ``take`` gathers them and the whole-row store
-of :mod:`repro.core.segment` (one ``np.void`` element per row) writes them
+resident when they are written back, each handed to a row-local rule.
+Every optimizer's sparse update
+(:meth:`repro.model.optim.Optimizer.apply_sparse`, plain SGD's included) is
+that walk with its own rule, and the walk is the one place the update's
+input is checked — before any row is written.  Its rows — of the table and
+of any optimizer state — move off NumPy's general fancy-index path both
+ways: ``take`` gathers them and the whole-row store of
+:mod:`repro.core.segment` (one ``np.void`` element per row) writes them
 back, in place on a row-strided shard view.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .segment import _store_rows
 
 __all__ = [
-    "SparseOptimizer",
     "UPDATE_BLOCK_BYTES",
-    "gradient_scatter",
     "gradient_scatter_reference",
     "row_blocks",
-    "scatter_with_optimizer",
     "update_rows",
 ]
 
@@ -48,19 +47,6 @@ __all__ = [
 #: A constant, not an option: nothing in the library sets it, and the tests
 #: shrink it by patching this one name.
 UPDATE_BLOCK_BYTES = 256 * 1024
-
-
-class SparseOptimizer(Protocol):
-    """Anything exposing the sparse-update rule scatter dispatches through.
-
-    The concrete implementations live in :mod:`repro.model.optim`; core
-    only needs the one-method surface, kept as a Protocol so the kernel
-    layer stays import-independent of the model layer.
-    """
-
-    def apply_sparse(
-        self, param: np.ndarray, rows: np.ndarray, gradients: np.ndarray
-    ) -> np.ndarray: ...
 
 
 def row_blocks(
@@ -107,12 +93,33 @@ def update_rows(
     they are written back.
 
     The rule sees exactly what one whole-array application would, row for
-    row, so the result is bit-identical to it.  ``rows`` must be unique; a
-    row outside the table raises :class:`IndexError` before anything is
-    written (:func:`row_blocks` checks the range once, so the gathers run
-    unchecked — ``mode="clip"`` measured faster than ``mode="raise"``,
-    which buffers).  Returns the table.
+    row, so the result is bit-identical to it.  The input is checked once,
+    before anything is written, so a rejected update changes no row of the
+    table or of its state: ``table`` must be 2-D, ``rows`` 1-D and unique
+    (one coalesced gradient per row — the optimizers are not additive in
+    it, paper Section II-B) and every input shaped ``(len(rows), dim)``,
+    each a :class:`ValueError`; a row outside the table is an
+    :class:`IndexError` (:func:`row_blocks` checks the range once, so the
+    gathers run unchecked — ``mode="clip"`` measured faster than
+    ``mode="raise"``, which buffers).  Returns the table.
     """
+    rows = np.asarray(rows)
+    inputs = [np.asarray(x) for x in inputs]
+    if table.ndim != 2:
+        raise ValueError(f"table must be 2-D (rows, dim), got shape {table.shape}")
+    if rows.ndim != 1:
+        raise ValueError(f"rows must be 1-D, got shape {rows.shape}")
+    shape = (rows.size, table.shape[1])
+    for x in inputs:
+        if x.shape != shape:
+            raise ValueError(f"gradients must have shape {shape}, got {x.shape}")
+    # Casting and gradient_coalesce emit strictly ascending rows, which
+    # proves uniqueness in O(u); only other orders pay for the sort.
+    if not np.all(rows[1:] > rows[:-1]) and np.unique(rows).size != rows.size:
+        raise ValueError(
+            "rows must be unique - scatter expects coalesced gradients; "
+            "run gradient_coalesce or casted_gather_reduce first"
+        )
     tensors = (table, *states)
     for block in row_blocks(table, rows, *states):
         ids = rows[block]
@@ -124,88 +131,15 @@ def update_rows(
     return table
 
 
-def _validate_scatter_args(
-    table: np.ndarray, rows: np.ndarray, gradients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.asarray(rows)
-    gradients = np.asarray(gradients)
-    if table.ndim != 2:
-        raise ValueError(f"table must be 2-D (rows, dim), got shape {table.shape}")
-    if rows.ndim != 1:
-        raise ValueError(f"rows must be 1-D, got shape {rows.shape}")
-    if gradients.shape != (rows.size, table.shape[1]):
-        raise ValueError(
-            f"gradients must have shape {(rows.size, table.shape[1])}, "
-            f"got {gradients.shape}"
-        )
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= table.shape[0]:
-            raise ValueError("rows reference entries outside the table")
-        # Casting and gradient_coalesce emit strictly ascending rows, which
-        # proves uniqueness in O(u); only other orders pay for the sort.
-        if not np.all(rows[1:] > rows[:-1]) and np.unique(rows).size != rows.size:
-            raise ValueError(
-                "rows must be unique - scatter expects coalesced gradients; "
-                "run gradient_coalesce or casted_gather_reduce first"
-            )
-    return rows, gradients
-
-
-def gradient_scatter(
-    table: np.ndarray,
-    rows: np.ndarray,
-    gradients: np.ndarray,
-    lr: float = 1.0,
-) -> np.ndarray:
-    """Plain-SGD scatter update: ``table[rows] -= lr * gradients`` in place.
-
-    ``rows`` must be unique (i.e. already coalesced) — duplicate targets
-    would make the update order-dependent, which is precisely the hazard
-    coalescing exists to remove.  The update is the :func:`update_rows`
-    walk every optimizer runs, with ``lr * gradients`` subtracted per
-    block: the arithmetic, dtypes and rounding of the one-statement form
-    (``np.array_equal`` to it for every table / gradient dtype pair), and
-    ``gradients`` is never written.
-
-    Returns the table for call chaining.
-    """
-    rows, gradients = _validate_scatter_args(table, rows, gradients)
-
-    def descend(param: np.ndarray, grad: np.ndarray) -> None:
-        param -= lr * grad
-
-    return update_rows(table, rows, descend, (gradients,))
-
-
 def gradient_scatter_reference(
     table: np.ndarray,
     rows: np.ndarray,
     gradients: np.ndarray,
     lr: float = 1.0,
 ) -> np.ndarray:
-    """Row-at-a-time scatter (test oracle) on a *copy* of the table."""
-    rows, gradients = _validate_scatter_args(table, rows, gradients)
+    """Row-at-a-time plain-SGD scatter (test oracle) on a *copy* of the
+    table: ``table[rows] - lr * gradients``, one row at a time."""
     updated = np.array(table, copy=True)
     for k in range(rows.size):
         updated[int(rows[k])] = updated[int(rows[k])] - lr * gradients[k]
     return updated
-
-
-def scatter_with_optimizer(
-    table: np.ndarray,
-    rows: np.ndarray,
-    gradients: np.ndarray,
-    optimizer: SparseOptimizer,
-) -> np.ndarray:
-    """Scatter through an optimizer's sparse-update rule.
-
-    ``optimizer`` is any object exposing
-    ``apply_sparse(param, rows, gradients)`` — see
-    :mod:`repro.model.optim` for SGD/Momentum/Adagrad/RMSprop/Adam.  This is the
-    entry point the paper's optimization-function discussion (Equations 1-2)
-    motivates: the optimizer requires one *accumulated* gradient per row,
-    which the unique-``rows`` contract guarantees.
-    """
-    rows, gradients = _validate_scatter_args(table, rows, gradients)
-    optimizer.apply_sparse(table, rows, gradients)
-    return table

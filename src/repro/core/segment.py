@@ -2,7 +2,7 @@
 
 Every reduction the paper describes — the forward gather-reduce
 (Figure 2(a)), the casted backward (Algorithm 3) and Step B of the baseline
-coalesce (Algorithm 1) — is ``out[dst[i]] += w[i] * source[src[i]]``, and
+coalesce (Algorithm 1) — is ``out[dst[i]] += source[src[i]]``, and
 every hot caller hands it *sorted* destinations: the bag-major forward
 ``dst``, the casted ``0..u-1`` ramp, Algorithm 1's sorted copy.
 :func:`segment_sum` exploits that without giving up the repository's
@@ -120,11 +120,10 @@ def segment_sum(
     src: np.ndarray | None,
     dst: np.ndarray,
     num_outputs: int,
-    out: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
     starts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``out[dst[i]] += weights[i] * source[src[i]]`` in strict lookup order.
+    """``out[dst[i]] += source[src[i]]`` in strict lookup order, into a new
+    ``out`` of zeros.
 
     Parameters
     ----------
@@ -139,18 +138,11 @@ def segment_sum(
         ``[0, num_outputs)``.  Unsorted destinations are stable-argsorted
         first, which keeps lookup order within every row.
     num_outputs:
-        Rows of the result; rows no lookup names stay zero.
-    out:
-        Optional ``(num_outputs, dim)`` array the result is added onto as
-        one bulk add (see :meth:`KernelBackend.gather_reduce
-        <repro.backends.base.KernelBackend.gather_reduce>` for what that
-        means for a non-zero ``out``).  Without it the first addend of each
-        segment is written straight into a fresh result — no zero-fill, and
-        beside it only the compact buffer of the segments longer than one
-        (none when equal-length segments cover every output row).
-    weights:
-        Optional ``(n,)`` per-lookup scale, applied to each gathered round
-        before the add (same products, same order as scaling up front).
+        Rows of the result; rows no lookup names stay zero.  The first
+        addend of each segment is written straight into the result — no
+        zero-fill when every row has a segment, and beside it only the
+        compact buffer of the segments longer than one (none when
+        equal-length segments cover every output row).
     starts:
         Optional precomputed start offset of every run of a
         *non-decreasing* ``dst`` (``CastedIndex.segment_starts()``); skips
@@ -158,30 +150,24 @@ def segment_sum(
 
     Returns
     -------
-    ``out`` when given, else a new ``(num_outputs, dim)`` array of
-    ``source.dtype``.
+    A new ``(num_outputs, dim)`` array of ``source.dtype``.
     """
     n, shape, dtype = dst.size, (num_outputs, source.shape[1]), source.dtype
     if n == 0:
-        return np.zeros(shape, dtype=dtype) if out is None else out
+        return np.zeros(shape, dtype=dtype)
     if starts is None:
         if np.any(dst[1:] < dst[:-1]):
             order = np.argsort(dst, kind="stable")
             dst = dst[order]
             src = order if src is None else src[order]
-            if weights is not None:
-                weights = weights[order]
         starts = run_starts(dst)
 
     def addends(positions: np.ndarray | slice) -> np.ndarray:
         lookups = positions if src is None else src[positions]
         if isinstance(lookups, slice):
-            block = source[lookups]
-        else:  # take gathers rows measurably faster than fancy indexing
-            block = source.take(lookups, axis=0)
-        if weights is not None:
-            block = (block * weights[positions, None]).astype(dtype, copy=False)
-        return block
+            return source[lookups]
+        # take gathers rows measurably faster than fancy indexing
+        return source.take(lookups, axis=0)
 
     rows, first, length = dst[starts], starts, np.diff(starts, append=n)
     if starts.size == num_outputs:
@@ -211,7 +197,4 @@ def segment_sum(
         acc[k] = _fold(addends(slice(first[k], first[k] + length[k])))
     if not in_place:
         _store_rows(result, rows, acc)
-    if out is None:
-        return result
-    out += result
-    return out
+    return result

@@ -68,6 +68,7 @@ __all__ = [
     "expected_shard_outputs",
     "sharded_exchange_bytes",
     "OPTIMIZER_STATE_SLOTS",
+    "OPTIMIZER_STATE_ITEMSIZE",
 ]
 
 #: Extra per-row state tensors each optimizer reads *and* writes during the
@@ -80,6 +81,12 @@ OPTIMIZER_STATE_SLOTS = {
     "rmsprop": 1,
     "adam": 2,
 }
+
+#: Bytes per element of those state tensors: the optimizers keep them in
+#: float64 whatever the table's dtype (``Optimizer._init_state`` in
+#: :mod:`repro.model.optim`), so a float32 table's state rows are twice as
+#: wide as its own.
+OPTIMIZER_STATE_ITEMSIZE = 8
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,9 @@ def scatter_traffic(
     """Gradient scatter / model update over ``u`` coalesced rows.
 
     Each row is a read-modify-write of the table entry plus a read of its
-    coalesced gradient; stateful optimizers add one read-modify-write per
-    state tensor (Equations 1-2).
+    coalesced gradient, both ``itemsize`` wide; stateful optimizers add one
+    read-modify-write per state tensor (Equations 1-2), billed at the width
+    the state is stored at, :data:`OPTIMIZER_STATE_ITEMSIZE`.
     """
     vec = _vec_bytes(dim, itemsize)
     try:
@@ -204,8 +212,9 @@ def scatter_traffic(
             f"unknown optimizer {optimizer!r}; expected one of "
             f"{sorted(OPTIMIZER_STATE_SLOTS)}"
         ) from None
-    reads = u * vec * (2 + state_slots) + u * index_itemsize
-    writes = u * vec * (1 + state_slots)
+    state = state_slots * dim * OPTIMIZER_STATE_ITEMSIZE
+    reads = u * (2 * vec + state) + u * index_itemsize
+    writes = u * (vec + state)
     return Traffic(reads, writes)
 
 

@@ -4,10 +4,9 @@ Batch production is a first-class streaming subsystem: every trainer
 consumes the :class:`~repro.data.source.BatchSource` protocol, with
 interchangeable implementations — the learnable
 :class:`~repro.data.generator.SyntheticCTRStream`, constant-memory trace
-replay (:class:`~repro.data.trace.TraceReplaySource` /
-:class:`~repro.data.trace.IndexReplaySource`), a Criteo-style file reader
-(:class:`~repro.data.source.CriteoFileSource`), and composable wrappers
-(prefetching, stream bounding).  The
+replay (:class:`~repro.data.trace.TraceReplaySource`), a Criteo-style file
+reader (:class:`~repro.data.source.CriteoFileSource`), and composable
+wrappers (prefetching, stream bounding).  The
 calibrated synthetic stand-ins for the paper's public datasets and the
 histogram tooling that measures locality live alongside.
 """
@@ -32,7 +31,6 @@ from .source import (
 from .trace import (
     BatchTraceWriter,
     EmpiricalDistribution,
-    IndexReplaySource,
     TraceReplaySource,
     distribution_from_trace,
     load_trace,
@@ -56,7 +54,6 @@ __all__ = [
     "EmpiricalDistribution",
     "DATASETS",
     "DatasetProfile",
-    "IndexReplaySource",
     "LookupDistribution",
     "PAPER_ORDER",
     "PrefetchingSource",

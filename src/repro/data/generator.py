@@ -138,41 +138,15 @@ class SyntheticCTRStream(BatchSource):
         indices = generate_table_indices(
             self.distributions, batch, self.lookups_per_sample, rng
         )
-        return self.batch_from_indices(dense, indices, rng)
-
-    def batch_from_indices(
-        self,
-        dense: np.ndarray,
-        indices: Sequence[IndexArray],
-        rng: np.random.Generator,
-    ) -> CTRBatch:
-        """Label externally-supplied indices with the hidden ground truth.
-
-        The labeling half of :meth:`make_batch`, split out so replayed index
-        streams (:class:`~repro.data.trace.IndexReplaySource`) train against
-        the same learnable signal as freshly-drawn batches.  Consumes ``rng``
-        only for the Bernoulli label draw, after whatever produced ``dense``
-        and ``indices`` — the draw order of :meth:`make_batch` exactly.
-        """
-        if len(indices) != self.num_tables:
-            raise ValueError(
-                f"got {len(indices)} index arrays for {self.num_tables} tables"
-            )
-        batch = dense.shape[0]
         logits = dense @ self._dense_weights + self._bias
         for table_id, index in enumerate(indices):
-            if index.num_rows > self.rows_per_table[table_id]:
-                raise ValueError(
-                    f"table {table_id} indices address {index.num_rows} rows, "
-                    f"ground truth has {self.rows_per_table[table_id]}"
-                )
             scores = self._row_scores[table_id][index.src]
             per_sample = np.zeros(batch)
             np.add.at(per_sample, index.dst, scores)
             logits = logits + per_sample / self.lookups_per_sample
         probabilities = 1.0 / (1.0 + np.exp(-logits))
         labels = (rng.random(batch) < probabilities).astype(np.float64)
-        return CTRBatch(dense=dense, indices=list(indices), labels=labels)
+        return CTRBatch(dense=dense, indices=indices, labels=labels)
 
     def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
         """The :class:`~repro.data.source.BatchSource` surface (never exhausts)."""

@@ -17,8 +17,6 @@ Implementations in the package:
   synthetic generation (this module's protocol, that module's model);
 * :class:`~repro.data.trace.TraceReplaySource` — file-backed, constant
   -memory replay of a recorded batch stream;
-* :class:`~repro.data.trace.IndexReplaySource` — replay of index-only
-  :func:`~repro.data.trace.save_trace` artifacts with synthesized labels;
 * :class:`CriteoFileSource` — a Criteo-style TSV/NPZ dataset file reader;
 
 plus the composable wrappers defined here: :class:`TakeSource` (bound an

@@ -7,9 +7,9 @@ The paper drives its locality studies from public datasets' index ids
   with :func:`save_trace` and reloaded with :func:`load_trace`.  The
   experiments only consume :class:`~repro.core.indexing.IndexArray`
   objects, so a replayed trace is a drop-in replacement for the synthetic
-  profiles; :class:`IndexReplaySource` turns a *sequence* of such artifacts
-  into a trainable :class:`~repro.data.source.BatchSource` (labels come
-  from the synthetic ground-truth model).
+  profiles (and :func:`distribution_from_trace` turns one into a lookup
+  distribution).  They carry no dense features or labels, so they are not
+  a training stream.
 * **Batch traces** — full ``(dense, indices, labels)`` mini-batch streams,
   written incrementally by :class:`BatchTraceWriter` (or the
   :func:`record_trace` convenience) and replayed at constant memory by
@@ -33,7 +33,6 @@ from numpy.lib import format as _npy_format
 
 from ..core.indexing import IndexArray
 from .distributions import LookupDistribution
-from .generator import SyntheticCTRStream
 from .histogram import empirical_probability_function
 from .source import (
     BatchSource,
@@ -50,7 +49,6 @@ __all__ = [
     "BatchTraceWriter",
     "record_trace",
     "TraceReplaySource",
-    "IndexReplaySource",
 ]
 
 
@@ -347,8 +345,8 @@ class TraceReplaySource(BatchSource):
         self._archive = np.load(self.path)
         if "batch_trace_version" not in self._archive.files:
             hint = (
-                " (this looks like a save_trace index artifact; replay those "
-                "with IndexReplaySource)"
+                " (this looks like a save_trace index artifact; read those "
+                "with load_trace)"
                 if "num_tables" in self._archive.files
                 else ""
             )
@@ -408,64 +406,3 @@ class TraceReplaySource(BatchSource):
         if self._archive is not None:
             self._archive.close()
             self._archive = None
-
-
-class IndexReplaySource(BatchSource):
-    """Train over a sequence of index-only :func:`save_trace` artifacts.
-
-    Each file (one mini-batch of per-table index arrays) is loaded lazily —
-    one file per step — so a long list of artifacts streams at constant
-    memory.  Index traces carry no dense features or labels; both are
-    synthesized per step by a :class:`~repro.data.generator.
-    SyntheticCTRStream` ground-truth model over the *replayed* ids
-    (:meth:`~repro.data.generator.SyntheticCTRStream.batch_from_indices`),
-    so training over a real-shaped id stream still has a real learning
-    signal.
-    """
-
-    def __init__(
-        self,
-        paths: Sequence[str | Path],
-        dense_features: int,
-        seed: int = 0,
-    ) -> None:
-        if not paths:
-            raise ValueError("need at least one trace file to replay")
-        self.paths = [Path(p) for p in paths]
-        first = load_trace(self.paths[0])
-        lookups = max(
-            1,
-            round(
-                sum(i.num_lookups for i in first)
-                / max(1, sum(i.num_outputs for i in first))
-            ),
-        )
-        self._truth = SyntheticCTRStream(
-            num_tables=len(first),
-            num_rows=[index.num_rows for index in first],
-            lookups_per_sample=lookups,
-            dense_features=dense_features,
-            seed=seed,
-        )
-        self.num_tables = self._truth.num_tables
-        self.rows_per_table = list(self._truth.rows_per_table)
-        self.dense_features = int(dense_features)
-        self._cursor = 0
-
-    def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        if self._cursor >= len(self.paths):
-            raise SourceExhausted(
-                f"all {len(self.paths)} trace files were replayed"
-            )
-        indices = load_trace(self.paths[self._cursor])
-        num_outputs = indices[0].num_outputs
-        if batch is not None and batch != num_outputs:
-            # Validate before advancing: a caller that corrects the batch
-            # size and retries must still get this file, not skip it.
-            raise ValueError(
-                f"{self.paths[self._cursor]} records batch="
-                f"{num_outputs}, trainer asked for {batch}"
-            )
-        self._cursor += 1
-        dense = rng.standard_normal((num_outputs, self.dense_features))
-        return self._truth.batch_from_indices(dense, indices, rng)

@@ -42,7 +42,6 @@ from .overlap import (
     overlap_sweep,
 )
 from .measured import scaled_distribution
-from .plotting import bar_chart, series_chart, stacked_bar_chart
 from .report import format_table, normalize
 from .scaling import (
     MEASURED_SCALING_SHARDS,
@@ -100,7 +99,6 @@ __all__ = [
     "TrafficRow",
     "UtilizationRow",
     "analytic_overlap_speedup",
-    "bar_chart",
     "default_energy_model",
     "fig12_breakdown",
     "fig13_speedup",
@@ -137,9 +135,7 @@ __all__ = [
     "overlap_sweep",
     "scaled_distribution",
     "scaling_sweep",
-    "series_chart",
     "serving_sweep",
-    "stacked_bar_chart",
     "speedup_summary",
     "table1_rows",
     "table2_rows",

@@ -27,7 +27,7 @@ from ..core.casting import CastedIndex, tensor_casting
 from ..core.coalesce import expand_coalesce
 from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
-from ..core.scatter import SparseOptimizer, scatter_with_optimizer
+from .optim import Optimizer
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -222,9 +222,9 @@ class EmbeddingBag:
         return SparseGradient(rows=rows, values=values)
 
     def apply_gradient(self, grad: SparseGradient,
-                       optimizer: SparseOptimizer) -> None:
+                       optimizer: Optimizer) -> None:
         """Scatter the coalesced gradient into the table via the optimizer."""
-        scatter_with_optimizer(self.table, grad.rows, grad.values, optimizer)
+        optimizer.apply_sparse(self.table, grad.rows, grad.values)
 
     def footprint_bytes(self) -> int:
         """Table size in bytes — the capacity burden motivating CPU/NMP placement."""

@@ -8,11 +8,13 @@ accumulated into a single value".  These optimizers encode that contract:
 
 * :meth:`Optimizer.apply_dense` updates a whole parameter tensor (MLP
   weights), and
-* :meth:`Optimizer.apply_sparse` updates only the ``rows`` of an embedding
-  table that received a coalesced gradient, touching per-row optimizer state
-  lazily — exactly the access pattern the gradient-scatter traffic model
+* :meth:`Optimizer.apply_sparse` — the one entry point of the sparse
+  update — updates only the ``rows`` of an embedding table that received a
+  coalesced gradient, touching per-row optimizer state lazily — exactly the
+  access pattern the gradient-scatter traffic model
   (:func:`repro.core.traffic.scatter_traffic`) accounts for — one cache
-  block of rows at a time (:func:`repro.core.scatter.update_rows`).
+  block of rows at a time (:func:`repro.core.scatter.update_rows`, which
+  rejects duplicate rows and mis-shaped gradients before any write).
 
 Both run one row-local ``_rule`` per optimizer, its update equation spelled
 once: ``apply_dense`` on the whole tensors, ``apply_sparse`` on the taken
@@ -24,8 +26,9 @@ Dtypes: a parameter keeps its dtype through every update, and the sparse
 update runs in the dtype the gradient arrives in (the model's, see
 :class:`repro.model.dlrm.DLRM`).  The accumulators of Momentum / Adagrad /
 RMSprop / Adam (``_init_state``) are float64 whatever the parameter dtype:
-a deliberate precision choice for long-running sums, and what the
-checkpoint schema validates on import.
+a deliberate precision choice for long-running sums, what the
+checkpoint schema validates on import, and the width the traffic model
+bills them at (:data:`repro.core.traffic.OPTIMIZER_STATE_ITEMSIZE`).
 
 RMSprop implements Equation 1 of the paper and Adagrad Equation 2,
 symbol-for-symbol.  Every hyperparameter must be a finite real number (not
@@ -126,15 +129,17 @@ class Optimizer(ABC):
     ) -> None:
         """Update only ``param[rows]`` with the coalesced ``grads``.
 
-        ``rows`` must be unique — enforced upstream by
-        :func:`repro.core.scatter.scatter_with_optimizer` — because the
-        update rules below are not additive in the gradient.  They are all
-        row-local, so :func:`~repro.core.scatter.update_rows` walks the
-        rows in cache blocks and applies :meth:`_rule` to each block's
+        The one entry point of the sparse update.  The update rules below
+        are all row-local, so :func:`~repro.core.scatter.update_rows` walks
+        the rows in cache blocks and applies :meth:`_rule` to each block's
         parameter and state rows — bit-identical to one whole-array
-        application, per-row state included.  A row outside ``param``
-        raises :class:`IndexError` before anything is updated.  ``param``
-        keeps its dtype; ``grads`` is read in its own and never written.
+        application, per-row state included.  They are not additive in the
+        gradient, so ``rows`` must be unique; the walk checks that, the
+        shapes (``param`` 2-D, ``rows`` 1-D, ``grads`` one row per row) and
+        the row range before anything is updated: a :class:`ValueError`,
+        or an :class:`IndexError` for a row outside ``param``, leaves
+        ``param`` and its state untouched.  ``param`` keeps its dtype;
+        ``grads`` is read in its own and never written.
         """
         update_rows(
             param, rows, self._rule, (grads,),

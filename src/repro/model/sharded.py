@@ -49,9 +49,9 @@ from ..core.casting import CastedIndex, tensor_casting
 from ..core.coalesce import expand_coalesce
 from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
-from ..core.scatter import SparseOptimizer, scatter_with_optimizer
 from ..core.sharding import ShardPartition, ShardSlice, make_partition, reassemble_pooled
 from .embedding import EmbeddingBag, inverse_lookup_counts
+from .optim import Optimizer
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
@@ -330,7 +330,7 @@ class ShardedEmbeddingSet:
         self,
         shard: int,
         coalesced: Sequence[tuple[int, np.ndarray, np.ndarray]],
-        optimizer: SparseOptimizer,
+        optimizer: Optimizer,
     ) -> None:
         """Scatter ``shard``'s coalesced gradients into the parent tables.
 
@@ -340,6 +340,4 @@ class ShardedEmbeddingSet:
         optimizer state for) exactly its own rows of ``bag.table``.
         """
         for table_id, rows, values in coalesced:
-            scatter_with_optimizer(
-                self.bags[table_id].table, rows, values, optimizer
-            )
+            optimizer.apply_sparse(self.bags[table_id].table, rows, values)

@@ -158,43 +158,44 @@ def backend(request):
     return request.param
 
 
+def _table(name, index, dtype, layout):
+    """A ``(num_rows, 7)`` table, seeded by case name, laid out contiguously
+    or as every other row of a twice-as-tall array (a row-strided view)."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    table = rng.standard_normal((index.num_rows, 7)).astype(dtype)
+    if layout == "contiguous":
+        return table
+    tall = np.zeros((2 * index.num_rows, 7), dtype=dtype)
+    tall[::2] = table
+    return tall[::2]
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("layout", ["contiguous", "row-strided"])
 class TestGatherReduce:
-    def test_matches_oracle(self, backend, case, dtype, weighted):
+    def test_matches_oracle(self, backend, layout, case, dtype):
         name, index = case
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        table = rng.standard_normal((index.num_rows, 7)).astype(dtype)
-        weights = None
-        if weighted:
-            weights = rng.standard_normal(index.num_lookups).astype(dtype)
-        result = backend.gather_reduce(table, index, weights=weights)
-        expected = gather_reduce_reference(table, index, weights)
+        table = _table(name, index, dtype, layout)
+        result = backend.gather_reduce(table, index)
+        expected = gather_reduce_reference(table, index)
         _assert_matches(result, expected, dtype, f"{backend.name}/{name}")
 
-    def test_accumulates_into_out(self, backend, case, dtype, weighted):
-        """The ``out=`` contract: results add onto a pre-filled output.
-
-        Deliberately allclose-only even for float64: with a *non-zero*
-        pre-filled out, engines legitimately differ by association (the
-        reference folds one bulk delta in, the loop engines add per
-        lookup) — see KernelBackend.gather_reduce.  Bit-identity is
-        guaranteed, and separately tested, for fresh outputs only.
-        """
+    def test_never_writes_its_inputs(self, backend, layout, case, dtype):
+        """The table and both index vectors are read-only to every engine:
+        frozen, any write would raise; the result is a fresh array."""
         name, index = case
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        table = rng.standard_normal((index.num_rows, 3)).astype(dtype)
-        weights = None
-        if weighted:
-            weights = rng.standard_normal(index.num_lookups).astype(dtype)
-        base = rng.standard_normal((index.num_outputs, 3)).astype(dtype)
-        result = backend.gather_reduce(
-            table, index, out=base.copy(), weights=weights
-        )
-        delta = gather_reduce_reference(table, index, weights)
-        _assert_matches(result, (base + delta).astype(dtype), np.float32,
-                        f"{backend.name}/{name}/out")
+        table = _table(name, index, dtype, layout)
+        frozen = IndexArray(index.src.copy(), index.dst.copy(),
+                            num_rows=index.num_rows,
+                            num_outputs=index.num_outputs)
+        for array in (table, frozen.src, frozen.dst):
+            array.flags.writeable = False
+        result = backend.gather_reduce(table, frozen)
+        assert not np.shares_memory(result, table), f"{backend.name}/{name}"
+        assert result.shape == (index.num_outputs, 7)
+        _assert_matches(result, gather_reduce_reference(table, index), dtype,
+                        f"{backend.name}/{name}/frozen")
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)

@@ -106,9 +106,9 @@ class TestKernelRouting:
             def __init__(self):
                 self.calls = 0
 
-            def gather_reduce(self, table, index, out=None, weights=None):
+            def gather_reduce(self, table, index):
                 self.calls += 1
-                return super().gather_reduce(table, index, out, weights)
+                return super().gather_reduce(table, index)
 
         probe = Recording()
         table = np.ones((paper_index.num_rows, 3))

@@ -67,18 +67,6 @@ class TestForwardGatherReduce:
         out = gather_reduce(table, index)
         assert np.all(out[1] == 0)
 
-    def test_preallocated_out_accumulates(self, paper_index):
-        table = np.ones((6, 2))
-        out = np.full((2, 2), 10.0)
-        result = gather_reduce(table, paper_index, out=out)
-        assert result is out
-        assert out[0].tolist() == [13.0, 13.0]
-
-    def test_rejects_bad_out_shape(self, paper_index):
-        table = np.ones((6, 2))
-        with pytest.raises(ValueError, match="out must have shape"):
-            gather_reduce(table, paper_index, out=np.zeros((3, 2)))
-
     def test_rejects_small_table(self, paper_index):
         with pytest.raises(ValueError, match="addresses"):
             gather_reduce(np.ones((3, 2)), paper_index)
@@ -90,55 +78,6 @@ class TestForwardGatherReduce:
     def test_dtype_preserved(self, paper_index):
         table = np.ones((6, 2), dtype=np.float32)
         assert gather_reduce(table, paper_index).dtype == np.float32
-
-
-class TestWeightedGatherReduce:
-    """The weighted (mean/attention pooling) variant of the kernel."""
-
-    def test_weighted_matches_reference(self, rng):
-        index = make_random_index(rng, num_rows=25, batch=6, lookups=5)
-        table = rng.standard_normal((25, 4))
-        weights = rng.standard_normal(index.num_lookups)
-        assert np.allclose(
-            gather_reduce(table, index, weights=weights),
-            gather_reduce_reference(table, index, weights=weights),
-        )
-
-    def test_float32_table_float64_weights_keeps_float32_output(self, rng):
-        """float64 weights must not silently upcast a float32 gather."""
-        index = make_random_index(rng, num_rows=25, batch=6, lookups=5)
-        table = rng.standard_normal((25, 4)).astype(np.float32)
-        weights = rng.standard_normal(index.num_lookups)  # float64
-        out = gather_reduce(table, index, weights=weights)
-        assert out.dtype == np.float32
-        assert np.allclose(
-            out, gather_reduce_reference(table, index, weights=weights),
-            atol=1e-6,
-        )
-
-    def test_float32_weighted_unsorted_dst_keeps_float32_output(self, rng):
-        """The unsorted-destination path preserves dtype too."""
-        src = rng.integers(0, 20, 30)
-        dst = rng.integers(0, 6, 30)
-        index = IndexArray(src, dst, num_rows=20, num_outputs=6)
-        table = rng.standard_normal((20, 3)).astype(np.float32)
-        weights = rng.standard_normal(30)  # float64
-        out = gather_reduce(table, index, weights=weights)
-        assert out.dtype == np.float32
-
-    def test_preallocated_float32_out_respected_with_float64_weights(self, rng):
-        index = make_random_index(rng, num_rows=25, batch=6, lookups=5)
-        table = rng.standard_normal((25, 4)).astype(np.float32)
-        weights = rng.standard_normal(index.num_lookups)  # float64
-        out = np.zeros((6, 4), dtype=np.float32)
-        result = gather_reduce(table, index, out=out, weights=weights)
-        assert result is out
-        assert result.dtype == np.float32
-
-    def test_rejects_bad_weight_shape(self, paper_index):
-        table = np.ones((6, 2))
-        with pytest.raises(ValueError, match="weights must have shape"):
-            gather_reduce(table, paper_index, weights=np.ones(3))
 
 
 class TestCastedGatherReduce:

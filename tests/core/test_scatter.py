@@ -6,14 +6,17 @@ import pytest
 from repro.core import scatter
 from repro.core.scatter import (
     UPDATE_BLOCK_BYTES,
-    gradient_scatter,
     gradient_scatter_reference,
     row_blocks,
-    scatter_with_optimizer,
 )
 from repro.model.optim import SGD, Adagrad
 
 F32, F64 = np.float32, np.float64
+
+
+def descend(table, rows, gradients, lr=1.0):
+    """Plain SGD through the one entry point of the sparse update."""
+    SGD(lr=lr).apply_sparse(table, rows, gradients)
 
 
 class TestGradientScatter:
@@ -21,26 +24,21 @@ class TestGradientScatter:
         table = np.ones((4, 2))
         rows = np.array([1, 3])
         grads = np.array([[1.0, 1.0], [2.0, 2.0]])
-        gradient_scatter(table, rows, grads, lr=0.5)
+        descend(table, rows, grads, lr=0.5)
         assert table[1].tolist() == [0.5, 0.5]
         assert table[3].tolist() == [0.0, 0.0]
 
     def test_untouched_rows_unchanged(self):
         table = np.full((4, 2), 7.0)
-        gradient_scatter(table, np.array([2]), np.ones((1, 2)), lr=1.0)
+        descend(table, np.array([2]), np.ones((1, 2)), lr=1.0)
         assert np.all(table[[0, 1, 3]] == 7.0)
-
-    def test_updates_in_place_and_returns_table(self):
-        table = np.zeros((3, 2))
-        result = gradient_scatter(table, np.array([0]), np.ones((1, 2)))
-        assert result is table
 
     def test_matches_reference(self, rng):
         table = rng.standard_normal((10, 3))
         rows = np.array([0, 4, 9])
         grads = rng.standard_normal((3, 3))
         expected = gradient_scatter_reference(table, rows, grads, lr=0.3)
-        gradient_scatter(table, rows, grads, lr=0.3)
+        descend(table, rows, grads, lr=0.3)
         assert np.allclose(table, expected)
 
     def test_reference_does_not_mutate(self, rng):
@@ -51,7 +49,7 @@ class TestGradientScatter:
 
     def test_empty_rows_noop(self):
         table = np.ones((3, 2))
-        gradient_scatter(table, np.empty(0, int), np.empty((0, 2)))
+        descend(table, np.empty(0, int), np.empty((0, 2)))
         assert np.all(table == 1.0)
 
     def test_rejects_duplicate_rows(self):
@@ -59,7 +57,7 @@ class TestGradientScatter:
         exactly the hazard the paper's coalescing step exists to remove."""
         table = np.ones((4, 2))
         with pytest.raises(ValueError, match="coalesced"):
-            gradient_scatter(table, np.array([1, 1]), np.ones((2, 2)))
+            descend(table, np.array([1, 1]), np.ones((2, 2)))
 
     @pytest.mark.parametrize(
         "rows",
@@ -72,7 +70,7 @@ class TestGradientScatter:
         table = np.ones((6, 2))
         with pytest.raises(ValueError, match="rows must be unique - scatter "
                                              "expects coalesced gradients"):
-            gradient_scatter(table, np.array(rows), np.ones((4, 2)))
+            descend(table, np.array(rows), np.ones((4, 2)))
         assert np.all(table == 1.0)
 
     @pytest.mark.parametrize(
@@ -81,55 +79,54 @@ class TestGradientScatter:
     )
     def test_accepts_unique_rows_in_any_order(self, rows):
         table = np.ones((6, 2))
-        gradient_scatter(table, np.array(rows), np.ones((3, 2)), lr=1.0)
+        descend(table, np.array(rows), np.ones((3, 2)), lr=1.0)
         assert np.all(table[[0, 2, 5]] == 0.0)
         assert np.all(table[[1, 3, 4]] == 1.0)
 
     def test_rejects_out_of_range_rows(self):
-        with pytest.raises(ValueError, match="outside"):
-            gradient_scatter(np.ones((3, 2)), np.array([5]), np.ones((1, 2)))
+        with pytest.raises(IndexError, match="rows must lie in"):
+            descend(np.ones((3, 2)), np.array([5]), np.ones((1, 2)))
 
     def test_rejects_negative_rows(self):
-        with pytest.raises(ValueError, match="outside"):
-            gradient_scatter(np.ones((3, 2)), np.array([-1]), np.ones((1, 2)))
+        with pytest.raises(IndexError, match="rows must lie in"):
+            descend(np.ones((3, 2)), np.array([-1]), np.ones((1, 2)))
 
     def test_rejects_gradient_shape_mismatch(self):
         with pytest.raises(ValueError, match="gradients must have shape"):
-            gradient_scatter(np.ones((3, 2)), np.array([0]), np.ones((1, 3)))
+            descend(np.ones((3, 2)), np.array([0]), np.ones((1, 3)))
 
     def test_rejects_1d_table(self):
         with pytest.raises(ValueError, match="2-D"):
-            gradient_scatter(np.ones(3), np.array([0]), np.ones((1, 1)))
+            descend(np.ones(3), np.array([0]), np.ones((1, 1)))
 
     def test_rejects_2d_rows(self):
         with pytest.raises(ValueError, match="1-D"):
-            gradient_scatter(np.ones((3, 2)), np.ones((1, 1), int), np.ones((1, 2)))
+            descend(np.ones((3, 2)), np.ones((1, 1), int), np.ones((1, 2)))
 
 
 class TestScatterWithOptimizer:
     def test_sgd_optimizer_matches_plain_scatter(self, rng):
-        table_a = rng.standard_normal((6, 2))
-        table_b = table_a.copy()
+        table = rng.standard_normal((6, 2))
         rows = np.array([0, 3, 5])
         grads = rng.standard_normal((3, 2))
-        gradient_scatter(table_a, rows, grads, lr=0.1)
-        scatter_with_optimizer(table_b, rows, grads, SGD(lr=0.1))
-        assert np.allclose(table_a, table_b)
+        expected = gradient_scatter_reference(table, rows, grads, lr=0.1)
+        SGD(lr=0.1).apply_sparse(table, rows, grads)
+        assert np.allclose(table, expected)
 
     def test_adagrad_state_only_touches_updated_rows(self, rng):
         table = rng.standard_normal((6, 2))
         optimizer = Adagrad(lr=0.1)
         rows = np.array([1, 4])
         grads = rng.standard_normal((2, 2))
-        scatter_with_optimizer(table, rows, grads, optimizer)
+        optimizer.apply_sparse(table, rows, grads)
         accumulator = optimizer.state_tensors(table)["accumulator"]
         assert np.all(accumulator[[0, 2, 3, 5]] == 0.0)
         assert np.all(accumulator[rows] > 0.0)
 
     def test_optimizer_scatter_validates_duplicates(self):
         with pytest.raises(ValueError, match="coalesced"):
-            scatter_with_optimizer(
-                np.ones((4, 2)), np.array([2, 2]), np.ones((2, 2)), SGD(lr=0.1)
+            Adagrad(lr=0.1).apply_sparse(
+                np.ones((4, 2)), np.array([2, 2]), np.ones((2, 2))
             )
 
     def test_second_update_uses_accumulated_state(self, rng):
@@ -138,10 +135,10 @@ class TestScatterWithOptimizer:
         optimizer = Adagrad(lr=1.0)
         rows = np.array([0])
         grads = np.ones((1, 2))
-        scatter_with_optimizer(table, rows, grads, optimizer)
+        optimizer.apply_sparse(table, rows, grads)
         first_step = -table[0, 0]
         before = table[0, 0]
-        scatter_with_optimizer(table, rows, grads, optimizer)
+        optimizer.apply_sparse(table, rows, grads)
         second_step = before - table[0, 0]
         assert second_step < first_step
 
@@ -199,8 +196,9 @@ def shrunk(monkeypatch):
 
 
 class TestSgdUpdateRows:
-    """The plain-SGD scatter, walked in cache blocks, against the
-    one-statement form it replaced, kept here verbatim as the oracle."""
+    """The plain-SGD scatter (``SGD.apply_sparse``), walked in cache
+    blocks, against the one-statement form it replaced, kept here verbatim
+    as the oracle."""
 
     @staticmethod
     def oracle(table, rows, gradients, lr):
@@ -229,20 +227,14 @@ class TestSgdUpdateRows:
         table, rows, gradients = self.case(param_dtype, grad_dtype, u, shuffled)
         want = self.oracle(table.copy(), rows, gradients, 0.3)
         pristine = gradients.copy()
-        whole = gradient_scatter(table.copy(), rows, gradients, 0.3)
+        whole = table.copy()
+        descend(whole, rows, gradients, 0.3)
         shrunk(table)
         got = table.copy()
-        out = gradient_scatter(got, rows, gradients, 0.3)
-        assert out is got and got.dtype == param_dtype
+        descend(got, rows, gradients, 0.3)
+        assert got.dtype == param_dtype
         assert np.array_equal(got, want) and np.array_equal(whole, want)
         assert np.array_equal(gradients, pristine)   # never written
-
-    def test_a_numpy_scalar_lr_promotes_like_the_expression(self, shrunk):
-        table, rows, gradients = self.case(F32, F32, BLOCK + 1, False)
-        shrunk(table)
-        lr = np.float64(0.3)
-        want = self.oracle(table.copy(), rows, gradients, lr)
-        assert np.array_equal(gradient_scatter(table, rows, gradients, lr), want)
 
     def test_updates_through_a_strided_shard_view(self, shrunk):
         table, rows, gradients = self.case(F32, F32, BLOCK + 3, True)
@@ -251,7 +243,7 @@ class TestSgdUpdateRows:
         rows = rows[rows < view.shape[0]]
         gradients = gradients[: rows.size]
         self.oracle(twin[1::2], rows, gradients, 0.3)
-        gradient_scatter(view, rows, gradients, 0.3)
+        descend(view, rows, gradients, 0.3)
         assert not view.flags.c_contiguous
         assert np.array_equal(table, twin)
 
@@ -265,8 +257,4 @@ class TestSgdUpdateRows:
         before = table.copy()
         with pytest.raises(IndexError, match="rows must lie in"):
             SGD(lr=0.1).apply_sparse(table, rows, gradients)
-        with pytest.raises(ValueError, match="outside"):
-            scatter_with_optimizer(table, rows, gradients, SGD(lr=0.1))
-        with pytest.raises(ValueError, match="outside"):
-            gradient_scatter(table, rows, gradients, lr=0.1)
         assert np.array_equal(table, before)

@@ -18,6 +18,10 @@ from repro.core.segment import (
 DTYPES = (np.float64, np.float32)
 DTYPE_IDS = ["f64", "f32"]
 DIMS = (1, 3, 64)
+#: Memory orders a source reaches ``segment_sum`` in: the tables and
+#: gradients are row-major; a column-major one takes ``_fold``'s
+#: ``accumulate`` branch whenever a whole source block is folded.
+LAYOUTS = {"row-major": np.ascontiguousarray, "column-major": np.asfortranarray}
 
 
 def _dst_from_lengths(lengths):
@@ -58,83 +62,75 @@ PROFILES = {
 }
 
 
-def _scatter_add_oracle(source, src, dst, num_outputs, weights):
+def _scatter_add_oracle(source, src, dst, num_outputs):
     gathered = source if src is None else source[src]
-    if weights is not None:
-        gathered = gathered * weights[:, None]
     out = np.zeros((num_outputs, source.shape[1]), dtype=source.dtype)
     np.add.at(out, dst, gathered)
     return out
 
 
-def _left_fold_oracle(source, src, dst, num_outputs, weights):
+def _left_fold_oracle(source, src, dst, num_outputs):
     """One Python-level add per lookup, in lookup order, at working precision."""
     out = np.zeros((num_outputs, source.shape[1]), dtype=source.dtype)
     for i, row in enumerate(dst):
         addend = source[i if src is None else src[i]]
-        if weights is not None:
-            addend = addend * weights[i]
         out[row] = out[row] + addend
     return out
 
 
-def _assert_exact(result, source, src, dst, num_outputs, weights, context):
+def _assert_exact(result, source, src, dst, num_outputs, context):
     assert result.dtype == source.dtype, context
     assert result.shape == (num_outputs, source.shape[1]), context
     assert np.array_equal(
-        result, _scatter_add_oracle(source, src, dst, num_outputs, weights)
+        result, _scatter_add_oracle(source, src, dst, num_outputs)
     ), f"{context}: differs from np.add.at"
     assert np.array_equal(
-        result, _left_fold_oracle(source, src, dst, num_outputs, weights)
+        result, _left_fold_oracle(source, src, dst, num_outputs)
     ), f"{context}: differs from the left fold"
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
 @pytest.mark.parametrize("dim", DIMS)
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("profile", PROFILES)
 class TestSegmentProfiles:
-    def _inputs(self, profile, dim, dtype, weighted):
+    def _inputs(self, profile, dim, dtype, layout):
         rng = np.random.default_rng(len(profile) * 1000 + dim)
         dst, num_outputs = _dst_from_lengths(PROFILES[profile])
-        source = rng.standard_normal((97, dim)).astype(dtype)
+        source = LAYOUTS[layout](rng.standard_normal((97, dim)).astype(dtype))
         src = rng.integers(0, 97, dst.size)
-        weights = rng.standard_normal(dst.size).astype(dtype) if weighted else None
-        return rng, source, src, dst, num_outputs, weights
+        return rng, source, src, dst, num_outputs
 
-    def test_sorted_dst_is_exact(self, profile, dim, dtype, weighted):
-        _, source, src, dst, num_outputs, weights = self._inputs(
-            profile, dim, dtype, weighted)
-        result = segment_sum(source, src, dst, num_outputs, weights=weights)
-        _assert_exact(result, source, src, dst, num_outputs, weights, profile)
+    def test_sorted_dst_is_exact(self, profile, layout, dim, dtype):
+        _, source, src, dst, num_outputs = self._inputs(
+            profile, dim, dtype, layout)
+        result = segment_sum(source, src, dst, num_outputs)
+        _assert_exact(result, source, src, dst, num_outputs, profile)
 
-    def test_unsorted_dst_is_exact(self, profile, dim, dtype, weighted):
+    def test_unsorted_dst_is_exact(self, profile, layout, dim, dtype):
         """A stable argsort keeps lookup order within every output row."""
-        rng, source, src, dst, num_outputs, weights = self._inputs(
-            profile, dim, dtype, weighted)
+        rng, source, src, dst, num_outputs = self._inputs(
+            profile, dim, dtype, layout)
         perm = rng.permutation(dst.size)
         src, dst = src[perm], dst[perm]
-        if weights is not None:
-            weights = weights[perm]
-        result = segment_sum(source, src, dst, num_outputs, weights=weights)
-        _assert_exact(result, source, src, dst, num_outputs, weights, profile)
+        result = segment_sum(source, src, dst, num_outputs)
+        _assert_exact(result, source, src, dst, num_outputs, profile)
 
-    def test_identity_src_is_exact(self, profile, dim, dtype, weighted):
+    def test_identity_src_is_exact(self, profile, layout, dim, dtype):
         """``src=None`` — the coalesce call over its sorted copy."""
-        rng, _, _, dst, num_outputs, weights = self._inputs(
-            profile, dim, dtype, weighted)
-        source = rng.standard_normal((dst.size, dim)).astype(dtype)
-        result = segment_sum(source, None, dst, num_outputs, weights=weights)
-        _assert_exact(result, source, None, dst, num_outputs, weights, profile)
+        rng, _, _, dst, num_outputs = self._inputs(profile, dim, dtype, layout)
+        source = LAYOUTS[layout](
+            rng.standard_normal((dst.size, dim)).astype(dtype))
+        result = segment_sum(source, None, dst, num_outputs)
+        _assert_exact(result, source, None, dst, num_outputs, profile)
 
-    def test_precomputed_starts_change_nothing(self, profile, dim, dtype, weighted):
-        _, source, src, dst, num_outputs, weights = self._inputs(
-            profile, dim, dtype, weighted)
+    def test_precomputed_starts_change_nothing(self, profile, layout, dim, dtype):
+        _, source, src, dst, num_outputs = self._inputs(
+            profile, dim, dtype, layout)
         starts = run_starts(dst)
         assert np.array_equal(
-            segment_sum(source, src, dst, num_outputs, weights=weights,
-                        starts=starts),
-            segment_sum(source, src, dst, num_outputs, weights=weights),
+            segment_sum(source, src, dst, num_outputs, starts=starts),
+            segment_sum(source, src, dst, num_outputs),
         )
 
 
@@ -155,9 +151,6 @@ class TestEdges:
         result = segment_sum(source, empty, empty, 3)
         assert result.dtype == dtype and result.shape == (3, dim)
         assert not result.any()
-        out = np.full((3, dim), 2.0, dtype=dtype)
-        assert segment_sum(source, empty, empty, 3, out=out) is out
-        assert np.all(out == 2.0)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_single_lookup(self, dim, dtype):
@@ -175,7 +168,7 @@ class TestEdges:
         dst, num_outputs = _dst_from_lengths([3, 0, 70, 1, 5])
         src = rng.integers(0, 60, dst.size)
         result = segment_sum(view, src, dst, num_outputs)
-        _assert_exact(result, view.copy(), src, dst, num_outputs, None, "view")
+        _assert_exact(result, view.copy(), src, dst, num_outputs, "view")
 
     def test_source_is_never_written(self, dtype):
         rng = np.random.default_rng(4)
@@ -183,41 +176,7 @@ class TestEdges:
         snapshot = source.copy()
         dst, num_outputs = _dst_from_lengths([250, 1, 49])
         segment_sum(source, None, dst, num_outputs)
-        segment_sum(source, None, dst, num_outputs,
-                    weights=np.ones(300, dtype=dtype))
         assert np.array_equal(source, snapshot)
-
-    def test_non_zero_out_takes_one_bulk_add(self, dtype):
-        """The documented ``out=`` contract: the fresh result is added on in
-        one go, so agreement with per-lookup adds is within tolerance."""
-        rng = np.random.default_rng(6)
-        source = rng.standard_normal((40, 6)).astype(dtype)
-        dst, num_outputs = _dst_from_lengths([4, 0, 9, 30])
-        src = rng.integers(0, 40, dst.size)
-        base = rng.standard_normal((num_outputs, 6)).astype(dtype)
-        out = base.copy()
-        result = segment_sum(source, src, dst, num_outputs, out=out)
-        assert result is out
-        fresh = segment_sum(source, src, dst, num_outputs)
-        assert np.array_equal(out, base + fresh)
-        per_lookup = base.copy()
-        np.add.at(per_lookup, dst, source[src])
-        np.testing.assert_allclose(out, per_lookup, rtol=1e-5, atol=1e-5)
-
-    def test_mixed_precision_weights_keep_the_source_dtype(self, dtype):
-        rng = np.random.default_rng(8)
-        source = rng.standard_normal((20, 3)).astype(dtype)
-        dst, num_outputs = _dst_from_lengths([1, 5, 12])
-        src = rng.integers(0, 20, dst.size)
-        weights = rng.standard_normal(dst.size)  # float64 whatever the source
-        result = segment_sum(source, src, dst, num_outputs, weights=weights)
-        assert result.dtype == dtype
-        np.testing.assert_allclose(
-            result,
-            _scatter_add_oracle(source.astype(np.float64), src, dst,
-                                num_outputs, weights),
-            rtol=1e-5, atol=1e-5,
-        )
 
 
 @settings(max_examples=120, deadline=None)
@@ -225,13 +184,12 @@ class TestEdges:
     lengths=st.lists(st.integers(0, 24), min_size=0, max_size=30),
     dim=st.sampled_from((1, 3, 8)),
     dtype=st.sampled_from(DTYPES),
-    weighted=st.booleans(),
     identity=st.booleans(),
     shuffled=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_property_bit_identical_to_sequential_accumulation(
-    lengths, dim, dtype, weighted, identity, shuffled, seed
+    lengths, dim, dtype, identity, shuffled, seed
 ):
     rng = np.random.default_rng(seed)
     dst, num_outputs = _dst_from_lengths(lengths)
@@ -240,9 +198,8 @@ def test_property_bit_identical_to_sequential_accumulation(
     rows = dst.size if identity else 13
     source = rng.standard_normal((rows, dim)).astype(dtype)
     src = None if identity else rng.integers(0, rows, dst.size)
-    weights = rng.standard_normal(dst.size).astype(dtype) if weighted else None
-    result = segment_sum(source, src, dst, num_outputs, weights=weights)
-    _assert_exact(result, source, src, dst, num_outputs, weights, "property")
+    result = segment_sum(source, src, dst, num_outputs)
+    _assert_exact(result, source, src, dst, num_outputs, "property")
 
 
 class TestNumpyOrderCanary:

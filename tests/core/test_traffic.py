@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.traffic import (
+    OPTIMIZER_STATE_ITEMSIZE,
     OPTIMIZER_STATE_SLOTS,
     Traffic,
     casted_gather_reduce_traffic,
@@ -76,10 +77,12 @@ class TestPerPrimitiveAccounting:
 
     @pytest.mark.parametrize("optimizer,slots", sorted(OPTIMIZER_STATE_SLOTS.items()))
     def test_scatter_optimizer_state_slots(self, optimizer, slots):
+        """State rows are billed at their stored width, not the table's."""
         u = 100
+        state = slots * DIM * OPTIMIZER_STATE_ITEMSIZE
         t = scatter_traffic(u, DIM, optimizer=optimizer)
-        assert t.reads == (2 + slots) * u * VEC + u * 8
-        assert t.writes == (1 + slots) * u * VEC
+        assert t.reads == 2 * u * VEC + u * state + u * 8
+        assert t.writes == u * VEC + u * state
 
     def test_scatter_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError, match="unknown optimizer"):

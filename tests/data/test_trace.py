@@ -258,7 +258,7 @@ class TestBatchTrace:
         from repro.data.trace import TraceReplaySource
 
         path = save_trace(tmp_path / "index.npz", sample_trace)
-        with pytest.raises(ValueError, match="IndexReplaySource"):
+        with pytest.raises(ValueError, match="read those with load_trace"):
             TraceReplaySource(path)
 
     def test_rejects_foreign_npz(self, tmp_path):
@@ -301,56 +301,6 @@ class TestBatchTrace:
         )
         with TraceReplaySource(path) as replay:
             assert replay.num_steps == 2
-
-
-class TestIndexReplaySource:
-    def test_replays_files_in_order_with_synthesized_labels(self, tmp_path, rng):
-        from repro.data.source import SourceExhausted
-        from repro.data.trace import IndexReplaySource
-
-        paths = []
-        for step in range(3):
-            indices = [
-                IndexArray(
-                    rng.integers(0, 30, 12), np.repeat(np.arange(6), 2),
-                    num_rows=30, num_outputs=6,
-                )
-            ]
-            paths.append(save_trace(tmp_path / f"step{step}.npz", indices))
-        source = IndexReplaySource(paths, dense_features=4, seed=9)
-        assert source.num_tables == 1
-        assert source.rows_per_table == [30]
-        for path in paths:
-            batch = source.next_batch(6, np.random.default_rng(1))
-            expected = load_trace(path)[0]
-            assert batch.indices[0] == expected
-            assert batch.dense.shape == (6, 4)
-            assert set(np.unique(batch.labels)) <= {0.0, 1.0}
-        with pytest.raises(SourceExhausted):
-            source.next_batch(6, np.random.default_rng(1))
-
-    def test_labels_are_deterministic_per_rng(self, tmp_path, rng):
-        from repro.data.trace import IndexReplaySource
-
-        indices = [
-            IndexArray(
-                rng.integers(0, 30, 12), np.repeat(np.arange(6), 2),
-                num_rows=30, num_outputs=6,
-            )
-        ]
-        path = save_trace(tmp_path / "one.npz", indices)
-        a = IndexReplaySource([path], dense_features=4, seed=9)
-        b = IndexReplaySource([path], dense_features=4, seed=9)
-        batch_a = a.next_batch(6, np.random.default_rng(2))
-        batch_b = b.next_batch(6, np.random.default_rng(2))
-        assert np.array_equal(batch_a.labels, batch_b.labels)
-        assert np.array_equal(batch_a.dense, batch_b.dense)
-
-    def test_requires_at_least_one_file(self):
-        from repro.data.trace import IndexReplaySource
-
-        with pytest.raises(ValueError, match="at least one"):
-            IndexReplaySource([], dense_features=4)
 
 
 class TestWriterRobustness:
@@ -408,19 +358,3 @@ class TestWriterRobustness:
         with TraceReplaySource(target) as replay:
             assert replay.num_steps == 2
 
-    def test_index_replay_mismatch_does_not_skip_files(self, tmp_path, rng):
-        from repro.data.trace import IndexReplaySource
-
-        indices = [
-            IndexArray(
-                rng.integers(0, 30, 12), np.repeat(np.arange(6), 2),
-                num_rows=30, num_outputs=6,
-            )
-        ]
-        path = save_trace(tmp_path / "one.npz", indices)
-        source = IndexReplaySource([path], dense_features=4, seed=9)
-        with pytest.raises(ValueError, match="records batch"):
-            source.next_batch(99, np.random.default_rng(1))
-        # Retrying with the right size still replays file 0.
-        batch = source.next_batch(6, np.random.default_rng(1))
-        assert batch.indices[0] == load_trace(path)[0]

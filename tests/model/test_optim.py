@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import scatter
-from repro.core.scatter import scatter_with_optimizer
 from repro.model.optim import (
     OPTIMIZERS,
     SGD,
@@ -555,8 +554,97 @@ class TestBlockedSparseUpdate:
         }
         with pytest.raises(IndexError, match="rows must lie in"):
             opt.apply_sparse(param, rows, grads)
-        with pytest.raises(ValueError, match="outside"):
-            scatter_with_optimizer(param, rows, grads, opt)
         assert np.array_equal(param, before)
         for key, tensor in opt.state_tensors(param).items():
             assert np.array_equal(tensor, state_before[key]), key
+
+
+class TestCheckedSparseUpdate:
+    """``apply_sparse`` is the one entry point of the sparse update: every
+    optimizer refuses input that is not one coalesced gradient per row
+    before it writes any row of the table or of its state.  No shrinking:
+    2 100 rows of a float32 x 64 table span at least three real blocks of
+    every optimizer's walk (1 024 table rows for SGD, fewer beside state)."""
+
+    U, ROWS = 2100, 4000
+
+    def prepared(self, name):
+        """An optimizer whose state already holds one update, the rows and
+        gradients of a second, and snapshots of the table and state."""
+        rng = np.random.default_rng(7)
+        param = rng.standard_normal((self.ROWS, 64)).astype(np.float32)
+        opt = make_optimizer(name, lr=0.05)
+        rows = np.sort(rng.choice(self.ROWS, self.U, replace=False))
+        grads = rng.standard_normal((self.U, 64)).astype(np.float32)
+        opt.apply_sparse(param, rows, grads)
+        rows = np.sort(rng.choice(self.ROWS, self.U, replace=False))
+        grads = rng.standard_normal((self.U, 64)).astype(np.float32)
+        state = opt.state_tensors(param)
+        before = param.copy(), {k: t.copy() for k, t in state.items()}
+        return opt, param, rows, grads, before
+
+    @staticmethod
+    def assert_untouched(opt, param, before):
+        assert np.array_equal(param, before[0])
+        for key, tensor in opt.state_tensors(param).items():
+            assert np.array_equal(tensor, before[1][key]), key
+
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_duplicate_rows_raise_and_write_nothing(self, name):
+        opt, param, rows, grads, before = self.prepared(name)
+        rows[-1] = rows[0]      # in the last block: the first must not land
+        with pytest.raises(ValueError, match="rows must be unique"):
+            opt.apply_sparse(param, rows, grads)
+        self.assert_untouched(opt, param, before)
+
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_gradients_ending_one_row_into_the_last_block_raise(self, name):
+        """Sliced per block, such gradients would hand the last block one
+        row, which NumPy broadcasts over all of that block's rows."""
+        opt, param, rows, grads, before = self.prepared(name)
+        blocks = scatter.row_blocks(
+            param, rows, *opt.state_tensors(param).values())
+        assert len(blocks) >= 3 and rows[blocks[-1]].size > 1
+        with pytest.raises(ValueError, match="gradients must have shape"):
+            opt.apply_sparse(param, rows, grads[: blocks[-1].start + 1])
+        self.assert_untouched(opt, param, before)
+
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_more_gradients_than_rows_raise_and_write_nothing(self, name):
+        opt, param, rows, _, before = self.prepared(name)
+        grads = np.ones((3072, 64), np.float32)
+        with pytest.raises(ValueError, match="gradients must have shape"):
+            opt.apply_sparse(param, rows, grads)
+        self.assert_untouched(opt, param, before)
+
+    @pytest.mark.parametrize("bad_row", [ROWS, -1], ids=["past-the-end", "negative"])
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_out_of_range_rows_raise_and_write_nothing(self, name, bad_row):
+        opt, param, rows, grads, before = self.prepared(name)
+        rows = np.sort(rows)
+        rows[-1 if bad_row >= 0 else 0] = bad_row   # in the last / first block
+        with pytest.raises(IndexError, match="rows must lie in"):
+            opt.apply_sparse(param, rows, grads)
+        self.assert_untouched(opt, param, before)
+
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_rows_that_are_not_1d_raise_and_write_nothing(self, name):
+        opt, param, rows, grads, before = self.prepared(name)
+        with pytest.raises(ValueError, match="rows must be 1-D"):
+            opt.apply_sparse(param, rows.reshape(-1, 1), grads)
+        self.assert_untouched(opt, param, before)
+
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_unsorted_unique_rows_update_like_sorted_ones(self, name):
+        """Rows in any order pass the uniqueness check by sort and land
+        exactly where the ascending update puts them, state included."""
+        opt, param, rows, grads, _ = self.prepared(name)
+        twin, twin_param, _, _, _ = self.prepared(name)
+        perm = np.random.default_rng(3).permutation(rows.size)
+        opt.apply_sparse(param, rows[perm], grads[perm])
+        twin.apply_sparse(twin_param, rows, grads)
+        assert np.array_equal(param, twin_param)
+        mine, theirs = opt.state_tensors(param), twin.state_tensors(twin_param)
+        assert mine.keys() == theirs.keys()
+        for key in mine:
+            assert np.array_equal(mine[key], theirs[key]), key

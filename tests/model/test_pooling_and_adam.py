@@ -1,56 +1,11 @@
-"""Tests for the extension features: mean pooling, weighted gathers, Adam."""
+"""Tests for the extension features: mean pooling and Adam."""
 
 import numpy as np
 import pytest
 
-from repro.core.gather_reduce import gather_reduce, gather_reduce_reference
 from repro.core.indexing import IndexArray
 from repro.model.embedding import EmbeddingBag
 from repro.model.optim import Adam, make_optimizer, optimizer_names
-
-
-class TestWeightedGatherReduce:
-    def test_weights_scale_contributions(self, rng):
-        table = rng.standard_normal((10, 3))
-        index = IndexArray([1, 2], [0, 0], num_rows=10, num_outputs=1)
-        out = gather_reduce(table, index, weights=np.array([2.0, 0.5]))
-        assert np.allclose(out[0], 2.0 * table[1] + 0.5 * table[2])
-
-    def test_unit_weights_match_unweighted(self, rng):
-        table = rng.standard_normal((20, 4))
-        index = IndexArray(
-            rng.integers(0, 20, 12), np.repeat(np.arange(4), 3), 20, 4
-        )
-        weighted = gather_reduce(table, index, weights=np.ones(12))
-        assert np.allclose(weighted, gather_reduce(table, index))
-
-    def test_matches_reference(self, rng):
-        table = rng.standard_normal((15, 2))
-        index = IndexArray(
-            rng.integers(0, 15, 9), np.repeat(np.arange(3), 3), 15, 3
-        )
-        weights = rng.random(9)
-        assert np.allclose(
-            gather_reduce(table, index, weights=weights),
-            gather_reduce_reference(table, index, weights=weights),
-        )
-
-    def test_unsorted_dst_with_weights(self, rng):
-        src = rng.integers(0, 15, 10)
-        dst = rng.integers(0, 4, 10)
-        index = IndexArray(src, dst, num_rows=15, num_outputs=4)
-        table = rng.standard_normal((15, 2))
-        weights = rng.random(10)
-        assert np.allclose(
-            gather_reduce(table, index, weights=weights),
-            gather_reduce_reference(table, index, weights=weights),
-        )
-
-    def test_rejects_bad_weight_shape(self, rng):
-        table = rng.standard_normal((10, 2))
-        index = IndexArray([1, 2], [0, 0], num_rows=10, num_outputs=1)
-        with pytest.raises(ValueError, match="weights"):
-            gather_reduce(table, index, weights=np.ones(3))
 
 
 class TestMeanPooling:
@@ -160,6 +115,19 @@ class TestAdam:
         state = make_optimizer(name)._init_state(param)
         tensors = [t for t in state.values() if t.shape == param.shape]
         assert OPTIMIZER_STATE_SLOTS[name] == len(tensors)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", optimizer_names())
+    def test_traffic_bills_the_state_at_its_stored_width(self, name, dtype):
+        """Whatever the table's dtype, every ``(rows, dim)`` state tensor
+        is as wide per element as the traffic model charges."""
+        from repro.core.traffic import OPTIMIZER_STATE_ITEMSIZE
+
+        param = np.zeros((5, 3), dtype=dtype)
+        state = make_optimizer(name)._init_state(param)
+        for tensor in state.values():
+            if tensor.shape == param.shape:
+                assert tensor.dtype.itemsize == OPTIMIZER_STATE_ITEMSIZE
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.gather_reduce import gather_reduce
 from repro.core.indexing import IndexArray
-from repro.core.scatter import UPDATE_BLOCK_BYTES, gradient_scatter, row_blocks
+from repro.core.scatter import UPDATE_BLOCK_BYTES, row_blocks
 from repro.core.segment import segment_sum
 from repro.model.embedding import EmbeddingBag
 from repro.model.optim import SGD, Adam
@@ -68,7 +68,7 @@ def gather_reduce_case(height):
 def gradient_scatter_case(height):
     table, rows = table_of(height), np.unique(lookups()[0])
     gradients = np.ones((rows.size, DIM), dtype=np.float32)
-    return lambda: gradient_scatter(table, rows, gradients, 0.1)
+    return lambda: SGD(lr=0.1).apply_sparse(table, rows, gradients)
 
 
 def sharded(height):
