@@ -1,10 +1,10 @@
 """End-to-end wall-clock training benchmark: baseline vs casted backward.
 
 Trains the same down-scaled DLRM with both backward strategies through the
-stage-graph engine and reports per-phase wall-clock — the functional
+training engine and reports per-phase wall-clock — the functional
 analogue of the paper's real-system prototype measurements.  One target
-drives the engine directly (explicit :class:`TrainingEngine`, default
-policy) to benchmark the engine surface itself, and a
+drives the engine directly (explicit :class:`TrainingEngine`, inline
+cast) to benchmark the engine surface itself, and a
 non-benchmark smoke asserts the checkpoint-resume roundtrip stays
 bit-identical at these shapes.
 
@@ -57,7 +57,7 @@ def test_training_step_wallclock(benchmark, mode):
 
 
 def test_engine_run_wallclock(benchmark):
-    """The engine surface itself: TrainingEngine.run, default policy."""
+    """The engine surface itself: TrainingEngine.run, inline cast."""
     trainer = make_trainer()
     rng = np.random.default_rng(1)
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Resumable training: interrupt a job, checkpoint it, resume bit-identically.
 
-Long-running recommendation training jobs get preempted.  PR 5's
-stage-graph engine makes recovery exact: a checkpoint captures every model
+Long-running recommendation training jobs get preempted.  The training
+engine makes recovery exact: a checkpoint captures every model
 parameter, every per-tensor optimizer state slot (here Adagrad's
 accumulators), and the global step counter — and ``start_step`` replays
 the batch source past the already-trained steps.  This example walks the

@@ -90,6 +90,8 @@ def main() -> None:
     )
     print(f"1-shard trainer vs single-device step: max loss drift "
           f"{drift:.2e}, tables bit-identical: {tables_equal}")
+    if drift or not tables_equal:
+        raise SystemExit("the 1-shard trainer diverged from the single-device step")
     print("(the sharded runtime with one shard IS the single-device step)\n")
 
     for policy in ("row", "table"):

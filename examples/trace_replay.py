@@ -108,6 +108,8 @@ def replay_bit_identical(batch_trace: Path) -> None:
     print(f"replay losses: {[f'{x:.5f}' for x in replay_report.losses]}")
     print(f"-> losses and every parameter tensor "
           f"{'MATCH EXACTLY' if identical else 'DIVERGED (bug!)'}\n")
+    if not identical:
+        raise SystemExit("the trace replay diverged from the live run")
 
 
 def analyze_and_model(index_trace: Path) -> None:

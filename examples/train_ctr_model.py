@@ -62,6 +62,8 @@ def main() -> None:
     drift = max(abs(a - b) for a, b in zip(base.losses, cast.losses))
     print(f"max per-step loss difference: {drift:.2e}  "
           f"{'[IDENTICAL TRAJECTORIES]' if drift < 1e-9 else '[MISMATCH!]'}\n")
+    if drift >= 1e-9:
+        raise SystemExit("the casted and baseline trajectories differ")
 
     print("wall-clock phase breakdown (seconds):")
     phases = sorted(set(base.timings.totals) | set(cast.timings.totals))

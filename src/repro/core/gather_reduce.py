@@ -42,8 +42,7 @@ def gather_reduce(
     """Fused embedding gather-reduce (forward pass, Figure 2(a)).
 
     Computes ``out[dst[i]] += table[src[i]]`` for every lookup ``i`` into a
-    fresh zero-initialised ``out`` (sum pooling; mean pooling post-scales
-    the result, :func:`repro.model.embedding.inverse_lookup_counts`).
+    fresh zero-initialised ``out`` (sum pooling).
 
     Parameters
     ----------

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from ..core.casting import CastedIndex, tensor_casting
 from ..core.coalesce import expand_coalesce
@@ -32,24 +31,9 @@ from .optim import Optimizer
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
     from ..backends.dispatch import BackendSpec
 
-__all__ = ["SparseGradient", "EmbeddingBag", "inverse_lookup_counts"]
+__all__ = ["SparseGradient", "EmbeddingBag"]
 
 _BACKWARD_MODES = ("baseline", "casted")
-
-
-def inverse_lookup_counts(index: IndexArray, dtype: DTypeLike) -> np.ndarray:
-    """Per-output ``1 / lookup_count`` with empty bags mapped to zero.
-
-    The mean-pooling scale factor, applied identically in the forward pass
-    (to the pooled sums) and the backward pass (to the gradient table) by
-    both :class:`EmbeddingBag` itself and the sharded executor — one
-    definition so the two paths cannot drift.
-    """
-    counts = index.lookups_per_output().astype(dtype)
-    inverse = np.zeros_like(counts)
-    occupied = counts > 0
-    inverse[occupied] = 1.0 / counts[occupied]
-    return inverse
 
 
 @dataclass(frozen=True)
@@ -103,34 +87,22 @@ class EmbeddingBag:
         trainer reaches the model's kernels.
     """
 
-    #: Supported pooling reductions.  ``"sum"`` is the paper's default;
-    #: ``"mean"`` divides each pooled vector by its lookup count (both are
-    #: weighted gather-reduces on the same datapath).
-    POOLING_MODES = ("sum", "mean")
-
     def __init__(
         self,
         num_rows: int,
         dim: int,
         rng: np.random.Generator | None = None,
         dtype: np.dtype = np.float64,
-        pooling: str = "sum",
         backend: "BackendSpec" = None,
     ) -> None:
         if num_rows <= 0 or dim <= 0:
             raise ValueError("num_rows and dim must be positive")
-        if pooling not in self.POOLING_MODES:
-            raise ValueError(
-                f"pooling must be one of {self.POOLING_MODES}, got {pooling!r}"
-            )
         rng = rng or np.random.default_rng(0)
         # DLRM-style uniform init scaled by table size.
         bound = 1.0 / np.sqrt(num_rows)
         self.table = rng.uniform(-bound, bound, size=(num_rows, dim)).astype(dtype)
-        self.pooling = pooling
         self.backend = backend
         self._last_index: IndexArray | None = None
-        self._last_inverse_counts: np.ndarray | None = None
 
     @property
     def num_rows(self) -> int:
@@ -141,27 +113,13 @@ class EmbeddingBag:
         return self.table.shape[1]
 
     def forward(self, index: IndexArray) -> np.ndarray:
-        """Gather-reduce the batch's lookups into ``(B, dim)`` pooled vectors.
-
-        Mean pooling divides each pooled vector by its lookup count (bags
-        with zero lookups stay zero); the scale is cached so the backward
-        pass applies it to the *gradient table* before either coalescing
-        strategy — keeping baseline and casted paths identical by
-        construction.
-        """
+        """Gather-reduce the batch's lookups into ``(B, dim)`` pooled vectors."""
         if index.num_rows > self.num_rows:
             raise ValueError(
                 f"index addresses {index.num_rows} rows, table has {self.num_rows}"
             )
         self._last_index = index
-        pooled = gather_reduce(self.table, index, backend=self.backend)
-        if self.pooling == "mean":
-            inverse = inverse_lookup_counts(index, self.table.dtype)
-            self._last_inverse_counts = inverse
-            pooled = pooled * inverse[:, None]
-        else:
-            self._last_inverse_counts = None
-        return pooled
+        return gather_reduce(self.table, index, backend=self.backend)
 
     def precompute_cast(self, index: IndexArray) -> CastedIndex:
         """Run Tensor Casting ahead of time (the runtime's hidden stage).
@@ -206,11 +164,6 @@ class EmbeddingBag:
                 f"grad_output must have shape {(index.num_outputs, self.dim)}, "
                 f"got {grad_output.shape}"
             )
-        if self._last_inverse_counts is not None:
-            # Mean pooling: d(sum/c)/d(row) scales each slot's gradient by
-            # 1/c.  Applied to the (B, dim) gradient table, so both backward
-            # strategies see the same inputs.
-            grad_output = grad_output * self._last_inverse_counts[:, None]
         if mode == "baseline":
             rows, values = expand_coalesce(index, grad_output, backend=self.backend)
         else:

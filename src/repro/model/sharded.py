@@ -50,7 +50,7 @@ from ..core.coalesce import expand_coalesce
 from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
 from ..core.sharding import ShardPartition, ShardSlice, make_partition, reassemble_pooled
-from .embedding import EmbeddingBag, inverse_lookup_counts
+from .embedding import EmbeddingBag
 from .optim import Optimizer
 
 if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
@@ -75,8 +75,7 @@ class ShardedStepPlan:
     slices: List[List[Optional[ShardSlice]]]
     casts: List[List[Optional[CastedIndex]]] = field(default_factory=list)
     partials: List[List[Optional[np.ndarray]]] = field(default_factory=list)
-    inverse_counts: Optional[List[Optional[np.ndarray]]] = None
-    scaled_grads: Optional[List[np.ndarray]] = None
+    table_grads: Optional[List[np.ndarray]] = None
     #: The gradient tables prepare_backward staged from, held by reference
     #: so the identity check in backward_shard stays sound (bare id()s could
     #: be recycled once a caller drops the originals).
@@ -204,33 +203,23 @@ class ShardedEmbeddingSet:
         """Forward all-to-all: ship partials to sample owners and sum them.
 
         Returns one ``(B, dim)`` pooled tensor per table — the tensors
-        :meth:`repro.model.dlrm.DLRM.forward_from_pooled` consumes.  Mean
-        pooling applies the full-batch lookup counts *after* the exchange, so
-        both partition policies and a bag's own forward see identical scaling.
+        :meth:`repro.model.dlrm.DLRM.forward_from_pooled` consumes.
         """
         pooled_outputs: List[np.ndarray] = []
-        plan.inverse_counts = [None] * self.num_tables
         for table_id, bag in enumerate(self.bags):
             index = plan.indices[table_id]
             row = plan.slices[table_id]
-            pooled = reassemble_pooled(
+            pooled_outputs.append(reassemble_pooled(
                 row,
                 plan.partials[table_id],
                 num_outputs=index.num_outputs,
                 dim=bag.dim,
                 dtype=bag.table.dtype,
-            )
+            ))
             vec_bytes = bag.dim * bag.table.dtype.itemsize
             plan.forward_exchange_bytes += sum(
                 s.num_touched * vec_bytes for s in row if s is not None
             )
-            if bag.pooling == "mean":
-                # Cached on the plan for the backward rescale, mirroring the
-                # bag's own _last_inverse_counts.
-                inverse = inverse_lookup_counts(index, bag.table.dtype)
-                plan.inverse_counts[table_id] = inverse
-                pooled = pooled * inverse[:, None]
-            pooled_outputs.append(pooled)
         return pooled_outputs
 
     # ------------------------------------------------------------------
@@ -239,11 +228,11 @@ class ShardedEmbeddingSet:
     def prepare_backward(
         self, plan: ShardedStepPlan, grad_tables: Sequence[np.ndarray]
     ) -> None:
-        """Stage the gradient tables for the per-shard backward passes.
+        """Hand the gradient tables to the per-shard backward passes.
 
-        Applies the mean-pooling rescale once per step on the full tables
+        Brings each gradient table to its table's dtype once per step
         (shards then slice the shared result, not once per shard).  Called
-        by the trainer outside the per-shard timing windows so the one-time
+        by the engine outside the per-shard timing windows so the one-time
         work is not charged to whichever shard happens to run first;
         :meth:`backward_shard` falls back to it lazily for direct API use.
         """
@@ -251,20 +240,10 @@ class ShardedEmbeddingSet:
             raise ValueError(
                 f"expected {self.num_tables} gradient tables, got {len(grad_tables)}"
             )
-        scaled: List[np.ndarray] = []
-        for table_id, (bag, grad) in enumerate(zip(self.bags, grad_tables)):
-            grad = np.asarray(grad, dtype=bag.table.dtype)
-            if bag.pooling == "mean":
-                inverse = None
-                if plan.inverse_counts is not None:
-                    inverse = plan.inverse_counts[table_id]
-                if inverse is None:
-                    inverse = inverse_lookup_counts(
-                        plan.indices[table_id], bag.table.dtype
-                    )
-                grad = grad * inverse[:, None]
-            scaled.append(grad)
-        plan.scaled_grads = scaled
+        plan.table_grads = [
+            np.asarray(grad, dtype=bag.table.dtype)
+            for bag, grad in zip(self.bags, grad_tables)
+        ]
         plan.staged_grads = list(grad_tables)
 
     def backward_shard(
@@ -284,7 +263,7 @@ class ShardedEmbeddingSet:
         are accounted into ``plan.backward_exchange_bytes``.  Returns
         ``(table_id, rows, values)`` triples ready for :meth:`update_shard`.
         """
-        if plan.scaled_grads is None:
+        if plan.table_grads is None:
             self.prepare_backward(plan, grad_tables)
         elif plan.staged_grads is None or len(plan.staged_grads) != len(
             grad_tables
@@ -301,10 +280,10 @@ class ShardedEmbeddingSet:
             slice_ = plan.slices[table_id][shard]
             if slice_ is None:
                 continue
-            scaled = plan.scaled_grads[table_id]
+            grad = plan.table_grads[table_id]
             grad_slice = np.ascontiguousarray(
-                scaled if slice_.touched is None
-                else scaled.take(slice_.touched, axis=0)
+                grad if slice_.touched is None
+                else grad.take(slice_.touched, axis=0)
             )
             vec_bytes = bag.dim * grad_slice.dtype.itemsize
             plan.backward_exchange_bytes += (

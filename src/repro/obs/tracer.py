@@ -20,11 +20,12 @@ Two ways to make a span:
   lifecycles from :class:`~repro.serving.harness.CompletedRequest`
   timestamps after the fact).
 
-Both accept a ``sink`` list: a background cast stage buffers its spans on
-the private :class:`~repro.runtime.stages.StepContext` and the schedule
-:meth:`absorbs <Tracer.absorb>` them once the future resolves — the same
-hand-off the phase timings already make, so the trace and the report can
-never disagree about when cast work happened.
+Both accept a ``sink`` list: a step's cast, which may run on the
+cast-ahead worker, buffers its spans in its context's own
+:class:`~repro.runtime.stages.StageTimingCollector`, and the step loop
+:meth:`absorbs <Tracer.absorb>` them once the cast is done — the same
+hand-off its phase timings make, so the trace and the report can never
+disagree about when cast work happened.
 
 :func:`span_totals` and :func:`validate_span_nesting` are the analysis
 helpers the reconciliation and well-formedness tests are built on.

@@ -3,10 +3,10 @@
 The co-designed runtime of Section IV-B lives here — the Figure 9 overlap
 of casting with forward propagation (:mod:`~repro.runtime.systems`), the
 timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
-**stage-graph training engine** (:mod:`~repro.runtime.engine` +
-:mod:`~repro.runtime.stages`): one step loop over named stages, driven by
-one :class:`SchedulePolicy` record (look-ahead, forward-only —
-:mod:`~repro.runtime.policy`), with checkpoint/resume
+**training engine** (:mod:`~repro.runtime.engine`): one step loop running
+one step body — draw, cast, forward, backward, update — with the cast
+inline or one batch ahead, the step's working state and timing scope in
+:mod:`~repro.runtime.stages`, and checkpoint/resume
 (:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
 hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` is a
 thin facade over that engine.
@@ -27,8 +27,7 @@ from .engine import (
     TrainingCallback,
     TrainingEngine,
 )
-from .policy import SchedulePolicy
-from .stages import Stage, StageTimingCollector, StepContext, build_step_stages
+from .stages import StageTimingCollector, StepContext
 from .systems import (
     CPUGPUSystem,
     CPUOnlySystem,
@@ -91,8 +90,6 @@ __all__ = [
     "OP_FWD_GATHER",
     "PhaseTimings",
     "RunEvent",
-    "SchedulePolicy",
-    "Stage",
     "StageTimingCollector",
     "StepContext",
     "StepEvent",
@@ -110,7 +107,6 @@ __all__ = [
     "TrainingReport",
     "TrainingSystem",
     "WorkloadStats",
-    "build_step_stages",
     "compute_workload",
     "design_points",
     "latest_checkpoint",

@@ -1,31 +1,45 @@
-"""The stage-graph training engine: one step loop, one policy record, one plan.
+"""The training engine: one step loop, one step body.
 
-* :mod:`repro.runtime.stages` decomposes every step — one shard or many,
-  either backward mode — into the same plan of named stages bound to a
-  shared :class:`~repro.runtime.stages.StepContext`;
-* :meth:`TrainingEngine.execute` is the **only** step loop: draw a batch,
-  cast it (inline, or ahead on a :class:`CastAheadWorker` while the
-  previous batch computes — the paper's Section IV-B overlap), run the
-  compute stages, complete the step.  What varies between "serial",
-  "pipelined" and "inference" is a field of the frozen
-  :class:`~repro.runtime.policy.SchedulePolicy` the loop reads —
-  look-ahead depth, stage subset — never a second loop, so the axes
-  compose by construction;
-* :class:`TrainingEngine` owns the run: source fast-forward for resumed
-  jobs (``start_step``), the cast-ahead worker's lifetime, the timing
-  collector, report assembly
-  (:class:`~repro.runtime.stages.TrainingReport`, or
-  :class:`~repro.runtime.stages.InferenceReport` for forward-only runs),
-  and the **callback protocol** (:class:`TrainingCallback`: ``on_step_end``
-  / ``on_run_end``) that funds checkpointing
-  (:mod:`repro.runtime.checkpoint`) and metrics logging
-  (:class:`MetricsLogger`) without touching the loop.
+:meth:`TrainingEngine.execute` is the **only** step loop, and every step
+runs the same body, at every shard count and in both backward modes:
 
-Batches are always drawn on the step loop's thread, in step order, so every
-policy consumes the source and the RNG exactly as the plain serial run does
-— the root of the bit-identity the differential suites pin
-(``tests/runtime/test_policy.py`` over the policy product, against the
-frozen pre-refactor loops in ``tests/runtime/_legacy_trainer.py``).
+``draw``
+    pull the next mini-batch from the :class:`~repro.data.source.BatchSource`;
+``cast`` (:meth:`TrainingEngine._cast`)
+    the per-shard index partition, then (casted mode) Tensor Casting
+    (Algorithm 2) over every shard's slice.  It depends only on index
+    data, so with ``lookahead=1`` it runs on a :class:`CastAheadWorker`
+    while the previous batch computes — the paper's Section IV-B overlap;
+``forward`` (:meth:`TrainingEngine._forward`)
+    each shard's gather-reduce, the forward all-to-all, the dense forward
+    and the loss;
+``backward`` (:meth:`TrainingEngine._backward`)
+    dense backpropagation, then each shard's backward all-to-all and its
+    coalesced sparse gradients (the casted gather-reduce over its cast, or
+    the baseline expand-coalesce over its raw pairs);
+``optimize`` (:meth:`TrainingEngine._optimize`)
+    the dense optimizer step, then each shard's sparse row update.
+
+A forward-only run (``infer()``) skips the last two.  The embedding phases
+call :class:`~repro.model.sharded.ShardedEmbeddingSet` shard by shard, in
+shard order; the default trainer is the one-shard case of the same body.
+
+:class:`TrainingEngine` also owns the run: argument checks, source
+fast-forward for resumed jobs (``start_step``), the cast-ahead worker's
+lifetime, the timing collector
+(:class:`~repro.runtime.stages.StageTimingCollector`), report assembly
+(:class:`~repro.runtime.stages.TrainingReport`, or
+:class:`~repro.runtime.stages.InferenceReport` for forward-only runs), and
+the **callback protocol** (:class:`TrainingCallback`: ``on_step_end`` /
+``on_run_end``) that funds checkpointing (:mod:`repro.runtime.checkpoint`)
+and metrics logging (:class:`MetricsLogger`) without touching the loop.
+
+Batches are always drawn on the step loop's thread, in step order, so a
+cast-ahead run consumes the source and the RNG exactly as the inline run
+does — the root of the bit-identity the differential suites pin
+(``tests/runtime/test_policy.py`` over look-ahead × shards × mode ×
+{train, infer}, against the frozen pre-refactor loops in
+``tests/runtime/_legacy_trainer.py``).
 """
 
 from __future__ import annotations
@@ -51,16 +65,15 @@ from typing import (
 import numpy as np
 
 from ..backends.dispatch import observe_kernels
-from ..data.source import SourceExhausted
+from ..data.source import SourceExhausted, positive_int
+from ..model.embedding import _BACKWARD_MODES
+from ..model.loss import bce_with_logits
 from ..obs.metrics import Gauge, MetricRegistry
-from .policy import SchedulePolicy
 from .stages import (
     InferenceReport,
     StageTimingCollector,
     StepContext,
-    StepStages,
     TrainingReport,
-    build_step_stages,
 )
 
 if TYPE_CHECKING:  # runtime import would cycle through the trainer facade
@@ -69,18 +82,12 @@ if TYPE_CHECKING:  # runtime import would cycle through the trainer facade
 
 __all__ = [
     "CastAheadWorker",
-    "INFERENCE_STAGES",
     "MetricsLogger",
     "RunEvent",
     "StepEvent",
     "TrainingCallback",
     "TrainingEngine",
 ]
-
-#: Compute-stage names a forward-only run executes (the forward prefix).
-#: ``backward`` and ``optimize`` are never invoked, so the frozen-parameter
-#: guarantee of ``infer()`` is structural.
-INFERENCE_STAGES = ("gather", "exchange", "forward")
 
 
 class CastAheadWorker:
@@ -89,9 +96,6 @@ class CastAheadWorker:
     Thin wrapper over :class:`concurrent.futures.ThreadPoolExecutor` with a
     single worker thread — the functional stand-in for the accelerator that
     runs the casting stage in the paper's runtime (the GPU in Figure 9(b)).
-    Jobs are timed on the worker, so callers can split "how long the hidden
-    work took" (the returned seconds) from "how long the critical path
-    waited for it" (their own clock around ``Future.result()``).
 
     Usable as a context manager; exiting shuts the worker down and waits
     for in-flight jobs.
@@ -102,17 +106,9 @@ class CastAheadWorker:
             max_workers=1, thread_name_prefix="cast-ahead"
         )
 
-    def submit(
-        self, fn: Callable[..., Any], *args: Any
-    ) -> "Future[Tuple[Any, float]]":
-        """Queue ``fn(*args)``; the future resolves to ``(result, seconds)``."""
-
-        def timed() -> Tuple[Any, float]:
-            start = time.perf_counter()
-            result = fn(*args)
-            return result, time.perf_counter() - start
-
-        return self._executor.submit(timed)
+    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
+        """Queue ``fn(*args)``; the future resolves to its result."""
+        return self._executor.submit(fn, *args)
 
     def shutdown(self) -> None:
         """Stop accepting work and wait for any in-flight job."""
@@ -217,18 +213,18 @@ class MetricsLogger(TrainingCallback):
 class TrainingEngine:
     """Drive one run of a trainer through the step loop.
 
-    Owns the per-run machinery: the stage plan, the timing collector, the
-    cast-ahead worker's lifetime, source fast-forward for
-    resumed jobs, callback dispatch, and report assembly (wall clock
-    included).  Constructed per ``train()`` /
-    ``infer()`` call by the trainer; usable directly.
+    Owns the per-run machinery: the argument checks, the timing collector,
+    the cast-ahead worker's lifetime, source fast-forward for resumed jobs,
+    callback dispatch, and report assembly (wall clock included).
+    Constructed per ``train()`` / ``infer()`` call by the trainer; usable
+    directly.
 
     ``obs`` (an :class:`~repro.obs.session.Observability`, default
     ``None``) turns on the observability plane for the run: the collector
-    emits one trace span per stage per step (plus a ``step`` envelope
+    emits one trace span per phase per step (plus a ``step`` envelope
     span), every dispatched kernel is counted, each completed step lands in
-    the JSONL step stream, and run-level facts (backend, mode, tuning
-    decisions) are published when the report is built.
+    the JSONL step stream, and run-level facts (backend, mode, shard count)
+    are published when the report is built.
     With ``obs=None`` none of those paths execute and the run is
     bit-identical to the uninstrumented engine.
     """
@@ -240,7 +236,8 @@ class TrainingEngine:
         self.collector: StageTimingCollector = StageTimingCollector()
         self.callbacks: Tuple[TrainingCallback, ...] = ()
         self.start_step = 0
-        self.policy = SchedulePolicy()
+        self.mode = "casted"
+        self.forward_only = False
         self.logits: List[np.ndarray] = []
 
     def run(
@@ -249,11 +246,18 @@ class TrainingEngine:
         steps: int,
         rng: np.random.Generator,
         mode: str,
-        policy: SchedulePolicy = SchedulePolicy(),
         callbacks: Sequence[TrainingCallback] = (),
         start_step: int = 0,
+        forward_only: bool = False,
     ) -> TrainingReport:
-        """Execute ``steps`` iterations of the trainer under ``policy``.
+        """Execute ``steps`` iterations of the trainer.
+
+        The arguments are checked before anything is drawn, so a rejected
+        run consumes neither the source nor ``rng``: ``mode`` must be
+        ``"casted"`` or ``"baseline"``, ``batch`` and ``steps`` positive
+        integers and ``start_step`` a non-negative one.  The model's bags
+        are then pointed at the trainer's kernel engine.  The trainer's
+        ``lookahead`` decides whether each cast runs inline or ahead.
 
         ``start_step`` fast-forwards the batch source by drawing and
         discarding that many steps' batches before training — consuming the source
@@ -263,14 +267,35 @@ class TrainingEngine:
         bit-identical to an uninterrupted one.  Callbacks see global step
         numbers offset by ``start_step``.
 
-        A ``forward_only`` policy returns an
-        :class:`~repro.runtime.stages.InferenceReport` carrying each step's
-        raw forward outputs; everything else about the run is the same.
+        A ``forward_only`` run never backpropagates or updates, and returns
+        an :class:`~repro.runtime.stages.InferenceReport` carrying each
+        step's raw forward outputs; everything else about the run is the
+        same.
         """
+        if mode not in _BACKWARD_MODES:
+            raise ValueError(
+                f"mode must be one of {_BACKWARD_MODES}, got {mode!r}"
+            )
+        positive_int("batch", batch)
+        positive_int("steps", steps)
+        if (
+            isinstance(start_step, bool)
+            or not isinstance(start_step, (int, np.integer))
+            or start_step < 0
+        ):
+            raise ValueError(
+                f"start_step must be a non-negative integer, got {start_step!r}"
+            )
         trainer = self.trainer
+        # Another trainer constructed over the same model would have
+        # re-pointed the bags' backend; whichever trainer runs, *its*
+        # engine runs, keeping the report's ``backend`` field truthful.
+        for bag in trainer.model.embeddings:
+            bag.backend = trainer.backend
         self.callbacks = tuple(callbacks)
         self.start_step = int(start_step)
-        self.policy = policy
+        self.mode = mode
+        self.forward_only = forward_only
         self.logits = []
         self.collector = StageTimingCollector(
             trainer.sharded.num_shards,
@@ -291,13 +316,10 @@ class TrainingEngine:
                 stack.enter_context(observe_kernels(self.obs.metrics))
             worker = (
                 stack.enter_context(CastAheadWorker())
-                if policy.lookahead
+                if trainer.lookahead
                 else None
             )
-            stages = build_step_stages(
-                trainer, self.collector, batch, rng, mode
-            )
-            self.execute(stages, steps, worker)
+            self.execute(batch, steps, rng, worker)
         if not self.collector.losses:
             raise ValueError(
                 "the batch source was exhausted before the first step"
@@ -310,7 +332,7 @@ class TrainingEngine:
         )
         report = (
             InferenceReport(logits=self.logits, **fields)
-            if policy.forward_only
+            if forward_only
             else TrainingReport(**fields)
         )
         if self.obs is not None:
@@ -327,42 +349,37 @@ class TrainingEngine:
 
     def execute(
         self,
-        stages: StepStages,
+        batch: int,
         steps: int,
+        rng: np.random.Generator,
         worker: Optional[CastAheadWorker] = None,
     ) -> None:
         """The step loop — the only one.
 
         Keeps ``lookahead + 1`` drawn batches in flight.  Each is drawn on
-        this thread (RNG order is step order under every policy); with a
-        ``worker`` its ``cast`` stage is queued there the moment it is
-        drawn, so batch ``i+1`` casts while batch ``i`` computes, and the
-        step only *waits* for the cast (``cast_wait`` — the exposed
-        remainder of the casting stage; ≈0 under full overlap).  The worker
-        touches only the next context's index data while this thread
-        mutates parameters of the current batch; the two never share
-        mutable state.  A source that exhausts stops the loop after the
-        batches already drawn.
+        this thread (RNG order is step order under every look-ahead); with
+        a ``worker`` its cast is queued there the moment it is drawn, so
+        batch ``i+1`` casts while batch ``i`` computes, and the step only
+        *waits* for the cast (``cast_wait`` — the exposed remainder of the
+        casting stage; ≈0 under full overlap).  The worker touches only the
+        next context's index data while this thread mutates parameters of
+        the current batch; the two never share mutable state.  A source
+        that exhausts stops the loop after the batches already drawn.
         """
-        policy = self.policy
-        compute = tuple(
-            stage for stage in stages.compute
-            if not policy.forward_only or stage.name in INFERENCE_STAGES
-        )
-        inflight: Deque[
-            Tuple[StepContext, "Optional[Future[Tuple[Any, float]]]"]
-        ] = deque()
+        lookahead = self.trainer.lookahead
+        inflight: Deque[Tuple[StepContext, "Optional[Future[Any]]"]] = deque()
         drawn, source_open = 0, True
         for _ in range(steps):
             while (source_open and drawn < steps
-                   and len(inflight) <= policy.lookahead):
-                ctx, source_open = self._draw(stages)
-                if ctx.data is None:
+                   and len(inflight) <= lookahead):
+                ctx = self._draw(batch, rng)
+                if ctx is None:
+                    source_open = False
                     break
                 drawn += 1
                 inflight.append((
                     ctx,
-                    worker.submit(stages.cast.run, ctx)
+                    worker.submit(self._cast, ctx)
                     if worker is not None else None,
                 ))
             if not inflight:
@@ -370,33 +387,121 @@ class TrainingEngine:
             ctx, future = inflight.popleft()
             with self.step_scope():
                 if future is None:
-                    stages.cast.run(ctx)
+                    self._cast(ctx)
                 else:
                     with self.collector.timed("cast_wait"):
                         future.result()
-                self.collector.absorb_cast(ctx)
-                for stage in compute:
-                    stage.run(ctx)
+                self.collector.absorb(ctx.cast)
+                self._forward(ctx)
+                if not self.forward_only:
+                    self._optimize(self._backward(ctx))
                 self.complete_step(ctx)
             # Release the finished step before the next draw, so its
             # activations and gradients never coexist with a new batch.
             del ctx, future
 
-    def _draw(self, stages: StepStages) -> Tuple[StepContext, bool]:
-        """Draw one step's batch; ``(context, source still open)``.
+    def _draw(
+        self, batch: int, rng: np.random.Generator
+    ) -> Optional[StepContext]:
+        """Draw one step's batch into a fresh context.
 
-        The single draw site, timed as ``draw`` under every policy;
-        ``ctx.data`` is ``None`` once the source is exhausted.
+        The single draw site, timed as ``draw``; ``None`` once the source
+        is exhausted.
         """
-        ctx = stages.new_context()
         with self.collector.timed("draw"):
-            stages.draw.run(ctx)
-        return ctx, ctx.data is not None
+            try:
+                data = self.trainer.stream.next_batch(batch, rng)
+            except SourceExhausted:
+                return None
+        return StepContext(
+            data=data,
+            cast=StageTimingCollector(
+                self.trainer.sharded.num_shards, self.collector.tracer,
+                track="cast",
+            ),
+        )
+
+    def _cast(self, ctx: StepContext) -> None:
+        """Split the batch by shard, then (casted mode) cast every slice.
+
+        Index-only work that may run on the cast-ahead worker, so it times
+        into the context's own collector.  Each shard's Algorithm 2 is timed
+        into that shard's accounting.  Baseline mode only partitions: the
+        expand-coalesce backward has no casting phase.
+        """
+        sharded = self.trainer.sharded
+        with ctx.cast.timed("partition"):
+            ctx.plan = sharded.plan_batch(ctx.data.indices)
+        if self.mode != "casted":
+            return
+        for shard in range(sharded.num_shards):
+            with ctx.cast.timed("casting", shard=shard):
+                sharded.cast_shard(ctx.plan, shard)
+
+    def _forward(self, ctx: StepContext) -> None:
+        """Gather, exchange, the dense forward, then the loss.
+
+        Each shard gather-reduces the lookups it owns into partial pooled
+        sums, in shard order, always after the previous step's update — a
+        gather must read post-update parameters.  The forward all-to-all
+        ships the partials to the sample owners (its bytes land on the
+        plan); the dense model runs over the pooled vectors.
+        """
+        trainer = self.trainer
+        sharded = trainer.sharded
+        timed = self.collector.timed
+        trainer.model.zero_grad()
+        for shard in range(sharded.num_shards):
+            with timed("forward", shard=shard, shard_phase="gather"):
+                sharded.forward_shard(ctx.plan, shard)
+        with timed("exchange"):
+            pooled = sharded.assemble_pooled(ctx.plan)
+        with timed("forward"):
+            ctx.logits = trainer.model.forward_from_pooled(
+                ctx.data.dense, pooled
+            )
+        with timed("loss"):
+            ctx.loss, ctx.dlogits = bce_with_logits(
+                ctx.logits, ctx.data.labels
+            )
+
+    def _backward(self, ctx: StepContext) -> List[list]:
+        """Dense backprop, then each shard's sparse backward.
+
+        Shard by shard, in shard order: each shard's backward all-to-all
+        payload (gradient rows + pairs, accounted into the plan's byte
+        counter) and the reduction over it — the casted gather-reduce over
+        the shard's cast, or the baseline expand-coalesce when the cast only
+        partitioned.  Returns each shard's coalesced gradients.
+        """
+        trainer = self.trainer
+        sharded = trainer.sharded
+        with self.collector.timed("backward"):
+            grad_tables = trainer.model.backward_through_dense(ctx.dlogits)
+            sharded.prepare_backward(ctx.plan, grad_tables)
+        coalesced: List[list] = []
+        for shard in range(sharded.num_shards):
+            with self.collector.timed("backward", shard=shard):
+                coalesced.append(
+                    sharded.backward_shard(ctx.plan, shard, grad_tables)
+                )
+        return coalesced
+
+    def _optimize(self, coalesced: List[list]) -> None:
+        """The dense optimizer step, then each shard's sparse row update."""
+        trainer = self.trainer
+        with self.collector.timed("update", span="optimize"):
+            trainer.optimizer.step(trainer.model.dense_parameters())
+        for shard, gradients in enumerate(coalesced):
+            with self.collector.timed("update", shard=shard, span="optimize"):
+                trainer.sharded.update_shard(
+                    shard, gradients, trainer.optimizer
+                )
 
     def complete_step(self, ctx: StepContext) -> None:
         """Harvest a finished step and fire ``on_step_end`` callbacks."""
         self.collector.finish_step(ctx)
-        if self.policy.forward_only:
+        if self.forward_only:
             assert ctx.logits is not None
             self.logits.append(ctx.logits)
         step = self.start_step + len(self.collector.losses)

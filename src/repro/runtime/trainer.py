@@ -23,13 +23,12 @@ Shards name rows of the model's own tables — there is no shard-local
 storage, row numbering or optimizer state — so parameters and checkpoints
 mean the same thing at every shard count and policy.
 
-The trainer is a thin facade over the **stage-graph engine**
-(:mod:`repro.runtime.engine`): each step is one plan of named stages
-(:mod:`repro.runtime.stages`) run by the engine's one step loop under the
-:class:`~repro.runtime.policy.SchedulePolicy` this constructor builds from
-its ``lookahead`` argument, with :meth:`~FunctionalTrainer.infer` the
-same policy restricted to the forward prefix.  Every combination of the
-arguments composes.
+The trainer is a thin facade over the **training engine**
+(:mod:`repro.runtime.engine`): every step runs the engine's one step body
+in its one step loop, with the cast inline or ahead as the ``lookahead``
+argument says, and :meth:`~FunctionalTrainer.infer` is the same run
+without the backward and the update.  Every combination of the arguments
+composes.
 The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
@@ -39,7 +38,6 @@ Used by the examples, the end-to-end tests, and the kernel benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -47,12 +45,10 @@ import numpy as np
 from ..backends.dispatch import BackendSpec, resolve_backend
 from ..data.source import BatchSource, as_batch_source, positive_int
 from ..model.dlrm import DLRM
-from ..model.embedding import _BACKWARD_MODES
 from ..model.optim import Optimizer
 from ..model.sharded import ShardedEmbeddingSet
 from .engine import TrainingCallback, TrainingEngine
 from .memory import retain_freed_memory
-from .policy import SchedulePolicy
 from .stages import InferenceReport, PhaseTimings, TrainingReport
 
 if TYPE_CHECKING:
@@ -134,9 +130,9 @@ class FunctionalTrainer:
                 f"{len(model.embeddings)}"
             )
         num_shards = positive_int("num_shards", num_shards)
-        #: The one record the engine's step loop reads; ``infer()`` runs
-        #: the same record with ``forward_only`` set.
-        self.policy = SchedulePolicy(lookahead=lookahead)
+        if isinstance(lookahead, bool) or lookahead not in (0, 1):
+            raise ValueError(f"lookahead must be 0 or 1, got {lookahead!r}")
+        self.lookahead = lookahead
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
@@ -166,9 +162,11 @@ class FunctionalTrainer:
         """Run ``steps`` iterations, timing forward/backward/update phases.
 
         ``mode`` selects the embedding backward strategy (``"baseline"`` or
-        ``"casted"``; anything else is a ``ValueError``); in casted mode the cast is computed eagerly right
-        after batch generation — before the forward pass — mirroring the
-        runtime's decoupled casting stage.  Both modes run at every shard
+        ``"casted"``; anything else is a ``ValueError``, as are a
+        non-positive ``batch`` or ``steps`` and a negative ``start_step``,
+        all raised before anything is drawn); in casted mode the cast is
+        computed eagerly right after batch generation — before the forward
+        pass — mirroring the runtime's decoupled casting stage.  Both modes run at every shard
         count: each shard reduces the same shipped payload (gradient rows
         plus its pairs) with Algorithm 1 or Algorithm 3.
 
@@ -182,11 +180,11 @@ class FunctionalTrainer:
         :func:`repro.runtime.checkpoint.restore_trainer`.
 
         ``obs`` (an :class:`~repro.obs.session.Observability`) records the
-        run — per-stage trace spans, kernel counts, the JSONL step stream —
+        run — per-phase trace spans, kernel counts, the JSONL step stream —
         without changing its numerics; ``None`` (default) records nothing.
         """
-        return self._run(
-            self.policy, batch, steps, rng, mode, callbacks, start_step, obs
+        return TrainingEngine(self, obs=obs).run(
+            batch, steps, rng, mode, callbacks, start_step
         )
 
     def infer(
@@ -201,9 +199,8 @@ class FunctionalTrainer:
     ) -> InferenceReport:
         """Score ``steps`` batches forward-only; parameters stay frozen.
 
-        Runs :meth:`train`'s policy with ``forward_only`` set: the same
-        stage objects, the same step loop, but the ``backward`` and
-        ``optimize`` stages are never invoked, so model parameters and
+        Runs :meth:`train`'s step body in the same step loop, with the same
+        checks, but never backpropagates or updates, so model parameters and
         optimizer state are untouched (the serving plane's frozen-parameter
         guarantee) while the forward outputs are bit-identical to the
         training path's forward for the same batch and backend.  ``mode``
@@ -213,59 +210,11 @@ class FunctionalTrainer:
         :meth:`train`, which is how a restored checkpoint resumes serving
         the stream where training left off.
         """
-        report = self._run(
-            replace(self.policy, forward_only=True),
-            batch, steps, rng, mode, callbacks, start_step, obs,
+        report = TrainingEngine(self, obs=obs).run(
+            batch, steps, rng, mode, callbacks, start_step, forward_only=True
         )
         assert isinstance(report, InferenceReport)
         return report
-
-    def _run(
-        self,
-        policy: SchedulePolicy,
-        batch: int,
-        steps: int,
-        rng: np.random.Generator,
-        mode: str,
-        callbacks: Sequence[TrainingCallback],
-        start_step: int,
-        obs: "Observability | None",
-    ) -> TrainingReport:
-        """The one body behind :meth:`train` and :meth:`infer`."""
-        self._begin_run(batch, steps, mode, start_step)
-        return TrainingEngine(self, obs=obs).run(
-            batch, steps, rng, mode,
-            policy=policy, callbacks=callbacks, start_step=start_step,
-        )
-
-    def _begin_run(
-        self, batch: int, steps: int, mode: str, start_step: int = 0
-    ) -> None:
-        """Validate a run's arguments and point the model at this trainer.
-
-        Runs before anything is drawn, so a rejected run consumes neither
-        the source nor the RNG.
-        """
-        if mode not in _BACKWARD_MODES:
-            raise ValueError(
-                f"mode must be one of {_BACKWARD_MODES}, got {mode!r}"
-            )
-        positive_int("batch", batch)
-        positive_int("steps", steps)
-        if (
-            isinstance(start_step, bool)
-            or not isinstance(start_step, (int, np.integer))
-            or start_step < 0
-        ):
-            raise ValueError(
-                f"start_step must be a non-negative integer, got {start_step!r}"
-            )
-        # Re-assert kernel routing: another trainer constructed over the
-        # same model would have re-pointed the bags' backend; whichever
-        # trainer runs, *its* engine runs — keeping the report's
-        # ``backend`` field truthful.
-        for bag in self.model.embeddings:
-            bag.backend = self.backend
 
     # ------------------------------------------------------------------
     # Parameter naming — the checkpoint subsystem's stable key space

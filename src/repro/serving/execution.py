@@ -7,7 +7,7 @@ drives (``execute(data) -> ExecutionResult``):
   :class:`~repro.runtime.trainer.FunctionalTrainer` over an internal
   single-batch playback source and scores every coalesced batch through
   the engine's forward-only
-  :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same stage objects
+  :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same step body
   and kernel backend the training path uses, with the frozen-parameter
   guarantee.  Execution cost is the *measured*
   ``wall_seconds`` of the inference run, which the harness charges to the
@@ -100,11 +100,11 @@ class FixedLatencyExecutor:
 
 
 class EngineExecutor:
-    """Score coalesced batches through the engine's forward-only schedule.
+    """Score coalesced batches through the engine's forward-only run.
 
     Builds its own :class:`~repro.runtime.trainer.FunctionalTrainer` around
     ``model`` (the optimizer is never stepped — inference runs no
-    ``optimize`` stage — but checkpoint restoration validates against it,
+    update — but checkpoint restoration validates against it,
     so pass the training run's optimizer to serve a restored checkpoint via
     :func:`repro.runtime.checkpoint.restore_trainer` on :attr:`trainer`).
     The backend/sharding knobs mirror the trainer's.

@@ -1,67 +1,9 @@
-"""Tests for the extension features: mean pooling and Adam."""
+"""Tests for the extension optimizer: Adam."""
 
 import numpy as np
 import pytest
 
-from repro.core.indexing import IndexArray
-from repro.model.embedding import EmbeddingBag
 from repro.model.optim import Adam, make_optimizer, optimizer_names
-
-
-class TestMeanPooling:
-    def test_forward_divides_by_count(self, rng):
-        bag = EmbeddingBag(20, 3, rng=rng, pooling="mean")
-        index = IndexArray([0, 1, 2, 5], [0, 0, 0, 1], num_rows=20, num_outputs=2)
-        out = bag.forward(index)
-        assert np.allclose(out[0], (bag.table[0] + bag.table[1] + bag.table[2]) / 3)
-        assert np.allclose(out[1], bag.table[5])
-
-    def test_empty_bag_stays_zero(self, rng):
-        bag = EmbeddingBag(20, 3, rng=rng, pooling="mean")
-        index = IndexArray([0], [0], num_rows=20, num_outputs=3)
-        out = bag.forward(index)
-        assert np.all(out[1] == 0.0) and np.all(out[2] == 0.0)
-
-    def test_backward_modes_agree(self, rng):
-        bag = EmbeddingBag(30, 4, rng=rng, pooling="mean")
-        index = IndexArray(
-            rng.integers(0, 30, 24), np.repeat(np.arange(6), 4), 30, 6
-        )
-        bag.forward(index)
-        grads = rng.standard_normal((6, 4))
-        base = bag.backward(grads, mode="baseline")
-        bag.forward(index)
-        cast = bag.backward(grads, mode="casted")
-        assert np.array_equal(base.rows, cast.rows)
-        assert np.allclose(base.values, cast.values)
-
-    def test_mean_gradient_numeric(self, rng):
-        bag = EmbeddingBag(8, 2, rng=rng, pooling="mean")
-        index = IndexArray([1, 2, 2], [0, 0, 1], num_rows=8, num_outputs=2)
-        weight = rng.standard_normal((2, 2))
-
-        def loss():
-            return float((bag.forward(index) * weight).sum())
-
-        bag.forward(index)
-        dense = bag.backward(weight, mode="casted").to_dense(8)
-        eps = 1e-6
-        for row, col in [(1, 0), (2, 1)]:
-            old = bag.table[row, col]
-            bag.table[row, col] = old + eps
-            up = loss()
-            bag.table[row, col] = old - eps
-            down = loss()
-            bag.table[row, col] = old
-            assert dense[row, col] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
-
-    def test_rejects_unknown_pooling(self):
-        with pytest.raises(ValueError, match="pooling"):
-            EmbeddingBag(10, 2, pooling="max")
-
-    def test_sum_pooling_unchanged_default(self, rng):
-        bag = EmbeddingBag(10, 2, rng=rng)
-        assert bag.pooling == "sum"
 
 
 class TestAdam:

@@ -13,12 +13,9 @@ from repro.model.sharded import ShardedEmbeddingSet
 ROWS, DIM, BATCH, LOOKUPS = 40, 4, 8, 5
 
 
-def make_bags(num_tables=2, seed=0, pooling="sum"):
+def make_bags(num_tables=2, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        EmbeddingBag(ROWS, DIM, rng=rng, pooling=pooling)
-        for _ in range(num_tables)
-    ]
+    return [EmbeddingBag(ROWS, DIM, rng=rng) for _ in range(num_tables)]
 
 
 def make_indices(num_tables=2, seed=1):
@@ -62,15 +59,6 @@ class TestConstruction:
 class TestForwardEquivalence:
     def test_pooled_matches_unsharded(self, policy, num_shards):
         bags = make_bags()
-        indices = make_indices()
-        expected = [bag.forward(idx) for bag, idx in zip(bags, indices)]
-        sharded = ShardedEmbeddingSet(bags, num_shards=num_shards, policy=policy)
-        _, pooled = run_forward(sharded, indices)
-        for got, want in zip(pooled, expected):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_mean_pooling_matches_unsharded(self, policy, num_shards):
-        bags = make_bags(pooling="mean")
         indices = make_indices()
         expected = [bag.forward(idx) for bag, idx in zip(bags, indices)]
         sharded = ShardedEmbeddingSet(bags, num_shards=num_shards, policy=policy)
@@ -178,13 +166,6 @@ class TestEdgeCases:
         sharded.backward_shard(plan, 0, grads_a)
         with pytest.raises(ValueError, match="staged"):
             sharded.backward_shard(plan, 1, grads_b)
-
-    def test_mean_pooling_reuses_forward_inverse_counts(self):
-        bags = make_bags(pooling="mean")
-        sharded = ShardedEmbeddingSet(bags, num_shards=2)
-        plan, _ = run_forward(sharded, make_indices())
-        assert plan.inverse_counts is not None
-        assert all(inv is not None for inv in plan.inverse_counts)
 
     def test_backward_rejects_wrong_table_count(self):
         bags = make_bags()

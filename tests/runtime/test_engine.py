@@ -1,4 +1,4 @@
-"""Differential bit-identity suite for the stage-graph engine refactor.
+"""Differential bit-identity suite for the training engine.
 
 The refactor's acceptance bar: every training path routed through the
 engine must produce *exactly* the parameters and losses the pre-refactor
@@ -7,8 +7,9 @@ verbatim numeric transcriptions of the pre-refactor step loops (frozen at
 the refactor boundary, public model/core APIs only) — so the comparison is
 exact on any platform/BLAS instead of depending on committed binaries.
 
-Also covered here: the engine's policy/stage introspection surface and
-the callback protocol (ordering, global step numbering, run-end events).
+Also covered here: the engine's entry points (the trainer's look-ahead,
+``TrainingEngine.run`` used directly) and the callback protocol
+(ordering, global step numbering, run-end events).
 """
 
 from dataclasses import replace
@@ -34,8 +35,6 @@ from repro.runtime.engine import (
     TrainingCallback,
     TrainingEngine,
 )
-from repro.runtime.policy import SchedulePolicy
-from repro.runtime.stages import StageTimingCollector, build_step_stages
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory import: pytest's default import mode puts each test
@@ -289,21 +288,8 @@ class TestPipelinedEngineEquivalence:
         assert_params_equal(pipelined_model, legacy_model)
 
 
-class TestStagePlan:
-    """The stage graph is introspectable and uses the documented vocabulary."""
-
-    @pytest.mark.parametrize("mode", ["casted", "baseline"])
-    def test_the_default_plan_is_the_one_shard_plan(self, mode):
-        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
-        assert trainer.sharded.num_shards == 1
-        stages = build_step_stages(
-            trainer, StageTimingCollector(), 8, np.random.default_rng(0), mode
-        )
-        assert stages.stage_names() == (
-            "draw", "cast", "gather", "exchange", "forward", "backward",
-            "optimize",
-        )
-        assert len(stages.new_context().cast_shard_timings) == 1
+class TestStepBody:
+    """The engine's one step body and its entry points."""
 
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
     def test_the_reduce_kernels_see_a_contiguous_gradient(
@@ -332,42 +318,22 @@ class TestStagePlan:
             "expand_coalesce")
         assert seen == [(kernel, True)] * (2 * CONFIG.num_tables)
 
-    def test_sharded_plan(self):
-        trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.1), num_shards=2
-        )
-        collector = StageTimingCollector(num_shards=2)
-        stages = build_step_stages(
-            trainer, collector, 8, np.random.default_rng(0), "casted"
-        )
-        assert stages.stage_names() == (
-            "draw", "cast", "gather", "exchange", "forward", "backward",
-            "optimize",
-        )
-
-    def test_sharded_context_carries_per_shard_cast_timings(self):
-        trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.1), num_shards=3
-        )
-        stages = build_step_stages(
-            trainer, StageTimingCollector(num_shards=3), 8,
-            np.random.default_rng(0), "casted",
-        )
-        ctx = stages.new_context()
-        assert len(ctx.cast_shard_timings) == 3
-
-    def test_lookahead_is_a_field_of_the_policy_record(self):
+    def test_lookahead_is_a_checked_trainer_attribute(self):
         args = (make_model(), make_stream(), SGD(lr=0.1))
-        assert FunctionalTrainer(*args).policy == SchedulePolicy()
-        assert (FunctionalTrainer(*args, lookahead=1).policy
-                == SchedulePolicy(lookahead=1))
+        assert FunctionalTrainer(*args).lookahead == 0
+        assert FunctionalTrainer(*args, lookahead=1).lookahead == 1
+        for bad in (2, -1, True):
+            with pytest.raises(ValueError, match="lookahead must be 0 or 1"):
+                FunctionalTrainer(*args, lookahead=bad)
 
-    def test_engine_usable_directly_with_custom_policy(self):
-        """The facade is a convenience: TrainingEngine.run is the real API."""
-        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
+    def test_engine_usable_directly_with_lookahead(self):
+        """The facade is a convenience: TrainingEngine.run is the real API,
+        and it reads the trainer's look-ahead."""
+        trainer = FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.1), lookahead=1
+        )
         report = TrainingEngine(trainer).run(
             8, 2, np.random.default_rng(1), "casted",
-            policy=SchedulePolicy(lookahead=1),
         )
         assert report.steps == 2
         assert report.samples == 16

@@ -4,7 +4,7 @@ The serving plane's acceptance bar, pinned bit-exactly: ``infer()`` must
 produce the *same forward outputs the training path computes* for the same
 batch and backend, while leaving parameters and optimizer state untouched.
 The training-side oracle is the engine itself — a recording engine captures
-``ctx.logits`` as the training run's forward stage computes them — so
+``ctx.logits`` as the training run's forward computes them — so
 the comparison holds on any platform/BLAS without committed binaries.
 """
 
@@ -15,9 +15,10 @@ from repro.data.generator import SyntheticCTRStream
 from repro.data.source import TakeSource
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
-from repro.model.optim import SGD, Adam
+from repro.model.optim import SGD, Adam, Optimizer
+from repro.model.sharded import ShardedEmbeddingSet
 from repro.runtime.checkpoint import restore_trainer, save_checkpoint
-from repro.runtime.engine import INFERENCE_STAGES, TrainingEngine
+from repro.runtime.engine import TrainingEngine
 from repro.runtime.stages import InferenceReport
 from repro.runtime.trainer import FunctionalTrainer
 
@@ -58,9 +59,8 @@ class _ForwardRecordingEngine(TrainingEngine):
 
 def train_with_recorded_logits(trainer, batch, steps, rng, mode="casted"):
     """Run the real training path (same plumbing as ``train()``), keeping logits."""
-    trainer._begin_run(batch, steps, mode)
     engine = _ForwardRecordingEngine(trainer)
-    report = engine.run(batch, steps, rng, mode, policy=trainer.policy)
+    report = engine.run(batch, steps, rng, mode)
     return report, engine.recorded_logits
 
 
@@ -136,8 +136,45 @@ class TestInferMatchesTrainingForward:
         assert functional.losses == pipelined.losses
 
 
+#: Every call that backpropagates or updates, by owning class.
+BACKWARD_AND_UPDATE_CALLS = [
+    (DLRM, "backward_through_dense"),
+    (ShardedEmbeddingSet, "prepare_backward"),
+    (ShardedEmbeddingSet, "backward_shard"),
+    (ShardedEmbeddingSet, "update_shard"),
+    (Optimizer, "step"),
+    (Optimizer, "apply_sparse"),
+]
+
+
 class TestFrozenParameters:
-    """No backward/optimize stage runs: parameters and state stay untouched."""
+    """No backward or update runs: parameters and state stay untouched."""
+
+    @pytest.mark.parametrize("entry", ["train", "infer"])
+    @pytest.mark.parametrize("mode", ["casted", "baseline"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    def test_only_training_backpropagates_and_updates(
+            self, lookahead, num_shards, mode, entry, monkeypatch):
+        calls = []
+        for owner, name in BACKWARD_AND_UPDATE_CALLS:
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        trainer = FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.2),
+            num_shards=num_shards, lookahead=lookahead,
+        )
+        getattr(trainer, entry)(8, 2, np.random.default_rng(1), mode=mode)
+        if entry == "infer":
+            assert calls == []
+        else:
+            assert set(calls) == {
+                name for _, name in BACKWARD_AND_UPDATE_CALLS
+            }
 
     def test_params_and_optimizer_state_untouched(self):
         trainer = FunctionalTrainer(
@@ -212,9 +249,6 @@ class TestInferenceReport:
             ValueError, match="exhausted before the first step"
         ):
             trainer.infer(8, 1, np.random.default_rng(1), start_step=1)
-
-    def test_forward_only_filters_compute_stages(self):
-        assert INFERENCE_STAGES == ("gather", "exchange", "forward")
 
 
 class TestCheckpointThenServe:

@@ -1,8 +1,9 @@
 """Whole-step differential suite over the schedule-policy product.
 
-The engine has one step loop and one policy record
-(:class:`~repro.runtime.policy.SchedulePolicy`); the axes are meant to
-compose *by construction*.  This suite holds that to account:
+The engine has one step loop running one step body, with the cast inline
+or one batch ahead (``FunctionalTrainer(lookahead=)``) and the backward and
+update skipped by ``infer()``; the axes are meant to compose *by
+construction*.  This suite holds that to account:
 
 * every cell of look-ahead × shard count × backward mode × {train, infer}
   — nothing is rejected — is run and compared, bit for bit, against an
@@ -16,8 +17,9 @@ compose *by construction*.  This suite holds that to account:
 * options that were removed fail loudly rather than meaning something else;
 * the integer arguments are validated by one helper at every site
   (``num_shards=None`` included: one shard is ``num_shards=1``), an
-  unknown backward mode is rejected before anything is drawn, and the
-  silently-dropped-setting bug the single record made unrepresentable
+  unknown backward mode, a bad ``batch`` and a bad ``start_step`` are
+  rejected before anything is drawn through either entry point (the
+  trainer or ``TrainingEngine.run``), and the silently-dropped-setting bug
   stays fixed.
 """
 
@@ -51,7 +53,7 @@ from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.loss import bce_with_logits
 from repro.model.optim import SGD
-from repro.runtime.policy import SchedulePolicy
+from repro.runtime.engine import TrainingEngine
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory imports (pytest puts this directory on sys.path).
@@ -245,18 +247,18 @@ class TestRemovedOptions:
         assert message in capsys.readouterr().err
 
     def test_the_removed_training_surface_fails_loudly(self):
-        """Gradient accumulation, the ``lookahead=1`` alias, the two source
-        wrappers nothing ran and the legacy-stream adapter are gone: none
-        may be accepted and silently mean something else."""
+        """Gradient accumulation, the ``lookahead=1`` alias, the schedule
+        policy record, the two source wrappers nothing ran and the
+        legacy-stream adapter are gone: none may be accepted and silently
+        mean something else."""
         with pytest.raises(TypeError, match="accum_steps"):
             FunctionalTrainer(
                 make_model(), make_stream(), SGD(lr=0.3),
                 backend="vectorized", accum_steps=2,
             )
-        with pytest.raises(TypeError, match="accum_steps"):
-            SchedulePolicy(accum_steps=2)
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.runtime.pipeline")
+        for module in ("repro.runtime.pipeline", "repro.runtime.policy"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
         for name in ("TableRemapSource", "ArrivalShapedSource",
                      "LegacyStream"):
             assert not hasattr(repro.data, name)
@@ -415,6 +417,48 @@ class TestBackwardMode:
             assert np.array_equal(param, saved)
 
 
+#: A bad run argument -> the ``ValueError`` it must raise before the draw.
+BAD_RUN_ARGUMENTS = {
+    "unknown-mode": (dict(mode="bogus"), "mode must be one of"),
+    "negative-start-step": (dict(start_step=-3), "start_step must be"),
+    "bool-start-step": (dict(start_step=True), "start_step must be"),
+    "zero-batch": (dict(batch=0), "batch must be a positive integer"),
+}
+
+RUN_ENTRIES = {
+    "train": lambda trainer, **kw: trainer.train(**kw),
+    "infer": lambda trainer, **kw: trainer.infer(**kw),
+    "engine": lambda trainer, **kw: TrainingEngine(trainer).run(**kw),
+}
+
+
+class TestRunArgumentsAreCheckedAtEveryEntry:
+    """``TrainingEngine.run`` is public, so it checks its own arguments:
+    it used to train an unknown mode with Algorithm 1 under the unknown
+    name, and to hand callbacks negative global steps."""
+
+    @pytest.mark.parametrize("entry", sorted(RUN_ENTRIES))
+    @pytest.mark.parametrize("bad", sorted(BAD_RUN_ARGUMENTS))
+    def test_rejected_before_anything_is_drawn(self, bad, entry):
+        stream, batches = drawn_batches()
+        source = FixedSource(stream, batches)
+        model = make_model()
+        before = [param.copy() for param in model.all_parameters()]
+        trainer = FunctionalTrainer(model, source, SGD(lr=0.3),
+                                    backend="vectorized")
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        override, message = BAD_RUN_ARGUMENTS[bad]
+        kwargs = dict(batch=BATCH, steps=STEPS, rng=rng, mode="casted")
+        kwargs.update(override)
+        with pytest.raises(ValueError, match=message):
+            RUN_ENTRIES[entry](trainer, **kwargs)
+        assert source.draws == 0
+        assert rng.bit_generator.state == state
+        for param, saved in zip(model.all_parameters(), before):
+            assert np.array_equal(param, saved)
+
+
 # ----------------------------------------------------------------------
 # Settings that used to be dropped on the floor
 # ----------------------------------------------------------------------
@@ -431,8 +475,7 @@ class TestNoSilentlyDroppedSettings:
             make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
             backend="vectorized", lookahead=1,
         )
-        assert positional.policy == keyword.policy == SchedulePolicy(
-            lookahead=1)
+        assert positional.lookahead == keyword.lookahead == 1
         report = positional.train(8, 2, np.random.default_rng(1))
         assert "cast_wait" in report.timings.totals
         assert report.samples == 2 * 8
