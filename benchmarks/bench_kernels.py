@@ -6,12 +6,6 @@ expand-coalesce and skips the expanded-tensor materialization, so it wins in
 actual NumPy wall-clock — the same mechanism behind the paper's software-only
 1.2-2.8x.  pytest-benchmark reports ops/sec for each primitive.
 
-Every hot-kernel benchmark is parametrized over the pluggable kernel engine
-(:mod:`repro.backends`).  Select with ``--backend NAME``; ``--backend all``
-sweeps every registered backend side by side (the registry's order), which is
-how the reference oracle and the vectorized NumPy engine (``auto`` is the
-same kernels under another name) are compared on identical workloads.
-
 Set ``BENCH_SMOKE=1`` to shrink the workload to a CI-friendly smoke size.
 """
 
@@ -21,10 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, registered_backends
 from repro.core.casting import hash_casting, tensor_casting
 from repro.core.coalesce import expand_coalesce
-from repro.core.gather_reduce import casted_gather_reduce, gather_reduce
+from repro.core.gather_reduce import (
+    casted_gather_reduce,
+    gather_reduce,
+    gather_reduce_reference,
+)
 from repro.core.indexing import IndexArray
 from repro.data.distributions import ZipfDistribution
 from repro.model.optim import SGD
@@ -36,21 +33,6 @@ if _SMOKE:
     BATCH, LOOKUPS, ROWS, DIM = 256, 4, 2_000, 16
 else:
     BATCH, LOOKUPS, ROWS, DIM = 4_096, 16, 200_000, 64
-
-
-def pytest_generate_tests(metafunc):
-    """Expand ``kernel_backend`` from the ``--backend`` option."""
-    if "kernel_backend" not in metafunc.fixturenames:
-        return
-    spec = metafunc.config.getoption("--backend")
-    if spec == "all":
-        names = list(registered_backends())
-    elif spec is None:
-        names = ["vectorized"]
-    else:
-        get_backend(spec)  # fail fast, listing the registered names
-        names = [spec]
-    metafunc.parametrize("kernel_backend", names)
 
 
 @pytest.fixture(scope="module")
@@ -67,33 +49,31 @@ def workload():
     return index, table, gradients
 
 
-def test_forward_gather_reduce(benchmark, workload, kernel_backend):
+def test_forward_gather_reduce(benchmark, workload):
     index, table, _ = workload
-    result = benchmark(gather_reduce, table, index, backend=kernel_backend)
+    result = benchmark(gather_reduce, table, index)
     assert result.shape == (BATCH, DIM)
 
 
-def test_backward_baseline_expand_coalesce(benchmark, workload, kernel_backend):
+def test_backward_baseline_expand_coalesce(benchmark, workload):
     index, _, gradients = workload
-    rows, _ = benchmark(expand_coalesce, index, gradients,
-                        backend=kernel_backend)
+    rows, _ = benchmark(expand_coalesce, index, gradients)
     assert rows.size == index.num_unique_sources()
 
 
-def test_backward_casted_gather_reduce(benchmark, workload, kernel_backend):
+def test_backward_casted_gather_reduce(benchmark, workload):
     """Algorithm 3 Step B alone - the only part on the backward critical
     path once the runtime hides the cast."""
     index, _, gradients = workload
     cast = tensor_casting(index)
-    rows, _ = benchmark(casted_gather_reduce, gradients, cast,
-                        backend=kernel_backend)
+    rows, _ = benchmark(casted_gather_reduce, gradients, cast)
     assert rows.size == cast.num_coalesced
 
 
-def test_casting_stage(benchmark, workload, kernel_backend):
+def test_casting_stage(benchmark, workload):
     """Algorithm 2 alone - the part the runtime hides under forward."""
     index, _, _ = workload
-    cast = benchmark(tensor_casting, index, backend=kernel_backend)
+    cast = benchmark(tensor_casting, index)
     assert cast.num_lookups == index.num_lookups
 
 
@@ -140,28 +120,20 @@ def test_kernel_timings(workload):
     repeats = 3 if _SMOKE else 5
     timings = {
         "gather_reduce": _best_of(
-            lambda: gather_reduce(table, index, backend="vectorized"), repeats
+            lambda: gather_reduce(table, index), repeats
         ),
         "expand_coalesce": _best_of(
-            lambda: expand_coalesce(index, gradients, backend="vectorized"),
-            repeats,
+            lambda: expand_coalesce(index, gradients), repeats
         ),
         "casted_gather_reduce": _best_of(
-            lambda: casted_gather_reduce(gradients, cast,
-                                         backend="vectorized"),
-            repeats,
+            lambda: casted_gather_reduce(gradients, cast), repeats
         ),
-        "tensor_casting": _best_of(
-            lambda: tensor_casting(index, backend="vectorized"), repeats
-        ),
+        "tensor_casting": _best_of(lambda: tensor_casting(index), repeats),
         "zipf1.05/expand_coalesce": _best_of(
-            lambda: expand_coalesce(skewed, gradients, backend="vectorized"),
-            repeats,
+            lambda: expand_coalesce(skewed, gradients), repeats
         ),
         "zipf1.05/casted_gather_reduce": _best_of(
-            lambda: casted_gather_reduce(gradients, skewed_cast,
-                                         backend="vectorized"),
-            repeats,
+            lambda: casted_gather_reduce(gradients, skewed_cast), repeats
         ),
     }
     for kernel, seconds in sorted(timings.items()):
@@ -188,20 +160,18 @@ def test_casted_beats_baseline_wallclock(workload):
     _SMOKE, reason="A/B wall-clock assertion needs the full-size workload"
 )
 def test_vectorized_beats_reference_casted_backward(workload):
-    """Backend A/B at the paper's default shapes: the fused vectorized
-    engine must beat the pure-Python oracle on the casted backward
-    gather-reduce (the ISSUE's acceptance bar for the backend subsystem)."""
+    """Kernel vs. oracle at the paper's default shapes: the fused NumPy
+    casted backward must beat the pure-Python oracle's gather-reduce over
+    the same cast."""
     index, _, gradients = workload
     cast = tensor_casting(index)
 
     reference = _best_of(
-        lambda: casted_gather_reduce(gradients, cast, backend="reference"),
+        lambda: gather_reduce_reference(gradients, cast.as_index_array()),
         repeats=3,
     )
-    vectorized = _best_of(
-        lambda: casted_gather_reduce(gradients, cast, backend="vectorized")
-    )
-    print(f"\n[backends] casted backward: reference {reference * 1e3:.2f} ms "
+    vectorized = _best_of(lambda: casted_gather_reduce(gradients, cast))
+    print(f"\n[kernels] casted backward: reference {reference * 1e3:.2f} ms "
           f"vs vectorized {vectorized * 1e3:.2f} ms -> "
           f"{reference / vectorized:.1f}x")
     assert vectorized < reference

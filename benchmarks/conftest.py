@@ -13,19 +13,6 @@ import pytest
 from repro.runtime.systems import SystemHardware
 
 
-def pytest_addoption(parser):
-    """``--backend``: which kernel engine(s) bench_kernels measures.
-
-    A registered backend name, ``all`` to sweep every registered backend
-    side by side, or omitted for the process default (``vectorized``).
-    """
-    parser.addoption(
-        "--backend", action="store", default=None, metavar="NAME",
-        help="kernel backend for bench_kernels: a registered name, 'all' "
-             "for a side-by-side sweep, or omit for the default",
-    )
-
-
 @pytest.fixture(scope="session")
 def hardware() -> SystemHardware:
     """One hardware description (and DRAM-sim cache) for the whole run."""

@@ -9,12 +9,10 @@ primitive.
 
 Package tour
 ------------
-* :mod:`repro.core` — index arrays, gather-reduce/scatter kernels, the
-  baseline expand-coalesce pipeline, Tensor Casting itself, and analytic
+* :mod:`repro.core` — index arrays, the gather-reduce/scatter kernels (one
+  NumPy implementation each, next to its pure-Python oracle), the baseline
+  expand-coalesce pipeline, Tensor Casting itself, and analytic
   memory-traffic models;
-* :mod:`repro.backends` — the pluggable kernel engine every hot kernel
-  dispatches through: ``reference`` oracles and fused ``vectorized`` NumPy
-  (``auto``, the trainers' default, is the same kernels);
 * :mod:`repro.model` — a from-scratch NumPy DLRM (MLPs, embedding bags with
   both backward strategies, interactions, losses, optimizers) plus the
   Table II configurations;
@@ -41,13 +39,6 @@ Quickstart
 [0, 1, 2, 4]
 """
 
-from .backends import (
-    KernelBackend,
-    get_backend,
-    registered_backends,
-    set_default_backend,
-    use_backend,
-)
 from .core import (
     CastedIndex,
     IndexArray,
@@ -157,7 +148,6 @@ __all__ = [
     "GPUModel",
     "HotRowCache",
     "IndexArray",
-    "KernelBackend",
     "Link",
     "MetricsLogger",
     "MLP",
@@ -207,9 +197,5 @@ __all__ = [
     "sharded_exchange_bytes",
     "tcasted_grad_gather_reduce",
     "tensor_casting",
-    "get_backend",
-    "registered_backends",
-    "set_default_backend",
-    "use_backend",
     "__version__",
 ]

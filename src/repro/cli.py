@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Sequence, Tuple
 
-from .backends import registered_backends, set_default_backend
 from .data.datasets import DATASETS, dataset_names
 from .experiments import (
     format_hotcache,
@@ -173,15 +172,9 @@ def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
                 shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
                 batches=tuple(args.batches or (512,)),
                 steps=args.steps,
-                backend=args.backend,
                 dataset=args.dataset,
                 hardware=hardware,
             )
-        )
-    if args.backend is not None:
-        raise ValueError(
-            "--backend does not apply to 'scaling' without --steps: the "
-            "analytic sweep runs no kernels"
         )
     batches = args.batches or (4096,)
     shard_counts = args.shards or SCALING_SHARDS
@@ -206,7 +199,7 @@ def _run_overlap(
     return format_overlap(
         overlap_sweep(batches=batches, shard_counts=shard_counts, steps=steps,
                       dataset=args.dataset, hardware=hardware,
-                      backend=args.backend, trace=args.trace,
+                      trace=args.trace,
                       optimizer=args.optimizer or "sgd",
                       lr=args.lr if args.lr is not None else 0.1,
                       checkpoint_dir=args.checkpoint_dir, resume=args.resume,
@@ -245,7 +238,6 @@ def _run_serve(
             ),
             pattern=args.arrival or "poisson",
             trace=args.trace,
-            backend=args.backend,
             optimizer=args.optimizer or "sgd",
             lr=args.lr if args.lr is not None else 0.1,
             checkpoint_dir=args.checkpoint_dir,
@@ -306,7 +298,6 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
     "batches": ("fig4", "fig5b", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "scaling", "overlap", "cache"),
     "shards": ("scaling", "overlap"),
-    "backend": ("scaling", "overlap", "serve", "validate"),
     "steps": ("scaling", "overlap", "cache"),
     "rates": _SERVE,
     "policies": _SERVE,
@@ -351,14 +342,11 @@ _VALUE_CHECKS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
 
 
 def _run_list(args: argparse.Namespace) -> int:
-    """Enumerate every runnable command plus the kernel-backend inventory."""
+    """Enumerate every runnable command."""
     for name, (_, description) in sorted(
         list(EXPERIMENTS.items()) + list(BUILTIN_COMMANDS.items())
     ):
         print(f"{name:8s} {description}")
-    print()
-    print(f"backends: {', '.join(registered_backends())}  "
-          "(select with --backend NAME)")
     return 0
 
 
@@ -375,7 +363,7 @@ def _run_validate(args: argparse.Namespace) -> int:
 #: exit code.  Parser choices and the ``list`` output both derive from the
 #: two registries — there is no third hand-maintained name list to drift.
 BUILTIN_COMMANDS: Dict[str, tuple[Callable, str]] = {
-    "list": (_run_list, "Enumerate every command and kernel backend"),
+    "list": (_run_list, "Enumerate every command"),
     "validate": (_run_validate, "Run the cross-cutting self-checks"),
 }
 
@@ -424,13 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
              "switches from the analytic sweep to the measured one, which "
              "trains each (batch, shard count) cell and reports its "
              "1-shard/N-shard wall-clock ratio next to the analytic bound",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel backend routed to every kernel the command runs "
-             f"({_scope('backend')}; 'scaling' only with --steps); "
-             f"registered: {', '.join(registered_backends())} (default: "
-             "the vectorized kernels)",
     )
     parser.add_argument(
         "--optimizer", default=None, metavar="NAME",
@@ -548,14 +529,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         value = getattr(args, dest)
         if value is not None and not accepts(value):
             return _fail(message.format(v=value))
-    if args.backend is not None:
-        try:
-            # Validates the name (an unknown one exits nonzero with
-            # the candidates listed) and makes it the process default so
-            # every kernel of the run routes through it.
-            set_default_backend(args.backend)
-        except ValueError as error:
-            return _fail(str(error))
     if args.experiment in BUILTIN_COMMANDS:
         runner, _ = BUILTIN_COMMANDS[args.experiment]
         return runner(args)

@@ -8,14 +8,19 @@ Algorithms 2-3):
 * :mod:`~repro.core.gather_reduce` — fused forward gather-reduce and the
   casted gradient gather-reduce,
 * :mod:`~repro.core.segment` — ``segment_sum``, the order-preserving
-  accumulation primitive the NumPy engines and the coalesce share,
+  accumulation primitive every kernel's reduction runs,
 * :mod:`~repro.core.coalesce` — the baseline gradient expand-coalesce
   pipeline (Algorithm 1),
 * :mod:`~repro.core.casting` — Tensor Casting (Algorithm 2) and a
   hash-bucketing ablation variant,
 * :mod:`~repro.core.scatter` — the gradient-scatter model update, the one
   checked row-block walk every optimizer's sparse update runs,
-* :mod:`~repro.core.traffic` — analytic memory-traffic models (Figure 6).
+* :mod:`~repro.core.traffic` — analytic memory-traffic models (Figure 6),
+* :mod:`~repro.core.observe` — the kernel-call counter the four kernels
+  report to.
+
+The public kernels validate their arguments and run the one NumPy
+implementation; each ``*_reference`` function is its pure-Python oracle.
 """
 
 from .casting import (

@@ -18,26 +18,21 @@ of forward propagation, the cast can be computed *ahead of time* and off the
 critical path — the runtime co-design of Section IV-B hides it under the
 forward embedding gather (see :mod:`repro.runtime.systems`).
 
-:func:`tensor_casting` is a thin dispatcher into the pluggable kernel
-engine (:mod:`repro.backends`): the stable-argsort implementation lives in
-the ``vectorized`` backend, and the literal pseudo-code transcription
-below (:func:`tensor_casting_reference`) doubles as the ``reference``
-backend.
-Every backend produces the identical cast (integer arrays, stable order).
+:func:`tensor_casting` is the sort-by-key kernel; the literal pseudo-code
+transcription below (:func:`tensor_casting_reference`) is its test oracle,
+and the two produce the identical cast (integer arrays, stable order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, TYPE_CHECKING
+from typing import Tuple
 
 import numpy as np
 
 from .indexing import IndexArray
-from .segment import run_starts
-
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
+from .observe import count_kernel
+from .segment import run_starts, sort_by_key
 
 __all__ = [
     "CastedIndex",
@@ -124,26 +119,42 @@ class CastedIndex:
         return self
 
 
-def tensor_casting(index: IndexArray, backend: BackendSpec = None) -> CastedIndex:
+def tensor_casting(index: IndexArray) -> CastedIndex:
     """Cast a forward index array for backward gather-reduce (Algorithm 2).
 
-    Thin dispatcher into the selected kernel backend's ``cast_indices``
-    (``backend`` is a name, a :class:`~repro.backends.base.KernelBackend`,
-    or ``None`` for the process default — the stable-argsort ``vectorized``
-    engine: sort-by-key on ``src`` (line 3), reuse of the sorted ``dst`` as
-    ``casted_src`` (line 4), boundary scan (lines 5-8), cumulative sum
-    (line 9)).
+    Stable sort-by-key on ``src`` (line 3), reuse of the sorted ``dst`` as
+    ``casted_src`` (line 4), boundary scan (lines 5-8) and cumulative sum
+    (line 9).
 
     Complexity is ``O(n log n)``, dominated by the sort; the paper's runtime
     hides this latency under forward propagation because the cast depends
-    only on the index array, not on any gradient values.
+    only on the index array, not on any gradient values.  The sort is
+    :func:`repro.core.segment.sort_by_key`, the same call as Step A of the
+    baseline coalesce, so neither backward mode sorts faster than the
+    other.  Index-only work: every array of the cast is int64, and the
+    gradient dtype never enters.
     """
     if index.num_lookups == 0:
         empty = np.empty(0, dtype=np.int64)
         return CastedIndex(empty, empty.copy(), empty.copy(), index.num_outputs)
-    from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
-
-    return resolve_backend(backend).cast_indices(index)
+    count_kernel("tensor_casting")
+    src, dst = index.src, index.dst
+    sorted_src, order = sort_by_key(src)  # line 3: SortByKey
+    casted_src = dst[order]  # line 4: casted_src <- sorted_dst
+    scan = np.empty(src.size, dtype=np.int64)  # lines 5-8: boundary scan
+    scan[0] = 1
+    scan[1:] = sorted_src[1:] != sorted_src[:-1]
+    casted_dst = np.cumsum(scan) - 1  # line 9
+    # The scan's ones are where each coalesced slot's run begins: the
+    # distinct rows, and the segment layout the backward reduction wants —
+    # index-only work, done here where the runtime can hide it.
+    starts = np.flatnonzero(scan)
+    return CastedIndex(
+        casted_src=casted_src.astype(np.int64),
+        casted_dst=casted_dst,
+        rows=sorted_src[starts].astype(np.int64),
+        num_gradients=index.num_outputs,
+    ).with_segment_starts(starts)
 
 
 def tensor_casting_reference(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

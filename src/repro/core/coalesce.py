@@ -20,15 +20,13 @@ this two-step structure are modelled in :mod:`repro.core.traffic`.
 
 from __future__ import annotations
 
-from typing import Tuple, TYPE_CHECKING
+from typing import Tuple
 
 import numpy as np
 
 from .indexing import IndexArray
+from .observe import count_kernel
 from .segment import segment_sum, sort_by_key
-
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
 
 __all__ = [
     "gradient_expand",
@@ -104,10 +102,10 @@ def gradient_coalesce(
     # Step B: accumulate runs of equal ids, each run one addend at a time in
     # sorted order — the oracle's association, which segment_sum keeps
     # (np.add.reduceat's pairwise partial sums would drift by ulps from the
-    # loop-based backends and break the trainers' bit-identity).  The
-    # sorted copy is Algorithm 1's second (n, dim) intermediate and stays
-    # materialised (a ``take``, like every casted-side gather): it is what
-    # core.traffic bills this pipeline for.
+    # oracle and break the trainers' bit-identity).  The sorted copy is
+    # Algorithm 1's second (n, dim) intermediate and stays materialised (a
+    # ``take``, like every casted-side gather): it is what core.traffic
+    # bills this pipeline for.
     boundaries = np.empty(src.size, dtype=bool)
     boundaries[0] = True
     boundaries[1:] = sorted_src[1:] != sorted_src[:-1]
@@ -153,17 +151,15 @@ def gradient_coalesce_reference(
 
 
 def expand_coalesce(
-    index: IndexArray, gradients: np.ndarray, backend: BackendSpec = None
+    index: IndexArray, gradients: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the full baseline two-step pipeline on an :class:`IndexArray`.
 
     This is the reference backward path the paper characterizes as the
     dominant training bottleneck; Tensor Casting's
     :func:`repro.core.gather_reduce.tcasted_grad_gather_reduce` computes the
-    identical ``(rows, coalesced)`` result in one fused pass.  Dispatches
-    into the selected kernel backend (name, instance, or ``None`` for the
-    process default — the :func:`gradient_expand` + :func:`gradient_coalesce`
-    NumPy pipeline below).
+    identical ``(rows, coalesced)`` result in one fused pass.  Runs
+    :func:`gradient_expand`, then :func:`gradient_coalesce`.
     """
     gradients = np.asarray(gradients)
     if gradients.ndim != 2:
@@ -174,6 +170,5 @@ def expand_coalesce(
         raise ValueError("dst references a gradient row that does not exist")
     if index.num_lookups == 0:
         return index.src.astype(np.int64), gradients[index.dst].copy()
-    from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
-
-    return resolve_backend(backend).expand_coalesce(index, gradients)
+    count_kernel("expand_coalesce")
+    return gradient_coalesce(index.src, gradient_expand(gradients, index.dst))

@@ -4,11 +4,10 @@ Gather-reduce is the unifying compute primitive of the paper: forward
 propagation gathers embedding rows by ``src`` and reduces them into ``dst``
 slots on the fly (Figure 2(a)), and — after Tensor Casting — backpropagation
 performs the *same* operation over the gradient table (Figure 7,
-Algorithm 3).  The public functions here validate arguments and dispatch
-into the pluggable kernel engine (:mod:`repro.backends`): the fused NumPy
-implementation lives in the ``vectorized`` backend, and the literal
-pure-Python oracle below (:func:`gather_reduce_reference`) doubles as the
-``reference`` backend.
+Algorithm 3).  The public functions here validate arguments and run both
+as one call, :func:`repro.core.segment.segment_sum`; the literal
+pure-Python loop below (:func:`gather_reduce_reference`) is their test
+oracle.
 
 The fused formulation matters: reducing "on the fly inside on-chip registers"
 means the ``n`` gathered vectors are never materialized to memory, which is
@@ -18,15 +17,14 @@ where the 2x memory-intensity reduction over expand-coalesce comes from
 
 from __future__ import annotations
 
-from typing import Tuple, TYPE_CHECKING
+from typing import Tuple
 
 import numpy as np
 
 from .casting import CastedIndex, tensor_casting
 from .indexing import IndexArray
-
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
+from .observe import count_kernel
+from .segment import segment_sum
 
 __all__ = [
     "gather_reduce",
@@ -36,9 +34,7 @@ __all__ = [
 ]
 
 
-def gather_reduce(
-    table: np.ndarray, index: IndexArray, backend: BackendSpec = None
-) -> np.ndarray:
+def gather_reduce(table: np.ndarray, index: IndexArray) -> np.ndarray:
     """Fused embedding gather-reduce (forward pass, Figure 2(a)).
 
     Computes ``out[dst[i]] += table[src[i]]`` for every lookup ``i`` into a
@@ -50,10 +46,6 @@ def gather_reduce(
         ``(num_rows, dim)`` embedding table (or gradient table).
     index:
         The ``(src, dst)`` lookup description.
-    backend:
-        Kernel engine: a registered backend name, a
-        :class:`~repro.backends.base.KernelBackend` instance, or ``None``
-        for the process default (see :mod:`repro.backends`).
 
     Returns
     -------
@@ -68,9 +60,8 @@ def gather_reduce(
         )
     if index.num_lookups == 0:
         return np.zeros((index.num_outputs, table.shape[1]), dtype=table.dtype)
-    from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
-
-    return resolve_backend(backend).gather_reduce(table, index)
+    count_kernel("gather_reduce")
+    return segment_sum(table, index.src, index.dst, index.num_outputs)
 
 
 def gather_reduce_reference(table: np.ndarray, index: IndexArray) -> np.ndarray:
@@ -87,7 +78,7 @@ def gather_reduce_reference(table: np.ndarray, index: IndexArray) -> np.ndarray:
 
 
 def casted_gather_reduce(
-    gradients: np.ndarray, casted: CastedIndex, backend: BackendSpec = None
+    gradients: np.ndarray, casted: CastedIndex
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gradient gather-reduce over a precomputed cast (Algorithm 3, Step B).
 
@@ -95,9 +86,8 @@ def casted_gather_reduce(
     ``casted_src`` and reduces them into ``u`` coalesced slots named by
     ``casted_dst`` — producing exactly the coalesced gradients that the
     baseline expand-coalesce pipeline would, with no expanded intermediate.
-    Dispatches to the selected backend's fused casted path (every backend's
-    default is its own :meth:`~repro.backends.base.KernelBackend.gather_reduce`
-    over the cast viewed as an index array — the paper's key identity).
+    It is the forward kernel over the gradient table — the paper's key
+    identity — fed the segment layout the cast already derived.
 
     Returns
     -------
@@ -121,8 +111,7 @@ def casted_gather_reduce(
         )
     # CastedIndex is an unvalidated frozen dataclass; bound-check a
     # hand-built cast here (the casting kernels always produce valid ones)
-    # so no backend — compiled loop nests included — ever scatters out of
-    # bounds.
+    # so the reduction never scatters out of bounds.
     src_lo, src_hi = int(casted.casted_src.min()), int(casted.casted_src.max())
     if src_lo < 0 or src_hi >= max(casted.num_gradients, 1):
         raise ValueError(
@@ -136,16 +125,18 @@ def casted_gather_reduce(
             f"range [{dst_lo}, {dst_hi}]"
         )
     if np.any(casted.casted_dst[1:] < casted.casted_dst[:-1]):
-        # Engines reduce over CastedIndex.segment_starts(), which reads
+        # The reduction runs over CastedIndex.segment_starts(), which reads
         # runs of casted_dst as whole segments.
         raise ValueError("casted_dst must be non-decreasing (a casted ramp)")
-    from ..backends.dispatch import resolve_backend  # deferred: avoids cycle
-
-    return resolve_backend(backend).casted_gather_reduce(gradients, casted)
+    count_kernel("casted_gather_reduce")
+    return casted.rows, segment_sum(
+        gradients, casted.casted_src, casted.casted_dst,
+        casted.num_coalesced, starts=casted.segment_starts(),
+    )
 
 
 def tcasted_grad_gather_reduce(
-    index: IndexArray, gradients: np.ndarray, backend: BackendSpec = None
+    index: IndexArray, gradients: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full Tensor-Casted backward primitive (Algorithm 3).
 
@@ -155,5 +146,5 @@ def tcasted_grad_gather_reduce(
     (:mod:`repro.runtime`), so only Step B sits on the backward critical
     path; this convenience wrapper performs both for functional use.
     """
-    casted = tensor_casting(index, backend=backend)  # Step A
-    return casted_gather_reduce(gradients, casted, backend=backend)  # Step B
+    casted = tensor_casting(index)  # Step A
+    return casted_gather_reduce(gradients, casted)  # Step B

@@ -1,4 +1,4 @@
-"""The one order-preserving accumulation primitive of the NumPy engines.
+"""The one order-preserving accumulation primitive of the core kernels.
 
 Every reduction the paper describes — the forward gather-reduce
 (Figure 2(a)), the casted backward (Algorithm 3) and Step B of the baseline
@@ -28,7 +28,7 @@ The number of NumPy calls is therefore bounded by the data — 32 rounds for
 NumPy's general fancy-index path: rows move by ``take`` and by
 :func:`_store_rows`, which the sparse update's walk
 (:func:`repro.core.scatter.update_rows`) shares.  This module imports NumPy
-only, so :mod:`repro.core.coalesce` and the backends share it without an
+only, so every kernel module of :mod:`repro.core` shares it without an
 import cycle.
 """
 
@@ -48,7 +48,7 @@ def sort_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable SortByKey: ``(keys[order], order)`` for the stable ``order``.
 
     The one sort of both backward modes — Algorithm 2 line 3
-    (:func:`repro.backends.vectorized.cast_indices_vectorized`) and
+    (:func:`repro.core.casting.tensor_casting`) and
     Algorithm 1 Step A (:func:`repro.core.coalesce.gradient_coalesce`) — so
     the comparator stays fair.  Integer keys are packed with their position,
     ``(key << bits) | i`` with ``bits = (n - 1).bit_length()``: packed keys

@@ -44,7 +44,7 @@ class ArrivalProcess:
     def __init__(
         self, rate_per_s: float, pattern: str = "poisson", seed: int = 0
     ) -> None:
-        if rate_per_s <= 0:
+        if not rate_per_s > 0:
             raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
         if pattern not in self.PATTERNS:
             raise ValueError(

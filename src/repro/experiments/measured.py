@@ -24,7 +24,7 @@ model.  This module is the one place that decides how:
   implies, its first batch, and the steps left to replay after a resume.
 
 A sweep differs from another only in the trainer keywords it passes
-(``lookahead``, ``num_shards``, ``backend``, ...) and in what it reads
+(``lookahead``, ``num_shards``, ...) and in what it reads
 off the reports.
 """
 

@@ -154,7 +154,6 @@ def overlap_sweep(
     hardware: SystemHardware | None = None,
     seed: int = 0,
     repeats: int = 3,
-    backend: str | None = None,
     trace: "str | Path | None" = None,
     optimizer: str = "sgd",
     lr: float = 0.1,
@@ -167,11 +166,7 @@ def overlap_sweep(
     Each cell trains ``steps`` iterations at ``lookahead=0`` and at
     ``lookahead=1`` (best wall-clock of ``repeats`` runs each), verifies
     bitwise agreement, and pairs the measured speedup with the analytic
-    cast-overlap prediction for the same geometry.  ``backend`` names the
-    kernel engine both runs route their hot kernels through (``None`` → the
-    trainers' default ``auto`` policy); every engine is bit-identical for
-    the float32 model *to itself across schedules*, which is all the
-    bitwise flag compares.
+    cast-overlap prediction for the same geometry.
 
     ``trace`` switches the source from synthetic generation to replaying a
     recorded batch trace: a single one-shard cell whose geometry (batch size,
@@ -234,7 +229,7 @@ def overlap_sweep(
                     config, make_source, batch, steps, repeats, seed=seed,
                     optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
                     num_shards=num_shards, policy="row",
-                    backend=backend or "auto", lookahead=lookahead,
+                    lookahead=lookahead,
                 )
                 for lookahead in (0, 1)
             )

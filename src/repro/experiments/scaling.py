@@ -171,7 +171,6 @@ class MeasuredScalingRow:
     batch: int
     policy: str
     num_shards: int
-    backend: str
     steps: int
     steps_per_s: float
     measured_speedup: float
@@ -186,7 +185,6 @@ def measured_scaling_sweep(
     steps: int = 8,
     config: ModelConfig = OVERLAP_CONFIG,
     policy: str = "row",
-    backend: str | None = None,
     dataset: str = "random",
     hardware: SystemHardware | None = None,
     seed: int = 0,
@@ -200,9 +198,7 @@ def measured_scaling_sweep(
     and at every count in ``shard_counts`` through
     :func:`repro.experiments.measured.best_of`, keeping the best wall clock
     of ``repeats`` runs each, and pairs the measured ratio with the
-    analytic :class:`ShardedNMPSystem` N-vs-1-shard bound.  ``backend``
-    names the kernel engine (``None``: the process default); each row
-    records the engine that ran.
+    analytic :class:`ShardedNMPSystem` N-vs-1-shard bound.
     """
     hardware = hardware or SystemHardware()
     distribution = scaled_distribution(dataset, config.rows_per_table)
@@ -219,7 +215,7 @@ def measured_scaling_sweep(
         reports = {
             n: best_of(
                 config, make_source, batch, steps, repeats, seed=seed,
-                obs=obs, num_shards=n, policy=policy, backend=backend,
+                obs=obs, num_shards=n, policy=policy,
             ).report
             for n in dict.fromkeys((1, *shard_counts))
         }
@@ -238,7 +234,6 @@ def measured_scaling_sweep(
                     batch=batch,
                     policy=policy,
                     num_shards=num_shards,
-                    backend=report.backend,
                     steps=report.steps,
                     steps_per_s=report.steps_per_second,
                     measured_speedup=(

@@ -152,7 +152,6 @@ def serving_sweep(
     config: ModelConfig = SERVING_CONFIG,
     trace: "str | Path | None" = None,
     seed: int = 0,
-    backend: Optional[str] = None,
     optimizer: str = "sgd",
     lr: float = 0.1,
     checkpoint_dir: "str | Path | None" = None,
@@ -185,12 +184,16 @@ def serving_sweep(
     trace file holds the whole frontier.  All timestamps are virtual-clock
     simulation time, so repeated sweeps produce byte-identical traces.
     """
-    if sla_ms <= 0:
+    # Written so that NaN fails each comparison.
+    if not sla_ms > 0:
         raise ValueError(f"sla_ms must be positive, got {sla_ms}")
-    if max_wait_ms < 0:
+    if not max_wait_ms >= 0:
         raise ValueError(f"max_wait_ms must be non-negative, got {max_wait_ms}")
     if not rates:
         raise ValueError("rates must name at least one arrival rate")
+    for rate in rates:
+        if not rate > 0:
+            raise ValueError(f"arrival rates must be positive, got {rate}")
     if not policies:
         raise ValueError("policies must name at least one batching policy")
     for name in policies:
@@ -219,7 +222,6 @@ def serving_sweep(
         executor = EngineExecutor(
             seeded_model(config, seed),
             optimizer=make_optimizer(optimizer, lr=lr),
-            backend=backend or "auto",
         )
         if checkpoint is not None:
             restore_trainer(executor.trainer, checkpoint)
@@ -233,8 +235,6 @@ def serving_sweep(
         )
     rows: List[ServingRow] = []
     for rate in rates:
-        if rate <= 0:
-            raise ValueError(f"arrival rates must be positive, got {rate}")
         source = make_source()
         try:
             requests = generate_requests(

@@ -18,7 +18,6 @@ validates it here, including with property-based index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from ..core.coalesce import expand_coalesce
 from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
 from .optim import Optimizer
-
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
 
 __all__ = ["SparseGradient", "EmbeddingBag"]
 
@@ -78,13 +74,6 @@ class EmbeddingBag:
     dtype:
         Table dtype; float64 by default so finite-difference gradient checks
         are meaningful, float32 for footprint-faithful experiments.
-    backend:
-        Kernel engine forwarded to every hot kernel this bag launches
-        (gather-reduce, casting, expand-coalesce): a registered backend
-        name, a :class:`~repro.backends.base.KernelBackend` instance, or
-        ``None`` for the process default.  Plain attribute — the trainers
-        assign their resolved backend here so a ``backend=`` knob set on a
-        trainer reaches the model's kernels.
     """
 
     def __init__(
@@ -93,7 +82,6 @@ class EmbeddingBag:
         dim: int,
         rng: np.random.Generator | None = None,
         dtype: np.dtype = np.float64,
-        backend: "BackendSpec" = None,
     ) -> None:
         if num_rows <= 0 or dim <= 0:
             raise ValueError("num_rows and dim must be positive")
@@ -101,7 +89,6 @@ class EmbeddingBag:
         # DLRM-style uniform init scaled by table size.
         bound = 1.0 / np.sqrt(num_rows)
         self.table = rng.uniform(-bound, bound, size=(num_rows, dim)).astype(dtype)
-        self.backend = backend
         self._last_index: IndexArray | None = None
 
     @property
@@ -119,7 +106,7 @@ class EmbeddingBag:
                 f"index addresses {index.num_rows} rows, table has {self.num_rows}"
             )
         self._last_index = index
-        return gather_reduce(self.table, index, backend=self.backend)
+        return gather_reduce(self.table, index)
 
     def precompute_cast(self, index: IndexArray) -> CastedIndex:
         """Run Tensor Casting ahead of time (the runtime's hidden stage).
@@ -128,7 +115,7 @@ class EmbeddingBag:
         CPU/NMP-side forward gather (Figure 9(b)); functionally it only needs
         the index array, which is available before forward propagation starts.
         """
-        return tensor_casting(index, backend=self.backend)
+        return tensor_casting(index)
 
     def backward(
         self,
@@ -165,13 +152,11 @@ class EmbeddingBag:
                 f"got {grad_output.shape}"
             )
         if mode == "baseline":
-            rows, values = expand_coalesce(index, grad_output, backend=self.backend)
+            rows, values = expand_coalesce(index, grad_output)
         else:
             if cast is None:
-                cast = tensor_casting(index, backend=self.backend)
-            rows, values = casted_gather_reduce(
-                grad_output, cast, backend=self.backend
-            )
+                cast = tensor_casting(index)
+            rows, values = casted_gather_reduce(grad_output, cast)
         return SparseGradient(rows=rows, values=values)
 
     def apply_gradient(self, grad: SparseGradient,

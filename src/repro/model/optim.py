@@ -39,8 +39,8 @@ Two pieces of plumbing make the optimizers first-class runtime citizens:
 
 * the **registry** (:data:`OPTIMIZERS` / :func:`make_optimizer` /
   :func:`optimizer_names`) — the single source the CLI's ``--optimizer``
-  choices derive from, mirroring the ``--backend`` / ``--dataset``
-  convention (unknown names raise listing the candidates);
+  choices derive from, mirroring the ``--dataset`` convention (unknown
+  names raise listing the candidates);
 * **state export/import** (:meth:`Optimizer.export_state` /
   :meth:`Optimizer.import_state` / :meth:`Optimizer.hyperparameters`) —
   per-parameter state keyed by *stable names* instead of tensor identity,
@@ -404,8 +404,8 @@ class Adam(Optimizer):
 # ----------------------------------------------------------------------
 
 #: Name -> class, the single source of truth for optimizer selection (the
-#: ``--optimizer`` flag's candidates, mirroring the ``--backend`` and
-#: ``--dataset`` conventions).
+#: ``--optimizer`` flag's candidates, mirroring the ``--dataset``
+#: convention).
 OPTIMIZERS: Dict[str, type] = {
     "sgd": SGD,
     "momentum": Momentum,

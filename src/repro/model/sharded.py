@@ -41,7 +41,7 @@ pair terms differ by exactly 2x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from ..core.indexing import IndexArray
 from ..core.sharding import ShardPartition, ShardSlice, make_partition, reassemble_pooled
 from .embedding import EmbeddingBag
 from .optim import Optimizer
-
-if TYPE_CHECKING:  # runtime import stays deferred to avoid the cycle
-    from ..backends.dispatch import BackendSpec
 
 __all__ = ["ShardedStepPlan", "ShardedEmbeddingSet"]
 
@@ -104,13 +101,6 @@ class ShardedEmbeddingSet:
     policy:
         ``"row"`` (stripe rows) or ``"table"`` (whole tables round-robin);
         see :mod:`repro.core.sharding`.
-    backend:
-        Kernel engine forwarded into every per-shard kernel launch
-        (casting, gather-reduce, casted backward): a registered backend
-        name, a :class:`~repro.backends.base.KernelBackend` instance, or
-        ``None`` for the process default.  On real multi-device deployments
-        this is where heterogeneous pools plug in — each shard's kernels
-        route through whatever engine its device runs.
     """
 
     def __init__(
@@ -118,12 +108,10 @@ class ShardedEmbeddingSet:
         bags: Sequence[EmbeddingBag],
         num_shards: int,
         policy: str = "row",
-        backend: "BackendSpec" = None,
     ) -> None:
         if not bags:
             raise ValueError("need at least one embedding bag to shard")
         self.bags = list(bags)
-        self.backend = backend
         self.partition: ShardPartition = make_partition(policy, num_shards)
 
     @property
@@ -179,9 +167,7 @@ class ShardedEmbeddingSet:
         for table_id, row in enumerate(plan.slices):
             slice_ = row[shard]
             if slice_ is not None:
-                plan.casts[table_id][shard] = tensor_casting(
-                    slice_.index, backend=self.backend
-                )
+                plan.casts[table_id][shard] = tensor_casting(slice_.index)
 
     # ------------------------------------------------------------------
     # Phase 3: forward
@@ -196,7 +182,7 @@ class ShardedEmbeddingSet:
             slice_ = row[shard]
             if slice_ is not None:
                 plan.partials[table_id][shard] = gather_reduce(
-                    table, slice_.index, backend=self.backend
+                    table, slice_.index
                 )
 
     def assemble_pooled(self, plan: ShardedStepPlan) -> List[np.ndarray]:
@@ -292,13 +278,9 @@ class ShardedEmbeddingSet:
             )
             cast = plan.casts[table_id][shard]
             if cast is None:
-                rows, values = expand_coalesce(
-                    slice_.index, grad_slice, backend=self.backend
-                )
+                rows, values = expand_coalesce(slice_.index, grad_slice)
             else:
-                rows, values = casted_gather_reduce(
-                    grad_slice, cast, backend=self.backend
-                )
+                rows, values = casted_gather_reduce(grad_slice, cast)
             coalesced.append((table_id, rows, values))
         return coalesced
 

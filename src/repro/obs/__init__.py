@@ -10,10 +10,10 @@ This package adds the record you can actually look at:
   worker, shards, served requests) with timestamps from an injectable
   :class:`~repro.serving.clock.Clock`;
 * :class:`MetricRegistry` — labeled counters / gauges / histograms
-  (``cache.hits{policy=lfu}``, ``kernel.calls{backend=vectorized,...}``);
+  (``cache.hits{policy=lfu}``, ``kernel.calls{op=gather_reduce}``);
 * exporters — Chrome trace-event JSON (load it in Perfetto or
   ``chrome://tracing``), a JSONL step-record stream, and a run manifest
-  (config, backend, git SHA, seed);
+  (config, git SHA, seed);
 * :class:`Observability` — the bundle of all of the above that threads
   through every ``obs=`` seam (trainer, engine, serving simulator, CLI
   ``--trace-out`` / ``--metrics-out``).

@@ -13,7 +13,7 @@ inputs (sorted keys, sorted tracks, stable event order):
   line: training steps with losses, served requests with lifecycle
   timestamps.  Greppable, streamable, diffable.
 * **Run manifest** (:func:`write_manifest`) — what produced the artifacts:
-  config, backend, seed (caller-provided) plus the repository revision
+  config, seed (caller-provided) plus the repository revision
   (:func:`git_revision`) and a written-at stamp.
 
 :func:`validate_chrome_trace` is the schema check the export tests (and

@@ -2,7 +2,7 @@
 
 A :class:`MetricRegistry` holds every series of one observed run, keyed by
 ``(name, labels)`` — ``cache.hits{policy=lfu}`` and
-``kernel.calls{backend=vectorized,op=gather_reduce}`` are distinct series of
+``kernel.calls{op=gather_reduce}`` are distinct series of
 the ``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
 
 * :class:`Counter` — monotone event count (kernel calls, served requests);
@@ -13,11 +13,11 @@ the ``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
 
 All mutation goes through one registry-wide lock: the cast-ahead worker
 counts kernel calls concurrently with the step loop, and a plain float
-``+=`` is not atomic across bytecodes.  The registry also speaks the
-backend dispatcher's duck-typed observer protocol directly
+``+=`` is not atomic across bytecodes.  The registry also speaks the core
+kernels' duck-typed observer protocol directly
 (:meth:`MetricRegistry.count_kernel`), so
-:func:`repro.backends.dispatch.observe_kernels` can be handed a registry
-without an adapter — and without :mod:`repro.backends` ever importing this
+:func:`repro.core.observe.observe_kernels` can be handed a registry
+without an adapter — and without :mod:`repro.core` ever importing this
 package.
 
 :meth:`MetricRegistry.to_dict` renders every series deterministically
@@ -178,10 +178,10 @@ Metric = Union[Counter, Gauge, Histogram]
 class MetricRegistry:
     """Every metric series of one observed run, created on first touch.
 
-    ``registry.counter("kernel.calls", backend="vectorized",
-    op="gather_reduce")`` returns the same :class:`Counter` on every call
-    with the same name and labels; asking for an existing series under a
-    different instrument kind is an error (one series, one meaning).
+    ``registry.counter("kernel.calls", op="gather_reduce")`` returns the
+    same :class:`Counter` on every call with the same name and labels;
+    asking for an existing series under a different instrument kind is an
+    error (one series, one meaning).
     """
 
     def __init__(self) -> None:
@@ -219,11 +219,11 @@ class MetricRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    # The backend dispatcher's duck-typed kernel observer protocol
+    # The core kernels' duck-typed observer protocol
     # ------------------------------------------------------------------
-    def count_kernel(self, op: str, backend: str) -> None:
-        """One hot-kernel invocation (``kernel.calls{backend=...,op=...}``)."""
-        self.counter("kernel.calls", backend=backend, op=op).inc()
+    def count_kernel(self, op: str) -> None:
+        """One core-kernel launch (``kernel.calls{op=...}``)."""
+        self.counter("kernel.calls", op=op).inc()
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -48,7 +48,7 @@ class Observability:
         self.steps.append(dict(fields))
 
     def annotate(self, **fields: Any) -> None:
-        """Merge run-level facts (config, backend, seed) into the manifest."""
+        """Merge run-level facts (config, mode, seed) into the manifest."""
         self.manifest.update(fields)
 
     def export(

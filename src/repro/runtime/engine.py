@@ -64,7 +64,7 @@ from typing import (
 
 import numpy as np
 
-from ..backends.dispatch import observe_kernels
+from ..core.observe import observe_kernels
 from ..data.source import SourceExhausted, positive_int
 from ..model.embedding import _BACKWARD_MODES
 from ..model.loss import bce_with_logits
@@ -222,8 +222,8 @@ class TrainingEngine:
     ``obs`` (an :class:`~repro.obs.session.Observability`, default
     ``None``) turns on the observability plane for the run: the collector
     emits one trace span per phase per step (plus a ``step`` envelope
-    span), every dispatched kernel is counted, each completed step lands in
-    the JSONL step stream, and run-level facts (backend, mode, shard count)
+    span), every kernel launch is counted, each completed step lands in
+    the JSONL step stream, and run-level facts (mode, shard count)
     are published when the report is built.
     With ``obs=None`` none of those paths execute and the run is
     bit-identical to the uninstrumented engine.
@@ -255,8 +255,7 @@ class TrainingEngine:
         The arguments are checked before anything is drawn, so a rejected
         run consumes neither the source nor ``rng``: ``mode`` must be
         ``"casted"`` or ``"baseline"``, ``batch`` and ``steps`` positive
-        integers and ``start_step`` a non-negative one.  The model's bags
-        are then pointed at the trainer's kernel engine.  The trainer's
+        integers and ``start_step`` a non-negative one.  The trainer's
         ``lookahead`` decides whether each cast runs inline or ahead.
 
         ``start_step`` fast-forwards the batch source by drawing and
@@ -287,11 +286,6 @@ class TrainingEngine:
                 f"start_step must be a non-negative integer, got {start_step!r}"
             )
         trainer = self.trainer
-        # Another trainer constructed over the same model would have
-        # re-pointed the bags' backend; whichever trainer runs, *its*
-        # engine runs, keeping the report's ``backend`` field truthful.
-        for bag in trainer.model.embeddings:
-            bag.backend = trainer.backend
         self.callbacks = tuple(callbacks)
         self.start_step = int(start_step)
         self.mode = mode
@@ -327,7 +321,6 @@ class TrainingEngine:
         fields = dict(
             self.collector.report_fields(),
             mode=mode,
-            backend=trainer.backend.name,
             wall_seconds=time.perf_counter() - wall_start,
         )
         report = (
@@ -540,7 +533,6 @@ class TrainingEngine:
         obs = self.obs
         assert obs is not None
         obs.annotate(
-            backend=report.backend,
             mode=mode,
             steps=report.steps,
             num_shards=report.num_shards,

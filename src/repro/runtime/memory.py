@@ -14,7 +14,7 @@ pages back; from then on a step reuses pages an earlier step touched.
 
 :func:`retain_freed_memory` makes that decision once per process;
 :class:`~repro.runtime.trainer.FunctionalTrainer` calls it first thing,
-so every engine's step is fault-free (``tests/runtime/test_fault_gate.py``).
+so every training step is fault-free (``tests/runtime/test_fault_gate.py``).
 """
 
 from __future__ import annotations

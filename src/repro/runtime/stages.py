@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..data.source import CTRBatch
+from ..model.loss import sigmoid
 from ..model.sharded import ShardedStepPlan
 
 if TYPE_CHECKING:
@@ -97,10 +98,6 @@ class TrainingReport:
     denominator of :attr:`steps_per_second`, which is how the pipelined and
     serial trainers' throughput are compared.
 
-    ``backend`` records which kernel engine the run's hot kernels routed
-    through (the trainer's resolved ``backend=`` knob) so a throughput
-    number is never separated from the engine that produced it.
-
     ``steps`` is the number of iterations that *actually* trained — less
     than requested when a finite batch source exhausted mid-run.
     """
@@ -114,7 +111,6 @@ class TrainingReport:
     forward_exchange_bytes: int = 0
     backward_exchange_bytes: int = 0
     wall_seconds: float = 0.0
-    backend: str = "vectorized"
     samples: int = 0
 
     @property
@@ -144,8 +140,8 @@ class InferenceReport(TrainingReport):
 
     A :class:`TrainingReport` plus ``logits``: every step's raw forward
     outputs in step order — the engine's actual predictions, bit-identical
-    to what the training path's forward computes for the same batch and
-    backend (pinned by ``tests/runtime/test_infer.py``).
+    to what the training path's forward computes for the same batch
+    (pinned by ``tests/runtime/test_infer.py``).
     :attr:`predictions` is the sigmoid view (click probabilities).
     ``losses`` records the per-batch BCE against the batch's labels —
     inference batches still carry labels, so the run doubles as an
@@ -165,7 +161,7 @@ class InferenceReport(TrainingReport):
     @property
     def predictions(self) -> List[np.ndarray]:
         """Per-step click probabilities (sigmoid of :attr:`logits`)."""
-        return [1.0 / (1.0 + np.exp(-logits)) for logits in self.logits]
+        return [sigmoid(logits) for logits in self.logits]
 
     @property
     def mean_loss(self) -> float:

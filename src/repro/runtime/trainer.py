@@ -38,11 +38,11 @@ Used by the examples, the end-to-end tests, and the kernel benchmarks.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.dispatch import BackendSpec, resolve_backend
 from ..data.source import BatchSource, as_batch_source, positive_int
 from ..model.dlrm import DLRM
 from ..model.optim import Optimizer
@@ -85,17 +85,6 @@ class FunctionalTrainer:
         costs nothing and the kernels are the single-device ones.
     policy:
         Partition policy: ``"row"`` or ``"table"``.
-    backend:
-        Kernel engine for every hot kernel of the run: a registered backend
-        name, a :class:`~repro.backends.base.KernelBackend` instance, or
-        ``None`` for the process default.  Defaults to ``"auto"``, the
-        name the trainers use for the ``vectorized`` kernels.  Resolved
-        once here and threaded into the model's embedding bags and the
-        sharded embedding set, so the whole run uses one engine regardless
-        of which thread launches a kernel.  Note the bags' routing follows
-        whichever trainer most recently constructed over — or trains — the
-        model: :meth:`train` re-asserts it, so sharing one model between
-        trainers with different backends is safe per run.
     lookahead:
         ``0`` (default) casts each batch inline, right before its compute.
         ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
@@ -109,8 +98,15 @@ class FunctionalTrainer:
 
     Constructing a trainer first calls
     :func:`~repro.runtime.memory.retain_freed_memory`, a process-wide
-    allocator setting that keeps every engine's step free of page faults.
+    allocator setting that keeps every step free of page faults.
     """
+
+    #: Read-only record, not an option: the frozen end-to-end benchmark
+    #: (``benchmarks/e2e/run.py``'s ``describe_backend`` and its contract
+    #: test) reads ``trainer.backend.name``.  Nothing in ``src/`` reads it;
+    #: it goes with the benchmark contract change ROADMAP.md's first open
+    #: item plans.
+    backend = SimpleNamespace(name="auto")
 
     def __init__(
         self,
@@ -119,7 +115,6 @@ class FunctionalTrainer:
         optimizer: Optimizer,
         num_shards: int = 1,
         policy: str = "row",
-        backend: BackendSpec = "auto",
         lookahead: int = 0,
     ) -> None:
         retain_freed_memory()
@@ -136,17 +131,8 @@ class FunctionalTrainer:
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
-        # Resolve the knob eagerly: unknown names fail at construction
-        # (with the registered names listed), and the resolved instance is
-        # shared by every dispatch site including the cast-ahead worker.
-        self.backend = resolve_backend(backend)
-        for bag in model.embeddings:
-            bag.backend = self.backend
         self.sharded = ShardedEmbeddingSet(
-            model.embeddings,
-            num_shards=num_shards,
-            policy=policy,
-            backend=self.backend,
+            model.embeddings, num_shards=num_shards, policy=policy
         )
 
     def train(
@@ -203,7 +189,7 @@ class FunctionalTrainer:
         checks, but never backpropagates or updates, so model parameters and
         optimizer state are untouched (the serving plane's frozen-parameter
         guarantee) while the forward outputs are bit-identical to the
-        training path's forward for the same batch and backend.  ``mode``
+        training path's forward for the same batch.  ``mode``
         keeps its training meaning (``"casted"`` exercises the casting
         stage exactly as the serving pipeline would); ``start_step``
         fast-forwards the source as in

@@ -47,7 +47,7 @@ class BatchingPolicy:
                 "max_batch_requests must be a positive integer, got "
                 f"{self.max_batch_requests!r}"
             )
-        if self.max_wait_s < 0:
+        if not self.max_wait_s >= 0:
             raise ValueError(
                 f"max_wait_s must be non-negative, got {self.max_wait_s}"
             )

@@ -8,7 +8,7 @@ drives (``execute(data) -> ExecutionResult``):
   single-batch playback source and scores every coalesced batch through
   the engine's forward-only
   :meth:`~repro.runtime.trainer.FunctionalTrainer.infer` — the same step body
-  and kernel backend the training path uses, with the frozen-parameter
+  and kernels the training path uses, with the frozen-parameter
   guarantee.  Execution cost is the *measured*
   ``wall_seconds`` of the inference run, which the harness charges to the
   simulation clock.
@@ -25,7 +25,6 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from ..backends.dispatch import BackendSpec
 from ..data.source import BatchSource, CTRBatch, SourceExhausted
 from ..model.dlrm import DLRM
 from ..model.optim import Optimizer, SGD
@@ -107,7 +106,7 @@ class EngineExecutor:
     update — but checkpoint restoration validates against it,
     so pass the training run's optimizer to serve a restored checkpoint via
     :func:`repro.runtime.checkpoint.restore_trainer` on :attr:`trainer`).
-    The backend/sharding knobs mirror the trainer's.
+    The sharding knobs mirror the trainer's.
 
     Cross-batch aggregates: :attr:`timings` (per-stage seconds summed over
     every executed batch) and :attr:`batches`/:attr:`samples`.
@@ -119,7 +118,6 @@ class EngineExecutor:
         model: DLRM,
         optimizer: Optional[Optimizer] = None,
         mode: str = "casted",
-        backend: BackendSpec = "auto",
         num_shards: int = 1,
         policy: str = "row",
     ) -> None:
@@ -136,7 +134,6 @@ class EngineExecutor:
             optimizer if optimizer is not None else SGD(lr=0.1),
             num_shards=num_shards,
             policy=policy,
-            backend=backend,
         )
         self.mode = mode
         self._rng = np.random.default_rng(0)

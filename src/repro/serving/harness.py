@@ -161,7 +161,7 @@ class ServingSimulator:
         obs: "Observability | None" = None,
         track_prefix: str = "",
     ) -> None:
-        if sla_s <= 0:
+        if not sla_s > 0:
             raise ValueError(f"sla_s must be positive, got {sla_s}")
         self.executor = executor
         self.batcher = DynamicBatcher(policy)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.core.casting import CastedIndex, tensor_casting_reference
+from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
+from repro.core.gather_reduce import gather_reduce_reference
 from repro.core.indexing import IndexArray
+from repro.model import embedding, sharded
 from repro.runtime.systems import SystemHardware
 
 
@@ -42,3 +48,46 @@ def shared_hardware() -> SystemHardware:
     keeps the suite fast.
     """
     return SystemHardware()
+
+
+def _cast_reference(index: IndexArray) -> CastedIndex:
+    casted_src, casted_dst = tensor_casting_reference(index.src, index.dst)
+    return CastedIndex(casted_src, casted_dst,
+                       np.unique(index.src).astype(np.int64),
+                       index.num_outputs)
+
+
+def _expand_coalesce_reference(index, gradients):
+    return gradient_coalesce_reference(
+        index.src, gradient_expand(gradients, index.dst))
+
+
+def _casted_gather_reduce_reference(gradients, cast):
+    return cast.rows, gather_reduce_reference(gradients,
+                                              cast.as_index_array())
+
+
+#: Each core kernel the model calls -> its pure-Python oracle.
+ORACLE_KERNELS = {
+    "gather_reduce": gather_reduce_reference,
+    "tensor_casting": _cast_reference,
+    "expand_coalesce": _expand_coalesce_reference,
+    "casted_gather_reduce": _casted_gather_reduce_reference,
+}
+
+
+@pytest.fixture
+def oracle_kernels(monkeypatch):
+    """A context manager inside which the model's four core kernels are
+    their ``*_reference`` oracles: whole training steps run on oracle code.
+    """
+
+    @contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            for module in (embedding, sharded):
+                for name, oracle in ORACLE_KERNELS.items():
+                    patch.setattr(module, name, oracle)
+            yield
+
+    return swapped

@@ -1,29 +1,20 @@
-"""Randomized differential sweep: every backend vs. the pure-Python oracles.
+"""Randomized differential sweep: the core kernels vs. the pure-Python oracles.
 
-The numerical contract pinned here (and referenced by the backends'
-docstrings):
-
-========== ======================== ====================================
-backend    float64                  float32
-========== ======================== ====================================
-reference  exact (it IS the oracle) exact (accumulates in float64)
-vectorized bit-identical            allclose vs. the oracle (accumulates
-                                    in float32, rounding per partial sum
-                                    instead of once at the end)
-auto       bit-identical            bit-identical to ``vectorized`` (the
-                                    same kernels under another name)
-========== ======================== ====================================
+The numerical contract pinned here: ``float64`` results are bit-identical
+to the oracle; ``float32`` results are allclose to it (the kernels
+accumulate in float32, rounding per partial sum, while the oracle
+accumulates in float64 and rounds once at the end).
 
 Integer outputs — casted index arrays, coalesced row ids, scatter targets —
-are exactly equal for every backend on every input.  ``float64``
-bit-identity holds because all engines accumulate each output slot's
-partial sums in the same (lookup) order, one addition at a time — the
-vectorized backend reduces through ``repro.core.segment.segment_sum``
-(one vectorised round per lookup rank, long segments folded row by row)
-rather than ``np.add.reduceat``, whose pairwise partial sums would drift
-by ulps.  The ``profile-*`` cases sweep the segment shapes that decide how
-``segment_sum`` splits its work (uniform bags, Zipf row reuse, one giant
-bag, empty bags, unsorted destinations).
+are exactly equal on every input.  ``float64`` bit-identity holds because
+the kernels accumulate each output slot's partial sums in the oracle's
+(lookup) order, one addition at a time — they reduce through
+``repro.core.segment.segment_sum`` (one vectorised round per lookup rank,
+long segments folded row by row) rather than ``np.add.reduceat``, whose
+pairwise partial sums would drift by ulps.  The ``profile-*`` cases sweep
+the segment shapes that decide how ``segment_sum`` splits its work
+(uniform bags, Zipf row reuse, one giant bag, empty bags, unsorted
+destinations).
 """
 
 import zlib
@@ -31,23 +22,30 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, registered_backends
-from repro.backends.vectorized import cast_indices_vectorized
-from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
-from repro.core.gather_reduce import gather_reduce_reference
-from repro.core.casting import CastedIndex, tensor_casting_reference
+from repro.core.coalesce import (
+    expand_coalesce,
+    gradient_coalesce_reference,
+    gradient_expand,
+)
+from repro.core.gather_reduce import (
+    casted_gather_reduce,
+    gather_reduce,
+    gather_reduce_reference,
+)
+from repro.core.casting import (
+    CastedIndex,
+    tensor_casting,
+    tensor_casting_reference,
+)
 from repro.core.indexing import IndexArray
 from repro.core.segment import sort_by_key
 
-#: Documented comparison tolerance for float32 results of backends that
-#: accumulate at working precision (see the table above).
+#: Documented comparison tolerance for float32 results, which the kernels
+#: accumulate at working precision (see above).
 FLOAT32_RTOL = 1e-5
 FLOAT32_ATOL = 1e-6
 
 
-#: Every registered engine.
-BACKENDS = [get_backend(name) for name in registered_backends()]
-BACKEND_IDS = [backend.name for backend in BACKENDS]
 DTYPES = (np.float64, np.float32)
 
 
@@ -101,7 +99,7 @@ def _segment_profile_cases(rng):
     backward's and the coalesce's (row reuse).  Zipf-distributed rows give
     a few very long backward segments over a tail of singletons, so every
     case below straddles ``segment_sum``'s h-index cut one way or the
-    other; sizes stay small because the oracle engines are Python loops.
+    other; sizes stay small because the oracles are Python loops.
     """
     rows = 300
 
@@ -153,11 +151,6 @@ def _assert_matches(actual, expected, dtype, context):
         )
 
 
-@pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
-def backend(request):
-    return request.param
-
-
 def _table(name, index, dtype, layout):
     """A ``(num_rows, 7)`` table, seeded by case name, laid out contiguously
     or as every other row of a twice-as-tall array (a row-strided view)."""
@@ -174,15 +167,15 @@ def _table(name, index, dtype, layout):
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("layout", ["contiguous", "row-strided"])
 class TestGatherReduce:
-    def test_matches_oracle(self, backend, layout, case, dtype):
+    def test_matches_oracle(self, layout, case, dtype):
         name, index = case
         table = _table(name, index, dtype, layout)
-        result = backend.gather_reduce(table, index)
+        result = gather_reduce(table, index)
         expected = gather_reduce_reference(table, index)
-        _assert_matches(result, expected, dtype, f"{backend.name}/{name}")
+        _assert_matches(result, expected, dtype, name)
 
-    def test_never_writes_its_inputs(self, backend, layout, case, dtype):
-        """The table and both index vectors are read-only to every engine:
+    def test_never_writes_its_inputs(self, layout, case, dtype):
+        """The table and both index vectors are read-only to the kernel:
         frozen, any write would raise; the result is a fresh array."""
         name, index = case
         table = _table(name, index, dtype, layout)
@@ -191,25 +184,23 @@ class TestGatherReduce:
                             num_outputs=index.num_outputs)
         for array in (table, frozen.src, frozen.dst):
             array.flags.writeable = False
-        result = backend.gather_reduce(table, frozen)
-        assert not np.shares_memory(result, table), f"{backend.name}/{name}"
+        result = gather_reduce(table, frozen)
+        assert not np.shares_memory(result, table), name
         assert result.shape == (index.num_outputs, 7)
         _assert_matches(result, gather_reduce_reference(table, index), dtype,
-                        f"{backend.name}/{name}/frozen")
+                        f"{name}/frozen")
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 class TestCastIndices:
-    def test_matches_oracle_exactly(self, backend, case):
-        """Integer outputs admit no tolerance: every backend, bit for bit."""
+    def test_matches_oracle_exactly(self, case):
+        """Integer outputs admit no tolerance: bit for bit."""
         name, index = case
-        cast = backend.cast_indices(index)
+        cast = tensor_casting(index)
         oracle_src, oracle_dst = tensor_casting_reference(index.src, index.dst)
-        assert np.array_equal(cast.casted_src, oracle_src), f"{backend.name}/{name}"
-        assert np.array_equal(cast.casted_dst, oracle_dst), f"{backend.name}/{name}"
-        assert np.array_equal(cast.rows, np.unique(index.src)), (
-            f"{backend.name}/{name}"
-        )
+        assert np.array_equal(cast.casted_src, oracle_src), name
+        assert np.array_equal(cast.casted_dst, oracle_dst), name
+        assert np.array_equal(cast.rows, np.unique(index.src)), name
         assert cast.num_gradients == index.num_outputs
 
 
@@ -218,11 +209,11 @@ class TestCastIndices:
     [case for case in CASES if case[1].num_lookups],
     ids=[name for name, index in CASES if index.num_lookups],
 )
-def test_vectorized_cast_seeds_the_lazy_segment_starts(case):
+def test_cast_seeds_the_lazy_segment_starts(case):
     """Algorithm 2's boundary scan hands the backward its segment layout
     for free; it must be exactly what the lazy path derives."""
     name, index = case
-    cast = cast_indices_vectorized(index)
+    cast = tensor_casting(index)
     seeded = cast.__dict__["_segment_starts"]  # set before any call
     assert cast.segment_starts() is seeded
     lazy = CastedIndex(
@@ -253,31 +244,31 @@ class TestBackwardPaths:
         expanded = gradient_expand(gradients, index.dst)
         return gradient_coalesce_reference(index.src, expanded)
 
-    def test_expand_coalesce_matches_oracle(self, backend, case, dtype):
+    def test_expand_coalesce_matches_oracle(self, case, dtype):
         name, index = case
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         gradients = rng.standard_normal((index.num_outputs, 5)).astype(dtype)
-        rows, values = backend.expand_coalesce(index, gradients)
+        rows, values = expand_coalesce(index, gradients)
         oracle_rows, oracle_values = self._oracle(index, gradients)
-        assert np.array_equal(rows, oracle_rows), f"{backend.name}/{name}"
-        _assert_matches(values, oracle_values, dtype, f"{backend.name}/{name}")
+        assert np.array_equal(rows, oracle_rows), name
+        _assert_matches(values, oracle_values, dtype, name)
 
-    def test_casted_gather_reduce_matches_oracle(self, backend, case, dtype):
-        """Algorithm 3 == Algorithm 1, per backend: the cast consumed by the
-        fused backward is produced by the same backend, as at runtime."""
+    def test_casted_gather_reduce_matches_oracle(self, case, dtype):
+        """Algorithm 3 == Algorithm 1: the fused backward consumes the
+        kernel's own cast, as at runtime."""
         name, index = case
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         gradients = rng.standard_normal((index.num_outputs, 5)).astype(dtype)
-        cast = backend.cast_indices(index)
-        rows, values = backend.casted_gather_reduce(gradients, cast)
+        cast = tensor_casting(index)
+        rows, values = casted_gather_reduce(gradients, cast)
         oracle_rows, oracle_values = self._oracle(index, gradients)
-        assert np.array_equal(rows, oracle_rows), f"{backend.name}/{name}"
-        _assert_matches(values, oracle_values, dtype, f"{backend.name}/{name}")
+        assert np.array_equal(rows, oracle_rows), name
+        _assert_matches(values, oracle_values, dtype, name)
 
 
-class TestDispatcherValidation:
-    """The core dispatcher bound-checks hand-built casts before any engine
-    (compiled loop nests included) scatters through them."""
+class TestCastValidation:
+    """``casted_gather_reduce`` bound-checks a hand-built cast before it
+    scatters through it."""
 
     def _cast(self, casted_src, casted_dst, rows, num_gradients=4):
         from repro.core.casting import CastedIndex
@@ -306,9 +297,9 @@ class TestDispatcherValidation:
             casted_gather_reduce(gradients, bad)
 
     def test_non_monotone_casted_dst_rejected(self):
-        """Engines reduce over ``segment_starts()``: a hand-built cast whose
-        slots are in range but out of order must fail loudly, not reduce
-        each run as if it were a whole segment."""
+        """The kernel reduces over ``segment_starts()``: a hand-built cast
+        whose slots are in range but out of order must fail loudly, not
+        reduce each run as if it were a whole segment."""
         from repro.core.gather_reduce import casted_gather_reduce
 
         gradients = np.zeros((4, 2))
@@ -324,43 +315,3 @@ class TestDispatcherValidation:
             casted_gather_reduce(gradients, self._cast([-1, 0], [0, 1], [3, 7]))
         with pytest.raises(ValueError, match="casted_dst"):
             casted_gather_reduce(gradients, self._cast([0, 1], [-1, 0], [3, 7]))
-
-
-class TestCrossBackendBitIdentity:
-    """float64 results are bit-identical *across* backends, not merely close
-    to the oracle — the property the trainers' backend knob relies on."""
-
-    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-    def test_gather_reduce_all_engines_identical(self, case):
-        name, index = case
-        rng = np.random.default_rng(11)
-        table = rng.standard_normal((index.num_rows, 9))
-        results = [b.gather_reduce(table, index) for b in BACKENDS]
-        for other, b in zip(results[1:], BACKENDS[1:]):
-            assert np.array_equal(results[0], other), f"{b.name}/{name}"
-
-    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-    def test_casted_backward_all_engines_identical(self, case):
-        name, index = case
-        rng = np.random.default_rng(13)
-        gradients = rng.standard_normal((index.num_outputs, 9))
-        results = []
-        for b in BACKENDS:
-            cast = b.cast_indices(index)
-            results.append(b.casted_gather_reduce(gradients, cast))
-        for (other_rows, other_vals), b in zip(results[1:], BACKENDS[1:]):
-            assert np.array_equal(results[0][0], other_rows), f"{b.name}/{name}"
-            assert np.array_equal(results[0][1], other_vals), f"{b.name}/{name}"
-
-    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-    def test_float32_working_precision_engines_identical(self, case):
-        """vectorized and auto accumulate float32 sequentially in the same
-        order — bit-identical to each other (only the float64-accumulating
-        oracle is allowed to differ, within the documented tolerance)."""
-        name, index = case
-        rng = np.random.default_rng(17)
-        table = rng.standard_normal((index.num_rows, 9)).astype(np.float32)
-        engines = [b for b in BACKENDS if b.name not in ("reference",)]
-        results = [b.gather_reduce(table, index) for b in engines]
-        for other, b in zip(results[1:], engines[1:]):
-            assert np.array_equal(results[0], other), f"{b.name}/{name}"

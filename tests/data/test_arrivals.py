@@ -48,3 +48,9 @@ class TestArrivalProcess:
             ArrivalProcess(1.0, pattern="bursty")
         with pytest.raises(ValueError, match="count"):
             ArrivalProcess(1.0).offsets(-1)
+
+    def test_rejects_a_nan_rate(self):
+        """NaN fails every comparison: written ``rate <= 0``, the check
+        let it through and the arrival loop never ended."""
+        with pytest.raises(ValueError, match="rate_per_s"):
+            ArrivalProcess(float("nan"))

@@ -9,9 +9,6 @@ seeds and shapes, so it is pinned here to literals recorded before the
 harness existed.  The cache literals were recorded while the cache still
 ran inside training and serving; replaying the index stream reproduces
 them.  Floats are compared exactly, as ``float.hex()`` strings.
-
-Kernels are pinned to ``vectorized`` wherever a sweep takes a ``backend``;
-measured ``scaling`` runs the process default, which is ``vectorized``.
 """
 
 import numpy as np
@@ -63,7 +60,7 @@ OVERLAP_FIELDS = (
 def test_overlap_synthetic():
     rows = overlap_sweep(
         batches=(16,), shard_counts=(1, 2), steps=2, config=TINY_CONFIG,
-        repeats=1, backend="vectorized",
+        repeats=1,
     )
     assert _fields(rows, OVERLAP_FIELDS) == OVERLAP_SYNTHETIC
 
@@ -73,7 +70,7 @@ def test_overlap_trace(tmp_path):
         num_tables=2, rows_per_table=64, gathers_per_table=3,
         bottom_mlp=(4, 16)), batch=8, steps=3)
     rows = overlap_sweep(
-        trace=trace, steps=5, repeats=1, backend="vectorized",
+        trace=trace, steps=5, repeats=1,
         optimizer="adagrad", lr=0.05,
     )
     assert _fields(rows, OVERLAP_FIELDS) == OVERLAP_TRACE
@@ -85,7 +82,7 @@ def test_measured_scaling():
         repeats=1,
     )
     assert _fields(rows, (
-        "model", "batch", "policy", "num_shards", "backend", "steps",
+        "model", "batch", "policy", "num_shards", "steps",
         "analytic_speedup", "forward_exchange_bytes",
         "backward_exchange_bytes",
     )) == MEASURED_SCALING
@@ -131,7 +128,7 @@ SERVE_FIELDS = (
 def test_serve_synthetic():
     rows = serving_sweep(
         rates=(200.0,), policies=("single",), num_requests=6, sla_ms=100.0,
-        config=TINY_CONFIG, backend="vectorized", hot_cache_rows=16,
+        config=TINY_CONFIG, hot_cache_rows=16,
     )
     assert _fields(rows, SERVE_FIELDS) == SERVE_SYNTHETIC
 
@@ -141,8 +138,7 @@ def test_serve_policies_share_the_replayed_hit_rate():
     # batching policy — the hill climb's candidate passes included.
     rows = serving_sweep(
         rates=(200.0,), policies=("single", "dynamic", "hill"),
-        num_requests=24, config=TINY_CONFIG, backend="vectorized",
-        hot_cache_rows=16,
+        num_requests=24, config=TINY_CONFIG, hot_cache_rows=16,
     )
     assert [row.cache_hit_rate.hex() for row in rows] == [
         "0x1.3638e38e38e39p-2"] * 3
@@ -153,7 +149,7 @@ def test_serve_trace(tmp_path):
         rows_per_table=300), batch=4, steps=5)
     rows = serving_sweep(
         rates=(200.0,), policies=("single",), num_requests=9, sla_ms=100.0,
-        trace=trace, backend="vectorized", hot_cache_rows=16,
+        trace=trace, hot_cache_rows=16,
     )
     assert _fields(rows, SERVE_FIELDS) == SERVE_TRACE
 
@@ -177,19 +173,19 @@ OVERLAP_TRACE = [
 ]
 MEASURED_SCALING = [
     {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 1,
-     "backend": "vectorized", "steps": 2,
+     "steps": 2,
      "analytic_speedup": "0x1.0000000000000p+0",
      "forward_exchange_bytes": 6144, "backward_exchange_bytes": 12288},
     {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 2,
-     "backend": "vectorized", "steps": 2,
+     "steps": 2,
      "analytic_speedup": "0x1.d2841c652b3f1p-1",
      "forward_exchange_bytes": 11584, "backward_exchange_bytes": 17728},
     {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 1,
-     "backend": "vectorized", "steps": 2,
+     "steps": 2,
      "analytic_speedup": "0x1.0000000000000p+0",
      "forward_exchange_bytes": 12288, "backward_exchange_bytes": 24576},
     {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 2,
-     "backend": "vectorized", "steps": 2,
+     "steps": 2,
      "analytic_speedup": "0x1.d2d7fad497fd6p-1",
      "forward_exchange_bytes": 22656, "backward_exchange_bytes": 34944},
 ]

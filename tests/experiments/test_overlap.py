@@ -83,7 +83,7 @@ class TestOverlapSweep:
         """Optimizer state is keyed by table, so an Adagrad checkpoint
         saved at 2 row shards resumes into the one-shard cell too."""
         job = dict(batches=(16,), steps=2, config=TINY_CONFIG, repeats=1,
-                   optimizer="adagrad", lr=0.05, backend="vectorized")
+                   optimizer="adagrad", lr=0.05)
         overlap_sweep(shard_counts=(2,), checkpoint_dir=tmp_path, **job)
         rows = overlap_sweep(shard_counts=(1, 2),
                              resume=tmp_path / "overlap-b16-s2.npz", **job)
@@ -97,7 +97,7 @@ class TestOverlapSweep:
                                     seed=0)
         trace = record_trace(stream, tmp_path / "t.npz", 8, 2,
                              np.random.default_rng(1))
-        job = dict(trace=trace, steps=5, repeats=1, backend="vectorized")
+        job = dict(trace=trace, steps=5, repeats=1)
         (row,) = overlap_sweep(checkpoint_dir=tmp_path, **job)
         assert row.steps == 2  # clamped to what the trace holds
         with pytest.raises(ValueError, match="nothing left to replay"):

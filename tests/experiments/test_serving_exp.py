@@ -92,6 +92,15 @@ class TestServingSweep:
         assert first.batches == second.batches == 12
         assert first.source == second.source
 
+    @pytest.mark.parametrize("argument,message", [
+        ("sla_ms", "sla_ms"), ("max_wait_ms", "max_wait_ms"),
+    ])
+    def test_rejects_nan_before_serving(self, argument, message):
+        with pytest.raises(ValueError, match=message):
+            serving_sweep(rates=(200.0,), policies=("single",),
+                          num_requests=4, config=TINY_CONFIG,
+                          **{argument: float("nan")})
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="num_requests"):
             serving_sweep(num_requests=0, config=TINY_CONFIG)
@@ -133,7 +142,7 @@ class TestCheckpointHandoff:
         assert SERVING_CONFIG is OVERLAP_CONFIG
         overlap_sweep(
             batches=(32,), shard_counts=(2,), steps=2, repeats=1,
-            backend="vectorized", checkpoint_dir=tmp_path,
+            checkpoint_dir=tmp_path,
         )
         rows = serving_sweep(
             rates=(200.0,), policies=("single",), num_requests=8,

@@ -184,8 +184,9 @@ def _train(model, num_shards, steps=4):
         lookups_per_sample=TINY.gathers_per_table,
         dense_features=TINY.dense_features,
     )
-    FunctionalTrainer(model, stream, Adagrad(lr=0.05), num_shards=num_shards,
-                      backend="vectorized").train(6, steps, np.random.default_rng(17))
+    trainer = FunctionalTrainer(model, stream, Adagrad(lr=0.05),
+                                num_shards=num_shards)
+    trainer.train(6, steps, np.random.default_rng(17))
 
 
 class TestDenseBackward:

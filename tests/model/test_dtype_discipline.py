@@ -4,7 +4,7 @@ A :class:`~repro.model.dlrm.DLRM` of dtype ``D`` fed *any* float batch
 produces ``D`` everywhere a step produces an array — pooled outputs,
 logits, ``dlogits``, dense parameter gradients, the ``(B, dim)`` gradient
 tables, :class:`~repro.model.embedding.SparseGradient` values — on every
-engine, backward mode and trainer path, and keeps its parameters in ``D``.
+backward mode and trainer path, and keeps its parameters in ``D``.
 The coercion at the data -> model seam is the *only* difference between an
 f32 model fed f64 batches and one fed pre-cast f32 batches, and for the
 default f64 model every coercion is a no-op: a literal golden recorded on
@@ -85,11 +85,10 @@ def make_model(dtype=np.float64):
 
 
 def train(model_dtype, batch_dtype=np.float64, mode="casted",
-          backend="vectorized", steps=STEPS, **trainer_kwargs):
+          steps=STEPS, **trainer_kwargs):
     model, optimizer = make_model(model_dtype), SpySGD()
     trainer = FunctionalTrainer(
-        model, CastStream(batch_dtype), optimizer, backend=backend,
-        **trainer_kwargs,
+        model, CastStream(batch_dtype), optimizer, **trainer_kwargs,
     )
     report = trainer.train(BATCH, steps, np.random.default_rng(1), mode=mode)
     return model, optimizer, report
@@ -108,15 +107,12 @@ def parameters_equal(a, b):
 @DTYPES
 @BATCH_DTYPES
 @pytest.mark.parametrize("mode", ("baseline", "casted"))
-@pytest.mark.parametrize("engine", ("reference", "vectorized", "auto"))
 def test_every_array_of_a_step_carries_the_model_dtype(
-    model_dtype, batch_dtype, mode, engine
+    model_dtype, batch_dtype, mode
 ):
     model = make_model(model_dtype)
     want = np.dtype(model_dtype)
     assert model.dtype == want
-    for bag in model.embeddings:
-        bag.backend = engine
     data = CastStream(batch_dtype).next_batch(BATCH, np.random.default_rng(1))
     assert data.dense.dtype == data.labels.dtype == np.dtype(batch_dtype)
 
@@ -244,7 +240,7 @@ GOLDEN_CHECKSUM = 2748239579
 
 
 def f64_golden():
-    model, _, report = train(np.float64, backend="vectorized")
+    model, _, report = train(np.float64)
     blob = b"".join(
         np.ascontiguousarray(p).tobytes() for p in model.all_parameters()
     )

@@ -178,7 +178,7 @@ class TestStateManagement:
 
 
 class TestRegistry:
-    """The --optimizer choices derive from one registry (like --backend)."""
+    """The --optimizer choices derive from one registry (like --dataset)."""
 
     def test_expected_names_registered(self):
         assert optimizer_names() == ("sgd", "momentum", "adagrad", "rmsprop",

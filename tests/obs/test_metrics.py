@@ -16,8 +16,8 @@ class TestSeriesIdentity:
 
     def test_same_name_and_labels_returns_same_instrument(self):
         registry = MetricRegistry()
-        first = registry.counter("kernel.calls", backend="numba", op="gr")
-        second = registry.counter("kernel.calls", op="gr", backend="numba")
+        first = registry.counter("cache.hits", policy="lfu", table=0)
+        second = registry.counter("cache.hits", table=0, policy="lfu")
         assert first is second
 
     def test_distinct_labels_are_distinct_series(self):
@@ -108,10 +108,9 @@ class TestHistogram:
 class TestRegistryExport:
     def test_count_kernel_duck_protocol(self):
         registry = MetricRegistry()
-        registry.count_kernel("gather_reduce", "numba")
-        registry.count_kernel("gather_reduce", "numba")
-        series = registry.counter("kernel.calls", backend="numba",
-                                  op="gather_reduce")
+        registry.count_kernel("gather_reduce")
+        registry.count_kernel("gather_reduce")
+        series = registry.counter("kernel.calls", op="gather_reduce")
         assert series.value == 2
 
     def test_series_sorted_by_canonical_name(self):

@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.dispatch import resolve_backend
 from repro.core.casting import precompute_casts
 from repro.data.source import SourceExhausted, as_batch_source
 from repro.model.loss import bce_with_logits
@@ -38,13 +37,9 @@ def legacy_train_serial(
     steps: int,
     rng: np.random.Generator,
     mode: str = "casted",
-    backend="auto",
 ) -> List[float]:
     """The pre-refactor unsharded step loop; returns the per-step losses."""
     source = as_batch_source(source)
-    engine = resolve_backend(backend)
-    for bag in model.embeddings:
-        bag.backend = engine
     losses: List[float] = []
     for _ in range(steps):
         try:
@@ -53,7 +48,7 @@ def legacy_train_serial(
             break
         casts = None
         if mode == "casted":
-            casts = precompute_casts(data.indices, backend=engine)
+            casts = precompute_casts(data.indices)
         model.zero_grad()
         logits = model.forward(data.dense, data.indices)
         loss, dlogits = bce_with_logits(logits, data.labels)
@@ -74,7 +69,6 @@ def legacy_train_sharded(
     rng: np.random.Generator,
     num_shards: int,
     policy: str = "row",
-    backend="auto",
 ) -> Tuple[List[float], int, int]:
     """The pre-refactor sharded step loop.
 
@@ -82,11 +76,8 @@ def legacy_train_sharded(
     the differential suite can pin the all-to-all byte accounting too.
     """
     source = as_batch_source(source)
-    engine = resolve_backend(backend)
-    for bag in model.embeddings:
-        bag.backend = engine
     sharded = ShardedEmbeddingSet(
-        model.embeddings, num_shards=num_shards, policy=policy, backend=engine
+        model.embeddings, num_shards=num_shards, policy=policy
     )
     losses: List[float] = []
     forward_bytes = 0

@@ -11,8 +11,8 @@ are the ones it was frozen with.
 import repro.core.casting as casting
 
 
-def _precompute_casts(indices, backend=None):
-    return [casting.tensor_casting(index, backend=backend) for index in indices]
+def _precompute_casts(indices):
+    return [casting.tensor_casting(index) for index in indices]
 
 
 casting.precompute_casts = _precompute_casts

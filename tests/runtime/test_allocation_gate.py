@@ -62,7 +62,7 @@ def segment_sum_case(height):
 def gather_reduce_case(height):
     table, (src, dst) = table_of(height), lookups()
     index = IndexArray(src, dst, num_rows=height, num_outputs=BATCH)
-    return lambda: gather_reduce(table, index, backend="vectorized")
+    return lambda: gather_reduce(table, index)
 
 
 def gradient_scatter_case(height):
@@ -75,9 +75,7 @@ def sharded(height):
     bag = EmbeddingBag(height, DIM, np.random.default_rng(1), dtype=np.float32)
     src, dst = lookups()
     index = IndexArray(src, dst, num_rows=height, num_outputs=BATCH)
-    shards = ShardedEmbeddingSet(
-        [bag], num_shards=2, policy="row", backend="vectorized"
-    )
+    shards = ShardedEmbeddingSet([bag], num_shards=2, policy="row")
     return shards, shards.plan_batch([index])
 
 
@@ -137,8 +135,7 @@ def plan_batch_peak(pooling, num_shards, policy):
                    num_rows=SHORT, num_outputs=BATCH)
         for _ in bags
     ]
-    shards = ShardedEmbeddingSet(
-        bags, num_shards=num_shards, policy=policy, backend="vectorized")
+    shards = ShardedEmbeddingSet(bags, num_shards=num_shards, policy=policy)
     return peak_bytes(lambda: shards.plan_batch(indices))
 
 

@@ -119,7 +119,7 @@ def run_cell(source, lookahead, shards, mode, entry, steps, rng=None,
              model=None, **kwargs):
     trainer = FunctionalTrainer(
         model if model is not None else make_model(), source, SGD(lr=0.3),
-        num_shards=shards, backend="vectorized", lookahead=lookahead,
+        num_shards=shards, lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     rng = rng if rng is not None else np.random.default_rng(1)
@@ -187,7 +187,7 @@ def test_each_batch_is_one_step_whatever_its_size(
         losses, forward_bytes, backward_bytes = legacy_train_sharded(
             oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
             BATCH, len(sizes), np.random.default_rng(1),
-            num_shards=shards, backend="vectorized",
+            num_shards=shards,
         )
         assert report.losses == losses
         assert report.forward_exchange_bytes == forward_bytes
@@ -198,7 +198,7 @@ def test_each_batch_is_one_step_whatever_its_size(
             assert report.losses == legacy_train_serial(
                 serial_model, FixedSource(stream, batches), SGD(lr=0.3),
                 BATCH, len(sizes), np.random.default_rng(1),
-                mode=mode, backend="vectorized",
+                mode=mode,
             )
             assert_params_equal(model, serial_model)
         return

@@ -17,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
 from repro.core.indexing import IndexArray
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import BatchSource, as_batch_source
+from repro.model import sharded
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import (
@@ -68,16 +68,15 @@ class TestSerialEngineMatchesLegacyGoldens:
     """Engine serial schedule == the frozen pre-refactor serial loop."""
 
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_unsharded(self, mode, backend):
+    def test_unsharded(self, mode):
         engine_model = make_model()
         report = FunctionalTrainer(
-            engine_model, make_stream(), SGD(lr=0.2), backend=backend
+            engine_model, make_stream(), SGD(lr=0.2)
         ).train(8, 4, np.random.default_rng(1), mode=mode)
         legacy_model = make_model()
         legacy_losses = legacy_train_serial(
             legacy_model, make_stream(), SGD(lr=0.2), 8, 4,
-            np.random.default_rng(1), mode=mode, backend=backend,
+            np.random.default_rng(1), mode=mode,
         )
         assert report.losses == legacy_losses
         assert_params_equal(engine_model, legacy_model)
@@ -164,8 +163,7 @@ class TestShardLoopMatchesLegacyGoldens:
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
             engine_model, make_stream(), make_optimizer(optimizer, lr=0.05),
-            num_shards=num_shards, policy=policy, backend="vectorized",
-            lookahead=lookahead,
+            num_shards=num_shards, policy=policy, lookahead=lookahead,
         )
         report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
         assert ("casting" in report.timings.totals) == (mode == "casted")
@@ -174,7 +172,6 @@ class TestShardLoopMatchesLegacyGoldens:
         legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
             legacy_model, make_stream(), legacy_optimizer, 8, 3,
             np.random.default_rng(1), num_shards=num_shards, policy=policy,
-            backend="vectorized",
         )
         assert report.losses == legacy_losses
         assert report.forward_exchange_bytes == fwd_bytes
@@ -216,7 +213,7 @@ class EmptyBagSource(BatchSource):
 
 
 class TestEmptyBagsMatchLegacyGoldens:
-    """Empty bags through every engine, policy, shard count and look-ahead.
+    """Empty bags through every policy, shard count and look-ahead.
 
     A bag with no lookups pools to zero, sends no gradient rows and leaves
     a shard with nothing to cast, reduce or update for that table; each
@@ -232,14 +229,13 @@ class TestEmptyBagsMatchLegacyGoldens:
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("backend", ["auto", "reference", "vectorized"])
-    def test_every_cell(self, backend, policy, num_shards, optimizer,
+    def test_every_cell(self, policy, num_shards, optimizer,
                         lookahead, dtype, mode):
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
             engine_model, EmptyBagSource(),
             make_optimizer(optimizer, lr=0.05), num_shards=num_shards,
-            policy=policy, backend=backend, lookahead=lookahead,
+            policy=policy, lookahead=lookahead,
         )
         report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
         legacy_model = make_model(dtype=dtype)
@@ -247,7 +243,6 @@ class TestEmptyBagsMatchLegacyGoldens:
         legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
             legacy_model, EmptyBagSource(), legacy_optimizer, 8, 3,
             np.random.default_rng(1), num_shards=num_shards, policy=policy,
-            backend=backend,
         )
         assert report.losses == legacy_losses
         assert report.forward_exchange_bytes == fwd_bytes
@@ -297,22 +292,20 @@ class TestStepBody:
         """The dense backward hands over column views of its output; the
         payload the shard reduces is C-contiguous whichever way the split
         went, so the kernel never strides through the gradient table."""
-        engine = get_backend("vectorized")
         seen = []
 
         def spy(name, grad_at):
-            real = getattr(engine, name)
+            real = getattr(sharded, name)
 
             def wrapper(*args):
                 seen.append((name, args[grad_at].flags.c_contiguous))
                 return real(*args)
-            monkeypatch.setattr(engine, name, wrapper)
+            monkeypatch.setattr(sharded, name, wrapper)
 
         spy("casted_gather_reduce", 0)
         spy("expand_coalesce", 1)
         FunctionalTrainer(
             make_model(dtype=np.float32), make_stream(), SGD(lr=0.1),
-            backend="vectorized",
         ).train(8, 2, np.random.default_rng(1), mode=mode)
         kernel = "casted_gather_reduce" if mode == "casted" else (
             "expand_coalesce")

@@ -1,4 +1,4 @@
-"""Every engine's step takes no page faults: the allocator is decided once.
+"""Every training step takes no page faults: the allocator is decided once.
 
 A step allocates the same temporaries every time and frees them before the
 next.  Under glibc's default policy each block above the mmap threshold is
@@ -7,10 +7,9 @@ temporaries in afresh — thousands of minor faults per step at the shapes
 below.  ``FunctionalTrainer`` calls
 :func:`repro.runtime.memory.retain_freed_memory`, which fixes the mmap
 threshold at 256 MiB and the trim threshold at 512 MiB, so a step reuses
-the pages an earlier step touched, whichever engine runs it.
+the pages an earlier step touched.
 
-The gate holds every axis the default trainer takes, an explicit fixed
-engine, and one table whose ``(n, dim)`` float32 array (42 MB at batch
+The gate holds every axis the default trainer takes and one table whose ``(n, dim)`` float32 array (42 MB at batch
 2048 x 80 gathers) is past the 32 MiB cap of glibc's *dynamic* threshold,
 under 100 faults per step in both modes.  The instrument test runs the
 same step with ``MALLOC_MMAP_THRESHOLD_`` set — glibc's default threshold,
@@ -87,7 +86,6 @@ CELLS = {
     "adam": ("adam", {}, BENCHMARK_TABLES),
     "lookahead": ("sgd", {"lookahead": 1}, BENCHMARK_TABLES),
     "row-shards": ("sgd", {"num_shards": 2}, BENCHMARK_TABLES),
-    "vectorized": ("sgd", {"backend": "vectorized"}, BENCHMARK_TABLES),
     "42mb-table": ("sgd", {}, PAPER_BATCH_TABLE),
 }
 

@@ -24,23 +24,15 @@ construction*.  This suite holds that to account:
 """
 
 import importlib
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-import repro.backends
+import repro
 import repro.data
 from repro import cli
-from repro.backends import (
-    AutoBackend,
-    KernelBackend,
-    UnknownBackendError,
-    VectorizedBackend,
-    get_backend,
-    registered_backends,
-    resolve_backend,
-)
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import (
     BatchSource,
@@ -134,7 +126,7 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
     model = make_model()
     trainer = FunctionalTrainer(
         model, FixedSource(stream, batches), SGD(lr=0.3),
-        num_shards=shards, backend="vectorized", lookahead=lookahead,
+        num_shards=shards, lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     report = run(BATCH, STEPS, np.random.default_rng(1), mode=mode)
@@ -148,7 +140,7 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
         losses, forward_bytes, backward_bytes = legacy_train_sharded(
             oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
             BATCH, STEPS, np.random.default_rng(1),
-            num_shards=shards, backend="vectorized",
+            num_shards=shards,
         )
         assert report.forward_exchange_bytes == forward_bytes
         assert report.backward_exchange_bytes == backward_bytes
@@ -159,7 +151,7 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
             assert report.losses == legacy_train_serial(
                 serial_model, FixedSource(stream, batches), SGD(lr=0.3),
                 BATCH, STEPS, np.random.default_rng(1),
-                mode=mode, backend="vectorized",
+                mode=mode,
             )
             assert_params_equal(model, serial_model)
         return
@@ -168,7 +160,7 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
     if shards == 2:
         plain = FunctionalTrainer(
             oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
-            num_shards=2, backend="vectorized",
+            num_shards=2,
         ).infer(BATCH, STEPS, np.random.default_rng(1))
         expected = list(zip(plain.logits, plain.losses))
     else:
@@ -202,7 +194,7 @@ class TestRemovedOptions:
         with pytest.raises(TypeError, match="parallel_mode"):
             FunctionalTrainer(
                 make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-                backend="vectorized", parallel_mode=value,
+                parallel_mode=value,
             )
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["overlap", "--parallel-mode", value])
@@ -216,7 +208,7 @@ class TestRemovedOptions:
             with pytest.raises(TypeError, match=name):
                 FunctionalTrainer(
                     make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-                    backend="vectorized", **{name: value},
+                    **{name: value},
                 )
         for argv in (["--schedule", "parallel"], ["--workers", "2"]):
             with pytest.raises(SystemExit) as exit_info:
@@ -224,10 +216,6 @@ class TestRemovedOptions:
             assert exit_info.value.code == 2
             assert f"unrecognized arguments: {' '.join(argv)}" in (
                 capsys.readouterr().err)
-        with pytest.raises(ValueError, match="unknown kernel backend") as error:
-            resolve_backend("numba-parallel")
-        listed = str(error.value).split("registered backends: ")[1]
-        assert listed.split(", ") == list(registered_backends())
 
     @pytest.mark.parametrize("argv,message", [
         (["stepshape"], "invalid choice: 'stepshape'"),
@@ -253,8 +241,7 @@ class TestRemovedOptions:
         mean something else."""
         with pytest.raises(TypeError, match="accum_steps"):
             FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3),
-                backend="vectorized", accum_steps=2,
+                make_model(), make_stream(), SGD(lr=0.3), accum_steps=2,
             )
         for module in ("repro.runtime.pipeline", "repro.runtime.policy"):
             with pytest.raises(ModuleNotFoundError):
@@ -277,57 +264,79 @@ class TestRemovedOptions:
         with pytest.raises(TypeError, match="not a BatchSource"):
             as_batch_source(MakeBatchOnly())
         with pytest.raises(TypeError, match="not a BatchSource"):
-            FunctionalTrainer(make_model(), MakeBatchOnly(), SGD(lr=0.3),
-                              backend="vectorized")
+            FunctionalTrainer(make_model(), MakeBatchOnly(), SGD(lr=0.3))
 
     def test_the_removed_blocked_engine_fails_loudly(self, capsys):
-        """``blocked`` went with its tile knob: the name is unknown to the
-        registry and to the CLI, so it cannot silently mean another
-        engine."""
-        with pytest.raises(UnknownBackendError, match="'blocked'"):
-            get_backend("blocked")
-        assert cli.main(["overlap", "--backend", "blocked"]) == 2
-        assert "unknown kernel backend 'blocked'" in capsys.readouterr().err
+        """``blocked`` went with its tile knob, and the engine knob with
+        it: neither the trainer nor the CLI takes an engine name, so none
+        can silently mean another engine."""
+        with pytest.raises(TypeError, match="backend"):
+            FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3),
+                              backend="blocked")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["overlap", "--backend", "blocked"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend blocked" in (
+            capsys.readouterr().err)
 
-    @pytest.mark.parametrize("module", ["repro.backends.autotune",
+    @pytest.mark.parametrize("module", ["repro.backends",
+                                        "repro.backends.autotune",
                                         "repro.backends.numba_backend"])
     def test_the_removed_engine_modules_are_gone(self, module):
-        """The numba engine and the per-kernel autotuner are deleted, not
-        hidden behind an availability check."""
+        """The engine registry, the numba engine and the per-kernel
+        autotuner are deleted, not hidden behind an availability check."""
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
 
     @pytest.mark.parametrize("name", [
         "Autotuner", "ShapeClass", "KERNEL_NAMES", "NumbaBackend",
         "HAVE_NUMBA", "BackendUnavailableError", "available_backends",
+        "KernelBackend", "get_backend", "registered_backends",
+        "set_default_backend", "use_backend",
     ])
     def test_the_removed_engine_names_are_not_exported(self, name):
-        for package in (repro, repro.backends):
-            assert not hasattr(package, name)
-            assert name not in package.__all__
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__
 
-    def test_every_engine_always_runs(self):
-        """No availability machinery is left: the ABC has no availability
-        or candidacy hooks, and ``auto`` is the vectorized engine with no
-        tuner behind it."""
-        for attr in ("available", "unavailable_reason", "autotune_candidate"):
-            assert not hasattr(KernelBackend, attr)
-        assert registered_backends() == ("reference", "vectorized", "auto")
-        auto = get_backend("auto")
-        assert type(auto) is AutoBackend
-        assert AutoBackend.__bases__ == (VectorizedBackend,)
-        assert not hasattr(auto, "tuner")
+    def test_the_one_engine_record_is_a_constant(self):
+        """``trainer.backend`` survives only as the record the frozen
+        benchmark reads: one shared constant named ``auto``, and no run
+        report carries an engine name."""
+        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3))
+        assert trainer.backend is FunctionalTrainer.backend
+        assert trainer.backend.name == "auto"
+        assert not hasattr(trainer.backend, "tuner")
+        report = trainer.train(8, 1, np.random.default_rng(1))
+        assert not hasattr(report, "backend")
+
+    @pytest.mark.parametrize("site", [
+        "gather_reduce", "casted_gather_reduce", "tcasted_grad_gather_reduce",
+        "tensor_casting", "expand_coalesce", "EmbeddingBag",
+        "ShardedEmbeddingSet", "FunctionalTrainer", "EngineExecutor",
+        "overlap_sweep", "measured_scaling_sweep", "serving_sweep",
+    ])
+    def test_no_site_takes_an_engine(self, site):
+        """There is one set of kernels: ``backend=`` is a ``TypeError``
+        wherever it used to pick an engine."""
+        import repro.experiments
+        import repro.serving
+
+        fn = next(getattr(package, site)
+                  for package in (repro, repro.experiments, repro.serving)
+                  if hasattr(package, site))
+        assert "backend" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError, match="backend"):
+            fn(backend="vectorized")
 
     def test_numba_is_an_unknown_engine_everywhere(self, capsys):
-        listed = "registered backends: reference, vectorized, auto"
-        with pytest.raises(UnknownBackendError, match=listed):
-            get_backend("numba")
-        with pytest.raises(UnknownBackendError, match=listed):
+        with pytest.raises(TypeError, match="backend"):
             FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3),
                               backend="numba")
-        assert cli.main(["overlap", "--backend", "numba"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: unknown kernel backend 'numba'; {listed}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["overlap", "--backend", "numba"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend numba" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("dest,scope", sorted(cli.FLAG_SCOPE.items()))
     def test_scoped_flag_is_rejected_outside_its_scope(
@@ -357,8 +366,7 @@ class TestRemovedOptions:
 
 def _construct(**kwargs):
     return FunctionalTrainer(
-        make_model(), make_stream(), SGD(lr=0.3), backend="vectorized",
-        **kwargs)
+        make_model(), make_stream(), SGD(lr=0.3), **kwargs)
 
 
 INT_SITES = {
@@ -405,8 +413,7 @@ class TestBackwardMode:
         source = FixedSource(stream, batches)
         model = make_model()
         before = [param.copy() for param in model.all_parameters()]
-        trainer = FunctionalTrainer(model, source, SGD(lr=0.3),
-                                    backend="vectorized")
+        trainer = FunctionalTrainer(model, source, SGD(lr=0.3))
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -444,8 +451,7 @@ class TestRunArgumentsAreCheckedAtEveryEntry:
         source = FixedSource(stream, batches)
         model = make_model()
         before = [param.copy() for param in model.all_parameters()]
-        trainer = FunctionalTrainer(model, source, SGD(lr=0.3),
-                                    backend="vectorized")
+        trainer = FunctionalTrainer(model, source, SGD(lr=0.3))
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         override, message = BAD_RUN_ARGUMENTS[bad]
@@ -469,11 +475,11 @@ class TestNoSilentlyDroppedSettings:
         and be dropped."""
         positional = FunctionalTrainer(
             make_model(), make_stream(), SGD(lr=0.3),
-            2, "row", "vectorized", 1,
+            2, "row", 1,
         )
         keyword = FunctionalTrainer(
             make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-            backend="vectorized", lookahead=1,
+            lookahead=1,
         )
         assert positional.lookahead == keyword.lookahead == 1
         report = positional.train(8, 2, np.random.default_rng(1))

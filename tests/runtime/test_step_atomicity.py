@@ -15,9 +15,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backends.vectorized import VectorizedBackend
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
+from repro.model import sharded
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad
 from repro.runtime.checkpoint import (
@@ -34,34 +34,31 @@ CONFIG = RM1.with_overrides(
 )
 
 
-#: Step phase -> the backend kernel that phase launches.
+#: Step phase -> the core kernel that phase launches.
 PHASE_KERNELS = {
-    "cast": "cast_indices",
+    "cast": "tensor_casting",
     "gather": "gather_reduce",
     "backward": "casted_gather_reduce",
 }
 
 
-class ExplodingBackend(VectorizedBackend):
-    """Unregistered backend whose ``phase`` kernel blows up while armed."""
+class ExplodingKernel:
+    """Stand-in for ``phase``'s kernel in :mod:`repro.model.sharded` that
+    blows up while armed and runs the real kernel otherwise."""
 
-    name = "exploding"
+    def __init__(self, monkeypatch, phase):
+        self.armed = False
+        name = PHASE_KERNELS[phase]
+        self._healthy = getattr(sharded, name)
+        monkeypatch.setattr(sharded, name, self)
 
-    def __init__(self, phase="gather", armed=True):
-        super().__init__()
-        self.armed = armed
-        healthy = getattr(self, PHASE_KERNELS[phase])
-
-        def kernel(*args, **kwargs):
-            if self.armed:
-                raise RuntimeError("boom: injected kernel failure")
-            return healthy(*args, **kwargs)
-
-        setattr(self, PHASE_KERNELS[phase], kernel)
+    def __call__(self, *args, **kwargs):
+        if self.armed:
+            raise RuntimeError("boom: injected kernel failure")
+        return self._healthy(*args, **kwargs)
 
 
-def make_trainer(num_shards=2, backend="vectorized", optimizer_cls=SGD,
-                 seed=0, lookahead=0):
+def make_trainer(num_shards=2, optimizer_cls=SGD, seed=0, lookahead=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
@@ -69,7 +66,7 @@ def make_trainer(num_shards=2, backend="vectorized", optimizer_cls=SGD,
     )
     trainer = FunctionalTrainer(
         model, stream, optimizer_cls(lr=0.3),
-        num_shards=num_shards, backend=backend, lookahead=lookahead,
+        num_shards=num_shards, lookahead=lookahead,
     )
     return model, trainer
 
@@ -111,19 +108,21 @@ class ArmAfterFirstStep(TrainingCallback):
     the cast of the next batch is already in flight when a step ends).
     """
 
-    def __init__(self, trainer):
+    def __init__(self, trainer, kernel):
         self.snapshots = [trainer_state(trainer)]
+        self.kernel = kernel
 
     def on_step_end(self, event):
         self.snapshots.append(trainer_state(event.trainer))
-        event.trainer.backend.armed = True
+        self.kernel.armed = True
 
 
 class TestFailedStep:
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
-    def test_a_failed_step_is_atomic(self, phase, lookahead, num_shards):
+    def test_a_failed_step_is_atomic(self, phase, lookahead, num_shards,
+                                     monkeypatch):
         """A kernel failure in any phase leaves the last good step intact.
 
         Adagrad, so there is optimizer state to tear.  With look-ahead,
@@ -135,10 +134,10 @@ class TestFailedStep:
         reference_report = reference.train(
             batch, steps, np.random.default_rng(1))
 
+        kernel = ExplodingKernel(monkeypatch, phase)
         _, trainer = make_trainer(
-            num_shards=num_shards, backend=ExplodingBackend(phase, armed=False),
-            optimizer_cls=Adagrad, lookahead=lookahead)
-        recorder = ArmAfterFirstStep(trainer)
+            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+        recorder = ArmAfterFirstStep(trainer, kernel)
         with pytest.raises(RuntimeError, match="boom") as failure:
             trainer.train(batch, steps, np.random.default_rng(1),
                           callbacks=[recorder])
@@ -149,8 +148,8 @@ class TestFailedStep:
         assert 1 <= completed < steps
         assert_same_state(trainer_state(trainer), recorder.snapshots[-1])
 
-        # Same trainer, healthy backend: redo the failed step and finish.
-        trainer.backend.armed = False
+        # Same trainer, healthy kernel: redo the failed step and finish.
+        kernel.armed = False
         resumed = trainer.train(
             batch, steps - completed, np.random.default_rng(1),
             start_step=completed)

@@ -60,6 +60,10 @@ class TestBatchingPolicy:
         with pytest.raises(ValueError, match="max_wait_s"):
             BatchingPolicy(4, -0.01)
 
+    def test_rejects_a_nan_wait(self):
+        with pytest.raises(ValueError, match="max_wait_s"):
+            BatchingPolicy(4, float("nan"))
+
     def test_no_batching_policy(self):
         policy = BatchingPolicy.no_batching()
         assert policy.max_batch_requests == 1
@@ -232,6 +236,13 @@ class TestHandComputedScenario:
         # Only r2 (60 ms) misses the 50 ms SLA.
         assert report.sla_attainment == pytest.approx(2 / 3)
         assert report.qps_under_sla == pytest.approx(2 / 0.160)
+
+    def test_simulator_rejects_a_nan_sla(self):
+        with pytest.raises(ValueError, match="sla_s"):
+            ServingSimulator(
+                FixedLatencyExecutor(0.01), BatchingPolicy(2, 0.05),
+                float("nan"),
+            )
 
     def test_simulator_validates_inputs(self):
         with pytest.raises(ValueError, match="empty"):

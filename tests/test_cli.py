@@ -1,16 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import inspect
-from collections import Counter
 
 import pytest
 
 import repro.cli
 import repro.experiments
-from repro.backends import (
-    get_default_backend, registered_backends, set_default_backend,
-)
-from repro.backends.dispatch import observe_kernels
 from repro.cli import (
     BUILTIN_COMMANDS, EXPERIMENTS, FLAG_SCOPE, build_parser, main,
 )
@@ -61,14 +56,12 @@ class TestMain:
         for name in EXPERIMENTS:
             assert name in out
 
-    def test_list_prints_builtins_and_backends(self, capsys):
+    def test_list_prints_builtins(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for name in BUILTIN_COMMANDS:
             assert name in out
-        assert "backends:" in out
-        for name in registered_backends():
-            assert name in out
+        assert "backend" not in out
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -181,88 +174,8 @@ class TestExitCodes:
         assert "ALL CHECKS PASSED" in capsys.readouterr().out
 
 
-class TestBackendFlag:
-    """The --backend knob: validation, routing, and the failure contract."""
-
-    def test_backend_option_parses(self):
-        args = build_parser().parse_args(["fig6", "--backend", "reference"])
-        assert args.backend == "reference"
-
-    def test_backend_defaults_to_none(self):
-        assert build_parser().parse_args(["fig6"]).backend is None
-
-    def test_unknown_backend_exits_nonzero_listing_names(self, capsys):
-        assert main(["overlap", "--backend", "warp-drive"]) == 2
-        err = capsys.readouterr().err
-        assert "warp-drive" in err
-        for name in registered_backends():
-            assert name in err
-
-    def test_removed_numba_backend_exits_nonzero_listing_names(self, capsys):
-        assert main(["overlap", "--backend", "numba"]) == 2
-        assert capsys.readouterr().err == (
-            "error: unknown kernel backend 'numba'; registered backends: "
-            "reference, vectorized, auto\n")
-
-    def test_valid_backend_runs_and_restores_default(self, capsys):
-        """``validate`` reads ``--backend`` through the process default
-        ``main`` installs: every kernel it dispatches runs on that engine."""
-        engines = Counter()
-
-        class Observer:
-            def count_kernel(self, op, backend):
-                engines[backend] += 1
-
-        previous = get_default_backend()
-        try:
-            with observe_kernels(Observer()):
-                assert main(["validate", "--backend", "reference"]) == 0
-            assert "ALL CHECKS PASSED" in capsys.readouterr().out
-        finally:
-            set_default_backend(previous)
-        assert set(engines) == {"reference"}
-
-    @pytest.mark.parametrize("argv", [
-        ["fig6"], ["list"],
-        ["scaling", "--models", "RM1", "--batches", "1024"],
-    ], ids=["fig6", "list", "scaling-analytic"])
-    def test_commands_that_run_no_kernels_reject_backend(self, argv, capsys):
-        """An unread flag exits 2: these commands dispatch no kernel, so
-        ``--backend`` would be silently ignored there.  (Every other
-        experiment outside the scope is swept by ``test_policy.py``'s
-        scoped-flag test.)"""
-        previous = get_default_backend()
-        try:
-            assert main([*argv, "--backend", "reference"]) == 2
-            assert "--backend does not apply" in capsys.readouterr().err
-        finally:
-            set_default_backend(previous)
-
-    @pytest.mark.parametrize("argv", [
-        ["scaling", "--steps", "1", "--batches", "16", "--shards", "1"],
-        ["serve", "--rates", "200", "--requests", "8"],
-    ], ids=["scaling-measured", "serve"])
-    def test_commands_that_run_kernels_accept_backend(self, argv, capsys):
-        previous = get_default_backend()
-        try:
-            assert main([*argv, "--backend", "reference"]) == 0
-            assert capsys.readouterr().err == ""
-        finally:
-            set_default_backend(previous)
-
-    def test_overlap_accepts_backend(self, capsys):
-        previous = get_default_backend()
-        try:
-            code = main(["overlap", "--batches", "16", "--shards", "1",
-                         "--steps", "1", "--backend", "vectorized"])
-            assert code == 0
-            assert "Pipelined" in capsys.readouterr().out
-        finally:
-            set_default_backend(previous)
-
-
 class TestSourceSelection:
-    """--dataset/--trace: the data-plane source flags (mirror --backend)."""
+    """--dataset/--trace: the data-plane source flags."""
 
     def test_unknown_dataset_exits_nonzero_listing_candidates(self, capsys):
         assert main(["fig13", "--dataset", "netflix"]) == 2
@@ -490,8 +403,7 @@ class TestServeCommand:
     def test_serve_accepts_trainer_flags(self, capsys):
         assert main(["serve", "--rates", "200", "--requests", "8",
                      "--policies", "single", "--optimizer", "adagrad",
-                     "--lr", "0.05", "--backend", "vectorized",
-                     "--dataset", "movielens"]) == 0
+                     "--lr", "0.05", "--dataset", "movielens"]) == 0
         assert "Tail SLA" in capsys.readouterr().out
 
     def test_serve_hot_cache_knobs_report_hit_rate(self, capsys):
@@ -503,6 +415,12 @@ class TestServeCommand:
     def test_serve_bad_sla_exits_cleanly(self, capsys):
         assert main(["serve", "--sla-ms", "0"]) == 2
         assert "sla_ms must be positive" in capsys.readouterr().err
+
+    def test_serve_nan_sla_exits_cleanly(self, capsys):
+        """A NaN SLA used to print a table with a ``nan ms`` SLA."""
+        assert main(["serve", "--sla-ms", "nan", "--rates", "200",
+                     "--requests", "4", "--policies", "single"]) == 2
+        assert "sla_ms must be positive, got nan" in capsys.readouterr().err
 
     def test_serve_resumes_an_overlap_checkpoint(self, capsys, tmp_path):
         assert main(["overlap", "--batches", "32", "--shards", "1",
@@ -602,9 +520,7 @@ def _scoped_reads(experiment, monkeypatch):
 class TestFlagScope:
     """``FLAG_SCOPE`` is exactly what the runners read: a flag reaches
     every experiment that reads it, and no experiment reads a flag scoped
-    away from it (where ``main`` would exit 2 before it could).  The one
-    built-in command in a scope, ``validate``, reads ``--backend`` through
-    the process default (``TestBackendFlag`` runs it)."""
+    away from it (where ``main`` would exit 2 before it could)."""
 
     @pytest.mark.parametrize("dest,experiment", [
         (dest, experiment) for dest, scope in sorted(FLAG_SCOPE.items())

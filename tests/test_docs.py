@@ -29,7 +29,6 @@ class TestPublicAPI:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name}"
 
     def test_subpackage_exports_resolve(self):
-        import repro.backends
         import repro.core
         import repro.data
         import repro.experiments
@@ -38,9 +37,8 @@ class TestPublicAPI:
         import repro.serving
         import repro.sim
 
-        for module in (repro.backends, repro.core, repro.data,
-                       repro.experiments, repro.model, repro.runtime,
-                       repro.serving, repro.sim):
+        for module in (repro.core, repro.data, repro.experiments,
+                       repro.model, repro.runtime, repro.serving, repro.sim):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__} missing {name}"
 
@@ -77,18 +75,6 @@ class TestReadme:
         text = README.read_text()
         for name in ("fig13", "fig6", "scaling"):
             assert name in text
-
-    def test_backend_registry_documented(self):
-        """The README's backend section cannot drift from the registry."""
-        from repro.backends import registered_backends
-
-        text = README.read_text()
-        assert "--backend" in text
-        for name in registered_backends():
-            assert f"`{name}`" in text, (
-                f"README.md does not document kernel backend {name!r}"
-            )
-
 
     def test_benchmark_is_pointed_to(self):
         text = README.read_text()

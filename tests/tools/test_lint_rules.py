@@ -83,10 +83,10 @@ class TestDeterminism:
         tree.write("tests/test_timing.py", clock)
         assert tree.lint(rules=["determinism"], paths=("src", "tests")) == []
 
-    def test_wallclock_in_a_kernel_engine_flagged(self, tree):
-        """No kernel engine times itself: a clock read under ``backends/``
-        is outside every sanctioned module."""
-        tree.write("src/repro/backends/autotune.py", """\
+    def test_wallclock_in_a_kernel_flagged(self, tree):
+        """No kernel times itself: a clock read under ``core/`` is outside
+        every sanctioned module."""
+        tree.write("src/repro/core/autotune.py", """\
             import time
 
 
@@ -114,18 +114,6 @@ class TestNumericHazard:
         assert rules_of(findings) == ["numeric-hazard"]
         assert "pairwise" in findings[0].message
 
-    def test_reduceat_in_backends_flagged(self, tree):
-        tree.write("src/repro/backends/fast.py", """\
-            import numpy as np
-
-
-            def pooled(values, starts):
-                return np.add.reduceat(values, starts)
-        """)
-        assert rules_of(tree.lint(rules=["numeric-hazard"])) == [
-            "numeric-hazard"
-        ]
-
     def test_reduceat_outside_kernel_layers_ignored(self, tree):
         # The bit-identity contract pins the kernel layers; an analysis
         # script summing spans is outside the rule's jurisdiction.
@@ -148,10 +136,9 @@ class TestNumericHazard:
         """)
         assert tree.lint(rules=["numeric-hazard"]) == []
 
-    @pytest.mark.parametrize("layer", ["core", "backends"])
-    def test_add_at_outside_segment_module_flagged(self, tree, layer):
+    def test_add_at_outside_segment_module_flagged(self, tree):
         # The right order, but a second definition of it.
-        tree.write(f"src/repro/{layer}/kernel.py", """\
+        tree.write("src/repro/core/kernel.py", """\
             import numpy as np
 
 
@@ -165,7 +152,7 @@ class TestNumericHazard:
         assert "segment_sum" in findings[0].message
 
     def test_add_at_import_alias_flagged(self, tree):
-        tree.write("src/repro/backends/kernel.py", """\
+        tree.write("src/repro/core/kernel.py", """\
             import numpy
 
 
@@ -189,7 +176,7 @@ class TestNumericHazard:
                 return out
         """
         tree.write("src/repro/core/segment.py", body.format(marker=""))
-        tree.write("src/repro/backends/tiled.py", body.format(
+        tree.write("src/repro/core/tiled.py", body.format(
             marker="  # repro-lint: ignore[numeric-hazard]"))
         tree.write("src/repro/data/labels.py", body.format(marker=""))
         assert tree.lint(rules=["numeric-hazard"]) == []
@@ -253,6 +240,20 @@ class TestDtypeDiscipline:
         """)
         assert tree.lint(rules=["dtype-discipline"]) == []
 
+    def test_the_cast_is_on_the_step_path(self, tree):
+        """Tensor Casting runs in every casted step: ``core/casting.py`` is
+        a hot module."""
+        tree.write("src/repro/core/casting.py", """\
+            import numpy as np
+
+
+            def tensor_casting(index):
+                return np.cumsum(index.src, dtype=np.float64)
+        """)
+        findings = tree.lint(rules=["dtype-discipline"])
+        assert rules_of(findings) == ["dtype-discipline"]
+        assert findings[0].line == 5
+
     def test_reference_oracle_not_flagged(self, tree):
         tree.write("src/repro/core/gather_reduce.py", """\
             import numpy as np
@@ -292,7 +293,7 @@ class TestDtypeDiscipline:
         """
         tree.write("src/repro/data/generator.py", body)
         tree.write("src/repro/model/optim.py", body)      # f64 state: by design
-        tree.write("src/repro/backends/reference.py", body)
+        tree.write("src/repro/core/traffic.py", body)
         tree.write("tests/model/test_loss.py", body)
         assert tree.lint(rules=["dtype-discipline"],
                          paths=("src", "tests")) == []
@@ -625,89 +626,11 @@ class TestRegistryConsistency:
         assert any("fallback optimizer name 'sdg'" in m for m in messages)
         assert any("default optimizer='nesterov'" in m for m in messages)
 
-    def test_unregistered_backend_literal_flagged(self, tree):
-        tree.write("src/repro/backends/engines.py", """\
-            def register_backend(cls):
-                return cls
-
-
-            @register_backend
-            class VectorizedBackend:
-                name = "vectorized"
-        """)
-        tree.write("src/repro/runtime/run.py", """\
-            def launch(make_trainer):
-                ok = make_trainer(backend="vectorized")
-                sweep = make_trainer(backend="all")
-                return ok, sweep, make_trainer(backend="vectorised")
-        """)
-        findings = tree.lint(rules=["registry-consistency"])
-        assert len(findings) == 1
-        assert "backend='vectorised'" in findings[0].message
-
     def test_cross_file_checks_skip_when_registry_out_of_scope(self, tree):
         # Linting a single file must not invent findings it cannot verify.
         tree.write("src/repro/runtime/run.py", """\
             def launch(make_trainer):
-                return make_trainer(optimizer="anything", backend="anything")
-        """)
-        assert tree.lint(rules=["registry-consistency"]) == []
-
-    def test_unimported_backend_module_flagged(self, tree):
-        # Registration is an import-time side effect: a backend module
-        # backends/__init__.py never imports silently never registers.
-        tree.write("src/repro/backends/engines.py", """\
-            def register_backend(cls):
-                return cls
-
-
-            @register_backend
-            class VectorizedBackend:
-                name = "vectorized"
-        """)
-        tree.write("src/repro/backends/forgotten.py", """\
-            from .engines import register_backend
-
-
-            @register_backend
-            class ForgottenBackend:
-                name = "forgotten"
-        """)
-        tree.write("src/repro/backends/__init__.py", """\
-            from .engines import VectorizedBackend
-        """)
-        findings = tree.lint(rules=["registry-consistency"])
-        assert len(findings) == 1
-        assert "ForgottenBackend" in findings[0].message
-        assert "backends/__init__.py never imports" in findings[0].message
-        assert "silently never registers" in findings[0].message
-
-    def test_module_import_registers_its_backends(self, tree):
-        # ``from . import engines`` executes the module, so every class
-        # it defines registers — no per-class import required.
-        tree.write("src/repro/backends/engines.py", """\
-            def register_backend(cls):
-                return cls
-
-
-            @register_backend
-            class VectorizedBackend:
-                name = "vectorized"
-        """)
-        tree.write("src/repro/backends/__init__.py", """\
-            from . import engines
-        """)
-        assert tree.lint(rules=["registry-consistency"]) == []
-
-    def test_backend_import_check_skips_without_init(self, tree):
-        tree.write("src/repro/backends/engines.py", """\
-            def register_backend(cls):
-                return cls
-
-
-            @register_backend
-            class VectorizedBackend:
-                name = "vectorized"
+                return make_trainer(optimizer="anything")
         """)
         assert tree.lint(rules=["registry-consistency"]) == []
 
@@ -795,39 +718,6 @@ class TestApiContract:
         """)
         assert tree.lint(rules=["api-contract"],
                          paths=("src", "benchmarks")) == []
-
-    def test_dispatcher_without_backend_param_flagged(self, tree):
-        tree.write("src/repro/core/kernel.py", """\
-            from repro.backends.dispatch import resolve_backend
-
-
-            def gather(table: object) -> object:
-                return resolve_backend(None).gather(table)
-        """)
-        (finding,) = tree.lint(rules=["api-contract"])
-        assert "backend=" in finding.message
-
-    def test_dispatcher_with_backend_param_clean(self, tree):
-        tree.write("src/repro/core/kernel.py", """\
-            from repro.backends.dispatch import resolve_backend
-
-
-            def gather(table: object, backend: object = None) -> object:
-                return resolve_backend(backend).gather(table)
-        """)
-        assert tree.lint(rules=["api-contract"]) == []
-
-    def test_resolve_backend_outside_core_is_not_a_dispatcher(self, tree):
-        # The trainer facade resolves once at construction; only core/
-        # kernels carry the dispatcher contract.
-        tree.write("src/repro/runtime/facade.py", """\
-            from repro.backends.dispatch import resolve_backend
-
-
-            def build() -> object:
-                return resolve_backend(None)
-        """)
-        assert tree.lint(rules=["api-contract"]) == []
 
 
 # ---------------------------------------------------------------------------

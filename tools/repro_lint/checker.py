@@ -180,8 +180,8 @@ class ImportMap:
     """Resolve local names to the dotted path they were imported from.
 
     Builds one map per file from every ``import``/``from ... import``
-    statement (function-local imports included — the repo defers backend
-    imports into function bodies to break cycles), then rewrites call
+    statement (function-local imports included — a deferred import inside
+    a function body resolves like a module-level one), then rewrites call
     targets: with ``import numpy as np``, ``np.random.rand`` resolves to
     ``numpy.random.rand``; with ``from time import perf_counter as clock``,
     ``clock`` resolves to ``time.perf_counter``.
@@ -197,7 +197,7 @@ class ImportMap:
                     self._alias[local] = full
             elif isinstance(node, ast.ImportFrom):
                 # Relative imports keep their module path sans dots: good
-                # enough for suffix matching (resolve_backend & friends).
+                # enough for suffix matching.
                 module = node.module or ""
                 for item in node.names:
                     if item.name == "*":

@@ -1,19 +1,10 @@
-"""Rule ``api-contract``: dispatchers take ``backend=``; public API is typed.
+"""Rule ``api-contract``: the public API is typed.
 
-Two contracts the typing gate (mypy.ini) and the backend engine rely on:
-
-* **Dispatcher seam** — every public kernel function in ``core/`` that
-  resolves a backend (calls ``resolve_backend``) must expose the
-  ``backend=`` parameter.  The hardware-abstraction seam of PR 3 only
-  works if *every* dispatcher lets callers pin the engine; a dispatcher
-  that resolves internally but hides the knob silently re-couples its
-  callers to the process default.
-* **Annotation coverage** — public module-level functions in
-  ``src/repro`` must be fully annotated (every parameter and the return
-  type).  This is the lint-time floor under mypy's per-module
-  ``disallow_untyped_defs`` tightening: it runs with zero dependencies,
-  in the same pass as the other invariants, and points at the exact
-  parameter.
+Public module-level functions in ``src/repro`` must be fully annotated
+(every parameter and the return type).  This is the lint-time floor under
+mypy's per-module ``disallow_untyped_defs`` tightening: it runs with zero
+dependencies, in the same pass as the other invariants, and points at the
+exact parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
-from ..checker import Checker, ImportMap, Project, SourceFile, register
+from ..checker import Checker, Project, register
 from ..findings import Finding
 
 
@@ -41,39 +32,16 @@ def _missing_annotations(node: ast.FunctionDef) -> List[str]:
     return missing
 
 
-def _param_names(node: ast.FunctionDef) -> set:
-    args = node.args
-    names = {arg.arg for arg in
-             args.posonlyargs + args.args + args.kwonlyargs}
-    if args.vararg is not None:
-        names.add(args.vararg.arg)
-    if args.kwarg is not None:
-        names.add(args.kwarg.arg)
-    return names
-
-
-def _resolves_backend(node: ast.FunctionDef, imports: ImportMap) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            target = imports.resolve(child.func)
-            if target is not None and target.endswith("resolve_backend"):
-                return True
-    return False
-
-
 @register
 class ApiContractChecker(Checker):
     rule = "api-contract"
-    description = ("core/ kernel dispatchers must accept backend=; public "
-                   "module-level functions in src/repro must be fully "
-                   "annotated")
+    description = ("public module-level functions in src/repro must be "
+                   "fully annotated")
 
     def check(self, project: Project) -> Iterable[Finding]:
         for source in project.files:
             if not source.in_library():
                 continue
-            imports = ImportMap(source.tree)
-            in_core = "core" in source.dir_parts
             for node in source.tree.body:
                 if not isinstance(node, ast.FunctionDef):
                     continue
@@ -85,12 +53,4 @@ class ApiContractChecker(Checker):
                         source, node,
                         f"public function {node.name} is not fully "
                         f"annotated (missing: {', '.join(missing)})",
-                    )
-                if (in_core and _resolves_backend(node, imports)
-                        and "backend" not in _param_names(node)):
-                    yield self.finding(
-                        source, node,
-                        f"kernel dispatcher {node.name} resolves a backend "
-                        "but does not accept a backend= parameter; every "
-                        "dispatcher must expose the engine knob",
                     )

@@ -1,7 +1,7 @@
 """Rule ``determinism``: no hidden entropy, no unsanctioned wall clock.
 
 Bit-identity across runs is the repo's headline contract (every trainer,
-backend, and replay path is pinned to it), and it dies the moment any code
+schedule, and replay path is pinned to it), and it dies the moment any code
 path draws from an unseeded generator or branches on wall-clock time.
 
 * Unseeded ``np.random.default_rng()`` (or ``RandomState()``) — every

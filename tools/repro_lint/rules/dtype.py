@@ -9,9 +9,8 @@ train its float32 model at double width, paying twice the memory traffic
 the paper's model bills (``core/traffic.py`` charges 4-byte elements).
 
 This rule flags, in the modules a step executes —
-``model/{dlrm,embedding,layers,interaction,loss}.py``,
-``core/{gather_reduce,coalesce,segment,scatter}.py`` and
-``backends/vectorized.py`` —
+``model/{dlrm,embedding,layers,interaction,loss}.py`` and
+``core/{gather_reduce,casting,coalesce,segment,scatter}.py`` —
 
 * a call passing the keyword ``dtype=np.float64`` (or ``"float64"``);
 * a call ``<x>.astype(np.float64)``;
@@ -37,8 +36,8 @@ HOT_MODULES = tuple(
     f"repro/{package}/{module}.py"
     for package, modules in (
         ("model", ("dlrm", "embedding", "layers", "interaction", "loss")),
-        ("core", ("gather_reduce", "coalesce", "segment", "scatter")),
-        ("backends", ("vectorized",)),
+        ("core", ("gather_reduce", "casting", "coalesce", "segment",
+                  "scatter")),
     )
     for module in modules
 )

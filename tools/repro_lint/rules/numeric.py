@@ -4,11 +4,12 @@ PR 3 established the accumulation contract for every gradient-coalescing
 kernel: each output row is summed *sequentially*, one addend at a time in
 lookup order, because ``np.ufunc.reduceat`` uses pairwise partial sums
 whose float results drift from the sequential oracle by ulps — enough to
-break the repo's bit-identity pins between backends, schedules, shard
-counts, and checkpoint resumes.  ``repro.core.segment.segment_sum`` is
-the NumPy engines' one implementation of that order.
+break the repo's bit-identity pins between the kernels and their oracles,
+schedules, shard counts, and checkpoint resumes.
+``repro.core.segment.segment_sum`` is the kernels' one implementation of
+that order.
 
-This rule flags, inside the kernel layers (``core/`` and ``backends/``):
+This rule flags, inside the kernel layer (``core/``):
 
 * any ``.reduceat(...)`` call — the wrong order;
 * any ``np.add.at(...)`` call outside ``core/segment.py`` — the right
@@ -34,15 +35,15 @@ from ..findings import Finding
 class NumericHazardChecker(Checker):
     rule = "numeric-hazard"
     description = ("reduceat/pairwise-sum accumulation, or a scatter-add "
-                   "that bypasses core.segment.segment_sum, in core/ or "
-                   "backends/ kernels where sequential lookup order is the "
+                   "that bypasses core.segment.segment_sum, in core/ "
+                   "kernels where sequential lookup order is the "
                    "bit-identity contract")
 
     def check(self, project: Project) -> Iterable[Finding]:
         for source in project.files:
             if not source.in_library():
                 continue
-            if not source.in_package_dir("core", "backends"):
+            if not source.in_package_dir("core"):
                 continue
             owns_order = source.rel.endswith("core/segment.py")
             for node in ast.walk(source.tree):

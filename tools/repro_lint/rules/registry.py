@@ -3,12 +3,12 @@
 ``python -m repro`` is registry-driven by design (PR 3): parser choices,
 ``list`` output, and validation messages all derive from
 ``EXPERIMENTS``/``BUILTIN_COMMANDS``, optimizers from ``OPTIMIZERS``
-(``model/optim.py``), kernel engines from the backend registry.  The one
-thing the registries cannot police themselves is *drift between the
-literals*: a flag added to ``build_parser`` but never consumed, a runner
-reading ``args.foo`` nobody declares, a ``FLAG_SCOPE`` entry that no longer
-names an experiment or a flag, or a hard-coded default (``args.optimizer
-or "sgd"``, ``backend="auto"``) whose name quietly leaves the registry.
+(``model/optim.py``).  The one thing the registries cannot police
+themselves is *drift between the literals*: a flag added to
+``build_parser`` but never consumed, a runner reading ``args.foo`` nobody
+declares, a ``FLAG_SCOPE`` entry that no longer names an experiment or a
+flag, or a hard-coded default (``args.optimizer or "sgd"``) whose name
+quietly leaves the registry.
 This rule cross-checks them all via AST constant extraction:
 
 * registry dict literals in ``cli.py`` — no duplicate keys, no overlap
@@ -21,14 +21,9 @@ This rule cross-checks them all via AST constant extraction:
   key of ``EXPERIMENTS`` or ``BUILTIN_COMMANDS``;
 * argparse lockstep — every ``args.<dest>`` read in ``cli.py`` has a
   matching ``add_argument`` and every declared dest is read somewhere;
-* string-literal fallbacks and keywords: ``args.optimizer or "<name>"``
-  and ``optimizer="<name>"`` must name a key of ``OPTIMIZERS``;
-  ``backend="<name>"`` keywords and defaults must name a registered
-  backend (``@register_backend`` classes' ``name`` attributes);
-* every ``@register_backend`` class defined under ``backends/`` must be
-  imported by ``backends/__init__.py`` — registration happens at import
-  time and the ``__init__`` import order *is* the registry order, so a
-  backend module nobody imports silently never registers.
+* string-literal fallbacks, keywords and defaults: ``args.optimizer or
+  "<name>"`` and ``optimizer="<name>"`` must name a key of
+  ``OPTIMIZERS``.
 
 Cross-file checks are skipped gracefully when the defining module is not
 part of the lint run (e.g. linting a single file).
@@ -117,53 +112,22 @@ def _optimizer_names(project: Project) -> Optional[Set[str]]:
     return {name for name, _ in _string_keys(optimizers)}
 
 
-def _backend_names(project: Project) -> Optional[Set[str]]:
-    """``name`` attributes of @register_backend classes, plus aliases."""
-    names: Set[str] = set()
-    found_registry = False
-    for source in project.files:
-        if not source.in_library() or "backends" not in source.dir_parts:
-            continue
-        found_registry = True
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorated = any(
-                (isinstance(dec, ast.Name) and dec.id == "register_backend")
-                or (isinstance(dec, ast.Attribute)
-                    and dec.attr == "register_backend")
-                for dec in node.decorator_list
-            )
-            if not decorated:
-                continue
-            for item in node.body:
-                if (isinstance(item, ast.Assign)
-                        and len(item.targets) == 1
-                        and isinstance(item.targets[0], ast.Name)
-                        and item.targets[0].id == "name"
-                        and isinstance(item.value, ast.Constant)
-                        and isinstance(item.value.value, str)):
-                    names.add(item.value.value)
-    return names if found_registry and names else None
-
-
 @register
 class RegistryConsistencyChecker(Checker):
     rule = "registry-consistency"
     description = ("CLI argparse flags, experiment registries, and "
-                   "optimizer/backend name literals must stay in lockstep")
+                   "optimizer name literals must stay in lockstep")
 
     def check(self, project: Project) -> Iterable[Finding]:
         optimizers = _optimizer_names(project)
-        backends = _backend_names(project)
         cli = _find_source(project, "repro/cli.py")
         if cli is not None:
             yield from self._check_cli(cli, optimizers)
-        yield from self._check_backend_imports(project)
+        if optimizers is None:
+            return
         for source in project.files:
             if source.in_library():
-                yield from self._check_name_literals(
-                    source, optimizers, backends)
+                yield from self._check_name_literals(source, optimizers)
 
     # ------------------------------------------------------------------ cli
     def _check_cli(
@@ -298,161 +262,52 @@ class RegistryConsistencyChecker(Checker):
                     "silently",
                 )
 
-    # ------------------------------------------------ backend registration
-    def _check_backend_imports(
-        self, project: Project,
-    ) -> Iterable[Finding]:
-        """Every ``@register_backend`` class must reach ``__init__.py``.
-
-        Registration is an import-time side effect and the package
-        ``__init__`` import order *is* the registry order, so a backend
-        class (or its module) that ``backends/__init__.py`` never imports
-        silently never registers — no test fails, the engine just
-        vanishes from ``registered_backends()``.
-        """
-        init = _find_source(project, "repro/backends/__init__.py")
-        if init is None:
-            return
-        imported: Set[str] = set()
-        for node in ast.walk(init.tree):
-            if isinstance(node, ast.ImportFrom):
-                # ``from .vectorized import anything`` and ``from .
-                # import vectorized`` both execute vectorized.py, which
-                # registers every backend it defines — track the module,
-                # not the names.
-                if node.module is not None:
-                    imported.add(node.module.split(".")[-1])
-                else:
-                    for item in node.names:
-                        imported.add(item.name)
-            elif isinstance(node, ast.Import):
-                for item in node.names:
-                    imported.add(item.name.split(".")[-1])
-        for source in project.files:
-            if (not source.in_library()
-                    or "backends" not in source.dir_parts
-                    or source.name == "__init__.py"):
-                continue
-            module = source.name.removesuffix(".py")
-            for node in ast.walk(source.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                decorated = any(
-                    (isinstance(dec, ast.Name)
-                     and dec.id == "register_backend")
-                    or (isinstance(dec, ast.Attribute)
-                        and dec.attr == "register_backend")
-                    for dec in node.decorator_list
-                )
-                if not decorated:
-                    continue
-                if module not in imported:
-                    yield self.finding(
-                        source, node,
-                        f"@register_backend class {node.name} lives in "
-                        f"{module}.py, which backends/__init__.py never "
-                        "imports — it silently never registers (import "
-                        "order is registration order); import something "
-                        f"from the {module!r} module there",
-                    )
-
     # -------------------------------------------------- registered literals
     def _check_name_literals(
-        self,
-        source: SourceFile,
-        optimizers: Optional[Set[str]],
-        backends: Optional[Set[str]],
+        self, source: SourceFile, optimizers: Set[str],
     ) -> Iterable[Finding]:
-        """String literals naming optimizers/backends must be registered."""
+        """String literals naming optimizers must be registered."""
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
-                    yield from self._check_keyword(
-                        source, keyword, optimizers, backends)
+                    if keyword.arg == "optimizer":
+                        yield from self._check_name(
+                            source, keyword.value, optimizers,
+                            "optimizer={!r} does not name a registered "
+                            "optimizer")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_defaults(
-                    source, node, optimizers, backends)
-            elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-                yield from self._check_fallback(
-                    source, node, optimizers, backends)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional)
+                                            - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(arg, default) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                for arg, default in pairs:
+                    if arg.arg == "optimizer":
+                        yield from self._check_name(
+                            source, default, optimizers,
+                            "default optimizer={!r} does not name a "
+                            "registered optimizer")
+            elif (isinstance(node, ast.BoolOp)
+                  and isinstance(node.op, ast.Or)
+                  and isinstance(node.values[0], ast.Attribute)
+                  and node.values[0].attr == "optimizer"):
+                # ``args.optimizer or "sgd"`` — the fallback.
+                for value in node.values[1:]:
+                    yield from self._check_name(
+                        source, value, optimizers,
+                        "fallback optimizer name {!r} is not registered")
 
-    def _registered(
-        self,
-        kind: str,
-        optimizers: Optional[Set[str]],
-        backends: Optional[Set[str]],
-    ) -> Optional[Set[str]]:
-        if kind == "optimizer":
-            return optimizers
-        if kind == "backend":
-            # "all" is the benchmark sweep sentinel, accepted by the
-            # bench CLI glue rather than the registry itself.
-            return backends | {"all"} if backends is not None else None
-        return None
-
-    def _check_keyword(
-        self, source, keyword, optimizers, backends,
+    def _check_name(
+        self, source: SourceFile, node: ast.expr, registered: Set[str],
+        message: str,
     ) -> Iterable[Finding]:
-        if keyword.arg not in ("optimizer", "backend"):
-            return
-        registered = self._registered(keyword.arg, optimizers, backends)
-        value = keyword.value
-        if (registered is not None and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-                and value.value not in registered):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value not in registered):
             yield self.finding(
-                source, value,
-                f"{keyword.arg}={value.value!r} does not name a "
-                f"registered {keyword.arg} "
+                source, node,
+                f"{message.format(node.value)} "
                 f"({', '.join(sorted(registered))})",
             )
-
-    def _check_defaults(
-        self, source, node, optimizers, backends,
-    ) -> Iterable[Finding]:
-        args = node.args
-        positional = args.posonlyargs + args.args
-        for arg, default in zip(positional[-len(args.defaults):]
-                                if args.defaults else [], args.defaults):
-            yield from self._check_default(
-                source, arg.arg, default, optimizers, backends)
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield from self._check_default(
-                    source, arg.arg, default, optimizers, backends)
-
-    def _check_default(
-        self, source, name, default, optimizers, backends,
-    ) -> Iterable[Finding]:
-        if name not in ("optimizer", "backend"):
-            return
-        registered = self._registered(name, optimizers, backends)
-        if (registered is not None and isinstance(default, ast.Constant)
-                and isinstance(default.value, str)
-                and default.value not in registered):
-            yield self.finding(
-                source, default,
-                f"default {name}={default.value!r} does not name a "
-                f"registered {name} ({', '.join(sorted(registered))})",
-            )
-
-    def _check_fallback(
-        self, source, node, optimizers, backends,
-    ) -> Iterable[Finding]:
-        """``args.optimizer or "sgd"`` — the fallback must be registered."""
-        first = node.values[0]
-        if not (isinstance(first, ast.Attribute)
-                and first.attr in ("optimizer", "backend")):
-            return
-        registered = self._registered(first.attr, optimizers, backends)
-        if registered is None:
-            return
-        for value in node.values[1:]:
-            if (isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                    and value.value not in registered):
-                yield self.finding(
-                    source, value,
-                    f"fallback {first.attr} name {value.value!r} is not "
-                    f"registered ({', '.join(sorted(registered))})",
-                )
