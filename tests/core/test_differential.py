@@ -14,7 +14,10 @@ long segments folded row by row) rather than ``np.add.reduceat``, whose
 pairwise partial sums would drift by ulps.  The ``profile-*`` cases sweep
 the segment shapes that decide how ``segment_sum`` splits its work
 (uniform bags, Zipf row reuse, one giant bag, empty bags, unsorted
-destinations).
+destinations); every float input also comes contiguous, row-strided and
+column-strided, and frozen, so no kernel relies on its input's layout or
+writes it.  Each kernel reports one launch to the kernel observer, after
+its empty-input early return.
 """
 
 import zlib
@@ -38,6 +41,7 @@ from repro.core.casting import (
     tensor_casting_reference,
 )
 from repro.core.indexing import IndexArray
+from repro.core.observe import observe_kernels
 from repro.core.segment import sort_by_key
 
 #: Documented comparison tolerance for float32 results, which the kernels
@@ -151,21 +155,46 @@ def _assert_matches(actual, expected, dtype, context):
         )
 
 
-def _table(name, index, dtype, layout):
-    """A ``(num_rows, 7)`` table, seeded by case name, laid out contiguously
-    or as every other row of a twice-as-tall array (a row-strided view)."""
+#: How a kernel's float input sits in memory: its own C-contiguous array,
+#: every other row of a twice-as-tall array, or every other column of a
+#: twice-as-wide one.
+LAYOUTS = ["contiguous", "row-strided", "column-strided"]
+
+
+def _random(name, shape, dtype, layout):
+    """A standard-normal array seeded by case name, in ``layout``."""
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    table = rng.standard_normal((index.num_rows, 7)).astype(dtype)
+    values = rng.standard_normal(shape).astype(dtype)
     if layout == "contiguous":
-        return table
-    tall = np.zeros((2 * index.num_rows, 7), dtype=dtype)
-    tall[::2] = table
-    return tall[::2]
+        return values
+    rows, cols = shape
+    if layout == "row-strided":
+        backing = np.zeros((2 * rows, cols), dtype=dtype)
+        backing[::2] = values
+        return backing[::2]
+    backing = np.zeros((rows, 2 * cols), dtype=dtype)
+    backing[:, ::2] = values
+    return backing[:, ::2]
+
+
+def _table(name, index, dtype, layout):
+    """A ``(num_rows, 7)`` table, seeded by case name, in ``layout``."""
+    return _random(name, (index.num_rows, 7), dtype, layout)
+
+
+def _frozen(index):
+    """A copy of ``index`` whose ``src`` and ``dst`` refuse writes."""
+    frozen = IndexArray(index.src.copy(), index.dst.copy(),
+                        num_rows=index.num_rows,
+                        num_outputs=index.num_outputs)
+    frozen.src.flags.writeable = False
+    frozen.dst.flags.writeable = False
+    return frozen
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-@pytest.mark.parametrize("layout", ["contiguous", "row-strided"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestGatherReduce:
     def test_matches_oracle(self, layout, case, dtype):
         name, index = case
@@ -179,12 +208,8 @@ class TestGatherReduce:
         frozen, any write would raise; the result is a fresh array."""
         name, index = case
         table = _table(name, index, dtype, layout)
-        frozen = IndexArray(index.src.copy(), index.dst.copy(),
-                            num_rows=index.num_rows,
-                            num_outputs=index.num_outputs)
-        for array in (table, frozen.src, frozen.dst):
-            array.flags.writeable = False
-        result = gather_reduce(table, frozen)
+        table.flags.writeable = False
+        result = gather_reduce(table, _frozen(index))
         assert not np.shares_memory(result, table), name
         assert result.shape == (index.num_outputs, 7)
         _assert_matches(result, gather_reduce_reference(table, index), dtype,
@@ -202,6 +227,15 @@ class TestCastIndices:
         assert np.array_equal(cast.casted_dst, oracle_dst), name
         assert np.array_equal(cast.rows, np.unique(index.src)), name
         assert cast.num_gradients == index.num_outputs
+
+    def test_never_writes_its_inputs(self, case):
+        """The sort-by-key reads ``src`` and ``dst``; frozen, any write
+        would raise."""
+        name, index = case
+        cast = tensor_casting(_frozen(index))
+        oracle_src, oracle_dst = tensor_casting_reference(index.src, index.dst)
+        assert np.array_equal(cast.casted_src, oracle_src), name
+        assert np.array_equal(cast.casted_dst, oracle_dst), name
 
 
 @pytest.mark.parametrize(
@@ -239,31 +273,110 @@ def test_sort_by_key_is_the_stable_sort_of_every_profile(case):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestBackwardPaths:
     def _oracle(self, index, gradients):
         expanded = gradient_expand(gradients, index.dst)
         return gradient_coalesce_reference(index.src, expanded)
 
-    def test_expand_coalesce_matches_oracle(self, case, dtype):
-        name, index = case
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        gradients = rng.standard_normal((index.num_outputs, 5)).astype(dtype)
-        rows, values = expand_coalesce(index, gradients)
-        oracle_rows, oracle_values = self._oracle(index, gradients)
-        assert np.array_equal(rows, oracle_rows), name
-        _assert_matches(values, oracle_values, dtype, name)
+    def _gradients(self, name, index, dtype, layout):
+        """The ``(B, 5)`` gradient table, in ``layout``."""
+        return _random(name, (index.num_outputs, 5), dtype, layout)
 
-    def test_casted_gather_reduce_matches_oracle(self, case, dtype):
+    def _check(self, result, index, gradients, dtype, context):
+        rows, values = result
+        oracle_rows, oracle_values = self._oracle(index, gradients)
+        assert np.array_equal(rows, oracle_rows), context
+        _assert_matches(values, oracle_values, dtype, context)
+
+    def test_expand_coalesce_matches_oracle(self, layout, case, dtype):
+        name, index = case
+        gradients = self._gradients(name, index, dtype, layout)
+        self._check(expand_coalesce(index, gradients), index, gradients,
+                    dtype, name)
+
+    def test_casted_gather_reduce_matches_oracle(self, layout, case, dtype):
         """Algorithm 3 == Algorithm 1: the fused backward consumes the
         kernel's own cast, as at runtime."""
         name, index = case
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        gradients = rng.standard_normal((index.num_outputs, 5)).astype(dtype)
+        gradients = self._gradients(name, index, dtype, layout)
         cast = tensor_casting(index)
+        self._check(casted_gather_reduce(gradients, cast), index, gradients,
+                    dtype, name)
+
+    def test_casted_gather_reduce_derives_an_unseeded_layout(
+            self, layout, case, dtype):
+        """A cast built without the kernel's boundary scan — here, from the
+        oracle's pair array — carries no segment layout; the backward
+        derives it from ``casted_dst`` and lands on the same result."""
+        name, index = case
+        gradients = self._gradients(name, index, dtype, layout)
+        casted_src, casted_dst = tensor_casting_reference(index.src,
+                                                          index.dst)
+        cast = CastedIndex(casted_src, casted_dst,
+                           np.unique(index.src).astype(np.int64),
+                           index.num_outputs)
+        assert "_segment_starts" not in cast.__dict__
+        self._check(casted_gather_reduce(gradients, cast), index, gradients,
+                    dtype, name)
+
+    def test_expand_coalesce_never_writes_its_inputs(self, layout, case,
+                                                     dtype):
+        """The gradient table and both index vectors are read-only to the
+        baseline backward: frozen, any write would raise."""
+        name, index = case
+        gradients = self._gradients(name, index, dtype, layout)
+        gradients.flags.writeable = False
+        rows, values = expand_coalesce(_frozen(index), gradients)
+        assert not np.shares_memory(values, gradients), name
+        self._check((rows, values), index, gradients, dtype,
+                    f"{name}/frozen")
+
+    def test_casted_gather_reduce_never_writes_its_inputs(self, layout, case,
+                                                          dtype):
+        """The gradient table and every array of the cast are read-only to
+        the fused backward: frozen, any write would raise."""
+        name, index = case
+        gradients = self._gradients(name, index, dtype, layout)
+        cast = tensor_casting(index)
+        arrays = (gradients, cast.casted_src, cast.casted_dst, cast.rows,
+                  cast.segment_starts())
+        for array in arrays:
+            array.flags.writeable = False
         rows, values = casted_gather_reduce(gradients, cast)
-        oracle_rows, oracle_values = self._oracle(index, gradients)
-        assert np.array_equal(rows, oracle_rows), name
-        _assert_matches(values, oracle_values, dtype, name)
+        assert not np.shares_memory(values, gradients), name
+        self._check((rows, values), index, gradients, dtype,
+                    f"{name}/frozen")
+
+
+@pytest.mark.parametrize(
+    "op",
+    ["gather_reduce", "tensor_casting", "expand_coalesce",
+     "casted_gather_reduce"],
+)
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_each_kernel_reports_once_past_its_early_return(case, op):
+    """One launch, one ``count_kernel(op)`` — and an input with no lookups
+    returns before it reports, so it counts nothing."""
+    name, index = case
+    gradients = np.ones((index.num_outputs, 3))
+    cast = tensor_casting(index)
+    launch = {
+        "gather_reduce": lambda: gather_reduce(
+            np.ones((index.num_rows, 3)), index),
+        "tensor_casting": lambda: tensor_casting(index),
+        "expand_coalesce": lambda: expand_coalesce(index, gradients),
+        "casted_gather_reduce": lambda: casted_gather_reduce(gradients, cast),
+    }[op]
+    calls = []
+
+    class Observer:
+        def count_kernel(self, reported):
+            calls.append(reported)
+
+    with observe_kernels(Observer()):
+        launch()
+    assert calls == [op] * (index.num_lookups > 0), name
 
 
 class TestCastValidation:

@@ -4,7 +4,8 @@ A :class:`~repro.model.dlrm.DLRM` of dtype ``D`` fed *any* float batch
 produces ``D`` everywhere a step produces an array — pooled outputs,
 logits, ``dlogits``, dense parameter gradients, the ``(B, dim)`` gradient
 tables, :class:`~repro.model.embedding.SparseGradient` values — on every
-backward mode and trainer path, and keeps its parameters in ``D``.
+backward mode and trainer path — on the kernels and on their oracles — and
+keeps its parameters in ``D``.
 The coercion at the data -> model seam is the *only* difference between an
 f32 model fed f64 batches and one fed pre-cast f32 batches, and for the
 default f64 model every coercion is a no-op: a literal golden recorded on
@@ -12,6 +13,7 @@ the commit before the contract existed pins that nothing moved.
 """
 
 import zlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -107,9 +109,17 @@ def parameters_equal(a, b):
 @DTYPES
 @BATCH_DTYPES
 @pytest.mark.parametrize("mode", ("baseline", "casted"))
+@pytest.mark.parametrize("kernels", ("core", "oracle"))
 def test_every_array_of_a_step_carries_the_model_dtype(
-    model_dtype, batch_dtype, mode
+    model_dtype, batch_dtype, mode, kernels, oracle_kernels
 ):
+    """``oracle``: the step runs on the ``*_reference`` oracles, which
+    accumulate in float64 and must still hand back the model's dtype."""
+    with oracle_kernels() if kernels == "oracle" else nullcontext():
+        check_every_array_of_a_step(model_dtype, batch_dtype, mode)
+
+
+def check_every_array_of_a_step(model_dtype, batch_dtype, mode):
     model = make_model(model_dtype)
     want = np.dtype(model_dtype)
     assert model.dtype == want

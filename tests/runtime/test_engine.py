@@ -12,6 +12,8 @@ Also covered here: the engine's entry points (the trainer's look-ahead,
 (ordering, global step numbering, run-end events).
 """
 
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from repro.core.indexing import IndexArray
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import BatchSource, as_batch_source
-from repro.model import sharded
+from repro.model import embedding, sharded
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import (
@@ -30,6 +32,7 @@ from repro.model.optim import (
     make_optimizer,
     optimizer_names,
 )
+from repro.obs import Observability
 from repro.runtime.engine import (
     MetricsLogger,
     TrainingCallback,
@@ -212,6 +215,31 @@ class EmptyBagSource(BatchSource):
         return replace(data, indices=indices)
 
 
+#: Each kernel the model calls -> the argument whose lookups it reduces;
+#: a launch with none returns before it reports to the kernel observer.
+LOOKUP_CARRIER = {
+    "gather_reduce": lambda table, index: index,
+    "tensor_casting": lambda index: index,
+    "expand_coalesce": lambda index, gradients: index,
+    "casted_gather_reduce": lambda gradients, casted: casted,
+}
+
+
+def tally_launches(patch, launches):
+    """Wrap the model's four kernels so each launch that carries lookups
+    appends its op to ``launches`` (``list.append`` is atomic, so the
+    cast-ahead worker may tally too)."""
+    for module in (embedding, sharded):
+        for op, carrier in LOOKUP_CARRIER.items():
+            def spy(*args, _op=op, _carrier=carrier,
+                    _kernel=getattr(module, op), **kwargs):
+                if _carrier(*args, **kwargs).num_lookups:
+                    launches.append(_op)
+                return _kernel(*args, **kwargs)
+
+            patch.setattr(module, op, spy)
+
+
 class TestEmptyBagsMatchLegacyGoldens:
     """Empty bags through every policy, shard count and look-ahead.
 
@@ -220,6 +248,14 @@ class TestEmptyBagsMatchLegacyGoldens:
     cell must still reproduce the legacy sharded loop bit for bit, exactly
     as ``TestShardLoopMatchesLegacyGoldens`` checks it — also when the
     empty cast is made ahead, on the cast-ahead worker.
+
+    Each cell runs three ways.  ``core``: the model's kernels.  ``oracle``:
+    both loops with the four kernels swapped for their ``*_reference``
+    oracles, so whole steps of oracle code meet every empty-bag shape.
+    ``observed``: the kernels under an observed run, whose
+    ``kernel.calls`` counts must equal, op by op, the launches that carry
+    lookups — the cast-ahead worker's casts included, since the observer
+    is process-wide.
     """
 
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
@@ -229,21 +265,38 @@ class TestEmptyBagsMatchLegacyGoldens:
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", ["row", "table"])
-    def test_every_cell(self, policy, num_shards, optimizer,
-                        lookahead, dtype, mode):
-        engine_model = make_model(dtype=dtype)
-        trainer = FunctionalTrainer(
-            engine_model, EmptyBagSource(),
-            make_optimizer(optimizer, lr=0.05), num_shards=num_shards,
-            policy=policy, lookahead=lookahead,
-        )
-        report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
-        legacy_model = make_model(dtype=dtype)
-        legacy_optimizer = make_optimizer(optimizer, lr=0.05)
-        legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
-            legacy_model, EmptyBagSource(), legacy_optimizer, 8, 3,
-            np.random.default_rng(1), num_shards=num_shards, policy=policy,
-        )
+    @pytest.mark.parametrize("kernels", ["core", "oracle", "observed"])
+    def test_every_cell(self, kernels, policy, num_shards, optimizer,
+                        lookahead, dtype, mode, oracle_kernels, monkeypatch):
+        obs = Observability() if kernels == "observed" else None
+        launches = []
+        with oracle_kernels() if kernels == "oracle" else nullcontext():
+            engine_model = make_model(dtype=dtype)
+            trainer = FunctionalTrainer(
+                engine_model, EmptyBagSource(),
+                make_optimizer(optimizer, lr=0.05), num_shards=num_shards,
+                policy=policy, lookahead=lookahead,
+            )
+            with monkeypatch.context() as patch:
+                if obs is not None:
+                    tally_launches(patch, launches)
+                report = trainer.train(8, 3, np.random.default_rng(1),
+                                       mode=mode, obs=obs)
+            legacy_model = make_model(dtype=dtype)
+            legacy_optimizer = make_optimizer(optimizer, lr=0.05)
+            legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
+                legacy_model, EmptyBagSource(), legacy_optimizer, 8, 3,
+                np.random.default_rng(1), num_shards=num_shards,
+                policy=policy,
+            )
+        if obs is not None:
+            counted = {
+                op: obs.metrics.counter("kernel.calls", op=op).value
+                for op in LOOKUP_CARRIER
+            }
+            tally = Counter(launches)
+            assert counted == {op: tally[op] for op in LOOKUP_CARRIER}
+            assert tally["gather_reduce"] > 0
         assert report.losses == legacy_losses
         assert report.forward_exchange_bytes == fwd_bytes
         assert report.backward_exchange_bytes == bwd_bytes
