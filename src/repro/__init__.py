@@ -24,7 +24,10 @@ Package tour
   interconnects and energy accounting;
 * :mod:`repro.runtime` — execution timelines, the four system design points,
   and a wall-clock-instrumented functional trainer whose ``lookahead=1``
-  executes the Section IV-B cast-ahead overlap;
+  executes the Section IV-B cast-ahead overlap and whose ``infer()`` runs
+  the same step forward-only, parameters frozen;
+* :mod:`repro.obs` — spans, metrics and Perfetto export for a training
+  run, over an injectable clock (:mod:`repro.obs.clock`);
 * :mod:`repro.experiments` — one harness per table/figure of the evaluation.
 
 Quickstart

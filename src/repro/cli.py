@@ -46,7 +46,6 @@ from .experiments import (
     format_overlap,
     format_scaling,
     format_sensitivity,
-    format_serving,
     format_table1,
     format_table2,
     link_bandwidth_sweep,
@@ -58,8 +57,6 @@ from .experiments import (
     overlap_sweep,
     SCALING_SHARDS,
     scaling_sweep,
-    SERVING_POLICIES,
-    serving_sweep,
 )
 from .model.configs import ALL_MODELS, get_model
 from .model.optim import optimizer_names
@@ -218,37 +215,6 @@ def _run_cache(args: argparse.Namespace, hardware: SystemHardware) -> str:
     )
 
 
-def _run_serve(
-    args: argparse.Namespace,
-    hardware: SystemHardware,
-    obs: "Observability | None" = None,
-) -> str:
-    return format_serving(
-        serving_sweep(
-            dataset=args.dataset,
-            rates=tuple(args.rates) if args.rates else (100.0, 500.0),
-            policies=(
-                tuple(args.policies) if args.policies else SERVING_POLICIES
-            ),
-            num_requests=args.requests if args.requests is not None else 64,
-            sla_ms=args.sla_ms if args.sla_ms is not None else 50.0,
-            max_batch=args.max_batch if args.max_batch is not None else 8,
-            max_wait_ms=(
-                args.max_wait_ms if args.max_wait_ms is not None else 2.0
-            ),
-            pattern=args.arrival or "poisson",
-            trace=args.trace,
-            optimizer=args.optimizer or "sgd",
-            lr=args.lr if args.lr is not None else 0.1,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            hot_cache_rows=args.hot_cache_rows,
-            cache_policy=args.cache_policy or "lru",
-            obs=obs,
-        )
-    )
-
-
 #: Experiment registry: name -> (runner, description).
 EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
     "table1": (_run_table1, "Table I - disaggregated memory configuration"),
@@ -270,16 +236,11 @@ EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
                               "pipeline vs the analytic overlap bound"),
     "cache": (_run_cache, "Section II-D related work executed - hot-row "
                           "cache hit rates, measured (LRU/LFU) vs analytic"),
-    "serve": (_run_serve, "Beyond the paper - Section II-A traffic served: "
-                          "latency-bounded inference, arrival rate x "
-                          "batching policy under a tail SLA"),
 }
 
 #: Experiments that train a real model through the runtime engine.  These
 #: runners take ``obs=``.
-TRAINER_EXPERIMENTS = ("overlap", "serve")
-
-_SERVE = ("serve",)
+TRAINER_EXPERIMENTS = ("overlap",)
 
 #: Flag dest -> the experiments (and built-in commands) that accept it.
 #: Setting a scoped flag for any other command exits 2; unscoped flags
@@ -299,15 +260,6 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
                 "scaling", "overlap", "cache"),
     "shards": ("scaling", "overlap"),
     "steps": ("scaling", "overlap", "cache"),
-    "rates": _SERVE,
-    "policies": _SERVE,
-    "requests": _SERVE,
-    "sla_ms": _SERVE,
-    "max_batch": _SERVE,
-    "max_wait_ms": _SERVE,
-    "arrival": _SERVE,
-    "hot_cache_rows": _SERVE,
-    "cache_policy": _SERVE,
 }
 
 
@@ -428,54 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir", default=None, metavar="DIR",
         help="save each trained cell's parameters + optimizer state + step "
              f"into DIR (trainer-backed experiments: {_scope('checkpoint_dir')})",
-    )
-    parser.add_argument(
-        "--rates", nargs="*", type=float, default=None, metavar="R",
-        help="arrival rates (requests/s) for the 'serve' sweep "
-             "(default: 100 500)",
-    )
-    parser.add_argument(
-        "--policies", nargs="*", default=None, metavar="P",
-        choices=SERVING_POLICIES,
-        help="batching policies for the 'serve' sweep "
-             f"({', '.join(SERVING_POLICIES)}; default: all)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="requests per 'serve' cell (default: 64)",
-    )
-    parser.add_argument(
-        "--sla-ms", type=float, default=None, metavar="MS",
-        help="tail-latency SLA in milliseconds the 'serve' sweep measures "
-             "p99 and QPS-under-SLA against (default: 50)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=None, metavar="B",
-        help="dynamic batcher's max requests per batch — also the hill "
-             "climb's ceiling ('serve'; default: 8)",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=None, metavar="MS",
-        help="dynamic batcher's max queueing delay before a partial batch "
-             "dispatches ('serve'; default: 2)",
-    )
-    parser.add_argument(
-        "--arrival", default=None, metavar="PATTERN",
-        choices=("uniform", "poisson"),
-        help="arrival process shape for the 'serve' sweep "
-             "(uniform, poisson; default: poisson)",
-    )
-    parser.add_argument(
-        "--hot-cache-rows", type=int, default=None, metavar="ROWS",
-        help="replay each 'serve' rate's requests through an executed "
-             "hot-row cache of this many rows per table and report its hit "
-             "rate (default: no cache)",
-    )
-    parser.add_argument(
-        "--cache-policy", default=None, metavar="NAME",
-        choices=("lru", "lfu"),
-        help="replacement policy for --hot-cache-rows (lru, lfu; "
-             "default: lru)",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",

@@ -11,7 +11,6 @@ calibrated synthetic stand-ins for the paper's public datasets and the
 histogram tooling that measures locality live alongside.
 """
 
-from .arrivals import ArrivalProcess
 from .datasets import DATASETS, PAPER_ORDER, DatasetProfile, dataset_names, get_dataset
 from .distributions import LookupDistribution, UniformDistribution, ZipfDistribution
 from .generator import (
@@ -46,7 +45,6 @@ from .histogram import (
 )
 
 __all__ = [
-    "ArrivalProcess",
     "BatchSource",
     "BatchTraceWriter",
     "CTRBatch",

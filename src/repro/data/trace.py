@@ -19,14 +19,19 @@ The paper drives its locality studies from public datasets' index ids
   to the direct run — the trace captures exactly what the stream produced.
 
 Both formats are plain ``.npz`` zip archives of ``.npy`` members — no
-pickling, portable across platforms.
+pickling, portable across platforms.  A damaged file — empty, truncated,
+not a zip, a flipped byte, a missing member, a header field that is not a
+scalar integer — raises :class:`ValueError` naming the path and, where
+there is one, the member; :mod:`repro.runtime.checkpoint` reads its
+archives through the same helpers.
 """
 
 from __future__ import annotations
 
 import zipfile
+import zlib
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 from numpy.lib import format as _npy_format
@@ -66,6 +71,58 @@ def _with_npz_suffix(path: str | Path) -> Path:
     return path
 
 
+#: What NumPy and :mod:`zipfile` raise on a damaged archive or member: a
+#: truncated or foreign file, a bad CRC or deflate stream, an unreadable
+#: ``.npy`` header, a corrupted compression method.
+_CORRUPT = (
+    zipfile.BadZipFile, zlib.error, EOFError, OSError, ValueError,
+    NotImplementedError,
+)
+
+
+def _open_npz(path: Path, what: str) -> np.lib.npyio.NpzFile:
+    """Open ``path`` as an ``.npz`` archive, or raise ``ValueError`` saying
+    it is not a readable ``what``."""
+    try:
+        archive = np.load(path)
+    except FileNotFoundError:
+        raise
+    except _CORRUPT as error:
+        raise ValueError(f"{path} is not a readable {what}: {error}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a {what}: not an .npz archive")
+    return archive
+
+
+def _member(
+    archive: np.lib.npyio.NpzFile, path: Path, name: str
+) -> np.ndarray:
+    """Read member ``name``; a missing or damaged member is a ``ValueError``
+    naming both."""
+    try:
+        return archive[name]
+    except KeyError:
+        raise ValueError(f"{path} has no member {name!r}") from None
+    except _CORRUPT as error:
+        raise ValueError(
+            f"{path}: member {name!r} is corrupt: {error}"
+        ) from None
+
+
+def _scalar(
+    archive: np.lib.npyio.NpzFile, path: Path, name: str, kinds: str = "iu"
+) -> Any:
+    """Member ``name`` as a Python scalar; it must be 0-d, of a dtype kind
+    in ``kinds`` (integers by default)."""
+    value = _member(archive, path, name)
+    if value.ndim != 0 or value.dtype.kind not in kinds:
+        raise ValueError(
+            f"{path}: member {name!r} must be a scalar of dtype kind "
+            f"{kinds!r}, got shape {value.shape} dtype {value.dtype}"
+        )
+    return value.item()
+
+
 def save_trace(path: str | Path, indices: Sequence[IndexArray]) -> Path:
     """Persist one batch's per-table index arrays to ``path`` (.npz).
 
@@ -92,25 +149,20 @@ def save_trace(path: str | Path, indices: Sequence[IndexArray]) -> Path:
 def load_trace(path: str | Path) -> List[IndexArray]:
     """Load a trace written by :func:`save_trace`.
 
-    Validation happens in the :class:`IndexArray` constructor, so corrupted
-    or hand-rolled files fail loudly rather than producing silent nonsense.
+    A damaged file raises ``ValueError`` (see the module docstring), and
+    the :class:`IndexArray` constructor validates what it holds, so
+    hand-rolled files fail loudly rather than producing silent nonsense.
     """
     path = Path(path)
-    with np.load(path) as archive:
-        if "num_tables" not in archive:
+    with _open_npz(path, "repro index trace") as archive:
+        if "num_tables" not in archive.files:
             raise ValueError(f"{path} is not a repro index trace")
-        num_tables = int(archive["num_tables"])
         indices = []
-        for table_id in range(num_tables):
-            try:
-                src = archive[f"src_{table_id}"]
-                dst = archive[f"dst_{table_id}"]
-                num_rows = int(archive[f"num_rows_{table_id}"])
-                num_outputs = int(archive[f"num_outputs_{table_id}"])
-            except KeyError as missing:
-                raise ValueError(
-                    f"{path} is truncated: missing array {missing}"
-                ) from None
+        for table_id in range(_scalar(archive, path, "num_tables")):
+            src = _member(archive, path, f"src_{table_id}")
+            dst = _member(archive, path, f"dst_{table_id}")
+            num_rows = _scalar(archive, path, f"num_rows_{table_id}")
+            num_outputs = _scalar(archive, path, f"num_outputs_{table_id}")
             indices.append(
                 IndexArray(src, dst, num_rows=num_rows, num_outputs=num_outputs)
             )
@@ -342,30 +394,42 @@ class TraceReplaySource(BatchSource):
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._archive = np.load(self.path)
-        if "batch_trace_version" not in self._archive.files:
+        self._archive: Optional[np.lib.npyio.NpzFile] = _open_npz(
+            self.path, "repro batch trace"
+        )
+        self._cursor = 0
+        try:
+            self._read_header(self._archive)
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_header(self, archive: np.lib.npyio.NpzFile) -> None:
+        if "batch_trace_version" not in archive.files:
             hint = (
                 " (this looks like a save_trace index artifact; read those "
                 "with load_trace)"
-                if "num_tables" in self._archive.files
+                if "num_tables" in archive.files
                 else ""
             )
-            self._archive.close()
             raise ValueError(f"{self.path} is not a repro batch trace{hint}")
-        version = int(self._archive["batch_trace_version"])
+        version = _scalar(archive, self.path, "batch_trace_version")
         if version != _BATCH_TRACE_VERSION:
-            self._archive.close()
             raise ValueError(
                 f"{self.path} uses batch-trace version {version}, this "
                 f"reader understands {_BATCH_TRACE_VERSION}"
             )
-        self.num_steps = int(self._archive["num_steps"])
-        self.num_tables = int(self._archive["num_tables"])
-        self.rows_per_table = [
-            int(r) for r in self._archive["rows_per_table"]
-        ]
-        self.dense_features = int(self._archive["dense_features"])
-        self._cursor = 0
+        self.num_steps: int = _scalar(archive, self.path, "num_steps")
+        self.num_tables: int = _scalar(archive, self.path, "num_tables")
+        rows = _member(archive, self.path, "rows_per_table")
+        if rows.shape != (self.num_tables,) or rows.dtype.kind not in "iu":
+            raise ValueError(
+                f"{self.path}: member 'rows_per_table' must hold "
+                f"{self.num_tables} integers, got shape {rows.shape} dtype "
+                f"{rows.dtype}"
+            )
+        self.rows_per_table = [int(r) for r in rows]
+        self.dense_features: int = _scalar(archive, self.path, "dense_features")
 
     def next_batch(
         self, batch: int | None, rng: np.random.Generator | None = None
@@ -376,24 +440,19 @@ class TraceReplaySource(BatchSource):
             raise SourceExhausted(
                 f"{self.path} is exhausted after {self.num_steps} steps"
             )
-        step = self._cursor
-        try:
-            labels = self._archive[f"labels_{step}"]
-            dense = self._archive[f"dense_{step}"]
-            num_outputs = int(self._archive[f"outs_{step}"])
-            indices = [
-                IndexArray(
-                    self._archive[f"src_{step}_{table_id}"],
-                    self._archive[f"dst_{step}_{table_id}"],
-                    num_rows=self.rows_per_table[table_id],
-                    num_outputs=num_outputs,
-                )
-                for table_id in range(self.num_tables)
-            ]
-        except KeyError as missing:
-            raise ValueError(
-                f"{self.path} is truncated: missing array {missing}"
-            ) from None
+        archive, path, step = self._archive, self.path, self._cursor
+        labels = _member(archive, path, f"labels_{step}")
+        dense = _member(archive, path, f"dense_{step}")
+        num_outputs = _scalar(archive, path, f"outs_{step}")
+        indices = [
+            IndexArray(
+                _member(archive, path, f"src_{step}_{table_id}"),
+                _member(archive, path, f"dst_{step}_{table_id}"),
+                num_rows=self.rows_per_table[table_id],
+                num_outputs=num_outputs,
+            )
+            for table_id in range(self.num_tables)
+        ]
         if batch is not None and batch != labels.shape[0]:
             raise ValueError(
                 f"step {step} of {self.path} recorded batch="

@@ -3,9 +3,9 @@
 Each module exposes a ``figN_*``/``tableN_*`` function returning structured
 rows plus a ``format_*`` renderer; the ``benchmarks/`` directory wires them
 into pytest-benchmark targets that regenerate the corresponding artifact.
-The sweeps that train a real model (``overlap``, measured ``scaling``,
-``cache``, ``serve``) build and time every run through
-:mod:`repro.experiments.measured`.
+The sweeps that train a real model (``overlap``, measured ``scaling``)
+build and time every run through :mod:`repro.experiments.measured`, and
+``cache`` draws from the same sources.
 """
 
 from .breakdown import (
@@ -53,13 +53,6 @@ from .scaling import (
     measured_scaling_sweep,
     scaling_sweep,
 )
-from .serving import (
-    SERVING_CONFIG,
-    SERVING_POLICIES,
-    ServingRow,
-    format_serving,
-    serving_sweep,
-)
 from .sensitivity import (
     LinkSweepRow,
     SensitivityRow,
@@ -90,11 +83,8 @@ __all__ = [
     "OverlapRow",
     "ProbabilityPoint",
     "SCALING_SHARDS",
-    "SERVING_CONFIG",
-    "SERVING_POLICIES",
     "ScalingRow",
     "SensitivityRow",
-    "ServingRow",
     "SpeedupRow",
     "TrafficRow",
     "UtilizationRow",
@@ -124,7 +114,6 @@ __all__ = [
     "format_overlap",
     "format_scaling",
     "format_sensitivity",
-    "format_serving",
     "format_table",
     "format_table1",
     "format_table2",
@@ -135,7 +124,6 @@ __all__ = [
     "overlap_sweep",
     "scaled_distribution",
     "scaling_sweep",
-    "serving_sweep",
     "speedup_summary",
     "table1_rows",
     "table2_rows",

@@ -1,23 +1,21 @@
 """One measured run: how the executed sweeps build and time a training job.
 
 The experiments that run a real model — ``overlap`` (Section IV-B's
-cast-ahead overlap), ``scaling --steps`` (the sharded runtime against its
-analytic bound) and ``serve`` — all measure the same thing:
-a seeded float32 DLRM driven by a
-:class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
-timed best-of-k.  ``cache`` draws from the same sources and builds no
+cast-ahead overlap) and ``scaling --steps`` (the sharded runtime against
+its analytic bound) — measure the same thing: a seeded float32 DLRM
+driven by a :class:`~repro.runtime.trainer.FunctionalTrainer` over a
+fresh source, timed best-of-k.  ``cache`` draws from the same sources and builds no
 model.  This module is the one place that decides how:
 
 * :func:`scaled_distribution` — a dataset profile's locality shape at the
   functional table height;
-* :func:`synthetic_source` and :func:`seeded_model` — identical seeds
-  give identical start states, so every run of a cell is the same
-  computation;
+* :func:`synthetic_source` — the seeded stream of a cell;
 * :func:`best_of` — builds each run's
-  :class:`~repro.runtime.trainer.FunctionalTrainer` from those and the
-  sweep's trainer keywords, trains one untimed warm-up step, then
-  ``repeats`` fresh runs (each optionally resumed from a checkpoint), and
-  keeps the fastest;
+  :class:`~repro.runtime.trainer.FunctionalTrainer` from a model seeded
+  like every other run of the cell (identical seeds give identical start
+  states, so every run is the same computation) and the sweep's trainer
+  keywords, trains one untimed warm-up step, then ``repeats`` fresh runs
+  (each optionally resumed from a checkpoint), and keeps the fastest;
 * :func:`runs_bit_identical` — the exact comparison behind every
   ``Bitwise`` column;
 * :func:`read_trace` — a recorded trace as a cell: the model geometry it
@@ -61,7 +59,6 @@ __all__ = [
     "read_trace",
     "runs_bit_identical",
     "scaled_distribution",
-    "seeded_model",
     "synthetic_source",
 ]
 
@@ -104,11 +101,6 @@ def synthetic_source(
         distributions=[distribution] * config.num_tables,
         seed=seed,
     )
-
-
-def seeded_model(config: ModelConfig, seed: int) -> DLRM:
-    """The float32 model every measured run starts from."""
-    return DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def best_of(
 
     def build() -> FunctionalTrainer:
         return FunctionalTrainer(
-            seeded_model(config, seed),
+            DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32),
             make_source(),
             make_optimizer(optimizer, lr=lr),
             **trainer_kwargs,

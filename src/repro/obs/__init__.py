@@ -1,4 +1,4 @@
-"""Structured tracing and metrics for training, serving, and kernels.
+"""Structured tracing and metrics for training runs and kernels.
 
 The observability plane records *where time goes* — the paper's whole
 argument (Fig. 4 motivates Tensor Casting with a stage breakdown; Fig. 12
@@ -7,22 +7,22 @@ wins on one) is a timeline argument, and aggregate
 This package adds the record you can actually look at:
 
 * :class:`Tracer` — nested spans on named tracks (step loop, cast-ahead
-  worker, shards, served requests) with timestamps from an injectable
-  :class:`~repro.serving.clock.Clock`;
+  worker, shards) with timestamps from an injectable
+  :class:`~repro.obs.clock.Clock`;
 * :class:`MetricRegistry` — labeled counters / gauges / histograms
   (``cache.hits{policy=lfu}``, ``kernel.calls{op=gather_reduce}``);
 * exporters — Chrome trace-event JSON (load it in Perfetto or
   ``chrome://tracing``), a JSONL step-record stream, and a run manifest
   (config, git SHA, seed);
 * :class:`Observability` — the bundle of all of the above that threads
-  through every ``obs=`` seam (trainer, engine, serving simulator, CLI
-  ``--trace-out`` / ``--metrics-out``).
+  through every ``obs=`` seam (trainer, engine, CLI ``--trace-out`` /
+  ``--metrics-out``).
 
 Observability is disabled by default: with ``obs=None`` the instrumented
 code paths are bit-identical to their uninstrumented behavior.
 """
 
-from .clock import default_clock, unix_time, utc_timestamp
+from .clock import unix_time, utc_timestamp
 from .export import (
     chrome_trace_payload,
     git_revision,
@@ -45,7 +45,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "chrome_trace_payload",
-    "default_clock",
     "format_series",
     "git_revision",
     "span_totals",

@@ -10,8 +10,8 @@ inputs (sorted keys, sorted tracks, stable event order):
   ids announced by ``thread_name`` metadata events, so shards and the
   cast-ahead worker render as separate lanes.
 * **JSONL step records** (:func:`write_jsonl`) — one JSON object per
-  line: training steps with losses, served requests with lifecycle
-  timestamps.  Greppable, streamable, diffable.
+  line: training steps with their losses.  Greppable, streamable,
+  diffable.
 * **Run manifest** (:func:`write_manifest`) — what produced the artifacts:
   config, seed (caller-provided) plus the repository revision
   (:func:`git_revision`) and a written-at stamp.

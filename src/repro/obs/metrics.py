@@ -5,11 +5,10 @@ A :class:`MetricRegistry` holds every series of one observed run, keyed by
 ``kernel.calls{op=gather_reduce}`` are distinct series of
 the ``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
 
-* :class:`Counter` — monotone event count (kernel calls, served requests);
+* :class:`Counter` — monotone event count (kernel calls, training steps);
 * :class:`Gauge` — a sampled time series of ``(at, value)`` points (loss
   per step, prefetch queue depth per draw);
-* :class:`Histogram` — a value distribution with percentile summaries
-  (request latencies).
+* :class:`Histogram` — a value distribution with percentile summaries.
 
 All mutation goes through one registry-wide lock: the cast-ahead worker
 counts kernel calls concurrently with the step loop, and a plain float

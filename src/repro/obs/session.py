@@ -3,8 +3,8 @@
 One object carries everything a run records — a
 :class:`~repro.obs.tracer.Tracer`, a
 :class:`~repro.obs.metrics.MetricRegistry`, the JSONL step-record stream,
-and the run manifest — so the engine, the serving simulator, and the CLI
-all take a single optional ``obs=`` argument.  ``obs=None`` everywhere
+and the run manifest — so the trainer, the engine and the CLI all take a
+single optional ``obs=`` argument.  ``obs=None`` everywhere
 means "record nothing, change nothing": the instrumented call sites are
 bit-identical no-ops without it.
 
@@ -14,20 +14,18 @@ Typical shape::
     trainer.train(batch, steps=32, rng=rng, obs=obs)
     obs.export("runs/train.trace.json")   # + .steps.jsonl + .manifest.json
 
-    obs = Observability(clock=VirtualClock())   # deterministic serving trace
+    obs = Observability(clock=VirtualClock())   # byte-stable timestamps
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Any, Dict, List, Optional, Union
 
+from .clock import Clock
 from .export import write_chrome_trace, write_jsonl, write_manifest
 from .metrics import MetricRegistry
 from .tracer import Tracer
-
-if TYPE_CHECKING:
-    from ..serving.clock import Clock
 
 __all__ = ["Observability"]
 
@@ -37,7 +35,7 @@ PathLike = Union[str, "Path"]
 class Observability:
     """Tracer + metrics + step records + manifest for one observed run."""
 
-    def __init__(self, clock: "Clock | None" = None) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricRegistry()
         self.steps: List[Dict[str, Any]] = []

@@ -2,12 +2,10 @@
 
 A :class:`Tracer` produces :class:`SpanRecord` entries — named intervals
 ``[start_s, end_s]`` on a named **track** (a Perfetto thread lane: the step
-loop is ``main``, cast-ahead work is ``cast``, each shard ``shard{s}``,
-each served request ``req{id}``).  Time comes exclusively from the
-injected :class:`~repro.serving.clock.Clock`: a
-:class:`~repro.serving.clock.RealTimeClock` for measured runs, a
-:class:`~repro.serving.clock.VirtualClock` for byte-deterministic traces
-(the serving simulator's discrete-event time).
+loop is ``main``, cast-ahead work is ``cast``, each shard ``shard{s}``).
+Time comes exclusively from the injected :class:`~repro.obs.clock.Clock`:
+a :class:`~repro.obs.clock.RealTimeClock` for measured runs, a
+:class:`~repro.obs.clock.VirtualClock` for byte-deterministic traces.
 
 Two ways to make a span:
 
@@ -16,9 +14,7 @@ Two ways to make a span:
   ``obs-hygiene`` rule enforces this): a dangling span never closes and
   corrupts the per-track nesting.
 * :meth:`Tracer.record_span` — explicit timestamps, for events whose
-  start/end are already known (the serving simulator reconstructs request
-  lifecycles from :class:`~repro.serving.harness.CompletedRequest`
-  timestamps after the fact).
+  start/end are already known.
 
 Both accept a ``sink`` list: a step's cast, which may run on the
 cast-ahead worker, buffers its spans in its context's own
@@ -35,20 +31,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    TYPE_CHECKING,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from .clock import default_clock
-
-if TYPE_CHECKING:
-    from ..serving.clock import Clock
+from .clock import Clock, RealTimeClock
 
 __all__ = [
     "Span",
@@ -129,15 +114,15 @@ class Span:
 class Tracer:
     """Collect spans with timestamps from one injected clock.
 
-    ``clock=None`` (the default) measures real wall time via
-    :func:`repro.obs.clock.default_clock`; inject a
-    :class:`~repro.serving.clock.VirtualClock` for deterministic traces.
+    ``clock=None`` (the default) measures real wall time with a
+    :class:`~repro.obs.clock.RealTimeClock`; inject a
+    :class:`~repro.obs.clock.VirtualClock` for deterministic traces.
     Appends to :attr:`records` are lock-guarded — the cast-ahead worker and
     the step loop may both be recording.
     """
 
-    def __init__(self, clock: "Clock | None" = None) -> None:
-        self.clock: "Clock" = clock if clock is not None else default_clock()
+    def __init__(self, clock: Clock | None = None) -> None:
+        self.clock: Clock = clock if clock is not None else RealTimeClock()
         self.records: List[SpanRecord] = []
         self._lock = threading.Lock()
 

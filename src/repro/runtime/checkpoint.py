@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..data.trace import _member, _open_npz, _scalar, _with_npz_suffix
 from .engine import RunEvent, StepEvent, TrainingCallback
 
 if TYPE_CHECKING:  # runtime import would cycle through the trainer facade
@@ -71,14 +72,6 @@ _CHECKPOINT_VERSION = 1
 #: :func:`latest_checkpoint` scans for.
 _CHECKPOINT_NAME = "checkpoint-{step:08d}.npz"
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d+)\.npz$")
-
-
-def _with_npz_suffix(path: str | Path) -> Path:
-    """Mirror ``np.savez``'s silent ``.npz`` suffixing (as data/trace.py does)."""
-    path = Path(path)
-    if not path.name.endswith(".npz"):
-        path = path.with_name(path.name + ".npz")
-    return path
 
 
 @dataclass(frozen=True)
@@ -133,29 +126,39 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a checkpoint written by :func:`save_checkpoint`."""
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    Reads every member before returning, so a damaged file fails here —
+    before :func:`restore_trainer` touches a trainer — with a
+    ``ValueError`` naming the path and, where there is one, the member
+    (empty, truncated, not a zip, a flipped byte, a missing member, a
+    header field that is not a scalar).
+    """
     path = Path(path)
-    with np.load(path) as archive:
+    what = "repro training checkpoint"
+    with _open_npz(path, what) as archive:
         if "checkpoint_version" not in archive.files:
-            raise ValueError(f"{path} is not a repro training checkpoint")
-        version = int(archive["checkpoint_version"])
+            raise ValueError(f"{path} is not a {what}")
+        version = _scalar(archive, path, "checkpoint_version")
         if version != _CHECKPOINT_VERSION:
             raise ValueError(
                 f"{path} uses checkpoint version {version}, this reader "
                 f"understands {_CHECKPOINT_VERSION}"
             )
-        step = int(archive["step"])
-        optimizer_class = str(archive["optimizer_class"].item())
+        step = _scalar(archive, path, "step")
+        optimizer_class = _scalar(archive, path, "optimizer_class", "U")
         hyper: Dict[str, float] = {}
         params: Dict[str, np.ndarray] = {}
         state: Dict[str, np.ndarray] = {}
         for key in archive.files:
             if key.startswith("hyper/"):
-                hyper[key[len("hyper/"):]] = float(archive[key])
+                hyper[key[len("hyper/"):]] = float(
+                    _scalar(archive, path, key, "f")
+                )
             elif key.startswith("param/"):
-                params[key[len("param/"):]] = archive[key]
+                params[key[len("param/"):]] = _member(archive, path, key)
             elif key.startswith("state/"):
-                state[key[len("state/"):]] = archive[key]
+                state[key[len("state/"):]] = _member(archive, path, key)
     return Checkpoint(
         step=step,
         optimizer_class=optimizer_class,

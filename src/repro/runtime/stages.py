@@ -149,7 +149,7 @@ class InferenceReport(TrainingReport):
     the backward nor the update runs, so parameters and optimizer state are
     untouched — the frozen-parameter guarantee).
 
-    ``timings`` breaks the run into the serving-relevant phases (``draw``,
+    ``timings`` breaks the run into the forward-side phases (``draw``,
     ``partition``/``casting``, ``forward``, ``exchange``, ``loss``);
     ``samples`` counts every scored sample, and ``forward_exchange_bytes``
     accounts the forward all-to-all (there is no backward exchange, so

@@ -187,14 +187,13 @@ class FunctionalTrainer:
 
         Runs :meth:`train`'s step body in the same step loop, with the same
         checks, but never backpropagates or updates, so model parameters and
-        optimizer state are untouched (the serving plane's frozen-parameter
-        guarantee) while the forward outputs are bit-identical to the
-        training path's forward for the same batch.  ``mode``
-        keeps its training meaning (``"casted"`` exercises the casting
-        stage exactly as the serving pipeline would); ``start_step``
-        fast-forwards the source as in
-        :meth:`train`, which is how a restored checkpoint resumes serving
-        the stream where training left off.
+        optimizer state are untouched while the forward outputs are
+        bit-identical to the training path's forward for the same batch —
+        an evaluation pass over the trained (or checkpoint-restored)
+        model.  ``mode`` keeps its training meaning (``"casted"`` runs the
+        casting stage as training does); ``start_step`` fast-forwards the
+        source as in :meth:`train`, which is how a restored checkpoint
+        scores the stream where training left off.
         """
         report = TrainingEngine(self, obs=obs).run(
             batch, steps, rng, mode, callbacks, start_step, forward_only=True

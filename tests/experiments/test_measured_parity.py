@@ -1,13 +1,13 @@
 """Every executed sweep's clock-free row fields, pinned to literals.
 
-The four executed sweeps (``overlap``, measured ``scaling``, ``cache``,
-``serve``) draw from one measured-run harness
+The three executed sweeps (``overlap``, measured ``scaling``, ``cache``)
+draw from one measured-run harness
 (:mod:`repro.experiments.measured`).  Everything in their rows that is not
 derived from a wall clock — bitwise flags, exchange bytes, analytic bounds,
 cache accesses and hit rates, step counts — is a pure function of the
 seeds and shapes, so it is pinned here to literals recorded before the
 harness existed.  The cache literals were recorded while the cache still
-ran inside training and serving; replaying the index stream reproduces
+ran inside the executed runs; replaying the index stream reproduces
 them.  Floats are compared exactly, as ``float.hex()`` strings.
 """
 
@@ -18,7 +18,6 @@ from repro.data.trace import record_trace
 from repro.experiments.hotcache import HOTCACHE_CONFIG, hotcache_sweep
 from repro.experiments.overlap import OVERLAP_CONFIG, overlap_sweep
 from repro.experiments.scaling import measured_scaling_sweep
-from repro.experiments.serving import serving_sweep
 from repro.model.configs import RM1
 
 #: The analytic NMP model needs 64-byte vectors, hence dim 16.
@@ -119,41 +118,6 @@ def test_cache_trace(tmp_path):
     assert _fields(rows, CACHE_FIELDS) == CACHE_TRACE
 
 
-SERVE_FIELDS = (
-    "source", "policy", "max_batch_requests", "requests", "batches",
-    "mean_batch_requests", "sla_ms", "cache_hit_rate",
-)
-
-
-def test_serve_synthetic():
-    rows = serving_sweep(
-        rates=(200.0,), policies=("single",), num_requests=6, sla_ms=100.0,
-        config=TINY_CONFIG, hot_cache_rows=16,
-    )
-    assert _fields(rows, SERVE_FIELDS) == SERVE_SYNTHETIC
-
-
-def test_serve_policies_share_the_replayed_hit_rate():
-    # The hit rate is one replay of the rate's requests, whatever the
-    # batching policy — the hill climb's candidate passes included.
-    rows = serving_sweep(
-        rates=(200.0,), policies=("single", "dynamic", "hill"),
-        num_requests=24, config=TINY_CONFIG, hot_cache_rows=16,
-    )
-    assert [row.cache_hit_rate.hex() for row in rows] == [
-        "0x1.3638e38e38e39p-2"] * 3
-
-
-def test_serve_trace(tmp_path):
-    trace = _trace(tmp_path, HOTCACHE_CONFIG.with_overrides(
-        rows_per_table=300), batch=4, steps=5)
-    rows = serving_sweep(
-        rates=(200.0,), policies=("single",), num_requests=9, sla_ms=100.0,
-        trace=trace, hot_cache_rows=16,
-    )
-    assert _fields(rows, SERVE_FIELDS) == SERVE_TRACE
-
-
 # Recorded by running this file against the commit before the harness.  The
 # one-shard overlap cells' exchange bytes were recorded from the one-shard
 # trainer before it became the default (the batch-16 row equals the measured
@@ -215,18 +179,4 @@ CACHE_TRACE = [
      "measured_hit_rate": "0x1.2000000000000p-5",
      "analytic_hit_rate": "0x1.c800000000000p-3",
      "delta": "-0x1.8000000000000p-3"},
-]
-SERVE_SYNTHETIC = [
-    {"source": "criteo", "policy": "single", "max_batch_requests": 1,
-     "requests": 6, "batches": 6,
-     "mean_batch_requests": "0x1.0000000000000p+0",
-     "sla_ms": "0x1.9000000000000p+6",
-     "cache_hit_rate": "0x1.18e38e38e38e4p-2"},
-]
-SERVE_TRACE = [
-    {"source": "trace:tiny.npz", "policy": "single", "max_batch_requests": 1,
-     "requests": 5, "batches": 5,
-     "mean_batch_requests": "0x1.0000000000000p+0",
-     "sla_ms": "0x1.9000000000000p+6",
-     "cache_hit_rate": "0x1.3333333333333p-6"},
 ]

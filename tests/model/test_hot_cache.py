@@ -10,7 +10,6 @@ from repro.data.trace import TraceReplaySource, record_trace
 from repro.experiments.hotcache import hotcache_sweep
 from repro.model.configs import RM1
 from repro.model.hot_cache import HotRowCache, replay_hit_counts
-from repro.serving import Request, coalesce_requests
 from repro.sim.cache import CachedCPUModel, HotRowCacheSpec
 
 
@@ -235,8 +234,7 @@ def table_ids(batches):
 
 
 class TestReplayOracles:
-    """Replay counts against closed forms and against the regroupings the
-    trainer and the serving plane apply to the stream before it executes."""
+    """Replay counts against closed forms."""
 
     DISTRIBUTIONS = {
         "uniform": lambda rows: UniformDistribution(rows),
@@ -272,29 +270,6 @@ class TestReplayOracles:
         )
         assert hits == repeats
         assert 0 < hits < accesses
-
-    @pytest.mark.parametrize("dispatch", [1, 2, 3, 7])
-    @pytest.mark.parametrize("policy", HotRowCache.POLICIES)
-    def test_coalesced_requests_replay_as_their_sequence(
-        self, policy, dispatch
-    ):
-        """Every batching policy dispatches contiguous FIFO slices, so one
-        replay of the requests is every policy's hit rate."""
-        stream = small_stream(ZipfDistribution(64, exponent=1.05))
-        rng = np.random.default_rng(1)
-        requests = [
-            Request(i, 0.0, stream.next_batch(1 + i % 4, rng))
-            for i in range(15)
-        ]
-        dispatched = [
-            coalesce_requests(requests[start:start + dispatch])
-            for start in range(0, len(requests), dispatch)
-        ]
-        assert replay_hit_counts(
-            [batch.indices for batch in dispatched], 16, policy
-        ) == replay_hit_counts(
-            [request.data.indices for request in requests], 16, policy
-        )
 
 
 class TestLFUHeapBound:

@@ -21,7 +21,7 @@ from repro.obs import (
     write_jsonl,
     write_manifest,
 )
-from repro.serving import VirtualClock
+from repro.obs.clock import VirtualClock
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

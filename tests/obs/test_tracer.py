@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Tracer, span_totals, validate_span_nesting
-from repro.serving import VirtualClock
+from repro.obs.clock import VirtualClock
 
 
 def make_tracer():

@@ -1,6 +1,6 @@
 """Differential suite for the forward-only inference path (``infer()``).
 
-The serving plane's acceptance bar, pinned bit-exactly: ``infer()`` must
+The forward-only run's contract, pinned bit-exactly: ``infer()`` must
 produce the *same forward outputs the training path computes* for the same
 batch, while leaving parameters and optimizer state untouched.
 The training-side oracle is the engine itself — a recording engine captures

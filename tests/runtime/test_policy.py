@@ -288,6 +288,52 @@ class TestRemovedOptions:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
 
+    @pytest.mark.parametrize("module", [
+        "repro.serving", "repro.serving.clock", "repro.experiments.serving",
+        "repro.data.arrivals",
+    ])
+    def test_the_removed_serving_modules_are_gone(self, module):
+        """The serving plane is deleted, not hidden: its clocks live in
+        ``repro.obs.clock`` and nothing else of it survives."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package,name", [
+        ("repro.experiments", name) for name in (
+            "serving_sweep", "format_serving", "ServingRow",
+            "SERVING_CONFIG", "SERVING_POLICIES")
+    ] + [("repro.data", "ArrivalProcess"),
+         ("repro.experiments.measured", "seeded_model"),
+         ("repro.obs", "default_clock")])
+    def test_the_removed_serving_names_are_not_exported(self, package, name):
+        module = importlib.import_module(package)
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
+
+    def test_the_removed_serve_experiment_exits_2(self, capsys):
+        assert "serve" not in cli.EXPERIMENTS
+        assert cli.TRAINER_EXPERIMENTS == ("overlap",)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["serve"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--rates", "100"], ["--policies", "single"], ["--requests", "8"],
+        ["--sla-ms", "50"], ["--max-batch", "4"], ["--max-wait-ms", "2"],
+        ["--arrival", "poisson"], ["--hot-cache-rows", "64"],
+        ["--cache-policy", "lru"],
+    ], ids=lambda argv: argv[0])
+    def test_the_removed_serve_flags_are_unrecognized(self, argv, capsys):
+        """The nine serve-only flags went with the experiment: argparse
+        rejects each, so none can be accepted and silently ignored."""
+        assert argv[0][2:].replace("-", "_") not in cli.FLAG_SCOPE
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["overlap", *argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("name", [
         "Autotuner", "ShapeClass", "KERNEL_NAMES", "NumbaBackend",
         "HAVE_NUMBA", "BackendUnavailableError", "available_backends",
@@ -312,17 +358,16 @@ class TestRemovedOptions:
     @pytest.mark.parametrize("site", [
         "gather_reduce", "casted_gather_reduce", "tcasted_grad_gather_reduce",
         "tensor_casting", "expand_coalesce", "EmbeddingBag",
-        "ShardedEmbeddingSet", "FunctionalTrainer", "EngineExecutor",
-        "overlap_sweep", "measured_scaling_sweep", "serving_sweep",
+        "ShardedEmbeddingSet", "FunctionalTrainer",
+        "overlap_sweep", "measured_scaling_sweep",
     ])
     def test_no_site_takes_an_engine(self, site):
         """There is one set of kernels: ``backend=`` is a ``TypeError``
         wherever it used to pick an engine."""
         import repro.experiments
-        import repro.serving
 
         fn = next(getattr(package, site)
-                  for package in (repro, repro.experiments, repro.serving)
+                  for package in (repro, repro.experiments)
                   if hasattr(package, site))
         assert "backend" not in inspect.signature(fn).parameters
         with pytest.raises(TypeError, match="backend"):
@@ -344,10 +389,7 @@ class TestRemovedOptions:
         """Every experiment outside the scope exits 2 before its runner
         runs."""
         flag = "--" + dest.replace("_", "-")
-        value = {
-            "policies": "single", "arrival": "poisson",
-            "cache_policy": "lru", "optimizer": "sgd",
-        }.get(dest, "1")
+        value = {"optimizer": "sgd"}.get(dest, "1")
         outside = sorted(set(cli.EXPERIMENTS) - set(scope))
         assert "table1" in outside
         for name in outside:

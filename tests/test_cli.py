@@ -287,7 +287,7 @@ class TestTrainingJobFlags:
     def test_job_flags_rejected_for_non_trainer_experiments(self, flags, capsys):
         assert main(["fig6", *flags]) == 2
         err = capsys.readouterr().err
-        assert "overlap" in err and "serve" in err
+        assert "it applies to: overlap" in err
 
     def test_nonpositive_lr_exits_nonzero(self, capsys):
         assert main(["overlap", "--lr", "-0.5"]) == 2
@@ -345,100 +345,12 @@ class TestTrainingJobFlags:
             capsys.readouterr().err)
 
 
-class TestServeCommand:
-    """The serving sweep's CLI surface (mirrors the --trace flag rules)."""
-
-    def test_serve_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--rates", "100", "500", "--policies", "single",
-             "dynamic", "--requests", "24", "--sla-ms", "80",
-             "--max-batch", "16", "--max-wait-ms", "1.5",
-             "--arrival", "uniform", "--hot-cache-rows", "64",
-             "--cache-policy", "lfu"]
-        )
-        assert args.rates == [100.0, 500.0]
-        assert args.policies == ["single", "dynamic"]
-        assert args.requests == 24
-        assert args.sla_ms == 80.0
-        assert args.max_batch == 16
-        assert args.max_wait_ms == 1.5
-        assert args.arrival == "uniform"
-        assert args.hot_cache_rows == 64
-        assert args.cache_policy == "lfu"
-
-    def test_unknown_policy_rejected_by_the_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--policies", "greedy"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--arrival", "bursty"])
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--rates", "100"],
-            ["--policies", "single"],
-            ["--requests", "8"],
-            ["--sla-ms", "50"],
-            ["--max-batch", "4"],
-            ["--max-wait-ms", "2"],
-            ["--arrival", "poisson"],
-            ["--hot-cache-rows", "64"],
-            ["--cache-policy", "lru"],
-        ],
-    )
-    def test_serve_flags_rejected_elsewhere(self, flags, capsys):
-        assert main(["fig6", *flags]) == 2
-        assert "it applies to: serve" in capsys.readouterr().err
-
-    def test_serve_reports_the_frontier(self, capsys):
-        assert main(["serve", "--rates", "100", "400", "--requests", "12",
-                     "--sla-ms", "100", "--policies", "single",
-                     "dynamic"]) == 0
-        out = capsys.readouterr().out
-        assert "p99(ms)" in out and "QPS<=SLA" in out
-        assert "single" in out and "dynamic" in out
-        # 2 rates x 2 policies, every cell within the generous SLA.
-        assert out.count("yes") == 4 and "NO" not in out
-
-    def test_serve_accepts_trainer_flags(self, capsys):
-        assert main(["serve", "--rates", "200", "--requests", "8",
-                     "--policies", "single", "--optimizer", "adagrad",
-                     "--lr", "0.05", "--dataset", "movielens"]) == 0
-        assert "Tail SLA" in capsys.readouterr().out
-
-    def test_serve_hot_cache_knobs_report_hit_rate(self, capsys):
-        assert main(["serve", "--rates", "200", "--requests", "8",
-                     "--policies", "dynamic", "--hot-cache-rows", "256",
-                     "--cache-policy", "lfu"]) == 0
-        assert "hot-row cache hit rate" in capsys.readouterr().out
-
-    def test_serve_bad_sla_exits_cleanly(self, capsys):
-        assert main(["serve", "--sla-ms", "0"]) == 2
-        assert "sla_ms must be positive" in capsys.readouterr().err
-
-    def test_serve_nan_sla_exits_cleanly(self, capsys):
-        """A NaN SLA used to print a table with a ``nan ms`` SLA."""
-        assert main(["serve", "--sla-ms", "nan", "--rates", "200",
-                     "--requests", "4", "--policies", "single"]) == 2
-        assert "sla_ms must be positive, got nan" in capsys.readouterr().err
-
-    def test_serve_resumes_an_overlap_checkpoint(self, capsys, tmp_path):
-        assert main(["overlap", "--batches", "32", "--shards", "1",
-                     "--steps", "2", "--dataset", "movielens",
-                     "--checkpoint-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["serve", "--rates", "200", "--requests", "8",
-                     "--policies", "single",
-                     "--resume", str(tmp_path / "overlap-b32-s1.npz")]) == 0
-        assert "Tail SLA" in capsys.readouterr().out
-
-
 class TestObservabilityFlags:
     """--trace-out/--metrics-out: trainer-only validation plus artifacts."""
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--trace-out", "t.json", "--metrics-out", "m.json"])
+            ["overlap", "--trace-out", "t.json", "--metrics-out", "m.json"])
         assert args.trace_out == "t.json"
         assert args.metrics_out == "m.json"
 
@@ -450,41 +362,43 @@ class TestObservabilityFlags:
         assert main(["fig13", "--metrics-out", "m.json"]) == 2
         assert "--metrics-out" in capsys.readouterr().err
 
-    def test_traced_serve_writes_all_artifacts(self, capsys, tmp_path):
+    def test_traced_overlap_writes_all_artifacts(self, capsys, tmp_path):
         import json
 
-        trace = tmp_path / "serve.trace.json"
+        trace = tmp_path / "overlap.trace.json"
         metrics = tmp_path / "metrics.json"
-        assert main(["serve", "--rates", "200", "--requests", "8",
-                     "--policies", "single",
+        assert main(["overlap", "--batches", "16", "--shards", "1",
+                     "--steps", "2",
                      "--trace-out", str(trace),
                      "--metrics-out", str(metrics)]) == 0
         err = capsys.readouterr().err
         for path in (trace, metrics,
-                     tmp_path / "serve.trace.steps.jsonl",
-                     tmp_path / "serve.trace.manifest.json"):
+                     tmp_path / "overlap.trace.steps.jsonl",
+                     tmp_path / "overlap.trace.manifest.json"):
             assert path.is_file()
             assert f"wrote {path}" in err
         from repro.obs import validate_chrome_trace
 
         payload = json.loads(trace.read_text())
         assert validate_chrome_trace(payload) > 0
+        steps = (tmp_path / "overlap.trace.steps.jsonl").read_text()
+        assert steps.strip()
         manifest = json.loads(
-            (tmp_path / "serve.trace.manifest.json").read_text())
-        assert manifest["experiment"] == "serve"
+            (tmp_path / "overlap.trace.manifest.json").read_text())
+        assert manifest["experiment"] == "overlap"
         assert "git_sha" in manifest
 
     def test_metrics_out_alone_writes_metrics_only(self, capsys, tmp_path):
         import json
 
         metrics = tmp_path / "metrics.json"
-        assert main(["serve", "--rates", "200", "--requests", "8",
-                     "--policies", "single",
+        assert main(["overlap", "--batches", "16", "--shards", "1",
+                     "--steps", "2",
                      "--metrics-out", str(metrics)]) == 0
         assert metrics.is_file()
         payload = json.loads(metrics.read_text())
-        assert any(name.startswith("serving.requests") for name in payload)
-        assert not (tmp_path / "serve.trace.json").exists()
+        assert any(name.startswith("train.steps") for name in payload)
+        assert not any(tmp_path.glob("*.trace.*"))
 
 
 class _ReadRecorder:

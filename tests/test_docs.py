@@ -34,11 +34,10 @@ class TestPublicAPI:
         import repro.experiments
         import repro.model
         import repro.runtime
-        import repro.serving
         import repro.sim
 
         for module in (repro.core, repro.data, repro.experiments,
-                       repro.model, repro.runtime, repro.serving, repro.sim):
+                       repro.model, repro.runtime, repro.sim):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__} missing {name}"
 
@@ -92,7 +91,6 @@ class TestExamples:
             "trace_replay.py",
             "sharded_training.py",
             "resumable_training.py",
-            "serving_sla.py",
             "traced_run.py",
         }
         present = {path.name for path in EXAMPLES_DIR.glob("*.py")}

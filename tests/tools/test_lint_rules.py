@@ -76,12 +76,25 @@ class TestDeterminism:
             def now() -> float:
                 return time.perf_counter()
         """
-        tree.write("src/repro/serving/clock.py", clock)
         tree.write("src/repro/obs/clock.py", clock)
         tree.write("src/repro/runtime/stages.py", clock)
         tree.write("src/repro/runtime/engine.py", clock)
         tree.write("tests/test_timing.py", clock)
         assert tree.lint(rules=["determinism"], paths=("src", "tests")) == []
+
+    def test_the_removed_serving_clock_path_is_not_sanctioned(self, tree):
+        """The clocks moved into ``obs/clock.py``; a wall-clock read at
+        their old path is an ordinary library read again."""
+        tree.write("src/repro/serving/clock.py", """\
+            import time
+
+
+            def now() -> float:
+                return time.perf_counter()
+        """)
+        findings = tree.lint(rules=["determinism"])
+        assert rules_of(findings) == ["determinism"]
+        assert "obs/clock.py" in findings[0].message
 
     def test_wallclock_in_a_kernel_flagged(self, tree):
         """No kernel times itself: a clock read under ``core/`` is outside

@@ -12,12 +12,11 @@ path draws from an unseeded generator or branches on wall-clock time.
   global state defeats seeding-by-argument.
 * Wall-clock reads (``time.time``/``perf_counter``/``sleep``,
   ``datetime.now``, ...) inside the library, outside the sanctioned
-  timing modules: ``serving/clock.py`` (the injectable Clock — the one
-  sanctioned wall-clock wrapper), ``obs/clock.py`` (the observability
-  plane's manifest timestamps and default tracer clock),
-  ``runtime/stages.py`` and ``runtime/engine.py`` (the stage timing
-  instrumentation that fills ``PhaseTimings``).
-  Everything else must take a :class:`~repro.serving.clock.Clock` or
+  timing modules: ``obs/clock.py`` (the injectable Clock, the manifest
+  timestamps and the default tracer clock), ``runtime/stages.py`` and
+  ``runtime/engine.py`` (the stage timing instrumentation that fills
+  ``PhaseTimings``).
+  Everything else must take a :class:`~repro.obs.clock.Clock` or
   report-side timings instead of reading the clock directly; genuinely
   real-time code (e.g. opt-in ``time.sleep`` pacing) carries an inline
   ``# repro-lint: ignore[determinism]`` so the exception stays visible
@@ -59,8 +58,7 @@ _WALLCLOCK = frozenset({
 
 #: Library modules whose job *is* the wall clock.
 _WALLCLOCK_ALLOWED_SUFFIXES = (
-    "repro/serving/clock.py",     # the injectable Clock abstraction
-    "repro/obs/clock.py",         # manifest timestamps / default trace clock
+    "repro/obs/clock.py",         # the injectable Clock, manifest timestamps
     "repro/runtime/stages.py",    # the stage timing collector
     "repro/runtime/engine.py",    # per-stage wall-clock instrumentation
 )
@@ -113,7 +111,7 @@ class DeterminismChecker(Checker):
                 yield self.finding(
                     source, node,
                     f"{target}() read outside the sanctioned timing modules "
-                    "(serving/clock.py, obs/clock.py, runtime/stages.py, "
+                    "(obs/clock.py, runtime/stages.py, "
                     "runtime/engine.py); inject a "
-                    "repro.serving.Clock instead",
+                    "repro.obs.clock.Clock instead",
                 )
