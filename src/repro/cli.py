@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the run's metric series (counters/gauges/histograms) "
+        help="write the run's metric series (counters and gauges) "
              "as JSON to PATH (training-engine experiments: "
              f"{_scope('metrics_out')})",
     )

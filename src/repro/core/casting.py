@@ -150,9 +150,9 @@ def tensor_casting(index: IndexArray) -> CastedIndex:
     # index-only work, done here where the runtime can hide it.
     starts = np.flatnonzero(scan)
     return CastedIndex(
-        casted_src=casted_src.astype(np.int64),
+        casted_src=casted_src.astype(np.int64, copy=False),
         casted_dst=casted_dst,
-        rows=sorted_src[starts].astype(np.int64),
+        rows=sorted_src[starts].astype(np.int64, copy=False),
         num_gradients=index.num_outputs,
     ).with_segment_starts(starts)
 
@@ -220,8 +220,8 @@ def hash_casting(index: IndexArray, num_buckets: int | None = None) -> CastedInd
     casted_dst = np.cumsum(scan) - 1
     rows = sorted_src[scan.astype(bool)]
     return CastedIndex(
-        casted_src=casted_src.astype(np.int64),
+        casted_src=casted_src.astype(np.int64, copy=False),
         casted_dst=casted_dst,
-        rows=rows.astype(np.int64),
+        rows=rows.astype(np.int64, copy=False),
         num_gradients=index.num_outputs,
     )

@@ -31,6 +31,10 @@ __all__ = ["SparseGradient", "EmbeddingBag"]
 
 _BACKWARD_MODES = ("baseline", "casted")
 
+#: Bytes of float64 draws per init chunk: a table is filled in row chunks
+#: of about this size, so building it costs its own bytes plus one chunk.
+_INIT_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SparseGradient:
@@ -86,9 +90,18 @@ class EmbeddingBag:
         if num_rows <= 0 or dim <= 0:
             raise ValueError("num_rows and dim must be positive")
         rng = rng or np.random.default_rng(0)
-        # DLRM-style uniform init scaled by table size.
+        # DLRM-style uniform init scaled by table size, drawn chunk by chunk
+        # into the table's own dtype.  Uniform draws are sequential, so the
+        # table and the generator's final state equal one whole-table draw
+        # cast to ``dtype``, without its float64 copy.
         bound = 1.0 / np.sqrt(num_rows)
-        self.table = rng.uniform(-bound, bound, size=(num_rows, dim)).astype(dtype)
+        self.table = np.empty((num_rows, dim), dtype=dtype)
+        chunk = max(1, _INIT_CHUNK_BYTES // (8 * dim))
+        for start in range(0, num_rows, chunk):
+            rows = min(chunk, num_rows - start)
+            self.table[start:start + rows] = rng.uniform(
+                -bound, bound, size=(rows, dim)
+            )
         self._last_index: IndexArray | None = None
 
     @property

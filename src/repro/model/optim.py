@@ -168,10 +168,11 @@ class Optimizer(ABC):
     ) -> Dict[str, np.ndarray]:
         """Flatten per-parameter state into ``{"name.key": array}`` entries.
 
-        Only parameters that have accumulated state appear (state is lazy —
-        an embedding row set that never trained has none), so exporting is
-        cheap and an import into a fresh optimizer reconstructs exactly the
-        populated entries.
+        Every parameter's every state slot appears.  State is lazy, so a
+        parameter that has not trained yet exports the zeroed tensors
+        :meth:`_init_state` would start it from (without attaching them),
+        and :meth:`import_state` can require the whole set: a checkpoint
+        missing a member is damaged, not fresh.
         """
         exported: Dict[str, np.ndarray] = {}
         for name, param in named_params:
@@ -180,9 +181,7 @@ class Optimizer(ABC):
                     f"parameter name {name!r} must not contain '.' (it is "
                     "the state-key separator)"
                 )
-            state = self._state.get(id(param))
-            if not state:
-                continue
+            state = self._state.get(id(param)) or self._init_state(param)
             for key, tensor in state.items():
                 exported[f"{name}.{key}"] = tensor
         return exported
@@ -198,10 +197,11 @@ class Optimizer(ABC):
         :meth:`_init_state` would allocate for that parameter — unknown
         parameter names, unknown state keys, and shape/dtype mismatches all
         fail loudly (a checkpoint from a different optimizer or geometry
-        must not half-apply).  The import is all-or-nothing: every entry is
-        validated and copied *before* any state slot is assigned, so a
-        rejected import leaves existing state untouched.  State for
-        parameters absent from ``arrays`` is left untouched.
+        must not half-apply) — and so does a missing entry: every
+        parameter's every slot is required, and the error names the absent
+        ``"name.key"`` members.  The import is all-or-nothing: every entry
+        is validated and copied *before* any state slot is assigned, so a
+        rejected import leaves existing state untouched.
         """
         by_name = dict(named_params)
         grouped: Dict[str, Dict[str, np.ndarray]] = {}
@@ -214,14 +214,19 @@ class Optimizer(ABC):
                 )
             grouped.setdefault(name, {})[key] = tensor
         pending: Dict[int, Dict[str, np.ndarray]] = {}
-        for name, entries in grouped.items():
-            param = by_name[name]
+        missing: list[str] = []
+        for name, param in by_name.items():
             template = self._init_state(param)
-            if set(entries) != set(template):
+            entries = grouped.get(name, {})
+            if not set(entries) <= set(template):
                 raise ValueError(
                     f"state for {name!r} has keys {sorted(entries)}, this "
                     f"{type(self).__name__} expects {sorted(template)}"
                 )
+            absent = [key for key in template if key not in entries]
+            if absent or not template:
+                missing += [f"{name}.{key}" for key in absent]
+                continue
             rebuilt: Dict[str, np.ndarray] = {}
             for key, expected in template.items():   # the rule's order
                 tensor = np.asarray(entries[key])
@@ -233,6 +238,10 @@ class Optimizer(ABC):
                     )
                 rebuilt[key] = tensor.copy()
             pending[id(param)] = rebuilt
+        if missing:
+            raise ValueError(
+                f"optimizer state is missing {', '.join(missing)}"
+            )
         self._state.update(pending)
 
 

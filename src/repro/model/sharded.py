@@ -15,12 +15,14 @@ parallel:
    (`forward_shard`), and the partial pooled sums cross the simulated
    all-to-all back to the sample owners (`assemble_pooled`);
 4. **Backward** — the backward all-to-all delivers each shard its slice of
-   the gradient tables plus its pairs, over which the shard coalesces its
-   gradients (`backward_shard`): the casted gather-reduce (Algorithm 3)
-   over its cast, or the baseline expand-coalesce (Algorithm 1) over its
-   raw pairs when it was never cast;
-5. **Update** — each shard scatters its coalesced gradients into the rows
-   it owns through the optimizer (`update_shard`).
+   the gradient tables plus its pairs, over which the shard coalesces one
+   table's gradient at a time (`backward_table`): the casted gather-reduce
+   (Algorithm 3) over its cast, or the baseline expand-coalesce
+   (Algorithm 1) over its raw pairs when it was never cast;
+5. **Update** — each coalesced gradient names parent-table rows its shard
+   owns, so the optimizer scatters it straight into ``bag.table``
+   (:meth:`~repro.model.optim.Optimizer.apply_sparse`), before the next
+   table's gradient is reduced.
 
 Shards hold no storage and no row numbering of their own: a shard's index
 sub-arrays name rows of the wrapped bags' tables (:mod:`repro.core.sharding`),
@@ -51,7 +53,6 @@ from ..core.gather_reduce import casted_gather_reduce, gather_reduce
 from ..core.indexing import IndexArray
 from ..core.sharding import ShardPartition, ShardSlice, make_partition, reassemble_pooled
 from .embedding import EmbeddingBag
-from .optim import Optimizer
 
 __all__ = ["ShardedStepPlan", "ShardedEmbeddingSet"]
 
@@ -73,10 +74,6 @@ class ShardedStepPlan:
     casts: List[List[Optional[CastedIndex]]] = field(default_factory=list)
     partials: List[List[Optional[np.ndarray]]] = field(default_factory=list)
     table_grads: Optional[List[np.ndarray]] = None
-    #: The gradient tables prepare_backward staged from, held by reference
-    #: so the identity check in backward_shard stays sound (bare id()s could
-    #: be recycled once a caller drops the originals).
-    staged_grads: Optional[List[np.ndarray]] = None
     forward_exchange_bytes: int = 0
     backward_exchange_bytes: int = 0
 
@@ -84,6 +81,13 @@ class ShardedStepPlan:
     def exchange_bytes(self) -> int:
         """Total simulated all-to-all payload of the step (both directions)."""
         return self.forward_exchange_bytes + self.backward_exchange_bytes
+
+    def tables_on(self, shard: int) -> List[int]:
+        """The tables with lookups on ``shard``, in table order."""
+        return [
+            table_id for table_id, row in enumerate(self.slices)
+            if row[shard] is not None
+        ]
 
 
 class ShardedEmbeddingSet:
@@ -162,7 +166,7 @@ class ShardedEmbeddingSet:
         Each shard casts only its own slice, so cast work parallelizes with
         shard count and depends only on index data available before forward
         propagation.  A shard left uncast backpropagates through the
-        baseline expand-coalesce instead (:meth:`backward_shard`).
+        baseline expand-coalesce instead (:meth:`backward_table`).
         """
         for table_id, row in enumerate(plan.slices):
             slice_ = row[shard]
@@ -214,13 +218,12 @@ class ShardedEmbeddingSet:
     def prepare_backward(
         self, plan: ShardedStepPlan, grad_tables: Sequence[np.ndarray]
     ) -> None:
-        """Hand the gradient tables to the per-shard backward passes.
+        """Hand the gradient tables to the per-table backward passes.
 
         Brings each gradient table to its table's dtype once per step
         (shards then slice the shared result, not once per shard).  Called
         by the engine outside the per-shard timing windows so the one-time
-        work is not charged to whichever shard happens to run first;
-        :meth:`backward_shard` falls back to it lazily for direct API use.
+        work is not charged to whichever shard happens to run first.
         """
         if len(grad_tables) != self.num_tables:
             raise ValueError(
@@ -230,15 +233,11 @@ class ShardedEmbeddingSet:
             np.asarray(grad, dtype=bag.table.dtype)
             for bag, grad in zip(self.bags, grad_tables)
         ]
-        plan.staged_grads = list(grad_tables)
 
-    def backward_shard(
-        self,
-        plan: ShardedStepPlan,
-        shard: int,
-        grad_tables: Sequence[np.ndarray],
-    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """Coalesce ``shard``'s gradient slices (Algorithm 3 or 1).
+    def backward_table(
+        self, plan: ShardedStepPlan, shard: int, table_id: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Coalesce one table's gradient on ``shard`` (Algorithm 3 or 1).
 
         The backward all-to-all delivers ``grad_tables[t][touched]`` — only
         the gradient rows the shard's lookups feed, C-contiguous whatever
@@ -246,59 +245,37 @@ class ShardedEmbeddingSet:
         cast if :meth:`cast_shard` ran, reduced by the casted gather-reduce,
         or its raw index sub-array, reduced by the baseline expand-coalesce.
         Both ship the same count of ``(src, dst)`` ids, and both payloads
-        are accounted into ``plan.backward_exchange_bytes``.  Returns
-        ``(table_id, rows, values)`` triples ready for :meth:`update_shard`.
+        are accounted into ``plan.backward_exchange_bytes``.  Returns the
+        ``(rows, values)`` pair the optimizer's
+        :meth:`~repro.model.optim.Optimizer.apply_sparse` scatters into
+        ``bags[table_id].table``: the rows are parent-table rows the shard
+        owns, so the update needs no communication and no translation.
+
+        :meth:`prepare_backward` must have staged the step's gradient
+        tables, and ``table_id`` must have lookups on ``shard``
+        (:meth:`ShardedStepPlan.tables_on`).
         """
         if plan.table_grads is None:
-            self.prepare_backward(plan, grad_tables)
-        elif plan.staged_grads is None or len(plan.staged_grads) != len(
-            grad_tables
-        ) or any(
-            staged is not grad
-            for staged, grad in zip(plan.staged_grads, grad_tables)
-        ):
+            raise RuntimeError(
+                "backward_table called before prepare_backward staged the "
+                "gradient tables"
+            )
+        slice_ = plan.slices[table_id][shard]
+        if slice_ is None:
             raise ValueError(
-                "gradient tables differ from the ones staged by "
-                "prepare_backward; re-stage before running backward_shard"
+                f"table {table_id} has no lookups on shard {shard}"
             )
-        coalesced: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for table_id, bag in enumerate(self.bags):
-            slice_ = plan.slices[table_id][shard]
-            if slice_ is None:
-                continue
-            grad = plan.table_grads[table_id]
-            grad_slice = np.ascontiguousarray(
-                grad if slice_.touched is None
-                else grad.take(slice_.touched, axis=0)
-            )
-            vec_bytes = bag.dim * grad_slice.dtype.itemsize
-            plan.backward_exchange_bytes += (
-                slice_.num_touched * vec_bytes
-                + 2 * slice_.num_lookups * _INDEX_ITEMSIZE
-            )
-            cast = plan.casts[table_id][shard]
-            if cast is None:
-                rows, values = expand_coalesce(slice_.index, grad_slice)
-            else:
-                rows, values = casted_gather_reduce(grad_slice, cast)
-            coalesced.append((table_id, rows, values))
-        return coalesced
-
-    # ------------------------------------------------------------------
-    # Phase 5: update
-    # ------------------------------------------------------------------
-    def update_shard(
-        self,
-        shard: int,
-        coalesced: Sequence[tuple[int, np.ndarray, np.ndarray]],
-        optimizer: Optimizer,
-    ) -> None:
-        """Scatter ``shard``'s coalesced gradients into the parent tables.
-
-        ``coalesced`` is :meth:`backward_shard`'s product for ``shard``: its
-        rows are parent-table rows that shard owns, so the scatter needs no
-        communication and no translation — each device updates (and touches
-        optimizer state for) exactly its own rows of ``bag.table``.
-        """
-        for table_id, rows, values in coalesced:
-            optimizer.apply_sparse(self.bags[table_id].table, rows, values)
+        grad = plan.table_grads[table_id]
+        grad_slice = np.ascontiguousarray(
+            grad if slice_.touched is None
+            else grad.take(slice_.touched, axis=0)
+        )
+        vec_bytes = self.bags[table_id].dim * grad_slice.dtype.itemsize
+        plan.backward_exchange_bytes += (
+            slice_.num_touched * vec_bytes
+            + 2 * slice_.num_lookups * _INDEX_ITEMSIZE
+        )
+        cast = plan.casts[table_id][shard]
+        if cast is None:
+            return expand_coalesce(slice_.index, grad_slice)
+        return casted_gather_reduce(grad_slice, cast)

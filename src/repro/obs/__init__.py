@@ -9,7 +9,7 @@ This package adds the record you can actually look at:
 * :class:`Tracer` — nested spans on named tracks (step loop, cast-ahead
   worker, shards) with timestamps from an injectable
   :class:`~repro.obs.clock.Clock`;
-* :class:`MetricRegistry` — labeled counters / gauges / histograms
+* :class:`MetricRegistry` — labeled counters and gauges
   (``cache.hits{policy=lfu}``, ``kernel.calls{op=gather_reduce}``);
 * exporters — Chrome trace-event JSON (load it in Perfetto or
   ``chrome://tracing``), a JSONL step-record stream, and a run manifest
@@ -31,14 +31,13 @@ from .export import (
     write_jsonl,
     write_manifest,
 )
-from .metrics import Counter, Gauge, Histogram, MetricRegistry, format_series
+from .metrics import Counter, Gauge, MetricRegistry, format_series
 from .session import Observability
 from .tracer import Span, SpanRecord, Tracer, span_totals, validate_span_nesting
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "Observability",
     "Span",

@@ -1,14 +1,13 @@
-"""Labeled metric series: counters, gauges, and histograms.
+"""Labeled metric series: counters and gauges.
 
 A :class:`MetricRegistry` holds every series of one observed run, keyed by
 ``(name, labels)`` — ``cache.hits{policy=lfu}`` and
 ``kernel.calls{op=gather_reduce}`` are distinct series of
-the ``cache.hits`` / ``kernel.calls`` metrics.  Three instrument kinds:
+the ``cache.hits`` / ``kernel.calls`` metrics.  Two instrument kinds:
 
 * :class:`Counter` — monotone event count (kernel calls, training steps);
 * :class:`Gauge` — a sampled time series of ``(at, value)`` points (loss
-  per step, prefetch queue depth per draw);
-* :class:`Histogram` — a value distribution with percentile summaries.
+  per step, prefetch queue depth per draw).
 
 All mutation goes through one registry-wide lock: the cast-ahead worker
 counts kernel calls concurrently with the step loop, and a plain float
@@ -27,7 +26,6 @@ JSON byte-stable for identical runs.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -35,7 +33,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "format_series",
 ]
@@ -126,52 +123,8 @@ class Gauge(_Metric):
         }
 
 
-class Histogram(_Metric):
-    """A value distribution with nearest-rank percentile summaries."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: Labels,
-                 lock: threading.Lock) -> None:
-        super().__init__(name, labels, lock)
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 100]) of the observations."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self.values:
-            raise ValueError("cannot take a percentile of zero observations")
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summary(self) -> Dict[str, Any]:
-        if not self.values:
-            return {"kind": self.kind, "count": 0}
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "sum": sum(self.values),
-            "min": min(self.values),
-            "max": max(self.values),
-            "mean": sum(self.values) / self.count,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
-
-
-#: What ``MetricRegistry`` stores — the three instrument kinds.
-Metric = Union[Counter, Gauge, Histogram]
+#: What ``MetricRegistry`` stores — the two instrument kinds.
+Metric = Union[Counter, Gauge]
 
 
 class MetricRegistry:
@@ -210,11 +163,6 @@ class MetricRegistry:
     def gauge(self, name: str, **labels: object) -> Gauge:
         metric = self._get(Gauge, name, labels)
         assert isinstance(metric, Gauge)
-        return metric
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        metric = self._get(Histogram, name, labels)
-        assert isinstance(metric, Histogram)
         return metric
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ serializes everything a resumed run needs to continue **bit-identically**:
 * every model parameter (dense MLP tensors and embedding tables, under the
   trainer's stable :meth:`~repro.runtime.trainer.FunctionalTrainer.
   named_parameters` names);
-* every populated per-tensor optimizer state slot
+* every parameter's optimizer state slots
   (:meth:`~repro.model.optim.Optimizer.export_state` — velocity,
   accumulators, Adam moments and per-row step counts), keyed by the same
   names — ``table_{t}`` for an embedding table's per-row state, whatever
@@ -95,8 +95,11 @@ def save_checkpoint(
     file in the same directory and is renamed over ``path`` only on
     success, so a reader — or a second writer of the same path — sees the
     previous file or the new one, and a failed write leaves the previous
-    file in place and nothing behind.
+    file in place and nothing behind.  A torn trainer (a step failed after
+    its first parameter write) is refused with ``RuntimeError`` before
+    anything is written.
     """
+    trainer.ensure_intact("save a checkpoint")
     if isinstance(step, bool) or not isinstance(step, (int, np.integer)) or step < 0:
         raise ValueError(f"step must be a non-negative integer, got {step!r}")
     path = _with_npz_suffix(path)
@@ -182,12 +185,14 @@ def restore_trainer(
     from a different model geometry or update rule (or one written when
     state was still keyed per shard) fails loudly rather than half-applying
     (the optimizer-state import itself is all-or-nothing, and parameters
-    are only overwritten after it succeeds).  The trainer's shard count and
+    are only overwritten after it succeeds).  Every parameter's optimizer
+    state must be present: a missing member is a ``ValueError`` naming it.
+    The trainer's shard count and
     partition policy are not part of the contract: any layout restores any
     checkpoint.  On success the trainer's parameters and optimizer state
-    equal the saved run's; continue with ``trainer.train(batch,
-    remaining_steps, rng, start_step=<returned step>)`` for a bit-identical
-    resumption.
+    equal the saved run's, and a torn trainer's mark is cleared; continue
+    with ``trainer.train(batch, remaining_steps, rng, start_step=<returned
+    step>)`` for a bit-identical resumption.
     """
     checkpoint = (
         source if isinstance(source, Checkpoint) else load_checkpoint(source)
@@ -226,6 +231,7 @@ def restore_trainer(
     trainer.optimizer.import_state(list(named.items()), checkpoint.state)
     for name, saved in checkpoint.params.items():
         np.copyto(named[name], saved)
+    trainer.torn_step = None
     return checkpoint.step
 
 

@@ -13,16 +13,31 @@ runs the same body, at every shard count and in both backward modes:
 ``forward`` (:meth:`TrainingEngine._forward`)
     each shard's gather-reduce, the forward all-to-all, the dense forward
     and the loss;
-``backward`` (:meth:`TrainingEngine._backward`)
-    dense backpropagation, then each shard's backward all-to-all and its
-    coalesced sparse gradients (the casted gather-reduce over its cast, or
-    the baseline expand-coalesce over its raw pairs);
-``optimize`` (:meth:`TrainingEngine._optimize`)
-    the dense optimizer step, then each shard's sparse row update.
+``backward`` / ``update`` (:meth:`TrainingEngine._backward`)
+    dense backpropagation, then shard by shard and table by table: the
+    table's backward all-to-all and coalesced gradient (the casted
+    gather-reduce over its cast, or the baseline expand-coalesce over its
+    raw pairs), timed as ``backward``, applied at once by the optimizer's
+    sparse row update, timed as ``update`` — so one table's ``(u, dim)``
+    gradient is alive at a time, never every table's; the dense optimizer
+    step runs last.  Tables and dense parameters are disjoint, so the order
+    moves no bit.
 
-A forward-only run (``infer()``) skips the last two.  The embedding phases
-call :class:`~repro.model.sharded.ShardedEmbeddingSet` shard by shard, in
-shard order; the default trainer is the one-shard case of the same body.
+A forward-only run (``infer()``) skips the last phase.  The embedding
+phases call :class:`~repro.model.sharded.ShardedEmbeddingSet` shard by
+shard, in shard order; the default trainer is the one-shard case of the
+same body.
+
+A step that fails is **atomic or torn**.  A failure before the step's
+first parameter write (in the draw, the cast, the forward, the dense
+backward or the first table's reduction) leaves the parameters and
+optimizer state of the last completed step untouched, and the same
+trainer may go on.  A failure after it marks the trainer torn at that
+global step (:attr:`~repro.runtime.trainer.FunctionalTrainer.torn_step`)
+and still propagates the original exception; until
+:func:`~repro.runtime.checkpoint.restore_trainer` clears the mark,
+``train()``, ``infer()`` and ``save_checkpoint`` refuse the trainer with a
+``RuntimeError`` naming the step.
 
 :class:`TrainingEngine` also owns the run: argument checks, source
 fast-forward for resumed jobs (``start_step``), the cast-ahead worker's
@@ -286,6 +301,7 @@ class TrainingEngine:
                 f"start_step must be a non-negative integer, got {start_step!r}"
             )
         trainer = self.trainer
+        trainer.ensure_intact("infer" if forward_only else "train")
         self.callbacks = tuple(callbacks)
         self.start_step = int(start_step)
         self.mode = mode
@@ -387,7 +403,7 @@ class TrainingEngine:
                 self.collector.absorb(ctx.cast)
                 self._forward(ctx)
                 if not self.forward_only:
-                    self._optimize(self._backward(ctx))
+                    self._backward(ctx)
                 self.complete_step(ctx)
             # Release the finished step before the next draw, so its
             # activations and gradients never coexist with a new batch.
@@ -458,38 +474,55 @@ class TrainingEngine:
                 ctx.logits, ctx.data.labels
             )
 
-    def _backward(self, ctx: StepContext) -> List[list]:
-        """Dense backprop, then each shard's sparse backward.
+    def _backward(self, ctx: StepContext) -> None:
+        """Dense backprop, each table's backward→update, the dense step.
 
-        Shard by shard, in shard order: each shard's backward all-to-all
-        payload (gradient rows + pairs, accounted into the plan's byte
-        counter) and the reduction over it — the casted gather-reduce over
-        the shard's cast, or the baseline expand-coalesce when the cast only
-        partitioned.  Returns each shard's coalesced gradients.
+        Shard by shard, in shard order, and table by table within a shard:
+        the table's backward all-to-all payload (gradient rows + pairs,
+        accounted into the plan's byte counter) and the reduction over it
+        — the casted gather-reduce over the shard's cast, or the baseline
+        expand-coalesce when the cast only partitioned — then its sparse
+        row update, and the gradient is dropped before the next table's
+        reduction starts.  The dense optimizer step runs last.
+
+        A failure once the first parameter write has begun marks the
+        trainer torn at this step and propagates.
         """
         trainer = self.trainer
         sharded = trainer.sharded
-        with self.collector.timed("backward"):
-            grad_tables = trainer.model.backward_through_dense(ctx.dlogits)
-            sharded.prepare_backward(ctx.plan, grad_tables)
-        coalesced: List[list] = []
-        for shard in range(sharded.num_shards):
-            with self.collector.timed("backward", shard=shard):
-                coalesced.append(
-                    sharded.backward_shard(ctx.plan, shard, grad_tables)
+        optimizer = trainer.optimizer
+        plan = ctx.plan
+        assert plan is not None
+        timed = self.collector.timed
+        with timed("backward"):
+            sharded.prepare_backward(
+                plan, trainer.model.backward_through_dense(ctx.dlogits)
+            )
+        writing = False
+        try:
+            for shard in range(sharded.num_shards):
+                for table_id in plan.tables_on(shard):
+                    with timed("backward", shard=shard):
+                        rows, values = sharded.backward_table(
+                            plan, shard, table_id
+                        )
+                    writing = True
+                    with timed("update", shard=shard, span="optimize"):
+                        optimizer.apply_sparse(
+                            sharded.bags[table_id].table, rows, values
+                        )
+                    # Dropped before the next table's reduction: one
+                    # table's (u, dim) gradient is alive at a time.
+                    del rows, values
+            writing = True
+            with timed("update", span="optimize"):
+                optimizer.step(trainer.model.dense_parameters())
+        except BaseException:
+            if writing:
+                trainer.torn_step = (
+                    self.start_step + len(self.collector.losses) + 1
                 )
-        return coalesced
-
-    def _optimize(self, coalesced: List[list]) -> None:
-        """The dense optimizer step, then each shard's sparse row update."""
-        trainer = self.trainer
-        with self.collector.timed("update", span="optimize"):
-            trainer.optimizer.step(trainer.model.dense_parameters())
-        for shard, gradients in enumerate(coalesced):
-            with self.collector.timed("update", shard=shard, span="optimize"):
-                trainer.sharded.update_shard(
-                    shard, gradients, trainer.optimizer
-                )
+            raise
 
     def complete_step(self, ctx: StepContext) -> None:
         """Harvest a finished step and fire ``on_step_end`` callbacks."""

@@ -99,6 +99,13 @@ class FunctionalTrainer:
     Constructing a trainer first calls
     :func:`~repro.runtime.memory.retain_freed_memory`, a process-wide
     allocator setting that keeps every step free of page faults.
+
+    :attr:`torn_step` is ``None`` while the parameters and optimizer state
+    are those of a completed step.  A step that fails after its first
+    parameter write sets it to that step's global number (see
+    :mod:`repro.runtime.engine`), and :meth:`train`, :meth:`infer` and
+    :func:`~repro.runtime.checkpoint.save_checkpoint` then raise until
+    :func:`~repro.runtime.checkpoint.restore_trainer` clears it.
     """
 
     #: Read-only record, not an option: the frozen end-to-end benchmark
@@ -134,6 +141,20 @@ class FunctionalTrainer:
         self.sharded = ShardedEmbeddingSet(
             model.embeddings, num_shards=num_shards, policy=policy
         )
+        self.torn_step: int | None = None
+
+    def ensure_intact(self, action: str) -> None:
+        """Raise ``RuntimeError`` if a failed step tore the parameters.
+
+        ``action`` names what was refused (``"train"``, ``"infer"``, ...).
+        """
+        if self.torn_step is not None:
+            raise RuntimeError(
+                f"cannot {action}: step {self.torn_step} failed after its "
+                "first parameter write, so parameters and optimizer state "
+                "are part-updated; restore a checkpoint with "
+                "restore_trainer first"
+            )
 
     def train(
         self,

@@ -3,7 +3,8 @@
 The grid is artefact kind (training checkpoint, index trace, batch trace)
 × damage: an empty file, truncation at several offsets, a file that is
 not a zip, one byte flipped inside each member's compressed data, each
-required member dropped, and each header field rewritten as a vector.
+member dropped (every parameter's optimizer state is written, so none is
+optional), and each header field rewritten as a vector.
 Every cell must raise ``ValueError`` naming the path (and the member where
 one is at fault), leave no archive open, and — for a checkpoint — leave
 the trainer it was being restored into exactly as it was.  The CLI cells
@@ -81,8 +82,8 @@ def _restore(path):
     except ValueError:
         after = trainer.model.all_parameters()
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        named = trainer.named_parameters()
-        assert trainer.optimizer.export_state(named) == {}
+        state = trainer.optimizer.export_state(trainer.named_parameters())
+        assert not any(tensor.any() for tensor in state.values())
         raise
 
 
@@ -104,11 +105,6 @@ KINDS = {
                     ("batch_trace_version", "num_steps", "num_tables",
                      "dense_features", "outs_0", "outs_1")),
 }
-
-#: Members a checkpoint may lack: state is written only for the slots an
-#: optimizer populated, so a missing one restores as fresh state.
-OPTIONAL_PREFIX = "state/"
-
 
 def _members(kind):
     """The member names of ``kind``'s artefact (collection time)."""
@@ -251,16 +247,14 @@ def test_byte_flipped_in_a_member(kind, member, tmp_path, opened):
     assert str(path) in message and repr(member) in message
 
 
-@pytest.mark.parametrize("kind,member", _cells(lambda kind: [
-    member for member in MEMBERS[kind]
-    if not member.startswith(OPTIONAL_PREFIX)
-]))
+@pytest.mark.parametrize("kind,member", _cells(lambda kind: MEMBERS[kind]))
 def test_required_member_dropped(kind, member, tmp_path, opened):
     path = KINDS[kind][0](tmp_path)
     _rewrite(path, drop=member)
     message = _fails(kind, path, opened)
-    # A checkpoint's hyperparameters and parameters are checked against
-    # the trainer they restore into, and that message names the member.
+    # A checkpoint's hyperparameters, parameters and optimizer state are
+    # checked against the trainer they restore into, and that message
+    # names the member.
     leaf = member.split("/")[-1]
     assert str(path) in message or leaf in message
 

@@ -256,9 +256,25 @@ class TestStateExportImport:
         resumed.apply_sparse(resumed_param, rows, grads)
         assert np.array_equal(direct_param, resumed_param)
 
-    def test_untrained_parameters_export_nothing(self):
-        opt = Adagrad(lr=0.1)
-        assert opt.export_state([("p", np.zeros(3))]) == {}
+    def test_untrained_parameters_export_fresh_state(self):
+        """Every slot is exported, so an import can require every slot."""
+        exported = Adagrad(lr=0.1).export_state([("p", np.zeros(3))])
+        assert list(exported) == ["p.accumulator"]
+        assert not exported["p.accumulator"].any()
+
+    @pytest.mark.parametrize("dropped", ["first_moment", "steps"])
+    def test_missing_state_rejected_by_name(self, dropped):
+        param = np.zeros((4, 2))
+        source = Adam(lr=0.1)
+        source.apply_sparse(param, np.array([1]), np.ones((1, 2)))
+        exported = source.export_state([("table_0", param)])
+        del exported[f"table_0.{dropped}"]
+        target, fresh = Adam(lr=0.1), np.zeros((4, 2))
+        with pytest.raises(ValueError, match=rf"missing table_0\.{dropped}"):
+            target.import_state([("table_0", fresh)], exported)
+        assert not any(
+            tensor.any() for tensor in target.state_tensors(fresh).values()
+        )
 
     def test_import_is_a_deep_copy(self):
         param = np.zeros(3)

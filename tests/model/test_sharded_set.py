@@ -85,9 +85,11 @@ class TestBackwardEquivalence:
         sharded = ShardedEmbeddingSet(bags, num_shards=num_shards, policy=policy)
         plan, _ = run_forward(sharded, indices)
         optimizer = SGD(lr=0.5)
+        sharded.prepare_backward(plan, grads)
         for shard in range(num_shards):
-            coalesced = sharded.backward_shard(plan, shard, grads)
-            sharded.update_shard(shard, coalesced, optimizer)
+            for table_id in plan.tables_on(shard):
+                rows, values = sharded.backward_table(plan, shard, table_id)
+                optimizer.apply_sparse(bags[table_id].table, rows, values)
         for bag, ref in zip(bags, reference):
             np.testing.assert_allclose(bag.table, ref.table, rtol=0, atol=1e-12)
 
@@ -113,8 +115,10 @@ class TestEdgeCases:
         assert plan.slices[0][1] is None
         expected = bags[0].forward(index)
         np.testing.assert_allclose(pooled[0], expected, rtol=0, atol=1e-12)
-        grads = [np.ones((2, DIM))]
-        assert sharded.backward_shard(plan, 1, grads) == []
+        sharded.prepare_backward(plan, [np.ones((2, DIM))])
+        assert plan.tables_on(1) == []
+        with pytest.raises(ValueError, match="no lookups on shard 1"):
+            sharded.backward_table(plan, 1, 0)
 
     def test_all_lookups_on_one_shard(self):
         bags = make_bags(num_tables=1)
@@ -140,7 +144,8 @@ class TestEdgeCases:
         assert np.array_equal(pooled[0], bags[0].forward(index))
         vec_bytes = DIM * 8
         assert plan.forward_exchange_bytes == 2 * vec_bytes
-        sharded.backward_shard(plan, 0, [np.ones((4, DIM))])
+        sharded.prepare_backward(plan, [np.ones((4, DIM))])
+        sharded.backward_table(plan, 0, 0)
         assert plan.backward_exchange_bytes == 2 * vec_bytes + 2 * 3 * 8
 
     def test_exchange_bytes_accumulate(self):
@@ -148,31 +153,27 @@ class TestEdgeCases:
         sharded = ShardedEmbeddingSet(bags, num_shards=2)
         plan, _ = run_forward(sharded, make_indices())
         assert plan.forward_exchange_bytes > 0
-        grads = [np.ones((BATCH, DIM)) for _ in bags]
+        sharded.prepare_backward(plan, [np.ones((BATCH, DIM)) for _ in bags])
         for shard in range(2):
-            sharded.backward_shard(plan, shard, grads)
+            for table_id in plan.tables_on(shard):
+                sharded.backward_table(plan, shard, table_id)
         assert plan.backward_exchange_bytes > 0
         assert plan.exchange_bytes == (
             plan.forward_exchange_bytes + plan.backward_exchange_bytes
         )
 
-    def test_backward_rejects_swapped_gradient_tables(self):
-        """Staged gradients cannot be silently replaced mid-backward."""
-        bags = make_bags()
-        sharded = ShardedEmbeddingSet(bags, num_shards=2)
+    def test_backward_needs_staged_gradient_tables(self):
+        sharded = ShardedEmbeddingSet(make_bags(), num_shards=2)
         plan, _ = run_forward(sharded, make_indices())
-        grads_a = [np.ones((BATCH, DIM)) for _ in bags]
-        grads_b = [np.zeros((BATCH, DIM)) for _ in bags]
-        sharded.backward_shard(plan, 0, grads_a)
-        with pytest.raises(ValueError, match="staged"):
-            sharded.backward_shard(plan, 1, grads_b)
+        with pytest.raises(RuntimeError, match="prepare_backward"):
+            sharded.backward_table(plan, 0, 0)
 
     def test_backward_rejects_wrong_table_count(self):
         bags = make_bags()
         sharded = ShardedEmbeddingSet(bags, num_shards=2)
         plan, _ = run_forward(sharded, make_indices())
         with pytest.raises(ValueError, match="gradient tables"):
-            sharded.backward_shard(plan, 0, [np.ones((BATCH, DIM))])
+            sharded.prepare_backward(plan, [np.ones((BATCH, DIM))])
 
     def test_plan_rejects_wrong_table_count(self):
         sharded = ShardedEmbeddingSet(make_bags(), num_shards=2)

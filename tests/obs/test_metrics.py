@@ -77,34 +77,6 @@ class TestGauge:
         assert gauge.value == 0.5
 
 
-class TestHistogram:
-    def test_nearest_rank_percentiles(self):
-        hist = MetricRegistry().histogram("lat")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            hist.observe(value)
-        assert hist.percentile(0) == 1.0
-        assert hist.percentile(50) == 2.0
-        assert hist.percentile(100) == 4.0
-
-    def test_percentile_validates(self):
-        hist = MetricRegistry().histogram("lat")
-        with pytest.raises(ValueError, match="zero observations"):
-            hist.percentile(50)
-        hist.observe(1.0)
-        with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            hist.percentile(101)
-
-    def test_summary_shape(self):
-        hist = MetricRegistry().histogram("lat")
-        assert hist.summary() == {"kind": "histogram", "count": 0}
-        hist.observe(2.0)
-        hist.observe(4.0)
-        summary = hist.summary()
-        assert summary["count"] == 2
-        assert summary["mean"] == 3.0
-        assert summary["min"] == 2.0 and summary["max"] == 4.0
-
-
 class TestRegistryExport:
     def test_count_kernel_duck_protocol(self):
         registry = MetricRegistry()

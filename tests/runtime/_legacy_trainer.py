@@ -101,12 +101,16 @@ def legacy_train_sharded(
         sharded.prepare_backward(plan, grad_tables)
         per_shard_coalesced = []
         for shard in range(sharded.num_shards):
-            per_shard_coalesced.append(
-                sharded.backward_shard(plan, shard, grad_tables)
-            )
+            per_shard_coalesced.append([
+                (table_id, sharded.backward_table(plan, shard, table_id))
+                for table_id in plan.tables_on(shard)
+            ])
         optimizer.step(model.dense_parameters())
         for shard in range(sharded.num_shards):
-            sharded.update_shard(shard, per_shard_coalesced[shard], optimizer)
+            for table_id, (rows, values) in per_shard_coalesced[shard]:
+                optimizer.apply_sparse(
+                    sharded.bags[table_id].table, rows, values
+                )
         forward_bytes += plan.forward_exchange_bytes
         backward_bytes += plan.backward_exchange_bytes
     return losses, forward_bytes, backward_bytes

@@ -10,6 +10,12 @@ allocation scales with the table rather than with the lookups fails —
 re-introducing a shard-local view of the parent does, by megabytes.  The
 sparse update is held one step further: its peak may not grow with the
 number of rows it updates beyond one cache block.
+
+Two more hold peak memory at the tables plus one table's work.  A table is
+built in its own dtype, chunk by chunk, bit-identical to one whole-table
+float64 draw cast down (which peaked at three times an f32 table), and a
+step reduces and applies one table's ``(u, dim)`` gradient at a time, so
+its transient does not grow by a gradient per table.
 """
 
 import tracemalloc
@@ -21,9 +27,13 @@ from repro.core.gather_reduce import gather_reduce
 from repro.core.indexing import IndexArray
 from repro.core.scatter import UPDATE_BLOCK_BYTES, row_blocks
 from repro.core.segment import segment_sum
+from repro.data.generator import SyntheticCTRStream
+from repro.model.configs import RM1
+from repro.model.dlrm import DLRM
 from repro.model.embedding import EmbeddingBag
 from repro.model.optim import SGD, Adam
 from repro.model.sharded import ShardedEmbeddingSet
+from repro.runtime.trainer import FunctionalTrainer
 
 SHORT, TALL = 2_000, 200_000     # parent heights; TALL is 12.8 MB of f32
 DIM, BATCH, POOLING = 16, 64, 8
@@ -98,9 +108,11 @@ def row_sharded_step_case(height):
         shards.assemble_pooled(plan)
         shards.prepare_backward(plan, grads)
         for shard in range(2):
-            shards.update_shard(
-                shard, shards.backward_shard(plan, shard, grads), optimizer
-            )
+            for table_id in plan.tables_on(shard):
+                optimizer.apply_sparse(
+                    shards.bags[table_id].table,
+                    *shards.backward_table(plan, shard, table_id),
+                )
 
     return step
 
@@ -176,6 +188,70 @@ def test_a_stateful_update_peaks_at_one_block_whatever_the_row_count():
     assert eight <= 4 * UPDATE_BLOCK_BYTES, (
         f"Adam's sparse update peaked at {eight} bytes, more than four "
         f"{UPDATE_BLOCK_BYTES}-byte blocks"
+    )
+
+
+#: 1 MiB of float64 draws: the init chunk, 8192 rows at ``DIM``.
+INIT_CHUNK_BYTES = 1 << 20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_table_builds_in_its_own_bytes_plus_one_chunk(dtype):
+    """Bit-identical to one whole-table draw cast to ``dtype``, generator
+    state included, at a row count that is not a multiple of the chunk —
+    without that draw's float64 copy (and, for f32, its cast copy)."""
+    rows = 12 * INIT_CHUNK_BYTES // (8 * DIM) + 5
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        bag = EmbeddingBag(rows, DIM, rng, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reference = np.random.default_rng(7)
+    bound = 1.0 / np.sqrt(rows)
+    want = reference.uniform(-bound, bound, size=(rows, DIM)).astype(dtype)
+    assert bag.table.dtype == want.dtype
+    assert bag.table.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert peak <= bag.table.nbytes + INIT_CHUNK_BYTES + SLACK, (
+        f"building a {bag.table.nbytes}-byte table peaked at {peak} bytes"
+    )
+
+
+#: Lookups per table per step; ``u`` is at least 90% of them (20 000 rows).
+STEP_BATCH, STEP_POOLING, STEP_ROWS, STEP_DIM = 64, 32, 20_000, 64
+
+
+def step_peak(num_tables):
+    """``tracemalloc`` peak of one default one-shard f32 training step."""
+    config = RM1.with_overrides(
+        num_tables=num_tables, gathers_per_table=STEP_POOLING,
+        rows_per_table=STEP_ROWS, embedding_dim=STEP_DIM,
+        bottom_mlp=(8, STEP_DIM), top_mlp=(8, 1),
+    )
+    model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
+    stream = SyntheticCTRStream(
+        num_tables=num_tables, num_rows=STEP_ROWS,
+        lookups_per_sample=STEP_POOLING, dense_features=8, seed=0,
+    )
+    trainer = FunctionalTrainer(model, stream, SGD(lr=0.1))
+    rng = np.random.default_rng(1)
+    return peak_bytes(lambda: trainer.train(STEP_BATCH, 1, rng))
+
+
+def test_a_step_holds_one_tables_gradient_at_a_time():
+    """Each table's coalesced gradient is applied and dropped before the
+    next is reduced: four more tables grow the step's peak by their
+    lookups' index work, less than one ``(u, dim)`` f32 gradient each
+    (holding every table's gradient until the update grew it by more)."""
+    lookups = STEP_BATCH * STEP_POOLING
+    gradient = int(0.9 * lookups) * STEP_DIM * 4
+    per_table = (step_peak(6) - step_peak(2)) / 4
+    assert per_table < gradient, (
+        f"each added table grew the step's peak by {per_table:.0f} bytes, "
+        f"more than one ({int(0.9 * lookups)}, {STEP_DIM}) f32 gradient "
+        f"({gradient} bytes): gradients outlive their table's update"
     )
 
 

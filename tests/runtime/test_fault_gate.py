@@ -19,6 +19,12 @@ Faults are counted in a fresh interpreter per cell, with the caller's
 ``MALLOC_*`` and ``GLIBC_TUNABLES`` cleared, so neither an earlier test's
 allocations nor the user's malloc tuning can warm the heap for the run
 under test.
+
+The same interpreter reports its peak resident set: the default trainer's
+run — build and every step, both modes — must peak at the interpreter it
+started from plus its tables plus :data:`STEP_ALLOWANCE_BYTES`.  Building
+each table as one float64 draw cast down instead of chunk by chunk breaks
+it.
 """
 
 import json
@@ -40,6 +46,10 @@ pytestmark = pytest.mark.skipif(
 WARMUP_STEPS, MEASURED_STEPS = 5, 10
 MAX_FAULTS_PER_STEP = 100
 MODES = ("casted", "baseline")
+#: Peak resident bytes the default cell may hold above its interpreter and
+#: its tables: one init chunk and the steps' heap.  It read 22.5 MiB (the
+#: whole-table float64 init: 46 MiB) on x86-64 Linux, glibc, NumPy 2.
+STEP_ALLOWANCE_BYTES = 34 << 20
 
 #: RM1 with ``argv[1]``'s table overrides, f32; ``argv[1]`` also holds the
 #: optimizer name, the trainer keywords and the batch size.
@@ -53,6 +63,7 @@ from repro.model.optim import make_optimizer
 from repro.runtime.trainer import FunctionalTrainer
 
 optimizer, trainer_kwargs, tables, batch = json.loads(sys.argv[1])
+start_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 config = RM1.with_overrides(**tables)
 model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
 stream = SyntheticCTRStream(
@@ -69,7 +80,12 @@ for mode in {MODES!r}:
     trainer.train(batch, {MEASURED_STEPS}, rng, mode=mode)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     faults[mode] = (after - before) / {MEASURED_STEPS}
-print(json.dumps(faults))
+print(json.dumps({{
+    "faults": faults,
+    "start_rss_bytes": start_rss * 1024,
+    "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+    "table_bytes": sum(bag.table.nbytes for bag in model.embeddings),
+}}))
 """
 
 #: The benchmark's table shape, at batch 256.
@@ -91,8 +107,9 @@ CELLS = {
 
 
 @pytest.fixture(scope="module")
-def faults_per_step():
-    """``faults_per_step(cell, **env) -> {mode: faults}``, one fresh
+def measured_run():
+    """``measured_run(cell, **env) -> {"faults": {mode: faults per step},
+    "start_rss_bytes", "peak_rss_bytes", "table_bytes"}``, one fresh
     interpreter per distinct (cell, env), measured once per module."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
@@ -120,8 +137,8 @@ def faults_per_step():
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_the_step_is_fault_free(faults_per_step, cell, mode):
-    faults = faults_per_step(cell)[mode]
+def test_the_step_is_fault_free(measured_run, cell, mode):
+    faults = measured_run(cell)["faults"][mode]
     assert faults < MAX_FAULTS_PER_STEP, (
         f"the {cell} trainer's {mode} step took {faults:.1f} minor faults "
         f"per step (gate: < {MAX_FAULTS_PER_STEP}); every step maps and "
@@ -131,9 +148,22 @@ def test_the_step_is_fault_free(faults_per_step, cell, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_measurement_sees_a_faulting_step(faults_per_step, mode):
+def test_the_measurement_sees_a_faulting_step(measured_run, mode):
     """The instrument itself: with glibc's default threshold fixed by the
     environment, ``retain_freed_memory`` stands aside and the same default
     step faults on every step."""
-    faults = faults_per_step("sgd", MALLOC_MMAP_THRESHOLD_="131072")[mode]
-    assert faults >= MAX_FAULTS_PER_STEP
+    run = measured_run("sgd", MALLOC_MMAP_THRESHOLD_="131072")
+    assert run["faults"][mode] >= MAX_FAULTS_PER_STEP
+
+
+def test_the_default_trainer_peaks_at_its_tables(measured_run):
+    """Only the default allocator policy is gated: the instrument cell's
+    ``MALLOC_*`` setting hands freed blocks back, which moves the peak."""
+    run = measured_run("sgd")
+    above = run["peak_rss_bytes"] - run["start_rss_bytes"] - run["table_bytes"]
+    assert above <= STEP_ALLOWANCE_BYTES, (
+        f"the default trainer peaked {above / 2**20:.1f} MiB above its "
+        f"interpreter and its {run['table_bytes'] / 2**20:.1f} MiB of tables "
+        f"(gate: {STEP_ALLOWANCE_BYTES / 2**20:.0f} MiB): a table build or a "
+        "step holds more than one table's work at a time"
+    )

@@ -134,8 +134,7 @@ class TestInferMatchesTrainingForward:
 BACKWARD_AND_UPDATE_CALLS = [
     (DLRM, "backward_through_dense"),
     (ShardedEmbeddingSet, "prepare_backward"),
-    (ShardedEmbeddingSet, "backward_shard"),
-    (ShardedEmbeddingSet, "update_shard"),
+    (ShardedEmbeddingSet, "backward_table"),
     (Optimizer, "step"),
     (Optimizer, "apply_sparse"),
 ]

@@ -1,13 +1,17 @@
-"""A failed step is atomic; the sharded step loop's run contracts.
+"""A failed step is atomic or torn; the sharded step loop's run contracts.
 
-A kernel failure in any phase of a step — cast, gather, backward — must
-propagate to the caller unchanged, join every thread the run started (the
-cast-ahead worker under look-ahead), and leave the parameters and
-optimizer state of the last completed step untouched, so the same trainer
-resumes cleanly.  Pinned at one shard and over two, inline and cast
-ahead.  Alongside: a sharded run resumes from a checkpoint bit for bit, a
-shard that owns no rows is only ever empty, and every shard reports its
-own phase timings.
+A kernel failure in any phase of a step before its first parameter write
+— cast, gather, the first table's backward — must propagate to the caller
+unchanged, join every thread the run started (the cast-ahead worker under
+look-ahead), and leave the parameters and optimizer state of the last
+completed step untouched, so the same trainer resumes cleanly.  A failure
+after it (the second table's backward, once the first table's update has
+written) propagates the same way and leaves the trainer torn: training,
+scoring and saving refuse it, naming the step, until a checkpoint is
+restored — after which the resumed run is the uninterrupted one.  Pinned
+at one shard and over two, inline and cast ahead.  Alongside: a sharded
+run resumes from a checkpoint bit for bit, a shard that owns no rows is
+only ever empty, and every shard reports its own phase timings.
 """
 
 import threading
@@ -21,6 +25,8 @@ from repro.model import sharded
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad
 from repro.runtime.checkpoint import (
+    CheckpointCallback,
+    latest_checkpoint,
     load_checkpoint,
     restore_trainer,
     save_checkpoint,
@@ -156,6 +162,65 @@ class TestFailedStep:
         assert resumed.losses == reference_report.losses[completed:]
         assert_same_state(trainer_state(trainer), trainer_state(reference))
         assert lingering_threads() == []
+
+
+class ExplodingOnSecondCall(ExplodingKernel):
+    """Once armed, lets one call through and blows up on the next: for the
+    backward kernel, the second table's reduction, after the first table's
+    update has written."""
+
+    def __init__(self, monkeypatch, phase):
+        super().__init__(monkeypatch, phase)
+        self.armed_calls = 0
+
+    def __call__(self, *args, **kwargs):
+        if self.armed:
+            self.armed_calls += 1
+            if self.armed_calls == 2:
+                raise RuntimeError("boom: injected kernel failure")
+        return self._healthy(*args, **kwargs)
+
+
+class TestTornStep:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    def test_a_failure_after_the_first_write_tears_the_trainer(
+            self, lookahead, num_shards, monkeypatch, tmp_path):
+        batch, steps = 16, 4
+        _, reference = make_trainer(
+            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+        reference_report = reference.train(
+            batch, steps, np.random.default_rng(1))
+
+        kernel = ExplodingOnSecondCall(monkeypatch, "backward")
+        _, trainer = make_trainer(
+            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+        recorder = ArmAfterFirstStep(trainer, kernel)
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            trainer.train(batch, steps, np.random.default_rng(1),
+                          callbacks=[CheckpointCallback(tmp_path), recorder])
+        assert failure.type is RuntimeError
+        assert lingering_threads() == []
+        assert len(recorder.snapshots) == 2
+        assert trainer.torn_step == 2
+        assert trainer_state(trainer)["table_0"].tobytes() != (
+            recorder.snapshots[-1]["table_0"].tobytes())
+
+        kernel.armed = False
+        for entry in ("train", "infer"):
+            with pytest.raises(RuntimeError, match="step 2 failed"):
+                getattr(trainer, entry)(batch, 1, np.random.default_rng(1))
+        torn = tmp_path / "torn.npz"
+        with pytest.raises(RuntimeError, match="step 2 failed"):
+            save_checkpoint(torn, trainer, 2)
+        assert not torn.exists()
+
+        assert restore_trainer(trainer, latest_checkpoint(tmp_path)) == 1
+        assert trainer.torn_step is None
+        resumed = trainer.train(
+            batch, steps - 1, np.random.default_rng(1), start_step=1)
+        assert resumed.losses == reference_report.losses[1:]
+        assert_same_state(trainer_state(trainer), trainer_state(reference))
 
 
 class TestShardedRun:
