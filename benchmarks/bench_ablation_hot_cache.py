@@ -8,41 +8,16 @@ quantifies the paper's implicit argument for why training needed a new
 idea: on a skewed workload, an *ideal* cache buys less than casting alone,
 and the two compose.
 
-The second half validates the *executed* cache against the analytic model:
-a :class:`~repro.model.hot_cache.HotRowCache` (LRU and LFU) replays a
-pinned-seed skewed id stream and its measured hit rate must agree with
-:class:`~repro.sim.cache.CachedCPUModel` within the documented band
-(:data:`repro.experiments.hotcache.HIT_RATE_TOLERANCE`).  Seeds and
-geometry are fixed, so the assertion is deterministic — it runs in CI's
-benchmark-smoke job under ``BENCH_SMOKE=1`` (smaller stream, same bands).
+The executed cache's agreement with the analytic model is tested in
+``tests/model/test_hot_cache.py::TestAnalyticCrosscheck``.
 """
 
-import os
-
-import numpy as np
 from conftest import run_once
 
 from repro.data.datasets import get_dataset
-from repro.data.distributions import ZipfDistribution
-from repro.experiments.hotcache import HIT_RATE_TOLERANCE
 from repro.model import get_model
-from repro.model.hot_cache import HotRowCache
 from repro.runtime.systems import CPUGPUSystem, SystemHardware, compute_workload
 from repro.sim.cache import CachedCPUModel, HotRowCacheSpec
-
-#: BENCH_SMOKE=1 shrinks the replayed stream for CI; the agreement bands
-#: are identical — the smoke stream is still long enough to warm the cache.
-SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-
-#: Pinned executed-vs-analytic geometry (seeds fixed -> deterministic).
-#: The smoke table is kept at 8K rows: smaller tables genuinely widen the
-#: LRU-vs-ideal gap toward its 0.12 band edge (recency churns harder when
-#: the head is a larger share of capacity), and the assertion should fail
-#: on regressions, not on geometry.
-CACHE_ROWS = 8_000 if SMOKE else 20_000
-CACHE_CAPACITY = CACHE_ROWS // 10
-CACHE_ACCESSES = 120_000 if SMOKE else 400_000
-CACHE_SEED = 321
 
 
 def test_ablation_hot_cache(benchmark, hardware):
@@ -78,47 +53,3 @@ def test_ablation_hot_cache(benchmark, hardware):
     assert totals["Ours(CPU) [casting]"] < totals["Baseline + hot-row cache"]
     assert totals["Casting + hot-row cache"] < totals["Ours(CPU) [casting]"]
 
-
-def test_executed_cache_matches_analytic(benchmark):
-    """Executed LRU/LFU hit rates vs the ideal-placement analytic bound.
-
-    Criteo-shaped skew (Zipf s=1.1, shift 3) rescaled to the pinned table
-    height; one i.i.d. stream replayed through both policies.  LFU must
-    land within its documented 0.05 band, LRU within 0.12, and neither may
-    exceed the bound by more than estimation noise.
-    """
-
-    def run():
-        distribution = ZipfDistribution(CACHE_ROWS, exponent=1.1, shift=3.0)
-        ids = distribution.sample(
-            CACHE_ACCESSES, np.random.default_rng(CACHE_SEED)
-        )
-        analytic = CachedCPUModel(
-            HotRowCacheSpec(capacity_rows=CACHE_CAPACITY), distribution
-        ).hit_rate
-        measured = {}
-        for policy in HotRowCache.POLICIES:
-            cache = HotRowCache(CACHE_CAPACITY, policy)
-            cache.access(ids)
-            measured[policy] = cache.hit_rate
-        return analytic, measured
-
-    analytic, measured = run_once(benchmark, run)
-    print(f"\n[Executed cache] rows={CACHE_ROWS:,} capacity={CACHE_CAPACITY:,} "
-          f"accesses={CACHE_ACCESSES:,} (seed {CACHE_SEED})")
-    print(f"  analytic (ideal placement)  {analytic:.1%}")
-    for policy, rate in measured.items():
-        print(f"  executed {policy:3s}                {rate:.1%}  "
-              f"(delta {rate - analytic:+.1%})")
-    for policy, rate in measured.items():
-        assert abs(rate - analytic) < HIT_RATE_TOLERANCE[policy], (
-            f"{policy} hit rate {rate:.3f} drifted more than "
-            f"{HIT_RATE_TOLERANCE[policy]} from analytic {analytic:.3f}"
-        )
-        assert rate <= analytic + 0.02, (
-            f"{policy} beat the ideal-placement bound: {rate:.3f} vs "
-            f"{analytic:.3f}"
-        )
-    # Frequency beats recency under i.i.d. skew — the reason LFU is the
-    # tighter-banded policy.
-    assert measured["lfu"] >= measured["lru"]

@@ -1,6 +1,7 @@
-"""Legacy setup shim: lets `pip install -e . --no-use-pep517` work offline
-(the sandbox lacks the `wheel` package required for PEP 660 editable builds).
-All project metadata lives in pyproject.toml."""
+"""Setup shim: with no arguments, setuptools discovers ``src/repro`` (the
+src layout) as the package ``repro``.  Install with ``pip install -e .
+--no-use-pep517`` where the ``wheel`` package that PEP 660 editable builds
+need is absent."""
 from setuptools import setup
 
 setup()

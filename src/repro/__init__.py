@@ -52,7 +52,6 @@ from .core import (
     gather_reduce,
     gradient_coalesce,
     gradient_expand,
-    hash_casting,
     make_partition,
     sharded_exchange_bytes,
     tcasted_grad_gather_reduce,
@@ -189,7 +188,6 @@ __all__ = [
     "get_model",
     "gradient_coalesce",
     "gradient_expand",
-    "hash_casting",
     "load_trace",
     "make_optimizer",
     "make_partition",

@@ -11,8 +11,7 @@ Algorithms 2-3):
   accumulation primitive every kernel's reduction runs,
 * :mod:`~repro.core.coalesce` — the baseline gradient expand-coalesce
   pipeline (Algorithm 1),
-* :mod:`~repro.core.casting` — Tensor Casting (Algorithm 2) and a
-  hash-bucketing ablation variant,
+* :mod:`~repro.core.casting` — Tensor Casting (Algorithm 2),
 * :mod:`~repro.core.scatter` — the gradient-scatter model update, the one
   checked row-block walk every optimizer's sparse update runs,
 * :mod:`~repro.core.traffic` — analytic memory-traffic models (Figure 6),
@@ -25,7 +24,6 @@ implementation; each ``*_reference`` function is its pure-Python oracle.
 
 from .casting import (
     CastedIndex,
-    hash_casting,
     tensor_casting,
     tensor_casting_reference,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "gradient_coalesce_reference",
     "gradient_expand",
     "gradient_scatter_reference",
-    "hash_casting",
     "make_partition",
     "reassemble_pooled",
     "scatter_traffic",

@@ -38,7 +38,6 @@ __all__ = [
     "CastedIndex",
     "tensor_casting",
     "tensor_casting_reference",
-    "hash_casting",
 ]
 
 
@@ -186,42 +185,3 @@ def tensor_casting_reference(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarr
         np.asarray(casted_dst, dtype=np.int64),
     )
 
-
-def hash_casting(index: IndexArray, num_buckets: int | None = None) -> CastedIndex:
-    """Hash-bucketing alternative to sort-based casting (ablation study).
-
-    Instead of a full sort-by-key, rows are first partitioned into hash
-    buckets and only bucket-local ordering is established.  The resulting
-    cast is *functionally* identical (same coalesced sums, same scatter
-    targets) but ``casted_dst`` slots are assigned in bucket order rather
-    than ascending-row order, and the produced ``rows`` array reflects that
-    ordering.  The paper chooses sort-based casting because the sorted cast
-    yields a monotone ``casted_dst`` — a streaming-friendly access pattern
-    for the NMP gather-reduce engine; this variant exists to quantify that
-    design choice (see ``benchmarks/bench_ablation_casting_strategy.py``).
-    """
-    src, dst = index.src, index.dst
-    n = src.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return CastedIndex(empty, empty.copy(), empty.copy(), index.num_outputs)
-    if num_buckets is None:
-        num_buckets = max(1, int(np.sqrt(index.num_rows)))
-    # Knuth multiplicative hash keeps buckets balanced even for clustered ids.
-    bucket = (src * np.int64(2654435761)) % np.int64(num_buckets)
-    # Bucket-major, then row within bucket: a partial sort, cheaper in spirit
-    # than the full sort (modelled as such by the cost models).
-    order = np.lexsort((src, bucket))
-    sorted_src = src[order]
-    casted_src = dst[order]
-    scan = np.empty(n, dtype=np.int64)
-    scan[0] = 1
-    scan[1:] = sorted_src[1:] != sorted_src[:-1]
-    casted_dst = np.cumsum(scan) - 1
-    rows = sorted_src[scan.astype(bool)]
-    return CastedIndex(
-        casted_src=casted_src.astype(np.int64, copy=False),
-        casted_dst=casted_dst,
-        rows=rows.astype(np.int64, copy=False),
-        num_gradients=index.num_outputs,
-    )

@@ -58,15 +58,20 @@ class LookupDistribution(ABC):
         most popular row.  Computed once and cached.
         """
         if self._probabilities is None:
-            probs = self._compute_probabilities()
-            if probs.shape != (self.num_rows,):
-                raise AssertionError("probability vector has wrong shape")
-            self._probabilities = probs
+            self._probabilities = self._checked_probabilities()
         return self._probabilities
 
+    def _checked_probabilities(self) -> np.ndarray:
+        probs = self._compute_probabilities()
+        if probs.shape != (self.num_rows,):
+            raise AssertionError("probability vector has wrong shape")
+        return probs
+
     def _cumulative(self) -> np.ndarray:
+        # Sampling keeps only the CDF and the guide table: the probability
+        # vector it sums is dropped, not cached (8 bytes per row).
         if self._cdf is None:
-            cdf = np.cumsum(self.probabilities())
+            cdf = np.cumsum(self._checked_probabilities())
             cdf[-1] = 1.0  # guard against float drift at the tail
             self._cdf = cdf
         return self._cdf

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.indexing import IndexArray
 from .distributions import LookupDistribution, UniformDistribution
-from .source import BatchSource, CTRBatch
+from .source import BatchSource, CTRBatch, positive_int
 
 __all__ = [
     "generate_index_array",
@@ -42,8 +42,8 @@ def generate_index_array(
     ``distribution`` (the paper's "Gathers/table"), pooled into one output
     per sample.
     """
-    if batch <= 0 or lookups_per_sample <= 0:
-        raise ValueError("batch and lookups_per_sample must be positive")
+    batch = positive_int("batch", batch)
+    lookups_per_sample = positive_int("lookups_per_sample", lookups_per_sample)
     count = batch * lookups_per_sample
     src = distribution.sample(count, rng)
     dst = np.repeat(np.arange(batch, dtype=np.int64), lookups_per_sample)
@@ -132,8 +132,7 @@ class SyntheticCTRStream(BatchSource):
 
     def make_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
         """Draw one mini-batch of ``batch`` samples."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
+        batch = positive_int("batch", batch)
         dense = rng.standard_normal((batch, self.dense_features))
         indices = generate_table_indices(
             self.distributions, batch, self.lookups_per_sample, rng

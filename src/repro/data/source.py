@@ -463,8 +463,7 @@ class CriteoFileSource(BatchSource):
     # BatchSource surface
     # ------------------------------------------------------------------
     def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
+        batch = positive_int("batch", batch)
         if self._npz_mode:
             if self._cursor >= self._labels.shape[0]:
                 raise SourceExhausted(f"{self.path} is fully consumed")

@@ -1,8 +1,8 @@
 """Experiment harness: one module per table/figure of the paper's evaluation.
 
 Each module exposes a ``figN_*``/``tableN_*`` function returning structured
-rows plus a ``format_*`` renderer; the ``benchmarks/`` directory wires them
-into pytest-benchmark targets that regenerate the corresponding artifact.
+rows plus a ``format_*`` renderer; the ``benchmarks/bench_*.py`` files
+regenerate the corresponding artifact from them.
 The sweeps that train a real model (``overlap``, measured ``scaling``)
 build and time every run through :mod:`repro.experiments.measured`, and
 ``cache`` draws from the same sources.

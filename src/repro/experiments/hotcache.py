@@ -13,7 +13,7 @@ cache only counts row ids, so no model is built: the hit rate is what a
 cache on the forward gathers of that stream would measure.
 
 Agreement tolerance (:data:`HIT_RATE_TOLERANCE`, enforced with pinned
-seeds by ``benchmarks/bench_ablation_hot_cache.py``): on an i.i.d. skewed
+seeds by ``tests/model/test_hot_cache.py::TestAnalyticCrosscheck``): on an i.i.d. skewed
 stream long enough to warm the cache, **executed LFU lands within 0.05
 absolute hit rate of the analytic prediction** — LFU keeps the empirically
 hottest rows, which is what the model assumes, so the residual is cold

@@ -18,8 +18,8 @@ approximates keep-the-hottest; the analytic number assumes it perfectly),
 while LRU trails further under heavy skew because recency is a weaker
 proxy for popularity than frequency.  The documented agreement tolerance
 lives with the ``cache`` experiment
-(:data:`repro.experiments.hotcache.HIT_RATE_TOLERANCE`) and is enforced by
-``benchmarks/bench_ablation_hot_cache.py`` with pinned seeds.
+(:data:`repro.experiments.hotcache.HIT_RATE_TOLERANCE`) and is enforced with
+pinned seeds by ``tests/model/test_hot_cache.py::TestAnalyticCrosscheck``.
 
 The cache tracks *row ids*, not vectors: serving a hit from a separate
 buffer would move the same bytes through the same NumPy kernels on a

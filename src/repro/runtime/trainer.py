@@ -33,7 +33,7 @@ The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
 
-Used by the examples, the end-to-end tests, and the kernel benchmarks.
+Used by the examples, the end-to-end tests, and the repo benchmark.
 """
 
 from __future__ import annotations

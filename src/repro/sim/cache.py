@@ -19,8 +19,8 @@ The analytic hit rate here assumes ideal placement; its *executed*
 counterpart — :class:`~repro.model.hot_cache.HotRowCache`, a real LRU/LFU
 run over a replayed index stream — is cross-checked against this model
 on the same workload by the ``cache`` experiment
-(:mod:`repro.experiments.hotcache`) and the ablation bench, within a
-documented tolerance.
+(:mod:`repro.experiments.hotcache`), and held within a documented
+tolerance with pinned seeds by ``tests/model/test_hot_cache.py::TestAnalyticCrosscheck``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.casting import (
     CastedIndex,
-    hash_casting,
     tensor_casting,
     tensor_casting_reference,
 )
@@ -193,29 +192,6 @@ class TestAsIndexArray:
         cast = tensor_casting(IndexArray([], [], num_rows=4, num_outputs=2))
         as_index = cast.as_index_array()
         assert as_index.num_lookups == 0
-
-
-class TestHashCasting:
-    def test_same_coalesced_groups_as_sort(self, rng):
-        index = make_random_index(rng, num_rows=40, batch=8, lookups=6)
-        sort_cast = tensor_casting(index)
-        hash_cast = hash_casting(index)
-        assert hash_cast.num_coalesced == sort_cast.num_coalesced
-        assert sorted(hash_cast.rows.tolist()) == sort_cast.rows.tolist()
-
-    def test_bucket_count_override(self, paper_index):
-        cast = hash_casting(paper_index, num_buckets=2)
-        assert cast.num_coalesced == 4
-
-    def test_hash_casted_dst_monotone(self, rng):
-        # Bucket-major assignment still produces a streamable monotone dst.
-        index = make_random_index(rng, num_rows=40, batch=8, lookups=6)
-        cast = hash_casting(index)
-        assert np.all(np.diff(cast.casted_dst) >= 0)
-
-    def test_empty_index(self):
-        cast = hash_casting(IndexArray([], [], num_rows=5, num_outputs=2))
-        assert cast.num_lookups == 0
 
 
 @settings(max_examples=60, deadline=None)

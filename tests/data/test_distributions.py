@@ -229,3 +229,18 @@ class TestGuideTableSampling:
         u = np.nextafter(0.05, 0.0)
         assert u * 100 == 5.0 and dist._guide_table()[5] == 5
         assert dist.sample(1, _PresetUniforms([u])).tolist() == [4]
+
+    @pytest.mark.parametrize(
+        "dist",
+        [UniformDistribution(1000), ZipfDistribution(1000, 1.05),
+         EmpiricalDistribution(np.array([5.0, 3.0, 0.0, 2.0]))],
+        ids=["uniform", "zipf-1.05", "empirical"],
+    )
+    def test_a_draw_caches_no_probability_vector(self, dist):
+        """Sampling keeps the CDF and the guide table, 16 bytes per row;
+        the probability vector they are built from is not kept."""
+        dist.sample(64, np.random.default_rng(0))
+        assert dist._probabilities is None
+        cdf = np.cumsum(dist.probabilities())
+        cdf[-1] = 1.0
+        assert np.array_equal(dist._cumulative(), cdf)

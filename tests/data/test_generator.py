@@ -31,6 +31,11 @@ class TestGenerateIndexArray:
         with pytest.raises(ValueError, match="positive"):
             generate_index_array(dist, 0, 3, rng)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 0], ids=["bool", "float", "zero"])
+    def test_batch_must_be_a_positive_int(self, bad, rng):
+        with pytest.raises(ValueError, match="batch must be a positive integer"):
+            generate_index_array(UniformDistribution(10), bad, 3, rng)
+
     def test_table_indices_one_per_distribution(self, rng):
         dists = [UniformDistribution(10), ZipfDistribution(20, 1.0)]
         indices = generate_table_indices(dists, batch=4, lookups_per_sample=2, rng=rng)

@@ -196,3 +196,22 @@ class TestCriteoFileSourceNPZ:
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ValueError, match="Criteo-style"):
             CriteoFileSource(path)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 0], ids=["bool", "float", "zero"])
+class TestBatchArgument:
+    """``next_batch`` takes a positive ``int``: ``True`` is not a 1-sample
+    batch and a float does not reach NumPy's slicing."""
+
+    def test_synthetic_stream_rejects(self, bad, rng):
+        stream = make_stream()
+        with pytest.raises(ValueError, match="batch must be a positive integer"):
+            stream.next_batch(bad, rng)
+        with pytest.raises(ValueError, match="batch must be a positive integer"):
+            stream.make_batch(bad, rng)
+
+    def test_criteo_npz_rejects_and_consumes_nothing(self, bad, tmp_path, rng):
+        source = CriteoFileSource(TestCriteoFileSourceNPZ().make_file(tmp_path))
+        with pytest.raises(ValueError, match="batch must be a positive integer"):
+            source.next_batch(bad, rng)
+        assert source.next_batch(6, rng).size == 6

@@ -106,44 +106,70 @@ class TestAnalyticCrosscheck:
     so it upper-bounds any executed policy; LFU converges toward it from
     below on a long i.i.d. stream (documented band: 0.05), LRU trails
     further (0.12).  Seeds are pinned, so these are exact regressions.
+
+    Each geometry is ``(rows, Zipf exponent, capacity)`` with shift 3 and
+    a tenth of the rows cached.  The second is Criteo-shaped skew (the
+    profile's s=1.1) kept at 8 000 rows: smaller tables widen LRU's gap
+    toward its 0.12 band edge, and the bands should fail on regressions,
+    not on geometry (it reads analytic 0.778, LFU 0.742, LRU 0.684).
     """
 
-    ROWS = 5_000
-    CAPACITY = 500
     ACCESSES = 120_000
 
+    @pytest.fixture(
+        scope="class",
+        params=[(5_000, 1.05, 500), (8_000, 1.1, 800)],
+        ids=["zipf1.05-5k", "zipf1.1-8k"],
+    )
+    def geometry(self, request):
+        return request.param
+
     @pytest.fixture(scope="class")
-    def distribution(self):
-        return ZipfDistribution(self.ROWS, exponent=1.05, shift=3.0)
+    def capacity(self, geometry):
+        return geometry[2]
+
+    @pytest.fixture(scope="class")
+    def distribution(self, geometry):
+        rows, exponent, _ = geometry
+        return ZipfDistribution(rows, exponent=exponent, shift=3.0)
 
     @pytest.fixture(scope="class")
     def stream_ids(self, distribution):
         return distribution.sample(self.ACCESSES, np.random.default_rng(321))
 
     @pytest.fixture(scope="class")
-    def analytic(self, distribution):
+    def analytic(self, distribution, capacity):
         return CachedCPUModel(
-            HotRowCacheSpec(capacity_rows=self.CAPACITY), distribution
+            HotRowCacheSpec(capacity_rows=capacity), distribution
         ).hit_rate
 
-    def test_lfu_agrees_within_documented_tolerance(self, stream_ids, analytic):
-        cache = HotRowCache(self.CAPACITY, "lfu")
-        cache.access(stream_ids)
-        assert abs(cache.hit_rate - analytic) < 0.05
-
-    def test_lru_agrees_within_documented_tolerance(self, stream_ids, analytic):
-        cache = HotRowCache(self.CAPACITY, "lru")
-        cache.access(stream_ids)
-        assert abs(cache.hit_rate - analytic) < 0.12
-
-    def test_neither_policy_beats_the_ideal_bound(self, stream_ids, analytic):
+    @pytest.fixture(scope="class")
+    def hit_rates(self, stream_ids, capacity):
+        rates = {}
         for policy in HotRowCache.POLICIES:
-            cache = HotRowCache(self.CAPACITY, policy)
+            cache = HotRowCache(capacity, policy)
             cache.access(stream_ids)
-            assert cache.hit_rate <= analytic + 0.02
+            rates[policy] = cache.hit_rate
+        return rates
 
-    def test_warm_steady_state_is_closer_than_cold(self, stream_ids, analytic):
-        cache = HotRowCache(self.CAPACITY, "lfu")
+    def test_lfu_agrees_within_documented_tolerance(self, hit_rates, analytic):
+        assert abs(hit_rates["lfu"] - analytic) < 0.05
+
+    def test_lru_agrees_within_documented_tolerance(self, hit_rates, analytic):
+        assert abs(hit_rates["lru"] - analytic) < 0.12
+
+    def test_neither_policy_beats_the_ideal_bound(self, hit_rates, analytic):
+        for rate in hit_rates.values():
+            assert rate <= analytic + 0.02
+
+    def test_frequency_beats_recency(self, hit_rates):
+        # Under i.i.d. skew: the reason LFU is the tighter-banded policy.
+        assert hit_rates["lfu"] >= hit_rates["lru"]
+
+    def test_warm_steady_state_is_closer_than_cold(
+        self, stream_ids, analytic, capacity
+    ):
+        cache = HotRowCache(capacity, "lfu")
         half = self.ACCESSES // 2
         cache.access(stream_ids[:half])
         cold_gap = abs(cache.hit_rate - analytic)

@@ -2,6 +2,7 @@
 
 import doctest
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import repro
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
 README = REPO_ROOT / "README.md"
+FILE_SUFFIXES = {".py", ".md", ".json", ".jsonl", ".yml", ".sh", ".ini",
+                 ".txt", ".npz", ".tsv"}
 
 
 class TestDoctests:
@@ -79,6 +82,29 @@ class TestReadme:
         text = README.read_text()
         assert "python3 benchmarks/e2e/run.py" in text
         assert "BENCHMARK.json" in text
+
+    def test_every_backticked_file_path_resolves(self):
+        """A file the README names in backticks exists: under the repo
+        root, under ``src/repro/`` (the module map's short paths) or under
+        ``benchmarks/e2e/``.  A word counts as a file path when it has a
+        suffix and either a ``/`` or a file suffix (``np.add.at`` and
+        ``repro.obs`` do not); a ``::test`` selector is dropped."""
+        bases = (REPO_ROOT, REPO_ROOT / "src" / "repro",
+                 REPO_ROOT / "benchmarks" / "e2e")
+        paths = set()
+        for span in re.findall(r"`([^`\n]+)`", README.read_text()):
+            for word in span.split():
+                word = word.split("::")[0].strip("(),;:")
+                suffix = pathlib.PurePosixPath(word).suffix
+                if (re.fullmatch(r"[\w./-]+", word) and suffix
+                        and ("/" in word or suffix in FILE_SUFFIXES)):
+                    paths.add(word)
+        assert len(paths) > 50, "the path scan found almost nothing"
+        missing = sorted(
+            path for path in paths
+            if not any((base / path).exists() for base in bases)
+        )
+        assert not missing, f"README.md names missing files: {missing}"
 
 
 class TestExamples:
