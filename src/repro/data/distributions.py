@@ -16,6 +16,15 @@ The analytic :meth:`LookupDistribution.expected_unique` is the workhorse of
 the performance model — it converts "``n`` lookups against this table" into
 the expected coalesced-row count ``u`` that sizes gradient coalescing and
 scatter (Figure 5(b)).
+
+Every draw is ``searchsorted(cdf, rng.random(count), "right")`` id for id,
+where ``cdf`` is the sequential ``cumsum`` of :meth:`probabilities` with its
+last entry set to 1.  Zipf and empirical draws find those ids through a
+cached CDF and guide table (16 bytes per row).  A uniform draw keeps no
+per-row array: the id is ``floor(u * N)`` unless ``u`` lies within a proven
+rounding bound of a bucket edge ``k / N``, and those few draws are settled
+against the CDF entry at that edge, recomputed exactly from checkpoints of
+the same ``cumsum`` (8 bytes per :data:`CDF_CHECKPOINT_ROWS` rows).
 """
 
 from __future__ import annotations
@@ -24,12 +33,18 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from .source import non_negative_int, positive_int
+
 __all__ = ["LookupDistribution", "UniformDistribution", "ZipfDistribution"]
 
 #: Rows a guide-table draw walks before searching the CDF instead: Zipf 1.05
 #: at 100 000 rows settles within it, a 1 000 000-row Zipf 2.0 tail bucket
 #: holds 283 000 rows and would otherwise walk them one by one.
 GUIDE_WALK_STEPS = 8
+
+#: Rows per checkpoint of a uniform draw's CDF: settling a draw at a bucket
+#: edge re-adds at most this many steps from the nearest checkpoint.
+CDF_CHECKPOINT_ROWS = 1024
 
 
 class LookupDistribution(ABC):
@@ -40,9 +55,7 @@ class LookupDistribution(ABC):
     """
 
     def __init__(self, num_rows: int) -> None:
-        if num_rows <= 0:
-            raise ValueError(f"num_rows must be positive, got {num_rows}")
-        self.num_rows = int(num_rows)
+        self.num_rows = positive_int("num_rows", num_rows)
         self._probabilities: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
         self._guide: np.ndarray | None = None
@@ -94,21 +107,26 @@ class LookupDistribution(ABC):
 
         Inverse-CDF sampling: each id is ``searchsorted(cdf,
         rng.random(count), "right")`` exactly — the same int64 ids, and the
-        same generator state afterwards — found in expected linear time
-        through a guide table (Devroye's table-aided inversion).  With
-        ``K = num_rows`` equal-mass buckets, uniform ``u`` starts at
-        ``guide[floor(u * K)]``, the first row its bucket can draw, and
-        walks up while ``cdf[id] <= u``: at most one step on average.  No
-        sort and no binary search over the whole draw.  The few ids still
-        unsettled after ``GUIDE_WALK_STEPS`` (a steep tail packs thousands
-        of rows into one bucket), or started past their row (``u * K``
-        rounded up into the next bucket), are searched directly.
+        same generator state afterwards — found in expected linear time,
+        with no sort and no binary search over the whole draw (see
+        :meth:`_invert`; :class:`UniformDistribution` needs no CDF at all).
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        count = non_negative_int("count", count)
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        uniforms = rng.random(count)
+        return self._invert(rng.random(count))
+
+    def _invert(self, uniforms: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, uniforms, "right")`` through a guide table
+        (Devroye's table-aided inversion).
+
+        With ``K = num_rows`` equal-mass buckets, uniform ``u`` starts at
+        ``guide[floor(u * K)]``, the first row its bucket can draw, and
+        walks up while ``cdf[id] <= u``: at most one step on average.  The
+        few ids still unsettled after ``GUIDE_WALK_STEPS`` (a steep tail
+        packs thousands of rows into one bucket), or started past their row
+        (``u * K`` rounded up into the next bucket), are searched directly.
+        """
         cdf = self._cumulative()
         # u < 1 keeps the rounded product below num_rows, so the index fits.
         ids = self._guide_table()[(uniforms * self.num_rows).astype(np.int64)]
@@ -136,8 +154,7 @@ class LookupDistribution(ABC):
         expectation (rather than a sampled draw) keeps experiment outputs
         deterministic.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        count = non_negative_int("count", count)
         if count == 0:
             return 0.0
         probs = self.probabilities()
@@ -162,15 +179,94 @@ class LookupDistribution(ABC):
 
 
 class UniformDistribution(LookupDistribution):
-    """Uniformly random lookups — the paper's *Random* dataset."""
+    """Uniformly random lookups — the paper's *Random* dataset.
+
+    A draw keeps ``num_rows / CDF_CHECKPOINT_ROWS`` checkpoints of the CDF
+    and no per-row array (:meth:`_invert`).
+    """
+
+    def __init__(self, num_rows: int) -> None:
+        super().__init__(num_rows)
+        self._checkpoints: np.ndarray | None = None
 
     def _compute_probabilities(self) -> np.ndarray:
         return np.full(self.num_rows, 1.0 / self.num_rows)
 
+    def _edge_slack(self) -> float:
+        """A bound, in units of ``u * N``, on how far ``fl(u * N)`` and
+        ``N * cdf[k]`` can sit from ``u * N`` and ``k + 1``.
+
+        With ``r = 2**-53``: ``p = fl(1 / N)`` is within ``r / N`` of
+        ``1 / N``, so ``(k + 1) * p`` is within ``r`` of ``(k + 1) / N``;
+        each of the ``k < N`` sequential additions rounds a partial sum
+        below 1 by at most ``r``; and ``fl(u * N)`` is within ``r * N`` of
+        ``u * N``.  Scaled by ``N`` that is at most ``N * (N + 2) * r``,
+        which ``N * (N + 1) * 2r`` covers for every ``N >= 1``.
+        """
+        n = self.num_rows
+        return float(n * (n + 1) * np.finfo(np.float64).eps)
+
+    def _invert(self, uniforms: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, uniforms, "right")`` without the CDF.
+
+        ``cdf[k]`` is within the slack of ``(k + 1) / N``, so a draw whose
+        ``u * N`` is farther than the slack from every integer draws
+        ``floor(u * N)`` (at a million rows, all but ~0.05 % of draws).  A
+        draw near integer ``e`` can only draw ``e - 1`` or ``e``, and
+        ``cdf[e - 1] <= u`` says which.  Past ``~4.7e7`` rows the slack
+        reaches half a bucket and the guide-table draw takes over.
+        """
+        n, slack = self.num_rows, self._edge_slack()
+        if slack >= 0.5:
+            return super()._invert(uniforms)
+        scaled = uniforms * n
+        ids = scaled.astype(np.int64)  # floor: u < 1 keeps it below N
+        edges = np.rint(scaled)
+        near = np.flatnonzero(np.abs(scaled - edges) <= slack)
+        if near.size and n > 1:
+            # Edge 0 draws row 0 and edge N row N - 1 (whose CDF entry is
+            # set to 1): clipped to 1 and N - 1, the comparison says so.
+            edge = np.clip(edges[near].astype(np.int64), 1, n - 1)
+            ids[near] = edge - (self._exact_cdf(edge - 1) > uniforms[near])
+        return ids
+
+    def _exact_cdf(self, positions: np.ndarray) -> np.ndarray:
+        """``cdf[positions]`` (each below ``N - 1``) bit for bit, re-adding
+        ``p`` from the checkpoint before each position."""
+        marks = self._checkpoints
+        if marks is None:
+            marks = self._checkpoints = self._build_checkpoints()
+        step = 1.0 / self.num_rows
+        order = np.argsort(positions, kind="stable")
+        blocks, offsets = np.divmod(positions[order], CDF_CHECKPOINT_ROWS)
+        starts = np.flatnonzero(np.diff(blocks, prepend=-1))
+        values = np.empty(positions.size)
+        for lo, hi in zip(starts, (*starts[1:], blocks.size)):
+            run = np.full(int(offsets[hi - 1]) + 2, step)
+            run[0] = marks[blocks[lo]]
+            values[order[lo:hi]] = np.cumsum(run)[offsets[lo:hi] + 1]
+        return values
+
+    def _build_checkpoints(self) -> np.ndarray:
+        """``marks[b]``: the running sum before row ``b * CDF_CHECKPOINT_ROWS``
+        (0 for the first block), taken from the same sequential ``cumsum``
+        ``_cumulative`` runs, a chunk of blocks at a time."""
+        n, step = self.num_rows, 1.0 / self.num_rows
+        num_blocks = -(-n // CDF_CHECKPOINT_ROWS)
+        marks = np.empty(num_blocks)
+        chunk, total = 64, 0.0
+        for first in range(0, num_blocks, chunk):
+            blocks = min(chunk, num_blocks - first)
+            run = np.full(blocks * CDF_CHECKPOINT_ROWS + 1, step)
+            run[0] = total
+            sums = np.cumsum(run)
+            marks[first:first + blocks] = sums[:-1:CDF_CHECKPOINT_ROWS]
+            total = sums[-1]
+        return marks
+
     def expected_unique(self, count: int) -> float:
         # Closed form avoids materializing the probability vector.
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        count = non_negative_int("count", count)
         if count == 0:
             return 0.0
         return float(

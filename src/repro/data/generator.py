@@ -97,10 +97,10 @@ class SyntheticCTRStream(BatchSource):
     ) -> None:
         if num_tables <= 0:
             raise ValueError("num_tables must be positive")
-        if isinstance(num_rows, int):
-            rows_per_table = [num_rows] * num_tables
+        if isinstance(num_rows, (int, np.integer)) or np.ndim(num_rows) == 0:
+            rows_per_table = [positive_int("num_rows", num_rows)] * num_tables
         else:
-            rows_per_table = [int(r) for r in num_rows]
+            rows_per_table = [positive_int("num_rows", r) for r in num_rows]
             if len(rows_per_table) != num_tables:
                 raise ValueError(
                     f"num_rows lists {len(rows_per_table)} tables, expected {num_tables}"

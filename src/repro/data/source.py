@@ -49,6 +49,7 @@ __all__ = [
     "PrefetchingSource",
     "CriteoFileSource",
     "positive_int",
+    "non_negative_int",
 ]
 
 
@@ -58,14 +59,21 @@ def positive_int(name: str, value: Any) -> int:
     Accepts Python and NumPy integers; rejects ``bool`` (``True`` would
     otherwise train one step), floats, strings and anything below 1.
     """
+    return _int_at_least(name, value, 1, "positive")
+
+
+def non_negative_int(name: str, value: Any) -> int:
+    """:func:`positive_int`, but 0 is accepted."""
+    return _int_at_least(name, value, 0, "non-negative")
+
+
+def _int_at_least(name: str, value: Any, low: int, kind: str) -> int:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
-        or value <= 0
+        or value < low
     ):
-        raise ValueError(
-            f"{name} must be a positive integer, got {value!r}"
-        )
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 

@@ -8,6 +8,11 @@ backward passes:
 * :class:`DotInteraction` — DLRM's default: every pairwise dot product
   between the dense vector and the per-table embedding vectors (strictly
   lower triangle), concatenated after the dense vector.
+
+``DotInteraction`` saves the stacked features ``(B, F, dim)`` in
+``forward`` and its ``backward`` drops them once read, so they do not
+outlive the step; ``CatInteraction`` saves only the layout.  A second
+``backward`` without a ``forward`` raises.
 """
 
 from __future__ import annotations
@@ -95,9 +100,10 @@ class DotInteraction:
         return np.concatenate([dense, grams[:, rows, cols]], axis=1)
 
     def backward(self, dout: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-        if self._stacked is None or self._tri is None:
-            raise RuntimeError("backward called before forward")
         stacked = self._stacked
+        if stacked is None or self._tri is None:
+            raise RuntimeError("backward called before forward")
+        self._stacked = None
         rows, cols = self._tri
         batch, num_features, dim = stacked.shape
         expected = dim + rows.size

@@ -6,6 +6,12 @@ MLP over the feature interaction).  These layers are implemented from
 scratch on NumPy with hand-derived gradients so the whole training loop —
 dense and sparse — is self-contained and verifiable by finite differences.
 
+A layer's backward consumes what its forward saved: ``Linear`` keeps its
+input, ``ReLU`` its mask and ``Sigmoid`` its output from ``forward`` until
+the ``backward`` that reads them, which drops them (PyTorch's default for
+saved tensors).  So no activation outlives its step, and a second
+``backward`` without a ``forward`` raises.
+
 Every layer also reports its forward/backward FLOP counts; the performance
 model (:mod:`repro.sim.gpu`, :mod:`repro.sim.cpu`) consumes those to place
 the DNN portion of training on the roofline.
@@ -25,7 +31,9 @@ class Linear:
 
     Parameters are stored as ``W`` with shape ``(in_features, out_features)``
     and ``b`` with shape ``(out_features,)``; gradients accumulate into
-    ``dW``/``db`` on :meth:`backward`.
+    ``dW``/``db`` on :meth:`backward`.  The first accumulation after
+    :meth:`zero_grad` writes the product straight into ``dW``/``db``; later
+    ones add a fresh ``(in, out)`` product to them.
     """
 
     def __init__(
@@ -44,6 +52,7 @@ class Linear:
         self.b = np.zeros(out_features, dtype=dtype)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
+        self._zeroed = True
         self._x: np.ndarray | None = None
 
     @property
@@ -55,7 +64,7 @@ class Linear:
         return self.W.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``x @ W + b``, caching ``x`` for the backward pass."""
+        """Compute ``x @ W + b``, saving ``x`` for the backward pass."""
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input (batch, {self.in_features}), got {x.shape}"
@@ -70,16 +79,27 @@ class Linear:
 
     def accumulate_grads(self, dout: np.ndarray) -> None:
         """Accumulate ``dW``/``db`` only: the whole backward of a layer
-        whose input is data, which needs no ``dout @ W.T``."""
-        if self._x is None:
+        whose input is data, which needs no ``dout @ W.T``.  Drops the
+        saved input."""
+        x = self._x
+        if x is None:
             raise RuntimeError("backward called before forward")
-        self.dW += self._x.T @ dout
-        self.db += dout.sum(axis=0)
+        self._x = None
+        if self._zeroed:
+            # Just zeroed: 0 + r is r (bar -0.0), so write it in place
+            # instead of building an (in, out) temporary to add.
+            np.matmul(x.T, dout, out=self.dW)
+            np.sum(dout, axis=0, out=self.db)
+            self._zeroed = False
+        else:
+            self.dW += x.T @ dout
+            self.db += dout.sum(axis=0)
 
     def zero_grad(self) -> None:
         """Reset accumulated parameter gradients to zero."""
         self.dW.fill(0.0)
         self.db.fill(0.0)
+        self._zeroed = True
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(param, grad)`` pairs for the optimizer."""
@@ -105,9 +125,11 @@ class ReLU:
         return x * self._mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask = self._mask
+        if mask is None:
             raise RuntimeError("backward called before forward")
-        return dout * self._mask
+        self._mask = None
+        return dout * mask
 
     def zero_grad(self) -> None:  # pragma: no cover - stateless
         pass
@@ -146,9 +168,11 @@ class Sigmoid:
         return y.astype(x.dtype)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._y is None:
+        y = self._y
+        if y is None:
             raise RuntimeError("backward called before forward")
-        return dout * self._y * (1.0 - self._y)
+        self._y = None
+        return dout * y * (1.0 - y)
 
     def zero_grad(self) -> None:  # pragma: no cover - stateless
         pass

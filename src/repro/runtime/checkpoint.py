@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..data.source import non_negative_int, positive_int
 from ..data.trace import _member, _open_npz, _scalar, _with_npz_suffix
 from .engine import RunEvent, StepEvent, TrainingCallback
 
@@ -100,8 +101,7 @@ def save_checkpoint(
     anything is written.
     """
     trainer.ensure_intact("save a checkpoint")
-    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) or step < 0:
-        raise ValueError(f"step must be a non-negative integer, got {step!r}")
+    non_negative_int("step", step)
     path = _with_npz_suffix(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload: Dict[str, np.ndarray] = {
@@ -264,11 +264,8 @@ class CheckpointCallback(TrainingCallback):
     """
 
     def __init__(self, directory: str | Path, every: int = 1) -> None:
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) \
-                or every <= 0:
-            raise ValueError(f"every must be a positive integer, got {every!r}")
+        self.every = positive_int("every", every)
         self.directory = Path(directory)
-        self.every = int(every)
         self.saved: List[Path] = []
         self.last_path: Optional[Path] = None
         self._last_saved_step: Optional[int] = None

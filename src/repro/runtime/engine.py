@@ -80,7 +80,7 @@ from typing import (
 import numpy as np
 
 from ..core.observe import observe_kernels
-from ..data.source import SourceExhausted, positive_int
+from ..data.source import SourceExhausted, non_negative_int, positive_int
 from ..model.embedding import _BACKWARD_MODES
 from ..model.loss import bce_with_logits
 from ..obs.metrics import Gauge, MetricRegistry
@@ -292,14 +292,7 @@ class TrainingEngine:
             )
         positive_int("batch", batch)
         positive_int("steps", steps)
-        if (
-            isinstance(start_step, bool)
-            or not isinstance(start_step, (int, np.integer))
-            or start_step < 0
-        ):
-            raise ValueError(
-                f"start_step must be a non-negative integer, got {start_step!r}"
-            )
+        non_negative_int("start_step", start_step)
         trainer = self.trainer
         trainer.ensure_intact("infer" if forward_only else "train")
         self.callbacks = tuple(callbacks)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.distributions import UniformDistribution, ZipfDistribution
+from repro.data.distributions import (
+    CDF_CHECKPOINT_ROWS,
+    UniformDistribution,
+    ZipfDistribution,
+)
 from repro.data.trace import EmpiricalDistribution
 
 
@@ -47,6 +51,30 @@ class TestUniform:
     def test_rejects_nonpositive_rows(self):
         with pytest.raises(ValueError, match="positive"):
             UniformDistribution(0)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "5"], ids=["float", "bool", "str"])
+    def test_rows_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError, match="num_rows must be a positive integer"):
+            UniformDistribution(bad)
+
+    def test_numpy_integer_rows(self):
+        dist = UniformDistribution(np.int64(5))
+        assert dist.num_rows == 5 and type(dist.num_rows) is int
+
+    @pytest.mark.parametrize("bad", [True, 2.5, -1], ids=["bool", "float", "negative"])
+    @pytest.mark.parametrize(
+        "dist", [UniformDistribution(10), ZipfDistribution(10, 1.05)],
+        ids=["uniform", "zipf"],
+    )
+    def test_count_must_be_a_non_negative_int(self, dist, bad):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            dist.sample(bad, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    def test_numpy_integer_count(self):
+        ids = UniformDistribution(10).sample(np.int64(3), np.random.default_rng(0))
+        assert ids.shape == (3,)
 
     def test_top_mass_proportional(self):
         dist = UniformDistribution(1000)
@@ -163,17 +191,29 @@ def _edge_uniforms(cdf):
     return np.unique(values[(values >= 0.0) & (values < 1.0)])
 
 
+#: Uniform row counts either side of a checkpoint block and of a chunk of
+#: 64 blocks, and a million rows.
+UNIFORM_ROWS = [
+    CDF_CHECKPOINT_ROWS - 1, CDF_CHECKPOINT_ROWS, CDF_CHECKPOINT_ROWS + 1,
+    64 * CDF_CHECKPOINT_ROWS - 1, 64 * CDF_CHECKPOINT_ROWS + 1,  # a chunk
+    1_000_000,
+]
+
 class TestGuideTableSampling:
-    """``sample`` finds each uniform's row through a guide table: the ids,
-    their order and the RNG consumption of ``searchsorted(cdf, u, "right")``
-    over the uniforms as drawn."""
+    """``sample`` finds each uniform's row through a guide table — or, for a
+    uniform distribution, as ``floor(u * N)`` with the draws at a bucket
+    edge settled from CDF checkpoints: the ids, their order and the RNG
+    consumption of ``searchsorted(cdf, u, "right")`` over the uniforms as
+    drawn."""
 
     @pytest.mark.parametrize("count", [0, 1, 16_384])
     @pytest.mark.parametrize(
         "dist",
         [UniformDistribution(100_000), ZipfDistribution(100_000, 1.05),
-         ZipfDistribution(200_000, 2.0)],   # tail buckets past the walk cap
-        ids=["uniform", "zipf-1.05", "zipf-2.0"],
+         ZipfDistribution(200_000, 2.0),    # tail buckets past the walk cap
+         *map(UniformDistribution, UNIFORM_ROWS)],
+        ids=["uniform", "zipf-1.05", "zipf-2.0",
+             *(f"uniform-{rows}" for rows in UNIFORM_ROWS)],
     )
     def test_equals_the_search_on_a_twin_generator(self, dist, count):
         ours, twin = np.random.default_rng(3), np.random.default_rng(3)
@@ -223,11 +263,11 @@ class TestGuideTableSampling:
         assert set(ids.tolist()) <= {0, 1, 2}
 
     def test_a_product_rounded_into_the_next_bucket_still_draws_its_row(self):
-        """``u`` one ulp below ``0.05`` rounds ``100u`` up to bucket 5,
-        whose guide entry is row 5; ``u`` draws row 4."""
+        """``u`` one ulp below ``0.05`` rounds ``100u`` up to 5.0, so
+        ``floor(u * N)`` names row 5; ``u`` draws row 4."""
         dist = UniformDistribution(100)
         u = np.nextafter(0.05, 0.0)
-        assert u * 100 == 5.0 and dist._guide_table()[5] == 5
+        assert u * 100 == 5.0 and int(u * 100) == 5
         assert dist.sample(1, _PresetUniforms([u])).tolist() == [4]
 
     @pytest.mark.parametrize(
@@ -237,10 +277,61 @@ class TestGuideTableSampling:
         ids=["uniform", "zipf-1.05", "empirical"],
     )
     def test_a_draw_caches_no_probability_vector(self, dist):
-        """Sampling keeps the CDF and the guide table, 16 bytes per row;
-        the probability vector they are built from is not kept."""
+        """Sampling keeps at most the CDF and the guide table, 16 bytes per
+        row (a uniform draw keeps neither); the probability vector they are
+        built from is not kept."""
         dist.sample(64, np.random.default_rng(0))
         assert dist._probabilities is None
         cdf = np.cumsum(dist.probabilities())
         cdf[-1] = 1.0
         assert np.array_equal(dist._cumulative(), cdf)
+
+    @pytest.mark.parametrize("num_rows", UNIFORM_ROWS)
+    def test_uniform_edge_uniforms_land_where_the_search_does(self, num_rows):
+        """Every one of these draws sits at a bucket edge; at a million
+        rows they are drawn in slices to keep the test's memory small."""
+        dist = UniformDistribution(num_rows)
+        cdf = dist._cumulative()
+        for uniforms in np.array_split(_edge_uniforms(cdf), 8):
+            ids = dist.sample(uniforms.size, _PresetUniforms(uniforms))
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, np.searchsorted(cdf, uniforms, "right"))
+        assert dist._checkpoints is not None     # the edges were settled
+
+    @pytest.mark.parametrize("num_rows", [1, 2, 3, *UNIFORM_ROWS[:5]])
+    def test_uniform_checkpoints_are_the_cumsum(self, num_rows):
+        """Each checkpoint is the sequential sum before its block, and
+        re-adding from it gives every CDF entry but the last (set to 1)
+        bit for bit."""
+        dist = UniformDistribution(num_rows)
+        cdf = dist._cumulative()
+        marks = dist._build_checkpoints()
+        ends = cdf[CDF_CHECKPOINT_ROWS - 1::CDF_CHECKPOINT_ROWS]
+        assert np.array_equal(marks, np.concatenate(([0.0], ends))[: marks.size])
+        positions = np.arange(num_rows - 1)
+        assert np.array_equal(dist._exact_cdf(positions), cdf[:-1])
+
+    @pytest.mark.parametrize("num_rows", [2, 3, 1000, *UNIFORM_ROWS])
+    def test_uniform_cdf_sits_within_the_slack_of_its_buckets(self, num_rows):
+        """The rounding bound the draw relies on, measured: ``N * cdf[k]``
+        is within the slack of ``k + 1`` for every entry the draw compares."""
+        dist = UniformDistribution(num_rows)
+        cdf = dist._cumulative()
+        drift = np.abs(cdf[:-1] * num_rows - np.arange(1, num_rows))
+        assert drift.max() < dist._edge_slack() < 0.5
+
+    def test_uniform_past_half_a_bucket_of_slack_draws_by_guide_table(self):
+        """Past ~4.7e7 rows the bound reaches half a bucket; the draw falls
+        back to the guide table (forced here at 1 000 rows)."""
+        assert UniformDistribution(50_000_000)._edge_slack() >= 0.5
+
+        class Loose(UniformDistribution):
+            def _edge_slack(self):
+                return 0.5
+
+        dist = Loose(1000)
+        cdf = dist._cumulative()
+        uniforms = _edge_uniforms(cdf)
+        ids = dist.sample(uniforms.size, _PresetUniforms(uniforms))
+        assert np.array_equal(ids, np.searchsorted(cdf, uniforms, "right"))
+        assert dist._guide is not None and dist._checkpoints is None

@@ -70,6 +70,20 @@ class TestSyntheticCTRStream:
         with pytest.raises(ValueError, match="tables"):
             self.make_stream(num_rows=[10, 20])
 
+    def test_numpy_integer_rows(self, rng):
+        stream = self.make_stream(num_rows=np.int64(100))
+        assert stream.rows_per_table == [100] * 3
+        assert all(type(rows) is int for rows in stream.rows_per_table)
+        assert stream.make_batch(4, rng).indices[0].num_rows == 100
+
+    @pytest.mark.parametrize(
+        "bad", [True, 2.7, 0, [10, 2.7, 30], [10, True, 30]],
+        ids=["bool", "float", "zero", "float-in-list", "bool-in-list"],
+    )
+    def test_rows_must_be_positive_ints(self, bad):
+        with pytest.raises(ValueError, match="num_rows must be a positive integer"):
+            self.make_stream(num_rows=bad)
+
     def test_rejects_distribution_mismatch(self):
         with pytest.raises(ValueError, match="disagrees"):
             self.make_stream(distributions=[UniformDistribution(5)] * 3)

@@ -11,11 +11,16 @@ re-introducing a shard-local view of the parent does, by megabytes.  The
 sparse update is held one step further: its peak may not grow with the
 number of rows it updates beyond one cache block.
 
-Two more hold peak memory at the tables plus one table's work.  A table is
+The rest hold peak memory at the tables plus one table's work.  A table is
 built in its own dtype, chunk by chunk, bit-identical to one whole-table
 float64 draw cast down (which peaked at three times an f32 table), and a
 step reduces and applies one table's ``(u, dim)`` gradient at a time, so
-its transient does not grow by a gradient per table.
+its transient does not grow by a gradient per table.  The dense half holds
+only what it still needs: the first weight-gradient accumulation after
+``zero_grad`` writes into ``dW`` instead of adding an ``(in, out)``
+temporary, and each layer's backward drops the activation its forward
+saved, so none outlives the step.  A uniform lookup draw keeps a few
+checkpoints of its CDF, not the CDF and guide table (16 bytes per row).
 """
 
 import tracemalloc
@@ -27,10 +32,13 @@ from repro.core.gather_reduce import gather_reduce
 from repro.core.indexing import IndexArray
 from repro.core.scatter import UPDATE_BLOCK_BYTES, row_blocks
 from repro.core.segment import segment_sum
+from repro.data.distributions import UniformDistribution
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.embedding import EmbeddingBag
+from repro.model.interaction import DotInteraction
+from repro.model.layers import Linear
 from repro.model.optim import SGD, Adam
 from repro.model.sharded import ShardedEmbeddingSet
 from repro.runtime.trainer import FunctionalTrainer
@@ -253,6 +261,79 @@ def test_a_step_holds_one_tables_gradient_at_a_time():
         f"more than one ({int(0.9 * lookups)}, {STEP_DIM}) f32 gradient "
         f"({gradient} bytes): gradients outlive their table's update"
     )
+
+
+def test_a_fresh_weight_gradient_is_written_in_place():
+    """Right after ``zero_grad`` the weight gradient is ``x.T @ dout``
+    itself, written into ``dW``; adding it to the zeros built an
+    ``(in, out)`` temporary as large as ``dW``.  A second accumulation
+    still adds."""
+    rng = np.random.default_rng(0)
+    layer = Linear(512, 256, rng=rng, dtype=np.float32)
+    x = rng.standard_normal((BATCH, 512)).astype(np.float32)
+    dout = rng.standard_normal((BATCH, 256)).astype(np.float32)
+
+    def accumulate():
+        layer.forward(x)
+        layer.zero_grad()
+        tracemalloc.start()
+        try:
+            layer.accumulate_grads(dout)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    accumulate()
+    peak = accumulate()
+    assert peak < layer.dW.nbytes, (
+        f"accumulating into freshly zeroed gradients peaked at {peak} "
+        f"bytes, a {layer.dW.nbytes}-byte dW temporary's worth"
+    )
+    once = layer.dW.copy()
+    layer.forward(x)
+    layer.accumulate_grads(dout)
+    assert np.array_equal(layer.dW, once + x.T @ dout)
+
+
+def test_no_layer_holds_an_activation_after_training():
+    """Each backward drops what its forward saved: once ``train`` returns,
+    a bare ``backward`` on any dense layer or the dot interaction raises."""
+    config = RM1.with_overrides(
+        num_tables=2, gathers_per_table=4, rows_per_table=1_000,
+        embedding_dim=16, bottom_mlp=(8, 32, 16), top_mlp=(32, 1),
+        interaction="dot",
+    )
+    model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
+    stream = SyntheticCTRStream(
+        num_tables=2, num_rows=1_000, lookups_per_sample=4,
+        dense_features=8, seed=0,
+    )
+    FunctionalTrainer(model, stream, SGD(lr=0.1)).train(
+        BATCH, 2, np.random.default_rng(1))
+    layers = [*model.bottom_mlp.layers, *model.top_mlp.layers,
+              model.interaction]
+    assert isinstance(model.interaction, DotInteraction)
+    for layer in layers:
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones((BATCH, 1), dtype=np.float32))
+
+
+def test_a_uniform_draw_keeps_no_per_row_table():
+    """A million-row uniform draw retains its CDF checkpoints (8 bytes per
+    1 024 rows), not the 16 MB of CDF and guide table."""
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        dist = UniformDistribution(1_000_000)
+        dist.sample(1 << 16, rng)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < SLACK, (
+        f"a 1 000 000-row uniform distribution retains {retained} bytes "
+        "after a draw"
+    )
+    assert dist._checkpoints is not None    # the edge draws were settled
 
 
 def test_the_measurement_sees_a_table_sized_copy():
