@@ -69,6 +69,7 @@ __all__ = [
     "sharded_exchange_bytes",
     "OPTIMIZER_STATE_SLOTS",
     "OPTIMIZER_STATE_ITEMSIZE",
+    "OPTIMIZER_ROW_COUNTER_BYTES",
 ]
 
 #: Extra per-row state tensors each optimizer reads *and* writes during the
@@ -87,6 +88,11 @@ OPTIMIZER_STATE_SLOTS = {
 #: :mod:`repro.model.optim`), so a float32 table's state rows are twice as
 #: wide as its own.
 OPTIMIZER_STATE_ITEMSIZE = 8
+
+#: Bytes of per-row step counter each optimizer reads and writes per
+#: updated row: lazy Adam counts every table row's own updates in int64
+#: (``Adam._init_state``'s ``steps``); the others keep no counter.
+OPTIMIZER_ROW_COUNTER_BYTES = {"adam": 8}
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,9 @@ def scatter_traffic(
     Each row is a read-modify-write of the table entry plus a read of its
     coalesced gradient, both ``itemsize`` wide; stateful optimizers add one
     read-modify-write per state tensor (Equations 1-2), billed at the width
-    the state is stored at, :data:`OPTIMIZER_STATE_ITEMSIZE`.
+    the state is stored at, :data:`OPTIMIZER_STATE_ITEMSIZE`, and one of
+    each row's step counter where the optimizer keeps one
+    (:data:`OPTIMIZER_ROW_COUNTER_BYTES`).
     """
     vec = _vec_bytes(dim, itemsize)
     try:
@@ -212,7 +220,8 @@ def scatter_traffic(
             f"unknown optimizer {optimizer!r}; expected one of "
             f"{sorted(OPTIMIZER_STATE_SLOTS)}"
         ) from None
-    state = state_slots * dim * OPTIMIZER_STATE_ITEMSIZE
+    state = (state_slots * dim * OPTIMIZER_STATE_ITEMSIZE
+             + OPTIMIZER_ROW_COUNTER_BYTES.get(optimizer, 0))
     reads = u * (2 * vec + state) + u * index_itemsize
     writes = u * (vec + state)
     return Traffic(reads, writes)

@@ -64,8 +64,9 @@ class DLRM:
 
     The model owns its dtype.  Batches arrive in whatever float type their
     source emits (the sources emit float64 and cannot know the model they
-    feed), so ``dense`` is coerced exactly once, where both are known —
-    :meth:`forward_from_pooled` — and from there every array a step
+    feed), so ``dense`` is coerced exactly once, where both are known — the
+    training engine's draw, or :meth:`forward_from_pooled` for a direct
+    caller — and from there every array a step
     produces carries :attr:`dtype`: pooled outputs, activations, logits,
     the ``dlogits`` of :func:`~repro.model.loss.bce_with_logits`, dense
     parameter gradients, the ``(B, dim)`` gradient tables and each
@@ -140,16 +141,29 @@ class DLRM:
         (:mod:`repro.model.sharded`) — can reuse the MLP/interaction stack
         unchanged.
 
-        This is the data → model seam: ``dense`` is brought to the model's
-        :attr:`dtype` here (no copy when it already matches, one
-        ``(B, dense_features)`` cast otherwise), so the logits — and with
-        them the whole backward pass — come back in :attr:`dtype`.
+        This is the data → model seam for a direct caller: ``dense`` is
+        brought to the model's :attr:`dtype` here (no copy when it already
+        matches, one ``(B, dense_features)`` cast otherwise), so the
+        logits — and with them the whole backward pass — come back in
+        :attr:`dtype`.  The training engine crosses the seam earlier, at
+        the draw (:meth:`~repro.runtime.engine.TrainingEngine._draw`), so
+        the source's float64 batch is gone before the step computes and
+        this cast is a no-op there.
         """
         dense = np.asarray(dense, dtype=self.dtype)
         dense_out = self.bottom_mlp.forward(dense)
         interacted = self.interaction.forward(dense_out, list(emb_outs))
         logits = self.top_mlp.forward(interacted)
         return logits[:, 0]
+
+    def release_activations(self) -> None:
+        """Drop what the dense forward saved for a backward that will not
+        run (a forward-only pass), so no activation outlives its step.
+        ``CatInteraction`` saves no tensor, only the layout."""
+        self.bottom_mlp.release()
+        if isinstance(self.interaction, DotInteraction):
+            self.interaction.release()
+        self.top_mlp.release()
 
     def predict_ctr(
         self, dense: np.ndarray, indices: Sequence[IndexArray]

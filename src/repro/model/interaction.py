@@ -10,9 +10,10 @@ backward passes:
   lower triangle), concatenated after the dense vector.
 
 ``DotInteraction`` saves the stacked features ``(B, F, dim)`` in
-``forward`` and its ``backward`` drops them once read, so they do not
-outlive the step; ``CatInteraction`` saves only the layout.  A second
-``backward`` without a ``forward`` raises.
+``forward`` and its ``backward`` drops them once read (``release`` drops
+them after a forward-only pass), so they do not outlive the step;
+``CatInteraction`` saves only the layout.  A second ``backward`` without a
+``forward`` raises.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class DotInteraction:
         ddense = dstacked[:, 0, :] + ddense_direct
         dembs = [dstacked[:, t + 1, :] for t in range(num_features - 1)]
         return ddense, dembs
+
+    def release(self) -> None:
+        self._stacked = None
 
     def output_dim(self, num_tables: int, dim: int) -> int:
         return interaction_output_dim("dot", num_tables, dim)

@@ -9,8 +9,9 @@ dense and sparse — is self-contained and verifiable by finite differences.
 A layer's backward consumes what its forward saved: ``Linear`` keeps its
 input, ``ReLU`` its mask and ``Sigmoid`` its output from ``forward`` until
 the ``backward`` that reads them, which drops them (PyTorch's default for
-saved tensors).  So no activation outlives its step, and a second
-``backward`` without a ``forward`` raises.
+saved tensors); a forward-only pass through an :class:`MLP` drops them
+with :meth:`MLP.release`.  So no activation outlives its step, and a
+second ``backward`` without a ``forward`` raises.
 
 Every layer also reports its forward/backward FLOP counts; the performance
 model (:mod:`repro.sim.gpu`, :mod:`repro.sim.cpu`) consumes those to place
@@ -95,6 +96,10 @@ class Linear:
             self.dW += x.T @ dout
             self.db += dout.sum(axis=0)
 
+    def release(self) -> None:
+        """Drop the input saved for a backward that will not run."""
+        self._x = None
+
     def zero_grad(self) -> None:
         """Reset accumulated parameter gradients to zero."""
         self.dW.fill(0.0)
@@ -130,6 +135,9 @@ class ReLU:
             raise RuntimeError("backward called before forward")
         self._mask = None
         return dout * mask
+
+    def release(self) -> None:
+        self._mask = None
 
     def zero_grad(self) -> None:  # pragma: no cover - stateless
         pass
@@ -250,6 +258,11 @@ class MLP:
             return first.backward(dout)
         first.accumulate_grads(dout)
         return None
+
+    def release(self) -> None:
+        """Drop every layer's saved activation (a forward-only pass)."""
+        for layer in self.layers:
+            layer.release()
 
     def zero_grad(self) -> None:
         for layer in self.layers:

@@ -4,7 +4,10 @@
 runs the same body, at every shard count and in both backward modes:
 
 ``draw``
-    pull the next mini-batch from the :class:`~repro.data.source.BatchSource`;
+    pull the next mini-batch from the :class:`~repro.data.source.BatchSource`
+    and bring its dense features to the model's dtype — the data → model
+    seam, crossed once per batch, so the step never holds the source's
+    float64 array beside a float32 model's copy of it;
 ``cast`` (:meth:`TrainingEngine._cast`)
     the per-shard index partition, then (casted mode) Tensor Casting
     (Algorithm 2) over every shard's slice.  It depends only on index
@@ -23,10 +26,10 @@ runs the same body, at every shard count and in both backward modes:
     step runs last.  Tables and dense parameters are disjoint, so the order
     moves no bit.
 
-A forward-only run (``infer()``) skips the last phase.  The embedding
-phases call :class:`~repro.model.sharded.ShardedEmbeddingSet` shard by
-shard, in shard order; the default trainer is the one-shard case of the
-same body.
+A forward-only run (``infer()``) skips the last phase and drops the
+activations the dense forward saved for it.  The embedding phases call
+:class:`~repro.model.sharded.ShardedEmbeddingSet` shard by shard, in shard
+order; the default trainer is the one-shard case of the same body.
 
 A step that fails is **atomic or torn**.  A failure before the step's
 first parameter write (in the draw, the cast, the forward, the dense
@@ -63,7 +66,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -408,13 +411,20 @@ class TrainingEngine:
         """Draw one step's batch into a fresh context.
 
         The single draw site, timed as ``draw``; ``None`` once the source
-        is exhausted.
+        is exhausted.  The batch's ``dense`` is brought to the model's
+        dtype here, in a new :class:`~repro.data.source.CTRBatch` (the
+        source may still hold its own arrays, so none is written): a
+        float32 model's step holds only the cast, and the source's float64
+        array is freed before the cast, the forward and the backward; a
+        float64 model gets the source's array itself.
         """
         with self.collector.timed("draw"):
             try:
                 data = self.trainer.stream.next_batch(batch, rng)
             except SourceExhausted:
                 return None
+            data = replace(data, dense=np.asarray(
+                data.dense, dtype=self.trainer.model.dtype))
         return StepContext(
             data=data,
             cast=StageTimingCollector(
@@ -462,6 +472,8 @@ class TrainingEngine:
             ctx.logits = trainer.model.forward_from_pooled(
                 ctx.data.dense, pooled
             )
+            if self.forward_only:
+                trainer.model.release_activations()
         with timed("loss"):
             ctx.loss, ctx.dlogits = bce_with_logits(
                 ctx.logits, ctx.data.labels

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.traffic import (
+    OPTIMIZER_ROW_COUNTER_BYTES,
     OPTIMIZER_STATE_ITEMSIZE,
     OPTIMIZER_STATE_SLOTS,
     Traffic,
@@ -77,9 +78,11 @@ class TestPerPrimitiveAccounting:
 
     @pytest.mark.parametrize("optimizer,slots", sorted(OPTIMIZER_STATE_SLOTS.items()))
     def test_scatter_optimizer_state_slots(self, optimizer, slots):
-        """State rows are billed at their stored width, not the table's."""
+        """State rows are billed at their stored width, not the table's,
+        and Adam's per-row int64 step counter is read and written too."""
         u = 100
-        state = slots * DIM * OPTIMIZER_STATE_ITEMSIZE
+        counter = OPTIMIZER_ROW_COUNTER_BYTES.get(optimizer, 0)
+        state = slots * DIM * OPTIMIZER_STATE_ITEMSIZE + counter
         t = scatter_traffic(u, DIM, optimizer=optimizer)
         assert t.reads == 2 * u * VEC + u * state + u * 8
         assert t.writes == u * VEC + u * state

@@ -62,14 +62,21 @@ class TestAdam:
     @pytest.mark.parametrize("name", optimizer_names())
     def test_traffic_bills_the_state_at_its_stored_width(self, name, dtype):
         """Whatever the table's dtype, every ``(rows, dim)`` state tensor
-        is as wide per element as the traffic model charges."""
-        from repro.core.traffic import OPTIMIZER_STATE_ITEMSIZE
+        is as wide per element as the traffic model charges, and so are
+        the per-row step counters (Adam's, and no other optimizer's)."""
+        from repro.core.traffic import (
+            OPTIMIZER_ROW_COUNTER_BYTES,
+            OPTIMIZER_STATE_ITEMSIZE,
+        )
 
         param = np.zeros((5, 3), dtype=dtype)
         state = make_optimizer(name)._init_state(param)
         for tensor in state.values():
             if tensor.shape == param.shape:
                 assert tensor.dtype.itemsize == OPTIMIZER_STATE_ITEMSIZE
+        counters = [t for t in state.values() if t.shape == param.shape[:1]]
+        assert (sum(t.dtype.itemsize for t in counters)
+                == OPTIMIZER_ROW_COUNTER_BYTES.get(name, 0))
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):

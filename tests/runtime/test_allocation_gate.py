@@ -19,11 +19,15 @@ its transient does not grow by a gradient per table.  The dense half holds
 only what it still needs: the first weight-gradient accumulation after
 ``zero_grad`` writes into ``dW`` instead of adding an ``(in, out)``
 temporary, and each layer's backward drops the activation its forward
-saved, so none outlives the step.  A uniform lookup draw keeps a few
+saved (a forward-only run drops it without one), so none outlives the
+step.  A step's inputs exist once: the engine casts the batch's dense
+features to the model's dtype as it draws them, so a float32 step never
+holds the source's float64 array.  A uniform lookup draw keeps a few
 checkpoints of its CDF, not the CDF and guide table (16 bytes per row).
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from repro.core.scatter import UPDATE_BLOCK_BYTES, row_blocks
 from repro.core.segment import segment_sum
 from repro.data.distributions import UniformDistribution
 from repro.data.generator import SyntheticCTRStream
+from repro.data.source import BatchSource
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.embedding import EmbeddingBag
@@ -295,27 +300,104 @@ def test_a_fresh_weight_gradient_is_written_in_place():
     assert np.array_equal(layer.dW, once + x.T @ dout)
 
 
-def test_no_layer_holds_an_activation_after_training():
-    """Each backward drops what its forward saved: once ``train`` returns,
-    a bare ``backward`` on any dense layer or the dot interaction raises."""
+def small_dot_model(dtype=np.float32):
+    """A two-table DLRM with the dot interaction, and a stream it reads."""
     config = RM1.with_overrides(
         num_tables=2, gathers_per_table=4, rows_per_table=1_000,
         embedding_dim=16, bottom_mlp=(8, 32, 16), top_mlp=(32, 1),
         interaction="dot",
     )
-    model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
+    model = DLRM(config, rng=np.random.default_rng(0), dtype=dtype)
     stream = SyntheticCTRStream(
         num_tables=2, num_rows=1_000, lookups_per_sample=4,
         dense_features=8, seed=0,
     )
-    FunctionalTrainer(model, stream, SGD(lr=0.1)).train(
-        BATCH, 2, np.random.default_rng(1))
+    return model, stream
+
+
+def assert_no_layer_holds_an_activation(model):
     layers = [*model.bottom_mlp.layers, *model.top_mlp.layers,
               model.interaction]
     assert isinstance(model.interaction, DotInteraction)
     for layer in layers:
         with pytest.raises(RuntimeError, match="backward called before forward"):
             layer.backward(np.ones((BATCH, 1), dtype=np.float32))
+
+
+def test_no_layer_holds_an_activation_after_training():
+    """Each backward drops what its forward saved: once ``train`` returns,
+    a bare ``backward`` on any dense layer or the dot interaction raises."""
+    model, stream = small_dot_model()
+    FunctionalTrainer(model, stream, SGD(lr=0.1)).train(
+        BATCH, 2, np.random.default_rng(1))
+    assert_no_layer_holds_an_activation(model)
+
+
+def test_no_layer_holds_an_activation_after_inference():
+    """A forward-only run has no backward to drop what the forward saved,
+    so it drops it itself: once ``infer`` returns, a bare ``backward``
+    raises.  Its logits are still those of the model's own forward."""
+    model, stream = small_dot_model()
+    report = FunctionalTrainer(model, stream, SGD(lr=0.1)).infer(
+        BATCH, 2, np.random.default_rng(1))
+    assert_no_layer_holds_an_activation(model)
+    twin = np.random.default_rng(1)
+    for logits in report.logits:
+        data = stream.next_batch(BATCH, twin)
+        assert np.array_equal(logits, model.forward(data.dense, data.indices))
+
+
+class HandOut(BatchSource):
+    """Wraps a source and keeps a weak reference to each ``dense`` array it
+    hands out (and nothing else)."""
+
+    def __init__(self, source):
+        self.source = source
+        self.num_tables = source.num_tables
+        self.rows_per_table = source.rows_per_table
+        self.dense_features = source.dense_features
+        self.dense = []
+
+    def next_batch(self, batch, rng):
+        data = self.source.next_batch(batch, rng)
+        self.dense.append(weakref.ref(data.dense))
+        return data
+
+
+def test_the_batch_crosses_the_dtype_seam_once_at_the_draw(monkeypatch):
+    """The engine casts ``dense`` to the model's dtype when it draws the
+    batch: a float32 model's step never holds the source's float64 array
+    (10.5 MB at RM3's 512 x 2560), which is gone before the first gather;
+    a float64 model's forward reads the source's array itself, uncopied."""
+    model, stream = small_dot_model(np.float32)
+    source = HandOut(stream)
+    trainer = FunctionalTrainer(model, source, SGD(lr=0.1))
+    freed = []
+    forward_shard = trainer.sharded.forward_shard
+
+    def first_gather(plan, shard):
+        freed.append(source.dense[-1]() is None)
+        return forward_shard(plan, shard)
+
+    monkeypatch.setattr(trainer.sharded, "forward_shard", first_gather)
+    trainer.train(BATCH, 2, np.random.default_rng(1))
+    assert freed == [True, True], (
+        "the source's float64 dense features were alive at the gather"
+    )
+
+    model, stream = small_dot_model(np.float64)
+    source = HandOut(stream)
+    trainer = FunctionalTrainer(model, source, SGD(lr=0.1))
+    same = []
+    forward_from_pooled = model.forward_from_pooled
+
+    def dense_forward(dense, pooled):
+        same.append(dense is source.dense[-1]())
+        return forward_from_pooled(dense, pooled)
+
+    monkeypatch.setattr(model, "forward_from_pooled", dense_forward)
+    trainer.train(BATCH, 2, np.random.default_rng(1))
+    assert same == [True, True]
 
 
 def test_a_uniform_draw_keeps_no_per_row_table():
