@@ -7,12 +7,13 @@ are bit-identical to untraced ones; with an :class:`~repro.obs.
 Observability` the run produces
 
 * a Chrome trace-event JSON (open it at https://ui.perfetto.dev) with one
-  track per execution lane — ``main``, ``cast``, ``shard0``...;
+  track per execution lane — ``main`` (the step loop) and ``cast`` (the
+  cast-ahead worker);
 * a JSONL step stream (one record per training step);
 * a manifest (git SHA, experiment knobs) so an artifact is attributable;
 * a metric snapshot (kernel-call counters, step counter, loss gauge).
 
-This example traces a pipelined two-shard run into ``./traces/`` and
+This example traces a pipelined run into ``./traces/`` and
 validates the payload with the library's own checker — the same check CI
 runs on the smoke artifacts.
 
@@ -49,11 +50,11 @@ def make_stream():
 
 
 def trace_training() -> None:
-    """A pipelined sharded run: casts and shard gathers on their own tracks."""
+    """A pipelined run: the casts on their own track, beside the step loop."""
     obs = Observability()
     model = DLRM(CONFIG, rng=np.random.default_rng(0))
     trainer = FunctionalTrainer(model, make_stream(), SGD(lr=0.2),
-                                num_shards=2, lookahead=1)
+                                lookahead=1)
     report = trainer.train(32, 6, np.random.default_rng(1), obs=obs)
     obs.annotate(example="traced_run", plane="training")
     written = obs.export(OUT_DIR / "training.trace.json",

@@ -86,7 +86,6 @@ from .model import (
     Momentum,
     RMSprop,
     SGD,
-    ShardedEmbeddingSet,
     SparseGradient,
     bce_with_logits,
     get_model,
@@ -160,7 +159,6 @@ __all__ = [
     "PrefetchingSource",
     "RMSprop",
     "SGD",
-    "ShardedEmbeddingSet",
     "ShardedNMPSystem",
     "SourceExhausted",
     "SparseGradient",

@@ -49,11 +49,7 @@ from .experiments import (
     format_table1,
     format_table2,
     link_bandwidth_sweep,
-    MEASURED_SCALING_SHARDS,
-    format_measured_scaling,
-    measured_scaling_sweep,
     OVERLAP_BATCHES,
-    OVERLAP_SHARDS,
     overlap_sweep,
     SCALING_SHARDS,
     scaling_sweep,
@@ -156,23 +152,6 @@ def _run_link(args: argparse.Namespace, hardware: SystemHardware) -> str:
 
 
 def _run_scaling(args: argparse.Namespace, hardware: SystemHardware) -> str:
-    if args.steps is not None:
-        # Measured mode: real trainers, shards inline on the step loop,
-        # next to the analytic bound.
-        if args.models is not None:
-            raise ValueError(
-                "--models does not apply to 'scaling --steps': the measured "
-                "sweep trains the down-scaled OVERLAP_CONFIG"
-            )
-        return format_measured_scaling(
-            measured_scaling_sweep(
-                shard_counts=tuple(args.shards or MEASURED_SCALING_SHARDS),
-                batches=tuple(args.batches or (512,)),
-                steps=args.steps,
-                dataset=args.dataset,
-                hardware=hardware,
-            )
-        )
     batches = args.batches or (4096,)
     shard_counts = args.shards or SCALING_SHARDS
     return format_scaling(
@@ -188,13 +167,10 @@ def _run_overlap(
     obs: "Observability | None" = None,
 ) -> str:
     batches = args.batches or OVERLAP_BATCHES
-    shard_counts = (
-        tuple(args.shards) if args.shards is not None else OVERLAP_SHARDS
-    )
     # `or` would swallow an explicit 0, hiding overlap_sweep's validation.
     steps = args.steps if args.steps is not None else 8
     return format_overlap(
-        overlap_sweep(batches=batches, shard_counts=shard_counts, steps=steps,
+        overlap_sweep(batches=batches, steps=steps,
                       dataset=args.dataset, hardware=hardware,
                       trace=args.trace,
                       optimizer=args.optimizer or "sgd",
@@ -258,8 +234,8 @@ FLAG_SCOPE: Dict[str, Tuple[str, ...]] = {
                "link", "scaling"),
     "batches": ("fig4", "fig5b", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "scaling", "overlap", "cache"),
-    "shards": ("scaling", "overlap"),
-    "steps": ("scaling", "overlap", "cache"),
+    "shards": ("scaling",),
+    "steps": ("overlap", "cache"),
 }
 
 
@@ -353,17 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", nargs="*", type=int, default=None, metavar="N",
-        help="shard counts for the scaling/overlap sweeps "
-             f"(scaling default: {' '.join(str(s) for s in SCALING_SHARDS)})",
+        help="shard counts for the analytic scaling sweep "
+             f"(default: {' '.join(str(s) for s in SCALING_SHARDS)})",
     )
     parser.add_argument(
         "--steps", type=int, default=None, metavar="S",
         help="training steps per measured cell (default: 8 for 'overlap'), "
-             "or batches drawn and replayed by 'cache' "
-             "(default: 24); given to 'scaling', it "
-             "switches from the analytic sweep to the measured one, which "
-             "trains each (batch, shard count) cell and reports its "
-             "1-shard/N-shard wall-clock ratio next to the analytic bound",
+             "or batches drawn and replayed by 'cache' (default: 24)",
     )
     parser.add_argument(
         "--optimizer", default=None, metavar="NAME",
@@ -451,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             output = runner(args, SystemHardware())
     except ValueError as error:
-        # Bad numeric arguments (--batches 0, --steps 0, --shards -2, ...)
+        # Bad numeric arguments (--batches 0, --steps 0, --shards 0, ...)
         # surface as the experiment's own ValueError; report it
         # argparse-style instead of a traceback.
         return _fail(str(error))

@@ -48,7 +48,6 @@ from .sharding import (
     ShardSlice,
     TableWisePartition,
     make_partition,
-    reassemble_pooled,
 )
 from .traffic import (
     OPTIMIZER_STATE_ITEMSIZE,
@@ -97,7 +96,6 @@ __all__ = [
     "gradient_expand",
     "gradient_scatter_reference",
     "make_partition",
-    "reassemble_pooled",
     "scatter_traffic",
     "sharded_exchange_bytes",
     "tcasted_grad_gather_reduce",

@@ -4,7 +4,11 @@ Production recommendation training shards its embedding tables
 *model-parallel* across devices — the tables are far too large for any one
 memory pool (Section I's capacity wall) — and pays an all-to-all exchange to
 route pooled vectors and gradients between the table owners and the sample
-owners.  This module supplies the index-level machinery for that regime:
+owners.  This repository models that regime analytically
+(:class:`~repro.runtime.systems.ShardedNMPSystem`,
+:func:`~repro.core.traffic.sharded_exchange_bytes`) and executes one
+device; this module is the index-level reference the model is checked
+against (``tests/core/test_sharding.py``):
 
 * :class:`RowWisePartition` — rows of every table are striped across shards
   (row ``r`` lives on shard ``r % N``), the load-balanced default;
@@ -22,15 +26,14 @@ There is one row space.  A shard *names* rows of the parent table — ``src``
 stays the parent's row id, the way RecNMP's rank-level units are addressed
 in the host's single address space with interleaving deciding ownership
 (PAPERS.md) — so :meth:`ShardPartition.owner_of_rows` is everything a
-partition knows: every kernel gathers from and scatters into the parent
-table itself, and per-row optimizer state belongs to the table, whatever
-shard count or policy updated it.
+partition knows.
 
 The compaction is the point of contact with Tensor Casting: each sub-array is
-a self-contained ``(src, dst)`` index array, so each shard runs Algorithm 2
-*independently* on its slice, and the resulting casted index arrays name only
-the gradient-table rows the shard needs — which is exactly the compact
-payload the backward all-to-all ships (see
+a self-contained ``(src, dst)`` index array, so each shard could run
+Algorithm 2 *independently* on its slice, and the resulting casted index
+arrays name only the gradient-table rows the shard needs — which is exactly
+the compact payload the backward all-to-all ships.  Its ``num_touched`` is
+what :func:`repro.core.traffic.expected_shard_outputs` predicts (see
 :func:`repro.core.traffic.sharded_exchange_bytes` for the analytic byte
 count and :class:`repro.sim.interconnect.AllToAll` for its latency).
 """
@@ -39,10 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from .indexing import IndexArray
 
@@ -53,7 +55,6 @@ __all__ = [
     "TableWisePartition",
     "PARTITION_POLICIES",
     "make_partition",
-    "reassemble_pooled",
 ]
 
 
@@ -73,7 +74,7 @@ class ShardSlice:
         Ascending global output slots (gradient-table rows) this shard's
         lookups feed.  These are the rows the backward all-to-all must
         deliver to the shard, and the rows whose forward partial sums the
-        shard ships back to the sample owners.  ``None`` for a *whole*
+        shard would ship back to the sample owners.  ``None`` for a *whole*
         slice — the shard owns every lookup of the table, ``index`` is the
         table's own index array and its ``dst`` are global slots already.
     positions:
@@ -129,8 +130,7 @@ class ShardPartition:
 
         Returns a length-``num_shards`` list; entries are ``None`` for shards
         that receive no lookups of this table in this batch (an *empty
-        shard*, which the runtime must tolerate — skew or table-wise
-        placement make it routine).  A table with a :meth:`sole_owner`
+        shard* — skew or table-wise placement make it routine).  A table with a :meth:`sole_owner`
         costs nothing to split: the owner's slice is ``index`` itself.
         """
         owner = self.sole_owner(table_id)
@@ -221,37 +221,3 @@ def make_partition(policy: str, num_shards: int) -> ShardPartition:
             f"{sorted(PARTITION_POLICIES)}"
         ) from None
     return cls(num_shards)
-
-
-def reassemble_pooled(
-    slices: Sequence[Optional[ShardSlice]],
-    partials: Sequence[Optional[np.ndarray]],
-    num_outputs: int,
-    dim: int,
-    dtype: Optional[DTypeLike] = None,
-) -> np.ndarray:
-    """Sum per-shard partial pooled outputs back into one ``(B, dim)`` tensor.
-
-    This is the *functional* forward all-to-all: shard ``s`` computed partial
-    sums for its ``touched`` output slots; the sample owner adds the partials
-    of every shard that participated.  When exactly one shard covers every
-    output slot in order (a whole slice, or one shard that happened to
-    receive every lookup), its partial is returned as-is: the pooled output
-    is then the plain gather-reduce's, bit for bit.
-    """
-    live = [
-        (s, p) for s, p in zip(slices, partials) if s is not None and p is not None
-    ]
-    if len(live) == 1:
-        slice_, partial = live[0]
-        if slice_.touched is None or slice_.num_touched == num_outputs:
-            # A whole slice gathered over global slots; otherwise touched is
-            # ascending-unique over [0, num_outputs) and covers it, so it is
-            # exactly arange(num_outputs): either way the partial IS the answer.
-            return partial
-    if dtype is None:
-        dtype = live[0][1].dtype if live else np.float64
-    pooled = np.zeros((num_outputs, dim), dtype=dtype)
-    for slice_, partial in live:
-        pooled[slice_.touched] += partial
-    return pooled

@@ -283,10 +283,11 @@ def expected_shard_outputs(
 ) -> float:
     """Expected distinct gradient-table slots one shard touches per batch.
 
-    In the sharded runtime a shard only needs the gradient rows of output
-    slots its lookups feed, so this is the per-device gradient payload of the
-    backward all-to-all (in rows) and likewise the per-device partial-sum
-    payload of the forward exchange.
+    In the modelled sharded runtime a shard only needs the gradient rows of
+    output slots its lookups feed, so this is the per-device gradient
+    payload of the backward all-to-all (in rows) and likewise the
+    per-device partial-sum payload of the forward exchange — the mean
+    ``num_touched`` of :meth:`repro.core.sharding.ShardPartition.split`.
 
     * ``policy="row"`` — rows stripe uniformly across ``N`` shards, so an
       output slot with ``L = n / num_outputs`` lookups misses a given shard

@@ -294,10 +294,14 @@ class ZipfDistribution(LookupDistribution):
 
     def __init__(self, num_rows: int, exponent: float, shift: float = 2.0) -> None:
         super().__init__(num_rows)
-        if exponent <= 0:
-            raise ValueError(f"exponent must be positive, got {exponent}")
-        if shift < 0:
-            raise ValueError(f"shift must be non-negative, got {shift}")
+        # NaN and inf pass the sign checks but make every probability NaN,
+        # which the draw would silently turn into row 0.
+        if not 0 < exponent < np.inf:
+            raise ValueError(
+                f"exponent must be positive and finite, got {exponent}")
+        if not 0 <= shift < np.inf:
+            raise ValueError(
+                f"shift must be non-negative and finite, got {shift}")
         self.exponent = float(exponent)
         self.shift = float(shift)
 

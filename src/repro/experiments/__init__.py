@@ -3,9 +3,9 @@
 Each module exposes a ``figN_*``/``tableN_*`` function returning structured
 rows plus a ``format_*`` renderer; the ``benchmarks/bench_*.py`` files
 regenerate the corresponding artifact from them.
-The sweeps that train a real model (``overlap``, measured ``scaling``)
-build and time every run through :mod:`repro.experiments.measured`, and
-``cache`` draws from the same sources.
+The sweep that trains a real model (``overlap``) builds and times every
+run through :mod:`repro.experiments.measured`, and ``cache`` draws from
+the same sources.
 """
 
 from .breakdown import (
@@ -35,7 +35,6 @@ from .hotcache import (
 from .overlap import (
     OVERLAP_BATCHES,
     OVERLAP_CONFIG,
-    OVERLAP_SHARDS,
     OverlapRow,
     analytic_overlap_speedup,
     format_overlap,
@@ -44,13 +43,9 @@ from .overlap import (
 from .measured import scaled_distribution
 from .report import format_table, normalize
 from .scaling import (
-    MEASURED_SCALING_SHARDS,
-    MeasuredScalingRow,
     SCALING_SHARDS,
     ScalingRow,
-    format_measured_scaling,
     format_scaling,
-    measured_scaling_sweep,
     scaling_sweep,
 )
 from .sensitivity import (
@@ -75,11 +70,8 @@ __all__ = [
     "HOTCACHE_CONFIG",
     "HotCacheRow",
     "LinkSweepRow",
-    "MEASURED_SCALING_SHARDS",
-    "MeasuredScalingRow",
     "OVERLAP_BATCHES",
     "OVERLAP_CONFIG",
-    "OVERLAP_SHARDS",
     "OverlapRow",
     "ProbabilityPoint",
     "SCALING_SHARDS",
@@ -110,7 +102,6 @@ __all__ = [
     "format_fig6",
     "format_hotcache",
     "format_link_sweep",
-    "format_measured_scaling",
     "format_overlap",
     "format_scaling",
     "format_sensitivity",
@@ -119,7 +110,6 @@ __all__ = [
     "format_table2",
     "hotcache_sweep",
     "link_bandwidth_sweep",
-    "measured_scaling_sweep",
     "normalize",
     "overlap_sweep",
     "scaled_distribution",

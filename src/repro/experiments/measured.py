@@ -1,10 +1,9 @@
 """One measured run: how the executed sweeps build and time a training job.
 
-The experiments that run a real model — ``overlap`` (Section IV-B's
-cast-ahead overlap) and ``scaling --steps`` (the sharded runtime against
-its analytic bound) — measure the same thing: a seeded float32 DLRM
-driven by a :class:`~repro.runtime.trainer.FunctionalTrainer` over a
-fresh source, timed best-of-k.  ``cache`` draws from the same sources and builds no
+The experiment that runs a real model — ``overlap`` (Section IV-B's
+cast-ahead overlap) — measures a seeded float32 DLRM driven by a
+:class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
+timed best-of-k.  ``cache`` draws from the same sources and builds no
 model.  This module is the one place that decides how:
 
 * :func:`scaled_distribution` — a dataset profile's locality shape at the
@@ -21,9 +20,8 @@ model.  This module is the one place that decides how:
 * :func:`read_trace` — a recorded trace as a cell: the model geometry it
   implies, its first batch, and the steps left to replay after a resume.
 
-A sweep differs from another only in the trainer keywords it passes
-(``lookahead``, ``num_shards``, ...) and in what it reads
-off the reports.
+A run differs from another only in the trainer keywords it passes
+(``lookahead``) and in what the sweep reads off its report.
 """
 
 from __future__ import annotations

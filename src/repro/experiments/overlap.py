@@ -2,26 +2,23 @@
 
 The paper's Section IV-B runtime hides Tensor Casting under forward
 propagation; the trainer's ``lookahead=1`` schedule executes that overlap
-on the host.  This experiment sweeps batch size × shard count and, for
-each cell, trains the same down-scaled DLRM twice through
+on the host.  This experiment sweeps batch size and, for each cell, trains
+the same down-scaled DLRM twice through
 :func:`repro.experiments.measured.best_of` — once casting inline
 (``lookahead=0``), once casting ahead (``lookahead=1``) — and reports:
 
 * **measured throughput** of both runs (steps/s) and their ratio, the
   measured overlap speedup;
-* **the analytic prediction** from the ``Ours(NMP)`` /
-  :class:`~repro.runtime.systems.ShardedNMPSystem` timeline: the ratio of
-  the makespan with the casting stage forced onto the critical path to the
-  makespan with it overlapped — the most speedup cast-ahead alone can buy;
+* **the analytic prediction** from the ``Ours(NMP)`` timeline: the ratio
+  of the makespan with the casting stage forced onto the critical path to
+  the makespan with it overlapped — the most speedup cast-ahead alone can
+  buy;
 * **the overlap ratio** (measured / analytic) — how much of the modeled
   benefit the host pipeline realizes (NumPy's lock-step threading typically
   keeps this below 1);
 * a **bit-identical** flag: losses and every parameter tensor of the two
   runs are compared exactly, so a throughput win can never come from
-  numerical drift;
-* per-stage all-to-all accounting (forward vs. backward exchange bytes).
-
-Every cell runs its shards one after another on the step loop.
+  numerical drift.
 
 Measured overlap is bounded by the host's parallelism: the pipeline takes
 the cast off the critical *path*, but a core must still execute it, so on a
@@ -50,7 +47,6 @@ from ..runtime.checkpoint import load_checkpoint
 from ..runtime.systems import (
     NMPSystem,
     OP_CASTING,
-    ShardedNMPSystem,
     SystemHardware,
     compute_workload,
 )
@@ -69,7 +65,6 @@ if TYPE_CHECKING:
 __all__ = [
     "OVERLAP_BATCHES",
     "OVERLAP_CONFIG",
-    "OVERLAP_SHARDS",
     "OverlapRow",
     "analytic_overlap_speedup",
     "overlap_sweep",
@@ -87,18 +82,16 @@ OVERLAP_CONFIG: ModelConfig = RM1.with_overrides(
     embedding_dim=16,
 )
 
-#: Default sweep axes.
+#: Default sweep axis.
 OVERLAP_BATCHES = (512, 2048)
-OVERLAP_SHARDS = (1, 2)
 
 
 @dataclass(frozen=True)
 class OverlapRow:
-    """One (batch, shard-count) cell of the overlap sweep."""
+    """One batch-size cell of the overlap sweep."""
 
     model: str
     batch: int
-    num_shards: int
     steps: int
     serial_steps_per_s: float
     pipelined_steps_per_s: float
@@ -106,8 +99,6 @@ class OverlapRow:
     analytic_speedup: float
     overlap_ratio: float
     bit_identical: bool
-    forward_exchange_bytes: int
-    backward_exchange_bytes: int
     #: Worker-side casting seconds of the pipelined run (the hidden work).
     cast_seconds: float = 0.0
     #: Seconds the pipelined step loop blocked on the cast-ahead future (the
@@ -118,15 +109,13 @@ class OverlapRow:
 def analytic_overlap_speedup(
     config: ModelConfig,
     batch: int,
-    num_shards: int = 1,
     hardware: SystemHardware | None = None,
     dataset: "str | LookupDistribution" = "random",
 ) -> float:
     """Predicted serial/pipelined ratio when only the cast is overlapped.
 
-    Runs the casting-enabled analytic timeline (``Ours(NMP)`` for one
-    shard, :class:`ShardedNMPSystem` otherwise), in which the
-    casting stage is already hidden, and compares its makespan against the
+    Runs the casting-enabled analytic timeline (``Ours(NMP)``), in which
+    the casting stage is already hidden, and compares its makespan against the
     same schedule with the casting stage serialized onto the critical path
     — i.e. ``(makespan + t_cast) / makespan``.  This is exactly the benefit
     the functional pipeline chases: it moves the cast off the critical path
@@ -134,20 +123,13 @@ def analytic_overlap_speedup(
     """
     hardware = hardware or SystemHardware()
     stats = compute_workload(config, batch, dataset=dataset)
-    if num_shards > 1:
-        system: NMPSystem | ShardedNMPSystem = ShardedNMPSystem(
-            hardware, num_shards=num_shards
-        )
-    else:
-        system = NMPSystem(hardware, casting=True)
-    result = system.run_iteration(stats)
+    result = NMPSystem(hardware, casting=True).run_iteration(stats)
     cast_seconds = result.breakdown.get(OP_CASTING, 0.0)
     return (result.total + cast_seconds) / result.total
 
 
 def overlap_sweep(
     batches: Sequence[int] = OVERLAP_BATCHES,
-    shard_counts: Sequence[int] = OVERLAP_SHARDS,
     steps: int = 8,
     config: ModelConfig = OVERLAP_CONFIG,
     dataset: str = "random",
@@ -161,7 +143,7 @@ def overlap_sweep(
     resume: "str | Path | None" = None,
     obs: "Observability | None" = None,
 ) -> List[OverlapRow]:
-    """Sweep batch × shard count, measuring inline vs. cast-ahead training.
+    """Sweep batch size, measuring inline vs. cast-ahead training.
 
     Each cell trains ``steps`` iterations at ``lookahead=0`` and at
     ``lookahead=1`` (best wall-clock of ``repeats`` runs each), verifies
@@ -169,28 +151,24 @@ def overlap_sweep(
     cast-overlap prediction for the same geometry.
 
     ``trace`` switches the source from synthetic generation to replaying a
-    recorded batch trace: a single one-shard cell whose geometry (batch size,
+    recorded batch trace: a single cell whose geometry (batch size,
     table count/heights, dense width, available steps) comes from the
     trace itself (:func:`~repro.experiments.measured.read_trace` reshapes
     ``config``), with a fresh replay per run so both schedules consume the
     identical stream.  The analytic bound uses the trace's own measured
-    table-0 popularity.  ``batches`` and ``shard_counts`` are ignored in
-    trace mode.
+    table-0 popularity.  ``batches`` is ignored in trace mode.
 
     ``optimizer``/``lr`` pick the update rule from the registry (default
     plain SGD at 0.1).  ``resume`` warm-starts every measured run from a
     checkpoint (:mod:`repro.runtime.checkpoint`): parameters and optimizer
     state are restored and each fresh source is fast-forwarded past the
-    checkpointed steps, so both schedules stay bit-comparable.  Optimizer
-    state is keyed by table, not by shard, so one checkpoint resumes into
-    every cell whatever its shard count — e.g. an Adagrad checkpoint saved
-    at 2 shards into ``shard_counts=(1, 2)``.  ``checkpoint_dir`` saves
-    each cell's final trained state as ``overlap-b{batch}-s{shards}.npz``
-    (``overlap-trace.npz`` in trace mode).
+    checkpointed steps, so both schedules stay bit-comparable.
+    ``checkpoint_dir`` saves each cell's final trained state as
+    ``overlap-b{batch}.npz`` (``overlap-trace.npz`` in trace mode).
 
     ``obs`` traces every *measured* run (warm-up steps stay untraced):
     each cell's inline repeats, then its cast-ahead repeats, land
-    back-to-back on the shared ``main``/``cast``/``shard*`` tracks —
+    back-to-back on the shared ``main``/``cast`` tracks —
     the trace shows the cast-ahead overlap the table's ratios summarize.
     """
     hardware = hardware or SystemHardware()
@@ -202,13 +180,10 @@ def overlap_sweep(
             trace, config, steps, checkpoint.step if checkpoint else 0
         )
         config, steps, label = cell.config, cell.steps, cell.label
-        batches, shard_counts = (cell.first.size,), (1,)
+        batches = (cell.first.size,)
         distribution = distribution_from_trace(cell.first.indices, table=0)
         make_source = cell.source
     else:
-        bad = [shards for shards in shard_counts if shards < 1]
-        if bad:
-            raise ValueError(f"shard counts must be >= 1, got {bad}")
         label = config.name
         # The same rescaled locality profile drives the measured streams
         # and the analytic workload — apples-to-apples for every --dataset.
@@ -218,66 +193,56 @@ def overlap_sweep(
         obs.annotate(
             experiment="overlap",
             source=dataset if trace is None else label, seed=seed,
-            batches=list(batches), shard_counts=list(shard_counts),
-            repeats=repeats,
+            batches=list(batches), repeats=repeats,
         )
     rows: List[OverlapRow] = []
     for batch in batches:
-        for num_shards in shard_counts:
-            serial, pipelined = (
-                best_of(
-                    config, make_source, batch, steps, repeats, seed=seed,
-                    optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
-                    num_shards=num_shards, policy="row",
-                    lookahead=lookahead,
-                )
-                for lookahead in (0, 1)
+        serial, pipelined = (
+            best_of(
+                config, make_source, batch, steps, repeats, seed=seed,
+                optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
+                lookahead=lookahead,
             )
-            if checkpoint_dir is not None:
-                name = (
-                    "overlap-trace.npz" if trace is not None
-                    else f"overlap-b{batch}-s{num_shards}.npz"
-                )
-                pipelined.save(Path(checkpoint_dir) / name)
-            wall = pipelined.report.wall_seconds
-            measured = serial.report.wall_seconds / wall if wall > 0 else 0.0
-            analytic = analytic_overlap_speedup(
-                config, batch, num_shards, hardware, distribution
+            for lookahead in (0, 1)
+        )
+        if checkpoint_dir is not None:
+            name = (
+                "overlap-trace.npz" if trace is not None
+                else f"overlap-b{batch}.npz"
             )
-            totals = pipelined.report.timings.totals
-            rows.append(
-                OverlapRow(
-                    model=label,
-                    batch=batch,
-                    num_shards=num_shards,
-                    steps=serial.report.steps,
-                    serial_steps_per_s=serial.report.steps_per_second,
-                    pipelined_steps_per_s=pipelined.report.steps_per_second,
-                    measured_speedup=measured,
-                    analytic_speedup=analytic,
-                    overlap_ratio=measured / analytic if analytic > 0 else 0.0,
-                    bit_identical=runs_bit_identical(serial, pipelined),
-                    forward_exchange_bytes=(
-                        pipelined.report.forward_exchange_bytes
-                    ),
-                    backward_exchange_bytes=(
-                        pipelined.report.backward_exchange_bytes
-                    ),
-                    cast_seconds=totals.get("casting", 0.0),
-                    cast_wait_seconds=totals.get("cast_wait", 0.0),
-                )
+            pipelined.save(Path(checkpoint_dir) / name)
+        wall = pipelined.report.wall_seconds
+        measured = serial.report.wall_seconds / wall if wall > 0 else 0.0
+        analytic = analytic_overlap_speedup(
+            config, batch, hardware, distribution
+        )
+        totals = pipelined.report.timings.totals
+        rows.append(
+            OverlapRow(
+                model=label,
+                batch=batch,
+                steps=serial.report.steps,
+                serial_steps_per_s=serial.report.steps_per_second,
+                pipelined_steps_per_s=pipelined.report.steps_per_second,
+                measured_speedup=measured,
+                analytic_speedup=analytic,
+                overlap_ratio=measured / analytic if analytic > 0 else 0.0,
+                bit_identical=runs_bit_identical(serial, pipelined),
+                cast_seconds=totals.get("casting", 0.0),
+                cast_wait_seconds=totals.get("cast_wait", 0.0),
             )
+        )
     return rows
 
 
 def format_overlap(rows: Sequence[OverlapRow]) -> str:
-    """Render the sweep: throughputs, measured vs. analytic, exchange split."""
+    """Render the sweep: throughputs, measured vs. analytic, the cast split."""
     if not rows:
         return "(no rows)"
     headers = [
-        "Model", "Batch", "Shards", "Serial (it/s)", "Pipelined (it/s)",
+        "Model", "Batch", "Serial (it/s)", "Pipelined (it/s)",
         "Speedup", "Analytic", "Overlap", "Cast (ms)", "Wait (ms)",
-        "Bitwise", "FwdEx (KB)", "BwdEx (KB)",
+        "Bitwise",
     ]
     table_rows = []
     for row in rows:
@@ -285,7 +250,6 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
             [
                 row.model,
                 row.batch,
-                row.num_shards,
                 f"{row.serial_steps_per_s:.2f}",
                 f"{row.pipelined_steps_per_s:.2f}",
                 f"{row.measured_speedup:.2f}x",
@@ -294,8 +258,6 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
                 f"{row.cast_seconds * 1e3:.1f}",
                 f"{row.cast_wait_seconds * 1e3:.1f}",
                 "OK" if row.bit_identical else "DIVERGED",
-                f"{row.forward_exchange_bytes / 1e3:.1f}",
-                f"{row.backward_exchange_bytes / 1e3:.1f}",
             ]
         )
     cores = os.cpu_count() or 1
@@ -307,7 +269,6 @@ def format_overlap(rows: Sequence[OverlapRow]) -> str:
         "exactly.\nCast = worker-side casting time of the pipelined run "
         "(the hidden work); Wait = how long the\nstep loop actually blocked "
         "on it (≈0 means the schedule fully hides the cast).\n"
-        "FwdEx/BwdEx split the all-to-all payload by pipeline stage.\n"
         f"Host cores: {cores} — measured overlap needs a spare core to run "
         "the hidden cast on;\non a single-core host expect parity here and "
         "see the trainer's casting-vs-cast_wait split\nfor the scheduling "

@@ -25,7 +25,6 @@ from .optim import (
     make_optimizer,
     optimizer_names,
 )
-from .sharded import ShardedEmbeddingSet, ShardedStepPlan
 
 __all__ = [
     "ALL_MODELS",
@@ -49,8 +48,6 @@ __all__ = [
     "RM4",
     "RMSprop",
     "SGD",
-    "ShardedEmbeddingSet",
-    "ShardedStepPlan",
     "Sigmoid",
     "SparseGradient",
     "StepStats",

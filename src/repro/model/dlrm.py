@@ -136,10 +136,9 @@ class DLRM:
     ) -> np.ndarray:
         """Dense half of the forward pass, given already-pooled embeddings.
 
-        Split out so alternative embedding executors — notably the sharded
-        runtime, whose pooled vectors arrive through a simulated all-to-all
-        (:mod:`repro.model.sharded`) — can reuse the MLP/interaction stack
-        unchanged.
+        Split out so a caller that runs the embedding bags itself — the
+        training engine, table by table — can reuse the MLP/interaction
+        stack unchanged.
 
         This is the data → model seam for a direct caller: ``dense`` is
         brought to the model's :attr:`dtype` here (no copy when it already
@@ -157,13 +156,16 @@ class DLRM:
         return logits[:, 0]
 
     def release_activations(self) -> None:
-        """Drop what the dense forward saved for a backward that will not
-        run (a forward-only pass), so no activation outlives its step.
-        ``CatInteraction`` saves no tensor, only the layout."""
+        """Drop what the forward saved for a backward that will not run (a
+        forward-only pass) — the layers' activations and each bag's index —
+        so nothing outlives its step.  ``CatInteraction`` saves no tensor,
+        only the layout."""
         self.bottom_mlp.release()
         if isinstance(self.interaction, DotInteraction):
             self.interaction.release()
         self.top_mlp.release()
+        for bag in self.embeddings:
+            bag.release()
 
     def predict_ctr(
         self, dense: np.ndarray, indices: Sequence[IndexArray]
@@ -181,7 +183,9 @@ class DLRM:
 
         Dense-layer gradients accumulate inside the MLP layers (retrieve via
         :meth:`dense_parameters`); the embedding gradients are returned so
-        the caller (or :meth:`train_step`) can scatter them.
+        the caller (or :meth:`train_step`) can scatter them.  Like the
+        layers, each bag drops what its forward kept once its gradient is
+        formed, so a second backward needs a new forward.
 
         Parameters
         ----------
@@ -202,14 +206,15 @@ class DLRM:
         for table_id, (bag, demb) in enumerate(zip(self.embeddings, demb_outs)):
             cast = casts[table_id] if casts is not None else None
             sparse_grads.append(bag.backward(demb, mode=mode, cast=cast))
+            bag.release()
         return sparse_grads
 
     def backward_through_dense(self, dlogits: np.ndarray) -> List[np.ndarray]:
         """Dense half of the backward pass: MLPs and interaction only.
 
         Returns the per-table ``(B, dim)`` gradients w.r.t. the pooled
-        embedding outputs — the gradient tables that either the in-process
-        embedding bags or a sharded executor coalesce and scatter.  Dense
+        embedding outputs — the gradient tables the embedding bags coalesce
+        (:meth:`~repro.model.embedding.EmbeddingBag.backward`).  Dense
         parameter gradients accumulate inside the MLP layers as usual; the
         bottom MLP's input is data, so its input gradient is never formed.
         """

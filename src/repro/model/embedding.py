@@ -142,10 +142,12 @@ class EmbeddingBag:
         ----------
         grad_output:
             ``(B, dim)`` gradients backpropagated from the dense DNN,
-            brought to the table's dtype here (the model → kernel seam; a
-            no-op inside a :class:`~repro.model.dlrm.DLRM` step), so the
-            returned :class:`SparseGradient` — and the row update it feeds
-            — run in the table's dtype under both modes.
+            brought to the table's dtype and to C order here (the model →
+            kernel seam: inside a :class:`~repro.model.dlrm.DLRM` step the
+            dtype already matches, and the interaction's per-table gradient
+            is a strided view, copied once), so the returned
+            :class:`SparseGradient` — and the row update it feeds — run in
+            the table's dtype under both modes.
         mode:
             ``"baseline"`` for Algorithm 1 expand-coalesce, ``"casted"`` for
             the Tensor-Casted gather-reduce.
@@ -158,7 +160,7 @@ class EmbeddingBag:
         index = self._last_index
         if index is None:
             raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=self.table.dtype)
+        grad_output = np.ascontiguousarray(grad_output, dtype=self.table.dtype)
         if grad_output.shape != (index.num_outputs, self.dim):
             raise ValueError(
                 f"grad_output must have shape {(index.num_outputs, self.dim)}, "
@@ -171,6 +173,11 @@ class EmbeddingBag:
                 cast = tensor_casting(index)
             rows, values = casted_gather_reduce(grad_output, cast)
         return SparseGradient(rows=rows, values=values)
+
+    def release(self) -> None:
+        """Drop the index :meth:`forward` kept for :meth:`backward`, so the
+        batch it belongs to is not kept alive into the next one."""
+        self._last_index = None
 
     def apply_gradient(self, grad: SparseGradient,
                        optimizer: Optimizer) -> None:

@@ -7,7 +7,7 @@ wins on one) is a timeline argument, and aggregate
 This package adds the record you can actually look at:
 
 * :class:`Tracer` — nested spans on named tracks (step loop, cast-ahead
-  worker, shards) with timestamps from an injectable
+  worker) with timestamps from an injectable
   :class:`~repro.obs.clock.Clock`;
 * :class:`MetricRegistry` — labeled counters and gauges
   (``cache.hits{policy=lfu}``, ``kernel.calls{op=gather_reduce}``);

@@ -7,8 +7,8 @@ inputs (sorted keys, sorted tracks, stable event order):
   ``traceEvents`` format Perfetto and ``chrome://tracing`` load directly.
   Every :class:`~repro.obs.tracer.SpanRecord` becomes one complete
   (``"ph": "X"``) event with microsecond timestamps; tracks map to thread
-  ids announced by ``thread_name`` metadata events, so shards and the
-  cast-ahead worker render as separate lanes.
+  ids announced by ``thread_name`` metadata events, so the step loop and
+  the cast-ahead worker render as separate lanes.
 * **JSONL step records** (:func:`write_jsonl`) — one JSON object per
   line: training steps with their losses.  Greppable, streamable,
   diffable.

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` produces :class:`SpanRecord` entries — named intervals
 ``[start_s, end_s]`` on a named **track** (a Perfetto thread lane: the step
-loop is ``main``, cast-ahead work is ``cast``, each shard ``shard{s}``).
+loop is ``main``, cast-ahead work is ``cast``).
 Time comes exclusively from the injected :class:`~repro.obs.clock.Clock`:
 a :class:`~repro.obs.clock.RealTimeClock` for measured runs, a
 :class:`~repro.obs.clock.VirtualClock` for byte-deterministic traces.

@@ -9,8 +9,7 @@ serializes everything a resumed run needs to continue **bit-identically**:
 * every parameter's optimizer state slots
   (:meth:`~repro.model.optim.Optimizer.export_state` — velocity,
   accumulators, Adam moments and per-row step counts), keyed by the same
-  names — ``table_{t}`` for an embedding table's per-row state, whatever
-  shard count or partition policy trained it;
+  names — ``table_{t}`` for an embedding table's per-row state;
 * the optimizer's class name and hyperparameters (verified on restore — a
   resumed run with a different update rule is a different run);
 * the global step counter.
@@ -21,11 +20,6 @@ portable across platforms, same family as the batch-trace format of
 the same directory, renamed into place on success, so an interrupted save
 never corrupts an existing checkpoint and two writers never share a
 temporary.
-
-Shards name rows of the model's own tables (:mod:`repro.core.sharding`), so
-a checkpoint carries no trace of the layout that wrote it: one saved at 2
-row shards restores into a 1-shard, a 4-shard or a table-policy trainer
-and continues the same run.
 
 Resume contract (pinned by ``tests/runtime/test_checkpoint.py``): restore
 a fresh trainer with :func:`restore_trainer`, then train the remaining
@@ -182,14 +176,12 @@ def restore_trainer(
     hyperparameters must match exactly, the checkpoint's parameter set must
     coincide with the trainer's (same names, shapes, dtypes), and every
     optimizer-state entry must name one of those parameters — a checkpoint
-    from a different model geometry or update rule (or one written when
-    state was still keyed per shard) fails loudly rather than half-applying
+    from a different model geometry or update rule fails loudly rather
+    than half-applying
     (the optimizer-state import itself is all-or-nothing, and parameters
     are only overwritten after it succeeds).  Every parameter's optimizer
     state must be present: a missing member is a ``ValueError`` naming it.
-    The trainer's shard count and
-    partition policy are not part of the contract: any layout restores any
-    checkpoint.  On success the trainer's parameters and optimizer state
+    On success the trainer's parameters and optimizer state
     equal the saved run's, and a torn trainer's mark is cleared; continue
     with ``trainer.train(batch, remaining_steps, rng, start_step=<returned
     step>)`` for a bit-identical resumption.

@@ -1,7 +1,7 @@
 """The training engine: one step loop, one step body.
 
 :meth:`TrainingEngine.execute` is the **only** step loop, and every step
-runs the same body, at every shard count and in both backward modes:
+runs the same body in both backward modes:
 
 ``draw``
     pull the next mini-batch from the :class:`~repro.data.source.BatchSource`
@@ -9,27 +9,32 @@ runs the same body, at every shard count and in both backward modes:
     seam, crossed once per batch, so the step never holds the source's
     float64 array beside a float32 model's copy of it;
 ``cast`` (:meth:`TrainingEngine._cast`)
-    the per-shard index partition, then (casted mode) Tensor Casting
-    (Algorithm 2) over every shard's slice.  It depends only on index
-    data, so with ``lookahead=1`` it runs on a :class:`CastAheadWorker`
-    while the previous batch computes — the paper's Section IV-B overlap;
+    (casted mode) Tensor Casting (Algorithm 2), table by table
+    (:meth:`~repro.model.embedding.EmbeddingBag.precompute_cast`).  It
+    depends only on index data, so with ``lookahead=1`` it runs on a
+    :class:`CastAheadWorker` while the previous batch computes — the
+    paper's Section IV-B overlap;
 ``forward`` (:meth:`TrainingEngine._forward`)
-    each shard's gather-reduce, the forward all-to-all, the dense forward
-    and the loss;
+    each table's gather-reduce
+    (:meth:`~repro.model.embedding.EmbeddingBag.forward`), the dense
+    forward and the loss;
 ``backward`` / ``update`` (:meth:`TrainingEngine._backward`)
-    dense backpropagation, then shard by shard and table by table: the
-    table's backward all-to-all and coalesced gradient (the casted
-    gather-reduce over its cast, or the baseline expand-coalesce over its
-    raw pairs), timed as ``backward``, applied at once by the optimizer's
-    sparse row update, timed as ``update`` — so one table's ``(u, dim)``
-    gradient is alive at a time, never every table's; the dense optimizer
-    step runs last.  Tables and dense parameters are disjoint, so the order
-    moves no bit.
+    dense backpropagation, then table by table: the table's coalesced
+    gradient (:meth:`~repro.model.embedding.EmbeddingBag.backward` — the
+    casted gather-reduce over its cast, or the baseline expand-coalesce),
+    timed as ``backward``, applied at once by the optimizer's sparse row
+    update, timed as ``update`` — so one table's ``(u, dim)`` gradient is
+    alive at a time, never every table's; the dense optimizer step runs
+    last.  Tables and dense parameters are disjoint, so the order moves no
+    bit.
 
-A forward-only run (``infer()``) skips the last phase and drops the
-activations the dense forward saved for it.  The embedding phases call
-:class:`~repro.model.sharded.ShardedEmbeddingSet` shard by shard, in shard
-order; the default trainer is the one-shard case of the same body.
+A forward-only run (``infer()``) skips the last phase and drops what the
+forward saved for it (:meth:`~repro.model.dlrm.DLRM.release_activations`);
+a training step releases each bag's index after that table's update, so
+no step keeps anything of its batch into the next draw.  The embedding
+phases call the bags' own methods — the ones
+:meth:`~repro.model.dlrm.DLRM.train_step` calls — so there is one
+embedding call path.
 
 A step that fails is **atomic or torn**.  A failure before the step's
 first parameter write (in the draw, the cast, the forward, the dense
@@ -55,8 +60,8 @@ and metrics logging (:class:`MetricsLogger`) without touching the loop.
 Batches are always drawn on the step loop's thread, in step order, so a
 cast-ahead run consumes the source and the RNG exactly as the inline run
 does — the root of the bit-identity the differential suites pin
-(``tests/runtime/test_policy.py`` over look-ahead × shards × mode ×
-{train, infer}, against the frozen pre-refactor loops in
+(``tests/runtime/test_policy.py`` over look-ahead × mode × {train,
+infer}, against the frozen pre-refactor loops in
 ``tests/runtime/_legacy_trainer.py``).
 """
 
@@ -241,8 +246,8 @@ class TrainingEngine:
     ``None``) turns on the observability plane for the run: the collector
     emits one trace span per phase per step (plus a ``step`` envelope
     span), every kernel launch is counted, each completed step lands in
-    the JSONL step stream, and run-level facts (mode, shard count)
-    are published when the report is built.
+    the JSONL step stream, and run-level facts (mode, steps) are
+    published when the report is built.
     With ``obs=None`` none of those paths execute and the run is
     bit-identical to the uninstrumented engine.
     """
@@ -304,7 +309,6 @@ class TrainingEngine:
         self.forward_only = forward_only
         self.logits = []
         self.collector = StageTimingCollector(
-            trainer.sharded.num_shards,
             tracer=self.obs.tracer if self.obs is not None else None,
         )
         for _ in range(self.start_step):
@@ -427,47 +431,42 @@ class TrainingEngine:
                 data.dense, dtype=self.trainer.model.dtype))
         return StepContext(
             data=data,
-            cast=StageTimingCollector(
-                self.trainer.sharded.num_shards, self.collector.tracer,
-                track="cast",
-            ),
+            cast=StageTimingCollector(self.collector.tracer, track="cast"),
         )
 
     def _cast(self, ctx: StepContext) -> None:
-        """Split the batch by shard, then (casted mode) cast every slice.
+        """(Casted mode) cast every table's index array (Algorithm 2).
 
         Index-only work that may run on the cast-ahead worker, so it times
-        into the context's own collector.  Each shard's Algorithm 2 is timed
-        into that shard's accounting.  Baseline mode only partitions: the
-        expand-coalesce backward has no casting phase.
+        into the context's own collector.  Baseline mode has no casting
+        phase: the expand-coalesce backward reads the raw pairs.
         """
-        sharded = self.trainer.sharded
-        with ctx.cast.timed("partition"):
-            ctx.plan = sharded.plan_batch(ctx.data.indices)
         if self.mode != "casted":
             return
-        for shard in range(sharded.num_shards):
-            with ctx.cast.timed("casting", shard=shard):
-                sharded.cast_shard(ctx.plan, shard)
+        with ctx.cast.timed("casting"):
+            ctx.casts = [
+                bag.precompute_cast(index)
+                for bag, index in zip(self.trainer.model.embeddings,
+                                      ctx.data.indices)
+            ]
 
     def _forward(self, ctx: StepContext) -> None:
-        """Gather, exchange, the dense forward, then the loss.
+        """Each table's gather-reduce, the dense forward, then the loss.
 
-        Each shard gather-reduces the lookups it owns into partial pooled
-        sums, in shard order, always after the previous step's update — a
-        gather must read post-update parameters.  The forward all-to-all
-        ships the partials to the sample owners (its bytes land on the
-        plan); the dense model runs over the pooled vectors.
+        The gathers run table by table, always after the previous step's
+        update — a gather must read post-update parameters — and each bag
+        keeps its index for its backward; the dense model runs over the
+        pooled vectors.
         """
         trainer = self.trainer
-        sharded = trainer.sharded
         timed = self.collector.timed
         trainer.model.zero_grad()
-        for shard in range(sharded.num_shards):
-            with timed("forward", shard=shard, shard_phase="gather"):
-                sharded.forward_shard(ctx.plan, shard)
-        with timed("exchange"):
-            pooled = sharded.assemble_pooled(ctx.plan)
+        with timed("forward", span="gather"):
+            pooled = [
+                bag.forward(index)
+                for bag, index in zip(trainer.model.embeddings,
+                                      ctx.data.indices)
+            ]
         with timed("forward"):
             ctx.logits = trainer.model.forward_from_pooled(
                 ctx.data.dense, pooled
@@ -482,43 +481,39 @@ class TrainingEngine:
     def _backward(self, ctx: StepContext) -> None:
         """Dense backprop, each table's backward→update, the dense step.
 
-        Shard by shard, in shard order, and table by table within a shard:
-        the table's backward all-to-all payload (gradient rows + pairs,
-        accounted into the plan's byte counter) and the reduction over it
-        — the casted gather-reduce over the shard's cast, or the baseline
-        expand-coalesce when the cast only partitioned — then its sparse
-        row update, and the gradient is dropped before the next table's
-        reduction starts.  The dense optimizer step runs last.
+        Table by table: the table's reduction — the casted gather-reduce
+        over its cast, or the baseline expand-coalesce — then its sparse
+        row update, and the gradient and the bag's index are dropped before
+        the next table's reduction starts.  A table without lookups has
+        nothing to reduce and is not updated.  The dense optimizer step
+        runs last.
 
         A failure once the first parameter write has begun marks the
         trainer torn at this step and propagates.
         """
         trainer = self.trainer
-        sharded = trainer.sharded
         optimizer = trainer.optimizer
-        plan = ctx.plan
-        assert plan is not None
         timed = self.collector.timed
         with timed("backward"):
-            sharded.prepare_backward(
-                plan, trainer.model.backward_through_dense(ctx.dlogits)
-            )
+            grads = trainer.model.backward_through_dense(ctx.dlogits)
+        casts = ctx.casts or [None] * len(grads)
         writing = False
         try:
-            for shard in range(sharded.num_shards):
-                for table_id in plan.tables_on(shard):
-                    with timed("backward", shard=shard):
-                        rows, values = sharded.backward_table(
-                            plan, shard, table_id
-                        )
+            for bag, index, grad, cast in zip(
+                trainer.model.embeddings, ctx.data.indices, grads, casts
+            ):
+                if index.num_lookups:
+                    with timed("backward"):
+                        sparse = bag.backward(grad, self.mode, cast)
                     writing = True
-                    with timed("update", shard=shard, span="optimize"):
+                    with timed("update", span="optimize"):
                         optimizer.apply_sparse(
-                            sharded.bags[table_id].table, rows, values
+                            bag.table, sparse.rows, sparse.values
                         )
                     # Dropped before the next table's reduction: one
                     # table's (u, dim) gradient is alive at a time.
-                    del rows, values
+                    del sparse
+                bag.release()
             writing = True
             with timed("update", span="optimize"):
                 optimizer.step(trainer.model.dense_parameters())
@@ -570,8 +565,4 @@ class TrainingEngine:
         """Annotate the run manifest once the report exists."""
         obs = self.obs
         assert obs is not None
-        obs.annotate(
-            mode=mode,
-            steps=report.steps,
-            num_shards=report.num_shards,
-        )
+        obs.annotate(mode=mode, steps=report.steps)

@@ -623,8 +623,8 @@ class ShardedNMPSystem(TrainingSystem):
     :func:`repro.core.traffic.sharded_exchange_bytes`.
 
     With ``num_shards=1`` the exchange collapses to zero-duration spans and
-    the schedule reduces to exactly ``Ours(NMP)``'s — the analytic mirror of
-    the functional trainer's 1-shard bit-identity guarantee.
+    the schedule reduces to exactly ``Ours(NMP)``'s.  The model is
+    analytic only: the functional trainer runs one device.
     """
 
     def __init__(

@@ -10,25 +10,16 @@ reproduction's analogue of the paper's real-system prototype.  A finite
 source that exhausts mid-run stops the trainer cleanly (the report's
 ``steps`` records what actually trained).
 
-The embedding tables always run through a
-:class:`~repro.model.sharded.ShardedEmbeddingSet` of ``num_shards`` shards
-(default 1): the embedding phases run shard by shard on the step loop
-(each timed separately, standing in for ``N`` devices whose concurrency
-the analytic :class:`~repro.runtime.systems.ShardedNMPSystem` models),
-pooled vectors and gradient slices cross a simulated all-to-all whose byte
-counts land in the report (attributed per pipeline stage — forward
-exchange vs. backward exchange), and at one shard every kernel runs over
-the tables' own index arrays, bit-identical to a plain single-device step.
-Shards name rows of the model's own tables — there is no shard-local
-storage, row numbering or optimizer state — so parameters and checkpoints
-mean the same thing at every shard count and policy.
+The trainer runs one device: the embedding phases call the model's own
+:class:`~repro.model.embedding.EmbeddingBag` layers table by table.
+Multi-device sharding is modelled, not executed
+(:class:`~repro.runtime.systems.ShardedNMPSystem`, ``repro scaling``).
 
 The trainer is a thin facade over the **training engine**
 (:mod:`repro.runtime.engine`): every step runs the engine's one step body
 in its one step loop, with the cast inline or ahead as the ``lookahead``
 argument says, and :meth:`~FunctionalTrainer.infer` is the same run
-without the backward and the update.  Every combination of the arguments
-composes.
+without the backward and the update.
 The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
@@ -43,10 +34,9 @@ from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..data.source import BatchSource, as_batch_source, positive_int
+from ..data.source import BatchSource, as_batch_source
 from ..model.dlrm import DLRM
 from ..model.optim import Optimizer
-from ..model.sharded import ShardedEmbeddingSet
 from .engine import TrainingCallback, TrainingEngine
 from .memory import retain_freed_memory
 from .stages import InferenceReport, PhaseTimings, TrainingReport
@@ -77,24 +67,14 @@ class FunctionalTrainer:
         full batch.
     optimizer:
         Applied to dense and sparse parameters alike.
-    num_shards:
-        Logical devices the embedding tables are partitioned across
-        (a positive integer, default ``1``).  Every embedding phase routes
-        through a :class:`~repro.model.sharded.ShardedEmbeddingSet`; at one
-        shard each table's slice is its own index array, so the split
-        costs nothing and the kernels are the single-device ones.
-    policy:
-        Partition policy: ``"row"`` or ``"table"``.
     lookahead:
         ``0`` (default) casts each batch inline, right before its compute.
         ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
         on the step loop (same RNG order) and cast on a background
         :class:`~repro.runtime.engine.CastAheadWorker` while batch ``i``
         computes — bit-identical, with the exposed remainder reported as
-        the ``cast_wait`` phase.
-
-    Every combination of these composes, with either ``mode`` of
-    :meth:`train` / :meth:`infer`.
+        the ``cast_wait`` phase.  Either value composes with either
+        ``mode`` of :meth:`train` / :meth:`infer`.
 
     Constructing a trainer first calls
     :func:`~repro.runtime.memory.retain_freed_memory`, a process-wide
@@ -120,8 +100,6 @@ class FunctionalTrainer:
         model: DLRM,
         stream: BatchSource,
         optimizer: Optimizer,
-        num_shards: int = 1,
-        policy: str = "row",
         lookahead: int = 0,
     ) -> None:
         retain_freed_memory()
@@ -131,16 +109,12 @@ class FunctionalTrainer:
                 f"stream produces {stream.num_tables} tables, model has "
                 f"{len(model.embeddings)}"
             )
-        num_shards = positive_int("num_shards", num_shards)
         if isinstance(lookahead, bool) or lookahead not in (0, 1):
             raise ValueError(f"lookahead must be 0 or 1, got {lookahead!r}")
         self.lookahead = lookahead
         self.model = model
         self.stream = stream
         self.optimizer = optimizer
-        self.sharded = ShardedEmbeddingSet(
-            model.embeddings, num_shards=num_shards, policy=policy
-        )
         self.torn_step: int | None = None
 
     def ensure_intact(self, action: str) -> None:
@@ -173,9 +147,7 @@ class FunctionalTrainer:
         non-positive ``batch`` or ``steps`` and a negative ``start_step``,
         all raised before anything is drawn); in casted mode the cast is
         computed eagerly right after batch generation — before the forward
-        pass — mirroring the runtime's decoupled casting stage.  Both modes run at every shard
-        count: each shard reduces the same shipped payload (gradient rows
-        plus its pairs) with Algorithm 1 or Algorithm 3.
+        pass — mirroring the runtime's decoupled casting stage.
 
         ``callbacks`` are :class:`~repro.runtime.engine.TrainingCallback`
         hooks fired after each step and at run end (metrics loggers,
@@ -230,9 +202,8 @@ class FunctionalTrainer:
 
         Dense MLP parameters (``dense_{i}``, in
         :meth:`~repro.model.dlrm.DLRM.dense_parameters` order) and the
-        embedding tables (``table_{t}``) — the same names, tensors and
-        optimizer-state keys at every shard count, which is what lets one
-        checkpoint restore into any shard count or policy.
+        embedding tables (``table_{t}``) — the checkpoint's names for the
+        tensors and their optimizer state.
         """
         named: List[Tuple[str, np.ndarray]] = [
             (f"dense_{i}", param)

@@ -11,7 +11,7 @@ from repro.core.casting import CastedIndex, tensor_casting_reference
 from repro.core.coalesce import gradient_coalesce_reference, gradient_expand
 from repro.core.gather_reduce import gather_reduce_reference
 from repro.core.indexing import IndexArray
-from repro.model import embedding, sharded
+from repro.model import embedding
 from repro.runtime.systems import SystemHardware
 
 
@@ -85,9 +85,8 @@ def oracle_kernels(monkeypatch):
     @contextmanager
     def swapped():
         with monkeypatch.context() as patch:
-            for module in (embedding, sharded):
-                for name, oracle in ORACLE_KERNELS.items():
-                    patch.setattr(module, name, oracle)
+            for name, oracle in ORACLE_KERNELS.items():
+                patch.setattr(embedding, name, oracle)
             yield
 
     return swapped

@@ -160,7 +160,7 @@ class TestEdges:
         assert not result[[0, 2]].any()
 
     def test_row_sliced_table_view(self, dtype):
-        """The sharded path gathers from ``table[lo:hi]`` views."""
+        """A row-sliced ``table[lo:hi]`` view reduces exactly as its copy."""
         rng = np.random.default_rng(3)
         table = rng.standard_normal((120, 8)).astype(dtype)
         view = table[30:90]

@@ -1,4 +1,5 @@
-"""Tests for the multi-device partitioning and index-splitting primitives."""
+"""Tests for the multi-device partitioning and index-splitting primitives,
+the reference the analytic sharding model is checked against."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from repro.core.sharding import (
     RowWisePartition,
     TableWisePartition,
     make_partition,
-    reassemble_pooled,
 )
 from repro.core.traffic import expected_shard_outputs, sharded_exchange_bytes
+from repro.data.distributions import UniformDistribution
 
 
 def sample_index():
@@ -129,31 +130,53 @@ class TestTableWisePartition:
         assert part.owner_of_rows(1, np.arange(4)).tolist() == [1, 1, 1, 1]
 
 
-class TestReassemblePooled:
-    def test_sums_partials_from_all_shards(self):
-        index = sample_index()
-        part = RowWisePartition(2)
-        slices = part.split(index, 0)
-        dim = 3
-        partials = []
-        for s in slices:
-            partials.append(
-                None if s is None else np.ones((s.num_touched, dim))
-            )
-        pooled = reassemble_pooled(slices, partials, index.num_outputs, dim)
-        # Each output slot receives one unit per participating shard.
-        lives = [
-            sum(1 for s in slices if s is not None and b in s.touched)
-            for b in range(index.num_outputs)
-        ]
-        assert np.array_equal(pooled[:, 0], np.asarray(lives, dtype=float))
+class TestAnalyticModelAgainstSplit:
+    """The analytic per-shard payload is what the split it models reads."""
 
-    def test_single_full_cover_returns_partial_itself(self):
-        index = sample_index()
-        (slice_,) = RowWisePartition(1).split(index, 0)
-        partial = np.random.default_rng(0).standard_normal((2, 4))
-        pooled = reassemble_pooled([slice_], [partial], 2, 4)
-        assert pooled is partial  # bit-identical by construction
+    BATCH = 512
+    DRAWS = 20
+
+    @staticmethod
+    def draw(rng, lookups_per_sample, batch):
+        src = UniformDistribution(100_000).sample(batch * lookups_per_sample, rng)
+        dst = np.repeat(np.arange(batch), lookups_per_sample)
+        return IndexArray(src, dst, num_rows=100_000, num_outputs=batch)
+
+    @pytest.mark.parametrize("lookups_per_sample", [1, 4, 32])
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_row_policy_touched_slots_match_expectation(
+        self, num_shards, lookups_per_sample
+    ):
+        rng = np.random.default_rng(num_shards * 100 + lookups_per_sample)
+        partition = RowWisePartition(num_shards)
+        touched = [
+            slice_.num_touched
+            for _ in range(self.DRAWS)
+            for slice_ in partition.split(
+                self.draw(rng, lookups_per_sample, self.BATCH), 0)
+            if slice_ is not None
+        ]
+        assert len(touched) == self.DRAWS * num_shards
+        expected = expected_shard_outputs(
+            self.BATCH * lookups_per_sample, self.BATCH, num_shards)
+        assert np.mean(touched) == pytest.approx(expected, rel=0.01)
+
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_table_policy_reads_its_tables_slots_exactly(self, num_shards):
+        # Every shard owns tables / N whole tables, each feeding all B slots.
+        tables = 8
+        rng = np.random.default_rng(num_shards)
+        partition = TableWisePartition(num_shards)
+        per_shard = np.zeros(num_shards, dtype=np.int64)
+        for table_id in range(tables):
+            for slice_ in partition.split(self.draw(rng, 4, self.BATCH), table_id):
+                if slice_ is not None:
+                    per_shard[slice_.shard] += slice_.num_touched
+        expected = expected_shard_outputs(
+            tables * self.BATCH * 4, tables * self.BATCH, num_shards,
+            policy="table")
+        assert expected == tables * self.BATCH / num_shards
+        assert per_shard.tolist() == [expected] * num_shards
 
 
 class TestExchangeTraffic:

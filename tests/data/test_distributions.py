@@ -132,6 +132,15 @@ class TestZipf:
         with pytest.raises(ValueError, match="shift"):
             ZipfDistribution(10, exponent=1.0, shift=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("argument", ["exponent", "shift"])
+    def test_rejects_non_finite_parameters(self, argument, value):
+        """A non-finite exponent or shift makes every probability NaN, and
+        the draw would turn that into row 0 for every lookup."""
+        kwargs = {"exponent": 1.0, "shift": 2.0, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            ZipfDistribution(10, **kwargs)
+
     def test_rank_permutation_is_bijection(self):
         dist = ZipfDistribution(64, exponent=1.0)
         perm = dist.rank_permutation(np.random.default_rng(0))

@@ -1,9 +1,8 @@
 """Every executed sweep's clock-free row fields, pinned to literals.
 
-The three executed sweeps (``overlap``, measured ``scaling``, ``cache``)
-draw from one measured-run harness
-(:mod:`repro.experiments.measured`).  Everything in their rows that is not
-derived from a wall clock — bitwise flags, exchange bytes, analytic bounds,
+The executed sweeps (``overlap``, ``cache``) draw from one measured-run
+harness (:mod:`repro.experiments.measured`).  Everything in their rows
+that is not derived from a wall clock — bitwise flags, analytic bounds,
 cache accesses and hit rates, step counts — is a pure function of the
 seeds and shapes, so it is pinned here to literals recorded before the
 harness existed.  The cache literals were recorded while the cache still
@@ -17,7 +16,6 @@ from repro.data.generator import SyntheticCTRStream
 from repro.data.trace import record_trace
 from repro.experiments.hotcache import HOTCACHE_CONFIG, hotcache_sweep
 from repro.experiments.overlap import OVERLAP_CONFIG, overlap_sweep
-from repro.experiments.scaling import measured_scaling_sweep
 from repro.model.configs import RM1
 
 #: The analytic NMP model needs 64-byte vectors, hence dim 16.
@@ -51,15 +49,13 @@ def _trace(tmp_path, config, batch, steps):
 
 
 OVERLAP_FIELDS = (
-    "model", "batch", "num_shards", "steps", "analytic_speedup",
-    "bit_identical", "forward_exchange_bytes", "backward_exchange_bytes",
+    "model", "batch", "steps", "analytic_speedup", "bit_identical",
 )
 
 
 def test_overlap_synthetic():
     rows = overlap_sweep(
-        batches=(16,), shard_counts=(1, 2), steps=2, config=TINY_CONFIG,
-        repeats=1,
+        batches=(16,), steps=2, config=TINY_CONFIG, repeats=1,
     )
     assert _fields(rows, OVERLAP_FIELDS) == OVERLAP_SYNTHETIC
 
@@ -73,18 +69,6 @@ def test_overlap_trace(tmp_path):
         optimizer="adagrad", lr=0.05,
     )
     assert _fields(rows, OVERLAP_FIELDS) == OVERLAP_TRACE
-
-
-def test_measured_scaling():
-    rows = measured_scaling_sweep(
-        shard_counts=(1, 2), batches=(16, 32), steps=2, config=TINY_CONFIG,
-        repeats=1,
-    )
-    assert _fields(rows, (
-        "model", "batch", "policy", "num_shards", "steps",
-        "analytic_speedup", "forward_exchange_bytes",
-        "backward_exchange_bytes",
-    )) == MEASURED_SCALING
 
 
 CACHE_FIELDS = (
@@ -118,40 +102,14 @@ def test_cache_trace(tmp_path):
     assert _fields(rows, CACHE_FIELDS) == CACHE_TRACE
 
 
-# Recorded by running this file against the commit before the harness.  The
-# one-shard overlap cells' exchange bytes were recorded from the one-shard
-# trainer before it became the default (the batch-16 row equals the measured
-# scaling sweep's one-shard row below).
+# Recorded by running this file against the commit before the harness.
 OVERLAP_SYNTHETIC = [
-    {"model": "RM1", "batch": 16, "num_shards": 1, "steps": 2,
-     "analytic_speedup": "0x1.2653875a41480p+0", "bit_identical": True,
-     "forward_exchange_bytes": 6144, "backward_exchange_bytes": 12288},
-    {"model": "RM1", "batch": 16, "num_shards": 2, "steps": 2,
-     "analytic_speedup": "0x1.22ebe9da2ecd3p+0", "bit_identical": True,
-     "forward_exchange_bytes": 11584, "backward_exchange_bytes": 17728},
+    {"model": "RM1", "batch": 16, "steps": 2,
+     "analytic_speedup": "0x1.2653875a41480p+0", "bit_identical": True},
 ]
 OVERLAP_TRACE = [
-    {"model": "trace:tiny.npz", "batch": 8, "num_shards": 1, "steps": 3,
-     "analytic_speedup": "0x1.26129b3e895fep+0", "bit_identical": True,
-     "forward_exchange_bytes": 3072, "backward_exchange_bytes": 5376},
-]
-MEASURED_SCALING = [
-    {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 1,
-     "steps": 2,
-     "analytic_speedup": "0x1.0000000000000p+0",
-     "forward_exchange_bytes": 6144, "backward_exchange_bytes": 12288},
-    {"model": "RM1", "batch": 16, "policy": "row", "num_shards": 2,
-     "steps": 2,
-     "analytic_speedup": "0x1.d2841c652b3f1p-1",
-     "forward_exchange_bytes": 11584, "backward_exchange_bytes": 17728},
-    {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 1,
-     "steps": 2,
-     "analytic_speedup": "0x1.0000000000000p+0",
-     "forward_exchange_bytes": 12288, "backward_exchange_bytes": 24576},
-    {"model": "RM1", "batch": 32, "policy": "row", "num_shards": 2,
-     "steps": 2,
-     "analytic_speedup": "0x1.d2d7fad497fd6p-1",
-     "forward_exchange_bytes": 22656, "backward_exchange_bytes": 34944},
+    {"model": "trace:tiny.npz", "batch": 8, "steps": 3,
+     "analytic_speedup": "0x1.26129b3e895fep+0", "bit_identical": True},
 ]
 CACHE_SYNTHETIC = [
     {"source": "movielens", "policy": "lru", "capacity_rows": 64, "batch": 32,

@@ -26,15 +26,12 @@ TINY_CONFIG = RM1.with_overrides(
 
 @pytest.fixture(scope="module")
 def rows():
-    return overlap_sweep(
-        batches=(16,), shard_counts=(1, 2), steps=2, config=TINY_CONFIG
-    )
+    return overlap_sweep(batches=(16, 32), steps=2, config=TINY_CONFIG)
 
 
 class TestOverlapSweep:
     def test_one_row_per_cell(self, rows):
-        assert len(rows) == 2
-        assert {(row.batch, row.num_shards) for row in rows} == {(16, 1), (16, 2)}
+        assert [row.batch for row in rows] == [16, 32]
 
     def test_runs_are_bit_identical(self, rows):
         for row in rows:
@@ -47,47 +44,23 @@ class TestOverlapSweep:
             assert row.measured_speedup > 0
             assert row.overlap_ratio > 0
 
-    def test_one_shard_cell_ships_every_row_and_pair(self, rows):
-        """One device's all-to-all: every pooled row out, every gradient
-        row and ``(src, dst)`` pair back (f32 rows, int64 ids)."""
-        one = next(row for row in rows if row.num_shards == 1)
-        tables, lookups = TINY_CONFIG.num_tables, TINY_CONFIG.gathers_per_table
-        rows_bytes = one.steps * tables * 16 * TINY_CONFIG.embedding_dim * 4
-        pair_bytes = one.steps * tables * 16 * lookups * 2 * 8
-        assert one.forward_exchange_bytes == rows_bytes
-        assert one.backward_exchange_bytes == rows_bytes + pair_bytes
-
-    def test_sharded_cell_reports_exchange_split(self, rows):
-        sharded = next(row for row in rows if row.num_shards == 2)
-        assert sharded.forward_exchange_bytes > 0
-        assert sharded.backward_exchange_bytes > 0
-
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            overlap_sweep(batches=(16,), shard_counts=(1,), steps=0,
-                          config=TINY_CONFIG)
-
-    def test_rejects_negative_shard_counts(self):
-        for bad in (-2, 0):
-            with pytest.raises(ValueError, match="shard counts"):
-                overlap_sweep(batches=(16,), shard_counts=(bad,), steps=1,
-                              config=TINY_CONFIG)
+            overlap_sweep(batches=(16,), steps=0, config=TINY_CONFIG)
 
     def test_rejects_nonpositive_batches(self):
         with pytest.raises(ValueError, match="batch must be a positive"):
-            overlap_sweep(batches=(0,), shard_counts=(1,), steps=1,
-                          config=TINY_CONFIG)
+            overlap_sweep(batches=(0,), steps=1, config=TINY_CONFIG)
 
-    def test_a_sharded_stateful_checkpoint_resumes_into_every_layout(
-            self, tmp_path):
-        """Optimizer state is keyed by table, so an Adagrad checkpoint
-        saved at 2 row shards resumes into the one-shard cell too."""
+    def test_a_stateful_checkpoint_resumes_the_cell(self, tmp_path):
+        """An Adagrad cell's checkpoint warm-starts the same cell: both
+        schedules restore its parameters and per-row state and stay
+        bit-identical."""
         job = dict(batches=(16,), steps=2, config=TINY_CONFIG, repeats=1,
                    optimizer="adagrad", lr=0.05)
-        overlap_sweep(shard_counts=(2,), checkpoint_dir=tmp_path, **job)
-        rows = overlap_sweep(shard_counts=(1, 2),
-                             resume=tmp_path / "overlap-b16-s2.npz", **job)
-        assert [row.num_shards for row in rows] == [1, 2]
+        overlap_sweep(checkpoint_dir=tmp_path, **job)
+        rows = overlap_sweep(resume=tmp_path / "overlap-b16.npz", **job)
+        assert [row.batch for row in rows] == [16]
         assert all(row.bit_identical for row in rows)
         assert all(row.steps == 2 for row in rows)
 
@@ -105,9 +78,8 @@ class TestOverlapSweep:
 
     def test_named_dataset_drives_measured_runs(self):
         """A --dataset profile reaches both the streams and the analytics."""
-        rows = overlap_sweep(batches=(16,), shard_counts=(1,), steps=1,
-                             config=TINY_CONFIG, dataset="movielens",
-                             repeats=1)
+        rows = overlap_sweep(batches=(16,), steps=1, config=TINY_CONFIG,
+                             dataset="movielens", repeats=1)
         assert len(rows) == 1
         assert rows[0].bit_identical
 
@@ -130,11 +102,9 @@ class TestScaledDistribution:
 
 
 class TestAnalyticSpeedup:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_overlap_always_helps(self, num_shards):
-        speedup = analytic_overlap_speedup(
-            OVERLAP_CONFIG, batch=1024, num_shards=num_shards
-        )
+    @pytest.mark.parametrize("batch", [512, 1024, 4096])
+    def test_overlap_always_helps(self, batch):
+        speedup = analytic_overlap_speedup(OVERLAP_CONFIG, batch=batch)
         assert speedup > 1.0
 
     def test_bounded_by_full_cast_share(self):

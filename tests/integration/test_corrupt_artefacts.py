@@ -290,9 +290,9 @@ def test_rows_per_table_has_one_integer_per_table(bad, tmp_path, opened):
 @pytest.fixture(scope="module")
 def overlap_checkpoint(tmp_path_factory):
     directory = tmp_path_factory.mktemp("ckpt")
-    assert cli.main(["overlap", "--batches", "16", "--shards", "1",
+    assert cli.main(["overlap", "--batches", "16",
                      "--steps", "1", "--checkpoint-dir", str(directory)]) == 0
-    return (directory / "overlap-b16-s1.npz").read_bytes()
+    return (directory / "overlap-b16.npz").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,7 @@ def test_resume_of_a_damaged_checkpoint_exits_2(
     path.write_bytes(overlap_checkpoint)
     _damage(path, how)
     _exits_2_with_one_line(
-        ["overlap", "--batches", "16", "--shards", "1", "--steps", "1",
+        ["overlap", "--batches", "16", "--steps", "1",
          "--resume", str(path)], path, capsys)
 
 
@@ -362,6 +362,4 @@ def test_trace_of_a_damaged_batch_trace_exits_2(
     path.write_bytes(overlap_trace)
     _damage(path, how)
     argv = [experiment, "--trace", str(path), "--steps", "3"]
-    if experiment == "overlap":
-        argv += ["--shards", "1"]
     _exits_2_with_one_line(argv, path, capsys)

@@ -92,6 +92,16 @@ class TestBackward:
             assert np.array_equal(g_base.rows, g_cast.rows)
             assert np.allclose(g_base.values, g_cast.values)
 
+    def test_train_step_keeps_no_bag_index(self, rng):
+        """Each bag drops its forward's index once its gradient is formed,
+        so no batch's indices outlive the step."""
+        model = DLRM(TINY, rng=rng)
+        dense, indices, labels = make_batch(rng)
+        model.train_step(dense, indices, labels, SGD(lr=0.1))
+        for bag in model.embeddings:
+            with pytest.raises(RuntimeError, match="before forward"):
+                bag.backward(np.ones((6, TINY.embedding_dim)))
+
     def test_rejects_wrong_cast_count(self, rng):
         model = DLRM(TINY, rng=rng)
         dense, indices, labels = make_batch(rng)
@@ -168,10 +178,10 @@ class _FullDenseBackward(DLRM):
         return demb_outs
 
 
-def _train(model, num_shards, steps=4):
-    """``steps`` Adagrad steps: through ``DLRM.train_step``, or through a
-    row-sharded trainer, which reaches the same dense backward."""
-    if num_shards is None:
+def _train(model, path, steps=4):
+    """``steps`` Adagrad steps: through ``DLRM.train_step``, or through the
+    trainer, which reaches the same dense backward."""
+    if path == "train_step":
         data_rng = np.random.default_rng(17)
         optimizer = Adagrad(lr=0.05)
         for _ in range(steps):
@@ -184,8 +194,7 @@ def _train(model, num_shards, steps=4):
         lookups_per_sample=TINY.gathers_per_table,
         dense_features=TINY.dense_features,
     )
-    trainer = FunctionalTrainer(model, stream, Adagrad(lr=0.05),
-                                num_shards=num_shards)
+    trainer = FunctionalTrainer(model, stream, Adagrad(lr=0.05))
     trainer.train(6, steps, np.random.default_rng(17))
 
 
@@ -193,25 +202,25 @@ class TestDenseBackward:
     """The bottom MLP's input is data: its input gradient is never formed,
     and no parameter moves by a bit for it."""
 
-    @pytest.mark.parametrize("num_shards", [None, 2], ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize("path", ["train_step", "trainer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_parameters_byte_equal_to_the_full_backward(self, dtype, num_shards):
+    def test_parameters_byte_equal_to_the_full_backward(self, dtype, path):
         ours = DLRM(TINY, rng=np.random.default_rng(3), dtype=dtype)
         reference = _FullDenseBackward(TINY, rng=np.random.default_rng(3), dtype=dtype)
-        _train(ours, num_shards)
-        _train(reference, num_shards)
+        _train(ours, path)
+        _train(reference, path)
         for got, want in zip(ours.all_parameters(), reference.all_parameters()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("num_shards", [None, 2], ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize("path", ["train_step", "trainer"])
     def test_bottom_mlp_first_layer_forms_no_input_gradient(
-        self, monkeypatch, num_shards
+        self, monkeypatch, path
     ):
         model = DLRM(TINY, rng=np.random.default_rng(3))
         first = model.bottom_mlp.layers[0]
         calls = []
         monkeypatch.setattr(first, "backward", lambda dout: calls.append(dout))
-        _train(model, num_shards, steps=2)
+        _train(model, path, steps=2)
         assert calls == []
         assert np.any(first.dW != 0.0)   # its weight gradient still ran
 

@@ -168,13 +168,11 @@ def test_foreign_gradient_tables_are_coerced_by_the_bag(model_dtype):
 
 
 # ----------------------------------------------------------------------
-# Through the trainer: serial, pipelined, sharded, sharded and pipelined
+# Through the trainer: serial and pipelined
 # ----------------------------------------------------------------------
 TRAINER_PATHS = {
     "serial": {},
     "lookahead": {"lookahead": 1},
-    "sharded": {"num_shards": 2},
-    "sharded-lookahead": {"num_shards": 2, "lookahead": 1},
 }
 
 
@@ -192,21 +190,6 @@ def test_trainer_paths_hand_the_optimizer_the_model_dtype(
     assert optimizer.dense_seen == {(want, want)}
     assert {p.dtype for p in model.all_parameters()} == {want}
     assert all(type(loss) is float for loss in report.losses)
-
-
-def test_sharded_backward_exchange_halves_for_an_f32_model():
-    """The backward all-to-all ships gradient rows plus casted index
-    pairs; the pairs are int64 whatever the model, the rows are the
-    model's dtype — so the f32 model's row bytes are exactly half."""
-    steps = 3
-    shipped = {
-        dtype: train(dtype, steps=steps,
-                     num_shards=2)[2].backward_exchange_bytes
-        for dtype in (np.float32, np.float64)
-    }
-    pairs = steps * BATCH * TINY.gathers_per_table * TINY.num_tables * 2 * 8
-    assert shipped[np.float32] > pairs
-    assert 2 * (shipped[np.float32] - pairs) == shipped[np.float64] - pairs
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ CONFIG = RM1.with_overrides(
 
 # Span names vs the report's phase ledger: the optimizer span is named for
 # what runs ("optimize") while the phase is named for the ledger bucket
-# ("update"); sharded gathers trace per-shard ("gather") but bill to the
+# ("update"); the embedding gathers trace as "gather" but bill to the
 # "forward" phase.  The "step" envelope is an aggregate, not a phase.
 SPAN_TO_PHASE = {"optimize": "update", "gather": "forward"}
 
@@ -81,9 +81,7 @@ class TestTraceContent:
 
     @pytest.mark.parametrize("knobs", [
         dict(lookahead=1),
-        dict(num_shards=2),
-        dict(num_shards=2, lookahead=1),
-    ], ids=["lookahead", "sharded", "sharded-lookahead"])
+    ], ids=["lookahead"])
     def test_ledger_reconciles_under_every_policy(self, knobs):
         """One draw site, one loop: the same span == phase bookkeeping
         whatever the policy, ``draw`` included."""
@@ -104,16 +102,16 @@ class TestTraceContent:
             8, 4, np.random.default_rng(1), obs=obs)
         assert validate_span_nesting(obs.tracer.records) == []
 
-    def test_pipelined_sharded_run_uses_shard_and_cast_tracks(self):
+    def test_pipelined_run_uses_the_main_and_cast_tracks(self):
         obs = Observability()
         FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), num_shards=2,
-            lookahead=1,
+            make_model(), make_stream(), SGD(lr=0.2), lookahead=1,
         ).train(8, 3, np.random.default_rng(1), obs=obs)
         tracks = {record.track for record in obs.tracer.records}
-        assert {"main", "cast", "shard0", "shard1"} <= tracks
+        assert tracks == {"main", "cast"}
         assert validate_span_nesting(obs.tracer.records) == []
-        assert "gather" in span_totals(obs.tracer.records, track="shard0")
+        assert "gather" in span_totals(obs.tracer.records, track="main")
+        assert "casting" in span_totals(obs.tracer.records, track="cast")
 
     def test_step_envelope_covers_every_step(self):
         obs = Observability()

@@ -5,9 +5,9 @@ order of magnitude behind the unsharded one for three PRs: shards used to be
 strided views ``table[shard::N]``, ``ndarray.take`` copies a non-contiguous
 source whole, and nothing measured it.  Each case here runs the *same*
 lookups against a parent table and against one 100x taller and requires the
-same ``tracemalloc`` peak (within 64 KiB): a kernel or a sharded path whose
-allocation scales with the table rather than with the lookups fails —
-re-introducing a shard-local view of the parent does, by megabytes.  The
+same ``tracemalloc`` peak (within 64 KiB): a kernel or a step whose
+allocation scales with the table rather than with the lookups fails — a
+strided view of the parent under ``ndarray.take`` does, by megabytes.  The
 sparse update is held one step further: its peak may not grow with the
 number of rows it updates beyond one cache block.
 
@@ -20,9 +20,10 @@ only what it still needs: the first weight-gradient accumulation after
 ``zero_grad`` writes into ``dW`` instead of adding an ``(in, out)``
 temporary, and each layer's backward drops the activation its forward
 saved (a forward-only run drops it without one), so none outlives the
-step.  A step's inputs exist once: the engine casts the batch's dense
-features to the model's dtype as it draws them, so a float32 step never
-holds the source's float64 array.  A uniform lookup draw keeps a few
+step, and no embedding bag keeps its batch's index into the next draw.  A
+step's inputs exist once: the engine casts the batch's dense features to
+the model's dtype as it draws them, so a float32 step never holds the
+source's float64 array.  A uniform lookup draw keeps a few
 checkpoints of its CDF, not the CDF and guide table (16 bytes per row).
 """
 
@@ -45,7 +46,6 @@ from repro.model.embedding import EmbeddingBag
 from repro.model.interaction import DotInteraction
 from repro.model.layers import Linear
 from repro.model.optim import SGD, Adam
-from repro.model.sharded import ShardedEmbeddingSet
 from repro.runtime.trainer import FunctionalTrainer
 
 SHORT, TALL = 2_000, 200_000     # parent heights; TALL is 12.8 MB of f32
@@ -94,38 +94,21 @@ def gradient_scatter_case(height):
     return lambda: SGD(lr=0.1).apply_sparse(table, rows, gradients)
 
 
-def sharded(height):
+def embedding_step_case(height):
+    """One table's step the way the engine runs it: cast, gather, casted
+    backward over a strided ``(B, dim)`` gradient view, update, release."""
     bag = EmbeddingBag(height, DIM, np.random.default_rng(1), dtype=np.float32)
     src, dst = lookups()
     index = IndexArray(src, dst, num_rows=height, num_outputs=BATCH)
-    shards = ShardedEmbeddingSet([bag], num_shards=2, policy="row")
-    return shards, shards.plan_batch([index])
-
-
-def row_sharded_gather_case(height):
-    """The gather-reduce of both shards, through ``forward_shard``."""
-    shards, plan = sharded(height)
-    return lambda: [shards.forward_shard(plan, shard) for shard in range(2)]
-
-
-def row_sharded_step_case(height):
-    """Forward, casted backward and update of both shards, public API only."""
-    shards, plan = sharded(height)
-    grads = [np.ones((BATCH, DIM), dtype=np.float32)]
+    grads = np.ones((BATCH, 2 * DIM), dtype=np.float32)[:, DIM:]
     optimizer = SGD(lr=0.1)
 
     def step():
-        for shard in range(2):
-            shards.cast_shard(plan, shard)
-            shards.forward_shard(plan, shard)
-        shards.assemble_pooled(plan)
-        shards.prepare_backward(plan, grads)
-        for shard in range(2):
-            for table_id in plan.tables_on(shard):
-                optimizer.apply_sparse(
-                    shards.bags[table_id].table,
-                    *shards.backward_table(plan, shard, table_id),
-                )
+        cast = bag.precompute_cast(index)
+        bag.forward(index)
+        sparse = bag.backward(grads, "casted", cast)
+        optimizer.apply_sparse(bag.table, sparse.rows, sparse.values)
+        bag.release()
 
     return step
 
@@ -134,8 +117,7 @@ def row_sharded_step_case(height):
     segment_sum_case,
     gather_reduce_case,
     gradient_scatter_case,
-    row_sharded_gather_case,
-    row_sharded_step_case,
+    embedding_step_case,
 ], ids=lambda case: case.__name__[: -len("_case")])
 def test_a_parent_100x_taller_allocates_the_same_peak(case):
     short, tall = peak_bytes(case(SHORT)), peak_bytes(case(TALL))
@@ -145,35 +127,6 @@ def test_a_parent_100x_taller_allocates_the_same_peak(case):
         f"height ({SHORT} -> {TALL} rows) for the same {BATCH * POOLING} "
         "lookups: something copies the table (a strided source under "
         "ndarray.take does)"
-    )
-
-
-def plan_batch_peak(pooling, num_shards, policy):
-    """``plan_batch`` peak over ``pooling`` lookups per output, one table
-    per shard, every table owned whole by one shard."""
-    rng = np.random.default_rng(0)
-    bags = [EmbeddingBag(SHORT, DIM, rng, dtype=np.float32)
-            for _ in range(num_shards)]
-    indices = [
-        IndexArray(rng.integers(0, SHORT, BATCH * pooling),
-                   np.repeat(np.arange(BATCH), pooling),
-                   num_rows=SHORT, num_outputs=BATCH)
-        for _ in bags
-    ]
-    shards = ShardedEmbeddingSet(bags, num_shards=num_shards, policy=policy)
-    return peak_bytes(lambda: shards.plan_batch(indices))
-
-
-@pytest.mark.parametrize("num_shards,policy", [(1, "row"), (2, "table")])
-def test_a_whole_table_split_allocates_nothing_per_lookup(num_shards, policy):
-    """One shard, or the table policy: the owner's slice is the table's own
-    index array — no owner mask, no ``dst`` copy, no ``unique`` — so 64x
-    the lookups split for the same few bytes."""
-    few = plan_batch_peak(POOLING, num_shards, policy)
-    many = plan_batch_peak(64 * POOLING, num_shards, policy)
-    assert abs(many - few) <= SLACK, (
-        f"plan_batch's peak grew from {few} to {many} bytes with the lookup "
-        f"count ({BATCH * POOLING} -> {64 * BATCH * POOLING})"
     )
 
 
@@ -237,7 +190,7 @@ STEP_BATCH, STEP_POOLING, STEP_ROWS, STEP_DIM = 64, 32, 20_000, 64
 
 
 def step_peak(num_tables):
-    """``tracemalloc`` peak of one default one-shard f32 training step."""
+    """``tracemalloc`` peak of one default f32 training step."""
     config = RM1.with_overrides(
         num_tables=num_tables, gathers_per_table=STEP_POOLING,
         rows_per_table=STEP_ROWS, embedding_dim=STEP_DIM,
@@ -373,13 +326,14 @@ def test_the_batch_crosses_the_dtype_seam_once_at_the_draw(monkeypatch):
     source = HandOut(stream)
     trainer = FunctionalTrainer(model, source, SGD(lr=0.1))
     freed = []
-    forward_shard = trainer.sharded.forward_shard
+    bag = model.embeddings[0]
+    forward = bag.forward
 
-    def first_gather(plan, shard):
+    def first_gather(index):
         freed.append(source.dense[-1]() is None)
-        return forward_shard(plan, shard)
+        return forward(index)
 
-    monkeypatch.setattr(trainer.sharded, "forward_shard", first_gather)
+    monkeypatch.setattr(bag, "forward", first_gather)
     trainer.train(BATCH, 2, np.random.default_rng(1))
     assert freed == [True, True], (
         "the source's float64 dense features were alive at the gather"
@@ -398,6 +352,43 @@ def test_the_batch_crosses_the_dtype_seam_once_at_the_draw(monkeypatch):
     monkeypatch.setattr(model, "forward_from_pooled", dense_forward)
     trainer.train(BATCH, 2, np.random.default_rng(1))
     assert same == [True, True]
+
+
+class WatchesIndices(BatchSource):
+    """Wraps a source; at each draw, counts how many index arrays of the
+    batches it handed out earlier are still alive (through weak references
+    to their ``src`` arrays)."""
+
+    def __init__(self, source):
+        self.source = source
+        self.num_tables = source.num_tables
+        self.rows_per_table = source.rows_per_table
+        self.dense_features = source.dense_features
+        self.refs = []
+        self.alive_at_draw = []
+
+    def alive(self):
+        return sum(ref() is not None for ref in self.refs)
+
+    def next_batch(self, batch, rng):
+        self.alive_at_draw.append(self.alive())
+        data = self.source.next_batch(batch, rng)
+        self.refs += [weakref.ref(index.src) for index in data.indices]
+        return data
+
+
+@pytest.mark.parametrize("run", ["train", "infer"])
+def test_a_step_keeps_nothing_of_its_batch_into_the_next_draw(run):
+    """Each bag's forward keeps its index for the backward; the step drops
+    it after the table's update (a forward-only step, at its end), so no
+    earlier batch's index arrays are alive when the next batch is drawn,
+    nor once the run returns."""
+    model, stream = small_dot_model()
+    source = WatchesIndices(stream)
+    trainer = FunctionalTrainer(model, source, SGD(lr=0.1))
+    getattr(trainer, run)(BATCH, 3, np.random.default_rng(1))
+    assert source.alive_at_draw == [0, 0, 0]
+    assert source.alive() == 0
 
 
 def test_a_uniform_draw_keeps_no_per_row_table():

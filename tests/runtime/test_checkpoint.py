@@ -134,33 +134,29 @@ class TestResumeEqualsUninterrupted:
         trainer.train(8, 6 - step, np.random.default_rng(1), start_step=step)
         assert_params_equal(full_model, resumed_model)
 
-    def test_sharded_resume_with_per_row_optimizer_state(self, tmp_path):
+    def test_resume_with_per_row_optimizer_state(self, tmp_path):
         full_model = make_model()
         FunctionalTrainer(
-            full_model, make_stream(), Adam(lr=0.05), num_shards=2
+            full_model, make_stream(), Adam(lr=0.05)
         ).train(8, 5, np.random.default_rng(5))
         callback = CheckpointCallback(tmp_path / "ck", every=2)
         FunctionalTrainer(
-            make_model(), make_stream(), Adam(lr=0.05), num_shards=2
+            make_model(), make_stream(), Adam(lr=0.05)
         ).train(8, 2, np.random.default_rng(5), callbacks=[callback])
         resumed_model = DLRM(CONFIG, rng=np.random.default_rng(321))
         trainer = FunctionalTrainer(
-            resumed_model, make_stream(), Adam(lr=0.05), num_shards=2
+            resumed_model, make_stream(), Adam(lr=0.05)
         )
         step = restore_trainer(trainer, callback.last_path)
         trainer.train(8, 5 - step, np.random.default_rng(5), start_step=step)
         assert_params_equal(full_model, resumed_model)
 
-    @pytest.mark.parametrize("layout", [
-        dict(num_shards=1),
-        dict(num_shards=2, policy="table"),
-    ], ids=["one shard", "two table shards"])
     @pytest.mark.parametrize("optimizer_cls", [Adagrad, Adam])
-    def test_unsharded_checkpoint_resumes_under_another_layout(
-        self, trace, tmp_path, optimizer_cls, layout
+    def test_a_resumed_run_carries_losses_parameters_and_state_on(
+        self, trace, tmp_path, optimizer_cls
     ):
-        """Layouts whose steps equal the unsharded step bit for bit carry
-        an unsharded run on — losses, parameters and per-row state."""
+        """A fresh trainer restored from the checkpoint carries the run on
+        — losses, parameters and per-row state."""
         full_model = make_model()
         full_trainer = FunctionalTrainer(
             full_model, TraceReplaySource(trace), optimizer_cls(lr=0.05)
@@ -173,7 +169,6 @@ class TestResumeEqualsUninterrupted:
         resumed_model = DLRM(CONFIG, rng=np.random.default_rng(321))
         trainer = FunctionalTrainer(
             resumed_model, TraceReplaySource(trace), optimizer_cls(lr=0.05),
-            **layout,
         )
         step = restore_trainer(trainer, callback.last_path)
         resumed = trainer.train(
@@ -213,9 +208,9 @@ class TestFormat:
         with pytest.raises(ValueError, match="step"):
             save_checkpoint(tmp_path / "ck.npz", trainer, step=-1)
 
-    def test_state_is_keyed_by_table_whatever_the_layout(self, tmp_path):
+    def test_state_is_keyed_by_table(self, tmp_path):
         trainer = FunctionalTrainer(
-            make_model(), make_stream(), Adagrad(lr=0.1), num_shards=3
+            make_model(), make_stream(), Adagrad(lr=0.1)
         )
         trainer.train(8, 2, np.random.default_rng(1))
         state = load_checkpoint(
@@ -285,47 +280,13 @@ class TestRestoreValidation:
         with pytest.raises(ValueError, match="parameter set"):
             restore_trainer(trainer, checkpoint_path)
 
-    @pytest.mark.parametrize("layout", [
-        dict(),
-        dict(num_shards=4),
-        dict(num_shards=2, policy="table"),
-    ], ids=["unsharded", "four row shards", "two table shards"])
-    @pytest.mark.parametrize("optimizer_cls", [Adagrad, Adam])
-    def test_state_saved_at_two_row_shards_restores_into_any_layout(
-        self, tmp_path, optimizer_cls, layout
-    ):
-        """Per-row state belongs to the table, not to the shards that
-        trained it: parameters and every state tensor land array-equal."""
-        source = FunctionalTrainer(
-            make_model(), make_stream(), optimizer_cls(lr=0.05), num_shards=2
-        )
-        source.train(8, 3, np.random.default_rng(1))
-        path = save_checkpoint(tmp_path / "ck.npz", source, step=3)
-        target = FunctionalTrainer(
-            make_model(5), make_stream(), optimizer_cls(lr=0.05), **layout
-        )
-        assert restore_trainer(target, path) == 3
-        assert_params_equal(source.model, target.model)
-        assert_state_equal(source, target)
-
-    def test_stateless_checkpoint_may_cross_shard_layouts(self, tmp_path):
-        """SGD checkpoints carry values only, so any layout can warm-start."""
-        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
-        trainer.train(8, 2, np.random.default_rng(1))
-        path = save_checkpoint(tmp_path / "ck.npz", trainer, step=2)
-        sharded = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.1), num_shards=2
-        )
-        assert restore_trainer(sharded, path) == 2
-        assert_params_equal(trainer.model, sharded.model)
-
     def test_per_shard_state_key_rejected_and_trainer_untouched(
         self, tmp_path
     ):
         """An archive from when state was keyed per shard view names a
         parameter no trainer has: refused by name, nothing half-applied."""
         source = FunctionalTrainer(
-            make_model(), make_stream(), Adagrad(lr=0.1), num_shards=2
+            make_model(), make_stream(), Adagrad(lr=0.1)
         )
         source.train(8, 2, np.random.default_rng(1))
         good = save_checkpoint(tmp_path / "good.npz", source, step=2)
@@ -337,7 +298,7 @@ class TestRestoreValidation:
         old = tmp_path / "old.npz"
         np.savez(old, **members)
         target = FunctionalTrainer(
-            make_model(5), make_stream(), Adagrad(lr=0.1), num_shards=2
+            make_model(5), make_stream(), Adagrad(lr=0.1)
         )
         before = [param.copy() for param in target.model.all_parameters()]
         with pytest.raises(ValueError, match=r"table_0_shard_1\.accumulator"):

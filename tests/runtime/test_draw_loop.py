@@ -4,8 +4,8 @@
 step at one site (``_draw``) under every policy, and
 :meth:`~repro.runtime.engine.TrainingEngine.run` fast-forwards a resumed
 job by drawing and discarding ``start_step`` batches.  Over the same cells
-as the policy suite — look-ahead × shard count × backward mode ×
-{train, infer} — these tests pin the draw contract end to end:
+as the policy suite — look-ahead × backward mode × {train, infer} —
+these tests pin the draw contract end to end:
 
 * a run draws exactly the batches it runs, never one ahead of ``steps``;
 * an exhausting source ends the run after one failed draw, having run
@@ -31,7 +31,7 @@ from repro.model.optim import SGD
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory import (pytest puts this directory on sys.path).
-from _legacy_trainer import legacy_train_serial, legacy_train_sharded
+from _legacy_trainer import legacy_train_serial
 
 CONFIG = RM1.with_overrides(
     num_tables=2, gathers_per_table=3, rows_per_table=100,
@@ -106,20 +106,19 @@ def assert_params_equal(model_a, model_b):
 
 CELLS = [
     pytest.param(
-        lookahead, shards, mode, entry,
-        id=f"ahead{lookahead}-shards{shards}-{mode}-{entry}",
+        lookahead, mode, entry, id=f"ahead{lookahead}-{mode}-{entry}",
     )
-    for lookahead, shards, mode, entry in itertools.product(
-        (0, 1), (1, 2), ("casted", "baseline"), ("train", "infer"),
+    for lookahead, mode, entry in itertools.product(
+        (0, 1), ("casted", "baseline"), ("train", "infer"),
     )
 ]
 
 
-def run_cell(source, lookahead, shards, mode, entry, steps, rng=None,
+def run_cell(source, lookahead, mode, entry, steps, rng=None,
              model=None, **kwargs):
     trainer = FunctionalTrainer(
         model if model is not None else make_model(), source, SGD(lr=0.3),
-        num_shards=shards, lookahead=lookahead,
+        lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     rng = rng if rng is not None else np.random.default_rng(1)
@@ -135,27 +134,27 @@ def assert_runs_equal(report_a, model_a, report_b, model_b, entry):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
-def test_draws_only_the_batches_it_runs(lookahead, shards, mode, entry):
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
+def test_draws_only_the_batches_it_runs(lookahead, mode, entry):
     """The look-ahead keeps a batch in flight, but never one past
     ``steps``: a 3-step run over a 6-batch source draws 3."""
     stream, batches = drawn_batches(6)
     source = FixedSource(stream, batches)
-    report = run_cell(source, lookahead, shards, mode, entry, steps=3)
+    report = run_cell(source, lookahead, mode, entry, steps=3)
     assert report.steps == 3
     assert report.samples == 3 * BATCH
     assert source.draws == 3
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
 def test_exhaustion_ends_the_run_after_one_failed_draw(
-        lookahead, shards, mode, entry):
+        lookahead, mode, entry):
     """Three batches for seven steps: every drawn batch runs, the source
     is asked once more, and the run is the 3-step run over them."""
     stream, batches = drawn_batches(3)
     source = FixedSource(stream, batches)
     model = make_model()
-    report = run_cell(source, lookahead, shards, mode, entry, steps=7,
+    report = run_cell(source, lookahead, mode, entry, steps=7,
                       model=model)
     assert report.steps == 3
     assert report.samples == 3 * BATCH
@@ -163,95 +162,85 @@ def test_exhaustion_ends_the_run_after_one_failed_draw(
     assert source.draws == 4
 
     exact_model = make_model()
-    exact = run_cell(FixedSource(stream, batches), lookahead, shards, mode,
-                     entry, steps=3, model=exact_model)
+    exact = run_cell(FixedSource(stream, batches), lookahead, mode, entry,
+                     steps=3, model=exact_model)
     assert_runs_equal(report, model, exact, exact_model, entry)
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
 def test_each_batch_is_one_step_whatever_its_size(
-        lookahead, shards, mode, entry):
+        lookahead, mode, entry):
     """A source may serve batches smaller than asked (a file's last
     batch): each is one step, ``samples`` counts what was drawn, and the
     numbers are the frozen loops' over the same batches."""
     sizes = (5, 8, 3)
     stream, batches = drawn_batches(len(sizes), sizes)
     model = make_model()
-    report = run_cell(FixedSource(stream, batches), lookahead, shards, mode,
-                      entry, steps=len(sizes), model=model)
+    report = run_cell(FixedSource(stream, batches), lookahead, mode, entry,
+                      steps=len(sizes), model=model)
     assert report.steps == len(sizes)
     assert report.samples == sum(sizes)
 
-    oracle_model = make_model()
     if entry == "train":
-        losses, forward_bytes, backward_bytes = legacy_train_sharded(
-            oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
-            BATCH, len(sizes), np.random.default_rng(1),
-            num_shards=shards,
-        )
-        assert report.losses == losses
-        assert report.forward_exchange_bytes == forward_bytes
-        assert report.backward_exchange_bytes == backward_bytes
-        assert_params_equal(model, oracle_model)
-        if shards == 1:
+        for oracle_mode in dict.fromkeys(("casted", mode)):
             serial_model = make_model()
             assert report.losses == legacy_train_serial(
                 serial_model, FixedSource(stream, batches), SGD(lr=0.3),
                 BATCH, len(sizes), np.random.default_rng(1),
-                mode=mode,
+                mode=oracle_mode,
             )
             assert_params_equal(model, serial_model)
         return
 
+    oracle_model = make_model()
     assert_params_equal(model, oracle_model)  # infer froze the parameters
     assert [logits.shape[0] for logits in report.logits] == list(sizes)
-    if shards == 1:
-        for data, got, loss in zip(batches, report.logits, report.losses):
-            want = oracle_model.forward(data.dense, data.indices)
-            assert np.array_equal(got, want)
-            assert loss == bce_with_logits(want, data.labels)[0]
+    for data, got, loss in zip(batches, report.logits, report.losses):
+        want = oracle_model.forward(data.dense, data.indices)
+        assert np.array_equal(got, want)
+        assert loss == bce_with_logits(want, data.labels)[0]
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
 def test_start_step_skips_exactly_that_many_batches(
-        lookahead, shards, mode, entry):
+        lookahead, mode, entry):
     """``start_step=2`` over five batches runs batches 2..4: the same run
     as a fresh one over them, and the source sees five draws."""
     stream, batches = drawn_batches(5)
     source = FixedSource(stream, batches)
     resumed_model = make_model()
-    resumed = run_cell(source, lookahead, shards, mode, entry, steps=3,
+    resumed = run_cell(source, lookahead, mode, entry, steps=3,
                        model=resumed_model, start_step=2)
     assert resumed.steps == 3
     assert source.draws == 5
 
     direct_model = make_model()
-    direct = run_cell(FixedSource(stream, batches[2:]), lookahead, shards,
+    direct = run_cell(FixedSource(stream, batches[2:]), lookahead,
                       mode, entry, steps=3, model=direct_model)
     assert_runs_equal(resumed, resumed_model, direct, direct_model, entry)
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
-def test_start_step_past_the_source_raises(lookahead, shards, mode, entry):
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
+def test_start_step_past_the_source_raises(lookahead, mode, entry):
     """A skip that uses up the source leaves nothing to run: the run
     fails with the canonical error and the parameters are untouched."""
     stream, batches = drawn_batches(2)
     source = FixedSource(stream, batches)
     model = make_model()
     with pytest.raises(ValueError, match="exhausted before the first step"):
-        run_cell(source, lookahead, shards, mode, entry, steps=2,
+        run_cell(source, lookahead, mode, entry, steps=2,
                  model=model, start_step=2)
     assert source.draws == 3
     assert_params_equal(model, make_model())
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
-def test_rng_advances_as_a_serial_draw_loop(lookahead, shards, mode, entry):
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
+def test_rng_advances_as_a_serial_draw_loop(lookahead, mode, entry):
     """Every batch is drawn on the calling thread, in step order, from the
     caller's generator: after ``start_step`` skips and ``steps`` steps it
     is where ``start_step + steps`` plain draws leave it."""
     rng = np.random.default_rng(3)
-    run_cell(make_stream(), lookahead, shards, mode, entry, steps=3, rng=rng,
+    run_cell(make_stream(), lookahead, mode, entry, steps=3, rng=rng,
              start_step=1)
     expected, stream = np.random.default_rng(3), make_stream()
     for _ in range(4):

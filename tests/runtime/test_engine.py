@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.core.indexing import IndexArray
+from repro.data.distributions import ZipfDistribution
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import BatchSource, as_batch_source
-from repro.model import embedding, sharded
+from repro.model import embedding
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
 from repro.model.optim import (
@@ -42,7 +43,7 @@ from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory import: pytest's default import mode puts each test
 # module's directory on sys.path, so the frozen oracle imports flat.
-from _legacy_trainer import legacy_train_serial, legacy_train_sharded
+from _legacy_trainer import legacy_train_serial
 
 CONFIG = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=64,
@@ -50,11 +51,15 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_stream(seed=0):
+def make_stream(seed=0, lookups=CONFIG.gathers_per_table, zipf=None):
+    distributions = None if zipf is None else [
+        ZipfDistribution(CONFIG.rows_per_table, exponent=zipf)
+        for _ in range(CONFIG.num_tables)
+    ]
     return SyntheticCTRStream(
         num_tables=CONFIG.num_tables, num_rows=CONFIG.rows_per_table,
-        lookups_per_sample=CONFIG.gathers_per_table,
-        dense_features=CONFIG.dense_features, seed=seed,
+        lookups_per_sample=lookups, dense_features=CONFIG.dense_features,
+        distributions=distributions, seed=seed,
     )
 
 
@@ -98,24 +103,6 @@ class TestSerialEngineMatchesLegacyGoldens:
         assert report.losses == legacy_losses
         assert_params_equal(engine_model, legacy_model)
 
-    @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
-    def test_sharded(self, num_shards, policy):
-        engine_model = make_model()
-        report = FunctionalTrainer(
-            engine_model, make_stream(), SGD(lr=0.2),
-            num_shards=num_shards, policy=policy,
-        ).train(8, 3, np.random.default_rng(1))
-        legacy_model = make_model()
-        legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
-            legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
-            np.random.default_rng(1), num_shards=num_shards, policy=policy,
-        )
-        assert report.losses == legacy_losses
-        assert report.forward_exchange_bytes == fwd_bytes
-        assert report.backward_exchange_bytes == bwd_bytes
-        assert_params_equal(engine_model, legacy_model)
-
     def test_float32(self):
         engine_model = make_model(dtype=np.float32)
         report = FunctionalTrainer(
@@ -142,16 +129,32 @@ def legacy_named_parameters(model):
     return named
 
 
-class TestShardLoopMatchesLegacyGoldens:
-    """The inline shard loop == the frozen sharded loop, for every optimizer.
+#: Batch shapes the step must reproduce the goldens over: batch size,
+#: lookups per bag, and the row distribution (``None`` is uniform; a Zipf
+#: exponent makes a few hot rows take most lookups, so the cast coalesces
+#: long runs of one row).
+STREAM_SHAPES = [
+    pytest.param(8, 4, None, id="b8-l4-uniform"),
+    pytest.param(1, 4, None, id="b1-l4-uniform"),
+    pytest.param(5, 4, None, id="b5-l4-uniform"),
+    pytest.param(8, 1, None, id="b8-l1-uniform"),
+    pytest.param(8, 32, None, id="b8-l32-uniform"),
+    pytest.param(8, 4, 1.2, id="b8-l4-zipf"),
+    pytest.param(8, 32, 1.2, id="b8-l32-zipf"),
+    pytest.param(16, 2, 1.2, id="b16-l2-zipf"),
+]
 
-    Shards run one after another in shard order, so every cell of policy ×
-    shard count × optimizer × look-ahead × dtype must reproduce the legacy
-    loop bit for bit: losses, parameters, each parameter's per-row
-    optimizer state and both all-to-all byte counters.  The legacy loop is
-    casted; the baseline backward (Algorithm 1 over each shard's raw pairs)
-    must land on the same golden, bytes included — both modes ship the same
-    payload.
+
+class TestEveryCellMatchesLegacyGoldens:
+    """The engine == the frozen serial loop, for every optimizer.
+
+    Every cell of batch shape × optimizer × look-ahead × dtype × mode must
+    reproduce the legacy loop bit for bit: losses, parameters and each
+    parameter's per-row optimizer state.  The legacy loop is casted; the
+    baseline backward (Algorithm 1 over the raw pairs) must land on the
+    same golden.  The shapes run from one sample to every row looked up
+    many times over (32 lookups a bag over 64 rows), and from uniform to
+    skewed rows.
     """
 
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
@@ -159,26 +162,23 @@ class TestShardLoopMatchesLegacyGoldens:
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
-    @pytest.mark.parametrize("policy", ["row", "table"])
-    def test_every_cell(self, policy, num_shards, optimizer, lookahead, dtype,
-                        mode):
+    @pytest.mark.parametrize("batch,lookups,zipf", STREAM_SHAPES)
+    def test_every_cell(self, batch, lookups, zipf, optimizer, lookahead,
+                        dtype, mode):
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
-            engine_model, make_stream(), make_optimizer(optimizer, lr=0.05),
-            num_shards=num_shards, policy=policy, lookahead=lookahead,
+            engine_model, make_stream(lookups=lookups, zipf=zipf),
+            make_optimizer(optimizer, lr=0.05), lookahead=lookahead,
         )
-        report = trainer.train(8, 3, np.random.default_rng(1), mode=mode)
+        report = trainer.train(batch, 3, np.random.default_rng(1), mode=mode)
         assert ("casting" in report.timings.totals) == (mode == "casted")
         legacy_model = make_model(dtype=dtype)
         legacy_optimizer = make_optimizer(optimizer, lr=0.05)
-        legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
-            legacy_model, make_stream(), legacy_optimizer, 8, 3,
-            np.random.default_rng(1), num_shards=num_shards, policy=policy,
+        legacy_losses = legacy_train_serial(
+            legacy_model, make_stream(lookups=lookups, zipf=zipf),
+            legacy_optimizer, batch, 3, np.random.default_rng(1),
         )
         assert report.losses == legacy_losses
-        assert report.forward_exchange_bytes == fwd_bytes
-        assert report.backward_exchange_bytes == bwd_bytes
         assert_params_equal(engine_model, legacy_model)
 
         state = trainer.optimizer.export_state(trainer.named_parameters())
@@ -191,12 +191,33 @@ class TestShardLoopMatchesLegacyGoldens:
             assert np.array_equal(state[key], want[key]), key
 
 
-class EmptyBagSource(BatchSource):
-    """``make_stream()`` with empty bags: every third sample looks nothing
-    up in table 0, and sample 1 looks nothing up in any table."""
+#: Which bags a step leaves empty: ``(table, dst, batch) -> drop``, a
+#: mask over one table's lookups.  ``mixed`` empties sample 1 in every
+#: table and every third sample of table 0; the others empty a whole
+#: table, every table, one end of the batch, every other sample, all
+#: samples but one, or sample ``t`` of table ``t``.
+EMPTY_BAGS = {
+    "mixed": lambda table, dst, batch: (dst == 1) | (
+        (table == 0) & (dst % 3 == 0)),
+    "table0": lambda table, dst, batch: table == 0,
+    "table1": lambda table, dst, batch: table == 1,
+    "table2": lambda table, dst, batch: table == 2,
+    "every-table": lambda table, dst, batch: True,
+    "first-sample": lambda table, dst, batch: dst == 0,
+    "last-sample": lambda table, dst, batch: dst == batch - 1,
+    "odd-samples": lambda table, dst, batch: dst % 2 == 1,
+    "one-sample-left": lambda table, dst, batch: dst != 3,
+    "staggered": lambda table, dst, batch: dst == table,
+}
 
-    def __init__(self):
+
+class EmptyBagSource(BatchSource):
+    """``make_stream()`` with the bags that ``EMPTY_BAGS[empty]`` drops
+    left empty."""
+
+    def __init__(self, empty="mixed"):
         self.source = as_batch_source(make_stream())
+        self.drops = EMPTY_BAGS[empty]
         self.num_tables = self.source.num_tables
         self.rows_per_table = self.source.rows_per_table
         self.dense_features = self.source.dense_features
@@ -205,9 +226,9 @@ class EmptyBagSource(BatchSource):
         data = self.source.next_batch(batch, rng)
         indices = []
         for table, index in enumerate(data.indices):
-            drop = index.dst == 1
-            if table == 0:
-                drop |= index.dst % 3 == 0
+            drop = np.broadcast_to(
+                self.drops(table, index.dst, index.num_outputs),
+                index.dst.shape)
             indices.append(IndexArray(
                 index.src[~drop], index.dst[~drop], num_rows=index.num_rows,
                 num_outputs=index.num_outputs,
@@ -229,25 +250,25 @@ def tally_launches(patch, launches):
     """Wrap the model's four kernels so each launch that carries lookups
     appends its op to ``launches`` (``list.append`` is atomic, so the
     cast-ahead worker may tally too)."""
-    for module in (embedding, sharded):
-        for op, carrier in LOOKUP_CARRIER.items():
-            def spy(*args, _op=op, _carrier=carrier,
-                    _kernel=getattr(module, op), **kwargs):
-                if _carrier(*args, **kwargs).num_lookups:
-                    launches.append(_op)
-                return _kernel(*args, **kwargs)
+    for op, carrier in LOOKUP_CARRIER.items():
+        def spy(*args, _op=op, _carrier=carrier,
+                _kernel=getattr(embedding, op), **kwargs):
+            if _carrier(*args, **kwargs).num_lookups:
+                launches.append(_op)
+            return _kernel(*args, **kwargs)
 
-            patch.setattr(module, op, spy)
+        patch.setattr(embedding, op, spy)
 
 
 class TestEmptyBagsMatchLegacyGoldens:
-    """Empty bags through every policy, shard count and look-ahead.
+    """Empty bags through every optimizer, look-ahead, dtype and mode.
 
-    A bag with no lookups pools to zero, sends no gradient rows and leaves
-    a shard with nothing to cast, reduce or update for that table; each
-    cell must still reproduce the legacy sharded loop bit for bit, exactly
-    as ``TestShardLoopMatchesLegacyGoldens`` checks it — also when the
-    empty cast is made ahead, on the cast-ahead worker.
+    A bag with no lookups pools to zero and trains no row, and a table
+    with none casts, reduces and updates nothing; in every ``EMPTY_BAGS``
+    layout of the empty bags, each cell must
+    still reproduce the legacy loop bit for bit, exactly as
+    ``TestEveryCellMatchesLegacyGoldens`` checks it — also when the cast is
+    made ahead, on the cast-ahead worker.
 
     Each cell runs three ways.  ``core``: the model's kernels.  ``oracle``:
     both loops with the four kernels swapped for their ``*_reference``
@@ -263,19 +284,17 @@ class TestEmptyBagsMatchLegacyGoldens:
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
-    @pytest.mark.parametrize("policy", ["row", "table"])
+    @pytest.mark.parametrize("empty", list(EMPTY_BAGS))
     @pytest.mark.parametrize("kernels", ["core", "oracle", "observed"])
-    def test_every_cell(self, kernels, policy, num_shards, optimizer,
-                        lookahead, dtype, mode, oracle_kernels, monkeypatch):
+    def test_every_cell(self, kernels, empty, optimizer, lookahead, dtype,
+                        mode, oracle_kernels, monkeypatch):
         obs = Observability() if kernels == "observed" else None
         launches = []
         with oracle_kernels() if kernels == "oracle" else nullcontext():
             engine_model = make_model(dtype=dtype)
             trainer = FunctionalTrainer(
-                engine_model, EmptyBagSource(),
-                make_optimizer(optimizer, lr=0.05), num_shards=num_shards,
-                policy=policy, lookahead=lookahead,
+                engine_model, EmptyBagSource(empty),
+                make_optimizer(optimizer, lr=0.05), lookahead=lookahead,
             )
             with monkeypatch.context() as patch:
                 if obs is not None:
@@ -284,10 +303,9 @@ class TestEmptyBagsMatchLegacyGoldens:
                                        mode=mode, obs=obs)
             legacy_model = make_model(dtype=dtype)
             legacy_optimizer = make_optimizer(optimizer, lr=0.05)
-            legacy_losses, fwd_bytes, bwd_bytes = legacy_train_sharded(
-                legacy_model, EmptyBagSource(), legacy_optimizer, 8, 3,
-                np.random.default_rng(1), num_shards=num_shards,
-                policy=policy,
+            legacy_losses = legacy_train_serial(
+                legacy_model, EmptyBagSource(empty), legacy_optimizer, 8, 3,
+                np.random.default_rng(1),
             )
         if obs is not None:
             counted = {
@@ -296,10 +314,8 @@ class TestEmptyBagsMatchLegacyGoldens:
             }
             tally = Counter(launches)
             assert counted == {op: tally[op] for op in LOOKUP_CARRIER}
-            assert tally["gather_reduce"] > 0
+            assert (tally["gather_reduce"] > 0) == (empty != "every-table")
         assert report.losses == legacy_losses
-        assert report.forward_exchange_bytes == fwd_bytes
-        assert report.backward_exchange_bytes == bwd_bytes
         assert_params_equal(engine_model, legacy_model)
 
         state = trainer.optimizer.export_state(trainer.named_parameters())
@@ -314,24 +330,16 @@ class TestEmptyBagsMatchLegacyGoldens:
 class TestPipelinedEngineEquivalence:
     """The cast-ahead schedule == the serial schedule (so == the goldens)."""
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_pipelined_matches_legacy_via_serial(self, num_shards):
+    def test_pipelined_matches_legacy_via_serial(self):
         pipelined_model = make_model()
         pipelined = FunctionalTrainer(
-            pipelined_model, make_stream(), SGD(lr=0.2),
-            num_shards=num_shards, lookahead=1,
+            pipelined_model, make_stream(), SGD(lr=0.2), lookahead=1,
         ).train(8, 3, np.random.default_rng(1))
         legacy_model = make_model()
-        if num_shards == 1:
-            legacy_losses = legacy_train_serial(
-                legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
-                np.random.default_rng(1),
-            )
-        else:
-            legacy_losses, _, _ = legacy_train_sharded(
-                legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
-                np.random.default_rng(1), num_shards=num_shards,
-            )
+        legacy_losses = legacy_train_serial(
+            legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
+            np.random.default_rng(1),
+        )
         assert pipelined.losses == legacy_losses
         assert_params_equal(pipelined_model, legacy_model)
 
@@ -343,17 +351,17 @@ class TestStepBody:
     def test_the_reduce_kernels_see_a_contiguous_gradient(
             self, mode, monkeypatch):
         """The dense backward hands over column views of its output; the
-        payload the shard reduces is C-contiguous whichever way the split
-        went, so the kernel never strides through the gradient table."""
+        bag's backward makes each table's gradient C-contiguous, so the
+        kernel never strides through the gradient table."""
         seen = []
 
         def spy(name, grad_at):
-            real = getattr(sharded, name)
+            real = getattr(embedding, name)
 
             def wrapper(*args):
                 seen.append((name, args[grad_at].flags.c_contiguous))
                 return real(*args)
-            monkeypatch.setattr(sharded, name, wrapper)
+            monkeypatch.setattr(embedding, name, wrapper)
 
         spy("casted_gather_reduce", 0)
         spy("expand_coalesce", 1)

@@ -101,7 +101,6 @@ CELLS = {
     "sgd": ("sgd", {}, BENCHMARK_TABLES),
     "adam": ("adam", {}, BENCHMARK_TABLES),
     "lookahead": ("sgd", {"lookahead": 1}, BENCHMARK_TABLES),
-    "row-shards": ("sgd", {"num_shards": 2}, BENCHMARK_TABLES),
     "42mb-table": ("sgd", {}, PAPER_BATCH_TABLE),
 }
 

@@ -17,8 +17,8 @@ from repro.data.generator import SyntheticCTRStream
 from repro.data.source import TakeSource
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
+from repro.model.embedding import EmbeddingBag
 from repro.model.optim import SGD, Adam, Optimizer
-from repro.model.sharded import ShardedEmbeddingSet
 from repro.runtime.checkpoint import restore_trainer, save_checkpoint
 from repro.runtime.engine import TrainingEngine
 from repro.runtime.stages import InferenceReport, PhaseTimings
@@ -66,43 +66,38 @@ def train_with_recorded_logits(trainer, batch, steps, rng, mode="casted"):
     return report, engine.recorded_logits
 
 
-# Sharding × dtype combinations the identity must hold across.
+# The dtypes the identity must hold across.
 IDENTITY_CASES = [
-    pytest.param(1, "row", np.float64, id="one-shard"),
-    pytest.param(2, "row", np.float64, id="sharded-row"),
-    pytest.param(2, "table", np.float64, id="sharded-table"),
-    pytest.param(1, "row", np.float32, id="float32-one-shard"),
-    pytest.param(2, "row", np.float32, id="float32-sharded-row"),
+    pytest.param(np.float64, id="float64"),
+    pytest.param(np.float32, id="float32"),
 ]
 
 
-def _make_trainer(num_shards, policy, dtype, seed=0):
+def _make_trainer(dtype, seed=0):
     return FunctionalTrainer(
         make_model(seed=seed, dtype=dtype), make_stream(), SGD(lr=0.2),
-        num_shards=num_shards, policy=policy,
     )
 
 
 class TestInferMatchesTrainingForward:
     """infer() forward outputs == the training path's forward, bit for bit."""
 
-    @pytest.mark.parametrize("num_shards,policy,dtype", IDENTITY_CASES)
-    def test_first_step_logits_bit_identical(self, num_shards, policy, dtype):
-        training = _make_trainer(num_shards, policy, dtype)
+    @pytest.mark.parametrize("dtype", IDENTITY_CASES)
+    def test_first_step_logits_bit_identical(self, dtype):
+        training = _make_trainer(dtype)
         report, logits = train_with_recorded_logits(
             training, 8, 1, np.random.default_rng(1)
         )
-        serving = _make_trainer(num_shards, policy, dtype)
+        serving = _make_trainer(dtype)
         inference = serving.infer(8, 1, np.random.default_rng(1))
         assert np.array_equal(inference.logits[0], logits[0])
         assert inference.losses == report.losses[:1]
 
-    @pytest.mark.parametrize("num_shards,policy,dtype", IDENTITY_CASES)
-    def test_multi_step_infer_is_deterministic(self, num_shards, policy,
-                                               dtype):
+    @pytest.mark.parametrize("dtype", IDENTITY_CASES)
+    def test_multi_step_infer_is_deterministic(self, dtype):
         runs = []
         for _ in range(2):
-            trainer = _make_trainer(num_shards, policy, dtype)
+            trainer = _make_trainer(dtype)
             runs.append(trainer.infer(8, 3, np.random.default_rng(1)))
         first, second = runs
         assert first.steps == second.steps == 3
@@ -111,9 +106,9 @@ class TestInferMatchesTrainingForward:
             assert np.array_equal(a, b)
 
     def test_baseline_mode_forward_matches_casted(self):
-        casted = _make_trainer(1, "row", np.float64).infer(
+        casted = _make_trainer(np.float64).infer(
             8, 2, np.random.default_rng(1), mode="casted")
-        baseline = _make_trainer(1, "row", np.float64).infer(
+        baseline = _make_trainer(np.float64).infer(
             8, 2, np.random.default_rng(1), mode="baseline")
         for a, b in zip(casted.logits, baseline.logits):
             assert np.array_equal(a, b)
@@ -133,8 +128,7 @@ class TestInferMatchesTrainingForward:
 #: Every call that backpropagates or updates, by owning class.
 BACKWARD_AND_UPDATE_CALLS = [
     (DLRM, "backward_through_dense"),
-    (ShardedEmbeddingSet, "prepare_backward"),
-    (ShardedEmbeddingSet, "backward_table"),
+    (EmbeddingBag, "backward"),
     (Optimizer, "step"),
     (Optimizer, "apply_sparse"),
 ]
@@ -145,10 +139,9 @@ class TestFrozenParameters:
 
     @pytest.mark.parametrize("entry", ["train", "infer"])
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
-    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("lookahead", [0, 1])
     def test_only_training_backpropagates_and_updates(
-            self, lookahead, num_shards, mode, entry, monkeypatch):
+            self, lookahead, mode, entry, monkeypatch):
         calls = []
         for owner, name in BACKWARD_AND_UPDATE_CALLS:
             real = getattr(owner, name)
@@ -158,8 +151,7 @@ class TestFrozenParameters:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
         trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2),
-            num_shards=num_shards, lookahead=lookahead,
+            make_model(), make_stream(), SGD(lr=0.2), lookahead=lookahead,
         )
         getattr(trainer, entry)(8, 2, np.random.default_rng(1), mode=mode)
         if entry == "infer":
@@ -191,14 +183,6 @@ class TestFrozenParameters:
         assert set(state_before) == set(state_after)
         for key in state_before:
             assert np.array_equal(state_before[key], state_after[key])
-
-    def test_sharded_params_untouched(self):
-        trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), num_shards=2
-        )
-        reference = make_model()
-        trainer.infer(8, 3, np.random.default_rng(1))
-        assert_params_equal(trainer.model, reference)
 
     def test_no_backward_or_update_phase_in_timings(self):
         inference = FunctionalTrainer(
@@ -239,13 +223,6 @@ class TestInferenceReport:
         assert pred.dtype == np.float64
         assert pred[1] == 0.5
         assert 0.0 < pred[0] < 1e-40 and pred[2] == 1.0
-
-    def test_sharded_report_carries_exchange_bytes(self):
-        inference = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), num_shards=2
-        ).infer(8, 2, np.random.default_rng(1))
-        assert inference.forward_exchange_bytes > 0
-        assert len(inference.shard_timings) == 2
 
     def test_exhausted_source_raises_canonical_error(self):
         trainer = FunctionalTrainer(

@@ -32,7 +32,7 @@ TINY = RM1.with_overrides(
 CastAheadTrainer = partial(FunctionalTrainer, lookahead=1)
 
 
-def make_trainer(trainer_cls, num_shards=1, seed=0):
+def make_trainer(trainer_cls, seed=0):
     model = DLRM(TINY, rng=np.random.default_rng(seed))  # float64 default
     stream = SyntheticCTRStream(
         num_tables=TINY.num_tables,
@@ -41,12 +41,12 @@ def make_trainer(trainer_cls, num_shards=1, seed=0):
         dense_features=TINY.dense_features,
         seed=seed,
     )
-    trainer = trainer_cls(model, stream, SGD(lr=0.1), num_shards=num_shards)
+    trainer = trainer_cls(model, stream, SGD(lr=0.1))
     return model, trainer
 
 
-def run_one_step(trainer_cls, num_shards=1, seed=0, steps=1):
-    model, trainer = make_trainer(trainer_cls, num_shards, seed)
+def run_one_step(trainer_cls, seed=0, steps=1):
+    model, trainer = make_trainer(trainer_cls, seed)
     report = trainer.train(32, steps, np.random.default_rng(seed + 1))
     return model, report
 
@@ -63,11 +63,10 @@ def assert_identical(run, want):
 class TestBitIdentityAcrossBackends:
     """One seed, the oracles and the kernels, identical numbers."""
 
-    def _check(self, oracle_kernels, trainer_cls, num_shards=1, steps=1):
+    def _check(self, oracle_kernels, trainer_cls, steps=1):
         with oracle_kernels():
-            oracle = run_one_step(trainer_cls, num_shards, steps=steps)
-        assert_identical(run_one_step(trainer_cls, num_shards, steps=steps),
-                         oracle)
+            oracle = run_one_step(trainer_cls, steps=steps)
+        assert_identical(run_one_step(trainer_cls, steps=steps), oracle)
 
     def test_one_step_functional_trainer(self, oracle_kernels):
         self._check(oracle_kernels, FunctionalTrainer)
@@ -76,9 +75,6 @@ class TestBitIdentityAcrossBackends:
         """Divergence compounds across steps: three of them would amplify
         any single-ulp drift into a loud failure."""
         self._check(oracle_kernels, FunctionalTrainer, steps=3)
-
-    def test_sharded_trainer(self, oracle_kernels):
-        self._check(oracle_kernels, FunctionalTrainer, num_shards=2)
 
     def test_pipelined_trainer(self, oracle_kernels):
         self._check(oracle_kernels, CastAheadTrainer, steps=2)
@@ -90,19 +86,19 @@ class TestBitIdentityAcrossBackends:
             serial = run_one_step(FunctionalTrainer, steps=2)
         assert_identical(run_one_step(CastAheadTrainer, steps=2), serial)
 
-    def test_sharded_matches_unsharded_across_engines(self, oracle_kernels):
-        """The one-shard trainer on the oracles is bit-identical to the
-        model's own single-device step on the kernels."""
+    def test_trainer_matches_train_step_across_engines(self, oracle_kernels):
+        """The trainer on the oracles is bit-identical to the model's own
+        ``train_step`` on the kernels."""
         with oracle_kernels():
-            sharded_model, _ = run_one_step(FunctionalTrainer)
-        unsharded_model, trainer = make_trainer(FunctionalTrainer)
+            trained_model, _ = run_one_step(FunctionalTrainer)
+        stepped_model, trainer = make_trainer(FunctionalTrainer)
         data = trainer.stream.next_batch(32, np.random.default_rng(1))
-        unsharded_model.train_step(
+        stepped_model.train_step(
             data.dense, data.indices, data.labels, SGD(lr=0.1),
             precompute_casts=True,
         )
         for got, want in zip(
-            sharded_model.all_parameters(), unsharded_model.all_parameters()
+            trained_model.all_parameters(), stepped_model.all_parameters()
         ):
             assert np.array_equal(got, want)
 
@@ -118,6 +114,6 @@ class TestBitIdentityAcrossBackends:
 
         with oracle_kernels(), observe_kernels(Observer()):
             for mode in ("casted", "baseline"):
-                _, trainer = make_trainer(FunctionalTrainer, num_shards=2)
+                _, trainer = make_trainer(FunctionalTrainer)
                 trainer.train(16, 1, np.random.default_rng(0), mode=mode)
         assert calls == []

@@ -16,16 +16,14 @@ CONFIG = RM1.with_overrides(
 )
 
 
-def make_trainer(lookahead, num_shards=1, policy="row",
-                 optimizer_cls=SGD, seed=0):
+def make_trainer(lookahead, optimizer_cls=SGD, seed=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
         dense_features=8, seed=seed,
     )
     trainer = FunctionalTrainer(
-        model, stream, optimizer_cls(lr=0.3),
-        num_shards=num_shards, policy=policy, lookahead=lookahead,
+        model, stream, optimizer_cls(lr=0.3), lookahead=lookahead,
     )
     return model, trainer
 
@@ -34,13 +32,10 @@ def all_params(model):
     return model.all_parameters()
 
 
-def train_pair(num_shards=1, policy="row", optimizer_cls=SGD,
-               batch=16, steps=4):
-    serial_model, serial = make_trainer(
-        0, num_shards, policy, optimizer_cls)
+def train_pair(optimizer_cls=SGD, batch=16, steps=4):
+    serial_model, serial = make_trainer(0, optimizer_cls)
     serial_report = serial.train(batch, steps, np.random.default_rng(1))
-    pipelined_model, pipelined = make_trainer(
-        1, num_shards, policy, optimizer_cls)
+    pipelined_model, pipelined = make_trainer(1, optimizer_cls)
     pipelined_report = pipelined.train(batch, steps, np.random.default_rng(1))
     return (serial_model, serial_report), (pipelined_model, pipelined_report)
 
@@ -48,19 +43,9 @@ def train_pair(num_shards=1, policy="row", optimizer_cls=SGD,
 class TestBitIdentity:
     """The pipeline reorders *when* phases run, never *what* they compute."""
 
-    def test_unsharded_losses_and_params_bit_identical(self):
+    def test_losses_and_params_bit_identical(self):
         (serial_model, serial_report), (pipelined_model, pipelined_report) = (
             train_pair()
-        )
-        assert serial_report.losses == pipelined_report.losses
-        for got, want in zip(all_params(pipelined_model), all_params(serial_model)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("policy", ["row", "table"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
-    def test_sharded_bit_identical(self, num_shards, policy):
-        (serial_model, serial_report), (pipelined_model, pipelined_report) = (
-            train_pair(num_shards=num_shards, policy=policy)
         )
         assert serial_report.losses == pipelined_report.losses
         for got, want in zip(all_params(pipelined_model), all_params(serial_model)):
@@ -94,38 +79,11 @@ class TestReport:
             report.steps / report.wall_seconds
         )
 
-    def test_sharded_exchange_attributed_per_stage(self):
-        _, trainer = make_trainer(1, num_shards=2)
-        report = trainer.train(16, 2, np.random.default_rng(1))
-        assert report.forward_exchange_bytes > 0
-        assert report.backward_exchange_bytes > 0
-        assert report.exchange_bytes == (
-            report.forward_exchange_bytes + report.backward_exchange_bytes
-        )
-
-    def test_sharded_exchange_matches_serial_trainer(self):
-        _, serial = make_trainer(0, num_shards=2)
-        serial_report = serial.train(16, 2, np.random.default_rng(1))
-        _, pipelined = make_trainer(1, num_shards=2)
-        pipelined_report = pipelined.train(16, 2, np.random.default_rng(1))
-        assert (pipelined_report.forward_exchange_bytes
-                == serial_report.forward_exchange_bytes)
-        assert (pipelined_report.backward_exchange_bytes
-                == serial_report.backward_exchange_bytes)
-
-    def test_sharded_report_has_per_shard_timings(self):
-        _, trainer = make_trainer(1, num_shards=2)
-        report = trainer.train(16, 2, np.random.default_rng(1))
-        assert report.num_shards == 2
-        for shard in report.shard_timings:
-            for phase in ("casting", "gather", "backward", "update"):
-                assert phase in shard.totals
-
 
 class TestValidation:
     def test_baseline_mode_is_bit_identical_to_serial(self):
         """Used to be rejected.  The baseline backward has no cast to hide
-        (its cast stage only partitions), so look-ahead changes nothing —
+        (its cast stage does nothing), so look-ahead changes nothing —
         including the absence of a ``casting`` phase."""
         serial_model, serial = make_trainer(0)
         serial_report = serial.train(
@@ -150,11 +108,6 @@ class TestValidation:
         _, trainer = make_trainer(1)
         with pytest.raises(ValueError, match="batch must be a positive"):
             trainer.train(batch, 2, np.random.default_rng(1))
-
-    @pytest.mark.parametrize("num_shards", [0, -1, 2.5])
-    def test_rejects_invalid_num_shards(self, num_shards):
-        with pytest.raises(ValueError, match="num_shards"):
-            make_trainer(1, num_shards=num_shards)
 
 
 class TestCastAheadWorker:

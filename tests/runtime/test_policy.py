@@ -5,18 +5,14 @@ or one batch ahead (``FunctionalTrainer(lookahead=)``) and the backward and
 update skipped by ``infer()``; the axes are meant to compose *by
 construction*.  This suite holds that to account:
 
-* every cell of look-ahead × shard count × backward mode × {train, infer}
-  — nothing is rejected — is run and compared, bit for bit, against an
-  oracle that shares no code with the engine — the frozen pre-refactor
-  loops of ``_legacy_trainer.py`` for training: the sharded loop in every
-  cell (its casted golden, which the baseline backward must equal), and at
-  one shard also the single-device loop in the cell's own mode;
-  the model's own ``forward`` for inference — or, where no such oracle
-  exists (forward-only over 2 shards, whose partial-sum order differs from
-  the single-table forward by an ulp), the plain inline run;
+* every cell of look-ahead × backward mode × {train, infer} — nothing is
+  rejected — is run and compared, bit for bit, against an oracle that
+  shares no code with the engine — the frozen pre-refactor single-device
+  loop of ``_legacy_trainer.py`` for training, in the casted mode (the
+  golden the baseline backward must equal) and in the cell's own mode;
+  the model's own ``forward`` for inference;
 * options that were removed fail loudly rather than meaning something else;
-* the integer arguments are validated by one helper at every site
-  (``num_shards=None`` included: one shard is ``num_shards=1``), an
+* the integer arguments are validated by one helper at every site, an
   unknown backward mode, a bad ``batch`` and a bad ``start_step`` are
   rejected before anything is drawn through either entry point (the
   trainer or ``TrainingEngine.run``), and the silently-dropped-setting bug
@@ -49,7 +45,7 @@ from repro.runtime.engine import TrainingEngine
 from repro.runtime.trainer import FunctionalTrainer
 
 # Same-directory imports (pytest puts this directory on sys.path).
-from _legacy_trainer import legacy_train_serial, legacy_train_sharded
+from _legacy_trainer import legacy_train_serial
 
 CONFIG = RM1.with_overrides(
     num_tables=3, gathers_per_table=4, rows_per_table=64,
@@ -106,27 +102,26 @@ def assert_params_equal(model_a, model_b):
 
 CELLS = [
     pytest.param(
-        lookahead, shards, mode, entry,
-        id=f"ahead{lookahead}-shards{shards}-{mode}-{entry}",
+        lookahead, mode, entry, id=f"ahead{lookahead}-{mode}-{entry}",
     )
-    for lookahead, shards, mode, entry in itertools.product(
-        (0, 1), (1, 2), ("casted", "baseline"), ("train", "infer"),
+    for lookahead, mode, entry in itertools.product(
+        (0, 1), ("casted", "baseline"), ("train", "infer"),
     )
 ]
 
 
 def test_the_product_is_not_silently_shrinking():
-    # 2 look-aheads x 2 shard counts x 2 modes x 2 entry points.
-    assert len(CELLS) == 2 * 2 * 2 * 2
+    # 2 look-aheads x 2 modes x 2 entry points.
+    assert len(CELLS) == 2 * 2 * 2
 
 
-@pytest.mark.parametrize("lookahead,shards,mode,entry", CELLS)
-def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
+@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
+def test_cell_matches_its_oracle(lookahead, mode, entry):
     stream, batches = drawn_batches()
     model = make_model()
     trainer = FunctionalTrainer(
         model, FixedSource(stream, batches), SGD(lr=0.3),
-        num_shards=shards, lookahead=lookahead,
+        lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     report = run(BATCH, STEPS, np.random.default_rng(1), mode=mode)
@@ -135,39 +130,23 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
     assert "sync" not in report.timings.totals
     assert ("cast_wait" in report.timings.totals) == (lookahead == 1)
 
-    oracle_model = make_model()
     if entry == "train":
-        losses, forward_bytes, backward_bytes = legacy_train_sharded(
-            oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
-            BATCH, STEPS, np.random.default_rng(1),
-            num_shards=shards,
-        )
-        assert report.forward_exchange_bytes == forward_bytes
-        assert report.backward_exchange_bytes == backward_bytes
-        assert report.losses == losses
-        assert_params_equal(model, oracle_model)
-        if shards == 1:
+        for oracle_mode in dict.fromkeys(("casted", mode)):
             serial_model = make_model()
             assert report.losses == legacy_train_serial(
                 serial_model, FixedSource(stream, batches), SGD(lr=0.3),
                 BATCH, STEPS, np.random.default_rng(1),
-                mode=mode,
+                mode=oracle_mode,
             )
             assert_params_equal(model, serial_model)
         return
 
+    oracle_model = make_model()
     assert_params_equal(model, oracle_model)  # infer froze the parameters
-    if shards == 2:
-        plain = FunctionalTrainer(
-            oracle_model, FixedSource(stream, batches), SGD(lr=0.3),
-            num_shards=2,
-        ).infer(BATCH, STEPS, np.random.default_rng(1))
-        expected = list(zip(plain.logits, plain.losses))
-    else:
-        expected = []
-        for data in batches:
-            logits = oracle_model.forward(data.dense, data.indices)
-            expected.append((logits, bce_with_logits(logits, data.labels)[0]))
+    expected = []
+    for data in batches:
+        logits = oracle_model.forward(data.dense, data.indices)
+        expected.append((logits, bce_with_logits(logits, data.labels)[0]))
     assert len(report.logits) == STEPS
     for got, loss, (want, want_loss) in zip(
             report.logits, report.losses, expected):
@@ -180,11 +159,18 @@ def test_cell_matches_its_oracle(lookahead, shards, mode, entry):
 # ----------------------------------------------------------------------
 
 class TestRemovedOptions:
-    def test_overlap_shard_count_zero_exits_2(self, capsys):
-        """Shard counts start at one: there is no unsharded plan to pick."""
-        assert cli.main(["overlap", "--shards", "0", "--steps", "1"]) == 2
-        assert capsys.readouterr().err == (
-            "error: shard counts must be >= 1, got [0]\n")
+    @pytest.mark.parametrize("name,value", [
+        ("num_shards", 2), ("policy", "row")])
+    def test_the_removed_shard_options_fail_loudly(self, name, value):
+        """Executed multi-shard training is gone: the trainer runs one
+        device, so neither option may be accepted and silently ignored."""
+        with pytest.raises(TypeError, match=name):
+            FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3),
+                              **{name: value})
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.model.sharded")
+        assert not hasattr(FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.3)), "sharded")
 
     @pytest.mark.parametrize("value", ["thread", "process"])
     def test_the_removed_parallel_mode_option_fails_loudly(
@@ -193,7 +179,7 @@ class TestRemovedOptions:
         accepted and silently mean "threads"."""
         with pytest.raises(TypeError, match="parallel_mode"):
             FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
+                make_model(), make_stream(), SGD(lr=0.3),
                 parallel_mode=value,
             )
         with pytest.raises(SystemExit) as exit_info:
@@ -207,7 +193,7 @@ class TestRemovedOptions:
         for name, value in (("schedule", "parallel"), ("workers", 2)):
             with pytest.raises(TypeError, match=name):
                 FunctionalTrainer(
-                    make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
+                    make_model(), make_stream(), SGD(lr=0.3),
                     **{name: value},
                 )
         for argv in (["--schedule", "parallel"], ["--workers", "2"]):
@@ -358,8 +344,7 @@ class TestRemovedOptions:
     @pytest.mark.parametrize("site", [
         "gather_reduce", "casted_gather_reduce", "tcasted_grad_gather_reduce",
         "tensor_casting", "expand_coalesce", "EmbeddingBag",
-        "ShardedEmbeddingSet", "FunctionalTrainer",
-        "overlap_sweep", "measured_scaling_sweep",
+        "FunctionalTrainer", "overlap_sweep",
     ])
     def test_no_site_takes_an_engine(self, site):
         """There is one set of kernels: ``backend=`` is a ``TypeError``
@@ -412,7 +397,6 @@ def _construct(**kwargs):
 
 
 INT_SITES = {
-    "num_shards": lambda v: _construct(num_shards=v),
     "max_batches": lambda v: TakeSource(make_stream(), v),
     "depth": lambda v: PrefetchingSource(make_stream(), v),
     "batch": lambda v: _construct().train(v, 1, np.random.default_rng(1)),
@@ -516,12 +500,10 @@ class TestNoSilentlyDroppedSettings:
         """A setting passed positionally used to slip past a keyword guard
         and be dropped."""
         positional = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3),
-            2, "row", 1,
+            make_model(), make_stream(), SGD(lr=0.3), 1,
         )
         keyword = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3), num_shards=2,
-            lookahead=1,
+            make_model(), make_stream(), SGD(lr=0.3), lookahead=1,
         )
         assert positional.lookahead == keyword.lookahead == 1
         report = positional.train(8, 2, np.random.default_rng(1))

@@ -1,4 +1,4 @@
-"""A failed step is atomic or torn; the sharded step loop's run contracts.
+"""A failed step is atomic or torn; the step loop's run contracts.
 
 A kernel failure in any phase of a step before its first parameter write
 — cast, gather, the first table's backward — must propagate to the caller
@@ -9,9 +9,8 @@ after it (the second table's backward, once the first table's update has
 written) propagates the same way and leaves the trainer torn: training,
 scoring and saving refuse it, naming the step, until a checkpoint is
 restored — after which the resumed run is the uninterrupted one.  Pinned
-at one shard and over two, inline and cast ahead.  Alongside: a sharded
-run resumes from a checkpoint bit for bit, a shard that owns no rows is
-only ever empty, and every shard reports its own phase timings.
+inline and cast ahead.  Alongside: a run resumes from a checkpoint bit for
+bit, and the report carries every phase's timings.
 """
 
 import threading
@@ -21,7 +20,7 @@ import pytest
 
 from repro.data.generator import SyntheticCTRStream
 from repro.model.configs import RM1
-from repro.model import sharded
+from repro.model import embedding
 from repro.model.dlrm import DLRM
 from repro.model.optim import SGD, Adagrad
 from repro.runtime.checkpoint import (
@@ -49,14 +48,14 @@ PHASE_KERNELS = {
 
 
 class ExplodingKernel:
-    """Stand-in for ``phase``'s kernel in :mod:`repro.model.sharded` that
+    """Stand-in for ``phase``'s kernel in :mod:`repro.model.embedding` that
     blows up while armed and runs the real kernel otherwise."""
 
     def __init__(self, monkeypatch, phase):
         self.armed = False
         name = PHASE_KERNELS[phase]
-        self._healthy = getattr(sharded, name)
-        monkeypatch.setattr(sharded, name, self)
+        self._healthy = getattr(embedding, name)
+        monkeypatch.setattr(embedding, name, self)
 
     def __call__(self, *args, **kwargs):
         if self.armed:
@@ -64,24 +63,16 @@ class ExplodingKernel:
         return self._healthy(*args, **kwargs)
 
 
-def make_trainer(num_shards=2, optimizer_cls=SGD, seed=0, lookahead=0):
+def make_trainer(optimizer_cls=SGD, seed=0, lookahead=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
         dense_features=8, seed=seed,
     )
     trainer = FunctionalTrainer(
-        model, stream, optimizer_cls(lr=0.3),
-        num_shards=num_shards, lookahead=lookahead,
+        model, stream, optimizer_cls(lr=0.3), lookahead=lookahead,
     )
     return model, trainer
-
-
-def assert_bit_identical(want_model, want_report, got_model, got_report):
-    assert got_report.losses == want_report.losses
-    for got, want in zip(got_model.all_parameters(),
-                         want_model.all_parameters()):
-        assert np.array_equal(got, want)
 
 
 def lingering_threads():
@@ -124,11 +115,9 @@ class ArmAfterFirstStep(TrainingCallback):
 
 
 class TestFailedStep:
-    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
-    def test_a_failed_step_is_atomic(self, phase, lookahead, num_shards,
-                                     monkeypatch):
+    def test_a_failed_step_is_atomic(self, phase, lookahead, monkeypatch):
         """A kernel failure in any phase leaves the last good step intact.
 
         Adagrad, so there is optimizer state to tear.  With look-ahead,
@@ -136,13 +125,13 @@ class TestFailedStep:
         """
         batch, steps = 16, 4
         _, reference = make_trainer(
-            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+            optimizer_cls=Adagrad, lookahead=lookahead)
         reference_report = reference.train(
             batch, steps, np.random.default_rng(1))
 
         kernel = ExplodingKernel(monkeypatch, phase)
         _, trainer = make_trainer(
-            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+            optimizer_cls=Adagrad, lookahead=lookahead)
         recorder = ArmAfterFirstStep(trainer, kernel)
         with pytest.raises(RuntimeError, match="boom") as failure:
             trainer.train(batch, steps, np.random.default_rng(1),
@@ -182,19 +171,18 @@ class ExplodingOnSecondCall(ExplodingKernel):
 
 
 class TestTornStep:
-    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("lookahead", [0, 1])
     def test_a_failure_after_the_first_write_tears_the_trainer(
-            self, lookahead, num_shards, monkeypatch, tmp_path):
+            self, lookahead, monkeypatch, tmp_path):
         batch, steps = 16, 4
         _, reference = make_trainer(
-            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+            optimizer_cls=Adagrad, lookahead=lookahead)
         reference_report = reference.train(
             batch, steps, np.random.default_rng(1))
 
         kernel = ExplodingOnSecondCall(monkeypatch, "backward")
         _, trainer = make_trainer(
-            num_shards=num_shards, optimizer_cls=Adagrad, lookahead=lookahead)
+            optimizer_cls=Adagrad, lookahead=lookahead)
         recorder = ArmAfterFirstStep(trainer, kernel)
         with pytest.raises(RuntimeError, match="boom") as failure:
             trainer.train(batch, steps, np.random.default_rng(1),
@@ -223,7 +211,7 @@ class TestTornStep:
         assert_same_state(trainer_state(trainer), trainer_state(reference))
 
 
-class TestShardedRun:
+class TestRun:
     def test_resume_matches_the_uninterrupted_run(self, tmp_path):
         whole_model, whole = make_trainer()
         whole_report = whole.train(16, 4, np.random.default_rng(1))
@@ -251,24 +239,11 @@ class TestShardedRun:
                              saved_model.all_parameters()):
             assert np.array_equal(got, want)
 
-    def test_more_shards_than_rows_leaves_the_extra_shards_empty(self):
-        # Shards name parent rows, so a shard that owns none is only ever
-        # an empty shard: over 60-row tables row r lives on shard r under
-        # both counts, the 61st shard never receives a lookup, and the two
-        # runs are the same run.
-        exact_model, exact = make_trainer(num_shards=60)
-        spare_model, spare = make_trainer(num_shards=61)
-        exact_report = exact.train(16, 3, np.random.default_rng(1))
-        spare_report = spare.train(16, 3, np.random.default_rng(1))
-        assert_bit_identical(exact_model, exact_report,
-                             spare_model, spare_report)
-        assert len(spare_report.shard_timings) == 61
-
-    def test_report_carries_shard_timings(self):
+    def test_report_carries_every_phases_timings(self):
         _, trainer = make_trainer()
         report = trainer.train(16, 4, np.random.default_rng(1))
         assert "sync" not in report.timings.totals
-        assert len(report.shard_timings) == 2
-        for shard in report.shard_timings:
-            for phase in ("casting", "gather", "backward"):
-                assert shard.totals.get(phase, 0.0) > 0.0
+        assert not {"partition", "exchange"} & set(report.timings.totals)
+        for phase in ("draw", "casting", "forward", "loss", "backward",
+                      "update"):
+            assert report.timings.totals.get(phase, 0.0) > 0.0

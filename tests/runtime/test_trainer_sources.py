@@ -124,13 +124,6 @@ class TestFiniteSources:
         )
         assert_identical(serial_model, serial, pipelined_model, pipelined)
 
-    def test_sharded_trainer_stops_cleanly_at_exhaustion(self):
-        report = train(
-            make_model(), TakeSource(make_stream(), 2), steps=5, num_shards=2,
-        )
-        assert report.steps == 2
-        assert report.num_shards == 2
-
     @pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "lookahead"])
     def test_empty_source_raises(self, lookahead, tmp_path):
         source = TakeSource(make_stream(), 1)

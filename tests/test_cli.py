@@ -100,7 +100,7 @@ class TestMain:
         assert args.shards == [1, 4]
 
     def test_overlap_tiny_sweep(self, capsys):
-        code = main(["overlap", "--batches", "16", "--shards", "1",
+        code = main(["overlap", "--batches", "16",
                      "--steps", "2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -118,26 +118,27 @@ class TestMain:
         assert main(["overlap", "--batches", "0"]) == 2
         assert "batch must be a positive integer" in capsys.readouterr().err
 
-    def test_measured_scaling_runs_every_batch(self, capsys):
-        assert main(["scaling", "--batches", "16", "32", "--shards", "1", "2",
-                     "--steps", "1"]) == 0
-        out = capsys.readouterr().out
-        rows = [line.split() for line in out.splitlines()
-                if line.startswith("RM1")]
-        assert [(row[1], row[3]) for row in rows] == [
-            ("16", "1"), ("16", "2"), ("32", "1"), ("32", "2")]
-        assert [row[5] for row in rows[::2]] == ["1.00x", "1.00x"]
-        assert "Analytic" in out
+    @pytest.mark.parametrize("argv,flag,applies_to", [
+        (["scaling", "--steps", "2"], "--steps", "overlap, cache"),
+        (["overlap", "--shards", "2"], "--shards", "scaling"),
+    ], ids=["scaling-steps", "overlap-shards"])
+    def test_the_executed_shard_flags_are_unread(
+            self, argv, flag, applies_to, monkeypatch, capsys):
+        """Sharding is modelled, not trained: ``scaling`` has no measured
+        sweep to step and ``overlap`` no shard axis, so either flag exits 2
+        before anything runs."""
+        monkeypatch.setitem(EXPERIMENTS, argv[0], (
+            lambda *args, **kwargs: pytest.fail("experiment ran"), argv[0]))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} does not apply to {argv[0]!r}; it applies to: "
+            f"{applies_to}\n")
 
     def test_cache_rejects_more_than_one_batch(self, monkeypatch, capsys):
         monkeypatch.setattr("repro.cli.hotcache_sweep",
                             lambda **_: pytest.fail("experiment ran"))
         assert main(["cache", "--batches", "32", "64", "--steps", "1"]) == 2
         assert "'cache' replays one batch size" in capsys.readouterr().err
-
-    def test_models_rejected_by_the_measured_scaling_sweep(self, capsys):
-        assert main(["scaling", "--steps", "1", "--models", "RM1"]) == 2
-        assert "--models does not apply" in capsys.readouterr().err
 
     def test_registry_descriptions_reference_paper_artifacts(self):
         for name, (_, description) in EXPERIMENTS.items():
@@ -304,25 +305,25 @@ class TestTrainingJobFlags:
         assert "does not exist" in capsys.readouterr().err
 
     def test_overlap_runs_with_registry_optimizer(self, capsys):
-        assert main(["overlap", "--batches", "16", "--shards", "1",
+        assert main(["overlap", "--batches", "16",
                      "--steps", "1", "--dataset", "movielens",
                      "--optimizer", "adagrad", "--lr", "0.05"]) == 0
         assert "Pipelined" in capsys.readouterr().out
 
     def test_checkpoint_dir_saves_then_resume_restores(self, capsys, tmp_path):
         ckpt_dir = tmp_path / "ckpts"
-        assert main(["overlap", "--batches", "16", "--shards", "1",
+        assert main(["overlap", "--batches", "16",
                      "--steps", "2", "--dataset", "movielens",
                      "--checkpoint-dir", str(ckpt_dir)]) == 0
         capsys.readouterr()
         saved = sorted(path.name for path in ckpt_dir.glob("*.npz"))
-        assert saved == ["overlap-b16-s1.npz"]
+        assert saved == ["overlap-b16.npz"]
         from repro.runtime.checkpoint import load_checkpoint
 
-        assert load_checkpoint(ckpt_dir / "overlap-b16-s1.npz").step == 2
-        assert main(["overlap", "--batches", "16", "--shards", "1",
+        assert load_checkpoint(ckpt_dir / "overlap-b16.npz").step == 2
+        assert main(["overlap", "--batches", "16",
                      "--steps", "2", "--dataset", "movielens",
-                     "--resume", str(ckpt_dir / "overlap-b16-s1.npz")]) == 0
+                     "--resume", str(ckpt_dir / "overlap-b16.npz")]) == 0
         assert "Pipelined" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -367,7 +368,7 @@ class TestObservabilityFlags:
 
         trace = tmp_path / "overlap.trace.json"
         metrics = tmp_path / "metrics.json"
-        assert main(["overlap", "--batches", "16", "--shards", "1",
+        assert main(["overlap", "--batches", "16",
                      "--steps", "2",
                      "--trace-out", str(trace),
                      "--metrics-out", str(metrics)]) == 0
@@ -392,7 +393,7 @@ class TestObservabilityFlags:
         import json
 
         metrics = tmp_path / "metrics.json"
-        assert main(["overlap", "--batches", "16", "--shards", "1",
+        assert main(["overlap", "--batches", "16",
                      "--steps", "2",
                      "--metrics-out", str(metrics)]) == 0
         assert metrics.is_file()

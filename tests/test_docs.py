@@ -115,7 +115,6 @@ class TestExamples:
             "design_space_exploration.py",
             "dataset_locality_study.py",
             "trace_replay.py",
-            "sharded_training.py",
             "resumable_training.py",
             "traced_run.py",
         }
