@@ -10,8 +10,8 @@ factor and for hot-row caching on real-shaped streams.
 
 Batches are drawn through the streaming data plane: each profile becomes a
 ``SyntheticCTRStream`` (a ``BatchSource``), so the very same source object
-could be handed to a trainer, recorded with ``record_trace``, wrapped in a
-``PrefetchingSource``, or replayed from disk.
+could be handed to a trainer, recorded with ``record_trace``, bounded with
+a ``TakeSource``, or replayed from disk.
 
 Run:  python examples/dataset_locality_study.py
 """

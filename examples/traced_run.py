@@ -6,16 +6,17 @@ nullable ``obs=`` argument.  With ``obs=None`` nothing records and runs
 are bit-identical to untraced ones; with an :class:`~repro.obs.
 Observability` the run produces
 
-* a Chrome trace-event JSON (open it at https://ui.perfetto.dev) with one
-  track per execution lane — ``main`` (the step loop) and ``cast`` (the
-  cast-ahead worker);
+* a Chrome trace-event JSON (open it at https://ui.perfetto.dev): every
+  phase of every step — the cast included — is a span on the ``main``
+  track, inside that step's ``step`` envelope;
 * a JSONL step stream (one record per training step);
 * a manifest (git SHA, experiment knobs) so an artifact is attributable;
 * a metric snapshot (kernel-call counters, step counter, loss gauge).
 
-This example traces a pipelined run into ``./traces/`` and
-validates the payload with the library's own checker — the same check CI
-runs on the smoke artifacts.
+This example traces a run into ``./traces/``, validates the payload with
+the library's own checker — the same check CI runs on the smoke artifacts
+— and reads the cast's share of the step off the trace: the slice the
+paper's Figure 9(b) hides on another device.
 
 Run from the repository root::
 
@@ -50,11 +51,10 @@ def make_stream():
 
 
 def trace_training() -> None:
-    """A pipelined run: the casts on their own track, beside the step loop."""
+    """A traced run: every phase on the step loop's ``main`` track."""
     obs = Observability()
     model = DLRM(CONFIG, rng=np.random.default_rng(0))
-    trainer = FunctionalTrainer(model, make_stream(), SGD(lr=0.2),
-                                lookahead=1)
+    trainer = FunctionalTrainer(model, make_stream(), SGD(lr=0.2))
     report = trainer.train(32, 6, np.random.default_rng(1), obs=obs)
     obs.annotate(example="traced_run", plane="training")
     written = obs.export(OUT_DIR / "training.trace.json",
@@ -68,6 +68,11 @@ def trace_training() -> None:
           f"{report.steps_per_second:.0f} steps/s")
     for name in sorted(totals):
         print(f"  {name:<10} {totals[name] * 1e3:8.2f} ms traced")
+    tracks = {record.track for record in obs.tracer.records}
+    if tracks != {"main"}:
+        raise SystemExit(f"expected one track, main; the trace has {tracks}")
+    print(f"the cast is {totals['casting'] / totals['step']:.1%} of the "
+          "traced steps")
 
 
 def main() -> None:

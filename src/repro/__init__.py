@@ -18,13 +18,11 @@ Package tour
   Table II configurations;
 * :mod:`repro.data` — the streaming batch data plane: the ``BatchSource``
   protocol with synthetic generation, constant-memory trace replay, a
-  Criteo-style file reader, and composable wrappers (prefetch, stream
-  bounding), plus calibrated dataset profiles and histogram tooling;
+  Criteo-style file reader, and a stream-bounding wrapper, plus calibrated dataset profiles and histogram tooling;
 * :mod:`repro.sim` — cycle-level DDR4 simulation, CPU/GPU/NMP device models,
   interconnects and energy accounting;
 * :mod:`repro.runtime` — execution timelines, the four system design points,
-  and a wall-clock-instrumented functional trainer whose ``lookahead=1``
-  executes the Section IV-B cast-ahead overlap and whose ``infer()`` runs
+  and a wall-clock-instrumented functional trainer whose ``infer()`` runs
   the same step forward-only, parameters frozen;
 * :mod:`repro.obs` — spans, metrics and Perfetto export for a training
   run, over an injectable clock (:mod:`repro.obs.clock`);
@@ -62,7 +60,6 @@ from .data import (
     CTRBatch,
     CriteoFileSource,
     DATASETS,
-    PrefetchingSource,
     SourceExhausted,
     SyntheticCTRStream,
     TraceReplaySource,
@@ -156,7 +153,6 @@ __all__ = [
     "Momentum",
     "NMPPoolModel",
     "NMPSystem",
-    "PrefetchingSource",
     "RMSprop",
     "SGD",
     "ShardedNMPSystem",

@@ -208,8 +208,8 @@ EXPERIMENTS: Dict[str, tuple[Callable, str]] = {
     "link": (_run_link, "Section VI-D - link-bandwidth sweep"),
     "scaling": (_run_scaling, "Beyond the paper - Section IV runtime sharded "
                               "across N devices (speedup + traffic)"),
-    "overlap": (_run_overlap, "Section IV-B executed - measured cast-ahead "
-                              "pipeline vs the analytic overlap bound"),
+    "overlap": (_run_overlap, "Section IV-B measured - the cast's share of "
+                              "the step vs the analytic overlap bound"),
     "cache": (_run_cache, "Section II-D related work executed - hot-row "
                           "cache hit rates, measured (LRU/LFU) vs analytic"),
 }

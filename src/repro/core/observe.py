@@ -38,9 +38,9 @@ def count_kernel(op: str) -> None:
 def observe_kernels(observer: KernelObserver) -> Iterator[KernelObserver]:
     """Count every kernel launched inside the scope into ``observer``.
 
-    Process-wide, deliberately: the cast-ahead worker thread launches
-    kernels for the same run, and its calls must land in the same counts.
-    Nested scopes restore the previous observer on exit.
+    Process-wide: a kernel needs no handle to report, so every launch in
+    the scope lands in the same counts, whoever calls it.  Nested scopes
+    restore the previous observer on exit.
     """
     global _OBSERVER
     previous = _OBSERVER

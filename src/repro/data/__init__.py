@@ -5,8 +5,8 @@ consumes the :class:`~repro.data.source.BatchSource` protocol, with
 interchangeable implementations — the learnable
 :class:`~repro.data.generator.SyntheticCTRStream`, constant-memory trace
 replay (:class:`~repro.data.trace.TraceReplaySource`), a Criteo-style file
-reader (:class:`~repro.data.source.CriteoFileSource`), and composable
-wrappers (prefetching, stream bounding).  The
+reader (:class:`~repro.data.source.CriteoFileSource`), and a
+stream-bounding wrapper (:class:`~repro.data.source.TakeSource`).  The
 calibrated synthetic stand-ins for the paper's public datasets and the
 histogram tooling that measures locality live alongside.
 """
@@ -22,7 +22,6 @@ from .source import (
     BatchSource,
     CTRBatch,
     CriteoFileSource,
-    PrefetchingSource,
     SourceExhausted,
     TakeSource,
     as_batch_source,
@@ -54,7 +53,6 @@ __all__ = [
     "DatasetProfile",
     "LookupDistribution",
     "PAPER_ORDER",
-    "PrefetchingSource",
     "SourceExhausted",
     "SyntheticCTRStream",
     "TakeSource",

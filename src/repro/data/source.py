@@ -19,26 +19,19 @@ Implementations in the package:
   -memory replay of a recorded batch stream;
 * :class:`CriteoFileSource` — a Criteo-style TSV/NPZ dataset file reader;
 
-plus the composable wrappers defined here: :class:`TakeSource` (bound an
-endless stream) and :class:`PrefetchingSource` (a bounded background
-prefetch queue feeding the trainer's cast-ahead machinery).
+plus :class:`TakeSource`, the wrapper that bounds an endless stream.
 """
 
 from __future__ import annotations
 
 import abc
-import queue
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import IO, Any, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.indexing import IndexArray
-
-if TYPE_CHECKING:
-    from ..obs.metrics import Counter, Gauge, MetricRegistry
 
 __all__ = [
     "CTRBatch",
@@ -46,7 +39,6 @@ __all__ = [
     "BatchSource",
     "as_batch_source",
     "TakeSource",
-    "PrefetchingSource",
     "CriteoFileSource",
     "positive_int",
     "non_negative_int",
@@ -115,9 +107,8 @@ class BatchSource(abc.ABC):
 
     ``next_batch(batch, rng)`` returns the next :class:`CTRBatch` or raises
     :class:`SourceExhausted`; ``rng`` drives whatever randomness the source
-    has (file-backed sources simply ignore it).  Sources are iterated
-    single-threadedly by convention; :class:`PrefetchingSource` is the one
-    sanctioned way to move production onto another thread.
+    has (file-backed sources simply ignore it).  Sources are drawn on the
+    step loop's thread.
     """
 
     num_tables: int
@@ -156,28 +147,19 @@ def as_batch_source(stream: BatchSource) -> BatchSource:
     raise TypeError(f"{type(stream).__name__} is not a BatchSource")
 
 
-class _WrappedSource(BatchSource):
-    """Shared plumbing for wrappers: delegate geometry and close-through."""
+class TakeSource(BatchSource):
+    """Bound any source to at most ``max_batches`` batches.
 
-    def __init__(self, source: BatchSource) -> None:
+    Turns the endless synthetic stream into a finite one — handy for
+    exhaustion-path testing and for recording fixed-length traces.  The
+    geometry is the inner source's, and closing closes it.
+    """
+
+    def __init__(self, source: BatchSource, max_batches: int) -> None:
         self.source = as_batch_source(source)
         self.num_tables = self.source.num_tables
         self.rows_per_table = list(self.source.rows_per_table)
         self.dense_features = self.source.dense_features
-
-    def close(self) -> None:
-        self.source.close()
-
-
-class TakeSource(_WrappedSource):
-    """Bound any source to at most ``max_batches`` batches.
-
-    Turns the endless synthetic stream into a finite one — handy for
-    exhaustion-path testing and for recording fixed-length traces.
-    """
-
-    def __init__(self, source: BatchSource, max_batches: int) -> None:
-        super().__init__(source)
         self.max_batches = positive_int("max_batches", max_batches)
         self._taken = 0
 
@@ -190,145 +172,8 @@ class TakeSource(_WrappedSource):
         self._taken += 1
         return data
 
-
-#: Queue item tags used by :class:`PrefetchingSource`'s worker protocol.
-_ITEM_BATCH, _ITEM_END, _ITEM_ERROR = "batch", "end", "error"
-
-
-class PrefetchingSource(_WrappedSource):
-    """Produce batches on a background thread through a bounded queue.
-
-    The streaming analogue of the trainers' cast-ahead worker: while the
-    consumer trains batch ``i``, the worker is already drawing batches
-    ``i+1 .. i+depth``.  Order is preserved (one worker, one queue) so a
-    trainer fed through a prefetcher stays bit-identical to one fed
-    directly — the wrapper moves *when* production happens, never what is
-    produced.
-
-    Lifecycle guarantees (pinned by ``tests/data/test_prefetch.py``):
-
-    * **exhaustion** — the worker thread exits once the inner source runs
-      dry; every later :meth:`next_batch` raises :class:`SourceExhausted`;
-    * **errors** — an exception raised by the inner source is re-raised in
-      the *consumer* at the next :meth:`next_batch`, and the worker exits;
-    * **early abort** — :meth:`close` (or exiting the context manager)
-      stops a mid-stream worker promptly even when the queue is full; it
-      never hangs and is idempotent.
-
-    The worker pins the ``(batch, rng)`` of the first call; asking for a
-    different batch size mid-stream is an error (the queue already holds
-    batches of the pinned size).
-    """
-
-    def __init__(self, source: BatchSource, depth: int = 2) -> None:
-        super().__init__(source)
-        self.depth = positive_int("depth", depth)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.depth)
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._batch: Optional[int] = None
-        self._exhausted = False
-        self._error: Optional[BaseException] = None
-        self._closed = False
-        self._depth_gauge: Optional["Gauge"] = None
-        self._draw_counter: Optional["Counter"] = None
-
-    def observe(self, metrics: "MetricRegistry",
-                **labels: object) -> None:
-        """Publish queue depth and draw counts into ``metrics``.
-
-        Attaches a ``prefetch.queue_depth`` gauge — sampled at every
-        consumer draw, *before* the dequeue, so the reading is how many
-        batches the worker had banked when the trainer came asking (depth 0
-        = the consumer is about to block; steady ``depth`` = full overlap)
-        — and a ``prefetch.draws`` counter.
-        """
-        self._depth_gauge = metrics.gauge("prefetch.queue_depth", **labels)
-        self._draw_counter = metrics.counter("prefetch.draws", **labels)
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _put(self, item: "tuple[str, object]") -> bool:
-        """Offer ``item`` to the queue, giving up promptly once stopped."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _worker(self, batch: int, rng: np.random.Generator) -> None:
-        while not self._stop.is_set():
-            try:
-                data = self.source.next_batch(batch, rng)
-            except SourceExhausted:
-                self._put((_ITEM_END, None))
-                return
-            except BaseException as error:  # noqa: BLE001 — relayed, not dropped
-                self._put((_ITEM_ERROR, error))
-                return
-            if not self._put((_ITEM_BATCH, data)):
-                return
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-    def next_batch(self, batch: int, rng: np.random.Generator) -> CTRBatch:
-        if self._closed:
-            raise RuntimeError("PrefetchingSource is closed")
-        if self._error is not None:
-            raise self._error
-        if self._exhausted:
-            raise SourceExhausted("the prefetched source is exhausted")
-        if self._thread is None:
-            self._batch = int(batch)
-            self._thread = threading.Thread(
-                target=self._worker,
-                args=(self._batch, rng),
-                name="batch-prefetch",
-                daemon=True,
-            )
-            self._thread.start()
-        elif batch != self._batch:
-            raise ValueError(
-                f"prefetch worker is pinned to batch={self._batch}, "
-                f"got {batch}"
-            )
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(float(self._queue.qsize()))
-        if self._draw_counter is not None:
-            self._draw_counter.inc()
-        tag, payload = self._queue.get()
-        if tag == _ITEM_END:
-            self._exhausted = True
-            self._join_worker()
-            raise SourceExhausted("the prefetched source is exhausted")
-        if tag == _ITEM_ERROR:
-            self._error = payload
-            self._join_worker()
-            raise payload
-        return payload
-
-    def _join_worker(self) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
     def close(self) -> None:
-        """Stop the worker (promptly, even mid-stream) and close the inner source."""
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
-        # Drain so a worker blocked on a full queue sees the stop event.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._join_worker()
-        super().close()
+        self.source.close()
 
 
 class CriteoFileSource(BatchSource):

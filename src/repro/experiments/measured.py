@@ -1,7 +1,8 @@
 """One measured run: how the executed sweeps build and time a training job.
 
-The experiment that runs a real model — ``overlap`` (Section IV-B's
-cast-ahead overlap) — measures a seeded float32 DLRM driven by a
+The experiment that runs a real model — ``overlap`` (Section IV-B: how
+much of the step the cast is, and what hiding it would buy) — measures a
+seeded float32 DLRM driven by a
 :class:`~repro.runtime.trainer.FunctionalTrainer` over a fresh source,
 timed best-of-k.  ``cache`` draws from the same sources and builds no
 model.  This module is the one place that decides how:
@@ -12,23 +13,21 @@ model.  This module is the one place that decides how:
 * :func:`best_of` — builds each run's
   :class:`~repro.runtime.trainer.FunctionalTrainer` from a model seeded
   like every other run of the cell (identical seeds give identical start
-  states, so every run is the same computation) and the sweep's trainer
-  keywords, trains one untimed warm-up step, then ``repeats`` fresh runs
-  (each optionally resumed from a checkpoint), and keeps the fastest;
-* :func:`runs_bit_identical` — the exact comparison behind every
+  states, so every run is the same computation), trains one untimed
+  warm-up step, then ``repeats`` fresh runs (each optionally resumed from
+  a checkpoint), keeps the fastest, and checks every repeat against the
+  first;
+* :func:`runs_bit_identical` — that exact comparison, behind every
   ``Bitwise`` column;
 * :func:`read_trace` — a recorded trace as a cell: the model geometry it
   implies, its first batch, and the steps left to replay after a resume.
-
-A run differs from another only in the trainer keywords it passes
-(``lookahead``) and in what the sweep reads off its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -109,6 +108,9 @@ class MeasuredRun:
     report: TrainingReport
     #: Global step the run resumed from (0 without a checkpoint).
     start_step: int = 0
+    #: Whether every repeat matched the first exactly (losses and every
+    #: parameter); ``False`` means the repeats were not one computation.
+    bit_identical: bool = True
 
     def save(self, path: "str | Path") -> None:
         """Checkpoint the trained state at the run's final global step."""
@@ -127,17 +129,20 @@ def best_of(
     lr: float = 0.1,
     resume: Optional[Checkpoint] = None,
     obs: "Observability | None" = None,
-    **trainer_kwargs: Any,
 ) -> MeasuredRun:
     """Train ``repeats`` fresh identically-seeded runs; keep the fastest.
 
     One untraced single-step run goes first, so no measured repeat absorbs
-    first-touch or worker-thread warm-up.  Best-of-k then strips scheduler
-    noise: every repeat is numerically identical (fresh model and source,
-    same seeds), so the minimum is a legitimate sample of the same
-    computation.  With ``resume`` set (a :class:`Checkpoint` loaded once
-    per sweep), every repeat restores parameters and optimizer state and
-    fast-forwards its source past the checkpointed steps.  The *whole*
+    first-touch warm-up.  Best-of-k then strips scheduler noise: every
+    repeat should be numerically identical (fresh model and source, same
+    seeds), so the minimum is a legitimate sample of the same computation.
+    That claim is checked, not assumed: each repeat is compared with the
+    first by :func:`runs_bit_identical`, and the result records whether
+    all of them matched (:attr:`MeasuredRun.bit_identical`) — a
+    ``make_source`` that reseeds per call shows up there.  With ``resume``
+    set (a :class:`Checkpoint` loaded once per sweep), every repeat restores
+    parameters and optimizer state and fast-forwards its source past the
+    checkpointed steps.  The *whole*
     report of the fastest run is kept, so its wall clock and phase timings
     stay mutually consistent.
     """
@@ -149,13 +154,14 @@ def best_of(
             DLRM(config, rng=np.random.default_rng(seed), dtype=np.float32),
             make_source(),
             make_optimizer(optimizer, lr=lr),
-            **trainer_kwargs,
         )
 
     warmup = build()
     warmup.train(batch, 1, np.random.default_rng(seed))
     warmup.stream.close()
+    first: Optional[MeasuredRun] = None
     best: Optional[MeasuredRun] = None
+    identical = True
     for _ in range(repeats):
         trainer = build()
         start_step = restore_trainer(trainer, resume) if resume is not None else 0
@@ -164,10 +170,15 @@ def best_of(
             start_step=start_step, obs=obs,
         )
         trainer.stream.close()
+        run = MeasuredRun(trainer, report, start_step)
+        if first is None:
+            first = run
+        else:
+            identical = identical and runs_bit_identical(first, run)
         if best is None or report.wall_seconds < best.report.wall_seconds:
-            best = MeasuredRun(trainer, report, start_step)
+            best = run
     assert best is not None
-    return best
+    return replace(best, bit_identical=identical)
 
 
 def runs_bit_identical(first: MeasuredRun, second: MeasuredRun) -> bool:

@@ -1,39 +1,32 @@
-"""Measured vs. analytic cast-ahead overlap: the "overlap" experiment.
+"""The cast's measured share of the step beside the analytic overlap bound.
 
 The paper's Section IV-B runtime hides Tensor Casting under forward
-propagation; the trainer's ``lookahead=1`` schedule executes that overlap
-on the host.  This experiment sweeps batch size and, for each cell, trains
-the same down-scaled DLRM twice through
-:func:`repro.experiments.measured.best_of` — once casting inline
-(``lookahead=0``), once casting ahead (``lookahead=1``) — and reports:
+propagation by running it on a device that is otherwise idle (Figure 9(b)).
+The trainer runs every phase on one thread, so this experiment shows that
+overlap as a number rather than a schedule.  It sweeps batch size and, for
+each cell, trains a down-scaled DLRM through
+:func:`repro.experiments.measured.best_of` (best wall clock of ``repeats``
+serial runs) and reports:
 
-* **measured throughput** of both runs (steps/s) and their ratio, the
-  measured overlap speedup;
-* **the analytic prediction** from the ``Ours(NMP)`` timeline: the ratio
-  of the makespan with the casting stage forced onto the critical path to
-  the makespan with it overlapped — the most speedup cast-ahead alone can
-  buy;
-* **the overlap ratio** (measured / analytic) — how much of the modeled
-  benefit the host pipeline realizes (NumPy's lock-step threading typically
-  keeps this below 1);
-* a **bit-identical** flag: losses and every parameter tensor of the two
-  runs are compared exactly, so a throughput win can never come from
-  numerical drift.
+* **measured throughput** (steps/s);
+* **the measured cast**: the ``casting`` phase in ms per step and its share
+  of the step;
+* **the measured hiding bound** ``step / (step - cast)``: the speedup a
+  perfectly hidden cast would buy on this host, given a spare device to
+  run it on;
+* **the analytic bound** from the ``Ours(NMP)`` timeline: the makespan with
+  the casting stage forced onto the critical path over the makespan with
+  it overlapped (:func:`analytic_overlap_speedup`);
+* a **bit-identical** flag: every repeat is compared exactly (losses and
+  every parameter) with the first, so the timed minimum is known to be a
+  sample of one computation.
 
-Measured overlap is bounded by the host's parallelism: the pipeline takes
-the cast off the critical *path*, but a core must still execute it, so on a
-single-core host the speedup degenerates to parity and the scheduling win
-shows up only in the timing split (``cast_wait`` ≈ 0 while ``casting``
-stays full-size).  The formatter prints the host core count next to the
-ratios so the reader can calibrate.
-
-Everything trains a deliberately small model: the point is the *schedule*,
-not the model scale.
+Everything trains a deliberately small model: the point is the cast's
+share of the step, not the model scale.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -53,7 +46,6 @@ from ..runtime.systems import (
 from .measured import (
     best_of,
     read_trace,
-    runs_bit_identical,
     scaled_distribution,
     synthetic_source,
 )
@@ -93,17 +85,17 @@ class OverlapRow:
     model: str
     batch: int
     steps: int
-    serial_steps_per_s: float
-    pipelined_steps_per_s: float
-    measured_speedup: float
+    steps_per_s: float
+    #: Measured ``casting`` milliseconds per step.
+    cast_ms: float
+    #: ``cast_ms`` over the measured step.
+    cast_share: float
+    #: ``step / (step - cast)``: the most a perfectly hidden cast could buy.
+    measured_bound: float
+    #: The ``Ours(NMP)`` timeline's bound (:func:`analytic_overlap_speedup`).
     analytic_speedup: float
-    overlap_ratio: float
+    #: Every repeat matched the first exactly (losses and parameters).
     bit_identical: bool
-    #: Worker-side casting seconds of the pipelined run (the hidden work).
-    cast_seconds: float = 0.0
-    #: Seconds the pipelined step loop blocked on the cast-ahead future (the
-    #: exposed remainder; ≈0 when the schedule fully hides the cast).
-    cast_wait_seconds: float = 0.0
 
 
 def analytic_overlap_speedup(
@@ -112,14 +104,14 @@ def analytic_overlap_speedup(
     hardware: SystemHardware | None = None,
     dataset: "str | LookupDistribution" = "random",
 ) -> float:
-    """Predicted serial/pipelined ratio when only the cast is overlapped.
+    """Predicted speedup when only the cast is overlapped.
 
     Runs the casting-enabled analytic timeline (``Ours(NMP)``), in which
     the casting stage is already hidden, and compares its makespan against the
     same schedule with the casting stage serialized onto the critical path
-    — i.e. ``(makespan + t_cast) / makespan``.  This is exactly the benefit
-    the functional pipeline chases: it moves the cast off the critical path
-    and nothing else.
+    — i.e. ``(makespan + t_cast) / makespan``: the benefit of moving the
+    cast off the critical path and nothing else, the analytic twin of the
+    measured ``step / (step - cast)``.
     """
     hardware = hardware or SystemHardware()
     stats = compute_workload(config, batch, dataset=dataset)
@@ -143,18 +135,18 @@ def overlap_sweep(
     resume: "str | Path | None" = None,
     obs: "Observability | None" = None,
 ) -> List[OverlapRow]:
-    """Sweep batch size, measuring inline vs. cast-ahead training.
+    """Sweep batch size, measuring the cast's share of a training step.
 
-    Each cell trains ``steps`` iterations at ``lookahead=0`` and at
-    ``lookahead=1`` (best wall-clock of ``repeats`` runs each), verifies
-    bitwise agreement, and pairs the measured speedup with the analytic
-    cast-overlap prediction for the same geometry.
+    Each cell trains ``steps`` iterations (best wall clock of ``repeats``
+    runs, every repeat checked bit for bit against the first) and pairs
+    the measured hiding bound with the analytic cast-overlap bound for the
+    same geometry.
 
     ``trace`` switches the source from synthetic generation to replaying a
     recorded batch trace: a single cell whose geometry (batch size,
     table count/heights, dense width, available steps) comes from the
     trace itself (:func:`~repro.experiments.measured.read_trace` reshapes
-    ``config``), with a fresh replay per run so both schedules consume the
+    ``config``), with a fresh replay per run so every repeat consumes the
     identical stream.  The analytic bound uses the trace's own measured
     table-0 popularity.  ``batches`` is ignored in trace mode.
 
@@ -162,14 +154,14 @@ def overlap_sweep(
     plain SGD at 0.1).  ``resume`` warm-starts every measured run from a
     checkpoint (:mod:`repro.runtime.checkpoint`): parameters and optimizer
     state are restored and each fresh source is fast-forwarded past the
-    checkpointed steps, so both schedules stay bit-comparable.
+    checkpointed steps, so the repeats stay bit-comparable.
     ``checkpoint_dir`` saves each cell's final trained state as
     ``overlap-b{batch}.npz`` (``overlap-trace.npz`` in trace mode).
 
     ``obs`` traces every *measured* run (warm-up steps stay untraced):
-    each cell's inline repeats, then its cast-ahead repeats, land
-    back-to-back on the shared ``main``/``cast`` tracks —
-    the trace shows the cast-ahead overlap the table's ratios summarize.
+    each cell's repeats land back-to-back on the ``main`` track, where
+    every ``casting`` span sits inside its ``step`` span — the share the
+    table summarizes.
     """
     hardware = hardware or SystemHardware()
     checkpoint = load_checkpoint(resume) if resume is not None else None
@@ -197,80 +189,64 @@ def overlap_sweep(
         )
     rows: List[OverlapRow] = []
     for batch in batches:
-        serial, pipelined = (
-            best_of(
-                config, make_source, batch, steps, repeats, seed=seed,
-                optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
-                lookahead=lookahead,
-            )
-            for lookahead in (0, 1)
+        run = best_of(
+            config, make_source, batch, steps, repeats, seed=seed,
+            optimizer=optimizer, lr=lr, resume=checkpoint, obs=obs,
         )
         if checkpoint_dir is not None:
             name = (
                 "overlap-trace.npz" if trace is not None
                 else f"overlap-b{batch}.npz"
             )
-            pipelined.save(Path(checkpoint_dir) / name)
-        wall = pipelined.report.wall_seconds
-        measured = serial.report.wall_seconds / wall if wall > 0 else 0.0
-        analytic = analytic_overlap_speedup(
-            config, batch, hardware, distribution
-        )
-        totals = pipelined.report.timings.totals
+            run.save(Path(checkpoint_dir) / name)
+        report = run.report
+        step = report.wall_seconds / report.steps
+        cast = report.timings.totals.get("casting", 0.0) / report.steps
         rows.append(
             OverlapRow(
                 model=label,
                 batch=batch,
-                steps=serial.report.steps,
-                serial_steps_per_s=serial.report.steps_per_second,
-                pipelined_steps_per_s=pipelined.report.steps_per_second,
-                measured_speedup=measured,
-                analytic_speedup=analytic,
-                overlap_ratio=measured / analytic if analytic > 0 else 0.0,
-                bit_identical=runs_bit_identical(serial, pipelined),
-                cast_seconds=totals.get("casting", 0.0),
-                cast_wait_seconds=totals.get("cast_wait", 0.0),
+                steps=report.steps,
+                steps_per_s=report.steps_per_second,
+                cast_ms=cast * 1e3,
+                cast_share=cast / step,
+                measured_bound=step / (step - cast),
+                analytic_speedup=analytic_overlap_speedup(
+                    config, batch, hardware, distribution
+                ),
+                bit_identical=run.bit_identical,
             )
         )
     return rows
 
 
 def format_overlap(rows: Sequence[OverlapRow]) -> str:
-    """Render the sweep: throughputs, measured vs. analytic, the cast split."""
+    """Render the sweep: throughput, the cast's share, both bounds."""
     if not rows:
         return "(no rows)"
     headers = [
-        "Model", "Batch", "Serial (it/s)", "Pipelined (it/s)",
-        "Speedup", "Analytic", "Overlap", "Cast (ms)", "Wait (ms)",
-        "Bitwise",
+        "Model", "Batch", "Steps/s", "Cast (ms)", "Cast share",
+        "Measured bound", "Analytic", "Bitwise",
     ]
-    table_rows = []
-    for row in rows:
-        table_rows.append(
-            [
-                row.model,
-                row.batch,
-                f"{row.serial_steps_per_s:.2f}",
-                f"{row.pipelined_steps_per_s:.2f}",
-                f"{row.measured_speedup:.2f}x",
-                f"{row.analytic_speedup:.2f}x",
-                f"{row.overlap_ratio:.2f}",
-                f"{row.cast_seconds * 1e3:.1f}",
-                f"{row.cast_wait_seconds * 1e3:.1f}",
-                "OK" if row.bit_identical else "DIVERGED",
-            ]
-        )
-    cores = os.cpu_count() or 1
+    table_rows = [
+        [
+            row.model,
+            row.batch,
+            f"{row.steps_per_s:.2f}",
+            f"{row.cast_ms:.2f}",
+            f"{row.cast_share:.1%}",
+            f"{row.measured_bound:.2f}x",
+            f"{row.analytic_speedup:.2f}x",
+            "OK" if row.bit_identical else "DIVERGED",
+        ]
+        for row in rows
+    ]
     return format_table(headers, table_rows) + (
-        "\nSpeedup = measured serial/pipelined wall-clock ratio; Analytic = "
-        "the cast-overlap bound\n(makespan + t_cast) / makespan from the "
-        "Ours(NMP) timeline; Overlap = measured/analytic.\nBitwise OK means "
-        "the pipelined run's losses and parameters match the serial run "
-        "exactly.\nCast = worker-side casting time of the pipelined run "
-        "(the hidden work); Wait = how long the\nstep loop actually blocked "
-        "on it (≈0 means the schedule fully hides the cast).\n"
-        f"Host cores: {cores} — measured overlap needs a spare core to run "
-        "the hidden cast on;\non a single-core host expect parity here and "
-        "see the trainer's casting-vs-cast_wait split\nfor the scheduling "
-        "proof."
+        "\nCast = measured casting time per step and its share of the step."
+        "\nMeasured bound = step / (step - cast): the speedup a perfectly "
+        "hidden cast would\nbuy, given a spare device to run it on.  "
+        "Analytic = the same bound from the\nOurs(NMP) timeline, "
+        "(makespan + t_cast) / makespan.  Every phase runs on one\n"
+        "thread here, so nothing is hidden.  Bitwise OK means every "
+        "repeat's losses and\nparameters match the first repeat's exactly."
     )

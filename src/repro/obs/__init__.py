@@ -6,8 +6,8 @@ wins on one) is a timeline argument, and aggregate
 :class:`~repro.runtime.stages.PhaseTimings` totals cannot show overlap.
 This package adds the record you can actually look at:
 
-* :class:`Tracer` — nested spans on named tracks (step loop, cast-ahead
-  worker) with timestamps from an injectable
+* :class:`Tracer` — nested spans on named tracks (the step loop records on
+  ``main``) with timestamps from an injectable
   :class:`~repro.obs.clock.Clock`;
 * :class:`MetricRegistry` — labeled counters and gauges
   (``cache.hits{policy=lfu}``, ``kernel.calls{op=gather_reduce}``);

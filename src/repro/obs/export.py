@@ -7,8 +7,8 @@ inputs (sorted keys, sorted tracks, stable event order):
   ``traceEvents`` format Perfetto and ``chrome://tracing`` load directly.
   Every :class:`~repro.obs.tracer.SpanRecord` becomes one complete
   (``"ph": "X"``) event with microsecond timestamps; tracks map to thread
-  ids announced by ``thread_name`` metadata events, so the step loop and
-  the cast-ahead worker render as separate lanes.
+  ids announced by ``thread_name`` metadata events, so each track renders
+  as its own lane, the step loop's ``main`` first.
 * **JSONL step records** (:func:`write_jsonl`) — one JSON object per
   line: training steps with their losses.  Greppable, streamable,
   diffable.
@@ -43,16 +43,11 @@ __all__ = [
 
 PathLike = Union[str, "Path"]
 
-#: Track names pinned to the lowest thread ids so the Perfetto lane order
-#: reads top-down: step loop first, cast-ahead work right under it.
-_PINNED_TRACKS = ("main", "cast")
-
-
 def _track_ids(records: Sequence[SpanRecord]) -> Dict[str, int]:
-    names = sorted({record.track for record in records})
-    ordered = [name for name in _PINNED_TRACKS if name in names]
-    ordered += [name for name in names if name not in _PINNED_TRACKS]
-    return {name: tid for tid, name in enumerate(ordered)}
+    """Thread id per track: the step loop's ``main`` first, then by name."""
+    names = sorted({record.track for record in records},
+                   key=lambda name: (name != "main", name))
+    return {name: tid for tid, name in enumerate(names)}
 
 
 def chrome_trace_payload(

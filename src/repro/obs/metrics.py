@@ -7,11 +7,10 @@ the ``cache.hits`` / ``kernel.calls`` metrics.  Two instrument kinds:
 
 * :class:`Counter` — monotone event count (kernel calls, training steps);
 * :class:`Gauge` — a sampled time series of ``(at, value)`` points (loss
-  per step, prefetch queue depth per draw).
+  per step).
 
-All mutation goes through one registry-wide lock: the cast-ahead worker
-counts kernel calls concurrently with the step loop, and a plain float
-``+=`` is not atomic across bytecodes.  The registry also speaks the core
+All mutation goes through one registry-wide lock, so threads may share a
+registry: a plain float ``+=`` is not atomic across bytecodes.  The registry also speaks the core
 kernels' duck-typed observer protocol directly
 (:meth:`MetricRegistry.count_kernel`), so
 :func:`repro.core.observe.observe_kernels` can be handed a registry

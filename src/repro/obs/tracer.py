@@ -1,8 +1,8 @@
 """Nested spans over an injectable clock: the trace half of ``repro.obs``.
 
 A :class:`Tracer` produces :class:`SpanRecord` entries — named intervals
-``[start_s, end_s]`` on a named **track** (a Perfetto thread lane: the step
-loop is ``main``, cast-ahead work is ``cast``).
+``[start_s, end_s]`` on a named **track** (a Perfetto thread lane: the
+training engine records every phase of its step loop on ``main``).
 Time comes exclusively from the injected :class:`~repro.obs.clock.Clock`:
 a :class:`~repro.obs.clock.RealTimeClock` for measured runs, a
 :class:`~repro.obs.clock.VirtualClock` for byte-deterministic traces.
@@ -14,14 +14,8 @@ Two ways to make a span:
   ``obs-hygiene`` rule enforces this): a dangling span never closes and
   corrupts the per-track nesting.
 * :meth:`Tracer.record_span` — explicit timestamps, for events whose
-  start/end are already known.
-
-Both accept a ``sink`` list: a step's cast, which may run on the
-cast-ahead worker, buffers its spans in its context's own
-:class:`~repro.runtime.stages.StageTimingCollector`, and the step loop
-:meth:`absorbs <Tracer.absorb>` them once the cast is done — the same
-hand-off its phase timings make, so the trace and the report can never
-disagree about when cast work happened.
+  start/end are already known (the engine's phase timer, which feeds the
+  same clock reads to the report).
 
 :func:`span_totals` and :func:`validate_span_nesting` are the analysis
 helpers the reconciliation and well-formedness tests are built on.
@@ -79,13 +73,11 @@ class Span:
         name: str,
         track: str,
         args: Optional[Mapping[str, Any]],
-        sink: Optional[List[SpanRecord]],
     ) -> None:
         self._tracer = tracer
         self.name = name
         self.track = track
         self.args: Dict[str, Any] = dict(args) if args else {}
-        self._sink = sink
         self.start_s: Optional[float] = None
         self.end_s: Optional[float] = None
 
@@ -106,7 +98,6 @@ class Span:
             start_s=self.start_s,
             end_s=self.end_s,
             args=self.args or None,
-            sink=self._sink,
         )
         return False
 
@@ -117,8 +108,8 @@ class Tracer:
     ``clock=None`` (the default) measures real wall time with a
     :class:`~repro.obs.clock.RealTimeClock`; inject a
     :class:`~repro.obs.clock.VirtualClock` for deterministic traces.
-    Appends to :attr:`records` are lock-guarded — the cast-ahead worker and
-    the step loop may both be recording.
+    Appends to :attr:`records` are lock-guarded, so threads may share one
+    tracer.
     """
 
     def __init__(self, clock: Clock | None = None) -> None:
@@ -135,10 +126,9 @@ class Tracer:
         name: str,
         track: str = "main",
         args: Optional[Mapping[str, Any]] = None,
-        sink: Optional[List[SpanRecord]] = None,
     ) -> Span:
         """Open a span context manager (use in a ``with`` statement)."""
-        return Span(self, name, track, args, sink)
+        return Span(self, name, track, args)
 
     def record_span(
         self,
@@ -147,14 +137,8 @@ class Tracer:
         start_s: float,
         end_s: float,
         args: Optional[Mapping[str, Any]] = None,
-        sink: Optional[List[SpanRecord]] = None,
     ) -> SpanRecord:
-        """Record a span with explicit timestamps.
-
-        With ``sink`` the record lands on the caller's buffer instead of
-        :attr:`records` (the background-cast hand-off); buffered records
-        reach the trace via :meth:`absorb`.
-        """
+        """Record a span with explicit timestamps."""
         if end_s < start_s:
             raise ValueError(
                 f"span {name!r} ends ({end_s}) before it starts ({start_s})"
@@ -166,18 +150,9 @@ class Tracer:
             end_s=float(end_s),
             args=dict(args) if args else None,
         )
-        if sink is not None:
-            sink.append(record)
-        else:
-            with self._lock:
-                self.records.append(record)
-        return record
-
-    def absorb(self, records: Iterable[SpanRecord]) -> None:
-        """Fold buffered (sink) records into the trace."""
-        incoming = list(records)
         with self._lock:
-            self.records.extend(incoming)
+            self.records.append(record)
+        return record
 
 
 def span_totals(

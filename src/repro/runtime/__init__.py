@@ -4,8 +4,8 @@ The co-designed runtime of Section IV-B lives here — the Figure 9 overlap
 of casting with forward propagation (:mod:`~repro.runtime.systems`), the
 timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **training engine** (:mod:`~repro.runtime.engine`): one step loop running
-one step body — draw, cast, forward, backward, update — with the cast
-inline or one batch ahead, the step's working state and timing scope in
+one step body — draw, cast, forward, backward, update — on one thread,
+the step's working state and timing scope in
 :mod:`~repro.runtime.stages`, and checkpoint/resume
 (:mod:`~repro.runtime.checkpoint`) and a callback protocol layered on its
 hook points.  The wall-clock-instrumented :class:`FunctionalTrainer` is a
@@ -20,7 +20,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .engine import (
-    CastAheadWorker,
     MetricsLogger,
     RunEvent,
     StepEvent,
@@ -70,7 +69,6 @@ from .trainer import (
 __all__ = [
     "CPUGPUSystem",
     "CPUOnlySystem",
-    "CastAheadWorker",
     "CheckpointCallback",
     "FunctionalTrainer",
     "InferenceReport",

@@ -10,10 +10,10 @@ runs the same body in both backward modes:
     float64 array beside a float32 model's copy of it;
 ``cast`` (:meth:`TrainingEngine._cast`)
     (casted mode) Tensor Casting (Algorithm 2), table by table
-    (:meth:`~repro.model.embedding.EmbeddingBag.precompute_cast`).  It
-    depends only on index data, so with ``lookahead=1`` it runs on a
-    :class:`CastAheadWorker` while the previous batch computes — the
-    paper's Section IV-B overlap;
+    (:meth:`~repro.model.embedding.EmbeddingBag.precompute_cast`), inline
+    on the step loop's thread.  The paper hides it under the forward on a
+    separate device (Section IV-B); ``repro overlap`` reports the measured
+    cast share and the bound that hiding it would buy;
 ``forward`` (:meth:`TrainingEngine._forward`)
     each table's gather-reduce
     (:meth:`~repro.model.embedding.EmbeddingBag.forward`), the dense
@@ -48,8 +48,7 @@ and still propagates the original exception; until
 ``RuntimeError`` naming the step.
 
 :class:`TrainingEngine` also owns the run: argument checks, source
-fast-forward for resumed jobs (``start_step``), the cast-ahead worker's
-lifetime, the timing collector
+fast-forward for resumed jobs (``start_step``), the timing collector
 (:class:`~repro.runtime.stages.StageTimingCollector`), report assembly
 (:class:`~repro.runtime.stages.TrainingReport`, or
 :class:`~repro.runtime.stages.InferenceReport` for forward-only runs), and
@@ -57,25 +56,20 @@ the **callback protocol** (:class:`TrainingCallback`: ``on_step_end`` /
 ``on_run_end``) that funds checkpointing (:mod:`repro.runtime.checkpoint`)
 and metrics logging (:class:`MetricsLogger`) without touching the loop.
 
-Batches are always drawn on the step loop's thread, in step order, so a
-cast-ahead run consumes the source and the RNG exactly as the inline run
-does — the root of the bit-identity the differential suites pin
-(``tests/runtime/test_policy.py`` over look-ahead × mode × {train,
-infer}, against the frozen pre-refactor loops in
+Every phase of every step runs on one thread, in step order, and batches
+are drawn in step order — the root of the bit-identity the differential
+suites pin (``tests/runtime/test_policy.py`` over mode × {train, infer},
+against the frozen pre-refactor loops in
 ``tests/runtime/_legacy_trainer.py``).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from typing import (
     Any,
-    Callable,
-    Deque,
     Iterator,
     List,
     Optional,
@@ -104,45 +98,12 @@ if TYPE_CHECKING:  # runtime import would cycle through the trainer facade
     from .trainer import FunctionalTrainer
 
 __all__ = [
-    "CastAheadWorker",
     "MetricsLogger",
     "RunEvent",
     "StepEvent",
     "TrainingCallback",
     "TrainingEngine",
 ]
-
-
-class CastAheadWorker:
-    """A one-thread worker queue for cast-ahead (prefetch) jobs.
-
-    Thin wrapper over :class:`concurrent.futures.ThreadPoolExecutor` with a
-    single worker thread — the functional stand-in for the accelerator that
-    runs the casting stage in the paper's runtime (the GPU in Figure 9(b)).
-
-    Usable as a context manager; exiting shuts the worker down and waits
-    for in-flight jobs.
-    """
-
-    def __init__(self) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="cast-ahead"
-        )
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        """Queue ``fn(*args)``; the future resolves to its result."""
-        return self._executor.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        """Stop accepting work and wait for any in-flight job."""
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "CastAheadWorker":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        self.shutdown()
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +198,8 @@ class TrainingEngine:
     """Drive one run of a trainer through the step loop.
 
     Owns the per-run machinery: the argument checks, the timing collector,
-    the cast-ahead worker's lifetime, source fast-forward for resumed jobs,
-    callback dispatch, and report assembly (wall clock included).
+    source fast-forward for resumed jobs, callback dispatch, and report
+    assembly (wall clock included).
     Constructed per ``train()`` / ``infer()`` call by the trainer; usable
     directly.
 
@@ -278,8 +239,7 @@ class TrainingEngine:
         The arguments are checked before anything is drawn, so a rejected
         run consumes neither the source nor ``rng``: ``mode`` must be
         ``"casted"`` or ``"baseline"``, ``batch`` and ``steps`` positive
-        integers and ``start_step`` a non-negative one.  The trainer's
-        ``lookahead`` decides whether each cast runs inline or ahead.
+        integers and ``start_step`` a non-negative one.
 
         ``start_step`` fast-forwards the batch source by drawing and
         discarding that many steps' batches before training — consuming the source
@@ -318,18 +278,12 @@ class TrainingEngine:
                 break
         # The clock starts after the fast-forward: wall_seconds (and so
         # steps_per_second) measure the steps that actually trained, not
-        # the replay of already-trained ones.  The cast-ahead worker's
-        # start-up and join are inside it.
+        # the replay of already-trained ones.
         wall_start = time.perf_counter()
         with ExitStack() as stack:
             if self.obs is not None:
                 stack.enter_context(observe_kernels(self.obs.metrics))
-            worker = (
-                stack.enter_context(CastAheadWorker())
-                if trainer.lookahead
-                else None
-            )
-            self.execute(batch, steps, rng, worker)
+            self.execute(batch, steps, rng)
         if not self.collector.losses:
             raise ValueError(
                 "the batch source was exhausted before the first step"
@@ -357,57 +311,28 @@ class TrainingEngine:
         return report
 
     def execute(
-        self,
-        batch: int,
-        steps: int,
-        rng: np.random.Generator,
-        worker: Optional[CastAheadWorker] = None,
+        self, batch: int, steps: int, rng: np.random.Generator
     ) -> None:
         """The step loop — the only one.
 
-        Keeps ``lookahead + 1`` drawn batches in flight.  Each is drawn on
-        this thread (RNG order is step order under every look-ahead); with
-        a ``worker`` its cast is queued there the moment it is drawn, so
-        batch ``i+1`` casts while batch ``i`` computes, and the step only
-        *waits* for the cast (``cast_wait`` — the exposed remainder of the
-        casting stage; ≈0 under full overlap).  The worker touches only the
-        next context's index data while this thread mutates parameters of
-        the current batch; the two never share mutable state.  A source
-        that exhausts stops the loop after the batches already drawn.
+        Each step draws its batch, casts it, runs the forward and (unless
+        forward-only) the backward and update, all on this thread.  A
+        source that exhausts stops the loop before the step it could not
+        draw.
         """
-        lookahead = self.trainer.lookahead
-        inflight: Deque[Tuple[StepContext, "Optional[Future[Any]]"]] = deque()
-        drawn, source_open = 0, True
         for _ in range(steps):
-            while (source_open and drawn < steps
-                   and len(inflight) <= lookahead):
-                ctx = self._draw(batch, rng)
-                if ctx is None:
-                    source_open = False
-                    break
-                drawn += 1
-                inflight.append((
-                    ctx,
-                    worker.submit(self._cast, ctx)
-                    if worker is not None else None,
-                ))
-            if not inflight:
+            ctx = self._draw(batch, rng)
+            if ctx is None:
                 break
-            ctx, future = inflight.popleft()
             with self.step_scope():
-                if future is None:
-                    self._cast(ctx)
-                else:
-                    with self.collector.timed("cast_wait"):
-                        future.result()
-                self.collector.absorb(ctx.cast)
+                self._cast(ctx)
                 self._forward(ctx)
                 if not self.forward_only:
                     self._backward(ctx)
                 self.complete_step(ctx)
             # Release the finished step before the next draw, so its
             # activations and gradients never coexist with a new batch.
-            del ctx, future
+            del ctx
 
     def _draw(
         self, batch: int, rng: np.random.Generator
@@ -429,21 +354,17 @@ class TrainingEngine:
                 return None
             data = replace(data, dense=np.asarray(
                 data.dense, dtype=self.trainer.model.dtype))
-        return StepContext(
-            data=data,
-            cast=StageTimingCollector(self.collector.tracer, track="cast"),
-        )
+        return StepContext(data=data)
 
     def _cast(self, ctx: StepContext) -> None:
         """(Casted mode) cast every table's index array (Algorithm 2).
 
-        Index-only work that may run on the cast-ahead worker, so it times
-        into the context's own collector.  Baseline mode has no casting
-        phase: the expand-coalesce backward reads the raw pairs.
+        Baseline mode has no casting phase: the expand-coalesce backward
+        reads the raw pairs.
         """
         if self.mode != "casted":
             return
-        with ctx.cast.timed("casting"):
+        with self.collector.timed("casting"):
             ctx.casts = [
                 bag.precompute_cast(index)
                 for bag, index in zip(self.trainer.model.embeddings,
@@ -542,7 +463,7 @@ class TrainingEngine:
     def step_scope(self) -> Iterator[None]:
         """A ``step`` trace span around one step's critical-path work.
 
-        Everything from cast (or cast-wait) through :meth:`complete_step`
+        Everything from the cast through :meth:`complete_step`
         runs in this scope; the step number is the global one the step will
         get when it completes.  A no-op without ``obs``.
         """

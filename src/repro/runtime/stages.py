@@ -12,16 +12,12 @@ what that sequence carries and what it measures:
   and the run's :class:`PhaseTimings` and losses;
 * :class:`TrainingReport` / :class:`InferenceReport` — what a run returns.
 
-The cast is index-only work, so under look-ahead it runs on the cast-ahead
-worker while the previous batch computes (the paper's Section IV-B
-overlap).  It therefore times into its context's own collector on the
-``cast`` track, which buffers its spans; the step loop merges it into the
-run's collector (:meth:`~StageTimingCollector.absorb`) on its own thread
-once the cast is known complete.  When the collector carries a
+Every phase, the cast included, runs on the step loop's thread and times
+into the run's one collector.  When the collector carries a
 :class:`~repro.obs.tracer.Tracer`, the *same* clock reads that feed the
-phase totals also become trace spans — one span per phase per step —
-which is why the exported trace reconciles
-with the report exactly rather than approximately.
+phase totals also become trace spans on the ``main`` track — one span per
+phase per step — which is why the exported trace reconciles with the
+report exactly rather than approximately.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from ..data.source import CTRBatch
 from ..model.loss import sigmoid
 
 if TYPE_CHECKING:
-    from ..obs.tracer import SpanRecord, Tracer
+    from ..obs.tracer import Tracer
 
 __all__ = [
     "PhaseTimings",
@@ -58,15 +54,6 @@ class PhaseTimings:
     def add(self, phase: str, seconds: float) -> None:
         self.totals[phase] = self.totals.get(phase, 0.0) + seconds
 
-    def merge(self, other: "PhaseTimings") -> None:
-        """Fold another accounting into this one (phase-wise addition).
-
-        Used by the collector to absorb the timings a background cast-ahead
-        worker recorded into the step-loop's accounting.
-        """
-        for phase, seconds in other.totals.items():
-            self.add(phase, seconds)
-
     def total(self) -> float:
         """All instrumented time across phases."""
         return sum(self.totals.values())
@@ -85,8 +72,7 @@ class TrainingReport:
 
     ``wall_seconds`` is the end-to-end wall-clock of the whole
     :meth:`~repro.runtime.trainer.FunctionalTrainer.train` call — the
-    denominator of :attr:`steps_per_second`, which is how the pipelined and
-    serial trainers' throughput are compared.
+    denominator of :attr:`steps_per_second`.
 
     ``steps`` is the number of iterations that *actually* trained — less
     than requested when a finite batch source exhausted mid-run.
@@ -158,28 +144,20 @@ class InferenceReport(TrainingReport):
 class StageTimingCollector:
     """Run-level accountant: phase timings, losses, report.
 
-    One instance per training run, plus one per step context for its cast.
-    Every phase records wall-clock through the :meth:`timed` scope into
-    :attr:`timings`; :meth:`absorb` merges a context's cast collector into
-    the run's.  :meth:`finish_step` harvests the per-step products (loss,
-    samples); :meth:`report_fields` hands the engine everything the report
-    needs from here.
+    One instance per training run.  Every phase records wall-clock through
+    the :meth:`timed` scope into :attr:`timings`; :meth:`finish_step`
+    harvests the per-step products (loss, samples); :meth:`report_fields`
+    hands the engine everything the report needs from here.
 
     With a ``tracer``, every :meth:`timed` scope additionally records one
-    trace span from the *same* pair of clock reads that feeds the phase
-    total — trace and report cannot drift apart.  Spans land on the
-    ``main`` track; a collector given a ``track`` puts every span there and
-    buffers it in :attr:`spans` until :meth:`absorb` hands it to the
-    tracer.  Without a tracer (the default), timing uses
-    :func:`time.perf_counter`.
+    trace span on the ``main`` track from the *same* pair of clock reads
+    that feeds the phase total — trace and report cannot drift apart.
+    Without a tracer (the default), timing uses :func:`time.perf_counter`.
     """
 
-    def __init__(self, tracer: Optional["Tracer"] = None,
-                 track: Optional[str] = None) -> None:
+    def __init__(self, tracer: Optional["Tracer"] = None) -> None:
         self.timings = PhaseTimings()
         self.tracer = tracer
-        self.track = track
-        self.spans: List["SpanRecord"] = []
         self.losses: List[float] = []
         self.samples = 0
 
@@ -199,20 +177,9 @@ class StageTimingCollector:
             end = clock()
             if tracer is not None:
                 tracer.record_span(
-                    span or phase,
-                    track=self.track or "main",
-                    start_s=start,
-                    end_s=end,
-                    sink=None if self.track is None else self.spans,
+                    span or phase, track="main", start_s=start, end_s=end
                 )
             self.timings.add(phase, end - start)
-
-    def absorb(self, other: "StageTimingCollector") -> None:
-        """Merge another collector's timings and buffered spans into this one."""
-        self.timings.merge(other.timings)
-        if self.tracer is not None and other.spans:
-            self.tracer.absorb(other.spans)
-            other.spans = []
 
     def finish_step(self, ctx: "StepContext") -> None:
         """Record a completed step's loss and samples."""
@@ -233,17 +200,12 @@ class StageTimingCollector:
 class StepContext:
     """Mutable working state of one batch, from its draw to its completion.
 
-    A fresh context per step, so two in-flight contexts (look-ahead keeps
-    two) never share mutable state.  ``cast`` is the context's own
-    collector for the same reason: the cast may run on the cast-ahead
-    worker, and what it records reaches the run's collector only through
-    :meth:`StageTimingCollector.absorb`, on the step loop's thread.
-    ``casts`` holds one :class:`~repro.core.casting.CastedIndex` per table
-    once a casted-mode cast has run, and stays ``None`` in baseline mode.
+    A fresh context per step, released before the next draw.  ``casts``
+    holds one :class:`~repro.core.casting.CastedIndex` per table once a
+    casted-mode cast has run, and stays ``None`` in baseline mode.
     """
 
     data: CTRBatch
-    cast: StageTimingCollector
     casts: Optional[List[CastedIndex]] = None
     loss: Optional[float] = None
     logits: Optional[np.ndarray] = None

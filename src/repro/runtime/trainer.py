@@ -17,9 +17,8 @@ Multi-device sharding is modelled, not executed
 
 The trainer is a thin facade over the **training engine**
 (:mod:`repro.runtime.engine`): every step runs the engine's one step body
-in its one step loop, with the cast inline or ahead as the ``lookahead``
-argument says, and :meth:`~FunctionalTrainer.infer` is the same run
-without the backward and the update.
+in its one step loop, on one thread, and :meth:`~FunctionalTrainer.infer`
+is the same run without the backward and the update.
 The engine also funds checkpoint/resume (``start_step=`` plus
 :mod:`repro.runtime.checkpoint`) and the callback protocol (``callbacks=``,
 :class:`~repro.runtime.engine.TrainingCallback`).
@@ -67,14 +66,6 @@ class FunctionalTrainer:
         full batch.
     optimizer:
         Applied to dense and sparse parameters alike.
-    lookahead:
-        ``0`` (default) casts each batch inline, right before its compute.
-        ``1`` is the paper's Section IV-B overlap: batch ``i+1`` is drawn
-        on the step loop (same RNG order) and cast on a background
-        :class:`~repro.runtime.engine.CastAheadWorker` while batch ``i``
-        computes — bit-identical, with the exposed remainder reported as
-        the ``cast_wait`` phase.  Either value composes with either
-        ``mode`` of :meth:`train` / :meth:`infer`.
 
     Constructing a trainer first calls
     :func:`~repro.runtime.memory.retain_freed_memory`, a process-wide
@@ -100,7 +91,6 @@ class FunctionalTrainer:
         model: DLRM,
         stream: BatchSource,
         optimizer: Optimizer,
-        lookahead: int = 0,
     ) -> None:
         retain_freed_memory()
         stream = as_batch_source(stream)
@@ -109,9 +99,6 @@ class FunctionalTrainer:
                 f"stream produces {stream.num_tables} tables, model has "
                 f"{len(model.embeddings)}"
             )
-        if isinstance(lookahead, bool) or lookahead not in (0, 1):
-            raise ValueError(f"lookahead must be 0 or 1, got {lookahead!r}")
-        self.lookahead = lookahead
         self.model = model
         self.stream = stream
         self.optimizer = optimizer

@@ -168,11 +168,10 @@ def test_foreign_gradient_tables_are_coerced_by_the_bag(model_dtype):
 
 
 # ----------------------------------------------------------------------
-# Through the trainer: serial and pipelined
+# Through the trainer
 # ----------------------------------------------------------------------
 TRAINER_PATHS = {
     "serial": {},
-    "lookahead": {"lookahead": 1},
 }
 
 

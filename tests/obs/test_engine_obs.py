@@ -52,15 +52,14 @@ def traced_phase_totals(obs):
 
 
 class TestTracedRunsAreBitIdentical:
-    @pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "lookahead"])
-    def test_obs_does_not_perturb_training(self, lookahead):
+    def test_obs_does_not_perturb_training(self):
         plain_model = make_model()
         plain = FunctionalTrainer(
-            plain_model, make_stream(), SGD(lr=0.2), lookahead=lookahead,
+            plain_model, make_stream(), SGD(lr=0.2),
         ).train(8, 4, np.random.default_rng(1))
         traced_model = make_model()
         traced = FunctionalTrainer(
-            traced_model, make_stream(), SGD(lr=0.2), lookahead=lookahead,
+            traced_model, make_stream(), SGD(lr=0.2),
         ).train(8, 4, np.random.default_rng(1), obs=Observability())
         assert traced.losses == plain.losses
         for a, b in zip(plain_model.all_parameters(),
@@ -79,39 +78,27 @@ class TestTraceContent:
         for phase, seconds in report.timings.totals.items():
             assert traced[phase] == pytest.approx(seconds, rel=1e-9)
 
-    @pytest.mark.parametrize("knobs", [
-        dict(lookahead=1),
-    ], ids=["lookahead"])
-    def test_ledger_reconciles_under_every_policy(self, knobs):
-        """One draw site, one loop: the same span == phase bookkeeping
-        whatever the policy, ``draw`` included."""
-        obs = Observability()
-        report = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), **knobs
-        ).train(8, 4, np.random.default_rng(1), obs=obs)
-        traced = traced_phase_totals(obs)
-        assert "draw" in traced
-        assert set(traced) == set(report.timings.totals)
-        for phase, seconds in report.timings.totals.items():
-            assert traced[phase] == pytest.approx(seconds, rel=1e-9)
-        assert validate_span_nesting(obs.tracer.records) == []
-
     def test_trace_is_well_nested(self):
         obs = Observability()
         FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.2)).train(
             8, 4, np.random.default_rng(1), obs=obs)
         assert validate_span_nesting(obs.tracer.records) == []
 
-    def test_pipelined_run_uses_the_main_and_cast_tracks(self):
+    def test_casting_spans_sit_on_main_inside_their_step(self):
+        """The cast runs on the step loop's thread: every ``casting`` span
+        is on the ``main`` track, inside its own step's ``step`` span."""
         obs = Observability()
-        FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), lookahead=1,
-        ).train(8, 3, np.random.default_rng(1), obs=obs)
-        tracks = {record.track for record in obs.tracer.records}
-        assert tracks == {"main", "cast"}
-        assert validate_span_nesting(obs.tracer.records) == []
-        assert "gather" in span_totals(obs.tracer.records, track="main")
-        assert "casting" in span_totals(obs.tracer.records, track="cast")
+        FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.2)).train(
+            8, 3, np.random.default_rng(1), obs=obs)
+        records = obs.tracer.records
+        assert {record.track for record in records} == {"main"}
+        assert validate_span_nesting(records) == []
+        steps = [r for r in records if r.name == "step"]
+        casts = [r for r in records if r.name == "casting"]
+        assert len(casts) == len(steps) == 3
+        for step, cast in zip(steps, casts):
+            assert step.start_s <= cast.start_s <= cast.end_s <= step.end_s
+        assert "gather" in span_totals(records, track="main")
 
     def test_step_envelope_covers_every_step(self):
         obs = Observability()

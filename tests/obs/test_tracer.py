@@ -1,4 +1,4 @@
-"""Tracer unit tests: spans, sinks, totals, and nesting validation."""
+"""Tracer unit tests: spans, totals, and nesting validation."""
 
 import pytest
 
@@ -66,15 +66,6 @@ class TestRecordSpan:
         tracer = make_tracer()
         with pytest.raises(ValueError, match="ends"):
             tracer.record_span("bad", track="main", start_s=2.0, end_s=1.0)
-
-    def test_sink_buffers_until_absorbed(self):
-        tracer = make_tracer()
-        buffer = []
-        tracer.record_span("cast", track="cast", start_s=0.0, end_s=1.0,
-                           sink=buffer)
-        assert tracer.records == []
-        tracer.absorb(buffer)
-        assert [r.name for r in tracer.records] == ["cast"]
 
 
 class TestAnalysis:

@@ -116,24 +116,6 @@ class TestResumeEqualsUninterrupted:
         trainer.train(8, 5 - step, np.random.default_rng(5), start_step=step)
         assert_params_equal(full_model, resumed_model)
 
-    def test_resume_through_pipelined_trainer(self, trace, tmp_path):
-        """Checkpoints are schedule-agnostic: save serial, resume pipelined."""
-        full_model = make_model()
-        FunctionalTrainer(
-            full_model, TraceReplaySource(trace), SGD(lr=0.05)
-        ).train(8, 6, np.random.default_rng(9))
-        callback = CheckpointCallback(tmp_path / "ck", every=4)
-        FunctionalTrainer(
-            make_model(), TraceReplaySource(trace), SGD(lr=0.05)
-        ).train(8, 4, np.random.default_rng(9), callbacks=[callback])
-        resumed_model = make_model()
-        trainer = FunctionalTrainer(
-            resumed_model, TraceReplaySource(trace), SGD(lr=0.05), lookahead=1
-        )
-        step = restore_trainer(trainer, callback.last_path)
-        trainer.train(8, 6 - step, np.random.default_rng(1), start_step=step)
-        assert_params_equal(full_model, resumed_model)
-
     def test_resume_with_per_row_optimizer_state(self, tmp_path):
         full_model = make_model()
         FunctionalTrainer(

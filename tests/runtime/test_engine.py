@@ -7,7 +7,7 @@ verbatim numeric transcriptions of the pre-refactor step loops (frozen at
 the refactor boundary, public model/core APIs only) — so the comparison is
 exact on any platform/BLAS instead of depending on committed binaries.
 
-Also covered here: the engine's entry points (the trainer's look-ahead,
+Also covered here: the engine's entry points (the trainer and
 ``TrainingEngine.run`` used directly) and the callback protocol
 (ordering, global step numbering, run-end events).
 """
@@ -33,7 +33,7 @@ from repro.model.optim import (
     make_optimizer,
     optimizer_names,
 )
-from repro.obs import Observability
+from repro.obs import Observability, validate_span_nesting
 from repro.runtime.engine import (
     MetricsLogger,
     TrainingCallback,
@@ -145,40 +145,79 @@ STREAM_SHAPES = [
 ]
 
 
+#: How a cell's three steps are split over ``train`` calls on one trainer
+#: and one rng: a single run, or a run of one step continued by a run of
+#: two.  The continued run must pick up the optimizer state, the step
+#: numbering and the rng stream exactly where the first run left them.
+RUNS = {"one-run": (3,), "continued": (1, 2)}
+
+
+def train_in_runs(trainer, batch, runs, mode, obs=None):
+    """Train ``sum(RUNS[runs])`` steps as consecutive ``train`` calls that
+    share one rng; returns the losses of every run in order."""
+    rng = np.random.default_rng(1)
+    losses = []
+    for steps in RUNS[runs]:
+        report = trainer.train(batch, steps, rng, mode=mode, obs=obs)
+        assert report.steps == steps
+        assert ("casting" in report.timings.totals) == (mode == "casted")
+        losses += report.losses
+    return losses
+
+
+def assert_casts_nest_in_steps(records, steps, mode):
+    """A traced run's spans all sit on ``main`` and nest; the run made
+    ``steps`` step spans, and a casted run one ``casting`` span inside
+    each (a baseline run none)."""
+    assert {record.track for record in records} == {"main"}
+    assert validate_span_nesting(records) == []
+    step_spans = [r for r in records if r.name == "step"]
+    casts = [r for r in records if r.name == "casting"]
+    assert len(step_spans) == steps
+    assert len(casts) == (steps if mode == "casted" else 0)
+    for step, cast in zip(step_spans, casts):
+        assert step.start_s <= cast.start_s <= cast.end_s <= step.end_s
+
+
 class TestEveryCellMatchesLegacyGoldens:
     """The engine == the frozen serial loop, for every optimizer.
 
-    Every cell of batch shape × optimizer × look-ahead × dtype × mode must
-    reproduce the legacy loop bit for bit: losses, parameters and each
-    parameter's per-row optimizer state.  The legacy loop is casted; the
-    baseline backward (Algorithm 1 over the raw pairs) must land on the
-    same golden.  The shapes run from one sample to every row looked up
-    many times over (32 lookups a bag over 64 rows), and from uniform to
-    skewed rows.
+    Every cell of batch shape × optimizer × dtype × mode × runs × tracing
+    must reproduce the legacy loop bit for bit: losses, parameters and
+    each parameter's per-row optimizer state.  The legacy loop is casted;
+    the baseline backward (Algorithm 1 over the raw pairs) must land on
+    the same golden.  The shapes run from one sample to every row looked
+    up many times over (32 lookups a bag over 64 rows), and from uniform
+    to skewed rows.  A ``traced`` cell trains under ``Observability``,
+    which must only read: its losses stay on the golden, and its casts
+    are timed on the step loop's own track, inside their steps.
     """
 
+    @pytest.mark.parametrize("tracing", ["untraced", "traced"])
+    @pytest.mark.parametrize("runs", list(RUNS))
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
     @pytest.mark.parametrize(
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
-    @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("batch,lookups,zipf", STREAM_SHAPES)
-    def test_every_cell(self, batch, lookups, zipf, optimizer, lookahead,
-                        dtype, mode):
+    def test_every_cell(self, batch, lookups, zipf, optimizer, dtype, mode,
+                        runs, tracing):
+        obs = Observability() if tracing == "traced" else None
         engine_model = make_model(dtype=dtype)
         trainer = FunctionalTrainer(
             engine_model, make_stream(lookups=lookups, zipf=zipf),
-            make_optimizer(optimizer, lr=0.05), lookahead=lookahead,
+            make_optimizer(optimizer, lr=0.05),
         )
-        report = trainer.train(batch, 3, np.random.default_rng(1), mode=mode)
-        assert ("casting" in report.timings.totals) == (mode == "casted")
+        losses = train_in_runs(trainer, batch, runs, mode, obs)
+        if obs is not None:
+            assert_casts_nest_in_steps(obs.tracer.records, 3, mode)
         legacy_model = make_model(dtype=dtype)
         legacy_optimizer = make_optimizer(optimizer, lr=0.05)
         legacy_losses = legacy_train_serial(
             legacy_model, make_stream(lookups=lookups, zipf=zipf),
             legacy_optimizer, batch, 3, np.random.default_rng(1),
         )
-        assert report.losses == legacy_losses
+        assert losses == legacy_losses
         assert_params_equal(engine_model, legacy_model)
 
         state = trainer.optimizer.export_state(trainer.named_parameters())
@@ -248,8 +287,7 @@ LOOKUP_CARRIER = {
 
 def tally_launches(patch, launches):
     """Wrap the model's four kernels so each launch that carries lookups
-    appends its op to ``launches`` (``list.append`` is atomic, so the
-    cast-ahead worker may tally too)."""
+    appends its op to ``launches``."""
     for op, carrier in LOOKUP_CARRIER.items():
         def spy(*args, _op=op, _carrier=carrier,
                 _kernel=getattr(embedding, op), **kwargs):
@@ -261,46 +299,43 @@ def tally_launches(patch, launches):
 
 
 class TestEmptyBagsMatchLegacyGoldens:
-    """Empty bags through every optimizer, look-ahead, dtype and mode.
+    """Empty bags through every optimizer, dtype, mode and ``RUNS`` split.
 
     A bag with no lookups pools to zero and trains no row, and a table
     with none casts, reduces and updates nothing; in every ``EMPTY_BAGS``
     layout of the empty bags, each cell must
     still reproduce the legacy loop bit for bit, exactly as
-    ``TestEveryCellMatchesLegacyGoldens`` checks it — also when the cast is
-    made ahead, on the cast-ahead worker.
+    ``TestEveryCellMatchesLegacyGoldens`` checks it.
 
     Each cell runs three ways.  ``core``: the model's kernels.  ``oracle``:
     both loops with the four kernels swapped for their ``*_reference``
     oracles, so whole steps of oracle code meet every empty-bag shape.
     ``observed``: the kernels under an observed run, whose
     ``kernel.calls`` counts must equal, op by op, the launches that carry
-    lookups — the cast-ahead worker's casts included, since the observer
-    is process-wide.
+    lookups.
     """
 
+    @pytest.mark.parametrize("runs", list(RUNS))
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
     @pytest.mark.parametrize(
         "dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
-    @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("optimizer", optimizer_names())
     @pytest.mark.parametrize("empty", list(EMPTY_BAGS))
     @pytest.mark.parametrize("kernels", ["core", "oracle", "observed"])
-    def test_every_cell(self, kernels, empty, optimizer, lookahead, dtype,
-                        mode, oracle_kernels, monkeypatch):
+    def test_every_cell(self, kernels, empty, optimizer, dtype, mode, runs,
+                        oracle_kernels, monkeypatch):
         obs = Observability() if kernels == "observed" else None
         launches = []
         with oracle_kernels() if kernels == "oracle" else nullcontext():
             engine_model = make_model(dtype=dtype)
             trainer = FunctionalTrainer(
                 engine_model, EmptyBagSource(empty),
-                make_optimizer(optimizer, lr=0.05), lookahead=lookahead,
+                make_optimizer(optimizer, lr=0.05),
             )
             with monkeypatch.context() as patch:
                 if obs is not None:
                     tally_launches(patch, launches)
-                report = trainer.train(8, 3, np.random.default_rng(1),
-                                       mode=mode, obs=obs)
+                losses = train_in_runs(trainer, 8, runs, mode, obs)
             legacy_model = make_model(dtype=dtype)
             legacy_optimizer = make_optimizer(optimizer, lr=0.05)
             legacy_losses = legacy_train_serial(
@@ -315,7 +350,7 @@ class TestEmptyBagsMatchLegacyGoldens:
             tally = Counter(launches)
             assert counted == {op: tally[op] for op in LOOKUP_CARRIER}
             assert (tally["gather_reduce"] > 0) == (empty != "every-table")
-        assert report.losses == legacy_losses
+        assert losses == legacy_losses
         assert_params_equal(engine_model, legacy_model)
 
         state = trainer.optimizer.export_state(trainer.named_parameters())
@@ -325,23 +360,6 @@ class TestEmptyBagsMatchLegacyGoldens:
         for key in want:
             assert state[key].dtype == want[key].dtype, key
             assert np.array_equal(state[key], want[key]), key
-
-
-class TestPipelinedEngineEquivalence:
-    """The cast-ahead schedule == the serial schedule (so == the goldens)."""
-
-    def test_pipelined_matches_legacy_via_serial(self):
-        pipelined_model = make_model()
-        pipelined = FunctionalTrainer(
-            pipelined_model, make_stream(), SGD(lr=0.2), lookahead=1,
-        ).train(8, 3, np.random.default_rng(1))
-        legacy_model = make_model()
-        legacy_losses = legacy_train_serial(
-            legacy_model, make_stream(), SGD(lr=0.2), 8, 3,
-            np.random.default_rng(1),
-        )
-        assert pipelined.losses == legacy_losses
-        assert_params_equal(pipelined_model, legacy_model)
 
 
 class TestStepBody:
@@ -372,26 +390,25 @@ class TestStepBody:
             "expand_coalesce")
         assert seen == [(kernel, True)] * (2 * CONFIG.num_tables)
 
-    def test_lookahead_is_a_checked_trainer_attribute(self):
-        args = (make_model(), make_stream(), SGD(lr=0.1))
-        assert FunctionalTrainer(*args).lookahead == 0
-        assert FunctionalTrainer(*args, lookahead=1).lookahead == 1
-        for bad in (2, -1, True):
-            with pytest.raises(ValueError, match="lookahead must be 0 or 1"):
-                FunctionalTrainer(*args, lookahead=bad)
-
-    def test_engine_usable_directly_with_lookahead(self):
-        """The facade is a convenience: TrainingEngine.run is the real API,
-        and it reads the trainer's look-ahead."""
-        trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.1), lookahead=1
-        )
+    def test_engine_usable_directly(self):
+        """The facade is a convenience: TrainingEngine.run is the real
+        API."""
+        trainer = FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.1))
         report = TrainingEngine(trainer).run(
             8, 2, np.random.default_rng(1), "casted",
         )
         assert report.steps == 2
         assert report.samples == 16
-        assert "cast_wait" in report.timings.totals
+        assert "casting" in report.timings.totals
+
+    def test_wall_seconds_and_throughput(self):
+        report = FunctionalTrainer(
+            make_model(), make_stream(), SGD(lr=0.1)
+        ).train(8, 3, np.random.default_rng(1))
+        assert report.wall_seconds > 0
+        assert report.steps_per_second == pytest.approx(
+            report.steps / report.wall_seconds
+        )
 
 
 class RecordingCallback(TrainingCallback):
@@ -433,13 +450,6 @@ class TestCallbacks:
         )
         assert [step for step, _ in callback.steps] == [6, 7]
         assert callback.run_end.step == 7
-
-    def test_pipelined_trainer_fires_callbacks_in_step_order(self):
-        callback = RecordingCallback()
-        FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.1), lookahead=1
-        ).train(8, 4, np.random.default_rng(1), callbacks=[callback])
-        assert [step for step, _ in callback.steps] == [1, 2, 3, 4]
 
     def test_metrics_logger_collects_history(self):
         logger = MetricsLogger()

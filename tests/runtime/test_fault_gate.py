@@ -52,7 +52,7 @@ MODES = ("casted", "baseline")
 STEP_ALLOWANCE_BYTES = 34 << 20
 
 #: RM1 with ``argv[1]``'s table overrides, f32; ``argv[1]`` also holds the
-#: optimizer name, the trainer keywords and the batch size.
+#: optimizer name and the batch size.
 SCRIPT = f"""
 import json, resource, sys
 import numpy as np
@@ -62,7 +62,7 @@ from repro.model.dlrm import DLRM
 from repro.model.optim import make_optimizer
 from repro.runtime.trainer import FunctionalTrainer
 
-optimizer, trainer_kwargs, tables, batch = json.loads(sys.argv[1])
+optimizer, tables, batch = json.loads(sys.argv[1])
 start_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 config = RM1.with_overrides(**tables)
 model = DLRM(config, rng=np.random.default_rng(0), dtype=np.float32)
@@ -70,8 +70,7 @@ stream = SyntheticCTRStream(
     num_tables=config.num_tables, num_rows=config.rows_per_table,
     lookups_per_sample=config.gathers_per_table,
     dense_features=config.dense_features, seed=0)
-trainer = FunctionalTrainer(
-    model, stream, make_optimizer(optimizer, lr=0.1), **trainer_kwargs)
+trainer = FunctionalTrainer(model, stream, make_optimizer(optimizer, lr=0.1))
 faults = {{}}
 for mode in {MODES!r}:
     rng = np.random.default_rng(1)
@@ -96,12 +95,11 @@ PAPER_BATCH_TABLE = (
     {"num_tables": 1, "gathers_per_table": 80, "rows_per_table": 100_000},
     2048)
 
-#: id -> (optimizer, trainer keywords, (table overrides, batch)).
+#: id -> (optimizer, (table overrides, batch)).
 CELLS = {
-    "sgd": ("sgd", {}, BENCHMARK_TABLES),
-    "adam": ("adam", {}, BENCHMARK_TABLES),
-    "lookahead": ("sgd", {"lookahead": 1}, BENCHMARK_TABLES),
-    "42mb-table": ("sgd", {}, PAPER_BATCH_TABLE),
+    "sgd": ("sgd", BENCHMARK_TABLES),
+    "adam": ("adam", BENCHMARK_TABLES),
+    "42mb-table": ("sgd", PAPER_BATCH_TABLE),
 }
 
 
@@ -120,8 +118,8 @@ def measured_run():
     measured = {}
 
     def measure(cell, **env):
-        optimizer, trainer_kwargs, (tables, batch) = CELLS[cell]
-        arg = json.dumps([optimizer, trainer_kwargs, tables, batch])
+        optimizer, (tables, batch) = CELLS[cell]
+        arg = json.dumps([optimizer, tables, batch])
         key = (arg, tuple(sorted(env.items())))
         if key not in measured:
             result = subprocess.run(

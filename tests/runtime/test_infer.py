@@ -113,17 +113,6 @@ class TestInferMatchesTrainingForward:
         for a, b in zip(casted.logits, baseline.logits):
             assert np.array_equal(a, b)
 
-    def test_lookahead_infer_matches_inline(self):
-        functional = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2)
-        ).infer(8, 2, np.random.default_rng(1))
-        pipelined = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), lookahead=1
-        ).infer(8, 2, np.random.default_rng(1))
-        for a, b in zip(functional.logits, pipelined.logits):
-            assert np.array_equal(a, b)
-        assert functional.losses == pipelined.losses
-
 
 #: Every call that backpropagates or updates, by owning class.
 BACKWARD_AND_UPDATE_CALLS = [
@@ -139,9 +128,8 @@ class TestFrozenParameters:
 
     @pytest.mark.parametrize("entry", ["train", "infer"])
     @pytest.mark.parametrize("mode", ["casted", "baseline"])
-    @pytest.mark.parametrize("lookahead", [0, 1])
     def test_only_training_backpropagates_and_updates(
-            self, lookahead, mode, entry, monkeypatch):
+            self, mode, entry, monkeypatch):
         calls = []
         for owner, name in BACKWARD_AND_UPDATE_CALLS:
             real = getattr(owner, name)
@@ -151,7 +139,7 @@ class TestFrozenParameters:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
         trainer = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.2), lookahead=lookahead,
+            make_model(), make_stream(), SGD(lr=0.2),
         )
         getattr(trainer, entry)(8, 2, np.random.default_rng(1), mode=mode)
         if entry == "infer":

@@ -8,8 +8,6 @@ model exercises exactly the regime where the kernels keep the oracles'
 accumulation order.
 """
 
-from functools import partial
-
 import numpy as np
 
 from repro.data.generator import SyntheticCTRStream
@@ -26,10 +24,6 @@ TINY = RM1.with_overrides(
     top_mlp=(8, 1),
     embedding_dim=8,
 )
-
-
-#: The trainer with the Section IV-B cast-ahead overlap switched on.
-CastAheadTrainer = partial(FunctionalTrainer, lookahead=1)
 
 
 def make_trainer(trainer_cls, seed=0):
@@ -75,16 +69,6 @@ class TestBitIdentityAcrossBackends:
         """Divergence compounds across steps: three of them would amplify
         any single-ulp drift into a loud failure."""
         self._check(oracle_kernels, FunctionalTrainer, steps=3)
-
-    def test_pipelined_trainer(self, oracle_kernels):
-        self._check(oracle_kernels, CastAheadTrainer, steps=2)
-
-    def test_cross_engine_cross_schedule(self, oracle_kernels):
-        """The strongest cut: the oracles on the serial schedule vs. the
-        kernels on the pipelined schedule — still bit-identical."""
-        with oracle_kernels():
-            serial = run_one_step(FunctionalTrainer, steps=2)
-        assert_identical(run_one_step(CastAheadTrainer, steps=2), serial)
 
     def test_trainer_matches_train_step_across_engines(self, oracle_kernels):
         """The trainer on the oracles is bit-identical to the model's own

@@ -1,11 +1,10 @@
 """Whole-step differential suite over the schedule-policy product.
 
-The engine has one step loop running one step body, with the cast inline
-or one batch ahead (``FunctionalTrainer(lookahead=)``) and the backward and
-update skipped by ``infer()``; the axes are meant to compose *by
-construction*.  This suite holds that to account:
+The engine has one step loop running one step body on one thread, with the
+backward and update skipped by ``infer()``; the axes are meant to compose
+*by construction*.  This suite holds that to account:
 
-* every cell of look-ahead × backward mode × {train, infer} — nothing is
+* every cell of backward mode × {train, infer} — nothing is
   rejected — is run and compared, bit for bit, against an oracle that
   shares no code with the engine — the frozen pre-refactor single-device
   loop of ``_legacy_trainer.py`` for training, in the casted mode (the
@@ -32,7 +31,6 @@ from repro import cli
 from repro.data.generator import SyntheticCTRStream
 from repro.data.source import (
     BatchSource,
-    PrefetchingSource,
     SourceExhausted,
     TakeSource,
     as_batch_source,
@@ -101,34 +99,31 @@ def assert_params_equal(model_a, model_b):
 
 
 CELLS = [
-    pytest.param(
-        lookahead, mode, entry, id=f"ahead{lookahead}-{mode}-{entry}",
-    )
-    for lookahead, mode, entry in itertools.product(
-        (0, 1), ("casted", "baseline"), ("train", "infer"),
+    pytest.param(mode, entry, id=f"{mode}-{entry}")
+    for mode, entry in itertools.product(
+        ("casted", "baseline"), ("train", "infer"),
     )
 ]
 
 
 def test_the_product_is_not_silently_shrinking():
-    # 2 look-aheads x 2 modes x 2 entry points.
-    assert len(CELLS) == 2 * 2 * 2
+    # 2 modes x 2 entry points.
+    assert len(CELLS) == 2 * 2
 
 
-@pytest.mark.parametrize("lookahead,mode,entry", CELLS)
-def test_cell_matches_its_oracle(lookahead, mode, entry):
+@pytest.mark.parametrize("mode,entry", CELLS)
+def test_cell_matches_its_oracle(mode, entry):
     stream, batches = drawn_batches()
     model = make_model()
     trainer = FunctionalTrainer(
         model, FixedSource(stream, batches), SGD(lr=0.3),
-        lookahead=lookahead,
     )
     run = trainer.train if entry == "train" else trainer.infer
     report = run(BATCH, STEPS, np.random.default_rng(1), mode=mode)
     assert report.steps == STEPS
     assert report.samples == STEPS * BATCH
     assert "sync" not in report.timings.totals
-    assert ("cast_wait" in report.timings.totals) == (lookahead == 1)
+    assert "cast_wait" not in report.timings.totals
 
     if entry == "train":
         for oracle_mode in dict.fromkeys(("casted", mode)):
@@ -203,6 +198,19 @@ class TestRemovedOptions:
             assert f"unrecognized arguments: {' '.join(argv)}" in (
                 capsys.readouterr().err)
 
+    @pytest.mark.parametrize("package,name", [
+        ("repro", "PrefetchingSource"), ("repro.data", "PrefetchingSource"),
+        ("repro.data.source", "PrefetchingSource"),
+        ("repro.runtime", "CastAheadWorker"),
+        ("repro.runtime.engine", "CastAheadWorker"),
+    ])
+    def test_the_removed_threads_are_not_exported(self, package, name):
+        """The cast-ahead worker and the prefetching source are deleted:
+        every phase of a step runs on the step loop's thread."""
+        module = importlib.import_module(package)
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
+
     @pytest.mark.parametrize("argv,message", [
         (["stepshape"], "invalid choice: 'stepshape'"),
         (["overlap", "--autotune-cache", "x.json"],
@@ -221,14 +229,18 @@ class TestRemovedOptions:
         assert message in capsys.readouterr().err
 
     def test_the_removed_training_surface_fails_loudly(self):
-        """Gradient accumulation, the ``lookahead=1`` alias, the schedule
-        policy record, the two source wrappers nothing ran and the
-        legacy-stream adapter are gone: none may be accepted and silently
-        mean something else."""
-        with pytest.raises(TypeError, match="accum_steps"):
-            FunctionalTrainer(
-                make_model(), make_stream(), SGD(lr=0.3), accum_steps=2,
-            )
+        """Gradient accumulation, look-ahead (as a keyword or a fourth
+        positional argument), the schedule policy record, the two source
+        wrappers nothing ran and the legacy-stream adapter are gone: none
+        may be accepted and silently mean something else."""
+        for name, value in (("accum_steps", 2), ("lookahead", 1)):
+            with pytest.raises(TypeError, match=name):
+                FunctionalTrainer(
+                    make_model(), make_stream(), SGD(lr=0.3),
+                    **{name: value},
+                )
+        with pytest.raises(TypeError, match="positional"):
+            FunctionalTrainer(make_model(), make_stream(), SGD(lr=0.3), 1)
         for module in ("repro.runtime.pipeline", "repro.runtime.policy"):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
@@ -398,7 +410,6 @@ def _construct(**kwargs):
 
 INT_SITES = {
     "max_batches": lambda v: TakeSource(make_stream(), v),
-    "depth": lambda v: PrefetchingSource(make_stream(), v),
     "batch": lambda v: _construct().train(v, 1, np.random.default_rng(1)),
     "steps": lambda v: _construct().train(8, v, np.random.default_rng(1)),
     "infer steps": lambda v: _construct().infer(
@@ -489,23 +500,3 @@ class TestRunArgumentsAreCheckedAtEveryEntry:
         assert rng.bit_generator.state == state
         for param, saved in zip(model.all_parameters(), before):
             assert np.array_equal(param, saved)
-
-
-# ----------------------------------------------------------------------
-# Settings that used to be dropped on the floor
-# ----------------------------------------------------------------------
-
-class TestNoSilentlyDroppedSettings:
-    def test_positional_and_keyword_construction_agree(self):
-        """A setting passed positionally used to slip past a keyword guard
-        and be dropped."""
-        positional = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3), 1,
-        )
-        keyword = FunctionalTrainer(
-            make_model(), make_stream(), SGD(lr=0.3), lookahead=1,
-        )
-        assert positional.lookahead == keyword.lookahead == 1
-        report = positional.train(8, 2, np.random.default_rng(1))
-        assert "cast_wait" in report.timings.totals
-        assert report.samples == 2 * 8

@@ -2,14 +2,14 @@
 
 A kernel failure in any phase of a step before its first parameter write
 — cast, gather, the first table's backward — must propagate to the caller
-unchanged, join every thread the run started (the cast-ahead worker under
-look-ahead), and leave the parameters and optimizer state of the last
+unchanged, leave no thread behind (the step loop starts none), and leave
+the parameters and optimizer state of the last
 completed step untouched, so the same trainer resumes cleanly.  A failure
 after it (the second table's backward, once the first table's update has
 written) propagates the same way and leaves the trainer torn: training,
 scoring and saving refuse it, naming the step, until a checkpoint is
-restored — after which the resumed run is the uninterrupted one.  Pinned
-inline and cast ahead.  Alongside: a run resumes from a checkpoint bit for
+restored — after which the resumed run is the uninterrupted one.
+Alongside: a run resumes from a checkpoint bit for
 bit, and the report carries every phase's timings.
 """
 
@@ -63,21 +63,19 @@ class ExplodingKernel:
         return self._healthy(*args, **kwargs)
 
 
-def make_trainer(optimizer_cls=SGD, seed=0, lookahead=0):
+def make_trainer(optimizer_cls=SGD, seed=0):
     model = DLRM(CONFIG, rng=np.random.default_rng(seed))
     stream = SyntheticCTRStream(
         num_tables=3, num_rows=60, lookups_per_sample=4,
         dense_features=8, seed=seed,
     )
-    trainer = FunctionalTrainer(
-        model, stream, optimizer_cls(lr=0.3), lookahead=lookahead,
-    )
+    trainer = FunctionalTrainer(model, stream, optimizer_cls(lr=0.3))
     return model, trainer
 
 
 def lingering_threads():
     return [t.name for t in threading.enumerate()
-            if t.name.startswith("cast-ahead")]
+            if t is not threading.main_thread()]
 
 
 def trainer_state(trainer):
@@ -101,8 +99,7 @@ class ArmAfterFirstStep(TrainingCallback):
     """Snapshot the state after every completed step; arm after the first.
 
     The last snapshot is therefore the failing step's pre-step state,
-    whichever step the armed kernel is first reached in (under look-ahead
-    the cast of the next batch is already in flight when a step ends).
+    whichever step the armed kernel is first reached in.
     """
 
     def __init__(self, trainer, kernel):
@@ -115,23 +112,19 @@ class ArmAfterFirstStep(TrainingCallback):
 
 
 class TestFailedStep:
-    @pytest.mark.parametrize("lookahead", [0, 1])
     @pytest.mark.parametrize("phase", sorted(PHASE_KERNELS))
-    def test_a_failed_step_is_atomic(self, phase, lookahead, monkeypatch):
+    def test_a_failed_step_is_atomic(self, phase, monkeypatch):
         """A kernel failure in any phase leaves the last good step intact.
 
-        Adagrad, so there is optimizer state to tear.  With look-ahead,
-        the failing cast runs on the cast-ahead worker.
+        Adagrad, so there is optimizer state to tear.
         """
         batch, steps = 16, 4
-        _, reference = make_trainer(
-            optimizer_cls=Adagrad, lookahead=lookahead)
+        _, reference = make_trainer(optimizer_cls=Adagrad)
         reference_report = reference.train(
             batch, steps, np.random.default_rng(1))
 
         kernel = ExplodingKernel(monkeypatch, phase)
-        _, trainer = make_trainer(
-            optimizer_cls=Adagrad, lookahead=lookahead)
+        _, trainer = make_trainer(optimizer_cls=Adagrad)
         recorder = ArmAfterFirstStep(trainer, kernel)
         with pytest.raises(RuntimeError, match="boom") as failure:
             trainer.train(batch, steps, np.random.default_rng(1),
@@ -171,18 +164,15 @@ class ExplodingOnSecondCall(ExplodingKernel):
 
 
 class TestTornStep:
-    @pytest.mark.parametrize("lookahead", [0, 1])
     def test_a_failure_after_the_first_write_tears_the_trainer(
-            self, lookahead, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path):
         batch, steps = 16, 4
-        _, reference = make_trainer(
-            optimizer_cls=Adagrad, lookahead=lookahead)
+        _, reference = make_trainer(optimizer_cls=Adagrad)
         reference_report = reference.train(
             batch, steps, np.random.default_rng(1))
 
         kernel = ExplodingOnSecondCall(monkeypatch, "backward")
-        _, trainer = make_trainer(
-            optimizer_cls=Adagrad, lookahead=lookahead)
+        _, trainer = make_trainer(optimizer_cls=Adagrad)
         recorder = ArmAfterFirstStep(trainer, kernel)
         with pytest.raises(RuntimeError, match="boom") as failure:
             trainer.train(batch, steps, np.random.default_rng(1),

@@ -1,4 +1,4 @@
-"""Trainers × the data plane: bit-identity, exhaustion, prefetch composition.
+"""Trainers × the data plane: bit-identity and exhaustion.
 
 The acceptance bar of the streaming refactor: a trainer fed a *replayed
 trace* of the synthetic stream must match the direct synthetic run
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.data.generator import SyntheticCTRStream
-from repro.data.source import PrefetchingSource, TakeSource
+from repro.data.source import TakeSource
 from repro.data.trace import TraceReplaySource, record_trace
 from repro.model.configs import RM1
 from repro.model.dlrm import DLRM
@@ -68,29 +68,6 @@ class TestTraceReplayBitIdentity:
         assert_identical(direct_model, direct, replay_model, replayed)
         assert replayed.steps == 4
 
-    def test_pipelined_replay_matches_serial_replay(self, tmp_path):
-        path = record_trace(
-            make_stream(), tmp_path / "trace.npz", 8, 4,
-            np.random.default_rng(1),
-        )
-        serial_model = make_model()
-        serial = train(serial_model, TraceReplaySource(path), seed=0)
-        pipelined_model = make_model()
-        pipelined = train(
-            pipelined_model, TraceReplaySource(path), seed=0,
-            lookahead=1,
-        )
-        assert_identical(serial_model, serial, pipelined_model, pipelined)
-
-    def test_prefetched_stream_is_bit_identical(self):
-        plain_model = make_model()
-        plain = train(plain_model, make_stream(), seed=1)
-        prefetched_model = make_model()
-        prefetched_source = PrefetchingSource(make_stream(), depth=2)
-        prefetched = train(prefetched_model, prefetched_source, seed=1)
-        prefetched_source.close()
-        assert_identical(plain_model, plain, prefetched_model, prefetched)
-
 
 class TestFiniteSources:
     def test_serial_trainer_stops_cleanly_at_exhaustion(self):
@@ -106,30 +83,11 @@ class TestFiniteSources:
         full = train(full_model, make_stream(), steps=3, seed=1)
         assert_identical(short_model, short, full_model, full)
 
-    def test_pipelined_trainer_stops_cleanly_at_exhaustion(self):
-        report = train(
-            make_model(), TakeSource(make_stream(), 3), steps=10,
-            lookahead=1,
-        )
-        assert report.steps == 3
-
-    def test_pipelined_exhaustion_matches_serial(self):
-        serial_model = make_model()
-        serial = train(serial_model, TakeSource(make_stream(), 3), steps=10,
-                       seed=1)
-        pipelined_model = make_model()
-        pipelined = train(
-            pipelined_model, TakeSource(make_stream(), 3), steps=10, seed=1,
-            lookahead=1,
-        )
-        assert_identical(serial_model, serial, pipelined_model, pipelined)
-
-    @pytest.mark.parametrize("lookahead", [0, 1], ids=["serial", "lookahead"])
-    def test_empty_source_raises(self, lookahead, tmp_path):
+    def test_empty_source_raises(self, tmp_path):
         source = TakeSource(make_stream(), 1)
         source.next_batch(8, np.random.default_rng(0))  # drain it
         with pytest.raises(ValueError, match="exhausted before the first"):
-            train(make_model(), source, steps=2, lookahead=lookahead)
+            train(make_model(), source, steps=2)
 
     def test_steps_per_second_uses_actual_steps(self):
         report = train(make_model(), TakeSource(make_stream(), 2), steps=50)

@@ -104,7 +104,7 @@ class TestMain:
                      "--steps", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Pipelined" in out and "Analytic" in out
+        assert "Measured bound" in out and "Analytic" in out
 
     def test_steps_option_parses(self):
         args = build_parser().parse_args(["overlap", "--steps", "3"])
@@ -308,7 +308,7 @@ class TestTrainingJobFlags:
         assert main(["overlap", "--batches", "16",
                      "--steps", "1", "--dataset", "movielens",
                      "--optimizer", "adagrad", "--lr", "0.05"]) == 0
-        assert "Pipelined" in capsys.readouterr().out
+        assert "Measured bound" in capsys.readouterr().out
 
     def test_checkpoint_dir_saves_then_resume_restores(self, capsys, tmp_path):
         ckpt_dir = tmp_path / "ckpts"
@@ -324,7 +324,7 @@ class TestTrainingJobFlags:
         assert main(["overlap", "--batches", "16",
                      "--steps", "2", "--dataset", "movielens",
                      "--resume", str(ckpt_dir / "overlap-b16.npz")]) == 0
-        assert "Pipelined" in capsys.readouterr().out
+        assert "Measured bound" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags",

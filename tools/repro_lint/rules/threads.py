@@ -1,9 +1,9 @@
 """Rule ``thread-lifecycle``: classes that start workers must be closable.
 
-The repo's background workers (``CastAheadWorker`` and
-``PrefetchingSource``) earned their pinned lifecycles the hard way: a
-thread with no shutdown path leaks across tests, deadlocks interpreter
-exit, and an orphaned worker process outlives all of that.
+The library starts no thread today; the rule holds whatever starts the
+next one to a pinned lifecycle, because a thread with no shutdown path
+leaks across tests, deadlocks interpreter exit, and an orphaned worker
+process outlives all of that.
 The contract:
 
 * any class that starts a ``threading.Thread`` (or ``Timer``), spins up a
@@ -14,9 +14,9 @@ The contract:
   so ``with`` blocks pin the lifetime even on the error path.
 
 Methods inherited from base classes *defined in the same module* count
-(e.g. ``PrefetchingSource`` inherits ``__enter__``/``__exit__`` from
-``BatchSource``); cross-module inheritance needs an inline suppression
-naming the base that provides the protocol.
+(a source class inherits ``__enter__``/``__exit__`` from ``BatchSource``);
+cross-module inheritance needs an inline suppression naming the base that
+provides the protocol.
 """
 
 from __future__ import annotations
