@@ -5,7 +5,8 @@ Production recommendation training shards its embedding tables
 memory pool (Section I's capacity wall) — and pays an all-to-all exchange to
 route pooled vectors and gradients between the table owners and the sample
 owners.  This repository models that regime analytically
-(:class:`~repro.runtime.systems.ShardedNMPSystem`,
+(:class:`~repro.runtime.systems.ShardedNMPSystem`, which places the
+``Ours(NMP)`` record's per-shard primitives once per shard, and
 :func:`~repro.core.traffic.sharded_exchange_bytes`) and executes one
 device; this module is the index-level reference the model is checked
 against (``tests/core/test_sharding.py``):

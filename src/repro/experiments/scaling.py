@@ -2,11 +2,14 @@
 
 Goes beyond the paper's single-node evaluation: the Section IV runtime
 co-design is scaled out by partitioning the embedding tables across ``N``
-casting-enabled NMP pool nodes (:class:`~repro.runtime.systems.ShardedNMPSystem`)
-and sweeping shard count and partition policy.  Two curves matter:
+casting-enabled NMP pool nodes and sweeping shard count and partition
+policy.  :class:`~repro.runtime.systems.ShardedNMPSystem` runs the
+``Ours(NMP)`` record: its gather, casted gather-reduce and scatter once per
+busy shard over the shard's slice, plus the all-to-all exchanges, which
+exist only when more than one shard is busy.  Two curves matter:
 
 * **speedup** — end-to-end iteration makespan relative to the 1-shard
-  configuration (which is schedule-identical to ``Ours(NMP)``), showing how
+  configuration (which *is* ``Ours(NMP)``, span for span), showing how
   far the embedding phases parallelize before the fixed DNN and fabric terms
   dominate;
 * **per-device gradient traffic** — the backward all-to-all payload one

@@ -1,8 +1,9 @@
 """Software runtime: execution timelines, system design points, trainers.
 
-The co-designed runtime of Section IV-B lives here — the Figure 9 overlap
-of casting with forward propagation (:mod:`~repro.runtime.systems`), the
-timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
+The co-designed runtime of Section IV-B lives here — the paper's design
+points as records of primitives that one scheduler places, including the
+Figure 9 overlap of casting with forward propagation
+(:mod:`~repro.runtime.systems`), the timeline machinery behind it (:mod:`~repro.runtime.timeline`), and the
 **training engine** (:mod:`~repro.runtime.engine`): one step loop running
 one step body — draw, cast, forward, backward, update — on one thread,
 the step's working state and timing scope in

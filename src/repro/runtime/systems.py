@@ -1,20 +1,38 @@
-"""The paper's four system design points as schedulable models (Section VI).
+"""The paper's design points as records of primitives, placed by one scheduler.
 
-Builds one training iteration's timeline for each system the evaluation
-compares:
+The paper draws every system it evaluates the same way (Figures 9 and 11,
+Table I): one set of primitives — the forward gather, the cast, the DNN,
+expand / sort / accumulate or the casted gather-reduce, and the scatter —
+placed on the CPU, the GPU or the NMP pool, with the transfers between
+them.  Here each design point is that placement written down: a tuple of
+:class:`Primitive` records, each naming its resource, its breakdown op, its
+seconds and bytes over ``(hardware, stats)`` and the records it waits on.
+:meth:`TrainingSystem._schedule_iteration` is the one scheduler.  It places
+the records in order on a greedy :class:`~repro.runtime.timeline.Timeline`,
+so their order is part of the design point.  The systems the evaluation
+compares each pick one record:
 
-* ``Baseline(CPU)`` — :class:`CPUGPUSystem` without casting: the
-  CPU-centric hybrid of Figure 3 (embeddings on the host, DNN on the GPU);
-* ``Baseline(NMP)`` — :class:`NMPSystem` without casting: TensorDIMM-style
-  acceleration of gather-reduce and scatter only, expand-coalesce still on
-  the CPU (Figure 12's caption);
-* ``Ours(CPU)`` — :class:`CPUGPUSystem` with Tensor Casting, the casting
-  stage hidden under the forward gather on the otherwise-idle GPU
-  (Figure 9(b) top);
-* ``Ours(NMP)`` — :class:`NMPSystem` with Tensor Casting, the full
-  memory-centric co-design (Figure 9(b) bottom, Figure 10);
+* ``Baseline(CPU)`` — :class:`CPUGPUSystem` without casting
+  (:data:`BASELINE_CPU`): the CPU-centric hybrid of Figure 3 (embeddings
+  on the host, DNN on the GPU);
+* ``Baseline(NMP)`` — :class:`NMPSystem` without casting
+  (:data:`BASELINE_NMP`): TensorDIMM-style acceleration of gather-reduce
+  and scatter only, expand-coalesce still on the CPU (Figure 12's caption);
+* ``Ours(CPU)`` — :class:`CPUGPUSystem` with Tensor Casting
+  (:data:`OURS_CPU`), the casting stage hidden under the forward gather on
+  the otherwise-idle GPU (Figure 9(b) top);
+* ``Ours(NMP)`` — :class:`NMPSystem` with Tensor Casting (:data:`OURS_NMP`),
+  the full memory-centric co-design (Figure 9(b) bottom, Figure 10);
 
-plus :class:`CPUOnlySystem` for the Figure 4 characterization.
+plus :class:`CPUOnlySystem` for the Figure 4 characterization
+(:data:`CPU_ONLY`, :data:`CPU_ONLY_CASTING`).
+
+:class:`ShardedNMPSystem` goes beyond the paper: it runs the ``Ours(NMP)``
+record over ``N`` pool nodes.  Primitives flagged ``per_shard`` run once per
+busy shard, on ``nmp[s]``, over that shard's slice of the workload;
+primitives flagged ``exchange`` (the all-to-all on ``fabric[s]``) exist only
+when more than one shard is busy.  One shard therefore *is* ``Ours(NMP)``:
+the plain ``nmp`` resource and no exchange span.
 
 Every system consumes a :class:`WorkloadStats` — the batch geometry
 (lookups ``n``, expected coalesced rows ``u``, gradient-table rows ``B``)
@@ -26,7 +44,7 @@ breakdown (Figures 4/12) and the end-to-end makespan (Figure 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.sharding import PARTITION_POLICIES
 from ..core.traffic import expected_shard_outputs, sharded_exchange_bytes
@@ -64,6 +82,14 @@ __all__ = [
     "compute_workload",
     "SystemHardware",
     "IterationResult",
+    "PREVIOUS",
+    "Primitive",
+    "CPU_ONLY",
+    "CPU_ONLY_CASTING",
+    "BASELINE_CPU",
+    "OURS_CPU",
+    "BASELINE_NMP",
+    "OURS_NMP",
     "TrainingSystem",
     "CPUOnlySystem",
     "CPUGPUSystem",
@@ -221,49 +247,268 @@ class IterationResult:
         return self.primitive_latency(OP_CASTING, OP_BWD_TCAST, OP_CAST_XFER)
 
 
+#: The key under which a record's first primitives wait on the previous
+#: iteration's update (the record's last primitive), in :meth:`run_pipeline`.
+PREVIOUS = "previous update"
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """One primitive of a design point, as the scheduler places it.
+
+    It runs on ``resource`` under the breakdown key ``op`` for
+    ``time(hardware, stats)`` seconds and moves ``moves(stats)`` bytes (the
+    energy model's per-byte term).  It starts once the spans of the records
+    named in ``after`` have ended (:data:`PREVIOUS` names the previous
+    iteration's update).  ``per_shard`` places it once per busy shard, over
+    that shard's slice of ``stats``.  ``exchange`` makes it the all-to-all of
+    ``moves(shard)`` bytes per device over the shards' fabric, timed by the
+    fabric (it has no ``time``).  With one busy shard an exchange is absent,
+    and its waiters wait on what it waited on.
+    """
+
+    key: str
+    resource: str
+    op: str
+    time: Callable[[SystemHardware, WorkloadStats], float] | None
+    moves: Callable[[WorkloadStats], int] = lambda stats: 0
+    after: Tuple[str, ...] = ()
+    per_shard: bool = False
+    exchange: bool = False
+
+
 def _dnn_layer_count(config: ModelConfig) -> int:
     """Kernel launches per DNN pass: every linear layer plus glue kernels."""
     linear = (len(config.bottom_mlp) - 1) + (len(config.top_mlp_sizes()) - 1)
     return linear + 3  # activations fused; +interaction, +loss, +copy glue
 
 
-def _dnn_activation_bytes(config: ModelConfig, batch: int, itemsize: int) -> int:
-    """Activation traffic of one forward pass (read input + write output)."""
+def _dnn_bytes(stats: WorkloadStats) -> int:
+    """Bytes one forward DNN pass touches.
+
+    The activations are read and written once each, and every GEMM streams
+    its weights once.
+    """
+    config = stats.model
     widths = list(config.bottom_mlp) + [config.interaction_dim()]
     widths += list(config.top_mlp_sizes())[1:]
-    return 2 * batch * sum(widths) * itemsize
+    params = sum(
+        a * b
+        for layers in (config.bottom_mlp, config.top_mlp_sizes())
+        for a, b in zip(layers[:-1], layers[1:])
+    )
+    return (2 * stats.batch * sum(widths) + params) * stats.itemsize
 
 
-def _dnn_param_bytes(config: ModelConfig, itemsize: int) -> int:
-    """Weight traffic of one pass (each GEMM streams its weights once)."""
-    count = 0
-    widths = config.bottom_mlp
-    count += sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-    widths = config.top_mlp_sizes()
-    count += sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-    return count * itemsize
+def _dnn(key: str, resource: str, op: str, after: Tuple[str, ...]) -> Primitive:
+    """The DNN's forward or backward pass, on the host or on the GPU.
+
+    The backward (``op`` is :data:`OP_BWD_DNN`) touches twice the forward's
+    bytes.
+    """
+
+    def seconds(hw: SystemHardware, stats: WorkloadStats) -> float:
+        config = stats.model
+        if op == OP_BWD_DNN:
+            flops, touched = config.mlp_backward_flops(stats.batch), 2 * _dnn_bytes(stats)
+        else:
+            flops, touched = config.mlp_forward_flops(stats.batch), _dnn_bytes(stats)
+        if resource == RESOURCE_CPU:
+            return hw.cpu.time_mlp(flops, touched)
+        return hw.gpu.time_dnn(flops, _dnn_layer_count(config), touched)
+
+    return Primitive(key, resource, op, seconds, after=after)
+
+
+def _transfer(
+    key: str,
+    resource: str,
+    op: str,
+    payload: Callable[[WorkloadStats], int],
+    after: Tuple[str, ...] = (),
+) -> Primitive:
+    """Ship ``payload(stats)`` bytes over the PCIe bus or the NMP-GPU link."""
+
+    def seconds(hw: SystemHardware, stats: WorkloadStats) -> float:
+        link = hw.pcie if resource == RESOURCE_PCIE else hw.nmp_link
+        return link.transfer_time(payload(stats))
+
+    return Primitive(key, resource, op, seconds, payload, after)
+
+
+# -- Primitives ------------------------------------------------------------
+# A key names what the primitive makes ready for the primitives that wait on
+# it: "grads" is the gradient table where the backward reads it, and
+# "coalesce" the coalesced gradient rows, whichever primitive produced them.
+
+# The casting stage on the GPU, fed and drained over PCIe (Figure 9(b)).
+_INDEX_UP = _transfer("index_up", RESOURCE_PCIE, OP_CAST_XFER, lambda s: s.index_bytes)
+_CAST_GPU = Primitive(
+    "cast", RESOURCE_GPU, OP_CASTING, lambda hw, s: hw.gpu.time_casting(s.n),
+    after=("index_up",),
+)
+_INDEX_DOWN = _transfer(
+    "pairs", RESOURCE_PCIE, OP_CAST_XFER, lambda s: s.index_bytes, ("cast",)
+)
+
+# The host's primitives.
+_GATHER_CPU = Primitive(
+    "gather", RESOURCE_CPU, OP_FWD_GATHER,
+    lambda hw, s: hw.cpu.time_gather_reduce(s.n, s.num_outputs, s.dim, s.itemsize),
+    after=(PREVIOUS,),
+)
+_CAST_CPU = Primitive(
+    "pairs", RESOURCE_CPU, OP_CASTING, lambda hw, s: hw.cpu.time_casting(s.n)
+)
+_MLP_FWD = _dnn("dnn_f", RESOURCE_CPU, OP_FWD_DNN, ("gather",))
+_MLP_BWD = _dnn("grads", RESOURCE_CPU, OP_BWD_DNN, ("dnn_f",))
+_EXPAND = Primitive(
+    "expand", RESOURCE_CPU, OP_BWD_EXPAND,
+    lambda hw, s: hw.cpu.time_expand(s.n, s.num_outputs, s.dim, s.itemsize),
+    after=("grads",),
+)
+_SORT = Primitive(
+    "sort", RESOURCE_CPU, OP_BWD_SORT, lambda hw, s: hw.cpu.time_sort(s.n),
+    after=("expand",),
+)
+_ACCU = Primitive(
+    "coalesce", RESOURCE_CPU, OP_BWD_ACCU,
+    lambda hw, s: hw.cpu.time_coalesce_accumulate(s.n, s.u, s.dim, s.itemsize),
+    after=("sort",),
+)
+_TCAST_CPU = Primitive(
+    "coalesce", RESOURCE_CPU, OP_BWD_TCAST,
+    lambda hw, s: hw.cpu.time_casted_gather_reduce(
+        s.n, s.u, s.num_outputs, s.dim, s.itemsize
+    ),
+    after=("grads", "pairs"),
+)
+_SCATTER_CPU = Primitive(
+    "update", RESOURCE_CPU, OP_BWD_SCATTER,
+    lambda hw, s: hw.cpu.time_scatter(s.u, s.dim, s.itemsize, s.optimizer),
+    after=("coalesce",),
+)
+
+# The GPU's DNN and the PCIe traffic of the CPU-GPU hybrid.
+_INPUTS_UP = _transfer(
+    "inputs", RESOURCE_PCIE, _OP_XFER,
+    lambda s: s.dense_input_bytes + s.gradient_table_bytes, ("gather",),
+)
+_DNN_FWD = _dnn("dnn_f", RESOURCE_GPU, OP_FWD_DNN, ("inputs",))
+_DNN_BWD = _dnn("dnn_b", RESOURCE_GPU, OP_BWD_DNN, ("dnn_f",))
+_GRADS_DOWN = _transfer(
+    "grads", RESOURCE_PCIE, _OP_XFER, lambda s: s.gradient_table_bytes, ("dnn_b",)
+)
+
+# The NMP pool's primitives and the link that feeds it (Figure 10).
+_GATHER_NMP = Primitive(
+    "gather", RESOURCE_NMP, OP_FWD_GATHER,
+    lambda hw, s: hw.nmp.time_gather_reduce(s.n, s.num_outputs, s.dim, s.itemsize),
+    lambda s: (s.n + s.num_outputs) * s.vec_bytes,
+    after=(PREVIOUS,), per_shard=True,
+)
+_EMB_UP = _transfer(
+    "pooled", RESOURCE_LINK, _OP_XFER, lambda s: s.gradient_table_bytes, ("gather",)
+)
+_DENSE_UP = _transfer("dense", RESOURCE_PCIE, _OP_XFER, lambda s: s.dense_input_bytes)
+_DNN_FWD_NMP = replace(_DNN_FWD, after=("pooled", "dense"))
+# The gradient table streams over the link and is staged into rank DRAM as it
+# arrives (cut-through), so one pipelined span covers both at the slower of
+# the two rates.
+_STAGE = Primitive(
+    "grads", RESOURCE_LINK, _OP_XFER,
+    lambda hw, s: max(
+        hw.nmp_link.transfer_time(s.gradient_table_bytes),
+        hw.nmp.time_stage(s.gradient_table_bytes),
+    ),
+    lambda s: s.gradient_table_bytes,
+    after=("dnn_b",),
+)
+# The casted index array likewise streams over the link while the NMP
+# consumes it chunk by chunk, so delivery pipelines with execution: the op
+# runs at the slower of the two rates.
+_TCAST_NMP = Primitive(
+    "coalesce", RESOURCE_NMP, OP_BWD_TCAST,
+    lambda hw, s: max(
+        hw.nmp.time_casted_gather_reduce(s.n, s.u, s.dim, s.itemsize),
+        hw.nmp_link.bandwidth_bound_time(s.index_bytes),
+    ),
+    lambda s: (s.n + s.u) * s.vec_bytes,
+    after=("bwd_exchange",), per_shard=True,
+)
+_SCATTER_NMP = Primitive(
+    "update", RESOURCE_NMP, OP_BWD_SCATTER,
+    lambda hw, s: hw.nmp.time_scatter(s.u, s.dim, s.itemsize, s.optimizer),
+    lambda s: 3 * s.u * s.vec_bytes,
+    after=("coalesce",), per_shard=True,
+)
+# The pool node hangs off the system fabric (Figure 10): the host reaches it
+# over one link hop with the coalesced payload.
+_TO_POOL = _transfer(
+    "to_pool", RESOURCE_LINK, _OP_XFER, lambda s: s.coalesced_bytes, ("coalesce",)
+)
+
+# The all-to-all between pool nodes: the forward's partial pooled sums go to
+# the sample owners, and the backward's gradient rows to the row owners.  The
+# casted pairs never cross the fabric; they stream from the GPU during the
+# casted gather-reduce (its link bound), as in the unsharded schedule.
+_FWD_EXCHANGE = Primitive(
+    "fwd_exchange", "fabric", OP_EXCHANGE, None, lambda s: s.gradient_table_bytes,
+    after=("gather",), per_shard=True, exchange=True,
+)
+_BWD_EXCHANGE = replace(_FWD_EXCHANGE, key="bwd_exchange", after=("grads", "cast"))
+
+# -- Design points -----------------------------------------------------------
+#: ``CPU-only``: everything on the host (Section II-C).
+CPU_ONLY = (_GATHER_CPU, _MLP_FWD, _MLP_BWD, _EXPAND, _SORT, _ACCU, _SCATTER_CPU)
+#: ``CPU-only (T.Casting)``: the cast and the casted gather-reduce on the host.
+CPU_ONLY_CASTING = (
+    _GATHER_CPU, _CAST_CPU, _MLP_FWD, _MLP_BWD, _TCAST_CPU, _SCATTER_CPU,
+)
+#: ``Baseline(CPU)``: embeddings on the host, DNN on the GPU (Figure 3).
+BASELINE_CPU = (
+    _GATHER_CPU, _INPUTS_UP, _DNN_FWD, _DNN_BWD, _GRADS_DOWN,
+    _EXPAND, _SORT, _ACCU, _SCATTER_CPU,
+)
+#: ``Ours(CPU)``: the cast runs on the GPU while the host gathers.
+OURS_CPU = (
+    _INDEX_UP, _CAST_GPU, _INDEX_DOWN, _GATHER_CPU, _INPUTS_UP, _DNN_FWD,
+    _DNN_BWD, _GRADS_DOWN, _TCAST_CPU, _SCATTER_CPU,
+)
+#: ``Baseline(NMP)``: gather and scatter on the pool, the coalesce on the
+#: host, so the gradients go GPU -> CPU -> pool.
+BASELINE_NMP = (
+    _GATHER_NMP, _EMB_UP, _DENSE_UP, _DNN_FWD_NMP, _DNN_BWD, _GRADS_DOWN,
+    _EXPAND, _SORT, _ACCU, _TO_POOL, replace(_SCATTER_NMP, after=("to_pool",)),
+)
+#: ``Ours(NMP)``: the casted gather-reduce on the pool, against the
+#: link-staged gradient table; run over ``N`` pool nodes when sharded.
+OURS_NMP = (
+    _INDEX_UP, _CAST_GPU, _GATHER_NMP, _FWD_EXCHANGE,
+    replace(_EMB_UP, after=("fwd_exchange",)), _DENSE_UP, _DNN_FWD_NMP, _DNN_BWD,
+    _STAGE, _BWD_EXCHANGE, _TCAST_NMP, _SCATTER_NMP,
+)
 
 
 class TrainingSystem:
-    """Base class: one schedulable recommendation-training design point."""
+    """One schedulable recommendation-training design point.
+
+    A design point is its record, :attr:`primitives`, placed over
+    :attr:`num_shards` pool nodes under the partition :attr:`policy`.  A
+    subclass picks all three; it defines no schedule.
+    """
 
     name = "abstract"
+    primitives: Tuple[Primitive, ...] = ()
+    num_shards = 1
+    policy = "row"
 
     def __init__(self, hardware: SystemHardware | None = None) -> None:
         self.hardware = hardware or SystemHardware()
 
     def run_iteration(self, stats: WorkloadStats) -> IterationResult:
         """Simulate one iteration, returning timeline + breakdown + makespan."""
-        timeline = Timeline()
-        self._schedule_iteration(stats, timeline, prev_update=None)
-        timeline.validate()
-        return IterationResult(
-            system=self.name,
-            stats=stats,
-            timeline=timeline,
-            total=timeline.makespan(),
-            breakdown=timeline.breakdown(),
-        )
+        return self.run_pipeline(stats, 1)
 
     def run_pipeline(self, stats: WorkloadStats, iterations: int) -> IterationResult:
         """Simulate ``iterations`` back-to-back steps with software pipelining.
@@ -278,373 +523,55 @@ class TrainingSystem:
         if iterations <= 0:
             raise ValueError(f"iterations must be positive, got {iterations}")
         timeline = Timeline()
-        prev_update = None
+        update: List[Span] = []
         for _ in range(iterations):
-            prev_update = self._schedule_iteration(stats, timeline, prev_update)
+            update = self._schedule_iteration(stats, timeline, update)
         timeline.validate()
         return IterationResult(
-            system=self.name,
-            stats=stats,
-            timeline=timeline,
-            total=timeline.makespan(),
-            breakdown=timeline.breakdown(),
+            self.name, stats, timeline, timeline.makespan(), timeline.breakdown()
         )
 
     def _schedule_iteration(
-        self,
-        stats: WorkloadStats,
-        timeline: Timeline,
-        prev_update: "Span | List[Span] | None",
-    ) -> "Span | List[Span]":
-        """Append one iteration's spans; returns the model-update span(s)."""
-        raise NotImplementedError
-
-    # Shared DNN helpers ------------------------------------------------
-    def _dnn_times(self, stats: WorkloadStats) -> tuple[float, float, int]:
-        """(forward seconds, backward seconds, launches) on the GPU model."""
-        config = stats.model
-        layers = _dnn_layer_count(config)
-        touched = _dnn_activation_bytes(config, stats.batch, stats.itemsize)
-        touched += _dnn_param_bytes(config, stats.itemsize)
-        fwd = self.hardware.gpu.time_dnn(
-            config.mlp_forward_flops(stats.batch), layers, touched
-        )
-        bwd = self.hardware.gpu.time_dnn(
-            config.mlp_backward_flops(stats.batch), layers, 2 * touched
-        )
-        return fwd, bwd, layers
-
-
-class CPUOnlySystem(TrainingSystem):
-    """Everything on the host (Section II-C's ``CPU-only``).
-
-    With ``casting=True`` the backward expand-coalesce is replaced by the
-    casted gather-reduce, with the casting stage itself also on the CPU —
-    there is no idle accelerator to hide it under, so it sits on the
-    critical path (it still wins: the cast costs about one sort and it
-    eliminates both the expand and the accumulate).  The paper notes its
-    proposal applies to CPU-centric designs too (Section IV-C); this is the
-    all-host limit of that observation.
-    """
-
-    def __init__(
-        self, hardware: SystemHardware | None = None, casting: bool = False
-    ) -> None:
-        super().__init__(hardware)
-        self.casting = casting
-        self.name = "CPU-only (T.Casting)" if casting else "CPU-only"
-
-    def _schedule_iteration(
-        self,
-        stats: WorkloadStats,
-        timeline: Timeline,
-        prev_update: "Span | List[Span] | None",
-    ) -> "Span | List[Span]":
-        cpu = self.hardware.cpu
-        config = stats.model
-        touched = _dnn_activation_bytes(config, stats.batch, stats.itemsize)
-        touched += _dnn_param_bytes(config, stats.itemsize)
-        timeline.schedule(
-            RESOURCE_CPU, OP_FWD_GATHER,
-            cpu.time_gather_reduce(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-            after=prev_update, category="fwd",
-        )
-        if self.casting:
-            timeline.schedule(
-                RESOURCE_CPU, OP_CASTING, cpu.time_casting(stats.n), category="cast"
+        self, stats: WorkloadStats, timeline: Timeline, previous: Sequence[Span]
+    ) -> List[Span]:
+        """Place one iteration's primitives in order; returns the update's spans."""
+        shards = self.effective_shards(stats)
+        shard, fabric = stats, self.fabric_for(stats)
+        if shards > 1:
+            shard = replace(
+                stats, n=self.shard_lookups(stats), u=self.shard_coalesced(stats),
+                num_outputs=self.shard_outputs(stats),
             )
-        timeline.schedule(
-            RESOURCE_CPU, OP_FWD_DNN,
-            cpu.time_mlp(config.mlp_forward_flops(stats.batch), touched),
-            category="dnn",
-        )
-        timeline.schedule(
-            RESOURCE_CPU, OP_BWD_DNN,
-            cpu.time_mlp(config.mlp_backward_flops(stats.batch), 2 * touched),
-            category="dnn",
-        )
-        if self.casting:
-            timeline.schedule(
-                RESOURCE_CPU, OP_BWD_TCAST,
-                cpu.time_casted_gather_reduce(
-                    stats.n, stats.u, stats.num_outputs, stats.dim, stats.itemsize
-                ),
-                category="bwd",
+        # (key, shard) -> that shard's spans; (key, None) -> all of the key's.
+        placed: Dict[Tuple[str, int | None], List[Span]] = {
+            (PREVIOUS, None): list(previous)
+        }
+        for p in self.primitives:
+            if p.exchange and shards == 1:
+                placed[p.key, None] = [s for k in p.after for s in placed[k, None]]
+                continue
+            sliced = shard if p.per_shard else stats
+            moved = p.moves(sliced)
+            if p.time is not None:
+                seconds = p.time(self.hardware, sliced)
+            else:  # an exchange: the fabric times its payload
+                seconds, moved = fabric.exchange_time(moved), fabric.remote_bytes(moved)
+            spans: List[Span] = []
+            lanes: Sequence[int | None] = (
+                range(shards) if p.per_shard and shards > 1 else (None,)
             )
-        else:
-            timeline.schedule(
-                RESOURCE_CPU, OP_BWD_EXPAND,
-                cpu.time_expand(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-                category="bwd",
-            )
-            timeline.schedule(
-                RESOURCE_CPU, OP_BWD_SORT, cpu.time_sort(stats.n), category="bwd"
-            )
-            timeline.schedule(
-                RESOURCE_CPU, OP_BWD_ACCU,
-                cpu.time_coalesce_accumulate(stats.n, stats.u, stats.dim, stats.itemsize),
-                category="bwd",
-            )
-        return timeline.schedule(
-            RESOURCE_CPU, OP_BWD_SCATTER,
-            cpu.time_scatter(stats.u, stats.dim, stats.itemsize, stats.optimizer),
-            category="bwd",
-        )
+            for lane in lanes:
+                after = [s for k in p.after for s in placed.get((k, lane), placed[k, None])]
+                resource = p.resource if lane is None else f"{p.resource}[{lane}]"
+                span = timeline.schedule(
+                    resource, p.op, seconds, after=after, bytes_moved=moved
+                )
+                placed[p.key, lane] = [span]
+                spans.append(span)
+            placed[p.key, None] = spans
+        return placed[self.primitives[-1].key, None]
 
-
-class CPUGPUSystem(TrainingSystem):
-    """Hybrid CPU-GPU system, optionally co-designed with Tensor Casting.
-
-    ``casting=False`` is the paper's ``Baseline(CPU)``; ``casting=True`` is
-    ``Ours(CPU)`` — identical hardware, with the backward expand-coalesce
-    replaced by the casted gather-reduce and the casting stage scheduled on
-    the GPU concurrently with the CPU-side forward gather (Figure 9(b)).
-    """
-
-    def __init__(
-        self, hardware: SystemHardware | None = None, casting: bool = False
-    ) -> None:
-        super().__init__(hardware)
-        self.casting = casting
-        self.name = "Ours(CPU)" if casting else "Baseline(CPU)"
-
-    def _schedule_iteration(
-        self,
-        stats: WorkloadStats,
-        timeline: Timeline,
-        prev_update: "Span | List[Span] | None",
-    ) -> "Span | List[Span]":
-        cpu, gpu = self.hardware.cpu, self.hardware.gpu
-        pcie = self.hardware.pcie
-        fwd_dnn, bwd_dnn, _ = self._dnn_times(stats)
-
-        cast_done = None
-        if self.casting:
-            # Index arrays ship to the GPU at iteration start; the cast runs
-            # while the CPU is busy gathering - the hidden stage.
-            index_up = timeline.schedule(
-                RESOURCE_PCIE, OP_CAST_XFER, pcie.transfer_time(stats.index_bytes),
-                category="cast", bytes_moved=stats.index_bytes,
-            )
-            cast = timeline.schedule(
-                RESOURCE_GPU, OP_CASTING, gpu.time_casting(stats.n),
-                after=index_up, category="cast",
-            )
-            cast_down = timeline.schedule(
-                RESOURCE_PCIE, OP_CAST_XFER, pcie.transfer_time(stats.index_bytes),
-                after=cast, category="cast", bytes_moved=stats.index_bytes,
-            )
-            cast_done = cast_down
-
-        gather = timeline.schedule(
-            RESOURCE_CPU, OP_FWD_GATHER,
-            cpu.time_gather_reduce(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-            after=prev_update, category="fwd",
-        )
-        inputs_bytes = stats.dense_input_bytes + stats.gradient_table_bytes
-        inputs_up = timeline.schedule(
-            RESOURCE_PCIE, _OP_XFER, pcie.transfer_time(inputs_bytes),
-            after=gather, category="xfer", bytes_moved=inputs_bytes,
-        )
-        dnn_f = timeline.schedule(
-            RESOURCE_GPU, OP_FWD_DNN, fwd_dnn, after=inputs_up, category="dnn"
-        )
-        dnn_b = timeline.schedule(
-            RESOURCE_GPU, OP_BWD_DNN, bwd_dnn, after=dnn_f, category="dnn"
-        )
-        grads_down = timeline.schedule(
-            RESOURCE_PCIE, _OP_XFER, pcie.transfer_time(stats.gradient_table_bytes),
-            after=dnn_b, category="xfer", bytes_moved=stats.gradient_table_bytes,
-        )
-
-        if self.casting:
-            deps = [grads_down] + ([cast_done] if cast_done else [])
-            tcast = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_TCAST,
-                cpu.time_casted_gather_reduce(
-                    stats.n, stats.u, stats.num_outputs, stats.dim, stats.itemsize
-                ),
-                after=deps, category="bwd",
-            )
-            scatter_after = tcast
-        else:
-            expand = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_EXPAND,
-                cpu.time_expand(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-                after=grads_down, category="bwd",
-            )
-            sort = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_SORT, cpu.time_sort(stats.n),
-                after=expand, category="bwd",
-            )
-            accu = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_ACCU,
-                cpu.time_coalesce_accumulate(stats.n, stats.u, stats.dim, stats.itemsize),
-                after=sort, category="bwd",
-            )
-            scatter_after = accu
-        return timeline.schedule(
-            RESOURCE_CPU, OP_BWD_SCATTER,
-            cpu.time_scatter(stats.u, stats.dim, stats.itemsize, stats.optimizer),
-            after=scatter_after, category="bwd",
-        )
-
-
-class NMPSystem(TrainingSystem):
-    """Memory-centric system with the Table I NMP pool (Figure 10).
-
-    ``casting=False`` is ``Baseline(NMP)`` — TensorDIMM acceleration of
-    gather-reduce and scatter with expand-coalesce still CPU-resident, which
-    forces the gradient round trip GPU -> CPU -> pool; ``casting=True`` is
-    the full co-design ``Ours(NMP)``, where the casted gather-reduce runs on
-    the pool against the link-staged gradient table.
-    """
-
-    def __init__(
-        self, hardware: SystemHardware | None = None, casting: bool = False
-    ) -> None:
-        super().__init__(hardware)
-        self.casting = casting
-        self.name = "Ours(NMP)" if casting else "Baseline(NMP)"
-
-    def _schedule_iteration(
-        self,
-        stats: WorkloadStats,
-        timeline: Timeline,
-        prev_update: "Span | List[Span] | None",
-    ) -> "Span | List[Span]":
-        cpu, gpu, nmp = self.hardware.cpu, self.hardware.gpu, self.hardware.nmp
-        pcie, link = self.hardware.pcie, self.hardware.nmp_link
-        fwd_dnn, bwd_dnn, _ = self._dnn_times(stats)
-
-        cast = None
-        if self.casting:
-            index_up = timeline.schedule(
-                RESOURCE_PCIE, OP_CAST_XFER, pcie.transfer_time(stats.index_bytes),
-                category="cast", bytes_moved=stats.index_bytes,
-            )
-            cast = timeline.schedule(
-                RESOURCE_GPU, OP_CASTING, gpu.time_casting(stats.n),
-                after=index_up, category="cast",
-            )
-
-        gather = timeline.schedule(
-            RESOURCE_NMP, OP_FWD_GATHER,
-            nmp.time_gather_reduce(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-            after=prev_update, category="fwd",
-            bytes_moved=(stats.n + stats.num_outputs) * stats.vec_bytes,
-        )
-        emb_to_gpu = timeline.schedule(
-            RESOURCE_LINK, _OP_XFER, link.transfer_time(stats.gradient_table_bytes),
-            after=gather, category="xfer", bytes_moved=stats.gradient_table_bytes,
-        )
-        dense_up = timeline.schedule(
-            RESOURCE_PCIE, _OP_XFER, pcie.transfer_time(stats.dense_input_bytes),
-            category="xfer", bytes_moved=stats.dense_input_bytes,
-        )
-        dnn_f = timeline.schedule(
-            RESOURCE_GPU, OP_FWD_DNN, fwd_dnn,
-            after=[emb_to_gpu, dense_up], category="dnn",
-        )
-        dnn_b = timeline.schedule(
-            RESOURCE_GPU, OP_BWD_DNN, bwd_dnn, after=dnn_f, category="dnn"
-        )
-
-        if self.casting:
-            # The gradient table streams over the link and is staged into
-            # rank DRAM as it arrives (cut-through), so one pipelined span
-            # covers both at the slower of the two rates.
-            stage_time = max(
-                link.transfer_time(stats.gradient_table_bytes),
-                nmp.time_stage(stats.gradient_table_bytes),
-            )
-            stage = timeline.schedule(
-                RESOURCE_LINK, _OP_XFER, stage_time,
-                after=dnn_b, category="xfer", bytes_moved=stats.gradient_table_bytes,
-            )
-            # The casted index array likewise streams over the link while the
-            # NMP consumes it chunk-by-chunk, so delivery pipelines with
-            # execution: the op runs at the slower of the two rates.
-            tcast_time = max(
-                nmp.time_casted_gather_reduce(stats.n, stats.u, stats.dim, stats.itemsize),
-                link.bandwidth_bound_time(stats.index_bytes),
-            )
-            tcast = timeline.schedule(
-                RESOURCE_NMP, OP_BWD_TCAST, tcast_time,
-                after=[stage, cast], category="bwd",
-                bytes_moved=(stats.n + stats.u) * stats.vec_bytes,
-            )
-            scatter_after = tcast
-        else:
-            grads_to_cpu = timeline.schedule(
-                RESOURCE_PCIE, _OP_XFER, pcie.transfer_time(stats.gradient_table_bytes),
-                after=dnn_b, category="xfer", bytes_moved=stats.gradient_table_bytes,
-            )
-            expand = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_EXPAND,
-                cpu.time_expand(stats.n, stats.num_outputs, stats.dim, stats.itemsize),
-                after=grads_to_cpu, category="bwd",
-            )
-            sort = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_SORT, cpu.time_sort(stats.n),
-                after=expand, category="bwd",
-            )
-            accu = timeline.schedule(
-                RESOURCE_CPU, OP_BWD_ACCU,
-                cpu.time_coalesce_accumulate(stats.n, stats.u, stats.dim, stats.itemsize),
-                after=sort, category="bwd",
-            )
-            # The pool node hangs off the system fabric (Figure 10): the
-            # host reaches it over one link hop with the coalesced payload.
-            coal_to_pool = timeline.schedule(
-                RESOURCE_LINK, _OP_XFER, link.transfer_time(stats.coalesced_bytes),
-                after=accu, category="xfer", bytes_moved=stats.coalesced_bytes,
-            )
-            scatter_after = coal_to_pool
-        return timeline.schedule(
-            RESOURCE_NMP, OP_BWD_SCATTER,
-            nmp.time_scatter(stats.u, stats.dim, stats.itemsize, stats.optimizer),
-            after=scatter_after, category="bwd",
-            bytes_moved=3 * stats.u * stats.vec_bytes,
-        )
-
-
-class ShardedNMPSystem(TrainingSystem):
-    """``N`` casting-enabled NMP pool nodes with all-to-all embedding exchange.
-
-    Scale-out extension of ``Ours(NMP)`` beyond the paper: the embedding
-    tables are partitioned across ``num_shards`` pool nodes (row-wise or
-    table-wise, per :mod:`repro.core.sharding`), each node runs the forward
-    gather and the Tensor-Casted backward over its slice, and pooled
-    vectors/gradient rows cross a symmetric fabric modeled by
-    :class:`repro.sim.interconnect.AllToAll`.  The casted index arrays keep
-    the exchange compact — each node receives only the gradient-table rows
-    its casted sub-arrays name, the byte count of
-    :func:`repro.core.traffic.sharded_exchange_bytes`.
-
-    With ``num_shards=1`` the exchange collapses to zero-duration spans and
-    the schedule reduces to exactly ``Ours(NMP)``'s.  The model is
-    analytic only: the functional trainer runs one device.
-    """
-
-    def __init__(
-        self,
-        hardware: SystemHardware | None = None,
-        num_shards: int = 1,
-        policy: str = "row",
-    ) -> None:
-        super().__init__(hardware)
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if policy not in PARTITION_POLICIES:
-            raise ValueError(
-                f"unknown partition policy {policy!r}; expected one of "
-                f"{sorted(PARTITION_POLICIES)}"
-            )
-        self.num_shards = int(num_shards)
-        self.policy = policy
-        self.name = f"Sharded(NMP,{policy}x{num_shards})"
-
+    # -- per-shard geometry ---------------------------------------------
     def fabric_for(self, stats: WorkloadStats) -> AllToAll:
         """The all-to-all fabric among the shards this workload engages."""
         return AllToAll(self.hardware.nmp_link.spec, self.effective_shards(stats))
@@ -662,7 +589,6 @@ class ShardedNMPSystem(TrainingSystem):
             self.shard_outputs(stats) * stats.vec_bytes
         )
 
-    # -- per-shard geometry ---------------------------------------------
     def effective_shards(self, stats: WorkloadStats) -> int:
         """Shards that actually hold embedding rows of this workload.
 
@@ -684,134 +610,110 @@ class ShardedNMPSystem(TrainingSystem):
 
     def shard_outputs(self, stats: WorkloadStats) -> int:
         """Gradient-table rows one shard touches (its exchange payload)."""
-        return max(
-            1,
-            round(
-                expected_shard_outputs(
-                    stats.n, stats.num_outputs, self.effective_shards(stats),
-                    self.policy,
-                )
-            ),
+        touched = expected_shard_outputs(
+            stats.n, stats.num_outputs, self.effective_shards(stats), self.policy
         )
+        return max(1, round(touched))
 
     def per_device_exchange_bytes(self, stats: WorkloadStats) -> int:
         """Backward all-to-all bytes one device ingests (gradient rows + pairs)."""
         return sharded_exchange_bytes(
-            stats.n,
-            stats.num_outputs,
-            stats.dim,
-            itemsize=stats.itemsize,
-            index_itemsize=stats.index_itemsize,
-            num_shards=self.effective_shards(stats),
-            policy=self.policy,
+            stats.n, stats.num_outputs, stats.dim,
+            itemsize=stats.itemsize, index_itemsize=stats.index_itemsize,
+            num_shards=self.effective_shards(stats), policy=self.policy,
         )
 
-    def _schedule_iteration(
+
+class _CastingChoice(TrainingSystem):
+    """A design point with and without Tensor Casting: ``(name, record)`` each."""
+
+    choices: Tuple[Tuple[str, Tuple[Primitive, ...]], ...] = ()
+
+    def __init__(
+        self, hardware: SystemHardware | None = None, casting: bool = False
+    ) -> None:
+        super().__init__(hardware)
+        self.casting = casting
+        self.name, self.primitives = self.choices[bool(casting)]
+
+
+class CPUOnlySystem(_CastingChoice):
+    """Everything on the host (Section II-C's ``CPU-only``).
+
+    With ``casting=True`` the backward expand-coalesce is replaced by the
+    casted gather-reduce, with the casting stage itself also on the CPU —
+    there is no idle accelerator to hide it under, so it sits on the
+    critical path (it still wins: the cast costs about one sort and it
+    eliminates both the expand and the accumulate).  The paper notes its
+    proposal applies to CPU-centric designs too (Section IV-C); this is the
+    all-host limit of that observation.
+    """
+
+    choices = (("CPU-only", CPU_ONLY), ("CPU-only (T.Casting)", CPU_ONLY_CASTING))
+
+
+class CPUGPUSystem(_CastingChoice):
+    """Hybrid CPU-GPU system, optionally co-designed with Tensor Casting.
+
+    ``casting=False`` is the paper's ``Baseline(CPU)``; ``casting=True`` is
+    ``Ours(CPU)`` — identical hardware, with the backward expand-coalesce
+    replaced by the casted gather-reduce and the casting stage scheduled on
+    the GPU concurrently with the CPU-side forward gather (Figure 9(b)).
+    """
+
+    choices = (("Baseline(CPU)", BASELINE_CPU), ("Ours(CPU)", OURS_CPU))
+
+
+class NMPSystem(_CastingChoice):
+    """Memory-centric system with the Table I NMP pool (Figure 10).
+
+    ``casting=False`` is ``Baseline(NMP)`` — TensorDIMM acceleration of
+    gather-reduce and scatter with expand-coalesce still CPU-resident, which
+    forces the gradient round trip GPU -> CPU -> pool; ``casting=True`` is
+    the full co-design ``Ours(NMP)``, where the casted gather-reduce runs on
+    the pool against the link-staged gradient table.
+    """
+
+    choices = (("Baseline(NMP)", BASELINE_NMP), ("Ours(NMP)", OURS_NMP))
+
+
+class ShardedNMPSystem(TrainingSystem):
+    """``Ours(NMP)`` over ``N`` casting-enabled NMP pool nodes.
+
+    Scale-out extension beyond the paper: the embedding tables are
+    partitioned across ``num_shards`` pool nodes (row-wise or table-wise,
+    per :mod:`repro.core.sharding`), each node runs the forward gather and
+    the Tensor-Casted backward over its slice, and pooled vectors/gradient
+    rows cross a symmetric fabric modeled by
+    :class:`repro.sim.interconnect.AllToAll`.  The casted index arrays keep
+    the exchange compact — each node receives only the gradient-table rows
+    its casted sub-arrays name, the byte count of
+    :func:`repro.core.traffic.sharded_exchange_bytes`.
+
+    The record is :data:`OURS_NMP`; with ``num_shards=1`` the schedule is
+    ``Ours(NMP)``'s, span for span.  The model is analytic only: the
+    functional trainer runs one device.
+    """
+
+    primitives = OURS_NMP
+
+    def __init__(
         self,
-        stats: WorkloadStats,
-        timeline: Timeline,
-        prev_update: "Span | List[Span] | None",
-    ) -> "Span | List[Span]":
-        gpu, nmp = self.hardware.gpu, self.hardware.nmp
-        pcie, link = self.hardware.pcie, self.hardware.nmp_link
-        fwd_dnn, bwd_dnn, _ = self._dnn_times(stats)
-        shards = self.effective_shards(stats)
-        fabric = self.fabric_for(stats)
-        n_s = self.shard_lookups(stats)
-        u_s = self.shard_coalesced(stats)
-        touched_s = self.shard_outputs(stats)
-        pair_bytes_s = 2 * n_s * stats.index_itemsize
-
-        index_up = timeline.schedule(
-            RESOURCE_PCIE, OP_CAST_XFER, pcie.transfer_time(stats.index_bytes),
-            category="cast", bytes_moved=stats.index_bytes,
-        )
-        cast = timeline.schedule(
-            RESOURCE_GPU, OP_CASTING, gpu.time_casting(stats.n),
-            after=index_up, category="cast",
-        )
-
-        # Forward: every pool node gathers its slice concurrently, then the
-        # partial pooled sums cross the fabric to the sample owners.
-        gathers = []
-        fwd_exchanges = []
-        for shard in range(shards):
-            gather = timeline.schedule(
-                f"{RESOURCE_NMP}[{shard}]", OP_FWD_GATHER,
-                nmp.time_gather_reduce(n_s, touched_s, stats.dim, stats.itemsize),
-                after=prev_update, category="fwd",
-                bytes_moved=(n_s + touched_s) * stats.vec_bytes,
+        hardware: SystemHardware | None = None,
+        num_shards: int = 1,
+        policy: str = "row",
+    ) -> None:
+        super().__init__(hardware)
+        if num_shards <= 0:
+            raise ValueError(f"num_shards must be positive, got {num_shards}")
+        if policy not in PARTITION_POLICIES:
+            raise ValueError(
+                f"unknown partition policy {policy!r}; expected one of "
+                f"{sorted(PARTITION_POLICIES)}"
             )
-            gathers.append(gather)
-            fwd_bytes = touched_s * stats.vec_bytes
-            fwd_exchanges.append(
-                timeline.schedule(
-                    f"fabric[{shard}]", OP_EXCHANGE,
-                    fabric.exchange_time(fwd_bytes),
-                    after=gather, category="xfer",
-                    bytes_moved=fabric.remote_bytes(fwd_bytes),
-                )
-            )
-
-        emb_to_gpu = timeline.schedule(
-            RESOURCE_LINK, _OP_XFER, link.transfer_time(stats.gradient_table_bytes),
-            after=fwd_exchanges, category="xfer",
-            bytes_moved=stats.gradient_table_bytes,
-        )
-        dense_up = timeline.schedule(
-            RESOURCE_PCIE, _OP_XFER, pcie.transfer_time(stats.dense_input_bytes),
-            category="xfer", bytes_moved=stats.dense_input_bytes,
-        )
-        dnn_f = timeline.schedule(
-            RESOURCE_GPU, OP_FWD_DNN, fwd_dnn,
-            after=[emb_to_gpu, dense_up], category="dnn",
-        )
-        dnn_b = timeline.schedule(
-            RESOURCE_GPU, OP_BWD_DNN, bwd_dnn, after=dnn_f, category="dnn"
-        )
-
-        # Backward: the gradient table streams onto the fabric (cut-through
-        # staging, as in Ours(NMP)), then the all-to-all redistributes the
-        # gradient rows to their owners.  The casted pairs are NOT part of
-        # the exchange span: they stream from the GPU during the casted
-        # gather-reduce itself (the tcast lower bound below), exactly as in
-        # the unsharded Ours(NMP) schedule — charging them here too would
-        # count the same bytes twice.
-        stage_time = max(
-            link.transfer_time(stats.gradient_table_bytes),
-            nmp.time_stage(stats.gradient_table_bytes),
-        )
-        stage = timeline.schedule(
-            RESOURCE_LINK, _OP_XFER, stage_time,
-            after=dnn_b, category="xfer", bytes_moved=stats.gradient_table_bytes,
-        )
-        exchange_bytes = touched_s * stats.vec_bytes
-        updates = []
-        for shard in range(shards):
-            bwd_exchange = timeline.schedule(
-                f"fabric[{shard}]", OP_EXCHANGE,
-                fabric.exchange_time(exchange_bytes),
-                after=[stage, cast], category="xfer",
-                bytes_moved=fabric.remote_bytes(exchange_bytes),
-            )
-            tcast_time = max(
-                nmp.time_casted_gather_reduce(n_s, u_s, stats.dim, stats.itemsize),
-                link.bandwidth_bound_time(pair_bytes_s),
-            )
-            tcast = timeline.schedule(
-                f"{RESOURCE_NMP}[{shard}]", OP_BWD_TCAST, tcast_time,
-                after=bwd_exchange, category="bwd",
-                bytes_moved=(n_s + u_s) * stats.vec_bytes,
-            )
-            updates.append(
-                timeline.schedule(
-                    f"{RESOURCE_NMP}[{shard}]", OP_BWD_SCATTER,
-                    nmp.time_scatter(u_s, stats.dim, stats.itemsize, stats.optimizer),
-                    after=tcast, category="bwd",
-                    bytes_moved=3 * u_s * stats.vec_bytes,
-                )
-            )
-        return updates
+        self.num_shards = int(num_shards)
+        self.policy = policy
+        self.name = f"Sharded(NMP,{policy}x{num_shards})"
 
 
 def design_points(hardware: SystemHardware | None = None) -> Dict[str, TrainingSystem]:

@@ -42,16 +42,14 @@ RESOURCE_LINK = "link"
 class Span:
     """One scheduled operation on one resource.
 
-    ``op`` is the breakdown key (e.g. ``"fwd_gather"``); ``category``
-    coarsely classifies it (``fwd`` / ``bwd`` / ``dnn`` / ``cast`` /
-    ``xfer``); ``bytes_moved`` feeds the energy model's per-byte term.
+    ``op`` is the breakdown key (e.g. ``"fwd_gather"``); ``bytes_moved``
+    feeds the energy model's per-byte term.
     """
 
     resource: str
     op: str
     start: float
     duration: float
-    category: str = "other"
     bytes_moved: int = 0
 
     def __post_init__(self) -> None:
@@ -81,29 +79,17 @@ class Timeline:
         op: str,
         duration: float,
         after: Span | Sequence[Span] | None = None,
-        category: str = "other",
         bytes_moved: int = 0,
-        at: float | None = None,
     ) -> Span:
         """Place ``op`` on ``resource`` as early as dependencies permit.
 
-        ``after`` lists spans that must complete first; ``at`` optionally
-        forces an earliest-start floor (e.g. "not before the iteration's
-        input data exists").  Returns the placed span for later chaining.
+        ``after`` lists spans that must complete first.  Returns the placed
+        span for later chaining.
         """
         earliest = self._resource_free.get(resource, 0.0)
-        if at is not None:
-            earliest = max(earliest, at)
         for dep in self._as_spans(after):
             earliest = max(earliest, dep.end)
-        span = Span(
-            resource=resource,
-            op=op,
-            start=earliest,
-            duration=duration,
-            category=category,
-            bytes_moved=bytes_moved,
-        )
+        span = Span(resource, op, earliest, duration, bytes_moved)
         self.spans.append(span)
         self._resource_free[resource] = span.end
         return span
@@ -152,13 +138,6 @@ class Timeline:
         totals: Dict[str, float] = {}
         for span in self.spans:
             totals[span.op] = totals.get(span.op, 0.0) + span.duration
-        return totals
-
-    def category_breakdown(self) -> Dict[str, float]:
-        """Accumulated latency per coarse category."""
-        totals: Dict[str, float] = {}
-        for span in self.spans:
-            totals[span.category] = totals.get(span.category, 0.0) + span.duration
         return totals
 
     def validate(self) -> None:

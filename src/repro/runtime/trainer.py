@@ -12,7 +12,8 @@ source that exhausts mid-run stops the trainer cleanly (the report's
 
 The trainer runs one device: the embedding phases call the model's own
 :class:`~repro.model.embedding.EmbeddingBag` layers table by table.
-Multi-device sharding is modelled, not executed
+Multi-device sharding is modelled, not executed: the simulator places
+the ``Ours(NMP)`` record over ``N`` pool nodes
 (:class:`~repro.runtime.systems.ShardedNMPSystem`, ``repro scaling``).
 
 The trainer is a thin facade over the **training engine**

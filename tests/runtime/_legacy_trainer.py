@@ -10,11 +10,6 @@ future runtime refactors: they ARE the pre-refactor behavior, executable
 on any platform/BLAS, which is what makes the differential bit-identity
 suites in ``test_engine.py`` and ``test_policy.py`` meaningful.
 
-The pipelined loops need no separate transcription: they were pinned
-bit-identical to the serial loops (batches drawn in the same RNG order,
-every phase running the same kernels), so "engine == legacy serial" plus
-"engine pipelined == engine serial" covers both legacy paths.
-
 Do not "modernize" this module — its value is that it never changes.
 """
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.configs import RM1, RM3
+from repro.model.configs import RM1, RM2, RM3, RM4
 from repro.runtime.systems import (
     NMPSystem,
     OP_EXCHANGE,
@@ -30,16 +30,26 @@ class TestConstruction:
 
 
 class TestSingleShardReference:
-    def test_one_shard_matches_ours_nmp_makespan(self):
-        """The 1-shard schedule must reduce exactly to Ours(NMP)."""
-        ours = NMPSystem(HW, casting=True).run_iteration(STATS).total
-        sharded = ShardedNMPSystem(HW, num_shards=1).run_iteration(STATS).total
-        assert sharded == pytest.approx(ours, rel=1e-12)
+    @pytest.mark.parametrize("model", [RM1, RM2, RM3, RM4], ids=lambda m: m.name)
+    @pytest.mark.parametrize("iterations", [None, 3], ids=["single", "pipelined"])
+    def test_one_shard_is_ours_nmp_span_for_span(self, model, iterations):
+        """One shard is Ours(NMP): the same spans, on the plain ``nmp``
+        resource, with no exchange span."""
+        stats = compute_workload(model, 2048)
 
-    def test_one_shard_exchange_spans_are_zero(self):
-        result = ShardedNMPSystem(HW, num_shards=1).run_iteration(STATS)
-        exchange = [s for s in result.timeline.spans if s.op == OP_EXCHANGE]
-        assert exchange and all(s.duration == 0.0 for s in exchange)
+        def spans(system):
+            if iterations is None:
+                result = system.run_iteration(stats)
+            else:
+                result = system.run_pipeline(stats, iterations)
+            return [
+                (s.resource, s.op, s.start, s.duration, s.bytes_moved)
+                for s in result.timeline.spans
+            ]
+
+        ours = spans(NMPSystem(HW, casting=True))
+        assert spans(ShardedNMPSystem(HW, num_shards=1)) == ours
+        assert OP_EXCHANGE not in {op for _, op, *_ in ours}
 
 
 @pytest.mark.parametrize("policy", ["row", "table"])

@@ -46,11 +46,6 @@ class TestScheduling:
         span = timeline.schedule("pcie", "c", 1.0, after=[short, long])
         assert span.start == 3.0
 
-    def test_at_floor_respected(self):
-        timeline = Timeline()
-        span = timeline.schedule("cpu", "a", 1.0, at=5.0)
-        assert span.start == 5.0
-
     def test_zero_duration_allowed(self):
         timeline = Timeline()
         span = timeline.schedule("cpu", "noop", 0.0)
@@ -70,9 +65,9 @@ class TestScheduling:
 class TestViews:
     def make(self):
         timeline = Timeline()
-        timeline.schedule("cpu", "a", 2.0, category="fwd", bytes_moved=10)
-        timeline.schedule("cpu", "a", 1.0, category="fwd", bytes_moved=5)
-        timeline.schedule("gpu", "b", 4.0, category="dnn")
+        timeline.schedule("cpu", "a", 2.0, bytes_moved=10)
+        timeline.schedule("cpu", "a", 1.0, bytes_moved=5)
+        timeline.schedule("gpu", "b", 4.0)
         return timeline
 
     def test_makespan(self):
@@ -93,9 +88,6 @@ class TestViews:
 
     def test_breakdown_accumulates_ops(self):
         assert self.make().breakdown() == {"a": 3.0, "b": 4.0}
-
-    def test_category_breakdown(self):
-        assert self.make().category_breakdown() == {"fwd": 3.0, "dnn": 4.0}
 
     def test_bytes_moved(self):
         assert self.make().bytes_moved("cpu") == 15

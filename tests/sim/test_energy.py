@@ -8,8 +8,8 @@ from repro.sim.energy import DevicePower, EnergyModel
 
 def make_timeline():
     timeline = Timeline()
-    timeline.schedule("cpu", "work", 2.0, category="fwd")
-    timeline.schedule("gpu", "dnn", 1.0, category="dnn", bytes_moved=100)
+    timeline.schedule("cpu", "work", 2.0)
+    timeline.schedule("gpu", "dnn", 1.0, bytes_moved=100)
     return timeline
 
 

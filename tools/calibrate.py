@@ -4,7 +4,19 @@ Run after touching repro.sim.specs constants; the targets printed beside
 each section are the paper's reported numbers (Figures 4, 13, 15, 16).
 """
 import statistics
-from repro.runtime.systems import *
+from repro.runtime.systems import (
+    CPUGPUSystem,
+    CPUOnlySystem,
+    NMPSystem,
+    OP_BWD_ACCU,
+    OP_BWD_DNN,
+    OP_BWD_EXPAND,
+    OP_BWD_SCATTER,
+    OP_BWD_SORT,
+    OP_FWD_DNN,
+    SystemHardware,
+    compute_workload,
+)
 from repro.model import get_model
 
 def main():
